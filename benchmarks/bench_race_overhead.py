@@ -32,9 +32,9 @@ DETERMINISTIC = ("requests", "hits", "misses", "reads", "read_skips",
                  "writes", "write_skips", "bytes_read", "bytes_written")
 
 #: The fig5-style pipeline: async write-behind + prefetch + batched
-#: kernels on a worker thread — every instrumented population at once.
+#: kernels — every instrumented population at once.
 PIPELINE = dict(writeback_depth=4, io_threads=2, prefetch_depth=3,
-                batch=-1, kernel_threads=2)
+                batch=-1)
 
 
 def _timed_run(ds):
@@ -73,7 +73,7 @@ def test_race_sanitizer_overhead_and_parity(benchmark, ds1288):
     overhead = on_wall / off_wall
     report("bench_race_overhead", [
         f"{TRAVERSALS} full traversals, f={SLOT_FRACTION}, lru, batched "
-        f"pipeline (writeback + prefetch + kernel thread)",
+        f"pipeline (writeback + prefetch)",
         f"{'configuration':>24} | wall (s) | vs off",
         f"{'sanitizer off':>24} | {off_wall:8.3f} |   1.00x",
         f"{'sanitizer armed':>24} | {on_wall:8.3f} | {overhead:6.2f}x",

@@ -70,8 +70,7 @@ def _geometry(ctx):
 
 def _build_engine(ctx, *, layout="whole", policy="lru", read_skipping=True,
                   backing_kind="memory", store=None, batch=None,
-                  kernel_threads=1, writeback_depth=0, io_threads=1,
-                  shards=None):
+                  writeback_depth=0, io_threads=1, shards=None):
     from repro.core.backing import SimulatedDiskBackingStore
     from repro.core.layout import make_layout
     from repro.phylo.likelihood.engine import LikelihoodEngine
@@ -125,7 +124,7 @@ def _build_engine(ctx, *, layout="whole", policy="lru", read_skipping=True,
         policy_kwargs=policy_kwargs, backing=backing,
         read_skipping=read_skipping,
         writeback_depth=writeback_depth, io_threads=io_threads,
-        batch=batch, kernel_threads=kernel_threads,
+        batch=batch,
     )
 
 
@@ -271,19 +270,15 @@ def _workloads(ctx):
                      block_sites=ctx["block_sites"], backing="simulated-hdd"))
     yield ("fig5_ooc_whole_batch", "fig5",
            lambda: _build_engine(ctx, backing_kind="simulated",
-                                 batch=ctx["batch"],
-                                 kernel_threads=ctx["kernel_threads"]),
+                                 batch=ctx["batch"]),
            full, cfg(policy="lru", layout="whole", backing="simulated-hdd",
-                     batch=ctx["batch"],
-                     kernel_threads=ctx["kernel_threads"]))
+                     batch=ctx["batch"]))
     yield ("fig5_ooc_block_batch", "fig5",
            lambda: _build_engine(ctx, backing_kind="simulated",
-                                 layout="block", batch=ctx["batch"],
-                                 kernel_threads=ctx["kernel_threads"]),
+                                 layout="block", batch=ctx["batch"]),
            full, cfg(policy="lru", layout="block",
                      block_sites=ctx["block_sites"], backing="simulated-hdd",
-                     batch=ctx["batch"],
-                     kernel_threads=ctx["kernel_threads"]))
+                     batch=ctx["batch"]))
     yield ("fig5_paging", "fig5",
            lambda: _build_engine(ctx, store=_paging_store(ctx)),
            full, cfg(policy=None, layout="paged", backing="simulated-hdd"))
@@ -318,7 +313,8 @@ def _workloads(ctx):
 
 
 def _warm_kernels(ctx):
-    """One throwaway traversal per execution path before anything is timed.
+    """One throwaway traversal per kernel (per-member, fused) before
+    anything is timed.
 
     The first numpy contraction in a process pays one-off setup (BLAS
     initialisation, einsum path search, allocator growth) that would
@@ -352,7 +348,6 @@ def run_bench(args) -> int:
         "radius": args.radius,
         "block_sites": args.block_sites,
         "batch": args.batch,
-        "kernel_threads": args.kernel_threads,
         "shards": args.shards,
     }
     ctx["geometry"] = _geometry(ctx)
@@ -626,9 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="group cap for the *_batch workloads: -1 = "
                              "auto (num_slots // 3), N > 0 = explicit cap "
                              "(default -1)")
-    parser.add_argument("--kernel-threads", type=int, default=1,
-                        help="kernel/gather overlap threads for the "
-                             "*_batch workloads (default 1 = off)")
     parser.add_argument("--min-batch-speedup", type=float, default=None,
                         metavar="X",
                         help="fail unless fig5_ooc_block_batch is at least "

@@ -40,6 +40,37 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 _MAX_ZERO_TRANSFERS = 16
 
 
+def timed_transfer(probe: "BackingProbe | None", mx: "MetricsRegistry | None",
+                   kind: str, transfer: Callable[[int, np.ndarray], int | None],
+                   item: int, buf: np.ndarray) -> None:
+    """Run one backing ``read``/``write`` and report it to the store's hooks.
+
+    ``probe`` / ``mx`` are the store's ``.probe`` / ``.metrics`` attributes
+    (attached by :class:`repro.obs.Observer`); the transfer stays untimed
+    while both are ``None``. ``transfer(item, buf)`` does the I/O and
+    returns the bytes it moved — or ``None`` when nothing was transferred
+    and nothing should be recorded.
+    """
+    if probe is None and mx is None:
+        transfer(item, buf)
+        return
+    t0 = time.perf_counter()
+    nbytes = transfer(item, buf)
+    dt = time.perf_counter() - t0
+    if nbytes is None:
+        return
+    if kind == "read":
+        if probe is not None:
+            probe.record_read(dt, nbytes)
+        if mx is not None:
+            mx.observe("backing_read_seconds", dt)
+    else:
+        if probe is not None:
+            probe.record_write(dt, nbytes)
+        if mx is not None:
+            mx.observe("backing_write_seconds", dt)
+
+
 class BackingStore(Protocol):
     """Protocol for vector-granularity persistent storage.
 
@@ -129,31 +160,22 @@ class MemoryBackingStore:
             raise BackingStoreError(f"item {item} out of range [0, {self.num_items})")
 
     def read(self, item: int, out: np.ndarray) -> None:
-        probe, mx = self.probe, self.metrics
-        timed = probe is not None or mx is not None
-        t0 = time.perf_counter() if timed else 0.0
+        timed_transfer(self.probe, self.metrics, "read", self._read, item, out)
+
+    def _read(self, item: int, out: np.ndarray) -> int:
         self._check(item)
         np.copyto(out, self._data[item])
-        if timed:
-            dt = time.perf_counter() - t0
-            if probe is not None:
-                probe.record_read(dt, out.nbytes)
-            if mx is not None:
-                mx.observe("backing_read_seconds", dt)
+        return out.nbytes
 
     def write(self, item: int, data: np.ndarray) -> None:
-        probe, mx = self.probe, self.metrics
-        timed = probe is not None or mx is not None
-        t0 = time.perf_counter() if timed else 0.0
+        timed_transfer(self.probe, self.metrics, "write", self._write, item,
+                       data)
+
+    def _write(self, item: int, data: np.ndarray) -> int:
         self._check(item)
         np.copyto(self._data[item], data)
         self._present[item] = True
-        if timed:
-            dt = time.perf_counter() - t0
-            if probe is not None:
-                probe.record_write(dt, data.nbytes)
-            if mx is not None:
-                mx.observe("backing_write_seconds", dt)
+        return data.nbytes
 
     def has(self, item: int) -> bool:
         return bool(self._present[item])
@@ -259,9 +281,9 @@ class FileBackingStore:
             raise BackingStoreError(
                 f"read buffer mismatch: {out.nbytes} bytes vs item width {self.item_bytes}"
             )
-        probe, mx = self.probe, self.metrics
-        timed = probe is not None or mx is not None
-        t0 = time.perf_counter() if timed else 0.0
+        timed_transfer(self.probe, self.metrics, "read", self._read, item, out)
+
+    def _read(self, item: int, out: np.ndarray) -> int:
         offset = self._offset(item)
         view = memoryview(out.reshape(-1).view(np.uint8))
         done = self._transfer(os.preadv, item, view, offset, "read")
@@ -271,12 +293,7 @@ class FileBackingStore:
             raise BackingStoreError(
                 f"short read for item {item}: {done}/{self.item_bytes} bytes"
             )
-        if timed:
-            dt = time.perf_counter() - t0
-            if probe is not None:
-                probe.record_read(dt, self.item_bytes)
-            if mx is not None:
-                mx.observe("backing_read_seconds", dt)
+        return self.item_bytes
 
     def write(self, item: int, data: np.ndarray) -> None:
         if data.dtype != self.dtype or not data.flags.c_contiguous:
@@ -285,9 +302,10 @@ class FileBackingStore:
             raise BackingStoreError(
                 f"write buffer mismatch: {data.nbytes} bytes vs item width {self.item_bytes}"
             )
-        probe, mx = self.probe, self.metrics
-        timed = probe is not None or mx is not None
-        t0 = time.perf_counter() if timed else 0.0
+        timed_transfer(self.probe, self.metrics, "write", self._write, item,
+                       data)
+
+    def _write(self, item: int, data: np.ndarray) -> int:
         offset = self._offset(item)
         view = memoryview(data.reshape(-1).view(np.uint8))
         done = self._transfer(os.pwritev, item, view, offset, "write")
@@ -295,12 +313,7 @@ class FileBackingStore:
             raise BackingStoreError(
                 f"short write for item {item}: {done}/{self.item_bytes} bytes"
             )
-        if timed:
-            dt = time.perf_counter() - t0
-            if probe is not None:
-                probe.record_write(dt, self.item_bytes)
-            if mx is not None:
-                mx.observe("backing_write_seconds", dt)
+        return self.item_bytes
 
     def flush(self) -> None:
         if not self._closed:
@@ -359,30 +372,21 @@ class MultiFileBackingStore:
         return self._files[item % self.num_files], item // self.num_files
 
     def read(self, item: int, out: np.ndarray) -> None:
-        probe, mx = self.probe, self.metrics
-        timed = probe is not None or mx is not None
-        t0 = time.perf_counter() if timed else 0.0
+        timed_transfer(self.probe, self.metrics, "read", self._read, item, out)
+
+    def _read(self, item: int, out: np.ndarray) -> int:
         fh, local = self._locate(item)
         fh.read(local, out)
-        if timed:
-            dt = time.perf_counter() - t0
-            if probe is not None:
-                probe.record_read(dt, out.nbytes)
-            if mx is not None:
-                mx.observe("backing_read_seconds", dt)
+        return out.nbytes
 
     def write(self, item: int, data: np.ndarray) -> None:
-        probe, mx = self.probe, self.metrics
-        timed = probe is not None or mx is not None
-        t0 = time.perf_counter() if timed else 0.0
+        timed_transfer(self.probe, self.metrics, "write", self._write, item,
+                       data)
+
+    def _write(self, item: int, data: np.ndarray) -> int:
         fh, local = self._locate(item)
         fh.write(local, data)
-        if timed:
-            dt = time.perf_counter() - t0
-            if probe is not None:
-                probe.record_write(dt, data.nbytes)
-            if mx is not None:
-                mx.observe("backing_write_seconds", dt)
+        return data.nbytes
 
     def flush(self) -> None:
         """Durability barrier: fsync every stripe file *concurrently*.
@@ -472,30 +476,21 @@ class SimulatedDiskBackingStore:
             time.sleep(cost)
 
     def read(self, item: int, out: np.ndarray) -> None:
-        probe, mx = self.probe, self.metrics
-        timed = probe is not None or mx is not None
-        t0 = time.perf_counter() if timed else 0.0
+        timed_transfer(self.probe, self.metrics, "read", self._read, item, out)
+
+    def _read(self, item: int, out: np.ndarray) -> int:
         self._inner.read(item, out)
         self._charge()
-        if timed:
-            dt = time.perf_counter() - t0
-            if probe is not None:
-                probe.record_read(dt, out.nbytes)
-            if mx is not None:
-                mx.observe("backing_read_seconds", dt)
+        return out.nbytes
 
     def write(self, item: int, data: np.ndarray) -> None:
-        probe, mx = self.probe, self.metrics
-        timed = probe is not None or mx is not None
-        t0 = time.perf_counter() if timed else 0.0
+        timed_transfer(self.probe, self.metrics, "write", self._write, item,
+                       data)
+
+    def _write(self, item: int, data: np.ndarray) -> int:
         self._inner.write(item, data)
         self._charge()
-        if timed:
-            dt = time.perf_counter() - t0
-            if probe is not None:
-                probe.record_write(dt, data.nbytes)
-            if mx is not None:
-                mx.observe("backing_write_seconds", dt)
+        return data.nbytes
 
     def flush(self) -> None:
         """No physical medium to sync; delegate to the RAM inner store."""

@@ -25,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import time
 import zlib
 from typing import TYPE_CHECKING, Protocol
 
@@ -33,6 +32,7 @@ import numpy as np
 from numpy.typing import DTypeLike
 
 from repro.analysis.race import make_lock
+from repro.core.backing import timed_transfer
 from repro.errors import BackingStoreError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -260,9 +260,12 @@ class CompressedFileBackingStore:
             raise BackingStoreError(
                 f"read buffer mismatch: {out.nbytes} bytes vs item width "
                 f"{self.item_bytes}")
-        probe, mx = self.probe, self.metrics
-        timed = probe is not None or mx is not None
-        t0 = time.perf_counter() if timed else 0.0
+        timed_transfer(self.probe, self.metrics, "read", self._read, item, out)
+
+    def _read(self, item: int, out: np.ndarray) -> int | None:
+        """The transfer proper; the stored (compressed) byte count, or
+        ``None`` for a never-written item (zero-filled, no I/O to report)."""
+        mx = self.metrics
         self._check(item)
         with self._lock:
             # The fd must be captured together with the extent: compact()
@@ -272,7 +275,7 @@ class CompressedFileBackingStore:
             fd = self._fd
         if extent is None:
             out.reshape(-1)[:] = 0  # parity with the preallocated-file zeros
-            return
+            return None
         offset, length, _cap = extent
         payload = bytearray(length)
         view = memoryview(payload)
@@ -299,12 +302,7 @@ class CompressedFileBackingStore:
             if mx is not None:
                 mx.inc("compress_bytes_raw", self.item_bytes)
                 mx.inc("compress_bytes_stored", length)
-        if timed:
-            dt = time.perf_counter() - t0
-            if probe is not None:
-                probe.record_read(dt, length)
-            if mx is not None:
-                mx.observe("backing_read_seconds", dt)
+        return length
 
     def write(self, item: int, data: np.ndarray) -> None:
         if data.dtype != self.dtype or not data.flags.c_contiguous:
@@ -313,9 +311,12 @@ class CompressedFileBackingStore:
             raise BackingStoreError(
                 f"write buffer mismatch: {data.nbytes} bytes vs item width "
                 f"{self.item_bytes}")
-        probe, mx = self.probe, self.metrics
-        timed = probe is not None or mx is not None
-        t0 = time.perf_counter() if timed else 0.0
+        timed_transfer(self.probe, self.metrics, "write", self._write, item,
+                       data)
+
+    def _write(self, item: int, data: np.ndarray) -> int:
+        """The transfer proper; returns the stored (compressed) byte count."""
+        mx = self.metrics
         self._check(item)
         payload = self.codec.compress(data.tobytes())
         length = len(payload)
@@ -358,12 +359,7 @@ class CompressedFileBackingStore:
                 continue
             zeros = 0
             done += put
-        if timed:
-            dt = time.perf_counter() - t0
-            if probe is not None:
-                probe.record_write(dt, length)
-            if mx is not None:
-                mx.observe("backing_write_seconds", dt)
+        return length
 
     @property
     def compression_ratio(self) -> float:

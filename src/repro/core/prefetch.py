@@ -16,8 +16,9 @@ so the demand miss/read rates (the Fig. 2–4 metrics) stay untouched:
   ``overlap`` fraction of their cost, representing how much of the
   transfer would hide behind computation.
 * :class:`ThreadedPrefetcher` — the real thing: a daemon thread that is
-  fed the access sequence (from
-  ``LikelihoodEngine.plan_accesses``), tracks demand progress through the
+  fed the access sequence (the plan's schedule, flattened — what
+  ``LikelihoodEngine.plan_accesses`` returns and ``execute_plan`` then
+  issues, call for call), tracks demand progress through the
   store's request counter, and keeps the next ``depth`` read items
   resident or in flight while the compute thread works.
 """

@@ -8,8 +8,9 @@ by evaluating with the virtual root placed on an edge incident to ``x``
 (so the engine's stored CLV of ``x`` covers two subtrees and the third
 direction is folded across the root edge).
 
-Because all vector traffic goes through ``store.get``, reconstruction works
-unchanged — and bit-identically — on out-of-core engines.
+Because all vector traffic goes through the engine's edge-operand fetch
+(``store.get``), reconstruction works unchanged — and bit-identically — on
+out-of-core engines.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from repro.errors import LikelihoodError
 from repro.phylo.likelihood import kernels
-from repro.phylo.likelihood.engine import _valid
 
 
 def marginal_ancestral_distribution(engine, node: int) -> np.ndarray:
@@ -40,38 +40,20 @@ def marginal_ancestral_distribution(engine, node: int) -> np.ndarray:
     engine.execute_plan(plan)
     engine._root_edge = (node, parent)
 
-    layout = engine.layout
-    parent_tip = tree.is_tip(parent)
     P = engine._P(node, parent)
     freqs = engine.model.frequencies.astype(engine.dtype)
     weights = engine.rates.weights.astype(engine.dtype)
-    single = layout.blocks_per_node == 1
-    joint = None if single else np.empty(
-        (engine.num_patterns, engine.model.num_states), dtype=engine.dtype)
-    for b in range(layout.blocks_per_node):
-        lo, hi = layout.block_bounds(b)
-        span = hi - lo
-        node_clv = _valid(engine.store.get(
-            layout.item_of(engine.item(node), b),
-            pins=engine._block_pins([parent], b)), span)
-        if parent_tip:
-            other_folded = kernels.propagate_tip(
-                P, engine._tip_codes[parent][lo:hi], engine._code_matrix,
-            )
+
+    def joint_block(node_clv, other, _node_codes, parent_codes):
+        if other is None:
+            other_folded = kernels.propagate_tip(P, parent_codes,
+                                                 engine._code_matrix)
         else:
-            other = _valid(engine.store.get(
-                layout.item_of(engine.item(parent), b),
-                pins=engine._block_pins([node], b)), span)
             other_folded = kernels.propagate_inner(P, other)
-        part = np.einsum("ica,ica,a,c->ia", node_clv, other_folded,
+        return np.einsum("ica,ica,a,c->ia", node_clv, other_folded,
                          freqs, weights, optimize=True)
-        if single:
-            # keep the kernel's own array — downstream reductions are
-            # sensitive to operand memory layout at the ulp level
-            joint = part
-            break
-        joint[lo:hi] = part
-    assert joint is not None
+
+    joint = engine._edge_blocks(node, parent, joint_block)
     totals = joint.sum(axis=1, keepdims=True)
     if np.any(totals <= 0) or not np.all(np.isfinite(totals)):
         raise LikelihoodError("zero marginal likelihood during reconstruction")

@@ -23,13 +23,14 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.analysis.race import race_detector
 from repro.core.layout import StorageLayout, WholeVectorLayout, make_layout
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import LikelihoodError
 from repro.phylo.likelihood import kernels
 from repro.phylo.likelihood.schedule import (
+    BatchedSchedule,
     BatchGroup,
+    BatchMember,
     ScheduleCache,
     default_group_cap,
 )
@@ -96,20 +97,15 @@ class LikelihoodEngine:
         an explicit ``store`` too, provided it is an
         :class:`AncestralVectorStore`.
     batch:
-        Batched kernel scheduling (:mod:`repro.phylo.likelihood.schedule`):
-        ``0``/``None`` (default) runs the classic per-block loop; ``-1``
-        ("auto") groups up to ``num_slots // 3`` independent (step, block)
+        Group cap of the traversal schedule
+        (:mod:`repro.phylo.likelihood.schedule`): ``0``/``None`` (default)
+        = groups of one, each (step, block) update executed in place;
+        ``-1`` ("auto") groups up to ``num_slots // 3`` independent
         updates per fused kernel call — the residency-safe cap; a positive
-        value sets the group cap explicitly. The store access sequence,
-        all demand/eviction counters and the CLV bits are identical to
-        the unbatched path (§4.1). Requires a store with the out-of-band
+        value sets the cap explicitly. The store access sequence, all
+        demand/eviction counters and the CLV bits are the same for every
+        cap (§4.1). A cap above 1 requires a store with the out-of-band
         ``fill`` protocol (:class:`AncestralVectorStore`).
-    kernel_threads:
-        With ``batch`` enabled and ``kernel_threads > 1``, the fused
-        kernel of one group overlaps the operand gathering of the next
-        *independent* group on a worker thread (numpy releases the GIL
-        inside the contractions). Results and counters are unchanged;
-        store calls stay on the compute thread in schedule order.
     dtype:
         ``float64`` (default) or ``float32`` for the single-precision mode.
     """
@@ -136,7 +132,6 @@ class LikelihoodEngine:
         io_threads: int = 1,
         prefetch_depth: int = 0,
         batch: int | str | None = None,
-        kernel_threads: int = 1,
         dtype=np.float64,
     ) -> None:
         if tree.num_tips < 3:
@@ -169,92 +164,6 @@ class LikelihoodEngine:
         self.clv_shape = (self.num_patterns, C, S)
         self.num_inner = tree.num_inner
 
-        if store is None:
-            self.layout = make_layout(layout, self.num_inner, self.clv_shape,
-                                      block_sites=block_sites)
-            store = AncestralVectorStore(
-                layout=self.layout,
-                dtype=self.dtype,
-                fraction=fraction,
-                num_slots=num_slots,
-                policy=policy,
-                backing=backing,
-                read_skipping=read_skipping,
-                track_dirty=track_dirty,
-                poison_skipped_reads=poison_skipped_reads,
-                policy_kwargs=policy_kwargs,
-                writeback_depth=writeback_depth,
-                io_threads=io_threads,
-            )
-        elif fraction is not None or num_slots is not None:
-            raise LikelihoodError("pass either an explicit store or a geometry, not both")
-        elif writeback_depth:
-            raise LikelihoodError(
-                "writeback_depth configures the built store; with an explicit "
-                "store, construct it with writeback_depth yourself"
-            )
-        elif layout != "whole" or block_sites is not None:
-            raise LikelihoodError(
-                "layout/block_sites configure the built store; with an "
-                "explicit store, construct it over a layout yourself"
-            )
-        else:
-            # The explicit store's own layout governs; stores predating the
-            # layout abstraction (e.g. PagedStandardStore) page whole CLVs.
-            found = getattr(store, "layout", None)
-            if found is None:
-                found = WholeVectorLayout(self.num_inner, self.clv_shape)
-            elif (found.num_nodes != self.num_inner
-                    or found.node_shape != self.clv_shape):
-                raise LikelihoodError(
-                    f"store layout covers {found.num_nodes} nodes of shape "
-                    f"{found.node_shape}; this engine needs {self.num_inner} "
-                    f"of {self.clv_shape}"
-                )
-            self.layout = found
-        self.store = store
-        self._bind_topological_policy()
-        self.prefetcher = None
-        if prefetch_depth:
-            if not isinstance(store, AncestralVectorStore):
-                raise LikelihoodError(
-                    "prefetch_depth needs an AncestralVectorStore "
-                    f"(got {type(store).__name__})"
-                )
-            from repro.core.prefetch import ThreadedPrefetcher
-
-            self.prefetcher = ThreadedPrefetcher(store, depth=prefetch_depth)
-
-        if batch in (None, 0):
-            self.batch_members = 0
-        else:
-            if not hasattr(self.store, "fill"):
-                raise LikelihoodError(
-                    "batch needs a store with the out-of-band fill protocol "
-                    f"(got {type(self.store).__name__})"
-                )
-            if batch == -1 or batch == "auto":
-                self.batch_members = default_group_cap(self.store.num_slots)
-            elif isinstance(batch, int) and batch > 0:
-                self.batch_members = int(batch)
-            else:
-                raise LikelihoodError(
-                    f"batch must be None/0 (off), -1/'auto' or a positive "
-                    f"group cap, got {batch!r}"
-                )
-        self.kernel_threads = int(kernel_threads)
-        if self.kernel_threads < 1:
-            raise LikelihoodError(
-                f"kernel_threads must be >= 1, got {kernel_threads}")
-        self._schedule_cache = ScheduleCache() if self.batch_members else None
-        self._kernel_pool = None
-        # Under REPRO_SANITIZE=race, scale-count/orientation traffic and
-        # the kernel-pool handoff carry happens-before edges (zero cost
-        # otherwise — see repro.analysis.race).
-        self._race = race_detector()
-        self._race_scope = ("" if self._race is None
-                            else self._race.new_scope("LikelihoodEngine"))
-
         # Per-site underflow-scaling counters stay in RAM (like tips, they
         # are small compared to the CLVs themselves — paper §3.1).
         self.scale_counts = np.zeros((self.num_inner, self.num_patterns), dtype=np.int32)
@@ -276,6 +185,95 @@ class LikelihoodEngine:
         self.timers = None
         self.spans = None
         self.metrics = None
+        self._schedule_cache = ScheduleCache()
+
+        # Every argument is checked before anything that owns a thread, a
+        # file descriptor or a worker process exists, so a rejected call
+        # has nothing to leak; the store is built last, and whatever still
+        # runs after it runs under the try that closes it.
+        if batch in (None, 0):
+            cap: int | None = 1
+        elif batch == -1 or batch == "auto":
+            cap = None  # default_group_cap(num_slots), once the store exists
+        elif isinstance(batch, int) and batch > 0:
+            cap = int(batch)
+        else:
+            raise LikelihoodError(
+                f"batch must be None/0 (groups of one), -1/'auto' or a "
+                f"positive group cap, got {batch!r}"
+            )
+        if store is not None:
+            if fraction is not None or num_slots is not None:
+                raise LikelihoodError(
+                    "pass either an explicit store or a geometry, not both")
+            if writeback_depth:
+                raise LikelihoodError(
+                    "writeback_depth configures the built store; with an "
+                    "explicit store, construct it with writeback_depth yourself"
+                )
+            if layout != "whole" or block_sites is not None:
+                raise LikelihoodError(
+                    "layout/block_sites configure the built store; with an "
+                    "explicit store, construct it over a layout yourself"
+                )
+            if prefetch_depth and not isinstance(store, AncestralVectorStore):
+                raise LikelihoodError(
+                    "prefetch_depth needs an AncestralVectorStore "
+                    f"(got {type(store).__name__})"
+                )
+            if cap != 1 and not hasattr(store, "fill"):
+                raise LikelihoodError(
+                    "batch needs a store with the out-of-band fill protocol "
+                    f"(got {type(store).__name__})"
+                )
+            # The explicit store's own layout governs; stores predating the
+            # layout abstraction (e.g. PagedStandardStore) page whole CLVs.
+            found = getattr(store, "layout", None)
+            if found is None:
+                found = WholeVectorLayout(self.num_inner, self.clv_shape)
+            elif (found.num_nodes != self.num_inner
+                    or found.node_shape != self.clv_shape):
+                raise LikelihoodError(
+                    f"store layout covers {found.num_nodes} nodes of shape "
+                    f"{found.node_shape}; this engine needs {self.num_inner} "
+                    f"of {self.clv_shape}"
+                )
+            self.layout = found
+            self.store = store
+        else:
+            self.layout = make_layout(layout, self.num_inner, self.clv_shape,
+                                      block_sites=block_sites)
+            self.store = AncestralVectorStore(
+                layout=self.layout,
+                dtype=self.dtype,
+                fraction=fraction,
+                num_slots=num_slots,
+                policy=policy,
+                backing=backing,
+                read_skipping=read_skipping,
+                track_dirty=track_dirty,
+                poison_skipped_reads=poison_skipped_reads,
+                policy_kwargs=policy_kwargs,
+                writeback_depth=writeback_depth,
+                io_threads=io_threads,
+            )
+        self.prefetcher = None
+        try:
+            self._bind_topological_policy()
+            #: Group cap of the traversal schedule; 1 = every update in place.
+            self.batch_members = (default_group_cap(self.store.num_slots)
+                                  if cap is None else cap)
+            if prefetch_depth:
+                from repro.core.prefetch import ThreadedPrefetcher
+
+                self.prefetcher = ThreadedPrefetcher(self.store,
+                                                     depth=prefetch_depth)
+        except BaseException:
+            # A store built here has no other owner: release its writer
+            # threads and its backing (fd, shard workers) with it.
+            if store is None:
+                self.store.close()
+            raise
 
     # -- wiring ---------------------------------------------------------------------
 
@@ -312,18 +310,6 @@ class LikelihoodEngine:
             raise LikelihoodError(f"tip {node} has no ancestral vector")
         return node - self.tree.num_tips
 
-    def _block_pins(self, nodes, block: int) -> tuple[int, ...]:
-        """Item ids pinning block ``block`` of each inner node in ``nodes``.
-
-        Only the *same-numbered* block of the other operands needs to stay
-        resident while a kernel runs — per-site independence means block
-        ``b`` of a parent touches exactly block ``b`` of its children, so
-        the store's ``m >= 3`` floor bounds blocks, not whole vectors.
-        """
-        layout = self.layout
-        return tuple(layout.item_of(self.item(x), block)
-                     for x in nodes if not self.tree.is_tip(x))
-
     @property
     def stats(self):
         """The store's :class:`~repro.core.stats.IoStats`."""
@@ -359,9 +345,6 @@ class LikelihoodEngine:
 
     def plan(self, u: int, v: int, full: bool = False) -> TraversalPlan:
         """Plan the CLV recomputations needed to evaluate edge ``(u, v)``."""
-        rc = self._race
-        if rc is not None:
-            rc.read(self._race_scope, "orientation")
         tm, sp = self.timers, self.spans
         if tm is None and sp is None:
             return plan_edge_traversal(self.tree, self.orientation, u, v, full)
@@ -391,220 +374,127 @@ class LikelihoodEngine:
             sp.complete("store_wait", t0, dt, {"item": int(item)})
         return out
 
+    def _timed_kernel(self, kernel, *args, **span_args) -> None:
+        """``kernel(*args)`` with the time charged to the ``kernel`` phase."""
+        tm, sp = self.timers, self.spans
+        if tm is None and sp is None:
+            kernel(*args)
+            return
+        k0 = time.perf_counter()
+        kernel(*args)
+        k_dt = time.perf_counter() - k0
+        if tm is not None:
+            tm.add("kernel", k_dt)
+        if sp is not None:
+            sp.complete("kernel", k0, k_dt, span_args)
+
+    def _schedule(self, plan: TraversalPlan) -> BatchedSchedule:
+        return self._schedule_cache.get(
+            plan, self.layout, self.tree.num_tips, self.batch_members)
+
     def plan_accesses(self, plan: TraversalPlan) -> list[tuple[int, tuple, bool]]:
         """The store access sequence a plan will generate (for prefetching).
 
         Returns ``(item, pins, write_only)`` triples in execution order —
         computable ahead of time because the plan fixes the order (§3.4).
         """
-        out: list[tuple[int, tuple, bool]] = []
-        layout = self.layout
-        for step in plan.steps:
-            children = [c for c in (step.left, step.right) if not self.tree.is_tip(c)]
-            for b in range(layout.blocks_per_node):
-                for c in children:
-                    pins = self._block_pins(
-                        [x for x in (step.left, step.right, step.node)
-                         if x != c], b)
-                    out.append((layout.item_of(self.item(c), b), pins, False))
-                out.append((layout.item_of(self.item(step.node), b),
-                            self._block_pins([step.left, step.right], b), True))
-        return out
+        return self._schedule(plan).accesses() if plan.steps else []
 
     def execute_plan(self, plan: TraversalPlan) -> None:
         """Run every pruning step of a plan through the vector store.
 
-        Operand fetch order and mutual pinning follow §3.2: the two child
+        The plan's schedule (:mod:`repro.phylo.likelihood.schedule`) lists
+        every (step, block) update with its store calls: the two child
         vectors are fetched (pinning each other and the target), then the
-        target is fetched **write-only** — the read-skipping hook — and the
-        kernel fills it. Orientation is committed after each step so a
-        failure leaves a consistent state. With a prefetcher attached, the
-        plan's access sequence is handed to it first, so swap-ins overlap
-        the kernel arithmetic (§5).
+        target is fetched **write-only** — the read-skipping hook (§3.2,
+        §3.4). Under a block layout a step is one update per site block:
+        block ``b`` of the target needs only block ``b`` of each child
+        (per-site independence). With a prefetcher attached, the access
+        sequence is handed to it first, so swap-ins overlap the kernel
+        arithmetic (§5). Store calls are issued on this thread in exactly
+        that order whatever the group cap, so demand/eviction counters
+        agree bit for bit under every replacement policy.
 
-        Under a block layout the step runs once per site block: block ``b``
-        of the target needs only block ``b`` of each child (per-site
-        independence), so the (left, right, out) fetch-and-pin triple —
-        and the kernel — iterate over blocks with the scale-count rows
-        sliced to each block's pattern range. With the whole-vector layout
-        there is exactly one block spanning all patterns and the sequence
-        of store calls, pins and kernel operands is bit-for-bit the
-        pre-layout one.
-
-        With ``batch`` enabled, execution is delegated to the batched
-        scheduler path (:meth:`_execute_plan_batched`): same store-call
-        sequence, same counters, same bits — fewer, larger kernels.
+        How a group is computed follows from its size. A group of one
+        runs in place (:meth:`_update_in_place`); a larger group copies
+        its operands at fetch time and shares one fused kernel call whose
+        results land out-of-band via ``store.fill`` — bit-identical by the
+        :mod:`~repro.phylo.likelihood.kernels` batched-kernel contract.
+        Both stay because each wins somewhere: fusing pays off once
+        several blocks share a call, but groups of one pushed through
+        gather/fuse/fill measured 6–16 % slower than in place on
+        whole-vector full traversals (DESIGN.md, "Batched kernel
+        schedule"). Orientation is committed after each node's last block
+        so a failure leaves a consistent state.
         """
-        if self.batch_members:
-            return self._execute_plan_batched(plan)
-        if self.prefetcher is not None and plan.steps:
-            self.prefetcher.feed(self.plan_accesses(plan))
-        sp_plan = self.spans
-        exec_t0 = time.perf_counter() if sp_plan is not None else 0.0
-        tree = self.tree
-        layout = self.layout
-        for step in plan.steps:
-            node, left, right = step.node, step.left, step.right
-            P_left = self._P(node, left)
-            P_right = self._P(node, right)
-
-            left_inner = not tree.is_tip(left)
-            right_inner = not tree.is_tip(right)
-            rc = self._race
-            if rc is not None:
-                rc.write(self._race_scope, "scale_counts", "orientation")
-            counts = self.scale_counts[self.item(node)]
-            counts.fill(0)
-            if left_inner:
-                counts += self.scale_counts[self.item(left)]
-            if right_inner:
-                counts += self.scale_counts[self.item(right)]
-            for b in range(layout.blocks_per_node):
-                lo, hi = layout.block_bounds(b)
-                span = hi - lo
-                l_clv = r_clv = None
-                l_codes = r_codes = None
-                if left_inner:
-                    l_clv = _valid(
-                        self._timed_get(layout.item_of(self.item(left), b),
-                                        pins=self._block_pins([right, node], b),
-                                        write_only=False), span)
-                else:
-                    l_codes = self._tip_codes[left][lo:hi]
-                if right_inner:
-                    r_clv = _valid(
-                        self._timed_get(layout.item_of(self.item(right), b),
-                                        pins=self._block_pins([left, node], b),
-                                        write_only=False), span)
-                else:
-                    r_codes = self._tip_codes[right][lo:hi]
-                out = _valid(
-                    self._timed_get(layout.item_of(self.item(node), b),
-                                    pins=self._block_pins([left, right], b),
-                                    write_only=True), span)
-                block_counts = counts if span == counts.shape[0] else counts[lo:hi]
-                tm, sp = self.timers, self.spans
-                if tm is None and sp is None:
-                    kernels.update_clv(out, P_left, P_right, l_clv, r_clv,
-                                       l_codes, r_codes, self._code_matrix,
-                                       block_counts, self.scaling)
-                else:
-                    k0 = time.perf_counter()
-                    kernels.update_clv(out, P_left, P_right, l_clv, r_clv,
-                                       l_codes, r_codes, self._code_matrix,
-                                       block_counts, self.scaling)
-                    k_dt = time.perf_counter() - k0
-                    if tm is not None:
-                        tm.add("kernel", k_dt)
-                    if sp is not None:
-                        sp.complete("kernel", k0, k_dt,
-                                    {"node": int(node), "block": b})
-            self.orientation.set(node, step.toward)
-        if sp_plan is not None:
+        if not plan.steps:
+            return  # before the schedule cache: empty plans must not evict
+        schedule = self._schedule(plan)
+        if self.prefetcher is not None:
+            self.prefetcher.feed(schedule.accesses())
+        sp = self.spans
+        exec_t0 = time.perf_counter() if sp is not None else 0.0
+        for gi, group in enumerate(schedule.groups):
+            if len(group.members) == 1:
+                self._update_in_place(group.members[0])
+            else:
+                self._timed_kernel(self._compute_group, group,
+                                   self._gather_group(group),
+                                   group=gi, members=len(group.members))
+            for m in group.members:
+                if m.last_block:
+                    self.orientation.set(m.node, m.toward)
+        if sp is not None:
             # The enclosing interval: kernel/store_wait spans nest inside
             # it on the compute-thread track of the exported timeline.
-            sp_plan.complete("execute_plan", exec_t0,
-                             time.perf_counter() - exec_t0,
-                             {"steps": len(plan.steps)})
+            sp.complete("execute_plan", exec_t0,
+                        time.perf_counter() - exec_t0,
+                        {"steps": len(plan.steps),
+                         "groups": len(schedule.groups)})
 
-    # -- batched traversal execution ---------------------------------------------------
+    def _scale_row(self, m: BatchMember) -> np.ndarray:
+        """The scale-count row of ``m``'s block, ready for its rescale.
 
-    def _execute_plan_batched(self, plan: TraversalPlan) -> None:
-        """Run a plan through the batched schedule (same sequence, fused kernels).
-
-        Store accesses are issued on this thread in exactly the order
-        :meth:`plan_accesses` reports — child views are copied into the
-        group's operand stacks at fetch time, output targets are fetched
-        write-only at their sequence position and completed out-of-band
-        via :meth:`~repro.core.vecstore.AncestralVectorStore.fill` after
-        the fused group kernel. Demand/eviction counters therefore match
-        the unbatched path bit for bit under every replacement policy,
-        and the kernels themselves are bit-identical by the
-        :mod:`~repro.phylo.likelihood.kernels` batched-kernel contract.
-
-        With ``kernel_threads > 1`` the group kernel runs on a worker
-        thread while this thread gathers the next group — but only when
-        the next group neither reads a node the in-flight group writes
-        nor sums its scale counts, so every operand copy still sees
-        finished data.
+        A node's first block resets the whole row to the sum of its
+        children's counts, before any block of the node is rescaled
+        (the children finished in earlier groups).
         """
-        schedule = self._schedule_cache.get(
-            plan, self.layout, self.tree.num_tips, self.batch_members)
-        if self.prefetcher is not None and plan.steps:
-            self.prefetcher.feed(schedule.accesses())
-        sp_plan = self.spans
-        exec_t0 = time.perf_counter() if sp_plan is not None else 0.0
-        pool = self._ensure_kernel_pool()
-        pending: tuple | None = None  # (future, group) of an in-flight kernel
-        for gi, group in enumerate(schedule.groups):
-            if pending is not None and self._group_depends(group, pending[1]):
-                self._await_group(pending[0])
-                pending = None
-            stacks = self._gather_group(group)
-            if pool is None:
-                self._compute_group(gi, group, stacks)
-            else:
-                if pending is not None:
-                    self._await_group(pending[0])  # depth-1 pipeline
-                pending = (self._submit_group(pool, gi, group, stacks), group)
-        if pending is not None:
-            self._await_group(pending[0])
-        if sp_plan is not None:
-            sp_plan.complete("execute_plan", exec_t0,
-                             time.perf_counter() - exec_t0,
-                             {"steps": len(plan.steps),
-                              "groups": len(schedule.groups)})
+        counts = self.scale_counts[self.item(m.node)]
+        if m.first_block:
+            counts.fill(0)
+            for child in (m.left, m.right):
+                if not self.tree.is_tip(child):
+                    counts += self.scale_counts[self.item(child)]
+        return counts[m.lo:m.hi]
 
-    def _ensure_kernel_pool(self):
-        if self.kernel_threads <= 1:
-            return None
-        if self._kernel_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
+    def _update_in_place(self, m: BatchMember) -> None:
+        """One (step, block) update written straight into the store's slot.
 
-            self._kernel_pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-kernel")
-        return self._kernel_pool
-
-    def _submit_group(self, pool, gi: int, group: BatchGroup,
-                      stacks: list[dict]):
-        """Submit one group kernel, carrying a happens-before fork token.
-
-        Under the race sanitizer the worker must observe everything this
-        thread did before the submit (the gathered stacks, the children's
-        scale counts); the fork token joined at task start models exactly
-        that executor handoff. ``_await_group`` closes the reverse edge.
+        The kernel reads the children's views and fills the write-only
+        target view the store handed out — no operand copy, no ``fill`` —
+        which also makes this the path for stores without ``fill``
+        (:class:`~repro.vm.standardstore.PagedStandardStore`, shared-store
+        views, trace stores). The three mutually pinned fetches keep all
+        operands resident until the kernel returns.
         """
-        rc = self._race
-        token = None if rc is None else rc.fork()
-        return pool.submit(self._run_group, token, gi, group, stacks)
-
-    def _run_group(self, token, gi: int, group: BatchGroup,
-                   stacks: list[dict]):
-        rc = self._race
-        if rc is not None and token is not None:
-            rc.join(token)
-        self._compute_group(gi, group, stacks)
-        return None if rc is None else rc.fork()
-
-    def _await_group(self, fut) -> None:
-        """Block on an in-flight group kernel and join its clock edge."""
-        end = fut.result()
-        rc = self._race
-        if rc is not None and end is not None:
-            rc.join(end)
-
-    @staticmethod
-    def _group_depends(group: BatchGroup, running: BatchGroup) -> bool:
-        """Does ``group`` consume anything the ``running`` kernel produces?
-
-        True when any member of ``group`` has a child node (CLV operand
-        and scale-count summand alike) among ``running``'s output nodes.
-        Output items are unique within a plan, so write-write conflicts
-        cannot occur.
-        """
-        writes = {m.node for m in running.members}
-        return any(m.left in writes or m.right in writes
-                   for m in group.members)
+        span = m.hi - m.lo
+        fetches = iter(m.fetches)
+        l_clv = r_clv = l_codes = r_codes = None
+        if m.left_item >= 0:
+            l_clv = _valid(self._timed_get(*next(fetches)), span)
+        else:
+            l_codes = self._tip_codes[m.left][m.lo:m.hi]
+        if m.right_item >= 0:
+            r_clv = _valid(self._timed_get(*next(fetches)), span)
+        else:
+            r_codes = self._tip_codes[m.right][m.lo:m.hi]
+        out = _valid(self._timed_get(*next(fetches)), span)
+        self._timed_kernel(
+            kernels.update_clv, out,
+            self._P(m.node, m.left), self._P(m.node, m.right),
+            l_clv, r_clv, l_codes, r_codes, self._code_matrix,
+            self._scale_row(m), self.scaling,
+            node=m.node, block=m.block)
 
     def _gather_group(self, group: BatchGroup) -> list[dict]:
         """Issue the group's store accesses in order; stack the operands.
@@ -621,82 +511,47 @@ class LikelihoodEngine:
         S = self.model.num_states
         classes: dict[int, dict] = {}
         for m in group.members:
-            cls = classes.get(m.span)
-            if cls is None:
-                cls = classes[m.span] = {
-                    "span": m.span, "members": [],
-                    "n_inner": 0, "n_tip": 0,
-                }
+            cls = classes.setdefault(
+                m.span, {"span": m.span, "members": [], "n_inner": 0})
             cls["members"].append(m)
-            for child_item in (m.left_item, m.right_item):
-                if child_item >= 0:
-                    cls["n_inner"] += 1
-                else:
-                    cls["n_tip"] += 1
-        for cls in classes.values():
-            span = cls["span"]
-            cls["inner_clv"] = np.empty((cls["n_inner"], span, C, S),
-                                        dtype=self.dtype)
-            cls["P_inner"] = np.empty((cls["n_inner"], C, S, S),
-                                      dtype=self.dtype)
+            cls["n_inner"] += (m.left_item >= 0) + (m.right_item >= 0)
+        for span, cls in classes.items():
+            n_inner = cls["n_inner"]
+            n_tip = cls["n_tip"] = 2 * len(cls["members"]) - n_inner
+            cls["inner_clv"] = np.empty((n_inner, span, C, S), dtype=self.dtype)
+            cls["P_inner"] = np.empty((n_inner, C, S, S), dtype=self.dtype)
             cls["inner_dest"] = []  # (side, member position in class)
-            cls["tip_codes"] = np.empty((cls["n_tip"], span), dtype=np.int64)
-            cls["P_tip"] = np.empty((cls["n_tip"], C, S, S), dtype=self.dtype)
+            cls["tip_codes"] = np.empty((n_tip, span), dtype=np.int64)
+            cls["P_tip"] = np.empty((n_tip, C, S, S), dtype=self.dtype)
             cls["tip_dest"] = []
-            cls["np"] = cls["ji"] = cls["jt"] = 0
+            cls["placed"] = 0
 
         for m in group.members:
             cls = classes[m.span]
-            pos = cls["np"]
-            cls["np"] = pos + 1
-            P_left = self._P(m.node, m.left)
-            P_right = self._P(m.node, m.right)
-            fi = 0
-            for side, child, child_item, P in (
-                    (0, m.left, m.left_item, P_left),
-                    (1, m.right, m.right_item, P_right)):
+            pos = cls["placed"]
+            cls["placed"] = pos + 1
+            fetches = iter(m.fetches)
+            for side, child, child_item in ((0, m.left, m.left_item),
+                                            (1, m.right, m.right_item)):
                 if child_item >= 0:
-                    item, pins, wo = m.fetches[fi]
-                    fi += 1
-                    view = self._timed_get(item, pins=pins, write_only=wo)
-                    j = cls["ji"]
-                    cls["ji"] = j + 1
+                    j = len(cls["inner_dest"])
+                    view = self._timed_get(*next(fetches))
                     cls["inner_clv"][j] = view[:m.span]
-                    cls["P_inner"][j] = P
+                    cls["P_inner"][j] = self._P(m.node, child)
                     cls["inner_dest"].append((side, pos))
                 else:
-                    j = cls["jt"]
-                    cls["jt"] = j + 1
+                    j = len(cls["tip_dest"])
                     cls["tip_codes"][j] = self._tip_codes[child][m.lo:m.hi]
-                    cls["P_tip"][j] = P
+                    cls["P_tip"][j] = self._P(m.node, child)
                     cls["tip_dest"].append((side, pos))
-            item, pins, wo = m.fetches[fi]
-            self._timed_get(item, pins=pins, write_only=wo)  # view deferred
+            self._timed_get(*next(fetches))  # the target: view deferred to fill
         return list(classes.values())
 
-    def _compute_group(self, gi: int, group: BatchGroup,  # thread: kernel
-                       stacks: list[dict]) -> None:
-        """Fused kernels for one gathered group, then out-of-band fills.
-
-        May run on the kernel worker thread; touches only this group's
-        stacks, its nodes' scale-count rows and the store's thread-safe
-        ``fill`` — never the demand ``get`` path.
-        """
-        tm, sp = self.timers, self.spans
-        rc = self._race
-        if rc is not None:
-            rc.write(self._race_scope, "scale_counts", "orientation")
-        k0 = time.perf_counter() if (tm is not None or sp is not None) else 0.0
-        # Scale-count prep once per node, before this group's rescales
-        # touch any of its rows (children finished in earlier groups).
-        for m in group.members:
-            if m.first_block:
-                counts = self.scale_counts[self.item(m.node)]
-                counts.fill(0)
-                if m.left >= self.tree.num_tips:
-                    counts += self.scale_counts[self.item(m.left)]
-                if m.right >= self.tree.num_tips:
-                    counts += self.scale_counts[self.item(m.right)]
+    def _compute_group(self, group: BatchGroup, stacks: list[dict]) -> None:
+        """Fused kernels for one gathered group, then out-of-band fills."""
+        # Every row is readied before any rescale: span classes reorder
+        # members, and a node's first block resets its whole row.
+        rows = {m.out_item: self._scale_row(m) for m in group.members}
         C = self.rates.num_categories
         S = self.model.num_states
         for cls in stacks:
@@ -714,132 +569,82 @@ class LikelihoodEngine:
                 for j, (side, pos) in enumerate(cls["tip_dest"]):
                     prop[side, pos] = tipc[j]
             res = np.empty((n, span, C, S), dtype=self.dtype)
-            scale_rows = [
-                self.scale_counts[self.item(m.node)][m.lo:m.hi]
-                for m in cls["members"]
-            ]
             kernels.combine_and_rescale_batch(
-                prop[0], prop[1], res, scale_rows, self.scaling)
+                prop[0], prop[1], res,
+                [rows[m.out_item] for m in cls["members"]], self.scaling)
             for pos, m in enumerate(cls["members"]):
                 self.store.fill(m.out_item, res[pos])
-        if tm is not None or sp is not None:
-            k_dt = time.perf_counter() - k0
-            if tm is not None:
-                tm.add("kernel", k_dt)
-            if sp is not None:
-                sp.complete("kernel", k0, k_dt,
-                            {"group": gi, "members": len(group.members)})
-        for m in group.members:
-            if m.last_block:
-                self.orientation.set(m.node, m.toward)
 
     # -- likelihood evaluation ----------------------------------------------------------
 
-    def _root_site_likelihoods(self, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-pattern likelihoods and scale counts across edge ``(u, v)``.
+    def _edge_blocks(self, u: int, v: int, kernel) -> np.ndarray:
+        """``kernel(u_clv, v_clv, u_codes, v_codes)`` over edge ``(u, v)``.
 
-        Both end CLVs must be current (run :meth:`execute_plan` first).
-        Fetches proceed block by block with mutual pins; the per-pattern
-        results are assembled into one RAM array, so the final weighted
-        reduction is performed unblocked — the summation order (and hence
-        the bits) of the log-likelihood is layout-independent.
+        The one place the two end vectors of an edge are fetched: block
+        by block through :meth:`_timed_get`, each pinning the other end's
+        same-numbered block; a tip end contributes its codes (and a
+        ``None`` CLV) instead. Both end CLVs must be current (run
+        :meth:`execute_plan` first). The per-block results are assembled
+        into one RAM array over all patterns, so downstream cross-pattern
+        reductions run unblocked — their summation order (and hence the
+        bits) is layout-independent. With a single block the kernel's own
+        output array is returned as-is: the downstream Newton einsums are
+        sensitive to operand memory layout at the ulp level, and the
+        kernel's (non-contiguous) product is what the pre-layout code
+        handed them — copying it into a fresh buffer would shift the
+        optimized branch length by an ulp or two.
         """
-        tree = self.tree
         layout = self.layout
+        n = self.tree.num_tips
+        out = None
+        for b in range(layout.blocks_per_node):
+            lo, hi = layout.block_bounds(b)
+            u_item = layout.item_of(u - n, b) if u >= n else -1
+            v_item = layout.item_of(v - n, b) if v >= n else -1
+            u_clv = v_clv = u_codes = v_codes = None
+            if u_item >= 0:
+                u_clv = _valid(self._timed_get(
+                    u_item, (v_item,) if v_item >= 0 else ()), hi - lo)
+            else:
+                u_codes = self._tip_codes[u][lo:hi]
+            if v_item >= 0:
+                v_clv = _valid(self._timed_get(
+                    v_item, (u_item,) if u_item >= 0 else ()), hi - lo)
+            else:
+                v_codes = self._tip_codes[v][lo:hi]
+            part = kernel(u_clv, v_clv, u_codes, v_codes)
+            if layout.blocks_per_node == 1:
+                return part
+            if out is None:
+                out = np.empty((self.num_patterns, *part.shape[1:]),
+                               dtype=self.dtype)
+            out[lo:hi] = part
+        assert out is not None
+        return out
+
+    def _root_site_likelihoods(self, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-pattern likelihoods and scale counts across edge ``(u, v)``."""
         counts = np.zeros(self.num_patterns, dtype=np.int64)
-        u_inner = not tree.is_tip(u)
-        v_inner = not tree.is_tip(v)
-        rc = self._race
-        if rc is not None:
-            rc.read(self._race_scope, "scale_counts")
-        if u_inner:
-            counts += self.scale_counts[self.item(u)]
-        if v_inner:
-            counts += self.scale_counts[self.item(v)]
+        for x in (u, v):
+            if not self.tree.is_tip(x):
+                counts += self.scale_counts[self.item(x)]
         P = self._P(u, v)
         freqs = self.model.frequencies.astype(self.dtype)
         weights = self.rates.weights.astype(self.dtype)
-        single = layout.blocks_per_node == 1
-        site_l = None if single else np.empty(self.num_patterns,
-                                              dtype=self.dtype)
-        for b in range(layout.blocks_per_node):
-            lo, hi = layout.block_bounds(b)
-            span = hi - lo
-            u_clv = v_clv = None
-            u_codes = v_codes = None
-            if u_inner:
-                u_clv = _valid(
-                    self._timed_get(layout.item_of(self.item(u), b),
-                                    pins=self._block_pins([v], b),
-                                    write_only=False), span)
-            else:
-                u_codes = self._tip_codes[u][lo:hi]
-            if v_inner:
-                v_clv = _valid(
-                    self._timed_get(layout.item_of(self.item(v), b),
-                                    pins=self._block_pins([u], b),
-                                    write_only=False), span)
-            else:
-                v_codes = self._tip_codes[v][lo:hi]
-            part = kernels.edge_site_likelihoods(
-                P, freqs, weights,
-                u_clv, v_clv, u_codes, v_codes, self._code_matrix,
-            )
-            if single:
-                # hand back the kernel's own array — the pre-layout object
-                return part, counts
-            site_l[lo:hi] = part
-        assert site_l is not None
+        site_l = self._edge_blocks(
+            u, v, lambda *ends: kernels.edge_site_likelihoods(
+                P, freqs, weights, *ends, self._code_matrix))
         return site_l, counts
 
     def _edge_sumtable(self, u: int, v: int) -> np.ndarray:
-        """Eigen-basis sumtable across edge ``(u, v)`` (makenewz phase 1).
-
-        Both end CLVs must be current. Assembled block by block into one
-        ``(patterns, categories, states)`` RAM array. With a single block
-        the kernel's own output array is returned as-is: the downstream
-        Newton einsums are sensitive to operand memory layout at the ulp
-        level, and the kernel's (non-contiguous) product is what the
-        pre-layout code handed them — copying it into a fresh buffer
-        would shift the optimized branch length by an ulp or two.
-        """
-        tree = self.tree
-        layout = self.layout
+        """Eigen-basis sumtable across edge ``(u, v)`` (makenewz phase 1):
+        one ``(patterns, categories, states)`` RAM array."""
         ev = self.model.eigenvectors.astype(self.dtype)
         iev = self.model.inv_eigenvectors.astype(self.dtype)
         freqs = self.model.frequencies.astype(self.dtype)
-        u_inner = not tree.is_tip(u)
-        v_inner = not tree.is_tip(v)
-        single = layout.blocks_per_node == 1
-        table = None if single else np.empty(
-            (self.num_patterns, self.rates.num_categories,
-             self.model.num_states), dtype=self.dtype)
-        for b in range(layout.blocks_per_node):
-            lo, hi = layout.block_bounds(b)
-            span = hi - lo
-            u_clv = v_clv = None
-            u_codes = v_codes = None
-            if u_inner:
-                u_clv = _valid(
-                    self.store.get(layout.item_of(self.item(u), b),
-                                   pins=self._block_pins([v], b)), span)
-            else:
-                u_codes = self._tip_codes[u][lo:hi]
-            if v_inner:
-                v_clv = _valid(
-                    self.store.get(layout.item_of(self.item(v), b),
-                                   pins=self._block_pins([u], b)), span)
-            else:
-                v_codes = self._tip_codes[v][lo:hi]
-            part = kernels.branch_sumtable(
-                ev, iev, freqs, u_clv, v_clv, u_codes, v_codes,
-                self._code_matrix,
-            )
-            if single:
-                return part
-            table[lo:hi] = part
-        assert table is not None
-        return table
+        return self._edge_blocks(
+            u, v, lambda *ends: kernels.branch_sumtable(
+                ev, iev, freqs, *ends, self._code_matrix))
 
     def edge_loglikelihood(self, u: int, v: int, full: bool = False) -> float:
         """Log-likelihood with the virtual root on edge ``(u, v)``.
@@ -999,9 +804,6 @@ class LikelihoodEngine:
         if self.prefetcher is not None:
             self.prefetcher.stop()
             self.prefetcher = None
-        if self._kernel_pool is not None:
-            self._kernel_pool.shutdown(wait=True)
-            self._kernel_pool = None
         close = getattr(self.store, "close", None)
         if close is not None:
             close()

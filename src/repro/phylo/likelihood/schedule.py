@@ -1,29 +1,37 @@
-"""Batched kernel scheduling: group independent (step, block) updates.
+"""The traversal schedule: every (step, block) update and its store accesses.
 
-The per-block execution loop in :meth:`LikelihoodEngine.execute_plan`
-pays Python dispatch, einsum setup and a store round-trip once per site
-block per traversal step — exactly the overhead the paper's SSE3 C
-kernels avoid. This module turns a :class:`TraversalPlan` plus a
-:class:`~repro.core.layout.StorageLayout` and the store's slot budget
-into a :class:`BatchedSchedule`: an ordered partition of the plan's
-(step, block) updates into *groups* whose members are mutually
-independent (no member reads another member's output), so each group's
-child propagations can run as one batched contraction
-(:func:`repro.phylo.likelihood.kernels.propagate_inner_batch`).
+A :class:`TraversalPlan` fixes the order of ``getxvector`` calls before
+any likelihood arithmetic runs (§3.2 pinning, §3.4 read skipping, §5
+prefetch all rest on that). This module is the one place that order is
+spelled out: :func:`build_batched_schedule` turns a plan plus a
+:class:`~repro.core.layout.StorageLayout` into a :class:`BatchedSchedule`
+— the plan's (step, block) updates in execution order (steps outer,
+blocks inner), each carrying its exact ``(item, pins, write_only)`` store
+calls, partitioned into *groups* whose members are mutually independent
+(no member reads another member's output).
+:meth:`LikelihoodEngine.execute_plan` is a single loop over those groups;
+``plan_accesses`` and the prefetcher feed are the schedule's own
+:meth:`~BatchedSchedule.accesses`.
 
-Two properties make the batched execution path bit-compatible with the
-unbatched one (the §4.1 criterion):
+The group cap decides how an update is computed, never which store
+calls it makes. A group of one member runs in place: children fetched,
+target fetched write-only, ``kernels.update_clv`` writes straight into
+the store's view (cap 1 — ``batch=None`` — makes every group such a
+group). A larger group shares one fused kernel call
+(:func:`repro.phylo.likelihood.kernels.propagate_inner_batch`), which
+avoids paying Python dispatch and einsum setup once per site block.
+Two properties keep every cap bit-compatible with cap 1 (the §4.1
+criterion):
 
-* **Access-sequence identity.** Each member carries the exact
-  ``(item, pins, write_only)`` store calls the unbatched loop would
-  issue, in the same order; the flattened schedule *is*
-  ``LikelihoodEngine.plan_accesses(plan)``. Replacement decisions — and
-  with them every demand/eviction counter — are a deterministic function
-  of that sequence, so PARITY_COUNTERS match for every policy. Child
-  views are copied into the batch stacks immediately at fetch time, and
-  each member's output target is written back out-of-band after the
-  group kernel (:meth:`AncestralVectorStore.fill`), so no view ever
-  outlives the gets that follow it.
+* **Access-sequence identity.** Groups are contiguous runs of the
+  execution order, so the flattened access sequence is independent of
+  the cap. Replacement decisions — and with them every demand/eviction
+  counter — are a deterministic function of that sequence, so
+  PARITY_COUNTERS match for every policy. In a fused group, child views
+  are copied into the batch stacks immediately at fetch time, and each
+  member's output target is written back out-of-band after the group
+  kernel (:meth:`AncestralVectorStore.fill`), so no view ever outlives
+  the gets that follow it.
 * **Residency-bounded groups.** A member's deferred output must survive
   in RAM (or be spilled and rewritten) until its group's kernel fills
   it. With ``max_members <= num_slots // 3`` a group issues at most
@@ -47,10 +55,14 @@ from repro.phylo.likelihood.traversal import TraversalPlan
 class BatchMember:
     """One (step, block) update inside a batch group.
 
-    ``fetches`` is the member's store-access run — the child gets (with
-    the mutual pins of the unbatched loop) followed by the write-only
-    target get — and ``left_item``/``right_item`` are ``-1`` for tip
-    children (whose codes come from RAM, not the store).
+    ``fetches`` is the member's store-access run — each inner child
+    fetched pinning the other child and the target, then the target
+    fetched write-only pinning the children (§3.2; only the
+    *same-numbered* block of the other operands is pinned, since block
+    ``b`` of a parent touches exactly block ``b`` of its children, so
+    the store's ``m >= 3`` floor bounds blocks, not whole vectors).
+    ``left_item``/``right_item`` are ``-1`` for tip children (whose
+    codes come from RAM, not the store).
     """
 
     node: int
@@ -101,8 +113,8 @@ class BatchedSchedule:
     num_members: int = field(default=0)
 
     def accesses(self) -> list[tuple[int, tuple[int, ...], bool]]:
-        """The flattened store-access sequence — equal, element for
-        element, to ``LikelihoodEngine.plan_accesses(plan)``."""
+        """The flattened ``(item, pins, write_only)`` sequence, in the
+        order :meth:`LikelihoodEngine.execute_plan` issues it."""
         return [f for g in self.groups for f in g.accesses()]
 
 
@@ -127,13 +139,13 @@ def build_batched_schedule(
 ) -> BatchedSchedule:
     """Partition a plan's (step, block) updates into batch groups.
 
-    Iterates in the unbatched execution order — steps outer, blocks
-    inner — and closes the current group whenever (a) the next step
-    reads a node some member of the group writes, or (b) the group is
-    full. Post-order plans guarantee children precede parents, so rule
-    (a) only ever fires at step boundaries and groups are contiguous
-    runs of the original order: the concatenated access sequence is
-    exactly the unbatched one.
+    Iterates in execution order — steps outer, blocks inner — and
+    closes the current group whenever (a) the next step reads a node
+    some member of the group writes, or (b) the group is full.
+    Post-order plans guarantee children precede parents, so rule (a)
+    only ever fires at step boundaries and groups are contiguous runs of
+    that order: the concatenated access sequence is the same for every
+    ``max_members``.
     """
     if max_members < 1:
         raise LikelihoodError(f"max_members must be >= 1, got {max_members}")
@@ -198,7 +210,7 @@ class ScheduleCache:
 
     Full traversals re-plan the identical step sequence every iteration;
     rebuilding items, pins and group boundaries each time would charge
-    the batched path the very Python overhead it exists to remove. Keys
+    every traversal the very Python overhead batching exists to remove. Keys
     are the plan's frozen contents (hashable dataclasses), so topology
     edits — which change the step tuples — miss naturally. Branch
     lengths are *not* part of the schedule (transition matrices are

@@ -139,7 +139,6 @@ def _build_engine(alignment, tree, args, workdir: str) -> LikelihoodEngine:
         io_threads=args.io_threads,
         prefetch_depth=args.prefetch_depth,
         batch=args.batch,
-        kernel_threads=args.kernel_threads,
     )
 
 
@@ -173,7 +172,6 @@ def _config_block(args, engine: LikelihoodEngine) -> dict:
         "io_threads": args.io_threads,
         "prefetch_depth": args.prefetch_depth,
         "batch": engine.batch_members,
-        "kernel_threads": engine.kernel_threads,
         "model": args.model,
         "seed": args.seed,
         "dataset": args.msa or
@@ -496,14 +494,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--io-threads", type=int, default=1)
     parser.add_argument("--prefetch-depth", type=int, default=0)
     parser.add_argument("--batch", type=int, default=0,
-                        help="batched kernel schedule: 0 = off (per-block "
-                             "loop), -1 = auto group cap (num_slots // 3, "
-                             "never spills under LRU), N > 0 = explicit "
-                             "members-per-group cap (default: 0)")
-    parser.add_argument("--kernel-threads", type=int, default=1,
-                        help="with --batch, overlap one group's fused "
-                             "kernel with the next group's gathers on a "
-                             "worker thread (2 = on; default: 1 = off)")
+                        help="group cap of the traversal schedule: 0 = "
+                             "groups of one, executed in place, -1 = auto "
+                             "cap (num_slots // 3, never spills under "
+                             "LRU), N > 0 = explicit members-per-group "
+                             "cap (default: 0)")
     parser.add_argument("--trace-capacity", type=int, default=1 << 16,
                         help="event ring-buffer capacity (oldest records "
                              "drop beyond this; default: 65536)")

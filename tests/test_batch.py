@@ -1,11 +1,13 @@
-"""Batched kernel schedule: bit-identity with the unbatched engine path.
+"""Traversal schedule: bit-identity across group caps.
 
-The batched execution path (``LikelihoodEngine(batch=...)``) promises the
-§4.1 criterion in its strongest form: the same store-access sequence, the
-same demand/eviction counters under every replacement policy, and the
-same CLV bits — only fewer, larger kernel calls. These tests enforce the
-contract at three levels: the fused kernels against per-member loops, the
-schedule against ``plan_accesses``, and whole engines against each other.
+Whatever the group cap (``LikelihoodEngine(batch=...)``), execution
+promises the §4.1 criterion in its strongest form: the same store-access
+sequence, the same demand/eviction counters under every replacement
+policy, and the same CLV bits — only fewer, larger kernel calls. These
+tests enforce the contract at three levels: the fused kernels against
+per-member loops, the schedule against an independent derivation of the
+access sequence (:func:`reference_accesses`), and whole engines against
+each other.
 """
 
 from __future__ import annotations
@@ -31,6 +33,33 @@ from repro.phylo.likelihood.schedule import (
     default_group_cap,
 )
 from repro.profile import PARITY_COUNTERS
+
+
+def reference_accesses(layout, num_tips, plan):
+    """The §3.2 access sequence, derived here rather than by the schedule.
+
+    Steps outer, blocks inner; per (step, block) each inner child is
+    fetched pinning the other operands' same-numbered block (other child,
+    then target), then the target is fetched write-only pinning the
+    children. The engine executes — and reports — the schedule's own
+    sequence, so this is the oracle both are checked against.
+    """
+    def pins(nodes, b):
+        return tuple(layout.item_of(x - num_tips, b)
+                     for x in nodes if x >= num_tips)
+
+    out = []
+    for step in plan.steps:
+        operands = (step.left, step.right, step.node)
+        for b in range(layout.blocks_per_node):
+            for c in (step.left, step.right):
+                if c >= num_tips:
+                    out.append((layout.item_of(c - num_tips, b),
+                                pins([x for x in operands if x != c], b),
+                                False))
+            out.append((layout.item_of(step.node - num_tips, b),
+                        pins([step.left, step.right], b), True))
+    return out
 
 
 def _random_stack(rng, M, I, C, S, dtype):
@@ -172,10 +201,12 @@ class TestScheduleBuild:
         eng = self._engine(dataset, layout="block", block_sites=32,
                            num_slots=9, batch=-1)
         plan = eng.plan(*eng.default_edge(), full=True)
+        expected = reference_accesses(eng.layout, eng.tree.num_tips, plan)
+        assert eng.plan_accesses(plan) == expected
         for cap in (1, 2, 5, 100):
             sched = build_batched_schedule(plan, eng.layout,
                                            eng.tree.num_tips, cap)
-            assert sched.accesses() == eng.plan_accesses(plan)
+            assert sched.accesses() == expected
             assert sched.num_members == len(plan.steps) * \
                 eng.layout.blocks_per_node
         eng.close()
@@ -223,15 +254,17 @@ class TestScheduleBuild:
     def test_batch_constructor_validation(self, dataset):
         with pytest.raises(LikelihoodError, match="batch"):
             self._engine(dataset, num_slots=4, batch="bogus")
-        with pytest.raises(LikelihoodError, match="kernel_threads"):
-            self._engine(dataset, num_slots=4, batch=2, kernel_threads=0)
         eng = self._engine(dataset, num_slots=9, batch="auto")
         assert eng.batch_members == default_group_cap(9) == 3
         eng.close()
+        for off in (None, 0):
+            eng = self._engine(dataset, num_slots=9, batch=off)
+            assert eng.batch_members == 1  # groups of one, in place
+            eng.close()
 
 
 def _run_pair(policy, layout, block_sites, batch, *, num_slots,
-              dtype=np.float64, kernel_threads=1, traversals=2,
+              dtype=np.float64, traversals=2,
               taxa=12, sites=150, **extra):
     """(lnL, counters, engine) for unbatched vs batched on one dataset."""
     tree = yule_tree(taxa, seed=71)
@@ -239,13 +272,13 @@ def _run_pair(policy, layout, block_sites, batch, *, num_slots,
     rates = RateModel.gamma(0.9, 3)
     aln = simulate_alignment(tree, model, sites, rates=rates, seed=72)
     results = []
-    for b, kt in ((None, 1), (batch, kernel_threads)):
+    for b in (None, batch):
         eng = LikelihoodEngine(
             tree.copy(), aln, model, rates,
             layout=layout, block_sites=block_sites, num_slots=num_slots,
             policy=policy, poison_skipped_reads=True,
             policy_kwargs={"seed": 9} if policy == "random" else None,
-            batch=b, kernel_threads=kt, dtype=dtype, **extra)
+            batch=b, dtype=dtype, **extra)
         lnl = eng.full_traversals(traversals)
         eng.store.drain()
         row = eng.stats.as_row()
@@ -296,16 +329,6 @@ class TestBatchedEngineParity:
             e0.close()
             e1.close()
 
-    def test_kernel_threads_pipeline_bit_identical(self):
-        (l0, c0, e0), (l1, c1, e1) = _run_pair(
-            "lru", "block", 64, -1, num_slots=9, kernel_threads=2,
-            traversals=3)
-        try:
-            assert (l1, c1) == (l0, c0)
-        finally:
-            e0.close()
-            e1.close()
-
     def test_float32_batched_bit_identical_to_float32_unbatched(self):
         (l0, c0, e0), (l1, c1, e1) = _run_pair(
             "lru", "block", 64, -1, num_slots=8, dtype=np.float32)
@@ -350,24 +373,26 @@ class TestBatchedEngineParity:
 )
 def test_schedule_matches_runtime_access_sequence(num_taxa, seed,
                                                   block_sites, cap, slots):
-    """plan_accesses == BatchedSchedule.accesses() == what both execution
-    paths actually issue, over random trees and geometries."""
+    """reference_accesses == plan_accesses == what execution actually
+    issues — with identical lnL and parity counters — for cap 1, an
+    explicit cap and cap auto, over random trees and geometries; cap 1
+    also over a store without ``fill``."""
     tree = yule_tree(num_taxa, seed=seed)
     model = JC69()
     rates = RateModel.gamma(1.0, 2)
     aln = simulate_alignment(tree, model, 48, rates=rates, seed=seed + 1)
     layout = "whole" if block_sites is None else "block"
 
-    def recorded_run(batch):
+    def recorded_run(batch, store=None):
+        geometry = {} if store is not None else {
+            "layout": layout, "block_sites": block_sites,
+            "num_slots": slots, "policy": "lru"}
         eng = LikelihoodEngine(tree.copy(), aln, model, rates,
-                               layout=layout, block_sites=block_sites,
-                               num_slots=slots, policy="lru", batch=batch)
-        plan = eng.plan(*eng.default_edge(), full=True)
-        expected = eng.plan_accesses(plan)
-        if batch:
-            sched = build_batched_schedule(plan, eng.layout,
-                                           eng.tree.num_tips, cap)
-            assert sched.accesses() == expected
+                               store=store, batch=batch, **geometry)
+        u, v = eng.default_edge()
+        plan = eng.plan(u, v, full=True)
+        expected = reference_accesses(eng.layout, eng.tree.num_tips, plan)
+        assert eng.plan_accesses(plan) == expected
         recorded = []
         real_get = eng.store.get
 
@@ -378,12 +403,24 @@ def test_schedule_matches_runtime_access_sequence(num_taxa, seed,
         eng.store.get = recording_get
         try:
             eng.execute_plan(plan)
+            assert recorded == expected
+            lnl = eng.edge_loglikelihood(u, v)
         finally:
             eng.store.get = real_get
             eng.close()
-        return expected, recorded
+        row = eng.stats.as_row()
+        return lnl.hex(), {k: row[k] for k in PARITY_COUNTERS}
 
-    expected, unbatched = recorded_run(batch=None)
-    expected_b, batched = recorded_run(batch=cap)
-    assert unbatched == expected
-    assert batched == expected_b == expected
+    in_place = recorded_run(batch=None)
+    assert recorded_run(batch=1) == in_place
+    assert recorded_run(batch=cap) == in_place
+    assert recorded_run(batch=-1) == in_place
+
+    from repro.vm.disk import DiskModel
+    from repro.vm.standardstore import PagedStandardStore
+
+    paged = PagedStandardStore(tree.num_inner, (aln.compress().num_patterns,
+                                                rates.num_categories, 4),
+                               ram_bytes=1 << 14, disk=DiskModel.hdd())
+    assert not hasattr(paged, "fill")
+    assert recorded_run(batch=1, store=paged)[0] == in_place[0]

@@ -1,6 +1,7 @@
 """Integration tests for the likelihood engine: correctness gold standards."""
 
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from repro import (
     simulate_alignment,
     yule_tree,
 )
-from repro.errors import LikelihoodError
+from repro.core.backing import FileBackingStore
+from repro.errors import LikelihoodError, OutOfCoreError
 
 
 def brute_force_lnl(tree, aln, model, rates):
@@ -223,6 +225,32 @@ class TestConstructionErrors:
         with pytest.raises(LikelihoodError, match="not both"):
             LikelihoodEngine(small_tree.copy(), small_alignment, small_model,
                              store=eng.store, fraction=0.5)
+
+    @pytest.mark.parametrize("bad,error,store_was_built", [
+        ({"batch": "bogus"}, LikelihoodError, False),
+        ({"prefetch_depth": -1}, OutOfCoreError, True),
+    ])
+    def test_failed_construction_leaks_nothing(self, engine_factory, tmp_path,
+                                               bad, error, store_was_built):
+        """A rejected argument is caught before the store, its write-behind
+        threads and the prefetch thread exist; a step that still fails
+        after the store was built closes it (threads, backing fd)."""
+        probe = engine_factory()
+        backing = FileBackingStore(tmp_path / "vectors.bin", probe.num_inner,
+                                   probe.clv_shape)
+        probe.close()
+        before = set(threading.enumerate())
+        kwargs = {"fraction": 0.5, "writeback_depth": 2, "io_threads": 2,
+                  "prefetch_depth": 2, "backing": backing, **bad}
+        try:
+            with pytest.raises(error):
+                engine_factory(**kwargs)
+            assert [t.name for t in threading.enumerate()
+                    if t not in before and t.is_alive()] == []
+            # the backing passes to the store that is built over it
+            assert backing._closed == store_was_built
+        finally:
+            backing.close()
 
     def test_tip_has_no_vector(self, engine_factory):
         with pytest.raises(LikelihoodError, match="no ancestral vector"):

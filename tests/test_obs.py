@@ -223,6 +223,29 @@ class TestObserver:
             assert totals[phase]["calls"] > 0
             assert totals[phase]["seconds"] >= 0.0
 
+    @pytest.mark.parametrize("layout", [
+        {}, {"layout": "block", "block_sites": 64}])
+    def test_every_store_request_is_a_store_wait_lap(
+            self, small_tree, small_alignment, small_model, layout):
+        """Branch optimisation and ancestral reconstruction fetch through
+        the timed path too: one ``store_wait`` lap per store request."""
+        from repro.phylo.likelihood.ancestral import (
+            marginal_ancestral_distribution,
+        )
+
+        eng = self.build(small_tree, small_alignment, small_model, **layout)
+        obs = Observer().attach(eng)
+        inner = eng.tree.num_tips + 1
+        u, v = inner, eng.tree.neighbors(inner)[0]
+        for work in (lambda: eng.optimize_branch(u, v),
+                     lambda: marginal_ancestral_distribution(eng, inner)):
+            laps, requests = obs.timers.count("store_wait"), eng.stats.requests
+            work()
+            assert eng.stats.requests > requests
+            assert (obs.timers.count("store_wait") - laps
+                    == eng.stats.requests - requests)
+        eng.close()
+
     def test_backing_probe_sees_demand_reads(self, small_tree,
                                              small_alignment, small_model):
         eng = self.build(small_tree, small_alignment, small_model)
