@@ -21,8 +21,7 @@ def _run(engine):
 
 @pytest.fixture(scope="module")
 def geometries(ds1288):
-    probe = ds1288.engine()
-    return probe.num_inner, probe.clv_shape
+    return ds1288.geometry()
 
 
 def test_backing_equivalence(benchmark, ds1288, geometries, tmp_path_factory):

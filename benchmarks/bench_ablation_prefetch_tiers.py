@@ -20,8 +20,7 @@ SLOT_FRACTION = 0.25
 
 
 def _ooc_engine_with_disk(ds, **store_kwargs):
-    probe = ds.engine()
-    num_inner, shape = probe.num_inner, probe.clv_shape
+    num_inner, shape = ds.geometry()
     disk = SimulatedDiskBackingStore(num_inner, shape)
     slots = max(3, round(SLOT_FRACTION * num_inner))
     store = AncestralVectorStore(num_inner, shape, num_slots=slots,
@@ -69,9 +68,8 @@ def test_prefetch_overlap_table(benchmark, ds1288):
 
 def test_tiered_transfer_rates(benchmark, ds1288):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    probe = ds1288.engine()
-    num_inner, shape = probe.num_inner, probe.clv_shape
-    reference = probe.full_traversals(2)
+    num_inner, shape = ds1288.geometry()
+    reference = ds1288.engine().full_traversals(2)
     tiers = TieredVectorStore(num_inner, shape,
                               device_slots=max(3, num_inner // 10),
                               host_slots=max(4, num_inner // 3))
@@ -89,8 +87,7 @@ def test_tiered_transfer_rates(benchmark, ds1288):
 
 
 def test_tiered_evaluation_speed(benchmark, ds1288):
-    probe = ds1288.engine()
-    num_inner, shape = probe.num_inner, probe.clv_shape
+    num_inner, shape = ds1288.geometry()
     tiers = TieredVectorStore(num_inner, shape,
                               device_slots=max(3, num_inner // 10),
                               host_slots=max(4, num_inner // 3))

@@ -29,8 +29,7 @@ SLOT_FRACTION = 0.25
 
 def _timed_traversal(ds, backing_factory, *, writeback_depth, prefetch_depth,
                      io_threads=2):
-    probe = ds.engine()
-    num_inner, shape = probe.num_inner, probe.clv_shape
+    num_inner, shape = ds.geometry()
     backing = backing_factory(num_inner, shape)
     slots = max(3, round(SLOT_FRACTION * num_inner))
     store = AncestralVectorStore(num_inner, shape, num_slots=slots,

@@ -19,6 +19,7 @@ Paper results reproduced here (at scaled geometry — DESIGN.md subst. 3):
 import os
 import time
 
+import numpy as np
 import pytest
 
 from benchmarks.conftest import SCALES, bench_scale, report
@@ -28,6 +29,7 @@ from repro import (
     LikelihoodEngine,
     PagedStandardStore,
     SimulatedDiskBackingStore,
+    clv_geometry,
     simulate_alignment,
     yule_tree,
 )
@@ -52,11 +54,9 @@ def _build_point(tree, model, rates, pressure, seed):
 
 def _run_configs(tree, alignment, model, rates, disk):
     rows = []
-    probe = LikelihoodEngine(tree.copy(), alignment, model, rates)
-    num_inner, shape = probe.num_inner, probe.clv_shape
-    footprint = probe.total_ancestral_bytes()
-    w = probe.ancestral_vector_bytes()
-    del probe
+    num_inner, shape = clv_geometry(tree, alignment, model, rates)
+    w = int(np.prod(shape)) * 8  # bytes per float64 vector
+    footprint = num_inner * w
 
     paged = PagedStandardStore(num_inner, shape, ram_bytes=RAM_BYTES, disk=disk)
     eng = LikelihoodEngine(tree.copy(), alignment, model, rates, store=paged)

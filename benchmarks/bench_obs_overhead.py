@@ -28,8 +28,7 @@ SHARDS = 2
 
 
 def _timed_run(ds, observer=None):
-    probe = ds.engine()
-    num_inner, shape = probe.num_inner, probe.clv_shape
+    num_inner, shape = ds.geometry()
     slots = max(3, round(SLOT_FRACTION * num_inner))
     store = AncestralVectorStore(num_inner, shape, num_slots=slots,
                                  policy="lru")
@@ -167,9 +166,7 @@ def test_sharded_full_telemetry_overhead(benchmark, ds1288):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     from repro.core.layout import make_layout
 
-    probe = ds1288.engine()
-    lay = make_layout("whole", probe.num_inner, probe.clv_shape)
-    probe.close()
+    lay = make_layout("whole", *ds1288.geometry())
 
     bare_wall, bare_counters, bare_phys, _ = _timed_sharded_run(ds1288, lay)
     obs = Observer(capacity=1 << 18, metrics=True, spans=True)

@@ -38,8 +38,7 @@ PIPELINE = dict(writeback_depth=4, io_threads=2, prefetch_depth=3,
 
 
 def _timed_run(ds):
-    probe = ds.engine()
-    slots = max(4, round(SLOT_FRACTION * probe.num_inner))
+    slots = max(4, round(SLOT_FRACTION * ds.geometry()[0]))
     engine = ds.engine(num_slots=slots, policy="lru", **PIPELINE)
     t0 = time.perf_counter()
     lnl = engine.full_traversals(TRAVERSALS)

@@ -37,6 +37,7 @@ from repro import (
     RateModel,
     ShadowStore,
     TeeStore,
+    clv_geometry,
     simulate_alignment,
     yule_tree,
 )
@@ -74,6 +75,11 @@ class Dataset:
         tree = kwargs.pop("tree", None) or self.start_tree.copy()
         return LikelihoodEngine(tree, self.alignment, self.model, self.rates,
                                 **kwargs)
+
+    def geometry(self) -> tuple[int, tuple[int, int, int]]:
+        """``(num_inner, clv_shape)`` of every engine on this dataset."""
+        return clv_geometry(self.start_tree, self.alignment, self.model,
+                            self.rates)
 
 
 def _build_dataset(name: str, num_taxa: int, num_sites: int, seed: int) -> Dataset:
@@ -139,9 +145,7 @@ def _fig4_slot_counts(num_inner: int) -> list[int]:
 
 def run_shadow_grid(dataset: Dataset, radius: int = 5) -> ShadowGrid:
     """One lazy-SPR search observed by every (policy, capacity) shadow."""
-    engine = dataset.engine()
-    num_inner = engine.tree.num_inner
-    shape = engine.clv_shape
+    num_inner, shape = dataset.geometry()
     primary = AncestralVectorStore(num_inner, shape)
 
     shadows: list[ShadowStore] = []
@@ -156,7 +160,6 @@ def run_shadow_grid(dataset: Dataset, radius: int = 5) -> ShadowGrid:
         shadows.append(ShadowStore(num_inner, m, "random",
                                    label=f"random:m{m}",
                                    policy_kwargs={"seed": 11}))
-    # re-create the engine with the tee store in place
     engine = dataset.engine(store=TeeStore(primary, shadows))
     for shadow in shadows:
         if shadow.policy.name == "topological":

@@ -18,6 +18,7 @@ from repro import (
     RateModel,
     SimulatedDiskBackingStore,
     TieredVectorStore,
+    clv_geometry,
     simulate_alignment,
     yule_tree,
 )
@@ -31,11 +32,9 @@ def main() -> None:
     rates = RateModel.gamma(0.8, 4)
     alignment = simulate_alignment(tree, model, 600, rates=rates, seed=4)
 
-    probe = LikelihoodEngine(tree.copy(), alignment, model, rates)
-    reference_lnl = probe.loglikelihood()
-    num_inner, shape = probe.num_inner, probe.clv_shape
-    w = probe.ancestral_vector_bytes()
-    del probe
+    reference_lnl = LikelihoodEngine(tree.copy(), alignment, model,
+                                     rates).loglikelihood()
+    num_inner, shape = clv_geometry(tree, alignment, model, rates)
 
     disk = SimulatedDiskBackingStore(num_inner, shape)
     tiers = TieredVectorStore(
@@ -48,7 +47,8 @@ def main() -> None:
     )
     engine = LikelihoodEngine(tree.copy(), alignment, model, rates, store=tiers)
 
-    print(f"{num_inner} ancestral vectors of {format_bytes(w)}")
+    print(f"{num_inner} ancestral vectors of "
+          f"{format_bytes(engine.ancestral_vector_bytes())}")
     print(f"device tier : {tiers.device.num_slots:3d} slots "
           f"({format_bytes(tiers.device.ram_bytes())})")
     print(f"host tier   : {tiers.host.num_slots:3d} slots "

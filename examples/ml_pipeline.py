@@ -19,8 +19,7 @@ from pathlib import Path
 
 from repro import (
     GTR,
-    FileBackingStore,
-    LikelihoodEngine,
+    EngineConfig,
     RateModel,
     optimize_alpha,
     simulate_alignment,
@@ -57,12 +56,9 @@ def main() -> None:
                 tuple(alignment.empirical_frequencies()))
     rates = RateModel.gamma(1.0, 4)
     with tempfile.TemporaryDirectory() as tmp:
-        vector_file = Path(tmp) / "ancestral_vectors.bin"
-        probe = LikelihoodEngine(start.copy(), alignment, model, rates)
-        backing = FileBackingStore(vector_file, probe.num_inner, probe.clv_shape)
-        del probe
-        engine = LikelihoodEngine(start, alignment, model, rates,
-                                  fraction=0.25, policy="lru", backing=backing)
+        engine = EngineConfig(fraction=0.25, policy="lru", backing="file") \
+            .build(start, alignment, model, rates, workdir=tmp)
+        vector_file = Path(engine.store.backing.path)
         print(f"\nout-of-core store: {engine.store.num_slots} slots of "
               f"{format_bytes(engine.ancestral_vector_bytes())} "
               f"({format_bytes(engine.store.ram_bytes())} RAM), "
@@ -84,7 +80,7 @@ def main() -> None:
               f"{format_bytes(vector_file.stat().st_size)}")
         print("\nfinal tree (Newick):")
         print(write_newick(engine.tree, precision=4))
-        backing.close()
+        engine.close()
 
 
 if __name__ == "__main__":

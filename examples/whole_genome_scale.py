@@ -15,6 +15,8 @@ Run:  python examples/whole_genome_scale.py [num_taxa]
 import sys
 import time
 
+import numpy as np
+
 from repro import (
     GTR,
     AncestralVectorStore,
@@ -24,6 +26,7 @@ from repro import (
     PagedStandardStore,
     RateModel,
     SimulatedDiskBackingStore,
+    clv_geometry,
     simulate_alignment,
     yule_tree,
 )
@@ -35,11 +38,9 @@ TRAVERSALS = 5  # the paper computes five full tree traversals
 def run_point(tree, alignment, model, rates, ram_bytes, disk):
     """One dataset size: (standard+paging, ooc-LRU) -> rows of metrics."""
     rows = []
-    probe = LikelihoodEngine(tree.copy(), alignment, model, rates)
-    num_inner, shape = probe.num_inner, probe.clv_shape
-    footprint = probe.total_ancestral_bytes()
-    w = probe.ancestral_vector_bytes()
-    del probe
+    num_inner, shape = clv_geometry(tree, alignment, model, rates)
+    w = int(np.prod(shape)) * 8  # bytes per float64 vector
+    footprint = num_inner * w
 
     # -- standard implementation relying on (simulated) OS paging ---------
     paged = PagedStandardStore(num_inner, shape, ram_bytes=ram_bytes, disk=disk)

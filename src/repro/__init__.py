@@ -25,6 +25,7 @@ from repro.core.backing import (
     MemoryBackingStore,
     MultiFileBackingStore,
     SimulatedDiskBackingStore,
+    make_backing,
 )
 from repro.core.compress import (
     CompressedFileBackingStore,
@@ -55,7 +56,8 @@ from repro.core.tiered import TieredVectorStore
 from repro.core.trace import AccessTrace, RecordingStoreProxy, simulate_policy_on_trace
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import ReproError
-from repro.checkpoint import load_checkpoint, save_checkpoint
+from repro.config import EngineConfig
+from repro.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from repro.nj import jc69_distances, neighbor_joining, p_distances
 from repro.phylo.alphabet import AMINO_ACID, DNA, Alphabet
 from repro.phylo.bayes import McmcChain, Priors
@@ -68,7 +70,7 @@ from repro.phylo.likelihood.ancestral import (
     marginal_ancestral_states,
 )
 from repro.phylo.likelihood.branch_opt import optimize_branch, smooth_all_branches
-from repro.phylo.likelihood.engine import LikelihoodEngine
+from repro.phylo.likelihood.engine import LikelihoodEngine, clv_geometry
 from repro.phylo.likelihood.model_opt import optimize_alpha, optimize_model
 from repro.phylo.likelihood.partitioned import PartitionedEngine, split_alignment
 from repro.phylo.models import GTR, HKY85, JC69, K80, Poisson, RateModel
@@ -94,7 +96,8 @@ __all__ = [
     # models
     "JC69", "K80", "HKY85", "GTR", "Poisson", "RateModel",
     # likelihood
-    "LikelihoodEngine", "optimize_branch", "smooth_all_branches",
+    "LikelihoodEngine", "EngineConfig", "clv_geometry",
+    "optimize_branch", "smooth_all_branches",
     "optimize_alpha", "optimize_model", "ml_search",
     "PartitionedEngine", "split_alignment",
     "marginal_ancestral_distribution", "marginal_ancestral_states",
@@ -102,7 +105,7 @@ __all__ = [
     "consensus_tree", "split_frequencies", "annotate_support",
     "alrt_branch_support", "select_model", "likelihood_ratio_test",
     "summarize_alignment", "ascii_tree",
-    "save_checkpoint", "load_checkpoint",
+    "save_checkpoint", "load_checkpoint", "read_checkpoint",
     # parsimony & NJ
     "alignment_fitch_score", "stepwise_addition_tree",
     "p_distances", "jc69_distances", "neighbor_joining",
@@ -111,7 +114,8 @@ __all__ = [
     "StorageLayout", "WholeVectorLayout", "SiteBlockLayout",
     "ConcatenatedLayout", "make_layout",
     "MemoryBackingStore", "FileBackingStore", "MultiFileBackingStore",
-    "SimulatedDiskBackingStore", "Prefetcher", "ThreadedPrefetcher",
+    "SimulatedDiskBackingStore", "make_backing",
+    "Prefetcher", "ThreadedPrefetcher",
     "CompressedFileBackingStore", "ZlibCodec", "NullCodec", "make_codec",
     "FaultInjectingBackingStore", "RetryingBackingStore",
     "InjectedFault", "SimulatedCrash",

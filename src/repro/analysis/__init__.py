@@ -58,11 +58,6 @@ Rules
     cycle in the static lock-acquisition graph — potential deadlock).
     Edges come from lexically nested ``with`` blocks *and* from calls
     made while a lock is held, resolved interprocedurally.
-``LOK102``
-    A lock acquired inside a ``# thread: kernel`` compute callback.
-    Kernel callbacks run on the batched schedule's worker pool and must
-    stay lock-free: store traffic belongs in the planner-side entry
-    points that already serialize against the store lock.
 ``RACE001`` / ``RACE002``
     **Runtime** rules from the happens-before race sanitizer
     (:mod:`repro.analysis.race`): two writes — or a read and a write —

@@ -232,9 +232,7 @@ def _reachable_from_roots(files: list[SourceFile], index: ClassIndex,
         if sf is None:
             continue
         role = sf.thread_role(func.node.lineno)
-        # ``kernel`` roots belong to the lock-order checker (LOK102);
-        # CNT003's demand/background split is about writer/prefetch only.
-        if role in ("writer", "prefetch"):
+        if role is not None:
             roots.append((func, role))
     reached: dict[int, tuple[str, str]] = {}
     stack: list[tuple[FuncInfo, str, str]] = [

@@ -21,7 +21,6 @@ RULES: dict[str, str] = {
     "DET003": "time.time() in deterministic scope",
     "SUP001": "'# analysis: ignore[...]' suppression malformed",
     "LOK101": "lock-acquisition cycle (potential deadlock)",
-    "LOK102": "lock acquired inside a BatchedSchedule kernel compute callback",
     "RACE001": "write-write data race (accesses unordered by happens-before)",
     "RACE002": "read-write data race (accesses unordered by happens-before)",
 }

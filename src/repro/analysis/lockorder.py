@@ -1,4 +1,4 @@
-"""LOK101/LOK102: whole-program lock-acquisition ordering.
+"""LOK101: whole-program lock-acquisition ordering.
 
 LOCK001 proves each guarded access holds *its* lock; nothing so far
 constrains the order in which different locks nest, and an AB/BA
@@ -27,13 +27,6 @@ graph:
   tiered store's device/host pair relies on RLock re-entrancy plus a
   strict device→host hierarchy) are out of scope — self-edges are
   skipped and the hierarchy is documented in DESIGN.md instead.
-* **LOK102.** Functions annotated ``# thread: kernel`` are
-  ``BatchedSchedule`` compute callbacks: they run on the kernel pool
-  while the compute thread is already gathering the next group, so a
-  raw lock acquisition there risks lock-order inversions invisible to
-  the per-class graph *and* stalls the pipeline. Callbacks must go
-  through the store's thread-safe entry points (``fill``) instead;
-  any direct ``with <lock>:`` in such a function is flagged.
 
 Unresolvable receivers and dynamic dispatch (collector callbacks,
 ``fn()`` through a variable) are skipped — like every checker here,
@@ -312,7 +305,6 @@ def check_lockorder(files: list[SourceFile],
     by_path = {str(sf.path): sf for sf in files}
 
     all_facts: list[_FuncFacts] = []
-    kernel_funcs: list[_FuncFacts] = []
     funcs: list[FuncInfo] = [
         f for flist in index.module_functions.values() for f in flist
     ]
@@ -325,23 +317,8 @@ def check_lockorder(files: list[SourceFile],
         facts = _FuncFacts(func, sf)
         _Walker(facts, index, table).run()
         all_facts.append(facts)
-        if sf.thread_role(func.node.lineno) == "kernel":
-            kernel_funcs.append(facts)
 
     findings: list[Finding] = []
-
-    # -- LOK102: raw lock acquisition in a kernel compute callback --------------
-    for facts in kernel_funcs:
-        for acq in facts.acquires:
-            findings.append(Finding(
-                path=str(facts.sf.path), line=acq.line, rule="LOK102",
-                message=(f"lock '{acq.node}' acquired inside kernel compute "
-                         f"callback '{facts.func.qualname}': BatchedSchedule "
-                         f"callbacks run on the kernel pool concurrently with "
-                         f"the gather loop and must stay lock-free — use the "
-                         f"store's thread-safe entry points (fill/get) "
-                         f"instead"),
-            ))
 
     # -- LOK101: cycles in the acquisition graph --------------------------------
     summary = _summaries(all_facts)

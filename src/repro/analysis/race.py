@@ -4,11 +4,11 @@ The static lock checker (rule LOCK001) proves that *annotated* fields
 are touched under the right ``with`` block, but it cannot see whether
 two thread populations are actually ordered at runtime — a publish
 without a lock, a queue hand-off that skips a field, or a pipeline
-stage reading a buffer the kernel worker is still writing. This module
+stage reading a buffer a writer thread is still draining. This module
 closes that gap with a classic vector-clock detector in the style of
-FastTrack (Flanagan & Freund, PLDI'09), sized for the repo's four
-thread populations (compute, write-behind writers, prefetcher, kernel
-pool) plus the metrics scrape endpoint.
+FastTrack (Flanagan & Freund, PLDI'09), sized for the repo's three
+thread populations (compute, write-behind writers, prefetcher) plus
+the metrics scrape endpoint.
 
 Model
 -----

@@ -11,11 +11,10 @@ way:
 ``# holds: <lock>``
     On a ``def`` line: the whole function body runs with ``<lock>`` held
     (documented caller contract), so guarded accesses inside it are legal.
-``# thread: writer|prefetch|kernel``
+``# thread: writer|prefetch``
     On a ``def`` line: the function is an entry point of that background
-    thread population. The counter checker roots its reachability walk
-    at ``writer``/``prefetch``; the lock-order checker (LOK102) forbids
-    raw lock acquisition inside ``kernel`` compute callbacks.
+    thread population; the counter checker roots its reachability walk
+    there.
 ``# lockfree-ok: <reason>``
     Suppresses LOCK001 on this line; the reason is mandatory.
 ``# analysis: ignore[RULE1,RULE2] <reason>``
@@ -34,7 +33,7 @@ from pathlib import Path
 
 GUARDED_RE = re.compile(r"#\s*guarded-by:\s*([A-Za-z_]\w*)")
 HOLDS_RE = re.compile(r"#\s*holds:\s*([A-Za-z_]\w*)")
-THREAD_RE = re.compile(r"#\s*thread:\s*(writer|prefetch|kernel)\b")
+THREAD_RE = re.compile(r"#\s*thread:\s*(writer|prefetch)\b")
 LOCKFREE_RE = re.compile(r"#\s*lockfree-ok:?(.*)$")
 IGNORE_RE = re.compile(r"#\s*analysis:\s*ignore\[([^\]]*)\](.*)$")
 

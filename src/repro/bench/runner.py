@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +38,10 @@ from repro.bench.schema import (
     compare_results,
     validate_results,
 )
+from repro.config import EngineConfig
+from repro.core.backing import make_backing
 from repro.errors import ReproError
-from repro.obs import Observer
+from repro.obs import Observer, validate_file
 
 #: Cache fraction shared by all out-of-core workloads (a paper midpoint).
 FRACTION = 0.25
@@ -57,78 +59,22 @@ def _dataset(taxa: int, sites: int, seed: int):
     return tree, alignment, model, rates
 
 
-def _geometry(ctx):
-    """(num_inner, clv_shape) probed once per run."""
-    from repro.phylo.likelihood.engine import LikelihoodEngine
+def _build_engine(dataset, scratch, config: EngineConfig,
+                  make_backing_in=None):
+    """One engine from ``config`` on a fresh copy of the run's tree.
 
-    tree, alignment, model, rates = ctx["dataset"]
-    probe = LikelihoodEngine(tree.copy(), alignment, model, rates)
-    geom = (probe.num_inner, probe.clv_shape)
-    probe.close()
-    return geom
-
-
-def _build_engine(ctx, *, layout="whole", policy="lru", read_skipping=True,
-                  backing_kind="memory", store=None, batch=None,
-                  writeback_depth=0, io_threads=1, shards=None):
-    from repro.core.backing import SimulatedDiskBackingStore
-    from repro.core.layout import make_layout
-    from repro.phylo.likelihood.engine import LikelihoodEngine
-    from repro.vm.disk import DiskModel
-
-    tree, alignment, model, rates = ctx["dataset"]
-    if store is not None:
-        return LikelihoodEngine(tree.copy(), alignment, model, rates,
-                                store=store)
-    num_inner, clv_shape = ctx["geometry"]
-    block_sites = ctx["block_sites"] if layout == "block" else None
-    lay = make_layout(layout, num_inner, clv_shape, block_sites=block_sites)
-    backing = None
-    if backing_kind == "simulated":
-        backing = SimulatedDiskBackingStore.from_layout(
-            lay, np.float64, disk=DiskModel.hdd())
-    elif backing_kind == "compressed":
-        from repro.core.compress import CompressedFileBackingStore
-
-        # Real (temp-dir) file I/O: the compression-ratio numbers must
-        # come from actual on-disk records, not a model. The directory
-        # lives until run_bench's cleanup (ctx["tmpdirs"]).
-        td = tempfile.TemporaryDirectory(prefix="repro-bench-czb-")
-        ctx.setdefault("tmpdirs", []).append(td)
-        backing = CompressedFileBackingStore.from_layout(
-            os.path.join(td.name, "vectors.czb"), lay, np.float64)
-    elif backing_kind in ("sharded", "sharded-hdd"):
-        from repro.core.sharded import ShardedBackingStore
-
-        td = tempfile.TemporaryDirectory(prefix="repro-bench-shard-")
-        ctx.setdefault("tmpdirs", []).append(td)
-        n = int(shards) if shards is not None else ctx["shards"]
-        if backing_kind == "sharded":
-            # Real per-shard files: exercises the full wire protocol and
-            # the labelled-metrics aggregation against actual disk I/O.
-            backing = ShardedBackingStore.from_layout(
-                td.name, lay, np.float64, num_shards=n)
-        else:
-            # Sleeping simulated-HDD workers: each shard charges real wall
-            # time for its transfers, so overlapping the write-behind
-            # drain across N worker processes shows up as a measurable
-            # speedup over the same store with one shard.
-            hdd = DiskModel.hdd()
-            backing = ShardedBackingStore.from_layout(
-                td.name, lay, np.float64, num_shards=n, kind="simulated",
-                disk=(hdd.access_latency, hdd.bandwidth), sleep=True)
-    policy_kwargs = {"seed": ctx["seed"]} if policy == "random" else None
-    return LikelihoodEngine(
-        tree.copy(), alignment, model, rates,
-        layout=lay, fraction=FRACTION, policy=policy,
-        policy_kwargs=policy_kwargs, backing=backing,
-        read_skipping=read_skipping,
-        writeback_depth=writeback_depth, io_threads=io_threads,
-        batch=batch,
-    )
+    Every build gets its own directory under ``scratch`` (removed with
+    it), so a repeat never reattaches the previous repeat's files.
+    ``make_backing_in(workdir)`` supplies a backing no kind name describes.
+    """
+    tree, alignment, model, rates = dataset
+    workdir = tempfile.mkdtemp(dir=scratch)
+    backing = make_backing_in(workdir) if make_backing_in else None
+    return config.build(tree.copy(), alignment, model, rates,
+                        workdir=workdir, backing=backing)
 
 
-def _run_entry(ctx, figure, engine, run, config, *, use_registry=True):
+def _run_entry(figure, engine, run, config, *, use_registry=True):
     """Execute one workload and build its result entry.
 
     With ``use_registry`` the run happens under a live
@@ -234,85 +180,93 @@ def _run_search(radius):
     return run
 
 
-def _workloads(ctx):
-    """Yield ``(name, figure, build, run, config)`` for every workload."""
-    traversals, radius = ctx["traversals"], ctx["radius"]
-    full, search = _run_full(traversals), _run_search(radius)
+def _workloads(args, dataset, scratch):
+    """Yield ``(name, figure, config_block, build, run)`` for every workload.
 
-    def cfg(**kw):
-        base = {"fraction": FRACTION, "traversals": traversals}
-        base.update(kw)
-        return base
+    ``config_block`` is ``EngineConfig.to_dict()`` verbatim, so
+    ``EngineConfig.from_dict(block).build(...)`` rebuilds the workload's
+    engine — except where an ``"external"`` key says the engine was handed
+    a store or backing instance the configuration cannot name.
+    """
+    from repro.phylo.likelihood.engine import LikelihoodEngine, clv_geometry
+    from repro.vm.disk import DiskModel
+    from repro.vm.standardstore import PagedStandardStore
 
-    yield ("fig2_lru_whole", "fig2",
-           lambda: _build_engine(ctx, policy="lru"),
-           full, cfg(policy="lru", layout="whole"))
-    yield ("fig2_random_whole", "fig2",
-           lambda: _build_engine(ctx, policy="random"),
-           full, cfg(policy="random", layout="whole"))
-    yield ("fig2_lru_block", "fig2",
-           lambda: _build_engine(ctx, policy="lru", layout="block"),
-           full, cfg(policy="lru", layout="block",
-                     block_sites=ctx["block_sites"]))
-    yield ("fig3_skip", "fig3",
-           lambda: _build_engine(ctx, read_skipping=True),
-           full, cfg(policy="lru", layout="whole", read_skipping=True))
-    yield ("fig3_noskip", "fig3",
-           lambda: _build_engine(ctx, read_skipping=False),
-           full, cfg(policy="lru", layout="whole", read_skipping=False))
-    yield ("fig5_ooc_whole", "fig5",
-           lambda: _build_engine(ctx, backing_kind="simulated"),
-           full, cfg(policy="lru", layout="whole", backing="simulated-hdd"))
-    yield ("fig5_ooc_block", "fig5",
-           lambda: _build_engine(ctx, backing_kind="simulated",
-                                 layout="block"),
-           full, cfg(policy="lru", layout="block",
-                     block_sites=ctx["block_sites"], backing="simulated-hdd"))
+    full = _run_full(args.traversals)
+    search = _run_search(args.radius)
+    num_inner, clv_shape = clv_geometry(*dataset)
+    hdd_model = DiskModel.hdd()
+
+    def ooc(config, make_backing_in=None, external=None):
+        block = config.to_dict()
+        if external is not None:
+            block["external"] = external
+        return block, lambda: _build_engine(dataset, scratch, config,
+                                            make_backing_in)
+
+    def paging_engine():
+        # The Fig. 5 "standard with paging" baseline: every vector in one
+        # demand-paged address space with FRACTION of it in physical RAM.
+        item_bytes = int(np.prod(clv_shape)) * 8
+        ram = max(4096, int(FRACTION * num_inner * item_bytes))
+        store = PagedStandardStore(num_inner, clv_shape, ram_bytes=ram,
+                                   disk=hdd_model)
+        tree, alignment, model, rates = dataset
+        return LikelihoodEngine(tree.copy(), alignment, model, rates,
+                                store=store)
+
+    def sleeping_hdd_shards(num_shards):
+        # Sleeping simulated-HDD workers: each shard charges real wall
+        # time for its transfers, so overlapping the write-behind drain
+        # across N worker processes shows up as a measurable speedup over
+        # the same store with one shard.
+        return lambda workdir: make_backing(
+            "sharded", num_inner, clv_shape, np.float64, path=workdir,
+            num_shards=num_shards, kind="simulated",
+            disk=(hdd_model.access_latency, hdd_model.bandwidth), sleep=True)
+
+    lru = EngineConfig(fraction=FRACTION, seed=args.seed)
+    block = replace(lru, layout="block", block_sites=args.block_sites)
+    hdd = replace(lru, backing="simulated")
+    hdd_block = replace(block, backing="simulated")
+    # Real per-shard files: exercises the full wire protocol and the
+    # labelled-metrics aggregation against actual disk I/O.
+    sharded = replace(lru, backing="sharded", shards=args.shards,
+                      writeback_depth=8)
+    hdd_note = "backing=sharded over sleeping simulated-HDD workers"
+
+    yield ("fig2_lru_whole", "fig2", *ooc(lru), full)
+    yield ("fig2_random_whole", "fig2", *ooc(replace(lru, policy="random")),
+           full)
+    yield ("fig2_lru_block", "fig2", *ooc(block), full)
+    yield ("fig3_skip", "fig3", *ooc(lru), full)
+    yield ("fig3_noskip", "fig3", *ooc(replace(lru, read_skipping=False)),
+           full)
+    yield ("fig5_ooc_whole", "fig5", *ooc(hdd), full)
+    yield ("fig5_ooc_block", "fig5", *ooc(hdd_block), full)
     yield ("fig5_ooc_whole_batch", "fig5",
-           lambda: _build_engine(ctx, backing_kind="simulated",
-                                 batch=ctx["batch"]),
-           full, cfg(policy="lru", layout="whole", backing="simulated-hdd",
-                     batch=ctx["batch"]))
+           *ooc(replace(hdd, batch=args.batch)), full)
     yield ("fig5_ooc_block_batch", "fig5",
-           lambda: _build_engine(ctx, backing_kind="simulated",
-                                 layout="block", batch=ctx["batch"]),
-           full, cfg(policy="lru", layout="block",
-                     block_sites=ctx["block_sites"], backing="simulated-hdd",
-                     batch=ctx["batch"]))
+           *ooc(replace(hdd_block, batch=args.batch)), full)
     yield ("fig5_paging", "fig5",
-           lambda: _build_engine(ctx, store=_paging_store(ctx)),
-           full, cfg(policy=None, layout="paged", backing="simulated-hdd"))
+           {"fraction": FRACTION,
+            "external": "store=PagedStandardStore over DiskModel.hdd()"},
+           paging_engine, full)
+    # Real (temp-dir) file I/O: the compression-ratio numbers must come
+    # from actual on-disk records, not a model.
     yield ("fig5_ooc_compressed", "fig5",
-           lambda: _build_engine(ctx, backing_kind="compressed"),
-           full, cfg(policy="lru", layout="whole", backing="compressed-zlib"))
-    shards = ctx["shards"]
-    yield ("fig5_ooc_sharded", "fig5",
-           lambda: _build_engine(ctx, backing_kind="sharded",
-                                 writeback_depth=8),
-           full, cfg(policy="lru", layout="whole", backing="sharded-file",
-                     shards=shards, writeback_depth=8))
+           *ooc(replace(lru, backing="compressed")), full)
+    yield ("fig5_ooc_sharded", "fig5", *ooc(sharded), full)
     yield ("fig5_ooc_sharded_hdd", "fig5",
-           lambda: _build_engine(ctx, backing_kind="sharded-hdd",
-                                 writeback_depth=8),
-           full, cfg(policy="lru", layout="whole", backing="sharded-hdd",
-                     shards=shards, writeback_depth=8))
+           *ooc(sharded, sleeping_hdd_shards(args.shards), hdd_note), full)
     yield ("fig5_ooc_sharded_hdd1", "fig5",
-           lambda: _build_engine(ctx, backing_kind="sharded-hdd",
-                                 writeback_depth=8, shards=1),
-           full, cfg(policy="lru", layout="whole", backing="sharded-hdd",
-                     shards=1, writeback_depth=8))
-    yield ("spr_search_whole", "spr",
-           lambda: _build_engine(ctx, policy="lru"),
-           search, cfg(policy="lru", layout="whole", radius=radius,
-                       workload="search"))
-    yield ("spr_search_block", "spr",
-           lambda: _build_engine(ctx, policy="lru", layout="block"),
-           search, cfg(policy="lru", layout="block",
-                       block_sites=ctx["block_sites"], radius=radius,
-                       workload="search"))
+           *ooc(replace(sharded, shards=1), sleeping_hdd_shards(1), hdd_note),
+           full)
+    yield ("spr_search_whole", "spr", *ooc(lru), search)
+    yield ("spr_search_block", "spr", *ooc(block), search)
 
 
-def _warm_kernels(ctx):
+def _warm_kernels(dataset, scratch):
     """One throwaway traversal per kernel (per-member, fused) before
     anything is timed.
 
@@ -321,48 +275,44 @@ def _warm_kernels(ctx):
     otherwise be charged to whichever workload happens to run first and
     skew the batched-vs-unbatched speedup both ways.
     """
-    for batch in (None, 2):
-        engine = _build_engine(ctx, batch=batch)
+    for batch in (0, 2):
+        engine = _build_engine(dataset, scratch,
+                               EngineConfig(fraction=FRACTION, batch=batch))
         try:
             engine.full_traversals(1)
         finally:
             engine.close()
 
 
-def _paging_store(ctx):
-    from repro.vm.disk import DiskModel
-    from repro.vm.standardstore import PagedStandardStore
+def _require_identical(workloads, name, partner, why):
+    """``name`` must reproduce ``partner``'s lnL and counters bit for bit."""
+    got, want = workloads[name], workloads[partner]
+    if got["log_likelihood"] != want["log_likelihood"]:
+        raise ReproError(
+            f"{name} lnL {got['log_likelihood']!r} differs from {partner} "
+            f"{want['log_likelihood']!r}: {why}")
+    diff = [k for k in RESULT_METRICS
+            if got["metrics"][k] != want["metrics"][k]]
+    if diff:
+        raise ReproError(
+            f"{name} counters differ from {partner} on {diff}: {why}")
 
-    num_inner, clv_shape = ctx["geometry"]
-    item_bytes = int(np.prod(clv_shape)) * 8
-    ram = max(4096, int(FRACTION * num_inner * item_bytes))
-    return PagedStandardStore(num_inner, clv_shape, ram_bytes=ram,
-                              disk=DiskModel.hdd())
 
-
-def run_bench(args) -> int:
-    ctx = {
-        "dataset": _dataset(args.taxa, args.sites, args.seed),
-        "seed": args.seed,
-        "traversals": args.traversals,
-        "radius": args.radius,
-        "block_sites": args.block_sites,
-        "batch": args.batch,
-        "shards": args.shards,
-    }
-    ctx["geometry"] = _geometry(ctx)
-    _warm_kernels(ctx)
+def run_bench(args, scratch: str) -> int:
+    """Run every workload; ``scratch`` holds the file-backed stores."""
+    dataset = _dataset(args.taxa, args.sites, args.seed)
+    _warm_kernels(dataset, scratch)
 
     workloads = {}
-    for name, figure, build, run, config in _workloads(ctx):
+    for name, figure, config, build, run in _workloads(args, dataset,
+                                                       scratch):
         # Best-of-N wall time: single cold runs of these millisecond-scale
         # workloads are dominated by scheduler noise, which would swamp the
         # batched-vs-unbatched speedup.  Likelihoods and counters are
         # deterministic, so repeat runs must agree bit-for-bit — N repeats
         # double as a determinism check.  The SPR searches are seconds-long
         # (noise-insensitive) and run once.
-        repeats = max(1, args.repeats) if config.get("workload") != "search" \
-            else 1
+        repeats = 1 if figure == "spr" else max(1, args.repeats)
         entry = None
         checked = False
         for r in range(repeats):
@@ -374,7 +324,7 @@ def run_bench(args) -> int:
             # them).
             use_registry = r == 0 and hasattr(store, "attach_metrics")
             checked = checked or use_registry
-            rep = _run_entry(ctx, figure, engine, run, config,
+            rep = _run_entry(figure, engine, run, config,
                              use_registry=use_registry)
             if name == "fig5_paging":
                 rep["simulated_io_seconds"] = float(store.simulated_seconds)
@@ -423,17 +373,8 @@ def run_bench(args) -> int:
                    ("fig5_ooc_block", "fig5_ooc_block_batch"))
     for plain_name, batch_name in batch_pairs:
         plain, batched = workloads[plain_name], workloads[batch_name]
-        if batched["log_likelihood"] != plain["log_likelihood"]:
-            raise ReproError(
-                f"{batch_name} lnL {batched['log_likelihood']!r} differs "
-                f"from {plain_name} {plain['log_likelihood']!r}: batched "
-                "schedule is not bit-identical")
-        diff = [k for k in RESULT_METRICS
-                if batched["metrics"][k] != plain["metrics"][k]]
-        if diff:
-            raise ReproError(
-                f"{batch_name} counters differ from {plain_name} on "
-                f"{diff}: batched schedule broke access-sequence parity")
+        _require_identical(workloads, batch_name, plain_name,
+                           "batched schedule broke access-sequence parity")
         speedup = plain["wall_seconds"] / max(batched["wall_seconds"], 1e-9)
         batched["derived"]["speedup_vs_unbatched"] = float(speedup)
         print(f"{batch_name:>24}: {speedup:.2f}x vs {plain_name} "
@@ -445,18 +386,8 @@ def run_bench(args) -> int:
     # physical bytes on disk must come in BELOW the logical write traffic
     # — otherwise compression is costing I/O instead of saving it.
     comp = workloads["fig5_ooc_compressed"]
-    plain = workloads["fig5_ooc_whole"]
-    if comp["log_likelihood"] != plain["log_likelihood"]:
-        raise ReproError(
-            f"fig5_ooc_compressed lnL {comp['log_likelihood']!r} differs "
-            f"from fig5_ooc_whole {plain['log_likelihood']!r}: compressed "
-            "backing broke CLV round-trip")
-    diff = [k for k in RESULT_METRICS
-            if comp["metrics"][k] != plain["metrics"][k]]
-    if diff:
-        raise ReproError(
-            f"fig5_ooc_compressed counters differ from fig5_ooc_whole on "
-            f"{diff}: compression must be transparent to the store")
+    _require_identical(workloads, "fig5_ooc_compressed", "fig5_ooc_whole",
+                       "compression must be transparent to the store")
     if comp["backing_bytes_written"] >= comp["metrics"]["bytes_written"]:
         raise ReproError(
             f"compressed backing wrote {comp['backing_bytes_written']} "
@@ -476,18 +407,8 @@ def run_bench(args) -> int:
     # the comparison is exact.
     for sharded_name in ("fig5_ooc_sharded", "fig5_ooc_sharded_hdd",
                          "fig5_ooc_sharded_hdd1"):
-        shd = workloads[sharded_name]
-        if shd["log_likelihood"] != plain["log_likelihood"]:
-            raise ReproError(
-                f"{sharded_name} lnL {shd['log_likelihood']!r} differs "
-                f"from fig5_ooc_whole {plain['log_likelihood']!r}: sharded "
-                "backing broke CLV round-trip")
-        diff = [k for k in RESULT_METRICS
-                if shd["metrics"][k] != plain["metrics"][k]]
-        if diff:
-            raise ReproError(
-                f"{sharded_name} counters differ from fig5_ooc_whole on "
-                f"{diff}: sharding must be transparent to the store")
+        _require_identical(workloads, sharded_name, "fig5_ooc_whole",
+                           "sharding must be transparent to the store")
     print(f"{'fig5_ooc_sharded':>24}: lnL + counters bit-identical to "
           "fig5_ooc_whole across "
           f"{workloads['fig5_ooc_sharded']['shards']} shards")
@@ -503,9 +424,6 @@ def run_bench(args) -> int:
     hdd["derived"]["speedup_vs_one_shard"] = float(shard_speedup)
     print(f"{'fig5_ooc_sharded_hdd':>24}: {shard_speedup:.2f}x vs one shard "
           f"({hdd['shards']} sleeping HDD workers)")
-
-    for td in ctx.get("tmpdirs", []):
-        td.cleanup()
 
     doc = {
         "schema": RESULTS_SCHEMA,
@@ -573,21 +491,6 @@ def run_bench(args) -> int:
                   file=sys.stderr)
             return 1
         print(f"no regressions vs {args.baseline}")
-    return 0
-
-
-def run_validate(path: str) -> int:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return 2
-    problems = validate_results(doc)
-    if problems:
-        for p in problems:
-            print(f"{path}: {p}", file=sys.stderr)
-        return 1
-    print(f"{path}: valid {RESULTS_SCHEMA} results")
     return 0
 
 
@@ -660,14 +563,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.validate:
-        return run_validate(args.validate)
+        return validate_file(args.validate, validate_results, "results")
     defaults = (12, 120, 2, 2) if args.quick else (24, 300, 3, 3)
     args.taxa = args.taxa if args.taxa is not None else defaults[0]
     args.sites = args.sites if args.sites is not None else defaults[1]
     args.traversals = (args.traversals if args.traversals is not None
                        else defaults[2])
     args.radius = args.radius if args.radius is not None else defaults[3]
-    return run_bench(args)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as scratch:
+        return run_bench(args, scratch)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import json
 import os
+from typing import NamedTuple
 
 import numpy as np
 
+from repro.config import POLICIES, EngineConfig
+from repro.core.compress import fsync_dir
 from repro.errors import ReproError
 from repro.phylo.likelihood.engine import LikelihoodEngine
 from repro.phylo.models.base import ReversibleModel
@@ -117,15 +120,6 @@ def _tree_from_dict(data: dict) -> Tree:
     return tree
 
 
-def _fsync_dir(path: str) -> None:
-    """fsync the directory entry so the rename itself survives a crash."""
-    dfd = os.open(os.path.dirname(os.path.abspath(path)) or ".", os.O_RDONLY)
-    try:
-        os.fsync(dfd)
-    finally:
-        os.close(dfd)
-
-
 def save_checkpoint(engine: LikelihoodEngine, path: str | os.PathLike,
                     extra: dict | None = None, *,
                     sync_store: bool = True) -> None:
@@ -152,6 +146,10 @@ def save_checkpoint(engine: LikelihoodEngine, path: str | os.PathLike,
         "model": _model_to_dict(engine.model),
         "rates": _rates_to_dict(engine.rates),
         "dtype": engine.dtype.name,
+        # The full declared configuration when there is one; the resolved
+        # slot count and policy name always (all a directly constructed
+        # engine can report, and what keyword overrides fall back on).
+        "config": engine.config.to_dict() if engine.config else None,
         "store": {
             "num_slots": getattr(engine.store, "num_slots", None),
             "policy": getattr(getattr(engine.store, "policy", None), "name", None),
@@ -165,17 +163,31 @@ def save_checkpoint(engine: LikelihoodEngine, path: str | os.PathLike,
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)  # atomic on POSIX: no torn checkpoints
-    _fsync_dir(os.fspath(path))
+    fsync_dir(os.fspath(path))  # the rename itself survives a crash
 
 
-def load_checkpoint(path: str | os.PathLike, alignment: Alignment,
-                    **engine_kwargs) -> tuple[LikelihoodEngine, dict]:
-    """Rebuild an engine from a checkpoint; returns ``(engine, extra)``.
+class Checkpoint(NamedTuple):
+    """What a checkpoint document restores, before any engine exists."""
+
+    tree: Tree
+    model: ReversibleModel
+    rates: RateModel
+    dtype: np.dtype
+    extra: dict
+    #: ``EngineConfig.to_dict()`` of the saved engine, if it had one.
+    config: dict | None
+    #: Resolved ``{"num_slots", "policy"}`` of the saved engine's store.
+    store: dict
+
+
+def read_checkpoint(path: str | os.PathLike,
+                    alignment: Alignment) -> Checkpoint:
+    """Read and verify a checkpoint without building an engine.
 
     The alignment is the caller's responsibility (checkpoints store only a
-    fingerprint, which is verified). ``engine_kwargs`` override the store
-    configuration — resuming an in-core run out-of-core (or vice versa) is
-    explicitly supported, since results are configuration-independent.
+    fingerprint, which is verified). Callers with a configuration of their
+    own — ``repro search --resume`` — build on the returned tree, model
+    and rates themselves.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -197,18 +209,38 @@ def load_checkpoint(path: str | os.PathLike, alignment: Alignment,
         tree = parse_newick(doc["tree"])
     if sorted(tree.names) != sorted(alignment.names):
         raise ReproError("checkpoint tree taxa do not match the alignment")
-    model = _model_from_dict(doc["model"])
-    rates = _rates_from_dict(doc["rates"])
-    engine_kwargs.setdefault("dtype", np.dtype(doc["dtype"]))
+    return Checkpoint(tree, _model_from_dict(doc["model"]),
+                      _rates_from_dict(doc["rates"]), np.dtype(doc["dtype"]),
+                      doc.get("extra", {}), doc.get("config"), doc["store"])
+
+
+def load_checkpoint(path: str | os.PathLike, alignment: Alignment,
+                    **engine_kwargs) -> tuple[LikelihoodEngine, dict]:
+    """Rebuild an engine from a checkpoint; returns ``(engine, extra)``.
+
+    Without ``engine_kwargs`` the engine is rebuilt from the recorded
+    :class:`~repro.config.EngineConfig` (a path-owning backing kind needs
+    a scratch directory: use :func:`read_checkpoint` and
+    ``EngineConfig.build(workdir=...)`` for those). ``engine_kwargs``
+    override the store configuration — resuming an in-core run out-of-core
+    (or vice versa) is explicitly supported, since results are
+    configuration-independent; with them, and for documents that carry no
+    configuration, only the saved slot count and policy are restored.
+    """
+    ck = read_checkpoint(path, alignment)
+    if ck.config is not None and not engine_kwargs:
+        engine = EngineConfig.from_dict(ck.config).build(
+            ck.tree, alignment, ck.model, ck.rates)
+        return engine, ck.extra
+    engine_kwargs.setdefault("dtype", ck.dtype)
     if "store" not in engine_kwargs and engine_kwargs.get("num_slots") is None \
             and engine_kwargs.get("fraction") is None:
-        saved_slots = doc["store"].get("num_slots")
-        saved_policy = doc["store"].get("policy")
+        saved_slots = ck.store.get("num_slots")
+        saved_policy = ck.store.get("policy")
         if saved_slots is not None:
             engine_kwargs["num_slots"] = saved_slots
-        if saved_policy is not None and saved_policy in (
-            "random", "lru", "lfu", "fifo", "clock", "topological"
-        ):
+        if saved_policy in POLICIES:
             engine_kwargs.setdefault("policy", saved_policy)
-    engine = LikelihoodEngine(tree, alignment, model, rates, **engine_kwargs)
-    return engine, doc.get("extra", {})
+    engine = LikelihoodEngine(ck.tree, alignment, ck.model, ck.rates,
+                              **engine_kwargs)
+    return engine, ck.extra

@@ -24,13 +24,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 from repro import __version__
+from repro.config import EngineConfig
 from repro.errors import ReproError
 from repro.phylo.alphabet import DNA
-from repro.phylo.likelihood.engine import LikelihoodEngine
+from repro.phylo.likelihood.engine import LikelihoodEngine, clv_geometry
 from repro.phylo.likelihood.model_opt import optimize_alpha
 from repro.phylo.models import GTR, HKY85, JC69, K80, Poisson, RateModel
 from repro.phylo.msa import Alignment
@@ -92,23 +94,12 @@ def _tree_for(alignment: Alignment, args) -> Tree:
     return stepwise_addition_tree(alignment, seed=args.seed)
 
 
-def _engine_for(alignment: Alignment, tree: Tree, args) -> LikelihoodEngine:
+def _engine_for(alignment: Alignment, args) -> LikelihoodEngine:
+    """The engine the command line describes, on its (starting) tree."""
     model, rates = _parse_model(args.model, alignment)
-    kwargs = {}
-    if args.memory_limit is not None:
-        probe = LikelihoodEngine(tree.copy(), alignment, model, rates)
-        w = probe.ancestral_vector_bytes()
-        kwargs["num_slots"] = max(3, int(args.memory_limit) // w)
-        del probe
-    elif args.fraction is not None:
-        kwargs["fraction"] = args.fraction
-    kwargs["policy"] = args.policy
-    if args.policy == "random":
-        kwargs["policy_kwargs"] = {"seed": args.seed}
-    kwargs["writeback_depth"] = args.writeback_depth
-    kwargs["io_threads"] = args.io_threads
-    kwargs["prefetch_depth"] = args.prefetch_depth
-    return LikelihoodEngine(tree, alignment, model, rates, **kwargs)
+    return EngineConfig.from_args(args).build(
+        _tree_for(alignment, args), alignment, model, rates,
+        workdir=args.workdir)
 
 
 def _add_common(parser: argparse.ArgumentParser, with_tree=True) -> None:
@@ -119,24 +110,7 @@ def _add_common(parser: argparse.ArgumentParser, with_tree=True) -> None:
                              "(default: GTR+G)")
     if with_tree:
         parser.add_argument("-t", "--tree", help="Newick tree file")
-    parser.add_argument("-L", "--memory-limit", type=int, default=None,
-                        help="max bytes of RAM for ancestral probability "
-                             "vectors (the paper's -L flag)")
-    parser.add_argument("--fraction", type=float, default=None,
-                        help="fraction f of vectors held in RAM (paper §3.2)")
-    parser.add_argument("--policy", default="lru",
-                        choices=["random", "lru", "lfu", "fifo", "clock", "topological"],
-                        help="replacement strategy (default: lru)")
-    parser.add_argument("--writeback-depth", type=int, default=0,
-                        help="staging-buffer depth for asynchronous eviction "
-                             "write-behind (0 = synchronous writes, paper §3.2)")
-    parser.add_argument("--io-threads", type=int, default=1,
-                        help="background writer threads draining the "
-                             "write-behind queue (default: 1)")
-    parser.add_argument("--prefetch-depth", type=int, default=0,
-                        help="traversal look-ahead of the prefetch thread "
-                             "(0 = no prefetching, paper §5)")
-    parser.add_argument("--seed", type=int, default=42)
+    EngineConfig.add_arguments(parser)
 
 
 def _report_io(engine) -> str:
@@ -161,8 +135,7 @@ def _report_io(engine) -> str:
 def cmd_evaluate(args) -> int:
     """Fixed-tree likelihood evaluation; ``-f z`` = full traversals (§4.3)."""
     alignment = _read_alignment(args.msa)
-    tree = _tree_for(alignment, args)
-    engine = _engine_for(alignment, tree, args)
+    engine = _engine_for(alignment, args)
     t0 = time.perf_counter()
     if args.function == "z":
         lnl = engine.full_traversals(args.traversals)
@@ -189,15 +162,18 @@ def cmd_search(args) -> int:
     alignment = _read_alignment(args.msa)
     resume_state = None
     if args.checkpoint and args.resume and os.path.exists(args.checkpoint):
-        from repro.checkpoint import load_checkpoint
+        from repro.checkpoint import read_checkpoint
 
-        engine, extra = load_checkpoint(args.checkpoint, alignment)
-        resume_state = extra.get("search")
+        # Tree and (optimised) model come from the file; the engine is
+        # rebuilt from this command line exactly like a fresh one.
+        ck = read_checkpoint(args.checkpoint, alignment)
+        engine = EngineConfig.from_args(args).build(
+            ck.tree, alignment, ck.model, ck.rates, workdir=args.workdir)
+        resume_state = ck.extra.get("search")
         print(f"resumed        : {args.checkpoint} "
               f"(round {resume_state['rounds'] if resume_state else 0})")
     else:
-        tree = _tree_for(alignment, args)
-        engine = _engine_for(alignment, tree, args)
+        engine = _engine_for(alignment, args)
     t0 = time.perf_counter()
     result = ml_search(engine, radius=args.radius, max_rounds=args.rounds,
                        checkpoint_path=args.checkpoint,
@@ -228,13 +204,13 @@ def cmd_mcmc(args) -> int:
     from repro.phylo.bayes import McmcChain
 
     alignment = _read_alignment(args.msa)
-    tree = _tree_for(alignment, args)
-    engine = _engine_for(alignment, tree, args)
+    engine = _engine_for(alignment, args)
     chain = McmcChain(engine, seed=args.seed)
     t0 = time.perf_counter()
     result = chain.run(args.generations, burn_in=args.burn_in,
                        sample_every=args.sample_every)
     dt = time.perf_counter() - t0
+    engine.close()
     print(f"generations    : {args.generations} "
           f"({len(result.samples)} samples after burn-in {args.burn_in})")
     print(f"final lnL      : {result.final_log_likelihood:.4f}")
@@ -285,9 +261,7 @@ def cmd_policies(args) -> int:
     alignment = _read_alignment(args.msa)
     tree = _tree_for(alignment, args)
     model, rates = _parse_model(args.model, alignment)
-    probe = LikelihoodEngine(tree.copy(), alignment, model, rates)
-    num_inner, shape = probe.num_inner, probe.clv_shape
-    del probe
+    num_inner, shape = clv_geometry(tree, alignment, model, rates)
     fractions = [float(x) for x in args.fractions.split(",")]
     policies = ["random", "lru", "lfu", "topological"]
     shadows = [
@@ -329,8 +303,7 @@ def cmd_support(args) -> int:
     from repro.utils.rng import as_rng
 
     alignment = _read_alignment(args.msa)
-    tree = _tree_for(alignment, args)
-    engine = _engine_for(alignment, tree, args)
+    engine = _engine_for(alignment, args)
     engine.optimize_all_branches(passes=2)
     supports = alrt_branch_support(engine)
     labels = {e: f"aLRT={s.statistic:.1f}" for e, s in supports.items()}
@@ -345,7 +318,9 @@ def cmd_support(args) -> int:
         for edge in labels:
             labels[edge] += f" BS={boot.get(edge, 0.0):.0%}"
         print(f"bootstrap      : {args.bootstrap} NJ replicates")
-    print(f"log-likelihood : {engine.loglikelihood():.6f}")
+    lnl = engine.loglikelihood()
+    engine.close()
+    print(f"log-likelihood : {lnl:.6f}")
     print(f"I/O            : {_report_io(engine)}")
     print()
     print(ascii_tree(engine.tree, edge_labels=labels, max_width=40))
@@ -431,7 +406,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Scratch space for path-owning --backing kinds, gone on exit.
+        with tempfile.TemporaryDirectory(prefix="repro-") as workdir:
+            args.workdir = workdir
+            return args.func(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ write for the evaluation (§4).
 """
 
 from repro.core.backing import (
+    BACKING_KINDS,
     AsyncBackingStore,
     BackingStore,
     FileBackingStore,
@@ -19,6 +20,7 @@ from repro.core.backing import (
     MemoryBackingStore,
     MultiFileBackingStore,
     SimulatedDiskBackingStore,
+    make_backing,
 )
 from repro.core.compress import (
     Codec,
@@ -82,6 +84,8 @@ __all__ = [
     "FileBackingStore",
     "MultiFileBackingStore",
     "SimulatedDiskBackingStore",
+    "BACKING_KINDS",
+    "make_backing",
     "CompressedFileBackingStore",
     "Codec",
     "ZlibCodec",

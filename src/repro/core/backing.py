@@ -17,10 +17,11 @@ amortization argument the paper makes.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import os
 import threading
 import time
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Protocol
 
 from numpy.typing import DTypeLike
 
@@ -498,3 +499,46 @@ class SimulatedDiskBackingStore:
 
     def close(self) -> None:
         self._inner.close()
+
+
+#: kind → (module, class, takes a leading ``path`` argument). The classes
+#: outside this module import it, hence names rather than objects.
+_BACKINGS: dict[str, tuple[str, str, bool]] = {
+    "memory": (__name__, "MemoryBackingStore", False),
+    "file": (__name__, "FileBackingStore", True),
+    "multifile": (__name__, "MultiFileBackingStore", True),
+    "simulated": (__name__, "SimulatedDiskBackingStore", False),
+    "compressed": ("repro.core.compress", "CompressedFileBackingStore", True),
+    "sharded": ("repro.core.sharded", "ShardedBackingStore", True),
+}
+
+#: Every kind :func:`make_backing` builds, in declaration order.
+BACKING_KINDS = tuple(_BACKINGS)
+
+
+def make_backing(kind: str, num_items: int, item_shape: tuple[int, ...],
+                 dtype: DTypeLike = np.float64, /, *,
+                 path: "str | os.PathLike[str] | None" = None,
+                 **options: Any) -> BackingStore:
+    """Instantiate a backing store by kind (one of :data:`BACKING_KINDS`).
+
+    ``path`` is the file (``file``, ``compressed``) or directory
+    (``multifile``, ``sharded``) of the kinds that own one, and is ignored
+    by the RAM-resident kinds; ``options`` are forwarded to the class
+    (``disk=``/``sleep=`` for simulated, ``codec=`` for compressed,
+    ``num_files=`` for multifile, ``num_shards=``/``kind=``/... for
+    sharded — the leading parameters are positional-only so that the
+    sharded tier's own ``kind=`` passes through).
+    """
+    try:
+        module, name, takes_path = _BACKINGS[kind]
+    except KeyError:
+        raise BackingStoreError(
+            f"unknown backing store kind {kind!r}; choose from "
+            f"{list(BACKING_KINDS)}") from None
+    cls = getattr(importlib.import_module(module), name)
+    if not takes_path:
+        return cls(num_items, item_shape, dtype, **options)
+    if path is None:
+        raise BackingStoreError(f"{kind!r} backing needs a path")
+    return cls(path, num_items, item_shape, dtype, **options)

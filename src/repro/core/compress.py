@@ -99,7 +99,7 @@ def make_codec(name: str) -> Codec:
     raise BackingStoreError(f"unknown codec {name!r}")
 
 
-def _fsync_dir(path: str) -> None:
+def fsync_dir(path: str) -> None:
     """fsync the directory entry so a rename survives a crash."""
     dfd = os.open(os.path.dirname(os.path.abspath(path)) or ".", os.O_RDONLY)
     try:
@@ -215,7 +215,7 @@ class CompressedFileBackingStore:
                 os.path.dirname(os.path.abspath(self.path)), heap)
             if os.path.exists(cand):
                 os.replace(cand, self.path)
-                _fsync_dir(self.path)
+                fsync_dir(self.path)
             self._publish_index()  # republish with the canonical heap name
 
     def _index_doc(self, heap: str | None = None) -> dict[str, object]:  # holds: _lock
@@ -240,7 +240,7 @@ class CompressedFileBackingStore:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.index_path)
-        _fsync_dir(self.index_path)
+        fsync_dir(self.index_path)
 
     def _publish_index(self) -> None:
         """Write-to-temp + fsync + atomic rename + directory fsync."""
@@ -447,7 +447,7 @@ class CompressedFileBackingStore:
             self._fh, self._fd = new_fh, new_fd
             self._publish_index_for(os.path.basename(tmp_path))
             os.replace(tmp_path, self.path)
-            _fsync_dir(self.path)
+            fsync_dir(self.path)
             self._publish_index()
             self.compactions += 1
             if mx is not None:

@@ -8,6 +8,9 @@ needs the event stream, not the data: it runs the exact slot-allocation
 logic of :class:`~repro.core.vecstore.AncestralVectorStore` (free slots
 first, then a policy victim among unpinned residents, read skipping for
 write-only misses) and accumulates an :class:`~repro.core.stats.IoStats`.
+It is the one replica of that state machine: the offline
+:func:`~repro.core.trace.simulate_policy_on_trace` replay is a loop over a
+shadow.
 
 :class:`TeeStore` wraps the primary (real) store and broadcasts every
 ``get()`` to any number of shadows — so a *single* tree search produces the
@@ -36,7 +39,8 @@ class ShadowStore:
 
     def __init__(self, num_items: int, num_slots: int,
                  policy: str | ReplacementPolicy = "lru", *,
-                 read_skipping: bool = True, label: str = "",
+                 read_skipping: bool = True, track_dirty: bool = False,
+                 label: str = "",
                  policy_kwargs: dict | None = None) -> None:
         if num_slots < 1:
             raise OutOfCoreError(f"need at least one slot, got {num_slots}")
@@ -46,9 +50,16 @@ class ShadowStore:
             policy = make_policy(policy, **(policy_kwargs or {}))
         self.policy = policy
         self.read_skipping = bool(read_skipping)
+        #: Mirrors the store option of the same name: a clean victim (never
+        #: written since its load) is charged to ``write_skips`` instead of
+        #: ``writes``, exactly like ``AncestralVectorStore._evict``. Without
+        #: it *every* eviction counts one write — the paper's behaviour,
+        #: which always swaps the full vector out.
+        self.track_dirty = bool(track_dirty)
         self.label = label or f"{policy.name}@m={num_slots}"
         self.stats = IoStats()
         self._resident: set[int] = set()
+        self._dirty: set[int] = set()  # residents written since their load
         self._free = self.num_slots
 
     @property
@@ -60,6 +71,8 @@ class ShadowStore:
         self.stats.requests += 1
         if item in self._resident:
             self.stats.hits += 1
+            if write_only:
+                self._dirty.add(item)
         else:
             self.stats.misses += 1
             if self._free > 0:
@@ -74,12 +87,22 @@ class ShadowStore:
                 victim = int(self.policy.choose_victim(candidates, item))
                 self._resident.discard(victim)
                 self.policy.on_evict(victim)
-                self.stats.writes += 1
+                if self.track_dirty and victim not in self._dirty:
+                    self.stats.write_skips += 1
+                else:
+                    self.stats.writes += 1
+                self._dirty.discard(victim)
             if write_only and self.read_skipping:
                 self.stats.read_skips += 1
             else:
                 self.stats.reads += 1
             self._resident.add(item)
+            # The store's load path marks a write-only load dirty and any
+            # other load clean (_finish_load); mirror that here.
+            if write_only:
+                self._dirty.add(item)
+            else:
+                self._dirty.discard(item)
             self.policy.on_load(item)
         self.policy.on_access(item, write_only)
 

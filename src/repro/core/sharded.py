@@ -98,11 +98,8 @@ import numpy as np
 from numpy.typing import DTypeLike
 
 from repro.analysis.race import make_condition, make_lock, make_thread
-from repro.core.backing import (
-    FileBackingStore,
-    SimulatedDiskBackingStore,
-)
-from repro.core.compress import CompressedFileBackingStore, make_codec
+from repro.core.backing import make_backing
+from repro.core.compress import make_codec
 from repro.core.faults import FaultInjectingBackingStore, InjectedFault
 from repro.core.layout import shard_items
 from repro.errors import BackingStoreError
@@ -217,24 +214,18 @@ def _build_worker_store(spec: dict[str, Any]) -> Any:
     what makes worker restart transparent.
     """
     kind = spec["kind"]
-    n = int(spec["num_items"])
-    shape = tuple(int(d) for d in spec["item_shape"])
-    dtype = np.dtype(str(spec["dtype"]))
-    inner: Any
-    if kind == "file":
-        inner = FileBackingStore(spec["path"], n, shape, dtype)
-    elif kind == "compressed":
-        codec = make_codec(str(spec.get("codec") or "zlib:6"))
-        inner = CompressedFileBackingStore(spec["path"], n, shape, dtype,
-                                           codec=codec)
+    options: dict[str, Any] = {}
+    if kind == "compressed":
+        options["codec"] = make_codec(str(spec.get("codec") or "zlib:6"))
     elif kind == "simulated":
         disk = spec.get("disk")
-        model = (DiskModel(float(disk[0]), float(disk[1]))
-                 if disk else DiskModel.hdd())
-        inner = SimulatedDiskBackingStore(n, shape, dtype, disk=model,
-                                          sleep=bool(spec.get("sleep")))
-    else:
-        raise BackingStoreError(f"unknown shard worker kind {kind!r}")
+        if disk:
+            options["disk"] = DiskModel(float(disk[0]), float(disk[1]))
+        options["sleep"] = bool(spec.get("sleep"))
+    inner: Any = make_backing(
+        kind, int(spec["num_items"]),
+        tuple(int(d) for d in spec["item_shape"]),
+        np.dtype(str(spec["dtype"])), path=spec["path"], **options)
     fault = spec.get("fault")
     if fault:
         inner = FaultInjectingBackingStore(inner, **fault)

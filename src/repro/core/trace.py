@@ -14,9 +14,9 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.policies import BeladyPolicy, ReplacementPolicy, make_policy
+from repro.core.policies import BeladyPolicy, ReplacementPolicy
+from repro.core.shadow import ShadowStore
 from repro.core.stats import IoStats
-from repro.errors import OutOfCoreError, PinnedSlotError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.core.layout import StorageLayout
@@ -91,70 +91,26 @@ def simulate_policy_on_trace(
 ) -> IoStats:
     """Replay a trace against a policy, counting misses/reads — no data moves.
 
-    The replay reproduces the store's allocation logic exactly (free slots
-    first, then policy victim among unpinned residents), so its miss/read
-    rates match a real run with the same policy; it is simply ~100× faster,
-    which lets benchmarks sweep many (policy, m) points on one recorded
-    workload. Belady's policy is fed the future item sequence automatically.
+    The replay drives one :class:`~repro.core.shadow.ShadowStore` — the
+    store's allocation logic exactly (free slots first, then policy victim
+    among unpinned residents) — so its miss/read rates match a real run
+    with the same policy; it is simply ~100× faster, which lets benchmarks
+    sweep many (policy, m) points on one recorded workload. Belady's policy
+    is fed the future item sequence automatically.
 
-    ``track_dirty`` mirrors the store option of the same name: a clean
-    victim (never written since its load) is charged to ``write_skips``
-    instead of ``writes``, exactly like
-    :meth:`AncestralVectorStore._evict`. Without it, *every* eviction
-    counts one write — the paper's behaviour, which always swaps the full
-    vector out. Counter parity against a live store run with the same
-    configuration is asserted in ``tests/test_trace.py``.
+    ``track_dirty`` mirrors the store option of the same name (see
+    :class:`~repro.core.shadow.ShadowStore`). Counter parity against a live
+    store run with the same configuration is asserted in
+    ``tests/test_trace.py``.
     """
-    if num_slots < 1:
-        raise OutOfCoreError(f"need at least one slot, got {num_slots}")
-    if isinstance(policy, str):
-        policy = make_policy(policy, **(policy_kwargs or {}))
-    if isinstance(policy, BeladyPolicy):
-        policy.load_future(trace.items())
-
-    stats = IoStats()
-    resident: set[int] = set()
-    dirty: set[int] = set()  # residents written since load (track_dirty model)
-    free = num_slots
+    shadow = ShadowStore(trace.num_items, num_slots, policy,
+                         read_skipping=read_skipping, track_dirty=track_dirty,
+                         policy_kwargs=policy_kwargs)
+    if isinstance(shadow.policy, BeladyPolicy):
+        shadow.policy.load_future(trace.items())
     for ev in trace.events:
-        stats.requests += 1
-        if ev.item in resident:
-            stats.hits += 1
-            if ev.write_only:
-                dirty.add(ev.item)
-        else:
-            stats.misses += 1
-            if free > 0:
-                free -= 1
-            else:
-                pinned = set(ev.pins)
-                candidates = [it for it in resident if it not in pinned]
-                if not candidates:
-                    raise PinnedSlotError(
-                        f"trace replay: all {num_slots} slots pinned at item {ev.item}"
-                    )
-                victim = int(policy.choose_victim(candidates, ev.item))
-                resident.discard(victim)
-                if track_dirty and victim not in dirty:
-                    stats.write_skips += 1
-                else:
-                    stats.writes += 1
-                dirty.discard(victim)
-                policy.on_evict(victim)
-            if ev.write_only and read_skipping:
-                stats.read_skips += 1
-            else:
-                stats.reads += 1
-            resident.add(ev.item)
-            # The store's load path marks a write-only load dirty and any
-            # other load clean (_finish_load); mirror that here.
-            if ev.write_only:
-                dirty.add(ev.item)
-            else:
-                dirty.discard(ev.item)
-            policy.on_load(ev.item)
-        policy.on_access(ev.item, ev.write_only)
-    return stats
+        shadow.access(ev.item, ev.pins, ev.write_only)
+    return shadow.stats
 
 
 class _FenwickTree:

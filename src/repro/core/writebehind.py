@@ -285,51 +285,13 @@ class WriteBehindQueue:
                 item = self._order.popleft()
                 buf = self._staged[item]
                 self._writing.add(item)
-            tr = self.tracer
+            write_t0 = time.perf_counter()
             try:
-                write_t0 = time.perf_counter()
                 self.backing.write(item, buf)
-                write_dur = time.perf_counter() - write_t0
             except BaseException as exc:  # noqa: BLE001 - surfaced via drain()
-                with self._cond:
-                    if rc is not None:
-                        rc.write(self._race_scope, "_writing", "_order",
-                                 "_error")
-                    self._writing.discard(item)
-                    self._order.append(item)  # keep the data; retry later
-                    if self._error is None:
-                        self._error = exc
-                    self._cond.notify_all()
-                    # Park until new activity so a dead backing store does
-                    # not spin the writer; drain()/put() wake us to retry.
-                    if not self._stop:
-                        self._cond.wait()
+                self._park_failed([(item, exc)], park=True)
                 continue
-            if self.drain_hist is not None:
-                self.drain_hist.record(write_dur)
-            if tr is not None:
-                tr.emit("writeback_drain", item=item, dur=write_dur)
-            mx = self.metrics
-            if mx is not None:
-                mx.observe("writeback_drain_seconds", write_dur)
-            sp = self.spans
-            if sp is not None:
-                sp.complete("writeback_drain", write_t0, write_dur,
-                            {"item": item})
-            with self._cond:
-                if rc is not None:
-                    rc.write(self._race_scope, "_writing", "_staged", "_pool",
-                             "stats.writeback")
-                self._writing.discard(item)
-                self.stats.writeback_writes += 1
-                self.stats.writeback_bytes += self.item_bytes
-                if self._staged.get(item) is buf:
-                    del self._staged[item]
-                    if len(self._pool) < self.depth:
-                        self._pool.append(buf)
-                # else: the item was re-staged while we wrote the old copy;
-                # the newer version is still queued and drains after us.
-                self._cond.notify_all()
+            self._finish(item, buf, write_t0)
 
     def _writer_loop_async(
             self, submit: "Callable[[int, np.ndarray], Any]") -> None:  # thread: writer
@@ -348,10 +310,10 @@ class WriteBehindQueue:
         submitted in staging order and the backing applies same-item
         operations in order (the sharded tier's per-shard FIFO), so the
         newest data wins. Failed items follow the synchronous error
-        path: the vector stays staged (still readable), is re-queued for
-        retry, the first error is parked for ``drain()`` to surface, and
-        once the pipe is empty the writer waits for new activity instead
-        of spinning.
+        path (:meth:`_park_failed`): the vector stays staged (still
+        readable), is re-queued for retry, the first error is parked for
+        ``drain()`` to surface, and once the pipe is empty the writer waits
+        for new activity instead of spinning.
         """
         rc = self._race
         # Trace-context injection: when spans are on and the backing can
@@ -407,13 +369,13 @@ class WriteBehindQueue:
                 except BaseException as exc:  # noqa: BLE001 - surfaced via drain()
                     failed.append((item, exc))
                 else:
-                    self._finish_async(item, buf, t0, sid)
+                    self._finish(item, buf, t0, sid)
             if failed:
                 self._park_failed(failed, park=not inflight)
 
-    def _finish_async(self, item: int, buf: np.ndarray, t0: float,
-                      sid: int = 0) -> None:  # thread: writer
-        """Account one completed asynchronous drain (mirrors the sync path)."""
+    def _finish(self, item: int, buf: np.ndarray, t0: float,
+                sid: int = 0) -> None:  # thread: writer
+        """Account one completed drain (either loop) and recycle its buffer."""
         rc = self._race
         write_dur = time.perf_counter() - t0
         if self.drain_hist is not None:

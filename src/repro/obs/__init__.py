@@ -43,6 +43,7 @@ from repro.obs.exporters import (
     PROFILE_SCHEMA,
     records_to_jsonl,
     slot_timeline,
+    validate_file,
     validate_profile,
 )
 from repro.obs.histogram import BackingProbe, LogHistogram
@@ -72,6 +73,7 @@ __all__ = [
     "Tracer",
     "records_to_jsonl",
     "slot_timeline",
+    "validate_file",
     "validate_profile",
 ]
 

@@ -20,7 +20,8 @@ import cycle with the store it observes.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Sequence
+import sys
+from typing import Any, Callable, Iterable, Sequence
 
 #: Version tag of the ``BENCH_profile.json`` document layout.
 #: ``/2`` added the ``metrics`` block (a full registry snapshot) and the
@@ -126,6 +127,28 @@ def slot_timeline(records: Sequence[Any]) -> list[dict[str, Any]]:
 
 def _type_name(obj: Any) -> str:
     return type(obj).__name__
+
+
+def validate_file(path: str, validate: Callable[[Any], list[str]],
+                  what: str) -> int:
+    """The ``--validate PATH`` mode of both document-writing CLIs.
+
+    Exit status: 0 = conforms, 1 = schema problems (listed on stderr),
+    2 = unreadable.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        return 2
+    problems = validate(doc)
+    for p in problems:
+        print(f"{path}: {p}", file=sys.stderr)
+    if problems:
+        return 1
+    print(f"{path}: valid {doc['schema']} {what}")
+    return 0
 
 
 def validate_profile(doc: Any) -> list[str]:

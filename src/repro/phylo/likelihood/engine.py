@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,6 +45,9 @@ from repro.phylo.models.rates import RateModel
 from repro.phylo.msa import Alignment
 from repro.phylo.tree import Tree
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
+    from repro.config import EngineConfig
+
 
 def _valid(view: np.ndarray, span: int) -> np.ndarray:
     """The meaningful rows of a fetched block.
@@ -56,6 +60,18 @@ def _valid(view: np.ndarray, span: int) -> np.ndarray:
     one).
     """
     return view if span == view.shape[0] else view[:span]
+
+
+def clv_geometry(tree: Tree, alignment: Alignment, model: ReversibleModel,
+                 rates: RateModel) -> tuple[int, tuple[int, int, int]]:
+    """``(num_inner, clv_shape)`` of the engine these arguments would build.
+
+    What a caller needs to size a layout or a backing store *before* the
+    engine exists — without constructing a throw-away in-core engine
+    (slot arena plus backing: twice the full CLV footprint) to ask it.
+    """
+    return tree.num_inner, (alignment.compress().num_patterns,
+                            rates.num_categories, model.num_states)
 
 
 class LikelihoodEngine:
@@ -159,10 +175,8 @@ class LikelihoodEngine:
             self._tip_codes[tip] = pattern_codes[row]
         self._code_matrix = alignment.alphabet.code_matrix().astype(self.dtype)
 
-        C = self.rates.num_categories
-        S = model.num_states
-        self.clv_shape = (self.num_patterns, C, S)
-        self.num_inner = tree.num_inner
+        self.num_inner, self.clv_shape = clv_geometry(tree, alignment, model,
+                                                      self.rates)
 
         # Per-site underflow-scaling counters stay in RAM (like tips, they
         # are small compared to the CLVs themselves — paper §3.1).
@@ -186,6 +200,10 @@ class LikelihoodEngine:
         self.spans = None
         self.metrics = None
         self._schedule_cache = ScheduleCache()
+        #: The EngineConfig this engine was built from (set by
+        #: EngineConfig.build, None when constructed directly) — what
+        #: save_checkpoint records so a resume rebuilds the same pipeline.
+        self.config: EngineConfig | None = None
 
         # Every argument is checked before anything that owns a thread, a
         # file descriptor or a worker process exists, so a rejected call

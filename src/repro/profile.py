@@ -42,15 +42,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.cli import _parse_model, _read_alignment
+from repro.config import EngineConfig
 from repro.core.stats import DEMAND_COUNTERS, EVICTION_COUNTERS
 from repro.errors import ReproError
 from repro.obs import (
@@ -59,6 +57,7 @@ from repro.obs import (
     Observer,
     records_to_jsonl,
     slot_timeline,
+    validate_file,
     validate_profile,
 )
 from repro.phylo.likelihood.engine import LikelihoodEngine
@@ -87,59 +86,10 @@ def _dataset(args):
     return alignment, tree
 
 
-def _make_backing(kind: str, layout, dtype, workdir: str, shards: int = 4):
-    """Backing store sized for the layout's item space (blocks, not nodes)."""
-    if kind == "memory":
-        return None  # the store builds its own MemoryBackingStore
-    if kind == "file":
-        from repro.core.backing import FileBackingStore
-        return FileBackingStore.from_layout(
-            os.path.join(workdir, "vectors.bin"), layout, dtype)
-    if kind == "simulated":
-        from repro.core.backing import SimulatedDiskBackingStore
-        return SimulatedDiskBackingStore.from_layout(layout, dtype)
-    if kind == "compressed":
-        from repro.core.compress import CompressedFileBackingStore
-        return CompressedFileBackingStore.from_layout(
-            os.path.join(workdir, "vectors.czb"), layout, dtype)
-    if kind == "sharded":
-        from repro.core.sharded import ShardedBackingStore
-        return ShardedBackingStore.from_layout(
-            os.path.join(workdir, "shards"), layout, dtype,
-            num_shards=shards)
-    raise ReproError(f"unknown backing store kind {kind!r}")
-
-
-def _build_engine(alignment, tree, args, workdir: str) -> LikelihoodEngine:
-    from repro.core.layout import make_layout
-
+def _build_engine(config: EngineConfig, alignment, tree, args,
+                  workdir: str) -> LikelihoodEngine:
     model, rates = _parse_model(args.model, alignment)
-    dtype = np.dtype(args.dtype)
-    probe = LikelihoodEngine(tree.copy(), alignment, model, rates, dtype=dtype)
-    layout = make_layout(
-        args.layout, probe.num_inner, probe.clv_shape,
-        block_sites=args.block_sites if args.layout == "block" else None)
-    backing = _make_backing(args.backing, layout, probe.dtype, workdir,
-                            shards=getattr(args, "shards", 4))
-    if backing is not None and getattr(args, "backing_retries", 0) > 0:
-        from repro.core.faults import RetryingBackingStore
-        backing = RetryingBackingStore(backing, retries=args.backing_retries)
-    del probe
-    policy_kwargs = {"seed": args.seed} if args.policy == "random" else None
-    return LikelihoodEngine(
-        tree.copy(), alignment, model, rates,
-        dtype=dtype,
-        layout=layout,
-        fraction=None if args.num_slots is not None else args.fraction,
-        num_slots=args.num_slots,
-        policy=args.policy,
-        policy_kwargs=policy_kwargs,
-        backing=backing,
-        writeback_depth=args.writeback_depth,
-        io_threads=args.io_threads,
-        prefetch_depth=args.prefetch_depth,
-        batch=args.batch,
-    )
+    return config.build(tree.copy(), alignment, model, rates, workdir=workdir)
 
 
 def _run_workload(engine: LikelihoodEngine, args) -> float:
@@ -158,24 +108,19 @@ def _counters_block(engine: LikelihoodEngine) -> dict:
     return row
 
 
-def _config_block(args, engine: LikelihoodEngine) -> dict:
+def _run_block(args, engine: LikelihoodEngine) -> dict:
+    """What ran, beside the engine configuration: data, model and the
+    geometry the configuration resolved to on it."""
     return {
-        "fraction": engine.store.num_slots / engine.store.num_items,
+        "model": args.model,
+        "dataset": args.msa or
+            f"simulated({args.simulate_taxa}x{args.simulate_length})",
+        "traversals": args.traversals,
+        "radius": args.radius,
         "num_slots": engine.store.num_slots,
         "num_items": engine.store.num_items,
         "layout": engine.layout.describe(),
-        "dtype": str(np.dtype(args.dtype)),
-        "policy": args.policy,
-        "backing": args.backing,
-        "shards": args.shards if args.backing == "sharded" else None,
-        "writeback_depth": args.writeback_depth,
-        "io_threads": args.io_threads,
-        "prefetch_depth": args.prefetch_depth,
-        "batch": engine.batch_members,
-        "model": args.model,
-        "seed": args.seed,
-        "dataset": args.msa or
-            f"simulated({args.simulate_taxa}x{args.simulate_length})",
+        "batch_members": engine.batch_members,
     }
 
 
@@ -216,31 +161,28 @@ def _attribution_block(args, obs: Observer, sharded) -> dict:
     time, reply transit) and queueing between them is real.
     """
     totals = {"read": obs.probe.read_hist, "write": obs.probe.write_hist}
-    ops: dict = {}
     if sharded is None:
-        for op, hist in totals.items():
-            ops[op] = _hist_summary(hist)
-            # Single-process backing: the whole request *is* the disk op.
-            ops[op]["stages"] = {"disk": _hist_summary(hist)}
-        return {"backing": args.backing, "window_wait": dict(_ZERO_SUMMARY),
-                "ops": ops, "per_shard": {}}
-    stages = {
-        "read": {"wire": sharded.wire_read_hist,
-                 "disk": sharded.worker_probe.read_hist,
-                 "reply": sharded.reply_read_hist},
-        "write": {"wire": sharded.wire_write_hist,
-                  "disk": sharded.worker_probe.write_hist,
-                  "reply": sharded.reply_write_hist},
-    }
-    for op, hist in totals.items():
-        ops[op] = _hist_summary(hist)
-        ops[op]["stages"] = {name: _hist_summary(h)
-                             for name, h in stages[op].items()}
+        # Single-process backing: the whole request *is* the disk op.
+        stages = {op: {"disk": hist} for op, hist in totals.items()}
+    else:
+        stages = {
+            "read": {"wire": sharded.wire_read_hist,
+                     "disk": sharded.worker_probe.read_hist,
+                     "reply": sharded.reply_read_hist},
+            "write": {"wire": sharded.wire_write_hist,
+                      "disk": sharded.worker_probe.write_hist,
+                      "reply": sharded.reply_write_hist},
+        }
+    ops = {op: {**_hist_summary(hist),
+                "stages": {name: _hist_summary(h)
+                           for name, h in stages[op].items()}}
+           for op, hist in totals.items()}
     return {
         "backing": args.backing,
-        "window_wait": _hist_summary(sharded.window_hist),
+        "window_wait": (dict(_ZERO_SUMMARY) if sharded is None
+                        else _hist_summary(sharded.window_hist)),
         "ops": ops,
-        "per_shard": sharded.per_shard_counts(),
+        "per_shard": {} if sharded is None else sharded.per_shard_counts(),
     }
 
 
@@ -282,10 +224,10 @@ def _print_attribution(attribution: dict) -> None:
                   f"{row['writes']} writes, {row['restarts']} restarts")
 
 
-def _parity_check(alignment, tree, args, workdir: str,
+def _parity_check(config: EngineConfig, alignment, tree, args, workdir: str,
                   traced: dict) -> list[str]:
     """Re-run untraced; return mismatch descriptions (empty = parity holds)."""
-    engine = _build_engine(alignment, tree, args, workdir)
+    engine = _build_engine(config, alignment, tree, args, workdir)
     try:
         _run_workload(engine, args)
         engine.store.drain()
@@ -301,10 +243,6 @@ def _parity_check(alignment, tree, args, workdir: str,
 
 
 def run_profile(args) -> int:
-    if args.block_sites is not None and args.layout != "block":
-        print("error: --block-sites only applies to --layout block",
-              file=sys.stderr)
-        return 2
     if args.check_parity and args.prefetch_depth:
         # A prefetch thread's policy touches depend on scheduling, so two
         # runs can evict different victims regardless of tracing; the
@@ -312,11 +250,12 @@ def run_profile(args) -> int:
         print("error: --check-parity requires --prefetch-depth 0 "
               "(prefetch victim choice is timing-dependent)", file=sys.stderr)
         return 2
+    config = EngineConfig.from_args(args)
     alignment, tree = _dataset(args)
     with tempfile.TemporaryDirectory(prefix="repro-profile-") as workdir:
         obs = Observer(capacity=args.trace_capacity, metrics=True,
                        spans=bool(args.spans_out))
-        engine = _build_engine(alignment, tree, args, workdir)
+        engine = _build_engine(config, alignment, tree, args, workdir)
         obs.attach(engine)
         server = None
         try:
@@ -352,7 +291,8 @@ def run_profile(args) -> int:
         doc = {
             "schema": PROFILE_SCHEMA,
             "workload": args.workload,
-            "config": _config_block(args, engine),
+            "config": config.to_dict(),
+            "run": _run_block(args, engine),
             "log_likelihood": lnl,
             "wall_seconds": wall,
             "phases": obs.phase_totals(),
@@ -408,30 +348,14 @@ def run_profile(args) -> int:
                   f"({len(intervals)} intervals)")
 
         if args.check_parity:
-            mismatches = _parity_check(alignment, tree, args, workdir,
-                                       counters)
+            mismatches = _parity_check(config, alignment, tree, args,
+                                       workdir, counters)
             if mismatches:
                 for m in mismatches:
                     print(f"parity FAILED: {m}", file=sys.stderr)
                 return 1
             print(f"parity          : OK ({len(PARITY_COUNTERS)} demand/"
                   "eviction counters bit-identical untraced)")
-    return 0
-
-
-def run_validate(path: str) -> int:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read profile {path}: {exc}", file=sys.stderr)
-        return 2
-    problems = validate_profile(doc)
-    if problems:
-        for p in problems:
-            print(f"{path}: {p}")
-        print(f"{len(problems)} schema problem(s)", file=sys.stderr)
-        return 1
-    print(f"{path}: valid {doc['schema']} profile")
     return 0
 
 
@@ -459,50 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="full traversals for --workload full")
     parser.add_argument("--radius", type=int, default=3,
                         help="SPR radius for --workload search")
-    parser.add_argument("--fraction", type=float, default=0.25,
-                        help="fraction f of vectors held in RAM (paper §3.2)")
-    parser.add_argument("--num-slots", type=int, default=None,
-                        help="absolute RAM slot count (overrides --fraction; "
-                             "with --layout block this can be smaller than "
-                             "one whole vector's worth of blocks)")
-    parser.add_argument("--layout", default="whole",
-                        choices=["whole", "block"],
-                        help="storage layout: whole vectors (the paper's "
-                             "unit of paging) or site blocks")
-    parser.add_argument("--block-sites", type=int, default=None,
-                        help="sites per block for --layout block "
-                             "(default: 64)")
-    parser.add_argument("--dtype", default="float64",
-                        choices=["float64", "float32"],
-                        help="floating-point precision of the ancestral "
-                             "vectors (default: float64)")
-    parser.add_argument("--policy", default="lru",
-                        choices=["random", "lru", "lfu", "fifo", "clock",
-                                 "topological"])
-    parser.add_argument("--backing", default="memory",
-                        choices=["memory", "file", "simulated", "compressed",
-                                 "sharded"],
-                        help="backing store for evicted vectors (sharded: "
-                             "items hash-routed across worker processes)")
-    parser.add_argument("--shards", type=int, default=4,
-                        help="worker processes for --backing sharded "
-                             "(default: 4)")
-    parser.add_argument("--backing-retries", type=int, default=0,
-                        help="wrap the backing in a RetryingBackingStore "
-                             "with this retry budget (0 = no wrapper)")
-    parser.add_argument("--writeback-depth", type=int, default=0)
-    parser.add_argument("--io-threads", type=int, default=1)
-    parser.add_argument("--prefetch-depth", type=int, default=0)
-    parser.add_argument("--batch", type=int, default=0,
-                        help="group cap of the traversal schedule: 0 = "
-                             "groups of one, executed in place, -1 = auto "
-                             "cap (num_slots // 3, never spills under "
-                             "LRU), N > 0 = explicit members-per-group "
-                             "cap (default: 0)")
+    EngineConfig.add_arguments(parser)
+    parser.set_defaults(fraction=0.25)
     parser.add_argument("--trace-capacity", type=int, default=1 << 16,
                         help="event ring-buffer capacity (oldest records "
                              "drop beyond this; default: 65536)")
-    parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("-o", "--out", default="BENCH_profile.json",
                         help="profile output path (default: "
                              "BENCH_profile.json)")
@@ -531,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.validate:
-        return run_validate(args.validate)
+        return validate_file(args.validate, validate_profile, "profile")
     try:
         return run_profile(args)
     except ReproError as exc:

@@ -22,6 +22,7 @@ from repro import (
     JC69,
     LikelihoodEngine,
     RateModel,
+    clv_geometry,
     simulate_alignment,
     yule_tree,
 )
@@ -354,10 +355,9 @@ class TestBatchedEngineParity:
 
         tree = yule_tree(8, seed=3)
         aln = simulate_alignment(tree, JC69(), 60, seed=4)
-        probe = LikelihoodEngine(tree.copy(), aln, JC69(), RateModel.uniform())
-        store = PagedStandardStore(probe.num_inner, probe.clv_shape,
-                                   ram_bytes=1 << 20, disk=DiskModel.hdd())
-        probe.close()
+        store = PagedStandardStore(
+            *clv_geometry(tree, aln, JC69(), RateModel.uniform()),
+            ram_bytes=1 << 20, disk=DiskModel.hdd())
         with pytest.raises(LikelihoodError, match="fill"):
             LikelihoodEngine(tree.copy(), aln, JC69(), RateModel.uniform(),
                              store=store, batch=4)

@@ -63,6 +63,41 @@ class TestRunner:
         for name in ("fig5_ooc_whole", "fig5_ooc_block", "fig5_paging"):
             assert doc["workloads"][name]["simulated_io_seconds"] >= 0
 
+    def test_config_blocks_rebuild_their_workloads(self, bench_doc, tmp_path):
+        """Each entry records ``EngineConfig.to_dict()`` verbatim: rebuilding
+        from the block alone reproduces the entry's lnL and every counter.
+        Entries handed a store/backing instance say so (``external``)."""
+        from repro.bench.runner import _dataset, _run_full, _run_search
+        from repro.config import EngineConfig
+
+        doc, _ = bench_doc
+        top = doc["config"]
+        tree, alignment, model, rates = _dataset(top["taxa"], top["sites"],
+                                                 top["seed"])
+        external = set()
+        for name, wl in doc["workloads"].items():
+            block = wl["config"]
+            if "external" in block:
+                external.add(name)
+                continue
+            workdir = tmp_path / name
+            workdir.mkdir()
+            engine = EngineConfig.from_dict(block).build(
+                tree.copy(), alignment, model, rates, workdir=workdir)
+            run = (_run_search(top["radius"]) if wl["figure"] == "spr"
+                   else _run_full(top["traversals"]))
+            try:
+                lnl = run(engine)
+                engine.store.drain()
+                row = engine.stats.as_row()
+            finally:
+                engine.close()
+            assert float(lnl).hex() == wl["log_likelihood"].hex(), name
+            assert {k: int(row[k]) for k in RESULT_METRICS} == wl["metrics"], \
+                name
+        assert external == {"fig5_paging", "fig5_ooc_sharded_hdd",
+                            "fig5_ooc_sharded_hdd1"}
+
     def test_validate_cli(self, bench_doc, tmp_path):
         _, out = bench_doc
         assert bench_main(["--validate", str(out)]) == 0

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro import GTR, LikelihoodEngine, Poisson, RateModel, simulate_alignment, yule_tree
+from repro import (
+    GTR,
+    LikelihoodEngine,
+    Poisson,
+    RateModel,
+    clv_geometry,
+    simulate_alignment,
+    yule_tree,
+)
 from repro.checkpoint import load_checkpoint, save_checkpoint
 from repro.errors import ReproError
 from repro.phylo.likelihood.branch_opt import smooth_all_branches
@@ -65,6 +73,77 @@ class TestRoundtrip:
         restored, _ = load_checkpoint(tmp_path / "s.ckpt", aln)
         assert restored.store.num_slots == 4
         assert restored.store.policy.name == "random"
+
+    def test_configured_engine_restored_from_its_full_config(
+            self, ckpt_dataset, tmp_path):
+        """An engine built from an EngineConfig records all of it, so the
+        restored pipeline keeps write-behind, prefetch, layout and seed —
+        not just the slot count and policy name."""
+        import json
+
+        from repro import EngineConfig
+
+        tree, aln, model, rates = ckpt_dataset
+        config = EngineConfig(fraction=0.4, policy="random", seed=11,
+                              layout="block", block_sites=32,
+                              writeback_depth=2, prefetch_depth=2)
+        eng = config.build(tree.copy(), aln, model, rates)
+        lnl = eng.loglikelihood()
+        save_checkpoint(eng, tmp_path / "c.ckpt")
+        eng.close()
+        doc = json.loads((tmp_path / "c.ckpt").read_text())
+        assert doc["config"] == config.to_dict()
+
+        restored, _ = load_checkpoint(tmp_path / "c.ckpt", aln)
+        try:
+            assert restored.config == config
+            assert restored.store.writeback is not None
+            assert restored.prefetcher is not None
+            assert restored.layout.describe() == eng.layout.describe()
+            assert restored.loglikelihood() == lnl
+        finally:
+            restored.close()
+        # keyword overrides replace the recorded configuration (only the
+        # saved slot count / policy fill in what they leave open)
+        plain, _ = load_checkpoint(tmp_path / "c.ckpt", aln, policy="lfu")
+        assert plain.config is None and plain.store.writeback is None
+        assert plain.store.policy.name == "lfu"
+        assert plain.loglikelihood() == lnl
+
+    def test_document_without_config_falls_back_to_store_record(
+            self, ckpt_dataset, tmp_path):
+        """Checkpoints written before the config existed carry only
+        ``store: {num_slots, policy}``."""
+        import json
+
+        from repro import EngineConfig
+
+        tree, aln, model, rates = ckpt_dataset
+        eng = EngineConfig(num_slots=4, policy="lfu", writeback_depth=2) \
+            .build(tree.copy(), aln, model, rates)
+        save_checkpoint(eng, tmp_path / "new.ckpt")
+        eng.close()
+        doc = json.loads((tmp_path / "new.ckpt").read_text())
+        del doc["config"]
+        (tmp_path / "old.ckpt").write_text(json.dumps(doc))
+        restored, _ = load_checkpoint(tmp_path / "old.ckpt", aln)
+        assert restored.store.num_slots == 4
+        assert restored.store.policy.name == "lfu"
+        assert restored.store.writeback is None
+
+    def test_read_checkpoint_builds_nothing(self, ckpt_dataset, tmp_path):
+        from repro import read_checkpoint
+
+        tree, aln, model, rates = ckpt_dataset
+        eng = LikelihoodEngine(tree.copy(), aln, model, rates, num_slots=5,
+                               dtype=np.float32)
+        save_checkpoint(eng, tmp_path / "r.ckpt", extra={"k": 1})
+        ck = read_checkpoint(tmp_path / "r.ckpt", aln)
+        assert ck.dtype == np.float32 and ck.extra == {"k": 1}
+        assert ck.config is None
+        assert ck.store == {"num_slots": 5, "policy": "lru"}
+        assert ck.tree.robinson_foulds(tree) == 0
+        np.testing.assert_array_equal(ck.rates.rates, rates.rates)
 
     def test_resume_with_different_store(self, ckpt_dataset, tmp_path):
         """In-core run resumed out-of-core yields the same likelihood."""
@@ -146,10 +225,8 @@ class TestStoreConfigurations:
         from repro.core.layout import make_layout
 
         tree, aln, model, rates = ckpt_dataset
-        probe = LikelihoodEngine(tree.copy(), aln, model, rates)
-        layout = make_layout("block", probe.num_inner, probe.clv_shape,
+        layout = make_layout("block", *clv_geometry(tree, aln, model, rates),
                              block_sites=32)
-        del probe
         backing = FileBackingStore.from_layout(tmp_path / "clv.bin", layout)
         eng = LikelihoodEngine(tree.copy(), aln, model, rates,
                                layout=layout, fraction=0.4, policy="lru",
@@ -212,9 +289,8 @@ class TestKillAndResume:
         rates = RateModel.gamma(1.0, 4)
         kwargs = {}
         if backing is not None:
-            probe = LikelihoodEngine(start.copy(), aln, model, rates)
-            layout = make_layout("whole", probe.num_inner, probe.clv_shape)
-            del probe
+            layout = make_layout("whole",
+                                 *clv_geometry(start, aln, model, rates))
             kwargs = {"layout": layout,
                       "backing": backing(layout),
                       "fraction": 0.4, "policy": "lru"}

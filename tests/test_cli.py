@@ -96,6 +96,42 @@ class TestEvaluate:
 
         assert lnl(full) == lnl(limited)
 
+    def test_limit_builds_one_engine_that_leaves_ram(self, workspace, capsys,
+                                                     monkeypatch):
+        """``-L`` sizes the slots from the geometry (no unlimited probe
+        engine first) and ``--backing file`` spills to a real file."""
+        import repro.config
+        from repro.core.backing import FileBackingStore
+
+        built = []
+
+        class Spy(repro.config.LikelihoodEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(repro.config, "LikelihoodEngine", Spy)
+        msa, tree, _ = workspace
+        main(["evaluate", "-s", str(msa), "-t", str(tree)])
+        full = capsys.readouterr().out
+        (unlimited,) = built
+        limit = 3 * unlimited.ancestral_vector_bytes() + 17
+        del built[:]
+        main(["evaluate", "-s", str(msa), "-t", str(tree), "-L", str(limit),
+              "--backing", "file"])
+        limited = capsys.readouterr().out
+
+        (engine,) = built
+        assert engine.store.num_slots == 3
+        assert engine.store.ram_bytes() <= limit
+        assert isinstance(engine.store.backing, FileBackingStore)
+        assert engine.stats.bytes_written > 0  # it did spill
+
+        def lnl(text):
+            return [ln for ln in text.splitlines() if "log-likelihood" in ln][0]
+
+        assert lnl(full) == lnl(limited)
+
     def test_missing_file_reports_error(self, capsys):
         rc = main(["evaluate", "-s", "/nonexistent.phy"])
         assert rc == 2
@@ -117,6 +153,56 @@ class TestSearch:
             rc = main(["search", "-s", str(msa), "--rounds", "1",
                        "--radius", "2", "--starting-tree", start])
             assert rc == 0
+
+    def test_resume_rebuilds_the_engine_from_the_flags(self, workspace,
+                                                       capsys, monkeypatch):
+        """``--resume`` used to rebuild the engine from the checkpoint's
+        slot count and policy alone, silently dropping write-behind,
+        prefetch, layout and the rest of the command line."""
+        import repro.phylo.search as search
+
+        msa, _, tmp = workspace
+        flags = ["--fraction", "0.5", "--writeback-depth", "4",
+                 "--prefetch-depth", "2", "--layout", "block",
+                 "--block-sites", "32", "--backing", "file",
+                 "--radius", "2", "--seed", "4"]
+        seen = []
+        real = search.ml_search
+
+        def spy(engine, **kwargs):
+            result = real(engine, **kwargs)
+            seen.append((engine, engine.store.writeback, engine.prefetcher,
+                         engine.layout.describe(),
+                         engine.loglikelihood().hex()))
+            return result
+
+        monkeypatch.setattr(search, "ml_search", spy)
+
+        def final_lnl():
+            out = capsys.readouterr().out
+            return [ln for ln in out.splitlines() if "log-likelihood" in ln][0]
+
+        assert main(["search", "-s", str(msa), "--rounds", "3", *flags]) == 0
+        uninterrupted = final_lnl()
+
+        ckpt = tmp / "ck.json"
+        assert main(["search", "-s", str(msa), "--rounds", "1", *flags,
+                     "--checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert main(["search", "-s", str(msa), "--rounds", "3", *flags,
+                     "--checkpoint", str(ckpt), "--resume"]) == 0
+        out = capsys.readouterr().out
+        assert "resumed" in out and "(round 1)" in out
+        resumed = [ln for ln in out.splitlines() if "log-likelihood" in ln][0]
+        assert resumed == uninterrupted  # printed to 1e-6
+
+        fresh, *_, again = seen
+        assert again[0] is not fresh[0]
+        assert again[1] is not None          # store.writeback
+        assert again[2] is not None          # prefetcher
+        assert again[3] == fresh[3]          # layout.describe()
+        assert again[3]["layout"] == "block" and again[3]["block_sites"] == 32
+        assert again[4] == fresh[4]          # bit-identical, not just 1e-6
 
 
 class TestMcmc:

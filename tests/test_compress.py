@@ -6,7 +6,14 @@ import os
 import numpy as np
 import pytest
 
-from repro import GTR, LikelihoodEngine, RateModel, simulate_alignment, yule_tree
+from repro import (
+    GTR,
+    LikelihoodEngine,
+    RateModel,
+    clv_geometry,
+    simulate_alignment,
+    yule_tree,
+)
 from repro.core.compress import (
     CompressedFileBackingStore,
     NullCodec,
@@ -224,9 +231,7 @@ class TestEngineOnCompressedBacking:
                                fraction=0.3, policy="lru")
         expected = ref.loglikelihood()
 
-        probe = LikelihoodEngine(tree.copy(), aln, model, rates)
-        layout = make_layout("whole", probe.num_inner, probe.clv_shape)
-        del probe
+        layout = make_layout("whole", *clv_geometry(tree, aln, model, rates))
         backing = CompressedFileBackingStore.from_layout(
             tmp_path / "clv.czb", layout)
         eng = LikelihoodEngine(tree.copy(), aln, model, rates,
@@ -388,9 +393,7 @@ class TestEngineOnCompactingBacking:
                                fraction=0.3, policy="lru")
         expected = ref.full_traversals(2)
 
-        probe = LikelihoodEngine(tree.copy(), aln, model, rates)
-        layout = make_layout("whole", probe.num_inner, probe.clv_shape)
-        del probe
+        layout = make_layout("whole", *clv_geometry(tree, aln, model, rates))
         backing = CompressedFileBackingStore.from_layout(
             tmp_path / "clv.czb", layout, compact_threshold=1e-9)
         eng = LikelihoodEngine(tree.copy(), aln, model, rates,

@@ -19,6 +19,7 @@ from repro import (
     PartitionedEngine,
     RateModel,
     RecordingStoreProxy,
+    clv_geometry,
     simulate_alignment,
     simulate_policy_on_trace,
     split_alignment,
@@ -263,10 +264,8 @@ class TestBlockBitIdentity:
 
         tree, aln, model, rates = layout_dataset
         base = _incore_lnl(layout_dataset)
-        probe = LikelihoodEngine(tree.copy(), aln, model, rates)
-        layout = SiteBlockLayout(probe.num_inner, probe.clv_shape,
+        layout = SiteBlockLayout(*clv_geometry(tree, aln, model, rates),
                                  block_sites=40)
-        probe.close()
         if backing == "file":
             store = FileBackingStore.from_layout(
                 tmp_path / f"vec-{writeback}-{prefetch}.bin", layout,
@@ -286,9 +285,7 @@ class TestBlockBitIdentity:
     def test_explicit_store_carries_its_layout(self, layout_dataset):
         tree, aln, model, rates = layout_dataset
         base = _incore_lnl(layout_dataset)
-        probe = LikelihoodEngine(tree.copy(), aln, model, rates)
-        layout = SiteBlockLayout(probe.num_inner, probe.clv_shape, 25)
-        probe.close()
+        layout = SiteBlockLayout(*clv_geometry(tree, aln, model, rates), 25)
         store = AncestralVectorStore(layout=layout, num_slots=5)
         eng = LikelihoodEngine(tree.copy(), aln, model, rates, store=store)
         assert eng.layout is layout
@@ -297,9 +294,7 @@ class TestBlockBitIdentity:
 
     def test_layout_kwarg_with_explicit_store_rejected(self, layout_dataset):
         tree, aln, model, rates = layout_dataset
-        probe = LikelihoodEngine(tree.copy(), aln, model, rates)
-        store = AncestralVectorStore(probe.num_inner, probe.clv_shape)
-        probe.close()
+        store = AncestralVectorStore(*clv_geometry(tree, aln, model, rates))
         with pytest.raises(LikelihoodError, match="explicit store"):
             LikelihoodEngine(tree.copy(), aln, model, rates, store=store,
                              layout="block")

@@ -443,6 +443,45 @@ class TestProfileCli:
         assert profile_main(["--validate", str(out)]) == 1
         assert profile_main(["--validate", str(tmp_path / "nope.json")]) == 2
 
+    def test_config_block_rebuilds_the_profiled_engine(self, tmp_path):
+        """``config`` is ``EngineConfig.to_dict()`` verbatim (resolved
+        geometry lives under ``run``): rebuilding from it reproduces the
+        profile's lnL and demand/eviction counters."""
+        from repro.cli import _parse_model
+        from repro.config import EngineConfig
+        from repro.profile import PARITY_COUNTERS, _dataset, build_parser
+
+        out = tmp_path / "p.json"
+        argv = ["--simulate-taxa", "8", "--simulate-length", "60",
+                "--traversals", "2", "--num-slots", "4", "--layout", "block",
+                "--block-sites", "16", "--policy", "random", "--seed", "9",
+                "--backing", "compressed", "-o", str(out)]
+        assert profile_main(argv) == 0
+        doc = json.loads(out.read_text())
+        config = EngineConfig.from_dict(doc["config"])
+        assert config == EngineConfig(
+            num_slots=4, layout="block", block_sites=16, policy="random",
+            seed=9, backing="compressed")
+        assert doc["run"]["num_slots"] == 4
+        assert doc["run"]["layout"]["block_sites"] == 16
+
+        args = build_parser().parse_args(argv)
+        alignment, tree = _dataset(args)
+        model, rates = _parse_model(args.model, alignment)
+        engine = config.build(tree.copy(), alignment, model, rates,
+                              workdir=tmp_path)
+        try:
+            assert engine.full_traversals(2) == doc["log_likelihood"]
+            row = engine.stats.as_row()
+        finally:
+            engine.close()
+        for key in PARITY_COUNTERS:
+            assert row[key] == doc["counters"][key], key
+
+    def test_block_sites_without_block_layout_rejected(self, capsys):
+        assert profile_main(["--block-sites", "16"]) == 2
+        assert "block_sites" in capsys.readouterr().err
+
     def test_parity_with_prefetch_rejected(self, capsys):
         rc = profile_main(["--check-parity", "--prefetch-depth", "2"])
         assert rc == 2

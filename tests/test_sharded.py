@@ -234,7 +234,7 @@ class TestCrashRecovery:
 
     def test_kill_during_engine_run_bit_identical_lnl(self, tmp_path):
         from repro.core.layout import make_layout
-        from repro.phylo.likelihood.engine import LikelihoodEngine
+        from repro.phylo.likelihood.engine import LikelihoodEngine, clv_geometry
         from repro.phylo.models import GTR
         from repro.phylo.models.rates import RateModel
         from repro.simulate import simulate_alignment, yule_tree
@@ -245,9 +245,8 @@ class TestCrashRecovery:
         alignment = simulate_alignment(tree, model, 60, seed=12)
 
         def run(directory, kill):
-            probe = LikelihoodEngine(tree.copy(), alignment, model, rates)
-            lay = make_layout("whole", probe.num_inner, probe.clv_shape)
-            probe.close()
+            lay = make_layout(
+                "whole", *clv_geometry(tree, alignment, model, rates))
             backing = ShardedBackingStore.from_layout(directory, lay,
                                                       num_shards=3)
             engine = LikelihoodEngine(
