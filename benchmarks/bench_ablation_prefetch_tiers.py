@@ -1,11 +1,8 @@
-"""Ablation — the paper's §5 future-work directions, measured.
+"""Ablation — the paper's §5 future-work direction, measured.
 
-1. **Prefetching**: a prefetch thread should hide swap-in latency behind
-   computation. We model overlap ∈ {0, 0.5, 1.0} on a simulated disk and
-   report the visible I/O wait of a full traversal.
-2. **Three-layer storage** (accelerator ⇄ RAM ⇄ disk): per-tier transfer
-   rates for a likelihood workload, confirming the hierarchy filters
-   traffic (device misses ≥ host misses).
+**Prefetching**: a prefetch thread should hide swap-in latency behind
+computation. We model overlap ∈ {0, 0.5, 1.0} on a simulated disk and
+report the visible I/O wait of a full traversal.
 """
 
 from benchmarks.conftest import report
@@ -13,7 +10,6 @@ from repro import (
     AncestralVectorStore,
     Prefetcher,
     SimulatedDiskBackingStore,
-    TieredVectorStore,
 )
 
 SLOT_FRACTION = 0.25
@@ -64,38 +60,3 @@ def test_prefetch_overlap_table(benchmark, ds1288):
     v0, v5, v10 = (baselines[k][0] for k in (0.0, 0.5, 1.0))
     assert v10 < v5 < v0, "more overlap must hide more I/O wait"
     assert baselines[1.0][2] > 0, "demand must land on prefetched slots"
-
-
-def test_tiered_transfer_rates(benchmark, ds1288):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    num_inner, shape = ds1288.geometry()
-    reference = ds1288.engine().full_traversals(2)
-    tiers = TieredVectorStore(num_inner, shape,
-                              device_slots=max(3, num_inner // 10),
-                              host_slots=max(4, num_inner // 3))
-    engine = ds1288.engine(store=tiers)
-    assert engine.full_traversals(2) == reference
-
-    d, h = tiers.device_stats, tiers.host_stats
-    lines = [
-        f"{'tier':>8} {'requests':>9} {'miss rate':>10} {'meaning':>18}",
-        f"{'device':>8} {d.requests:>9} {d.miss_rate:>10.2%} {'PCIe transfers':>18}",
-        f"{'host':>8} {h.requests:>9} {h.miss_rate:>10.2%} {'disk transfers':>18}",
-    ]
-    report("ablation_tiered", lines)
-    assert h.misses <= d.misses, "each tier must filter traffic for the next"
-
-
-def test_tiered_evaluation_speed(benchmark, ds1288):
-    num_inner, shape = ds1288.geometry()
-    tiers = TieredVectorStore(num_inner, shape,
-                              device_slots=max(3, num_inner // 10),
-                              host_slots=max(4, num_inner // 3))
-    engine = ds1288.engine(store=tiers)
-
-    def run():
-        engine.invalidate_all()
-        return engine.loglikelihood()
-
-    result = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
-    assert result < 0.0

@@ -2,10 +2,13 @@
 
 `repro.obs` promises passivity in *results* (demand counters bit-identical
 traced vs untraced — asserted here too) and cheapness in *time*: the
-tracer is a GIL-atomic deque append and every emission site is guarded by
+tracer is a GIL-atomic deque append and every reporting site is guarded by
 a single ``is None`` check, so the overhead of an attached Observer on a
-full out-of-core traversal should stay within a small constant factor,
-and a detached store (the default) should pay nothing measurable.
+full out-of-core traversal must stay under ``GATE`` (1.5x; measured
+1.06-1.27x), and a detached store (the default) pays nothing measurable.
+Each ratio is a ratio of medians over ``PAIRS`` alternating bare/observed
+runs (the shape of ``obs.overhead_ratio`` in ``benchmarks/ooc/layers.py``),
+so CPU drift on the box hits both sides alike and cannot trip the gate.
 
 Reported table: wall time for N full traversals with (a) no observer,
 (b) an attached Observer (tracer + probe + phase timers), (c) an attached
@@ -13,6 +16,7 @@ Observer whose ring buffer is deliberately tiny (constant overflow), to
 show the drop path costs nothing extra.
 """
 
+import statistics
 import tempfile
 import time
 
@@ -20,11 +24,18 @@ import numpy as np
 
 from benchmarks.conftest import report
 from repro import AncestralVectorStore
+from repro.core.stats import DEMAND_COUNTERS, EVICTION_COUNTERS
 from repro.obs import Observer
 
 SLOT_FRACTION = 0.25
 TRAVERSALS = 3
 SHARDS = 2
+PAIRS = 5     # alternating bare/observed runs per ratio
+GATE = 1.5    # observed / bare, ratio of median walls
+
+
+def _median_wall(runs):
+    return statistics.median(run[0] for run in runs)
 
 
 def _timed_run(ds, observer=None):
@@ -62,66 +73,75 @@ def _timed_layout_run(ds, observer=None, layout="whole", block_sites=None):
 def test_observer_overhead_is_bounded(benchmark, ds1288):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
-    bare_wall, bare_counters = _timed_run(ds1288)
-    obs = Observer(capacity=1 << 18)
-    obs_wall, obs_counters = _timed_run(ds1288, observer=obs)
-    tiny = Observer(capacity=64)  # constant ring overflow
-    tiny_wall, tiny_counters = _timed_run(ds1288, observer=tiny)
+    bare, observed, tiny_ring = [], [], []
+    for _ in range(PAIRS):
+        bare.append(_timed_run(ds1288))
+        obs = Observer(capacity=1 << 18)
+        observed.append(_timed_run(ds1288, observer=obs))
+        tiny = Observer(capacity=64)  # constant ring overflow
+        tiny_ring.append(_timed_run(ds1288, observer=tiny))
 
     # passivity: tracing never changes what the store did
-    assert obs_counters == bare_counters
-    assert tiny_counters == bare_counters
+    assert all(counters == bare[0][1]
+               for _, counters in bare + observed + tiny_ring)
     assert obs.tracer.emitted > 0
     assert tiny.tracer.dropped > 0
 
+    bare_wall, obs_wall, tiny_wall = map(_median_wall,
+                                         (bare, observed, tiny_ring))
     overhead = obs_wall / bare_wall
     report("bench_obs_overhead", [
-        f"{TRAVERSALS} full traversals, f={SLOT_FRACTION}, lru",
+        f"{TRAVERSALS} full traversals, f={SLOT_FRACTION}, lru; "
+        f"median of {PAIRS} alternating runs",
         f"{'configuration':>24} | wall (s) | vs bare",
         f"{'no observer':>24} | {bare_wall:8.3f} |   1.00x",
-        f"{'observer attached':>24} | {obs_wall:8.3f} | {obs_wall / bare_wall:6.2f}x",
+        f"{'observer attached':>24} | {obs_wall:8.3f} | {overhead:6.2f}x",
         f"{'observer, tiny ring':>24} | {tiny_wall:8.3f} | {tiny_wall / bare_wall:6.2f}x",
         f"events emitted: {obs.tracer.emitted}, "
         f"tiny-ring dropped: {tiny.tracer.dropped}",
     ])
-    # generous bound: instrumentation must not dominate the traversal
-    assert overhead < 3.0, f"observer overhead {overhead:.2f}x exceeds 3x"
+    assert overhead < GATE, f"observer overhead {overhead:.2f}x exceeds {GATE}x"
 
 
 def test_full_telemetry_overhead_both_layouts(benchmark, ds1288):
     """Metrics registry + span recorder + tracer together stay bounded.
 
     The registry is pull-based (collectors only run at scrape time) and
-    the span/metric push sites are single ``is None`` guards, so enabling
-    the whole telemetry stack must stay under the same 3x bound as the
-    tracer alone — on the whole-vector AND the site-block layout — and
+    every report is one ``is None`` guard plus one routed fan-out, so
+    enabling the whole telemetry stack must stay under the same gate as
+    the tracer alone — on the whole-vector AND the site-block layout — and
     must leave the demand counters bit-identical (passivity).
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
     lines = [f"{TRAVERSALS} full traversals, f={SLOT_FRACTION}, lru, "
-             "full telemetry = tracer + metrics + spans"]
+             "full telemetry = tracer + metrics + spans; "
+             f"median of {PAIRS} alternating runs"]
     for layout, block_sites in (("whole", None), ("block", 256)):
-        bare_wall, bare_counters = _timed_layout_run(
-            ds1288, layout=layout, block_sites=block_sites)
-        obs = Observer(capacity=1 << 18, metrics=True, spans=True)
-        full_wall, full_counters = _timed_layout_run(
-            ds1288, observer=obs, layout=layout, block_sites=block_sites)
+        bare, full = [], []
+        for _ in range(PAIRS):
+            bare.append(_timed_layout_run(
+                ds1288, layout=layout, block_sites=block_sites))
+            obs = Observer(capacity=1 << 18, metrics=True, spans=True)
+            full.append(_timed_layout_run(
+                ds1288, observer=obs, layout=layout, block_sites=block_sites))
 
         # passivity: the full stack never changes what the store did
-        assert full_counters == bare_counters, layout
+        assert all(counters == bare[0][1] for _, counters in bare + full), \
+            layout
         assert obs.tracer.emitted > 0
         assert len(obs.spans) > 0
         snap = obs.metrics.snapshot()
-        assert snap["counters"]["requests"] == bare_counters["requests"]
+        assert snap["counters"]["requests"] == bare[0][1]["requests"]
 
+        bare_wall, full_wall = _median_wall(bare), _median_wall(full)
         overhead = full_wall / bare_wall
         lines.append(
             f"{layout:>8} layout | bare {bare_wall:7.3f}s | "
             f"full telemetry {full_wall:7.3f}s | {overhead:5.2f}x | "
             f"{obs.spans.emitted} spans, {obs.tracer.emitted} events")
-        assert overhead < 3.0, (
-            f"full telemetry overhead {overhead:.2f}x exceeds 3x "
+        assert overhead < GATE, (
+            f"full telemetry overhead {overhead:.2f}x exceeds {GATE}x "
             f"on the {layout} layout")
     report("bench_obs_overhead_full", lines)
 
@@ -158,9 +178,9 @@ def test_sharded_full_telemetry_overhead(benchmark, ds1288):
 
     Arming the worker-side probes, wire histograms and span shipping
     (OP_TELEMETRY pulls plus the 16 extra trace-context header bytes per
-    frame) must keep the same 3x bound as in-process telemetry, leave
-    the demand counters bit-identical to the untraced sharded run, and
-    the workers' own histograms must count exactly the parent's physical
+    frame) must keep the same gate as in-process telemetry, leave the
+    demand counters bit-identical to the untraced sharded run, and the
+    workers' own histograms must count exactly the parent's physical
     ops — nothing lost or double-counted across the wire.
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
@@ -168,31 +188,36 @@ def test_sharded_full_telemetry_overhead(benchmark, ds1288):
 
     lay = make_layout("whole", *ds1288.geometry())
 
-    bare_wall, bare_counters, bare_phys, _ = _timed_sharded_run(ds1288, lay)
-    obs = Observer(capacity=1 << 18, metrics=True, spans=True)
-    full_wall, full_counters, full_phys, worker = _timed_sharded_run(
-        ds1288, lay, observer=obs)
+    bare, full = [], []
+    for _ in range(PAIRS):
+        bare.append(_timed_sharded_run(ds1288, lay))
+        obs = Observer(capacity=1 << 18, metrics=True, spans=True)
+        full.append(_timed_sharded_run(ds1288, lay, observer=obs))
 
-    # passivity: arming the workers never changes what the store did
-    # (demand/eviction counters only — writeback_stalls and friends are
-    # queue-timing noise under an async drain, traced or not)
-    from repro.core.stats import DEMAND_COUNTERS, EVICTION_COUNTERS
-    for key in sorted(DEMAND_COUNTERS | EVICTION_COUNTERS):
-        assert full_counters[key] == bare_counters[key], key
-    assert full_phys == bare_phys
-    # cross-process agreement: worker histogram counts == IoStats totals
-    assert worker == full_phys, (
-        f"worker-side histogram counts {worker} disagree with parent "
-        f"IoStats physical totals {full_phys}")
+    for _, counters, physical, worker in bare + full:
+        # passivity across runs: demand/eviction counters only. Physical
+        # totals (reads served from staging, coalesced writes) and the
+        # writeback_* counters depend on writer-thread timing under an
+        # async drain, traced or not.
+        for key in sorted(DEMAND_COUNTERS | EVICTION_COUNTERS):
+            assert counters[key] == bare[0][1][key], key
+        # cross-process agreement within a run: worker histogram counts
+        # == this run's IoStats physical totals, bit-exact
+        assert worker is None or worker == physical, (
+            f"worker-side histogram counts {worker} disagree with parent "
+            f"IoStats physical totals {physical}")
     assert obs.spans.emitted > 0
 
+    bare_wall, full_wall = _median_wall(bare), _median_wall(full)
     overhead = full_wall / bare_wall
+    _, _, full_phys, worker = full[-1]
     report("bench_obs_overhead_sharded", [
         f"{TRAVERSALS} full traversals, f={SLOT_FRACTION}, lru, "
-        f"{SHARDS}-shard backing, writeback depth 4",
+        f"{SHARDS}-shard backing, writeback depth 4; "
+        f"median of {PAIRS} alternating runs",
         f"{'bare sharded':>24} | {bare_wall:8.3f}s |   1.00x",
         f"{'full telemetry':>24} | {full_wall:8.3f}s | {overhead:6.2f}x",
         f"worker ops (r, w): {worker} == parent physical {full_phys}",
     ])
-    assert overhead < 3.0, (
-        f"sharded full-telemetry overhead {overhead:.2f}x exceeds 3x")
+    assert overhead < GATE, (
+        f"sharded full-telemetry overhead {overhead:.2f}x exceeds {GATE}x")

@@ -52,7 +52,6 @@ from repro.core.shadow import ShadowStore, TeeStore
 from repro.core.sharded import ShardedBackingStore, ShardTicket
 from repro.core.stats import IoStats
 from repro.core.writebehind import WriteBehindQueue
-from repro.core.tiered import TieredVectorStore
 from repro.core.trace import AccessTrace, RecordingStoreProxy, simulate_policy_on_trace
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import ReproError
@@ -120,7 +119,7 @@ __all__ = [
     "FaultInjectingBackingStore", "RetryingBackingStore",
     "InjectedFault", "SimulatedCrash",
     "ShardedBackingStore", "ShardTicket",
-    "WriteBehindQueue", "TieredVectorStore",
+    "WriteBehindQueue",
     "ShadowStore", "TeeStore",
     "AccessTrace", "RecordingStoreProxy", "simulate_policy_on_trace",
     # paging baseline & simulation

@@ -48,11 +48,13 @@ Rules
     A ``# analysis: ignore[RULE]`` suppression without a reason, or
     naming an unknown rule.
 ``EVT001`` / ``EVT002``
-    Tracer ``emit()`` uses an event type missing from ``EVENT_TYPES``, or
-    the event taxonomy and the counter registry drifted apart.
+    An ``obs.event``/``obs.timed`` site reports a name missing from the
+    ``ROUTES`` table (or a row emits an undeclared event type), or the
+    event taxonomy and the counter registry drifted apart.
 ``MET001`` / ``MET002``
-    A metrics call site names a metric missing from ``METRIC_NAMES``, or
-    the metric name / exposition / result tables drifted apart.
+    An ``obs.count``/``gauge``/``merge`` site or a ``ROUTES`` row names a
+    metric missing from ``METRIC_NAMES``, or the metric name / exposition
+    / result tables drifted apart.
 ``LOK101``
     Two locks are acquired in both orders somewhere in the package (a
     cycle in the static lock-acquisition graph — potential deadlock).

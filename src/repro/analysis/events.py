@@ -6,14 +6,18 @@ event type to the counter it mirrors via a module-level ``EVENT_COUNTERS``
 dict (``None`` for events with no single-counter equivalent). Exactly like
 the counter registry itself, the three artifacts must agree:
 
-* **EVT001** — every ``<tracer>.emit("<type>", ...)`` call site must use a
-  declared event type. A typo'd literal would silently vanish from every
-  ``by_type`` summary instead of failing.
+* **EVT001** — components report through the observer's verbs, and a
+  module-level ``ROUTES`` dict (reported name → ``Route(...)`` row) says
+  which sinks record each name. Every ``ob.event("<name>", ...)`` /
+  ``ob.timed("<name>", ...)`` call site (receiver named ``ob``/``obs``,
+  the convention at every site) must use a ``ROUTES`` key, and every
+  ``event=`` target of a row must be a declared event type. A typo'd
+  literal would otherwise only fail on the path that executes it.
 * **EVT002** — ``EVENT_TYPES`` and the ``EVENT_COUNTERS`` keys must be the
   same set, and every non-``None`` mapped counter must exist in the
   ``IoStats`` ``_counters()`` registry.
 
-Both rules are inert for code bases that define neither name.
+Both rules are inert for code bases that define none of the names.
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ from repro.analysis.source import SourceFile
 
 EVENT_TYPES_NAME = "EVENT_TYPES"
 EVENT_COUNTERS_NAME = "EVENT_COUNTERS"
+ROUTES_NAME = "ROUTES"
+
+#: Receiver names that denote an observer at a reporting site.
+_OBSERVER_NAMES = frozenset({"ob", "obs"})
 
 
 @dataclass
@@ -87,35 +95,86 @@ def parse_event_schema(files: list[SourceFile]) -> EventSchema:
                        mapping_path=mapping_path, mapping_line=mapping_line)
 
 
-def _emit_call_sites(files: list[SourceFile]) -> list[tuple[str, int, str]]:
-    """``(path, line, literal)`` for every ``<recv>.emit("<literal>", ...)``."""
+def parse_routes(
+        files: list[SourceFile],
+) -> tuple[str, dict[str, dict[str, tuple[str, int]]]] | None:
+    """``(path, {reported name: {Route keyword: (value, line)}})``."""
+    for sf in files:
+        for stmt in sf.tree.body:
+            value = _assign_value(stmt, ROUTES_NAME)
+            if not isinstance(value, ast.Dict):
+                continue
+            rows: dict[str, dict[str, tuple[str, int]]] = {}
+            for key, val in zip(value.keys, value.values):
+                if not (isinstance(key, ast.Constant)
+                        and isinstance(key.value, str)
+                        and isinstance(val, ast.Call)):
+                    continue
+                rows[key.value] = {
+                    kw.arg: (kw.value.value, kw.value.lineno)
+                    for kw in val.keywords
+                    if kw.arg is not None
+                    and isinstance(kw.value, ast.Constant)
+                    and isinstance(kw.value.value, str)}
+            return str(sf.path), rows
+    return None
+
+
+def report_sites(files: list[SourceFile],
+                 verbs: frozenset[str]) -> list[tuple[str, int, str]]:
+    """``(path, line, literal)`` for every ``<ob|obs>.<verb>("<literal>", ...)``.
+
+    The first argument may also be a conditional between literals
+    (``"a" if cond else "b"``): both arms are reported.
+    """
     out: list[tuple[str, int, str]] = []
     for sf in files:
         for node in ast.walk(sf.tree):
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "emit" and node.args):
+                    and node.func.attr in verbs and node.args):
+                continue
+            recv = node.func.value
+            name = (recv.id if isinstance(recv, ast.Name)
+                    else recv.attr if isinstance(recv, ast.Attribute) else "")
+            if name not in _OBSERVER_NAMES:
                 continue
             first = node.args[0]
-            if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                out.append((str(sf.path), node.lineno, first.value))
+            arms = ([first.body, first.orelse]
+                    if isinstance(first, ast.IfExp) else [first])
+            for arm in arms:
+                if isinstance(arm, ast.Constant) and isinstance(arm.value, str):
+                    out.append((str(sf.path), node.lineno, arm.value))
     return out
 
 
 def check_events(files: list[SourceFile]) -> list[Finding]:
     schema = parse_event_schema(files)
-    if schema.types is None and schema.mapping is None:
+    routes = parse_routes(files)
+    if schema.types is None and schema.mapping is None and routes is None:
         return []
     findings: list[Finding] = []
 
-    if schema.types is not None:
-        for path, line, literal in _emit_call_sites(files):
-            if literal not in schema.types:
+    if routes is not None:
+        routes_path, rows = routes
+        for path, line, literal in report_sites(
+                files, frozenset({"event", "timed"})):
+            if literal not in rows:
                 findings.append(Finding(
                     path, line, "EVT001",
-                    f"emit of undeclared event type '{literal}' (not in "
-                    f"{EVENT_TYPES_NAME} at {schema.types_path})",
+                    f"report of undeclared name '{literal}' (not a "
+                    f"{ROUTES_NAME} key at {routes_path})",
                 ))
+        if schema.types is not None:
+            for name, row in rows.items():
+                etype, line = row.get("event", ("", 0))
+                if etype and etype not in schema.types:
+                    findings.append(Finding(
+                        routes_path, line, "EVT001",
+                        f"{ROUTES_NAME}['{name}'] emits undeclared event "
+                        f"type '{etype}' (not in {EVENT_TYPES_NAME} at "
+                        f"{schema.types_path})",
+                    ))
 
     if schema.types is not None and schema.mapping is None:
         findings.append(Finding(

@@ -11,9 +11,9 @@ RULES: dict[str, str] = {
     "CNT001": "IoStats counter mutation not present in the _counters() registry",
     "CNT002": "stats registry / dataclass / reset() / taxonomy mismatch",
     "CNT003": "demand-side counter mutated on a writer/prefetch thread path",
-    "EVT001": "emit() call site uses an event type missing from EVENT_TYPES",
+    "EVT001": "reported name missing from ROUTES, or a ROUTES event missing from EVENT_TYPES",
     "EVT002": "EVENT_TYPES / EVENT_COUNTERS / counter registry out of sync",
-    "MET001": "registry call site uses a metric name missing from METRIC_NAMES",
+    "MET001": "report site or ROUTES row names a metric missing from METRIC_NAMES",
     "MET002": "METRIC_NAMES / METRIC_EXPOSITION / RESULT_METRICS out of sync",
     "LEAK001": "public method returns a raw _slots buffer view (no copy/pin)",
     "DET001": "stdlib 'random' used in deterministic scope",

@@ -23,10 +23,8 @@ graph:
 * **LOK101.** A cycle among lock *classes* (an SCC of the graph) is a
   potential deadlock; every acquisition site participating in the
   cycle is reported. Nodes are class-level (``WriteBehindQueue._cond``),
-  so two *instances* of one class taken in inconsistent order (the
-  tiered store's device/host pair relies on RLock re-entrancy plus a
-  strict device→host hierarchy) are out of scope — self-edges are
-  skipped and the hierarchy is documented in DESIGN.md instead.
+  so two *instances* of one class taken in inconsistent order are out
+  of scope — self-edges are skipped.
 
 Unresolvable receivers and dynamic dispatch (collector callbacks,
 ``fn()`` through a variable) are skipped — like every checker here,

@@ -8,12 +8,13 @@ Prometheus exposition entry, and the benchmark schema
 per-workload ``RESULT_METRICS``. Exactly like the event taxonomy
 (EVT001/EVT002), the artifacts must agree:
 
-* **MET001** — every registry call site with a literal metric name
-  (``inc`` / ``inc_labeled`` / ``counter_set`` / ``gauge_set`` /
-  ``gauge_set_labeled`` / ``gauge_add`` / ``observe`` /
-  ``merge_histogram``) must use a declared name. The registry raises on
-  unknown names at runtime, but only on paths that actually execute; a
-  typo on a rarely-taken branch would otherwise ship.
+* **MET001** — every metric a component can reach must be declared:
+  the ``metric=`` / ``ops=`` / ``bytes=`` targets of the ``ROUTES`` rows
+  (what ``ob.timed`` feeds), the literal name at every ``ob.count`` /
+  ``ob.gauge`` / ``ob.merge`` call site, and the literal keys of a dict
+  handed to ``totals``. The registry raises on unknown names at runtime,
+  but only on paths that actually execute; a typo on a rarely-taken
+  branch would otherwise ship.
 * **MET002** — ``METRIC_NAMES`` and the ``METRIC_EXPOSITION`` keys must
   be the same set, every exposition kind must be one of
   ``counter``/``gauge``/``histogram``, every name must be a valid
@@ -29,7 +30,7 @@ import ast
 import re
 from dataclasses import dataclass
 
-from repro.analysis.events import _assign_value
+from repro.analysis.events import _assign_value, parse_routes, report_sites
 from repro.analysis.findings import Finding
 from repro.analysis.source import SourceFile
 
@@ -37,10 +38,11 @@ METRIC_NAMES_NAME = "METRIC_NAMES"
 METRIC_EXPOSITION_NAME = "METRIC_EXPOSITION"
 RESULT_METRICS_NAME = "RESULT_METRICS"
 
-#: Registry methods whose first argument is a metric name.
-_REGISTRY_METHODS = frozenset(
-    {"inc", "inc_labeled", "counter_set", "gauge_set", "gauge_set_labeled",
-     "gauge_add", "observe", "merge_histogram"})
+#: Observer verbs whose first argument is a metric name.
+_METRIC_VERBS = frozenset({"count", "gauge", "merge"})
+
+#: ``Route(...)`` keywords whose value is a metric name.
+_ROUTE_METRIC_FIELDS = ("metric", "ops", "bytes")
 
 #: Valid exposition kinds (the registry's three instrument types).
 _KINDS = frozenset({"counter", "gauge", "histogram"})
@@ -112,18 +114,24 @@ def parse_metric_schema(files: list[SourceFile]) -> MetricSchema:
         result_path=result_path, result_line=result_line)
 
 
-def _registry_call_sites(files: list[SourceFile]) -> list[tuple[str, int, str]]:
-    """``(path, line, literal)`` for every registry call with a literal name."""
-    out: list[tuple[str, int, str]] = []
+def _metric_sites(files: list[SourceFile]) -> list[tuple[str, int, str]]:
+    """``(path, line, name)`` for every statically visible metric reference."""
+    out = report_sites(files, _METRIC_VERBS)
+    routes_path, rows = parse_routes(files) or ("", {})
+    for row in rows.values():
+        out.extend((routes_path, row[f][1], row[f][0])
+                   for f in _ROUTE_METRIC_FIELDS if f in row)
     for sf in files:
         for node in ast.walk(sf.tree):
-            if not (isinstance(node, ast.Call)
+            if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _REGISTRY_METHODS and node.args):
-                continue
-            first = node.args[0]
-            if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                out.append((str(sf.path), node.lineno, first.value))
+                    and node.func.attr == "totals" and node.args
+                    and isinstance(node.args[0], ast.Dict)):
+                out.extend(
+                    (str(sf.path), key.lineno, key.value)
+                    for key in node.args[0].keys
+                    if isinstance(key, ast.Constant)
+                    and isinstance(key.value, str))
     return out
 
 
@@ -134,11 +142,11 @@ def check_metrics(files: list[SourceFile]) -> list[Finding]:
     findings: list[Finding] = []
 
     if schema.names is not None:
-        for path, line, literal in _registry_call_sites(files):
+        for path, line, literal in _metric_sites(files):
             if literal not in schema.names:
                 findings.append(Finding(
                     path, line, "MET001",
-                    f"registry call uses undeclared metric name '{literal}' "
+                    f"report uses undeclared metric name '{literal}' "
                     f"(not in {METRIC_NAMES_NAME} at {schema.names_path})",
                 ))
         for name, line in schema.names.items():

@@ -322,7 +322,7 @@ def run_bench(args, scratch: str) -> int:
             # it on the first repeat only keeps the timed repeats bare (the
             # bit-for-bit agreement assertion below extends its verdict to
             # them).
-            use_registry = r == 0 and hasattr(store, "attach_metrics")
+            use_registry = r == 0 and hasattr(store, "attach")
             checked = checked or use_registry
             rep = _run_entry(figure, engine, run, config,
                              use_registry=use_registry)

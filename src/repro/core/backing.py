@@ -32,44 +32,12 @@ from repro.vm.disk import DiskModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.core.layout import StorageLayout
-    from repro.obs.histogram import BackingProbe
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs import Observer
 
 #: Bound on consecutive zero-byte transfers before a write is declared
 #: stuck. A zero return is a legitimate interruption (not an error), but
 #: an endless run of them means the device is wedged.
 _MAX_ZERO_TRANSFERS = 16
-
-
-def timed_transfer(probe: "BackingProbe | None", mx: "MetricsRegistry | None",
-                   kind: str, transfer: Callable[[int, np.ndarray], int | None],
-                   item: int, buf: np.ndarray) -> None:
-    """Run one backing ``read``/``write`` and report it to the store's hooks.
-
-    ``probe`` / ``mx`` are the store's ``.probe`` / ``.metrics`` attributes
-    (attached by :class:`repro.obs.Observer`); the transfer stays untimed
-    while both are ``None``. ``transfer(item, buf)`` does the I/O and
-    returns the bytes it moved — or ``None`` when nothing was transferred
-    and nothing should be recorded.
-    """
-    if probe is None and mx is None:
-        transfer(item, buf)
-        return
-    t0 = time.perf_counter()
-    nbytes = transfer(item, buf)
-    dt = time.perf_counter() - t0
-    if nbytes is None:
-        return
-    if kind == "read":
-        if probe is not None:
-            probe.record_read(dt, nbytes)
-        if mx is not None:
-            mx.observe("backing_read_seconds", dt)
-    else:
-        if probe is not None:
-            probe.record_write(dt, nbytes)
-        if mx is not None:
-            mx.observe("backing_write_seconds", dt)
 
 
 class BackingStore(Protocol):
@@ -125,7 +93,43 @@ class AsyncBackingStore(BackingStore, Protocol):
     def submit_write(self, item: int, data: np.ndarray) -> IoTicket: ...
 
 
-class MemoryBackingStore:
+class ReportedBackingStore:
+    """``read``/``write`` for a store whose I/O lives in ``_read``/``_write``.
+
+    A backing store is pure I/O: ``_read(item, out)`` / ``_write(item,
+    data)`` validate, move the bytes and return how many they moved — or
+    ``None`` when nothing was transferred and nothing should be reported.
+    This base reports each transfer to ``obs``, and leaves it untimed
+    while ``obs`` is ``None``.
+    """
+
+    #: The :class:`repro.obs.Observer` physical transfers are reported to
+    #: (default off; set through ``AncestralVectorStore.attach``).
+    obs: "Observer | None" = None
+    _read: Callable[[int, np.ndarray], "int | None"]
+    _write: Callable[[int, np.ndarray], "int | None"]
+
+    def read(self, item: int, out: np.ndarray) -> None:
+        self._reported("backing_read", self._read, item, out)
+
+    def write(self, item: int, data: np.ndarray) -> None:
+        self._reported("backing_write", self._write, item, data)
+
+    def _reported(self, name: str,
+                  transfer: Callable[[int, np.ndarray], "int | None"],
+                  item: int, buf: np.ndarray) -> None:
+        obs = self.obs
+        if obs is None:
+            transfer(item, buf)
+            return
+        t0 = time.perf_counter()
+        nbytes = transfer(item, buf)
+        dt = time.perf_counter() - t0
+        if nbytes is not None:
+            obs.timed(name, t0, dt, item=item, nbytes=nbytes)
+
+
+class MemoryBackingStore(ReportedBackingStore):
     """Backing store held in RAM — zero-latency stand-in for a disk.
 
     Used by the replacement-strategy experiments (Figs. 2–4): the metric
@@ -142,11 +146,6 @@ class MemoryBackingStore:
         self._data = np.zeros((self.num_items, *self.item_shape), dtype=self.dtype)
         self._present = np.zeros(self.num_items, dtype=bool)
         self._closed = False
-        # Observability hooks (default off): latency/byte probe and metrics
-        # registry populated by repro.obs.Observer.attach / attach_metrics.
-        # Reads and writes stay untimed while both are None.
-        self.probe: BackingProbe | None = None
-        self.metrics: MetricsRegistry | None = None
 
     @classmethod
     def from_layout(cls, layout: "StorageLayout",
@@ -160,17 +159,10 @@ class MemoryBackingStore:
         if not 0 <= item < self.num_items:
             raise BackingStoreError(f"item {item} out of range [0, {self.num_items})")
 
-    def read(self, item: int, out: np.ndarray) -> None:
-        timed_transfer(self.probe, self.metrics, "read", self._read, item, out)
-
     def _read(self, item: int, out: np.ndarray) -> int:
         self._check(item)
         np.copyto(out, self._data[item])
         return out.nbytes
-
-    def write(self, item: int, data: np.ndarray) -> None:
-        timed_transfer(self.probe, self.metrics, "write", self._write, item,
-                       data)
 
     def _write(self, item: int, data: np.ndarray) -> int:
         self._check(item)
@@ -188,7 +180,7 @@ class MemoryBackingStore:
         self._closed = True
 
 
-class FileBackingStore:
+class FileBackingStore(ReportedBackingStore):
     """The paper's layout: all vectors contiguous in ONE binary file.
 
     Vector ``i`` lives at byte offset ``i * w`` where ``w`` is the vector
@@ -224,9 +216,6 @@ class FileBackingStore:
         if os.fstat(self._fd).st_size < total:
             self._fh.truncate(total)
         self._closed = False
-        # Observability hooks (default off), see MemoryBackingStore.probe.
-        self.probe: BackingProbe | None = None
-        self.metrics: MetricsRegistry | None = None
 
     @classmethod
     def from_layout(cls, path: "str | os.PathLike[str]", layout: "StorageLayout",
@@ -277,14 +266,11 @@ class FileBackingStore:
                 )
         return done
 
-    def read(self, item: int, out: np.ndarray) -> None:
+    def _read(self, item: int, out: np.ndarray) -> int:
         if out.nbytes != self.item_bytes or not out.flags.c_contiguous:
             raise BackingStoreError(
                 f"read buffer mismatch: {out.nbytes} bytes vs item width {self.item_bytes}"
             )
-        timed_transfer(self.probe, self.metrics, "read", self._read, item, out)
-
-    def _read(self, item: int, out: np.ndarray) -> int:
         offset = self._offset(item)
         view = memoryview(out.reshape(-1).view(np.uint8))
         done = self._transfer(os.preadv, item, view, offset, "read")
@@ -296,17 +282,13 @@ class FileBackingStore:
             )
         return self.item_bytes
 
-    def write(self, item: int, data: np.ndarray) -> None:
+    def _write(self, item: int, data: np.ndarray) -> int:
         if data.dtype != self.dtype or not data.flags.c_contiguous:
             data = np.ascontiguousarray(data, dtype=self.dtype)
         if data.nbytes != self.item_bytes:
             raise BackingStoreError(
                 f"write buffer mismatch: {data.nbytes} bytes vs item width {self.item_bytes}"
             )
-        timed_transfer(self.probe, self.metrics, "write", self._write, item,
-                       data)
-
-    def _write(self, item: int, data: np.ndarray) -> int:
         offset = self._offset(item)
         view = memoryview(data.reshape(-1).view(np.uint8))
         done = self._transfer(os.pwritev, item, view, offset, "write")
@@ -330,12 +312,14 @@ class FileBackingStore:
             self.close()
 
 
-class MultiFileBackingStore:
+class MultiFileBackingStore(ReportedBackingStore):
     """Vectors striped round-robin across several binary files (§3.2).
 
     The paper "allows for storing individual vectors in several files" and
     found the single-file/multi-file difference minimal; this class exists
-    to reproduce that comparison (see the ablation benchmark).
+    to reproduce that comparison (see the ablation benchmark). A transfer
+    is reported once, around the whole striped call; the per-stripe child
+    stores keep their own ``obs`` at ``None``.
     """
 
     def __init__(self, directory: str | os.PathLike, num_items: int,
@@ -354,10 +338,6 @@ class MultiFileBackingStore:
             )
             for f in range(num_files)
         ]
-        # Observability hooks (default off): timed around the whole striped
-        # transfer; the per-stripe child stores keep their hooks at None.
-        self.probe: BackingProbe | None = None
-        self.metrics: MetricsRegistry | None = None
 
     @classmethod
     def from_layout(cls, directory: "str | os.PathLike[str]",
@@ -372,17 +352,10 @@ class MultiFileBackingStore:
             raise BackingStoreError(f"item {item} out of range [0, {self.num_items})")
         return self._files[item % self.num_files], item // self.num_files
 
-    def read(self, item: int, out: np.ndarray) -> None:
-        timed_transfer(self.probe, self.metrics, "read", self._read, item, out)
-
     def _read(self, item: int, out: np.ndarray) -> int:
         fh, local = self._locate(item)
         fh.read(local, out)
         return out.nbytes
-
-    def write(self, item: int, data: np.ndarray) -> None:
-        timed_transfer(self.probe, self.metrics, "write", self._write, item,
-                       data)
 
     def _write(self, item: int, data: np.ndarray) -> int:
         fh, local = self._locate(item)
@@ -425,7 +398,7 @@ class MultiFileBackingStore:
             fh.close()
 
 
-class SimulatedDiskBackingStore:
+class SimulatedDiskBackingStore(ReportedBackingStore):
     """In-memory data with an explicit disk-time model.
 
     Every ``read``/``write`` completes instantly (a RAM copy) but charges
@@ -440,7 +413,9 @@ class SimulatedDiskBackingStore:
     into a wall-clock-faithful slow device. This is how the async-I/O
     benchmark measures real overlap: background writer/prefetcher threads
     sleep concurrently with likelihood compute, while the synchronous path
-    serialises every sleep. The time accounting is thread-safe.
+    serialises every sleep (and the latencies reported to ``obs`` are the
+    modelled device's, not the RAM copy's). The time accounting is
+    thread-safe.
     """
 
     def __init__(self, num_items: int, item_shape: tuple[int, ...], dtype: DTypeLike = np.float64,
@@ -452,10 +427,6 @@ class SimulatedDiskBackingStore:
         self.num_items = self._inner.num_items
         self.item_bytes = int(np.prod(item_shape)) * np.dtype(dtype).itemsize
         self._time_lock = threading.Lock()
-        # Observability hooks (default off): with sleep=True the histograms
-        # reflect the modelled device latency; without it, the RAM copy.
-        self.probe: BackingProbe | None = None
-        self.metrics: MetricsRegistry | None = None
 
     @classmethod
     def from_layout(cls, layout: "StorageLayout",
@@ -476,17 +447,10 @@ class SimulatedDiskBackingStore:
         if self.sleep:
             time.sleep(cost)
 
-    def read(self, item: int, out: np.ndarray) -> None:
-        timed_transfer(self.probe, self.metrics, "read", self._read, item, out)
-
     def _read(self, item: int, out: np.ndarray) -> int:
         self._inner.read(item, out)
         self._charge()
         return out.nbytes
-
-    def write(self, item: int, data: np.ndarray) -> None:
-        timed_transfer(self.probe, self.metrics, "write", self._write, item,
-                       data)
 
     def _write(self, item: int, data: np.ndarray) -> int:
         self._inner.write(item, data)

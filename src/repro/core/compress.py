@@ -32,13 +32,11 @@ import numpy as np
 from numpy.typing import DTypeLike
 
 from repro.analysis.race import make_lock
-from repro.core.backing import timed_transfer
+from repro.core.backing import ReportedBackingStore
 from repro.errors import BackingStoreError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.core.layout import StorageLayout
-    from repro.obs.histogram import BackingProbe
-    from repro.obs.metrics import MetricsRegistry
 
 INDEX_VERSION = 1
 
@@ -108,7 +106,7 @@ def fsync_dir(path: str) -> None:
         os.close(dfd)
 
 
-class CompressedFileBackingStore:
+class CompressedFileBackingStore(ReportedBackingStore):
     """One binary heap file of per-item compressed records + sidecar index.
 
     Parameters
@@ -160,8 +158,6 @@ class CompressedFileBackingStore:
         #: captured (fd, extent) before the swap still resolves against
         #: the old inode, so these stay open until close().
         self._retired: list[object] = []  # guarded-by: _lock
-        self.probe: BackingProbe | None = None
-        self.metrics: MetricsRegistry | None = None
         reattach = os.path.exists(self.path) and os.path.exists(self.index_path)
         if reattach:
             self._load_index()
@@ -255,17 +251,14 @@ class CompressedFileBackingStore:
             raise BackingStoreError(
                 f"item {item} out of range [0, {self.num_items})")
 
-    def read(self, item: int, out: np.ndarray) -> None:
+    def _read(self, item: int, out: np.ndarray) -> int | None:
+        """Returns the stored (compressed) byte count, or ``None`` for a
+        never-written item (zero-filled, no I/O to report)."""
         if out.nbytes != self.item_bytes:
             raise BackingStoreError(
                 f"read buffer mismatch: {out.nbytes} bytes vs item width "
                 f"{self.item_bytes}")
-        timed_transfer(self.probe, self.metrics, "read", self._read, item, out)
-
-    def _read(self, item: int, out: np.ndarray) -> int | None:
-        """The transfer proper; the stored (compressed) byte count, or
-        ``None`` for a never-written item (zero-filled, no I/O to report)."""
-        mx = self.metrics
+        ob = self.obs
         self._check(item)
         with self._lock:
             # The fd must be captured together with the extent: compact()
@@ -299,24 +292,20 @@ class CompressedFileBackingStore:
         with self._lock:
             self.raw_bytes += self.item_bytes
             self.stored_bytes += length
-            if mx is not None:
-                mx.inc("compress_bytes_raw", self.item_bytes)
-                mx.inc("compress_bytes_stored", length)
+            if ob is not None:
+                ob.count("compress_bytes_raw", self.item_bytes)
+                ob.count("compress_bytes_stored", length)
         return length
 
-    def write(self, item: int, data: np.ndarray) -> None:
+    def _write(self, item: int, data: np.ndarray) -> int:
+        """Returns the stored (compressed) byte count."""
         if data.dtype != self.dtype or not data.flags.c_contiguous:
             data = np.ascontiguousarray(data, dtype=self.dtype)
         if data.nbytes != self.item_bytes:
             raise BackingStoreError(
                 f"write buffer mismatch: {data.nbytes} bytes vs item width "
                 f"{self.item_bytes}")
-        timed_transfer(self.probe, self.metrics, "write", self._write, item,
-                       data)
-
-    def _write(self, item: int, data: np.ndarray) -> int:
-        """The transfer proper; returns the stored (compressed) byte count."""
-        mx = self.metrics
+        ob = self.obs
         self._check(item)
         payload = self.codec.compress(data.tobytes())
         length = len(payload)
@@ -338,10 +327,10 @@ class CompressedFileBackingStore:
             self.stored_bytes += length
             self.raw_bytes_written += self.item_bytes
             self.stored_bytes_written += length
-            if mx is not None:
-                mx.inc("compress_bytes_raw", self.item_bytes)
-                mx.inc("compress_bytes_stored", length)
-                mx.gauge_set("compress_heap_leaked_bytes", self.leaked_bytes)
+            if ob is not None:
+                ob.count("compress_bytes_raw", self.item_bytes)
+                ob.count("compress_bytes_stored", length)
+                ob.gauge("compress_heap_leaked_bytes", self.leaked_bytes)
         view = memoryview(payload)
         done = 0
         zeros = 0
@@ -398,7 +387,7 @@ class CompressedFileBackingStore:
         """
         if self._closed:
             raise BackingStoreError("backing store is closed")
-        mx = self.metrics
+        ob = self.obs
         tmp_path = self.path + ".compact"
         with self._lock:
             new_fh = open(tmp_path, "w+b", buffering=0)  # noqa: SIM115
@@ -450,9 +439,9 @@ class CompressedFileBackingStore:
             fsync_dir(self.path)
             self._publish_index()
             self.compactions += 1
-            if mx is not None:
-                mx.inc("compress_compactions")
-                mx.gauge_set("compress_heap_leaked_bytes", 0)
+            if ob is not None:
+                ob.count("compress_compactions")
+                ob.gauge("compress_heap_leaked_bytes", 0)
 
     def flush(self) -> None:
         """Durability barrier: payload fsync, then republish the index.

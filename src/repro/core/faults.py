@@ -16,10 +16,10 @@ input:
   including :class:`SimulatedCrash`, which models the process dying and
   must never be absorbed by a retry loop.
 
-Both wrappers forward the ``probe``/``metrics`` observability hooks to
-the wrapped store (so physical I/O timing is still recorded at the point
-it happens) and count their own events on the metrics registry
-(``backing_faults``, ``backing_retries``).
+Both wrappers forward the one ``obs`` attribute to the wrapped store (so
+physical I/O is still reported at the point it happens, however deep the
+stack) and count their own events through it (``backing_faults``,
+``backing_retries``).
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from repro.core.backing import BackingStore
 from repro.errors import BackingStoreError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.obs.histogram import BackingProbe
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs import Observer
 
 
 class InjectedFault(BackingStoreError):
@@ -64,7 +63,30 @@ def _hash_unit(seed: int, kind: str, item: int, attempt: int) -> float:
     return h / 2.0**32
 
 
-class FaultInjectingBackingStore:
+class _BackingWrapper:
+    """What both wrappers share: ``inner``, its ``obs`` and delegation."""
+
+    inner: Any
+
+    @property
+    def obs(self) -> "Observer | None":
+        """The wrapped store's observer: set here, it lands on ``inner``."""
+        return getattr(self.inner, "obs", None)
+
+    @obs.setter
+    def obs(self, value: "Observer | None") -> None:
+        self.inner.obs = value
+
+    def close(self) -> None:
+        self.inner.close()
+
+    def __getattr__(self, name: str) -> Any:
+        if name == "inner":  # guard: no recursion before __init__ ran
+            raise AttributeError(name)
+        return getattr(self.inner, name)
+
+
+class FaultInjectingBackingStore(_BackingWrapper):
     """Wrap a backing store and inject deterministic, seeded faults.
 
     Parameters
@@ -130,28 +152,6 @@ class FaultInjectingBackingStore:
         # Leaf lock: guards the attempt/fault counters only; inner I/O
         # happens outside it, so no ordering edge toward store locks.
         self._lock = make_lock("FaultInjectingBackingStore")
-        self._metrics: MetricsRegistry | None = None
-
-    # -- observability hooks: land on the inner store, where I/O happens ------
-
-    @property
-    def probe(self) -> "BackingProbe | None":
-        return getattr(self.inner, "probe", None)
-
-    @probe.setter
-    def probe(self, value: "BackingProbe | None") -> None:
-        if hasattr(self.inner, "probe"):
-            self.inner.probe = value  # type: ignore[attr-defined]
-
-    @property
-    def metrics(self) -> "MetricsRegistry | None":
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, value: "MetricsRegistry | None") -> None:
-        self._metrics = value
-        if hasattr(self.inner, "metrics"):
-            self.inner.metrics = value  # type: ignore[attr-defined]
 
     # -- fault schedule -------------------------------------------------------
 
@@ -173,8 +173,9 @@ class FaultInjectingBackingStore:
     def _record_fault(self) -> None:
         with self._lock:
             self.faults_injected += 1
-            if self._metrics is not None:
-                self._metrics.inc("backing_faults")
+            ob = self.obs
+            if ob is not None:
+                ob.count("backing_faults")
 
     def _maybe_sleep(self, item: int) -> None:
         if self.latency_rate <= 0.0 or self.latency_seconds <= 0.0:
@@ -237,16 +238,8 @@ class FaultInjectingBackingStore:
     def flush(self) -> None:
         self.inner.flush()
 
-    def close(self) -> None:
-        self.inner.close()
 
-    def __getattr__(self, name: str) -> Any:
-        if name == "inner":  # guard: no recursion before __init__ ran
-            raise AttributeError(name)
-        return getattr(self.inner, name)
-
-
-class RetryingBackingStore:
+class RetryingBackingStore(_BackingWrapper):
     """Bounded retry with exponential backoff around transient failures.
 
     Retries :class:`InjectedFault` and ``OSError`` — the transient
@@ -256,8 +249,8 @@ class RetryingBackingStore:
     :class:`~repro.errors.BackingStoreError`) and
     :class:`SimulatedCrash` propagate immediately.
 
-    Each retry increments ``backing_retries`` on the attached metrics
-    registry; the terminal give-up re-raises the last error.
+    Each retry counts one ``backing_retries`` on the attached observer;
+    the terminal give-up re-raises the last error.
     """
 
     #: Exception classes treated as transient (retried).
@@ -274,26 +267,6 @@ class RetryingBackingStore:
         self.retries_performed = 0
         self.give_ups = 0
         self._lock = make_lock("RetryingBackingStore")
-        self._metrics: MetricsRegistry | None = None
-
-    @property
-    def probe(self) -> "BackingProbe | None":
-        return getattr(self.inner, "probe", None)
-
-    @probe.setter
-    def probe(self, value: "BackingProbe | None") -> None:
-        if hasattr(self.inner, "probe"):
-            self.inner.probe = value  # type: ignore[attr-defined]
-
-    @property
-    def metrics(self) -> "MetricsRegistry | None":
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, value: "MetricsRegistry | None") -> None:
-        self._metrics = value
-        if hasattr(self.inner, "metrics"):
-            self.inner.metrics = value  # type: ignore[attr-defined]
 
     def _attempt(self, fn: Any) -> None:
         delay = self.backoff
@@ -308,8 +281,9 @@ class RetryingBackingStore:
                     raise
                 with self._lock:
                     self.retries_performed += 1
-                    if self._metrics is not None:
-                        self._metrics.inc("backing_retries")
+                    ob = self.obs
+                    if ob is not None:
+                        ob.count("backing_retries")
                 if delay > 0.0:
                     time.sleep(delay)
                     delay *= self.factor
@@ -322,11 +296,3 @@ class RetryingBackingStore:
 
     def flush(self) -> None:
         self._attempt(self.inner.flush)
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def __getattr__(self, name: str) -> Any:
-        if name == "inner":  # guard: no recursion before __init__ ran
-            raise AttributeError(name)
-        return getattr(self.inner, name)

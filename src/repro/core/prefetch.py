@@ -26,16 +26,16 @@ so the demand miss/read rates (the Fig. 2–4 metrics) stay untouched:
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from typing import TYPE_CHECKING
 
 from repro.analysis.race import make_thread, race_detector
 from repro.core.backing import SimulatedDiskBackingStore
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import OutOfCoreError
-from repro.obs.spans import next_span_id
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.obs.spans import SpanRecorder
+    from repro.obs import Observer
 
 
 def _validated_depth(depth: int) -> int:
@@ -142,10 +142,10 @@ class ThreadedPrefetcher:
         self._deferred: set[int] = set()  # guarded-by: _cond
         self._last_progress = -1  # guarded-by: _cond
         self._stop = False  # guarded-by: _cond
-        # Observability hook (default off): a SpanRecorder receiving one
-        # interval per prefetch_load attempt. Set by repro.obs.Observer;
-        # recording is lock-free (ring append), read without the lock.
-        self.spans: SpanRecorder | None = None
+        #: The :class:`repro.obs.Observer` (default off) told about each
+        #: prefetch_load attempt and each deferral. Set by its ``attach``;
+        #: reporting is lock-free (ring appends), read without the lock.
+        self.obs: Observer | None = None
         # Under REPRO_SANITIZE=race the thread carries start/join clock
         # edges (zero cost otherwise — see repro.analysis.race).
         self._race = race_detector()
@@ -256,23 +256,19 @@ class ThreadedPrefetcher:
                     # progress signals normally wake us immediately.
                     store._cond.wait(timeout=0.1)
             item, horizon = target
-            sp = self.spans
-            t0 = time.perf_counter() if sp is not None else 0.0
-            sid = next_span_id() if sp is not None and scope is not None else 0
-            if sid:
-                with scope(sid):
-                    loaded = store.prefetch_load(item, protect=horizon)
-            else:
+            ob = self.obs
+            t0 = time.perf_counter() if ob is not None else 0.0
+            sid = ob.new_span_id() if ob is not None and scope is not None else 0
+            with scope(sid) if sid else nullcontext():
                 loaded = store.prefetch_load(item, protect=horizon)
-            if sp is not None:
-                sp.complete("prefetch_load", t0, time.perf_counter() - t0,
-                            {"item": item, "loaded": loaded}, span_id=sid)
-            if not loaded:
-                tr = store._tracer
-                if tr is not None:
+            if ob is not None:
+                ob.timed("prefetch_load", t0, time.perf_counter() - t0,
+                         item=item, span_id=sid, loaded=loaded)
+                if not loaded:
                     # The prefetch pipeline stalled: no evictable slot (or a
                     # racing demand load) kept this item out of RAM.
-                    tr.emit("stall", item=item)
+                    ob.event("stall", item)
+            if not loaded:
                 with store._cond:
                     # No slot (or a racing demand load): retry only after
                     # demand progresses, so we never busy-spin.

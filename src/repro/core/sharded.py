@@ -106,12 +106,12 @@ from repro.errors import BackingStoreError
 # The obs primitives are deliberately core-free (see their module
 # docstrings), so importing them here cannot cycle.
 from repro.obs.histogram import BackingProbe, LogHistogram
-from repro.obs.spans import SpanRecord, next_span_id
+from repro.obs.spans import SpanRecord
 from repro.vm.disk import DiskModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.core.layout import StorageLayout
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs import Observer
     from repro.obs.spans import SpanRecorder
 
 #: Frame header: req_id (u32), opcode (u8), item (u64), payload length
@@ -251,14 +251,25 @@ class _WorkerTelemetry:
         self.clock_offset = float(clock_offset)
         self._next_span = ((int(shard) + 1) << 40) + 1
 
-    def span(self, name: str, start: float, dur: float, parent: int,
-             item: int) -> None:
+    def op(self, kind: str, dt: float, nbytes: int, t_recv: float,
+           t_send: float, parent: int, item: int) -> None:
+        """Record one successful ``kind`` ("read"/"write") operation:
+        disk latency ``dt``, the wire leg before it, and its span."""
+        wire = t_recv - (t_send + self.clock_offset)
+        if kind == "read":
+            self.probe.record_read(dt, nbytes)
+            self.wire_read.record(wire)
+        else:
+            self.probe.record_write(dt, nbytes)
+            self.wire_write.record(wire)
         if len(self.spans) >= _WORKER_SPAN_CAP:
             self.spans_dropped += 1
             return
         sid = self._next_span
         self._next_span += 1
-        self.spans.append([name, start, dur, sid, parent, int(item)])
+        self.spans.append([f"shard_disk_{kind}", t_recv,
+                           time.perf_counter() - t_recv, sid, parent,
+                           int(item)])
 
     def drain(self) -> bytes:
         """The telemetry delta since the previous drain, as a JSON frame."""
@@ -272,6 +283,13 @@ class _WorkerTelemetry:
         self.spans = []
         self.spans_dropped = 0
         return json.dumps(doc).encode()
+
+
+def _clock_bracket(t_recv: float) -> bytes:
+    """Worker-clock samples bracketing one exchange, for the client's
+    NTP-style offset calibration (``_ShardClient._calibrate``)."""
+    return json.dumps({"t_recv": t_recv,
+                       "t_reply": time.perf_counter()}).encode()
 
 
 def _shard_worker_main(conn: socket.socket) -> None:
@@ -318,13 +336,8 @@ def _shard_worker_main(conn: socket.socket) -> None:
                     dtype = np.dtype(str(spec["dtype"]))
                     store = _build_worker_store(spec)
                     telemetry = None  # a fresh worker starts disarmed
-                    # Handshake: worker-clock samples bracketing the
-                    # attach, for NTP-style offset calibration.
-                    reply_op = OP_OK
-                    reply = json.dumps({
-                        "t_recv": t_recv,
-                        "t_reply": time.perf_counter(),
-                    }).encode()
+                    # Handshake: bracket the attach for offset calibration.
+                    reply_op, reply = OP_OK, _clock_bracket(t_recv)
                 elif op == OP_TELEMETRY:
                     if length:
                         ctl = json.loads(payload.decode())
@@ -341,11 +354,7 @@ def _shard_worker_main(conn: socket.socket) -> None:
                         # Control replies bracket a quiescent exchange —
                         # a far tighter calibration sample than ATTACH,
                         # which races worker startup.
-                        reply_op = OP_OK
-                        reply = json.dumps({
-                            "t_recv": t_recv,
-                            "t_reply": time.perf_counter(),
-                        }).encode()
+                        reply_op, reply = OP_OK, _clock_bracket(t_recv)
                     else:
                         reply_op = OP_DATA
                         reply = (b"{}" if telemetry is None
@@ -359,13 +368,8 @@ def _shard_worker_main(conn: socket.socket) -> None:
                     else:
                         t_op = time.perf_counter()
                         store.read(int(item), out)
-                        dt = time.perf_counter() - t_op
-                        telemetry.probe.record_read(dt, out.nbytes)
-                        telemetry.wire_read.record(
-                            t_recv - (t_send + telemetry.clock_offset))
-                        telemetry.span("shard_disk_read", t_recv,
-                                       time.perf_counter() - t_recv,
-                                       trace, item)
+                        telemetry.op("read", time.perf_counter() - t_op,
+                                     out.nbytes, t_recv, t_send, trace, item)
                     reply_op, reply = OP_DATA, out.tobytes()
                 elif op == OP_WRITE:
                     data = np.frombuffer(payload, dtype=dtype).reshape(shape)
@@ -374,13 +378,9 @@ def _shard_worker_main(conn: socket.socket) -> None:
                     else:
                         t_op = time.perf_counter()
                         store.write(int(item), data)
-                        dt = time.perf_counter() - t_op
-                        telemetry.probe.record_write(dt, len(payload))
-                        telemetry.wire_write.record(
-                            t_recv - (t_send + telemetry.clock_offset))
-                        telemetry.span("shard_disk_write", t_recv,
-                                       time.perf_counter() - t_recv,
-                                       trace, item)
+                        telemetry.op("write", time.perf_counter() - t_op,
+                                     len(payload), t_recv, t_send, trace,
+                                     item)
                     reply_op, reply = OP_OK, b""
                 elif op == OP_FLUSH:
                     store.flush()
@@ -557,7 +557,7 @@ class _ShardClient:
         the owner after the lock is released.
         """
         entries: list[_Pending] = []
-        armed = self.owner._armed
+        armed = self.owner.obs is not None
         stall_start = 0.0
         stalled = 0.0
         with self._cond:
@@ -667,21 +667,12 @@ class _ShardClient:
         t_done = time.perf_counter()
         dt = t_done - entry.t0
         if error is None and entry.op in (OP_READ, OP_WRITE):
-            self._account(entry.op, dt)
-            if self.owner._armed:
-                if t_send > 0.0:
-                    # Reply-wire leg: worker send (converted to the
-                    # client clock) to this receive.
-                    self.owner._record_reply(
-                        entry.op, t_done - (t_send - self.clock_offset))
-                sp = self.owner._spans
-                if sp is not None and entry.trace:
-                    sp.complete(
-                        "shard_read" if entry.op == OP_READ
-                        else "shard_write",
-                        entry.t0, dt,
-                        {"shard": self.shard, "item": entry.item},
-                        span_id=entry.trace, parent=entry.parent)
+            self._account(entry, dt)
+            if t_send > 0.0:
+                # Reply-wire leg (armed workers only stamp t_send): worker
+                # send, converted to the client clock, to this receive.
+                self.owner._record_reply(
+                    entry.op, t_done, t_done - (t_send - self.clock_offset))
         with self._cond:
             entry.error = error
             entry.done = True
@@ -730,7 +721,7 @@ class _ShardClient:
         doc = json.loads((entry.result or b"{}").decode())
         return doc if isinstance(doc, dict) else {}
 
-    def _account(self, op: int, dt: float) -> None:
+    def _account(self, entry: _Pending, dt: float) -> None:
         """Per-shard accounting for one *successful* read/write.
 
         Only completions count — a faulted attempt that will be retried
@@ -739,28 +730,18 @@ class _ShardClient:
         """
         nbytes = self.owner.item_bytes
         with self._cond:
-            if op == OP_READ:
+            if entry.op == OP_READ:
                 self.reads_completed += 1
                 self.bytes_read += nbytes
             else:
                 self.writes_completed += 1
                 self.bytes_written += nbytes
-        probe, mx = self.owner.probe, self.owner.metrics
-        label = {"shard": str(self.shard)}
-        if op == OP_READ:
-            if probe is not None:
-                probe.record_read(dt, nbytes)
-            if mx is not None:
-                mx.inc_labeled("backing_reads", label)
-                mx.inc_labeled("backing_bytes_read", label, nbytes)
-                mx.observe("backing_read_seconds", dt)
-        else:
-            if probe is not None:
-                probe.record_write(dt, nbytes)
-            if mx is not None:
-                mx.inc_labeled("backing_writes", label)
-                mx.inc_labeled("backing_bytes_written", label, nbytes)
-                mx.observe("backing_write_seconds", dt)
+        ob = self.owner.obs
+        if ob is not None:
+            ob.timed("shard_read" if entry.op == OP_READ else "shard_write",
+                     entry.t0, dt, item=entry.item, nbytes=nbytes,
+                     span_id=entry.trace, parent=entry.parent,
+                     shard=self.shard)
 
     # -- restart --------------------------------------------------------------
 
@@ -781,7 +762,7 @@ class _ShardClient:
             self._spawn()
             attach = json.dumps(self.spec).encode()
             frames = _frame(self._reserve_req(OP_ATTACH), OP_ATTACH, 0, attach)
-            if self.owner._armed:
+            if self.owner.obs is not None:
                 # A fresh worker starts disarmed: re-arm before the
                 # replay so re-issued operations keep being recorded.
                 ctl = json.dumps({"arm": True, "shard": self.shard,
@@ -903,15 +884,11 @@ class ShardedBackingStore:
         self.item_bytes = int(np.prod(self.item_shape)) * self.dtype.itemsize
         self.num_shards = int(num_shards)
         self.kind = kind
-        # Observability hooks (default off), see MemoryBackingStore.probe.
-        # The receiver threads read them per completion, one shard label
-        # per receiver (single writer per labelled series). probe /
-        # metrics / spans are properties: assigning any of them arms or
-        # disarms worker-side telemetry (see _update_arming).
-        self._probe: BackingProbe | None = None
-        self._metrics: MetricsRegistry | None = None
-        self._spans: SpanRecorder | None = None
-        self._armed = False
+        # The observer (default off), see MemoryBackingStore.obs. The
+        # receiver threads read it per completion, one shard label per
+        # receiver (single writer per labelled series). ``obs`` is a
+        # property: assigning it arms or disarms worker-side telemetry.
+        self._obs: Observer | None = None
         # Parent-side sinks for telemetry pulled over OP_TELEMETRY.
         # worker_probe counts successful worker-side ops, so its totals
         # cross-check bit-exactly against client completions / IoStats.
@@ -978,59 +955,31 @@ class ShardedBackingStore:
     # -- observability hooks / cross-process telemetry --------------------------
 
     @property
-    def probe(self) -> "BackingProbe | None":
-        return self._probe
+    def obs(self) -> "Observer | None":
+        return self._obs
 
-    @probe.setter
-    def probe(self, probe: "BackingProbe | None") -> None:
-        self._probe = probe
-        self._update_arming()
+    @obs.setter
+    def obs(self, observer: "Observer | None") -> None:
+        """Attach/detach the observer; workers are armed iff one is set.
 
-    @property
-    def metrics(self) -> "MetricsRegistry | None":
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry: "MetricsRegistry | None") -> None:
-        old = self._metrics
-        if old is not None and old is not registry:
-            old.unregister_collector(self._collect)
-        self._metrics = registry
-        if registry is not None:
-            registry.register_collector(self._collect)
-        self._update_arming()
-
-    @property
-    def spans(self) -> "SpanRecorder | None":
-        return self._spans
-
-    @spans.setter
-    def spans(self, recorder: "SpanRecorder | None") -> None:
-        self._spans = recorder
-        self._update_arming()
-
-    def _update_arming(self) -> None:
-        """Arm worker-side recording iff any observability sink is set.
-
-        Pay-for-play across the process boundary: with no probe, no
-        registry and no span recorder attached, the workers never call
-        ``perf_counter`` and never buffer anything.
+        Pay-for-play across the process boundary: with no observer the
+        workers never call ``perf_counter`` and never buffer anything.
         """
-        want = (self._probe is not None or self._metrics is not None
-                or self._spans is not None)
-        if want == self._armed:
-            return
-        self._armed = want
-        if self._closed:
-            return
-        for client in self._clients:
-            with contextlib.suppress(BackingStoreError):
-                client.set_telemetry(want)
+        old = self._obs
+        if old is not None:
+            old.remove_collector(self._collect)
+        self._obs = observer
+        if observer is not None:
+            observer.add_collector(self._collect)
+        if (old is None) != (observer is None) and not self._closed:
+            for client in self._clients:
+                with contextlib.suppress(BackingStoreError):
+                    client.set_telemetry(observer is not None)
 
     def _collect(self) -> None:
         """Registry pull collector: live shard gauges + telemetry pull."""
-        mx = self._metrics
-        if mx is None:
+        ob = self._obs
+        if ob is None:
             return
         now = time.perf_counter()
         for c in self._clients:
@@ -1038,11 +987,10 @@ class ShardedBackingStore:
                 depth = len(c._pending)
                 oldest = min((e.t0 for e in c._pending.values()),
                              default=now)
-            label = {"shard": str(c.shard)}
-            mx.gauge_set_labeled("shard_inflight", label, depth)
-            mx.gauge_set_labeled("shard_oldest_pending_seconds", label,
-                                 max(0.0, now - oldest) if depth else 0.0)
-        if self._armed and not self._closed:
+            ob.gauge("shard_inflight", depth, shard=c.shard)
+            ob.gauge("shard_oldest_pending_seconds",
+                     max(0.0, now - oldest) if depth else 0.0, shard=c.shard)
+        if not self._closed:
             self.collect_telemetry()
 
     def collect_telemetry(self) -> None:
@@ -1052,7 +1000,7 @@ class ShardedBackingStore:
         shutdown races (a dying shard is skipped, its data arrives with
         the next pull after restart).
         """
-        mx = self._metrics
+        ob = self._obs
         for c in self._clients:
             try:
                 doc = c.pull_telemetry()
@@ -1072,14 +1020,12 @@ class ShardedBackingStore:
                         f"shard-worker-{c.shard}", {"item": int(item)},
                         int(sid), int(parent)))
                 self._worker_span_drops += int(doc.get("spans_dropped", 0))
-            if mx is not None:
-                mx.merge_histogram("shard_disk_read_seconds",
-                                   doc["probe"]["read"])
-                mx.merge_histogram("shard_disk_write_seconds",
-                                   doc["probe"]["write"])
-                mx.merge_histogram("shard_wire_seconds", doc["wire_read"])
-                mx.merge_histogram("shard_wire_seconds", doc["wire_write"])
-                mx.inc("shard_telemetry_pulls")
+            if ob is not None:
+                ob.merge("shard_disk_read_seconds", doc["probe"]["read"])
+                ob.merge("shard_disk_write_seconds", doc["probe"]["write"])
+                ob.merge("shard_wire_seconds", doc["wire_read"])
+                ob.merge("shard_wire_seconds", doc["wire_write"])
+                ob.count("shard_telemetry_pulls")
 
     def export_spans_into(self, recorder: "SpanRecorder") -> int:
         """Attach collected worker spans as per-worker process tracks.
@@ -1123,29 +1069,26 @@ class ShardedBackingStore:
 
     def _trace_ids(self) -> tuple[int, int]:
         """(span id, parent id) for one submit; (0, 0) when untraced."""
-        if self._spans is None:
-            return 0, 0
-        return next_span_id(), int(getattr(self._tls, "parent", 0))
+        ob = self._obs
+        sid = ob.new_span_id() if ob is not None else 0
+        return sid, int(getattr(self._tls, "parent", 0)) if sid else 0
 
     def _note_window_wait(self, shard: int, t0: float,
                           seconds: float) -> None:
         """One submit's cumulative stall on the bounded in-flight window."""
         self.window_hist.record(seconds)
-        mx = self._metrics
-        if mx is not None:
-            mx.observe("shard_window_wait_seconds", seconds)
-        sp = self._spans
-        if sp is not None:
-            sp.complete("shard_window_wait", t0, seconds, {"shard": shard})
+        ob = self._obs
+        if ob is not None:
+            ob.timed("shard_window_wait", t0, seconds, shard=shard)
 
-    def _record_reply(self, op: int, seconds: float) -> None:
+    def _record_reply(self, op: int, t_done: float, seconds: float) -> None:
         """Reply-wire latency measured by a shard's receiver thread."""
         hist = (self.reply_read_hist if op == OP_READ
                 else self.reply_write_hist)
         hist.record(seconds)
-        mx = self._metrics
-        if mx is not None:
-            mx.observe("shard_reply_seconds", seconds)
+        ob = self._obs
+        if ob is not None:
+            ob.timed("shard_reply", t_done - seconds, seconds)
 
     # -- placement ------------------------------------------------------------
 
@@ -1216,12 +1159,10 @@ class ShardedBackingStore:
             self._check(item)
             by_shard.setdefault(int(self._shard[item]), []).append(idx)
         tickets: list[ShardTicket | None] = [None] * len(rows)
-        traced = self._spans is not None
-        parent = (int(getattr(self._tls, "parent", 0)) if traced else 0)
         for s, idxs in by_shard.items():
             client = self._clients[s]
             ops = [(op, int(self._local[rows[i][0]]), rows[i][2], rows[i][1],
-                    next_span_id() if traced else 0, parent)
+                    *self._trace_ids())
                    for i in idxs]
             for i, entry in zip(idxs, client.submit_many(ops)):
                 tickets[i] = ShardTicket(client, entry)
@@ -1252,7 +1193,7 @@ class ShardedBackingStore:
     def close(self) -> None:
         if self._closed:
             return
-        if self._armed:
+        if self._obs is not None:
             # Final drain: whatever the workers recorded since the last
             # scrape must land parent-side before the processes exit.
             with contextlib.suppress(BackingStoreError):
@@ -1280,11 +1221,11 @@ class ShardedBackingStore:
             return self.total_restarts
 
     def _note_restart(self) -> None:
-        mx = self.metrics
+        ob = self._obs
         with self._restart_lock:
             self.total_restarts += 1
-            if mx is not None:
-                mx.inc("shard_restarts")
+            if ob is not None:
+                ob.count("shard_restarts")
 
     def per_shard_counts(self) -> dict[str, dict[str, int]]:
         """``{shard: {reads, writes, bytes_read, bytes_written, restarts}}``.

@@ -67,8 +67,7 @@ from repro.core.writebehind import WriteBehindQueue
 from repro.errors import BorrowError, OutOfCoreError, PinnedSlotError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.tracer import Tracer
+    from repro.obs import Observer
 
 #: Smallest legal slot count: computing one ancestral vector needs it plus
 #: its two children resident simultaneously (paper: "we must ensure m ≥ 3").
@@ -210,12 +209,6 @@ class AncestralVectorStore:
         generation-checked :class:`BorrowedSlotView` objects that raise
         :class:`~repro.errors.BorrowError` on use-after-evict. Defaults to
         the ``REPRO_SANITIZE`` environment variable (``1`` = on).
-    tracer:
-        Optional :class:`repro.obs.tracer.Tracer` receiving one structured
-        event per store transition (get/hit/miss/evict/...). Purely
-        passive: attaching a tracer changes no allocation, eviction or
-        counter decision. ``None`` (default) compiles every emission site
-        down to a single ``is None`` test.
     """
 
     def __init__(
@@ -236,7 +229,6 @@ class AncestralVectorStore:
         writeback_depth: int = 0,
         io_threads: int = 1,
         sanitize: bool | None = None,
-        tracer: "Tracer | None" = None,
     ) -> None:
         if layout is None:
             if num_items is None or item_shape is None:
@@ -320,20 +312,20 @@ class AncestralVectorStore:
         self._sanitize = _sanitize_default() if sanitize is None else bool(sanitize)
         self._slot_generation = np.zeros(self.num_slots, dtype=np.int64)  # guarded-by: _lock
         self._borrows: list[weakref.ref] = []  # guarded-by: _lock
-        # Observability hooks (default off). Written only from the compute
-        # thread via attach_tracer/attach_metrics; emissions themselves are
-        # lock-free (the tracer's ring append is GIL-atomic), so reading
-        # the references without the lock from the prefetch path is safe.
-        self._tracer: Tracer | None = None
-        self._metrics: MetricsRegistry | None = None
+        #: The attached :class:`repro.obs.Observer`, or ``None`` (default):
+        #: every reporting site is then a single ``is None`` test. Purely
+        #: passive — reporting changes no allocation, eviction or counter
+        #: decision. Written only from the compute thread via
+        #: :meth:`attach`; reports themselves are lock-free (the sinks'
+        #: ring appends are GIL-atomic), so reading the reference without
+        #: the lock from the prefetch path is safe.
+        self.obs: Observer | None = None
         if int(writeback_depth) > 0:
             self._writeback = WriteBehindQueue(
                 self.backing, self.item_shape, self.dtype,
                 depth=int(writeback_depth), io_threads=int(io_threads),
                 stats=self.stats,
             )
-        if tracer is not None:
-            self.attach_tracer(tracer)
 
     # -- introspection -----------------------------------------------------------
 
@@ -347,48 +339,25 @@ class AncestralVectorStore:
         """The write-behind queue, or ``None`` when evictions are synchronous."""
         return self._writeback
 
-    @property
-    def tracer(self) -> "Tracer | None":
-        """The attached event tracer, or ``None`` when tracing is off."""
-        return self._tracer
+    def attach(self, obs: "Observer | None") -> None:
+        """Attach (or with ``None`` detach) the observer this store reports to.
 
-    def attach_tracer(self, tracer: "Tracer | None") -> None:
-        """Attach (or with ``None`` detach) a structured event tracer.
-
-        Propagates to the write-behind queue so enqueue/drain/stall events
-        land in the same ring. Call from the compute thread only, ideally
-        before the workload starts.
-        """
-        self._tracer = tracer
-        if self._writeback is not None:
-            self._writeback.tracer = tracer
-
-    @property
-    def metrics(self) -> "MetricsRegistry | None":
-        """The attached metrics registry, or ``None`` when metrics are off."""
-        return self._metrics
-
-    def attach_metrics(self, registry: "MetricsRegistry | None") -> None:
-        """Attach (or with ``None`` detach) a live metrics registry.
-
-        Registers a pull collector that copies the store's counters and
-        slot/queue gauges into the registry at scrape/snapshot time — the
-        demand path itself is untouched (passivity) — and propagates the
-        registry to the backing store and write-behind queue so
-        physical-I/O latency histograms land in the same place. Call from
+        Hands it on to the write-behind queue and the backing store, so
+        their events and physical-I/O latencies land in the same sinks,
+        and registers the pull collector that copies the store's counters
+        and slot/queue gauges into the metrics registry at scrape/snapshot
+        time — the demand path itself is untouched (passivity). Call from
         the compute thread only, ideally before the workload starts.
         """
-        old = self._metrics
-        if old is not None:
-            old.unregister_collector(self._collect_metrics)
-        self._metrics = registry
+        if self.obs is not None:
+            self.obs.remove_collector(self._collect_metrics)
+        self.obs = obs
         backing_any: Any = self.backing
-        if hasattr(backing_any, "metrics"):
-            backing_any.metrics = registry
+        backing_any.obs = obs
         if self._writeback is not None:
-            self._writeback.metrics = registry
-        if registry is not None:
-            registry.register_collector(self._collect_metrics)
+            self._writeback.obs = obs
+        if obs is not None:
+            obs.add_collector(self._collect_metrics)
 
     def _collect_metrics(self) -> None:
         """Pull collector: copy counters and live gauges into the registry.
@@ -398,8 +367,8 @@ class AncestralVectorStore:
         queue depth is read after releasing it, respecting the
         store-lock → queue-lock order.
         """
-        registry = self._metrics
-        if registry is None:
+        ob = self.obs
+        if ob is None:
             return
         rc = self._race
         with self._cond:
@@ -417,22 +386,14 @@ class AncestralVectorStore:
             # stale/racy snapshots — discard them and re-read under the
             # queue lock (store-lock -> queue-lock order, one clean cut).
             counters.update(wb.counters_snapshot())
-        for name, value in counters.items():
-            registry.counter_set(name, value)
-        registry.gauge_set("slots_total", self.num_slots)
-        registry.gauge_set("slots_occupied", occupied)
-        registry.gauge_set("slots_dirty", dirty)
-        registry.gauge_set("loads_inflight", inflight)
-        registry.gauge_set("prefetch_untouched", untouched)
-        registry.gauge_set("writeback_queue_depth",
-                           wb.pending() if wb is not None else 0)
-        tr = self._tracer
-        if tr is not None:
-            # Ring overwrites would otherwise be silent: a truncated
-            # trace export is detectable from any scrape/snapshot even
-            # without an Observer attached.
-            registry.counter_set("trace_events_emitted", tr.emitted)
-            registry.counter_set("trace_events_dropped", tr.dropped)
+        ob.totals(counters)
+        ob.gauge("slots_total", self.num_slots)
+        ob.gauge("slots_occupied", occupied)
+        ob.gauge("slots_dirty", dirty)
+        ob.gauge("loads_inflight", inflight)
+        ob.gauge("prefetch_untouched", untouched)
+        ob.gauge("writeback_queue_depth",
+                 wb.pending() if wb is not None else 0)
 
     def is_resident(self, item: int) -> bool:
         self._check_item(item)
@@ -477,14 +438,14 @@ class AncestralVectorStore:
         self._check_item(item)
         for p in pins:
             self._check_item(p)
-        tr = self._tracer
+        ob = self.obs
         rc = self._race
         with self._cond:
             if rc is not None:
                 rc.write(self._race_scope, "stats.store", "_active_pins")
             self.stats.requests += 1
-            if tr is not None:
-                tr.emit("get", item=item)
+            if ob is not None:
+                ob.event("get", item)
             self._active_pins = {item, *(int(p) for p in pins)}
             self._cond.notify_all()  # progress signal for a prefetch thread
 
@@ -502,12 +463,12 @@ class AncestralVectorStore:
                 else:
                     self.stats.misses += 1
                     slot = self._allocate_slot(item, pins)
-                    if tr is not None:
-                        tr.emit("miss", item=item, slot=slot)
+                    if ob is not None:
+                        ob.event("miss", item, slot)
                     if write_only and self.read_skipping:
                         self.stats.read_skips += 1
-                        if tr is not None:
-                            tr.emit("read_skip", item=item, slot=slot)
+                        if ob is not None:
+                            ob.event("read_skip", item, slot)
                         if self.poison_skipped_reads:
                             self._slots[slot].fill(np.nan)
                         self._publish(item, slot)
@@ -525,7 +486,7 @@ class AncestralVectorStore:
                 wait_ev.wait()
                 continue
             try:
-                read_t0 = time.perf_counter() if tr is not None else 0.0
+                read_t0 = time.perf_counter() if ob is not None else 0.0
                 from_staging = self._read_into_slot(item, slot)
             except Exception:
                 # Return the already-vacated slot to the free list so a
@@ -548,9 +509,10 @@ class AncestralVectorStore:
                     rc.write(self._race_scope, "stats.store", "_inflight")
                 self.stats.reads += 1
                 self.stats.bytes_read += self.item_bytes
-                if tr is not None:
-                    tr.emit("demand_read", item=item, slot=slot,
-                            dur=time.perf_counter() - read_t0)
+                if ob is not None:
+                    ob.timed("demand_read", read_t0,
+                             time.perf_counter() - read_t0,
+                             item=item, slot=slot)
                 if from_staging:
                     self.stats.writeback_read_hits += 1
                 self.policy.on_load(item)
@@ -568,7 +530,7 @@ class AncestralVectorStore:
         that it would have been without prefetch (see ``repro.core.stats``),
         so the Fig. 2–4 demand metrics are independent of prefetching.
         """
-        tr = self._tracer
+        ob = self.obs
         rc = self._race
         if rc is not None:
             rc.write(self._race_scope, "stats.store", "_prefetched_untouched",
@@ -576,30 +538,30 @@ class AncestralVectorStore:
         if item in self._prefetched_untouched:
             self._prefetched_untouched.discard(item)
             self.stats.misses += 1
-            if tr is not None:
-                tr.emit("miss", item=item, slot=slot)
+            if ob is not None:
+                ob.event("miss", item, slot)
             if write_only and self.read_skipping:
                 # Without prefetch this miss would have skipped its read
                 # (§3.4) — the prefetched bytes were wasted, not a hit.
                 self.stats.read_skips += 1
                 self.stats.prefetch_unused += 1
-                if tr is not None:
-                    tr.emit("read_skip", item=item, slot=slot)
+                if ob is not None:
+                    ob.event("read_skip", item, slot)
                 if self.poison_skipped_reads:
                     self._slots[slot].fill(np.nan)
             else:
                 self.stats.reads += 1
                 self.stats.bytes_read += self.item_bytes
                 self.stats.prefetch_hits += 1
-                if tr is not None:
-                    # dur=0: the physical read already happened at
+                if ob is not None:
+                    # An instant: the physical read already happened at
                     # prefetch_issue time; this records the demand charge.
-                    tr.emit("demand_read", item=item, slot=slot)
-                    tr.emit("prefetch_hit", item=item, slot=slot)
+                    ob.event("demand_read", item, slot)
+                    ob.event("prefetch_hit", item, slot)
         else:
             self.stats.hits += 1
-            if tr is not None:
-                tr.emit("hit", item=item, slot=slot)
+            if ob is not None:
+                ob.event("hit", item, slot)
         if write_only:
             self._dirty[slot] = True
             self._ever_stored[item] = True
@@ -777,8 +739,8 @@ class AncestralVectorStore:
                      "_prefetched_untouched", "_item_slot", "_slot_item",
                      "_dirty")
         self._slot_generation[slot] += 1  # invalidates outstanding borrows
-        if self._tracer is not None:
-            self._tracer.emit("evict", item=item, slot=slot)
+        if self.obs is not None:
+            self.obs.event("evict", item, slot)
         if item in self._prefetched_untouched:
             self._prefetched_untouched.discard(item)
             self.stats.prefetch_unused += 1
@@ -832,9 +794,9 @@ class AncestralVectorStore:
             if rc is not None:
                 rc.write(self._race_scope, "_inflight")
             self._inflight[item] = ev
-        tr = self._tracer
+        ob = self.obs
         try:
-            read_t0 = time.perf_counter() if tr is not None else 0.0
+            read_t0 = time.perf_counter() if ob is not None else 0.0
             from_staging = self._read_into_slot(item, slot)
         except Exception:
             with self._cond:
@@ -854,9 +816,9 @@ class AncestralVectorStore:
                          "_prefetched_untouched", "_inflight")
             self.stats.prefetch_reads += 1
             self.stats.prefetch_bytes += self.item_bytes
-            if tr is not None:
-                tr.emit("prefetch_issue", item=item, slot=slot,
-                        dur=time.perf_counter() - read_t0)
+            if ob is not None:
+                ob.timed("prefetch_issue", read_t0,
+                         time.perf_counter() - read_t0, item=item, slot=slot)
             if from_staging:
                 self.stats.writeback_read_hits += 1
             self._prefetched_untouched.add(item)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -47,13 +48,9 @@ from repro.analysis.race import make_condition, make_lock, make_thread, race_det
 from repro.core.backing import BackingStore
 from repro.core.stats import IoStats
 from repro.errors import OutOfCoreError
-from repro.obs.spans import next_span_id
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.obs.histogram import LogHistogram
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.spans import SpanRecorder
-    from repro.obs.tracer import Tracer
+    from repro.obs import Observer
 
 
 class WriteBehindQueue:
@@ -93,16 +90,10 @@ class WriteBehindQueue:
         self.depth = int(depth)
         self.stats = stats if stats is not None else IoStats()
         self.stats.writeback_enabled = True
-        # Observability hooks (default off): a Tracer receiving
-        # enqueue/drain/stall events, a LogHistogram of drain latencies,
-        # a MetricsRegistry fed drain-latency observations, and a
-        # SpanRecorder receiving drain/stall intervals. Set by
-        # AncestralVectorStore.attach_tracer/attach_metrics and
-        # repro.obs.Observer.
-        self.tracer: Tracer | None = None
-        self.drain_hist: LogHistogram | None = None
-        self.metrics: MetricsRegistry | None = None
-        self.spans: SpanRecorder | None = None
+        #: The owning store's :class:`repro.obs.Observer` (default off;
+        #: set by ``AncestralVectorStore.attach``): enqueue, stall and
+        #: drain are reported to it.
+        self.obs: Observer | None = None
 
         # Under REPRO_SANITIZE=race the condition's monitor is a tracked
         # lock and writer threads carry start/join clock edges (zero cost
@@ -133,7 +124,7 @@ class WriteBehindQueue:
         returns once the copy is staged, blocking only under back-pressure.
         """
         item = int(item)
-        tr = self.tracer
+        ob = self.obs
         rc = self._race
         with self._cond:
             if rc is not None:
@@ -145,8 +136,8 @@ class WriteBehindQueue:
             if item in self._staged and item not in self._writing:
                 # Coalesce: the queued (not-yet-popped) copy is superseded.
                 np.copyto(self._staged[item], data)
-                if tr is not None:
-                    tr.emit("writeback_enqueue", item=item)
+                if ob is not None:
+                    ob.event("writeback_enqueue", item)
                 return
             stalled = False
             stall_t0 = 0.0
@@ -162,26 +153,21 @@ class WriteBehindQueue:
                 self._cond.wait()
                 if self._stop:
                     raise OutOfCoreError("write-behind queue is closed")
-            if stalled:
-                stall_dur = time.perf_counter() - stall_t0
-                if tr is not None:
-                    tr.emit("stall", item=item, dur=stall_dur)
-                sp = self.spans
-                if sp is not None:
-                    sp.complete("writeback_stall", stall_t0, stall_dur,
-                                {"item": item})
+            if stalled and ob is not None:
+                ob.timed("writeback_stall", stall_t0,
+                         time.perf_counter() - stall_t0, item=item)
             if item in self._staged:  # re-check after waiting
                 np.copyto(self._staged[item], data)
-                if tr is not None:
-                    tr.emit("writeback_enqueue", item=item)
+                if ob is not None:
+                    ob.event("writeback_enqueue", item)
                 return
             buf = self._pool.pop() if self._pool else np.empty(
                 self.item_shape, dtype=self.dtype)
             np.copyto(buf, data)
             self._staged[item] = buf
             self._order.append(item)
-            if tr is not None:
-                tr.emit("writeback_enqueue", item=item)
+            if ob is not None:
+                ob.event("writeback_enqueue", item)
             self._cond.notify_all()
 
     def read_into(self, item: int, out: np.ndarray) -> bool:
@@ -351,13 +337,11 @@ class WriteBehindQueue:
             failed: list[tuple[int, BaseException]] = []
             for item, buf in batch:
                 t0 = time.perf_counter()
-                sid = (next_span_id()
-                       if self.spans is not None and scope is not None else 0)
+                ob = self.obs
+                sid = (ob.new_span_id()
+                       if ob is not None and scope is not None else 0)
                 try:
-                    if sid:
-                        with scope(sid):
-                            ticket = submit(item, buf)
-                    else:
+                    with scope(sid) if sid else nullcontext():
                         ticket = submit(item, buf)
                     inflight.append((item, buf, ticket, t0, sid))
                 except BaseException as exc:  # noqa: BLE001 - surfaced via drain()
@@ -377,19 +361,10 @@ class WriteBehindQueue:
                 sid: int = 0) -> None:  # thread: writer
         """Account one completed drain (either loop) and recycle its buffer."""
         rc = self._race
-        write_dur = time.perf_counter() - t0
-        if self.drain_hist is not None:
-            self.drain_hist.record(write_dur)
-        tr = self.tracer
-        if tr is not None:
-            tr.emit("writeback_drain", item=item, dur=write_dur)
-        mx = self.metrics
-        if mx is not None:
-            mx.observe("writeback_drain_seconds", write_dur)
-        sp = self.spans
-        if sp is not None:
-            sp.complete("writeback_drain", t0, write_dur, {"item": item},
-                        span_id=sid)
+        ob = self.obs
+        if ob is not None:
+            ob.timed("writeback_drain", t0, time.perf_counter() - t0,
+                     item=item, span_id=sid)
         with self._cond:
             if rc is not None:
                 rc.write(self._race_scope, "_writing", "_staged", "_pool",

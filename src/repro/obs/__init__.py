@@ -37,7 +37,7 @@ The event taxonomy is kept in sync with the counter registry by
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, Mapping, NamedTuple
 
 from repro.obs.exporters import (
     PROFILE_SCHEMA,
@@ -49,7 +49,7 @@ from repro.obs.exporters import (
 from repro.obs.histogram import BackingProbe, LogHistogram
 from repro.obs.metrics import METRIC_EXPOSITION, METRIC_NAMES, MetricsRegistry
 from repro.obs.server import MetricsServer
-from repro.obs.spans import SpanRecord, SpanRecorder
+from repro.obs.spans import SpanRecord, SpanRecorder, next_span_id
 from repro.obs.tracer import EVENT_TYPES, TraceRecord, Tracer
 from repro.utils.timing import Stopwatch
 
@@ -67,6 +67,8 @@ __all__ = [
     "MetricsServer",
     "Observer",
     "PROFILE_SCHEMA",
+    "ROUTES",
+    "Route",
     "SpanRecord",
     "SpanRecorder",
     "TraceRecord",
@@ -78,15 +80,73 @@ __all__ = [
 ]
 
 
-class Observer:
-    """One bundle of tracer + latency histograms + phase timers.
+class Route(NamedTuple):
+    """Which sinks record one reported name (one row of :data:`ROUTES`)."""
 
-    Build one, :meth:`attach` it to a :class:`LikelihoodEngine` (or call
-    the store-level hooks yourself), run the workload, then read
+    event: str | None = None   #: tracer record of this :data:`EVENT_TYPES` type
+    hist: str | None = None    #: latency histogram: "read" / "write" (probe), "drain"
+    metric: str | None = None  #: catalogue histogram observing the duration
+    span: bool = False         #: a span carrying the reported name
+    timer: str | None = None   #: engine phase-timer lap (:data:`ENGINE_PHASES`)
+    ops: str | None = None     #: per-shard labelled counter, +1
+    bytes: str | None = None   #: per-shard labelled counter, +nbytes
+
+
+#: THE reporting policy: reported name -> the sinks that record it. A
+#: component reports each measurement once, by name, through
+#: :meth:`Observer.event` (instants) or :meth:`Observer.timed`
+#: (intervals); nothing outside this package decides — or knows — which
+#: sinks exist. ``python -m repro.analysis`` checks every literal at those
+#: verbs against these keys and every target against ``EVENT_TYPES`` /
+#: ``METRIC_NAMES`` (EVT001/MET001); DESIGN.md's table is pinned to it.
+ROUTES: dict[str, Route] = {
+    # -- store transitions (instants) --
+    "get": Route(event="get"),
+    "hit": Route(event="hit"),
+    "miss": Route(event="miss"),
+    "evict": Route(event="evict"),
+    "read_skip": Route(event="read_skip"),
+    "prefetch_hit": Route(event="prefetch_hit"),
+    "writeback_enqueue": Route(event="writeback_enqueue"),
+    "stall": Route(event="stall"),
+    # -- store loads (instant when charged at first touch of a prefetch) --
+    "demand_read": Route(event="demand_read"),
+    "prefetch_issue": Route(event="prefetch_issue"),
+    # -- engine phases --
+    "plan": Route(timer="plan", span=True),
+    "kernel": Route(timer="kernel", span=True),
+    "store_wait": Route(timer="store_wait", metric="store_wait_seconds",
+                        span=True),
+    "execute_plan": Route(span=True),
+    # -- asynchronous pipeline --
+    "writeback_stall": Route(event="stall", span=True),
+    "writeback_drain": Route(event="writeback_drain", hist="drain",
+                             metric="writeback_drain_seconds", span=True),
+    "prefetch_load": Route(span=True),
+    # -- physical transfers (in-process backings / sharded client side) --
+    "backing_read": Route(hist="read", metric="backing_read_seconds"),
+    "backing_write": Route(hist="write", metric="backing_write_seconds"),
+    "shard_read": Route(hist="read", metric="backing_read_seconds", span=True,
+                        ops="backing_reads", bytes="backing_bytes_read"),
+    "shard_write": Route(hist="write", metric="backing_write_seconds",
+                         span=True, ops="backing_writes",
+                         bytes="backing_bytes_written"),
+    "shard_window_wait": Route(metric="shard_window_wait_seconds", span=True),
+    "shard_reply": Route(metric="shard_reply_seconds"),
+}
+
+
+class Observer:
+    """The one reporting seam: every sink, and the fan-out to them.
+
+    Build one, :meth:`attach` it to a :class:`LikelihoodEngine` (or hand
+    it to ``store.attach`` yourself), run the workload, then read
     :attr:`tracer` / :attr:`probe` / :attr:`drain_hist` / :attr:`timers`
-    or export everything with :meth:`summary`. Attachment is duck-typed
-    so it works through store wrappers (``RecordingStoreProxy`` etc.)
-    and degrades gracefully when a component is absent.
+    / :attr:`metrics` / :attr:`spans` or export everything with the
+    summaries below. Instrumented components hold this object as their
+    single ``obs`` attribute (``None`` when off — one ``is None`` test
+    per site) and report through the verbs; :data:`ROUTES` decides which
+    sinks record what.
     """
 
     def __init__(self, capacity: int = 1 << 16,
@@ -111,85 +171,126 @@ class Observer:
             self.spans = spans if isinstance(spans, SpanRecorder) else None
 
     def attach(self, engine: Any) -> "Observer":
-        """Wire this observer into ``engine``'s store / queue / backing."""
-        engine.timers = self.timers
-        if hasattr(engine, "spans"):
-            engine.spans = self.spans
-        if hasattr(engine, "metrics"):
-            engine.metrics = self.metrics
-        store = engine.store
-        attach_tracer = getattr(store, "attach_tracer", None)
-        if attach_tracer is not None:
-            attach_tracer(self.tracer)
-        if self.metrics is not None:
-            attach_metrics = getattr(store, "attach_metrics", None)
-            if attach_metrics is not None:
-                attach_metrics(self.metrics)
-            self.metrics.register_collector(self._collect_engine)
-        backing = getattr(store, "backing", None)
-        if backing is not None and hasattr(backing, "probe"):
-            backing.probe = self.probe
-        if backing is not None and hasattr(backing, "spans"):
-            # Cross-process backings (the sharded tier) also take a span
-            # recorder: worker spans merge back as per-process tracks.
-            backing.spans = self.spans
-        writeback = getattr(store, "writeback", None)
-        if writeback is not None:
-            writeback.drain_hist = self.drain_hist
-            writeback.spans = self.spans
-        prefetcher = getattr(engine, "prefetcher", None)
-        if prefetcher is not None and hasattr(prefetcher, "spans"):
-            prefetcher.spans = self.spans
+        """Become ``engine``'s, its store's and its prefetcher's ``obs``."""
+        engine.obs = self
+        engine.store.attach(self)
+        if engine.prefetcher is not None:
+            engine.prefetcher.obs = self
+        self.add_collector(self._collect)
         return self
 
     def detach(self, engine: Any) -> None:
         """Undo :meth:`attach` (collected data is kept)."""
-        engine.timers = None
-        if hasattr(engine, "spans"):
-            engine.spans = None
-        if hasattr(engine, "metrics"):
-            engine.metrics = None
-        store = engine.store
-        attach_tracer = getattr(store, "attach_tracer", None)
-        if attach_tracer is not None:
-            attach_tracer(None)
-        if self.metrics is not None:
-            attach_metrics = getattr(store, "attach_metrics", None)
-            if attach_metrics is not None:
-                attach_metrics(None)
-            self.metrics.unregister_collector(self._collect_engine)
-        backing = getattr(store, "backing", None)
-        if backing is not None and hasattr(backing, "probe"):
-            backing.probe = None
-        if backing is not None and hasattr(backing, "spans"):
-            backing.spans = None
-        writeback = getattr(store, "writeback", None)
-        if writeback is not None:
-            writeback.drain_hist = None
-            writeback.spans = None
-        prefetcher = getattr(engine, "prefetcher", None)
-        if prefetcher is not None and hasattr(prefetcher, "spans"):
-            prefetcher.spans = None
+        engine.obs = None
+        engine.store.attach(None)
+        if engine.prefetcher is not None:
+            engine.prefetcher.obs = None
+        self.remove_collector(self._collect)
 
-    def _collect_engine(self) -> None:
-        """Pull collector: engine phase totals + tracer ring accounting.
+    # -- reporting verbs (any thread; sinks are lock-cheap) -----------------------
 
-        Registered with the metrics registry at :meth:`attach`; the
-        store's own collector covers the ``IoStats`` counters and slot
-        gauges, this one covers what only the observer can see.
+    def event(self, name: str, item: int = -1, slot: int = -1) -> None:
+        """Report an instant."""
+        etype = ROUTES[name].event
+        if etype is not None:
+            self.tracer.emit(etype, item, slot)
+
+    def timed(self, name: str, t0: float, dt: float, *, item: int = -1,
+              slot: int = -1, nbytes: int = 0, span_id: int = 0,
+              parent: int = 0, **args: Any) -> None:
+        """Report an interval that started at ``t0`` and took ``dt`` seconds.
+
+        ``item``/``slot`` identify the subject, ``nbytes`` what a
+        transfer moved, ``span_id``/``parent`` the causal identity of
+        the span (see :meth:`new_span_id`); further keywords become span
+        arguments (``shard=`` also labels the per-shard counters).
         """
+        route = ROUTES[name]
+        if route.timer is not None:
+            self.timers.add(route.timer, dt)
+        if route.hist == "read":
+            self.probe.record_read(dt, nbytes)
+        elif route.hist == "write":
+            self.probe.record_write(dt, nbytes)
+        elif route.hist == "drain":
+            self.drain_hist.record(dt)
+        if route.event is not None:
+            self.tracer.emit(route.event, item, slot, dt)
+        mx = self.metrics
+        if mx is not None:
+            if route.metric is not None:
+                mx.observe(route.metric, dt)
+            if route.ops is not None and route.bytes is not None:
+                label = {"shard": str(args["shard"])}
+                mx.inc_labeled(route.ops, label)
+                mx.inc_labeled(route.bytes, label, nbytes)
+        sp = self.spans
+        if sp is not None and route.span:
+            if item >= 0:
+                args["item"] = item
+            sp.complete(name, t0, dt, args, span_id=span_id, parent=parent)
+
+    def count(self, name: str, n: int | float = 1) -> None:
+        """Add ``n`` to the catalogue counter ``name``."""
+        if self.metrics is not None:
+            self.metrics.inc(name, n)
+
+    def gauge(self, name: str, value: int | float, *,
+              shard: int | None = None) -> None:
+        """Set the catalogue gauge ``name`` (its ``shard`` series if given)."""
         mx = self.metrics
         if mx is None:
             return
+        if shard is None:
+            mx.gauge_set(name, value)
+        else:
+            mx.gauge_set_labeled(name, {"shard": str(shard)}, value)
+
+    def totals(self, counters: Mapping[str, int | float]) -> None:
+        """Collector side: set counters to the absolute values a component
+        read from its authoritative, monotone source (``IoStats``)."""
+        mx = self.metrics
+        if mx is not None:
+            for name, value in counters.items():
+                mx.counter_set(name, value)
+
+    def merge(self, name: str, state: dict[str, Any]) -> None:
+        """Merge a serialised histogram delta (a shard worker's) into the
+        catalogue histogram ``name``."""
+        if self.metrics is not None:
+            self.metrics.merge_histogram(name, state)
+
+    def new_span_id(self) -> int:
+        """An identity for a span about to be reported, 0 with spans off."""
+        return next_span_id() if self.spans is not None else 0
+
+    def add_collector(self, fn: Callable[[], None]) -> None:
+        """Run ``fn`` at every scrape/snapshot (no-op with metrics off)."""
+        if self.metrics is not None:
+            self.metrics.register_collector(fn)
+
+    def remove_collector(self, fn: Callable[[], None]) -> None:
+        if self.metrics is not None:
+            self.metrics.unregister_collector(fn)
+
+    def _collect(self) -> None:
+        """Pull collector: engine phase totals + tracer ring accounting.
+
+        Registered at :meth:`attach`; the store's own collector covers
+        the ``IoStats`` counters and slot gauges, this one covers what
+        only the observer can see.
+        """
         tm = self.timers
-        mx.counter_set("phase_plan_seconds", tm.total("plan"))
-        mx.counter_set("phase_plan_calls", tm.count("plan"))
-        mx.counter_set("phase_kernel_seconds", tm.total("kernel"))
-        mx.counter_set("phase_kernel_calls", tm.count("kernel"))
-        mx.counter_set("phase_store_wait_seconds", tm.total("store_wait"))
-        mx.counter_set("phase_store_wait_calls", tm.count("store_wait"))
-        mx.counter_set("trace_events_emitted", self.tracer.emitted)
-        mx.counter_set("trace_events_dropped", self.tracer.dropped)
+        self.totals({
+            "phase_plan_seconds": tm.total("plan"),
+            "phase_plan_calls": tm.count("plan"),
+            "phase_kernel_seconds": tm.total("kernel"),
+            "phase_kernel_calls": tm.count("kernel"),
+            "phase_store_wait_seconds": tm.total("store_wait"),
+            "phase_store_wait_calls": tm.count("store_wait"),
+            "trace_events_emitted": self.tracer.emitted,
+            "trace_events_dropped": self.tracer.dropped,
+        })
 
     # -- summaries --------------------------------------------------------------
 

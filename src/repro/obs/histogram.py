@@ -6,8 +6,8 @@ buckets by powers of two of seconds instead, which keeps the structure a
 flat integer array with O(1) insertion and resolves both tails.
 
 :class:`BackingProbe` pairs one read and one write histogram and is the
-object backing stores report into (``backing.probe`` attribute, default
-``None`` — see :mod:`repro.core.backing`).
+sink physical backing-store transfers are routed to (``Observer.probe``;
+the stores themselves only hold ``obs`` — see :mod:`repro.core.backing`).
 
 Histograms are **mergeable**: :meth:`LogHistogram.state` serialises the
 bucket vector to a JSON-ready dict, :meth:`LogHistogram.merge_state`

@@ -4,7 +4,7 @@ Counters, gauges and histograms for the out-of-core pipeline, mirroring
 the counter-registry discipline of :mod:`repro.core.stats`: the set of
 legal metric names is the closed catalogue :data:`METRIC_NAMES`, every
 name carries a kind and help string in :data:`METRIC_EXPOSITION`, and
-``python -m repro.analysis`` (rules MET001/MET002) keeps emit sites, the
+``python -m repro.analysis`` (rules MET001/MET002) keeps report sites, the
 catalogue and the ``BENCH_results.json`` schema three-way synced — a
 typo'd metric name fails statically *and* at runtime instead of silently
 vanishing from every dashboard.
@@ -18,8 +18,9 @@ Update model (hybrid push/pull, lock-cheap like the tracer):
   no per-event registry traffic, and the counters stay bit-identical to
   an uninstrumented run (passivity).
 * **push** — genuinely event-shaped observations (physical I/O latency,
-  store-wait time) call :meth:`MetricsRegistry.observe` at the emission
-  site, guarded by a single ``is None`` test exactly like tracer emits.
+  store-wait time) reach :meth:`MetricsRegistry.observe` through the
+  reporting component's :class:`repro.obs.Observer` (``obs.timed``), a
+  single ``is None`` test at the site exactly like tracer events.
 
 Thread-safety follows the single-writer-per-name rule of
 :class:`~repro.core.stats.IoStats`: each counter/gauge has one writing
@@ -224,11 +225,11 @@ def _fmt(value: float) -> str:
 class MetricsRegistry:
     """One process-local registry over the frozen catalogue.
 
-    Build one, hand it to :meth:`repro.obs.Observer` (``metrics=True``) or
-    attach it directly via ``store.attach_metrics(registry)``, then read
-    it programmatically (:meth:`snapshot`, :meth:`value`) or serve it over
-    HTTP (:class:`repro.obs.server.MetricsServer`). Default off
-    everywhere: components hold ``metrics = None`` until attached, and
+    Build one with :class:`repro.obs.Observer` (``metrics=True``, or pass
+    an instance to share it), then read it programmatically
+    (:meth:`snapshot`, :meth:`value`) or serve it over HTTP
+    (:class:`repro.obs.server.MetricsServer`). Default off everywhere:
+    components hold ``obs = None`` until an observer is attached, and
     every push site is a single ``is None`` test.
     """
 

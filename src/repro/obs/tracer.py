@@ -36,9 +36,9 @@ from typing import NamedTuple
 
 from repro.errors import OutOfCoreError
 
-#: The closed event taxonomy. Every ``Tracer.emit`` call site must use one
-#: of these literals (analysis rule EVT001), and every entry must have an
-#: ``EVENT_COUNTERS`` mapping in ``repro.core.stats`` (rule EVT002).
+#: The closed event taxonomy. Every event a ``repro.obs.ROUTES`` row names
+#: must be one of these literals (analysis rule EVT001), and every entry
+#: must have an ``EVENT_COUNTERS`` mapping in ``repro.core.stats`` (EVT002).
 EVENT_TYPES = frozenset({
     "get",                # demand request entered the store
     "hit",                # request satisfied by a resident (demand-touched) slot
@@ -68,9 +68,10 @@ class TraceRecord(NamedTuple):
 class Tracer:
     """Bounded, thread-tolerant ring buffer of :class:`TraceRecord`.
 
-    Default-off by construction: components hold ``tracer = None`` until
-    one is attached, and every emission site is guarded by a single
-    ``is None`` test, so an untraced run pays one pointer comparison.
+    Default-off by construction: components hold ``obs = None`` until an
+    :class:`repro.obs.Observer` (which owns the tracer) is attached, and
+    every reporting site is guarded by a single ``is None`` test, so an
+    untraced run pays one pointer comparison.
     """
 
     def __init__(self, capacity: int = 1 << 16) -> None:

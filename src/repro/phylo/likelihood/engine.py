@@ -189,16 +189,10 @@ class LikelihoodEngine:
         # and LRU eviction past _P_CACHE_LIMIT keeps long searches with
         # churning branch lengths from degrading to a cold cache.
         self._p_cache: OrderedDict[float, np.ndarray] = OrderedDict()
-        # Per-phase timers (observability, default off): when a
-        # repro.utils.timing.Stopwatch is attached — normally through
-        # repro.obs.Observer — the engine accumulates "plan" / "kernel" /
-        # "store_wait" laps. A repro.obs.spans.SpanRecorder additionally
-        # captures each lap as a timeline interval, and a
-        # repro.obs.metrics.MetricsRegistry receives store-wait latency
-        # observations. All purely passive; numerics are unaffected.
-        self.timers = None
-        self.spans = None
-        self.metrics = None
+        #: The attached repro.obs.Observer (default off): the engine
+        #: reports each "plan" / "kernel" / "store_wait" lap and every
+        #: execute_plan to it. Purely passive; numerics are unaffected.
+        self.obs = None
         self._schedule_cache = ScheduleCache()
         #: The EngineConfig this engine was built from (set by
         #: EngineConfig.build, None when constructed directly) — what
@@ -363,48 +357,34 @@ class LikelihoodEngine:
 
     def plan(self, u: int, v: int, full: bool = False) -> TraversalPlan:
         """Plan the CLV recomputations needed to evaluate edge ``(u, v)``."""
-        tm, sp = self.timers, self.spans
-        if tm is None and sp is None:
+        ob = self.obs
+        if ob is None:
             return plan_edge_traversal(self.tree, self.orientation, u, v, full)
         t0 = time.perf_counter()
         out = plan_edge_traversal(self.tree, self.orientation, u, v, full)
-        dt = time.perf_counter() - t0
-        if tm is not None:
-            tm.add("plan", dt)
-        if sp is not None:
-            sp.complete("plan", t0, dt, {"steps": len(out.steps)})
+        ob.timed("plan", t0, time.perf_counter() - t0, steps=len(out.steps))
         return out
 
     def _timed_get(self, item: int, pins: tuple = (),
                    write_only: bool = False) -> np.ndarray:
         """``store.get`` with the wait charged to the ``store_wait`` phase."""
-        tm, sp, mx = self.timers, self.spans, self.metrics
-        if tm is None and sp is None and mx is None:
+        ob = self.obs
+        if ob is None:
             return self.store.get(item, pins=pins, write_only=write_only)
         t0 = time.perf_counter()
         out = self.store.get(item, pins=pins, write_only=write_only)
-        dt = time.perf_counter() - t0
-        if tm is not None:
-            tm.add("store_wait", dt)
-        if mx is not None:
-            mx.observe("store_wait_seconds", dt)
-        if sp is not None:
-            sp.complete("store_wait", t0, dt, {"item": int(item)})
+        ob.timed("store_wait", t0, time.perf_counter() - t0, item=int(item))
         return out
 
     def _timed_kernel(self, kernel, *args, **span_args) -> None:
         """``kernel(*args)`` with the time charged to the ``kernel`` phase."""
-        tm, sp = self.timers, self.spans
-        if tm is None and sp is None:
+        ob = self.obs
+        if ob is None:
             kernel(*args)
             return
         k0 = time.perf_counter()
         kernel(*args)
-        k_dt = time.perf_counter() - k0
-        if tm is not None:
-            tm.add("kernel", k_dt)
-        if sp is not None:
-            sp.complete("kernel", k0, k_dt, span_args)
+        ob.timed("kernel", k0, time.perf_counter() - k0, **span_args)
 
     def _schedule(self, plan: TraversalPlan) -> BatchedSchedule:
         return self._schedule_cache.get(
@@ -450,8 +430,8 @@ class LikelihoodEngine:
         schedule = self._schedule(plan)
         if self.prefetcher is not None:
             self.prefetcher.feed(schedule.accesses())
-        sp = self.spans
-        exec_t0 = time.perf_counter() if sp is not None else 0.0
+        ob = self.obs
+        exec_t0 = time.perf_counter() if ob is not None else 0.0
         for gi, group in enumerate(schedule.groups):
             if len(group.members) == 1:
                 self._update_in_place(group.members[0])
@@ -462,13 +442,11 @@ class LikelihoodEngine:
             for m in group.members:
                 if m.last_block:
                     self.orientation.set(m.node, m.toward)
-        if sp is not None:
+        if ob is not None:
             # The enclosing interval: kernel/store_wait spans nest inside
             # it on the compute-thread track of the exported timeline.
-            sp.complete("execute_plan", exec_t0,
-                        time.perf_counter() - exec_t0,
-                        {"steps": len(plan.steps),
-                         "groups": len(schedule.groups)})
+            ob.timed("execute_plan", exec_t0, time.perf_counter() - exec_t0,
+                     steps=len(plan.steps), groups=len(schedule.groups))
 
     def _scale_row(self, m: BatchMember) -> np.ndarray:
         """The scale-count row of ``m``'s block, ready for its rescale.

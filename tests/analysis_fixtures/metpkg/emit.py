@@ -1,18 +1,33 @@
-"""Fixture: registry call sites, one with a typo'd metric name."""
+"""Fixture: report sites and routes, some with a typo'd metric name."""
 
 
-class Registry:
-    def inc(self, name, n=1):
+def Route(**sinks):
+    return sinks
+
+
+ROUTES = {
+    "io": Route(metric="requests_total"),
+    "wait": Route(metric="wait_secs", span=True),  # expect: MET001 -- undeclared target
+}
+
+
+class Observer:
+    def count(self, name, n=1):
         pass
 
-    def gauge_set(self, name, value):
+    def gauge(self, name, value):
         pass
 
-    def observe(self, name, seconds):
+    def totals(self, counters):
         pass
 
 
-def probe(registry, latency):
-    registry.inc("requests_total")
-    registry.gauge_set("slots_ocupied", 3)  # expect: MET001 -- typo'd name
-    registry.observe(latency, 0.5)  # non-literal first arg: never flagged
+def probe(obs, latency, words):
+    obs.count("requests_total")
+    obs.gauge("slots_ocupied", 3)  # expect: MET001 -- typo'd name
+    obs.count(latency)  # non-literal first arg: never flagged
+    words.count("slots_ocupied")  # receiver is not an observer: never flagged
+    obs.totals({
+        "requests_total": 1,
+        "request_total": 1,  # expect: MET001 -- typo'd key
+    })

@@ -21,7 +21,7 @@ from repro.core.compress import (
     make_codec,
 )
 from repro.errors import BackingStoreError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import Observer
 
 SHAPE = (4, 2, 4)
 
@@ -194,17 +194,14 @@ class TestCompressedStore:
         s.close()
 
     def test_metrics_and_probe_wired(self, tmp_path):
-        from repro.obs.histogram import BackingProbe
-
         s = CompressedFileBackingStore(tmp_path / "v.czb", 4, SHAPE)
-        mx = MetricsRegistry()
-        probe = BackingProbe()
-        s.metrics = mx
-        s.probe = probe
+        s.obs = obs = Observer(metrics=True)
+        mx = obs.metrics
         s.write(0, np.full(SHAPE, 2.0))
         s.read(0, np.empty(SHAPE))
         assert mx.value("compress_bytes_raw") == 2 * s.item_bytes
         assert 0 < mx.value("compress_bytes_stored") < 2 * s.item_bytes
+        assert obs.probe.read_hist.count == obs.probe.write_hist.count == 1
         s.close()
 
     def test_float32_roundtrip(self, tmp_path):
@@ -313,10 +310,10 @@ class TestHeapCompactor:
         s.close()
 
     def test_metrics_track_leak_and_compaction(self, tmp_path):
-        mx = MetricsRegistry()
         s = CompressedFileBackingStore(tmp_path / "v.czb", 8, SHAPE,
                                        compact_threshold=None)
-        s.metrics = mx
+        s.obs = Observer(metrics=True)
+        mx = s.obs.metrics
         _fragment(s, 8)
         assert mx.value("compress_heap_leaked_bytes") == s.leaked_bytes > 0
         s.compact()

@@ -27,7 +27,7 @@ from repro.core.faults import (
 from repro.core.stats import DEMAND_COUNTERS, EVICTION_COUNTERS
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import BackingStoreError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import Observer
 
 SHAPE = (4, 2, 4)
 
@@ -238,13 +238,13 @@ class TestRetryingBackingStore:
             RetryingBackingStore(MemoryBackingStore(2, SHAPE), retries=-1)
 
     def test_metrics_counters_wired(self):
-        mx = MetricsRegistry()
         injector = FaultInjectingBackingStore(
             MemoryBackingStore(16, SHAPE), seed=FAULT_SEED,
             write_error_rate=0.9)
         store = RetryingBackingStore(injector, retries=64)
-        injector.metrics = mx
-        store.metrics = mx
+        store.obs = Observer(metrics=True)  # lands on the innermost store
+        assert injector.obs is injector.inner.obs is store.obs
+        mx = store.obs.metrics
         for item in range(16):
             store.write(item, np.zeros(SHAPE))
         assert mx.value("backing_faults") == injector.faults_injected > 0

@@ -9,7 +9,6 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.core.tiered import TieredVectorStore
 from repro.errors import OutOfCoreError
 from repro.obs import (
     METRIC_EXPOSITION,
@@ -321,30 +320,12 @@ class TestStoreIntegration:
         try:
             engine.full_traversals(1)
             obs.detach(engine)
-            assert engine.store.metrics is None
-            assert engine.metrics is None
+            assert engine.store.obs is None
+            assert engine.obs is None
             snap = obs.metrics.snapshot()  # stale data kept, no collectors
             assert snap["counters"]["requests"] == 0  # store never scraped in
         finally:
             engine.close()
-
-    def test_tiered_attach_front_door(self):
-        store = TieredVectorStore(12, (4,), device_slots=3, host_slots=7)
-        mx = MetricsRegistry()
-        store.attach_metrics(mx)
-        try:
-            for item in range(8):
-                store.get(item, write_only=True)[:] = item
-            for item in range(8):
-                np.testing.assert_array_equal(store.get(item),
-                                              np.full(4, item))
-            snap = mx.snapshot()
-            assert snap["counters"]["requests"] == store.device_stats.requests
-            assert snap["gauges"]["slots_total"] == store.device.num_slots
-            assert store.metrics is mx
-        finally:
-            store.attach_metrics(None)
-            store.close()
 
 
 class TestMetricsServer:

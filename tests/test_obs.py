@@ -1,23 +1,36 @@
 """Tests for the observability layer (``repro.obs``) and ``repro.profile``.
 
-The central invariant: observation is passive. Attaching a tracer, probe
-or histogram must never change which slots are allocated or any demand
-counter — traced and untraced runs are bit-identical (no prefetch; with a
-prefetch thread the victim choice is scheduling-dependent either way).
+The central invariant: observation is passive. Attaching an observer must
+never change which slots are allocated or any demand counter — traced and
+untraced runs are bit-identical (no prefetch; with a prefetch thread the
+victim choice is scheduling-dependent either way). The second: every
+measurement is reported once, by name, and ``ROUTES`` alone decides which
+sinks record it (``TestReportingSeam``).
 """
 
 import json
+import threading
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro import GTR, LikelihoodEngine
+from repro import (
+    GTR,
+    LikelihoodEngine,
+    RateModel,
+    simulate_alignment,
+    yule_tree,
+)
+from repro.config import EngineConfig
 from repro.core.stats import EVENT_COUNTERS
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import OutOfCoreError
 from repro.obs import (
     ENGINE_PHASES,
     EVENT_TYPES,
+    ROUTES,
     LogHistogram,
     Observer,
     TraceRecord,
@@ -26,6 +39,7 @@ from repro.obs import (
     slot_timeline,
     validate_profile,
 )
+from repro.profile import PARITY_COUNTERS
 from repro.profile import main as profile_main
 
 SHAPE = (4,)
@@ -131,12 +145,14 @@ class TestLogHistogram:
 
 
 class TestStoreTracing:
-    def make_store(self, **kw):
-        return AncestralVectorStore(6, SHAPE, num_slots=3, policy="lru", **kw)
+    def make_store(self, obs=None, **kw):
+        store = AncestralVectorStore(6, SHAPE, num_slots=3, policy="lru", **kw)
+        store.attach(obs)
+        return store
 
     def test_events_mirror_counters(self):
-        tr = Tracer(1 << 12)
-        store = self.make_store(tracer=tr)
+        store = self.make_store(Observer(1 << 12))
+        tr = store.obs.tracer
         run_store_workload(store, WORKLOAD)
         store.drain()
         by = tr.by_type()
@@ -149,45 +165,45 @@ class TestStoreTracing:
         assert by.get("evict", 0) == st.writes + st.write_skips
 
     def test_demand_read_records_duration(self):
-        tr = Tracer(1 << 12)
-        store = self.make_store(tracer=tr)
+        store = self.make_store(Observer(1 << 12))
         run_store_workload(store, WORKLOAD)
-        reads = [r for r in tr.records() if r.etype == "demand_read"]
+        reads = [r for r in store.obs.tracer.records()
+                 if r.etype == "demand_read"]
         assert reads
         assert all(r.dur >= 0.0 for r in reads)
 
-    def test_attach_tracer_after_construction(self):
+    def test_attach_after_construction(self):
         store = self.make_store()
         store.get(0)
-        tr = Tracer(64)
-        store.attach_tracer(tr)
-        assert store.tracer is tr
+        obs = Observer(64)
+        store.attach(obs)
+        assert store.obs is store.backing.obs is obs
         store.get(1)
-        assert tr.by_type().get("get") == 1
-        store.attach_tracer(None)
+        assert obs.tracer.by_type().get("get") == 1
+        store.attach(None)
         store.get(2)
-        assert tr.emitted == len([r for r in tr.records()])
+        assert obs.tracer.by_type().get("get") == 1
 
     def test_tracing_is_passive(self):
         """Bit-identical counters traced vs untraced (no prefetch)."""
         bare = self.make_store()
         run_store_workload(bare, WORKLOAD)
         bare.drain()
-        traced = self.make_store(tracer=Tracer(1 << 12))
+        traced = self.make_store(Observer(1 << 12))
         run_store_workload(traced, WORKLOAD)
         traced.drain()
         assert traced.stats._counters() == bare.stats._counters()
 
     def test_writeback_events(self):
-        tr = Tracer(1 << 12)
         store = AncestralVectorStore(8, SHAPE, num_slots=2, policy="lru",
-                                     writeback_depth=2, tracer=tr)
+                                     writeback_depth=2)
+        store.attach(Observer(1 << 12))
         try:
             run_store_workload(store, WORKLOAD)
             store.drain()
         finally:
             store.close()
-        by = tr.by_type()
+        by = store.obs.tracer.by_type()
         # every eviction write is staged exactly once (coalesced or fresh)
         assert by.get("writeback_enqueue", 0) == store.stats.writes
         assert by.get("writeback_drain", 0) == store.stats.writeback_writes
@@ -203,14 +219,10 @@ class TestObserver:
         eng = self.build(small_tree, small_alignment, small_model)
         obs = Observer(capacity=1 << 12)
         obs.attach(eng)
-        assert eng.timers is obs.timers
-        assert eng.store.tracer is obs.tracer
-        assert eng.store.backing.probe is obs.probe
+        assert eng.obs is eng.store.obs is eng.store.backing.obs is obs
         eng.full_traversals(1)
         obs.detach(eng)
-        assert eng.timers is None
-        assert eng.store.tracer is None
-        assert eng.store.backing.probe is None
+        assert eng.obs is eng.store.obs is eng.store.backing.obs is None
 
     def test_phase_timers_populate(self, small_tree, small_alignment,
                                    small_model):
@@ -272,6 +284,161 @@ class TestObserver:
         summary = obs.event_summary()
         assert summary["emitted"] == summary["captured"] + summary["dropped"]
         assert set(summary["by_type"]) <= EVENT_TYPES
+
+
+def routes_table():
+    """``ROUTES`` rendered as the markdown table DESIGN.md carries."""
+    def cell(value):
+        return f"`{value}`" if value else "—"
+
+    rows = ["| reported name | tracer event | latency histogram "
+            "| catalogue histogram | span | phase timer "
+            "| per-shard counters |",
+            "|---|---|---|---|---|---|---|"]
+    for name, route in ROUTES.items():
+        hist = {"read": "probe.read_hist", "write": "probe.write_hist",
+                "drain": "drain_hist", None: None}[route.hist]
+        shard = (f"`{route.ops}` +1, `{route.bytes}` +nbytes"
+                 if route.ops else "—")
+        rows.append(f"| `{name}` | {cell(route.event)} | {cell(hist)} "
+                    f"| {cell(route.metric)} | {'yes' if route.span else '—'} "
+                    f"| {cell(route.timer)} | {shard} |")
+    return "\n".join(rows)
+
+
+class CountingObserver(Observer):
+    """An observer that also tallies what was reported, by name."""
+
+    def __init__(self):
+        super().__init__(capacity=1 << 18, metrics=True, spans=True)
+        self.reports = Counter()
+        self._tally = threading.Lock()  # reports arrive from I/O threads too
+
+    def event(self, name, item=-1, slot=-1):
+        with self._tally:
+            self.reports[name] += 1
+        super().event(name, item, slot)
+
+    def timed(self, name, t0, dt, **kw):
+        with self._tally:
+            self.reports[name] += 1
+        super().timed(name, t0, dt, **kw)
+
+
+class TestReportingSeam:
+    """One ``obs`` per component, one report per measurement, and
+    ``ROUTES`` — nothing else — decides which sinks record it."""
+
+    PIPELINES = {"sync": {}, "async": {"writeback_depth": 4,
+                                       "prefetch_depth": 2}}
+
+    @pytest.fixture(scope="class")
+    def dataset(self, small_model):
+        """32 taxa: at 3 slots a full traversal re-reads evicted children
+        (the shared 10-taxon tree never does)."""
+        tree = yule_tree(32, seed=3)
+        rates = RateModel.gamma(0.8, 4)
+        return tree, simulate_alignment(tree, small_model, 120, rates=rates,
+                                        seed=1), small_model, rates
+
+    @staticmethod
+    def run(config, dataset, workdir, obs=None):
+        tree, alignment, model, rates = dataset
+        engine = config.build(tree.copy(), alignment, model, rates,
+                              workdir=workdir)
+        try:
+            if obs is not None:
+                obs.attach(engine)
+            engine.full_traversals(2)
+            engine.store.drain()
+            snapshot = obs.metrics.snapshot() if obs is not None else None
+            return engine, dict(engine.stats.as_row()), snapshot
+        finally:
+            if obs is not None:
+                obs.detach(engine)
+            engine.close()
+
+    def test_design_table_is_the_routing_table(self):
+        """DESIGN.md documents the policy by quoting it: regenerate with
+        ``print(tests.test_obs.routes_table())`` when ``ROUTES`` changes."""
+        design = Path(__file__).resolve().parents[1] / "DESIGN.md"
+        assert routes_table() in design.read_text()
+
+    @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+    @pytest.mark.parametrize("backing",
+                             ["memory", "file", "compressed", "sharded"])
+    def test_every_report_reaches_every_routed_sink(
+            self, tmp_path, dataset, backing, pipeline):
+        config = EngineConfig(num_slots=3, policy="lru", backing=backing,
+                              shards=2, **self.PIPELINES[pipeline])
+        (tmp_path / "bare").mkdir()
+        (tmp_path / "seen").mkdir()
+        _, bare, _ = self.run(config, dataset, tmp_path / "bare")
+        obs = CountingObserver()
+        engine, seen, snapshot = self.run(config, dataset, tmp_path / "seen",
+                                          obs)
+
+        # (i) passivity: observing changed nothing the store decided.
+        # PARITY_COUNTERS is DEMAND | EVICTION; the queue-timing counters
+        # are scheduling noise on the asynchronous rows, observed or not.
+        for key in PARITY_COUNTERS:
+            assert seen[key] == bare[key], key
+        if pipeline == "sync":
+            assert seen == bare
+
+        # (ii) completeness: what each sink holds is exactly what ROUTES
+        # sends it, summed over the names that were reported.
+        reports = obs.reports
+        transfer = "shard" if backing == "sharded" else "backing"
+        expected = {"get", "miss", "evict", "demand_read", "plan", "kernel",
+                    "store_wait", "execute_plan", f"{transfer}_read",
+                    f"{transfer}_write"}
+        if pipeline == "async":
+            expected |= {"writeback_enqueue", "writeback_drain",
+                         "prefetch_load"}
+        assert expected <= set(reports) <= set(ROUTES)
+
+        def routed(field, target=True):
+            return sum(n for name, n in reports.items()
+                       if getattr(ROUTES[name], field) == target)
+
+        assert obs.tracer.dropped == 0
+        by_type = obs.tracer.by_type()
+        for etype in {ROUTES[name].event for name in reports} - {None}:
+            assert by_type.get(etype, 0) == routed("event", etype), etype
+        assert obs.probe.read_hist.count == routed("hist", "read")
+        assert obs.probe.write_hist.count == routed("hist", "write")
+        assert obs.drain_hist.count == routed("hist", "drain")
+        for phase in ENGINE_PHASES:
+            assert obs.timers.count(phase) == routed("timer", phase), phase
+        histograms = snapshot["histograms"]
+        for metric in {ROUTES[name].metric for name in reports} - {None}:
+            assert histograms[metric]["count"] == routed("metric", metric), \
+                metric
+        for field in ("ops", "bytes"):
+            for metric in {getattr(ROUTES[name], field)
+                           for name in reports} - {None}:
+                per_op = 1 if field == "ops" else engine.store.item_bytes
+                assert (obs.metrics.labeled_sum(metric)
+                        == per_op * routed(field, metric)), metric
+        span_names = obs.spans.by_name()
+        assert obs.spans.dropped == 0
+        for name, n in reports.items():
+            assert span_names.get(name, 0) == (n if ROUTES[name].span else 0)
+        # ... and the sinks agree with the authoritative counters.
+        assert obs.probe.read_hist.count == engine.stats.physical_reads
+        assert obs.probe.write_hist.count == engine.stats.physical_writes
+        assert reports["store_wait"] == reports["get"] == seen["requests"]
+        assert reports["writeback_drain"] == seen["writeback_writes"]
+
+        # (iii) detach left no observer and no collector behind.
+        innermost = engine.store.backing
+        while hasattr(innermost, "inner"):
+            innermost = innermost.inner
+        for component in (engine, engine.store, engine.store.writeback,
+                          engine.prefetcher, engine.store.backing, innermost):
+            assert component is None or component.obs is None
+        assert obs.metrics._collectors == []
 
 
 class TestExporters:

@@ -295,18 +295,18 @@ class TestCleanTreeGate:
         rc.assert_clean()
 
     def test_metrics_scrape_race_free(self):
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs import Observer
         from repro.obs.server import MetricsServer
         from urllib.request import urlopen
 
         with sanitizer() as rc, InterleaveFuzzer(0):
             tree, aln, model, rates = _paper_dataset()
-            registry = MetricsRegistry()
+            obs = Observer(metrics=True)
             eng = LikelihoodEngine(tree.copy(), aln, model, rates,
                                    num_slots=5, writeback_depth=4)
             try:
-                eng.store.attach_metrics(registry)
-                with MetricsServer(registry) as server:
+                eng.store.attach(obs)
+                with MetricsServer(obs.metrics) as server:
                     eng.full_traversals(1)
                     body = urlopen(server.url, timeout=10).read()
                     assert b"repro_requests" in body

@@ -18,7 +18,7 @@ from repro.core.sharded import ShardedBackingStore
 from repro.core.stats import DEMAND_COUNTERS, EVICTION_COUNTERS
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import BackingStoreError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import MetricsRegistry, Observer
 
 SHAPE = (4, 2, 4)
 
@@ -217,7 +217,7 @@ class TestCrashRecovery:
     def test_restart_metric_and_per_shard_counts(self, tmp_path):
         mx = MetricsRegistry()
         st = ShardedBackingStore(tmp_path / "sh", 10, SHAPE, num_shards=2)
-        st.metrics = mx
+        st.obs = Observer(metrics=mx)
         try:
             _fill(st, 10)
             st.flush()
@@ -347,7 +347,7 @@ class TestLabeledMetrics:
         n = 14
         mx = MetricsRegistry()
         st = ShardedBackingStore(tmp_path / "sh", n, SHAPE, num_shards=4)
-        st.metrics = mx
+        st.obs = Observer(metrics=mx)
         try:
             _fill(st, n)
             out = np.empty(SHAPE)
@@ -372,7 +372,7 @@ class TestLabeledMetrics:
     def test_prometheus_exposition_has_shard_labels(self, tmp_path):
         mx = MetricsRegistry()
         st = ShardedBackingStore(tmp_path / "sh", 6, SHAPE, num_shards=2)
-        st.metrics = mx
+        st.obs = Observer(metrics=mx)
         try:
             _fill(st, 6)
             text = mx.to_prometheus()

@@ -249,7 +249,7 @@ class TestEngineIntegration:
             backing=SimulatedDiskBackingStore(12, (4,)))
         sp = SpanRecorder()
         pf = ThreadedPrefetcher(store, depth=3)
-        pf.spans = sp
+        pf.obs = Observer(spans=sp)
         try:
             for i in range(12):
                 store.get(i, write_only=True)[:] = i
@@ -302,6 +302,6 @@ class TestEngineIntegration:
             n = obs.spans.emitted
             engine.full_traversals(1)
             assert obs.spans.emitted == n
-            assert engine.spans is None
+            assert engine.obs is None
         finally:
             engine.close()

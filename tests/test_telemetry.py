@@ -2,7 +2,7 @@
 worker-side probes pulled over OP_TELEMETRY, and wire-level trace links.
 
 The contract under test (PR 10): arming is pay-for-play (a worker with
-no observability sink attached records nothing), pulls carry deltas
+no observer attached records nothing), pulls carry deltas
 (repeated scrapes never double-count), worker histogram counts equal the
 client-side completion counts bit-exactly, and every worker disk span
 names the client request span that caused it so the merged Chrome trace
@@ -14,10 +14,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import GTR, RateModel, simulate_alignment, yule_tree
+from repro.config import EngineConfig
 from repro.core.sharded import ShardedBackingStore
 from repro.errors import OutOfCoreError
-from repro.obs import MetricsRegistry, SpanRecorder
+from repro.obs import MetricsRegistry, Observer, SpanRecorder
 from repro.obs.histogram import BackingProbe, LogHistogram
+from repro.phylo.likelihood.engine import clv_geometry
+from repro.profile import _find_sharded
 
 SHAPE = (4, 2, 4)
 N_ITEMS = 12
@@ -104,7 +108,7 @@ class TestWorkerPull:
     def test_armed_counts_match_client_completions(self, tmp_path):
         st = _make_store(tmp_path)
         try:
-            st.probe = BackingProbe()  # arms every worker
+            st.obs = obs = Observer()  # arms every worker
             writes, reads = _do_ops(st)
             st.collect_telemetry()
             # the bit-exact cross-check --attribution and the bench rely on
@@ -118,15 +122,15 @@ class TestWorkerPull:
             assert st.reply_read_hist.count == reads
             assert st.reply_write_hist.count == writes
             # and the client-side probe saw the same ops
-            assert st.probe.read_hist.count == reads
-            assert st.probe.write_hist.count == writes
+            assert obs.probe.read_hist.count == reads
+            assert obs.probe.write_hist.count == writes
         finally:
             st.close()
 
     def test_repeated_pulls_never_double_count(self, tmp_path):
         st = _make_store(tmp_path)
         try:
-            st.probe = BackingProbe()
+            st.obs = Observer()
             writes, reads = _do_ops(st)
             for _ in range(3):
                 st.collect_telemetry()
@@ -138,7 +142,7 @@ class TestWorkerPull:
     def test_close_drains_the_final_delta(self, tmp_path):
         st = _make_store(tmp_path)
         try:
-            st.probe = BackingProbe()
+            st.obs = Observer()
             writes, reads = _do_ops(st)
         finally:
             st.close()
@@ -149,10 +153,10 @@ class TestWorkerPull:
     def test_disarm_stops_worker_recording(self, tmp_path):
         st = _make_store(tmp_path)
         try:
-            st.probe = BackingProbe()
+            st.obs = Observer()
             writes, reads = _do_ops(st)
             st.collect_telemetry()
-            st.probe = None  # disarms the workers
+            st.obs = None  # disarms the workers
             _do_ops(st)
             st.collect_telemetry()
             assert st.worker_probe.read_hist.count == reads
@@ -166,7 +170,7 @@ class TestMetricsIntegration:
         st = _make_store(tmp_path)
         mx = MetricsRegistry()
         try:
-            st.metrics = mx  # registers the collector and arms workers
+            st.obs = Observer(metrics=mx)  # registers the collector, arms workers
             writes, reads = _do_ops(st)
             snap = mx.snapshot()  # scrape: gauges + OP_TELEMETRY pull
             hists = snap["histograms"]
@@ -185,7 +189,7 @@ class TestMetricsIntegration:
         st = _make_store(tmp_path)
         mx = MetricsRegistry()
         try:
-            st.metrics = mx
+            st.obs = Observer(metrics=mx)
             _do_ops(st)
             labeled = mx.snapshot()["labeled"]
             want = {f'shard="{s}"' for s in range(SHARDS)}
@@ -202,7 +206,7 @@ class TestSpanLinks:
         st = _make_store(tmp_path)
         sp = SpanRecorder()
         try:
-            st.spans = sp  # arms workers, enables trace-context headers
+            st.obs = Observer(spans=sp)  # arms workers, enables trace headers
             writes, reads = _do_ops(st)
             st.collect_telemetry()
             exported = st.export_spans_into(sp)
@@ -232,7 +236,7 @@ class TestSpanLinks:
         st = _make_store(tmp_path)
         sp = SpanRecorder()
         try:
-            st.spans = sp
+            st.obs = Observer(spans=sp)
             with st.trace_scope(4242):
                 st.write(0, np.zeros(SHAPE))
             st.write(1, np.zeros(SHAPE))  # outside the scope
@@ -247,7 +251,7 @@ class TestSpanLinks:
         st = _make_store(tmp_path)
         sp = SpanRecorder()
         try:
-            st.spans = sp
+            st.obs = Observer(spans=sp)
             writes, reads = _do_ops(st)
             st.collect_telemetry()
             st.export_spans_into(sp)
@@ -262,3 +266,72 @@ class TestSpanLinks:
         assert len(flows) == 2 * (reads + writes)
         assert all(e["pid"] == 1 for e in flows if e["ph"] == "s")
         assert all(e["pid"] != 1 for e in flows if e["ph"] == "f")
+
+
+class TestWrappedShardedStore:
+    """The one ``obs`` is forwarded to ``inner`` by every wrapper, so a
+    sharded store keeps its client spans (and its workers stay parented)
+    however deep it sits — with per-sink plumbing the wrappers forwarded
+    ``probe``/``metrics`` only and every shard span was lost."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        # 32 taxa: at 3 slots a full traversal re-reads evicted children.
+        tree = yule_tree(32, seed=3)
+        model = GTR((1.0, 2.5, 1.2, 0.8, 3.0, 1.0), (0.3, 0.2, 0.25, 0.25))
+        rates = RateModel.gamma(0.8, 4)
+        return tree, simulate_alignment(tree, model, 120, rates=rates,
+                                        seed=1), model, rates
+
+    @staticmethod
+    def shard_spans(config, dataset, tmp_path, wrap=None):
+        """Run traced; ``(worker spans, {client span id: name})``, the
+        client spans already checked against the physical I/O counters."""
+        tree, alignment, model, rates = dataset
+        backing = None
+        if wrap is not None:
+            backing = wrap(ShardedBackingStore(
+                tmp_path / "sh", *clv_geometry(tree, alignment, model, rates),
+                num_shards=config.shards))
+        engine = config.build(tree.copy(), alignment, model, rates,
+                              workdir=tmp_path, backing=backing)
+        obs = Observer(metrics=True, spans=True).attach(engine)
+        try:
+            engine.full_traversals(2)
+            engine.store.drain()
+            physical = (engine.stats.physical_reads,
+                        engine.stats.physical_writes)
+            sharded = _find_sharded(engine.store.backing)
+            assert sharded.obs is obs
+            sharded.collect_telemetry()
+            assert sharded.export_spans_into(obs.spans) == sum(physical)
+        finally:
+            engine.close()
+        client = {r.span_id: r.name for r in obs.spans.records()
+                  if r.name in ("shard_read", "shard_write")}
+        workers = [rec for _name, records, _off in obs.spans.tracks()
+                   for rec in records]
+        names = list(client.values())
+        assert (names.count("shard_read"), names.count("shard_write")) \
+            == physical
+        assert min(physical) > 0
+        return workers, client
+
+    @pytest.mark.parametrize("wrapper",
+                             ["none", "retrying", "fault-injecting"])
+    def test_client_spans_recorded_and_worker_parents_resolve(
+            self, tmp_path, dataset, wrapper):
+        from repro.core.faults import FaultInjectingBackingStore
+
+        config = EngineConfig(num_slots=3, policy="lru", backing="sharded",
+                              shards=SHARDS, writeback_depth=4,
+                              backing_retries=2 if wrapper == "retrying" else 0)
+        # all fault rates 0: a pure pass-through wrapper
+        wrap = (FaultInjectingBackingStore if wrapper == "fault-injecting"
+                else None)
+        workers, client = self.shard_spans(config, dataset, tmp_path, wrap)
+        pair = {"shard_disk_read": "shard_read",
+                "shard_disk_write": "shard_write"}
+        assert len(workers) == len(client)
+        for rec in workers:
+            assert client[rec.parent] == pair[rec.name]
