@@ -16,19 +16,88 @@ We add two more for ablations: **FIFO** (classic baseline) and **Belady**
 (the clairvoyant optimum, usable only when the future access trace is
 known — see :mod:`repro.core.trace`).
 
-A policy never sees pinned items: the store filters the candidate list
-first, enforcing the paper's constraint that the up-to-three vectors of the
-current pruning step stay resident.
+A policy never sees pinned items: the store hands it only the *evictable*
+residents, enforcing the paper's constraint that the up-to-three vectors of
+the current pruning step stay resident. What it hands over is an
+:class:`EvictableView` — "resident minus excluded", never materialised —
+so a miss costs the policy's own bookkeeping and nothing per resident item:
+LRU and FIFO keep their items in eviction order and return the first one
+that is ``in candidates``; CLOCK probes the items under its hand; Random,
+LFU, Topological and Belady iterate the view (slot order), which is the
+O(m) search their definition asks for. A plain ``list`` is accepted
+everywhere a view is.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from itertools import filterfalse, islice
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import OutOfCoreError
 from repro.utils.rng import as_rng
+
+
+class EvictableView(Sequence[int]):
+    """The victim candidates of one miss: resident items minus ``excluded``.
+
+    A read-only window onto a slot arena's two-way maps — ``slot_item``
+    (slot → item, ``-1`` = free) and ``item_slot`` (resident item → slot) —
+    built in O(len(excluded)). ``len`` and ``in`` are O(1); iteration and
+    indexing run in slot order, skipping free slots and excluded items.
+    ``excluded`` may name non-resident items (a pin on a vector that is on
+    disk protects nothing and is not counted). Valid only while the maps
+    do not change, i.e. for the one ``choose_victim`` call it is built for.
+    """
+
+    __slots__ = ("_slot_item", "_item_slot", "_skip", "_len")
+
+    def __init__(self, slot_item: Sequence[int], item_slot: Mapping[int, int],
+                 excluded: Iterable[int]) -> None:
+        skip = set(excluded)
+        self._len = len(item_slot) - len(item_slot.keys() & skip)
+        skip.add(-1)  # a free slot's entry
+        self._slot_item = slot_item
+        self._item_slot = item_slot
+        self._skip = skip
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __contains__(self, item: object) -> bool:
+        return item in self._item_slot and item not in self._skip
+
+    def __iter__(self) -> Iterator[int]:
+        return filterfalse(self._skip.__contains__, self._slot_item)
+
+    def __getitem__(self, index: Any) -> Any:  # integer indices only
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("EvictableView index out of range")
+        return next(islice(iter(self), index, None))
+
+
+def _first_in_order(order: Mapping[int, int],
+                    candidates: Sequence[int]) -> int:
+    """The candidate with the smallest stamp, first-wins on ties.
+
+    ``order`` maps item → stamp with its keys *in stamp order* (a dict
+    re-inserted on every stamp); an item without an entry counts as
+    stamp ``-1``. When every candidate has an entry, the answer is the
+    first key that is ``in candidates`` — found after skipping only the
+    entries of non-candidates (pins, in-flight loads). That shortcut is
+    taken for an :class:`EvictableView`, whose builder guarantees every
+    candidate was announced to the policy; anything else (a plain list:
+    O(n) membership, and no such guarantee), a view longer than the order,
+    or an order holding no candidate at all gets the argmin scan.
+    """
+    if isinstance(candidates, EvictableView) and len(candidates) <= len(order):
+        for item in order:
+            if item in candidates:
+                return item
+    return min(candidates, key=lambda it: order.get(it, -1))
 
 
 class ReplacementPolicy:
@@ -54,6 +123,16 @@ class ReplacementPolicy:
         """Pick the resident item to evict; ``candidates`` is non-empty."""
         raise NotImplementedError
 
+    def ordered_items(self) -> Iterable[int] | None:
+        """The items whose eviction order this policy keeps, or ``None``.
+
+        An order-keeping policy finds its victim without looking at every
+        candidate, which is only right while it tracks every resident
+        whose load has completed and nothing else;
+        :meth:`AncestralVectorStore.validate` checks exactly that.
+        """
+        return None
+
     def reset(self) -> None:
         """Forget all bookkeeping (store re-initialization)."""
 
@@ -74,18 +153,20 @@ class LruPolicy(ReplacementPolicy):
     """Least-Recently-Used: evict the oldest access time-stamp.
 
     The paper keeps "a list of n time-stamps" and searches only among
-    resident vectors; we keep a logical clock per item and take the argmin
-    over the candidate list.
+    resident vectors; we keep a logical clock per item in a dict that is
+    re-inserted on every access, so its keys are in recency order and the
+    victim is the first one that is a candidate (:func:`_first_in_order`).
     """
 
     name = "lru"
 
     def __init__(self) -> None:
         self._clock = 0
-        self._stamp: dict[int, int] = {}
+        self._stamp: dict[int, int] = {}  # keys in stamp order
 
     def on_access(self, item: int, write_only: bool) -> None:
         self._clock += 1
+        self._stamp.pop(item, None)
         self._stamp[item] = self._clock
 
     def on_evict(self, item: int) -> None:
@@ -95,7 +176,10 @@ class LruPolicy(ReplacementPolicy):
         self._stamp.pop(item, None)
 
     def choose_victim(self, candidates: Sequence[int], requested: int) -> int:
-        return min(candidates, key=lambda it: self._stamp.get(it, -1))
+        return _first_in_order(self._stamp, candidates)
+
+    def ordered_items(self) -> Iterable[int] | None:
+        return self._stamp
 
     def reset(self) -> None:
         self._clock = 0
@@ -162,17 +246,21 @@ class FifoPolicy(ReplacementPolicy):
 
     def __init__(self) -> None:
         self._clock = 0
-        self._loaded_at: dict[int, int] = {}
+        self._loaded_at: dict[int, int] = {}  # keys in stamp order
 
     def on_load(self, item: int) -> None:
         self._clock += 1
+        self._loaded_at.pop(item, None)
         self._loaded_at[item] = self._clock
 
     def on_evict(self, item: int) -> None:
         self._loaded_at.pop(item, None)
 
     def choose_victim(self, candidates: Sequence[int], requested: int) -> int:
-        return min(candidates, key=lambda it: self._loaded_at.get(it, -1))
+        return _first_in_order(self._loaded_at, candidates)
+
+    def ordered_items(self) -> Iterable[int] | None:
+        return self._loaded_at
 
     def reset(self) -> None:
         self._clock = 0
@@ -243,17 +331,23 @@ class ClockPolicy(ReplacementPolicy):
             self._referenced[item] = True
 
     def on_evict(self, item: int) -> None:
-        try:
-            idx = self._ring.index(item)
-        except ValueError:
-            return
+        # choose_victim leaves the hand on the item it returned, so the
+        # eviction that follows finds it there without searching the ring.
+        idx = self._hand
+        if not (idx < len(self._ring) and self._ring[idx] == item):
+            try:
+                idx = self._ring.index(item)
+            except ValueError:
+                return
         self._ring.pop(idx)
         if idx < self._hand:
             self._hand -= 1
         self._referenced.pop(item, None)
 
     def choose_victim(self, candidates: Sequence[int], requested: int) -> int:
-        allowed = set(candidates)
+        # O(1) membership either way: the view has it, a plain list does not.
+        allowed = (candidates if isinstance(candidates, EvictableView)
+                   else set(candidates))
         if not self._ring:
             return candidates[0]
         sweeps = 0
@@ -275,6 +369,9 @@ class ClockPolicy(ReplacementPolicy):
             if item in allowed:
                 return item
         return candidates[0]
+
+    def ordered_items(self) -> Iterable[int] | None:
+        return self._ring
 
     def reset(self) -> None:
         self._ring.clear()

@@ -211,8 +211,7 @@ class ThreadedPrefetcher:
         if rc is not None:
             rc.read(self._race_scope, "_schedule", "_base", "_deferred")
             rc.write(self._race_scope, "_last_progress")
-            rc.read(self.store._race_scope, "stats.store", "_item_slot",
-                    "_inflight")
+            rc.read(self.store._race_scope, "stats.store", "_item_slot")
         progress = self.store.stats.requests - self._base
         if progress != self._last_progress:
             self._last_progress = progress
@@ -230,7 +229,7 @@ class ThreadedPrefetcher:
                 continue
             if it in written_first or it in self._deferred:
                 continue
-            if self.store._item_slot[it] >= 0 or it in self.store._inflight:
+            if it in self.store._item_slot:  # resident, or its load is in flight
                 continue
             return it, horizon
         return None

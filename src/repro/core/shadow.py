@@ -25,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.policies import ReplacementPolicy, make_policy
+from repro.core.policies import EvictableView, ReplacementPolicy, make_policy
 from repro.core.stats import IoStats
 from repro.errors import OutOfCoreError, PinnedSlotError
 
@@ -58,9 +58,14 @@ class ShadowStore:
         self.track_dirty = bool(track_dirty)
         self.label = label or f"{policy.name}@m={num_slots}"
         self.stats = IoStats()
-        self._resident: set[int] = set()
+        # The store's own slot bookkeeping, minus the data: free slots are
+        # handed out in the same order and a victim's slot goes to the item
+        # that displaced it, so the candidates a policy sees come in the
+        # same (slot) order as the real store's.
+        self._slot_item: list[int] = [-1] * self.num_slots
+        self._item_slot: dict[int, int] = {}
+        self._free: list[int] = list(range(self.num_slots - 1, -1, -1))
         self._dirty: set[int] = set()  # residents written since their load
-        self._free = self.num_slots
 
     @property
     def fraction(self) -> float:
@@ -69,23 +74,22 @@ class ShadowStore:
     def access(self, item: int, pins: tuple = (), write_only: bool = False) -> None:
         """Observe one ``get()`` event and update counters."""
         self.stats.requests += 1
-        if item in self._resident:
+        if item in self._item_slot:
             self.stats.hits += 1
             if write_only:
                 self._dirty.add(item)
         else:
             self.stats.misses += 1
-            if self._free > 0:
-                self._free -= 1
+            if self._free:
+                slot = self._free.pop()
             else:
-                pinned = set(pins)
-                candidates = [it for it in self._resident if it not in pinned]
+                candidates = EvictableView(self._slot_item, self._item_slot, pins)
                 if not candidates:
                     raise PinnedSlotError(
                         f"shadow {self.label!r}: all {self.num_slots} slots pinned"
                     )
                 victim = int(self.policy.choose_victim(candidates, item))
-                self._resident.discard(victim)
+                slot = self._item_slot.pop(victim)
                 self.policy.on_evict(victim)
                 if self.track_dirty and victim not in self._dirty:
                     self.stats.write_skips += 1
@@ -96,7 +100,8 @@ class ShadowStore:
                 self.stats.read_skips += 1
             else:
                 self.stats.reads += 1
-            self._resident.add(item)
+            self._slot_item[slot] = item
+            self._item_slot[item] = slot
             # The store's load path marks a write-only load dirty and any
             # other load clean (_finish_load); mirror that here.
             if write_only:

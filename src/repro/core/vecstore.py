@@ -9,7 +9,7 @@ vector is at any moment either resident in a slot or in the backing store
 ====================  =========================================
 paper                 here
 ====================  =========================================
-``itemvector[i]``     ``item_slot[i]`` (-1 ⇒ on disk at offset ``i·w``)
+``itemvector[i]``     ``item_slot[i]`` (absent ⇒ on disk at offset ``i·w``)
 ``item_in_mem[s]``    ``slot_item[s]`` (-1 ⇒ slot free)
 ``getxvector(i,j,k)`` ``get(i, pins=(j, k))``
 ``skipreads``         ``read_skipping`` constructor flag
@@ -52,6 +52,7 @@ import math
 import os
 import threading
 import time
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterable
 import weakref
 
@@ -61,7 +62,7 @@ from numpy.typing import DTypeLike
 from repro.analysis.race import make_condition, make_lock, race_detector
 from repro.core.backing import BackingStore, MemoryBackingStore
 from repro.core.layout import StorageLayout, WholeVectorLayout
-from repro.core.policies import ReplacementPolicy, make_policy
+from repro.core.policies import EvictableView, ReplacementPolicy, make_policy
 from repro.core.stats import IoStats
 from repro.core.writebehind import WriteBehindQueue
 from repro.errors import BorrowError, OutOfCoreError, PinnedSlotError
@@ -286,8 +287,12 @@ class AncestralVectorStore:
         # by the thread that holds it in-flight or by the compute thread while
         # the mapping says so (see the module docstring's thread model).
         self._slots = np.zeros((self.num_slots, *self.item_shape), dtype=self.dtype)
-        self._slot_item = np.full(self.num_slots, -1, dtype=np.int64)   # guarded-by: _lock  (item_in_mem)
-        self._item_slot = np.full(self.num_items, -1, dtype=np.int64)   # guarded-by: _lock  (itemvector)
+        # The two-way maps hold plain Python ints (they are read on every
+        # ``get``). ``_item_slot`` has an entry per *resident* item only, so
+        # it is also the resident set: updated in ``_publish``, ``_evict``
+        # and ``_unpublish``, never rebuilt.
+        self._slot_item: list[int] = [-1] * self.num_slots  # guarded-by: _lock  (item_in_mem)
+        self._item_slot: dict[int, int] = {}  # guarded-by: _lock  (itemvector)
         self._dirty = np.zeros(self.num_slots, dtype=bool)  # guarded-by: _lock
         self._free: list[int] = list(range(self.num_slots - 1, -1, -1))  # guarded-by: _lock
         self._ever_stored = np.zeros(self.num_items, dtype=bool)  # guarded-by: _lock
@@ -401,14 +406,14 @@ class AncestralVectorStore:
         with self._cond:
             if rc is not None:
                 rc.read(self._race_scope, "_item_slot")
-            return bool(self._item_slot[item] >= 0)
+            return item in self._item_slot
 
     def resident_items(self) -> list[int]:
         rc = self._race
         with self._cond:
             if rc is not None:
                 rc.read(self._race_scope, "_slot_item")
-            return [int(i) for i in self._slot_item if i >= 0]
+            return [i for i in self._slot_item if i >= 0]
 
     def ram_bytes(self) -> int:
         """Bytes the slot arena occupies — the paper's ``m · w`` budget."""
@@ -440,21 +445,24 @@ class AncestralVectorStore:
             self._check_item(p)
         ob = self.obs
         rc = self._race
-        with self._cond:
-            if rc is not None:
-                rc.write(self._race_scope, "stats.store", "_active_pins")
-            self.stats.requests += 1
-            if ob is not None:
-                ob.event("get", item)
-            self._active_pins = {item, *(int(p) for p in pins)}
-            self._cond.notify_all()  # progress signal for a prefetch thread
-
+        announced = False
         while True:
             wait_ev = None
             with self._cond:
+                if not announced:
+                    # Once per request, under the same lock hold as the
+                    # lookup (re-entered only after waiting on a load).
+                    announced = True
+                    if rc is not None:
+                        rc.write(self._race_scope, "stats.store", "_active_pins")
+                    self.stats.requests += 1
+                    if ob is not None:
+                        ob.event("get", item)
+                    self._active_pins = {item, *(int(p) for p in pins)}
+                    self._cond.notify_all()  # progress signal for a prefetch thread
                 if rc is not None:
                     rc.read(self._race_scope, "_item_slot", "_inflight")
-                slot = int(self._item_slot[item])
+                slot = self._item_slot.get(item, -1)
                 ev = self._inflight.get(item)
                 if ev is None and slot >= 0:
                     return self._account_hit(item, slot, write_only)
@@ -493,12 +501,9 @@ class AncestralVectorStore:
                 # failed swap-in cannot leak capacity (the evicted victim
                 # was staged/written out before the read was attempted).
                 with self._cond:
+                    self._unpublish(item, slot)
                     if rc is not None:
-                        rc.write(self._race_scope, "_item_slot", "_slot_item",
-                                 "_free", "_inflight")
-                    self._item_slot[item] = -1
-                    self._slot_item[slot] = -1
-                    self._free.append(slot)
+                        rc.write(self._race_scope, "_inflight")
                     done = self._inflight.pop(item, None)
                     if done is not None:
                         done.set()
@@ -613,6 +618,19 @@ class AncestralVectorStore:
         self._item_slot[item] = slot
         self._dirty[slot] = False
 
+    def _unpublish(self, item: int, slot: int) -> None:  # holds: _cond
+        """Roll back ``_publish`` after a failed load: the slot is free again.
+
+        The policy never heard of ``item`` (``on_load`` follows a
+        successful read), so there is nothing to tell it.
+        """
+        rc = self._race
+        if rc is not None:
+            rc.write(self._race_scope, "_slot_item", "_item_slot", "_free")
+        del self._item_slot[item]
+        self._slot_item[slot] = -1
+        self._free.append(slot)
+
     def _read_into_slot(self, item: int, slot: int) -> bool:
         """Fill a slot from the staging buffer or the backing store.
 
@@ -633,7 +651,7 @@ class AncestralVectorStore:
             if rc is not None:
                 rc.read(self._race_scope, "_item_slot")
                 rc.write(self._race_scope, "_dirty", "_ever_stored")
-            slot = self._item_slot[item]
+            slot = self._item_slot.get(item, -1)
             if slot < 0:
                 raise OutOfCoreError(f"item {item} is not resident")
             self._dirty[slot] = True
@@ -676,7 +694,7 @@ class AncestralVectorStore:
                     rc.read(self._race_scope, "_inflight", "_item_slot")
                 wait_ev = self._inflight.get(item)
                 if wait_ev is None:
-                    slot = int(self._item_slot[item])
+                    slot = self._item_slot.get(item, -1)
                     if slot >= 0:
                         if rc is not None:
                             rc.write(self._race_scope, "_dirty", "_ever_stored")
@@ -711,26 +729,41 @@ class AncestralVectorStore:
         rc = self._race
         if rc is not None:
             rc.write(self._race_scope, "_free")
-            rc.read(self._race_scope, "_slot_item", "_inflight")
         if self._free:
             return self._free.pop()
-        excluded = {int(p) for p in pins} | set(self._inflight)
-        candidates = [int(i) for i in self._slot_item
-                      if i >= 0 and int(i) not in excluded]
+        candidates = self._evictable(pins)
         if not candidates:
+            # Pins hold slots only while resident, and a prefetch load in
+            # flight holds one without being a pin: name the two apart so
+            # the slot count advised is the one that would have sufficed.
+            loading = sorted(self._inflight)
+            pinned = sorted({int(p) for p in pins if p in self._item_slot}
+                            - set(loading))
+            held = f"pins={pinned}"
+            need = f"{len(pinned) + 1} slots"
+            if loading:
+                held += f", in-flight loads={loading}"
+                need += (f" for this request plus {len(loading)} for the "
+                         f"loads in flight")
             raise PinnedSlotError(
-                f"all {self.num_slots} slots pinned while requesting item {item} "
-                f"(pins={sorted(excluded)}); the store needs at least "
-                f"{len(excluded) + 1} slots"
-            )
+                f"all {self.num_slots} slots pinned while requesting item "
+                f"{item} ({held}); the store needs at least {need}")
         victim = int(self.policy.choose_victim(candidates, item))
         if victim not in candidates:
             raise OutOfCoreError(
                 f"policy {self.policy.name!r} chose non-candidate victim {victim}"
             )
-        vslot = int(self._item_slot[victim])
+        vslot = self._item_slot[victim]
         self._evict(victim, vslot)
         return vslot
+
+    def _evictable(self, *excluded: Iterable[int]) -> EvictableView:  # holds: _cond
+        """The victim candidates: residents minus ``excluded`` and in-flight loads."""
+        rc = self._race
+        if rc is not None:
+            rc.read(self._race_scope, "_slot_item", "_item_slot", "_inflight")
+        return EvictableView(self._slot_item, self._item_slot,
+                             chain(self._inflight, *excluded))
 
     def _evict(self, item: int, slot: int) -> None:  # holds: _cond
         rc = self._race
@@ -750,7 +783,7 @@ class AncestralVectorStore:
             self._write_out(item, slot)
             self.stats.writes += 1
             self.stats.bytes_written += self.item_bytes
-        self._item_slot[item] = -1
+        del self._item_slot[item]
         self._slot_item[slot] = -1
         self._dirty[slot] = False
         self.policy.on_evict(item)
@@ -783,8 +816,8 @@ class AncestralVectorStore:
         rc = self._race
         with self._cond:
             if rc is not None:
-                rc.read(self._race_scope, "_item_slot", "_inflight")
-            if self._item_slot[item] >= 0 or item in self._inflight:
+                rc.read(self._race_scope, "_item_slot")
+            if item in self._item_slot:  # resident, or its load is in flight
                 return False
             slot = self._try_allocate(item, protect)
             if slot is None:
@@ -800,12 +833,9 @@ class AncestralVectorStore:
             from_staging = self._read_into_slot(item, slot)
         except Exception:
             with self._cond:
+                self._unpublish(item, slot)
                 if rc is not None:
-                    rc.write(self._race_scope, "_item_slot", "_slot_item",
-                             "_free", "_inflight")
-                self._item_slot[item] = -1
-                self._slot_item[slot] = -1
-                self._free.append(slot)
+                    rc.write(self._race_scope, "_inflight")
                 self._inflight.pop(item, None)
                 ev.set()
                 self._cond.notify_all()
@@ -837,20 +867,17 @@ class AncestralVectorStore:
         rc = self._race
         if rc is not None:
             rc.write(self._race_scope, "_free")
-            rc.read(self._race_scope, "_slot_item", "_inflight",
-                    "_active_pins", "_prefetched_untouched")
+            rc.read(self._race_scope, "_active_pins", "_prefetched_untouched")
         if self._free:
             return self._free.pop()
-        excluded = ({int(p) for p in protect} | self._active_pins
-                    | set(self._inflight) | self._prefetched_untouched)
-        candidates = [int(i) for i in self._slot_item
-                      if i >= 0 and int(i) not in excluded]
+        candidates = self._evictable(protect, self._active_pins,
+                                     self._prefetched_untouched)
         if not candidates:
             return None
         victim = int(self.policy.choose_victim(candidates, item))
         if victim not in candidates:
             return None
-        vslot = int(self._item_slot[victim])
+        vslot = self._item_slot[victim]
         self._evict(victim, vslot)
         return vslot
 
@@ -871,8 +898,7 @@ class AncestralVectorStore:
             if rc is not None:
                 rc.read(self._race_scope, "_slot_item")
                 rc.write(self._race_scope, "stats.store", "_dirty")
-            for slot in range(self.num_slots):
-                item = int(self._slot_item[slot])
+            for slot, item in enumerate(self._slot_item):
                 if item < 0:
                     continue
                 if not force and self.track_dirty and not self._dirty[slot]:
@@ -908,8 +934,7 @@ class AncestralVectorStore:
             if rc is not None:
                 rc.read(self._race_scope, "_slot_item")
                 rc.write(self._race_scope, "_free")
-            for slot in range(self.num_slots):
-                item = int(self._slot_item[slot])
+            for slot, item in enumerate(self._slot_item):
                 if item >= 0:
                     self._evict(item, slot)
                     self._free.append(slot)
@@ -928,7 +953,7 @@ class AncestralVectorStore:
             self._settle()
             if rc is not None:
                 rc.read(self._race_scope, "_item_slot")
-            slot = self._item_slot[item]
+            slot = self._item_slot.get(item, -1)
             if slot >= 0:
                 return self._slots[slot].copy()
         out = np.empty(self.item_shape, dtype=self.dtype)
@@ -938,24 +963,49 @@ class AncestralVectorStore:
         return out
 
     def validate(self) -> None:
-        """Internal-consistency check of the two-way slot/item maps."""
+        """Internal-consistency check of the slot/item maps and what hangs off them.
+
+        The maps, the free list and the replacement policy's own order are
+        each updated incrementally, on every load, eviction and failed-load
+        rollback; a missed update would not crash, it would skew victim
+        choice. This cross-checks all of them: ``_slot_item`` and
+        ``_item_slot`` are inverse to each other, the free list holds
+        exactly the empty slots, in-flight and prefetched-untouched items
+        are resident, and an order-keeping policy
+        (:meth:`ReplacementPolicy.ordered_items`) tracks exactly the
+        residents whose load has completed.
+        """
         rc = self._race
         with self._cond:
             if rc is not None:
-                rc.read(self._race_scope, "_slot_item", "_item_slot", "_free")
-            for slot in range(self.num_slots):
-                item = int(self._slot_item[slot])
-                if item >= 0 and int(self._item_slot[item]) != slot:
+                rc.read(self._race_scope, "_slot_item", "_item_slot", "_free",
+                        "_inflight", "_prefetched_untouched")
+            for slot, item in enumerate(self._slot_item):
+                if item >= 0 and self._item_slot.get(item, -1) != slot:
                     raise OutOfCoreError(f"slot {slot} ↦ item {item} ↦ slot "
-                                         f"{int(self._item_slot[item])} mismatch")
-            for item in range(self.num_items):
-                slot = int(self._item_slot[item])
-                if slot >= 0 and int(self._slot_item[slot]) != item:
-                    raise OutOfCoreError(f"item {item} ↦ slot {slot} ↦ item "
-                                         f"{int(self._slot_item[slot])} mismatch")
-            resident = sum(1 for i in self._slot_item if i >= 0)
-            if resident + len(self._free) != self.num_slots:
+                                         f"{self._item_slot.get(item, -1)} mismatch")
+            for item, slot in self._item_slot.items():
+                if not (0 <= slot < self.num_slots
+                        and self._slot_item[slot] == item):
+                    raise OutOfCoreError(f"item {item} ↦ slot {slot} mismatch: "
+                                         f"the slot does not map back to it")
+            if (len(self._item_slot) + len(self._free) != self.num_slots
+                    or len(set(self._free)) != len(self._free)
+                    or any(self._slot_item[slot] >= 0 for slot in self._free)):
                 raise OutOfCoreError("free-list/resident accounting mismatch")
+            stray = (self._inflight.keys() | self._prefetched_untouched) \
+                - self._item_slot.keys()
+            if stray:
+                raise OutOfCoreError(
+                    f"in-flight/prefetched items {sorted(stray)} are not resident")
+            order = self.policy.ordered_items()
+            if order is not None:
+                loaded = sorted(self._item_slot.keys() - self._inflight.keys())
+                if sorted(order) != loaded:
+                    raise OutOfCoreError(
+                        f"policy {self.policy.name!r} orders items "
+                        f"{sorted(order)}, out of step with the loaded "
+                        f"residents {loaded}")
 
     def close(self) -> None:
         """Drain pending write-behind traffic and close the backing store."""

@@ -92,6 +92,20 @@ class TestReadFailures:
         # and the evicted victim's data survived the failed swap-in
         np.testing.assert_array_equal(store.read_item(0), 1.0)
 
+    def test_failed_prefetch_read_rolls_back_like_a_failed_demand_read(self):
+        """The other rollback: a prefetch whose read fails leaves no trace."""
+        store, flaky = make_flaky(n=8, m=3)
+        for i in range(3):
+            store.get(i, write_only=True)[:] = float(i + 1)
+        flaky.fail_reads_at = {flaky.read_calls + 1}
+        assert store.prefetch_load(5) is False
+        store.validate()              # maps, free list and LRU order agree
+        assert not store.is_resident(5)
+        assert len(store._free) == 1  # the victim's slot came back
+        flaky.fail_reads_at = set()
+        assert store.prefetch_load(5) is True
+        store.validate()
+
     def test_write_only_path_never_reads(self):
         store, flaky = make_flaky(fail_reads_at=set(range(1, 100)))
         # read skipping: write-only traffic must not touch the read path
@@ -120,9 +134,17 @@ class TestWriteFailures:
 class TestConsistencyUnderChaos:
     def test_random_faults_never_corrupt_mapping(self, rng):
         """Whatever faults occur, the slot/item maps stay coherent."""
+        self.chaos("lru", rng)
+
+    @pytest.mark.parametrize("policy", ["fifo", "clock"])
+    def test_random_faults_never_corrupt_policy_order(self, policy, rng):
+        """...and so does the eviction order a policy keeps beside them."""
+        self.chaos(policy, rng)
+
+    def chaos(self, policy, rng):
         inner = MemoryBackingStore(10, SHAPE)
         flaky = FlakyBackingStore(inner)
-        store = AncestralVectorStore(10, SHAPE, num_slots=4, policy="lru",
+        store = AncestralVectorStore(10, SHAPE, num_slots=4, policy=policy,
                                      backing=flaky)
         faults = 0
         for _ in range(400):

@@ -25,6 +25,7 @@ class TestShadowFidelity:
             shadow.access(item, pins=pins, write_only=write)
         for field in ("requests", "hits", "misses", "reads", "writes", "read_skips"):
             assert getattr(shadow.stats, field) == getattr(real.stats, field), field
+        real.validate()
 
     def test_random_policy_same_seed_matches(self, rng):
         n, m = 10, 3
@@ -35,11 +36,13 @@ class TestShadowFidelity:
             item = int(rng.integers(n))
             real.get(item)
             shadow.access(item)
-        # Identical RNG stream + identical candidate ordering = identical
-        # victims; note candidate ordering differs (slot order vs set), so
-        # only aggregate counts at equal capacity are compared loosely here.
         assert shadow.stats.requests == real.stats.requests
         assert shadow.stats.misses >= 0
+        # Identical RNG stream + identical candidate ordering (the shadow
+        # keeps the store's slot order) = identical victims.
+        for field in ("hits", "misses", "reads", "writes", "read_skips"):
+            assert getattr(shadow.stats, field) == getattr(real.stats, field), field
+        assert sorted(shadow._item_slot) == sorted(real.resident_items())
 
     def test_pin_protection(self):
         shadow = ShadowStore(5, 2, "lru")
