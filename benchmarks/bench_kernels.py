@@ -97,22 +97,61 @@ def test_transition_matrices(benchmark):
 
 
 def test_sites_per_second_report(benchmark, operands):
-    """Headline number: CLV pattern-updates per second on this machine."""
+    """Headline table: per-kernel time and patterns/s on this machine, as
+    the engine calls them (cached operators, reused scratch)."""
     import time
 
-    left, right, out, counts, P, _ = operands
-    scheme = kernels.ScalingScheme()
-    n = 50
-    t0 = time.perf_counter()
-    for _ in range(n):
-        counts.fill(0)
-        kernels.update_clv(out, P, P, left, right, None, None,
-                           DNA.code_matrix(), counts, scheme)
-    dt = time.perf_counter() - t0
-    rate = n * PATTERNS / dt
     from benchmarks.conftest import report
-    report("kernel_throughput",
-           [f"CLV updates: {rate:,.0f} patterns/s "
-            f"({PATTERNS} patterns x {CATS} Γ rates, float64)"])
+
+    left, right, out, counts, P, codes = operands
+    scheme = kernels.ScalingScheme()
+    cm = DNA.code_matrix()
+    scratch = kernels.Scratch()
+    a, b = kernels.BranchOperator(P, cm), kernels.BranchOperator(P, cm)
+    eigen = kernels.eigen_operators(MODEL.eigenvectors, MODEL.inv_eigenvectors,
+                                    MODEL.frequencies, CATS, cm)
+    reducer = kernels.site_reducer(MODEL.frequencies, RATES.weights)
+    table = np.empty_like(left)
+    pw = np.ones(PATTERNS)
+
+    def update(l_clv, r_clv, l_codes, r_codes):
+        return lambda: kernels.update_clv(out, a, b, l_clv, r_clv, l_codes,
+                                          r_codes, cm, counts, scheme, scratch)
+
+    cases = [
+        ("update_clv inner-inner", update(left, right, None, None)),
+        ("update_clv inner-tip", update(left, None, None, codes)),
+        ("update_clv tip-tip", update(None, None, codes, codes)),
+        ("update_clv inner-inner, raw P, no scratch",
+         lambda: kernels.update_clv(out, P, P, left, right, None, None, cm,
+                                    counts, scheme)),
+        ("edge_reduce (site likelihoods)",
+         lambda: kernels.edge_reduce(a, reducer, left, right, None, None, cm,
+                                     scratch)),
+        ("child_product (sumtable)",
+         lambda: kernels.child_product(table, *eigen, left, right, None, None,
+                                       cm, scratch)),
+        ("branch_terms (g, g', g'')",
+         lambda: kernels.branch_terms(table, MODEL.eigenvalues, RATES.rates,
+                                      RATES.weights, 0.1)),
+        ("branch_lnl_and_derivatives",
+         lambda: kernels.branch_lnl_and_derivatives(
+             table, MODEL.eigenvalues, RATES.rates, RATES.weights, pw, 0.1)),
+    ]
+    lines = [f"{PATTERNS} patterns x {CATS} Γ rates x 4 states, float64; "
+             "best of 5 x 200 calls",
+             f"{'kernel':<44} {'us/call':>9} {'M patterns/s':>13}"]
+    rates = []
+    for name, call in cases:
+        call()
+        best = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for _ in range(200):
+                call()
+            best = min(best, (time.perf_counter() - t0) / 200)
+        rates.append(PATTERNS / best)
+        lines.append(f"{name:<44} {best * 1e6:9.1f} {rates[-1] / 1e6:13.2f}")
+    report("kernel_throughput", lines)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    assert rate > 100_000
+    assert rates[0] > 100_000  # inner-inner CLV updates per second

@@ -5,7 +5,10 @@ traced vs untraced — asserted here too) and cheapness in *time*: the
 tracer is a GIL-atomic deque append and every reporting site is guarded by
 a single ``is None`` check, so the overhead of an attached Observer on a
 full out-of-core traversal must stay under ``GATE`` (1.5x; measured
-1.06-1.27x), and a detached store (the default) pays nothing measurable.
+1.2-1.45x — the cost per event is what it was, about 6 us, but since the
+kernel re-lowering of PR 16 the traversal it is charged against is a
+third shorter), and a detached store (the default) pays nothing
+measurable.
 Each ratio is a ratio of medians over ``PAIRS`` alternating bare/observed
 runs (the shape of ``obs.overhead_ratio`` in ``benchmarks/ooc/layers.py``),
 so CPU drift on the box hits both sides alike and cannot trip the gate.

@@ -154,6 +154,10 @@ def save_checkpoint(engine: LikelihoodEngine, path: str | os.PathLike,
             "num_slots": getattr(engine.store, "num_slots", None),
             "policy": getattr(getattr(engine.store, "policy", None), "name", None),
         },
+        # The evaluation edge: a restored loglikelihood() must be rooted
+        # where the saved one was, or it can differ in the last ulp.
+        "root_edge": (None if engine._root_edge is None
+                      else [int(x) for x in engine._root_edge]),
         "alignment": _alignment_fingerprint(engine.alignment),
         "extra": extra or {},
     }
@@ -178,6 +182,18 @@ class Checkpoint(NamedTuple):
     config: dict | None
     #: Resolved ``{"num_slots", "policy"}`` of the saved engine's store.
     store: dict
+    #: The saved engine's evaluation edge ``(u, v)``, if it had evaluated.
+    root_edge: tuple[int, int] | None = None
+
+    def restore_edge(self, engine: LikelihoodEngine) -> None:
+        """Root ``engine`` where the saved engine last evaluated.
+
+        An edge the tree no longer has (an old document's Newick
+        fallback renumbers nodes) is dropped: ``loglikelihood()`` then
+        uses the default edge.
+        """
+        if self.root_edge is not None and engine.tree.has_edge(*self.root_edge):
+            engine._root_edge = self.root_edge
 
 
 def read_checkpoint(path: str | os.PathLike,
@@ -209,9 +225,11 @@ def read_checkpoint(path: str | os.PathLike,
         tree = parse_newick(doc["tree"])
     if sorted(tree.names) != sorted(alignment.names):
         raise ReproError("checkpoint tree taxa do not match the alignment")
+    edge = doc.get("root_edge")
     return Checkpoint(tree, _model_from_dict(doc["model"]),
                       _rates_from_dict(doc["rates"]), np.dtype(doc["dtype"]),
-                      doc.get("extra", {}), doc.get("config"), doc["store"])
+                      doc.get("extra", {}), doc.get("config"), doc["store"],
+                      None if edge is None else (int(edge[0]), int(edge[1])))
 
 
 def load_checkpoint(path: str | os.PathLike, alignment: Alignment,
@@ -231,6 +249,7 @@ def load_checkpoint(path: str | os.PathLike, alignment: Alignment,
     if ck.config is not None and not engine_kwargs:
         engine = EngineConfig.from_dict(ck.config).build(
             ck.tree, alignment, ck.model, ck.rates)
+        ck.restore_edge(engine)
         return engine, ck.extra
     engine_kwargs.setdefault("dtype", ck.dtype)
     if "store" not in engine_kwargs and engine_kwargs.get("num_slots") is None \
@@ -243,4 +262,5 @@ def load_checkpoint(path: str | os.PathLike, alignment: Alignment,
             engine_kwargs.setdefault("policy", saved_policy)
     engine = LikelihoodEngine(ck.tree, alignment, ck.model, ck.rates,
                               **engine_kwargs)
+    ck.restore_edge(engine)
     return engine, ck.extra

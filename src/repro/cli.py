@@ -169,6 +169,7 @@ def cmd_search(args) -> int:
         ck = read_checkpoint(args.checkpoint, alignment)
         engine = EngineConfig.from_args(args).build(
             ck.tree, alignment, ck.model, ck.rates, workdir=args.workdir)
+        ck.restore_edge(engine)
         resume_state = ck.extra.get("search")
         print(f"resumed        : {args.checkpoint} "
               f"(round {resume_state['rounds'] if resume_state else 0})")

@@ -40,20 +40,10 @@ def marginal_ancestral_distribution(engine, node: int) -> np.ndarray:
     engine.execute_plan(plan)
     engine._root_edge = (node, parent)
 
-    P = engine._P(node, parent)
-    freqs = engine.model.frequencies.astype(engine.dtype)
-    weights = engine.rates.weights.astype(engine.dtype)
-
-    def joint_block(node_clv, other, _node_codes, parent_codes):
-        if other is None:
-            other_folded = kernels.propagate_tip(P, parent_codes,
-                                                 engine._code_matrix)
-        else:
-            other_folded = kernels.propagate_inner(P, other)
-        return np.einsum("ica,ica,a,c->ia", node_clv, other_folded,
-                         freqs, weights, optimize=True)
-
-    joint = engine._edge_blocks(node, parent, joint_block)
+    reducer = kernels.state_reducer(
+        engine.model.frequencies.astype(engine.dtype),
+        engine.rates.weights.astype(engine.dtype))
+    joint = engine._edge_reduce(node, parent, reducer, engine.model.num_states)
     totals = joint.sum(axis=1, keepdims=True)
     if np.any(totals <= 0) or not np.all(np.isfinite(totals)):
         raise LikelihoodError("zero marginal likelihood during reconstruction")

@@ -26,11 +26,10 @@ MIN_BRANCH_LENGTH = 1e-8
 MAX_BRANCH_LENGTH = 50.0
 
 
-def _branch_phi(sumtable, eigenvalues, rates, cat_weights, pattern_weights, t):
-    """Branch log-likelihood up to the (scaling) constant: Σ w_i ln g_i(t)."""
-    lam = eigenvalues[None, :] * rates[:, None]
-    wexp = cat_weights[:, None] * np.exp(lam * t)
-    g = np.einsum("ick,ck->i", sumtable, wexp, optimize=True)
+def _branch_phi(terms, pattern_weights):
+    """Branch log-likelihood up to the (scaling) constant: Σ w_i ln g_i(t),
+    from the ``g`` column of :func:`kernels.branch_terms`."""
+    g = terms[:, 0]
     if np.any(g <= 0.0):
         return -np.inf
     return float(pattern_weights @ np.log(g))
@@ -52,16 +51,21 @@ def optimize_branch_from_sumtable(
     """Maximize the branch likelihood; returns ``(t_opt, iterations)``.
 
     Pure numerical core (no store traffic): the engine-level wrapper
-    computes the sumtable and commits the result.
+    computes the sumtable and commits the result. Each candidate length
+    costs one :func:`kernels.branch_terms` product, which carries both
+    its likelihood and the derivatives the next step needs.
     """
+    def evaluate(t):
+        terms = kernels.branch_terms(sumtable, eigenvalues, rates,
+                                     cat_weights, t)
+        return terms, _branch_phi(terms, pattern_weights)
+
     t = float(np.clip(t0, min_bl, max_bl))
-    phi = _branch_phi(sumtable, eigenvalues, rates, cat_weights, pattern_weights, t)
+    terms, phi = evaluate(t)
     it = 0
     while it < max_iter:
         it += 1
-        _, d1, d2 = kernels.branch_lnl_and_derivatives(
-            sumtable, eigenvalues, rates, cat_weights, pattern_weights, t
-        )
+        d1, d2 = kernels.derivatives_from_terms(terms, pattern_weights)
         if not np.isfinite(d1):
             # Numerical zero at this t — retreat toward the midpoint.
             t_new = max(min_bl, t / 2.0)
@@ -75,21 +79,17 @@ def optimize_branch_from_sumtable(
         t_new = float(np.clip(t_new, min_bl, max_bl))
         if t_new == t:
             break
-        phi_new = _branch_phi(
-            sumtable, eigenvalues, rates, cat_weights, pattern_weights, t_new
-        )
+        terms_new, phi_new = evaluate(t_new)
         # Backtrack the step until it does not lose likelihood.
         shrink = 0
         while phi_new < phi - 1e-13 and shrink < 32:
             t_new = 0.5 * (t_new + t)
-            phi_new = _branch_phi(
-                sumtable, eigenvalues, rates, cat_weights, pattern_weights, t_new
-            )
+            terms_new, phi_new = evaluate(t_new)
             shrink += 1
-        if abs(t_new - t) < tol * max(1.0, t):
-            t, phi = t_new, phi_new
+        converged = abs(t_new - t) < tol * max(1.0, t)
+        t, phi, terms = t_new, phi_new, terms_new
+        if converged:
             break
-        t, phi = t_new, phi_new
     return t, it
 
 

@@ -167,13 +167,17 @@ class LikelihoodEngine:
         comp = alignment.compress()
         self.num_patterns = comp.num_patterns
         self.pattern_weights = comp.weights.astype(np.float64)
-        pattern_codes = alignment.pattern_codes()
         # Tip i of the tree maps to the alignment row with the same name.
-        self._tip_codes = np.empty((tree.num_tips, self.num_patterns), dtype=np.int64)
-        for tip in range(tree.num_tips):
-            row = alignment.index_of(tree.names[tip])
-            self._tip_codes[tip] = pattern_codes[row]
-        self._code_matrix = alignment.alphabet.code_matrix().astype(self.dtype)
+        taxa = [alignment.index_of(name) for name in tree.names]
+        # Tips are kept as dense indices into the codes actually present:
+        # tip tables are then (distinct codes) rows, not the alphabet's
+        # 2^S (a million for protein), and the indicator rows come from
+        # the bitmask codes directly, never from the full code matrix.
+        codes = alignment.pattern_codes()[taxa]
+        present = np.unique(codes)
+        self._tip_codes = np.searchsorted(present, codes)
+        bits = np.arange(model.num_states, dtype=present.dtype)
+        self._code_matrix = ((present[:, None] >> bits) & 1).astype(self.dtype)
 
         self.num_inner, self.clv_shape = clv_geometry(tree, alignment, model,
                                                       self.rates)
@@ -188,7 +192,18 @@ class LikelihoodEngine:
         # repeated traversals. Exact float keys keep results bit-identical,
         # and LRU eviction past _P_CACHE_LIMIT keeps long searches with
         # churning branch lengths from degrading to a cold cache.
-        self._p_cache: OrderedDict[float, np.ndarray] = OrderedDict()
+        self._p_cache: OrderedDict[float, kernels.BranchOperator] = OrderedDict()
+        self._eigen_ops: tuple | None = None
+        # A lowered operator is (C·S)² numbers — 51 KB for protein Γ4 —
+        # so the entry bound also caps the cache near 32 MB.
+        width = self.clv_shape[1] * self.clv_shape[2]
+        self._P_CACHE_LIMIT = max(64, min(
+            self._P_CACHE_LIMIT,
+            (32 << 20) // (width * width * self.dtype.itemsize)))
+        #: Kernel work space (a propagated child, the compare mask, a
+        #: group's stacks): reused by every call, so a traversal in steady
+        #: state allocates nothing.
+        self._scratch = kernels.Scratch()
         #: The attached repro.obs.Observer (default off): the engine
         #: reports each "plan" / "kernel" / "store_wait" lap and every
         #: execute_plan to it. Purely passive; numerics are unaffected.
@@ -336,22 +351,46 @@ class LikelihoodEngine:
 
     _P_CACHE_LIMIT = 8192
 
-    def _P(self, u: int, v: int) -> np.ndarray:
+    def _P(self, u: int, v: int) -> kernels.BranchOperator:
+        """The lowered operator of branch ``(u, v)``, cached per length.
+
+        One :class:`~repro.phylo.likelihood.kernels.BranchOperator` per
+        exact branch length: the frozen ``P`` stack, its block-diagonal
+        GEMM form and (once a tip hangs off a branch of that length) its
+        tip table — everything a kernel call needs, lowered once.
+        """
         t = self.tree.branch_length(u, v)
-        P = self._p_cache.get(t)
-        if P is None:
+        branch = self._p_cache.get(t)
+        if branch is None:
             P = self.model.transition_matrices(t, self.rates.rates)
             # Always copy before freezing: astype(copy=False) /
             # ascontiguousarray may return the model's own array, and
             # setflags(write=False) would freeze the caller's buffer.
             P = np.array(P, dtype=self.dtype, order="C")
             P.setflags(write=False)
-            self._p_cache[t] = P
+            branch = self._p_cache[t] = kernels.BranchOperator(
+                P, self._code_matrix)
             if len(self._p_cache) > self._P_CACHE_LIMIT:
                 self._p_cache.popitem(last=False)
         else:
             self._p_cache.move_to_end(t)
-        return P
+        return branch
+
+    def _eigen_operators(self) -> tuple:
+        """The model's two sumtable operators (makenewz phase 1), lowered
+        once per model/rate change."""
+        if self._eigen_ops is None:
+            model = self.model
+            self._eigen_ops = kernels.eigen_operators(
+                model.eigenvectors.astype(self.dtype),
+                model.inv_eigenvectors.astype(self.dtype),
+                model.frequencies.astype(self.dtype),
+                self.rates.num_categories, self._code_matrix)
+        return self._eigen_ops
+
+    def _drop_operators(self) -> None:
+        self._p_cache.clear()
+        self._eigen_ops = None
 
     # -- traversal execution ---------------------------------------------------------
 
@@ -414,16 +453,17 @@ class LikelihoodEngine:
         agree bit for bit under every replacement policy.
 
         How a group is computed follows from its size. A group of one
-        runs in place (:meth:`_update_in_place`); a larger group copies
-        its operands at fetch time and shares one fused kernel call whose
-        results land out-of-band via ``store.fill`` — bit-identical by the
-        :mod:`~repro.phylo.likelihood.kernels` batched-kernel contract.
-        Both stay because each wins somewhere: fusing pays off once
-        several blocks share a call, but groups of one pushed through
-        gather/fuse/fill measured 6–16 % slower than in place on
-        whole-vector full traversals (DESIGN.md, "Batched kernel
-        schedule"). Orientation is committed after each node's last block
-        so a failure leaves a consistent state.
+        runs in place (:meth:`_update_in_place`); a larger group
+        propagates each child into a scratch stack at fetch time and
+        shares one fused product + rescale whose results land out-of-band
+        via ``store.fill`` — bit-identical because both run the same
+        row-independent :mod:`~repro.phylo.likelihood.kernels` calls.
+        Both stay because each wins somewhere: fusing pays off once many
+        small blocks share a call (64-site blocks: 230 vs 275 ms per
+        D128x4k traversal), while groups of one pushed through
+        gather/fuse/fill measured 10–28 % slower than in place (DESIGN.md,
+        "Kernel lowering"). Orientation is committed after each node's
+        last block so a failure leaves a consistent state.
         """
         if not plan.steps:
             return  # before the schedule cache: empty plans must not evict
@@ -489,110 +529,84 @@ class LikelihoodEngine:
             kernels.update_clv, out,
             self._P(m.node, m.left), self._P(m.node, m.right),
             l_clv, r_clv, l_codes, r_codes, self._code_matrix,
-            self._scale_row(m), self.scaling,
+            self._scale_row(m), self.scaling, self._scratch,
             node=m.node, block=m.block)
 
     def _gather_group(self, group: BatchGroup) -> list[dict]:
-        """Issue the group's store accesses in order; stack the operands.
+        """Issue the group's store accesses in order; propagate each child.
 
         Members are partitioned into *span classes* (full blocks vs the
-        ragged last block) so every fused contraction runs on exact
-        shapes — the per-``(member, category)`` GEMM is then the same
-        product as the per-member einsum, which is what keeps the batched
-        path bit-identical. Each child view is copied into its stack row
-        immediately after its ``get``, before any later access can evict
-        the slot.
+        ragged last block), each with one reused ``(2, members, span, C,
+        S)`` scratch stack. A child is propagated across its branch
+        straight into its ``[side, position]`` row as soon as it is in
+        hand — an inner child from its slot view right after its ``get``,
+        before any later access can evict the slot (the GEMM that reads
+        it *is* the copy out of the store); a tip by a table gather — by
+        the very calls the in-place path makes, so the rows carry the same
+        bits.
         """
-        C = self.rates.num_categories
-        S = self.model.num_states
         classes: dict[int, dict] = {}
+        rows = []  # per member: (its span class, its position there)
         for m in group.members:
-            cls = classes.setdefault(
-                m.span, {"span": m.span, "members": [], "n_inner": 0})
+            cls = classes.setdefault(m.span, {"members": []})
+            rows.append((cls, len(cls["members"])))
             cls["members"].append(m)
-            cls["n_inner"] += (m.left_item >= 0) + (m.right_item >= 0)
         for span, cls in classes.items():
-            n_inner = cls["n_inner"]
-            n_tip = cls["n_tip"] = 2 * len(cls["members"]) - n_inner
-            cls["inner_clv"] = np.empty((n_inner, span, C, S), dtype=self.dtype)
-            cls["P_inner"] = np.empty((n_inner, C, S, S), dtype=self.dtype)
-            cls["inner_dest"] = []  # (side, member position in class)
-            cls["tip_codes"] = np.empty((n_tip, span), dtype=np.int64)
-            cls["P_tip"] = np.empty((n_tip, C, S, S), dtype=self.dtype)
-            cls["tip_dest"] = []
-            cls["placed"] = 0
+            cls["stack"] = self._scratch.get(
+                ("group", span), (2, len(cls["members"]), span, *self.clv_shape[1:]),
+                self.dtype)
 
-        for m in group.members:
-            cls = classes[m.span]
-            pos = cls["placed"]
-            cls["placed"] = pos + 1
+        for m, (cls, pos) in zip(group.members, rows):
             fetches = iter(m.fetches)
             for side, child, child_item in ((0, m.left, m.left_item),
                                             (1, m.right, m.right_item)):
+                dest = cls["stack"][side, pos]
                 if child_item >= 0:
-                    j = len(cls["inner_dest"])
                     view = self._timed_get(*next(fetches))
-                    cls["inner_clv"][j] = view[:m.span]
-                    cls["P_inner"][j] = self._P(m.node, child)
-                    cls["inner_dest"].append((side, pos))
+                    self._timed_kernel(
+                        kernels.propagate_inner, self._P(m.node, child),
+                        view[:m.span], dest, self._scratch,
+                        node=m.node, block=m.block)
                 else:
-                    j = len(cls["tip_dest"])
-                    cls["tip_codes"][j] = self._tip_codes[child][m.lo:m.hi]
-                    cls["P_tip"][j] = self._P(m.node, child)
-                    cls["tip_dest"].append((side, pos))
+                    self._timed_kernel(
+                        kernels.propagate_tip, self._P(m.node, child),
+                        self._tip_codes[child][m.lo:m.hi], self._code_matrix,
+                        dest, node=m.node, block=m.block)
             self._timed_get(*next(fetches))  # the target: view deferred to fill
         return list(classes.values())
 
     def _compute_group(self, group: BatchGroup, stacks: list[dict]) -> None:
-        """Fused kernels for one gathered group, then out-of-band fills."""
+        """One fused product + rescale per span class, then out-of-band fills."""
         # Every row is readied before any rescale: span classes reorder
         # members, and a node's first block resets its whole row.
         rows = {m.out_item: self._scale_row(m) for m in group.members}
-        C = self.rates.num_categories
-        S = self.model.num_states
         for cls in stacks:
-            n = len(cls["members"])
-            span = cls["span"]
-            prop = np.empty((2, n, span, C, S), dtype=self.dtype)
-            if cls["n_inner"]:
-                contrib = kernels.propagate_inner_batch(
-                    cls["P_inner"], cls["inner_clv"])
-                for j, (side, pos) in enumerate(cls["inner_dest"]):
-                    prop[side, pos] = contrib[j]
-            if cls["n_tip"]:
-                tipc = kernels.propagate_tip_batch(
-                    cls["P_tip"], cls["tip_codes"], self._code_matrix)
-                for j, (side, pos) in enumerate(cls["tip_dest"]):
-                    prop[side, pos] = tipc[j]
-            res = np.empty((n, span, C, S), dtype=self.dtype)
+            left, right = cls["stack"]
             kernels.combine_and_rescale_batch(
-                prop[0], prop[1], res,
-                [rows[m.out_item] for m in cls["members"]], self.scaling)
+                left, right, left,
+                [rows[m.out_item] for m in cls["members"]], self.scaling,
+                self._scratch)
             for pos, m in enumerate(cls["members"]):
-                self.store.fill(m.out_item, res[pos])
+                self.store.fill(m.out_item, left[pos])
 
     # -- likelihood evaluation ----------------------------------------------------------
 
-    def _edge_blocks(self, u: int, v: int, kernel) -> np.ndarray:
-        """``kernel(u_clv, v_clv, u_codes, v_codes)`` over edge ``(u, v)``.
+    def _edge_blocks(self, u: int, v: int, kernel, tail: tuple = ()) -> np.ndarray:
+        """``kernel(out, u_clv, v_clv, u_codes, v_codes)`` over edge ``(u, v)``.
 
         The one place the two end vectors of an edge are fetched: block
         by block through :meth:`_timed_get`, each pinning the other end's
         same-numbered block; a tip end contributes its codes (and a
         ``None`` CLV) instead. Both end CLVs must be current (run
-        :meth:`execute_plan` first). The per-block results are assembled
-        into one RAM array over all patterns, so downstream cross-pattern
-        reductions run unblocked — their summation order (and hence the
-        bits) is layout-independent. With a single block the kernel's own
-        output array is returned as-is: the downstream Newton einsums are
-        sensitive to operand memory layout at the ulp level, and the
-        kernel's (non-contiguous) product is what the pre-layout code
-        handed them — copying it into a fresh buffer would shift the
-        optimized branch length by an ulp or two.
+        :meth:`execute_plan` first). The kernel fills its block's rows of
+        one ``(patterns, *tail)`` RAM array, so downstream cross-pattern
+        reductions run unblocked on the same contiguous memory whatever
+        the layout — their summation order, and hence the bits, are
+        layout-independent.
         """
         layout = self.layout
         n = self.tree.num_tips
-        out = None
+        out = np.empty((self.num_patterns, *tail), dtype=self.dtype)
         for b in range(layout.blocks_per_node):
             lo, hi = layout.block_bounds(b)
             u_item = layout.item_of(u - n, b) if u >= n else -1
@@ -608,15 +622,21 @@ class LikelihoodEngine:
                     v_item, (u_item,) if u_item >= 0 else ()), hi - lo)
             else:
                 v_codes = self._tip_codes[v][lo:hi]
-            part = kernel(u_clv, v_clv, u_codes, v_codes)
-            if layout.blocks_per_node == 1:
-                return part
-            if out is None:
-                out = np.empty((self.num_patterns, *part.shape[1:]),
-                               dtype=self.dtype)
-            out[lo:hi] = part
-        assert out is not None
+            kernel(out[lo:hi], u_clv, v_clv, u_codes, v_codes)
         return out
+
+    def _edge_reduce(self, u: int, v: int, reducer: np.ndarray,
+                     columns: int) -> np.ndarray:
+        """``(U ∘ P·V) @ reducer`` over edge ``(u, v)``: the first
+        ``columns`` columns (the rest is GEMM padding), per pattern."""
+        branch = self._P(u, v)
+
+        def kernel(out, *ends):
+            out[...] = kernels.edge_reduce(
+                branch, reducer, *ends, self._code_matrix,
+                self._scratch)[:, :columns]
+
+        return self._edge_blocks(u, v, kernel, (columns,))
 
     def _root_site_likelihoods(self, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-pattern likelihoods and scale counts across edge ``(u, v)``."""
@@ -624,23 +644,21 @@ class LikelihoodEngine:
         for x in (u, v):
             if not self.tree.is_tip(x):
                 counts += self.scale_counts[self.item(x)]
-        P = self._P(u, v)
-        freqs = self.model.frequencies.astype(self.dtype)
-        weights = self.rates.weights.astype(self.dtype)
-        site_l = self._edge_blocks(
-            u, v, lambda *ends: kernels.edge_site_likelihoods(
-                P, freqs, weights, *ends, self._code_matrix))
-        return site_l, counts
+        reducer = kernels.site_reducer(
+            self.model.frequencies.astype(self.dtype),
+            self.rates.weights.astype(self.dtype))
+        return self._edge_reduce(u, v, reducer, 1)[:, 0], counts
 
     def _edge_sumtable(self, u: int, v: int) -> np.ndarray:
         """Eigen-basis sumtable across edge ``(u, v)`` (makenewz phase 1):
         one ``(patterns, categories, states)`` RAM array."""
-        ev = self.model.eigenvectors.astype(self.dtype)
-        iev = self.model.inv_eigenvectors.astype(self.dtype)
-        freqs = self.model.frequencies.astype(self.dtype)
-        return self._edge_blocks(
-            u, v, lambda *ends: kernels.branch_sumtable(
-                ev, iev, freqs, *ends, self._code_matrix))
+        left, right = self._eigen_operators()
+
+        def kernel(out, *ends):
+            kernels.child_product(out, left, right, *ends, self._code_matrix,
+                                  self._scratch)
+
+        return self._edge_blocks(u, v, kernel, self.clv_shape[1:])
 
     def edge_loglikelihood(self, u: int, v: int, full: bool = False) -> float:
         """Log-likelihood with the virtual root on edge ``(u, v)``.
@@ -738,7 +756,7 @@ class LikelihoodEngine:
                 f"to go from {self.rates.num_categories} to {rates.num_categories}"
             )
         self.rates = rates
-        self._p_cache.clear()
+        self._drop_operators()
         self.invalidate_all()
 
     def set_model(self, model: ReversibleModel) -> None:
@@ -746,7 +764,7 @@ class LikelihoodEngine:
         if model.num_states != self.model.num_states:
             raise LikelihoodError("state count is fixed by the CLV geometry")
         self.model = model
-        self._p_cache.clear()
+        self._drop_operators()
         self.invalidate_all()
 
     def set_pattern_weights(self, weights) -> None:

@@ -17,9 +17,11 @@ The group cap decides how an update is computed, never which store
 calls it makes. A group of one member runs in place: children fetched,
 target fetched write-only, ``kernels.update_clv`` writes straight into
 the store's view (cap 1 — ``batch=None`` — makes every group such a
-group). A larger group shares one fused kernel call
-(:func:`repro.phylo.likelihood.kernels.propagate_inner_batch`), which
-avoids paying Python dispatch and einsum setup once per site block.
+group). A larger group propagates each child into a shared stack as
+it is fetched and then shares one fused product + rescale
+(:func:`repro.phylo.likelihood.kernels.combine_and_rescale_batch`),
+which pays that part of the Python dispatch once per group rather than
+once per site block.
 Two properties keep every cap bit-compatible with cap 1 (the §4.1
 criterion):
 
@@ -28,7 +30,7 @@ criterion):
   the cap. Replacement decisions — and with them every demand/eviction
   counter — are a deterministic function of that sequence, so
   PARITY_COUNTERS match for every policy. In a fused group, child views
-  are copied into the batch stacks immediately at fetch time, and each
+  are propagated into the batch stacks immediately at fetch time, and each
   member's output target is written back out-of-band after the group
   kernel (:meth:`AncestralVectorStore.fill`), so no view ever outlives
   the gets that follow it.

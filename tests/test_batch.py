@@ -76,10 +76,12 @@ class TestBatchedKernels:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("M,I,C,S", [(1, 17, 4, 4), (5, 33, 3, 4),
-                                         (9, 8, 2, 20)])
+                                         (9, 8, 2, 20),
+                                         (3, 1, 4, 4),      # ragged block of 1
+                                         (4, 33, 5, 4)])    # C·S = 20: padded
     def test_propagate_inner_batch(self, rng, dtype, M, I, C, S):
         P, clv = _random_stack(rng, M, I, C, S, dtype)
-        batched = kernels.propagate_inner_batch(P, clv)
+        batched = kernels.propagate_inner(P, clv)  # leading member axis
         for m in range(M):
             single = kernels.propagate_inner(P[m], clv[m])
             assert np.array_equal(batched[m], single)
@@ -91,7 +93,7 @@ class TestBatchedKernels:
         code_matrix = (rng.random((K, S)) < 0.5).astype(dtype)
         code_matrix[:S] = np.eye(S, dtype=dtype)  # canonical states exist
         codes = rng.integers(0, K, size=(M, I))
-        batched = kernels.propagate_tip_batch(P, codes, code_matrix)
+        batched = kernels.propagate_tip(P, codes, code_matrix)
         assert batched.shape == (M, I, C, S)
         for m in range(M):
             single = kernels.propagate_tip(P[m], codes[m], code_matrix)
@@ -111,7 +113,7 @@ class TestBatchedKernels:
         ref_rows = np.zeros((M, I), dtype=np.int32)
         ref_n = 0
         for m in range(M):
-            kernels.combine_children(left[m], right[m], ref[m])
+            np.multiply(left[m], right[m], out=ref[m])
             ref_n += kernels.rescale_clv(ref[m], ref_rows[m], scheme)
         out = np.empty_like(left)
         rows = np.zeros((M, I), dtype=np.int32)
@@ -123,7 +125,17 @@ class TestBatchedKernels:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_update_clv_batch_inner_inner(self, rng, dtype):
-        M, I, C, S = 5, 19, 3, 4
+        self._inner_inner(rng, dtype, 5, 19, 3, 4)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("M,I,C,S", [(4, 1, 4, 4),      # ragged block of 1
+                                         (3, 21, 5, 4)])    # C·S = 20: padded
+    def test_update_clv_batch_ragged_one_and_padded(self, rng, dtype,
+                                                    M, I, C, S):
+        self._inner_inner(rng, dtype, M, I, C, S)
+
+    @staticmethod
+    def _inner_inner(rng, dtype, M, I, C, S):
         scheme = kernels.ScalingScheme(dtype)
         P_l, clv_l = _random_stack(rng, M, I, C, S, dtype)
         P_r, clv_r = _random_stack(rng, M, I, C, S, dtype)
@@ -170,10 +182,10 @@ class TestBatchedKernels:
         rows = [np.zeros(I, dtype=np.int32) for _ in range(M)]
         eye = np.eye(S)
         out = np.empty_like(clv)
-        with pytest.raises(LikelihoodError, match="left side"):
+        with pytest.raises(LikelihoodError, match="left child"):
             kernels.update_clv_batch(out, P, P, None, clv, None, None,
                                      eye, rows, scheme)
-        with pytest.raises(LikelihoodError, match="right side"):
+        with pytest.raises(LikelihoodError, match="right child"):
             kernels.update_clv_batch(out, P, P, clv, None, None, None,
                                      eye, rows, scheme)
 
@@ -266,12 +278,13 @@ class TestScheduleBuild:
 
 def _run_pair(policy, layout, block_sites, batch, *, num_slots,
               dtype=np.float64, traversals=2,
-              taxa=12, sites=150, **extra):
+              taxa=12, sites=150, rates=None, **extra):
     """(lnL, counters, engine) for unbatched vs batched on one dataset."""
     tree = yule_tree(taxa, seed=71)
     model = GTR((1.0, 2.1, 0.9, 1.3, 2.8, 1.0), (0.28, 0.22, 0.26, 0.24))
-    rates = RateModel.gamma(0.9, 3)
-    aln = simulate_alignment(tree, model, sites, rates=rates, seed=72)
+    aln = simulate_alignment(tree, model, sites,
+                             rates=RateModel.gamma(0.9, 3), seed=72)
+    rates = rates or RateModel.gamma(0.9, 3)
     results = []
     for b in (None, batch):
         eng = LikelihoodEngine(
@@ -344,6 +357,29 @@ class TestBatchedEngineParity:
             "lru", "block", 64, -1, num_slots=8, traversals=3,
             track_dirty=True, writeback_depth=2)
         try:
+            assert (l1, c1) == (l0, c0)
+        finally:
+            e0.close()
+            e1.close()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("batch", [-1, 4])
+    def test_ragged_one_block_and_padded_width(self, batch, dtype):
+        """Γ4+I gives C·S = 20 (an operator width the GEMM must pad) and
+        the block size leaves a last block of one pattern (a product numpy
+        would hand to GEMV): both fused against in place, bit for bit."""
+        tree = yule_tree(12, seed=71)
+        patterns = simulate_alignment(
+            tree, GTR((1.0, 2.1, 0.9, 1.3, 2.8, 1.0), (0.28, 0.22, 0.26, 0.24)),
+            150, rates=RateModel.gamma(0.9, 3), seed=72).compress().num_patterns
+        block = next(b for b in range(9, patterns) if patterns % b == 1)
+        (l0, c0, e0), (l1, c1, e1) = _run_pair(
+            "lru", "block", block, batch, num_slots=9, dtype=dtype,
+            rates=RateModel.gamma_invariant(0.9, 0.15, 4))
+        try:
+            assert e1.clv_shape[1] * e1.clv_shape[2] == 20
+            assert e1.layout.block_bounds(e1.layout.blocks_per_node - 1)[1] \
+                - e1.layout.block_bounds(e1.layout.blocks_per_node - 1)[0] == 1
             assert (l1, c1) == (l0, c0)
         finally:
             e0.close()

@@ -35,8 +35,30 @@ class TestRoundtrip:
         lnl = eng.loglikelihood()
         save_checkpoint(eng, tmp_path / "run.ckpt")
         restored, extra = load_checkpoint(tmp_path / "run.ckpt", aln)
+        # The evaluation edge is part of the state: smoothing leaves it on
+        # the last optimised branch, not on the default edge, and two
+        # rootings of one tree agree only to rounding.
+        assert eng._root_edge != eng.default_edge()
+        assert restored._root_edge == eng._root_edge
         assert restored.loglikelihood() == lnl
         assert extra == {}
+
+    def test_vanished_edge_falls_back_to_default(self, ckpt_dataset, tmp_path):
+        import json
+
+        tree, aln, model, rates = ckpt_dataset
+        eng = LikelihoodEngine(tree.copy(), aln, model, rates)
+        eng.loglikelihood()
+        path = tmp_path / "edge.ckpt"
+        save_checkpoint(eng, path)
+        doc = json.loads(path.read_text())
+        assert doc["root_edge"] == list(eng.default_edge())
+        doc["root_edge"] = [0, 1]  # two tips: never an edge
+        path.write_text(json.dumps(doc))
+        restored, _ = load_checkpoint(path, aln)
+        assert restored._root_edge is None
+        assert restored.loglikelihood() == pytest.approx(eng.loglikelihood(),
+                                                         rel=1e-12)
 
     def test_topology_and_lengths_preserved(self, ckpt_dataset, tmp_path):
         tree, aln, model, rates = ckpt_dataset

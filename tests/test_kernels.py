@@ -35,20 +35,20 @@ class TestScalingScheme:
 class TestTipLookup:
     def test_matches_manual_sum(self, rng):
         P = JC69().transition_matrices(0.3, np.array([0.5, 2.0]))
-        lut = kernels.tip_lookup(P, CODE_MATRIX)
-        assert lut.shape == (2, 16, 4)
+        lut = kernels.BranchOperator(P, CODE_MATRIX).tips
+        assert lut.shape == (16, 2 * 4)  # one (C·S) row per code
         for c in range(2):
             for code in range(16):
                 for a in range(4):
                     manual = sum(P[c, a, b] * CODE_MATRIX[code, b] for b in range(4))
-                    assert lut[c, code, a] == pytest.approx(manual)
+                    assert lut[code, c * 4 + a] == pytest.approx(manual)
 
     def test_gap_code_gives_row_sums(self):
         P = GTR((1, 2, 3, 4, 5, 6), (0.1, 0.2, 0.3, 0.4)).transition_matrices(
             0.2, np.ones(1)
         )
-        lut = kernels.tip_lookup(P, CODE_MATRIX)
-        np.testing.assert_allclose(lut[0, 15], 1.0, atol=1e-12)  # rows sum to 1
+        lut = kernels.BranchOperator(P, CODE_MATRIX).tips
+        np.testing.assert_allclose(lut[15], 1.0, atol=1e-12)  # rows sum to 1
 
 
 class TestPropagation:
@@ -223,3 +223,136 @@ class TestBranchSumtable:
             table, model.eigenvalues, np.ones(1), np.ones(1), np.ones(2), 0.1
         )
         assert np.isnan(d1) and np.isnan(d2)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+class TestRowIndependence:
+    """The §4.1 contract rests on this: a row's output bits do not depend
+    on which other rows shared its BLAS call.
+
+    Measured on OpenBLAS 0.3.31 it is *not* free — a 1-row product goes to
+    GEMV, and operator widths that are not whole SIMD registers (C·S = 20)
+    round differently in the small-matrix and the packed kernel — so
+    :func:`kernels.gemm` shapes its calls and this test holds it to the
+    result, over the widths the engine can produce. CI also runs it under
+    ``OPENBLAS_NUM_THREADS=2`` (threaded GEMM partitions rows).
+    """
+
+    SHAPES = [(4, 4), (5, 4), (1, 4), (4, 20), (1, 20)]
+    CALLS = (1, 2, 7, 64, 256, 1000)
+    ROWS = 1300
+
+    @staticmethod
+    def _operands(rng, C, S, dtype, rows):
+        P = rng.random((3, C, S, S))
+        P /= P.sum(axis=-1, keepdims=True)
+        clv = rng.random((rows, C, S)) * 10.0 ** rng.integers(-6, 1, (rows, 1, 1))
+        return P.astype(dtype), clv.astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("C,S", SHAPES)
+    def test_propagate_any_partition_any_offset(self, rng, C, S, dtype):
+        P, clv = self._operands(rng, C, S, dtype, self.ROWS)
+        branch = kernels.BranchOperator(P[0], np.eye(S, dtype=dtype))
+        whole = kernels.propagate_inner(branch, clv)
+        for n in self.CALLS:
+            for off in (0, 1, 13, self.ROWS - n):
+                part = kernels.propagate_inner(branch, clv[off:off + n])
+                assert np.array_equal(_bits(part), _bits(whole[off:off + n])), \
+                    (n, off)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("C,S", SHAPES)
+    def test_member_axis_changes_nothing(self, rng, C, S, dtype):
+        M, span = 3, 257
+        P, clv = self._operands(rng, C, S, dtype, M * span)
+        stacked = kernels.propagate_inner(P, clv.reshape(M, span, C, S))
+        for m in range(M):
+            single = kernels.propagate_inner(P[m], clv[m * span:(m + 1) * span])
+            assert np.array_equal(_bits(stacked[m]), _bits(single))
+        lone = kernels.propagate_inner(P, clv[:M, None])        # span 1
+        for m in range(M):
+            assert np.array_equal(
+                _bits(lone[m]), _bits(kernels.propagate_inner(P[m], clv[m:m + 1])))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("C,S", SHAPES)
+    def test_whole_update_and_edge_kernels_by_blocks(self, rng, C, S, dtype):
+        """update_clv (tips, rescale), the sumtable and both edge reducers,
+        block by block at every block size, against one whole call."""
+        rows = self.ROWS
+        scheme = kernels.ScalingScheme(dtype)
+        P, left = self._operands(rng, C, S, dtype, rows)
+        _, right = self._operands(rng, C, S, dtype, rows)
+        left[::7] *= scheme.threshold        # some sites rescale
+        cm = np.vstack([np.eye(S), np.ones((1, S))]).astype(dtype)
+        codes = rng.integers(0, len(cm), rows)
+        freqs = np.full(S, 1.0 / S, dtype=dtype)
+        weights = np.full(C, 1.0 / C, dtype=dtype)
+        model_ev = rng.random((S, S)).astype(dtype)
+
+        def run(lo, hi):
+            sl = slice(lo, hi)
+            out = np.empty((hi - lo, C, S), dtype=dtype)
+            counts = np.zeros(hi - lo, dtype=np.int32)
+            kernels.update_clv(out, P[0], P[1], left[sl], None, None, codes[sl],
+                               cm, counts, scheme)
+            table = kernels.branch_sumtable(model_ev, model_ev.T, freqs,
+                                            left[sl], right[sl], None, None, cm)
+            site = kernels.edge_site_likelihoods(P[2], freqs, weights, None,
+                                                 right[sl], codes[sl], None, cm)
+            joint = kernels.edge_reduce(
+                P[2], kernels.state_reducer(freqs, weights), left[sl], right[sl],
+                None, None, cm)[:, :S]
+            return out, counts, table, site, joint
+
+        whole = run(0, rows)
+        for n in self.CALLS:
+            for lo in range(0, rows, n):
+                hi = min(lo + n, rows)          # 1300 % 7, % 64 … ragged tails
+                for got, ref in zip(run(lo, hi), whole):
+                    assert np.array_equal(_bits(got), _bits(ref[lo:hi])), (n, lo)
+                if n > 64 and lo > 2 * n:
+                    break                       # large calls: a few suffice
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("C,S", SHAPES)
+    def test_mask_rescale_equals_max_rescale(self, rng, C, S, dtype):
+        """``all(x < t)`` ≡ ``max(x) < t`` row by row — NaN, ±0, subnormals."""
+        scheme = kernels.ScalingScheme(dtype)
+        tiny = np.finfo(dtype).tiny
+        below = float(scheme.threshold) / 4
+        rows = [
+            np.full(C * S, below),                     # rescales
+            np.full(C * S, 0.5),                       # does not
+            np.full(C * S, 0.0), np.full(C * S, -0.0),  # zeros rescale (stay 0)
+            np.full(C * S, tiny / 8),                  # subnormal rescales
+            np.full(C * S, np.nan),                    # NaN never does
+        ]
+        for special in (np.nan, 0.5, float(scheme.threshold)):
+            for pos in (0, C * S - 1):                 # one spoiler per row
+                row = np.full(C * S, below)
+                row[pos] = special
+                rows.append(row)
+        rows += [rng.choice([below, 0.5, 0.0, tiny / 8], C * S) for _ in range(40)]
+        clv = np.array(rows, dtype=dtype).reshape(len(rows), C, S)
+        with np.errstate(invalid="ignore"):
+            expect = clv.max(axis=(1, 2)) < scheme.threshold
+        want = clv.copy()
+        want[expect] *= scheme.multiplier
+        counts = np.zeros(len(rows), dtype=np.int32)
+        n = kernels.rescale_clv(clv, counts, scheme)
+        assert n == expect.sum() and np.array_equal(counts, expect.astype(np.int32))
+        assert np.array_equal(_bits(clv), _bits(want))
+        # … and under a member axis, through the fused entry point.
+        stack = np.array(rows, dtype=dtype).reshape(1, len(rows), C, S).repeat(2, 0)
+        ones = np.ones_like(stack)
+        member_rows = [np.zeros(len(rows), np.int32) for _ in range(2)]
+        assert kernels.combine_and_rescale_batch(
+            stack, ones, stack, member_rows, scheme) == 2 * n
+        for m in range(2):
+            assert np.array_equal(member_rows[m], counts)
+            assert np.array_equal(_bits(stack[m]), _bits(want))
