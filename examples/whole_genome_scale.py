@@ -92,6 +92,10 @@ def main(num_taxa: int = 128) -> None:
     ram = 4 * 1024 * 1024
     print(f"tree: {num_taxa} taxa | simulated RAM for vectors: {format_bytes(ram)} "
           f"| disk: {disk.name}\n")
+    print("elapsed = compute + sim I/O (device-busy seconds). For the ooc rows "
+          "that is an upper\nbound: the store overlaps a miss's write-out with "
+          "its read-in, so the real wait is\nshorter by up to reads x one "
+          "transfer time (about 2 reads per traversal).\n")
     print(f"{'footprint':>10} {'pressure':>8} {'config':>17} {'elapsed':>10} "
           f"{'compute':>9} {'sim I/O':>9} {'faults/swaps':>12}")
 

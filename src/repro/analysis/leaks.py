@@ -32,12 +32,17 @@ def _owns_arena(cls: ast.ClassDef) -> bool:
         if isinstance(item, ast.FunctionDef) and item.name == "__init__":
             for stmt in ast.walk(item):
                 if isinstance(stmt, ast.Assign):
-                    for tgt in stmt.targets:
-                        if (isinstance(tgt, ast.Attribute)
-                                and tgt.attr == ARENA_ATTR
-                                and isinstance(tgt.value, ast.Name)
-                                and tgt.value.id == "self"):
-                            return True
+                    targets = stmt.targets
+                elif isinstance(stmt, ast.AnnAssign):  # self._slots: T = ...
+                    targets = [stmt.target]
+                else:
+                    continue
+                for tgt in targets:
+                    if (isinstance(tgt, ast.Attribute)
+                            and tgt.attr == ARENA_ATTR
+                            and isinstance(tgt.value, ast.Name)
+                            and tgt.value.id == "self"):
+                        return True
     return False
 
 

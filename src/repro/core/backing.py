@@ -413,8 +413,12 @@ class SimulatedDiskBackingStore(ReportedBackingStore):
     into a wall-clock-faithful slow device. This is how the async-I/O
     benchmark measures real overlap: background writer/prefetcher threads
     sleep concurrently with likelihood compute, while the synchronous path
-    serialises every sleep (and the latencies reported to ``obs`` are the
-    modelled device's, not the RAM copy's). The time accounting is
+    waits out every miss (one transfer time: its write-out sleeps on the
+    swap helper beside its read-in) — the model lets transfers proceed
+    concurrently, where a single-spindle disk would partly serialise them.
+    The latencies reported to ``obs`` are the modelled device's, not the
+    RAM copy's. :attr:`simulated_seconds` is device-*busy* time, summed
+    over transfers whichever thread made them; the accounting is
     thread-safe.
     """
 

@@ -38,20 +38,48 @@ The store optionally overlaps I/O with likelihood compute:
 
 Thread model: one compute thread calls ``get``; at most one prefetch
 thread calls ``prefetch_load``; writer threads live inside the write-behind
-queue and never take the store lock. All mutable bookkeeping is guarded by
-one condition variable (``self._cond``). A slot being filled is *published*
-in the maps but marked in-flight: demand requests for it wait on its event,
+queue and never take the store lock; and the synchronous path owns one
+*swap helper* thread (below). All mutable bookkeeping is guarded by one
+condition variable (``self._cond``). A slot being filled is *published*
+in the maps but marked in-flight: demand requests for it wait on the
+condition until its load has ended,
 and eviction never selects in-flight items, so no thread ever reads or
 recycles a half-filled slot. Backing-store transfers happen outside the
-lock — that is the whole point of the pipeline.
+lock — on the demand path without exception.
+
+A synchronous miss is one overlapped swap
+-----------------------------------------
+With ``writeback_depth == 0`` a miss that must both write its victim out
+and read its item in issues the two transfers *together* (the paper's
+cost model, §3.2: a miss costs one device transfer time, not two). Under
+the lock the victim is chosen and flagged in flight — it keeps its slot,
+so it is neither evictable nor readable from the backing store while its
+write is open — and the item is published in flight. Outside the lock the
+swap helper writes the victim from its slot while the calling thread
+reads the item into the *transit vector*, one buffer beyond the ``m``
+slots. Both are joined, and under the lock again the eviction and the
+load are committed: the transit vector becomes the slot's buffer and the
+victim's old buffer the next transit vector (a pointer rotation, no
+copy). A failed write leaves the victim resident with its bytes and the
+policy's order untouched; a failed read returns the vacated slot to the
+free list; either way the error (a ``BaseException`` raised on the
+helper included) surfaces from ``get``. A miss that owes only one
+transfer does it on the calling thread. The helper thread and the
+transit vector are created by the first two-transfer miss and released
+by :meth:`AncestralVectorStore.close`.
+
+**Synchronous** therefore means: *nothing is in flight when ``get``
+returns*. Every counter, the victim sequence and the tracer's event
+order are those of the serial write-then-read; only the waiting is
+shorter.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterable
 import weakref
@@ -69,6 +97,10 @@ from repro.errors import BorrowError, OutOfCoreError, PinnedSlotError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.obs import Observer
+
+#: ``(t0, seconds, served from the write-behind staging buffer)`` of the
+#: read that filled a slot.
+_ReadTiming = tuple[float, float, bool]
 
 #: Smallest legal slot count: computing one ancestral vector needs it plus
 #: its two children resident simultaneously (paper: "we must ensure m ≥ 3").
@@ -282,11 +314,14 @@ class AncestralVectorStore:
         # eviction trace whose parity the counters certify.
         self.fill_spills = 0  # guarded-by: _lock
 
-        # Slot arena: one contiguous block, vector i occupies slots[s] whole.
-        # The arena itself is NOT lock-guarded: a slot's data is only touched
+        # Slot arena: one contiguous block of m vectors. ``_slots[s]`` is the
+        # buffer slot s currently owns — its arena row until an overlapped
+        # swap rotates the transit vector in (see the module docstring).
+        # The buffers are NOT lock-guarded: a slot's data is only touched
         # by the thread that holds it in-flight or by the compute thread while
         # the mapping says so (see the module docstring's thread model).
-        self._slots = np.zeros((self.num_slots, *self.item_shape), dtype=self.dtype)
+        self._arena = np.zeros((self.num_slots, *self.item_shape), dtype=self.dtype)
+        self._slots: list[np.ndarray] = list(self._arena)
         # The two-way maps hold plain Python ints (they are read on every
         # ``get``). ``_item_slot`` has an entry per *resident* item only, so
         # it is also the resident set: updated in ``_publish``, ``_evict``
@@ -307,10 +342,17 @@ class AncestralVectorStore:
                             else self._race.new_scope("AncestralVectorStore"))
         self._lock = make_lock("AncestralVectorStore")
         self._cond = make_condition(self._lock)
-        self._inflight: dict[int, threading.Event] = {}  # guarded-by: _lock
+        self._inflight: set[int] = set()  # guarded-by: _lock
         self._prefetched_untouched: set[int] = set()  # guarded-by: _lock
         self._active_pins: set[int] = set()  # guarded-by: _lock
         self._writeback: WriteBehindQueue | None = None
+        # The overlapped swap's two resources, both created by the first
+        # two-transfer miss (``_swap_resources``) and touched only by the
+        # compute thread: the vector beyond the m slots that a read lands
+        # in, and the one-thread pool that runs the victim's write.
+        self._transit: np.ndarray | None = None
+        self._swap_helper: ThreadPoolExecutor | None = None
+        self._closed = False
 
         # Slot-borrow sanitizer (debug mode, REPRO_SANITIZE=1): per-slot
         # generation counters plus weakrefs to every live borrowed view.
@@ -416,8 +458,12 @@ class AncestralVectorStore:
             return [i for i in self._slot_item if i >= 0]
 
     def ram_bytes(self) -> int:
-        """Bytes the slot arena occupies — the paper's ``m · w`` budget."""
-        return self._slots.nbytes
+        """Bytes the slot arena occupies — the paper's ``m · w`` budget.
+
+        The transit vector of the overlapped swap is staging beyond the
+        budget, accounted like the write-behind queue's buffers: not here.
+        """
+        return self._arena.nbytes
 
     def _check_item(self, item: int) -> None:
         if not 0 <= item < self.num_items:
@@ -445,87 +491,138 @@ class AncestralVectorStore:
             self._check_item(p)
         ob = self.obs
         rc = self._race
-        announced = False
-        while True:
-            wait_ev = None
-            with self._cond:
-                if not announced:
-                    # Once per request, under the same lock hold as the
-                    # lookup (re-entered only after waiting on a load).
-                    announced = True
-                    if rc is not None:
-                        rc.write(self._race_scope, "stats.store", "_active_pins")
-                    self.stats.requests += 1
-                    if ob is not None:
-                        ob.event("get", item)
-                    self._active_pins = {item, *(int(p) for p in pins)}
-                    self._cond.notify_all()  # progress signal for a prefetch thread
-                if rc is not None:
-                    rc.read(self._race_scope, "_item_slot", "_inflight")
-                slot = self._item_slot.get(item, -1)
-                ev = self._inflight.get(item)
-                if ev is None and slot >= 0:
-                    return self._account_hit(item, slot, write_only)
-                if ev is not None:
-                    wait_ev = ev
-                else:
-                    self.stats.misses += 1
-                    slot = self._allocate_slot(item, pins)
-                    if ob is not None:
-                        ob.event("miss", item, slot)
-                    if write_only and self.read_skipping:
-                        self.stats.read_skips += 1
-                        if ob is not None:
-                            ob.event("read_skip", item, slot)
-                        if self.poison_skipped_reads:
-                            self._slots[slot].fill(np.nan)
-                        self._publish(item, slot)
-                        self.policy.on_load(item)
-                        return self._finish_load(item, slot, write_only)
-                    # Publish the mapping, mark in-flight and read outside
-                    # the lock so a prefetch thread can keep working.
-                    self._publish(item, slot)
-                    if rc is not None:
-                        rc.write(self._race_scope, "_inflight")
-                    self._inflight[item] = threading.Event()
-            if wait_ev is not None:
+        with self._cond:
+            if rc is not None:
+                rc.write(self._race_scope, "stats.store", "_active_pins")
+            self.stats.requests += 1
+            if ob is not None:
+                ob.event("get", item)
+            self._active_pins = {item, *(int(p) for p in pins)}
+            self._cond.notify_all()  # progress signal for a prefetch thread
+            if rc is not None:
+                rc.read(self._race_scope, "_item_slot", "_inflight")
+            while item in self._inflight:
                 # A prefetch load of this exact item is in flight: wait for
-                # it, then re-enter — the hit branch accounts it.
-                wait_ev.wait()
-                continue
+                # it — the hit branch accounts it.
+                self._cond.wait()
+            slot = self._item_slot.get(item, -1)
+            if slot >= 0:
+                return self._account_hit(item, slot, write_only)
+            self.stats.misses += 1
+            slot, victim = self._allocate_slot(item, pins)
+            if ob is not None:
+                ob.event("miss", item, slot)
+            skip = write_only and self.read_skipping
+            if victim < 0:
+                self._publish(item, slot)
+                if skip:  # a vacant slot and no read: nothing is owed
+                    return self._commit_load(item, slot, write_only, None)
+            else:
+                # The slot is the victim's until its write lands; the item
+                # is only announced (resident, in flight).
+                self._item_slot[item] = slot
+            # Transfers are owed: they happen outside the lock, so a
+            # prefetch thread can keep working.
+            if rc is not None:
+                rc.write(self._race_scope, "_inflight", "_item_slot")
+            self._inflight.add(item)
+        return self._swap_in(item, slot, victim, write_only, skip)
+
+    def _swap_in(self, item: int, slot: int, victim: int, write_only: bool,
+                 skip: bool) -> np.ndarray:
+        """Do the transfers a demand miss owes, then commit or roll back.
+
+        Called without the lock, with ``item`` (and ``victim``, if ``>= 0``)
+        flagged in flight. ``victim``'s write-out and ``item``'s read-in
+        (unless ``skip``) run outside the lock. When both are owed the
+        write runs on the swap helper from the slot's own buffer (so the
+        victim's bytes stay intact whatever happens) while this thread
+        reads into the transit vector, and one ``swap`` is reported: the
+        interval both were in flight together, i.e. the device seconds the
+        overlap hid (write + read - elapsed). Whatever either transfer
+        raises is held until both have ended and the bookkeeping is
+        consistent again:
+
+        * write failed, or could not be handed to the helper — the victim
+          keeps its slot, bytes and place in the policy's order; the load
+          is rolled back even if its read succeeded (the serial path would
+          never have attempted it);
+        * read failed — the eviction stands, the vacated slot returns to
+          the free list.
+        """
+        ob = self.obs
+        rc = self._race
+        dest = self._slots[slot]
+        write_exc: BaseException | None = None
+        read_exc: BaseException | None = None
+        read: _ReadTiming | None = None
+        pending: Future[float] | None = None
+        t0 = time.perf_counter()
+        if victim >= 0 and skip:
             try:
-                read_t0 = time.perf_counter() if ob is not None else 0.0
-                from_staging = self._read_into_slot(item, slot)
-            except Exception:
-                # Return the already-vacated slot to the free list so a
-                # failed swap-in cannot leak capacity (the evicted victim
-                # was staged/written out before the read was attempted).
-                with self._cond:
-                    self._unpublish(item, slot)
-                    if rc is not None:
-                        rc.write(self._race_scope, "_inflight")
-                    done = self._inflight.pop(item, None)
-                    if done is not None:
-                        done.set()
-                    self._cond.notify_all()
-                raise
-            with self._cond:
-                if rc is not None:
-                    rc.write(self._race_scope, "stats.store", "_inflight")
-                self.stats.reads += 1
-                self.stats.bytes_read += self.item_bytes
-                if ob is not None:
-                    ob.timed("demand_read", read_t0,
-                             time.perf_counter() - read_t0,
-                             item=item, slot=slot)
-                if from_staging:
-                    self.stats.writeback_read_hits += 1
-                self.policy.on_load(item)
-                done = self._inflight.pop(item, None)
-                if done is not None:
-                    done.set()
-                self._cond.notify_all()
-                return self._finish_load(item, slot, write_only)
+                self.backing.write(victim, dest)
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                write_exc = exc
+        elif victim >= 0:
+            try:
+                helper, transit = self._swap_resources()
+                pending = helper.submit(self._timed_write, victim, dest)
+                dest = transit
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                write_exc = exc  # the write never started: neither does the read
+        if not skip and write_exc is None:
+            try:
+                from_staging = self._read_into(item, dest)
+                read = (t0, time.perf_counter() - t0, from_staging)
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                read_exc = exc
+        if pending is not None:
+            write_exc = pending.exception()  # joins the helper's write
+            if ob is not None and write_exc is None and read is not None:
+                hidden = pending.result() + read[1] - (time.perf_counter() - t0)
+                ob.timed("swap", t0, max(hidden, 0.0), item=item, slot=slot,
+                         victim=victim)
+        with self._cond:
+            if rc is not None:
+                rc.write(self._race_scope, "_inflight", "_item_slot")
+            if victim >= 0:
+                self._inflight.remove(victim)
+                if write_exc is None:
+                    self._vacate(victim, slot, written=True)
+            self._inflight.remove(item)
+            self._cond.notify_all()
+            if write_exc is not None:
+                del self._item_slot[item]  # the slot is still the victim's
+                raise write_exc
+            if read_exc is not None:
+                self._unpublish(item, slot)
+                raise read_exc
+            if pending is not None:
+                # The read landed in the transit vector: it becomes the
+                # slot's buffer, the victim's old one the next transit.
+                self._transit, self._slots[slot] = self._slots[slot], dest
+            if victim >= 0:
+                self._publish(item, slot)
+            return self._commit_load(item, slot, write_only, read)
+
+    def _swap_resources(self) -> tuple[ThreadPoolExecutor, np.ndarray]:
+        """The swap helper and the transit vector, created on first use."""
+        helper, transit = self._swap_helper, self._transit
+        if helper is None or transit is None:
+            if self._closed:
+                raise OutOfCoreError(
+                    "the store is closed: no swap helper to write a victim out")
+            transit = self._transit = np.zeros(self.item_shape,
+                                               dtype=self.dtype)
+            helper = self._swap_helper = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="vecstore-swap")
+        return helper, transit
+
+    def _timed_write(self, item: int, data: np.ndarray) -> float:  # thread: writer
+        """The swap helper's job: one backing write, returning its seconds."""
+        t0 = time.perf_counter()
+        self.backing.write(item, data)
+        return time.perf_counter() - t0
 
     def _account_hit(self, item: int, slot: int, write_only: bool) -> np.ndarray:  # holds: _cond
         """Stats + policy bookkeeping for a request that found ``item`` resident.
@@ -573,10 +670,32 @@ class AncestralVectorStore:
         self.policy.on_access(item, write_only)
         return self._issue_view(item, slot)
 
-    def _finish_load(self, item: int, slot: int, write_only: bool) -> np.ndarray:  # holds: _cond
+    def _commit_load(self, item: int, slot: int, write_only: bool,  # holds: _cond
+                     read: _ReadTiming | None) -> np.ndarray:
+        """Account a demand miss whose slot now holds ``item`` and issue the view.
+
+        ``read`` times the read that filled the slot; ``None`` means the
+        read was skipped (§3.4).
+        """
+        ob = self.obs
         rc = self._race
         if rc is not None:
-            rc.write(self._race_scope, "_dirty", "_ever_stored")
+            rc.write(self._race_scope, "stats.store", "_dirty", "_ever_stored")
+        if read is None:
+            self.stats.read_skips += 1
+            if ob is not None:
+                ob.event("read_skip", item, slot)
+            if self.poison_skipped_reads:
+                self._slots[slot].fill(np.nan)
+        else:
+            t0, seconds, from_staging = read
+            self.stats.reads += 1
+            self.stats.bytes_read += self.item_bytes
+            if ob is not None:
+                ob.timed("demand_read", t0, seconds, item=item, slot=slot)
+            if from_staging:
+                self.stats.writeback_read_hits += 1
+        self.policy.on_load(item)
         self._dirty[slot] = False
         if write_only:
             self._dirty[slot] = True
@@ -631,16 +750,16 @@ class AncestralVectorStore:
         self._slot_item[slot] = -1
         self._free.append(slot)
 
-    def _read_into_slot(self, item: int, slot: int) -> bool:
-        """Fill a slot from the staging buffer or the backing store.
+    def _read_into(self, item: int, out: np.ndarray) -> bool:
+        """Fill ``out`` from the staging buffer or the backing store.
 
         Returns ``True`` when served by the write-behind staging buffer
         (whose copy is newer than the backing store's — read-your-writes).
         """
         if self._writeback is not None and \
-                self._writeback.read_into(item, self._slots[slot]):
+                self._writeback.read_into(item, out):
             return True
-        self.backing.read(item, self._slots[slot])
+        self.backing.read(item, out)
         return False
 
     def mark_dirty(self, item: int) -> None:
@@ -688,27 +807,23 @@ class AncestralVectorStore:
         staged = False
         rc = self._race
         while True:
-            wait_ev = None
             with self._cond:
                 if rc is not None:
                     rc.read(self._race_scope, "_inflight", "_item_slot")
-                wait_ev = self._inflight.get(item)
-                if wait_ev is None:
-                    slot = self._item_slot.get(item, -1)
-                    if slot >= 0:
-                        if rc is not None:
-                            rc.write(self._race_scope, "_dirty", "_ever_stored")
-                        self._slots[slot][:span] = data
-                        self._dirty[slot] = True
-                        self._ever_stored[item] = True
-                        return
-                    if staged:
-                        # Persisted below and still non-resident: any get
-                        # from here on reads the staged/written copy.
-                        return
-            if wait_ev is not None:
-                wait_ev.wait()
-                continue
+                while item in self._inflight:
+                    self._cond.wait()
+                slot = self._item_slot.get(item, -1)
+                if slot >= 0:
+                    if rc is not None:
+                        rc.write(self._race_scope, "_dirty", "_ever_stored")
+                    self._slots[slot][:span] = data
+                    self._dirty[slot] = True
+                    self._ever_stored[item] = True
+                    return
+                if staged:
+                    # Persisted below and still non-resident: any get
+                    # from here on reads the staged/written copy.
+                    return
             # Non-resident: persist a full-size buffer out-of-band, then
             # re-check — a prefetch that raced us and loaded stale bytes
             # is overwritten in-slot on the next pass.
@@ -725,12 +840,21 @@ class AncestralVectorStore:
                 self.fill_spills += 1
             staged = True
 
-    def _allocate_slot(self, item: int, pins: tuple) -> int:  # holds: _cond
+    def _allocate_slot(self, item: int,  # holds: _cond
+                       pins: tuple) -> tuple[int, int]:
+        """A slot for a demand miss on ``item``: ``(slot, victim)``.
+
+        ``victim < 0``: the slot is vacant (free, or its occupant was
+        evicted here — clean under ``track_dirty``, or staged into the
+        write-behind queue). ``victim >= 0``: the synchronous write-out of
+        that item is still owed — it keeps the slot, flagged in flight,
+        until the caller has written it outside the lock (``_swap_in``).
+        """
         rc = self._race
         if rc is not None:
             rc.write(self._race_scope, "_free")
         if self._free:
-            return self._free.pop()
+            return self._free.pop(), -1
         candidates = self._evictable(pins)
         if not candidates:
             # Pins hold slots only while resident, and a prefetch load in
@@ -754,8 +878,16 @@ class AncestralVectorStore:
                 f"policy {self.policy.name!r} chose non-candidate victim {victim}"
             )
         vslot = self._item_slot[victim]
-        self._evict(victim, vslot)
-        return vslot
+        if self._writeback is not None or (self.track_dirty
+                                           and not self._dirty[vslot]):
+            self._evict(victim, vslot)
+            return vslot, -1
+        if rc is not None:
+            rc.write(self._race_scope, "_inflight")
+        if self.obs is not None:
+            self.obs.event("evict", victim, vslot)
+        self._inflight.add(victim)
+        return vslot, victim
 
     def _evictable(self, *excluded: Iterable[int]) -> EvictableView:  # holds: _cond
         """The victim candidates: residents minus ``excluded`` and in-flight loads."""
@@ -766,23 +898,34 @@ class AncestralVectorStore:
                              chain(self._inflight, *excluded))
 
     def _evict(self, item: int, slot: int) -> None:  # holds: _cond
+        """Evict ``item`` here and now (every path but the synchronous
+        demand miss, which writes outside the lock — ``_swap_in``)."""
+        rc = self._race
+        if rc is not None:
+            rc.read(self._race_scope, "_dirty")
+        if self.obs is not None:
+            self.obs.event("evict", item, slot)
+        written = not (self.track_dirty and not self._dirty[slot])
+        if written:
+            self._write_out(item, slot)
+        self._vacate(item, slot, written)
+
+    def _vacate(self, item: int, slot: int, written: bool) -> None:  # holds: _cond
+        """Bookkeeping of an eviction whose bytes are safe: the slot is vacant."""
         rc = self._race
         if rc is not None:
             rc.write(self._race_scope, "_slot_generation", "stats.store",
                      "_prefetched_untouched", "_item_slot", "_slot_item",
                      "_dirty")
         self._slot_generation[slot] += 1  # invalidates outstanding borrows
-        if self.obs is not None:
-            self.obs.event("evict", item, slot)
         if item in self._prefetched_untouched:
             self._prefetched_untouched.discard(item)
             self.stats.prefetch_unused += 1
-        if self.track_dirty and not self._dirty[slot]:
-            self.stats.write_skips += 1
-        else:
-            self._write_out(item, slot)
+        if written:
             self.stats.writes += 1
             self.stats.bytes_written += self.item_bytes
+        else:
+            self.stats.write_skips += 1
         del self._item_slot[item]
         self._slot_item[slot] = -1
         self._dirty[slot] = False
@@ -805,7 +948,7 @@ class AncestralVectorStore:
         most recent demand ``get`` or in-flight loads — publishes the
         mapping, and fills the slot from the staging buffer or the backing
         store *outside the lock*. Demand requests arriving mid-load wait on
-        the in-flight event. Returns ``False`` (without raising) when the
+        the condition until it has ended. Returns ``False`` (without raising) when the
         item is already resident/in flight, no evictable slot exists, or
         the read fails — prefetching is an optimisation, never an
         obligation. Accounts only ``prefetch_*`` traffic: demand counters
@@ -823,21 +966,19 @@ class AncestralVectorStore:
             if slot is None:
                 return False
             self._publish(item, slot)
-            ev = threading.Event()
             if rc is not None:
                 rc.write(self._race_scope, "_inflight")
-            self._inflight[item] = ev
+            self._inflight.add(item)
         ob = self.obs
         try:
             read_t0 = time.perf_counter() if ob is not None else 0.0
-            from_staging = self._read_into_slot(item, slot)
+            from_staging = self._read_into(item, self._slots[slot])
         except Exception:
             with self._cond:
                 self._unpublish(item, slot)
                 if rc is not None:
                     rc.write(self._race_scope, "_inflight")
-                self._inflight.pop(item, None)
-                ev.set()
+                self._inflight.discard(item)
                 self._cond.notify_all()
             return False
         with self._cond:
@@ -856,8 +997,7 @@ class AncestralVectorStore:
             # Stamp the policy so the freshly prefetched vector is not the
             # immediate next victim (it is needed within the horizon).
             self.policy.on_access(item, False)
-            self._inflight.pop(item, None)
-            ev.set()
+            self._inflight.discard(item)
             self._cond.notify_all()
         return True
 
@@ -957,9 +1097,7 @@ class AncestralVectorStore:
             if slot >= 0:
                 return self._slots[slot].copy()
         out = np.empty(self.item_shape, dtype=self.dtype)
-        if self._writeback is not None and self._writeback.read_into(item, out):
-            return out
-        self.backing.read(item, out)
+        self._read_into(item, out)
         return out
 
     def validate(self) -> None:
@@ -970,10 +1108,13 @@ class AncestralVectorStore:
         rollback; a missed update would not crash, it would skew victim
         choice. This cross-checks all of them: ``_slot_item`` and
         ``_item_slot`` are inverse to each other, the free list holds
-        exactly the empty slots, in-flight and prefetched-untouched items
-        are resident, and an order-keeping policy
+        exactly the empty slots, every slot owns a buffer of its own (the
+        overlapped swap rotates them), in-flight and prefetched-untouched
+        items are resident, and an order-keeping policy
         (:meth:`ReplacementPolicy.ordered_items`) tracks exactly the
-        residents whose load has completed.
+        residents whose load has completed. For the compute thread,
+        between two ``get`` calls: a swap of its own in flight is not a
+        state this describes.
         """
         rc = self._race
         with self._cond:
@@ -993,14 +1134,18 @@ class AncestralVectorStore:
                     or len(set(self._free)) != len(self._free)
                     or any(self._slot_item[slot] >= 0 for slot in self._free)):
                 raise OutOfCoreError("free-list/resident accounting mismatch")
-            stray = (self._inflight.keys() | self._prefetched_untouched) \
+            buffers = {id(buf) for buf in self._slots}
+            if len(buffers) != self.num_slots or id(self._transit) in buffers:
+                raise OutOfCoreError("two slots (or a slot and the transit "
+                                     "vector) share one buffer")
+            stray = (self._inflight | self._prefetched_untouched) \
                 - self._item_slot.keys()
             if stray:
                 raise OutOfCoreError(
                     f"in-flight/prefetched items {sorted(stray)} are not resident")
             order = self.policy.ordered_items()
             if order is not None:
-                loaded = sorted(self._item_slot.keys() - self._inflight.keys())
+                loaded = sorted(self._item_slot.keys() - self._inflight)
                 if sorted(order) != loaded:
                     raise OutOfCoreError(
                         f"policy {self.policy.name!r} orders items "
@@ -1008,10 +1153,17 @@ class AncestralVectorStore:
                         f"residents {loaded}")
 
     def close(self) -> None:
-        """Drain pending write-behind traffic and close the backing store."""
+        """Join the swap helper, drain pending write-behind traffic and
+        close the backing store. Idempotent: a second call does nothing."""
+        if self._closed:
+            return
+        helper, self._swap_helper = self._swap_helper, None
+        if helper is not None:
+            helper.shutdown(wait=True)
         if self._writeback is not None:
             self._writeback.close()
         self.backing.close()
+        self._closed = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

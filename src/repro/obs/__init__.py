@@ -118,6 +118,9 @@ ROUTES: dict[str, Route] = {
     "store_wait": Route(timer="store_wait", metric="store_wait_seconds",
                         span=True),
     "execute_plan": Route(span=True),
+    # -- synchronous pipeline: a miss's write-out beside its read-in; the
+    # duration is the device seconds that overlap hid --
+    "swap": Route(metric="swap_hidden_seconds", span=True),
     # -- asynchronous pipeline --
     "writeback_stall": Route(event="stall", span=True),
     "writeback_drain": Route(event="writeback_drain", hist="drain",

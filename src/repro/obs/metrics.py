@@ -104,6 +104,7 @@ METRIC_NAMES = frozenset({
     "backing_write_seconds",
     "writeback_drain_seconds",
     "store_wait_seconds",
+    "swap_hidden_seconds",
 })
 
 #: ``name -> (kind, help)`` exposition table: drives the ``# TYPE`` /
@@ -178,6 +179,8 @@ METRIC_EXPOSITION: dict[str, tuple[str, str]] = {
     "backing_write_seconds": ("histogram", "Physical backing-store write latency"),
     "writeback_drain_seconds": ("histogram", "Write-behind drain latency"),
     "store_wait_seconds": ("histogram", "Compute-thread wait per store.get"),
+    "swap_hidden_seconds": ("histogram", "Device seconds one overlapped swap "
+                                         "hid (write + read - elapsed)"),
 }
 
 #: Counters carrying a label set instead of one scalar series. They are

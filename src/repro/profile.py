@@ -224,6 +224,24 @@ def _print_attribution(attribution: dict) -> None:
                   f"{row['writes']} writes, {row['restarts']} restarts")
 
 
+def _print_device_overlap(obs: Observer, snapshot: dict,
+                          writeback: bool) -> None:
+    """How much of the device time the compute thread did not wait for:
+    the synchronous path's overlapped swaps (write-out beside read-in)
+    beside the write-behind queue, whose writer threads do every write."""
+    reads = obs.probe.read_hist.total_seconds
+    writes = obs.probe.write_hist.total_seconds
+    device = reads + writes
+    if device <= 0.0:
+        return
+    swaps = snapshot["histograms"]["swap_hidden_seconds"]
+    behind = writes if writeback else 0.0
+    print(f"device overlap  : {device:.4f}s in transfers; "
+          f"{swaps['count']} overlapped swaps hid {swaps['sum']:.4f}s "
+          f"({swaps['sum'] / device:.1%}), write-behind wrote "
+          f"{behind:.4f}s off-thread ({behind / device:.1%})")
+
+
 def _parity_check(config: EngineConfig, alignment, tree, args, workdir: str,
                   traced: dict) -> list[str]:
     """Re-run untraced; return mismatch descriptions (empty = parity holds)."""
@@ -316,6 +334,8 @@ def run_profile(args) -> int:
         for phase, entry in doc["phases"].items():
             print(f"phase {phase:>10}: {entry['seconds']:.4f}s "
                   f"over {int(entry['calls'])} laps")
+        _print_device_overlap(obs, metrics_snapshot,
+                              counters["writeback_enabled"])
         ev = doc["events"]
         print(f"events          : {ev['emitted']} emitted, "
               f"{ev['captured']} captured, {ev['dropped']} dropped")

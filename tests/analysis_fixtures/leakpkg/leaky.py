@@ -24,6 +24,16 @@ class Arena:
         return self._slots[slot]
 
 
+class AnnotatedArena:
+    """An annotated ``_slots`` assignment declares an arena just the same."""
+
+    def __init__(self) -> None:
+        self._slots: list[np.ndarray] = list(np.zeros((4, 8)))
+
+    def bad_subscript(self, slot: int) -> np.ndarray:
+        return self._slots[slot]  # expect: LEAK001
+
+
 class NotAnArena:
     """No ``_slots`` in __init__ — the checker must ignore this class."""
 

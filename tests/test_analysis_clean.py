@@ -9,6 +9,7 @@ import ast
 from pathlib import Path
 
 from repro.analysis import analyze_paths
+from repro.analysis.leaks import _owns_arena
 
 SRC_REPRO = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -17,6 +18,15 @@ def test_source_tree_is_invariant_clean():
     findings = analyze_paths([SRC_REPRO])
     assert not findings, "invariant violations in src/repro:\n" + "\n".join(
         f.format() for f in findings)
+
+
+def test_the_store_is_checked_as_an_arena_owner():
+    """LEAK001 only looks at classes it recognises as owning ``_slots``: a
+    clean report must not mean the one real arena went unrecognised."""
+    tree = ast.parse((SRC_REPRO / "core" / "vecstore.py").read_text())
+    owners = [cls.name for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and _owns_arena(cls)]
+    assert owners == ["AncestralVectorStore"]
 
 
 #: Sink methods no other class has: a call is a sink call whoever receives it.

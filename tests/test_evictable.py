@@ -649,7 +649,7 @@ class TestValidateCoversIncrementalState:
 
     def test_inflight_item_not_resident(self):
         s = self.store()
-        s._inflight[0] = threading.Event()
+        s._inflight.add(0)
         with pytest.raises(OutOfCoreError, match="not resident"):
             s.validate()
 

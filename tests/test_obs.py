@@ -396,6 +396,8 @@ class TestReportingSeam:
         if pipeline == "async":
             expected |= {"writeback_enqueue", "writeback_drain",
                          "prefetch_load"}
+        else:
+            expected |= {"swap"}
         assert expected <= set(reports) <= set(ROUTES)
 
         def routed(field, target=True):
