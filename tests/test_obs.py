@@ -10,6 +10,7 @@ sinks record it (``TestReportingSeam``).
 
 import json
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -351,12 +352,34 @@ class TestReportingSeam:
                 obs.attach(engine)
             engine.full_traversals(2)
             engine.store.drain()
+            row = dict(engine.stats.as_row())
+            if obs is not None and engine.prefetcher is not None:
+                TestReportingSeam.await_prefetch_load(engine, obs)
             snapshot = obs.metrics.snapshot() if obs is not None else None
-            return engine, dict(engine.stats.as_row()), snapshot
+            return engine, row, snapshot
         finally:
             if obs is not None:
                 obs.detach(engine)
             engine.close()
+
+    @staticmethod
+    def await_prefetch_load(engine, obs):
+        """The prefetch thread races the compute thread and, now and then,
+        gets no turn in two traversals. Hand it one absent vector while the
+        compute thread is idle and wait, with a deadline, for its first
+        report (as ``test_spans::test_prefetch_thread_appears_on_timeline``
+        does). Runs after the passivity row is taken: the load may evict."""
+        if obs.reports["prefetch_load"]:
+            return
+        store = engine.store
+        absent = next(item for item in range(store.num_items)
+                      if not store.is_resident(item))
+        engine.prefetcher.feed([(absent, (), False)])
+        deadline = time.monotonic() + 5.0
+        while not obs.reports["prefetch_load"]:
+            assert time.monotonic() < deadline, "prefetcher never loaded"
+            time.sleep(0.005)
+        store.drain()
 
     def test_design_table_is_the_routing_table(self):
         """DESIGN.md documents the policy by quoting it: regenerate with
@@ -431,7 +454,7 @@ class TestReportingSeam:
         assert obs.probe.read_hist.count == engine.stats.physical_reads
         assert obs.probe.write_hist.count == engine.stats.physical_writes
         assert reports["store_wait"] == reports["get"] == seen["requests"]
-        assert reports["writeback_drain"] == seen["writeback_writes"]
+        assert reports["writeback_drain"] == engine.stats.writeback_writes
 
         # (iii) detach left no observer and no collector behind.
         innermost = engine.store.backing
