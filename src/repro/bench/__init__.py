@@ -1,15 +1,15 @@
-"""Regression-tracking benchmark runner (``python -m repro.bench``).
+"""The parity gate (``python -m repro.bench``).
 
-Drives one instance of each paper evaluation workload (Fig. 2 / Fig. 3 /
-Fig. 5 plus the §4.3 lazy SPR search, over whole-vector and site-block
-layouts), emits a versioned ``BENCH_results.json`` and can compare it
-against a stored baseline with noise-tolerant thresholds. See
-:mod:`repro.bench.runner` for the CLI and :mod:`repro.bench.schema` for
-the document layout.
+Runs each paper evaluation configuration (Fig. 2 / Fig. 3 / Fig. 5 plus
+the §4.3 lazy SPR search, whole-vector and site-block layouts) once,
+requires the batched, compressed and sharded twins to reproduce the same
+likelihood bits and I/O counters, emits a deterministic
+``BENCH_results.json`` and can compare it exactly against a stored one.
+It times nothing — ``benchmarks/ooc/`` is the stopwatch. See
+:mod:`repro.bench.runner` (CLI) and :mod:`repro.bench.schema` (document).
 """
 
 from repro.bench.schema import (
-    LOWER_IS_BETTER_COUNTERS,
     RESULT_METRICS,
     RESULTS_SCHEMA,
     compare_results,
@@ -17,7 +17,6 @@ from repro.bench.schema import (
 )
 
 __all__ = [
-    "LOWER_IS_BETTER_COUNTERS",
     "RESULTS_SCHEMA",
     "RESULT_METRICS",
     "compare_results",

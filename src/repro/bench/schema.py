@@ -1,15 +1,15 @@
 """Schema and baseline comparison for ``BENCH_results.json``.
 
-``python -m repro.bench`` emits one versioned document per run:
+``python -m repro.bench`` emits one versioned document per run, a pure
+function of the commit (no clock reading anywhere in it):
 
 * :data:`RESULTS_SCHEMA` — the layout version tag;
 * :func:`validate_results` — the hand-rolled validator (same no-jsonschema
   discipline as :func:`repro.obs.exporters.validate_profile`);
-* :func:`compare_results` — the regression check behind ``--baseline``:
-  deterministic I/O counters are compared exactly, timing and rate
-  figures with configurable noise tolerances, and workloads whose
-  configuration changed between the two documents are skipped with a
-  note instead of producing false alarms.
+* :func:`compare_results` — the one rule behind ``--baseline``: a
+  workload whose configuration is unchanged must equal its baseline
+  exactly, in either direction; one whose configuration changed is
+  skipped with a note instead of producing a false alarm.
 
 The per-workload counter names in :data:`RESULT_METRICS` are a subset of
 the metrics catalogue (:data:`repro.obs.metrics.METRIC_NAMES`); analysis
@@ -23,7 +23,7 @@ from typing import Any
 from repro.obs.metrics import METRIC_NAMES
 
 #: Version tag of the ``BENCH_results.json`` document layout.
-RESULTS_SCHEMA = "repro-bench/1"
+RESULTS_SCHEMA = "repro-bench/2"
 
 #: Per-workload counters every result entry must report — the §4
 #: evaluation metrics, named exactly as in the metrics catalogue.
@@ -32,36 +32,27 @@ RESULT_METRICS = (
     "writes", "write_skips", "bytes_read", "bytes_written",
 )
 
-#: Counters where a larger current value is a regression. ``requests``
-#: and ``hits`` are excluded: request totals are workload shape, and
-#: more hits is an improvement.
-LOWER_IS_BETTER_COUNTERS = (
-    "misses", "reads", "writes", "bytes_read", "bytes_written",
-)
-
-#: Timing figures compared with relative ``time_tolerance`` (noisy).
-TIME_KEYS = ("wall_seconds", "simulated_io_seconds")
-
-#: Derived rates compared with absolute ``rate_tolerance``.
+#: Derived rates every entry reports (functions of the counters).
 RATE_KEYS = ("miss_rate", "read_rate")
 
+#: Modelled device figures, present where the workload has a disk model
+#: in-process: sums of modelled costs, not clock readings.
+MODEL_KEYS = ("simulated_io_seconds", "faults")
+
+#: Relative lnL agreement ``--baseline`` demands — the oracle's constant
+#: (tests/oracle.py). The exact bits (``log_likelihood_hex``) are a
+#: same-machine property (BLAS build), gated only within one run.
+LNL_RTOL = 1e-9
+
 #: Required top-level document keys.
-_REQUIRED_TOP = ("schema", "quick", "config", "workloads")
+_REQUIRED_TOP = ("schema", "config", "workloads")
 
 #: Required keys of each workload entry.
-_ENTRY_KEYS = ("figure", "config", "wall_seconds", "log_likelihood",
+_ENTRY_KEYS = ("figure", "config", "log_likelihood", "log_likelihood_hex",
                "metrics", "derived")
-
-#: Required keys of each per-op latency summary (an optional per-workload
-#: ``latency`` block recorded from the instrumented repeat's probe).
-_LATENCY_KEYS = ("count", "p50", "p95")
 
 assert set(RESULT_METRICS) <= METRIC_NAMES, \
     "RESULT_METRICS must use catalogue names (analysis rule MET002)"
-
-
-def _type_name(obj: Any) -> str:
-    return type(obj).__name__
 
 
 def validate_results(doc: Any) -> list[str]:
@@ -71,7 +62,7 @@ def validate_results(doc: Any) -> list[str]:
     """
     problems: list[str] = []
     if not isinstance(doc, dict):
-        return [f"document must be an object, got {_type_name(doc)}"]
+        return [f"document must be an object, got {type(doc).__name__}"]
     for key in _REQUIRED_TOP:
         if key not in doc:
             problems.append(f"missing top-level key {key!r}")
@@ -80,8 +71,6 @@ def validate_results(doc: Any) -> list[str]:
     if doc["schema"] != RESULTS_SCHEMA:
         problems.append(
             f"schema is {doc['schema']!r}, expected {RESULTS_SCHEMA!r}")
-    if not isinstance(doc["quick"], bool):
-        problems.append("quick must be a boolean")
     if not isinstance(doc["config"], dict):
         problems.append("config must be an object")
 
@@ -97,12 +86,14 @@ def validate_results(doc: Any) -> list[str]:
                 problems.append(f"workload {name!r} missing {key!r}")
         if not isinstance(entry.get("config"), dict):
             problems.append(f"workload {name!r} config must be an object")
-        for key in ("wall_seconds", "log_likelihood"):
-            if key in entry and not isinstance(entry[key], (int, float)):
-                problems.append(f"workload {name!r} {key!r} must be numeric")
-        if isinstance(entry.get("wall_seconds"), (int, float)) \
-                and entry["wall_seconds"] < 0:
-            problems.append(f"workload {name!r} wall_seconds must be >= 0")
+        if "log_likelihood" in entry and not isinstance(
+                entry["log_likelihood"], (int, float)):
+            problems.append(
+                f"workload {name!r} 'log_likelihood' must be numeric")
+        if "log_likelihood_hex" in entry and not isinstance(
+                entry["log_likelihood_hex"], str):
+            problems.append(
+                f"workload {name!r} 'log_likelihood_hex' must be a string")
 
         metrics = entry.get("metrics")
         if not isinstance(metrics, dict):
@@ -126,71 +117,37 @@ def validate_results(doc: Any) -> list[str]:
                     problems.append(
                         f"workload {name!r} derived {key!r}={value} "
                         "outside [0, 1]")
-        if "simulated_io_seconds" in entry and not isinstance(
-                entry["simulated_io_seconds"], (int, float)):
-            problems.append(
-                f"workload {name!r} simulated_io_seconds must be numeric")
-
-        latency = entry.get("latency")
-        if latency is not None:
-            if not isinstance(latency, dict):
-                problems.append(f"workload {name!r} latency must be an object")
-            else:
-                for op in ("read", "write"):
-                    summary = latency.get(op)
-                    if not isinstance(summary, dict):
-                        problems.append(
-                            f"workload {name!r} latency.{op} must be an "
-                            "object")
-                        continue
-                    if not isinstance(summary.get("count"), int):
-                        problems.append(
-                            f"workload {name!r} latency.{op} missing "
-                            "integer 'count'")
-                    for key in _LATENCY_KEYS[1:]:
-                        if not isinstance(summary.get(key), (int, float)):
-                            problems.append(
-                                f"workload {name!r} latency.{op} missing "
-                                f"numeric {key!r}")
+        for key in MODEL_KEYS:
+            if key in entry and not isinstance(entry[key], (int, float)):
+                problems.append(f"workload {name!r} {key} must be numeric")
     return problems
 
 
-def compare_results(
-    current: dict,
-    baseline: dict,
-    *,
-    time_tolerance: float = 1.0,
-    rate_tolerance: float = 0.02,
-    counter_tolerance: float = 0.0,
-    time_floor: float = 0.25,
-) -> tuple[list[str], list[str]]:
+def compare_results(current: dict,
+                    baseline: dict) -> tuple[list[str], list[str]]:
     """Compare a fresh result document against a stored baseline.
 
-    Returns ``(regressions, notes)``. Regressions are things that should
-    fail CI: a timing figure more than ``time_tolerance`` (relative)
-    above baseline *and* more than ``time_floor`` seconds above it
-    (sub-second quick runs are dominated by scheduler noise, so the
-    deterministic counters and rates are the primary surface), a
-    rate more than ``rate_tolerance`` (absolute) above baseline, a
-    lower-is-better counter above ``baseline * (1 + counter_tolerance)``,
-    or a baseline workload missing from the current run. Improvements
-    never regress. Workloads whose recorded config differs (or whose
-    request totals differ, meaning the workload shape itself changed)
-    are skipped with a note — a resized benchmark is not a regression.
+    Returns ``(differences, notes)``. Every difference should fail CI: a
+    baseline workload missing from the current run, or — where the
+    recorded config is unchanged — any counter, derived rate or modelled
+    device figure that is not equal to its baseline (fewer misses is as
+    much a change of behaviour as more: the fix is to regenerate the
+    baseline in the same change, where the diff gets reviewed), or an lnL
+    beyond :data:`LNL_RTOL`. Workloads whose config differs are skipped
+    with a note — a reconfigured workload is not a regression. Fields
+    outside this list (``compression_ratio``, ``backing_bytes_written``:
+    zlib build) are host-dependent and gated within the run only.
     """
-    regressions: list[str] = []
+    for label, doc in (("baseline", baseline), ("current results", current)):
+        problems = validate_results(doc)
+        if problems:
+            return [f"{label} invalid: {p}" for p in problems], []
+    differences: list[str] = []
     notes: list[str] = []
-    base_problems = validate_results(baseline)
-    if base_problems:
-        return ([f"baseline invalid: {p}" for p in base_problems], notes)
-    cur_problems = validate_results(current)
-    if cur_problems:
-        return ([f"current results invalid: {p}" for p in cur_problems],
-                notes)
 
     cur_wl, base_wl = current["workloads"], baseline["workloads"]
     for name in sorted(set(base_wl) - set(cur_wl)):
-        regressions.append(f"{name}: workload present in baseline but "
+        differences.append(f"{name}: workload present in baseline but "
                            "missing from current results")
     for name in sorted(set(cur_wl) - set(base_wl)):
         notes.append(f"{name}: new workload, no baseline to compare")
@@ -200,32 +157,16 @@ def compare_results(
         if cur["config"] != base["config"]:
             notes.append(f"{name}: config changed, comparison skipped")
             continue
-
-        for key in TIME_KEYS:
-            if key not in cur or key not in base:
-                continue
-            c, b = cur[key], base[key]
-            if c > b * (1.0 + time_tolerance) and c - b > time_floor:
-                regressions.append(
-                    f"{name}: {key} regressed {b:.4f}s -> {c:.4f}s "
-                    f"(+{(c - b) / b:.0%}, tolerance {time_tolerance:.0%})")
-
-        for key in RATE_KEYS:
-            c, b = cur["derived"][key], base["derived"][key]
-            if c > b + rate_tolerance:
-                regressions.append(
-                    f"{name}: {key} regressed {b:.4f} -> {c:.4f} "
-                    f"(tolerance +{rate_tolerance})")
-
-        if cur["metrics"]["requests"] != base["metrics"]["requests"]:
-            notes.append(
-                f"{name}: request totals differ "
-                f"({base['metrics']['requests']} -> "
-                f"{cur['metrics']['requests']}), counter comparison skipped")
-            continue
-        for key in LOWER_IS_BETTER_COUNTERS:
-            c, b = cur["metrics"][key], base["metrics"][key]
-            if c > b * (1.0 + counter_tolerance):
-                regressions.append(
-                    f"{name}: counter {key} regressed {b} -> {c}")
-    return regressions, notes
+        c, b = cur["log_likelihood"], base["log_likelihood"]
+        if abs(c - b) > LNL_RTOL * abs(b):
+            differences.append(
+                f"{name}: log_likelihood {b!r} -> {c!r} "
+                f"(beyond {LNL_RTOL} relative)")
+        exact = [(f"metrics.{key}", cur["metrics"][key], base["metrics"][key])
+                 for key in RESULT_METRICS]
+        exact += [(f"derived.{key}", cur["derived"][key], base["derived"][key])
+                  for key in RATE_KEYS]
+        exact += [(key, cur.get(key), base.get(key)) for key in MODEL_KEYS]
+        differences += [f"{name}: {field} {b!r} -> {c!r}"
+                        for field, c, b in exact if c != b]
+    return differences, notes

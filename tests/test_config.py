@@ -272,8 +272,6 @@ BEFORE = {
         "--backing": "memory", "--shards": 4, "--backing-retries": 0,
         "--writeback-depth": 0, "--io-threads": 1, "--prefetch-depth": 0,
         "--batch": 0, "--seed": 42},
-    "repro.bench.runner": {
-        "--block-sites": 64, "--batch": -1, "--shards": 4, "--seed": 42},
 }
 
 
@@ -328,12 +326,10 @@ def test_documented_command_lines_still_parse():
 
 def test_each_engine_flag_is_declared_once_under_src():
     literals = [flag for f in FLAGGED for flag in f.metadata["flags"]
-                if flag != "--seed"]  # simulate/bench seed their own data
-    suite_knobs = {"--block-sites", "--batch", "--shards"}
+                if flag != "--seed"]  # simulate seeds its own data
     for flag in literals:
         hits = [str(p.relative_to(ROOT)) for p in (ROOT / "src").rglob("*.py")
-                if re.search(rf'"{re.escape(flag)}"', p.read_text())
-                and not (flag in suite_knobs and p.name == "runner.py")]
+                if re.search(rf'"{re.escape(flag)}"', p.read_text())]
         assert hits == ["src/repro/config.py"], (flag, hits)
 
 
