@@ -102,11 +102,12 @@ class EngineConfig:
              "(0 = synchronous writes, paper §3.2)")
     io_threads: int = _opt(
         1, "--io-threads", type=int,
-        help="background writer threads draining the write-behind queue")
+        help="background I/O threads per direction (write-behind writers "
+             "and prefetch workers)")
     prefetch_depth: int = _opt(
         0, "--prefetch-depth", type=int,
-        help="traversal look-ahead of the prefetch thread (0 = no "
-             "prefetching, paper §5)")
+        help="look-ahead window of the prefetch workers, in store accesses "
+             "(a pruning step is three; 0 = no prefetching, paper §5)")
     batch: int = _opt(
         0, "--batch", type=int,
         help="group cap of the traversal schedule: 0 = groups of one, "

@@ -15,11 +15,12 @@ so the demand miss/read rates (the Fig. 2–4 metrics) stay untouched:
   :class:`~repro.core.backing.SimulatedDiskBackingStore`, discounts an
   ``overlap`` fraction of their cost, representing how much of the
   transfer would hide behind computation.
-* :class:`ThreadedPrefetcher` — the real thing: a daemon thread that is
-  fed the access sequence (the plan's schedule, flattened — what
-  ``LikelihoodEngine.plan_accesses`` returns and ``execute_plan`` then
-  issues, call for call), tracks demand progress through the
-  store's request counter, and keeps the next ``depth`` read items
+* :class:`ThreadedPrefetcher` — the real thing: daemon worker threads fed
+  the access sequence of one operation (the plan's schedule, flattened,
+  then the evaluated edge's two end reads — what
+  ``LikelihoodEngine.make_edge_current`` feeds and the engine then issues,
+  call for call). They track demand progress through the store's request
+  counter and keep the read items among the next ``depth`` *accesses*
   resident or in flight while the compute thread works.
 """
 
@@ -52,9 +53,10 @@ class Prefetcher:
     store:
         The vector store to prefetch into.
     depth:
-        How many future items to keep in flight; a prefetch never evicts a
-        pinned item and never evicts an item that appears in the in-flight
-        window (that would be self-defeating).
+        The look-ahead window, in accesses (a pruning step is three): the
+        read items among the next ``depth`` accesses are kept resident. A
+        prefetch never evicts a pinned item and never evicts an item that
+        appears in that window (that would be self-defeating).
     overlap:
         Fraction of each prefetched transfer assumed hidden behind compute
         (only meaningful when the backing store simulates time; 1.0 = the
@@ -74,8 +76,9 @@ class Prefetcher:
         """Prefetch for a schedule of ``(item, pins, write_only)`` triples.
 
         Walks the schedule and, before each demand access would occur,
-        ensures the next ``depth`` *read* items are resident (write-only
-        items gain nothing from prefetch: their reads are skipped anyway).
+        ensures the *read* items among the next ``depth`` accesses are
+        resident (write-only items gain nothing from prefetch: their reads
+        are skipped anyway).
         Loads go through ``store.prefetch_load``, so only ``prefetch_*``
         counters move — the demand ``requests``/``misses``/``reads`` are
         charged later, by the traversal itself, exactly as they would be
@@ -108,22 +111,29 @@ class Prefetcher:
 
 
 class ThreadedPrefetcher:
-    """A real prefetch thread consuming the traversal access sequence.
+    """Real prefetch threads consuming an operation's access sequence.
 
     Usage::
 
-        pf = ThreadedPrefetcher(store, depth=4)
+        pf = ThreadedPrefetcher(store, depth=4, workers=2)
         pf.feed(engine.plan_accesses(plan))   # before each traversal
         engine.execute_plan(plan)             # compute overlaps the reads
         ...
         pf.stop()                             # at teardown
 
-    The thread measures demand progress as the store's request-counter
-    delta since :meth:`feed`, keeps the next ``depth`` read items of the
-    schedule resident or in flight, and parks on the store's condition
-    variable when there is nothing to do. It never evicts pinned,
-    in-flight or in-horizon items, and a load that cannot find a slot is
-    deferred until demand progresses (prefetch is best-effort by design).
+    (an engine built with ``prefetch_depth`` does this itself, and feeds
+    the edge's end reads behind the plan's.) Demand progress is the
+    store's request-counter delta since :meth:`feed`; the window is the
+    next ``depth`` *accesses* of the schedule, and each of the ``workers``
+    threads loads one of its absent read items at a time — so up to
+    ``workers`` loads are in flight together, which pays off whenever the
+    backing overlaps transfers (a modelled or real disk, a sharded tier).
+    A worker picks its item and claims the slot for it in one hold of the
+    store lock, so no two ever pick the same one; with nothing to do it
+    parks on the store's condition variable. Prefetch never evicts pinned,
+    in-flight or in-window items, and an item no slot can be found for is
+    deferred (one ``stall`` event) until demand progresses — prefetch is
+    best-effort by design.
     """
 
     def __init__(self, store: AncestralVectorStore, depth: int = 4,
@@ -151,9 +161,6 @@ class ThreadedPrefetcher:
         self._race = race_detector()
         self._race_scope = ("" if self._race is None
                             else self._race.new_scope("ThreadedPrefetcher"))
-        # More than one worker only helps when the backing overlaps
-        # operations (a sharded tier, a real disk): racing picks are
-        # benign — the prefetch_load loser returns False and defers.
         # The single-worker thread keeps the historical "prefetcher"
         # name (timelines and span filters key on it).
         self._threads = [
@@ -234,6 +241,28 @@ class ThreadedPrefetcher:
             return it, horizon
         return None
 
+    def _claim_locked(self) -> tuple[int, int] | None:  # holds: _cond
+        """Pick the next item and claim its slot: ``(item, slot)`` or None.
+
+        Pick and claim share this one lock hold, so the item is published
+        in flight before any other worker can look. An item no slot can
+        be found for is deferred until demand progresses — so a worker
+        never busy-spins — and the next one in the window is tried.
+        """
+        rc = self._race
+        while (target := self._pick_locked()) is not None:
+            item, horizon = target
+            slot = self.store._prefetch_claim(item, horizon)
+            if slot is not None:
+                return item, slot
+            if rc is not None:
+                rc.write(self._race_scope, "_deferred")
+            self._deferred.add(item)
+            if self.obs is not None:
+                # The prefetch pipeline stalled: no evictable slot.
+                self.obs.event("stall", item)
+        return None
+
     def _run(self) -> None:  # thread: prefetch
         store = self.store
         rc = self._race
@@ -248,29 +277,24 @@ class ThreadedPrefetcher:
                         rc.read(self._race_scope, "_stop")
                     if self._stop:
                         return
-                    target = self._pick_locked()
-                    if target is not None:
+                    claimed = self._claim_locked()
+                    if claimed is not None:
                         break
                     # The timeout is belt-and-braces against a lost notify;
                     # progress signals normally wake us immediately.
                     store._cond.wait(timeout=0.1)
-            item, horizon = target
+            item, slot = claimed
             ob = self.obs
             t0 = time.perf_counter() if ob is not None else 0.0
             sid = ob.new_span_id() if ob is not None and scope is not None else 0
             with scope(sid) if sid else nullcontext():
-                loaded = store.prefetch_load(item, protect=horizon)
+                loaded = store._prefetch_fill(item, slot)
             if ob is not None:
                 ob.timed("prefetch_load", t0, time.perf_counter() - t0,
                          item=item, span_id=sid, loaded=loaded)
-                if not loaded:
-                    # The prefetch pipeline stalled: no evictable slot (or a
-                    # racing demand load) kept this item out of RAM.
-                    ob.event("stall", item)
             if not loaded:
                 with store._cond:
-                    # No slot (or a racing demand load): retry only after
-                    # demand progresses, so we never busy-spin.
+                    # The read failed: retry only after demand progresses.
                     if rc is not None:
                         rc.write(self._race_scope, "_deferred")
                     self._deferred.add(item)

@@ -36,16 +36,18 @@ The store optionally overlaps I/O with likelihood compute:
   via :meth:`prefetch_load`, which never steals a slot from pinned,
   in-flight or caller-protected items.
 
-Thread model: one compute thread calls ``get``; at most one prefetch
-thread calls ``prefetch_load``; writer threads live inside the write-behind
-queue and never take the store lock; and the synchronous path owns one
-*swap helper* thread (below). All mutable bookkeeping is guarded by one
-condition variable (``self._cond``). A slot being filled is *published*
-in the maps but marked in-flight: demand requests for it wait on the
-condition until its load has ended,
-and eviction never selects in-flight items, so no thread ever reads or
-recycles a half-filled slot. Backing-store transfers happen outside the
-lock — on the demand path without exception.
+Thread model: one compute thread calls ``get``; the prefetch workers
+(``io_threads`` of them) call ``prefetch_load``; writer threads live inside
+the write-behind queue and never take the store lock; and the synchronous
+path owns one *swap helper* thread (below). All mutable bookkeeping is
+guarded by one condition variable (``self._cond``). A slot being filled is
+*published* in the maps but marked in-flight: demand requests for it wait
+on the condition until its load has ended, and eviction never selects
+in-flight items, so no thread ever reads or recycles a half-filled slot. A
+demand miss that finds every unpinned slot held by loads in flight waits
+for one to land — they end without the compute thread's help — instead
+of failing. Backing-store transfers happen outside the lock — on the
+demand path without exception.
 
 A synchronous miss is one overlapped swap
 -----------------------------------------
@@ -235,8 +237,10 @@ class AncestralVectorStore:
         that many vectors; ``0`` (default) keeps the paper's synchronous
         eviction write.
     io_threads:
-        Writer threads draining the write-behind queue (ignored when
-        write-behind is off).
+        Background I/O threads per direction: that many writers drain the
+        write-behind queue (none when write-behind is off), and an engine
+        that attaches a prefetcher gives it that many workers. Recorded
+        as :attr:`io_threads`.
     sanitize:
         Enable the debug-mode slot-borrow sanitizer: ``get`` returns
         generation-checked :class:`BorrowedSlotView` objects that raise
@@ -367,10 +371,11 @@ class AncestralVectorStore:
         #: ring appends are GIL-atomic), so reading the reference without
         #: the lock from the prefetch path is safe.
         self.obs: Observer | None = None
+        self.io_threads = int(io_threads)
         if int(writeback_depth) > 0:
             self._writeback = WriteBehindQueue(
                 self.backing, self.item_shape, self.dtype,
-                depth=int(writeback_depth), io_threads=int(io_threads),
+                depth=int(writeback_depth), io_threads=self.io_threads,
                 stats=self.stats,
             )
 
@@ -498,18 +503,26 @@ class AncestralVectorStore:
             if ob is not None:
                 ob.event("get", item)
             self._active_pins = {item, *(int(p) for p in pins)}
-            self._cond.notify_all()  # progress signal for a prefetch thread
+            self._cond.notify_all()  # progress signal for the prefetch workers
             if rc is not None:
                 rc.read(self._race_scope, "_item_slot", "_inflight")
-            while item in self._inflight:
-                # A prefetch load of this exact item is in flight: wait for
-                # it — the hit branch accounts it.
-                self._cond.wait()
-            slot = self._item_slot.get(item, -1)
-            if slot >= 0:
-                return self._account_hit(item, slot, write_only)
+            while True:
+                if item in self._inflight:
+                    # A prefetch load of this exact item is in flight: wait
+                    # for it — the hit branch accounts it.
+                    self._wait_inflight(item, {item})
+                slot = self._item_slot.get(item, -1)
+                if slot >= 0:
+                    return self._account_hit(item, slot, write_only)
+                found = self._allocate_slot(item, pins)
+                if found is not None:
+                    break
+                # Every unpinned slot is held by a load in flight. Loads land
+                # without this thread's help: wait for one, then look again
+                # (the item itself may have been prefetched meanwhile).
+                self._wait_inflight(item, set(self._inflight))
             self.stats.misses += 1
-            slot, victim = self._allocate_slot(item, pins)
+            slot, victim = found
             if ob is not None:
                 ob.event("miss", item, slot)
             skip = write_only and self.read_skipping
@@ -527,6 +540,17 @@ class AncestralVectorStore:
                 rc.write(self._race_scope, "_inflight", "_item_slot")
             self._inflight.add(item)
         return self._swap_in(item, slot, victim, write_only, skip)
+
+    def _wait_inflight(self, item: int, loading: set[int]) -> None:  # holds: _cond
+        """Wait until one of the loads ``loading`` has landed: one timed
+        ``inflight_wait`` — beside back-pressure (``writeback_stall``) and
+        a read of its own (``demand_read``) the demand path's third wait."""
+        ob = self.obs
+        t0 = time.perf_counter() if ob is not None else 0.0
+        while loading <= self._inflight:
+            self._cond.wait()
+        if ob is not None:
+            ob.timed("inflight_wait", t0, time.perf_counter() - t0, item=item)
 
     def _swap_in(self, item: int, slot: int, victim: int, write_only: bool,
                  skip: bool) -> np.ndarray:
@@ -841,7 +865,7 @@ class AncestralVectorStore:
             staged = True
 
     def _allocate_slot(self, item: int,  # holds: _cond
-                       pins: tuple) -> tuple[int, int]:
+                       pins: tuple) -> tuple[int, int] | None:
         """A slot for a demand miss on ``item``: ``(slot, victim)``.
 
         ``victim < 0``: the slot is vacant (free, or its occupant was
@@ -849,6 +873,9 @@ class AncestralVectorStore:
         write-behind queue). ``victim >= 0``: the synchronous write-out of
         that item is still owed — it keeps the slot, flagged in flight,
         until the caller has written it outside the lock (``_swap_in``).
+        ``None``: nothing is evictable *yet* — loads in flight hold the
+        unpinned slots, and the caller waits for one to land. Pins alone
+        exhausting the slots is the caller's error.
         """
         rc = self._race
         if rc is not None:
@@ -857,21 +884,15 @@ class AncestralVectorStore:
             return self._free.pop(), -1
         candidates = self._evictable(pins)
         if not candidates:
-            # Pins hold slots only while resident, and a prefetch load in
-            # flight holds one without being a pin: name the two apart so
-            # the slot count advised is the one that would have sufficed.
-            loading = sorted(self._inflight)
-            pinned = sorted({int(p) for p in pins if p in self._item_slot}
-                            - set(loading))
-            held = f"pins={pinned}"
-            need = f"{len(pinned) + 1} slots"
-            if loading:
-                held += f", in-flight loads={loading}"
-                need += (f" for this request plus {len(loading)} for the "
-                         f"loads in flight")
+            if self._inflight:
+                return None
+            # Pins hold slots only while resident: the slot count advised
+            # is the one that would have sufficed.
+            pinned = sorted({int(p) for p in pins if p in self._item_slot})
             raise PinnedSlotError(
                 f"all {self.num_slots} slots pinned while requesting item "
-                f"{item} ({held}); the store needs at least {need}")
+                f"{item} (pins={pinned}); the store needs at least "
+                f"{len(pinned) + 1} slots")
         victim = int(self.policy.choose_victim(candidates, item))
         if victim not in candidates:
             raise OutOfCoreError(
@@ -948,27 +969,44 @@ class AncestralVectorStore:
         most recent demand ``get`` or in-flight loads — publishes the
         mapping, and fills the slot from the staging buffer or the backing
         store *outside the lock*. Demand requests arriving mid-load wait on
-        the condition until it has ended. Returns ``False`` (without raising) when the
-        item is already resident/in flight, no evictable slot exists, or
-        the read fails — prefetching is an optimisation, never an
-        obligation. Accounts only ``prefetch_*`` traffic: demand counters
-        are charged at first demand touch, as if prefetch were transparent.
+        the condition until it has ended. Returns ``False`` (without
+        raising) when the item is already resident/in flight, no evictable
+        slot exists, or the read fails — prefetching is an optimisation,
+        never an obligation. Accounts only ``prefetch_*`` traffic: demand
+        counters are charged at first demand touch, as if prefetch were
+        transparent.
         """
         item = int(item)
         self._check_item(item)
-        rc = self._race
         with self._cond:
-            if rc is not None:
-                rc.read(self._race_scope, "_item_slot")
-            if item in self._item_slot:  # resident, or its load is in flight
-                return False
-            slot = self._try_allocate(item, protect)
-            if slot is None:
-                return False
+            slot = self._prefetch_claim(item, protect)
+        return slot is not None and self._prefetch_fill(item, slot)
+
+    def _prefetch_claim(self, item: int,  # holds: _cond
+                        protect: Iterable[int]) -> int | None:
+        """Publish ``item`` in flight in a slot of its own, or ``None``.
+
+        ``None`` when the item is already resident (or its load in flight)
+        or no slot is evictable. The threaded prefetcher claims in the
+        same lock hold that picked the item, so two workers can never
+        pick the same one.
+        """
+        rc = self._race
+        if rc is not None:
+            rc.read(self._race_scope, "_item_slot")
+        if item in self._item_slot:
+            return None
+        slot = self._try_allocate(item, protect)
+        if slot is not None:
             self._publish(item, slot)
             if rc is not None:
                 rc.write(self._race_scope, "_inflight")
             self._inflight.add(item)
+        return slot
+
+    def _prefetch_fill(self, item: int, slot: int) -> bool:  # thread: prefetch
+        """Fill a claimed slot outside the lock; ``False`` if the read failed."""
+        rc = self._race
         ob = self.obs
         try:
             read_t0 = time.perf_counter() if ob is not None else 0.0

@@ -121,7 +121,10 @@ ROUTES: dict[str, Route] = {
     # -- synchronous pipeline: a miss's write-out beside its read-in; the
     # duration is the device seconds that overlap hid --
     "swap": Route(metric="swap_hidden_seconds", span=True),
-    # -- asynchronous pipeline --
+    # -- asynchronous pipeline; `get` waits there for a load in flight
+    # (inflight_wait), back-pressure (writeback_stall) or a read nobody
+    # prefetched (the timed demand_read above) --
+    "inflight_wait": Route(span=True),
     "writeback_stall": Route(event="stall", span=True),
     "writeback_drain": Route(event="writeback_drain", hist="drain",
                              metric="writeback_drain_seconds", span=True),

@@ -36,9 +36,7 @@ def marginal_ancestral_distribution(engine, node: int) -> np.ndarray:
     parent = tree.neighbors(node)[0]
     # Root on the (node, parent) edge: engine CLV at `node` then covers its
     # two other subtrees; `parent`'s side covers the rest of the tree.
-    plan = engine.plan(node, parent)
-    engine.execute_plan(plan)
-    engine._root_edge = (node, parent)
+    engine.make_edge_current(node, parent)
 
     reducer = kernels.state_reducer(
         engine.model.frequencies.astype(engine.dtype),

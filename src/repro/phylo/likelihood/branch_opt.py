@@ -104,9 +104,7 @@ def optimize_branch(engine, u: int, v: int, **kwargs) -> float:
     tree = engine.tree
     if not tree.has_edge(u, v):
         raise LikelihoodError(f"({u},{v}) is not an edge")
-    plan = engine.plan(u, v)
-    engine.execute_plan(plan)
-    engine._root_edge = (u, v)
+    engine.make_edge_current(u, v)
 
     # Blocked (layout-aware) fetch of the two end vectors; the NR loop
     # below touches no ancestral vector at all.

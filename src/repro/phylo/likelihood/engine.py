@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -103,14 +103,17 @@ class LikelihoodEngine:
         are bit-identical across layouts (§4.1 contract).
     writeback_depth / io_threads:
         Forwarded to the built store: ``writeback_depth > 0`` makes
-        evictions asynchronous (write-behind queue drained by
-        ``io_threads`` writer threads). Only valid when the engine builds
-        its own store.
+        evictions asynchronous (a write-behind queue). ``io_threads`` is
+        the number of background I/O threads per direction: that many
+        writers drain the queue, that many prefetch workers issue reads.
+        Only valid when the engine builds its own store (an explicit
+        store brings its own ``io_threads``).
     prefetch_depth:
         ``> 0`` attaches a :class:`~repro.core.prefetch.ThreadedPrefetcher`
-        that is fed each traversal's access sequence (the paper's §5
-        prefetch thread); reads overlap the likelihood kernels. Works with
-        an explicit ``store`` too, provided it is an
+        that is fed each operation's access sequence (the paper's §5
+        prefetch thread) and keeps the next ``prefetch_depth`` accesses'
+        read items resident or in flight; reads overlap the likelihood
+        kernels. Works with an explicit ``store`` too, provided it is an
         :class:`AncestralVectorStore`.
     batch:
         Group cap of the traversal schedule
@@ -293,8 +296,9 @@ class LikelihoodEngine:
             if prefetch_depth:
                 from repro.core.prefetch import ThreadedPrefetcher
 
-                self.prefetcher = ThreadedPrefetcher(self.store,
-                                                     depth=prefetch_depth)
+                self.prefetcher = ThreadedPrefetcher(
+                    self.store, depth=prefetch_depth,
+                    workers=self.store.io_threads)
         except BaseException:
             # A store built here has no other owner: release its writer
             # threads and its backing (fd, shard workers) with it.
@@ -437,7 +441,42 @@ class LikelihoodEngine:
         """
         return self._schedule(plan).accesses() if plan.steps else []
 
-    def execute_plan(self, plan: TraversalPlan) -> None:
+    def edge_accesses(
+            self, u: int, v: int) -> Iterator[tuple[int, tuple[int, ...], bool]]:
+        """The store accesses that fetch the two end vectors of edge ``(u, v)``.
+
+        Block by block, each inner end read pinning the other end's
+        same-numbered block; a tip end has no vector and is omitted. Both
+        :meth:`_edge_blocks` (to issue its ``get`` calls) and
+        :meth:`make_edge_current` (to feed the prefetcher) iterate this one
+        generator, so what is fed and what is issued cannot drift apart.
+        """
+        layout = self.layout
+        n = self.tree.num_tips
+        for b in range(layout.blocks_per_node):
+            u_item = layout.item_of(u - n, b) if u >= n else -1
+            v_item = layout.item_of(v - n, b) if v >= n else -1
+            if u_item >= 0:
+                yield u_item, ((v_item,) if v_item >= 0 else ()), False
+            if v_item >= 0:
+                yield v_item, ((u_item,) if u_item >= 0 else ()), False
+
+    def make_edge_current(self, u: int, v: int, full: bool = False) -> None:
+        """Bring both end CLVs of edge ``(u, v)`` current toward it.
+
+        Recomputes exactly the stale vectors on both sides (all of them
+        with ``full=True``) and makes ``(u, v)`` the evaluation edge. Every
+        edge-evaluating entry point starts here and then reads the ends
+        through :meth:`_edge_blocks`, so a prefetcher is fed the whole
+        operation: the plan's schedule *and* the end reads.
+        """
+        plan = self.plan(u, v, full=full)
+        ends = () if self.prefetcher is None else self.edge_accesses(u, v)
+        self.execute_plan(plan, ends)
+        self._root_edge = (u, v)
+
+    def execute_plan(self, plan: TraversalPlan,
+                     then: Iterable[tuple[int, tuple, bool]] = ()) -> None:
         """Run every pruning step of a plan through the vector store.
 
         The plan's schedule (:mod:`repro.phylo.likelihood.schedule`) lists
@@ -447,10 +486,12 @@ class LikelihoodEngine:
         §3.4). Under a block layout a step is one update per site block:
         block ``b`` of the target needs only block ``b`` of each child
         (per-site independence). With a prefetcher attached, the access
-        sequence is handed to it first, so swap-ins overlap the kernel
-        arithmetic (§5). Store calls are issued on this thread in exactly
-        that order whatever the group cap, so demand/eviction counters
-        agree bit for bit under every replacement policy.
+        sequence is handed to it first — followed by ``then``, the
+        accesses the caller issues right after the plan's own (an edge's
+        end reads), which an empty plan still feeds — so swap-ins overlap
+        the kernel arithmetic (§5). Store calls are issued on this thread
+        in exactly that order whatever the group cap, so demand/eviction
+        counters agree bit for bit under every replacement policy.
 
         How a group is computed follows from its size. A group of one
         runs in place (:meth:`_update_in_place`); a larger group
@@ -465,11 +506,15 @@ class LikelihoodEngine:
         "Kernel lowering"). Orientation is committed after each node's
         last block so a failure leaves a consistent state.
         """
-        if not plan.steps:
-            return  # before the schedule cache: empty plans must not evict
-        schedule = self._schedule(plan)
+        # Empty plans stay out of the schedule cache: they must not evict.
+        schedule = self._schedule(plan) if plan.steps else None
         if self.prefetcher is not None:
-            self.prefetcher.feed(schedule.accesses())
+            fed = [] if schedule is None else schedule.accesses()
+            fed.extend(then)
+            if fed:
+                self.prefetcher.feed(fed)
+        if schedule is None:
+            return
         ob = self.obs
         exec_t0 = time.perf_counter() if ob is not None else 0.0
         for gi, group in enumerate(schedule.groups):
@@ -595,10 +640,10 @@ class LikelihoodEngine:
         """``kernel(out, u_clv, v_clv, u_codes, v_codes)`` over edge ``(u, v)``.
 
         The one place the two end vectors of an edge are fetched: block
-        by block through :meth:`_timed_get`, each pinning the other end's
-        same-numbered block; a tip end contributes its codes (and a
+        by block through :meth:`_timed_get`, in the order and with the pins
+        :meth:`edge_accesses` lists; a tip end contributes its codes (and a
         ``None`` CLV) instead. Both end CLVs must be current (run
-        :meth:`execute_plan` first). The kernel fills its block's rows of
+        :meth:`make_edge_current` first). The kernel fills its block's rows of
         one ``(patterns, *tail)`` RAM array, so downstream cross-pattern
         reductions run unblocked on the same contiguous memory whatever
         the layout — their summation order, and hence the bits, are
@@ -607,19 +652,16 @@ class LikelihoodEngine:
         layout = self.layout
         n = self.tree.num_tips
         out = np.empty((self.num_patterns, *tail), dtype=self.dtype)
+        ends = self.edge_accesses(u, v)
         for b in range(layout.blocks_per_node):
             lo, hi = layout.block_bounds(b)
-            u_item = layout.item_of(u - n, b) if u >= n else -1
-            v_item = layout.item_of(v - n, b) if v >= n else -1
             u_clv = v_clv = u_codes = v_codes = None
-            if u_item >= 0:
-                u_clv = _valid(self._timed_get(
-                    u_item, (v_item,) if v_item >= 0 else ()), hi - lo)
+            if u >= n:
+                u_clv = _valid(self._timed_get(*next(ends)), hi - lo)
             else:
                 u_codes = self._tip_codes[u][lo:hi]
-            if v_item >= 0:
-                v_clv = _valid(self._timed_get(
-                    v_item, (u_item,) if u_item >= 0 else ()), hi - lo)
+            if v >= n:
+                v_clv = _valid(self._timed_get(*next(ends)), hi - lo)
             else:
                 v_codes = self._tip_codes[v][lo:hi]
             kernel(out[lo:hi], u_clv, v_clv, u_codes, v_codes)
@@ -667,9 +709,7 @@ class LikelihoodEngine:
         ``full=True`` — the paper's ``-f z`` worst case), then combines the
         two end vectors across the branch.
         """
-        plan = self.plan(u, v, full=full)
-        self.execute_plan(plan)
-        self._root_edge = (u, v)
+        self.make_edge_current(u, v, full=full)
         site_l, counts = self._root_site_likelihoods(u, v)
         return kernels.log_likelihood_from_sites(
             site_l, self.pattern_weights, counts, self.scaling
@@ -685,9 +725,7 @@ class LikelihoodEngine:
     def site_loglikelihoods(self) -> np.ndarray:
         """Per-original-site log-likelihoods (expanded from patterns)."""
         u, v = self._root_edge if self._root_edge is not None else self.default_edge()
-        plan = self.plan(u, v)
-        self.execute_plan(plan)
-        self._root_edge = (u, v)
+        self.make_edge_current(u, v)
         site_l, counts = self._root_site_likelihoods(u, v)
         per_pattern = np.log(site_l) - counts * self.scaling.log_multiplier
         return per_pattern[self.alignment.compress().pattern_of_site]

@@ -209,9 +209,7 @@ class PartitionedEngine:
 
         tables = []
         for e in self.engines:
-            plan = e.plan(u, v)
-            e.execute_plan(plan)
-            e._root_edge = (u, v)
+            e.make_edge_current(u, v)
             tables.append(e._edge_sumtable(u, v))
 
         t = float(np.clip(self.tree.branch_length(u, v),

@@ -35,7 +35,9 @@ worker (spans shipped back over the wire protocol's TELEMETRY op), and
 the mandatory ``attribution`` block decomposes per-op latency into
 pipeline stages — window wait, wire, worker disk, reply — from the
 merged cross-process histograms; ``--attribution`` prints the stage
-table to stdout.
+table to stdout, and beneath it the compute thread's ``store_wait``
+seconds split by what ``get`` waited for: a load in flight, write-behind
+back-pressure, or a demand read nobody had prefetched.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import argparse
 import json
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -224,6 +227,28 @@ def _print_attribution(attribution: dict) -> None:
                   f"{row['writes']} writes, {row['restarts']} restarts")
 
 
+def _print_store_wait_split(obs: Observer) -> None:
+    """The compute thread's ``store_wait`` seconds by what ``get`` waited
+    for: a load in flight, a full staging buffer (both spans) or a read of
+    its own (a timed event); the rest is the store's own bookkeeping."""
+    causes = {"inflight_wait": "in-flight wait",
+              "writeback_stall": "back-pressure", "demand_read": "demand read"}
+    me = threading.current_thread().name
+    waits = [(r.name, r.dur) for r in obs.spans.records()
+             if r.thread == me and r.name in causes]
+    waits += [(r.etype, r.dur) for r in obs.tracer.records()
+              if r.thread == me and r.etype == "demand_read" and r.dur > 0.0]
+    total = rest = obs.timers.total("store_wait")
+    print(f"  store_wait      : {total:.4f}s over "
+          f"{obs.timers.count('store_wait')} gets")
+    for name, label in causes.items():
+        durations = [dur for cause, dur in waits if cause == name]
+        rest -= sum(durations)
+        print(f"    {label:<14}: count={len(durations):>6}  "
+              f"sum={sum(durations):.4f}s")
+    print(f"    {'store itself':<14}: sum={rest:.4f}s")
+
+
 def _print_device_overlap(obs: Observer, snapshot: dict,
                           writeback: bool) -> None:
     """How much of the device time the compute thread did not wait for:
@@ -272,7 +297,7 @@ def run_profile(args) -> int:
     alignment, tree = _dataset(args)
     with tempfile.TemporaryDirectory(prefix="repro-profile-") as workdir:
         obs = Observer(capacity=args.trace_capacity, metrics=True,
-                       spans=bool(args.spans_out))
+                       spans=bool(args.spans_out or args.attribution))
         engine = _build_engine(config, alignment, tree, args, workdir)
         obs.attach(engine)
         server = None
@@ -345,6 +370,7 @@ def run_profile(args) -> int:
                   f"{counters['physical_writes']} writes)")
         if args.attribution:
             _print_attribution(attribution)
+            _print_store_wait_split(obs)
 
         if args.spans_out:
             worker_spans = 0
@@ -426,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--attribution", action="store_true",
                         help="print the per-op latency attribution table "
                              "(stage decomposition from the merged "
-                             "cross-process histograms)")
+                             "cross-process histograms) and store_wait "
+                             "split by cause")
     parser.add_argument("--check-parity", action="store_true",
                         help="re-run untraced and fail unless all demand/"
                              "eviction counters are bit-identical")

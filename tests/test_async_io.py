@@ -374,11 +374,18 @@ class TestThreadedPrefetcher:
         store.validate()
 
     def test_demand_counters_as_if_no_prefetch(self):
+        self.check_demand_counters_as_if_no_prefetch(workers=1)
+
+    def test_demand_counters_as_if_no_prefetch_two_workers(self):
+        self.check_demand_counters_as_if_no_prefetch(workers=2)
+
+    def check_demand_counters_as_if_no_prefetch(self, workers):
         """The threaded prefetcher must not perturb demand totals."""
         def run(threaded):
             store = AncestralVectorStore(12, SHAPE, num_slots=4, policy="lru")
             schedule = self._warm(store)
-            pf = ThreadedPrefetcher(store, depth=3) if threaded else None
+            pf = (ThreadedPrefetcher(store, depth=3, workers=workers)
+                  if threaded else None)
             try:
                 if pf:
                     pf.feed(schedule)
@@ -391,13 +398,20 @@ class TestThreadedPrefetcher:
 
         base, pf = run(False), run(True)
         # cold sequential scan: every access misses either way
-        assert (pf.requests, pf.misses, pf.reads, pf.hits) == \
-            (base.requests, base.misses, base.reads, base.hits)
+        assert (pf.requests, pf.misses, pf.reads, pf.read_skips, pf.hits) == \
+            (base.requests, base.misses, base.reads, base.read_skips,
+             base.hits)
         assert pf.bytes_read == base.bytes_read
 
 
 class TestConcurrencyStress:
     def test_10k_interleaved_ops_bit_identical(self):
+        self.check_10k_interleaved_ops_bit_identical(prefetchers=1)
+
+    def test_10k_interleaved_ops_bit_identical_two_prefetchers(self):
+        self.check_10k_interleaved_ops_bit_identical(prefetchers=2)
+
+    def check_10k_interleaved_ops_bit_identical(self, prefetchers):
         """Acceptance: ≥10k interleaved get/evict/prefetch ops with
         poisoned read-skips stay bit-identical to a reference dict."""
         n, m = 24, 6
@@ -409,13 +423,15 @@ class TestConcurrencyStress:
         reference: dict[int, np.ndarray] = {}
         stop = threading.Event()
 
-        def prefetch_worker():
-            prng = np.random.default_rng(7)
+        def prefetch_worker(seed):
+            prng = np.random.default_rng(seed)
             while not stop.is_set():
                 store.prefetch_load(int(prng.integers(n)))
 
-        worker = threading.Thread(target=prefetch_worker)
-        worker.start()
+        workers = [threading.Thread(target=prefetch_worker, args=(7 + i,))
+                   for i in range(prefetchers)]
+        for worker in workers:
+            worker.start()
         version = 0
         try:
             for step in range(10_000):
@@ -436,7 +452,8 @@ class TestConcurrencyStress:
                     store.validate()
         finally:
             stop.set()
-            worker.join()
+            for worker in workers:
+                worker.join()
         store.validate()
         store.flush(force=True)
         for item, expected in reference.items():
@@ -464,3 +481,37 @@ class TestConcurrencyStress:
             assert engine.store.stats.writeback_writes > 0
         finally:
             engine.close()
+
+    @pytest.mark.parametrize("io_threads", [1, 2])
+    def test_rerooting_bit_identical_whatever_the_prefetch_workers(
+            self, io_threads, small_model):
+        """Re-rooting over a tree too big for its slots: every operation's
+        lnL bits and the request count equal the no-prefetch run's, with
+        the prefetch workers really loading (poisoned read-skips armed).
+        Which *residents* a load displaces depends on thread timing, so
+        misses/read-skips are compared on controlled traces only
+        (``TestThreadedPrefetcher``)."""
+        from repro import simulate_alignment, yule_tree
+
+        tree = yule_tree(32, seed=3)
+        rates = RateModel.gamma(0.8, 4)
+        alignment = simulate_alignment(tree, small_model, 120, rates=rates,
+                                       seed=1)
+
+        def run(**pipeline):
+            engine = LikelihoodEngine(
+                tree.copy(), alignment, small_model, rates, num_slots=6,
+                poison_skipped_reads=True, writeback_depth=4, **pipeline)
+            try:
+                lnls = [engine.edge_loglikelihood(u, v)
+                        for u, v in list(engine.tree.edges())[::3]]
+                engine.store.drain()
+                return lnls, engine.stats
+            finally:
+                engine.close()
+
+        base_lnls, base = run()
+        lnls, stats = run(io_threads=io_threads, prefetch_depth=4)
+        assert [x.hex() for x in lnls] == [x.hex() for x in base_lnls]
+        assert stats.requests == base.requests
+        assert stats.prefetch_reads > 0 and base.prefetch_reads == 0

@@ -17,15 +17,12 @@ Three guards for the O(1)-per-miss store path:
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.vecstore as vecstore_module
-from repro.core.backing import MemoryBackingStore
 from repro.core.policies import (
     EvictableView,
     LruPolicy,
@@ -576,42 +573,9 @@ def test_work_per_miss_is_flat_in_the_resident_count(name, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# PinnedSlotError says what actually held the slots
-
-
-class BlockingReads(MemoryBackingStore):
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.started = threading.Event()
-        self.release = threading.Event()
-
-    def _read(self, item, out):
-        self.started.set()
-        self.release.wait(timeout=10.0)
-        super()._read(item, out)
-
-
-def test_pinned_slot_error_separates_pins_from_loads_in_flight():
-    backing = BlockingReads(8, (2,), np.float64)
-    store = AncestralVectorStore(8, (2,), num_slots=3, backing=backing)
-    store.get(0, write_only=True)
-    store.get(1, write_only=True)
-    loader = threading.Thread(target=store.prefetch_load, args=(5,))
-    loader.start()
-    try:
-        assert backing.started.wait(timeout=10.0)
-        with pytest.raises(PinnedSlotError) as err:
-            store.get(2, pins=(0, 1, 7))        # 7 is not resident
-    finally:
-        backing.release.set()
-        loader.join(timeout=10.0)
-    assert not loader.is_alive()
-    message = str(err.value)
-    assert "pins=[0, 1]," in message and "in-flight loads=[5]" in message
-    assert "at least 3 slots for this request plus 1 for the loads in flight" \
-        in message
-    store.validate()
-    assert store.is_resident(5)
+# PinnedSlotError says what actually held the slots. (Loads in flight no
+# longer can: a demand miss waits for one to land —
+# tests/test_prefetch.py::TestMoreLoadsInFlightNeverBecomeAnError.)
 
 
 def test_pinned_slot_error_ignores_pins_that_hold_no_slot():

@@ -34,6 +34,7 @@ from repro.obs import (
     ROUTES,
     LogHistogram,
     Observer,
+    Route,
     TraceRecord,
     Tracer,
     records_to_jsonl,
@@ -464,6 +465,38 @@ class TestReportingSeam:
                           engine.prefetcher, engine.store.backing, innermost):
             assert component is None or component.obs is None
         assert obs.metrics._collectors == []
+
+    def test_inflight_wait_is_one_span_on_the_waiting_thread(self):
+        """The third cause of an asynchronous ``store_wait``: ``get`` found
+        its item's load in flight. One report per wait, routed to the span
+        recorder alone, carrying the item."""
+        from tests.test_prefetch import GatedReads
+
+        backing = GatedReads(8, (2,))
+        store = AncestralVectorStore(8, (2,), num_slots=3, backing=backing)
+        obs = CountingObserver()
+        store.attach(obs)
+        backing.shut()
+        loader = threading.Thread(target=store.prefetch_load, args=(5,))
+        demand = threading.Thread(target=store.get, args=(5,), name="demand")
+        try:
+            loader.start()
+            assert backing.started.acquire(timeout=10.0)
+            demand.start()
+            demand.join(timeout=0.1)
+            assert demand.is_alive()      # waiting for the load to land
+        finally:
+            backing.gate.set()
+            loader.join(timeout=10.0)
+            demand.join(timeout=10.0)
+        assert not loader.is_alive() and not demand.is_alive()
+        assert obs.reports["inflight_wait"] == 1
+        (span,) = [r for r in obs.spans.records() if r.name == "inflight_wait"]
+        assert span.thread == "demand" and span.args == {"item": 5}
+        assert span.dur > 0.0
+        assert ROUTES["inflight_wait"] == Route(span=True)
+        assert store.stats.prefetch_hits == 1
+        store.attach(None)
 
 
 class TestExporters:

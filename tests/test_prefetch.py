@@ -1,12 +1,23 @@
 """Tests for traversal-order prefetching (the paper's §5 future work)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro import LikelihoodEngine, RateModel
-from repro.core.backing import SimulatedDiskBackingStore
-from repro.core.prefetch import Prefetcher
+from repro.core.backing import MemoryBackingStore, SimulatedDiskBackingStore
+from repro.core.layout import make_layout
+from repro.core.prefetch import Prefetcher, ThreadedPrefetcher
 from repro.core.vecstore import AncestralVectorStore
-from repro.errors import OutOfCoreError
+from repro.errors import OutOfCoreError, PinnedSlotError
+from repro.obs import Observer
+from repro.phylo.likelihood.ancestral import marginal_ancestral_distribution
+from repro.phylo.likelihood.engine import clv_geometry
+from repro.phylo.likelihood.partitioned import (
+    PartitionedEngine,
+    split_alignment,
+)
 
 SHAPE = (4, 2, 4)
 
@@ -175,3 +186,317 @@ class TestPrefetching:
         plan = eng.plan(*eng.default_edge(), full=True)
         Prefetcher(store, depth=2).run_schedule(eng.plan_accesses(plan))
         assert eng.full_traversals(1) == ref
+
+
+# ---------------------------------------------------------------------------
+# The threaded prefetcher: what it is fed, how many loads it keeps in
+# flight, and that more of them never turn into an error.
+
+
+def warm(store):
+    """Give every item backing bytes, then empty the slots."""
+    for i in range(store.num_items):
+        store.get(i, write_only=True)[:] = i + 1
+    store.evict_all()
+    store.stats.reset()
+
+
+class RecordingStore(AncestralVectorStore):
+    """Records every ``get`` as the ``(item, pins, write_only)`` it was."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.issued = []
+
+    def get(self, item, pins=(), write_only=False):
+        self.issued.append((int(item), tuple(int(p) for p in pins),
+                            bool(write_only)))
+        return super().get(item, pins=pins, write_only=write_only)
+
+
+def record_feeds(engine):
+    """The list every schedule fed to ``engine``'s prefetcher is appended
+    to, each normalised like :attr:`RecordingStore.issued`."""
+    fed = []
+    feed = engine.prefetcher.feed
+
+    def recording_feed(schedule):
+        schedule = list(schedule)
+        fed.append([(int(i), tuple(int(p) for p in pins), bool(w))
+                    for i, pins, w in schedule])
+        feed(schedule)
+
+    engine.prefetcher.feed = recording_feed
+    return fed
+
+
+class TestFedScheduleIsTheIssuedSequence:
+    """The schedule is the truth: per operation, what the prefetcher is
+    fed equals — call for call — what the engine then asks the store."""
+
+    LAYOUTS = {"whole": {}, "block": {"block_sites": 64}}
+
+    @staticmethod
+    def recording_engine(tree, alignment, model, rates, layout):
+        kind, kwargs = layout
+        num_inner, shape = clv_geometry(tree, alignment, model, rates)
+        store = RecordingStore(
+            layout=make_layout(kind, num_inner, shape, **kwargs), num_slots=6)
+        engine = LikelihoodEngine(tree, alignment, model, rates, store=store,
+                                  prefetch_depth=3)
+        return engine, record_feeds(engine)
+
+    @staticmethod
+    def check(engine, fed, operation, feeds=1):
+        engine.store.issued.clear()
+        fed.clear()
+        operation()
+        assert len(fed) == feeds
+        assert engine.store.issued, "the operation touched no vector"
+        assert [access for schedule in fed for access in schedule] \
+            == engine.store.issued
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_every_edge_evaluating_entry_point(
+            self, layout, small_tree, small_alignment, small_model):
+        rates = RateModel.gamma(0.8, 4)
+        engine, fed = self.recording_engine(
+            small_tree.copy(), small_alignment, small_model, rates,
+            (layout, self.LAYOUTS[layout]))
+        tree = engine.tree
+        inner = [x for x in tree.inner_nodes()]
+        far = (inner[-1], tree.neighbors(inner[-1])[0])
+        try:
+            self.check(engine, fed, lambda: engine.edge_loglikelihood(
+                *engine.default_edge(), full=True))
+            self.check(engine, fed, lambda: engine.edge_loglikelihood(*far))
+            # Same edge again: the plan is empty, the ends are still fed.
+            assert not engine.plan(*far).steps
+            self.check(engine, fed, lambda: engine.edge_loglikelihood(*far))
+            assert fed == [list(engine.edge_accesses(*far))]
+            self.check(engine, fed, engine.site_loglikelihoods)
+            self.check(engine, fed,
+                       lambda: engine.optimize_branch(*engine.default_edge()))
+            self.check(engine, fed, lambda: marginal_ancestral_distribution(
+                engine, inner[0]))
+        finally:
+            engine.close()
+
+    def test_partitioned_branch_optimiser(self, small_tree, small_alignment,
+                                          small_model):
+        rates = RateModel.gamma(0.8, 4)
+        tree = small_tree.copy()
+        parts = [(aln, small_model, rates)
+                 for aln in split_alignment(small_alignment, [120])]
+        stores = []
+        for aln, model, _ in parts:
+            num_inner, shape = clv_geometry(tree, aln, model, rates)
+            stores.append(RecordingStore(num_inner, shape, num_slots=5))
+        joint = PartitionedEngine(
+            tree, parts,
+            store_kwargs=[{"store": s, "prefetch_depth": 3} for s in stores])
+        try:
+            feeds = [record_feeds(engine) for engine in joint.engines]
+            joint.loglikelihood()
+            (nbr,) = tree.neighbors(3)
+            for store, fed in zip(stores, feeds):
+                store.issued.clear()
+                fed.clear()
+            joint.optimize_branch(3, nbr)
+            for store, fed in zip(stores, feeds):
+                assert store.issued and fed == [store.issued]
+        finally:
+            joint.close()
+
+    def test_the_engine_gives_the_prefetcher_the_stores_io_threads(
+            self, engine_factory, small_tree, small_alignment, small_model):
+        built = engine_factory(fraction=0.5, io_threads=2, prefetch_depth=2)
+        try:
+            assert built.prefetcher.workers == built.store.io_threads == 2
+        finally:
+            built.close()
+        rates = RateModel.gamma(0.8, 4)
+        num_inner, shape = clv_geometry(small_tree, small_alignment,
+                                        small_model, rates)
+        for io_threads in (1, 3):
+            store = AncestralVectorStore(num_inner, shape, num_slots=5,
+                                         io_threads=io_threads)
+            explicit = engine_factory(store=store, prefetch_depth=2)
+            try:
+                assert explicit.prefetcher.workers == io_threads
+            finally:
+                explicit.close()
+
+
+class GatedReads(MemoryBackingStore):
+    """Reads block until the test opens the gate (deadline: 10 s)."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.gate = threading.Event()
+        self.gate.set()
+        self.reads = None
+
+    def shut(self):
+        """From here on reads are recorded and wait at the gate."""
+        self.gate.clear()
+        self.started = threading.Semaphore(0)
+        self.reads = []  # items in the order their reads started
+
+    def _read(self, item, out):
+        if self.reads is not None:
+            self.reads.append(item)
+            self.started.release()
+            assert self.gate.wait(timeout=10.0)
+        return super()._read(item, out)
+
+
+class MeetingReads(MemoryBackingStore):
+    """A read made by a prefetch worker meets another worker's read at a
+    two-party barrier before it proceeds; demand reads on the calling
+    thread pass straight through, so the compute thread can never be the
+    second party."""
+
+    def __init__(self, deadline, *args):
+        super().__init__(*args)
+        self.barrier = threading.Barrier(2, timeout=deadline)
+        self.met = threading.Semaphore(0)
+        self.alone = threading.Event()
+
+    def _read(self, item, out):
+        if threading.current_thread().name.startswith("prefetcher"):
+            try:
+                self.barrier.wait()
+            except threading.BrokenBarrierError:
+                self.alone.set()
+                raise
+            self.met.release()
+        return super()._read(item, out)
+
+
+class TestLoadsInFlightTogether:
+    def test_two_workers_have_two_loads_in_flight(self):
+        backing = MeetingReads(10.0, 8, SHAPE)
+        store = AncestralVectorStore(8, SHAPE, num_slots=4, backing=backing,
+                                     io_threads=2)
+        warm(store)
+        pf = ThreadedPrefetcher(store, depth=4, workers=store.io_threads)
+        try:
+            pf.feed([(0, (), False), (1, (), False)])
+            # Each read only proceeds once the other has been issued too.
+            assert backing.met.acquire(timeout=10.0)
+            assert backing.met.acquire(timeout=10.0)
+            for item in (0, 1):           # waits for the landing, if need be
+                assert store.get(item)[0, 0, 0] == item + 1
+        finally:
+            pf.stop()
+        assert not backing.alone.is_set()
+        assert store.stats.prefetch_reads == store.stats.prefetch_hits == 2
+        store.validate()
+
+    def test_one_worker_issues_its_loads_one_after_another(self):
+        backing = MeetingReads(0.3, 8, SHAPE)
+        store = AncestralVectorStore(8, SHAPE, num_slots=4, backing=backing,
+                                     io_threads=1)
+        warm(store)
+        pf = ThreadedPrefetcher(store, depth=4, workers=store.io_threads)
+        try:
+            pf.feed([(0, (), False), (1, (), False)])
+            assert backing.alone.wait(timeout=10.0)   # nobody came to meet it
+        finally:
+            pf.stop()
+        assert store.stats.prefetch_reads == 0
+        store.validate()
+
+
+class TestMoreLoadsInFlightNeverBecomeAnError:
+    def test_demand_miss_waits_for_a_load_to_land_instead_of_raising(self):
+        backing = GatedReads(8, SHAPE)
+        store = AncestralVectorStore(8, SHAPE, num_slots=4, backing=backing,
+                                     io_threads=2)
+        warm(store)
+        store.get(0)
+        store.get(1)
+        backing.shut()
+        pf = ThreadedPrefetcher(store, depth=4, workers=store.io_threads)
+        got = []
+        demand = threading.Thread(
+            target=lambda: got.append(store.get(2, pins=(0, 1))))
+        try:
+            pf.feed([(5, (), False), (6, (), False)])
+            for _ in range(2):            # both workers' loads are gated
+                assert backing.started.acquire(timeout=10.0)
+            # Slots: 0 and 1 (pinned), 5 and 6 (in flight) — none evictable.
+            demand.start()
+            demand.join(timeout=0.2)
+            assert demand.is_alive() and not got   # waiting, not raising
+            backing.gate.set()
+            demand.join(timeout=10.0)
+            assert not demand.is_alive()
+        finally:
+            backing.gate.set()
+            pf.stop()
+        assert got and got[0][0, 0, 0] == 3
+        assert store.is_resident(0) and store.is_resident(1)
+        assert store.stats.prefetch_unused == 1   # a landed load made room
+        store.validate()
+
+    def test_pins_alone_exhausting_the_slots_still_raise(self):
+        store = AncestralVectorStore(8, SHAPE, num_slots=4, io_threads=2)
+        pf = ThreadedPrefetcher(store, depth=4, workers=2)
+        try:
+            for item in range(4):
+                store.get(item, write_only=True)
+            with pytest.raises(PinnedSlotError,
+                               match=r"pins=\[0, 1, 2, 3\]\); the store "
+                                     r"needs at least 5 slots$"):
+                store.get(4, pins=(0, 1, 2, 3))
+        finally:
+            pf.stop()
+
+
+class TestPickingIsClaiming:
+    @pytest.fixture()
+    def eager_switching(self):
+        """Preempt threads often: at the default 5 ms a worker that drops
+        the store lock nearly always gets it back before another looks."""
+        before = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        yield
+        sys.setswitchinterval(before)
+
+    def test_every_item_loaded_exactly_once_without_stall_or_deferral(
+            self, eager_switching):
+        """N workers woken together over M absent items: no two pick the
+        same one, so nobody loses a race, reports a stall or defers."""
+        workers, absent = 4, 12
+        backing = GatedReads(16, SHAPE)
+        store = AncestralVectorStore(16, SHAPE, num_slots=14, backing=backing,
+                                     io_threads=workers)
+        warm(store)
+        obs = Observer()
+        pf = ThreadedPrefetcher(store, depth=absent, workers=workers)
+        pf.obs = obs
+        try:
+            for _ in range(5):
+                store.evict_all()
+                store.stats.reset()
+                backing.shut()
+                pf.feed([(item, (), False) for item in range(absent)])
+                for _ in range(workers):      # every worker holds a load
+                    assert backing.started.acquire(timeout=10.0)
+                with store._cond:
+                    assert len(store._inflight) == workers
+                backing.gate.set()
+                with store._cond:
+                    assert store._cond.wait_for(
+                        lambda: store.stats.prefetch_reads == absent,
+                        timeout=10.0)
+                    assert not pf._deferred
+                assert pf.idle()
+                assert sorted(backing.reads) == list(range(absent))
+        finally:
+            backing.gate.set()
+            pf.stop()
+        assert obs.tracer.by_type().get("stall", 0) == 0
+        store.validate()

@@ -280,6 +280,8 @@ def _run_async_pipeline(**kwargs):
 PIPELINES = {
     "writeback": dict(num_slots=5, writeback_depth=4, io_threads=2),
     "prefetch": dict(num_slots=6, prefetch_depth=3),
+    "prefetch_two_workers": dict(num_slots=6, writeback_depth=4, io_threads=2,
+                                 prefetch_depth=3),
     "batched": dict(num_slots=6, writeback_depth=4, io_threads=2,
                     prefetch_depth=3, batch=-1),
 }
