@@ -112,6 +112,8 @@ def test_sites_per_second_report(benchmark, operands):
                                     MODEL.frequencies, CATS, cm)
     reducer = kernels.site_reducer(MODEL.frequencies, RATES.weights)
     table = np.empty_like(left)
+    newton = kernels.BranchTable(table, MODEL.eigenvalues, RATES.rates,
+                                 RATES.weights)
     pw = np.ones(PATTERNS)
 
     def update(l_clv, r_clv, l_codes, r_codes):
@@ -132,8 +134,7 @@ def test_sites_per_second_report(benchmark, operands):
          lambda: kernels.child_product(table, *eigen, left, right, None, None,
                                        cm, scratch)),
         ("branch_terms (g, g', g'')",
-         lambda: kernels.branch_terms(table, MODEL.eigenvalues, RATES.rates,
-                                      RATES.weights, 0.1)),
+         lambda: kernels.branch_terms(newton, 0.1)),
         ("branch_lnl_and_derivatives",
          lambda: kernels.branch_lnl_and_derivatives(
              table, MODEL.eigenvalues, RATES.rates, RATES.weights, pw, 0.1)),

@@ -16,6 +16,8 @@ surfaces (near-zero branches, saturated branches) where raw NR diverges.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import LikelihoodError
@@ -24,15 +26,6 @@ from repro.phylo.likelihood import kernels
 #: RAxML-style clamps on branch lengths (expected substitutions per site).
 MIN_BRANCH_LENGTH = 1e-8
 MAX_BRANCH_LENGTH = 50.0
-
-
-def _branch_phi(terms, pattern_weights):
-    """Branch log-likelihood up to the (scaling) constant: Σ w_i ln g_i(t),
-    from the ``g`` column of :func:`kernels.branch_terms`."""
-    g = terms[:, 0]
-    if np.any(g <= 0.0):
-        return -np.inf
-    return float(pattern_weights @ np.log(g))
 
 
 def optimize_branch_from_sumtable(
@@ -51,43 +44,50 @@ def optimize_branch_from_sumtable(
     """Maximize the branch likelihood; returns ``(t_opt, iterations)``.
 
     Pure numerical core (no store traffic): the engine-level wrapper
-    computes the sumtable and commits the result. Each candidate length
-    costs one :func:`kernels.branch_terms` product, which carries both
-    its likelihood and the derivatives the next step needs.
+    computes the sumtable and commits the result. Everything that does
+    not depend on the length is built once (:class:`kernels.BranchTable`);
+    each candidate length then costs one :func:`kernels.branch_terms`
+    product, which carries its likelihood, the derivatives the next step
+    needs and the one verdict on whether it has either.
     """
-    def evaluate(t):
-        terms = kernels.branch_terms(sumtable, eigenvalues, rates,
-                                     cat_weights, t)
-        return terms, _branch_phi(terms, pattern_weights)
+    table = kernels.BranchTable(sumtable, eigenvalues, rates, cat_weights)
 
-    t = float(np.clip(t0, min_bl, max_bl))
-    terms, phi = evaluate(t)
+    def evaluate(t):
+        """``terms``, the branch log-likelihood up to the (scaling)
+        constant ``Σ w_i ln g_i(t)``, and whether it exists."""
+        terms, ok = kernels.branch_terms(table, t)
+        phi = float(pattern_weights @ np.log(terms[:, 0])) if ok else -np.inf
+        return terms, phi, ok
+
+    t = min(max(float(t0), min_bl), max_bl)
+    terms, phi, ok = evaluate(t)
     it = 0
     while it < max_iter:
         it += 1
-        d1, d2 = kernels.derivatives_from_terms(terms, pattern_weights)
-        if not np.isfinite(d1):
+        d1, d2 = (kernels.derivatives_from_terms(terms, pattern_weights) if ok
+                  else (np.nan, np.nan))
+        if not math.isfinite(d1):
             # Numerical zero at this t — retreat toward the midpoint.
             t_new = max(min_bl, t / 2.0)
         elif abs(d1) < tol:
             break
-        elif np.isfinite(d2) and d2 < 0.0:
+        elif math.isfinite(d2) and d2 < 0.0:
             t_new = t - d1 / d2  # classic Newton step on d lnL/dt
         else:
             # Non-concave region: move along the gradient with a bold step.
             t_new = t * 4.0 if d1 > 0 else t / 4.0
-        t_new = float(np.clip(t_new, min_bl, max_bl))
+        t_new = min(max(t_new, min_bl), max_bl)
         if t_new == t:
             break
-        terms_new, phi_new = evaluate(t_new)
+        terms_new, phi_new, ok_new = evaluate(t_new)
         # Backtrack the step until it does not lose likelihood.
         shrink = 0
         while phi_new < phi - 1e-13 and shrink < 32:
             t_new = 0.5 * (t_new + t)
-            terms_new, phi_new = evaluate(t_new)
+            terms_new, phi_new, ok_new = evaluate(t_new)
             shrink += 1
         converged = abs(t_new - t) < tol * max(1.0, t)
-        t, phi, terms = t_new, phi_new, terms_new
+        t, phi, terms, ok = t_new, phi_new, terms_new, ok_new
         if converged:
             break
     return t, it

@@ -568,39 +568,66 @@ def branch_sumtable(
     return out
 
 
-def branch_terms(
-    sumtable: np.ndarray,
-    eigenvalues: np.ndarray,
-    rates: np.ndarray,
-    cat_weights: np.ndarray,
-    t: float,
-) -> np.ndarray:
-    """``g, g′, g″`` at branch length ``t`` as columns 0–2 of one product.
+#: :func:`gemm_width` as :class:`BranchTable` reaches it. A table is built
+#: between kernel calls; span instrumentation that wraps this module's
+#: public functions by name would count the look-up as a kernel call.
+_gemm_width = gemm_width
+
+
+class BranchTable:
+    """A sumtable bound to its rate spectrum: all of :func:`branch_terms`
+    that does not depend on the branch length.
+
+    Newton's loop evaluates one sumtable at several candidate lengths;
+    ``lam[c·S+k] = λ_k r_c``, the per-column category weights, the
+    ``(rows, C·S)`` view of the table (cast once to the operator's dtype —
+    the cast a mixed-dtype product would repeat per call) and the
+    zero-padded ``(C·S, gemm_width(3))`` operator whose first three
+    columns each evaluation overwrites are built here, once.
+    """
+
+    def __init__(self, sumtable: np.ndarray, eigenvalues: np.ndarray,
+                 rates: np.ndarray, cat_weights: np.ndarray) -> None:
+        self.lam = (eigenvalues[None, :] * rates[:, None]).ravel()
+        self.weights = np.repeat(cat_weights, len(eigenvalues))
+        dtype = np.result_type(self.weights, self.lam)
+        self.rows = np.asarray(_rows(sumtable),
+                               dtype=np.result_type(sumtable, dtype))
+        self.op = np.zeros((self.lam.size, _gemm_width(3, dtype)), dtype=dtype)
+        self.exponent = np.empty(self.lam.size, dtype=dtype)
+
+
+def branch_terms(table: BranchTable, t: float) -> tuple[np.ndarray, bool]:
+    """``g, g′, g″`` at branch length ``t`` as columns 0–2 of one product,
+    and whether every ``g_i`` is positive.
 
     With ``g_i(t) = Σ_{c,k} w_c A[i,c,k] e^{λ_k r_c t}``, one
     ``(patterns, C·S) @ (C·S, 3)`` GEMM against the weighted exponentials
     and their ``λ``, ``λ²`` multiples serves the likelihood and both
-    derivatives.
+    derivatives. A length that drives some site to numerical zero (or
+    below) has no log-likelihood and no derivatives; that is decided
+    here, once per evaluation, for every consumer of the terms.
     """
-    lam = (eigenvalues[None, :] * rates[:, None]).ravel()
-    wexp = np.repeat(cat_weights, len(eigenvalues)) * np.exp(lam * t)
-    columns = np.stack((wexp, wexp * lam, wexp * lam * lam), axis=1)
-    return gemm(_rows(sumtable), pad_columns(columns))
+    lam, op, wexp = table.lam, table.op, table.exponent
+    np.multiply(lam, t, out=wexp)
+    np.exp(wexp, out=wexp)
+    np.multiply(table.weights, wexp, out=op[:, 0])
+    np.multiply(op[:, 0], lam, out=op[:, 1])
+    np.multiply(op[:, 1], lam, out=op[:, 2])
+    terms = gemm(table.rows, op)
+    return terms, not np.any(terms[:, 0] <= 0.0)
 
 
 def derivatives_from_terms(terms: np.ndarray,
                            pattern_weights: np.ndarray) -> tuple[float, float]:
-    """``(lnL′, lnL″)`` of the branch log-likelihood from :func:`branch_terms`.
+    """``(lnL′, lnL″)`` of the branch log-likelihood from :func:`branch_terms`
+    whose ``g`` column is positive throughout.
 
     The slope is ``Σ_i w_i g′_i/g_i`` and the curvature ``Σ_i w_i
     (g″_i/g_i − (g′_i/g_i)²)``; scaling constants multiply ``g_i`` and
-    cancel in the ratios, so no counters are needed. A candidate length
-    that drove some site to numerical zero reports NaN for both, so the
-    optimizer backtracks.
+    cancel in the ratios, so no counters are needed.
     """
     g = terms[:, 0]
-    if np.any(g <= 0.0):
-        return np.nan, np.nan
     r1 = terms[:, 1] / g
     return (float(pattern_weights @ r1),
             float(pattern_weights @ (terms[:, 2] / g - r1 * r1)))
@@ -615,6 +642,11 @@ def branch_lnl_and_derivatives(
     t: float,
 ):
     """``(site_l, d1, d2)``: raw site likelihoods and the two derivatives
-    of the total log-likelihood at branch length ``t``."""
-    terms = branch_terms(sumtable, eigenvalues, rates, cat_weights, t)
-    return (terms[:, 0], *derivatives_from_terms(terms, pattern_weights))
+    of the total log-likelihood at branch length ``t`` — NaN for both
+    where some site likelihood is not positive, so an optimizer
+    backtracks."""
+    terms, positive = branch_terms(
+        BranchTable(sumtable, eigenvalues, rates, cat_weights), t)
+    d1, d2 = (derivatives_from_terms(terms, pattern_weights) if positive
+              else (np.nan, np.nan))
+    return terms[:, 0], d1, d2

@@ -8,6 +8,14 @@ for one direction (toward the virtual root used when it was computed). This
 module plans the minimal post-order recomputation list for evaluating the
 likelihood at a given edge, given the current orientation state.
 
+The bookkeeping costs what the vectors do: a mutation is reported by
+walking the orientation pointers upward from where it happened — the
+entries it invalidates and no others — which is exact because every
+reachable state keeps two invariants, (I) all valid nodes point toward one
+common edge and (II) nothing valid sits above something invalid
+(:class:`OrientationState` states them, says who establishes them, and why
+no one else may write ``orient``).
+
 The plan is computed **before** any likelihood arithmetic, which is what
 makes the paper's read-skipping rule (§3.4) possible: every vector a plan
 step writes is write-only on its first access, so its stale disk contents
@@ -16,10 +24,7 @@ never need to be read.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import LikelihoodError
 from repro.phylo.tree import Tree
@@ -68,15 +73,44 @@ class OrientationState:
     when the CLV is invalid. Invariant maintained jointly with the engine:
     ``orient[x] = p ≠ -1`` implies the stored CLV of ``x`` equals the
     conditional likelihood of the subtree at ``x`` away from ``p`` under
-    the *current* topology and branch lengths.
+    the *current* topology and branch lengths. It is a plain list: planner
+    and walk only ever index single entries, which a list serves about
+    three times faster than an ``ndarray``.
+
+    ``orient`` is a parent-pointer forest, and every state the writers
+    below can reach satisfies two structural invariants:
+
+    (I)  all valid inner nodes point toward **one common edge** — the
+         last root edge, or the edge at which an interrupted plan
+         stopped (its two ends, when valid, look at each other);
+    (II) an invalid inner node has **no valid node above it** on the way
+         to that edge (equivalently: everything below a valid node is
+         valid).
+
+    Under (I) the nodes whose CLV covers a given place in the tree are
+    exactly the ``orient`` chain from that place toward the common edge;
+    under (II) the chain may be cut at the first node that is already
+    invalid. That makes invalidation a walk (:meth:`_invalidate_up`)
+    whose cost is the number of entries it changes, not the size of the
+    tree.
+
+    The only writers of ``orient`` are :meth:`set` (called by the
+    engine's plan execution, children before parents, every step toward
+    the plan's edge), :meth:`invalidate_all` and the three ``after_*``
+    methods; each takes a state satisfying (I) and (II) to one that
+    does. Nothing else may write it — a state outside (I)/(II) makes
+    the walk stop short and leaves stale CLVs marked valid
+    (``tests/test_orientation.py`` checks both against a whole-tree
+    breadth-first reference after every mutation).
     """
 
     def __init__(self, tree: Tree) -> None:
         self.tree = tree
-        self.orient = np.full(tree.num_nodes, -1, dtype=np.int64)
+        self._num_tips = tree.num_tips
+        self.orient = [-1] * tree.num_nodes
 
     def invalidate_all(self) -> None:
-        self.orient.fill(-1)
+        self.orient[:] = [-1] * len(self.orient)
 
     def is_valid_toward(self, node: int, parent: int) -> bool:
         return self.orient[node] == parent
@@ -85,39 +119,40 @@ class OrientationState:
         self.orient[node] = parent
 
     def num_valid(self) -> int:
-        return int((self.orient[self.tree.num_tips:] >= 0).sum())
+        return sum(o >= 0 for o in self.orient[self._num_tips:])
 
     # -- invalidation after mutations -------------------------------------------
 
-    def _next_hops(self, source: int) -> np.ndarray:
-        """First node on the path from every node to ``source`` (BFS)."""
-        tree = self.tree
-        hop = np.full(tree.num_nodes, -1, dtype=np.int64)
-        hop[source] = source
-        q = deque([source])
-        while q:
-            x = q.popleft()
-            for y in tree.neighbors(x):
-                if hop[y] < 0:
-                    hop[y] = x
-                    q.append(y)
-        return hop
+    def _invalidate_up(self, x: int, came_from: int) -> None:
+        """Invalidate ``x`` and its ancestors for a change on ``came_from``'s side.
 
-    def _invalidate_below_sources(self, sources: list[int]) -> None:
-        """Invalidate every node that has any of ``sources`` in its subtree.
-
-        A node ``x``'s CLV covers the subtree away from ``orient[x]``; a
-        change localized at a source node can only affect ``x`` if the path
-        from ``x`` to that source leaves through a child — i.e. the BFS
-        next-hop differs from ``orient[x]``.
+        Follows ``orient`` from ``x`` toward the common edge, clearing
+        each node, and stops at a tip, at a node that is already invalid
+        (II: so is everything above it) or at one that looks *back* at
+        the node the walk came from — it sees the change across its own
+        edge, not below it, which is also how the walk ends at the
+        common edge. ``came_from = -1`` starts the walk at a node whose
+        own children changed.
         """
-        tree = self.tree
-        for src in sources:
-            hop = self._next_hops(src)
-            for x in tree.inner_nodes():
-                o = self.orient[x]
-                if o >= 0 and x != src and hop[x] != o:
-                    self.orient[x] = -1
+        orient, tips = self.orient, self._num_tips
+        while x >= tips:
+            nxt = orient[x]
+            if nxt < 0 or nxt == came_from:
+                return
+            orient[x] = -1
+            came_from, x = x, nxt
+
+    def _remap_or_invalidate(self, node: int, old_nbr: int, new_nbr: int) -> None:
+        """A node beside a rewired junction: one that looked *across* it
+        keeps its CLV (its own subtree is untouched) and now looks at the
+        replacement neighbor; any other orientation has the junction
+        below it."""
+        if node < self._num_tips:
+            return
+        if self.orient[node] == old_nbr:
+            self.orient[node] = new_nbr
+        else:
+            self._invalidate_up(node, -1)
 
     def after_branch_change(self, u: int, v: int) -> None:
         """Invalidate for a length change of edge ``(u, v)``.
@@ -126,11 +161,8 @@ class OrientationState:
         stay valid when oriented across it; every node with the edge below
         it is invalidated.
         """
-        if not self.tree.is_tip(u) and self.orient[u] >= 0 and self.orient[u] != v:
-            self.orient[u] = -1
-        if not self.tree.is_tip(v) and self.orient[v] >= 0 and self.orient[v] != u:
-            self.orient[v] = -1
-        self._invalidate_below_sources([u])
+        self._invalidate_up(u, v)
+        self._invalidate_up(v, u)
 
     def after_spr(self, p: int, a: int, b: int, tu: int, tv: int) -> None:
         """Invalidate after regrafting the subtree at ``p`` from edge (a,b)'s
@@ -142,34 +174,25 @@ class OrientationState:
         invalidated. Call with the roles from the applied move; for an undo
         call again with old/new locations swapped.
         """
-        tree = self.tree
         self.orient[p] = -1
-        for node, old_nbr, new_nbr in ((a, p, b), (b, p, a), (tu, tv, p), (tv, tu, p)):
-            if tree.is_tip(node):
-                continue
-            if self.orient[node] == old_nbr:
-                # The CLV looked *across* the modified junction; its own
-                # subtree content is untouched — remap to the new neighbor.
-                self.orient[node] = new_nbr
-            elif self.orient[node] >= 0:
-                # Any other orientation has the modified junction below it.
-                self.orient[node] = -1
-        self._invalidate_below_sources([a, p])
+        (s,) = (x for x in self.tree.neighbors(p) if x != tu and x != tv)
+        self._invalidate_up(s, p)
+        # In this order: a walk from the graft site that reaches the
+        # closed edge a–b must find its ends already remapped.
+        self._remap_or_invalidate(a, p, b)
+        self._remap_or_invalidate(b, p, a)
+        self._remap_or_invalidate(tu, tv, p)
+        self._remap_or_invalidate(tv, tu, p)
 
     def after_nni(self, u: int, v: int, su: int, sv: int) -> None:
         """Invalidate after an NNI that swapped ``su`` (was at ``u``) with
         ``sv`` (was at ``v``)."""
-        tree = self.tree
+        self._invalidate_up(u, v)
+        self._invalidate_up(v, u)
         self.orient[u] = -1
         self.orient[v] = -1
-        for node, old_nbr, new_nbr in ((su, u, v), (sv, v, u)):
-            if tree.is_tip(node):
-                continue
-            if self.orient[node] == old_nbr:
-                self.orient[node] = new_nbr
-            elif self.orient[node] >= 0:
-                self.orient[node] = -1
-        self._invalidate_below_sources([u])
+        self._remap_or_invalidate(su, u, v)
+        self._remap_or_invalidate(sv, v, u)
 
 
 def plan_edge_traversal(tree: Tree, state: OrientationState, u: int, v: int,

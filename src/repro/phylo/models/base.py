@@ -16,6 +16,10 @@ import numpy as np
 
 from repro.errors import ModelError
 
+#: ``P[c] = V · diag(modes[c]) · V⁻¹`` for a ``(C, S)`` stack of eigen-mode
+#: weights.
+_SPECTRAL_PRODUCT = "ik,ck,kj->cij"
+
 
 class ReversibleModel:
     """A time-reversible substitution model over ``num_states`` states.
@@ -69,6 +73,7 @@ class ReversibleModel:
         self.eigenvalues = eigvals
         self.eigenvectors = U / sqrt_pi[:, None]         # V : Q = V Λ V⁻¹
         self.inv_eigenvectors = U.T * sqrt_pi[None, :]   # V⁻¹
+        self._contraction_paths: dict[int, list] = {}
 
     # -- transition probabilities ------------------------------------------------
 
@@ -84,8 +89,7 @@ class ReversibleModel:
             raise ModelError(f"negative branch length {t}")
         rates = np.asarray(rates, dtype=np.float64)
         exp_l = np.exp(self.eigenvalues[None, :] * (rates[:, None] * t))  # (C, S)
-        P = np.einsum("ik,ck,kj->cij", self.eigenvectors, exp_l, self.inv_eigenvectors,
-                      optimize=True)
+        P = self._spectral_product(exp_l)
         np.clip(P, 0.0, None, out=P)
         return P
 
@@ -98,12 +102,27 @@ class ReversibleModel:
         rates = np.asarray(rates, dtype=np.float64)
         lam = self.eigenvalues[None, :] * rates[:, None]       # (C, S)
         exp_l = np.exp(lam * t)
-        V, Vi = self.eigenvectors, self.inv_eigenvectors
-        P = np.einsum("ik,ck,kj->cij", V, exp_l, Vi, optimize=True)
-        dP = np.einsum("ik,ck,kj->cij", V, lam * exp_l, Vi, optimize=True)
-        d2P = np.einsum("ik,ck,kj->cij", V, lam * lam * exp_l, Vi, optimize=True)
+        P = self._spectral_product(exp_l)
+        dP = self._spectral_product(lam * exp_l)
+        d2P = self._spectral_product(lam * lam * exp_l)
         np.clip(P, 0.0, None, out=P)
         return P, dP, d2P
+
+    def _spectral_product(self, modes: np.ndarray) -> np.ndarray:
+        """``V · diag(modes[c]) · V⁻¹`` per category; ``(C, S)`` → ``(C, S, S)``.
+
+        The pairwise contraction order is numpy's greedy choice for these
+        shapes — it depends on ``C`` (``V⊗V⁻¹`` first once there are more
+        categories than states) — searched once per category count
+        instead of on every call, so the bits are those of the searching
+        form.
+        """
+        V, Vi = self.eigenvectors, self.inv_eigenvectors
+        path = self._contraction_paths.get(len(modes))
+        if path is None:
+            path = self._contraction_paths[len(modes)] = np.einsum_path(
+                _SPECTRAL_PRODUCT, V, modes, Vi, optimize="greedy")[0]
+        return np.einsum(_SPECTRAL_PRODUCT, V, modes, Vi, optimize=path)
 
     # -- introspection ---------------------------------------------------------------
 

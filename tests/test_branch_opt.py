@@ -1,5 +1,8 @@
 """Tests for Newton–Raphson branch-length optimization."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,98 @@ from repro.phylo.likelihood.branch_opt import (
     optimize_branch_from_sumtable,
     smooth_all_branches,
 )
+from repro.phylo.models.protein import EmpiricalProteinModel
+
+#: ``[t_opt.hex(), iterations]`` per :func:`newton_cases` entry, written by
+#: :func:`write_parent_fixture` at commit 8237556 — before the Newton loop
+#: hoisted its ``t``-independent work. The loop must stay the same function.
+PARENT_FIXTURE = Path(__file__).parent / "fixtures" / "newton_parent.json"
+
+NAN_START, MIN_CLAMPED, MAX_CLAMPED = 197, 198, 199
+
+
+def newton_cases():
+    """200 seeded ``(sumtable, eigenvalues, rates, cat_weights,
+    pattern_weights, t0)`` inputs: DNA Γ4, protein Γ4 and float32 tables
+    in turn, built from two noisy tip-like CLVs a random distance apart;
+    the last three start where a pattern has ``g ≤ 0``, end on
+    ``MIN_BRANCH_LENGTH`` and end on ``MAX_BRANCH_LENGTH``."""
+    cases = []
+    for seed in range(200):
+        rng = np.random.default_rng(9000 + seed)
+        kind = ("dna", "protein", "float32")[seed % 3]
+        if kind == "protein":
+            R = rng.uniform(0.1, 4.0, size=(20, 20))
+            model = EmpiricalProteinModel(R + R.T, rng.dirichlet(np.full(20, 20.0)))
+        else:
+            model = GTR(rng.uniform(0.5, 3.0, size=6), rng.dirichlet(np.full(4, 8.0)))
+        S = model.num_states
+        gamma = RateModel.gamma(50.0 if seed == NAN_START else rng.uniform(0.3, 2.0), 4)
+        rates, cat_weights = gamma.rates, gamma.weights
+        patterns = int(rng.integers(5, 120))
+        # Two sequences a true distance apart: each site keeps its state
+        # with probability e^{-t}, else redraws it from π.
+        x = rng.choice(S, size=patterns, p=model.frequencies)
+        redraw = rng.random(patterns) < -np.expm1(-10 ** rng.uniform(-2, 0.5))
+        y = np.where(redraw, rng.choice(S, size=patterns, p=model.frequencies), x)
+        t0 = float(10 ** rng.uniform(-4, 1))
+        if seed == MIN_CLAMPED:
+            y = x
+        elif seed == MAX_CLAMPED:
+            y, rates, t0 = (x + 1) % S, np.array([0.005, 0.01, 0.02, 0.04]), 1.0
+        u, v = (1e-4 + np.eye(S)[states][:, None, :]
+                * rng.uniform(0.2, 1.0, size=(patterns, 4, 1)) for states in (x, y))
+        table = kernels.branch_sumtable(
+            model.eigenvectors, model.inv_eigenvectors, model.frequencies,
+            u, v, None, None, np.eye(S))
+        if seed == NAN_START:
+            table[0] = 0.0
+            table[0, :, np.argmax(model.eigenvalues)] = -0.5
+            table[0, :, np.argmin(model.eigenvalues)] = 2.0
+            t0 = 5.0
+        if kind == "float32":
+            table = table.astype(np.float32)
+        cases.append((table, model.eigenvalues, rates, cat_weights,
+                      rng.uniform(1.0, 6.0, size=patterns), t0))
+    return cases
+
+
+def _newton_results():
+    out = []
+    for table, eigenvalues, rates, cat_weights, pw, t0 in newton_cases():
+        t_opt, iterations = optimize_branch_from_sumtable(
+            table, eigenvalues, rates, cat_weights, pw, t0)
+        out.append([float(t_opt).hex(), iterations])
+    return out
+
+
+def write_parent_fixture():
+    """``PYTHONPATH=<checkout of 8237556>/src:. python -c "from
+    tests.test_branch_opt import write_parent_fixture as w; w()"``."""
+    PARENT_FIXTURE.write_text(json.dumps(_newton_results(), indent=0) + "\n")
+
+
+class TestSameFunctionAsParent:
+    def test_optimum_and_iteration_count_bit_identical(self):
+        expected = json.loads(PARENT_FIXTURE.read_text())
+        got = _newton_results()
+        assert len(got) == len(expected) == 200
+        wrong = [i for i, (g, e) in enumerate(zip(got, expected)) if g != e]
+        assert not wrong, (wrong[:5], got[wrong[0]], expected[wrong[0]])
+
+    def test_the_special_cases_are_what_they_claim(self):
+        cases, expected = newton_cases(), json.loads(PARENT_FIXTURE.read_text())
+        table, eigenvalues, rates, cat_weights, pw, t0 = cases[NAN_START]
+        g, d1, d2 = kernels.branch_lnl_and_derivatives(
+            table, eigenvalues, rates, cat_weights, pw, t0)
+        assert g[0] <= 0.0 and np.isnan(d1) and np.isnan(d2)
+        assert float.fromhex(expected[NAN_START][0]) < t0 / 2
+        assert float.fromhex(expected[MIN_CLAMPED][0]) == MIN_BRANCH_LENGTH
+        assert float.fromhex(expected[MAX_CLAMPED][0]) == MAX_BRANCH_LENGTH
+        assert expected[MAX_CLAMPED][1] > 1      # climbed there, not clipped at t0
+        assert {cases[i][0].dtype for i in range(3)} == {
+            np.dtype(np.float64), np.dtype(np.float32)}
+        assert {cases[i][0].shape[-1] for i in range(3)} == {4, 20}
 
 
 class TestNumericalCore:

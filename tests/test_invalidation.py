@@ -145,6 +145,35 @@ class TestTargetedInvalidation:
                 checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_spr_and_nni_interleaved_without_evaluation(self, dataset, seed):
+        """Moves pile up on a state no plan has refreshed in between: each
+        invalidation starts from what the previous ones left."""
+        tree, aln = dataset
+        tree = tree.copy()
+        rng = np.random.default_rng(seed)
+        eng = LikelihoodEngine(tree, aln, MODEL, RATES)
+        eng.edge_loglikelihood(*random_edge(tree, rng))
+        for round_ in range(6):
+            for _ in range(int(rng.integers(2, 6))):
+                if rng.random() < 0.5:
+                    p = int(rng.integers(tree.num_tips, tree.num_nodes))
+                    s = tree.neighbors(p)[rng.integers(3)]
+                    cands = tree.spr_candidates(p, s, radius=4)
+                    if not cands:
+                        continue
+                    undo = eng.apply_spr(p, s, cands[rng.integers(len(cands))])
+                    if rng.random() < 0.3:
+                        eng.undo_spr(undo)
+                else:
+                    internal = tree.internal_edges()
+                    undo = eng.apply_nni(internal[rng.integers(len(internal))],
+                                         int(rng.integers(2)))
+                    if rng.random() < 0.3:
+                        eng.undo_nni(undo)
+            u, v = random_edge(tree, rng)
+            assert eng.edge_loglikelihood(u, v) == fresh_lnl(tree, aln, u, v)
+
     def test_evaluation_after_undo_matches(self, dataset):
         tree, aln = dataset
         tree = tree.copy()

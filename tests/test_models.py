@@ -143,6 +143,34 @@ class TestTransitionDerivatives:
         np.testing.assert_allclose(P1, P2, atol=1e-14)
 
 
+class TestContractionOrderIsFixedNotMoved:
+    """The spectral product no longer searches an einsum path per call;
+    the order it fixed is the one the search picked, so no bit moved."""
+
+    @pytest.mark.parametrize("model", [
+        GTR((1.0, 2.5, 1.2, 0.8, 3.0, 1.0), (0.3, 0.2, 0.25, 0.25)),
+        HKY85(3.0, (0.4, 0.1, 0.2, 0.3)),
+        Poisson(),
+    ], ids=lambda m: m.name)
+    @pytest.mark.parametrize("categories", [1, 4, 8])
+    def test_bit_identical_to_the_searched_form(self, model, categories):
+        def searched(modes):
+            return np.einsum("ik,ck,kj->cij", model.eigenvectors, modes,
+                             model.inv_eigenvectors, optimize=True)
+
+        rates = np.linspace(0.2, 2.4, categories)
+        lam = model.eigenvalues[None, :] * rates[:, None]
+        for t in np.geomspace(1e-8, 50.0, 50):
+            exp_l = np.exp(model.eigenvalues[None, :] * (rates[:, None] * t))
+            assert np.array_equal(model.transition_matrices(t, rates),
+                                  np.clip(searched(exp_l), 0.0, None))
+            exp_l = np.exp(lam * t)
+            P, dP, d2P = model.transition_derivatives(t, rates)
+            assert np.array_equal(P, np.clip(searched(exp_l), 0.0, None))
+            assert np.array_equal(dP, searched(lam * exp_l))
+            assert np.array_equal(d2P, searched(lam * lam * exp_l))
+
+
 class TestKappaModels:
     def test_k80_transition_transversion(self):
         m = K80(kappa=5.0)
