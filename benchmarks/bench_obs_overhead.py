@@ -27,7 +27,7 @@ import numpy as np
 
 from benchmarks.conftest import report
 from repro import AncestralVectorStore
-from repro.core.stats import DEMAND_COUNTERS, EVICTION_COUNTERS
+from repro.core.stats import PARITY_COUNTERS
 from repro.obs import Observer
 
 SLOT_FRACTION = 0.25
@@ -202,7 +202,7 @@ def test_sharded_full_telemetry_overhead(benchmark, ds1288):
         # totals (reads served from staging, coalesced writes) and the
         # writeback_* counters depend on writer-thread timing under an
         # async drain, traced or not.
-        for key in sorted(DEMAND_COUNTERS | EVICTION_COUNTERS):
+        for key in PARITY_COUNTERS:
             assert counters[key] == bare[0][1][key], key
         # cross-process agreement within a run: worker histogram counts
         # == this run's IoStats physical totals, bit-exact

@@ -20,14 +20,11 @@ Rules
 ``LOCK002``
     A ``# lockfree-ok`` suppression without a reason.
 ``CNT001``
-    A mutation of an :class:`IoStats` counter that is not a key of the
-    ``IoStats._counters()`` registry.
-``CNT002``
-    The stats module is internally incoherent: a dataclass counter field,
-    the ``_counters()`` registry, ``reset()`` and the counter taxonomy
-    (``DEMAND_COUNTERS`` & friends) do not agree.
+    A mutation of a stats counter that :class:`IoStats` does not declare
+    (its public ``int`` fields are the registry: ``reset()``,
+    ``_counters()`` and the ownership sets derive from them at import).
 ``CNT003``
-    A demand-side counter is mutated on a writer/prefetch thread's code
+    A demand-owned counter is mutated on a writer/prefetch thread's code
     path (functions annotated ``# thread: writer|prefetch`` and everything
     reachable from them through the intra-package call graph).
 ``LEAK001``
@@ -47,14 +44,15 @@ Rules
 ``SUP001``
     A ``# analysis: ignore[RULE]`` suppression without a reason, or
     naming an unknown rule.
-``EVT001`` / ``EVT002``
+``EVT001``
     An ``obs.event``/``obs.timed`` site reports a name missing from the
-    ``ROUTES`` table (or a row emits an undeclared event type), or the
-    event taxonomy and the counter registry drifted apart.
-``MET001`` / ``MET002``
+    ``ROUTES`` table, a row emits an event type missing from
+    ``EVENT_TYPES``, or an ``EVENT_TYPES`` row names a counter that
+    ``IoStats`` does not declare.
+``MET001``
     An ``obs.count``/``gauge``/``merge`` site or a ``ROUTES`` row names a
-    metric missing from ``METRIC_NAMES``, or the metric name / exposition
-    / result tables drifted apart.
+    metric that is not a ``METRIC_EXPOSITION`` row, or a row's name is
+    not a Prometheus name suffix or its kind not one of the three.
 ``LOK101``
     Two locks are acquired in both orders somewhere in the package (a
     cycle in the static lock-acquisition graph — potential deadlock).

@@ -1,146 +1,76 @@
-"""CNT001/002/003: the IoStats counter registry and who may touch what.
+"""CNT001/CNT003: the IoStats counter declarations and who may touch what.
 
-The stats module (any analyzed file defining ``class IoStats`` with a
-``_counters`` method) is the single source of truth:
-
-* the dataclass's public ``int`` fields,
-* the ``_counters()`` registry dict,
-* the ``reset()`` assignments, and
-* the thread-ownership taxonomy (module-level ``*_COUNTERS`` frozensets)
-
-must all agree (**CNT002**). Every counter mutation anywhere else must
-target a registered counter (**CNT001**), and functions running on the
-writer/prefetch threads — annotated ``# thread: writer|prefetch`` on their
-``def`` line, plus everything reachable from them through the
-intra-package call graph — must never mutate a demand-side counter
-(**CNT003**): demand counters describe the access trace *as if the async
-pipeline were transparent* (see ``repro.core.stats``), so only the compute
-thread may move them.
+The stats module (any analyzed file defining ``class IoStats``) declares
+each counter once, as a public ``int`` field whose declaration call names
+its owner bucket first: ``hits: int = _counter("demand", "...")``.
+Everything else about a counter derives from that line at import, so
+there is nothing to keep coherent; what the checker polices are the
+*call sites*. Every counter mutation anywhere else must target a declared
+counter (**CNT001**), and functions running on the writer/prefetch
+threads — annotated ``# thread: writer|prefetch`` on their ``def`` line,
+plus everything reachable from them through the intra-package call
+graph — must never mutate a demand-owned counter (**CNT003**): demand
+counters describe the access trace *as if the async pipeline were
+transparent* (see ``repro.core.stats``), so only the compute thread may
+move them.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.findings import Finding
 from repro.analysis.source import SourceFile, attribute_chain
 from repro.analysis.typeinfo import ClassIndex, FuncInfo, LocalTypes
 
 STATS_CLASS = "IoStats"
-DEMAND_TAXON = "DEMAND_COUNTERS"
+DEMAND_OWNER = "demand"
 
 
 @dataclass
 class StatsSchema:
-    """Everything the checkers need to know about the stats module."""
+    """What the checkers need to know about the stats module."""
 
     path: str
-    fields: dict[str, int]            # counter name -> declaration line
-    registry: dict[str, int]          # _counters() key -> line
-    reset_targets: set[str]
-    taxonomy: dict[str, set[str]]     # frozenset name -> counter names
-    registry_line: int
+    counters: dict[str, str | None]   # counter field -> declared owner bucket
     #: ``bool``-annotated public fields (e.g. ``writeback_enabled``): not
-    #: counters, so they are exempt from the registry/reset/taxonomy
-    #: coherence rules and their mutations are not CNT001.
-    flags: set[str] = field(default_factory=set)
+    #: counters, so their mutations are not CNT001.
+    flags: set[str]
 
     @property
     def demand(self) -> set[str]:
-        return self.taxonomy.get(DEMAND_TAXON, set())
+        return {name for name, owner in self.counters.items()
+                if owner == DEMAND_OWNER}
 
 
 def parse_stats_schema(files: list[SourceFile]) -> StatsSchema | None:
     for sf in files:
         for node in sf.tree.body:
             if isinstance(node, ast.ClassDef) and node.name == STATS_CLASS:
-                methods = {m.name: m for m in node.body
-                           if isinstance(m, ast.FunctionDef)}
-                if "_counters" not in methods:
-                    continue
-                return _build_schema(sf, node, methods)
+                return _build_schema(sf, node)
     return None
 
 
-def _build_schema(sf: SourceFile, cls: ast.ClassDef,
-                  methods: dict[str, ast.FunctionDef]) -> StatsSchema:
-    fields: dict[str, int] = {}
+def _build_schema(sf: SourceFile, cls: ast.ClassDef) -> StatsSchema:
+    counters: dict[str, str | None] = {}
     flags: set[str] = set()
     for item in cls.body:
-        if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        if not (isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
                 and not item.target.id.startswith("_")
                 and isinstance(item.annotation, ast.Name)):
-            if item.annotation.id == "int":
-                fields[item.target.id] = item.lineno
-            elif item.annotation.id == "bool":
-                flags.add(item.target.id)
-
-    registry: dict[str, int] = {}
-    registry_line = methods["_counters"].lineno
-    for stmt in ast.walk(methods["_counters"]):
-        if isinstance(stmt, ast.Return) and isinstance(stmt.value, ast.Dict):
-            registry_line = stmt.lineno
-            for key in stmt.value.keys:
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    registry[key.value] = key.lineno
-
-    reset_targets: set[str] = set()
-    if "reset" in methods:
-        for stmt in ast.walk(methods["reset"]):
-            if isinstance(stmt, ast.Assign):
-                for tgt in stmt.targets:
-                    if (isinstance(tgt, ast.Attribute)
-                            and isinstance(tgt.value, ast.Name)
-                            and tgt.value.id == "self"):
-                        reset_targets.add(tgt.attr)
-
-    taxonomy: dict[str, set[str]] = {}
-    for stmt in sf.tree.body:
-        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and stmt.targets[0].id.endswith("_COUNTERS")):
             continue
-        if isinstance(stmt.value, ast.Dict):
-            # A dict named *_COUNTERS (e.g. the EVENT_COUNTERS event->counter
-            # mapping, checked by EVT002) is not a thread-ownership bucket.
-            continue
-        names: set[str] = set()
-        for node in ast.walk(stmt.value):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.add(node.value)
-        taxonomy[stmt.targets[0].id] = names
-
-    return StatsSchema(path=str(sf.path), fields=fields, registry=registry,
-                       reset_targets=reset_targets, taxonomy=taxonomy,
-                       registry_line=registry_line, flags=flags)
-
-
-def _schema_coherence(schema: StatsSchema) -> list[Finding]:
-    findings: list[Finding] = []
-
-    def emit(line: int, message: str) -> None:
-        findings.append(Finding(schema.path, line, "CNT002", message))
-
-    for name, line in schema.fields.items():
-        if name not in schema.registry:
-            emit(line, f"counter field '{name}' missing from _counters() registry")
-        if name not in schema.reset_targets:
-            emit(line, f"counter field '{name}' is not zeroed by reset()")
-    for name, line in schema.registry.items():
-        if name not in schema.fields:
-            emit(line, f"_counters() key '{name}' is not a declared counter field")
-    if schema.taxonomy:
-        union: set[str] = set()
-        for names in schema.taxonomy.values():
-            union |= names
-        for name in sorted(set(schema.fields) - union):
-            emit(schema.fields[name],
-                 f"counter field '{name}' missing from the *_COUNTERS taxonomy")
-        for name in sorted(union - set(schema.fields)):
-            emit(schema.registry_line,
-                 f"taxonomy entry '{name}' is not a declared counter field")
-    return findings
+        if item.annotation.id == "bool":
+            flags.add(item.target.id)
+        elif item.annotation.id == "int":
+            call = item.value
+            first = (call.args[0] if isinstance(call, ast.Call) and call.args
+                     else None)
+            counters[item.target.id] = (
+                first.value if isinstance(first, ast.Constant)
+                and isinstance(first.value, str) else None)
+    return StatsSchema(path=str(sf.path), counters=counters, flags=flags)
 
 
 # -- mutation collection -------------------------------------------------------
@@ -253,27 +183,24 @@ def check_counters(files: list[SourceFile], index: ClassIndex) -> list[Finding]:
     schema = parse_stats_schema(files)
     if schema is None:
         return []
-    findings = _schema_coherence(schema)
+    findings: list[Finding] = []
 
     funcs = _all_functions(index)
     mutations = _counter_mutations(files, index, funcs)
     for mut in mutations:
-        if mut.counter in schema.flags:
-            continue  # bool flags (e.g. writeback_enabled) are not counters
-        if mut.counter not in schema.registry and mut.counter in schema.fields:
-            continue  # already reported by CNT002 on the schema side
-        if mut.counter not in schema.registry:
+        if mut.counter not in schema.counters and mut.counter not in schema.flags:
             findings.append(Finding(
                 mut.path, mut.line, "CNT001",
-                f"mutation of unregistered counter 'stats.{mut.counter}' "
-                f"(not a _counters() key in {schema.path})",
+                f"mutation of undeclared counter 'stats.{mut.counter}' "
+                f"(not a counter field of {STATS_CLASS} in {schema.path})",
             ))
 
-    if schema.demand:
+    demand = schema.demand
+    if demand:
         reached = _reachable_from_roots(files, index, funcs)
         for mut in mutations:
             info = reached.get(id(mut.func))
-            if info is None or mut.counter not in schema.demand:
+            if info is None or mut.counter not in demand:
                 continue
             role, root = info
             findings.append(Finding(

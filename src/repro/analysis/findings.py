@@ -8,13 +8,10 @@ from dataclasses import dataclass
 RULES: dict[str, str] = {
     "LOCK001": "guarded field accessed outside its declared lock",
     "LOCK002": "'# lockfree-ok' suppression without a reason",
-    "CNT001": "IoStats counter mutation not present in the _counters() registry",
-    "CNT002": "stats registry / dataclass / reset() / taxonomy mismatch",
+    "CNT001": "mutation of a stats counter that IoStats does not declare",
     "CNT003": "demand-side counter mutated on a writer/prefetch thread path",
-    "EVT001": "reported name missing from ROUTES, or a ROUTES event missing from EVENT_TYPES",
-    "EVT002": "EVENT_TYPES / EVENT_COUNTERS / counter registry out of sync",
-    "MET001": "report site or ROUTES row names a metric missing from METRIC_NAMES",
-    "MET002": "METRIC_NAMES / METRIC_EXPOSITION / RESULT_METRICS out of sync",
+    "EVT001": "reported name, ROUTES event or EVENT_TYPES counter with no declaration",
+    "MET001": "metric name missing from METRIC_EXPOSITION, or a malformed row there",
     "LEAK001": "public method returns a raw _slots buffer view (no copy/pin)",
     "DET001": "stdlib 'random' used in deterministic scope",
     "DET002": "unseeded numpy RNG in deterministic scope",

@@ -11,26 +11,22 @@ function of the commit (no clock reading anywhere in it):
   exactly, in either direction; one whose configuration changed is
   skipped with a note instead of producing a false alarm.
 
-The per-workload counter names in :data:`RESULT_METRICS` are a subset of
-the metrics catalogue (:data:`repro.obs.metrics.METRIC_NAMES`); analysis
-rule MET002 keeps the two in sync.
+The per-workload counters are :data:`RESULT_METRICS` — the parity
+counters of :mod:`repro.core.stats`, by import.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.obs.metrics import METRIC_NAMES
+from repro.core.stats import PARITY_COUNTERS
 
 #: Version tag of the ``BENCH_results.json`` document layout.
 RESULTS_SCHEMA = "repro-bench/2"
 
 #: Per-workload counters every result entry must report — the §4
-#: evaluation metrics, named exactly as in the metrics catalogue.
-RESULT_METRICS = (
-    "requests", "hits", "misses", "reads", "read_skips",
-    "writes", "write_skips", "bytes_read", "bytes_written",
-)
+#: evaluation metrics.
+RESULT_METRICS = PARITY_COUNTERS
 
 #: Derived rates every entry reports (functions of the counters).
 RATE_KEYS = ("miss_rate", "read_rate")
@@ -50,9 +46,6 @@ _REQUIRED_TOP = ("schema", "config", "workloads")
 #: Required keys of each workload entry.
 _ENTRY_KEYS = ("figure", "config", "log_likelihood", "log_likelihood_hex",
                "metrics", "derived")
-
-assert set(RESULT_METRICS) <= METRIC_NAMES, \
-    "RESULT_METRICS must use catalogue names (analysis rule MET002)"
 
 
 def validate_results(doc: Any) -> list[str]:

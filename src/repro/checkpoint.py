@@ -156,8 +156,7 @@ def save_checkpoint(engine: LikelihoodEngine, path: str | os.PathLike,
         },
         # The evaluation edge: a restored loglikelihood() must be rooted
         # where the saved one was, or it can differ in the last ulp.
-        "root_edge": (None if engine._root_edge is None
-                      else [int(x) for x in engine._root_edge]),
+        "root_edge": [int(x) for x in engine.root_edge],
         "alignment": _alignment_fingerprint(engine.alignment),
         "extra": extra or {},
     }
@@ -189,11 +188,10 @@ class Checkpoint(NamedTuple):
         """Root ``engine`` where the saved engine last evaluated.
 
         An edge the tree no longer has (an old document's Newick
-        fallback renumbers nodes) is dropped: ``loglikelihood()`` then
-        uses the default edge.
+        fallback renumbers nodes) reads back as the default edge.
         """
-        if self.root_edge is not None and engine.tree.has_edge(*self.root_edge):
-            engine._root_edge = self.root_edge
+        if self.root_edge is not None:
+            engine.root_edge = self.root_edge
 
 
 def read_checkpoint(path: str | os.PathLike,

@@ -55,77 +55,65 @@ so no additional synchronisation is required.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Any
 
-#: Thread-ownership taxonomy (enforced by ``python -m repro.analysis``):
-#: every :class:`IoStats` counter belongs to exactly one bucket, and code on
-#: the writer/prefetch thread paths must never mutate a demand counter.
-#:
-#: Demand counters move only on the compute thread's ``get()`` path — they
-#: describe the access trace as if the async pipeline were transparent.
-DEMAND_COUNTERS = frozenset({
-    "requests", "hits", "misses", "reads", "read_skips", "bytes_read",
-})
-#: Eviction counters are charged when a victim leaves RAM; evictions happen
-#: on whichever thread allocates the slot (compute *or* prefetch), always
-#: under the store lock, so these are legal from the prefetch path.
-EVICTION_COUNTERS = frozenset({
-    "writes", "write_skips", "bytes_written",
-})
-#: Physical ahead-of-demand traffic, moved by the prefetch machinery.
-PREFETCH_COUNTERS = frozenset({
-    "prefetch_reads", "prefetch_bytes", "prefetch_hits", "prefetch_unused",
-})
-#: Physical write-behind traffic, moved under the staging queue's lock.
-WRITEBACK_COUNTERS = frozenset({
-    "writeback_writes", "writeback_bytes", "writeback_stalls",
-    "writeback_read_hits",
-})
+#: Thread-ownership buckets, the first argument of :func:`_counter`.
+#: ``demand`` counters move only on the compute thread's ``get()`` path —
+#: they describe the access trace as if the async pipeline were transparent,
+#: so code on the writer/prefetch thread paths must never mutate one
+#: (``python -m repro.analysis`` rule CNT003). ``eviction`` counters are
+#: charged when a victim leaves RAM, on whichever thread allocates the slot
+#: (compute *or* prefetch), always under the store lock. ``prefetch`` and
+#: ``writeback`` are the physical asynchronous traffic, moved by the
+#: prefetch machinery and under the staging queue's lock respectively.
+OWNERS = ("demand", "eviction", "prefetch", "writeback")
 
-#: Event-taxonomy ↔ counter-registry mapping. Every event type emitted by
-#: the :class:`repro.obs.tracer.Tracer` instrumentation maps to the counter
-#: it mirrors (``None`` for events with no single-counter equivalent:
-#: ``evict`` splits into writes/write_skips, ``writeback_enqueue`` is the
-#: staging step before the drain, ``stall`` covers both back-pressure
-#: blocks and deferred prefetches). ``python -m repro.analysis`` enforces
-#: that this mapping, :data:`repro.obs.tracer.EVENT_TYPES` and the counter
-#: registry stay in sync (rules EVT001/EVT002).
-EVENT_COUNTERS: dict[str, str | None] = {
-    "get": "requests",
-    "hit": "hits",
-    "miss": "misses",
-    "demand_read": "reads",
-    "read_skip": "read_skips",
-    "evict": None,
-    "prefetch_issue": "prefetch_reads",
-    "prefetch_hit": "prefetch_hits",
-    "writeback_enqueue": None,
-    "writeback_drain": "writeback_writes",
-    "stall": None,
-}
+
+def _counter(owner: str, help: str) -> Any:
+    """A counter field whose metadata is its declaration.
+
+    This one line is all a new counter needs: ``reset()``, ``_counters()``,
+    the ownership sets below and the counter's row in the metrics
+    catalogue (``help`` is its ``# HELP`` text) derive from it.
+    """
+    return field(default=0, metadata={"owner": owner, "help": help})
 
 
 @dataclass
 class IoStats:
     """Mutable counter block for one :class:`AncestralVectorStore`."""
 
-    requests: int = 0          #: total calls to ``get()``
-    hits: int = 0              #: requests satisfied from a RAM slot
-    misses: int = 0            #: requests requiring a slot (dis)placement
-    reads: int = 0             #: demand reads (as if prefetch were transparent)
-    read_skips: int = 0        #: reads elided by the read-skipping rule
-    writes: int = 0            #: demand write-backs (at eviction/flush time)
-    write_skips: int = 0       #: write-backs elided by clean-eviction tracking
-    bytes_read: int = 0
-    bytes_written: int = 0
-    prefetch_reads: int = 0    #: physical reads issued ahead of demand
-    prefetch_bytes: int = 0    #: bytes physically read ahead of demand
-    prefetch_hits: int = 0     #: demand requests satisfied by a prefetched slot
-    prefetch_unused: int = 0   #: prefetched vectors evicted before any demand use
-    writeback_writes: int = 0  #: victims physically drained by the writer thread
-    writeback_bytes: int = 0   #: bytes physically drained by the writer thread
-    writeback_stalls: int = 0  #: evictions blocked on a full staging buffer
-    writeback_read_hits: int = 0  #: reads served from the staging buffer
+    requests: int = _counter("demand", "Demand get() calls on the vector store")
+    hits: int = _counter("demand", "Requests satisfied from a resident slot")
+    misses: int = _counter("demand", "Requests that required a slot placement")
+    reads: int = _counter("demand", "Demand-charged vector reads")
+    read_skips: int = _counter(
+        "demand", "Reads elided by the write-only rule (§3.4)")
+    writes: int = _counter(
+        "eviction", "Demand write-backs at eviction/flush time")
+    write_skips: int = _counter(
+        "eviction", "Write-backs elided by clean-eviction tracking")
+    bytes_read: int = _counter(
+        "demand", "Bytes demand-read from the backing store")
+    bytes_written: int = _counter(
+        "eviction", "Bytes written toward the backing store")
+    prefetch_reads: int = _counter(
+        "prefetch", "Physical reads issued ahead of demand")
+    prefetch_bytes: int = _counter(
+        "prefetch", "Bytes physically read ahead of demand")
+    prefetch_hits: int = _counter(
+        "prefetch", "Demand requests served by a prefetched slot")
+    prefetch_unused: int = _counter(
+        "prefetch", "Prefetched vectors never consumed")
+    writeback_writes: int = _counter(
+        "writeback", "Victims drained by the writer thread(s)")
+    writeback_bytes: int = _counter(
+        "writeback", "Bytes drained by the writer thread(s)")
+    writeback_stalls: int = _counter(
+        "writeback", "Evictions blocked on a full staging buffer")
+    writeback_read_hits: int = _counter(
+        "writeback", "Reads served from the staging buffer")
     #: Set by :class:`~repro.core.writebehind.WriteBehindQueue` on
     #: construction. A flag rather than a counter: :attr:`physical_writes`
     #: must report the drained count for *any* write-behind run — including
@@ -189,13 +177,8 @@ class IoStats:
 
     def reset(self) -> None:
         """Zero every counter (snapshots are kept)."""
-        self.requests = self.hits = self.misses = 0
-        self.reads = self.read_skips = self.writes = self.write_skips = 0
-        self.bytes_read = self.bytes_written = 0
-        self.prefetch_reads = self.prefetch_bytes = 0
-        self.prefetch_hits = self.prefetch_unused = 0
-        self.writeback_writes = self.writeback_bytes = 0
-        self.writeback_stalls = self.writeback_read_hits = 0
+        for name in _DECLARED:
+            setattr(self, name, 0)
 
     def snapshot(self, name: str) -> None:
         """Remember current counters under ``name`` for later :meth:`delta`."""
@@ -230,25 +213,7 @@ class IoStats:
         return out
 
     def _counters(self) -> dict:
-        return {
-            "requests": self.requests,
-            "hits": self.hits,
-            "misses": self.misses,
-            "reads": self.reads,
-            "read_skips": self.read_skips,
-            "writes": self.writes,
-            "write_skips": self.write_skips,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "prefetch_reads": self.prefetch_reads,
-            "prefetch_bytes": self.prefetch_bytes,
-            "prefetch_hits": self.prefetch_hits,
-            "prefetch_unused": self.prefetch_unused,
-            "writeback_writes": self.writeback_writes,
-            "writeback_bytes": self.writeback_bytes,
-            "writeback_stalls": self.writeback_stalls,
-            "writeback_read_hits": self.writeback_read_hits,
-        }
+        return {name: getattr(self, name) for name in _DECLARED}
 
     def as_row(self) -> dict:
         """Flat dict (counters + rates) for report tables."""
@@ -264,3 +229,33 @@ class IoStats:
             f"read_rate={self.read_rate:.4f} reads={self.reads} writes={self.writes} "
             f"skipped_reads={self.read_skips}"
         )
+
+
+#: Counter name -> field metadata, in declaration order: every ``int``
+#: field is a counter, and one declared without :func:`_counter` or with
+#: an owner outside :data:`OWNERS` fails the import.
+_DECLARED = {f.name: f.metadata for f in fields(IoStats) if f.type == "int"}
+for _name, _meta in _DECLARED.items():
+    if _meta.get("owner") not in OWNERS:
+        raise TypeError(f"IoStats.{_name}: counter owner is "
+                        f"{_meta.get('owner')!r}, expected one of {OWNERS}")
+
+#: Counter name -> help text: the rows :mod:`repro.obs.metrics` mirrors
+#: one-to-one.
+COUNTER_HELP: dict[str, str] = {n: m["help"] for n, m in _DECLARED.items()}
+
+
+def _owned_by(*owners: str) -> tuple[str, ...]:
+    return tuple(n for n, m in _DECLARED.items() if m["owner"] in owners)
+
+
+DEMAND_COUNTERS = frozenset(_owned_by("demand"))
+EVICTION_COUNTERS = frozenset(_owned_by("eviction"))
+PREFETCH_COUNTERS = frozenset(_owned_by("prefetch"))
+WRITEBACK_COUNTERS = frozenset(_owned_by("writeback"))
+
+#: The counters the §4 evaluation metrics are computed from — the demand
+#: trace and the eviction stream, in declaration order. A traced, sharded,
+#: batched or fault-injected run must reproduce them exactly, and every
+#: result document carries them.
+PARITY_COUNTERS = _owned_by("demand", "eviction")

@@ -31,8 +31,8 @@ which slots are allocated, which victims are evicted, or any
 :class:`~repro.core.stats.IoStats` counter — the demand counters of a
 traced run are bit-identical to the same run untraced (enforced by
 ``python -m repro.profile --check-parity`` and ``tests/test_obs.py``).
-The event taxonomy is kept in sync with the counter registry by
-``python -m repro.analysis`` (rules EVT001/EVT002).
+Every reported name, event type and metric name is checked against its
+one declaration by ``python -m repro.analysis`` (rules EVT001/MET001).
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ from repro.obs.server import MetricsServer
 from repro.obs.spans import SpanRecord, SpanRecorder, next_span_id
 from repro.obs.tracer import EVENT_TYPES, TraceRecord, Tracer
 from repro.utils.timing import Stopwatch
-
-#: Engine phase names measured by the per-phase timers.
-ENGINE_PHASES = ("plan", "kernel", "store_wait")
 
 __all__ = [
     "ENGINE_PHASES",
@@ -87,7 +84,7 @@ class Route(NamedTuple):
     hist: str | None = None    #: latency histogram: "read" / "write" (probe), "drain"
     metric: str | None = None  #: catalogue histogram observing the duration
     span: bool = False         #: a span carrying the reported name
-    timer: str | None = None   #: engine phase-timer lap (:data:`ENGINE_PHASES`)
+    timer: str | None = None   #: engine phase-timer lap of this name
     ops: str | None = None     #: per-shard labelled counter, +1
     bytes: str | None = None   #: per-shard labelled counter, +nbytes
 
@@ -140,6 +137,9 @@ ROUTES: dict[str, Route] = {
     "shard_window_wait": Route(metric="shard_window_wait_seconds", span=True),
     "shard_reply": Route(metric="shard_reply_seconds"),
 }
+
+#: Engine phase names measured by the per-phase timers: the timer column.
+ENGINE_PHASES = tuple(r.timer for r in ROUTES.values() if r.timer is not None)
 
 
 class Observer:
@@ -286,16 +286,12 @@ class Observer:
         the ``IoStats`` counters and slot gauges, this one covers what
         only the observer can see.
         """
-        tm = self.timers
         self.totals({
-            "phase_plan_seconds": tm.total("plan"),
-            "phase_plan_calls": tm.count("plan"),
-            "phase_kernel_seconds": tm.total("kernel"),
-            "phase_kernel_calls": tm.count("kernel"),
-            "phase_store_wait_seconds": tm.total("store_wait"),
-            "phase_store_wait_calls": tm.count("store_wait"),
             "trace_events_emitted": self.tracer.emitted,
             "trace_events_dropped": self.tracer.dropped,
+            **{f"phase_{phase}_{key}": value
+               for phase, entry in self.phase_totals().items()
+               for key, value in entry.items()},
         })
 
     # -- summaries --------------------------------------------------------------

@@ -12,8 +12,9 @@ Three consumers of :class:`~repro.obs.tracer.Tracer` output:
   and the hand-rolled validator the CI smoke job runs against it (no
   third-party jsonschema dependency).
 
-This module must stay importable without :mod:`repro.core` — it consumes
-records and plain dicts only, so ``repro.obs`` never participates in an
+This module consumes records and plain dicts only: of :mod:`repro.core`
+it imports the counter declarations in :mod:`repro.core.stats` (a leaf
+module) and nothing else, so ``repro.obs`` never participates in an
 import cycle with the store it observes.
 """
 
@@ -22,6 +23,8 @@ from __future__ import annotations
 import json
 import sys
 from typing import Any, Callable, Iterable, Sequence
+
+from repro.core.stats import PARITY_COUNTERS
 
 #: Version tag of the ``BENCH_profile.json`` document layout.
 #: ``/2`` added the ``metrics`` block (a full registry snapshot) and the
@@ -42,12 +45,6 @@ _PHASE_KEYS = ("seconds", "calls")
 _HIST_KEYS = ("unit", "count", "sum", "buckets")
 #: Histogram blocks every profile must include.
 _HIST_NAMES = ("backing_read", "backing_write", "writeback_drain")
-#: Counters the §4 evaluation metrics are computed from; the profile's
-#: counter block must contain at least these.
-_COUNTER_KEYS = (
-    "requests", "hits", "misses", "reads", "read_skips",
-    "writes", "write_skips", "bytes_read", "bytes_written",
-)
 #: Required sub-keys of the event summary block.
 _EVENT_KEYS = ("emitted", "captured", "dropped", "by_type")
 #: Required sub-keys of the metrics registry snapshot block.
@@ -190,7 +187,7 @@ def validate_profile(doc: Any) -> list[str]:
     if not isinstance(counters, dict):
         problems.append("counters must be an object")
     else:
-        for key in _COUNTER_KEYS:
+        for key in PARITY_COUNTERS:
             if not isinstance(counters.get(key), int):
                 problems.append(f"counters missing integer {key!r}")
 

@@ -1,13 +1,12 @@
 """A typed metrics registry with a frozen name catalogue (Prometheus-style).
 
-Counters, gauges and histograms for the out-of-core pipeline, mirroring
-the counter-registry discipline of :mod:`repro.core.stats`: the set of
-legal metric names is the closed catalogue :data:`METRIC_NAMES`, every
-name carries a kind and help string in :data:`METRIC_EXPOSITION`, and
-``python -m repro.analysis`` (rules MET001/MET002) keeps report sites, the
-catalogue and the ``BENCH_results.json`` schema three-way synced — a
-typo'd metric name fails statically *and* at runtime instead of silently
-vanishing from every dashboard.
+Counters, gauges and histograms for the out-of-core pipeline, declared
+like the counters of :mod:`repro.core.stats`: one table,
+:data:`METRIC_EXPOSITION`, whose rows carry each name's kind, help string
+and labelled-ness (the rows mirroring ``IoStats`` are generated from its
+field declarations), and ``python -m repro.analysis`` rule MET001 checks
+every report site against it — a typo'd metric name fails statically
+*and* at runtime instead of silently vanishing from every dashboard.
 
 Update model (hybrid push/pull, lock-cheap like the tracer):
 
@@ -31,181 +30,110 @@ scrapes observe monotone counters.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.analysis.race import make_lock, race_detector
+from repro.core.stats import COUNTER_HELP
 from repro.errors import OutOfCoreError
 from repro.obs.histogram import LogHistogram
 
-#: The closed metric catalogue. Every registry update site must use one of
-#: these literals (analysis rule MET001); the catalogue, the exposition
-#: table below and ``repro.bench.schema.RESULT_METRICS`` stay in sync
-#: (rule MET002).
-METRIC_NAMES = frozenset({
-    # -- counters mirroring the IoStats._counters() registry, one-to-one --
-    "requests",
-    "hits",
-    "misses",
-    "reads",
-    "read_skips",
-    "writes",
-    "write_skips",
-    "bytes_read",
-    "bytes_written",
-    "prefetch_reads",
-    "prefetch_bytes",
-    "prefetch_hits",
-    "prefetch_unused",
-    "writeback_writes",
-    "writeback_bytes",
-    "writeback_stalls",
-    "writeback_read_hits",
-    # -- backing-tier durability/compression (pushed by the wrappers) --
-    "backing_retries",
-    "backing_faults",
-    "compress_bytes_raw",
-    "compress_bytes_stored",
-    "compress_compactions",
-    # -- sharded backing tier (per-shard labelled I/O + restart counter) --
-    "backing_reads",
-    "backing_writes",
-    "backing_bytes_read",
-    "backing_bytes_written",
-    "shard_restarts",
-    # -- sharded-tier cross-process telemetry (PR 10) --
-    "shard_telemetry_pulls",
-    "shard_inflight",
-    "shard_oldest_pending_seconds",
-    "shard_window_wait_seconds",
-    "shard_wire_seconds",
-    "shard_disk_read_seconds",
-    "shard_disk_write_seconds",
-    "shard_reply_seconds",
-    # -- engine phase counters (seconds are monotone totals) --
-    "phase_plan_seconds",
-    "phase_plan_calls",
-    "phase_kernel_seconds",
-    "phase_kernel_calls",
-    "phase_store_wait_seconds",
-    "phase_store_wait_calls",
-    # -- tracer ring-buffer accounting --
-    "trace_events_emitted",
-    "trace_events_dropped",
-    # -- live gauges --
-    "compress_heap_leaked_bytes",
-    "slots_total",
-    "slots_occupied",
-    "slots_dirty",
-    "writeback_queue_depth",
-    "loads_inflight",
-    "prefetch_untouched",
-    # -- latency histograms --
-    "backing_read_seconds",
-    "backing_write_seconds",
-    "writeback_drain_seconds",
-    "store_wait_seconds",
-    "swap_hidden_seconds",
-})
 
-#: ``name -> (kind, help)`` exposition table: drives the ``# TYPE`` /
-#: ``# HELP`` lines of the Prometheus text format. Keys must equal
-#: :data:`METRIC_NAMES` and kinds must be valid Prometheus types
-#: (analysis rule MET002).
-METRIC_EXPOSITION: dict[str, tuple[str, str]] = {
-    "requests": ("counter", "Demand get() calls on the vector store"),
-    "hits": ("counter", "Requests satisfied from a resident slot"),
-    "misses": ("counter", "Requests that required a slot placement"),
-    "reads": ("counter", "Demand-charged vector reads"),
-    "read_skips": ("counter", "Reads elided by the write-only rule (§3.4)"),
-    "writes": ("counter", "Demand write-backs at eviction/flush time"),
-    "write_skips": ("counter", "Write-backs elided by clean-eviction tracking"),
-    "bytes_read": ("counter", "Bytes demand-read from the backing store"),
-    "bytes_written": ("counter", "Bytes written toward the backing store"),
-    "prefetch_reads": ("counter", "Physical reads issued ahead of demand"),
-    "prefetch_bytes": ("counter", "Bytes physically read ahead of demand"),
-    "prefetch_hits": ("counter", "Demand requests served by a prefetched slot"),
-    "prefetch_unused": ("counter", "Prefetched vectors never consumed"),
-    "writeback_writes": ("counter", "Victims drained by the writer thread(s)"),
-    "writeback_bytes": ("counter", "Bytes drained by the writer thread(s)"),
-    "writeback_stalls": ("counter", "Evictions blocked on a full staging buffer"),
-    "writeback_read_hits": ("counter", "Reads served from the staging buffer"),
-    "backing_retries": ("counter", "Backing operations retried after a "
-                                   "transient failure"),
-    "backing_faults": ("counter", "Faults injected into the backing tier"),
-    "compress_bytes_raw": ("counter", "Logical bytes through the compressed "
-                                      "backing"),
-    "compress_bytes_stored": ("counter", "Physical bytes through the "
-                                         "compressed backing"),
-    "compress_compactions": ("counter", "Heap compactions run by the "
-                                        "compressed backing"),
-    "backing_reads": ("counter", "Physical reads completed, by shard"),
-    "backing_writes": ("counter", "Physical writes completed, by shard"),
-    "backing_bytes_read": ("counter", "Bytes physically read, by shard"),
-    "backing_bytes_written": ("counter", "Bytes physically written, by shard"),
-    "shard_restarts": ("counter", "Dead shard workers detected and restarted"),
-    "shard_telemetry_pulls": ("counter", "OP_TELEMETRY delta pulls completed"),
-    "shard_inflight": ("gauge", "Requests in flight to a shard worker, "
-                                "by shard"),
-    "shard_oldest_pending_seconds": ("gauge", "Age of the oldest pending "
-                                              "request, by shard"),
-    "shard_window_wait_seconds": ("histogram", "Submit stalls on the bounded "
-                                               "in-flight window"),
-    "shard_wire_seconds": ("histogram", "Client send to worker dequeue "
-                                        "(queueing + wire transfer)"),
-    "shard_disk_read_seconds": ("histogram", "Worker-side backing read "
-                                             "latency (merged)"),
-    "shard_disk_write_seconds": ("histogram", "Worker-side backing write "
-                                              "latency (merged)"),
-    "shard_reply_seconds": ("histogram", "Worker reply send to client "
-                                         "receive (wire + collect)"),
-    "phase_plan_seconds": ("counter", "Engine time planning traversals"),
-    "phase_plan_calls": ("counter", "Engine plan laps"),
-    "phase_kernel_seconds": ("counter", "Engine time in likelihood kernels"),
-    "phase_kernel_calls": ("counter", "Engine kernel laps"),
-    "phase_store_wait_seconds": ("counter", "Engine time waiting on store.get"),
-    "phase_store_wait_calls": ("counter", "Engine store-wait laps"),
-    "trace_events_emitted": ("counter", "Trace records emitted to the ring"),
-    "trace_events_dropped": ("counter", "Trace records lost to ring overflow"),
-    "slots_total": ("gauge", "RAM slot capacity m of the store"),
-    "slots_occupied": ("gauge", "Slots currently holding a vector"),
-    "slots_dirty": ("gauge", "Occupied slots with unpersisted modifications"),
-    "writeback_queue_depth": ("gauge", "Items staged but not yet durable"),
-    "compress_heap_leaked_bytes": ("gauge", "Heap capacity stranded by "
-                                           "grow-rewrites, reclaimable by "
-                                           "compact()"),
-    "loads_inflight": ("gauge", "Slot loads (demand or prefetch) in flight"),
-    "prefetch_untouched": ("gauge", "Prefetched residents awaiting first use"),
-    "backing_read_seconds": ("histogram", "Physical backing-store read latency"),
-    "backing_write_seconds": ("histogram", "Physical backing-store write latency"),
-    "writeback_drain_seconds": ("histogram", "Write-behind drain latency"),
-    "store_wait_seconds": ("histogram", "Compute-thread wait per store.get"),
-    "swap_hidden_seconds": ("histogram", "Device seconds one overlapped swap "
-                                         "hid (write + read - elapsed)"),
+class Metric(NamedTuple):
+    """One catalogue row: the ``# TYPE`` / ``# HELP`` lines of a name."""
+
+    kind: str   #: ``counter`` | ``gauge`` | ``histogram``
+    help: str
+    #: Carries a label set instead of one scalar series: updated through
+    #: :meth:`MetricsRegistry.inc_labeled` / ``gauge_set_labeled`` only —
+    #: the plain API rejects the name, so an unlabelled zero sample can
+    #: never shadow the per-label series. The exposition renders every
+    #: label set as its own sample and :meth:`MetricsRegistry.value` sums
+    #: them; summing a labelled counter over its labels must reproduce the
+    #: unsharded total (the bench cross-check enforces this).
+    labeled: bool = False
+
+
+#: THE metric catalogue, ``name -> Metric``: the closed set of legal names
+#: (every registry update site must use one — analysis rule MET001, which
+#: also checks each name is a Prometheus name suffix and each kind one of
+#: the three) and what the text exposition says about each.
+METRIC_EXPOSITION: dict[str, Metric] = {
+    # -- the IoStats counters, one-to-one, from their field declarations --
+    **{name: Metric("counter", text) for name, text in COUNTER_HELP.items()},
+    # -- backing-tier durability/compression (pushed by the wrappers) --
+    "backing_retries": Metric(
+        "counter", "Backing operations retried after a transient failure"),
+    "backing_faults": Metric("counter", "Faults injected into the backing tier"),
+    "compress_bytes_raw": Metric(
+        "counter", "Logical bytes through the compressed backing"),
+    "compress_bytes_stored": Metric(
+        "counter", "Physical bytes through the compressed backing"),
+    "compress_compactions": Metric(
+        "counter", "Heap compactions run by the compressed backing"),
+    # -- sharded backing tier (per-shard labelled I/O + restart counter) --
+    "backing_reads": Metric(
+        "counter", "Physical reads completed, by shard", labeled=True),
+    "backing_writes": Metric(
+        "counter", "Physical writes completed, by shard", labeled=True),
+    "backing_bytes_read": Metric(
+        "counter", "Bytes physically read, by shard", labeled=True),
+    "backing_bytes_written": Metric(
+        "counter", "Bytes physically written, by shard", labeled=True),
+    "shard_restarts": Metric(
+        "counter", "Dead shard workers detected and restarted"),
+    # -- sharded-tier cross-process telemetry --
+    "shard_telemetry_pulls": Metric(
+        "counter", "OP_TELEMETRY delta pulls completed"),
+    "shard_inflight": Metric(
+        "gauge", "Requests in flight to a shard worker, by shard", labeled=True),
+    "shard_oldest_pending_seconds": Metric(
+        "gauge", "Age of the oldest pending request, by shard", labeled=True),
+    "shard_window_wait_seconds": Metric(
+        "histogram", "Submit stalls on the bounded in-flight window"),
+    "shard_wire_seconds": Metric(
+        "histogram", "Client send to worker dequeue (queueing + wire transfer)"),
+    "shard_disk_read_seconds": Metric(
+        "histogram", "Worker-side backing read latency (merged)"),
+    "shard_disk_write_seconds": Metric(
+        "histogram", "Worker-side backing write latency (merged)"),
+    "shard_reply_seconds": Metric(
+        "histogram", "Worker reply send to client receive (wire + collect)"),
+    # -- engine phase counters (seconds are monotone totals) --
+    "phase_plan_seconds": Metric("counter", "Engine time planning traversals"),
+    "phase_plan_calls": Metric("counter", "Engine plan laps"),
+    "phase_kernel_seconds": Metric("counter", "Engine time in likelihood kernels"),
+    "phase_kernel_calls": Metric("counter", "Engine kernel laps"),
+    "phase_store_wait_seconds": Metric(
+        "counter", "Engine time waiting on store.get"),
+    "phase_store_wait_calls": Metric("counter", "Engine store-wait laps"),
+    # -- tracer ring-buffer accounting --
+    "trace_events_emitted": Metric("counter", "Trace records emitted to the ring"),
+    "trace_events_dropped": Metric(
+        "counter", "Trace records lost to ring overflow"),
+    # -- live gauges --
+    "slots_total": Metric("gauge", "RAM slot capacity m of the store"),
+    "slots_occupied": Metric("gauge", "Slots currently holding a vector"),
+    "slots_dirty": Metric("gauge", "Occupied slots with unpersisted modifications"),
+    "writeback_queue_depth": Metric("gauge", "Items staged but not yet durable"),
+    "compress_heap_leaked_bytes": Metric(
+        "gauge", "Heap capacity stranded by grow-rewrites, reclaimable by "
+                 "compact()"),
+    "loads_inflight": Metric("gauge", "Slot loads (demand or prefetch) in flight"),
+    "prefetch_untouched": Metric(
+        "gauge", "Prefetched residents awaiting first use"),
+    # -- latency histograms --
+    "backing_read_seconds": Metric(
+        "histogram", "Physical backing-store read latency"),
+    "backing_write_seconds": Metric(
+        "histogram", "Physical backing-store write latency"),
+    "writeback_drain_seconds": Metric("histogram", "Write-behind drain latency"),
+    "store_wait_seconds": Metric("histogram", "Compute-thread wait per store.get"),
+    "swap_hidden_seconds": Metric(
+        "histogram", "Device seconds one overlapped swap hid (write + read - "
+                     "elapsed)"),
 }
 
-#: Counters carrying a label set instead of one scalar series. They are
-#: updated through :meth:`MetricsRegistry.inc_labeled` only; the plain
-#: :meth:`~MetricsRegistry.inc`/:meth:`~MetricsRegistry.counter_set` API
-#: rejects them so an unlabelled zero sample can never shadow the
-#: per-label series. Summing a labelled counter over its labels must
-#: reproduce the unsharded total (the bench cross-check enforces this).
-LABELED_COUNTERS = frozenset({
-    "backing_reads",
-    "backing_writes",
-    "backing_bytes_read",
-    "backing_bytes_written",
-})
-
-#: Gauges carrying a label set instead of one scalar series, updated via
-#: :meth:`MetricsRegistry.gauge_set_labeled` only (same shadowing
-#: argument as :data:`LABELED_COUNTERS`). Unlike labelled counters these
-#: are live values, so the exposition renders every label set as its own
-#: sample and :meth:`MetricsRegistry.value` sums them (total in-flight
-#: across shards is the number the admission story cares about).
-LABELED_GAUGES = frozenset({
-    "shard_inflight",
-    "shard_oldest_pending_seconds",
-})
+METRIC_NAMES = frozenset(METRIC_EXPOSITION)
 
 #: Prefix prepended to every metric name in the text exposition.
 PROM_PREFIX = "repro_"
@@ -237,26 +165,20 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._kinds = {name: kind for name, (kind, _) in
-                       METRIC_EXPOSITION.items()}
+        rows = METRIC_EXPOSITION.items()
         self._counters: dict[str, int | float] = {
-            name: 0 for name, kind in self._kinds.items()
-            if kind == "counter" and name not in LABELED_COUNTERS}
-        # Labelled counter series: name -> {rendered label set -> value}.
-        # Update discipline matches the scalar slots: one writing
+            n: 0 for n, r in rows if r.kind == "counter" and not r.labeled}
+        self._gauges: dict[str, int | float] = {
+            n: 0 for n, r in rows if r.kind == "gauge" and not r.labeled}
+        # Labelled counters and gauges: name -> {rendered label set ->
+        # value}. Update discipline matches the scalar slots: one writing
         # component per (name, label) pair (e.g. the shard-s receiver
         # thread owns every {shard="s"} series), values are GIL-atomic
         # dict slots.
         self._labeled: dict[str, dict[str, int | float]] = {
-            name: {} for name in LABELED_COUNTERS}
-        self._labeled_gauges: dict[str, dict[str, int | float]] = {
-            name: {} for name in LABELED_GAUGES}
-        self._gauges: dict[str, int | float] = {
-            name: 0 for name, kind in self._kinds.items()
-            if kind == "gauge" and name not in LABELED_GAUGES}
+            n: {} for n, r in rows if r.labeled}
         self._hists: dict[str, LogHistogram] = {
-            name: LogHistogram() for name, kind in self._kinds.items()
-            if kind == "histogram"}
+            n: LogHistogram() for n, r in rows if r.kind == "histogram"}
         self._collectors: list[Callable[[], None]] = []  # guarded-by: _collect_lock
         # Serialises collector callbacks (scrape-time only); push-side
         # updates stay lock-free under the single-writer-per-name rule
@@ -270,21 +192,18 @@ class MetricsRegistry:
     # -- catalogue validation ---------------------------------------------------
 
     def _check(self, name: str, kind: str, *, labeled: bool = False) -> None:
-        found = self._kinds.get(name)
-        if found is None:
+        row = METRIC_EXPOSITION.get(name)
+        if row is None:
             raise OutOfCoreError(
                 f"unknown metric {name!r}: not in the METRIC_NAMES catalogue")
-        if found != kind:
+        if row.kind != kind:
             raise OutOfCoreError(
-                f"metric {name!r} is a {found}, not a {kind}")
-        is_labeled = name in LABELED_COUNTERS or name in LABELED_GAUGES
-        if labeled != is_labeled:
-            if found == "gauge":
-                want = "gauge_set_labeled" if is_labeled else "gauge_set"
-            else:
-                want = "inc_labeled" if is_labeled else "inc"
+                f"metric {name!r} is a {row.kind}, not a {kind}")
+        if labeled != row.labeled:
+            want = "gauge_set" if kind == "gauge" else "inc"
             raise OutOfCoreError(
-                f"metric {name!r} must be updated via {want}()")
+                f"metric {name!r} must be updated via "
+                f"{want}{'_labeled' if row.labeled else ''}()")
 
     # -- update API (single writer per name) ------------------------------------
 
@@ -319,7 +238,7 @@ class MetricsRegistry:
                           value: int | float) -> None:
         """Set one label set of a labelled gauge (e.g. per-shard depth)."""
         self._check(name, "gauge", labeled=True)
-        self._labeled_gauges[name][_label_key(labels)] = value
+        self._labeled[name][_label_key(labels)] = value
 
     def observe(self, name: str, seconds: float) -> None:
         """Record one observation into a histogram metric."""
@@ -371,28 +290,24 @@ class MetricsRegistry:
         so the answer reflects the live authoritative state.
         """
         self.collect()
-        kind = self._kinds.get(name)
-        if kind == "counter":
-            if name in LABELED_COUNTERS:
-                return sum(self._labeled[name].values())
-            return self._counters[name]
-        if kind == "gauge":
-            if name in LABELED_GAUGES:
-                return sum(self._labeled_gauges[name].values())
-            return self._gauges[name]
-        if kind == "histogram":
+        row = METRIC_EXPOSITION.get(name)
+        if row is None:
+            raise OutOfCoreError(
+                f"unknown metric {name!r}: not in the METRIC_NAMES catalogue")
+        if row.kind == "histogram":
             raise OutOfCoreError(
                 f"metric {name!r} is a histogram; read it via snapshot()")
-        raise OutOfCoreError(
-            f"unknown metric {name!r}: not in the METRIC_NAMES catalogue")
+        if row.labeled:
+            return sum(self._labeled[name].values())
+        return (self._counters if row.kind == "counter" else self._gauges)[name]
 
     def labeled(self, name: str) -> dict[str, int | float]:
         """All label sets of a labelled metric: ``{'shard="0"': value}``."""
-        if name in LABELED_GAUGES:
-            self._check(name, "gauge", labeled=True)
-            return dict(self._labeled_gauges[name])
-        self._check(name, "counter", labeled=True)
-        return dict(self._labeled[name])
+        series = self._labeled.get(name)
+        if series is None:
+            raise OutOfCoreError(
+                f"metric {name!r} is not a labelled metric of the catalogue")
+        return dict(series)
 
     def labeled_sum(self, name: str) -> int | float:
         """Sum of a labelled counter over every label set.
@@ -412,14 +327,8 @@ class MetricsRegistry:
             "gauges": {k: self._gauges[k] for k in sorted(self._gauges)},
             "histograms": {k: self._hists[k].to_dict()
                            for k in sorted(self._hists)},
-            # Labelled counters and labelled gauges share the map; the
-            # name sets are disjoint by construction.
-            "labeled": {
-                **{k: dict(sorted(self._labeled[k].items()))
-                   for k in sorted(self._labeled)},
-                **{k: dict(sorted(self._labeled_gauges[k].items()))
-                   for k in sorted(self._labeled_gauges)},
-            },
+            "labeled": {k: dict(sorted(self._labeled[k].items()))
+                        for k in sorted(self._labeled)},
         }
 
     def to_prometheus(self) -> str:
@@ -427,20 +336,16 @@ class MetricsRegistry:
         self.collect()
         lines: list[str] = []
         for name in sorted(METRIC_EXPOSITION):
-            kind, help_text = METRIC_EXPOSITION[name]
+            kind, help_text, labeled = METRIC_EXPOSITION[name]
             full = PROM_PREFIX + name
             lines.append(f"# HELP {full} {help_text}")
             lines.append(f"# TYPE {full} {kind}")
-            if kind == "counter" and name in LABELED_COUNTERS:
-                for key in sorted(self._labeled[name]):
-                    lines.append(
-                        f"{full}{{{key}}} {_fmt(self._labeled[name][key])}")
+            if labeled:
+                series = self._labeled[name]
+                lines.extend(f"{full}{{{key}}} {_fmt(series[key])}"
+                             for key in sorted(series))
             elif kind == "counter":
                 lines.append(f"{full} {_fmt(self._counters[name])}")
-            elif kind == "gauge" and name in LABELED_GAUGES:
-                for key in sorted(self._labeled_gauges[name]):
-                    lines.append(f"{full}{{{key}}} "
-                                 f"{_fmt(self._labeled_gauges[name][key])}")
             elif kind == "gauge":
                 lines.append(f"{full} {_fmt(self._gauges[name])}")
             else:

@@ -20,11 +20,10 @@ cheap enough to leave compiled into the hot path behind a single
   heavy cross-thread contention; that is the price of never stalling
   the I/O pipeline for its own instrumentation.
 
-The event taxonomy is the closed set :data:`EVENT_TYPES`. Its sync with
-the :class:`~repro.core.stats.IoStats` counter registry (via
-``repro.core.stats.EVENT_COUNTERS``) is enforced by
-``python -m repro.analysis`` rules EVT001/EVT002, exactly like the
-counter registry itself.
+The event taxonomy is the closed table :data:`EVENT_TYPES`: one row per
+event type, naming the :class:`~repro.core.stats.IoStats` counter the
+event mirrors. ``python -m repro.analysis`` rule EVT001 checks every
+reporting site and every named counter against it.
 """
 
 from __future__ import annotations
@@ -36,22 +35,23 @@ from typing import NamedTuple
 
 from repro.errors import OutOfCoreError
 
-#: The closed event taxonomy. Every event a ``repro.obs.ROUTES`` row names
-#: must be one of these literals (analysis rule EVT001), and every entry
-#: must have an ``EVENT_COUNTERS`` mapping in ``repro.core.stats`` (EVT002).
-EVENT_TYPES = frozenset({
-    "get",                # demand request entered the store
-    "hit",                # request satisfied by a resident (demand-touched) slot
-    "miss",               # request required a slot placement (demand semantics)
-    "evict",              # a victim left RAM (slot recycled)
-    "demand_read",        # demand-charged read (dur > 0 when physically read now)
-    "read_skip",          # read elided by the write-only rule (paper §3.4)
-    "prefetch_issue",     # physical ahead-of-demand load completed
-    "prefetch_hit",       # demand request landed on a prefetched slot
-    "writeback_enqueue",  # eviction staged into the write-behind buffer
-    "writeback_drain",    # staged vector made durable by a writer thread
-    "stall",              # back-pressure block or deferred prefetch
-})
+#: The closed event taxonomy: event type -> the ``IoStats`` counter whose
+#: value equals the number of such events (``None`` where no single counter
+#: does). Every event a ``repro.obs.ROUTES`` row names must be a key and
+#: every counter named must be an ``IoStats`` field (analysis rule EVT001).
+EVENT_TYPES: dict[str, str | None] = {
+    "get": "requests",         # demand request entered the store
+    "hit": "hits",             # satisfied by a resident (demand-touched) slot
+    "miss": "misses",          # required a slot placement (demand semantics)
+    "evict": None,             # a victim left RAM: writes + write_skips
+    "demand_read": "reads",    # dur > 0 when physically read now
+    "read_skip": "read_skips",  # read elided by the write-only rule (§3.4)
+    "prefetch_issue": "prefetch_reads",  # ahead-of-demand load completed
+    "prefetch_hit": "prefetch_hits",     # demand landed on a prefetched slot
+    "writeback_enqueue": None,           # the staging step before the drain
+    "writeback_drain": "writeback_writes",  # made durable by a writer thread
+    "stall": None,             # back-pressure block *or* deferred prefetch
+}
 
 
 class TraceRecord(NamedTuple):

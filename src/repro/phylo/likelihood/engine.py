@@ -351,6 +351,20 @@ class LikelihoodEngine:
         (nbr,) = self.tree.neighbors(0)
         return (0, nbr)
 
+    @property
+    def root_edge(self) -> tuple[int, int]:
+        """The evaluation edge: the last edge evaluated, or the default
+        edge if there is none or a topology move has since dissolved it.
+        Assignable — a checkpoint restores it."""
+        edge = self._root_edge
+        if edge is None or not self.tree.has_edge(*edge):
+            return self.default_edge()
+        return edge
+
+    @root_edge.setter
+    def root_edge(self, edge: tuple[int, int]) -> None:
+        self._root_edge = edge
+
     # -- transition matrices -----------------------------------------------------------
 
     _P_CACHE_LIMIT = 8192
@@ -717,14 +731,11 @@ class LikelihoodEngine:
 
     def loglikelihood(self) -> float:
         """Log-likelihood at the last evaluation edge (or the default edge)."""
-        u, v = self._root_edge if self._root_edge is not None else self.default_edge()
-        if not self.tree.has_edge(u, v):
-            u, v = self.default_edge()
-        return self.edge_loglikelihood(u, v)
+        return self.edge_loglikelihood(*self.root_edge)
 
     def site_loglikelihoods(self) -> np.ndarray:
         """Per-original-site log-likelihoods (expanded from patterns)."""
-        u, v = self._root_edge if self._root_edge is not None else self.default_edge()
+        u, v = self.root_edge
         self.make_edge_current(u, v)
         site_l, counts = self._root_site_likelihoods(u, v)
         per_pattern = np.log(site_l) - counts * self.scaling.log_multiplier

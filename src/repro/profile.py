@@ -52,7 +52,7 @@ from pathlib import Path
 
 from repro.cli import _parse_model, _read_alignment
 from repro.config import EngineConfig
-from repro.core.stats import DEMAND_COUNTERS, EVICTION_COUNTERS
+from repro.core.stats import PARITY_COUNTERS
 from repro.errors import ReproError
 from repro.obs import (
     PROFILE_SCHEMA,
@@ -65,10 +65,6 @@ from repro.obs import (
 )
 from repro.phylo.likelihood.engine import LikelihoodEngine
 from repro.phylo.newick import parse_newick
-
-#: Counters whose traced/untraced equality ``--check-parity`` asserts:
-#: everything describing the demand trace and the eviction stream.
-PARITY_COUNTERS = tuple(sorted(DEMAND_COUNTERS | EVICTION_COUNTERS))
 
 
 def _dataset(args):

@@ -1,4 +1,4 @@
-"""Seeded CNT001/CNT003 violations against the mini registry."""
+"""Seeded CNT001/CNT003 violations against the mini declarations."""
 
 from .stats import IoStats
 
@@ -11,6 +11,7 @@ class Store:
         # Legal: compute-thread code may move demand counters.
         self.stats.requests += 1
         self.stats.hits += 1
+        self.stats.writeback_enabled = True  # a bool flag, not a counter
 
     def bad_unregistered(self) -> None:
         self.stats.swap_count += 1  # expect: CNT001

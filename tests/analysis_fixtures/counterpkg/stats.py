@@ -1,21 +1,12 @@
-"""Coherent mini counter registry for the counter-checker fixtures."""
+"""Mini counter declarations for the counter-checker fixtures."""
 
-DEMAND_COUNTERS = frozenset({"requests", "hits"})
-PREFETCH_COUNTERS = frozenset({"prefetch_reads"})
+
+def _counter(owner, help):
+    return 0
 
 
 class IoStats:
-    requests: int = 0
-    hits: int = 0
-    prefetch_reads: int = 0
-
-    def reset(self) -> None:
-        self.requests = self.hits = 0
-        self.prefetch_reads = 0
-
-    def _counters(self) -> dict:
-        return {
-            "requests": self.requests,
-            "hits": self.hits,
-            "prefetch_reads": self.prefetch_reads,
-        }
+    requests: int = _counter("demand", "demand requests")
+    hits: int = _counter("demand", "requests served from a slot")
+    prefetch_reads: int = _counter("prefetch", "ahead-of-demand reads")
+    writeback_enabled: bool = False

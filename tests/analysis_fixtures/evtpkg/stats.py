@@ -1,23 +1,10 @@
-"""Fixture: EVENT_COUNTERS mapping out of sync with taxonomy and registry."""
+"""Fixture: the counter declarations the event table's rows must name."""
+
+
+def _counter(owner, help):
+    return 0
 
 
 class IoStats:
-    requests: int = 0
-    hits: int = 0
-
-    def _counters(self):
-        return {
-            "requests": self.requests,
-            "hits": self.hits,
-        }
-
-    def reset(self):
-        self.requests = 0
-        self.hits = 0
-
-
-EVENT_COUNTERS = {
-    "get": "requests",
-    "hit": "bogus_total",  # expect: EVT002 -- not a _counters() key
-    "evaporate": None,  # expect: EVT002 -- key is not a declared event type
-}
+    requests: int = _counter("demand", "demand requests")
+    hits: int = _counter("demand", "requests served from a slot")

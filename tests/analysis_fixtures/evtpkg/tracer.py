@@ -1,11 +1,11 @@
-"""Fixture: event taxonomy with a type missing its counter mapping."""
+"""Fixture: event table, routes and report sites with seeded typos."""
 
 
-EVENT_TYPES = frozenset({
-    "get",
-    "hit",
-    "phantom",  # expect: EVT002 -- declared but absent from EVENT_COUNTERS
-})
+EVENT_TYPES = {
+    "get": "requests",
+    "hit": "bogus_total",  # expect: EVT001 -- not an IoStats counter field
+    "phantom": None,  # no single-counter equivalent: never flagged
+}
 
 
 def Route(**sinks):

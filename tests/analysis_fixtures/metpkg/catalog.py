@@ -1,16 +1,15 @@
-"""Fixture: metric catalogue out of sync with its exposition table."""
+"""Fixture: metric catalogue with malformed rows."""
+
+from .stats import COUNTER_HELP
 
 
-METRIC_NAMES = frozenset({
-    "requests_total",
-    "slots_occupied",
-    "Bad-Name",  # expect: MET002 -- not a valid Prometheus name suffix
-    "orphan_metric",  # expect: MET002 -- no METRIC_EXPOSITION entry
-})
+def Metric(kind, help, labeled=False):
+    return (kind, help, labeled)
+
 
 METRIC_EXPOSITION = {
-    "requests_total": ("counter", "demand requests observed"),
-    "slots_occupied": ("thermometer", "bogus"),  # expect: MET002 -- unknown kind
-    "Bad-Name": ("gauge", "name itself is the violation"),
-    "ghost_metric": ("gauge", "bogus"),  # expect: MET002 -- key not declared
+    **{name: Metric("counter", text) for name, text in COUNTER_HELP.items()},
+    "requests_total": Metric("counter", "demand requests observed"),
+    "slots_occupied": Metric("thermometer", "bogus"),  # expect: MET001 -- unknown kind
+    "Bad-Name": Metric("gauge", "bogus"),  # expect: MET001 -- not a valid Prometheus name suffix
 }

@@ -24,6 +24,7 @@ class Observer:
 
 def probe(obs, latency, words):
     obs.count("requests_total")
+    obs.count("hits")  # a row generated from the IoStats field: declared
     obs.gauge("slots_ocupied", 3)  # expect: MET001 -- typo'd name
     obs.count(latency)  # non-literal first arg: never flagged
     words.count("slots_ocupied")  # receiver is not an observer: never flagged

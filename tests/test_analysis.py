@@ -22,8 +22,8 @@ EXPECT_RE = re.compile(r"#\s*expect(-next-line)?:\s*([A-Z0-9 ]+?)\s*(?:--.*)?$")
 #: Statically-checked fixture packages. ``racepkg`` is deliberately absent:
 #: its ``# expect:`` markers anchor *runtime* findings and are asserted by
 #: tests/test_race.py instead.
-PACKAGES = ["lockpkg", "lockorderpkg", "counterpkg", "incoherentpkg",
-            "leakpkg", "detpkg", "suppresspkg", "evtpkg", "metpkg"]
+PACKAGES = ["lockpkg", "lockorderpkg", "counterpkg", "leakpkg", "detpkg",
+            "suppresspkg", "evtpkg", "metpkg"]
 
 
 def expected_findings(pkg: str) -> list[tuple[str, int, str]]:

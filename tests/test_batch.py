@@ -33,7 +33,7 @@ from repro.phylo.likelihood.schedule import (
     build_batched_schedule,
     default_group_cap,
 )
-from repro.profile import PARITY_COUNTERS
+from repro.core.stats import PARITY_COUNTERS
 
 
 def reference_accesses(layout, num_tips, plan):

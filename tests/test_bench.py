@@ -19,7 +19,6 @@ from repro.bench.runner import _require_identical, build_parser
 from repro.bench.runner import main as bench_main
 from repro.core.stats import IoStats
 from repro.errors import ReproError
-from repro.obs import METRIC_NAMES
 
 COMMITTED = Path(__file__).resolve().parents[1] / "BENCH_results.json"
 
@@ -267,8 +266,3 @@ class TestBaselineCli:
         rc = bench_main(["-o", str(tmp_path / "r.json"),
                          "--baseline", str(tmp_path / "missing.json")])
         assert rc == 2
-
-
-def test_result_metrics_subset_of_catalogue():
-    """The MET002 contract, asserted at runtime too."""
-    assert set(RESULT_METRICS) <= set(METRIC_NAMES)

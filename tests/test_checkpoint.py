@@ -38,8 +38,8 @@ class TestRoundtrip:
         # The evaluation edge is part of the state: smoothing leaves it on
         # the last optimised branch, not on the default edge, and two
         # rootings of one tree agree only to rounding.
-        assert eng._root_edge != eng.default_edge()
-        assert restored._root_edge == eng._root_edge
+        assert eng.root_edge != eng.default_edge()
+        assert restored.root_edge == eng.root_edge
         assert restored.loglikelihood() == lnl
         assert extra == {}
 
@@ -56,7 +56,7 @@ class TestRoundtrip:
         doc["root_edge"] = [0, 1]  # two tips: never an edge
         path.write_text(json.dumps(doc))
         restored, _ = load_checkpoint(path, aln)
-        assert restored._root_edge is None
+        assert restored.root_edge == restored.default_edge()
         assert restored.loglikelihood() == pytest.approx(eng.loglikelihood(),
                                                          rel=1e-12)
 

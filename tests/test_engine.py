@@ -164,6 +164,26 @@ class TestSiteLikelihoods:
         assert per_site.shape == (eng.alignment.num_sites,)
         assert per_site.sum() == pytest.approx(total, abs=1e-9)
 
+    def test_both_fall_back_when_a_move_dissolves_the_evaluation_edge(
+            self, engine_factory):
+        """Regression: ``site_loglikelihoods()`` raised "(u,v) is not an
+        edge of the tree" where ``loglikelihood()`` fell back."""
+        eng = engine_factory()
+        tree = eng.tree
+        p = list(tree.inner_nodes())[4]
+        s, a, _b = tree.neighbors(p)
+        eng.edge_loglikelihood(p, a)
+        assert eng.root_edge == (p, a)
+        target = next(edge for edge in tree.spr_candidates(p, s, radius=5)
+                      if a not in edge)
+        eng.apply_spr(p, s, target)
+        assert not tree.has_edge(p, a)
+        assert eng.root_edge == eng.default_edge()
+        per_site = eng.site_loglikelihoods()
+        assert per_site.sum() == pytest.approx(eng.loglikelihood(), abs=1e-9)
+        fresh = engine_factory(tree=tree.copy())
+        assert eng.loglikelihood() == fresh.loglikelihood()
+
 
 class TestFullTraversals:
     def test_recomputes_every_vector(self, engine_factory):
@@ -384,7 +404,7 @@ class TestFloat32BlockLayouts:
 
     def test_parity_counters_match_float64(self, small_tree, small_alignment,
                                            small_model):
-        from repro.profile import PARITY_COUNTERS
+        from repro.core.stats import PARITY_COUNTERS
 
         rates = RateModel.gamma(0.8, 4)
         e64 = self._build(small_tree, small_alignment, small_model, rates,

@@ -24,7 +24,7 @@ from repro.core.faults import (
     SimulatedCrash,
     _hash_unit,
 )
-from repro.core.stats import DEMAND_COUNTERS, EVICTION_COUNTERS
+from repro.core.stats import PARITY_COUNTERS
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import BackingStoreError
 from repro.obs import Observer
@@ -34,11 +34,9 @@ SHAPE = (4, 2, 4)
 #: Seed under test — the CI matrix sweeps {0, 1, 7, 1337}.
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
-#: The parity surface: the access-trace counters that must be identical
-#: with and without transient faults underneath (retries are physical
-#: events below the store; the logical trace may not notice them).
-PARITY_COUNTERS = tuple(sorted(DEMAND_COUNTERS | EVICTION_COUNTERS))
-
+# PARITY_COUNTERS is the parity surface here: the access-trace counters
+# must be identical with and without transient faults underneath (retries
+# are physical events below the store; the logical trace may not notice).
 
 def faulty(inner, **rates):
     return FaultInjectingBackingStore(inner, seed=FAULT_SEED, **rates)

@@ -25,7 +25,6 @@ from repro import (
     yule_tree,
 )
 from repro.config import EngineConfig
-from repro.core.stats import EVENT_COUNTERS
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import OutOfCoreError
 from repro.obs import (
@@ -41,7 +40,7 @@ from repro.obs import (
     slot_timeline,
     validate_profile,
 )
-from repro.profile import PARITY_COUNTERS
+from repro.core.stats import PARITY_COUNTERS
 from repro.profile import main as profile_main
 
 SHAPE = (4,)
@@ -99,11 +98,6 @@ class TestTracer:
         tr.clear()
         assert (tr.emitted, len(tr), tr.dropped) == (0, 0, 0)
 
-    def test_taxonomy_matches_counter_mapping(self):
-        # The analyzer enforces this statically (EVT002); keep a runtime
-        # assertion too so a plain pytest run catches drift.
-        assert set(EVENT_COUNTERS) == set(EVENT_TYPES)
-
 
 class TestLogHistogram:
     def test_empty(self):
@@ -159,11 +153,10 @@ class TestStoreTracing:
         store.drain()
         by = tr.by_type()
         st = store.stats
-        assert by.get("get", 0) == st.requests
-        assert by.get("hit", 0) == st.hits
-        assert by.get("miss", 0) == st.misses
-        assert by.get("demand_read", 0) == st.reads
-        assert by.get("read_skip", 0) == st.read_skips
+        assert by["get"] and by["read_skip"]  # the workload exercises both
+        for etype, counter in EVENT_TYPES.items():
+            if counter is not None:
+                assert by.get(etype, 0) == getattr(st, counter), etype
         assert by.get("evict", 0) == st.writes + st.write_skips
 
     def test_demand_read_records_duration(self):
@@ -285,7 +278,7 @@ class TestObserver:
         eng.full_traversals(1)
         summary = obs.event_summary()
         assert summary["emitted"] == summary["captured"] + summary["dropped"]
-        assert set(summary["by_type"]) <= EVENT_TYPES
+        assert set(summary["by_type"]) <= set(EVENT_TYPES)
 
 
 def routes_table():
@@ -674,7 +667,8 @@ class TestProfileCli:
         profile's lnL and demand/eviction counters."""
         from repro.cli import _parse_model
         from repro.config import EngineConfig
-        from repro.profile import PARITY_COUNTERS, _dataset, build_parser
+        from repro.core.stats import PARITY_COUNTERS
+        from repro.profile import _dataset, build_parser
 
         out = tmp_path / "p.json"
         argv = ["--simulate-taxa", "8", "--simulate-length", "60",

@@ -479,6 +479,12 @@ class TestPickingIsClaiming:
         pf.obs = obs
         try:
             for _ in range(5):
+                # Clear the previous round's schedule BEFORE emptying the
+                # slots: with it still installed, a worker woken by its
+                # timeout reloads items through the still-open gate, and
+                # fewer than `workers` loads reach the new semaphore. The
+                # race was this test's, not the prefetcher's.
+                pf.feed([])
                 store.evict_all()
                 store.stats.reset()
                 backing.shut()

@@ -15,7 +15,7 @@ from repro.core.backing import FileBackingStore
 from repro.core.faults import InjectedFault, RetryingBackingStore
 from repro.core.layout import shard_items, shard_of
 from repro.core.sharded import ShardedBackingStore
-from repro.core.stats import DEMAND_COUNTERS, EVICTION_COUNTERS
+from repro.core.stats import PARITY_COUNTERS
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import BackingStoreError
 from repro.obs import MetricsRegistry, Observer
@@ -24,8 +24,6 @@ SHAPE = (4, 2, 4)
 
 #: Seed under test — the CI matrix sweeps {0, 1, 7, 1337}.
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
-
-PARITY_COUNTERS = tuple(sorted(DEMAND_COUNTERS | EVICTION_COUNTERS))
 
 
 def _fill(store, n, seed=17):

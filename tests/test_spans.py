@@ -272,7 +272,7 @@ class TestEngineIntegration:
         # Same surface as `repro.profile --check-parity`: the demand and
         # eviction counters (writeback_stalls etc. are queue-timing noise,
         # traced or not).
-        from repro.profile import PARITY_COUNTERS
+        from repro.core.stats import PARITY_COUNTERS
 
         bare = engine_factory(fraction=0.3, writeback_depth=2)
         try:

@@ -1,10 +1,9 @@
-"""Tests for tree-distance metrics and alignment diagnostics."""
+"""Tests for the alignment diagnostics (``repro.phylo.msa_stats``)."""
 
 import numpy as np
 import pytest
 
 from repro import Alignment, GTR, simulate_alignment, yule_tree
-from repro.errors import TreeError
 from repro.phylo.msa_stats import (
     composition_chi2_test,
     gap_fraction,
@@ -13,79 +12,6 @@ from repro.phylo.msa_stats import (
     proportion_invariant_sites,
     summarize,
 )
-from repro.phylo.newick import parse_newick, write_newick
-from repro.phylo.treedist import (
-    branch_score_distance,
-    normalized_rf,
-    path_difference_distance,
-    path_distance_matrix,
-)
-
-
-class TestBranchScore:
-    def test_zero_for_identical(self):
-        t = yule_tree(10, seed=41)
-        assert branch_score_distance(t, t.copy()) == 0.0
-
-    def test_positive_for_length_change(self):
-        t = yule_tree(10, seed=42)
-        c = t.copy()
-        edge = c.internal_edges()[0]
-        c.set_branch_length(*edge, c.branch_length(*edge) + 0.5)
-        assert branch_score_distance(t, c) == pytest.approx(0.5)
-
-    def test_positive_for_topology_change(self):
-        t = yule_tree(10, seed=43)
-        c = t.copy()
-        c.nni(c.internal_edges()[0], 0)
-        assert branch_score_distance(t, c) > 0
-
-    def test_symmetric(self):
-        a = yule_tree(8, seed=44)
-        b = yule_tree(8, seed=45)
-        assert branch_score_distance(a, b) == \
-            pytest.approx(branch_score_distance(b, a))
-
-    def test_name_matching(self):
-        t = yule_tree(8, seed=46)
-        permuted = parse_newick(write_newick(t, precision=17))
-        assert branch_score_distance(t, permuted) == pytest.approx(0.0, abs=1e-9)
-
-    def test_taxon_mismatch_rejected(self):
-        a = yule_tree(5, seed=1)
-        b = yule_tree(5, seed=1, names=[f"q{i}" for i in range(5)])
-        with pytest.raises(TreeError, match="taxon set"):
-            branch_score_distance(a, b)
-
-
-class TestPathDistances:
-    def test_matrix_matches_patristic(self):
-        t = yule_tree(7, seed=47)
-        D = path_distance_matrix(t)
-        for i in range(7):
-            for j in range(7):
-                assert D[i, j] == pytest.approx(t.patristic_distance(i, j))
-
-    def test_hop_variant(self):
-        t = yule_tree(6, seed=48)
-        D = path_distance_matrix(t, weighted=False)
-        assert D[0, 0] == 0
-        assert np.all(D[np.triu_indices(6, 1)] >= 2)  # via >= 1 inner node
-
-    def test_path_difference_zero_for_identical(self):
-        t = yule_tree(9, seed=49)
-        assert path_difference_distance(t, t.copy()) == 0.0
-
-    def test_path_difference_positive_for_different(self):
-        a = yule_tree(9, seed=50)
-        b = yule_tree(9, seed=51)
-        assert path_difference_distance(a, b) > 0
-
-    def test_normalized_rf_bounds(self):
-        a = yule_tree(12, seed=52)
-        b = yule_tree(12, seed=53)
-        assert 0.0 <= normalized_rf(a, b) <= 1.0
-        assert normalized_rf(a, a.copy()) == 0.0
 
 
 class TestMsaStats:
