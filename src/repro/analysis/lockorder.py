@@ -154,9 +154,6 @@ class _LockTable:
                 return f"{cls}.{canon}"
         return None
 
-    def any_lock_attr(self, attr: str) -> bool:
-        return any(attr in table for table in self._canon.values())
-
 
 class _Walker:
     """Collects acquisitions and calls with their held-lock context."""

@@ -53,21 +53,29 @@ def _read_alignment(path: str) -> Alignment:
     return aln
 
 
-def _parse_model(spec: str, alignment: Alignment):
-    """Parse ``GTR+G``, ``HKY+G4``, ``JC``, ``GTR+G+FC`` style model strings."""
-    parts = spec.upper().split("+")
-    base = parts[0]
+def _parse_model_spec(spec: str) -> tuple[str, int, bool]:
+    """The data-free half of a model string: ``(base, Γ categories — 0 for
+    none, whether ``+F``/``+FC`` asked for empirical frequencies)``."""
+    base, *suffixes = spec.upper().split("+")
     if base not in MODELS:
         raise ReproError(f"unknown model {base!r}; choose from {sorted(MODELS)}")
     gamma_cats = 0
     empirical_freqs = False
-    for part in parts[1:]:
-        if part.startswith("G"):
-            gamma_cats = int(part[1:]) if len(part) > 1 else 4
+    for part in suffixes:
+        if part == "G":
+            gamma_cats = 4
+        elif part.startswith("G") and part[1:].isdigit():
+            gamma_cats = int(part[1:])
         elif part in ("FC", "F"):
             empirical_freqs = True
         else:
             raise ReproError(f"unknown model suffix {part!r}")
+    return base, gamma_cats, empirical_freqs
+
+
+def _parse_model(spec: str, alignment: Alignment):
+    """Parse ``GTR+G``, ``HKY+G4``, ``JC``, ``GTR+G+FC`` style model strings."""
+    base, gamma_cats, empirical_freqs = _parse_model_spec(spec)
     kwargs = {}
     if empirical_freqs and base in ("GTR", "HKY", "HKY85"):
         kwargs["frequencies"] = tuple(alignment.empirical_frequencies())
@@ -234,11 +242,10 @@ def cmd_simulate(args) -> int:
     from repro.simulate import simulate_alignment, yule_tree
 
     tree = yule_tree(args.taxa, seed=args.seed, scale=args.scale)
-    base = args.model.upper().split("+")[0]
-    if base not in MODELS:
-        raise ReproError(f"unknown model {base!r}; choose from {sorted(MODELS)}")
+    # No data yet, so +F has nothing to estimate from: the model's own
+    # frequencies generate the alignment.
+    base, cats, _ = _parse_model_spec(args.model)
     model = MODELS[base]()
-    cats = 4 if "+G" in args.model.upper() else 0
     rates = RateModel.gamma(args.alpha, cats) if cats else RateModel.uniform()
     alignment = simulate_alignment(tree, model, args.length, rates=rates,
                                    seed=args.seed + 1)

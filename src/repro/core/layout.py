@@ -104,14 +104,6 @@ class StorageLayout:
         """Pattern range of ``item`` — ``block_bounds(block_of(item))``."""
         return self.block_bounds(self.block_of(item))
 
-    def block_spans(self) -> tuple[tuple[int, int], ...]:
-        """``block_bounds`` of every block, in block order.
-
-        The batched scheduler calls this once per plan instead of once
-        per (step, block); at most the last entry is ragged.
-        """
-        return tuple(self.block_bounds(b) for b in range(self.blocks_per_node))
-
     def store_item_nodes(self) -> np.ndarray:
         """``int64`` array mapping every *store* item id to its node.
 
@@ -123,10 +115,6 @@ class StorageLayout:
         raise NotImplementedError
 
     # -- geometry ----------------------------------------------------------------
-
-    def item_elements(self) -> int:
-        """Elements in one paged item (padding included)."""
-        return int(np.prod(self.item_shape))
 
     def describe(self) -> dict[str, Any]:
         """JSON-ready summary (recorded in ``BENCH_profile.json``)."""

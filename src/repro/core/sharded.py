@@ -614,10 +614,6 @@ class _ShardClient:
         with self._cond:
             return entry.done
 
-    def pending_count(self) -> int:
-        with self._cond:
-            return len(self._pending)
-
     # -- receiver thread ------------------------------------------------------
 
     def _receiver_loop(self, sock: socket.socket) -> None:  # thread: shard-recv

@@ -24,6 +24,7 @@ from repro.phylo.bayes.moves import (
     NniMove,
     SprMove,
 )
+from repro.phylo.likelihood.engine import LikelihoodEngine
 from repro.utils.rng import as_rng
 
 
@@ -44,7 +45,7 @@ class Priors:
     branch_length_mean: float = 0.1
     alpha_mean: float = 1.0
 
-    def log_prior(self, engine) -> float:
+    def log_prior(self, engine: LikelihoodEngine) -> float:
         rate = 1.0 / self.branch_length_mean
         total = 0.0
         for u, v in engine.tree.edges():
@@ -118,7 +119,7 @@ class McmcChain:
         RNG seed for reproducible chains.
     """
 
-    def __init__(self, engine, priors: Priors | None = None,
+    def __init__(self, engine: LikelihoodEngine, priors: Priors | None = None,
                  moves: list[tuple[Move, float]] | None = None,
                  seed=None) -> None:
         self.engine = engine

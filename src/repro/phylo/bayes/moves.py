@@ -21,6 +21,8 @@ import math
 import numpy as np
 
 from repro.errors import SearchError, TreeError
+from repro.phylo.likelihood.engine import LikelihoodEngine
+from repro.phylo.likelihood.evaluator import Evaluator
 
 
 class Move:
@@ -35,14 +37,15 @@ class Move:
     name = "move"
     last_edge: "tuple[int, int] | None" = None
 
-    def propose(self, engine, rng: np.random.Generator) -> float:
+    def propose(self, engine: LikelihoodEngine,
+                rng: np.random.Generator) -> float:
         raise NotImplementedError
 
-    def reject(self, engine) -> None:
+    def reject(self, engine: LikelihoodEngine) -> None:
         """Restore the exact pre-proposal state."""
         raise NotImplementedError
 
-    def accept(self, engine) -> None:
+    def accept(self, engine: LikelihoodEngine) -> None:
         """Finalize (default: nothing to do)."""
 
 
@@ -61,7 +64,7 @@ class BranchScaleMove(Move):
         self._edge: tuple[int, int] | None = None
         self._old: float = 0.0
 
-    def propose(self, engine, rng) -> float:
+    def propose(self, engine: Evaluator, rng) -> float:
         edges = list(engine.tree.edges())
         self._edge = edges[int(rng.integers(len(edges)))]
         self._old = engine.tree.branch_length(*self._edge)
@@ -73,7 +76,7 @@ class BranchScaleMove(Move):
         # (clipping makes this approximate at the extreme boundaries).
         return math.log(new / self._old) if self._old > 0 else 0.0
 
-    def reject(self, engine) -> None:
+    def reject(self, engine: Evaluator) -> None:
         engine.set_branch_length(*self._edge, self._old)
 
 
@@ -85,7 +88,7 @@ class NniMove(Move):
     def __init__(self) -> None:
         self._undo = None
 
-    def propose(self, engine, rng) -> float:
+    def propose(self, engine: Evaluator, rng) -> float:
         internal = engine.tree.internal_edges()
         if not internal:
             self._undo = None
@@ -96,7 +99,7 @@ class NniMove(Move):
         self.last_edge = edge
         return 0.0
 
-    def reject(self, engine) -> None:
+    def reject(self, engine: Evaluator) -> None:
         if self._undo is not None:
             engine.undo_nni(self._undo)
 
@@ -124,7 +127,7 @@ class SprMove(Move):
                 total += len(tree.spr_candidates(p, s, self.radius))
         return total
 
-    def propose(self, engine, rng) -> float:
+    def propose(self, engine: Evaluator, rng) -> float:
         tree = engine.tree
         k_fwd = self._num_choices(tree)
         if k_fwd == 0:
@@ -149,7 +152,7 @@ class SprMove(Move):
         k_rev = self._num_choices(tree)
         return math.log(k_fwd) - math.log(max(k_rev, 1))
 
-    def reject(self, engine) -> None:
+    def reject(self, engine: Evaluator) -> None:
         if self._undo is not None:
             engine.undo_spr(self._undo)
 
@@ -167,7 +170,7 @@ class AlphaScaleMove(Move):
         self.bounds = bounds
         self._old_rates = None
 
-    def propose(self, engine, rng) -> float:
+    def propose(self, engine: LikelihoodEngine, rng) -> float:
         if engine.rates.alpha is None:
             self._old_rates = None
             return 0.0
@@ -178,6 +181,6 @@ class AlphaScaleMove(Move):
         engine.set_rates(engine.rates.with_alpha(new))
         return math.log(new / old)
 
-    def reject(self, engine) -> None:
+    def reject(self, engine: LikelihoodEngine) -> None:
         if self._old_rates is not None:
             engine.set_rates(self._old_rates)

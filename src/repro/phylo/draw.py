@@ -83,8 +83,3 @@ def ascii_tree(tree: Tree, *, max_width: int = 60,
         last = kid == remaining[-1]
         draw(kid, anchor, "", "└" if last else "├", 0.0)
     return "\n".join(lines)
-
-
-def print_tree(tree: Tree, **kwargs) -> None:  # pragma: no cover - I/O shim
-    """Convenience wrapper: print :func:`ascii_tree`."""
-    print(ascii_tree(tree, **kwargs))

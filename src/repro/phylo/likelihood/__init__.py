@@ -8,6 +8,9 @@ Newton–Raphson branch-length optimizer, and model-parameter optimization.
 """
 
 from repro.phylo.likelihood.engine import LikelihoodEngine
+from repro.phylo.likelihood.evaluator import Evaluator
+from repro.phylo.likelihood.executor import Executor
 from repro.phylo.likelihood.traversal import TraversalPlan, TraversalStep
 
-__all__ = ["LikelihoodEngine", "TraversalPlan", "TraversalStep"]
+__all__ = ["Evaluator", "Executor", "LikelihoodEngine", "TraversalPlan",
+           "TraversalStep"]

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from scipy.stats import chi2
 
 from repro.errors import LikelihoodError
+from repro.phylo.likelihood.evaluator import Evaluator
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,8 @@ class BranchSupport:
         return self.p_value < 0.05
 
 
-def alrt_branch_support(engine, edges=None) -> dict[tuple[int, int], BranchSupport]:
+def alrt_branch_support(
+        engine: Evaluator, edges=None) -> dict[tuple[int, int], BranchSupport]:
     """Compute aLRT support for internal edges (default: all of them).
 
     For each edge: optimize its length (lnL of the current resolution),
@@ -58,8 +60,7 @@ def alrt_branch_support(engine, edges=None) -> dict[tuple[int, int], BranchSuppo
     for edge in edges:
         if not tree.has_edge(*edge) or tree.is_tip(edge[0]) or tree.is_tip(edge[1]):
             raise LikelihoodError(f"{edge} is not an internal edge")
-        saved = tree.branch_length(*edge)
-        engine.optimize_branch(*edge)
+        engine.optimize_branch(*edge)  # kept: it is the ML length of this edge
         lnl_here = engine.edge_loglikelihood(*edge)
         alternatives = []
         for variant in (0, 1):
@@ -73,9 +74,6 @@ def alrt_branch_support(engine, edges=None) -> dict[tuple[int, int], BranchSuppo
         second = max(alternatives)
         key = (min(edge), max(edge))
         out[key] = BranchSupport(edge=key, lnl_best=lnl_here, lnl_second=second)
-        if tree.branch_length(*edge) != saved:
-            # keep the optimized length: it is the ML length for this edge
-            pass
     return out
 
 

@@ -19,9 +19,11 @@ import numpy as np
 
 from repro.errors import LikelihoodError
 from repro.phylo.likelihood import kernels
+from repro.phylo.likelihood.engine import LikelihoodEngine
 
 
-def marginal_ancestral_distribution(engine, node: int) -> np.ndarray:
+def marginal_ancestral_distribution(engine: LikelihoodEngine,
+                                    node: int) -> np.ndarray:
     """Posterior state probabilities at inner ``node``: ``(sites, states)``.
 
     For each site ``i`` and state ``a``:
@@ -41,7 +43,7 @@ def marginal_ancestral_distribution(engine, node: int) -> np.ndarray:
     reducer = kernels.state_reducer(
         engine.model.frequencies.astype(engine.dtype),
         engine.rates.weights.astype(engine.dtype))
-    joint = engine._edge_reduce(node, parent, reducer, engine.model.num_states)
+    joint = engine.edge_reduce(node, parent, reducer, engine.model.num_states)
     totals = joint.sum(axis=1, keepdims=True)
     if np.any(totals <= 0) or not np.all(np.isfinite(totals)):
         raise LikelihoodError("zero marginal likelihood during reconstruction")
@@ -49,7 +51,7 @@ def marginal_ancestral_distribution(engine, node: int) -> np.ndarray:
     return post[engine.alignment.compress().pattern_of_site]
 
 
-def marginal_ancestral_states(engine, node: int) -> str:
+def marginal_ancestral_states(engine: LikelihoodEngine, node: int) -> str:
     """Most probable state per site at ``node``, as a sequence string."""
     post = marginal_ancestral_distribution(engine, node)
     best = post.argmax(axis=1)
@@ -60,7 +62,7 @@ def marginal_ancestral_states(engine, node: int) -> str:
     return alphabet.decode(codes)
 
 
-def reconstruct_all(engine) -> dict[int, str]:
+def reconstruct_all(engine: LikelihoodEngine) -> dict[int, str]:
     """Most probable ancestral sequences for every inner node."""
     return {node: marginal_ancestral_states(engine, node)
             for node in engine.tree.inner_nodes()}

@@ -17,23 +17,23 @@ surfaces (near-zero branches, saturated branches) where raw NR diverges.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.errors import LikelihoodError
 from repro.phylo.likelihood import kernels
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
+    from repro.phylo.likelihood.evaluator import Evaluator
+
 #: RAxML-style clamps on branch lengths (expected substitutions per site).
 MIN_BRANCH_LENGTH = 1e-8
 MAX_BRANCH_LENGTH = 50.0
 
 
-def optimize_branch_from_sumtable(
-    sumtable: np.ndarray,
-    eigenvalues: np.ndarray,
-    rates: np.ndarray,
-    cat_weights: np.ndarray,
-    pattern_weights: np.ndarray,
+def _newton(
+    tables: Sequence[tuple[kernels.BranchTable, np.ndarray]],
     t0: float,
     *,
     max_iter: int = 64,
@@ -41,31 +41,44 @@ def optimize_branch_from_sumtable(
     min_bl: float = MIN_BRANCH_LENGTH,
     max_bl: float = MAX_BRANCH_LENGTH,
 ) -> tuple[float, int]:
-    """Maximize the branch likelihood; returns ``(t_opt, iterations)``.
+    """Maximize the branch likelihood summed over ``tables``; returns
+    ``(t_opt, iterations)``.
 
-    Pure numerical core (no store traffic): the engine-level wrapper
-    computes the sumtable and commits the result. Everything that does
-    not depend on the length is built once (:class:`kernels.BranchTable`);
-    each candidate length then costs one :func:`kernels.branch_terms`
-    product, which carries its likelihood, the derivatives the next step
-    needs and the one verdict on whether it has either.
+    One ``(BranchTable, pattern_weights)`` pair per alignment sharing the
+    branch; the joint log-likelihood and its derivatives are the sums of
+    the pairs'. Everything that does not depend on the length is in the
+    tables already; each candidate length then costs one
+    :func:`kernels.branch_terms` product per pair, which carries its
+    likelihood, the derivatives the next step needs and the one verdict
+    on whether it has either.
     """
-    table = kernels.BranchTable(sumtable, eigenvalues, rates, cat_weights)
 
     def evaluate(t):
-        """``terms``, the branch log-likelihood up to the (scaling)
-        constant ``Σ w_i ln g_i(t)``, and whether it exists."""
-        terms, ok = kernels.branch_terms(table, t)
-        phi = float(pattern_weights @ np.log(terms[:, 0])) if ok else -np.inf
-        return terms, phi, ok
+        """Each pair's ``terms``, the joint branch log-likelihood up to the
+        (scaling) constant ``Σ w_i ln g_i(t)``, and whether it exists."""
+        terms, phi, ok = [], 0.0, True
+        for table, weights in tables:
+            g, positive = kernels.branch_terms(table, t)
+            terms.append(g)
+            ok = ok and positive
+            if ok:
+                phi += float(weights @ np.log(g[:, 0]))
+        return terms, (phi if ok else -np.inf), ok
+
+    def derivatives(terms):
+        d1 = d2 = 0.0
+        for g, (_, weights) in zip(terms, tables):
+            p1, p2 = kernels.derivatives_from_terms(g, weights)
+            d1 += p1
+            d2 += p2
+        return d1, d2
 
     t = min(max(float(t0), min_bl), max_bl)
     terms, phi, ok = evaluate(t)
     it = 0
     while it < max_iter:
         it += 1
-        d1, d2 = (kernels.derivatives_from_terms(terms, pattern_weights) if ok
-                  else (np.nan, np.nan))
+        d1, d2 = derivatives(terms) if ok else (np.nan, np.nan)
         if not math.isfinite(d1):
             # Numerical zero at this t — retreat toward the midpoint.
             t_new = max(min_bl, t / 2.0)
@@ -93,37 +106,48 @@ def optimize_branch_from_sumtable(
     return t, it
 
 
-def optimize_branch(engine, u: int, v: int, **kwargs) -> float:
+def optimize_branch_from_sumtable(
+    sumtable: np.ndarray,
+    eigenvalues: np.ndarray,
+    rates: np.ndarray,
+    cat_weights: np.ndarray,
+    pattern_weights: np.ndarray,
+    t0: float,
+    *,
+    max_iter: int = 64,
+    tol: float = 1e-9,
+    min_bl: float = MIN_BRANCH_LENGTH,
+    max_bl: float = MAX_BRANCH_LENGTH,
+) -> tuple[float, int]:
+    """Maximize one alignment's branch likelihood; returns ``(t_opt,
+    iterations)``. Pure numerical core (no store traffic): Newton's loop
+    over the one table this sumtable makes."""
+    table = kernels.BranchTable(sumtable, eigenvalues, rates, cat_weights)
+    return _newton([(table, pattern_weights)], t0, max_iter=max_iter, tol=tol,
+                   min_bl=min_bl, max_bl=max_bl)
+
+
+def optimize_branch(engine: Evaluator, u: int, v: int, **kwargs) -> float:
     """Optimize the length of edge ``(u, v)`` in place; returns the new length.
 
-    Ensures both end CLVs are valid toward the edge (a local traversal),
-    builds the sumtable — after which the NR loop touches no ancestral
-    vector at all — and commits the optimized length through the engine so
-    dependent CLVs are invalidated.
+    Ensures every part's end CLVs are valid toward the edge (a local
+    traversal) and builds its sumtable (``engine.branch_tables``) — after
+    which the NR loop touches no ancestral vector at all — and commits the
+    optimized length through the engine so dependent CLVs are invalidated.
+    Keywords are :func:`optimize_branch_from_sumtable`'s (``max_iter``,
+    ``tol``, ``min_bl``, ``max_bl``).
     """
     tree = engine.tree
     if not tree.has_edge(u, v):
         raise LikelihoodError(f"({u},{v}) is not an edge")
-    engine.make_edge_current(u, v)
-
-    # Blocked (layout-aware) fetch of the two end vectors; the NR loop
-    # below touches no ancestral vector at all.
-    sumtable = engine._edge_sumtable(u, v)
-    t_opt, _ = optimize_branch_from_sumtable(
-        sumtable,
-        engine.model.eigenvalues,
-        engine.rates.rates,
-        engine.rates.weights,
-        engine.pattern_weights,
-        tree.branch_length(u, v),
-        **kwargs,
-    )
+    t_opt, _ = _newton(engine.branch_tables(u, v), tree.branch_length(u, v),
+                       **kwargs)
     if t_opt != tree.branch_length(u, v):
         engine.set_branch_length(u, v, t_opt)
     return t_opt
 
 
-def smooth_all_branches(engine, passes: int = 1, **kwargs) -> float:
+def smooth_all_branches(engine: Evaluator, passes: int = 1, **kwargs) -> float:
     """RAxML's ``smoothTree``: optimize every branch, ``passes`` times over.
 
     Edges are visited in a depth-first order starting from the default

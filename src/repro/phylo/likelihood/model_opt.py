@@ -13,13 +13,15 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from repro.errors import ModelError
+from repro.phylo.likelihood.engine import LikelihoodEngine
 from repro.phylo.models.dna import GTR
 
 #: Search bounds for the Γ shape parameter (RAxML uses a similar range).
 ALPHA_BOUNDS = (0.02, 100.0)
 
 
-def optimize_alpha(engine, bounds: tuple[float, float] = ALPHA_BOUNDS,
+def optimize_alpha(engine: LikelihoodEngine,
+                   bounds: tuple[float, float] = ALPHA_BOUNDS,
                    tol: float = 1e-4) -> float:
     """Brent-optimize the Γ shape α in place; returns the optimum.
 
@@ -41,7 +43,8 @@ def optimize_alpha(engine, bounds: tuple[float, float] = ALPHA_BOUNDS,
     return best
 
 
-def optimize_gtr_rates(engine, rounds: int = 2, tol: float = 1e-3,
+def optimize_gtr_rates(engine: LikelihoodEngine, rounds: int = 2,
+                       tol: float = 1e-3,
                        bounds: tuple[float, float] = (1e-4, 100.0)) -> np.ndarray:
     """Coordinate-wise Brent over the five free GTR exchangeabilities.
 
@@ -73,7 +76,7 @@ def optimize_gtr_rates(engine, rounds: int = 2, tol: float = 1e-3,
     return rates6
 
 
-def use_empirical_frequencies(engine) -> np.ndarray:
+def use_empirical_frequencies(engine: LikelihoodEngine) -> np.ndarray:
     """Replace model frequencies with the alignment's empirical ones.
 
     The standard ``+F`` treatment; rebuilds the model and invalidates all
@@ -93,8 +96,8 @@ def use_empirical_frequencies(engine) -> np.ndarray:
     return freqs
 
 
-def optimize_model(engine, alpha: bool = True, gtr: bool = False,
-                   branch_passes: int = 1) -> dict:
+def optimize_model(engine: LikelihoodEngine, alpha: bool = True,
+                   gtr: bool = False, branch_passes: int = 1) -> dict:
     """One round of joint model + branch-length optimization.
 
     The usual alternation: branch lengths → α → (optionally) GTR rates →

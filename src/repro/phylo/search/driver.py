@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import SearchError
+from repro.phylo.likelihood.engine import LikelihoodEngine
+from repro.phylo.likelihood.evaluator import Evaluator
 from repro.phylo.likelihood.model_opt import optimize_alpha
 from repro.phylo.search.nni import nni_round
 from repro.phylo.search.spr import lazy_spr_round
@@ -29,7 +31,7 @@ class SearchResult:
 
 
 def ml_search(
-    engine,
+    engine: Evaluator,
     *,
     radius: int = 5,
     max_rounds: int = 10,
@@ -104,7 +106,7 @@ def ml_search(
             applied += nni.moves_applied
             evaluated += nni.moves_evaluated
             lnl = nni.lnl
-        if do_alpha and getattr(engine, "rates", None) is not None \
+        if do_alpha and isinstance(engine, LikelihoodEngine) \
                 and engine.rates.alpha is not None:
             optimize_alpha(engine)
         lnl = engine.optimize_all_branches(passes=branch_passes)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.phylo.likelihood.evaluator import Evaluator
 
 
 @dataclass
@@ -21,7 +22,7 @@ class NniRoundResult:
     moves_evaluated: int
 
 
-def nni_round(engine, min_improvement: float = 1e-3) -> NniRoundResult:
+def nni_round(engine: Evaluator, min_improvement: float = 1e-3) -> NniRoundResult:
     """Try both NNI variants across every internal edge; keep improvements.
 
     Improving variants are applied immediately (first-improvement): the

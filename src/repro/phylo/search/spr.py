@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SearchError
+from repro.phylo.likelihood.evaluator import Evaluator
 
 
 @dataclass
@@ -25,7 +26,8 @@ class SprRoundResult:
     moves_evaluated: int
 
 
-def _optimize_insertion_branches(engine, p: int, s: int, tu: int, tv: int) -> None:
+def _optimize_insertion_branches(engine: Evaluator, p: int, s: int,
+                                 tu: int, tv: int) -> None:
     """The "lazy" part: re-optimize only the 3 branches at the regraft point."""
     engine.optimize_branch(tu, p)
     engine.optimize_branch(p, tv)
@@ -33,7 +35,7 @@ def _optimize_insertion_branches(engine, p: int, s: int, tu: int, tv: int) -> No
 
 
 def lazy_spr_round(
-    engine,
+    engine: Evaluator,
     radius: int = 5,
     min_improvement: float = 1e-3,
     prune_points=None,

@@ -52,6 +52,36 @@ class TestSimulate:
         assert rc == 2
         assert "unknown model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, spec", [
+        ("simulate", "JC+G8+BOGUS"),   # was: exit 0, suffix ignored
+        ("simulate", "JC+GX"),         # was: exit 0, 4 categories
+        ("evaluate", "GTR+GX"),        # was: an uncaught ValueError
+    ])
+    def test_malformed_model_suffix_rejected(self, workspace, tmp_path, capsys,
+                                             command, spec):
+        """One model-string grammar: what ``evaluate`` rejects, ``simulate``
+        rejects, both as ``error: ...`` with exit code 2."""
+        msa, tree, _ = workspace
+        argv = {"simulate": ["-n", "6", "-l", "50", "-o", str(tmp_path / "o.phy")],
+                "evaluate": ["-s", str(msa), "-t", str(tree)]}[command]
+        assert main([command, *argv, "-m", spec]) == 2
+        assert "unknown model suffix" in capsys.readouterr().err
+
+    def test_category_count_reaches_the_simulator(self, tmp_path, monkeypatch):
+        import repro.simulate
+
+        seen = {}
+        real = repro.simulate.simulate_alignment
+
+        def spy(tree, model, length, rates=None, seed=None):
+            seen["categories"] = rates.num_categories
+            return real(tree, model, length, rates=rates, seed=seed)
+
+        monkeypatch.setattr(repro.simulate, "simulate_alignment", spy)
+        assert main(["simulate", "-n", "6", "-l", "50", "-m", "JC+G8",
+                     "-o", str(tmp_path / "o.phy")]) == 0
+        assert seen["categories"] == 8
+
 
 class TestEvaluate:
     def test_fz_mode(self, workspace, capsys):

@@ -43,13 +43,8 @@ class TestSplitAlignment:
 
 
 class TestPartitionedLikelihood:
-    def test_single_partition_equals_plain_engine(self, part_dataset):
-        tree, aln = part_dataset
-        model = JC69()
-        rates = RateModel.gamma(1.0, 4)
-        plain = LikelihoodEngine(tree.copy(), aln, model, rates)
-        part = PartitionedEngine(tree.copy(), [(aln, model, rates)])
-        assert part.loglikelihood() == plain.loglikelihood()
+    # One partition == the plain engine, and SPR/NNI + undo, are steps of the
+    # scenario in tests/test_evaluator.py (bit for bit, after every step).
 
     def test_identical_models_sum_to_unpartitioned(self, part_dataset):
         """With the same model everywhere, partitioning cannot change lnL."""
@@ -142,28 +137,6 @@ class TestSharedTreeMutations:
         part.set_branch_length(u, v, 0.42)
         assert part.loglikelihood() == pytest.approx(self._fresh_lnl(part),
                                                      abs=1e-9)
-
-    def test_spr_and_undo_consistent(self, part_dataset):
-        part = self._engines(part_dataset)
-        before = part.loglikelihood()
-        p = next(iter(part.tree.inner_nodes()))
-        s = part.tree.neighbors(p)[0]
-        cands = part.tree.spr_candidates(p, s, radius=4)
-        undo = part.apply_spr(p, s, cands[0])
-        moved = part.loglikelihood()
-        assert moved == pytest.approx(self._fresh_lnl(part), abs=1e-9)
-        part.undo_spr(undo)
-        assert part.loglikelihood() == before
-
-    def test_nni_and_undo_consistent(self, part_dataset):
-        part = self._engines(part_dataset)
-        before = part.loglikelihood()
-        edge = part.tree.internal_edges()[0]
-        undo = part.apply_nni(edge, 1)
-        assert part.loglikelihood() == pytest.approx(self._fresh_lnl(part),
-                                                     abs=1e-9)
-        part.undo_nni(undo)
-        assert part.loglikelihood() == before
 
     def test_joint_branch_optimization_improves(self, part_dataset):
         part = self._engines(part_dataset)
