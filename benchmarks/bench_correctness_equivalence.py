@@ -22,8 +22,7 @@ def test_equivalence_grid(benchmark, ds1288):
     for policy in PAPER_POLICIES:
         for f in PAPER_FRACTIONS:
             eng = ds1288.engine(
-                fraction=f, policy=policy, poison_skipped_reads=True,
-                policy_kwargs={"seed": 5} if policy == "random" else None,
+                fraction=f, policy=policy, seed=5, poison_skipped_reads=True,
             )
             lnl = eng.full_traversals(2)
             assert lnl == ref_lnl, (policy, f)

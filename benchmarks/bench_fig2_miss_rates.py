@@ -68,10 +68,7 @@ def test_fig2_f1_has_no_capacity_misses(benchmark, ds1288):
 @pytest.mark.parametrize("policy", PAPER_POLICIES)
 def test_fig2_policy_overhead(benchmark, ds1288, policy):
     """Time a full out-of-core evaluation at f = 0.25 per strategy."""
-    engine = ds1288.engine(
-        fraction=0.25, policy=policy,
-        policy_kwargs={"seed": 3} if policy == "random" else None,
-    )
+    engine = ds1288.engine(fraction=0.25, policy=policy, seed=3)
 
     def run():
         engine.invalidate_all()

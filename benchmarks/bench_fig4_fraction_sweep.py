@@ -60,8 +60,7 @@ def test_fig4_branch_optimization_locality(benchmark, ds1288):
 
 def test_fig4_five_slots_live(benchmark, ds1288):
     """A *live* five-slot engine (not a shadow): the extreme of Fig. 4."""
-    engine = ds1288.engine(num_slots=5, policy="random",
-                           policy_kwargs={"seed": 11},
+    engine = ds1288.engine(num_slots=5, policy="random", seed=11,
                            poison_skipped_reads=True)
 
     def run():

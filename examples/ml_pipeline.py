@@ -19,7 +19,7 @@ from pathlib import Path
 
 from repro import (
     GTR,
-    EngineConfig,
+    LikelihoodEngine,
     RateModel,
     optimize_alpha,
     simulate_alignment,
@@ -56,8 +56,9 @@ def main() -> None:
                 tuple(alignment.empirical_frequencies()))
     rates = RateModel.gamma(1.0, 4)
     with tempfile.TemporaryDirectory() as tmp:
-        engine = EngineConfig(fraction=0.25, policy="lru", backing="file") \
-            .build(start, alignment, model, rates, workdir=tmp)
+        engine = LikelihoodEngine(start, alignment, model, rates,
+                                  fraction=0.25, policy="lru", backing="file",
+                                  workdir=tmp)
         vector_file = Path(engine.store.backing.path)
         print(f"\nout-of-core store: {engine.store.num_slots} slots of "
               f"{format_bytes(engine.ancestral_vector_bytes())} "

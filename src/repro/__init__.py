@@ -64,10 +64,6 @@ from repro.phylo.bootstrap import bootstrap_support, bootstrap_weights
 from repro.phylo.consensus import annotate_support, consensus_tree, split_frequencies
 from repro.phylo.draw import ascii_tree
 from repro.phylo.likelihood.alrt import alrt_branch_support
-from repro.phylo.likelihood.ancestral import (
-    marginal_ancestral_distribution,
-    marginal_ancestral_states,
-)
 from repro.phylo.likelihood.branch_opt import optimize_branch, smooth_all_branches
 from repro.phylo.likelihood.engine import LikelihoodEngine, clv_geometry
 from repro.phylo.likelihood.model_opt import optimize_alpha, optimize_model
@@ -99,7 +95,6 @@ __all__ = [
     "optimize_branch", "smooth_all_branches",
     "optimize_alpha", "optimize_model", "ml_search",
     "PartitionedEngine", "split_alignment",
-    "marginal_ancestral_distribution", "marginal_ancestral_states",
     "McmcChain", "Priors", "bootstrap_support", "bootstrap_weights",
     "consensus_tree", "split_frequencies", "annotate_support",
     "alrt_branch_support", "select_model", "likelihood_ratio_test",

@@ -163,8 +163,8 @@ def _workloads(dataset, scratch):
     """Yield ``(name, figure, config_block, build, run)`` for every workload.
 
     ``config_block`` is ``EngineConfig.to_dict()`` verbatim, so
-    ``EngineConfig.from_dict(block).build(...)`` rebuilds the workload's
-    engine — except where an ``"external"`` key says the engine was handed
+    ``LikelihoodEngine(..., EngineConfig.from_dict(block))`` rebuilds the
+    workload's engine — except where an ``"external"`` key says the engine was handed
     a store the configuration cannot name.
     """
     from repro.phylo.likelihood.engine import LikelihoodEngine, clv_geometry
@@ -176,8 +176,8 @@ def _workloads(dataset, scratch):
     def ooc(config):
         # Each build gets its own directory under ``scratch`` (removed
         # with it) and a fresh copy of the run's tree.
-        return config.to_dict(), lambda: config.build(
-            tree.copy(), alignment, model, rates,
+        return config.to_dict(), lambda: LikelihoodEngine(
+            tree.copy(), alignment, model, rates, config,
             workdir=tempfile.mkdtemp(dir=scratch))
 
     def paging_engine():

@@ -146,10 +146,9 @@ def save_checkpoint(engine: LikelihoodEngine, path: str | os.PathLike,
         "model": _model_to_dict(engine.model),
         "rates": _rates_to_dict(engine.rates),
         "dtype": engine.dtype.name,
-        # The full declared configuration when there is one; the resolved
-        # slot count and policy name always (all a directly constructed
-        # engine can report, and what keyword overrides fall back on).
-        "config": engine.config.to_dict() if engine.config else None,
+        # The declared configuration, and beside it the slot count and
+        # policy it resolved to (what documents without one carried).
+        "config": engine.config.to_dict(),
         "store": {
             "num_slots": getattr(engine.store, "num_slots", None),
             "policy": getattr(getattr(engine.store, "policy", None), "name", None),
@@ -175,12 +174,9 @@ class Checkpoint(NamedTuple):
     tree: Tree
     model: ReversibleModel
     rates: RateModel
-    dtype: np.dtype
     extra: dict
-    #: ``EngineConfig.to_dict()`` of the saved engine, if it had one.
-    config: dict | None
-    #: Resolved ``{"num_slots", "policy"}`` of the saved engine's store.
-    store: dict
+    #: ``EngineConfig.to_dict()`` of the saved engine.
+    config: dict
     #: The saved engine's evaluation edge ``(u, v)``, if it had evaluated.
     root_edge: tuple[int, int] | None = None
 
@@ -223,42 +219,33 @@ def read_checkpoint(path: str | os.PathLike,
         tree = parse_newick(doc["tree"])
     if sorted(tree.names) != sorted(alignment.names):
         raise ReproError("checkpoint tree taxa do not match the alignment")
+    # A document written by an engine that had no configuration says
+    # "config": null and carries what its store resolved to instead.
+    store = doc["store"]
+    config = doc.get("config") or {
+        "dtype": doc["dtype"], "num_slots": store.get("num_slots"),
+        **({"policy": store["policy"]}
+           if store.get("policy") in POLICIES else {})}
     edge = doc.get("root_edge")
     return Checkpoint(tree, _model_from_dict(doc["model"]),
-                      _rates_from_dict(doc["rates"]), np.dtype(doc["dtype"]),
-                      doc.get("extra", {}), doc.get("config"), doc["store"],
+                      _rates_from_dict(doc["rates"]), doc.get("extra", {}),
+                      config,
                       None if edge is None else (int(edge[0]), int(edge[1])))
 
 
 def load_checkpoint(path: str | os.PathLike, alignment: Alignment,
-                    **engine_kwargs) -> tuple[LikelihoodEngine, dict]:
+                    **overrides) -> tuple[LikelihoodEngine, dict]:
     """Rebuild an engine from a checkpoint; returns ``(engine, extra)``.
 
-    Without ``engine_kwargs`` the engine is rebuilt from the recorded
-    :class:`~repro.config.EngineConfig` (a path-owning backing kind needs
-    a scratch directory: use :func:`read_checkpoint` and
-    ``EngineConfig.build(workdir=...)`` for those). ``engine_kwargs``
-    override the store configuration — resuming an in-core run out-of-core
-    (or vice versa) is explicitly supported, since results are
-    configuration-independent; with them, and for documents that carry no
-    configuration, only the saved slot count and policy are restored.
+    The engine is rebuilt from the recorded
+    :class:`~repro.config.EngineConfig`; ``overrides`` are
+    :class:`LikelihoodEngine` keywords on top of it (``workdir=`` for a
+    path-owning backing kind, or any field — resuming an in-core run
+    out-of-core, or vice versa, is explicitly supported, since results are
+    configuration-independent).
     """
     ck = read_checkpoint(path, alignment)
-    if ck.config is not None and not engine_kwargs:
-        engine = EngineConfig.from_dict(ck.config).build(
-            ck.tree, alignment, ck.model, ck.rates)
-        ck.restore_edge(engine)
-        return engine, ck.extra
-    engine_kwargs.setdefault("dtype", ck.dtype)
-    if "store" not in engine_kwargs and engine_kwargs.get("num_slots") is None \
-            and engine_kwargs.get("fraction") is None:
-        saved_slots = ck.store.get("num_slots")
-        saved_policy = ck.store.get("policy")
-        if saved_slots is not None:
-            engine_kwargs["num_slots"] = saved_slots
-        if saved_policy in POLICIES:
-            engine_kwargs.setdefault("policy", saved_policy)
     engine = LikelihoodEngine(ck.tree, alignment, ck.model, ck.rates,
-                              **engine_kwargs)
+                              EngineConfig.from_dict(ck.config), **overrides)
     ck.restore_edge(engine)
     return engine, ck.extra

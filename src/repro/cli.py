@@ -105,9 +105,9 @@ def _tree_for(alignment: Alignment, args) -> Tree:
 def _engine_for(alignment: Alignment, args) -> LikelihoodEngine:
     """The engine the command line describes, on its (starting) tree."""
     model, rates = _parse_model(args.model, alignment)
-    return EngineConfig.from_args(args).build(
+    return LikelihoodEngine(
         _tree_for(alignment, args), alignment, model, rates,
-        workdir=args.workdir)
+        EngineConfig.from_args(args), workdir=args.workdir)
 
 
 def _add_common(parser: argparse.ArgumentParser, with_tree=True) -> None:
@@ -175,8 +175,9 @@ def cmd_search(args) -> int:
         # Tree and (optimised) model come from the file; the engine is
         # rebuilt from this command line exactly like a fresh one.
         ck = read_checkpoint(args.checkpoint, alignment)
-        engine = EngineConfig.from_args(args).build(
-            ck.tree, alignment, ck.model, ck.rates, workdir=args.workdir)
+        engine = LikelihoodEngine(
+            ck.tree, alignment, ck.model, ck.rates,
+            EngineConfig.from_args(args), workdir=args.workdir)
         ck.restore_edge(engine)
         resume_state = ck.extra.get("search")
         print(f"resumed        : {args.checkpoint} "

@@ -6,34 +6,32 @@ replacement strategy, one binary file vs. several, read skipping
 here: as dataclass fields, as command-line flags (``add_arguments`` /
 ``from_args``, shared by ``repro`` and ``repro.profile``), as a JSON block
 (``to_dict`` / ``from_dict``, recorded verbatim in ``BENCH_profile.json``,
-``BENCH_results.json`` and search checkpoints) and as the construction
-path geometry → layout → backing → engine (``build``).
+``BENCH_results.json`` and search checkpoints) and as the parameter list
+of the engine constructor: ``LikelihoodEngine(tree, alignment, model,
+rates, config, **overrides)`` takes a configuration, field names as
+keywords on top of it, or both, and ``engine.config`` is what it was
+built from.
 
-The dataclass is a *caller* of the engine constructor, not a second way
-into it: ``track_dirty``, ``poison_skipped_reads``, free-form
-``policy_kwargs`` and explicit ``store=`` objects stay constructor-only.
+Every value is validated here, when the dataclass is made — before a
+file, thread or worker process exists — and every rejection is a
+:class:`~repro.errors.ReproError`. This module knows nothing of the
+engine; the engine imports it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from repro.core.backing import BACKING_KINDS, BackingStore, make_backing
-from repro.core.faults import RetryingBackingStore
-from repro.core.layout import make_layout
-from repro.core.policies import policy_names
+from repro.core.backing import BACKING_KINDS, BackingStore
+from repro.core.layout import StorageLayout
+from repro.core.policies import ReplacementPolicy, policy_names
+from repro.core.vecstore import AncestralVectorStore
 from repro.errors import ReproError
-from repro.phylo.likelihood.engine import LikelihoodEngine, clv_geometry
-from repro.phylo.models.base import ReversibleModel
-from repro.phylo.models.rates import RateModel
-from repro.phylo.msa import Alignment
-from repro.phylo.tree import Tree
 
 #: Replacement strategies selectable by name (Belady needs the future
 #: access sequence, so it only exists in offline trace replay).
@@ -41,6 +39,13 @@ POLICIES = tuple(p for p in policy_names() if p != "belady")
 
 #: The three spellings of the RAM budget; at most one may be set.
 _BUDGETS = ("fraction", "num_slots", "memory_limit")
+
+#: Fields that still apply beside an explicit ``store=`` (every other one
+#: describes the store the engine would have built) and the smallest value
+#: of each bounded integer field.
+_ENGINE_FIELDS = ("dtype", "seed", "prefetch_depth", "batch")
+_FLOORS = {"block_sites": 1, "shards": 1, "io_threads": 1,
+           "backing_retries": 0, "writeback_depth": 0, "prefetch_depth": 0}
 
 
 def _opt(default: Any, *flags: str, help: str, **kwargs: Any) -> Any:
@@ -54,7 +59,9 @@ class EngineConfig:
     """Every engine setting some front end sets, validated once.
 
     With none of ``fraction`` / ``num_slots`` / ``memory_limit`` every
-    vector stays resident (the in-core "standard" configuration).
+    vector stays resident (the in-core "standard" configuration). The
+    three fields that name a thing — ``layout``, ``policy``, ``backing`` —
+    also take the thing itself, which the engine then uses as is.
     """
 
     fraction: float | None = _opt(
@@ -68,7 +75,7 @@ class EngineConfig:
         None, "-L", "--memory-limit", type=int,
         help="max bytes of RAM for ancestral probability vectors (the "
              "paper's -L flag)")
-    layout: str = _opt(
+    layout: str | StorageLayout = _opt(
         "whole", "--layout", choices=("whole", "block"),
         help="storage layout: whole vectors (the paper's unit of paging) "
              "or site blocks")
@@ -78,7 +85,7 @@ class EngineConfig:
     dtype: str = _opt(
         "float64", "--dtype", choices=("float64", "float32"),
         help="floating-point precision of the ancestral vectors")
-    policy: str = _opt("lru", "--policy", choices=POLICIES,
+    policy: str | ReplacementPolicy = _opt("lru", "--policy", choices=POLICIES,
                        help="replacement strategy (paper §3.3)")
     seed: int = _opt(
         42, "--seed", type=int,
@@ -86,7 +93,7 @@ class EngineConfig:
              "also seed their starting tree / simulator with it)")
     #: Paper §3.4; no front end exposes a flag, the Fig. 3 bench sets it.
     read_skipping: bool = True
-    backing: str = _opt(
+    backing: str | BackingStore = _opt(
         "memory", "--backing", choices=BACKING_KINDS,
         help="backing store for evicted vectors (sharded: items "
              "hash-routed across worker processes)")
@@ -116,17 +123,62 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dtype", np.dtype(self.dtype).name)
+        if self.batch is None or self.batch == "auto":
+            object.__setattr__(self, "batch", 0 if self.batch is None else -1)
         budgets = [b for b in _BUDGETS if getattr(self, b) is not None]
         if len(budgets) > 1:
             raise ReproError(f"{' and '.join(budgets)} are alternative "
                              "spellings of the RAM budget; pass one")
+        if self.fraction is not None and not 0.0 < self.fraction <= 1.0:
+            raise ReproError(f"fraction must be in (0, 1], got {self.fraction}")
         if self.block_sites is not None and self.layout != "block":
             raise ReproError("block_sites only applies to layout='block'")
+        if not isinstance(self.batch, int) or self.batch < -1:
+            raise ReproError(
+                "batch must be 0/None (groups of one), -1/'auto' or a "
+                f"positive group cap, got {self.batch!r}")
         for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # A field that names a thing also takes the thing itself (a
+            # StorageLayout, BackingStore or ReplacementPolicy), used as is.
             choices = f.metadata.get("choices")
-            if choices and getattr(self, f.name) not in choices:
+            if choices and isinstance(value, str) and value not in choices:
                 raise ReproError(f"{f.name} must be one of {list(choices)}, "
-                                 f"got {getattr(self, f.name)!r}")
+                                 f"got {value!r}")
+            floor = _FLOORS.get(f.name)
+            if floor is not None and value is not None and value < floor:
+                raise ReproError(f"{f.name} must be >= {floor}, got {value!r}")
+
+    def override(self, **overrides: Any) -> "EngineConfig":
+        """This configuration with ``overrides`` (field names) on top.
+
+        Naming the RAM budget replaces whichever spelling was set: resuming
+        a ``num_slots`` run with ``fraction=`` is one keyword, not two.
+        """
+        unknown = sorted(set(overrides) - {f.name for f in dataclasses.fields(self)})
+        if unknown:
+            raise ReproError(f"unknown engine option {', '.join(unknown)}: "
+                             "EngineConfig declares every one there is")
+        if any(b in overrides for b in _BUDGETS):
+            overrides = {**dict.fromkeys(_BUDGETS), **overrides}
+        return dataclasses.replace(self, **overrides)
+
+    def check_store(self, store: Any) -> None:
+        """Reject what an explicit ``store=`` cannot honour: it brings its
+        own budget, layout, policy and backing, so a field that would have
+        built those must be at its default."""
+        for f in dataclasses.fields(self):
+            if f.name not in _ENGINE_FIELDS and getattr(self, f.name) != f.default:
+                raise ReproError(
+                    f"{f.name} configures the store the engine builds; with "
+                    "an explicit store, construct it that way yourself")
+        if self.prefetch_depth and not isinstance(store, AncestralVectorStore):
+            raise ReproError("prefetch_depth needs an AncestralVectorStore "
+                             f"(got {type(store).__name__})")
+        if self.batch not in (0, 1) and not hasattr(store, "fill"):
+            raise ReproError(
+                "batch needs a store with the out-of-band fill protocol "
+                f"(got {type(store).__name__})")
 
     @classmethod
     def add_arguments(cls, parser: argparse.ArgumentParser) -> None:
@@ -156,57 +208,13 @@ class EngineConfig:
         return cls(**values)
 
     def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
+        """The JSON block. A thing handed in as itself cannot be written
+        down (and results do not depend on it): it records the default."""
+        plain = (str, int, float, type(None))
+        return {f.name: value if isinstance(value, plain) else f.default
+                for f in dataclasses.fields(self)
+                for value in [getattr(self, f.name)]}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "EngineConfig":
-        try:
-            return cls(**data)
-        except TypeError as exc:  # a key that is not a field
-            raise ReproError(f"not an engine configuration: {exc}") from None
-
-    def build(self, tree: Tree, alignment: Alignment, model: ReversibleModel,
-              rates: RateModel, workdir: "str | os.PathLike[str] | None" = None,
-              backing: BackingStore | None = None) -> LikelihoodEngine:
-        """Geometry → layout → backing → engine, on ``tree`` itself.
-
-        ``workdir`` is where a path-owning backing kind puts its scratch
-        files (the caller owns the directory's lifetime). A ready-made
-        ``backing`` replaces the one ``self.backing`` names — for stores no
-        kind name describes, e.g. shard workers over a sleeping disk model.
-        """
-        dtype = np.dtype(self.dtype)
-        layout = make_layout(self.layout,
-                             *clv_geometry(tree, alignment, model, rates),
-                             block_sites=self.block_sites)
-        num_slots = self.num_slots
-        if self.memory_limit is not None:
-            # The store clamps to [MIN_SLOTS, num_items] like any slot count.
-            item_bytes = int(np.prod(layout.item_shape)) * dtype.itemsize
-            num_slots = self.memory_limit // item_bytes
-        if backing is None:
-            path = (None if workdir is None
-                    else os.path.join(workdir, f"vectors.{self.backing}"))
-            backing = make_backing(
-                self.backing, layout.num_items, layout.item_shape, dtype,
-                path=path, **({"num_shards": self.shards}
-                              if self.backing == "sharded" else {}))
-        if self.backing_retries > 0:
-            backing = RetryingBackingStore(backing,
-                                           retries=self.backing_retries)
-        try:
-            engine = LikelihoodEngine(
-                tree, alignment, model, rates, dtype=dtype, layout=layout,
-                fraction=self.fraction, num_slots=num_slots,
-                policy=self.policy,
-                policy_kwargs=({"seed": self.seed}
-                               if self.policy == "random" else None),
-                backing=backing, read_skipping=self.read_skipping,
-                writeback_depth=self.writeback_depth,
-                io_threads=self.io_threads,
-                prefetch_depth=self.prefetch_depth, batch=self.batch)
-        except BaseException:
-            backing.close()
-            raise
-        engine.config = self
-        return engine
+        return cls().override(**data)

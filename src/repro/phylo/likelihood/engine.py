@@ -25,10 +25,13 @@ here is the constructor and the setters of what an engine has one of.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import os
 
 import numpy as np
 
+from repro.config import EngineConfig
+from repro.core.backing import make_backing
+from repro.core.faults import RetryingBackingStore
 from repro.core.layout import StorageLayout, WholeVectorLayout, make_layout
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import LikelihoodError
@@ -39,10 +42,48 @@ from repro.phylo.models.rates import RateModel
 from repro.phylo.msa import Alignment
 from repro.phylo.tree import Tree
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.config import EngineConfig
+__all__ = ["LikelihoodEngine", "build_store", "clv_geometry"]
 
-__all__ = ["LikelihoodEngine", "clv_geometry"]
+
+def build_store(config: EngineConfig, layout: StorageLayout, *,
+                workdir: "str | os.PathLike[str] | None" = None,
+                **store_options: bool) -> AncestralVectorStore:
+    """Slot budget → backing → store over ``layout``, as ``config`` says.
+
+    The one place a configuration becomes a store: an engine's own, or the
+    arena a :class:`~repro.phylo.likelihood.partitioned.PartitionedEngine`
+    shares over a concatenated layout. ``workdir`` is where a path-owning
+    backing kind puts its scratch file (the caller owns the directory);
+    ``store_options`` are ``track_dirty`` / ``poison_skipped_reads``. The
+    store owns its backing — a ready-made one included — and closes it.
+    """
+    dtype = np.dtype(config.dtype)
+    num_slots = config.num_slots
+    if config.memory_limit is not None:
+        # The store clamps to [MIN_SLOTS, num_items] like any slot count.
+        item_bytes = int(np.prod(layout.item_shape)) * dtype.itemsize
+        num_slots = config.memory_limit // item_bytes
+    backing = config.backing
+    if isinstance(backing, str):
+        path = (None if workdir is None
+                else os.path.join(workdir, f"vectors.{backing}"))
+        backing = make_backing(
+            backing, layout.num_items, layout.item_shape, dtype, path=path,
+            **({"num_shards": config.shards} if backing == "sharded" else {}))
+    if config.backing_retries:
+        backing = RetryingBackingStore(backing, retries=config.backing_retries)
+    try:
+        return AncestralVectorStore(
+            layout=layout, dtype=dtype, fraction=config.fraction,
+            num_slots=num_slots, policy=config.policy,
+            policy_kwargs=({"seed": config.seed}
+                           if config.policy == "random" else None),
+            backing=backing, read_skipping=config.read_skipping,
+            writeback_depth=config.writeback_depth,
+            io_threads=config.io_threads, **store_options)
+    except BaseException:
+        backing.close()
+        raise
 
 
 class LikelihoodEngine(Evaluator, Executor):
@@ -59,45 +100,20 @@ class LikelihoodEngine(Evaluator, Executor):
         A :class:`ReversibleModel` over the alignment's alphabet size.
     rates:
         A :class:`RateModel`; defaults to Γ4 with α = 1 (the paper's setup).
+    config / overrides:
+        The :class:`~repro.config.EngineConfig` to build from (default: all
+        defaults, i.e. in-core) and any of its field names as keywords on
+        top — ``LikelihoodEngine(..., fraction=0.25, policy="lfu")``. See
+        ``EngineConfig`` for what each field means and accepts; the
+        resolved configuration is kept as ``self.config``.
     store:
         Anything with the vector-store ``get(item, pins, write_only)``
-        protocol. If omitted, an :class:`AncestralVectorStore` is built from
-        ``fraction`` / ``num_slots`` / ``policy`` / ``backing`` /
-        ``read_skipping`` — ``fraction=1.0`` keeps every vector resident.
-    layout / block_sites:
-        Storage layout for the built store (ignored with an explicit
-        ``store``, whose own layout governs): ``"whole"`` (default — one
-        paged item per CLV, the paper's design), ``"block"`` (each CLV's
-        pattern axis split into site blocks of ``block_sites`` patterns,
-        paged independently), or a :class:`~repro.core.layout.StorageLayout`
-        instance. Kernels then run blocked over per-block slices; results
-        are bit-identical across layouts (§4.1 contract).
-    writeback_depth / io_threads:
-        Forwarded to the built store: ``writeback_depth > 0`` makes
-        evictions asynchronous (a write-behind queue). ``io_threads`` is
-        the number of background I/O threads per direction: that many
-        writers drain the queue, that many prefetch workers issue reads.
-        Only valid when the engine builds its own store (an explicit
-        store brings its own ``io_threads``).
-    prefetch_depth:
-        ``> 0`` attaches a :class:`~repro.core.prefetch.ThreadedPrefetcher`
-        that is fed each operation's access sequence (the paper's §5
-        prefetch thread) and keeps the next ``prefetch_depth`` accesses'
-        read items resident or in flight; reads overlap the likelihood
-        kernels. Works with an explicit ``store`` too, provided it is an
-        :class:`AncestralVectorStore`.
-    batch:
-        Group cap of the traversal schedule
-        (:mod:`repro.phylo.likelihood.schedule`): ``0``/``None`` (default)
-        = groups of one, each (step, block) update executed in place;
-        ``-1`` ("auto") groups up to ``num_slots // 3`` independent
-        updates per fused kernel call — the residency-safe cap; a positive
-        value sets the cap explicitly. The store access sequence, all
-        demand/eviction counters and the CLV bits are the same for every
-        cap (§4.1). A cap above 1 requires a store with the out-of-band
-        ``fill`` protocol (:class:`AncestralVectorStore`).
-    dtype:
-        ``float64`` (default) or ``float32`` for the single-precision mode.
+        protocol, used instead of building one; its own layout governs and
+        the store-building fields must then be at their defaults.
+    workdir:
+        Where a path-owning backing kind puts its scratch file.
+    track_dirty / poison_skipped_reads:
+        Options of the built store that no front end declares.
     """
 
     def __init__(
@@ -106,102 +122,52 @@ class LikelihoodEngine(Evaluator, Executor):
         alignment: Alignment,
         model: ReversibleModel,
         rates: RateModel | None = None,
+        config: EngineConfig | None = None,
         *,
         store=None,
-        fraction: float | None = None,
-        num_slots: int | None = None,
-        layout: str | StorageLayout = "whole",
-        block_sites: int | None = None,
-        policy="lru",
-        backing=None,
-        read_skipping: bool = True,
+        workdir: "str | os.PathLike[str] | None" = None,
         track_dirty: bool = False,
         poison_skipped_reads: bool = False,
-        policy_kwargs: dict | None = None,
-        writeback_depth: int = 0,
-        io_threads: int = 1,
-        prefetch_depth: int = 0,
-        batch: int | str | None = None,
-        dtype=np.float64,
+        **overrides,
     ) -> None:
-        Evaluator.__init__(self, tree)
-        Executor.__init__(self, tree, alignment, model, rates, dtype)
-        #: The EngineConfig this engine was built from (set by
-        #: EngineConfig.build, None when constructed directly) — what
-        #: save_checkpoint records so a resume rebuilds the same pipeline.
-        self.config: EngineConfig | None = None
-
-        # Every argument is checked before anything that owns a thread, a
-        # file descriptor or a worker process exists, so a rejected call
-        # has nothing to leak; the store is built last, and whatever still
-        # runs after it runs under the try that closes it.
-        if batch in (None, 0):
-            cap: int | None = 1
-        elif batch == -1 or batch == "auto":
-            cap = None  # default_group_cap(num_slots), once the store exists
-        elif isinstance(batch, int) and batch > 0:
-            cap = int(batch)
-        else:
-            raise LikelihoodError(
-                f"batch must be None/0 (groups of one), -1/'auto' or a "
-                f"positive group cap, got {batch!r}"
-            )
+        # The configuration is checked in full before anything that owns a
+        # thread, a file descriptor or a worker process exists, so a
+        # rejected call has nothing to leak; the store is built last, and
+        # whatever still runs after it runs under the try that closes it.
+        config = (config or EngineConfig()).override(**overrides)
         if store is not None:
-            if fraction is not None or num_slots is not None:
-                raise LikelihoodError(
-                    "pass either an explicit store or a geometry, not both")
-            if writeback_depth:
-                raise LikelihoodError(
-                    "writeback_depth configures the built store; with an "
-                    "explicit store, construct it with writeback_depth yourself"
-                )
-            if layout != "whole" or block_sites is not None:
-                raise LikelihoodError(
-                    "layout/block_sites configure the built store; with an "
-                    "explicit store, construct it over a layout yourself"
-                )
-            if prefetch_depth and not isinstance(store, AncestralVectorStore):
-                raise LikelihoodError(
-                    "prefetch_depth needs an AncestralVectorStore "
-                    f"(got {type(store).__name__})"
-                )
-            if cap != 1 and not hasattr(store, "fill"):
-                raise LikelihoodError(
-                    "batch needs a store with the out-of-band fill protocol "
-                    f"(got {type(store).__name__})"
-                )
+            config.check_store(store)
+        Evaluator.__init__(self, tree)
+        Executor.__init__(self, tree, alignment, model, rates, config.dtype)
+        #: What this engine was built from — what save_checkpoint records
+        #: so a resume rebuilds the same pipeline.
+        self.config = config
+
+        if store is not None:
             # The explicit store's own layout governs; stores predating the
             # layout abstraction (e.g. PagedStandardStore) page whole CLVs.
-            found = getattr(store, "layout", None)
-            if found is None:
-                found = WholeVectorLayout(self.num_inner, self.clv_shape)
-            elif (found.num_nodes != self.num_inner
-                    or found.node_shape != self.clv_shape):
+            layout = getattr(store, "layout", None)
+            if layout is None:
+                layout = WholeVectorLayout(self.num_inner, self.clv_shape)
+            elif (layout.num_nodes != self.num_inner
+                    or layout.node_shape != self.clv_shape):
                 raise LikelihoodError(
-                    f"store layout covers {found.num_nodes} nodes of shape "
-                    f"{found.node_shape}; this engine needs {self.num_inner} "
+                    f"store layout covers {layout.num_nodes} nodes of shape "
+                    f"{layout.node_shape}; this engine needs {self.num_inner} "
                     f"of {self.clv_shape}"
                 )
-            store_layout, built = found, store
+            built = store
         else:
-            store_layout = make_layout(layout, self.num_inner, self.clv_shape,
-                                       block_sites=block_sites)
-            built = AncestralVectorStore(
-                layout=store_layout,
-                dtype=self.dtype,
-                fraction=fraction,
-                num_slots=num_slots,
-                policy=policy,
-                backing=backing,
-                read_skipping=read_skipping,
-                track_dirty=track_dirty,
-                poison_skipped_reads=poison_skipped_reads,
-                policy_kwargs=policy_kwargs,
-                writeback_depth=writeback_depth,
-                io_threads=io_threads,
-            )
+            layout = make_layout(config.layout, self.num_inner, self.clv_shape,
+                                 block_sites=config.block_sites)
+            built = build_store(config, layout, workdir=workdir,
+                                track_dirty=track_dirty,
+                                poison_skipped_reads=poison_skipped_reads)
         try:
-            self.attach_store(built, store_layout, cap, prefetch_depth)
+            self.attach_store(
+                built, layout,
+                None if config.batch == -1 else max(config.batch, 1),
+                config.prefetch_depth)
         except BaseException:
             # A store built here has no other owner: release its writer
             # threads and its backing (fd, shard workers) with it.

@@ -9,18 +9,16 @@ log-likelihood is the sum over partitions.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.layout import (
-    DEFAULT_BLOCK_SITES,
-    ConcatenatedLayout,
-    SharedStoreView,
-    make_layout,
-)
+from repro.config import EngineConfig
+from repro.core.layout import ConcatenatedLayout, SharedStoreView, make_layout
 from repro.core.stats import IoStats
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import LikelihoodError
-from repro.phylo.likelihood.engine import LikelihoodEngine, clv_geometry
+from repro.phylo.likelihood.engine import (
+    LikelihoodEngine,
+    build_store,
+    clv_geometry,
+)
 from repro.phylo.likelihood.evaluator import Evaluator
 from repro.phylo.models.rates import RateModel
 from repro.phylo.msa import Alignment
@@ -62,22 +60,22 @@ class PartitionedEngine(Evaluator):
     partitions:
         ``(alignment, model, rates)`` triples.
     store_kwargs:
-        **Per-partition stores** (default): the store configuration
-        forwarded to each engine (``fraction=...``, ``policy=...``, ...) —
-        one dict applied to all, or a list with one dict per partition.
-        Each partition keeps its own slot budget, policy and backing: the
-        paper's single-matrix design, partition-wise.
+        **Per-partition stores** (default): the
+        :class:`~repro.phylo.likelihood.engine.LikelihoodEngine` keywords
+        of each partition's engine (``fraction=...``, ``policy=...``, any
+        :class:`~repro.config.EngineConfig` field) — one dict applied to
+        all, or a list with one dict per partition. Each partition keeps
+        its own slot budget, policy and backing: the paper's single-matrix
+        design, partition-wise.
     shared_store:
-        **One shared store** instead: per-partition layouts
-        (``layout``/``block_sites`` keys, default ``"block"`` with
-        :data:`~repro.core.layout.DEFAULT_BLOCK_SITES` sites — unequal
-        pattern counts need padded site blocks to share an item geometry)
-        are concatenated and served by a single
-        :class:`~repro.core.vecstore.AncestralVectorStore`, whose remaining
-        keys (``num_slots``/``fraction``/``policy``/``backing``/... , plus
-        ``dtype``) apply globally: ONE slot budget, so a hot gene can claim
-        slots a cold gene is not using. ``fraction`` is relative to the
-        TOTAL block count. Each engine addresses the store through a
+        **One shared store** instead, described by the same keywords. The
+        per-partition layouts (``layout`` defaults to ``"block"`` here —
+        unequal pattern counts need padded site blocks to share an item
+        geometry) are concatenated and served by a single
+        :class:`~repro.core.vecstore.AncestralVectorStore` with ONE slot
+        budget, policy and backing, so a hot gene can claim slots a cold
+        gene is not using. ``fraction`` is relative to the TOTAL block
+        count. Each engine addresses the store through a
         :class:`~repro.core.layout.SharedStoreView`, which mirrors its
         demand counters per partition.
     """
@@ -98,52 +96,45 @@ class PartitionedEngine(Evaluator):
         try:
             if shared_store is not None:
                 self._build_shared(tree, partitions, dict(shared_store))
-            else:
-                self._build_separate(tree, partitions, store_kwargs)
+                return
+            # One store per partition: the budget applies partition-wise.
+            if not isinstance(store_kwargs, list):
+                store_kwargs = [store_kwargs or {}] * len(partitions)
+            if len(store_kwargs) != len(partitions):
+                raise LikelihoodError(f"{len(store_kwargs)} store configs "
+                                      f"for {len(partitions)} partitions")
+            for (alignment, model, rates), kwargs in zip(partitions,
+                                                         store_kwargs):
+                self.engines.append(
+                    LikelihoodEngine(tree, alignment, model, rates, **kwargs))
         except BaseException:
             # A later partition failed: what the earlier ones already own
             # (writer threads, backing files, the shared store) goes too.
             self.close()
             raise
 
-    def _build_separate(self, tree, partitions, store_kwargs) -> None:
-        """One store per partition (the memory limit applies partition-wise)."""
-        if store_kwargs is None:
-            store_kwargs = {}
-        if isinstance(store_kwargs, dict):
-            store_kwargs = [dict(store_kwargs) for _ in partitions]
-        if len(store_kwargs) != len(partitions):
-            raise LikelihoodError(
-                f"{len(store_kwargs)} store configs for {len(partitions)} partitions"
-            )
-        for (alignment, model, rates), kwargs in zip(partitions, store_kwargs):
-            self.engines.append(
-                LikelihoodEngine(tree, alignment, model, rates, **kwargs)
-            )
-
     def _build_shared(self, tree, partitions, cfg: dict) -> None:
         """One slot arena for every partition (single global budget)."""
-        layout_kind = cfg.pop("layout", "block")
-        block_sites = cfg.pop("block_sites", None)
-        if layout_kind == "block" and block_sites is None:
-            block_sites = DEFAULT_BLOCK_SITES
-        dtype = np.dtype(cfg.pop("dtype", np.float64))
+        options = {key: cfg.pop(key) for key in
+                   ("workdir", "track_dirty", "poison_skipped_reads")
+                   if key in cfg}
+        config = EngineConfig().override(**{"layout": "block", **cfg})
         layouts = []
         for alignment, model, rates in partitions:
             num_inner, shape = clv_geometry(
                 tree, alignment, model,
                 rates if rates is not None else RateModel.gamma(1.0, 4))
-            layouts.append(make_layout(layout_kind, num_inner, shape,
-                                       block_sites=block_sites))
+            layouts.append(make_layout(config.layout, num_inner, shape,
+                                       block_sites=config.block_sites))
         self.shared_layout = ConcatenatedLayout(layouts)
-        self.shared_store = AncestralVectorStore(
-            layout=self.shared_layout, dtype=dtype, **cfg)
+        self.shared_store = build_store(config, self.shared_layout, **options)
         for i, (alignment, model, rates) in enumerate(partitions):
             view = SharedStoreView(self.shared_store,
                                    self.shared_layout.view(i))
             self.engines.append(
-                LikelihoodEngine(tree, alignment, model, rates,
-                                 store=view, dtype=dtype)
+                LikelihoodEngine(tree, alignment, model, rates, store=view,
+                                 dtype=config.dtype, batch=config.batch,
+                                 prefetch_depth=config.prefetch_depth)
             )
 
     def _parts(self) -> list[LikelihoodEngine]:

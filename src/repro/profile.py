@@ -88,7 +88,8 @@ def _dataset(args):
 def _build_engine(config: EngineConfig, alignment, tree, args,
                   workdir: str) -> LikelihoodEngine:
     model, rates = _parse_model(args.model, alignment)
-    return config.build(tree.copy(), alignment, model, rates, workdir=workdir)
+    return LikelihoodEngine(tree.copy(), alignment, model, rates, config,
+                            workdir=workdir)
 
 
 def _run_workload(engine: LikelihoodEngine, args) -> float:

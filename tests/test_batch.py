@@ -26,7 +26,7 @@ from repro import (
     simulate_alignment,
     yule_tree,
 )
-from repro.errors import LikelihoodError
+from repro.errors import LikelihoodError, ReproError
 from repro.phylo.likelihood import kernels
 from repro.phylo.likelihood.schedule import (
     ScheduleCache,
@@ -265,7 +265,7 @@ class TestScheduleBuild:
         eng.close()
 
     def test_batch_constructor_validation(self, dataset):
-        with pytest.raises(LikelihoodError, match="batch"):
+        with pytest.raises(ReproError, match="batch"):
             self._engine(dataset, num_slots=4, batch="bogus")
         eng = self._engine(dataset, num_slots=9, batch="auto")
         assert eng.batch_members == default_group_cap(9) == 3
@@ -291,8 +291,7 @@ def _run_pair(policy, layout, block_sites, batch, *, num_slots,
             tree.copy(), aln, model, rates,
             layout=layout, block_sites=block_sites, num_slots=num_slots,
             policy=policy, poison_skipped_reads=True,
-            policy_kwargs={"seed": 9} if policy == "random" else None,
-            batch=b, dtype=dtype, **extra)
+            seed=9, batch=b, dtype=dtype, **extra)
         lnl = eng.full_traversals(traversals)
         eng.store.drain()
         row = eng.stats.as_row()
@@ -394,7 +393,7 @@ class TestBatchedEngineParity:
         store = PagedStandardStore(
             *clv_geometry(tree, aln, JC69(), RateModel.uniform()),
             ram_bytes=1 << 20, disk=DiskModel.hdd())
-        with pytest.raises(LikelihoodError, match="fill"):
+        with pytest.raises(ReproError, match="fill"):
             LikelihoodEngine(tree.copy(), aln, JC69(), RateModel.uniform(),
                              store=store, batch=4)
 

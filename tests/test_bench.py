@@ -97,7 +97,7 @@ class TestRunner:
         from the block alone reproduces the entry's lnL and every counter.
         Entries handed a store instance say so (``external``)."""
         from repro.bench.runner import _dataset, _run_full, _run_search
-        from repro.config import EngineConfig
+        from repro import EngineConfig, LikelihoodEngine
 
         doc, _ = bench_doc
         tree, alignment, model, rates = _dataset()
@@ -109,8 +109,9 @@ class TestRunner:
                 continue
             workdir = tmp_path / name
             workdir.mkdir()
-            engine = EngineConfig.from_dict(block).build(
-                tree.copy(), alignment, model, rates, workdir=workdir)
+            engine = LikelihoodEngine(
+                tree.copy(), alignment, model, rates,
+                EngineConfig.from_dict(block), workdir=workdir)
             run = _run_search if wl["figure"] == "spr" else _run_full
             try:
                 lnl = run(engine)

@@ -1,5 +1,7 @@
 """Tests for checkpoint save/restore, including crash-safe kill-and-resume."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -98,7 +100,7 @@ class TestRoundtrip:
 
     def test_configured_engine_restored_from_its_full_config(
             self, ckpt_dataset, tmp_path):
-        """An engine built from an EngineConfig records all of it, so the
+        """Every engine records the EngineConfig it was built from, so the
         restored pipeline keeps write-behind, prefetch, layout and seed —
         not just the slot count and policy name."""
         import json
@@ -109,7 +111,7 @@ class TestRoundtrip:
         config = EngineConfig(fraction=0.4, policy="random", seed=11,
                               layout="block", block_sites=32,
                               writeback_depth=2, prefetch_depth=2)
-        eng = config.build(tree.copy(), aln, model, rates)
+        eng = LikelihoodEngine(tree.copy(), aln, model, rates, config)
         lnl = eng.loglikelihood()
         save_checkpoint(eng, tmp_path / "c.ckpt")
         eng.close()
@@ -125,12 +127,37 @@ class TestRoundtrip:
             assert restored.loglikelihood() == lnl
         finally:
             restored.close()
-        # keyword overrides replace the recorded configuration (only the
-        # saved slot count / policy fill in what they leave open)
-        plain, _ = load_checkpoint(tmp_path / "c.ckpt", aln, policy="lfu")
-        assert plain.config is None and plain.store.writeback is None
-        assert plain.store.policy.name == "lfu"
-        assert plain.loglikelihood() == lnl
+        # keywords ride on top of the recorded configuration
+        other, _ = load_checkpoint(tmp_path / "c.ckpt", aln, policy="lfu",
+                                   num_slots=5)
+        try:
+            assert other.config == dataclasses.replace(
+                config, policy="lfu", fraction=None, num_slots=5)
+            assert other.store.policy.name == "lfu"
+            assert other.store.writeback is not None
+            assert other.loglikelihood() == lnl
+        finally:
+            other.close()
+
+    def test_directly_constructed_engine_keeps_its_pipeline(
+            self, ckpt_dataset, tmp_path):
+        """Keywords are a configuration too: nothing of it is lost."""
+        tree, aln, model, rates = ckpt_dataset
+        eng = LikelihoodEngine(tree.copy(), aln, model, rates, layout="block",
+                               block_sites=32, fraction=0.25,
+                               writeback_depth=2)
+        lnl = eng.loglikelihood()
+        save_checkpoint(eng, tmp_path / "d.ckpt")
+        eng.close()
+        restored, _ = load_checkpoint(tmp_path / "d.ckpt", aln)
+        try:
+            assert restored.config == eng.config
+            assert restored.layout.describe() == eng.layout.describe()
+            assert restored.store.num_slots == eng.store.num_slots
+            assert restored.store.writeback.depth == 2
+            assert restored.loglikelihood().hex() == lnl.hex()
+        finally:
+            restored.close()
 
     def test_document_without_config_falls_back_to_store_record(
             self, ckpt_dataset, tmp_path):
@@ -141,17 +168,22 @@ class TestRoundtrip:
         from repro import EngineConfig
 
         tree, aln, model, rates = ckpt_dataset
-        eng = EngineConfig(num_slots=4, policy="lfu", writeback_depth=2) \
-            .build(tree.copy(), aln, model, rates)
+        eng = LikelihoodEngine(tree.copy(), aln, model, rates, num_slots=4,
+                               policy="lfu", writeback_depth=2,
+                               dtype=np.float32)
         save_checkpoint(eng, tmp_path / "new.ckpt")
         eng.close()
         doc = json.loads((tmp_path / "new.ckpt").read_text())
-        del doc["config"]
+        doc["config"] = None  # what a config-less engine wrote
         (tmp_path / "old.ckpt").write_text(json.dumps(doc))
         restored, _ = load_checkpoint(tmp_path / "old.ckpt", aln)
-        assert restored.store.num_slots == 4
-        assert restored.store.policy.name == "lfu"
+        assert restored.config == EngineConfig(num_slots=4, policy="lfu",
+                                               dtype="float32")
         assert restored.store.writeback is None
+        del doc["config"]
+        (tmp_path / "old.ckpt").write_text(json.dumps(doc))
+        assert load_checkpoint(tmp_path / "old.ckpt", aln)[0].config \
+            == restored.config
 
     def test_read_checkpoint_builds_nothing(self, ckpt_dataset, tmp_path):
         from repro import read_checkpoint
@@ -161,9 +193,8 @@ class TestRoundtrip:
                                dtype=np.float32)
         save_checkpoint(eng, tmp_path / "r.ckpt", extra={"k": 1})
         ck = read_checkpoint(tmp_path / "r.ckpt", aln)
-        assert ck.dtype == np.float32 and ck.extra == {"k": 1}
-        assert ck.config is None
-        assert ck.store == {"num_slots": 5, "policy": "lru"}
+        assert ck.extra == {"k": 1}
+        assert ck.config == eng.config.to_dict()
         assert ck.tree.robinson_foulds(tree) == 0
         np.testing.assert_array_equal(ck.rates.rates, rates.rates)
 

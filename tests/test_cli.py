@@ -130,17 +130,17 @@ class TestEvaluate:
                                                      monkeypatch):
         """``-L`` sizes the slots from the geometry (no unlimited probe
         engine first) and ``--backing file`` spills to a real file."""
-        import repro.config
+        import repro.cli
         from repro.core.backing import FileBackingStore
 
         built = []
 
-        class Spy(repro.config.LikelihoodEngine):
+        class Spy(repro.cli.LikelihoodEngine):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 built.append(self)
 
-        monkeypatch.setattr(repro.config, "LikelihoodEngine", Spy)
+        monkeypatch.setattr(repro.cli, "LikelihoodEngine", Spy)
         msa, tree, _ = workspace
         main(["evaluate", "-s", str(msa), "-t", str(tree)])
         full = capsys.readouterr().out

@@ -3,7 +3,10 @@ the flags the three front ends share through them."""
 
 import argparse
 import dataclasses
+import inspect
+import os
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +27,10 @@ from repro import (
 from repro.config import POLICIES
 from repro.core.backing import BACKING_KINDS
 from repro.core.faults import RetryingBackingStore
+from repro.core.stats import PARITY_COUNTERS
 from repro.errors import BackingStoreError, ReproError
 from repro.phylo.likelihood.schedule import default_group_cap
+from tests import test_oracle_matrix as matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -100,7 +105,7 @@ class TestRoundTrips:
         assert block["dtype"] == "float32"
 
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ReproError, match="not an engine configuration"):
+        with pytest.raises(ReproError, match="unknown engine option external"):
             EngineConfig.from_dict({"fraction": 0.5, "external": "a store"})
 
     def test_parser_default_yields_to_an_explicit_budget(self):
@@ -119,6 +124,14 @@ class TestRoundTrips:
         with pytest.raises(SystemExit):
             _parser().parse_args(["--fraction", "0.5", "--num-slots", "4"])
         assert "not allowed with" in capsys.readouterr().err
+
+
+#: One value per bounded field that the dataclass itself must reject.
+OUT_OF_RANGE = [
+    {"fraction": 1.5}, {"fraction": 0.0}, {"batch": -5}, {"batch": "bogus"},
+    {"writeback_depth": -1}, {"backing_retries": -1}, {"prefetch_depth": -1},
+    {"io_threads": 0}, {"shards": 0}, {"layout": "block", "block_sites": 0},
+]
 
 
 class TestValidation:
@@ -141,11 +154,22 @@ class TestValidation:
 
     @pytest.mark.parametrize("kwargs", [
         {"layout": "diagonal"}, {"policy": "belady"}, {"backing": "tape"},
-        {"dtype": "float16"},
+        {"dtype": "float16"}, *OUT_OF_RANGE,
     ])
     def test_unknown_choice_rejected(self, kwargs):
-        with pytest.raises(ReproError, match="must be one of"):
+        name = list(kwargs)[-1]
+        with pytest.raises(ReproError, match=f"^{name} must be"):
             EngineConfig(**kwargs)
+
+    def test_override_names_the_unknown_key(self):
+        with pytest.raises(ReproError, match="polcy"):
+            EngineConfig().override(polcy="lru")
+
+    def test_overriding_the_budget_replaces_its_spelling(self):
+        config = EngineConfig(num_slots=5).override(fraction=0.5)
+        assert (config.num_slots, config.fraction) == (None, 0.5)
+        with pytest.raises(ReproError, match="RAM budget"):
+            config.override(fraction=0.5, num_slots=5)
 
 
 @pytest.fixture(scope="module")
@@ -171,12 +195,12 @@ class TestBuild:
             fraction=0.25, layout="block", block_sites=48, backing=kind,
             shards=2, policy="random", seed=5, writeback_depth=2,
             io_threads=2, prefetch_depth=2, batch=-1, backing_retries=1)
-        engine = config.build(tree.copy(), alignment, model, rates,
-                              workdir=tmp_path)
+        engine = LikelihoodEngine(tree.copy(), alignment, model, rates,
+                                  config, workdir=tmp_path)
         try:
             assert engine.full_traversals(2).hex() == incore_hex
             store = engine.store
-            assert engine.config is config
+            assert engine.config == config
             assert engine.layout.describe()["layout"] == "block"
             assert engine.layout.item_shape[0] == 48
             assert abs(store.num_slots - 0.25 * store.num_items) <= 1
@@ -194,7 +218,8 @@ class TestBuild:
 
     def test_default_config_is_the_incore_engine(self, dataset, incore_hex):
         tree, *rest = dataset
-        engine = EngineConfig().build(tree.copy(), *rest)
+        engine = LikelihoodEngine(tree.copy(), *rest)
+        assert engine.config == EngineConfig()
         assert engine.store.num_slots == engine.store.num_items
         assert engine.store.writeback is None and engine.prefetcher is None
         assert engine.full_traversals(2).hex() == incore_hex
@@ -203,38 +228,86 @@ class TestBuild:
         tree, alignment, model, rates = dataset
         num_inner, shape = clv_geometry(*dataset)
         width = int(np.prod(shape)) * 8
-        engine = EngineConfig(memory_limit=4 * width + 1).build(
-            tree.copy(), alignment, model, rates)
+        engine = LikelihoodEngine(tree.copy(), alignment, model, rates,
+                                  memory_limit=4 * width + 1)
         assert engine.store.num_slots == 4
         assert engine.store.ram_bytes() <= 4 * width + 1
-        blocks = EngineConfig(memory_limit=4 * width, layout="block",
-                              block_sites=16).build(
-            tree.copy(), alignment, model, rates)
+        blocks = LikelihoodEngine(
+            tree.copy(), alignment, model, rates,
+            EngineConfig(memory_limit=4 * width, layout="block"),
+            block_sites=16)
         assert blocks.store.ram_bytes() <= 4 * width
         assert blocks.store.num_slots > 4  # blocks are narrower than vectors
 
     def test_path_owning_backing_needs_a_workdir(self, dataset):
         tree, *rest = dataset
         with pytest.raises(BackingStoreError, match="needs a path"):
-            EngineConfig(fraction=0.5, backing="file").build(tree.copy(),
-                                                             *rest)
+            LikelihoodEngine(tree.copy(), *rest, fraction=0.5, backing="file")
 
     def test_backing_instance_overrides_the_kind(self, dataset, incore_hex):
         tree, alignment, model, rates = dataset
         backing = make_backing("simulated", *clv_geometry(*dataset))
-        engine = EngineConfig(fraction=0.25, backing="sharded").build(
-            tree.copy(), alignment, model, rates, backing=backing)
+        engine = LikelihoodEngine(
+            tree.copy(), alignment, model, rates,
+            EngineConfig(fraction=0.25, backing="sharded"), backing=backing)
         assert engine.store.backing is backing
         assert engine.full_traversals(2).hex() == incore_hex
+        # what the document records of a thing handed in as itself
+        assert engine.config.to_dict()["backing"] == "memory"
+        assert EngineConfig.from_dict(engine.config.to_dict()) == \
+            EngineConfig(fraction=0.25)
 
-    def test_rejected_engine_arguments_close_the_backing(self, dataset):
+    @pytest.mark.parametrize("bad", OUT_OF_RANGE + [
+        {"fraction": 0.5, "num_slots": 4}, {"policy": "belady"},
+        {"polcy": "lru"}, {"policy_kwargs": {"seed": 1}}])
+    def test_rejected_call_leaves_nothing_behind(self, dataset, tmp_path, bad):
+        """Every value is checked before a file, thread or worker exists."""
         tree, *rest = dataset
-        backing = make_backing("memory", *clv_geometry(*dataset))
-        with pytest.raises(ReproError, match="batch"):
-            EngineConfig(fraction=0.5, batch=-7).build(tree.copy(), *rest,
-                                                       backing=backing)
-        with pytest.raises(BackingStoreError, match="closed"):
-            backing.read(0, np.empty(backing.item_shape))
+        threads = threading.active_count()
+        kwargs = {"fraction": 0.5, "backing": "file", "writeback_depth": 2,
+                  "prefetch_depth": 2, "layout": "block", **bad}
+        with pytest.raises(ReproError):
+            LikelihoodEngine(tree.copy(), *rest, workdir=tmp_path, **kwargs)
+        assert os.listdir(tmp_path) == []
+        assert threading.active_count() == threads
+
+
+class TestDeclaredOnce:
+    """``EngineConfig`` is the constructor's parameter list, not beside it."""
+
+    def test_constructor_redeclares_no_field(self):
+        params = set(inspect.signature(LikelihoodEngine.__init__).parameters)
+        fields = {f.name for f in dataclasses.fields(EngineConfig)}
+        assert not params & (fields | {"policy_kwargs"})
+        assert not hasattr(EngineConfig, "build")
+
+    def test_the_declared_surface_is_the_sixteen_fields(self):
+        assert list(EngineConfig().to_dict()) == [
+            "fraction", "num_slots", "memory_limit", "layout", "block_sites",
+            "dtype", "policy", "seed", "read_skipping", "backing", "shards",
+            "backing_retries", "writeback_depth", "io_threads",
+            "prefetch_depth", "batch"]
+
+    @pytest.mark.parametrize("name", matrix.MODELS)
+    def test_keywords_and_config_are_one_door(self, name):
+        """Every oracle-matrix cell: keywords resolve to the config they
+        spell, and the recorded document rebuilds the same engine."""
+        def run(*args, **kwargs):
+            engine = LikelihoodEngine(*args, **kwargs)
+            try:
+                lnl = engine.full_traversals(1).hex()
+                row = engine.stats.as_row()
+                return engine.config, lnl, [row[k] for k in PARITY_COUNTERS]
+            finally:
+                engine.close()
+
+        tree, *rest = matrix._dataset(name)
+        for cell in matrix.cells(name):
+            config, *direct = run(tree.copy(), *rest, **cell)
+            assert config == EngineConfig(**cell)
+            _, *rebuilt = run(tree.copy(), *rest,
+                              EngineConfig.from_dict(config.to_dict()))
+            assert rebuilt == direct
 
 
 class TestMakeBacking:

@@ -19,7 +19,7 @@ from repro import (
     yule_tree,
 )
 from repro.core.backing import FileBackingStore
-from repro.errors import LikelihoodError, OutOfCoreError
+from repro.errors import LikelihoodError, OutOfCoreError, ReproError
 from tests.oracle import FLOAT32_SITE_BOUND, pectinate_tree
 
 
@@ -286,16 +286,13 @@ class TestConstructionErrors:
     def test_store_and_geometry_conflict(self, small_tree, small_alignment,
                                          small_model, engine_factory):
         eng = engine_factory()
-        with pytest.raises(LikelihoodError, match="not both"):
+        with pytest.raises(ReproError, match="fraction .* explicit store"):
             LikelihoodEngine(small_tree.copy(), small_alignment, small_model,
                              store=eng.store, fraction=0.5)
 
-    @pytest.mark.parametrize("bad,error,store_was_built", [
-        ({"batch": "bogus"}, LikelihoodError, False),
-        ({"prefetch_depth": -1}, OutOfCoreError, True),
-    ])
+    @pytest.mark.parametrize("store_was_built", [False, True])
     def test_failed_construction_leaks_nothing(self, engine_factory, tmp_path,
-                                               bad, error, store_was_built):
+                                               monkeypatch, store_was_built):
         """A rejected argument is caught before the store, its write-behind
         threads and the prefetch thread exist; a step that still fails
         after the store was built closes it (threads, backing fd)."""
@@ -305,9 +302,16 @@ class TestConstructionErrors:
         probe.close()
         before = set(threading.enumerate())
         kwargs = {"fraction": 0.5, "writeback_depth": 2, "io_threads": 2,
-                  "prefetch_depth": 2, "backing": backing, **bad}
+                  "prefetch_depth": 2, "backing": backing}
+        if store_was_built:
+            def no_prefetcher(*args, **kwargs):
+                raise OutOfCoreError("no prefetcher today")
+            monkeypatch.setattr("repro.core.prefetch.ThreadedPrefetcher",
+                                no_prefetcher)
+        else:
+            kwargs["batch"] = "bogus"
         try:
-            with pytest.raises(error):
+            with pytest.raises(ReproError):
                 engine_factory(**kwargs)
             assert [t.name for t in threading.enumerate()
                     if t not in before and t.is_alive()] == []
@@ -324,6 +328,31 @@ class TestConstructionErrors:
         eng = engine_factory()
         with pytest.raises(LikelihoodError, match="category count"):
             eng.set_rates(RateModel.uniform())
+
+
+class TestRandomPolicyIsSeeded:
+    """``seed`` is a field like any other: the constructor's default is the
+    front ends' 42, and ``seed=3`` evicts what ``policy_kwargs={"seed": 3}``
+    evicted before the keyword was folded into the configuration."""
+
+    @staticmethod
+    def counters(engine):
+        from repro.core.stats import PARITY_COUNTERS
+
+        engine.full_traversals(3)
+        row = engine.stats.as_row()
+        return [int(row[key]) for key in PARITY_COUNTERS]
+
+    def test_default_seed_is_deterministic(self, engine_factory):
+        runs = [self.counters(engine_factory(fraction=0.5, policy="random"))
+                for _ in range(3)]
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0] == [48, 24, 24, 2, 22, 20, 0, 44032, 440320]
+
+    def test_seed_field_reproduces_the_policy_kwarg(self, engine_factory):
+        assert self.counters(engine_factory(fraction=0.5, policy="random",
+                                            seed=3)) \
+            == [48, 20, 28, 4, 24, 24, 0, 88064, 528384]
 
 
 class TestMemoryAccounting:

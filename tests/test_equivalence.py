@@ -107,8 +107,7 @@ class TestWorkloadEquivalence:
     def test_paper_policies_during_search(self, engine_factory, policy):
         """All four §3.3 strategies leave search results unchanged."""
         ref = engine_factory(fraction=1.0)
-        ooc = engine_factory(fraction=0.25, policy=policy,
-                             policy_kwargs={"seed": 42} if policy == "random" else None)
+        ooc = engine_factory(fraction=0.25, policy=policy, seed=42)
         r_ref = lazy_spr_round(ref, radius=2)
         r_ooc = lazy_spr_round(ooc, radius=2)
         assert r_ref.lnl == r_ooc.lnl

@@ -40,7 +40,7 @@ class TestMutationFuzz:
         tree = tree.copy()
         rng = np.random.default_rng(seed)
         eng = LikelihoodEngine(tree, aln, MODEL, RATES, fraction=0.4,
-                               policy="random", policy_kwargs={"seed": 1},
+                               policy="random", seed=1,
                                poison_skipped_reads=True)
         for _ in range(steps):
             op = rng.integers(5 if with_undo else 4)

@@ -37,7 +37,7 @@ from repro.core.layout import (
 )
 from repro.core.stats import DEMAND_COUNTERS
 from repro.core.vecstore import AncestralVectorStore
-from repro.errors import LikelihoodError, OutOfCoreError
+from repro.errors import LikelihoodError, OutOfCoreError, ReproError
 
 
 class TestWholeVectorLayout:
@@ -200,8 +200,7 @@ class TestBlockBitIdentity:
         base = _incore_lnl(layout_dataset)
         eng = LikelihoodEngine(
             tree.copy(), aln, model, rates, fraction=0.3, policy=policy,
-            policy_kwargs={"seed": 7} if policy == "random" else None,
-            layout="block", block_sites=block_sites)
+            seed=7, layout="block", block_sites=block_sites)
         assert eng.loglikelihood() == base
         assert eng.stats.misses > 0
         eng.close()
@@ -295,7 +294,7 @@ class TestBlockBitIdentity:
     def test_layout_kwarg_with_explicit_store_rejected(self, layout_dataset):
         tree, aln, model, rates = layout_dataset
         store = AncestralVectorStore(*clv_geometry(tree, aln, model, rates))
-        with pytest.raises(LikelihoodError, match="explicit store"):
+        with pytest.raises(ReproError, match="layout .* explicit store"):
             LikelihoodEngine(tree.copy(), aln, model, rates, store=store,
                              layout="block")
         store.close()
@@ -328,7 +327,7 @@ def test_property_block_layout_bit_identical(num_taxa, seed, block_sites,
         tree.copy(), aln, model, rates,
         num_slots=slots, policy=policy, read_skipping=read_skipping,
         poison_skipped_reads=True, layout="block", block_sites=block_sites,
-        policy_kwargs={"seed": 1} if policy == "random" else None,
+        seed=1,
     )
     assert ooc.loglikelihood() == ref
     ooc.store.validate()

@@ -234,18 +234,14 @@ class TestObserver:
         {}, {"layout": "block", "block_sites": 64}])
     def test_every_store_request_is_a_store_wait_lap(
             self, small_tree, small_alignment, small_model, layout):
-        """Branch optimisation and ancestral reconstruction fetch through
-        the timed path too: one ``store_wait`` lap per store request."""
-        from repro.phylo.likelihood.ancestral import (
-            marginal_ancestral_distribution,
-        )
-
+        """Branch optimisation and per-site evaluation fetch through the
+        timed path too: one ``store_wait`` lap per store request."""
         eng = self.build(small_tree, small_alignment, small_model, **layout)
         obs = Observer().attach(eng)
         inner = eng.tree.num_tips + 1
         u, v = inner, eng.tree.neighbors(inner)[0]
         for work in (lambda: eng.optimize_branch(u, v),
-                     lambda: marginal_ancestral_distribution(eng, inner)):
+                     eng.site_loglikelihoods):
             laps, requests = obs.timers.count("store_wait"), eng.stats.requests
             work()
             assert eng.stats.requests > requests
@@ -339,8 +335,8 @@ class TestReportingSeam:
     @staticmethod
     def run(config, dataset, workdir, obs=None):
         tree, alignment, model, rates = dataset
-        engine = config.build(tree.copy(), alignment, model, rates,
-                              workdir=workdir)
+        engine = LikelihoodEngine(tree.copy(), alignment, model, rates,
+                                  config, workdir=workdir)
         try:
             if obs is not None:
                 obs.attach(engine)
@@ -687,8 +683,8 @@ class TestProfileCli:
         args = build_parser().parse_args(argv)
         alignment, tree = _dataset(args)
         model, rates = _parse_model(args.model, alignment)
-        engine = config.build(tree.copy(), alignment, model, rates,
-                              workdir=tmp_path)
+        engine = LikelihoodEngine(tree.copy(), alignment, model, rates,
+                                  config, workdir=tmp_path)
         try:
             assert engine.full_traversals(2) == doc["log_likelihood"]
             row = engine.stats.as_row()

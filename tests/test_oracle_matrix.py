@@ -1,7 +1,7 @@
 """One oracle × the configuration matrix (ROADMAP 4a, reduced).
 
-Every cell is an :class:`~repro.config.EngineConfig` dict built through
-``EngineConfig.build``: {substitution/rate model} × {layout, block size} ×
+Every cell is an :class:`~repro.config.EngineConfig` dict splatted into
+the engine constructor: {substitution/rate model} × {layout, block size} ×
 {group cap} × {dtype}. Each cell must agree with the independent
 store-free oracle (``tests/oracle.py``) to 1e-9 relative — float32 to an
 explicit per-site bound — and, bit for bit, with the whole-vector in-core
@@ -21,13 +21,13 @@ from repro import (
     GTR,
     JC69,
     Alignment,
+    LikelihoodEngine,
     Poisson,
     RateModel,
     Tree,
     simulate_alignment,
     yule_tree,
 )
-from repro.config import EngineConfig
 from repro.phylo.alphabet import DNA
 from tests.oracle import (
     FLOAT32_SITE_BOUND,
@@ -66,7 +66,7 @@ def _dataset(name: str):
 def _evaluate(name: str, **config):
     """``(lnL after two full traversals and a re-rooting, scale counters)``."""
     tree, aln, model, rates = _dataset(name)
-    engine = EngineConfig(**config).build(tree.copy(), aln, model, rates)
+    engine = LikelihoodEngine(tree.copy(), aln, model, rates, **config)
     try:
         engine.full_traversals(2)
         far = max(engine.tree.edges())          # an edge away from tip 0
@@ -103,14 +103,28 @@ LAYOUTS = {
 }
 
 
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
-@pytest.mark.parametrize("batch", [0, -1])
+MODELS = ["dna-G4", "dna-G4+I", "dna-1cat", "protein-G4", "dna-G4-deep"]
+BATCHES = [0, -1]
+DTYPES = ["float64", "float32"]
+
+
+def _cell(name: str, layout: str, batch: int, dtype: str) -> dict:
+    return {"fraction": 0.5, "batch": batch, "dtype": dtype,
+            **LAYOUTS[layout](name)}
+
+
+def cells(name: str) -> list[dict]:
+    """Every configuration cell of model row ``name``."""
+    return [_cell(name, layout, batch, dtype) for layout in LAYOUTS
+            for batch in BATCHES for dtype in DTYPES]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("batch", BATCHES)
 @pytest.mark.parametrize("layout", list(LAYOUTS))
-@pytest.mark.parametrize("name", ["dna-G4", "dna-G4+I", "dna-1cat",
-                                  "protein-G4", "dna-G4-deep"])
+@pytest.mark.parametrize("name", MODELS)
 def test_cell_matches_oracle_and_in_core_twin(name, layout, batch, dtype):
-    lnl, counts = _evaluate(name, fraction=0.5, batch=batch, dtype=dtype,
-                            **LAYOUTS[layout](name))
+    lnl, counts = _evaluate(name, **_cell(name, layout, batch, dtype))
     oracle = _oracle(name)
     if dtype == "float64":
         assert abs(lnl - oracle) <= 1e-9 * abs(oracle)
@@ -141,8 +155,8 @@ def test_closed_form_jc69_on_three_taxa(lengths):
     assert oracle_lnl(tree, aln, JC69(), RateModel.uniform()) == \
         pytest.approx(expected, rel=1e-12)
     for config in ({}, {"layout": "block", "block_sites": 5, "batch": -1}):
-        engine = EngineConfig(**config).build(tree.copy(), aln, JC69(),
-                                              RateModel.uniform())
+        engine = LikelihoodEngine(tree.copy(), aln, JC69(),
+                                  RateModel.uniform(), **config)
         try:
             assert engine.loglikelihood() == pytest.approx(expected, rel=1e-12)
         finally:

@@ -6,6 +6,7 @@ import pytest
 from repro import (
     GTR,
     HKY85,
+    EngineConfig,
     JC69,
     LikelihoodEngine,
     PartitionedEngine,
@@ -14,7 +15,7 @@ from repro import (
     simulate_alignment,
     yule_tree,
 )
-from repro.errors import LikelihoodError
+from repro.errors import LikelihoodError, ReproError
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +114,31 @@ class TestPartitionedLikelihood:
             PartitionedEngine(tree.copy(),
                               [(aln, JC69(), RateModel.gamma(1.0, 4))],
                               store_kwargs=[{}, {}])
+
+    @pytest.mark.parametrize("mode", ["store_kwargs", "shared_store"])
+    def test_both_modes_take_the_constructor_overrides(self, part_dataset,
+                                                       mode):
+        """Either dict is splatted into the engine constructor, so a typo
+        is EngineConfig's one error and every part has a configuration."""
+        tree, aln = part_dataset
+        parts = [(p, JC69(), RateModel.gamma(1.0, 4))
+                 for p in split_alignment(aln, [300])]
+        with pytest.raises(ReproError, match="unknown engine option polcy"):
+            PartitionedEngine(tree.copy(), parts, **{mode: {"polcy": "lru"}})
+        with pytest.raises(ReproError, match="^writeback_depth must be"):
+            PartitionedEngine(tree.copy(), parts,
+                              **{mode: {"writeback_depth": -1}})
+        eng = PartitionedEngine(tree.copy(), parts, **{mode: {
+            "fraction": 0.5, "policy": "random", "seed": 3,
+            "dtype": "float32", "track_dirty": True}})
+        try:
+            for part in eng.engines:
+                assert isinstance(part.config, EngineConfig)
+                assert part.config.dtype == "float32"
+                assert part.store.policy.name == "random"
+                assert part.store.track_dirty
+        finally:
+            eng.close()
 
 
 class TestSharedTreeMutations:

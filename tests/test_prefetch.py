@@ -12,7 +12,6 @@ from repro.core.prefetch import Prefetcher, ThreadedPrefetcher
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import OutOfCoreError, PinnedSlotError
 from repro.obs import Observer
-from repro.phylo.likelihood.ancestral import marginal_ancestral_distribution
 from repro.phylo.likelihood.engine import clv_geometry
 from repro.phylo.likelihood.partitioned import (
     PartitionedEngine,
@@ -277,8 +276,6 @@ class TestFedScheduleIsTheIssuedSequence:
             self.check(engine, fed, engine.site_loglikelihoods)
             self.check(engine, fed,
                        lambda: engine.optimize_branch(*engine.default_edge()))
-            self.check(engine, fed, lambda: marginal_ancestral_distribution(
-                engine, inner[0]))
         finally:
             engine.close()
 

@@ -31,8 +31,7 @@ def test_ooc_engine_bit_identical(num_taxa, seed, policy, slots, cats):
     ref = LikelihoodEngine(tree.copy(), aln, model, rates).loglikelihood()
     ooc = LikelihoodEngine(
         tree.copy(), aln, model, rates,
-        num_slots=slots, policy=policy, poison_skipped_reads=True,
-        policy_kwargs={"seed": 1} if policy == "random" else None,
+        num_slots=slots, policy=policy, seed=1, poison_skipped_reads=True,
     )
     assert ooc.loglikelihood() == ref
 

@@ -238,12 +238,12 @@ class TestHelperLifecycle:
             assert store_threads(baseline) == [], kwargs
 
     def test_constructor_that_raised_leaves_no_thread(self, engine_factory):
-        from repro.errors import OutOfCoreError
+        from repro.errors import OutOfCoreError, ReproError
         baseline = set(threading.enumerate())
         with pytest.raises(OutOfCoreError):
             AncestralVectorStore(8, (4,), num_slots=3, writeback_depth=2,
                                  io_threads=0)
-        with pytest.raises(OutOfCoreError):
+        with pytest.raises(ReproError):
             engine_factory(num_slots=4, writeback_depth=2, prefetch_depth=-1)
         assert store_threads(baseline) == []
 

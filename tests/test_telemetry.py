@@ -20,7 +20,7 @@ from repro.core.sharded import ShardedBackingStore
 from repro.errors import OutOfCoreError
 from repro.obs import MetricsRegistry, Observer, SpanRecorder
 from repro.obs.histogram import BackingProbe, LogHistogram
-from repro.phylo.likelihood.engine import clv_geometry
+from repro.phylo.likelihood.engine import LikelihoodEngine, clv_geometry
 from repro.profile import _find_sharded
 
 SHAPE = (4, 2, 4)
@@ -288,13 +288,13 @@ class TestWrappedShardedStore:
         """Run traced; ``(worker spans, {client span id: name})``, the
         client spans already checked against the physical I/O counters."""
         tree, alignment, model, rates = dataset
-        backing = None
+        overrides = {}
         if wrap is not None:
-            backing = wrap(ShardedBackingStore(
+            overrides["backing"] = wrap(ShardedBackingStore(
                 tmp_path / "sh", *clv_geometry(tree, alignment, model, rates),
                 num_shards=config.shards))
-        engine = config.build(tree.copy(), alignment, model, rates,
-                              workdir=tmp_path, backing=backing)
+        engine = LikelihoodEngine(tree.copy(), alignment, model, rates,
+                                  config, workdir=tmp_path, **overrides)
         obs = Observer(metrics=True, spans=True).attach(engine)
         try:
             engine.full_traversals(2)
