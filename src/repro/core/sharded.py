@@ -55,12 +55,29 @@ per frame (pay-for-play, like every other observability hook).
 Requests are matched to replies by ``req_id``, so a client may keep up
 to ``window`` operations in flight per shard (bounded-window
 back-pressure); frames queued together are sent with one vectored
-``sendmsg`` (``write_batch``/``read_batch``), and each worker services
-its stream strictly in order — which is what makes ``FLUSH`` a
-*barrier*: it cannot overtake any write submitted before it.
+``sendmsg`` (``write_batch``/``read_batch``). A worker is a *device
+queue*, not a FIFO (:class:`_ShardWorker`): its reader thread only takes
+frames off the socket, and two service lanes — one for reads, one for
+writes — drive the private store concurrently, the way the in-process
+write-behind and prefetch threads drive theirs. The paper prices a miss
+at one device transfer (§3.2); an in-order worker charged a prefetched
+read every write-behind write queued ahead of it as well. So a worker
+promises the order correctness needs and no more:
 
-Failure model: a worker that dies (injected :class:`SimulatedCrash`, a
-test ``SIGKILL``, an OS OOM-kill) closes its socket; the client's
+* operations on the **same item** are applied in submission order (an
+  operation whose item has one outstanding on the other lane follows it
+  onto that lane) — the newest of two in-flight writes wins, a read
+  sees the write submitted before it;
+* ``ATTACH``/``FLUSH``/``CLOSE``/``TELEMETRY`` are *barriers*: served
+  only after everything submitted before them was answered, and before
+  anything submitted after them starts — ``FLUSH`` cannot overtake a
+  write, a telemetry pull sees every earlier operation.
+
+Operations on different items of one shard may complete in any order.
+
+Failure model: a worker that dies (injected :class:`SimulatedCrash` on
+either lane — it takes the whole process down, whatever the other lane
+is doing — a test ``SIGKILL``, an OS OOM-kill) closes its socket; the client's
 receiver thread observes EOF, spawns a fresh worker, replays ``ATTACH``
 (the worker store reattaches its shard file — riding the ``"r+b"``
 reattach semantics of the file stores) and re-issues every un-acked
@@ -78,7 +95,10 @@ them exactly as it would over a local store.
 Lock hierarchy (see DESIGN.md "Concurrency model"): the per-shard
 client locks (``_ShardClient._cond``, ``_ShardClient._send``) are
 *leaves* — client code never acquires a store or write-behind lock, so
-every edge points into this module and no cycle is possible.
+every edge points into this module and no cycle is possible. The
+worker's three (``_ShardWorker._cond``, ``_ShardWorker._send``,
+``_WorkerTelemetry._lock``) live in another process and are leaves
+there: none is held across a store call or while taking another.
 """
 
 from __future__ import annotations
@@ -92,7 +112,8 @@ import socket
 import struct
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Iterator
+from collections import deque
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
 
 import numpy as np
 from numpy.typing import DTypeLike
@@ -142,23 +163,33 @@ WORKER_KINDS = ("file", "compressed", "simulated")
 _SPAWN_LOCK = make_lock("ShardedSpawn")
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    """Read exactly ``n`` bytes; ``None`` on EOF (peer died or closed)."""
-    buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
-    while got < n:
+#: A frame payload: anything ``memoryview`` presents as flat bytes.
+_Buffer = bytes | bytearray | memoryview | np.ndarray
+
+
+def _recv_into(sock: socket.socket, view: memoryview) -> bool:
+    """Fill ``view`` from the socket; ``False`` on EOF (peer died or closed)."""
+    while len(view):
         try:
-            k = sock.recv_into(view[got:])
+            k = sock.recv_into(view)
         except InterruptedError:
             continue
         if k == 0:
-            return None
-        got += k
-    return bytes(buf)
+            return False
+        view = view[k:]
+    return True
 
 
-def _sendmsg_all(sock: socket.socket, buffers: list[bytes]) -> None:
+def _recv_exact(sock: socket.socket, n: int) -> bytearray | None:
+    """Read exactly ``n`` bytes; ``None`` on EOF (peer died or closed).
+
+    The receive buffer itself is returned — no second copy of a payload.
+    """
+    buf = bytearray(n)
+    return buf if _recv_into(sock, memoryview(buf)) else None
+
+
+def _sendmsg_all(sock: socket.socket, buffers: list[_Buffer]) -> None:
     """Vectored send of all buffers (one syscall when the kernel allows)."""
     views = [memoryview(b) for b in buffers if len(b)]
     while views:
@@ -175,8 +206,8 @@ def _sendmsg_all(sock: socket.socket, buffers: list[bytes]) -> None:
                 sent = 0
 
 
-def _frame(req: int, op: int, item: int, payload: bytes,
-           trace: int = 0, t_send: float = 0.0) -> list[bytes]:
+def _frame(req: int, op: int, item: int, payload: _Buffer,
+           trace: int = 0, t_send: float = 0.0) -> list[_Buffer]:
     return [_HEADER.pack(req, op, item, len(payload), trace, t_send),
             payload]
 
@@ -186,7 +217,7 @@ def _err_payload(exc: BaseException) -> bytes:
                        "message": str(exc)}).encode()
 
 
-def _map_error(payload: bytes) -> BackingStoreError:
+def _map_error(payload: bytes | bytearray) -> BackingStoreError:
     """Rehydrate a worker-side error into the client's exception taxonomy.
 
     ``InjectedFault`` keeps its type so a client-side
@@ -235,53 +266,57 @@ def _build_worker_store(spec: dict[str, Any]) -> Any:
 class _WorkerTelemetry:
     """Worker-process-side probe + span state (exists only while armed).
 
-    Lives entirely inside the forked child, so no locking: the worker
-    services its stream on one thread. Span ids are allocated from a
-    shard-salted range disjoint from the parent's
-    :func:`repro.obs.spans.next_span_id` values, so merged timelines
-    never alias.
+    Both service lanes record into it, so every recording and the drain
+    run under ``_lock`` (a leaf: nothing else is acquired inside it).
+    Span ids are allocated under the same lock from a shard-salted range
+    disjoint from the parent's :func:`repro.obs.spans.next_span_id`
+    values, so merged timelines never alias.
     """
 
     def __init__(self, shard: int, clock_offset: float) -> None:
-        self.probe = BackingProbe()
-        self.wire_read = LogHistogram()
-        self.wire_write = LogHistogram()
-        self.spans: list[list[Any]] = []
-        self.spans_dropped = 0
+        self._lock = threading.Lock()
+        self.probe = BackingProbe()                   # guarded-by: _lock
+        self.wire_read = LogHistogram()               # guarded-by: _lock
+        self.wire_write = LogHistogram()              # guarded-by: _lock
+        self.spans: list[list[Any]] = []              # guarded-by: _lock
+        self.spans_dropped = 0                        # guarded-by: _lock
+        self._next_span = ((int(shard) + 1) << 40) + 1  # guarded-by: _lock
+        # Re-set by the reader at a barrier only: no lane is recording.
         self.clock_offset = float(clock_offset)
-        self._next_span = ((int(shard) + 1) << 40) + 1
 
     def op(self, kind: str, dt: float, nbytes: int, t_recv: float,
-           t_send: float, parent: int, item: int) -> None:
+           t_send: float, parent: int, item: int) -> None:  # thread: shard-lane
         """Record one successful ``kind`` ("read"/"write") operation:
         disk latency ``dt``, the wire leg before it, and its span."""
-        wire = t_recv - (t_send + self.clock_offset)
-        if kind == "read":
-            self.probe.record_read(dt, nbytes)
-            self.wire_read.record(wire)
-        else:
-            self.probe.record_write(dt, nbytes)
-            self.wire_write.record(wire)
-        if len(self.spans) >= _WORKER_SPAN_CAP:
-            self.spans_dropped += 1
-            return
-        sid = self._next_span
-        self._next_span += 1
-        self.spans.append([f"shard_disk_{kind}", t_recv,
-                           time.perf_counter() - t_recv, sid, parent,
-                           int(item)])
+        with self._lock:
+            wire = t_recv - (t_send + self.clock_offset)
+            if kind == "read":
+                self.probe.record_read(dt, nbytes)
+                self.wire_read.record(wire)
+            else:
+                self.probe.record_write(dt, nbytes)
+                self.wire_write.record(wire)
+            if len(self.spans) >= _WORKER_SPAN_CAP:
+                self.spans_dropped += 1
+                return
+            sid = self._next_span
+            self._next_span += 1
+            self.spans.append([f"shard_disk_{kind}", t_recv,
+                               time.perf_counter() - t_recv, sid, parent,
+                               int(item)])
 
     def drain(self) -> bytes:
         """The telemetry delta since the previous drain, as a JSON frame."""
-        doc = {
-            "probe": self.probe.drain_state(),
-            "wire_read": self.wire_read.drain_state(),
-            "wire_write": self.wire_write.drain_state(),
-            "spans": self.spans,
-            "spans_dropped": self.spans_dropped,
-        }
-        self.spans = []
-        self.spans_dropped = 0
+        with self._lock:
+            doc = {
+                "probe": self.probe.drain_state(),
+                "wire_read": self.wire_read.drain_state(),
+                "wire_write": self.wire_write.drain_state(),
+                "spans": self.spans,
+                "spans_dropped": self.spans_dropped,
+            }
+            self.spans = []
+            self.spans_dropped = 0
         return json.dumps(doc).encode()
 
 
@@ -292,123 +327,248 @@ def _clock_bracket(t_recv: float) -> bytes:
                        "t_reply": time.perf_counter()}).encode()
 
 
-def _shard_worker_main(conn: socket.socket) -> None:
-    """Serve one shard's request stream until CLOSE or parent EOF.
+class _Request(NamedTuple):
+    """One received frame, as the reader hands it to a lane."""
 
-    Runs in a forked child. Requests are serviced strictly in arrival
-    order (this in-order property is what makes FLUSH a barrier).
-    Operation errors become typed ERR replies; a ``SimulatedCrash``
-    escapes as a hard ``os._exit`` — modelling SIGKILL, with no flush
-    and no index republication — which the parent observes as EOF.
+    req: int
+    op: int
+    item: int
+    payload: bytes | bytearray
+    trace: int
+    t_send: float
+    t_recv: float
+
+
+class _ShardWorker:
+    """One shard's device queue (lives in the forked child); the module
+    docstring states the ordering contract it keeps, and why.
+
+    Three threads. The *reader* (the process's main thread) takes frames
+    off the socket and never touches the device, so the client's sends
+    never wait behind a transfer; it serves the barrier frames itself,
+    once everything received before them has been answered. Two
+    *service lanes* — one for ``OP_READ``, one for ``OP_WRITE``, each a
+    FIFO — call the private store, which every worker kind allows from
+    concurrent threads (positioned file I/O, the compressed store under
+    its own lock, the simulated device). An operation whose item still
+    has one outstanding on the other lane follows it onto that lane.
+
+    Replies go out under ``_send`` as operations finish. Operation
+    errors become typed ERR replies; a ``SimulatedCrash`` on either lane
+    is a hard ``os._exit`` of the whole worker — modelling SIGKILL, with
+    no flush and no index republication — which the parent observes as
+    EOF.
 
     Telemetry is recorded only while armed (OP_TELEMETRY control frame)
     and only for *successful* operations, so worker-side histogram
     counts equal client-side completion counts equal the store-level
     physical I/O totals — the bit-exact cross-check ``--attribution``
     and the bench enforce.
+
+    Locks (both leaves; never held together, never across a store call):
+    ``_cond`` — lane queues and outstanding counts; ``_send`` — one reply
+    frame at a time on the socket. They are plain ``threading``
+    primitives, not the sanitizer factories: the detector's own state
+    is forked mid-flight from a threaded parent and must not be entered
+    here.
     """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent owns Ctrl-C
-    store: Any = None
-    telemetry: _WorkerTelemetry | None = None
-    # Item geometry comes from the ATTACH spec, not the store object —
-    # not every backing implementation exposes shape/dtype attributes.
-    shape: tuple[int, ...] = ()
-    dtype = np.dtype(np.float64)
-    try:
-        while True:
-            hdr = _recv_exact(conn, _HEADER.size)
-            if hdr is None:
-                break
-            req, op, item, length, trace, t_send = _HEADER.unpack(hdr)
-            t_recv = (time.perf_counter()
-                      if telemetry is not None
-                      or op in (OP_ATTACH, OP_TELEMETRY) else 0.0)
-            payload = _recv_exact(conn, length) if length else b""
-            if payload is None:
-                break
-            stop = False
-            try:
-                if op == OP_ATTACH:
-                    if store is not None:
-                        store.close()
-                    spec = json.loads(payload.decode())
-                    shape = tuple(int(d) for d in spec["item_shape"])
-                    dtype = np.dtype(str(spec["dtype"]))
-                    store = _build_worker_store(spec)
-                    telemetry = None  # a fresh worker starts disarmed
-                    # Handshake: bracket the attach for offset calibration.
-                    reply_op, reply = OP_OK, _clock_bracket(t_recv)
-                elif op == OP_TELEMETRY:
-                    if length:
-                        ctl = json.loads(payload.decode())
-                        if ctl.get("arm"):
-                            if telemetry is None:
-                                telemetry = _WorkerTelemetry(
-                                    int(ctl.get("shard", 0)),
-                                    float(ctl.get("clock_offset", 0.0)))
-                            else:
-                                telemetry.clock_offset = float(
-                                    ctl.get("clock_offset", 0.0))
-                        else:
-                            telemetry = None
-                        # Control replies bracket a quiescent exchange —
-                        # a far tighter calibration sample than ATTACH,
-                        # which races worker startup.
-                        reply_op, reply = OP_OK, _clock_bracket(t_recv)
-                    else:
-                        reply_op = OP_DATA
-                        reply = (b"{}" if telemetry is None
-                                 else telemetry.drain())
-                elif store is None:
-                    raise BackingStoreError("shard worker is not attached")
-                elif op == OP_READ:
-                    out = np.empty(shape, dtype=dtype)
-                    if telemetry is None:
-                        store.read(int(item), out)
-                    else:
-                        t_op = time.perf_counter()
-                        store.read(int(item), out)
-                        telemetry.op("read", time.perf_counter() - t_op,
-                                     out.nbytes, t_recv, t_send, trace, item)
-                    reply_op, reply = OP_DATA, out.tobytes()
-                elif op == OP_WRITE:
-                    data = np.frombuffer(payload, dtype=dtype).reshape(shape)
-                    if telemetry is None:
-                        store.write(int(item), data)
-                    else:
-                        t_op = time.perf_counter()
-                        store.write(int(item), data)
-                        telemetry.op("write", time.perf_counter() - t_op,
-                                     len(payload), t_recv, t_send, trace,
-                                     item)
-                    reply_op, reply = OP_OK, b""
-                elif op == OP_FLUSH:
-                    store.flush()
-                    reply_op, reply = OP_OK, b""
-                elif op == OP_CLOSE:
-                    store.close()
-                    reply_op, reply = OP_OK, b""
-                    stop = True
+
+    def __init__(self, conn: socket.socket) -> None:
+        self.conn = conn
+        # Written by the reader at a barrier only — no lane is serving
+        # then, and ``_cond`` orders the write before the next dispatch.
+        # Item geometry comes from the ATTACH spec, not the store object:
+        # not every backing implementation exposes shape/dtype attributes.
+        self.store: Any = None
+        self.telemetry: _WorkerTelemetry | None = None
+        self.shape: tuple[int, ...] = ()
+        self.dtype = np.dtype(np.float64)
+        self._send = threading.Lock()
+        self._cond = threading.Condition(threading.Lock())
+        self._lanes: dict[int, deque[_Request]] = {   # guarded-by: _cond
+            OP_READ: deque(), OP_WRITE: deque()}
+        # item -> [the lane its outstanding operations queue on, how many].
+        self._busy: dict[int, list[Any]] = {}         # guarded-by: _cond
+        self._outstanding = 0                         # guarded-by: _cond
+
+    # -- reader (main thread) -------------------------------------------------
+
+    def run(self) -> None:
+        """Serve the request stream until CLOSE or parent EOF."""
+        for op, name in ((OP_READ, "read"), (OP_WRITE, "write")):
+            threading.Thread(target=self._lane_loop, args=(op,),
+                             daemon=True, name=f"shard-lane-{name}").start()
+        try:
+            while True:
+                hdr = _recv_exact(self.conn, _HEADER.size)
+                if hdr is None:
+                    break
+                req, op, item, length, trace, t_send = _HEADER.unpack(hdr)
+                t_recv = (time.perf_counter()
+                          if self.telemetry is not None
+                          or op in (OP_ATTACH, OP_TELEMETRY) else 0.0)
+                payload = _recv_exact(self.conn, length) if length else b""
+                if payload is None:
+                    break
+                request = _Request(req, op, item, payload, trace, t_send,
+                                   t_recv)
+                if op in (OP_READ, OP_WRITE):
+                    self._dispatch(request)
                 else:
-                    raise BackingStoreError(f"unknown opcode {op}")
-            except Exception as exc:  # noqa: BLE001 - becomes a typed ERR frame
-                reply_op, reply = OP_ERR, _err_payload(exc)
-            # Armed replies carry the worker-clock send time, so the
-            # client can split off the reply-wire leg.
-            t_out = time.perf_counter() if telemetry is not None else 0.0
-            _sendmsg_all(conn, _frame(req, reply_op, item, reply, 0, t_out))
-            if stop:
-                return
-    except OSError:
-        pass  # parent went away mid-frame; nothing left to reply to
-    except BaseException:  # SimulatedCrash: die like SIGKILL, no cleanup
-        os._exit(1)
-    finally:
-        with contextlib.suppress(Exception):
-            conn.close()
-        if store is not None:
+                    self._quiesce()
+                    if self._control(request):
+                        return
+        except OSError:
+            pass  # parent went away mid-frame; nothing left to reply to
+        finally:
+            # What was received is applied before the store closes, as
+            # an in-order worker would have left it.
+            self._quiesce()
             with contextlib.suppress(Exception):
-                store.close()
+                self.conn.close()
+            if self.store is not None:
+                with contextlib.suppress(Exception):
+                    self.store.close()
+
+    def _dispatch(self, request: _Request) -> None:
+        """Queue a READ/WRITE on its lane — or behind its item."""
+        with self._cond:
+            slot = self._busy.setdefault(
+                request.item, [self._lanes[request.op], 0])
+            slot[0].append(request)
+            slot[1] += 1
+            self._outstanding += 1
+            self._cond.notify_all()
+
+    def _quiesce(self) -> None:
+        """Barrier: return once every dispatched operation was answered."""
+        with self._cond:
+            while self._outstanding:
+                self._cond.wait()
+
+    def _control(self, request: _Request) -> bool:
+        """Serve one barrier frame (lanes idle); True once CLOSE is done."""
+        req, op, item, payload, _trace, _t_send, t_recv = request
+        stop = False
+        reply_op: int = OP_OK
+        reply: bytes = b""
+        try:
+            if op == OP_ATTACH:
+                if self.store is not None:
+                    self.store.close()
+                spec = json.loads(payload.decode())
+                self.shape = tuple(int(d) for d in spec["item_shape"])
+                self.dtype = np.dtype(str(spec["dtype"]))
+                self.store = _build_worker_store(spec)
+                self.telemetry = None  # a fresh worker starts disarmed
+                # Handshake: bracket the attach for offset calibration.
+                reply = _clock_bracket(t_recv)
+            elif op == OP_TELEMETRY:
+                if payload:
+                    ctl = json.loads(payload.decode())
+                    offset = float(ctl.get("clock_offset", 0.0))
+                    if not ctl.get("arm"):
+                        self.telemetry = None
+                    elif self.telemetry is None:
+                        self.telemetry = _WorkerTelemetry(
+                            int(ctl.get("shard", 0)), offset)
+                    else:
+                        self.telemetry.clock_offset = offset
+                    # Control replies bracket a quiescent exchange — a
+                    # far tighter calibration sample than ATTACH, which
+                    # races worker startup.
+                    reply = _clock_bracket(t_recv)
+                else:
+                    reply_op = OP_DATA
+                    reply = (b"{}" if self.telemetry is None
+                             else self.telemetry.drain())
+            elif self.store is None:
+                raise BackingStoreError("shard worker is not attached")
+            elif op == OP_FLUSH:
+                self.store.flush()
+            elif op == OP_CLOSE:
+                self.store.close()
+                stop = True
+            else:
+                raise BackingStoreError(f"unknown opcode {op}")
+        except Exception as exc:  # noqa: BLE001 - becomes a typed ERR frame
+            reply_op, reply = OP_ERR, _err_payload(exc)
+        self._reply(req, reply_op, item, reply)
+        return stop
+
+    # -- service lanes --------------------------------------------------------
+
+    def _lane_loop(self, lane: int) -> None:  # thread: shard-lane
+        try:
+            while True:
+                with self._cond:
+                    queue = self._lanes[lane]
+                    while not queue:
+                        self._cond.wait()
+                    request = queue.popleft()
+                reply_op, reply = self._serve(request)
+                # Applied: free the item before the client can hear of
+                # it, or its next operation would still find the item
+                # busy and queue on this lane for no reason.
+                with self._cond:
+                    slot = self._busy[request.item]
+                    slot[1] -= 1
+                    if not slot[1]:
+                        del self._busy[request.item]
+                self._reply(request.req, reply_op, request.item, reply)
+                # Answered: only now may a barrier behind it go ahead.
+                with self._cond:
+                    self._outstanding -= 1
+                    if not self._outstanding:
+                        self._cond.notify_all()
+        except BaseException:
+            # SimulatedCrash — or a lane that cannot go on: die like
+            # SIGKILL, no cleanup. The client restarts a dead worker; it
+            # would wait forever on one with a dead lane.
+            os._exit(1)
+
+    def _serve(self, request: _Request) -> tuple[int, _Buffer]:  # thread: shard-lane
+        """One transfer against the private store; ``(reply op, payload)``."""
+        _req, op, item, payload, trace, t_send, t_recv = request
+        store, telemetry = self.store, self.telemetry
+        t_op = time.perf_counter() if telemetry is not None else 0.0
+        reply: _Buffer = b""
+        try:
+            if store is None:
+                raise BackingStoreError("shard worker is not attached")
+            if op == OP_READ:
+                out = np.empty(self.shape, dtype=self.dtype)
+                store.read(int(item), out)
+                # The reply is the array's own bytes, not a copy of them.
+                reply = out.reshape(-1).view(np.uint8)
+            else:
+                store.write(int(item), np.frombuffer(
+                    payload, dtype=self.dtype).reshape(self.shape))
+        except Exception as exc:  # noqa: BLE001 - becomes a typed ERR frame
+            return OP_ERR, _err_payload(exc)
+        if telemetry is not None:
+            # One of the two payloads is empty: the sum is the transfer.
+            telemetry.op("read" if op == OP_READ else "write",
+                         time.perf_counter() - t_op,
+                         len(payload) + len(reply), t_recv, t_send, trace,
+                         item)
+        return (OP_DATA if op == OP_READ else OP_OK), reply
+
+    def _reply(self, req: int, reply_op: int, item: int,
+               payload: _Buffer) -> None:
+        # Armed replies carry the worker-clock send time, so the client
+        # can split off the reply-wire leg.
+        t_out = time.perf_counter() if self.telemetry is not None else 0.0
+        with self._send, contextlib.suppress(OSError):
+            # A vanished parent is the reader's to notice (EOF).
+            _sendmsg_all(self.conn,
+                         _frame(req, reply_op, item, payload, 0, t_out))
+
+
+def _shard_worker_main(conn: socket.socket) -> None:
+    """Process target: serve one shard until CLOSE or parent EOF."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent owns Ctrl-C
+    _ShardWorker(conn).run()
 
 
 # -- client side --------------------------------------------------------------
@@ -433,7 +593,7 @@ class _Pending:
         self.t0 = 0.0
         self.trace = trace   # span id for this request (0 = untraced)
         self.parent = parent  # causing span id (write-behind/prefetch scope)
-        self.result: bytes | None = None  # OP_TELEMETRY pull reply payload
+        self.result: bytes | bytearray | None = None  # OP_TELEMETRY pull reply
 
 
 class ShardTicket:
@@ -542,7 +702,8 @@ class _ShardClient:
 
     def submit_many(self, ops: list[tuple[int, int, bytes, np.ndarray | None,
                                           int, int]]) -> list[_Pending]:
-        """Register a batch and send all frames with one vectored call.
+        """Register a batch and send its frames with one vectored call —
+        one per window-full for a batch larger than the free window.
 
         Blocks while the in-flight window is full or a restart is
         replaying the pending map. If the worker dies between
@@ -560,8 +721,9 @@ class _ShardClient:
         armed = self.owner.obs is not None
         stall_start = 0.0
         stalled = 0.0
-        with self._cond:
-            for op, item, payload, out, trace, parent in ops:
+        while len(entries) < len(ops):
+            first = len(entries)
+            with self._cond:
                 while (self._restarting
                        or len(self._pending) >= self.window):
                     if self._fatal is not None:
@@ -580,27 +742,35 @@ class _ShardClient:
                     ) from self._fatal
                 if self._closing:
                     raise BackingStoreError("sharded backing store is closed")
-                req = self._next_req
-                self._next_req = (self._next_req + 1) % (1 << 32)
-                entry = _Pending(req, op, item, payload, out, trace, parent)
-                entry.t0 = time.perf_counter()
-                self._pending[req] = entry
-                entries.append(entry)
-            sock = self._sock
+                # Register what the free window holds and put it on the
+                # wire before waiting again: the window only reopens for
+                # the rest of a larger batch once its head was sent.
+                room = self.window - len(self._pending)
+                for op, item, payload, out, trace, parent in \
+                        ops[first:first + room]:
+                    req = self._next_req
+                    self._next_req = (self._next_req + 1) % (1 << 32)
+                    entry = _Pending(req, op, item, payload, out, trace,
+                                     parent)
+                    entry.t0 = time.perf_counter()
+                    self._pending[req] = entry
+                    entries.append(entry)
+                sock = self._sock
+            frames: list[_Buffer] = []
+            for entry in entries[first:]:
+                # t_send is the registration timestamp already on the
+                # entry — the trace context rides along with no extra
+                # clock reads.
+                frames.extend(_frame(entry.req, entry.op, entry.item,
+                                     entry.payload, entry.trace, entry.t0))
+            try:
+                with self._send:
+                    assert sock is not None
+                    _sendmsg_all(sock, frames)
+            except OSError:
+                pass  # worker died mid-send; restart re-issues from _pending
         if stalled > 0.0:
             self.owner._note_window_wait(self.shard, stall_start, stalled)
-        frames: list[bytes] = []
-        for entry in entries:
-            # t_send is the registration timestamp already on the entry —
-            # the trace context rides along with no extra clock reads.
-            frames.extend(_frame(entry.req, entry.op, entry.item,
-                                 entry.payload, entry.trace, entry.t0))
-        try:
-            with self._send:
-                assert sock is not None
-                _sendmsg_all(sock, frames)
-        except OSError:
-            pass  # worker died mid-send; restart re-issues from _pending
         return entries
 
     def wait(self, entry: _Pending) -> None:
@@ -623,9 +793,18 @@ class _ShardClient:
                 if hdr is None:
                     break
                 req, op, _item, length, _trace, t_send = _HEADER.unpack(hdr)
-                payload = _recv_exact(sock, length) if length else b""
-                if payload is None:
-                    break
+                dest = self._read_destination(req, op, length)
+                payload: bytes | bytearray | None
+                if dest is not None:
+                    # A read's data lands in its caller's buffer directly.
+                    # Torn by a worker death, it is re-read by the replay.
+                    if not _recv_into(sock, dest):
+                        break
+                    payload = None
+                else:
+                    payload = _recv_exact(sock, length) if length else b""
+                    if payload is None:
+                        break
                 self._complete(req, op, payload, t_send)
         except OSError:
             pass
@@ -634,14 +813,32 @@ class _ShardClient:
                 return
         self._restart(sock)
 
-    def _complete(self, req: int, op: int, payload: bytes,
-                  t_send: float) -> None:
+    def _read_destination(self, req: int, op: int,
+                          length: int) -> memoryview | None:
+        """The caller's buffer, if this reply is a pending read's data of
+        exactly its size. Only this thread retires entries, so the one
+        found here is still the one :meth:`_complete` pops."""
+        if op != OP_DATA:
+            return None
+        with self._cond:
+            entry = self._pending.get(req)
+        if entry is None or entry.op != OP_READ or entry.out is None:
+            return None
+        flat = entry.out.reshape(-1).view(np.uint8)
+        return memoryview(flat) if flat.size == length else None
+
+    def _complete(self, req: int, op: int,
+                  payload: bytes | bytearray | None, t_send: float) -> None:
+        """Retire ``req``; ``payload`` is ``None`` when a read's data was
+        already received into its destination."""
         with self._cond:
             entry = self._pending.pop(req, None)
         if entry is None:
             return  # duplicate reply after a restart re-issue
         error: BaseException | None = None
-        if op == OP_ERR:
+        if payload is None:
+            pass  # a read whose data is already in entry.out
+        elif op == OP_ERR:
             error = _map_error(payload)
         elif entry.op == OP_ATTACH and payload:
             self._calibrate(entry, payload)
@@ -653,13 +850,9 @@ class _ShardClient:
             else:
                 entry.result = payload
         elif entry.op == OP_READ and entry.out is not None:
-            flat = entry.out.reshape(-1).view(np.uint8)
-            if len(payload) != flat.size:
-                error = BackingStoreError(
-                    f"shard {self.shard} returned {len(payload)} bytes "
-                    f"for item {entry.item}, expected {flat.size}")
-            else:
-                flat[:] = np.frombuffer(payload, dtype=np.uint8)
+            error = BackingStoreError(
+                f"shard {self.shard} returned {len(payload)} bytes "
+                f"for item {entry.item}, expected {entry.out.nbytes}")
         t_done = time.perf_counter()
         dt = t_done - entry.t0
         if error is None and entry.op in (OP_READ, OP_WRITE):
@@ -674,7 +867,8 @@ class _ShardClient:
             entry.done = True
             self._cond.notify_all()
 
-    def _calibrate(self, entry: _Pending, payload: bytes) -> None:
+    def _calibrate(self, entry: _Pending,
+                   payload: bytes | bytearray) -> None:
         """NTP-style clock offset from a timestamped round trip.
 
         ``offset = worker_mid - client_mid`` where each midpoint halves
@@ -1175,9 +1369,10 @@ class ShardedBackingStore:
     def flush(self) -> None:
         """Durability barrier across every shard.
 
-        One FLUSH frame per worker; in-order servicing makes each a
-        per-shard barrier behind all previously submitted writes, and
-        waiting on all replies makes the whole call a global barrier.
+        One FLUSH frame per worker; a worker answers control frames only
+        once everything submitted before them was answered, which makes
+        each a per-shard barrier behind all previously submitted writes,
+        and waiting on all replies makes the whole call a global barrier.
         """
         if self._closed:
             return

@@ -294,8 +294,9 @@ class WriteBehindQueue:
 
         A re-staged item can briefly have two writes in flight; they are
         submitted in staging order and the backing applies same-item
-        operations in order (the sharded tier's per-shard FIFO), so the
-        newest data wins. Failed items follow the synchronous error
+        operations in submission order (the sharded tier's per-item
+        ordering contract — operations on *different* items may
+        complete in any order), so the newest data wins. Failed items follow the synchronous error
         path (:meth:`_park_failed`): the vector stays staged (still
         readable), is re-queued for retry, the first error is parked for
         ``drain()`` to surface, and once the pipe is empty the writer waits

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +32,26 @@ def _race_switch_interval():
         yield
     finally:
         sys.setswitchinterval(before)
+
+
+@pytest.fixture()
+def no_shard_leaks():
+    """Leak gate for the sharded tier (ROADMAP 6(d)): once a test is over
+    no ``shard-worker-*`` child is alive and no ``shard-recv-*`` thread
+    remains. The short grace covers a receiver that is still returning
+    from the restart it just performed."""
+    yield
+
+    def leaked():
+        return ([p.name for p in multiprocessing.active_children()
+                 if p.name.startswith("shard-worker-")]
+                + [t.name for t in threading.enumerate()
+                   if t.name.startswith("shard-recv-")])
+
+    deadline = time.monotonic() + 2.0
+    while leaked() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not leaked()
 
 
 @pytest.fixture(scope="session")

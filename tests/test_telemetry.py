@@ -11,6 +11,9 @@ is causally linked across the process boundary.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,8 @@ from repro.obs import MetricsRegistry, Observer, SpanRecorder
 from repro.obs.histogram import BackingProbe, LogHistogram
 from repro.phylo.likelihood.engine import LikelihoodEngine, clv_geometry
 from repro.profile import _find_sharded
+
+pytestmark = pytest.mark.usefixtures("no_shard_leaks")
 
 SHAPE = (4, 2, 4)
 N_ITEMS = 12
@@ -161,6 +166,70 @@ class TestWorkerPull:
             st.collect_telemetry()
             assert st.worker_probe.read_hist.count == reads
             assert st.worker_probe.write_hist.count == writes
+        finally:
+            st.close()
+
+
+class TestBothLanesRecording:
+    """The worker's two service lanes record into one ``_WorkerTelemetry``
+    at once; nothing is lost or counted twice."""
+
+    def test_concurrent_reads_and_writes_count_exactly(self, tmp_path):
+        rounds = 60
+        before = sys.getswitchinterval()
+        # Forked workers inherit the interval: their lanes preempt each
+        # other inside a recording, where a lost update would happen.
+        sys.setswitchinterval(1e-5)
+        try:
+            st = _make_store(tmp_path)
+        finally:
+            sys.setswitchinterval(before)
+        sp = SpanRecorder()
+        try:
+            st.obs = obs = Observer(spans=sp)
+            _do_ops(st)
+
+            # Over the same items: a read behind a write of its item is
+            # served on the write lane, so each direction's counters are
+            # themselves recorded from both lanes.
+            def reader():
+                outs = [(i, np.empty(SHAPE)) for i in range(N_ITEMS)] * 2
+                for _ in range(rounds):
+                    for ticket in st.read_batch(outs):
+                        ticket.wait()
+
+            def writer():
+                data = [(i, np.ones(SHAPE)) for i in range(N_ITEMS)] * 2
+                for _ in range(rounds):
+                    for ticket in st.write_batch(data):
+                        ticket.wait()
+
+            threads = [threading.Thread(target=fn, daemon=True)
+                       for fn in (reader, writer)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+            assert not any(t.is_alive() for t in threads)
+            reads = writes = N_ITEMS + rounds * N_ITEMS * 2
+
+            st.collect_telemetry()
+            per = st.per_shard_counts().values()
+            # worker histograms == client completions, per direction
+            assert st.worker_probe.read_hist.count == reads \
+                == sum(v["reads"] for v in per) == obs.probe.read_hist.count
+            assert st.worker_probe.write_hist.count == writes \
+                == sum(v["writes"] for v in per) == obs.probe.write_hist.count
+            assert st.worker_probe.read_bytes == reads * ITEM_BYTES
+            assert st.worker_probe.write_bytes == writes * ITEM_BYTES
+            assert st.wire_read_hist.count == reads
+            assert st.wire_write_hist.count == writes
+            # no span lost below the cap, every id distinct
+            assert st.worker_span_drops() == 0
+            assert st.export_spans_into(sp) == reads + writes
+            ids = [rec.span_id for _name, records, _off in sp.tracks()
+                   for rec in records]
+            assert len(set(ids)) == len(ids) == reads + writes
         finally:
             st.close()
 
@@ -305,6 +374,9 @@ class TestWrappedShardedStore:
             assert sharded.obs is obs
             sharded.collect_telemetry()
             assert sharded.export_spans_into(obs.spans) == sum(physical)
+            assert sharded.worker_span_drops() == 0
+            probe = sharded.worker_probe
+            assert (probe.read_hist.count, probe.write_hist.count) == physical
         finally:
             engine.close()
         client = {r.span_id: r.name for r in obs.spans.records()
@@ -318,14 +390,20 @@ class TestWrappedShardedStore:
         return workers, client
 
     @pytest.mark.parametrize("wrapper",
-                             ["none", "retrying", "fault-injecting"])
+                             ["none", "retrying", "fault-injecting",
+                              "prefetching"])
     def test_client_spans_recorded_and_worker_parents_resolve(
             self, tmp_path, dataset, wrapper):
         from repro.core.faults import FaultInjectingBackingStore
 
+        # "prefetching": write-behind writes and prefetched reads in
+        # flight together — both lanes of a worker record at once, and
+        # the spans must still add up to IoStats' physical totals.
         config = EngineConfig(num_slots=3, policy="lru", backing="sharded",
                               shards=SHARDS, writeback_depth=4,
-                              backing_retries=2 if wrapper == "retrying" else 0)
+                              backing_retries=2 if wrapper == "retrying" else 0,
+                              **({"io_threads": 2, "prefetch_depth": 4}
+                                 if wrapper == "prefetching" else {}))
         # all fault rates 0: a pure pass-through wrapper
         wrap = (FaultInjectingBackingStore if wrapper == "fault-injecting"
                 else None)
