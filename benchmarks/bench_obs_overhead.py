@@ -1,22 +1,21 @@
 """Benchmark — the observability layer must be (nearly) free when attached.
 
 `repro.obs` promises passivity in *results* (demand counters bit-identical
-traced vs untraced — asserted here too) and cheapness in *time*: the
-tracer is a GIL-atomic deque append and every reporting site is guarded by
-a single ``is None`` check, so the overhead of an attached Observer on a
-full out-of-core traversal must stay under ``GATE`` (1.5x; measured
-1.2-1.45x — the cost per event is what it was, about 6 us, but since the
-kernel re-lowering of PR 16 the traversal it is charged against is a
-third shorter), and a detached store (the default) pays nothing
-measurable.
+traced vs untraced — asserted here too) and cheapness in *time*: an
+Observer is a metrics registry plus one record ring (a GIL-atomic deque
+append per report) and every reporting site is guarded by a single
+``is None`` check, so the overhead of an attached Observer on a full
+out-of-core traversal must stay under ``GATE`` (1.5x), and a detached
+store (the default) pays nothing measurable.
 Each ratio is a ratio of medians over ``PAIRS`` alternating bare/observed
 runs (the shape of ``obs.overhead_ratio`` in ``benchmarks/ooc/layers.py``),
 so CPU drift on the box hits both sides alike and cannot trip the gate.
 
-Reported table: wall time for N full traversals with (a) no observer,
-(b) an attached Observer (tracer + probe + phase timers), (c) an attached
-Observer whose ring buffer is deliberately tiny (constant overflow), to
-show the drop path costs nothing extra.
+Reported tables: wall time for N full traversals with (a) no observer,
+(b) an attached Observer, on the whole-vector and the site-block layout,
+plus (c) an Observer whose ring is deliberately tiny (constant overflow)
+to show the drop path costs nothing extra; and the same over a 2-shard
+backing tier with its workers armed.
 """
 
 import statistics
@@ -26,7 +25,6 @@ import time
 import numpy as np
 
 from benchmarks.conftest import report
-from repro import AncestralVectorStore
 from repro.core.stats import PARITY_COUNTERS
 from repro.obs import Observer
 
@@ -41,24 +39,9 @@ def _median_wall(runs):
     return statistics.median(run[0] for run in runs)
 
 
-def _timed_run(ds, observer=None):
-    num_inner, shape = ds.geometry()
-    slots = max(3, round(SLOT_FRACTION * num_inner))
-    store = AncestralVectorStore(num_inner, shape, num_slots=slots,
-                                 policy="lru")
-    engine = ds.engine(store=store)
-    if observer is not None:
-        observer.attach(engine)
-    t0 = time.perf_counter()
-    engine.full_traversals(TRAVERSALS)
-    wall = time.perf_counter() - t0
-    counters = store.stats._counters()
-    engine.close()
-    return wall, counters
-
-
 def _timed_layout_run(ds, observer=None, layout="whole", block_sites=None):
-    """Like :func:`_timed_run` but through the engine's layout plumbing."""
+    """Wall time and counters of ``TRAVERSALS`` full traversals on one
+    layout, observed by ``observer`` if given."""
     kw = dict(fraction=SLOT_FRACTION, policy="lru")
     if layout == "block":
         kw.update(layout="block", block_sites=block_sites)
@@ -73,78 +56,50 @@ def _timed_layout_run(ds, observer=None, layout="whole", block_sites=None):
     return wall, counters
 
 
-def test_observer_overhead_is_bounded(benchmark, ds1288):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-    bare, observed, tiny_ring = [], [], []
-    for _ in range(PAIRS):
-        bare.append(_timed_run(ds1288))
-        obs = Observer(capacity=1 << 18)
-        observed.append(_timed_run(ds1288, observer=obs))
-        tiny = Observer(capacity=64)  # constant ring overflow
-        tiny_ring.append(_timed_run(ds1288, observer=tiny))
-
-    # passivity: tracing never changes what the store did
-    assert all(counters == bare[0][1]
-               for _, counters in bare + observed + tiny_ring)
-    assert obs.tracer.emitted > 0
-    assert tiny.tracer.dropped > 0
-
-    bare_wall, obs_wall, tiny_wall = map(_median_wall,
-                                         (bare, observed, tiny_ring))
-    overhead = obs_wall / bare_wall
-    report("bench_obs_overhead", [
-        f"{TRAVERSALS} full traversals, f={SLOT_FRACTION}, lru; "
-        f"median of {PAIRS} alternating runs",
-        f"{'configuration':>24} | wall (s) | vs bare",
-        f"{'no observer':>24} | {bare_wall:8.3f} |   1.00x",
-        f"{'observer attached':>24} | {obs_wall:8.3f} | {overhead:6.2f}x",
-        f"{'observer, tiny ring':>24} | {tiny_wall:8.3f} | {tiny_wall / bare_wall:6.2f}x",
-        f"events emitted: {obs.tracer.emitted}, "
-        f"tiny-ring dropped: {tiny.tracer.dropped}",
-    ])
-    assert overhead < GATE, f"observer overhead {overhead:.2f}x exceeds {GATE}x"
-
-
 def test_full_telemetry_overhead_both_layouts(benchmark, ds1288):
-    """Metrics registry + span recorder + tracer together stay bounded.
+    """An attached Observer stays bounded on both layouts.
 
-    The registry is pull-based (collectors only run at scrape time) and
-    every report is one ``is None`` guard plus one routed fan-out, so
-    enabling the whole telemetry stack must stay under the same gate as
-    the tracer alone — on the whole-vector AND the site-block layout — and
-    must leave the demand counters bit-identical (passivity).
+    The registry's collectors only run at scrape time and every report is
+    one ``is None`` guard plus one routed fan-out, so an attached
+    Observer must stay under the gate on the whole-vector AND the
+    site-block layout — with a tiny ring dropping constantly as well —
+    and must leave the demand counters bit-identical (passivity).
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
-    lines = [f"{TRAVERSALS} full traversals, f={SLOT_FRACTION}, lru, "
-             "full telemetry = tracer + metrics + spans; "
+    lines = [f"{TRAVERSALS} full traversals, f={SLOT_FRACTION}, lru; "
              f"median of {PAIRS} alternating runs"]
     for layout, block_sites in (("whole", None), ("block", 256)):
-        bare, full = [], []
+        bare, full, tiny_ring = [], [], []
         for _ in range(PAIRS):
             bare.append(_timed_layout_run(
                 ds1288, layout=layout, block_sites=block_sites))
-            obs = Observer(capacity=1 << 18, metrics=True, spans=True)
+            obs = Observer(capacity=1 << 18)
             full.append(_timed_layout_run(
                 ds1288, observer=obs, layout=layout, block_sites=block_sites))
+            tiny = Observer(capacity=64)  # constant ring overflow
+            tiny_ring.append(_timed_layout_run(
+                ds1288, observer=tiny, layout=layout,
+                block_sites=block_sites))
 
-        # passivity: the full stack never changes what the store did
-        assert all(counters == bare[0][1] for _, counters in bare + full), \
-            layout
-        assert obs.tracer.emitted > 0
-        assert len(obs.spans) > 0
+        # passivity: observing never changes what the store did
+        assert all(counters == bare[0][1]
+                   for _, counters in bare + full + tiny_ring), layout
+        assert len(obs.spans) > 0 and obs.spans.dropped == 0
+        assert tiny.spans.dropped > 0
         snap = obs.metrics.snapshot()
         assert snap["counters"]["requests"] == bare[0][1]["requests"]
 
-        bare_wall, full_wall = _median_wall(bare), _median_wall(full)
+        bare_wall, full_wall, tiny_wall = map(_median_wall,
+                                              (bare, full, tiny_ring))
         overhead = full_wall / bare_wall
         lines.append(
             f"{layout:>8} layout | bare {bare_wall:7.3f}s | "
-            f"full telemetry {full_wall:7.3f}s | {overhead:5.2f}x | "
-            f"{obs.spans.emitted} spans, {obs.tracer.emitted} events")
+            f"observed {full_wall:7.3f}s | {overhead:5.2f}x | "
+            f"tiny ring {tiny_wall / bare_wall:5.2f}x | "
+            f"{obs.spans.emitted} records")
         assert overhead < GATE, (
-            f"full telemetry overhead {overhead:.2f}x exceeds {GATE}x "
+            f"observer overhead {overhead:.2f}x exceeds {GATE}x "
             f"on the {layout} layout")
     report("bench_obs_overhead_full", lines)
 
@@ -169,9 +124,9 @@ def _timed_sharded_run(ds, lay, observer=None):
         physical = (stats.physical_reads, stats.physical_writes)
         worker = None
         if observer is not None:
-            backing.collect_telemetry()
-            worker = (backing.worker_probe.read_hist.count,
-                      backing.worker_probe.write_hist.count)
+            hists = observer.metrics.snapshot()["histograms"]  # pulls
+            worker = (hists["shard_disk_read_seconds"]["count"],
+                      hists["shard_disk_write_seconds"]["count"])
         engine.close()
     return wall, counters, physical, worker
 
@@ -179,7 +134,7 @@ def _timed_sharded_run(ds, lay, observer=None):
 def test_sharded_full_telemetry_overhead(benchmark, ds1288):
     """Cross-process telemetry over the sharded tier stays bounded.
 
-    Arming the worker-side probes, wire histograms and span shipping
+    Arming the worker-side disk and wire histograms and span shipping
     (OP_TELEMETRY pulls plus the 16 extra trace-context header bytes per
     frame) must keep the same gate as in-process telemetry, leave the
     demand counters bit-identical to the untraced sharded run, and the
@@ -194,7 +149,7 @@ def test_sharded_full_telemetry_overhead(benchmark, ds1288):
     bare, full = [], []
     for _ in range(PAIRS):
         bare.append(_timed_sharded_run(ds1288, lay))
-        obs = Observer(capacity=1 << 18, metrics=True, spans=True)
+        obs = Observer(capacity=1 << 18)
         full.append(_timed_sharded_run(ds1288, lay, observer=obs))
 
     for _, counters, physical, worker in bare + full:

@@ -39,15 +39,14 @@ Rules
     An unseeded ``np.random.default_rng()`` (or a legacy global-state
     ``np.random.*`` call) in the deterministic scope.
 ``DET003``
-    ``time.time()`` in the deterministic scope — wall-clock reads belong
-    in :mod:`repro.utils.timing`.
+    ``time.time()`` in the deterministic scope — a duration is a
+    ``perf_counter`` interval reported to :mod:`repro.obs`.
 ``SUP001``
     A ``# analysis: ignore[RULE]`` suppression without a reason, or
     naming an unknown rule.
 ``EVT001``
     An ``obs.event``/``obs.timed`` site reports a name missing from the
-    ``ROUTES`` table, a row emits an event type missing from
-    ``EVENT_TYPES``, or an ``EVENT_TYPES`` row names a counter that
+    ``ROUTES`` table, or a row's ``mirrors=`` names a counter that
     ``IoStats`` does not declare.
 ``MET001``
     An ``obs.count``/``gauge``/``merge`` site or a ``ROUTES`` row names a

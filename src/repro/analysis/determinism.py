@@ -10,8 +10,8 @@ values. Inside the deterministic scope — files under a ``core`` or
 * ``DET002`` — ``np.random.default_rng()`` without an explicit non-``None``
   seed, and legacy global-state ``np.random.*`` calls (``rand``, ``seed``,
   ``shuffle``, ...), whose hidden global stream makes runs order-dependent;
-* ``DET003`` — ``time.time()``: timing belongs in ``repro.utils.timing``,
-  simulation time in the disk model.
+* ``DET003`` — ``time.time()``: a duration is a ``perf_counter`` interval
+  reported to ``repro.obs``, simulation time lives in the disk model.
 """
 
 from __future__ import annotations
@@ -108,9 +108,9 @@ def _check_call(sf: SourceFile, call: ast.Call, chain: list[str],
     # time.time()
     if chain == ["time", "time"]:
         return [Finding(path, call.lineno, "DET003",
-                        "time.time() in deterministic scope; use "
-                        "repro.utils.timing (wall time) or the disk model "
-                        "(simulated time)")]
+                        "time.time() in deterministic scope; report a "
+                        "perf_counter interval to repro.obs (wall time) or "
+                        "use the disk model (simulated time)")]
     # np.random.* / numpy.random.*  and  from numpy.random import ...
     tail: str | None = None
     if len(chain) == 3 and chain[0] in imports.numpy_aliases and chain[1] == "random":

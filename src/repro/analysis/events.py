@@ -1,23 +1,19 @@
-"""EVT001: every reported name and event row resolves to a declaration.
+"""EVT001: every reported name and mirrored counter resolves to a declaration.
 
-The observability layer (``repro.obs``) declares its event taxonomy once —
-a module-level ``EVENT_TYPES`` dict, one row per event type naming the
-``IoStats`` counter the event mirrors (``None`` where no single counter
-does) — and components report through the observer's verbs, with a
-module-level ``ROUTES`` dict (reported name → ``Route(...)`` row) saying
-which sinks record each name. **EVT001** checks the three kinds of
-reference a typo could break, each of which would otherwise only fail on
-the path that executes it:
+The observability layer (``repro.obs``) declares its reporting policy
+once — a module-level ``ROUTES`` dict, reported name → ``Route(...)``
+row, whose ``mirrors=`` column names the ``IoStats`` counter the name's
+record count equals — and components report through the observer's
+verbs. **EVT001** checks the two kinds of reference a typo could break,
+each of which would otherwise only fail on the path that executes it:
 
 * every ``ob.event("<name>", ...)`` / ``ob.timed("<name>", ...)`` call
   site (receiver named ``ob``/``obs``, the convention at every site) must
   use a ``ROUTES`` key;
-* every ``event=`` target of a ``ROUTES`` row must be an ``EVENT_TYPES``
-  key;
-* every counter an ``EVENT_TYPES`` row names must be a counter field of
-  ``IoStats``.
+* every ``mirrors=`` target of a ``ROUTES`` row must be a counter field
+  of ``IoStats``.
 
-The rule is inert for code bases that define none of the names.
+The rule is inert for code bases that define neither.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from repro.analysis.counters import STATS_CLASS, parse_stats_schema
 from repro.analysis.findings import Finding
 from repro.analysis.source import SourceFile
 
-EVENT_TYPES_NAME = "EVENT_TYPES"
 ROUTES_NAME = "ROUTES"
 
 #: Receiver names that denote an observer at a reporting site.
@@ -111,42 +106,25 @@ def report_sites(files: list[SourceFile],
 
 
 def check_events(files: list[SourceFile]) -> list[Finding]:
-    findings: list[Finding] = []
     routes = parse_routes(files)
-    types = module_dict(files, EVENT_TYPES_NAME)
-    types_path, declared = ("", []) if types is None else (
-        types[0], literal_rows(types[1]))
-
-    if routes is not None:
-        routes_path, rows = routes
+    if routes is None:
+        return []
+    routes_path, rows = routes
+    findings = [
+        Finding(path, line, "EVT001",
+                f"report of undeclared name '{literal}' (not a "
+                f"{ROUTES_NAME} key at {routes_path})")
         for path, line, literal in report_sites(
-                files, frozenset({"event", "timed"})):
-            if literal not in rows:
-                findings.append(Finding(
-                    path, line, "EVT001",
-                    f"report of undeclared name '{literal}' (not a "
-                    f"{ROUTES_NAME} key at {routes_path})",
-                ))
-        known = {etype for etype, _, _ in declared}
-        for name, row in rows.items():
-            etype, line = row.get("event", ("", 0))
-            if types is not None and etype and etype not in known:
-                findings.append(Finding(
-                    routes_path, line, "EVT001",
-                    f"{ROUTES_NAME}['{name}'] emits undeclared event "
-                    f"type '{etype}' (not in {EVENT_TYPES_NAME} at "
-                    f"{types_path})",
-                ))
-
+            files, frozenset({"event", "timed"}))
+        if literal not in rows]
     stats = parse_stats_schema(files)
     if stats is not None:
-        for etype, counter, line in declared:
-            if (isinstance(counter, ast.Constant)
-                    and isinstance(counter.value, str)
-                    and counter.value not in stats.counters):
+        for name, row in rows.items():
+            counter, line = row.get("mirrors", ("", 0))
+            if counter and counter not in stats.counters:
                 findings.append(Finding(
-                    types_path, line, "EVT001",
-                    f"event type '{etype}' mirrors '{counter.value}', which "
-                    f"is not a counter field of {STATS_CLASS} in {stats.path}",
+                    routes_path, line, "EVT001",
+                    f"{ROUTES_NAME}['{name}'] mirrors '{counter}', which is "
+                    f"not a counter field of {STATS_CLASS} in {stats.path}",
                 ))
     return findings

@@ -10,7 +10,7 @@ RULES: dict[str, str] = {
     "LOCK002": "'# lockfree-ok' suppression without a reason",
     "CNT001": "mutation of a stats counter that IoStats does not declare",
     "CNT003": "demand-side counter mutated on a writer/prefetch thread path",
-    "EVT001": "reported name, ROUTES event or EVENT_TYPES counter with no declaration",
+    "EVT001": "reported name or ROUTES mirrored counter with no declaration",
     "MET001": "metric name missing from METRIC_EXPOSITION, or a malformed row there",
     "LEAK001": "public method returns a raw _slots buffer view (no copy/pin)",
     "DET001": "stdlib 'random' used in deterministic scope",

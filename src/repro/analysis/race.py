@@ -33,7 +33,7 @@ what makes the interleaving fuzzer's findings reproducible.
 
 Pay-for-play
 ------------
-Exactly like the :class:`BorrowedSlotView` sanitizer and the tracer,
+Exactly like the :class:`BorrowedSlotView` sanitizer and the observer,
 all hook points sit behind a single ``is None`` test and the factories
 (:func:`make_lock`, :func:`make_condition`, :func:`make_thread`) return
 plain :mod:`threading` objects when the sanitizer is off, so an

@@ -78,7 +78,7 @@ def _run_entry(figure, engine, run, config):
     fails the gate.
     """
     use_registry = hasattr(engine.store, "attach")
-    obs = Observer(metrics=True).attach(engine) if use_registry else None
+    obs = Observer().attach(engine) if use_registry else None
     try:
         lnl = run(engine)
         drain = getattr(engine.store, "drain", None)
@@ -119,20 +119,21 @@ def _run_entry(figure, engine, run, config):
                             f"per-shard {key!r} labels sum to {got}, but "
                             f"IoStats says {want} physical: shard "
                             "accounting lost operations")
-                # Cross-process telemetry gate: pull the workers' own
-                # histograms over OP_TELEMETRY and require their op counts
-                # to equal the parent's IoStats totals bit-exactly — both
-                # sides count each successful physical op exactly once.
-                backing.collect_telemetry()
+                # Cross-process telemetry gate: the snapshot pulled the
+                # workers' own histograms over OP_TELEMETRY; their op
+                # counts must equal the parent's IoStats totals
+                # bit-exactly — both sides count each successful physical
+                # op exactly once.
                 for op, want in (("read", stats.physical_reads),
                                  ("write", stats.physical_writes)):
-                    hist = getattr(backing.worker_probe, f"{op}_hist")
-                    if hist.count != want:
+                    got = snapshot["histograms"][
+                        f"shard_disk_{op}_seconds"]["count"]
+                    if got != want:
                         raise ReproError(
-                            f"worker-side {op} histogram counted "
-                            f"{hist.count} ops, but IoStats says {want} "
-                            f"physical_{op}s: cross-process telemetry "
-                            "lost or double-counted operations")
+                            f"worker-side {op} histogram counted {got} "
+                            f"ops, but IoStats says {want} physical_{op}s: "
+                            "cross-process telemetry lost or "
+                            "double-counted operations")
     finally:
         if obs is not None:
             obs.detach(engine)

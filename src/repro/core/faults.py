@@ -18,8 +18,9 @@ input:
 
 Both wrappers forward the one ``obs`` attribute to the wrapped store (so
 physical I/O is still reported at the point it happens, however deep the
-stack) and count their own events through it (``backing_faults``,
-``backing_retries``).
+stack) and report their own events through it: each injected fault and
+each retry is one record (item, attempt) and one count
+(``backing_faults``, ``backing_retries``).
 """
 
 from __future__ import annotations
@@ -170,12 +171,14 @@ class FaultInjectingBackingStore(_BackingWrapper):
         return (_hash_unit(self.seed, kind, item, attempt),
                 _hash_unit(self.seed, kind + "#aux", item, attempt))
 
-    def _record_fault(self) -> None:
+    def _record_fault(self, kind: str, item: int) -> None:
+        """Count one injected fault; its record names the roll that drew it."""
         with self._lock:
             self.faults_injected += 1
             ob = self.obs
             if ob is not None:
-                ob.count("backing_faults")
+                ob.event("backing_fault", item, kind=kind,
+                         attempt=self._attempts[(kind, item)] - 1)
 
     def _maybe_sleep(self, item: int) -> None:
         if self.latency_rate <= 0.0 or self.latency_seconds <= 0.0:
@@ -190,7 +193,7 @@ class FaultInjectingBackingStore(_BackingWrapper):
         self._maybe_sleep(item)
         draw, aux = self._roll("read", item)
         if draw < self.read_error_rate:
-            self._record_fault()
+            self._record_fault("read", item)
             raise InjectedFault(f"injected transient read error on item {item}")
         draw, aux = self._roll("short_read", item)
         if draw < self.short_read_rate:
@@ -200,7 +203,7 @@ class FaultInjectingBackingStore(_BackingWrapper):
             flat_new = full.reshape(-1).view(np.uint8)
             cut = max(1, int(aux * flat_out.size)) % max(flat_out.size, 1)
             flat_out[:cut] = flat_new[:cut]
-            self._record_fault()
+            self._record_fault("short_read", item)
             raise InjectedFault(
                 f"injected short read on item {item}: {cut}/{flat_out.size} bytes")
         self.inner.read(item, out)
@@ -216,7 +219,7 @@ class FaultInjectingBackingStore(_BackingWrapper):
         self._maybe_sleep(item)
         draw, aux = self._roll("write", item)
         if draw < self.write_error_rate:
-            self._record_fault()
+            self._record_fault("write", item)
             raise InjectedFault(f"injected transient write error on item {item}")
         draw, aux = self._roll("short_write", item)
         if draw < self.short_write_rate:
@@ -228,7 +231,7 @@ class FaultInjectingBackingStore(_BackingWrapper):
             cut = max(1, int(aux * torn.size)) % max(torn.size, 1)
             torn[:cut] = flat_new[:cut]
             self.inner.write(item, torn.view(data.dtype).reshape(data.shape))
-            self._record_fault()
+            self._record_fault("short_write", item)
             raise InjectedFault(
                 f"injected short write on item {item}: {cut}/{torn.size} bytes")
         self.inner.write(item, data)
@@ -249,8 +252,9 @@ class RetryingBackingStore(_BackingWrapper):
     :class:`~repro.errors.BackingStoreError`) and
     :class:`SimulatedCrash` propagate immediately.
 
-    Each retry counts one ``backing_retries`` on the attached observer;
-    the terminal give-up re-raises the last error.
+    Each retry is one ``backing_retry`` report on the attached observer
+    (a record carrying the item and the attempt about to run, and one
+    ``backing_retries``); the terminal give-up re-raises the last error.
     """
 
     #: Exception classes treated as transient (retried).
@@ -268,7 +272,7 @@ class RetryingBackingStore(_BackingWrapper):
         self.give_ups = 0
         self._lock = make_lock("RetryingBackingStore")
 
-    def _attempt(self, fn: Any) -> None:
+    def _attempt(self, fn: Any, item: int = -1) -> None:
         delay = self.backoff
         for attempt in range(self.retries + 1):
             try:
@@ -283,16 +287,16 @@ class RetryingBackingStore(_BackingWrapper):
                     self.retries_performed += 1
                     ob = self.obs
                     if ob is not None:
-                        ob.count("backing_retries")
+                        ob.event("backing_retry", item, attempt=attempt + 1)
                 if delay > 0.0:
                     time.sleep(delay)
                     delay *= self.factor
 
     def read(self, item: int, out: np.ndarray) -> None:
-        self._attempt(lambda: self.inner.read(item, out))
+        self._attempt(lambda: self.inner.read(item, out), item)
 
     def write(self, item: int, data: np.ndarray) -> None:
-        self._attempt(lambda: self.inner.write(item, data))
+        self._attempt(lambda: self.inner.write(item, data), item)
 
     def flush(self) -> None:
         self._attempt(self.inner.flush)

@@ -37,9 +37,8 @@ Wire protocol (one frame = 33-byte header + optional payload)::
               "clock_offset"}: arm/disarm worker-side recording, OK
               reply carries {t_recv, t_reply} for a quiescent
               recalibration of the clock offset; empty payload: the
-              DATA reply carries the worker's telemetry delta — probe
-              histograms, wire-wait histograms, spans — since the
-              previous pull)
+              DATA reply carries the worker's telemetry delta — disk and
+              wire-wait histograms, spans — since the previous pull)
     replies = OK / DATA / ERR (payload: json {type, message})
 
 ``trace_id`` and ``t_send`` are the request-scoped trace context: the
@@ -112,6 +111,7 @@ import socket
 import struct
 import threading
 import time
+import weakref
 from collections import deque
 from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
 
@@ -126,7 +126,7 @@ from repro.core.layout import shard_items
 from repro.errors import BackingStoreError
 # The obs primitives are deliberately core-free (see their module
 # docstrings), so importing them here cannot cycle.
-from repro.obs.histogram import BackingProbe, LogHistogram
+from repro.obs.histogram import LogHistogram
 from repro.obs.spans import SpanRecord
 from repro.vm.disk import DiskModel
 
@@ -151,7 +151,7 @@ OP_ERR = 0x82
 
 #: Cap on buffered worker-side spans between OP_TELEMETRY pulls: bounds
 #: the reply frame; overflow increments ``spans_dropped`` (honest
-#: accounting, like the tracer ring).
+#: accounting, like the observer's record ring).
 _WORKER_SPAN_CAP = 8192
 
 #: Worker-store kinds a shard spec may name.
@@ -161,6 +161,11 @@ WORKER_KINDS = ("file", "compressed", "simulated")
 #: ever inherits a still-open child end of *another* shard's pair — which
 #: would defeat EOF-based dead-worker detection for that shard.
 _SPAWN_LOCK = make_lock("ShardedSpawn")
+#: The parent ends of every live socketpair, each a worker's only line to
+#: its client. A fork copies all of them into the child, which closes them
+#: before serving: a worker holding a parent end — its own or another
+#: shard's — would never see EOF when the parent dies without ``close()``.
+_PARENT_ENDS: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()  # guarded-by: _SPAWN_LOCK
 
 
 #: A frame payload: anything ``memoryview`` presents as flat bytes.
@@ -264,7 +269,7 @@ def _build_worker_store(spec: dict[str, Any]) -> Any:
 
 
 class _WorkerTelemetry:
-    """Worker-process-side probe + span state (exists only while armed).
+    """Worker-process-side histograms + span state (exists only while armed).
 
     Both service lanes record into it, so every recording and the drain
     run under ``_lock`` (a leaf: nothing else is acquired inside it).
@@ -275,7 +280,8 @@ class _WorkerTelemetry:
 
     def __init__(self, shard: int, clock_offset: float) -> None:
         self._lock = threading.Lock()
-        self.probe = BackingProbe()                   # guarded-by: _lock
+        self.disk_read = LogHistogram()               # guarded-by: _lock
+        self.disk_write = LogHistogram()              # guarded-by: _lock
         self.wire_read = LogHistogram()               # guarded-by: _lock
         self.wire_write = LogHistogram()              # guarded-by: _lock
         self.spans: list[list[Any]] = []              # guarded-by: _lock
@@ -284,17 +290,17 @@ class _WorkerTelemetry:
         # Re-set by the reader at a barrier only: no lane is recording.
         self.clock_offset = float(clock_offset)
 
-    def op(self, kind: str, dt: float, nbytes: int, t_recv: float,
-           t_send: float, parent: int, item: int) -> None:  # thread: shard-lane
+    def op(self, kind: str, dt: float, t_recv: float, t_send: float,
+           parent: int, item: int) -> None:  # thread: shard-lane
         """Record one successful ``kind`` ("read"/"write") operation:
         disk latency ``dt``, the wire leg before it, and its span."""
         with self._lock:
             wire = t_recv - (t_send + self.clock_offset)
             if kind == "read":
-                self.probe.record_read(dt, nbytes)
+                self.disk_read.record(dt)
                 self.wire_read.record(wire)
             else:
-                self.probe.record_write(dt, nbytes)
+                self.disk_write.record(dt)
                 self.wire_write.record(wire)
             if len(self.spans) >= _WORKER_SPAN_CAP:
                 self.spans_dropped += 1
@@ -309,7 +315,8 @@ class _WorkerTelemetry:
         """The telemetry delta since the previous drain, as a JSON frame."""
         with self._lock:
             doc = {
-                "probe": self.probe.drain_state(),
+                "disk_read": self.disk_read.drain_state(),
+                "disk_write": self.disk_write.drain_state(),
                 "wire_read": self.wire_read.drain_state(),
                 "wire_write": self.wire_write.drain_state(),
                 "spans": self.spans,
@@ -482,13 +489,14 @@ class _ShardWorker:
                     reply_op = OP_DATA
                     reply = (b"{}" if self.telemetry is None
                              else self.telemetry.drain())
+            elif op == OP_CLOSE:
+                if self.store is not None:
+                    self.store.close()
+                stop = True
             elif self.store is None:
                 raise BackingStoreError("shard worker is not attached")
             elif op == OP_FLUSH:
                 self.store.flush()
-            elif op == OP_CLOSE:
-                self.store.close()
-                stop = True
             else:
                 raise BackingStoreError(f"unknown opcode {op}")
         except Exception as exc:  # noqa: BLE001 - becomes a typed ERR frame
@@ -547,10 +555,8 @@ class _ShardWorker:
         except Exception as exc:  # noqa: BLE001 - becomes a typed ERR frame
             return OP_ERR, _err_payload(exc)
         if telemetry is not None:
-            # One of the two payloads is empty: the sum is the transfer.
             telemetry.op("read" if op == OP_READ else "write",
-                         time.perf_counter() - t_op,
-                         len(payload) + len(reply), t_recv, t_send, trace,
+                         time.perf_counter() - t_op, t_recv, t_send, trace,
                          item)
         return (OP_DATA if op == OP_READ else OP_OK), reply
 
@@ -565,9 +571,17 @@ class _ShardWorker:
                          _frame(req, reply_op, item, payload, 0, t_out))
 
 
-def _shard_worker_main(conn: socket.socket) -> None:
-    """Process target: serve one shard until CLOSE or parent EOF."""
+def _shard_worker_main(conn: socket.socket,
+                       parent_ends: list[socket.socket]) -> None:
+    """Process target: serve one shard until CLOSE or parent EOF.
+
+    ``parent_ends`` are the client sockets the fork copied in — this
+    shard's and every other live one: closed first, so the parent's death
+    is this worker's EOF.
+    """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent owns Ctrl-C
+    for end in parent_ends:
+        end.close()
     _ShardWorker(conn).run()
 
 
@@ -657,8 +671,12 @@ class _ShardClient:
         self._proc: multiprocessing.process.BaseProcess | None = None
         self._receiver: Any = None
         self._spawn()
-        # The ATTACH handshake doubles as liveness + geometry validation.
-        self.wait(self._submit_attach())
+        try:
+            # The ATTACH handshake doubles as liveness + geometry validation.
+            self.wait(self._submit_attach())
+        except BaseException:
+            self.close()
+            raise
 
     # -- process lifecycle ----------------------------------------------------
 
@@ -666,8 +684,10 @@ class _ShardClient:
         ctx = multiprocessing.get_context("fork")
         with _SPAWN_LOCK:
             parent, child = socket.socketpair()
-            proc = ctx.Process(target=_shard_worker_main, args=(child,),
-                               daemon=True, name=f"shard-worker-{self.shard}")
+            _PARENT_ENDS.add(parent)
+            proc = ctx.Process(target=_shard_worker_main,
+                               args=(child, list(_PARENT_ENDS)), daemon=True,
+                               name=f"shard-worker-{self.shard}")
             proc.start()
             child.close()
         self._sock = parent
@@ -975,7 +995,7 @@ class _ShardClient:
                 self._pending.clear()
                 self._cond.notify_all()
             return
-        self.owner._note_restart()
+        self.owner._note_restart(self.shard, len(pending))
         with self._cond:
             self._restarting = False
             self._cond.notify_all()
@@ -1077,17 +1097,9 @@ class ShardedBackingStore:
         # The observer (default off), see MemoryBackingStore.obs. The
         # receiver threads read it per completion, one shard label per
         # receiver (single writer per labelled series). ``obs`` is a
-        # property: assigning it arms or disarms worker-side telemetry.
+        # property: assigning it arms or disarms worker-side telemetry,
+        # whose pulled histograms land in its registry.
         self._obs: Observer | None = None
-        # Parent-side sinks for telemetry pulled over OP_TELEMETRY.
-        # worker_probe counts successful worker-side ops, so its totals
-        # cross-check bit-exactly against client completions / IoStats.
-        self.worker_probe = BackingProbe()
-        self.wire_read_hist = LogHistogram()
-        self.wire_write_hist = LogHistogram()
-        self.reply_read_hist = LogHistogram()
-        self.reply_write_hist = LogHistogram()
-        self.window_hist = LogHistogram()
         self._worker_spans: dict[int, list[SpanRecord]] = {}  # guarded-by: _telemetry_lock
         self._worker_span_drops = 0  # guarded-by: _telemetry_lock
         self._telemetry_lock = make_lock("ShardedTelemetry")
@@ -1184,7 +1196,8 @@ class ShardedBackingStore:
             self.collect_telemetry()
 
     def collect_telemetry(self) -> None:
-        """Pull every worker's delta and merge it into the parent sinks.
+        """Pull every worker's delta: histograms into the observer's
+        registry, spans into the per-worker tracks.
 
         Safe to call repeatedly (deltas never double-count) and during
         shutdown races (a dying shard is skipped, its data arrives with
@@ -1199,22 +1212,19 @@ class ShardedBackingStore:
             if not doc:
                 continue
             with self._telemetry_lock:
-                self.worker_probe.merge_state(doc["probe"])
-                self.wire_read_hist.merge_state(doc["wire_read"])
-                self.wire_write_hist.merge_state(doc["wire_write"])
                 records = self._worker_spans.setdefault(c.shard, [])
                 for name, start, dur, sid, parent, item in doc.get(
                         "spans", []):
                     records.append(SpanRecord(
                         str(name), float(start), float(dur),
-                        f"shard-worker-{c.shard}", {"item": int(item)},
-                        int(sid), int(parent)))
+                        f"shard-worker-{c.shard}", None, int(sid),
+                        int(parent), int(item)))
                 self._worker_span_drops += int(doc.get("spans_dropped", 0))
             if ob is not None:
-                ob.merge("shard_disk_read_seconds", doc["probe"]["read"])
-                ob.merge("shard_disk_write_seconds", doc["probe"]["write"])
-                ob.merge("shard_wire_seconds", doc["wire_read"])
-                ob.merge("shard_wire_seconds", doc["wire_write"])
+                ob.merge("shard_disk_read_seconds", doc["disk_read"])
+                ob.merge("shard_disk_write_seconds", doc["disk_write"])
+                ob.merge("shard_wire_read_seconds", doc["wire_read"])
+                ob.merge("shard_wire_write_seconds", doc["wire_write"])
                 ob.count("shard_telemetry_pulls")
 
     def export_spans_into(self, recorder: "SpanRecorder") -> int:
@@ -1266,19 +1276,16 @@ class ShardedBackingStore:
     def _note_window_wait(self, shard: int, t0: float,
                           seconds: float) -> None:
         """One submit's cumulative stall on the bounded in-flight window."""
-        self.window_hist.record(seconds)
         ob = self._obs
         if ob is not None:
             ob.timed("shard_window_wait", t0, seconds, shard=shard)
 
     def _record_reply(self, op: int, t_done: float, seconds: float) -> None:
         """Reply-wire latency measured by a shard's receiver thread."""
-        hist = (self.reply_read_hist if op == OP_READ
-                else self.reply_write_hist)
-        hist.record(seconds)
         ob = self._obs
         if ob is not None:
-            ob.timed("shard_reply", t_done - seconds, seconds)
+            ob.timed("shard_reply_read" if op == OP_READ
+                     else "shard_reply_write", t_done - seconds, seconds)
 
     # -- placement ------------------------------------------------------------
 
@@ -1411,12 +1418,12 @@ class ShardedBackingStore:
         with self._restart_lock:
             return self.total_restarts
 
-    def _note_restart(self) -> None:
+    def _note_restart(self, shard: int, replayed: int) -> None:
         ob = self._obs
         with self._restart_lock:
             self.total_restarts += 1
             if ob is not None:
-                ob.count("shard_restarts")
+                ob.event("shard_restart", shard=shard, replayed=replayed)
 
     def per_shard_counts(self) -> dict[str, dict[str, int]]:
         """``{shard: {reads, writes, bytes_read, bytes_written, restarts}}``.

@@ -71,7 +71,7 @@ transit vector are created by the first two-transfer miss and released
 by :meth:`AncestralVectorStore.close`.
 
 **Synchronous** therefore means: *nothing is in flight when ``get``
-returns*. Every counter, the victim sequence and the tracer's event
+returns*. Every counter, the victim sequence and the observer's record
 order are those of the serial write-then-read; only the waiting is
 shorter.
 """
@@ -340,7 +340,7 @@ class AncestralVectorStore:
         # Under REPRO_SANITIZE=race the factories return vector-clock
         # tracked primitives and the hooks below record every guarded
         # access; otherwise they are plain threading objects and each
-        # hook site is one ``is None`` test (pay-for-play, like tracer).
+        # hook site is one ``is None`` test (pay-for-play, like ``obs``).
         self._race = race_detector()
         self._race_scope = ("" if self._race is None
                             else self._race.new_scope("AncestralVectorStore"))

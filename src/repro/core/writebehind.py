@@ -303,7 +303,7 @@ class WriteBehindQueue:
         for new activity instead of spinning.
         """
         rc = self._race
-        # Trace-context injection: when spans are on and the backing can
+        # Trace-context injection: when observed and the backing can
         # scope submits (the sharded tier), every drain gets a span id
         # that the backing threads through its wire header, chaining the
         # worker-side disk span back to this drain.

@@ -1,42 +1,42 @@
-"""Observability for the out-of-core pipeline (always available, default off).
+"""Observability for the out-of-core pipeline: one seam, two sinks.
 
 The paper's whole evaluation is counter-driven — miss rate (Fig. 2/4),
 read rate (Fig. 3), end-to-end runtime (Fig. 5) — but counters alone
-cannot say *where time goes* inside a run. This package adds the missing
-substrate:
+cannot say *where time goes* inside a run. An :class:`Observer` holds
+exactly two sinks, and every measurement has one home in them:
 
-* :class:`~repro.obs.tracer.Tracer` — a lock-cheap ring buffer of typed
-  event records (``perf_counter`` timestamps) emitted from the store, the
-  write-behind queue, the prefetcher and the backing stores;
-* :class:`~repro.obs.histogram.LogHistogram` /
-  :class:`~repro.obs.histogram.BackingProbe` — log-bucketed latency
-  histograms for physical backing-store reads/writes and write-behind
-  drains;
-* per-phase timers (plan / kernel / store-wait) in
-  :class:`~repro.phylo.likelihood.engine.LikelihoodEngine`, built on
-  :class:`repro.utils.timing.Stopwatch`;
-* exporters (:mod:`repro.obs.exporters`) — JSONL event dumps, a
-  slot-occupancy timeline and the ``BENCH_profile.json`` summary driven
-  by ``python -m repro.profile``;
 * :class:`~repro.obs.metrics.MetricsRegistry` — typed counters, gauges
-  and histograms over a frozen name catalogue, readable programmatically
-  or as Prometheus text via :class:`~repro.obs.server.MetricsServer`
-  (``--metrics-port``);
-* :class:`~repro.obs.spans.SpanRecorder` — nested begin/end intervals
-  across the compute/writeback/prefetch threads, exported as Chrome
-  trace-event JSON (``--spans-out``, Perfetto-loadable).
+  and log-bucketed histograms (:class:`~repro.obs.histogram.LogHistogram`)
+  over a frozen name catalogue: the only place a counter, a duration or
+  a phase total lives. Readable programmatically or as Prometheus text
+  via :class:`~repro.obs.server.MetricsServer` (``--metrics-port``);
+* :class:`~repro.obs.spans.SpanRecorder` — one bounded ring of
+  :class:`~repro.obs.spans.SpanRecord` rows, one per report: intervals
+  (``plan``, ``kernel``, a write-behind drain, a shard request) and
+  instants (``get``, ``miss``, a retry: ``dur = 0``, with their item and
+  slot), across the compute/writeback/prefetch threads and, merged as
+  per-process tracks, the shard workers.
+
+Components report each measurement once, by name, through the observer's
+verbs; :data:`ROUTES` — one row per reported name — says which catalogue
+metric (if any) a report feeds and which ``IoStats`` counter its record
+count mirrors. :mod:`repro.obs.exporters` turns the ring into a JSONL
+dump and a slot-occupancy timeline and validates the ``BENCH_profile.json``
+document ``python -m repro.profile`` writes; the ring itself exports
+Chrome trace-event JSON (``--spans-out``, Perfetto-loadable).
 
 Everything is **passive**: attaching an :class:`Observer` never changes
 which slots are allocated, which victims are evicted, or any
 :class:`~repro.core.stats.IoStats` counter — the demand counters of a
 traced run are bit-identical to the same run untraced (enforced by
 ``python -m repro.profile --check-parity`` and ``tests/test_obs.py``).
-Every reported name, event type and metric name is checked against its
-one declaration by ``python -m repro.analysis`` (rules EVT001/MET001).
+Every reported name, mirrored counter and metric name is checked against
+its one declaration by ``python -m repro.analysis`` (rules EVT001/MET001).
 """
 
 from __future__ import annotations
 
+import time
 from typing import Any, Callable, Mapping, NamedTuple
 
 from repro.obs.exporters import (
@@ -46,19 +46,15 @@ from repro.obs.exporters import (
     validate_file,
     validate_profile,
 )
-from repro.obs.histogram import BackingProbe, LogHistogram
+from repro.obs.histogram import LogHistogram
 from repro.obs.metrics import METRIC_EXPOSITION, METRIC_NAMES, MetricsRegistry
 from repro.obs.server import MetricsServer
 from repro.obs.spans import SpanRecord, SpanRecorder, next_span_id
-from repro.obs.tracer import EVENT_TYPES, TraceRecord, Tracer
-from repro.utils.timing import Stopwatch
 
 __all__ = [
     "ENGINE_PHASES",
-    "EVENT_TYPES",
     "METRIC_EXPOSITION",
     "METRIC_NAMES",
-    "BackingProbe",
     "LogHistogram",
     "MetricsRegistry",
     "MetricsServer",
@@ -68,8 +64,6 @@ __all__ = [
     "Route",
     "SpanRecord",
     "SpanRecorder",
-    "TraceRecord",
-    "Tracer",
     "records_to_jsonl",
     "slot_timeline",
     "validate_file",
@@ -78,103 +72,97 @@ __all__ = [
 
 
 class Route(NamedTuple):
-    """Which sinks record one reported name (one row of :data:`ROUTES`)."""
+    """What one reported name feeds besides its ring record (a :data:`ROUTES` row)."""
 
-    event: str | None = None   #: tracer record of this :data:`EVENT_TYPES` type
-    hist: str | None = None    #: latency histogram: "read" / "write" (probe), "drain"
-    metric: str | None = None  #: catalogue histogram observing the duration
-    span: bool = False         #: a span carrying the reported name
-    timer: str | None = None   #: engine phase-timer lap of this name
+    #: Catalogue metric: a histogram observes an interval's duration, a
+    #: counter counts an instant.
+    metric: str | None = None
+    #: The ``IoStats`` counter this name's record count equals.
+    mirrors: str | None = None
     ops: str | None = None     #: per-shard labelled counter, +1
     bytes: str | None = None   #: per-shard labelled counter, +nbytes
 
 
-#: THE reporting policy: reported name -> the sinks that record it. A
-#: component reports each measurement once, by name, through
-#: :meth:`Observer.event` (instants) or :meth:`Observer.timed`
-#: (intervals); nothing outside this package decides — or knows — which
-#: sinks exist. ``python -m repro.analysis`` checks every literal at those
-#: verbs against these keys and every target against ``EVENT_TYPES`` /
+#: THE reporting policy: reported name -> what it feeds. A component
+#: reports each measurement once, by name, through :meth:`Observer.event`
+#: (instants) or :meth:`Observer.timed` (intervals); every report leaves
+#: one record in the ring, and nothing outside this package decides — or
+#: knows — where else it lands. ``python -m repro.analysis`` checks every
+#: literal at those verbs against these keys, every ``mirrors`` target
+#: against the ``IoStats`` counters and every metric against
 #: ``METRIC_NAMES`` (EVT001/MET001); DESIGN.md's table is pinned to it.
 ROUTES: dict[str, Route] = {
     # -- store transitions (instants) --
-    "get": Route(event="get"),
-    "hit": Route(event="hit"),
-    "miss": Route(event="miss"),
-    "evict": Route(event="evict"),
-    "read_skip": Route(event="read_skip"),
-    "prefetch_hit": Route(event="prefetch_hit"),
-    "writeback_enqueue": Route(event="writeback_enqueue"),
-    "stall": Route(event="stall"),
+    "get": Route(mirrors="requests"),
+    "hit": Route(mirrors="hits"),
+    "miss": Route(mirrors="misses"),
+    "evict": Route(),                     # a victim left RAM: writes + write_skips
+    "read_skip": Route(mirrors="read_skips"),
+    "prefetch_hit": Route(mirrors="prefetch_hits"),
+    "writeback_enqueue": Route(),         # the staging step before the drain
+    "stall": Route(),                     # a prefetch deferred: no evictable slot
     # -- store loads (instant when charged at first touch of a prefetch) --
-    "demand_read": Route(event="demand_read"),
-    "prefetch_issue": Route(event="prefetch_issue"),
+    "demand_read": Route(mirrors="reads"),
+    "prefetch_issue": Route(mirrors="prefetch_reads"),
     # -- engine phases --
-    "plan": Route(timer="plan", span=True),
-    "kernel": Route(timer="kernel", span=True),
-    "store_wait": Route(timer="store_wait", metric="store_wait_seconds",
-                        span=True),
-    "execute_plan": Route(span=True),
+    "plan": Route(metric="plan_seconds"),
+    "kernel": Route(metric="kernel_seconds"),
+    "store_wait": Route(metric="store_wait_seconds"),
+    "execute_plan": Route(),
     # -- synchronous pipeline: a miss's write-out beside its read-in; the
     # duration is the device seconds that overlap hid --
-    "swap": Route(metric="swap_hidden_seconds", span=True),
+    "swap": Route(metric="swap_hidden_seconds"),
     # -- asynchronous pipeline; `get` waits there for a load in flight
     # (inflight_wait), back-pressure (writeback_stall) or a read nobody
     # prefetched (the timed demand_read above) --
-    "inflight_wait": Route(span=True),
-    "writeback_stall": Route(event="stall", span=True),
-    "writeback_drain": Route(event="writeback_drain", hist="drain",
-                             metric="writeback_drain_seconds", span=True),
-    "prefetch_load": Route(span=True),
+    "inflight_wait": Route(),
+    "writeback_stall": Route(mirrors="writeback_stalls"),
+    "writeback_drain": Route(metric="writeback_drain_seconds",
+                             mirrors="writeback_writes"),
+    "prefetch_load": Route(),
     # -- physical transfers (in-process backings / sharded client side) --
-    "backing_read": Route(hist="read", metric="backing_read_seconds"),
-    "backing_write": Route(hist="write", metric="backing_write_seconds"),
-    "shard_read": Route(hist="read", metric="backing_read_seconds", span=True,
-                        ops="backing_reads", bytes="backing_bytes_read"),
-    "shard_write": Route(hist="write", metric="backing_write_seconds",
-                         span=True, ops="backing_writes",
+    "backing_read": Route(metric="backing_read_seconds"),
+    "backing_write": Route(metric="backing_write_seconds"),
+    "shard_read": Route(metric="backing_read_seconds", ops="backing_reads",
+                        bytes="backing_bytes_read"),
+    "shard_write": Route(metric="backing_write_seconds", ops="backing_writes",
                          bytes="backing_bytes_written"),
-    "shard_window_wait": Route(metric="shard_window_wait_seconds", span=True),
-    "shard_reply": Route(metric="shard_reply_seconds"),
+    "shard_window_wait": Route(metric="shard_window_wait_seconds"),
+    "shard_reply_read": Route(metric="shard_reply_read_seconds"),
+    "shard_reply_write": Route(metric="shard_reply_write_seconds"),
+    # -- failures (instants carrying item/attempt, or shard) --
+    "backing_fault": Route(metric="backing_faults"),
+    "backing_retry": Route(metric="backing_retries"),
+    "shard_restart": Route(metric="shard_restarts"),
 }
 
-#: Engine phase names measured by the per-phase timers: the timer column.
-ENGINE_PHASES = tuple(r.timer for r in ROUTES.values() if r.timer is not None)
+#: The engine's phases: each reports one lap per call into its
+#: ``<phase>_seconds`` catalogue histogram.
+ENGINE_PHASES = ("plan", "kernel", "store_wait")
 
 
 class Observer:
-    """The one reporting seam: every sink, and the fan-out to them.
+    """The one reporting seam: two sinks, and the fan-out to them.
 
+    :attr:`metrics` is the registry — the only home of a counter, gauge
+    or duration — and :attr:`spans` the bounded record ring, one record
+    per report. Pass an existing registry or recorder to share it; any
+    other value builds a fresh one (``capacity`` sizes a fresh ring).
     Build one, :meth:`attach` it to a :class:`LikelihoodEngine` (or hand
     it to ``store.attach`` yourself), run the workload, then read
-    :attr:`tracer` / :attr:`probe` / :attr:`drain_hist` / :attr:`timers`
-    / :attr:`metrics` / :attr:`spans` or export everything with the
-    summaries below. Instrumented components hold this object as their
-    single ``obs`` attribute (``None`` when off — one ``is None`` test
-    per site) and report through the verbs; :data:`ROUTES` decides which
-    sinks record what.
+    ``metrics.snapshot()`` and ``spans.records()``. Instrumented
+    components hold this object as their single ``obs`` attribute
+    (``None`` when unobserved — one ``is None`` test per site) and report
+    through the verbs; :data:`ROUTES` decides what each report feeds.
     """
 
     def __init__(self, capacity: int = 1 << 16,
                  metrics: "MetricsRegistry | bool | None" = None,
                  spans: "SpanRecorder | bool | None" = None) -> None:
-        self.tracer = Tracer(capacity)
-        self.probe = BackingProbe()
-        self.drain_hist = LogHistogram()
-        self.timers = Stopwatch()
-        # metrics / spans are opt-in: pass True to construct a fresh
-        # registry/recorder, an existing instance to share one, or leave
-        # None/False to keep that subsystem fully off.
-        self.metrics: MetricsRegistry | None
-        if metrics is True:
-            self.metrics = MetricsRegistry()
-        else:
-            self.metrics = metrics if isinstance(metrics, MetricsRegistry) else None
-        self.spans: SpanRecorder | None
-        if spans is True:
-            self.spans = SpanRecorder()
-        else:
-            self.spans = spans if isinstance(spans, SpanRecorder) else None
+        self.metrics = (metrics if isinstance(metrics, MetricsRegistry)
+                        else MetricsRegistry())
+        self.spans = (spans if isinstance(spans, SpanRecorder)
+                      else SpanRecorder(capacity))
 
     def attach(self, engine: Any) -> "Observer":
         """Become ``engine``'s, its store's and its prefetcher's ``obs``."""
@@ -182,7 +170,6 @@ class Observer:
         engine.store.attach(self)
         if engine.prefetcher is not None:
             engine.prefetcher.obs = self
-        self.add_collector(self._collect)
         return self
 
     def detach(self, engine: Any) -> None:
@@ -191,15 +178,18 @@ class Observer:
         engine.store.attach(None)
         if engine.prefetcher is not None:
             engine.prefetcher.obs = None
-        self.remove_collector(self._collect)
 
     # -- reporting verbs (any thread; sinks are lock-cheap) -----------------------
 
-    def event(self, name: str, item: int = -1, slot: int = -1) -> None:
-        """Report an instant."""
-        etype = ROUTES[name].event
-        if etype is not None:
-            self.tracer.emit(etype, item, slot)
+    def event(self, name: str, item: int = -1, slot: int = -1,
+              **args: Any) -> None:
+        """Report an instant; further keywords (``attempt=``, ``shard=``)
+        ride on its record."""
+        metric = ROUTES[name].metric
+        if metric is not None:
+            self.metrics.inc(metric)
+        self.spans.complete(name, time.perf_counter(), 0.0, args or None,
+                            item=item, slot=slot)
 
     def timed(self, name: str, t0: float, dt: float, *, item: int = -1,
               slot: int = -1, nbytes: int = 0, span_id: int = 0,
@@ -208,115 +198,50 @@ class Observer:
 
         ``item``/``slot`` identify the subject, ``nbytes`` what a
         transfer moved, ``span_id``/``parent`` the causal identity of
-        the span (see :meth:`new_span_id`); further keywords become span
-        arguments (``shard=`` also labels the per-shard counters).
+        the record (see :meth:`new_span_id`); further keywords ride on
+        the record (``shard=`` also labels the per-shard counters).
         """
         route = ROUTES[name]
-        if route.timer is not None:
-            self.timers.add(route.timer, dt)
-        if route.hist == "read":
-            self.probe.record_read(dt, nbytes)
-        elif route.hist == "write":
-            self.probe.record_write(dt, nbytes)
-        elif route.hist == "drain":
-            self.drain_hist.record(dt)
-        if route.event is not None:
-            self.tracer.emit(route.event, item, slot, dt)
         mx = self.metrics
-        if mx is not None:
-            if route.metric is not None:
-                mx.observe(route.metric, dt)
-            if route.ops is not None and route.bytes is not None:
-                label = {"shard": str(args["shard"])}
-                mx.inc_labeled(route.ops, label)
-                mx.inc_labeled(route.bytes, label, nbytes)
-        sp = self.spans
-        if sp is not None and route.span:
-            if item >= 0:
-                args["item"] = item
-            sp.complete(name, t0, dt, args, span_id=span_id, parent=parent)
+        if route.metric is not None:
+            mx.observe(route.metric, dt)
+        if route.ops is not None and route.bytes is not None:
+            label = {"shard": str(args["shard"])}
+            mx.inc_labeled(route.ops, label)
+            mx.inc_labeled(route.bytes, label, nbytes)
+        self.spans.complete(name, t0, dt, args or None, span_id=span_id,
+                            parent=parent, item=item, slot=slot)
 
     def count(self, name: str, n: int | float = 1) -> None:
         """Add ``n`` to the catalogue counter ``name``."""
-        if self.metrics is not None:
-            self.metrics.inc(name, n)
+        self.metrics.inc(name, n)
 
     def gauge(self, name: str, value: int | float, *,
               shard: int | None = None) -> None:
         """Set the catalogue gauge ``name`` (its ``shard`` series if given)."""
-        mx = self.metrics
-        if mx is None:
-            return
         if shard is None:
-            mx.gauge_set(name, value)
+            self.metrics.gauge_set(name, value)
         else:
-            mx.gauge_set_labeled(name, {"shard": str(shard)}, value)
+            self.metrics.gauge_set_labeled(name, {"shard": str(shard)}, value)
 
     def totals(self, counters: Mapping[str, int | float]) -> None:
         """Collector side: set counters to the absolute values a component
         read from its authoritative, monotone source (``IoStats``)."""
-        mx = self.metrics
-        if mx is not None:
-            for name, value in counters.items():
-                mx.counter_set(name, value)
+        for name, value in counters.items():
+            self.metrics.counter_set(name, value)
 
     def merge(self, name: str, state: dict[str, Any]) -> None:
         """Merge a serialised histogram delta (a shard worker's) into the
         catalogue histogram ``name``."""
-        if self.metrics is not None:
-            self.metrics.merge_histogram(name, state)
+        self.metrics.merge_histogram(name, state)
 
     def new_span_id(self) -> int:
-        """An identity for a span about to be reported, 0 with spans off."""
-        return next_span_id() if self.spans is not None else 0
+        """An identity for a record about to be reported."""
+        return next_span_id()
 
     def add_collector(self, fn: Callable[[], None]) -> None:
-        """Run ``fn`` at every scrape/snapshot (no-op with metrics off)."""
-        if self.metrics is not None:
-            self.metrics.register_collector(fn)
+        """Run ``fn`` at every scrape/snapshot of the registry."""
+        self.metrics.register_collector(fn)
 
     def remove_collector(self, fn: Callable[[], None]) -> None:
-        if self.metrics is not None:
-            self.metrics.unregister_collector(fn)
-
-    def _collect(self) -> None:
-        """Pull collector: engine phase totals + tracer ring accounting.
-
-        Registered at :meth:`attach`; the store's own collector covers
-        the ``IoStats`` counters and slot gauges, this one covers what
-        only the observer can see.
-        """
-        self.totals({
-            "trace_events_emitted": self.tracer.emitted,
-            "trace_events_dropped": self.tracer.dropped,
-            **{f"phase_{phase}_{key}": value
-               for phase, entry in self.phase_totals().items()
-               for key, value in entry.items()},
-        })
-
-    # -- summaries --------------------------------------------------------------
-
-    def phase_totals(self) -> dict[str, dict[str, float]]:
-        """``{phase: {"seconds": s, "calls": n}}`` for the engine phases."""
-        return {
-            phase: {"seconds": self.timers.total(phase),
-                    "calls": self.timers.count(phase)}
-            for phase in ENGINE_PHASES
-        }
-
-    def histograms(self) -> dict[str, dict[str, Any]]:
-        """JSON-ready latency histograms (reads, writes, drains)."""
-        return {
-            "backing_read": self.probe.read_hist.to_dict(),
-            "backing_write": self.probe.write_hist.to_dict(),
-            "writeback_drain": self.drain_hist.to_dict(),
-        }
-
-    def event_summary(self) -> dict[str, Any]:
-        """Emission totals, ring-buffer drop count and per-type counts."""
-        return {
-            "emitted": self.tracer.emitted,
-            "captured": len(self.tracer),
-            "dropped": self.tracer.dropped,
-            "by_type": self.tracer.by_type(),
-        }
+        self.metrics.unregister_collector(fn)

@@ -1,11 +1,11 @@
-"""Exporters for traced runs: JSONL dumps, slot timelines, profile schema.
+"""Exporters for observed runs: JSONL dumps, slot timelines, profile schema.
 
-Three consumers of :class:`~repro.obs.tracer.Tracer` output:
+Three consumers of the record ring (:class:`~repro.obs.spans.SpanRecorder`):
 
-* :func:`records_to_jsonl` — the raw event stream, one JSON object per
+* :func:`records_to_jsonl` — the raw record stream, one JSON object per
   line, for ad-hoc analysis with ``jq``/pandas;
 * :func:`slot_timeline` — a slot-occupancy Gantt view reconstructed from
-  ``miss``/``prefetch_issue``/``evict`` events: which vector occupied
+  ``miss``/``prefetch_issue``/``evict`` records: which vector occupied
   which slot over which interval;
 * :data:`PROFILE_SCHEMA` + :func:`validate_profile` — the versioned
   ``BENCH_profile.json`` document emitted by ``python -m repro.profile``
@@ -26,78 +26,68 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.stats import PARITY_COUNTERS
 
-#: Version tag of the ``BENCH_profile.json`` document layout.
-#: ``/2`` added the ``metrics`` block (a full registry snapshot) and the
-#: counter/registry consistency requirements below. ``/3`` adds the
-#: ``attribution`` block: per-op latency percentiles decomposed into
-#: pipeline stages (window wait, wire, worker disk, reply) from merged
-#: cross-process histograms.
-PROFILE_SCHEMA = "repro-profile/3"
+#: Version tag of the ``BENCH_profile.json`` document layout. ``/4``
+#: keeps every value once: counters, phase totals and latencies live in
+#: the ``metrics`` registry snapshot alone, ``attribution`` names the
+#: histograms each stage of a backing op reads instead of copying them,
+#: and ``derived`` / ``records`` hold what no catalogue row does.
+PROFILE_SCHEMA = "repro-profile/4"
 
 #: Top-level keys every profile document must carry.
-_REQUIRED_TOP = (
-    "schema", "workload", "config", "phases", "counters", "histograms",
-    "events", "metrics", "attribution",
-)
-#: Required sub-keys of each per-phase timing entry.
-_PHASE_KEYS = ("seconds", "calls")
-#: Required sub-keys of each latency histogram.
-_HIST_KEYS = ("unit", "count", "sum", "buckets")
-#: Histogram blocks every profile must include.
-_HIST_NAMES = ("backing_read", "backing_write", "writeback_drain")
-#: Required sub-keys of the event summary block.
-_EVENT_KEYS = ("emitted", "captured", "dropped", "by_type")
+_REQUIRED_TOP = ("schema", "workload", "config", "derived", "records",
+                 "metrics", "attribution")
+#: Integer values ``IoStats`` derives that no catalogue row holds.
+_DERIVED_INTS = ("physical_reads", "physical_writes", "swaps")
+#: Required integer sub-keys of the record-ring accounting block.
+_RECORD_KEYS = ("emitted", "captured", "dropped")
 #: Required sub-keys of the metrics registry snapshot block.
-_METRICS_KEYS = ("counters", "gauges", "histograms")
-#: Required numeric keys of every attribution stage summary.
-_ATTR_SUMMARY_KEYS = ("count", "sum", "p50", "p95", "p99")
+_METRICS_KEYS = ("counters", "gauges", "histograms", "labeled")
 #: Per-op entries the attribution block must decompose.
 _ATTR_OPS = ("read", "write")
 
 
 def records_to_jsonl(records: Iterable[Any], path: str) -> int:
-    """Write trace records to ``path`` as JSON Lines; returns the row count.
+    """Write ring records to ``path`` as JSON Lines; returns the row count.
 
-    Accepts any iterable of objects with the :class:`TraceRecord` fields
-    (``ts``/``etype``/``item``/``slot``/``dur``/``thread``).
+    Accepts any iterable of :class:`~repro.obs.spans.SpanRecord` rows;
+    ``args`` (a retry's attempt, a restart's shard) appear when present.
     """
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps({
-                "ts": rec.ts,
-                "etype": rec.etype,
-                "item": rec.item,
-                "slot": rec.slot,
-                "dur": rec.dur,
-                "thread": rec.thread,
-            }, separators=(",", ":")))
+            row = {"ts": rec.start, "name": rec.name, "item": rec.item,
+                   "slot": rec.slot, "dur": rec.dur, "thread": rec.thread}
+            if rec.args:
+                row["args"] = rec.args
+            fh.write(json.dumps(row, separators=(",", ":")))
             fh.write("\n")
             count += 1
     return count
 
 
 def slot_timeline(records: Sequence[Any]) -> list[dict[str, Any]]:
-    """Reconstruct slot occupancy intervals from a trace.
+    """Reconstruct slot occupancy intervals from the ring.
 
     A ``miss`` or ``prefetch_issue`` record with a valid slot opens an
     interval (the vector moved into that slot); the matching ``evict``
-    closes it. Intervals still open at the end of the trace are closed at
-    the last observed timestamp. Returns ``[{"slot", "item", "start",
+    closes it. A record counts at the moment it was reported — the end of
+    an interval. Intervals still open at the end of the trace are closed
+    at the last observed timestamp. Returns ``[{"slot", "item", "start",
     "end"}]`` sorted by start time.
 
-    Because the ring buffer drops its *oldest* records on overflow, a
-    truncated trace can contain evictions whose opening record was lost;
-    those are ignored rather than guessed at.
+    Because the ring drops its *oldest* records on overflow, a truncated
+    trace can contain evictions whose opening record was lost; those are
+    ignored rather than guessed at.
     """
     open_at: dict[int, tuple[int, float]] = {}  # slot -> (item, start_ts)
     intervals: list[dict[str, Any]] = []
     last_ts = 0.0
     for rec in records:
-        last_ts = max(last_ts, rec.ts)
-        if rec.slot is None or rec.slot < 0:
+        ts = rec.start + rec.dur
+        last_ts = max(last_ts, ts)
+        if rec.slot < 0:
             continue
-        if rec.etype in ("miss", "prefetch_issue"):
+        if rec.name in ("miss", "prefetch_issue"):
             cur = open_at.get(rec.slot)
             # A demand miss on a prefetched slot re-reports the same
             # occupancy (demand-transparency accounting); keep the
@@ -108,13 +98,13 @@ def slot_timeline(records: Sequence[Any]) -> list[dict[str, Any]]:
                 # Opening record of the previous occupant's eviction was
                 # dropped by ring overflow — close it here.
                 intervals.append({"slot": rec.slot, "item": cur[0],
-                                  "start": cur[1], "end": rec.ts})
-            open_at[rec.slot] = (rec.item, rec.ts)
-        elif rec.etype == "evict":
+                                  "start": cur[1], "end": ts})
+            open_at[rec.slot] = (rec.item, ts)
+        elif rec.name == "evict":
             cur = open_at.pop(rec.slot, None)
             if cur is not None:
                 intervals.append({"slot": rec.slot, "item": cur[0],
-                                  "start": cur[1], "end": rec.ts})
+                                  "start": cur[1], "end": ts})
     for slot, (item, start) in open_at.items():
         intervals.append({"slot": slot, "item": item,
                           "start": start, "end": last_ts})
@@ -155,12 +145,10 @@ def validate_profile(doc: Any) -> list[str]:
     Deliberately hand-rolled: the container must not grow a jsonschema
     dependency for one fixed layout.
     """
-    problems: list[str] = []
     if not isinstance(doc, dict):
         return [f"document must be an object, got {_type_name(doc)}"]
-    for key in _REQUIRED_TOP:
-        if key not in doc:
-            problems.append(f"missing top-level key {key!r}")
+    problems = [f"missing top-level key {key!r}" for key in _REQUIRED_TOP
+                if key not in doc]
     if problems:
         return problems
     if doc["schema"] != PROFILE_SCHEMA:
@@ -170,135 +158,66 @@ def validate_profile(doc: Any) -> list[str]:
         problems.append("workload must be a non-empty string")
     if not isinstance(doc["config"], dict):
         problems.append("config must be an object")
-
-    phases = doc["phases"]
-    if not isinstance(phases, dict) or not phases:
-        problems.append("phases must be a non-empty object")
-    else:
-        for name, entry in phases.items():
-            if not isinstance(entry, dict):
-                problems.append(f"phase {name!r} must be an object")
-                continue
-            for key in _PHASE_KEYS:
-                if not isinstance(entry.get(key), (int, float)):
-                    problems.append(f"phase {name!r} missing numeric {key!r}")
-
-    counters = doc["counters"]
-    if not isinstance(counters, dict):
-        problems.append("counters must be an object")
-    else:
-        for key in PARITY_COUNTERS:
-            if not isinstance(counters.get(key), int):
-                problems.append(f"counters missing integer {key!r}")
-
-    hists = doc["histograms"]
-    if not isinstance(hists, dict):
-        problems.append("histograms must be an object")
-    else:
-        for name in _HIST_NAMES:
-            hist = hists.get(name)
-            if not isinstance(hist, dict):
-                problems.append(f"missing histogram {name!r}")
-                continue
-            for key in _HIST_KEYS:
-                if key not in hist:
-                    problems.append(f"histogram {name!r} missing {key!r}")
-            buckets = hist.get("buckets")
-            if not isinstance(buckets, list):
-                problems.append(f"histogram {name!r} buckets must be a list")
-            else:
-                for idx, bucket in enumerate(buckets):
-                    if (not isinstance(bucket, dict)
-                            or not isinstance(bucket.get("le"), (int, float))
-                            or not isinstance(bucket.get("count"), int)):
-                        problems.append(
-                            f"histogram {name!r} bucket {idx} must be "
-                            "{'le': number, 'count': int}")
-                        break
-
-    events = doc["events"]
-    if not isinstance(events, dict):
-        problems.append("events must be an object")
-    else:
-        for key in _EVENT_KEYS:
-            if key not in events:
-                problems.append(f"events missing {key!r}")
-        by_type = events.get("by_type")
-        if by_type is not None and not isinstance(by_type, dict):
-            problems.append("events.by_type must be an object")
+    for block, keys in (("derived", _DERIVED_INTS), ("records", _RECORD_KEYS)):
+        entry = doc[block]
+        if not isinstance(entry, dict):
+            problems.append(f"{block} must be an object")
+            continue
+        problems.extend(f"{block} missing integer {key!r}" for key in keys
+                        if not isinstance(entry.get(key), int))
 
     metrics = doc["metrics"]
+    hists: dict[str, Any] = {}
     if not isinstance(metrics, dict):
         problems.append("metrics must be an object")
     else:
         for key in _METRICS_KEYS:
             if not isinstance(metrics.get(key), dict):
                 problems.append(f"metrics missing object {key!r}")
-        reg_counters = metrics.get("counters")
-        if isinstance(counters, dict) and isinstance(reg_counters, dict):
-            # The registry snapshot is collected from the same IoStats the
-            # counter block reports: any disagreement on a shared counter
-            # means a stale snapshot or a forged document.
-            for key in sorted(set(counters) & set(reg_counters)):
-                if counters[key] != reg_counters[key]:
-                    problems.append(
-                        f"counter {key!r} disagrees with the metrics "
-                        f"snapshot ({counters[key]} vs {reg_counters[key]})")
-        if isinstance(events, dict) and isinstance(reg_counters, dict):
-            for ev_key, metric in (("emitted", "trace_events_emitted"),
-                                   ("dropped", "trace_events_dropped")):
-                have, want = events.get(ev_key), reg_counters.get(metric)
-                if (isinstance(have, int) and isinstance(want, int)
-                        and have != want):
-                    problems.append(
-                        f"events.{ev_key} ({have}) disagrees with "
-                        f"metrics counter {metric!r} ({want})")
-
-    problems.extend(_validate_attribution(doc["attribution"]))
+        counters = metrics.get("counters")
+        if isinstance(counters, dict):
+            problems.extend(f"metrics.counters missing integer {key!r}"
+                            for key in PARITY_COUNTERS
+                            if not isinstance(counters.get(key), int))
+        if isinstance(metrics.get("histograms"), dict):
+            hists = metrics["histograms"]
+    problems.extend(_validate_attribution(doc["attribution"], hists))
     return problems
 
 
-def _summary_problems(where: str, summary: Any) -> list[str]:
-    if not isinstance(summary, dict):
-        return [f"{where} must be an object"]
-    return [f"{where} missing numeric {key!r}"
-            for key in _ATTR_SUMMARY_KEYS
-            if not isinstance(summary.get(key), (int, float))]
+def _validate_attribution(attr: Any, hists: dict[str, Any]) -> list[str]:
+    """Validate the latency-attribution block against the snapshot.
 
-
-def _validate_attribution(attr: Any) -> list[str]:
-    """Validate the ``/3`` latency-attribution block.
-
-    Shape: ``{"backing": str, "window_wait": summary, "ops": {"read"/
-    "write": summary + {"stages": {name: summary}}}, "per_shard": obj}``
-    where every summary carries count/sum/p50/p95/p99. Stage *names* are
+    Shape: ``{"backing": str, "window_wait": name, "ops": {"read"/
+    "write": {"total": name, "stages": {stage: name}}}}`` where every
+    name is a histogram of ``metrics.histograms``. Stage *names* are
     backing-dependent (a sharded run reports wire/disk/reply; a local
-    run reports only disk), so only the shapes are pinned here.
+    run reports only disk), so only the shapes and the references are
+    pinned here.
     """
     if not isinstance(attr, dict):
         return [f"attribution must be an object, got {_type_name(attr)}"]
     problems: list[str] = []
+
+    def resolve(where: str, name: Any) -> None:
+        if not isinstance(name, str) or name not in hists:
+            problems.append(f"{where} names {name!r}, not a histogram of "
+                            "the metrics snapshot")
+
     if not isinstance(attr.get("backing"), str) or not attr.get("backing"):
         problems.append("attribution.backing must be a non-empty string")
-    problems.extend(_summary_problems("attribution.window_wait",
-                                      attr.get("window_wait")))
+    resolve("attribution.window_wait", attr.get("window_wait"))
     ops = attr.get("ops")
     if not isinstance(ops, dict):
-        problems.append("attribution.ops must be an object")
-        return problems
+        return [*problems, "attribution.ops must be an object"]
     for op in _ATTR_OPS:
         entry = ops.get(op)
-        if not isinstance(entry, dict):
-            problems.append(f"attribution.ops.{op} must be an object")
+        if not isinstance(entry, dict) or not isinstance(
+                entry.get("stages"), dict):
+            problems.append(f"attribution.ops.{op} must be an object with "
+                            "a 'stages' object")
             continue
-        problems.extend(_summary_problems(f"attribution.ops.{op}", entry))
-        stages = entry.get("stages")
-        if not isinstance(stages, dict):
-            problems.append(f"attribution.ops.{op}.stages must be an object")
-            continue
-        for name, summary in stages.items():
-            problems.extend(_summary_problems(
-                f"attribution.ops.{op}.stages.{name}", summary))
-    if not isinstance(attr.get("per_shard"), dict):
-        problems.append("attribution.per_shard must be an object")
+        resolve(f"attribution.ops.{op}.total", entry.get("total"))
+        for stage, name in entry["stages"].items():
+            resolve(f"attribution.ops.{op}.stages.{stage}", name)
     return problems

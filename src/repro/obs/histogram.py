@@ -1,13 +1,12 @@
-"""Log-bucketed latency histograms for physical I/O.
+"""Log-bucketed latency histograms: every duration the registry holds.
 
 Backing-store transfers span five orders of magnitude (a RAM copy to an
 HDD seek), so fixed-width buckets are useless; :class:`LogHistogram`
 buckets by powers of two of seconds instead, which keeps the structure a
 flat integer array with O(1) insertion and resolves both tails.
 
-:class:`BackingProbe` pairs one read and one write histogram and is the
-sink physical backing-store transfers are routed to (``Observer.probe``;
-the stores themselves only hold ``obs`` — see :mod:`repro.core.backing`).
+Every catalogue histogram of :class:`~repro.obs.metrics.MetricsRegistry`
+is one of these; nothing else records a duration.
 
 Histograms are **mergeable**: :meth:`LogHistogram.state` serialises the
 bucket vector to a JSON-ready dict, :meth:`LogHistogram.merge_state`
@@ -46,9 +45,9 @@ class LogHistogram:
         self._count = 0
         self._sum = 0.0
         self._max = 0.0
-        # Physical I/O is orders of magnitude slower than a lock round
-        # trip, so exact (locked) recording is affordable here — unlike
-        # the tracer's hot emit path.
+        # Exact (locked) recording: a lap is at least a kernel call or a
+        # store request, far slower than an uncontended lock round trip —
+        # unlike the record ring's per-instant append.
         self._lock = threading.Lock()
 
     def record(self, seconds: float) -> None:
@@ -172,40 +171,3 @@ class LogHistogram:
             self._sum += float(state.get("sum", 0.0))
             self._max = max(self._max, float(state.get("max", 0.0)))
 
-
-class BackingProbe:
-    """Read/write latency histograms + byte totals for a backing store."""
-
-    def __init__(self) -> None:
-        self.read_hist = LogHistogram()
-        self.write_hist = LogHistogram()
-        self.read_bytes = 0
-        self.write_bytes = 0
-
-    def record_read(self, seconds: float, nbytes: int) -> None:
-        self.read_hist.record(seconds)
-        self.read_bytes += int(nbytes)
-
-    def record_write(self, seconds: float, nbytes: int) -> None:
-        self.write_hist.record(seconds)
-        self.write_bytes += int(nbytes)
-
-    # -- cross-process merging ---------------------------------------------------
-
-    def drain_state(self) -> dict[str, Any]:
-        """Snapshot-and-reset both histograms plus the byte totals."""
-        read_bytes, self.read_bytes = self.read_bytes, 0
-        write_bytes, self.write_bytes = self.write_bytes, 0
-        return {
-            "read": self.read_hist.drain_state(),
-            "write": self.write_hist.drain_state(),
-            "read_bytes": read_bytes,
-            "write_bytes": write_bytes,
-        }
-
-    def merge_state(self, state: dict[str, Any]) -> None:
-        """Add a :meth:`drain_state` snapshot from another probe."""
-        self.read_hist.merge_state(state["read"])
-        self.write_hist.merge_state(state["write"])
-        self.read_bytes += int(state.get("read_bytes", 0))
-        self.write_bytes += int(state.get("write_bytes", 0))

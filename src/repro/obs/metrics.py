@@ -8,7 +8,7 @@ field declarations), and ``python -m repro.analysis`` rule MET001 checks
 every report site against it — a typo'd metric name fails statically
 *and* at runtime instead of silently vanishing from every dashboard.
 
-Update model (hybrid push/pull, lock-cheap like the tracer):
+Update model (hybrid push/pull, lock-cheap like the record ring):
 
 * **pull** — components register a *collector* callback
   (:meth:`MetricsRegistry.register_collector`) that copies their
@@ -17,9 +17,10 @@ Update model (hybrid push/pull, lock-cheap like the tracer):
   no per-event registry traffic, and the counters stay bit-identical to
   an uninstrumented run (passivity).
 * **push** — genuinely event-shaped observations (physical I/O latency,
-  store-wait time) reach :meth:`MetricsRegistry.observe` through the
-  reporting component's :class:`repro.obs.Observer` (``obs.timed``), a
-  single ``is None`` test at the site exactly like tracer events.
+  engine phase laps, retries and restarts) reach
+  :meth:`MetricsRegistry.observe` / :meth:`MetricsRegistry.inc` through
+  the reporting component's :class:`repro.obs.Observer` (``obs.timed`` /
+  ``obs.event``), a single ``is None`` test at the site.
 
 Thread-safety follows the single-writer-per-name rule of
 :class:`~repro.core.stats.IoStats`: each counter/gauge has one writing
@@ -90,26 +91,18 @@ METRIC_EXPOSITION: dict[str, Metric] = {
         "gauge", "Age of the oldest pending request, by shard", labeled=True),
     "shard_window_wait_seconds": Metric(
         "histogram", "Submit stalls on the bounded in-flight window"),
-    "shard_wire_seconds": Metric(
-        "histogram", "Client send to worker dequeue (queueing + wire transfer)"),
+    "shard_wire_read_seconds": Metric(
+        "histogram", "Read request: client send to worker dequeue (merged)"),
+    "shard_wire_write_seconds": Metric(
+        "histogram", "Write request: client send to worker dequeue (merged)"),
     "shard_disk_read_seconds": Metric(
         "histogram", "Worker-side backing read latency (merged)"),
     "shard_disk_write_seconds": Metric(
         "histogram", "Worker-side backing write latency (merged)"),
-    "shard_reply_seconds": Metric(
-        "histogram", "Worker reply send to client receive (wire + collect)"),
-    # -- engine phase counters (seconds are monotone totals) --
-    "phase_plan_seconds": Metric("counter", "Engine time planning traversals"),
-    "phase_plan_calls": Metric("counter", "Engine plan laps"),
-    "phase_kernel_seconds": Metric("counter", "Engine time in likelihood kernels"),
-    "phase_kernel_calls": Metric("counter", "Engine kernel laps"),
-    "phase_store_wait_seconds": Metric(
-        "counter", "Engine time waiting on store.get"),
-    "phase_store_wait_calls": Metric("counter", "Engine store-wait laps"),
-    # -- tracer ring-buffer accounting --
-    "trace_events_emitted": Metric("counter", "Trace records emitted to the ring"),
-    "trace_events_dropped": Metric(
-        "counter", "Trace records lost to ring overflow"),
+    "shard_reply_read_seconds": Metric(
+        "histogram", "Read reply: worker send to client receive"),
+    "shard_reply_write_seconds": Metric(
+        "histogram", "Write reply: worker send to client receive"),
     # -- live gauges --
     "slots_total": Metric("gauge", "RAM slot capacity m of the store"),
     "slots_occupied": Metric("gauge", "Slots currently holding a vector"),
@@ -121,6 +114,9 @@ METRIC_EXPOSITION: dict[str, Metric] = {
     "loads_inflight": Metric("gauge", "Slot loads (demand or prefetch) in flight"),
     "prefetch_untouched": Metric(
         "gauge", "Prefetched residents awaiting first use"),
+    # -- engine phases: one observation per lap --
+    "plan_seconds": Metric("histogram", "Engine time planning one traversal"),
+    "kernel_seconds": Metric("histogram", "Engine time in one likelihood kernel"),
     # -- latency histograms --
     "backing_read_seconds": Metric(
         "histogram", "Physical backing-store read latency"),
@@ -156,11 +152,10 @@ def _fmt(value: float) -> str:
 class MetricsRegistry:
     """One process-local registry over the frozen catalogue.
 
-    Build one with :class:`repro.obs.Observer` (``metrics=True``, or pass
-    an instance to share it), then read it programmatically
-    (:meth:`snapshot`, :meth:`value`) or serve it over HTTP
-    (:class:`repro.obs.server.MetricsServer`). Default off everywhere:
-    components hold ``obs = None`` until an observer is attached, and
+    Every :class:`repro.obs.Observer` has one (pass an instance to share
+    it); read it programmatically (:meth:`snapshot`, :meth:`value`) or
+    serve it over HTTP (:class:`repro.obs.server.MetricsServer`).
+    Components hold ``obs = None`` until an observer is attached, and
     every push site is a single ``is None`` test.
     """
 

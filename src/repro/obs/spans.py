@@ -1,26 +1,34 @@
-"""Span timelines: nested begin/end intervals exported as Chrome trace JSON.
+"""The record ring: every report of a run, as nested intervals and instants.
 
-Where the :class:`~repro.obs.tracer.Tracer` records point events and the
-Stopwatch records per-phase totals, spans keep *intervals with identity*:
-which thread was inside which phase when, so kernel/store_wait overlap
-with writeback drains and prefetch loads is finally visible on a
-timeline. The export target is the Chrome trace-event format (``ph: "X"``
-complete events), which loads directly into Perfetto / ``chrome://tracing``.
+An :class:`repro.obs.Observer` keeps one :class:`SpanRecorder` — a
+bounded ring of :class:`SpanRecord` rows — and appends one record per
+report: an interval (``plan``, ``kernel``, ``store_wait``,
+``writeback_drain``, a shard request, ...) with its start and duration,
+or an instant (``get``, ``miss``, ``evict``, a retry or restart) with
+``dur = 0``. Each record carries the thread it ran on and, where the
+report names one, its item and slot, so the same ring answers "what
+happened, in order" (``--events``, the slot timeline) and "what
+overlapped what" (Chrome trace-event JSON, ``ph: "X"`` complete events,
+loadable directly into Perfetto / ``chrome://tracing``).
 
-Recording is lock-cheap by the same argument as the tracer: one
-``deque(maxlen=...)`` ring whose ``append`` is GIL-atomic, emit sites pay
-one ``is None`` test plus two ``perf_counter()`` calls, and overflow
-drops the oldest spans while the ``emitted`` counter keeps honest
-accounting. This module must stay importable without :mod:`repro.core`.
+Recording is lock-cheap: one ``deque(maxlen=...)`` whose ``append`` is
+GIL-atomic, so compute, prefetch and writer threads record concurrently
+without taking a lock. On overflow the **oldest** records drop, and
+``emitted`` keeps honest accounting (``dropped = emitted - captured``);
+the unlocked increment may undercount by a few under heavy cross-thread
+contention — the price of never stalling the I/O pipeline for its own
+instrumentation. This module must stay importable without
+:mod:`repro.core`.
 
-Spans carry optional *identity*: a ``span_id`` (allocate one with
-:func:`next_span_id`) and a ``parent`` pointing at the span that caused
-this one. The sharded backing tier threads these ids through its wire
-header, so a shard worker's disk span can name the client-side request
-span that triggered it; :meth:`SpanRecorder.to_chrome_trace` turns
-cross-process parent links into Chrome flow events (``ph: "s"/"f"``),
-and :meth:`SpanRecorder.add_process_track` renders each worker as its
-own ``pid`` track (with a per-worker clock offset applied at export).
+Records carry optional *identity*: a ``span_id`` (allocate one with
+:func:`next_span_id`) and a ``parent`` pointing at the record that
+caused this one. The sharded backing tier threads these ids through its
+wire header, so a shard worker's disk span can name the client-side
+request span that triggered it; :meth:`SpanRecorder.to_chrome_trace`
+turns cross-process parent links into Chrome flow events (``ph:
+"s"/"f"``), and :meth:`SpanRecorder.add_process_track` renders each
+worker as its own ``pid`` track (with a per-worker clock offset applied
+at export).
 """
 
 from __future__ import annotations
@@ -45,23 +53,25 @@ def next_span_id() -> int:
 
 
 class SpanRecord(NamedTuple):
-    """One completed interval on one thread."""
+    """One report on one thread: an interval, or an instant (``dur = 0``)."""
 
-    name: str  #: span name, e.g. "kernel", "writeback_drain"
-    start: float  #: time.perf_counter() at entry
+    name: str  #: reported name, e.g. "kernel", "writeback_drain", "miss"
+    start: float  #: time.perf_counter() at entry (at the report, for an instant)
     dur: float  #: duration in seconds
     thread: str  #: threading.current_thread().name at completion
-    args: dict[str, Any] | None  #: optional payload (item ids etc.)
+    args: dict[str, Any] | None  #: optional payload (attempt, shard, ...)
     span_id: int = 0  #: identity for causal linking (0 = anonymous)
     parent: int = 0  #: span_id of the causing span (0 = no parent)
+    item: int = -1  #: logical vector id (-1 when not applicable)
+    slot: int = -1  #: RAM slot id (-1 when not applicable)
 
 
 class SpanRecorder:
-    """Bounded ring buffer of completed spans.
+    """Bounded ring buffer of completed records.
 
-    Like the tracer: writers never block, the ring evicts oldest-first on
-    overflow, and :attr:`dropped` exposes how many spans were lost so an
-    exported timeline can never silently pretend to be complete.
+    Writers never block, the ring evicts oldest-first on overflow, and
+    :attr:`dropped` exposes how many records were lost so an exported
+    timeline can never silently pretend to be complete.
     """
 
     def __init__(self, capacity: int = 1 << 18) -> None:
@@ -80,12 +90,13 @@ class SpanRecorder:
 
     def complete(self, name: str, start: float, dur: float,
                  args: dict[str, Any] | None = None, *,
-                 span_id: int = 0, parent: int = 0) -> None:
+                 span_id: int = 0, parent: int = 0, item: int = -1,
+                 slot: int = -1) -> None:
         """Record an interval that just finished (GIL-atomic append)."""
         self._emitted += 1
         self._ring.append(SpanRecord(
             name, start, dur, threading.current_thread().name, args,
-            span_id, parent))
+            span_id, parent, item, slot))
 
     @contextmanager
     def span(self, name: str,
@@ -101,23 +112,23 @@ class SpanRecorder:
 
     @property
     def emitted(self) -> int:
-        """Total spans recorded, including any since evicted."""
+        """Total records appended, including any since evicted."""
         return self._emitted
 
     @property
     def dropped(self) -> int:
-        """Spans lost to ring overflow."""
+        """Records lost to ring overflow (oldest-first discard)."""
         return max(0, self._emitted - len(self._ring))
 
     def __len__(self) -> int:
         return len(self._ring)
 
     def records(self) -> list[SpanRecord]:
-        """Snapshot of retained spans in completion order."""
+        """Snapshot of retained records in completion order."""
         return list(self._ring)
 
     def by_name(self) -> dict[str, int]:
-        """Retained span counts keyed by span name."""
+        """Retained record counts keyed by reported name."""
         out: dict[str, int] = {}
         for rec in self._ring:
             out[rec.name] = out.get(rec.name, 0) + 1
@@ -195,6 +206,10 @@ class SpanRecorder:
                     "dur": round(rec.dur * 1e6, 3),
                 }
                 args = dict(rec.args) if rec.args else {}
+                if rec.item >= 0:
+                    args["item"] = rec.item
+                if rec.slot >= 0:
+                    args["slot"] = rec.slot
                 if rec.span_id:
                     args["span_id"] = rec.span_id
                     by_id[rec.span_id] = (pid, tid, ts)

@@ -1,8 +1,8 @@
 """``python -m repro.profile`` — profile an out-of-core likelihood workload.
 
-Runs one of the paper's evaluation workloads with the full observability
-stack attached (:mod:`repro.obs`: event tracer, latency histograms,
-per-phase timers) and writes a ``BENCH_profile.json`` summary:
+Runs one of the paper's evaluation workloads with an observer attached
+(:mod:`repro.obs`: the metrics registry and the record ring) and writes
+a ``BENCH_profile.json`` summary:
 
 * **full** — the §4.3 benchmark mode: N full tree traversals, the
   worst case for vector locality;
@@ -26,18 +26,19 @@ Examples
         --spans-out trace.json
     python -m repro.profile --validate BENCH_profile.json
 
-Every profile now embeds a full metrics-registry snapshot (the same
-counters a live ``/metrics`` scrape exposes); ``--metrics-port`` serves
-the registry over HTTP for the duration of the run, and ``--spans-out``
-writes a Chrome trace-event timeline loadable in Perfetto. With
-``--backing sharded`` the timeline gains one process track per shard
-worker (spans shipped back over the wire protocol's TELEMETRY op), and
-the mandatory ``attribution`` block decomposes per-op latency into
-pipeline stages — window wait, wire, worker disk, reply — from the
-merged cross-process histograms; ``--attribution`` prints the stage
-table to stdout, and beneath it the compute thread's ``store_wait``
-seconds split by what ``get`` waited for: a load in flight, write-behind
-back-pressure, or a demand read nobody had prefetched.
+Every counter, phase total and latency of a profile is in its metrics
+snapshot, once (the same values a live ``/metrics`` scrape exposes);
+``--metrics-port`` serves the registry over HTTP for the duration of
+the run, and ``--spans-out`` writes the record ring as a Chrome
+trace-event timeline loadable in Perfetto. With ``--backing sharded``
+the timeline gains one process track per shard worker (spans shipped
+back over the wire protocol's TELEMETRY op), and the ``attribution``
+block names the catalogue histograms that decompose per-op latency into
+pipeline stages — window wait, wire, worker disk, reply — merged from
+the workers; ``--attribution`` prints the stage table to stdout, and
+beneath it the compute thread's ``store_wait`` seconds split by what
+``get`` waited for: a load in flight, write-behind back-pressure, or a
+demand read nobody had prefetched.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from repro.config import EngineConfig
 from repro.core.stats import PARITY_COUNTERS
 from repro.errors import ReproError
 from repro.obs import (
+    ENGINE_PHASES,
     PROFILE_SCHEMA,
     MetricsServer,
     Observer,
@@ -99,13 +101,13 @@ def _run_workload(engine: LikelihoodEngine, args) -> float:
     return lazy_spr_round(engine, radius=args.radius).lnl
 
 
-def _counters_block(engine: LikelihoodEngine) -> dict:
+def _derived_block(engine: LikelihoodEngine) -> dict:
+    """What ``IoStats`` derives that no catalogue row holds."""
     stats = engine.stats
-    row = stats.as_row()
-    row["physical_reads"] = stats.physical_reads
-    row["physical_writes"] = stats.physical_writes
-    row["writeback_enabled"] = stats.writeback_enabled
-    return row
+    return {"physical_reads": stats.physical_reads,
+            "physical_writes": stats.physical_writes,
+            "swaps": stats.swaps, "miss_rate": stats.miss_rate,
+            "read_rate": stats.read_rate}
 
 
 def _run_block(args, engine: LikelihoodEngine) -> dict:
@@ -136,57 +138,39 @@ def _find_sharded(backing):
     return None
 
 
-def _hist_summary(hist) -> dict:
-    """count/sum/percentile summary of one LogHistogram (attribution shape)."""
-    count = hist.count
-    return {
-        "count": count,
-        "sum": hist.total_seconds,
-        "p50": hist.percentile(50.0) if count else 0.0,
-        "p95": hist.percentile(95.0) if count else 0.0,
-        "p99": hist.percentile(99.0) if count else 0.0,
-    }
+#: The stages of one backing op, each a catalogue histogram: op ->
+#: (end-to-end total, stages over a local backing, stages over shards).
+_STAGES = {
+    "read": ("backing_read_seconds", {"disk": "backing_read_seconds"},
+             {"wire": "shard_wire_read_seconds",
+              "disk": "shard_disk_read_seconds",
+              "reply": "shard_reply_read_seconds"}),
+    "write": ("backing_write_seconds", {"disk": "backing_write_seconds"},
+              {"wire": "shard_wire_write_seconds",
+               "disk": "shard_disk_write_seconds",
+               "reply": "shard_reply_write_seconds"}),
+}
 
 
-_ZERO_SUMMARY = {"count": 0, "sum": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
+def _attribution_block(args, sharded) -> dict:
+    """Which registry histograms decompose per-op latency into stages.
 
-
-def _attribution_block(args, obs: Observer, sharded) -> dict:
-    """Per-op latency decomposition (the ``repro-profile/3`` block).
-
-    The totals are the parent-side request latencies (``obs.probe``);
-    the stages come from the merged worker histograms shipped back over
-    OP_TELEMETRY. Stage sums need not add up to the total — the stages
-    time distinct sub-intervals of a request (wire transit, worker disk
-    time, reply transit) and queueing between them is real.
+    The totals are the parent-side request latencies; over shards the
+    stages are the worker histograms merged back over OP_TELEMETRY.
+    Stage sums need not add up to the total — the stages time distinct
+    sub-intervals of a request (wire transit, worker disk time, reply
+    transit) and queueing between them is real.
     """
-    totals = {"read": obs.probe.read_hist, "write": obs.probe.write_hist}
-    if sharded is None:
-        # Single-process backing: the whole request *is* the disk op.
-        stages = {op: {"disk": hist} for op, hist in totals.items()}
-    else:
-        stages = {
-            "read": {"wire": sharded.wire_read_hist,
-                     "disk": sharded.worker_probe.read_hist,
-                     "reply": sharded.reply_read_hist},
-            "write": {"wire": sharded.wire_write_hist,
-                      "disk": sharded.worker_probe.write_hist,
-                      "reply": sharded.reply_write_hist},
-        }
-    ops = {op: {**_hist_summary(hist),
-                "stages": {name: _hist_summary(h)
-                           for name, h in stages[op].items()}}
-           for op, hist in totals.items()}
     return {
         "backing": args.backing,
-        "window_wait": (dict(_ZERO_SUMMARY) if sharded is None
-                        else _hist_summary(sharded.window_hist)),
-        "ops": ops,
-        "per_shard": {} if sharded is None else sharded.per_shard_counts(),
+        "window_wait": "shard_window_wait_seconds",
+        "ops": {op: {"total": total,
+                     "stages": local if sharded is None else remote}
+                for op, (total, local, remote) in _STAGES.items()},
     }
 
 
-def _attribution_crosscheck(sharded, counters: dict) -> list[str]:
+def _attribution_crosscheck(snapshot: dict, derived: dict) -> list[str]:
     """Worker-side op counts must equal the parent's IoStats totals.
 
     Every successful physical read/write is counted exactly once on each
@@ -195,16 +179,19 @@ def _attribution_crosscheck(sharded, counters: dict) -> list[str]:
     """
     problems = []
     for op, key in (("read", "physical_reads"), ("write", "physical_writes")):
-        hist = getattr(sharded.worker_probe, f"{op}_hist")
-        if hist.count != counters[key]:
+        count = snapshot["histograms"][f"shard_disk_{op}_seconds"]["count"]
+        if count != derived[key]:
             problems.append(
-                f"worker {op} count {hist.count} != IoStats "
-                f"{key} {counters[key]}")
+                f"worker {op} count {count} != IoStats {key} {derived[key]}")
     return problems
 
 
-def _print_attribution(attribution: dict) -> None:
-    def fmt(s: dict) -> str:
+def _print_attribution(attribution: dict, snapshot: dict,
+                       per_shard: dict) -> None:
+    hists = snapshot["histograms"]
+
+    def fmt(name: str) -> str:
+        s = hists[name]
         return (f"count={s['count']:>6}  sum={s['sum']:.4f}s  "
                 f"p50={s['p50'] * 1e6:9.1f}us  p95={s['p95'] * 1e6:9.1f}us  "
                 f"p99={s['p99'] * 1e6:9.1f}us")
@@ -213,31 +200,28 @@ def _print_attribution(attribution: dict) -> None:
     print(f"  window_wait     : {fmt(attribution['window_wait'])}")
     for op in ("read", "write"):
         entry = attribution["ops"][op]
-        print(f"  {op:<5} total     : {fmt(entry)}")
-        for stage, summary in entry["stages"].items():
-            print(f"    stage {stage:<5}   : {fmt(summary)}")
-    per_shard = attribution["per_shard"]
-    if per_shard:
-        for shard in sorted(per_shard, key=int):
-            row = per_shard[shard]
-            print(f"  shard {shard}: {row['reads']} reads, "
-                  f"{row['writes']} writes, {row['restarts']} restarts")
+        print(f"  {op:<5} total     : {fmt(entry['total'])}")
+        for stage, name in entry["stages"].items():
+            print(f"    stage {stage:<5}   : {fmt(name)}")
+    for shard in sorted(per_shard, key=int):
+        row = per_shard[shard]
+        print(f"  shard {shard}: {row['reads']} reads, "
+              f"{row['writes']} writes, {row['restarts']} restarts")
 
 
-def _print_store_wait_split(obs: Observer) -> None:
+def _print_store_wait_split(obs: Observer, snapshot: dict) -> None:
     """The compute thread's ``store_wait`` seconds by what ``get`` waited
-    for: a load in flight, a full staging buffer (both spans) or a read of
-    its own (a timed event); the rest is the store's own bookkeeping."""
+    for: a load in flight, a full staging buffer or a read of its own
+    (records of this thread); the rest is the store's own bookkeeping."""
     causes = {"inflight_wait": "in-flight wait",
               "writeback_stall": "back-pressure", "demand_read": "demand read"}
     me = threading.current_thread().name
     waits = [(r.name, r.dur) for r in obs.spans.records()
-             if r.thread == me and r.name in causes]
-    waits += [(r.etype, r.dur) for r in obs.tracer.records()
-              if r.thread == me and r.etype == "demand_read" and r.dur > 0.0]
-    total = rest = obs.timers.total("store_wait")
+             if r.thread == me and r.name in causes and r.dur > 0.0]
+    store_wait = snapshot["histograms"]["store_wait_seconds"]
+    total = rest = store_wait["sum"]
     print(f"  store_wait      : {total:.4f}s over "
-          f"{obs.timers.count('store_wait')} gets")
+          f"{store_wait['count']} gets")
     for name, label in causes.items():
         durations = [dur for cause, dur in waits if cause == name]
         rest -= sum(durations)
@@ -246,17 +230,17 @@ def _print_store_wait_split(obs: Observer) -> None:
     print(f"    {'store itself':<14}: sum={rest:.4f}s")
 
 
-def _print_device_overlap(obs: Observer, snapshot: dict,
-                          writeback: bool) -> None:
+def _print_device_overlap(snapshot: dict, writeback: bool) -> None:
     """How much of the device time the compute thread did not wait for:
     the synchronous path's overlapped swaps (write-out beside read-in)
     beside the write-behind queue, whose writer threads do every write."""
-    reads = obs.probe.read_hist.total_seconds
-    writes = obs.probe.write_hist.total_seconds
+    hists = snapshot["histograms"]
+    reads = hists["backing_read_seconds"]["sum"]
+    writes = hists["backing_write_seconds"]["sum"]
     device = reads + writes
     if device <= 0.0:
         return
-    swaps = snapshot["histograms"]["swap_hidden_seconds"]
+    swaps = hists["swap_hidden_seconds"]
     behind = writes if writeback else 0.0
     print(f"device overlap  : {device:.4f}s in transfers; "
           f"{swaps['count']} overlapped swaps hid {swaps['sum']:.4f}s "
@@ -271,7 +255,7 @@ def _parity_check(config: EngineConfig, alignment, tree, args, workdir: str,
     try:
         _run_workload(engine, args)
         engine.store.drain()
-        bare = _counters_block(engine)
+        bare = engine.stats.as_row()
     finally:
         engine.close()
     problems = []
@@ -293,8 +277,7 @@ def run_profile(args) -> int:
     config = EngineConfig.from_args(args)
     alignment, tree = _dataset(args)
     with tempfile.TemporaryDirectory(prefix="repro-profile-") as workdir:
-        obs = Observer(capacity=args.trace_capacity, metrics=True,
-                       spans=bool(args.spans_out or args.attribution))
+        obs = Observer(capacity=args.trace_capacity)
         engine = _build_engine(config, alignment, tree, args, workdir)
         obs.attach(engine)
         server = None
@@ -308,26 +291,27 @@ def run_profile(args) -> int:
             engine.store.drain()
             wall = time.perf_counter() - t0
             sharded = _find_sharded(engine.store.backing)
-            if sharded is not None:
-                # Pull the final worker deltas while the processes are
-                # still up, so the snapshot below already includes them.
-                sharded.collect_telemetry()
-            counters = _counters_block(engine)
-            metrics_snapshot = obs.metrics.snapshot()
+            # Collects while the shard workers are still up: the snapshot
+            # already holds their final deltas.
+            snapshot = obs.metrics.snapshot()
+            counters = engine.stats.as_row()
+            derived = _derived_block(engine)
+            writeback = engine.stats.writeback_enabled
+            per_shard = {} if sharded is None else sharded.per_shard_counts()
         finally:
             if server is not None:
                 server.close()
             engine.close()
 
-        attribution = _attribution_block(args, obs, sharded)
         if sharded is not None:
-            mismatches = _attribution_crosscheck(sharded, counters)
+            mismatches = _attribution_crosscheck(snapshot, derived)
             if mismatches:
                 for m in mismatches:
                     print(f"attribution cross-check FAILED: {m}",
                           file=sys.stderr)
                 return 1
 
+        ring = obs.spans
         doc = {
             "schema": PROFILE_SCHEMA,
             "workload": args.workload,
@@ -335,12 +319,11 @@ def run_profile(args) -> int:
             "run": _run_block(args, engine),
             "log_likelihood": lnl,
             "wall_seconds": wall,
-            "phases": obs.phase_totals(),
-            "counters": counters,
-            "histograms": obs.histograms(),
-            "events": obs.event_summary(),
-            "metrics": metrics_snapshot,
-            "attribution": attribution,
+            "derived": derived,
+            "records": {"emitted": ring.emitted, "captured": len(ring),
+                        "dropped": ring.dropped},
+            "metrics": snapshot,
+            "attribution": _attribution_block(args, sharded),
         }
         problems = validate_profile(doc)
         if problems:  # a bug in this module, not in the caller's input
@@ -353,38 +336,38 @@ def run_profile(args) -> int:
         print(f"profile written : {out}")
         print(f"workload        : {args.workload} (lnL {lnl:.4f}, "
               f"{wall:.3f}s wall)")
-        for phase, entry in doc["phases"].items():
-            print(f"phase {phase:>10}: {entry['seconds']:.4f}s "
-                  f"over {int(entry['calls'])} laps")
-        _print_device_overlap(obs, metrics_snapshot,
-                              counters["writeback_enabled"])
-        ev = doc["events"]
-        print(f"events          : {ev['emitted']} emitted, "
-              f"{ev['captured']} captured, {ev['dropped']} dropped")
+        for phase in ENGINE_PHASES:
+            hist = snapshot["histograms"][f"{phase}_seconds"]
+            print(f"phase {phase:>10}: {hist['sum']:.4f}s "
+                  f"over {hist['count']} laps")
+        _print_device_overlap(snapshot, writeback)
+        rec = doc["records"]
+        print(f"records         : {rec['emitted']} emitted, "
+              f"{rec['captured']} captured, {rec['dropped']} dropped")
         if sharded is not None:
             print(f"telemetry       : worker histograms match IoStats "
-                  f"({counters['physical_reads']} reads, "
-                  f"{counters['physical_writes']} writes)")
+                  f"({derived['physical_reads']} reads, "
+                  f"{derived['physical_writes']} writes)")
         if args.attribution:
-            _print_attribution(attribution)
-            _print_store_wait_split(obs)
+            _print_attribution(doc["attribution"], snapshot, per_shard)
+            _print_store_wait_split(obs, snapshot)
 
         if args.spans_out:
             worker_spans = 0
             if sharded is not None:
-                worker_spans = sharded.export_spans_into(obs.spans)
-            obs.spans.write_chrome_trace(args.spans_out)
+                worker_spans = sharded.export_spans_into(ring)
+            ring.write_chrome_trace(args.spans_out)
             extra = (f", {worker_spans} worker spans on "
                      f"{sharded.num_shards} tracks" if sharded is not None
                      else "")
             print(f"span timeline   : {args.spans_out} "
-                  f"({len(obs.spans)} spans, {obs.spans.dropped} dropped"
+                  f"({len(ring)} records, {ring.dropped} dropped"
                   f"{extra}; load in Perfetto / chrome://tracing)")
         if args.events:
-            n = records_to_jsonl(obs.tracer.records(), args.events)
+            n = records_to_jsonl(ring.records(), args.events)
             print(f"event dump      : {args.events} ({n} records)")
         if args.timeline:
-            intervals = slot_timeline(obs.tracer.records())
+            intervals = slot_timeline(ring.records())
             Path(args.timeline).write_text(
                 json.dumps(intervals, indent=2) + "\n")
             print(f"slot timeline   : {args.timeline} "

@@ -1,54 +1,6 @@
-"""Wall-clock measurement and human-readable formatting helpers."""
+"""Human-readable formatting of byte counts and durations."""
 
 from __future__ import annotations
-
-import time
-
-
-class Stopwatch:
-    """Accumulating stopwatch with named laps.
-
-    >>> sw = Stopwatch()
-    >>> with sw.lap("compute"):
-    ...     pass
-    >>> sw.total("compute") >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._totals: dict[str, float] = {}
-        self._counts: dict[str, int] = {}
-
-    def lap(self, name: str) -> "_Lap":
-        return _Lap(self, name)
-
-    def add(self, name: str, seconds: float) -> None:
-        self._totals[name] = self._totals.get(name, 0.0) + seconds
-        self._counts[name] = self._counts.get(name, 0) + 1
-
-    def total(self, name: str) -> float:
-        return self._totals.get(name, 0.0)
-
-    def count(self, name: str) -> int:
-        """How many laps have been accumulated under ``name``."""
-        return self._counts.get(name, 0)
-
-    def totals(self) -> dict[str, float]:
-        return dict(self._totals)
-
-
-class _Lap:
-    def __init__(self, sw: Stopwatch, name: str) -> None:
-        self._sw = sw
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_Lap":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._sw.add(self._name, time.perf_counter() - self._start)
 
 
 def format_bytes(n: float) -> str:

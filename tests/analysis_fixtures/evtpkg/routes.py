@@ -1,11 +1,4 @@
-"""Fixture: event table, routes and report sites with seeded typos."""
-
-
-EVENT_TYPES = {
-    "get": "requests",
-    "hit": "bogus_total",  # expect: EVT001 -- not an IoStats counter field
-    "phantom": None,  # no single-counter equivalent: never flagged
-}
+"""Fixture: routes and report sites with seeded typos."""
 
 
 def Route(**sinks):
@@ -13,9 +6,10 @@ def Route(**sinks):
 
 
 ROUTES = {
-    "get": Route(event="get"),
-    "load": Route(event="hit", span=True),
-    "jump": Route(event="warp"),  # expect: EVT001 -- not in EVENT_TYPES
+    "get": Route(mirrors="requests"),
+    "hit": Route(mirrors="bogus_total"),  # expect: EVT001 -- not an IoStats counter field
+    "load": Route(metric="load_seconds"),
+    "phantom": Route(),  # no single-counter equivalent: never flagged
 }
 
 

@@ -1,4 +1,4 @@
-"""Fixture: the counter declarations the event table's rows must name."""
+"""Fixture: the counter declarations the routes' mirrors column must name."""
 
 
 def _counter(owner, help):

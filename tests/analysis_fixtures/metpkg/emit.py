@@ -7,7 +7,7 @@ def Route(**sinks):
 
 ROUTES = {
     "io": Route(metric="requests_total"),
-    "wait": Route(metric="wait_secs", span=True),  # expect: MET001 -- undeclared target
+    "wait": Route(metric="wait_secs"),  # expect: MET001 -- undeclared target
 }
 
 

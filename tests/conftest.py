@@ -34,12 +34,12 @@ def _race_switch_interval():
         sys.setswitchinterval(before)
 
 
-@pytest.fixture()
+@pytest.fixture(autouse=True)
 def no_shard_leaks():
-    """Leak gate for the sharded tier (ROADMAP 6(d)): once a test is over
-    no ``shard-worker-*`` child is alive and no ``shard-recv-*`` thread
-    remains. The short grace covers a receiver that is still returning
-    from the restart it just performed."""
+    """Leak gate for the sharded tier, around every test: once a test is
+    over no ``shard-worker-*`` child is alive and no ``shard-recv-*``
+    thread remains. The short grace covers a receiver that is still
+    returning from the restart it just performed."""
     yield
 
     def leaked():

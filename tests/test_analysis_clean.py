@@ -31,17 +31,14 @@ def test_the_store_is_checked_as_an_arena_owner():
 
 #: Sink methods no other class has: a call is a sink call whoever receives it.
 SINK_METHODS = frozenset({
-    "emit",                                              # Tracer
-    "record_read", "record_write",                       # BackingProbe
     "observe", "inc", "inc_labeled", "counter_set", "gauge_set",
     "gauge_set_labeled", "gauge_add", "merge_histogram",
     "register_collector", "unregister_collector",        # MetricsRegistry
 })
 #: Sink methods with everyday names, told apart by the receiver's name.
 SINK_RECEIVER_METHODS = {
-    "complete": {"sp", "spans", "recorder"},             # SpanRecorder
-    "add": {"tm", "timers", "stopwatch"},                # Stopwatch
-    "record": {"drain_hist", "read_hist", "write_hist"},  # LogHistogram
+    "complete": {"sp", "spans", "recorder", "ring"},     # SpanRecorder
+    "record": {"hist", "histogram"},                     # LogHistogram
 }
 #: The far end of the OP_TELEMETRY protocol: it runs in a shard *worker*
 #: process, where no Observer exists, and its accumulators are the frame
@@ -73,9 +70,8 @@ def _sink_calls(path: Path) -> list[str]:
 def test_only_the_observer_calls_a_sink():
     """One reporting seam: outside ``repro/obs/`` a component reports to
     its ``obs`` (``event`` / ``timed`` / ``count`` / ``gauge`` / ...) and
-    never reaches a tracer, probe, registry, span recorder or phase timer
-    itself — so ``repro.obs.ROUTES`` is the only statement of which sinks
-    record what."""
+    never reaches the registry or the record ring itself — so
+    ``repro.obs.ROUTES`` is the only statement of what a report feeds."""
     calls = [call for path in sorted(SRC_REPRO.rglob("*.py"))
              if "obs" not in path.relative_to(SRC_REPRO).parts[:1]
              for call in _sink_calls(path)]

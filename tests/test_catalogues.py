@@ -2,9 +2,10 @@
 
 The counter, event and metric catalogues are each declared once and
 everything else derives from that declaration. The literals below were
-copied from the commit that still kept the copies by hand (8f02098); a
-declaration edit that changes one of them must change it here too, on
-purpose.
+copied from the commit that still kept the copies by hand (8f02098) and
+moved with the two-sink observer (the event table became the ``ROUTES``
+mirrors column; phase counters became phase histograms); a declaration
+edit that changes one of them must change it here too, on purpose.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 from repro.bench.schema import RESULT_METRICS
 from repro.core import stats
 from repro.core.stats import PARITY_COUNTERS, IoStats
-from repro.obs import ENGINE_PHASES, EVENT_TYPES, METRIC_EXPOSITION, METRIC_NAMES
+from repro.obs import ENGINE_PHASES, METRIC_EXPOSITION, METRIC_NAMES, ROUTES
 from repro.obs.metrics import MetricsRegistry
 
 COUNTERS = [
@@ -41,18 +42,18 @@ OWNERS = {
 PARITY = ("requests", "hits", "misses", "reads", "read_skips",
           "writes", "write_skips", "bytes_read", "bytes_written")
 
+#: reported name -> the IoStats counter its record count mirrors (the
+#: event table's rows, plus the back-pressure stall it used to fold in)
 EVENTS = {
     "get": "requests",
     "hit": "hits",
     "miss": "misses",
     "demand_read": "reads",
     "read_skip": "read_skips",
-    "evict": None,
     "prefetch_issue": "prefetch_reads",
     "prefetch_hit": "prefetch_hits",
-    "writeback_enqueue": None,
     "writeback_drain": "writeback_writes",
-    "stall": None,
+    "writeback_stall": "writeback_stalls",
 }
 
 #: name -> (kind, labelled)
@@ -72,18 +73,12 @@ METRICS = {
     "shard_inflight": ("gauge", True),
     "shard_oldest_pending_seconds": ("gauge", True),
     "shard_window_wait_seconds": ("histogram", False),
-    "shard_wire_seconds": ("histogram", False),
+    "shard_wire_read_seconds": ("histogram", False),
+    "shard_wire_write_seconds": ("histogram", False),
     "shard_disk_read_seconds": ("histogram", False),
     "shard_disk_write_seconds": ("histogram", False),
-    "shard_reply_seconds": ("histogram", False),
-    "phase_plan_seconds": ("counter", False),
-    "phase_plan_calls": ("counter", False),
-    "phase_kernel_seconds": ("counter", False),
-    "phase_kernel_calls": ("counter", False),
-    "phase_store_wait_seconds": ("counter", False),
-    "phase_store_wait_calls": ("counter", False),
-    "trace_events_emitted": ("counter", False),
-    "trace_events_dropped": ("counter", False),
+    "shard_reply_read_seconds": ("histogram", False),
+    "shard_reply_write_seconds": ("histogram", False),
     "slots_total": ("gauge", False),
     "slots_occupied": ("gauge", False),
     "slots_dirty": ("gauge", False),
@@ -91,6 +86,8 @@ METRICS = {
     "compress_heap_leaked_bytes": ("gauge", False),
     "loads_inflight": ("gauge", False),
     "prefetch_untouched": ("gauge", False),
+    "plan_seconds": ("histogram", False),
+    "kernel_seconds": ("histogram", False),
     "backing_read_seconds": ("histogram", False),
     "backing_write_seconds": ("histogram", False),
     "writeback_drain_seconds": ("histogram", False),
@@ -128,15 +125,18 @@ def test_parity_counters_are_one_tuple_in_declaration_order():
 
 
 def test_event_table():
-    assert EVENT_TYPES == EVENTS
+    assert {name: route.mirrors for name, route in ROUTES.items()
+            if route.mirrors is not None} == EVENTS
 
 
 def test_engine_phases_come_from_the_routes():
     assert ENGINE_PHASES == ("plan", "kernel", "store_wait")
+    assert [ROUTES[phase].metric for phase in ENGINE_PHASES] == [
+        "plan_seconds", "kernel_seconds", "store_wait_seconds"]
 
 
 def test_metric_catalogue():
-    assert len(METRICS) == 55
+    assert len(METRICS) == 51
     assert {name: (row.kind, row.labeled)
             for name, row in METRIC_EXPOSITION.items()} == METRICS
     assert METRIC_NAMES == set(METRICS)

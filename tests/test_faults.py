@@ -247,6 +247,16 @@ class TestRetryingBackingStore:
             store.write(item, np.zeros(SHAPE))
         assert mx.value("backing_faults") == injector.faults_injected > 0
         assert mx.value("backing_retries") == store.retries_performed > 0
+        # ... and each is one record with enough context to act on
+        records = store.obs.spans.records()
+        faults = [r for r in records if r.name == "backing_fault"]
+        retries = [r for r in records if r.name == "backing_retry"]
+        assert len(faults) == injector.faults_injected
+        assert len(retries) == store.retries_performed
+        for fault, retry in zip(faults, retries):
+            assert fault.item == retry.item
+            assert fault.args == {"kind": "write",
+                                  "attempt": retry.args["attempt"] - 1}
 
 
 def _make_backing(kind, tmp_path, n):

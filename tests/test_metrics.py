@@ -235,7 +235,7 @@ class TestMergeHistogram:
         foreign = LogHistogram(min_seconds=1e-3, num_buckets=8)
         foreign.record(0.01)
         with pytest.raises(OutOfCoreError, match="bucket geometry"):
-            mx.merge_histogram("shard_wire_seconds", foreign.state())
+            mx.merge_histogram("shard_wire_read_seconds", foreign.state())
 
 
 class TestPrometheusEdgeCases:
@@ -257,9 +257,9 @@ class TestPrometheusEdgeCases:
 
     def test_empty_histogram_exposes_inf_bucket_sum_count(self):
         samples = parse_prometheus(MetricsRegistry().to_prometheus())
-        assert samples['repro_shard_wire_seconds_bucket{le="+Inf"}'] == 0
-        assert samples["repro_shard_wire_seconds_sum"] == 0
-        assert samples["repro_shard_wire_seconds_count"] == 0
+        assert samples['repro_shard_wire_read_seconds_bucket{le="+Inf"}'] == 0
+        assert samples["repro_shard_wire_read_seconds_sum"] == 0
+        assert samples["repro_shard_wire_read_seconds_count"] == 0
 
     def test_single_observation_bucket_exposition(self):
         mx = MetricsRegistry()
@@ -290,7 +290,7 @@ class TestStoreIntegration:
             assert snap["gauges"]["slots_total"] == engine.store.num_slots
             assert 0 <= snap["gauges"]["slots_occupied"] \
                 <= engine.store.num_slots
-            assert snap["counters"]["phase_kernel_calls"] > 0
+            assert snap["histograms"]["kernel_seconds"]["count"] > 0
         finally:
             engine.close()
 

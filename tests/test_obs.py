@@ -4,8 +4,9 @@ The central invariant: observation is passive. Attaching an observer must
 never change which slots are allocated or any demand counter — traced and
 untraced runs are bit-identical (no prefetch; with a prefetch thread the
 victim choice is scheduling-dependent either way). The second: every
-measurement is reported once, by name, and ``ROUTES`` alone decides which
-sinks record it (``TestReportingSeam``).
+measurement is reported once, by name, lands once in the record ring and
+at most once in the registry, and ``ROUTES`` alone decides where
+(``TestReportingSeam``).
 """
 
 import json
@@ -26,16 +27,14 @@ from repro import (
 )
 from repro.config import EngineConfig
 from repro.core.vecstore import AncestralVectorStore
-from repro.errors import OutOfCoreError
 from repro.obs import (
     ENGINE_PHASES,
-    EVENT_TYPES,
+    METRIC_NAMES,
     ROUTES,
     LogHistogram,
     Observer,
     Route,
-    TraceRecord,
-    Tracer,
+    SpanRecord,
     records_to_jsonl,
     slot_timeline,
     validate_profile,
@@ -59,44 +58,59 @@ WORKLOAD = [(0, True), (1, True), (2, True), (3, True),
 
 
 class TestTracer:
+    """Instants: ``Observer.event`` leaves one ``dur = 0`` ring record."""
+
     def test_capacity_validated(self):
-        with pytest.raises(OutOfCoreError, match="capacity"):
-            Tracer(0)
+        with pytest.raises(ValueError, match="capacity"):
+            Observer(capacity=0)
 
     def test_emit_and_query(self):
-        tr = Tracer(16)
-        tr.emit("get", item=3)
-        tr.emit("miss", item=3, slot=1)
-        tr.emit("get", item=5)
-        assert tr.emitted == 3
-        assert len(tr) == 3
-        assert tr.dropped == 0
-        assert tr.by_type() == {"get": 2, "miss": 1}
-        rec = tr.records()[0]
-        assert isinstance(rec, TraceRecord)
-        assert (rec.etype, rec.item, rec.slot) == ("get", 3, -1)
+        obs = Observer(capacity=16)
+        obs.event("get", item=3)
+        obs.event("miss", item=3, slot=1)
+        obs.event("get", item=5)
+        ring = obs.spans
+        assert ring.emitted == 3
+        assert len(ring) == 3
+        assert ring.dropped == 0
+        assert ring.by_name() == {"get": 2, "miss": 1}
+        rec = ring.records()[0]
+        assert isinstance(rec, SpanRecord)
+        assert (rec.name, rec.item, rec.slot, rec.dur) == ("get", 3, -1, 0.0)
+        assert rec.args is None
 
     def test_ring_overflow_drops_oldest(self):
-        tr = Tracer(4)
+        obs = Observer(capacity=4)
         for i in range(10):
-            tr.emit("get", item=i)
-        assert tr.emitted == 10
-        assert len(tr) == 4
-        assert tr.dropped == 6
-        assert [r.item for r in tr.records()] == [6, 7, 8, 9]
+            obs.event("get", item=i)
+        assert obs.spans.emitted == 10
+        assert len(obs.spans) == 4
+        assert obs.spans.dropped == 6
+        assert [r.item for r in obs.spans.records()] == [6, 7, 8, 9]
 
     def test_timestamps_monotone(self):
-        tr = Tracer(8)
+        obs = Observer(capacity=8)
         for _ in range(5):
-            tr.emit("hit")
-        ts = [r.ts for r in tr.records()]
+            obs.event("hit")
+        ts = [r.start for r in obs.spans.records()]
         assert ts == sorted(ts)
 
     def test_clear(self):
-        tr = Tracer(8)
-        tr.emit("get")
-        tr.clear()
-        assert (tr.emitted, len(tr), tr.dropped) == (0, 0, 0)
+        obs = Observer(capacity=8)
+        obs.event("get")
+        obs.spans.clear()
+        assert (obs.spans.emitted, len(obs.spans), obs.spans.dropped) \
+            == (0, 0, 0)
+
+    def test_failure_event_counts_and_carries_context(self):
+        obs = Observer(capacity=8)
+        obs.event("backing_retry", 7, attempt=2)
+        obs.event("shard_restart", shard=1, replayed=3)
+        retry, restart = obs.spans.records()
+        assert (retry.item, retry.args) == (7, {"attempt": 2})
+        assert restart.args == {"shard": 1, "replayed": 3}
+        assert obs.metrics.value("backing_retries") == 1
+        assert obs.metrics.value("shard_restarts") == 1
 
 
 class TestLogHistogram:
@@ -148,22 +162,21 @@ class TestStoreTracing:
 
     def test_events_mirror_counters(self):
         store = self.make_store(Observer(1 << 12))
-        tr = store.obs.tracer
         run_store_workload(store, WORKLOAD)
         store.drain()
-        by = tr.by_type()
+        by = store.obs.spans.by_name()
         st = store.stats
         assert by["get"] and by["read_skip"]  # the workload exercises both
-        for etype, counter in EVENT_TYPES.items():
-            if counter is not None:
-                assert by.get(etype, 0) == getattr(st, counter), etype
+        for name, route in ROUTES.items():
+            if route.mirrors is not None:
+                assert by.get(name, 0) == getattr(st, route.mirrors), name
         assert by.get("evict", 0) == st.writes + st.write_skips
 
     def test_demand_read_records_duration(self):
         store = self.make_store(Observer(1 << 12))
         run_store_workload(store, WORKLOAD)
-        reads = [r for r in store.obs.tracer.records()
-                 if r.etype == "demand_read"]
+        reads = [r for r in store.obs.spans.records()
+                 if r.name == "demand_read"]
         assert reads
         assert all(r.dur >= 0.0 for r in reads)
 
@@ -174,10 +187,10 @@ class TestStoreTracing:
         store.attach(obs)
         assert store.obs is store.backing.obs is obs
         store.get(1)
-        assert obs.tracer.by_type().get("get") == 1
+        assert obs.spans.by_name().get("get") == 1
         store.attach(None)
         store.get(2)
-        assert obs.tracer.by_type().get("get") == 1
+        assert obs.spans.by_name().get("get") == 1
 
     def test_tracing_is_passive(self):
         """Bit-identical counters traced vs untraced (no prefetch)."""
@@ -198,7 +211,7 @@ class TestStoreTracing:
             store.drain()
         finally:
             store.close()
-        by = store.obs.tracer.by_type()
+        by = store.obs.spans.by_name()
         # every eviction write is staged exactly once (coalesced or fresh)
         assert by.get("writeback_enqueue", 0) == store.stats.writes
         assert by.get("writeback_drain", 0) == store.stats.writeback_writes
@@ -224,11 +237,11 @@ class TestObserver:
         eng = self.build(small_tree, small_alignment, small_model)
         obs = Observer().attach(eng)
         eng.full_traversals(2)
-        totals = obs.phase_totals()
-        assert set(totals) == set(ENGINE_PHASES)
+        hists = obs.metrics.snapshot()["histograms"]
         for phase in ENGINE_PHASES:
-            assert totals[phase]["calls"] > 0
-            assert totals[phase]["seconds"] >= 0.0
+            lap = hists[ROUTES[phase].metric]
+            assert lap["count"] > 0
+            assert lap["sum"] >= 0.0
 
     @pytest.mark.parametrize("layout", [
         {}, {"layout": "block", "block_sites": 64}])
@@ -240,13 +253,16 @@ class TestObserver:
         obs = Observer().attach(eng)
         inner = eng.tree.num_tips + 1
         u, v = inner, eng.tree.neighbors(inner)[0]
+        def laps():
+            return obs.metrics.snapshot()["histograms"][
+                "store_wait_seconds"]["count"]
+
         for work in (lambda: eng.optimize_branch(u, v),
                      eng.site_loglikelihoods):
-            laps, requests = obs.timers.count("store_wait"), eng.stats.requests
+            before, requests = laps(), eng.stats.requests
             work()
             assert eng.stats.requests > requests
-            assert (obs.timers.count("store_wait") - laps
-                    == eng.stats.requests - requests)
+            assert laps() - before == eng.stats.requests - requests
         eng.close()
 
     def test_backing_probe_sees_demand_reads(self, small_tree,
@@ -254,9 +270,11 @@ class TestObserver:
         eng = self.build(small_tree, small_alignment, small_model)
         obs = Observer().attach(eng)
         eng.full_traversals(3)
-        hists = obs.histograms()
-        assert hists["backing_read"]["count"] == eng.stats.physical_reads
-        assert hists["backing_write"]["count"] == eng.stats.physical_writes
+        hists = obs.metrics.snapshot()["histograms"]
+        assert hists["backing_read_seconds"]["count"] \
+            == eng.stats.physical_reads
+        assert hists["backing_write_seconds"]["count"] \
+            == eng.stats.physical_writes
 
     def test_observer_is_passive_on_engine(self, small_tree, small_alignment,
                                            small_model):
@@ -272,9 +290,9 @@ class TestObserver:
         eng = self.build(small_tree, small_alignment, small_model)
         obs = Observer().attach(eng)
         eng.full_traversals(1)
-        summary = obs.event_summary()
-        assert summary["emitted"] == summary["captured"] + summary["dropped"]
-        assert set(summary["by_type"]) <= set(EVENT_TYPES)
+        ring = obs.spans
+        assert ring.emitted == len(ring) + ring.dropped
+        assert set(ring.by_name()) <= set(ROUTES)
 
 
 def routes_table():
@@ -282,18 +300,14 @@ def routes_table():
     def cell(value):
         return f"`{value}`" if value else "—"
 
-    rows = ["| reported name | tracer event | latency histogram "
-            "| catalogue histogram | span | phase timer "
+    rows = ["| reported name | catalogue metric | record count mirrors "
             "| per-shard counters |",
-            "|---|---|---|---|---|---|---|"]
+            "|---|---|---|---|"]
     for name, route in ROUTES.items():
-        hist = {"read": "probe.read_hist", "write": "probe.write_hist",
-                "drain": "drain_hist", None: None}[route.hist]
         shard = (f"`{route.ops}` +1, `{route.bytes}` +nbytes"
                  if route.ops else "—")
-        rows.append(f"| `{name}` | {cell(route.event)} | {cell(hist)} "
-                    f"| {cell(route.metric)} | {'yes' if route.span else '—'} "
-                    f"| {cell(route.timer)} | {shard} |")
+        rows.append(f"| `{name}` | {cell(route.metric)} "
+                    f"| {cell(route.mirrors)} | {shard} |")
     return "\n".join(rows)
 
 
@@ -305,10 +319,10 @@ class CountingObserver(Observer):
         self.reports = Counter()
         self._tally = threading.Lock()  # reports arrive from I/O threads too
 
-    def event(self, name, item=-1, slot=-1):
+    def event(self, name, item=-1, slot=-1, **kw):
         with self._tally:
             self.reports[name] += 1
-        super().event(name, item, slot)
+        super().event(name, item, slot, **kw)
 
     def timed(self, name, t0, dt, **kw):
         with self._tally:
@@ -317,8 +331,8 @@ class CountingObserver(Observer):
 
 
 class TestReportingSeam:
-    """One ``obs`` per component, one report per measurement, and
-    ``ROUTES`` — nothing else — decides which sinks record it."""
+    """One ``obs`` per component, one report per measurement, two sinks,
+    and ``ROUTES`` — nothing else — decides what each report feeds."""
 
     PIPELINES = {"sync": {}, "async": {"writeback_depth": 4,
                                        "prefetch_depth": 2}}
@@ -399,8 +413,9 @@ class TestReportingSeam:
         if pipeline == "sync":
             assert seen == bare
 
-        # (ii) completeness: what each sink holds is exactly what ROUTES
-        # sends it, summed over the names that were reported.
+        # (ii) completeness: the ring holds one record per report, and
+        # the registry exactly what ROUTES sends it, summed over the
+        # names that were reported.
         reports = obs.reports
         transfer = "shard" if backing == "sharded" else "backing"
         expected = {"get", "miss", "evict", "demand_read", "plan", "kernel",
@@ -413,19 +428,12 @@ class TestReportingSeam:
             expected |= {"swap"}
         assert expected <= set(reports) <= set(ROUTES)
 
-        def routed(field, target=True):
+        def routed(field, target):
             return sum(n for name, n in reports.items()
                        if getattr(ROUTES[name], field) == target)
 
-        assert obs.tracer.dropped == 0
-        by_type = obs.tracer.by_type()
-        for etype in {ROUTES[name].event for name in reports} - {None}:
-            assert by_type.get(etype, 0) == routed("event", etype), etype
-        assert obs.probe.read_hist.count == routed("hist", "read")
-        assert obs.probe.write_hist.count == routed("hist", "write")
-        assert obs.drain_hist.count == routed("hist", "drain")
-        for phase in ENGINE_PHASES:
-            assert obs.timers.count(phase) == routed("timer", phase), phase
+        assert obs.spans.dropped == 0
+        assert obs.spans.by_name() == dict(reports)
         histograms = snapshot["histograms"]
         for metric in {ROUTES[name].metric for name in reports} - {None}:
             assert histograms[metric]["count"] == routed("metric", metric), \
@@ -436,15 +444,18 @@ class TestReportingSeam:
                 per_op = 1 if field == "ops" else engine.store.item_bytes
                 assert (obs.metrics.labeled_sum(metric)
                         == per_op * routed(field, metric)), metric
-        span_names = obs.spans.by_name()
-        assert obs.spans.dropped == 0
-        for name, n in reports.items():
-            assert span_names.get(name, 0) == (n if ROUTES[name].span else 0)
-        # ... and the sinks agree with the authoritative counters.
-        assert obs.probe.read_hist.count == engine.stats.physical_reads
-        assert obs.probe.write_hist.count == engine.stats.physical_writes
+        # ... and both sinks agree with the authoritative counters.
+        assert histograms["backing_read_seconds"]["count"] \
+            == engine.stats.physical_reads
+        assert histograms["backing_write_seconds"]["count"] \
+            == engine.stats.physical_writes
+        assert histograms["writeback_drain_seconds"]["count"] \
+            == engine.stats.writeback_writes
+        for name in reports:
+            if ROUTES[name].mirrors is not None:
+                assert reports[name] == getattr(
+                    engine.stats, ROUTES[name].mirrors), name
         assert reports["store_wait"] == reports["get"] == seen["requests"]
-        assert reports["writeback_drain"] == engine.stats.writeback_writes
 
         # (iii) detach left no observer and no collector behind.
         innermost = engine.store.backing
@@ -481,9 +492,9 @@ class TestReportingSeam:
         assert not loader.is_alive() and not demand.is_alive()
         assert obs.reports["inflight_wait"] == 1
         (span,) = [r for r in obs.spans.records() if r.name == "inflight_wait"]
-        assert span.thread == "demand" and span.args == {"item": 5}
+        assert span.thread == "demand" and span.item == 5
         assert span.dur > 0.0
-        assert ROUTES["inflight_wait"] == Route(span=True)
+        assert ROUTES["inflight_wait"] == Route()
         assert store.stats.prefetch_hits == 1
         store.attach(None)
 
@@ -500,17 +511,20 @@ class TestExporters:
                               small_model):
         obs = self.trace_engine(small_tree, small_alignment, small_model)
         path = tmp_path / "events.jsonl"
-        n = records_to_jsonl(obs.tracer.records(), path)
+        n = records_to_jsonl(obs.spans.records(), path)
         lines = path.read_text().splitlines()
-        assert n == len(lines) == len(obs.tracer)
-        first = json.loads(lines[0])
-        assert set(first) == {"ts", "etype", "item", "slot", "dur", "thread"}
-        assert first["etype"] in EVENT_TYPES
+        assert n == len(lines) == len(obs.spans)
+        rows = [json.loads(line) for line in lines]
+        assert {"ts", "name", "item", "slot", "dur", "thread"} <= set(rows[0])
+        assert {row["name"] for row in rows} <= set(ROUTES)
+        # only a record with arguments carries them
+        with_args = {row["name"] for row in rows if "args" in row}
+        assert "plan" in with_args and "get" not in with_args
 
     def test_slot_timeline_intervals(self, small_tree, small_alignment,
                                      small_model):
         obs = self.trace_engine(small_tree, small_alignment, small_model)
-        intervals = slot_timeline(obs.tracer.records())
+        intervals = slot_timeline(obs.spans.records())
         assert intervals
         for iv in intervals:
             assert set(iv) == {"slot", "item", "start", "end"}
@@ -526,10 +540,12 @@ class TestExporters:
 
     def test_slot_timeline_synthetic(self):
         recs = [
-            TraceRecord(1.0, "miss", 7, 0, 0.0, "t"),
-            TraceRecord(2.0, "evict", 7, 0, 0.0, "t"),
-            TraceRecord(3.0, "miss", 9, 0, 0.0, "t"),
-            TraceRecord(4.0, "get", 9, 0, 0.0, "t"),
+            SpanRecord("miss", 1.0, 0.0, "t", None, item=7, slot=0),
+            SpanRecord("evict", 2.0, 0.0, "t", None, item=7, slot=0),
+            # a timed record counts when it was reported: at its end
+            SpanRecord("prefetch_issue", 2.5, 0.5, "t", None, item=9,
+                       slot=0),
+            SpanRecord("get", 4.0, 0.0, "t", None, item=9, slot=0),
         ]
         tl = slot_timeline(recs)
         assert tl == [
@@ -547,74 +563,108 @@ class TestExporters:
         assert validate_profile(doc) == []
 
     @staticmethod
-    def _attribution(**overrides):
-        summary = {"count": 0, "sum": 0.0, "p50": 0.0, "p95": 0.0,
-                   "p99": 0.0}
-        block = {
-            "backing": "file",
-            "window_wait": dict(summary),
-            "ops": {op: {**summary, "stages": {"disk": dict(summary)}}
-                    for op in ("read", "write")},
-            "per_shard": {},
+    def _document(**overrides):
+        """A minimal well-formed document (every name resolves)."""
+        hist = {"count": 0, "sum": 0.0}
+        doc = {
+            "schema": "repro-profile/4", "workload": "full", "config": {},
+            "derived": {"physical_reads": 0, "physical_writes": 0,
+                        "swaps": 0},
+            "records": {"emitted": 0, "captured": 0, "dropped": 0},
+            "metrics": {"counters": {k: 0 for k in PARITY_COUNTERS},
+                        "gauges": {}, "labeled": {},
+                        "histograms": {"backing_read_seconds": hist,
+                                       "backing_write_seconds": hist,
+                                       "shard_window_wait_seconds": hist}},
+            "attribution": {
+                "backing": "file",
+                "window_wait": "shard_window_wait_seconds",
+                "ops": {op: {"total": f"backing_{op}_seconds",
+                             "stages": {"disk": f"backing_{op}_seconds"}}
+                        for op in ("read", "write")},
+            },
         }
-        block.update(overrides)
-        return block
+        doc.update(overrides)
+        return doc
 
     def test_validate_profile_rejects_damaged_docs(self):
         assert validate_profile([]) != []
         assert any("missing top-level" in p for p in validate_profile({}))
-        doc = {"schema": "other/9", "workload": "full", "config": {},
-               "phases": {"plan": {"seconds": 0.0, "calls": 1}},
-               "counters": {}, "histograms": {}, "events": {},
-               "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
-               "attribution": self._attribution()}
-        problems = validate_profile(doc)
+        assert validate_profile(self._document()) == []
+        problems = validate_profile(self._document(
+            schema="other/9", derived={}, metrics={
+                "counters": {}, "gauges": {}, "histograms": {},
+                "labeled": {}}))
         assert any("schema" in p for p in problems)
-        assert any("counters missing" in p for p in problems)
-        assert any("missing histogram" in p for p in problems)
+        assert any("derived missing" in p for p in problems)
+        assert any("metrics.counters missing" in p for p in problems)
 
     def test_validate_profile_checks_attribution_block(self):
-        base = {"schema": "other/9", "workload": "full", "config": {},
-                "phases": {"plan": {"seconds": 0.0, "calls": 1}},
-                "counters": {}, "histograms": {}, "events": {},
-                "metrics": {"counters": {}, "gauges": {}, "histograms": {}}}
-
         def problems_with(attr):
-            return validate_profile({**base, "attribution": attr})
+            return validate_profile(self._document(attribution=attr))
 
         assert any("attribution must be" in p for p in problems_with([]))
+        good = self._document()["attribution"]
         assert any("backing" in p
-                   for p in problems_with(self._attribution(backing="")))
+                   for p in problems_with({**good, "backing": ""}))
         assert any("window_wait" in p for p in problems_with(
-            self._attribution(window_wait={"count": 1})))
-        broken = self._attribution()
+            {**good, "window_wait": {"count": 1}}))
+        broken = self._document()["attribution"]
         del broken["ops"]["write"]
         assert any("ops" in p and "write" in p
                    for p in problems_with(broken))
-        broken = self._attribution()
+        broken = self._document()["attribution"]
         broken["ops"]["read"]["stages"]["disk"] = {"count": "nope"}
         assert any("stages" in p for p in problems_with(broken))
-        # the full well-formed block passes
-        assert not [p for p in problems_with(self._attribution())
-                    if "attribution" in p]
 
     def test_validate_profile_checks_metrics_consistency(self):
-        """The registry snapshot must agree with the counter block."""
-        doc = {"schema": "other/9", "workload": "full", "config": {},
-               "phases": {"plan": {"seconds": 0.0, "calls": 1}},
-               "counters": {"requests": 10},
-               "histograms": {}, "events": {"emitted": 5, "dropped": 0},
-               "metrics": {"counters": {"requests": 7,
-                                        "trace_events_emitted": 4},
-                           "gauges": {}, "histograms": {}},
-               "attribution": self._attribution()}
+        """Every histogram the attribution block names is one the metrics
+        snapshot holds: a stage reads the registry, it never copies it."""
+        doc = self._document()
+        doc["attribution"]["ops"]["read"]["stages"]["wire"] = \
+            "shard_wire_read_seconds"
         problems = validate_profile(doc)
-        assert any("disagrees with the metrics snapshot" in p
-                   for p in problems)
-        assert any("trace_events_emitted" in p for p in problems)
+        assert problems == [
+            "attribution.ops.read.stages.wire names "
+            "'shard_wire_read_seconds', not a histogram of the metrics "
+            "snapshot"]
         # missing metrics block entirely is also a violation
         missing = {k: v for k, v in doc.items() if k != "metrics"}
         assert any("metrics" in p for p in validate_profile(missing))
+
+    def test_profile_document_holds_no_value_twice(self, tmp_path):
+        """``repro-profile/4``: a counter, phase total or latency lives in
+        the metrics snapshot and nowhere else in the document."""
+        out = tmp_path / "p.json"
+        assert profile_main(["--simulate-taxa", "10", "--simulate-length",
+                             "60", "--traversals", "2", "--fraction", "0.3",
+                             "--backing", "file", "--writeback-depth", "2",
+                             "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+
+        def keys(node):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    yield key
+                    yield from keys(value)
+
+        def leaves(node):
+            if isinstance(node, dict):
+                for value in node.values():
+                    yield from leaves(value)
+            else:
+                yield node
+
+        # (``config`` is the input: its ``backing_retries`` is a budget)
+        measured = METRIC_NAMES | {f"{phase}_calls" for phase in ENGINE_PHASES}
+        for block, value in doc.items():
+            if block not in ("metrics", "config"):
+                assert not set(keys(value)) & measured, block
+        assert not {"phases", "histograms", "events", "counters"} & set(doc)
+        # the attribution block refers to histograms by name, only
+        assert all(isinstance(name, str)
+                   for name in leaves(doc["attribution"]["ops"]))
+        assert doc["metrics"]["histograms"]["kernel_seconds"]["count"] > 0
 
 
 class TestProfileCli:
@@ -634,10 +684,11 @@ class TestProfileCli:
         assert "parity" in capsys.readouterr().out
         doc = json.loads(out.read_text())
         assert doc["workload"] == "full"
-        assert doc["counters"]["requests"] > 0
-        assert doc["phases"]["kernel"]["calls"] > 0
-        assert doc["histograms"]["backing_read"]["count"] == \
-            doc["counters"]["physical_reads"]
+        metrics = doc["metrics"]
+        assert metrics["counters"]["requests"] > 0
+        assert metrics["histograms"]["kernel_seconds"]["count"] > 0
+        assert metrics["histograms"]["backing_read_seconds"]["count"] == \
+            doc["derived"]["physical_reads"]
         assert events.exists() and timeline.exists()
 
     def test_search_workload(self, tmp_path):
@@ -691,7 +742,7 @@ class TestProfileCli:
         finally:
             engine.close()
         for key in PARITY_COUNTERS:
-            assert row[key] == doc["counters"][key], key
+            assert row[key] == doc["metrics"]["counters"][key], key
 
     def test_block_sites_without_block_layout_rejected(self, capsys):
         assert profile_main(["--block-sites", "16"]) == 2

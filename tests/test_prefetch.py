@@ -501,5 +501,5 @@ class TestPickingIsClaiming:
         finally:
             backing.gate.set()
             pf.stop()
-        assert obs.tracer.by_type().get("stall", 0) == 0
+        assert obs.spans.by_name().get("stall", 0) == 0
         store.validate()

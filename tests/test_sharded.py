@@ -7,8 +7,12 @@ failure history across every worker process.
 """
 
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +25,6 @@ from repro.core.stats import PARITY_COUNTERS
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import BackingStoreError
 from repro.obs import MetricsRegistry, Observer
-
-pytestmark = pytest.mark.usefixtures("no_shard_leaks")
 
 SHAPE = (4, 2, 4)
 
@@ -116,6 +118,14 @@ class TestPlacement:
             ShardedBackingStore(tmp_path / "sh", 4, SHAPE, num_shards=0)
         with pytest.raises(BackingStoreError):
             ShardedBackingStore(tmp_path / "sh", 4, SHAPE, kind="nope")
+
+    def test_a_worker_that_cannot_attach_is_not_left_behind(self, tmp_path):
+        """The spec is checked in the worker (ATTACH): the client whose
+        handshake failed shuts its worker and receiver down before the
+        error reaches the caller (the autouse leak gate checks)."""
+        with pytest.raises(BackingStoreError, match="unknown codec"):
+            ShardedBackingStore(tmp_path / "sh", 4, SHAPE, num_shards=2,
+                                kind="compressed", codec="nope:1")
 
 
 class TestRoundTrip:
@@ -430,11 +440,58 @@ class TestCrashRecovery:
             st.read(victim, np.empty(SHAPE))
             assert st.restarts() >= 1
             assert mx.value("shard_restarts") == st.restarts()
+            restarts = [r for r in st.obs.spans.records()
+                        if r.name == "shard_restart"]
+            assert len(restarts) == st.restarts()
+            assert restarts[0].args["shard"] == 0
+            assert restarts[0].args["replayed"] >= 0
             per = st.per_shard_counts()
             assert per["0"]["restarts"] >= 1
             assert sum(v["writes"] for v in per.values()) == 10
         finally:
             st.close()
+
+    def test_workers_exit_when_the_parent_dies_without_close(self, tmp_path):
+        """No forked worker holds a parent end of any socketpair — its own
+        or an earlier shard's — so a parent that dies without ``close()``
+        is every worker's EOF, not an orphan that serves forever."""
+        script = (
+            "import os\n"
+            "from repro.core.sharded import ShardedBackingStore\n"
+            f"st = ShardedBackingStore({str(tmp_path / 'sh')!r}, 8, (4, 4), "
+            "num_shards=2, kind='file')\n"
+            "print(*st.worker_pids(), flush=True)\n"
+            "os._exit(0)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # The workers inherit stdout: read their pids, not to EOF.
+        parent = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                  stdout=subprocess.PIPE, text=True)
+        with parent.stdout:
+            pids = [int(pid) for pid in within(60, parent.stdout.readline)
+                    .split()]
+        assert parent.wait(timeout=60) == 0
+        assert len(pids) == 2
+
+        def alive(pid):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return False
+            try:  # an exited orphan nobody reaped yet is gone too
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except OSError:
+                return True
+
+        deadline = time.monotonic() + 5.0
+        while any(map(alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        orphans = [pid for pid in pids if alive(pid)]
+        for pid in orphans:  # never leave them behind, even on failure
+            os.kill(pid, signal.SIGKILL)
+        assert not orphans, f"workers {orphans} outlived their parent"
 
     def test_kill_during_engine_run_bit_identical_lnl(self, tmp_path):
         from repro.core.layout import make_layout

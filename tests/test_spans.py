@@ -212,14 +212,16 @@ class TestProcessTracks:
 
 class TestEngineIntegration:
     def test_engine_spans_match_stopwatch(self, engine_factory):
+        """One span per phase lap: the ring and the phase histograms
+        count the same reports."""
         engine = engine_factory(fraction=0.3)
         obs = Observer(spans=True).attach(engine)
         try:
             engine.full_traversals(2)
             counts = obs.spans.by_name()
-            assert counts["kernel"] == obs.timers.count("kernel")
-            assert counts["plan"] == obs.timers.count("plan")
-            assert counts["store_wait"] == obs.timers.count("store_wait")
+            hists = obs.metrics.snapshot()["histograms"]
+            for phase in ("kernel", "plan", "store_wait"):
+                assert counts[phase] == hists[f"{phase}_seconds"]["count"]
             assert counts["execute_plan"] >= 1
         finally:
             engine.close()
@@ -266,7 +268,7 @@ class TestEngineIntegration:
         loads = [r for r in sp.records() if r.name == "prefetch_load"]
         assert loads
         assert all(r.thread == "prefetcher" for r in loads)
-        assert all(r.args and "item" in r.args for r in loads)
+        assert all(r.item >= 0 for r in loads)
 
     def test_spans_are_passive(self, engine_factory):
         # Same surface as `repro.profile --check-parity`: the demand and

@@ -1,13 +1,11 @@
 """Tests for I/O statistics bookkeeping and small utilities."""
 
-import time
-
 import numpy as np
 import pytest
 
 from repro.core.stats import IoStats
 from repro.utils.rng import as_rng, spawn_rngs
-from repro.utils.timing import Stopwatch, format_bytes, format_seconds
+from repro.utils.timing import format_bytes, format_seconds
 
 
 class TestIoStats:
@@ -114,18 +112,6 @@ class TestRng:
 
 
 class TestTiming:
-    def test_stopwatch_accumulates(self):
-        sw = Stopwatch()
-        with sw.lap("x"):
-            time.sleep(0.01)
-        with sw.lap("x"):
-            pass
-        assert sw.total("x") >= 0.01
-        assert "x" in sw.totals()
-
-    def test_unknown_lap_is_zero(self):
-        assert Stopwatch().total("nope") == 0.0
-
     @pytest.mark.parametrize(
         "n,expected",
         [(0, "0 B"), (1023, "1023 B"), (1536, "1.5 KiB"),

@@ -1,5 +1,6 @@
 """Cross-process telemetry for the sharded tier: mergeable histograms,
-worker-side probes pulled over OP_TELEMETRY, and wire-level trace links.
+worker-side histograms pulled over OP_TELEMETRY into the observer's
+registry, and wire-level trace links.
 
 The contract under test (PR 10): arming is pay-for-play (a worker with
 no observer attached records nothing), pulls carry deltas
@@ -21,12 +22,11 @@ from repro import GTR, RateModel, simulate_alignment, yule_tree
 from repro.config import EngineConfig
 from repro.core.sharded import ShardedBackingStore
 from repro.errors import OutOfCoreError
+from repro.core.sharded import _WorkerTelemetry
 from repro.obs import MetricsRegistry, Observer, SpanRecorder
-from repro.obs.histogram import BackingProbe, LogHistogram
+from repro.obs.histogram import LogHistogram
 from repro.phylo.likelihood.engine import LikelihoodEngine, clv_geometry
 from repro.profile import _find_sharded
-
-pytestmark = pytest.mark.usefixtures("no_shard_leaks")
 
 SHAPE = (4, 2, 4)
 N_ITEMS = 12
@@ -37,6 +37,14 @@ ITEM_BYTES = int(np.prod(SHAPE)) * 8  # float64
 def _make_store(tmp_path):
     return ShardedBackingStore(tmp_path / "sh", N_ITEMS, SHAPE,
                                num_shards=SHARDS)
+
+
+def _worker_counts(obs):
+    """(reads, writes) the workers' merged disk histograms counted; the
+    snapshot pulls any delta still in the workers first."""
+    hists = obs.metrics.snapshot()["histograms"]
+    return (hists["shard_disk_read_seconds"]["count"],
+            hists["shard_disk_write_seconds"]["count"])
 
 
 def _do_ops(store, n=N_ITEMS):
@@ -84,29 +92,37 @@ class TestHistogramState:
             LogHistogram().merge_state(coarse.state())
 
     def test_probe_drain_and_merge(self):
-        src, dst = BackingProbe(), BackingProbe()
-        src.record_read(0.001, 256)
-        src.record_read(0.002, 256)
-        src.record_write(0.004, 512)
-        dst.merge_state(src.drain_state())
-        assert dst.read_hist.count == 2
-        assert dst.write_hist.count == 1
-        assert dst.read_bytes == 512
-        assert dst.write_bytes == 512
-        assert src.read_hist.count == 0 and src.read_bytes == 0
+        """The worker's probe drains a delta the parent merges by name."""
+        import json
+
+        probe = _WorkerTelemetry(shard=0, clock_offset=0.0)
+        probe.op("read", 0.001, t_recv=2.0, t_send=1.5, parent=0, item=3)
+        probe.op("read", 0.002, t_recv=3.0, t_send=2.0, parent=0, item=4)
+        probe.op("write", 0.004, t_recv=4.0, t_send=3.75, parent=0, item=5)
+        doc = json.loads(probe.drain())
+        obs = Observer()
+        for key in ("disk_read", "disk_write", "wire_read", "wire_write"):
+            obs.merge(f"shard_{key}_seconds", doc[key])
+        hists = obs.metrics.snapshot()["histograms"]
+        assert hists["shard_disk_read_seconds"]["count"] == 2
+        assert hists["shard_disk_write_seconds"]["count"] == 1
+        assert hists["shard_wire_read_seconds"]["sum"] == pytest.approx(1.5)
+        assert [span[5] for span in doc["spans"]] == [3, 4, 5]
+        # drained: the next pull carries nothing
+        again = json.loads(probe.drain())
+        assert again["disk_read"]["count"] == 0 and again["spans"] == []
 
 
 class TestWorkerPull:
     def test_unarmed_workers_record_nothing(self, tmp_path):
-        """Pay-for-play: no sink attached -> no worker-side telemetry."""
+        """Pay-for-play: no observer attached -> no worker-side telemetry."""
         st = _make_store(tmp_path)
         try:
             _do_ops(st)
             st.collect_telemetry()  # unarmed workers answer with {}
-            assert st.worker_probe.read_hist.count == 0
-            assert st.worker_probe.write_hist.count == 0
-            assert st.wire_read_hist.count == 0
             assert st.export_spans_into(SpanRecorder()) == 0
+            st.obs = obs = Observer()  # arms now: nothing recorded before
+            assert _worker_counts(obs) == (0, 0)
         finally:
             st.close()
 
@@ -115,57 +131,56 @@ class TestWorkerPull:
         try:
             st.obs = obs = Observer()  # arms every worker
             writes, reads = _do_ops(st)
-            st.collect_telemetry()
+            hists = obs.metrics.snapshot()["histograms"]
             # the bit-exact cross-check --attribution and the bench rely on
-            assert st.worker_probe.read_hist.count == reads
-            assert st.worker_probe.write_hist.count == writes
-            assert st.worker_probe.read_bytes == reads * ITEM_BYTES
-            assert st.worker_probe.write_bytes == writes * ITEM_BYTES
+            assert hists["shard_disk_read_seconds"]["count"] == reads
+            assert hists["shard_disk_write_seconds"]["count"] == writes
             # every armed op contributes one wire and one reply sample
-            assert st.wire_read_hist.count == reads
-            assert st.wire_write_hist.count == writes
-            assert st.reply_read_hist.count == reads
-            assert st.reply_write_hist.count == writes
-            # and the client-side probe saw the same ops
-            assert obs.probe.read_hist.count == reads
-            assert obs.probe.write_hist.count == writes
+            assert hists["shard_wire_read_seconds"]["count"] == reads
+            assert hists["shard_wire_write_seconds"]["count"] == writes
+            assert hists["shard_reply_read_seconds"]["count"] == reads
+            assert hists["shard_reply_write_seconds"]["count"] == writes
+            # and the client side saw the same ops and bytes
+            assert hists["backing_read_seconds"]["count"] == reads
+            assert hists["backing_write_seconds"]["count"] == writes
+            assert obs.metrics.labeled_sum("backing_bytes_read") \
+                == reads * ITEM_BYTES
+            assert obs.metrics.labeled_sum("backing_bytes_written") \
+                == writes * ITEM_BYTES
         finally:
             st.close()
 
     def test_repeated_pulls_never_double_count(self, tmp_path):
         st = _make_store(tmp_path)
         try:
-            st.obs = Observer()
+            st.obs = obs = Observer()
             writes, reads = _do_ops(st)
             for _ in range(3):
                 st.collect_telemetry()
-            assert st.worker_probe.read_hist.count == reads
-            assert st.worker_probe.write_hist.count == writes
+            assert _worker_counts(obs) == (reads, writes)
         finally:
             st.close()
 
     def test_close_drains_the_final_delta(self, tmp_path):
         st = _make_store(tmp_path)
         try:
-            st.obs = Observer()
+            st.obs = obs = Observer()
             writes, reads = _do_ops(st)
         finally:
             st.close()
         # no explicit pull before close: the shutdown drain delivered it
-        assert st.worker_probe.read_hist.count == reads
-        assert st.worker_probe.write_hist.count == writes
+        assert _worker_counts(obs) == (reads, writes)
 
     def test_disarm_stops_worker_recording(self, tmp_path):
         st = _make_store(tmp_path)
         try:
-            st.obs = Observer()
+            st.obs = obs = Observer()
             writes, reads = _do_ops(st)
             st.collect_telemetry()
             st.obs = None  # disarms the workers
             _do_ops(st)
-            st.collect_telemetry()
-            assert st.worker_probe.read_hist.count == reads
-            assert st.worker_probe.write_hist.count == writes
+            st.obs = obs   # re-armed: the disarmed ops were never recorded
+            assert _worker_counts(obs) == (reads, writes)
         finally:
             st.close()
 
@@ -213,17 +228,17 @@ class TestBothLanesRecording:
             assert not any(t.is_alive() for t in threads)
             reads = writes = N_ITEMS + rounds * N_ITEMS * 2
 
-            st.collect_telemetry()
+            hists = obs.metrics.snapshot()["histograms"]
             per = st.per_shard_counts().values()
             # worker histograms == client completions, per direction
-            assert st.worker_probe.read_hist.count == reads \
-                == sum(v["reads"] for v in per) == obs.probe.read_hist.count
-            assert st.worker_probe.write_hist.count == writes \
-                == sum(v["writes"] for v in per) == obs.probe.write_hist.count
-            assert st.worker_probe.read_bytes == reads * ITEM_BYTES
-            assert st.worker_probe.write_bytes == writes * ITEM_BYTES
-            assert st.wire_read_hist.count == reads
-            assert st.wire_write_hist.count == writes
+            assert hists["shard_disk_read_seconds"]["count"] == reads \
+                == sum(v["reads"] for v in per) \
+                == hists["backing_read_seconds"]["count"]
+            assert hists["shard_disk_write_seconds"]["count"] == writes \
+                == sum(v["writes"] for v in per) \
+                == hists["backing_write_seconds"]["count"]
+            assert hists["shard_wire_read_seconds"]["count"] == reads
+            assert hists["shard_wire_write_seconds"]["count"] == writes
             # no span lost below the cap, every id distinct
             assert st.worker_span_drops() == 0
             assert st.export_spans_into(sp) == reads + writes
@@ -245,8 +260,10 @@ class TestMetricsIntegration:
             hists = snap["histograms"]
             assert hists["shard_disk_read_seconds"]["count"] == reads
             assert hists["shard_disk_write_seconds"]["count"] == writes
-            assert hists["shard_wire_seconds"]["count"] == reads + writes
-            assert hists["shard_reply_seconds"]["count"] == reads + writes
+            assert hists["shard_wire_read_seconds"]["count"] == reads
+            assert hists["shard_wire_write_seconds"]["count"] == writes
+            assert hists["shard_reply_read_seconds"]["count"] == reads
+            assert hists["shard_reply_write_seconds"]["count"] == writes
             assert snap["counters"]["shard_telemetry_pulls"] >= SHARDS
             # labelled counters decompose the same totals by shard
             assert mx.labeled_sum("backing_reads") == reads
@@ -297,7 +314,7 @@ class TestSpanLinks:
                     # every worker disk span names a retained client span
                     assert rec.parent in client
                     assert client[rec.parent].name == pair[rec.name]
-                    assert rec.args == {"item": client[rec.parent].args["item"]}
+                    assert rec.item == client[rec.parent].item
         finally:
             st.close()
 
@@ -309,7 +326,7 @@ class TestSpanLinks:
             with st.trace_scope(4242):
                 st.write(0, np.zeros(SHAPE))
             st.write(1, np.zeros(SHAPE))  # outside the scope
-            by_item = {r.args["item"]: r for r in sp.records()
+            by_item = {r.item: r for r in sp.records()
                        if r.name == "shard_write"}
             assert by_item[0].parent == 4242
             assert by_item[1].parent == 0
@@ -341,7 +358,7 @@ class TestWrappedShardedStore:
     """The one ``obs`` is forwarded to ``inner`` by every wrapper, so a
     sharded store keeps its client spans (and its workers stay parented)
     however deep it sits — with per-sink plumbing the wrappers forwarded
-    ``probe``/``metrics`` only and every shard span was lost."""
+    the probe and the registry only and every shard span was lost."""
 
     @pytest.fixture(scope="class")
     def dataset(self):
@@ -372,11 +389,9 @@ class TestWrappedShardedStore:
                         engine.stats.physical_writes)
             sharded = _find_sharded(engine.store.backing)
             assert sharded.obs is obs
-            sharded.collect_telemetry()
+            assert _worker_counts(obs) == physical
             assert sharded.export_spans_into(obs.spans) == sum(physical)
             assert sharded.worker_span_drops() == 0
-            probe = sharded.worker_probe
-            assert (probe.read_hist.count, probe.write_hist.count) == physical
         finally:
             engine.close()
         client = {r.span_id: r.name for r in obs.spans.records()
