@@ -5,28 +5,133 @@ we additionally replay the recorded search access trace against Belady's
 MIN (the provable lower bound on misses) to quantify how much headroom is
 left. The paper's conclusion that Random/LRU suffice is confirmed when
 their miss counts sit close to OPT.
+
+The write side (``track_dirty=True``, the store's default): the search
+trace and a re-rooting trace — one steady pass of the ``reroot_hdd_sync``
+operations of ``benchmarks/ooc`` — replayed per policy, counting reads,
+writes, write skips and *exposed* writes, priced at ``DiskModel.hdd()``.
+The synchronous store overlaps a dirty victim's write with the read its
+miss owes, so a miss that reads costs one transfer whatever its victim. A
+write costs device time of its own only on a write-only (read-skipped)
+miss whose victim is dirty: an exposed write. Device time is therefore
+(reads + exposed)·t, not (reads + writes)·t. Exposed writes are all a
+clean-first victim choice (CFLRU) could remove without adding misses, so
+their share of the device time is that policy's ceiling; the table says
+whether it clears the 15 % gate for building one live.
 """
 
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from benchmarks.conftest import report
-from repro import AncestralVectorStore, RecordingStoreProxy
-from repro.core.trace import simulate_policy_on_trace
+from repro import (
+    AncestralVectorStore,
+    LikelihoodEngine,
+    RecordingStoreProxy,
+    clv_geometry,
+)
+from repro.core.policies import BeladyPolicy
+from repro.core.shadow import ShadowStore
+from repro.core.trace import AccessTrace, simulate_policy_on_trace
 from repro.phylo.search import lazy_spr_round
+from repro.vm.disk import DiskModel
 
 POLICIES = ("belady", "lru", "clock", "random", "fifo", "lfu")
+#: Offline device-time saving a live policy must promise before it is built.
+GATE = 0.15
+REROOT_SEED = 42
+
+
+def _policy_kwargs(policy: str) -> dict | None:
+    return {"seed": 3} if policy == "random" else None
 
 
 @pytest.fixture(scope="module")
 def recorded_trace(ds1288):
     """Record the vector access trace of one lazy-SPR round."""
-    engine = ds1288.engine()
-    proxy = RecordingStoreProxy(
-        AncestralVectorStore(engine.tree.num_inner, engine.clv_shape)
-    )
+    num_inner, clv_shape = ds1288.geometry()
+    proxy = RecordingStoreProxy(AncestralVectorStore(num_inner, clv_shape))
     engine = ds1288.engine(store=proxy)
     lazy_spr_round(engine, radius=5)
+    engine.close()
     return proxy.trace
+
+
+@dataclass
+class ReplayedTrace:
+    """A trace, the index where its measured part starts, one vector's bytes."""
+
+    trace: AccessTrace
+    start: int
+    item_bytes: int
+
+
+@pytest.fixture(scope="module")
+def reroot_trace():
+    """Two passes of the ``reroot_hdd_sync`` operations (D128x4k, seed 42)
+    recorded in core; the second pass is the steady state a timed pass of
+    that workload repeats."""
+    sys.path.insert(0, str(Path(__file__).parent / "ooc"))
+    import catalogue
+    import workloads
+
+    geometry = catalogue.GEOMETRIES["D128x4k"]
+    tree, alignment, model, rates = workloads.dataset(REROOT_SEED, geometry)
+    ops = workloads.operations("reroot", tree, REROOT_SEED, geometry)
+    num_inner, clv_shape = clv_geometry(tree, alignment, model, rates)
+    proxy = RecordingStoreProxy(AncestralVectorStore(num_inner, clv_shape))
+    engine = LikelihoodEngine(tree.copy(), alignment, model, rates,
+                              store=proxy)
+    try:
+        for op in ops:
+            op(engine)
+        start = len(proxy.trace)
+        for op in ops:
+            op(engine)
+        return ReplayedTrace(proxy.trace, start,
+                             int(np.prod(clv_shape)) * np.float64().itemsize)
+    finally:
+        engine.close()
+
+
+@dataclass
+class WriteSide:
+    """Replayed counters of one policy, and its exposed writes."""
+
+    misses: int = 0
+    reads: int = 0
+    writes: int = 0
+    write_skips: int = 0
+    exposed: int = 0
+
+
+def replay_write_side(trace: AccessTrace, num_slots: int, policy: str,
+                      start: int = 0) -> WriteSide:
+    """Replay ``trace`` with dirty tracking, counting from access ``start``
+    on. An exposed write is a write-only access whose miss wrote a victim
+    (under read skipping it has no read to hide behind)."""
+    shadow = ShadowStore(trace.num_items, num_slots, policy,
+                         policy_kwargs=_policy_kwargs(policy))
+    if isinstance(shadow.policy, BeladyPolicy):
+        shadow.policy.load_future(trace.items())
+    s = shadow.stats
+    out = WriteSide()
+    for index, ev in enumerate(trace.events):
+        before = (s.misses, s.reads, s.writes, s.write_skips)
+        shadow.access(ev.item, ev.pins, ev.write_only)
+        if index < start:
+            continue
+        out.misses += s.misses - before[0]
+        out.reads += s.reads - before[1]
+        wrote = s.writes - before[2]
+        out.writes += wrote
+        out.write_skips += s.write_skips - before[3]
+        out.exposed += wrote if ev.write_only else 0
+    return out
 
 
 def test_opt_headroom_table(benchmark, recorded_trace, ds1288):
@@ -41,8 +146,7 @@ def test_opt_headroom_table(benchmark, recorded_trace, ds1288):
     results = {}
     for policy in POLICIES:
         stats = simulate_policy_on_trace(
-            recorded_trace, m, policy,
-            policy_kwargs={"seed": 3} if policy == "random" else None,
+            recorded_trace, m, policy, policy_kwargs=_policy_kwargs(policy),
         )
         results[policy] = stats
     opt = results["belady"].misses
@@ -51,6 +155,10 @@ def test_opt_headroom_table(benchmark, recorded_trace, ds1288):
         ratio = s.misses / opt if opt else float("inf")
         lines.append(f"{policy:>8} {s.misses:>8} {s.miss_rate:>10.2%} "
                      f"{ratio:>7.2f}x")
+    lines += [""]
+    search = ReplayedTrace(recorded_trace, 0, int(np.prod(ds1288.geometry()[1]))
+                           * np.float64().itemsize)
+    lines += _write_side_table("search", search, m, results)
     report("ablation_policies_vs_opt", lines)
 
     # OPT is a true lower bound.
@@ -60,6 +168,52 @@ def test_opt_headroom_table(benchmark, recorded_trace, ds1288):
     assert results["lru"].misses <= 3.0 * opt
     # LFU is the clear outlier, far worse than LRU (Fig. 2's finding).
     assert results["lfu"].misses > 2.0 * results["lru"].misses
+
+
+def _write_side_table(name: str, replayed: ReplayedTrace, m: int,
+                      full_replay: dict | None = None) -> list[str]:
+    """The write-side rows of one trace, and the CFLRU verdict under LRU."""
+    t = DiskModel.hdd().transfer_time(replayed.item_bytes)
+    accesses = len(replayed.trace) - replayed.start
+    lines = [
+        f"write side, {name} trace: {accesses} accesses, m={m}, dirty "
+        f"tracking on; one {replayed.item_bytes / 1e3:.0f} KB transfer = "
+        f"{t * 1e3:.1f} ms on hdd",
+        f"{'policy':>8} {'reads':>7} {'writes':>7} {'skips':>7} "
+        f"{'exposed':>8} {'device s':>9} {'(r+w)·t s':>10} {'exposed %':>10}",
+    ]
+    rows = {}
+    for policy in POLICIES:
+        row = rows[policy] = replay_write_side(replayed.trace, m, policy,
+                                               replayed.start)
+        device = (row.reads + row.exposed) * t
+        share = row.exposed / max(row.reads + row.exposed, 1)
+        lines.append(
+            f"{policy:>8} {row.reads:>7} {row.writes:>7} {row.write_skips:>7} "
+            f"{row.exposed:>8} {device:>9.3f} "
+            f"{(row.reads + row.writes) * t:>10.3f} {share:>10.1%}")
+        # every eviction is a write or a write skip; none owes more
+        evictions = row.misses - (m if replayed.start == 0 else 0)
+        assert row.writes + row.write_skips == evictions, policy
+        assert row.exposed <= row.writes
+        if full_replay is not None:
+            assert row.reads == full_replay[policy].reads, policy
+    lru = rows["lru"]
+    ceiling = lru.exposed / max(lru.reads + lru.exposed, 1)
+    verdict = "clears" if ceiling >= GATE else "does not clear"
+    lines.append(
+        f"CFLRU ceiling under LRU: {lru.exposed} exposed writes = "
+        f"{ceiling:.1%} of the synchronous device time, which {verdict} the "
+        f"{GATE:.0%} gate")
+    return lines
+
+
+def test_write_side_of_a_rerooting_pass(benchmark, reroot_trace):
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    m = max(3, int(0.25 * reroot_trace.trace.num_items + 0.5))
+    report("ablation_policies_write_side",
+           _write_side_table("re-rooting (reroot_hdd_sync, seed 42, one "
+                             "steady pass)", reroot_trace, m))
 
 
 @pytest.mark.parametrize("policy", ["lru", "belady"])

@@ -40,7 +40,7 @@ class ShadowStore:
 
     def __init__(self, num_items: int, num_slots: int,
                  policy: str | ReplacementPolicy = "lru", *,
-                 read_skipping: bool = True, track_dirty: bool = False,
+                 read_skipping: bool = True, track_dirty: bool = True,
                  label: str = "",
                  policy_kwargs: dict | None = None) -> None:
         if num_slots < 1:
@@ -51,11 +51,12 @@ class ShadowStore:
             policy = make_policy(policy, **(policy_kwargs or {}))
         self.policy = policy
         self.read_skipping = bool(read_skipping)
-        #: Mirrors the store option of the same name: a clean victim (never
-        #: written since its load) is charged to ``write_skips`` instead of
-        #: ``writes``, exactly like ``AncestralVectorStore._evict``. Without
-        #: it *every* eviction counts one write — the paper's behaviour,
-        #: which always swaps the full vector out.
+        #: Mirrors the store option of the same name, default included: a
+        #: clean victim (never written since its load) is charged to
+        #: ``write_skips`` instead of ``writes``, exactly like
+        #: ``AncestralVectorStore._evict``. With ``False`` *every* eviction
+        #: counts one write — the paper's accounting, which always swaps
+        #: the full vector out.
         self.track_dirty = bool(track_dirty)
         self.label = label or f"{policy.name}@m={num_slots}"
         self.stats = IoStats()
@@ -104,7 +105,7 @@ class ShadowStore:
             self._slot_item[slot] = item
             self._item_slot[item] = slot
             # The store's load path marks a write-only load dirty and any
-            # other load clean (_finish_load); mirror that here.
+            # other load clean (_commit_load); mirror that here.
             if write_only:
                 self._dirty.add(item)
             else:

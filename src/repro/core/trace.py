@@ -89,10 +89,7 @@ def simulate_policy_on_trace(
     trace: AccessTrace,
     num_slots: int,
     policy: str | ReplacementPolicy,
-    *,
-    read_skipping: bool = True,
-    track_dirty: bool = False,
-    policy_kwargs: dict | None = None,
+    **options: Any,
 ) -> IoStats:
     """Replay a trace against a policy, counting misses/reads — no data moves.
 
@@ -103,14 +100,13 @@ def simulate_policy_on_trace(
     sweep many (policy, m) points on one recorded workload. Belady's policy
     is fed the future item sequence automatically.
 
-    ``track_dirty`` mirrors the store option of the same name (see
-    :class:`~repro.core.shadow.ShadowStore`). Counter parity against a live
-    store run with the same configuration is asserted in
+    ``options`` are the shadow's keywords — ``read_skipping``,
+    ``track_dirty``, ``policy_kwargs`` — with the store's defaults, so a
+    default replay and a default live store agree. Counter parity against
+    a live store run with the same configuration is asserted in
     ``tests/test_trace.py``.
     """
-    shadow = ShadowStore(trace.num_items, num_slots, policy,
-                         read_skipping=read_skipping, track_dirty=track_dirty,
-                         policy_kwargs=policy_kwargs)
+    shadow = ShadowStore(trace.num_items, num_slots, policy, **options)
     if isinstance(shadow.policy, BeladyPolicy):
         shadow.policy.load_future(trace.items())
     for ev in trace.events:

@@ -66,7 +66,10 @@ copy). A failed write leaves the victim resident with its bytes and the
 policy's order untouched; a failed read returns the vacated slot to the
 free list; either way the error (a ``BaseException`` raised on the
 helper included) surfaces from ``get_many``. A miss that owes only one
-transfer does it on the calling thread. The helper thread and the
+transfer does it on the calling thread: a read-skipped write-only miss
+owes only the write, and a miss whose victim is clean (never written
+since its load, ``track_dirty``, the default) owes no write at all —
+the backing store already holds its bytes. The helper thread and the
 transit vector are created by the first two-transfer miss and released
 by :meth:`AncestralVectorStore.close`.
 
@@ -150,6 +153,12 @@ class BorrowedSlotView(np.ndarray):
     recycled raises :class:`~repro.errors.BorrowError` instead of silently
     reading another vector's data.
 
+    The view of a read access is read-only until the item is declared
+    dirty (:meth:`AncestralVectorStore.mark_dirty`): a clean victim is not
+    written back, so a write through it would be silently lost. Writing
+    to it raises :class:`~repro.errors.BorrowError` (numpy's own
+    read-only ``ValueError`` through anything derived from it).
+
     Derived arrays (slices, ufunc results) are downcast to plain ndarray:
     only the originally borrowed view is validity-checked, which keeps the
     numerics bit-identical and the overhead local to the borrow boundary.
@@ -162,7 +171,7 @@ class BorrowedSlotView(np.ndarray):
     _borrow_expected: int = -1
     _borrow_item: int = -1
 
-    def _borrow_check(self) -> None:
+    def _borrow_check(self, write: bool = False) -> None:
         gens = self._borrow_generations
         if gens is None:
             return
@@ -176,6 +185,13 @@ class BorrowedSlotView(np.ndarray):
                 f"(slot {self._borrow_slot}) used after the slot was "
                 f"recycled; re-fetch the vector with get() or hold a pin"
             )
+        if write and not self.flags.writeable:
+            raise BorrowError(
+                f"write through a read view of item {self._borrow_item} "
+                f"(slot {self._borrow_slot}): a clean victim is not written "
+                f"back, so the write would be lost; fetch it write_only=True "
+                f"or mark_dirty() it first"
+            )
 
     def _borrow_plain(self) -> np.ndarray:
         return self.view(np.ndarray)
@@ -188,15 +204,18 @@ class BorrowedSlotView(np.ndarray):
         return out
 
     def __setitem__(self, key: Any, value: Any) -> None:
-        self._borrow_check()
+        self._borrow_check(write=True)
         super().__setitem__(key, value)
 
     def __array_ufunc__(self, ufunc: Any, method: str,
                         *inputs: Any, **kwargs: Any) -> Any:
         out = kwargs.get("out", ())
-        for operand in (*inputs, *out):
+        for operand in inputs:
             if isinstance(operand, BorrowedSlotView):
                 operand._borrow_check()
+        for operand in out:
+            if isinstance(operand, BorrowedSlotView):
+                operand._borrow_check(write=True)
         inputs = tuple(x._borrow_plain() if isinstance(x, BorrowedSlotView)
                        else x for x in inputs)
         if out:
@@ -252,9 +271,14 @@ class AncestralVectorStore:
         Enable §3.4: a miss with ``write_only=True`` allocates a slot but
         skips the disk read.
     track_dirty:
-        Beyond-paper option: skip the write-back of vectors never written
-        since load ("clean evictions"). Off by default to match the paper,
-        which always swaps the full vector out.
+        Skip the write-back of vectors never written since their load: a
+        clean victim's bytes are already on the backing store, so its
+        slot is simply free (credited to ``write_skips``). On by default;
+        ``False`` is the paper's accounting, which always swaps the full
+        vector out. A vector is dirty once fetched ``write_only`` or
+        declared with :meth:`mark_dirty` — a write through a view fetched
+        for reading is lost at a clean eviction (the sanitizer makes such
+        views read-only, so the write raises instead).
     poison_skipped_reads:
         Debug aid: fill read-skipped slots with NaN so a kernel that
         *reads* a write-only vector is caught immediately by tests.
@@ -270,8 +294,10 @@ class AncestralVectorStore:
     sanitize:
         Enable the debug-mode slot-borrow sanitizer: ``get`` returns
         generation-checked :class:`BorrowedSlotView` objects that raise
-        :class:`~repro.errors.BorrowError` on use-after-evict. Defaults to
-        the ``REPRO_SANITIZE`` environment variable (``1`` = on).
+        :class:`~repro.errors.BorrowError` on use-after-evict, and the
+        view of a read access is read-only until :meth:`mark_dirty`.
+        Defaults to the ``REPRO_SANITIZE`` environment variable (``1`` =
+        on).
     """
 
     def __init__(
@@ -286,7 +312,7 @@ class AncestralVectorStore:
         policy: str | ReplacementPolicy = "lru",
         backing: BackingStore | None = None,
         read_skipping: bool = True,
-        track_dirty: bool = False,
+        track_dirty: bool = True,
         poison_skipped_reads: bool = False,
         policy_kwargs: dict | None = None,
         writeback_depth: int = 0,
@@ -574,12 +600,12 @@ class AncestralVectorStore:
                 served = self._serve(accesses)
                 self._relay.extend(served)
                 self._active_pins = {accesses[0][0], *accesses[0][1]}
-                return self._issue_views(served)
+                return self._issue_views(accesses, served)
             self._run += 1
             try:
                 served = (self._serve(accesses) if instrument is None
                           else self._relayed(instrument, accesses))
-                views = self._issue_views(served)
+                views = self._issue_views(accesses, served)
                 if self._spilled:
                     gens = self._slot_generation
                     for pos, (_, slot, gen) in enumerate(served):
@@ -897,10 +923,11 @@ class AncestralVectorStore:
         self._dirty[slot] = write_only
         self.policy.on_access(item, write_only)
 
-    def _issue_views(self, served: list[tuple[int, int, int]]  # holds: _cond
+    def _issue_views(self, accesses: Sequence[_Access],  # holds: _cond
+                     served: list[tuple[int, int, int]]
                      ) -> list[np.ndarray | None]:
-        """The slot of each served ``(item, slot, _)`` — sanitizer-wrapped
-        in debug mode."""
+        """The slot of each served ``(item, slot, _)`` — in debug mode
+        sanitizer-wrapped, and read-only for a read access."""
         rc = self._race
         if rc is not None:
             rc.read(self._race_scope, "_slot_generation")
@@ -910,12 +937,13 @@ class AncestralVectorStore:
             return [slots[slot] for _, slot, _ in served]
         self._borrows = [r for r in self._borrows if r() is not None]
         views: list[np.ndarray | None] = []
-        for item, slot, gen in served:
+        for (_, _, write_only), (item, slot, gen) in zip(accesses, served):
             view = slots[slot].view(BorrowedSlotView)
             view._borrow_generations = self._slot_generation
             view._borrow_slot = slot
             view._borrow_expected = gen
             view._borrow_item = item
+            view.flags.writeable = bool(write_only)
             self._borrows.append(weakref.ref(view))
             views.append(view)
         return views
@@ -963,17 +991,29 @@ class AncestralVectorStore:
         return False
 
     def mark_dirty(self, item: int) -> None:
-        """Declare that a vector obtained read-mostly was actually modified."""
+        """Declare that a vector fetched for reading is being modified.
+
+        Its slot is written back at eviction like a ``write_only`` fetch's.
+        Under the sanitizer the item's live read views become writeable:
+        declare first, then write.
+        """
         self._check_item(item)
         rc = self._race
         with self._cond:
             if rc is not None:
-                rc.read(self._race_scope, "_item_slot")
+                rc.read(self._race_scope, "_item_slot", "_borrows",
+                        "_slot_generation")
                 rc.write(self._race_scope, "_dirty")
             slot = self._item_slot.get(item, -1)
             if slot < 0:
                 raise OutOfCoreError(f"item {item} is not resident")
             self._dirty[slot] = True
+            gen = self._slot_generation[slot]
+            for ref in self._borrows:
+                view = ref()
+                if (view is not None and view._borrow_slot == slot
+                        and view._borrow_expected == gen):
+                    view.flags.writeable = True
 
     def fill(self, item: int, data: np.ndarray) -> None:
         """Land the result of a write-only access that ``get_many`` spilled.
@@ -1114,9 +1154,11 @@ class AncestralVectorStore:
             rc.read(self._race_scope, "_lent_in", "_run")
         if self._lent_in[slot] == self._run:
             # The serving run lent this occupant: what it hands back for
-            # it is a private copy of these bytes (see get_many).
-            self._spilled[slot, self._slot_generation[slot]] = \
-                self._slots[slot].copy()
+            # it is a private copy of these bytes (see get_many), which
+            # the sanitizer makes as read-only as the view it replaces.
+            spilled = self._slots[slot].copy()
+            spilled.flags.writeable = not self._sanitize
+            self._spilled[slot, self._slot_generation[slot]] = spilled
         self._slot_generation[slot] += 1  # invalidates outstanding borrows
         if item in self._prefetched_untouched:
             self._prefetched_untouched.discard(item)

@@ -47,16 +47,19 @@ __all__ = ["LikelihoodEngine", "build_store", "clv_geometry"]
 
 def build_store(config: EngineConfig, layout: StorageLayout, *,
                 workdir: "str | os.PathLike[str] | None" = None,
-                **store_options: bool) -> AncestralVectorStore:
+                **store_options: bool | None) -> AncestralVectorStore:
     """Slot budget → backing → store over ``layout``, as ``config`` says.
 
     The one place a configuration becomes a store: an engine's own, or the
     arena a :class:`~repro.phylo.likelihood.partitioned.PartitionedEngine`
     shares over a concatenated layout. ``workdir`` is where a path-owning
     backing kind puts its scratch file (the caller owns the directory);
-    ``store_options`` are ``track_dirty`` / ``poison_skipped_reads``. The
-    store owns its backing — a ready-made one included — and closes it.
+    ``store_options`` are ``track_dirty`` / ``poison_skipped_reads``, and
+    one left ``None`` takes the store's own default. The store owns its
+    backing — a ready-made one included — and closes it.
     """
+    options = {key: value for key, value in store_options.items()
+               if value is not None}
     dtype = np.dtype(config.dtype)
     num_slots = config.num_slots
     if config.memory_limit is not None:
@@ -80,7 +83,7 @@ def build_store(config: EngineConfig, layout: StorageLayout, *,
                            if config.policy == "random" else None),
             backing=backing, read_skipping=config.read_skipping,
             writeback_depth=config.writeback_depth,
-            io_threads=config.io_threads, **store_options)
+            io_threads=config.io_threads, **options)
     except BaseException:
         backing.close()
         raise
@@ -114,7 +117,9 @@ class LikelihoodEngine(Evaluator, Executor):
     workdir:
         Where a path-owning backing kind puts its scratch file.
     track_dirty / poison_skipped_reads:
-        Options of the built store that no front end declares.
+        Options of the built store that no front end declares; left
+        ``None``, the store's defaults (dirty tracking on, no poisoning).
+        ``track_dirty=False`` is the paper's always-write accounting.
     """
 
     def __init__(
@@ -127,8 +132,8 @@ class LikelihoodEngine(Evaluator, Executor):
         *,
         store=None,
         workdir: "str | os.PathLike[str] | None" = None,
-        track_dirty: bool = False,
-        poison_skipped_reads: bool = False,
+        track_dirty: bool | None = None,
+        poison_skipped_reads: bool | None = None,
         **overrides,
     ) -> None:
         # The configuration is checked in full before anything that owns a

@@ -34,24 +34,50 @@ def _race_switch_interval():
         sys.setswitchinterval(before)
 
 
+#: Thread names of the in-process pipeline: the overlapped swap's helper,
+#: the write-behind writers and the prefetch workers.
+PIPELINE_THREADS = ("vecstore-swap", "writeback-", "prefetch")
+
+
 @pytest.fixture(autouse=True)
-def no_shard_leaks():
-    """Leak gate for the sharded tier, around every test: once a test is
-    over no ``shard-worker-*`` child is alive and no ``shard-recv-*``
-    thread remains. The short grace covers a receiver that is still
-    returning from the restart it just performed."""
+def no_leaks():
+    """Leak gate around every test: once a test is over no
+    ``shard-worker-*`` child is alive, and no ``shard-recv-*`` thread nor
+    a pipeline thread it started (:data:`PIPELINE_THREADS`) remains —
+    every store and engine a test opens, it closes. Threads alive before
+    the test (a module fixture's engine) are not its own. The short grace
+    covers a receiver that is still returning from the restart it just
+    performed."""
+    before = set(threading.enumerate())
     yield
 
     def leaked():
         return ([p.name for p in multiprocessing.active_children()
                  if p.name.startswith("shard-worker-")]
                 + [t.name for t in threading.enumerate()
-                   if t.name.startswith("shard-recv-")])
+                   if t.name.startswith("shard-recv-")
+                   or (t not in before
+                       and t.name.startswith(PIPELINE_THREADS))])
 
     deadline = time.monotonic() + 2.0
     while leaked() and time.monotonic() < deadline:
         time.sleep(0.01)
     assert not leaked()
+
+
+@pytest.fixture()
+def closing():
+    """``closing(x)`` is ``x``, closed (last opened first) once the test
+    is over: for the stores and engines a test opens."""
+    opened = []
+
+    def register(obj):
+        opened.append(obj)
+        return obj
+
+    yield register
+    for obj in reversed(opened):
+        obj.close()
 
 
 @pytest.fixture(scope="session")
@@ -74,15 +100,17 @@ def small_model():
 
 
 @pytest.fixture()
-def engine_factory(small_tree, small_alignment, small_model):
-    """Build engines over the shared dataset with arbitrary store settings."""
+def engine_factory(small_tree, small_alignment, small_model, closing):
+    """Build engines over the shared dataset with arbitrary store settings;
+    each is closed when the test is over."""
 
     def build(**kwargs) -> LikelihoodEngine:
         rates = kwargs.pop("rates", RateModel.gamma(0.8, 4))
         tree = kwargs.pop("tree", None)
         if tree is None:
             tree = small_tree.copy()
-        return LikelihoodEngine(tree, small_alignment, small_model, rates, **kwargs)
+        return closing(LikelihoodEngine(tree, small_alignment, small_model,
+                                        rates, **kwargs))
 
     return build
 

@@ -441,8 +441,8 @@ class TestConcurrencyStress:
                     np.testing.assert_array_equal(view, reference[item])
                     if rng.random() < 0.5:
                         version += 1
-                        view[:] = version
                         store.mark_dirty(item)
+                        view[:] = version
                         reference[item] = vec(version)
                 else:
                     version += 1

@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import GTR, FileBackingStore, LikelihoodEngine, MultiFileBackingStore, RateModel
+from repro import FileBackingStore, MultiFileBackingStore
 from repro.core.policies import policy_names
 from repro.phylo.likelihood.branch_opt import smooth_all_branches
 from repro.phylo.search import lazy_spr_round
@@ -116,11 +116,8 @@ class TestWorkloadEquivalence:
 
 class TestFloat32Equivalence:
     def test_single_precision_ooc_matches_single_precision_incore(
-        self, small_tree, small_alignment, small_model
+        self, engine_factory
     ):
-        rates = RateModel.gamma(0.8, 4)
-        e1 = LikelihoodEngine(small_tree.copy(), small_alignment, small_model,
-                              rates, dtype=np.float32)
-        e2 = LikelihoodEngine(small_tree.copy(), small_alignment, small_model,
-                              rates, dtype=np.float32, fraction=0.25, policy="lru")
+        e1 = engine_factory(dtype=np.float32)
+        e2 = engine_factory(dtype=np.float32, fraction=0.25, policy="lru")
         assert e1.loglikelihood() == e2.loglikelihood()

@@ -490,15 +490,15 @@ def block_traversal_accesses(inner=126, blocks=15, passes=2, seed=5):
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE))
-def test_store_at_block_geometry_matches_reference(name):
+def test_store_at_block_geometry_matches_reference(name, closing):
     accesses = block_traversal_accesses()
     num_items = 126 * 15
     kwargs = policy_kwargs(name, num_items, [a[0] for a in accesses])
     frozen = type("Frozen", (ListFed, REFERENCE[name]), {})
     stores = []
     for policy in (frozen(**kwargs), make_policy(name, **kwargs)):
-        store = AncestralVectorStore(num_items, (2,), num_slots=473,
-                                     policy=policy)
+        store = closing(AncestralVectorStore(num_items, (2,), num_slots=473,
+                                             policy=policy))
         for item, pins, write_only in accesses:
             store.get(item, pins=pins, write_only=write_only)
         stores.append(store)
@@ -573,20 +573,24 @@ def test_get_many_runs_evict_like_the_frozen_reference(name, num_slots, spare,
     store = AncestralVectorStore(num_items, (2,), num_slots=num_slots,
                                  policy=logged(make_policy(name, **kwargs),
                                                victims))
-    start = 0
-    for k in range(len(accesses)):
-        if start >= len(accesses):
-            break
-        end = start + cuts[k % len(cuts)]
-        views = store.get_many(accesses[start:end])
-        assert len(views) == len(accesses[start:end])
-        start = end
-    assert victims == reference.victims
-    store.validate()
+    try:
+        start = 0
+        for k in range(len(accesses)):
+            if start >= len(accesses):
+                break
+            end = start + cuts[k % len(cuts)]
+            views = store.get_many(accesses[start:end])
+            assert len(views) == len(accesses[start:end])
+            start = end
+        assert victims == reference.victims
+        store.validate()
+    finally:
+        store.close()
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE))
-def test_store_at_block_geometry_serves_groups_like_the_reference(name):
+def test_store_at_block_geometry_serves_groups_like_the_reference(name,
+                                                                 closing):
     """Schedule-shaped runs at a cap far above ``num_slots // 3``: the
     victims are the frozen reference's, get for get, and every view —
     lent, private copy or ``None`` landed through ``fill`` — carries the
@@ -596,13 +600,14 @@ def test_store_at_block_geometry_serves_groups_like_the_reference(name):
     kwargs = policy_kwargs(name, num_items, [a[0] for a in accesses])
     frozen = type("Frozen", (ListFed, REFERENCE[name]), {})
     expected, victims = [], []
-    serial = AncestralVectorStore(num_items, (2,), num_slots=473,
-                                  policy=logged(frozen(**kwargs), expected))
+    serial = closing(AncestralVectorStore(
+        num_items, (2,), num_slots=473,
+        policy=logged(frozen(**kwargs), expected)))
     for item, pins, write_only in accesses:
         serial.get(item, pins=pins, write_only=write_only)
-    store = AncestralVectorStore(num_items, (2,), num_slots=473,
-                                 policy=logged(make_policy(name, **kwargs),
-                                               victims))
+    store = closing(AncestralVectorStore(
+        num_items, (2,), num_slots=473,
+        policy=logged(make_policy(name, **kwargs), victims)))
     contents: dict[int, float] = {}
     stamp = 0.0
     spilled = 0
@@ -662,14 +667,15 @@ class CountingList(list):
 
 
 @pytest.mark.parametrize("name", ["lru", "fifo", "clock"])
-def test_work_per_miss_is_flat_in_the_resident_count(name, monkeypatch):
+def test_work_per_miss_is_flat_in_the_resident_count(name, monkeypatch,
+                                                     closing):
     monkeypatch.setattr(vecstore_module, "EvictableView", CountingView)
     npins = 2
     worst, mean = {}, {}
     for num_slots in (32, 1024):
         num_items = 2 * num_slots
-        store = AncestralVectorStore(num_items, (2,), num_slots=num_slots,
-                                     policy=name)
+        store = closing(AncestralVectorStore(num_items, (2,),
+                                             num_slots=num_slots, policy=name))
         store._slot_item = CountingList(store._slot_item)
         CountingList.iterations = 0
         per_miss = []
@@ -703,8 +709,8 @@ def test_work_per_miss_is_flat_in_the_resident_count(name, monkeypatch):
 # tests/test_prefetch.py::TestMoreLoadsInFlightNeverBecomeAnError.)
 
 
-def test_pinned_slot_error_ignores_pins_that_hold_no_slot():
-    store = AncestralVectorStore(8, (2,), num_slots=3)
+def test_pinned_slot_error_ignores_pins_that_hold_no_slot(closing):
+    store = closing(AncestralVectorStore(8, (2,), num_slots=3))
     for item in range(3):
         store.get(item, write_only=True)
     with pytest.raises(PinnedSlotError, match=r"pins=\[0, 1, 2\]\); the store "

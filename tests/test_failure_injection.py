@@ -46,20 +46,24 @@ class FlakyBackingStore:
         self.inner.close()
 
 
-def make_flaky(n=8, m=3, **kwargs):
-    flaky = FlakyBackingStore(MemoryBackingStore(n, SHAPE), **kwargs)
-    store = AncestralVectorStore(n, SHAPE, num_slots=m, policy="lru",
-                                 backing=flaky)
-    return store, flaky
+@pytest.fixture()
+def make_flaky(closing):
+    """``(store, flaky)`` over a flaky backing; the store closes with the test."""
+    def make(n=8, m=3, **kwargs):
+        flaky = FlakyBackingStore(MemoryBackingStore(n, SHAPE), **kwargs)
+        store = closing(AncestralVectorStore(n, SHAPE, num_slots=m,
+                                             policy="lru", backing=flaky))
+        return store, flaky
+    return make
 
 
 class TestReadFailures:
-    def test_error_propagates(self):
+    def test_error_propagates(self, make_flaky):
         store, flaky = make_flaky(fail_reads_at={1})
         with pytest.raises(BackingStoreError, match="injected read"):
             store.get(0, write_only=False)
 
-    def test_store_usable_after_read_failure(self):
+    def test_store_usable_after_read_failure(self, make_flaky):
         store, flaky = make_flaky(fail_reads_at={2})
         store.get(0, write_only=True)[:] = 1.0
         with pytest.raises(BackingStoreError):
@@ -70,7 +74,7 @@ class TestReadFailures:
         v = store.get(0)
         store.validate()
 
-    def test_failed_read_returns_slot_to_free_list(self):
+    def test_failed_read_returns_slot_to_free_list(self, make_flaky):
         """A failed swap-in must not leak the slot its victim vacated.
 
         The victim is evicted (written out) *before* the read is attempted;
@@ -94,7 +98,8 @@ class TestReadFailures:
         # and the evicted victim's data survived the failed swap-in
         np.testing.assert_array_equal(store.read_item(0), 1.0)
 
-    def test_failed_prefetch_read_rolls_back_like_a_failed_demand_read(self):
+    def test_failed_prefetch_read_rolls_back_like_a_failed_demand_read(
+            self, make_flaky):
         """The other rollback: a prefetch whose read fails leaves no trace."""
         store, flaky = make_flaky(n=8, m=3)
         for i in range(3):
@@ -108,7 +113,7 @@ class TestReadFailures:
         assert store.prefetch_load(5) is True
         store.validate()
 
-    def test_write_only_path_never_reads(self):
+    def test_write_only_path_never_reads(self, make_flaky):
         store, flaky = make_flaky(fail_reads_at=set(range(1, 100)))
         # read skipping: write-only traffic must not touch the read path
         for i in range(8):
@@ -117,14 +122,14 @@ class TestReadFailures:
 
 
 class TestWriteFailures:
-    def test_eviction_write_failure_propagates(self):
+    def test_eviction_write_failure_propagates(self, make_flaky):
         store, flaky = make_flaky(fail_writes_at={1})
         for i in range(3):
             store.get(i, write_only=True)[:] = i
         with pytest.raises(BackingStoreError, match="injected write"):
             store.get(3, write_only=True)  # needs an eviction -> write #1
 
-    def test_data_not_lost_on_later_success(self):
+    def test_data_not_lost_on_later_success(self, make_flaky):
         store, flaky = make_flaky(n=8, m=3)
         for i in range(8):
             store.get(i, write_only=True)[:] = float(i)
@@ -134,20 +139,21 @@ class TestWriteFailures:
 
 
 class TestConsistencyUnderChaos:
-    def test_random_faults_never_corrupt_mapping(self, rng):
+    def test_random_faults_never_corrupt_mapping(self, rng, closing):
         """Whatever faults occur, the slot/item maps stay coherent."""
-        self.chaos("lru", rng)
+        self.chaos("lru", rng, closing)
 
     @pytest.mark.parametrize("policy", ["fifo", "clock"])
-    def test_random_faults_never_corrupt_policy_order(self, policy, rng):
+    def test_random_faults_never_corrupt_policy_order(self, policy, rng,
+                                                      closing):
         """...and so does the eviction order a policy keeps beside them."""
-        self.chaos(policy, rng)
+        self.chaos(policy, rng, closing)
 
-    def chaos(self, policy, rng):
+    def chaos(self, policy, rng, closing):
         inner = MemoryBackingStore(10, SHAPE)
         flaky = FlakyBackingStore(inner)
-        store = AncestralVectorStore(10, SHAPE, num_slots=4, policy=policy,
-                                     backing=flaky)
+        store = closing(AncestralVectorStore(10, SHAPE, num_slots=4,
+                                             policy=policy, backing=flaky))
         faults = 0
         for _ in range(400):
             # schedule a fault on ~10% of operations
@@ -172,7 +178,7 @@ class TestOverlappedSwapFailures:
 
     N, M = 8, 3
 
-    def full_store(self, **kwargs):
+    def full_store(self, make_flaky, **kwargs):
         """Slots full of dirty vectors; the LRU victim is item 0."""
         store, flaky = make_flaky(n=self.N, m=self.M, **kwargs)
         for i in range(self.M):
@@ -188,8 +194,8 @@ class TestOverlappedSwapFailures:
             np.testing.assert_array_equal(store.read_item(i), float(i + 1))
 
     @pytest.mark.parametrize("fail", ["write", "read", "both"])
-    def test_one_swap_under_each_failure(self, fail):
-        store, flaky = self.full_store()
+    def test_one_swap_under_each_failure(self, fail, make_flaky):
+        store, flaky = self.full_store(make_flaky)
         order = list(store.policy.ordered_items())
         writer = []
         inner_write = flaky.inner.write
@@ -235,9 +241,10 @@ class TestOverlappedSwapFailures:
         assert store.is_resident(5) and not store.is_resident(0)
         self.assert_consistent(store)
 
-    def test_failed_write_keeps_the_victims_newest_bytes_in_its_slot(self):
+    def test_failed_write_keeps_the_victims_newest_bytes_in_its_slot(
+            self, make_flaky):
         """The read lands in the transit vector, never in the victim's slot."""
-        store, flaky = self.full_store()
+        store, flaky = self.full_store(make_flaky)
         flaky.inner.write(5, np.full(SHAPE, 55.0))
         flaky.fail_writes_at = {flaky.write_calls + 1}
         with pytest.raises(BackingStoreError, match="injected write"):
@@ -262,11 +269,12 @@ class TestOverlappedSwapFailures:
         assert store.is_resident(0) and not store.is_resident(5)
         store.close()
 
-    def test_helper_that_cannot_take_the_write_is_a_failed_write(self):
+    def test_helper_that_cannot_take_the_write_is_a_failed_write(
+            self, make_flaky):
         """``submit`` itself raising (no thread to be had, pool shut down)
         leaves nothing flagged in flight: no transfer starts, the victim
         stays, and the barriers that wait for in-flight items return."""
-        store, flaky = self.full_store()
+        store, flaky = self.full_store(make_flaky)
         order = list(store.policy.ordered_items())
 
         class NoThreads:
@@ -289,15 +297,14 @@ class TestOverlappedSwapFailures:
         store.get(5)
         assert store.is_resident(5) and not store.is_resident(0)
         self.assert_consistent(store)
-        store.close()
 
     @pytest.mark.parametrize("policy", ["lru", "fifo", "clock", "lfu"])
-    def test_chaos_with_reads_after_writes(self, policy, rng):
+    def test_chaos_with_reads_after_writes(self, policy, rng, closing):
         """`TestConsistencyUnderChaos` with data: whatever fails, every
         vector reads back as last written."""
         flaky = FlakyBackingStore(MemoryBackingStore(10, SHAPE))
-        store = AncestralVectorStore(10, SHAPE, num_slots=4, policy=policy,
-                                     backing=flaky)
+        store = closing(AncestralVectorStore(10, SHAPE, num_slots=4,
+                                             policy=policy, backing=flaky))
         model = {}
         faults = 0
         for step in range(600):

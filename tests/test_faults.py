@@ -273,7 +273,9 @@ def _make_backing(kind, tmp_path, n):
 
 
 def _drive(store, n):
-    """A deterministic workload with evictions, re-reads and dirty data."""
+    """A deterministic workload with evictions, re-reads and dirty data:
+    the strided re-reads update their vectors in place, so those are
+    written back at eviction again (a clean victim is not)."""
     rng = np.random.default_rng(17)
     originals = {}
     for item in range(n):
@@ -282,7 +284,10 @@ def _drive(store, n):
         buf[:] = data
         originals[item] = data
     for item in range(0, n, 2):          # strided re-reads force paging
-        store.get(item, write_only=False)
+        buf = store.get(item, write_only=False)
+        store.mark_dirty(item)
+        buf += 1.0
+        originals[item] = originals[item] + 1.0
     for item in range(n - 1, -1, -1):    # reverse pass: anti-LRU pattern
         store.get(item, write_only=False)
     store.flush(force=True)
@@ -296,11 +301,11 @@ class TestCounterParityUnderFaults:
 
     @pytest.mark.parametrize("kind",
                              ["memory", "file", "multifile", "simulated"])
-    def test_demand_and_eviction_parity(self, kind, tmp_path):
+    def test_demand_and_eviction_parity(self, kind, tmp_path, closing):
         n, m = 12, 4
-        clean = AncestralVectorStore(
+        clean = closing(AncestralVectorStore(
             n, SHAPE, num_slots=m, policy="lru",
-            backing=_make_backing(kind, tmp_path / "clean", n))
+            backing=_make_backing(kind, tmp_path / "clean", n)))
         expected = _drive(clean, n)
         baseline = {k: getattr(clean.stats, k) for k in PARITY_COUNTERS}
 
@@ -311,8 +316,8 @@ class TestCounterParityUnderFaults:
                 write_error_rate=0.15, short_read_rate=0.1,
                 short_write_rate=0.1),
             retries=32)
-        store = AncestralVectorStore(n, SHAPE, num_slots=m, policy="lru",
-                                     backing=injected)
+        store = closing(AncestralVectorStore(n, SHAPE, num_slots=m,
+                                             policy="lru", backing=injected))
         _drive(store, n)
         observed = {k: getattr(store.stats, k) for k in PARITY_COUNTERS}
 
@@ -322,8 +327,6 @@ class TestCounterParityUnderFaults:
         for item, data in expected.items():
             np.testing.assert_array_equal(store.read_item(item), data)
         store.validate()
-        clean.close()
-        store.close()
 
 
 class TestWrapperTransparency:

@@ -43,9 +43,9 @@ class TestServedLikeGets:
     RUN = [(5, (), False), (1, (5,), False), (2, (1, 5), True),
            (6, (2,), False), (1, (), False)]
 
-    def test_counters_residency_and_bytes_match_one_get_each(self):
-        batched = filled(AncestralVectorStore(8, SHAPE, num_slots=4))
-        serial = filled(AncestralVectorStore(8, SHAPE, num_slots=4))
+    def test_counters_residency_and_bytes_match_one_get_each(self, closing):
+        batched = filled(closing(AncestralVectorStore(8, SHAPE, num_slots=4)))
+        serial = filled(closing(AncestralVectorStore(8, SHAPE, num_slots=4)))
         views = batched.get_many(self.RUN)
         for access in self.RUN:
             serial.get(*access)
@@ -57,14 +57,14 @@ class TestServedLikeGets:
                 assert view[0] == item + 10
         batched.validate()
 
-    def test_get_is_a_run_of_one(self):
-        store = filled(AncestralVectorStore(8, SHAPE, num_slots=3))
+    def test_get_is_a_run_of_one(self, closing):
+        store = filled(closing(AncestralVectorStore(8, SHAPE, num_slots=3)))
         (view,) = store.get_many([(0, (), False)])
         assert view[0] == 10 and lent(view, store)
         assert np.shares_memory(store.get(0), view)
 
-    def test_an_empty_run_is_nothing(self):
-        store = AncestralVectorStore(8, SHAPE, num_slots=3)
+    def test_an_empty_run_is_nothing(self, closing):
+        store = closing(AncestralVectorStore(8, SHAPE, num_slots=3))
         assert store.get_many([]) == []
         assert store.stats.requests == 0
 
@@ -72,8 +72,8 @@ class TestServedLikeGets:
 class TestEvictedBeforeTheRunEnds:
     """LRU, 3 slots: the fourth distinct unpinned item evicts the first."""
 
-    def test_a_read_item_is_a_private_copy_of_its_bytes(self):
-        store = filled(AncestralVectorStore(8, SHAPE, num_slots=3))
+    def test_a_read_item_is_a_private_copy_of_its_bytes(self, closing):
+        store = filled(closing(AncestralVectorStore(8, SHAPE, num_slots=3)))
         views = store.get_many([(1, (), False), (2, (), False),
                                 (3, (), False), (4, (), False)])
         assert not store.is_resident(1)
@@ -83,8 +83,8 @@ class TestEvictedBeforeTheRunEnds:
         assert store.fill_spills == 0
         store.validate()
 
-    def test_a_write_only_target_is_none_and_lands_through_fill(self):
-        store = filled(AncestralVectorStore(8, SHAPE, num_slots=3))
+    def test_a_write_only_target_is_none_and_lands_through_fill(self, closing):
+        store = filled(closing(AncestralVectorStore(8, SHAPE, num_slots=3)))
         views = store.get_many([(1, (), True), (2, (), False),
                                 (3, (), False), (4, (), False)])
         assert views[0] is None
@@ -93,10 +93,10 @@ class TestEvictedBeforeTheRunEnds:
         assert store.read_item(1)[0] == 99.0
         store.validate()
 
-    def test_by_a_prefetch_load_while_the_lock_is_left(self):
+    def test_by_a_prefetch_load_while_the_lock_is_left(self, closing):
         backing = GatedReads(8, SHAPE)
-        store = filled(AncestralVectorStore(8, SHAPE, num_slots=3,
-                                            backing=backing))
+        store = filled(closing(AncestralVectorStore(
+            8, SHAPE, num_slots=3, backing=backing)))
         # residents 5, 6, 7: the run lends 6, then misses on 0 pinning 5
         # — evicting 7 — and waits at the gate for 0's read.
         views = []
@@ -123,8 +123,10 @@ class TestEvictedBeforeTheRunEnds:
 
 
 class TestSanitizer:
-    def test_a_lent_view_raises_once_a_later_run_recycles_its_slot(self):
-        store = AncestralVectorStore(8, SHAPE, num_slots=3, sanitize=True)
+    def test_a_lent_view_raises_once_a_later_run_recycles_its_slot(
+            self, closing):
+        store = closing(AncestralVectorStore(8, SHAPE, num_slots=3,
+                                             sanitize=True))
         views = store.get_many([(0, (), True), (1, (), True), (2, (), True)])
         assert all(isinstance(v, BorrowedSlotView) for v in views)
         store.get_many([(3, (), True), (4, (), True), (5, (), True)])
@@ -132,9 +134,9 @@ class TestSanitizer:
             with pytest.raises(BorrowError, match="use-after-evict"):
                 _ = view[0]
 
-    def test_a_private_copy_is_a_plain_array_that_stays_valid(self):
-        store = filled(AncestralVectorStore(8, SHAPE, num_slots=3,
-                                            sanitize=True))
+    def test_a_private_copy_is_a_plain_array_that_stays_valid(self, closing):
+        store = filled(closing(AncestralVectorStore(
+            8, SHAPE, num_slots=3, sanitize=True)))
         views = store.get_many([(1, (), False), (2, (), False),
                                 (3, (), False), (4, (), False)])
         assert type(views[0]) is np.ndarray and views[0][0] == 11
@@ -151,15 +153,16 @@ class TestAFailingTransfer:
 
     RUN = [(0, (), False), (3, (), False), (4, (), False), (5, (), False)]
 
-    def store(self):
+    def store(self, closing):
         flaky = FlakyBackingStore(MemoryBackingStore(8, SHAPE))
-        store = AncestralVectorStore(8, SHAPE, num_slots=3, backing=flaky)
+        store = closing(AncestralVectorStore(8, SHAPE, num_slots=3,
+                                             backing=flaky))
         for item in range(3):
             store.get(item, write_only=True)[:] = item + 10
         return store, flaky
 
-    def test_a_failed_read(self):
-        store, flaky = self.store()
+    def test_a_failed_read(self, closing):
+        store, flaky = self.store(closing)
         requests = store.stats.requests
         # 0 hits; 3 evicts 1 and reads; 4 evicts 2, its read fails.
         flaky.fail_reads_at = {flaky.read_calls + 2}
@@ -175,8 +178,8 @@ class TestAFailingTransfer:
         assert [v[0] for v in store.get_many(self.RUN)] == [10, 0, 0, 0]
         store.validate()
 
-    def test_a_failed_write(self):
-        store, flaky = self.store()
+    def test_a_failed_write(self, closing):
+        store, flaky = self.store(closing)
         requests = store.stats.requests
         # 0 hits; 3 evicts 1; 4's victim 2 cannot be written.
         flaky.fail_writes_at = {flaky.write_calls + 2}
@@ -206,9 +209,10 @@ class TestRelayedThroughAWrappedGet:
         store.get = get
         return seen
 
-    def test_the_wrapper_sees_each_access_and_the_views_are_unchanged(self):
-        plain = filled(AncestralVectorStore(8, SHAPE, num_slots=3))
-        relayed = filled(AncestralVectorStore(8, SHAPE, num_slots=3))
+    def test_the_wrapper_sees_each_access_and_the_views_are_unchanged(
+            self, closing):
+        plain = filled(closing(AncestralVectorStore(8, SHAPE, num_slots=3)))
+        relayed = filled(closing(AncestralVectorStore(8, SHAPE, num_slots=3)))
         seen = self.wrapped(relayed)
         want = plain.get_many(self.RUN)
         got = relayed.get_many(self.RUN)
@@ -224,10 +228,10 @@ class TestRelayedThroughAWrappedGet:
         relayed.get(5)                      # a direct get: seen once
         assert seen[len(self.RUN):] == [(5, (), False)]
 
-    def test_a_failing_access_ends_the_relay(self):
+    def test_a_failing_access_ends_the_relay(self, closing):
         flaky = FlakyBackingStore(MemoryBackingStore(8, SHAPE))
-        store = filled(AncestralVectorStore(8, SHAPE, num_slots=3,
-                                            backing=flaky))
+        store = filled(closing(AncestralVectorStore(
+            8, SHAPE, num_slots=3, backing=flaky)))
         seen = self.wrapped(store)
         flaky.fail_reads_at = {flaky.read_calls + 1}
         with pytest.raises(BackingStoreError, match="injected read"):
@@ -240,8 +244,8 @@ class TestRelayedThroughAWrappedGet:
         assert [v[0] for v in store.get_many(self.RUN)[1:]] == [12, 13, 14]
 
 
-def test_the_run_is_shielded_from_prefetch_until_the_next_demand_call():
-    store = filled(AncestralVectorStore(8, SHAPE, num_slots=4))
+def test_the_run_is_shielded_from_prefetch_until_the_next_demand_call(closing):
+    store = filled(closing(AncestralVectorStore(8, SHAPE, num_slots=4)))
     # residents 4, 5, 6, 7; the run touches 4 and 6 and pins 5
     store.get_many([(4, (5,), False), (6, (4,), False)])
     assert store.prefetch_load(0)
@@ -251,12 +255,12 @@ def test_the_run_is_shielded_from_prefetch_until_the_next_demand_call():
     assert store.prefetch_load(1)
 
 
-def test_runs_beside_three_prefetch_workers_keep_every_byte():
+def test_runs_beside_three_prefetch_workers_keep_every_byte(closing):
     """More prefetch workers than cores and a short switch interval: the
     lock a run leaves for its transfers is where the workers get in, and
     every view — lent, private copy or ``None`` landed through ``fill``
     — still carries the newest bytes."""
-    store = AncestralVectorStore(24, SHAPE, num_slots=6)
+    store = closing(AncestralVectorStore(24, SHAPE, num_slots=6))
     prefetcher = ThreadedPrefetcher(store, depth=6, workers=3)
     rng = np.random.default_rng(11)
     contents: dict[int, float] = {}

@@ -155,13 +155,14 @@ class TestLogHistogram:
 
 
 class TestStoreTracing:
-    def make_store(self, obs=None, **kw):
-        store = AncestralVectorStore(6, SHAPE, num_slots=3, policy="lru", **kw)
+    def make_store(self, closing, obs=None, **kw):
+        store = closing(AncestralVectorStore(6, SHAPE, num_slots=3,
+                                             policy="lru", **kw))
         store.attach(obs)
         return store
 
-    def test_events_mirror_counters(self):
-        store = self.make_store(Observer(1 << 12))
+    def test_events_mirror_counters(self, closing):
+        store = self.make_store(closing, Observer(1 << 12))
         run_store_workload(store, WORKLOAD)
         store.drain()
         by = store.obs.spans.by_name()
@@ -172,16 +173,16 @@ class TestStoreTracing:
                 assert by.get(name, 0) == getattr(st, route.mirrors), name
         assert by.get("evict", 0) == st.writes + st.write_skips
 
-    def test_demand_read_records_duration(self):
-        store = self.make_store(Observer(1 << 12))
+    def test_demand_read_records_duration(self, closing):
+        store = self.make_store(closing, Observer(1 << 12))
         run_store_workload(store, WORKLOAD)
         reads = [r for r in store.obs.spans.records()
                  if r.name == "demand_read"]
         assert reads
         assert all(r.dur >= 0.0 for r in reads)
 
-    def test_attach_after_construction(self):
-        store = self.make_store()
+    def test_attach_after_construction(self, closing):
+        store = self.make_store(closing)
         store.get(0)
         obs = Observer(64)
         store.attach(obs)
@@ -192,12 +193,12 @@ class TestStoreTracing:
         store.get(2)
         assert obs.spans.by_name().get("get") == 1
 
-    def test_tracing_is_passive(self):
+    def test_tracing_is_passive(self, closing):
         """Bit-identical counters traced vs untraced (no prefetch)."""
-        bare = self.make_store()
+        bare = self.make_store(closing)
         run_store_workload(bare, WORKLOAD)
         bare.drain()
-        traced = self.make_store(Observer(1 << 12))
+        traced = self.make_store(closing, Observer(1 << 12))
         run_store_workload(traced, WORKLOAD)
         traced.drain()
         assert traced.stats._counters() == bare.stats._counters()
@@ -218,13 +219,15 @@ class TestStoreTracing:
 
 
 class TestObserver:
-    def build(self, small_tree, small_alignment, small_model, **kw):
-        return LikelihoodEngine(small_tree.copy(), small_alignment,
-                                small_model, num_slots=4, **kw)
+    @pytest.fixture()
+    def build(self, small_tree, small_alignment, small_model, closing):
+        def build(**kw):
+            return closing(LikelihoodEngine(small_tree.copy(), small_alignment,
+                                            small_model, num_slots=4, **kw))
+        return build
 
-    def test_attach_detach_roundtrip(self, small_tree, small_alignment,
-                                     small_model):
-        eng = self.build(small_tree, small_alignment, small_model)
+    def test_attach_detach_roundtrip(self, build):
+        eng = build()
         obs = Observer(capacity=1 << 12)
         obs.attach(eng)
         assert eng.obs is eng.store.obs is eng.store.backing.obs is obs
@@ -232,9 +235,8 @@ class TestObserver:
         obs.detach(eng)
         assert eng.obs is eng.store.obs is eng.store.backing.obs is None
 
-    def test_phase_timers_populate(self, small_tree, small_alignment,
-                                   small_model):
-        eng = self.build(small_tree, small_alignment, small_model)
+    def test_phase_timers_populate(self, build):
+        eng = build()
         obs = Observer().attach(eng)
         eng.full_traversals(2)
         hists = obs.metrics.snapshot()["histograms"]
@@ -245,13 +247,12 @@ class TestObserver:
 
     @pytest.mark.parametrize("layout", [
         {}, {"layout": "block", "block_sites": 64}])
-    def test_every_store_request_is_a_store_wait_lap(
-            self, small_tree, small_alignment, small_model, layout):
+    def test_every_store_request_is_a_store_wait_lap(self, build, layout):
         """Branch optimisation and per-site evaluation fetch through the
         timed path too: every store request falls in exactly one
         ``store_wait`` lap — one lap per ``get`` or ``get_many`` call,
         carrying how many accesses it served."""
-        eng = self.build(small_tree, small_alignment, small_model, **layout)
+        eng = build(**layout)
         obs = Observer().attach(eng)
         inner = eng.tree.num_tips + 1
         u, v = inner, eng.tree.neighbors(inner)[0]
@@ -267,11 +268,9 @@ class TestObserver:
             assert sum(laps()[before:]) == eng.stats.requests - requests
             assert len(laps()) == obs.metrics.snapshot()["histograms"][
                 "store_wait_seconds"]["count"]
-        eng.close()
 
-    def test_backing_probe_sees_demand_reads(self, small_tree,
-                                             small_alignment, small_model):
-        eng = self.build(small_tree, small_alignment, small_model)
+    def test_backing_probe_sees_demand_reads(self, build):
+        eng = build()
         obs = Observer().attach(eng)
         eng.full_traversals(3)
         hists = obs.metrics.snapshot()["histograms"]
@@ -280,18 +279,16 @@ class TestObserver:
         assert hists["backing_write_seconds"]["count"] \
             == eng.stats.physical_writes
 
-    def test_observer_is_passive_on_engine(self, small_tree, small_alignment,
-                                           small_model):
-        bare = self.build(small_tree, small_alignment, small_model)
+    def test_observer_is_passive_on_engine(self, build):
+        bare = build()
         bare.full_traversals(2)
-        traced = self.build(small_tree, small_alignment, small_model)
+        traced = build()
         Observer().attach(traced)
         traced.full_traversals(2)
         assert traced.stats._counters() == bare.stats._counters()
 
-    def test_event_summary_shape(self, small_tree, small_alignment,
-                                 small_model):
-        eng = self.build(small_tree, small_alignment, small_model)
+    def test_event_summary_shape(self, build):
+        eng = build()
         obs = Observer().attach(eng)
         eng.full_traversals(1)
         ring = obs.spans
@@ -472,14 +469,15 @@ class TestReportingSeam:
             assert component is None or component.obs is None
         assert obs.metrics._collectors == []
 
-    def test_inflight_wait_is_one_span_on_the_waiting_thread(self):
+    def test_inflight_wait_is_one_span_on_the_waiting_thread(self, closing):
         """The third cause of an asynchronous ``store_wait``: ``get`` found
         its item's load in flight. One report per wait, routed to the span
         recorder alone, carrying the item."""
         from tests.test_prefetch import GatedReads
 
         backing = GatedReads(8, (2,))
-        store = AncestralVectorStore(8, (2,), num_slots=3, backing=backing)
+        store = closing(AncestralVectorStore(8, (2,), num_slots=3,
+                                             backing=backing))
         obs = CountingObserver()
         store.attach(obs)
         backing.shut()
@@ -506,16 +504,17 @@ class TestReportingSeam:
 
 
 class TestExporters:
-    def trace_engine(self, small_tree, small_alignment, small_model):
+    @pytest.fixture()
+    def obs(self, small_tree, small_alignment, small_model):
+        """The observer of a traced engine's two full traversals."""
         eng = LikelihoodEngine(small_tree.copy(), small_alignment,
                                small_model, num_slots=4)
         obs = Observer().attach(eng)
         eng.full_traversals(2)
+        eng.close()
         return obs
 
-    def test_records_to_jsonl(self, tmp_path, small_tree, small_alignment,
-                              small_model):
-        obs = self.trace_engine(small_tree, small_alignment, small_model)
+    def test_records_to_jsonl(self, tmp_path, obs):
         path = tmp_path / "events.jsonl"
         n = records_to_jsonl(obs.spans.records(), path)
         lines = path.read_text().splitlines()
@@ -527,9 +526,7 @@ class TestExporters:
         with_args = {row["name"] for row in rows if "args" in row}
         assert "plan" in with_args and "get" not in with_args
 
-    def test_slot_timeline_intervals(self, small_tree, small_alignment,
-                                     small_model):
-        obs = self.trace_engine(small_tree, small_alignment, small_model)
+    def test_slot_timeline_intervals(self, obs):
         intervals = slot_timeline(obs.spans.records())
         assert intervals
         for iv in intervals:

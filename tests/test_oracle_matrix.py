@@ -8,6 +8,10 @@ explicit per-site bound — and, bit for bit, with the whole-vector in-core
 cell of its own dtype: same lnL hex, same scale counters (§4.1 across
 configurations; it rests on the kernels' GEMM being row-independent, see
 ``tests/test_kernels.py::TestRowIndependence``).
+
+A write-side slice crosses one model row with {backing} × {write-behind} ×
+{dirty tracking}: the same lnL hex as the in-core twin, and every eviction
+accounted as exactly one write or one write skip.
 """
 
 from __future__ import annotations
@@ -25,9 +29,14 @@ from repro import (
     Poisson,
     RateModel,
     Tree,
+    clv_geometry,
     simulate_alignment,
     yule_tree,
 )
+from repro.core.backing import MemoryBackingStore
+from repro.core.faults import FaultInjectingBackingStore
+from repro.core.vecstore import AncestralVectorStore
+from repro.obs import Observer
 from repro.phylo.alphabet import DNA
 from tests.oracle import (
     FLOAT32_SITE_BOUND,
@@ -35,6 +44,7 @@ from tests.oracle import (
     oracle_lnl,
     pectinate_tree,
 )
+from tests.test_async_io import GatedBackingStore
 
 
 @functools.lru_cache(maxsize=None)
@@ -63,16 +73,20 @@ def _dataset(name: str):
     return tree, aln, gtr, rates
 
 
-def _evaluate(name: str, **config):
+def _exercise(engine: LikelihoodEngine):
     """``(lnL after two full traversals and a re-rooting, scale counters)``."""
+    engine.full_traversals(2)
+    far = max(engine.tree.edges())          # an edge away from tip 0
+    engine.edge_loglikelihood(*far)
+    lnl = engine.edge_loglikelihood(*engine.default_edge())
+    return lnl, engine.scale_counts.copy()
+
+
+def _evaluate(name: str, **config):
     tree, aln, model, rates = _dataset(name)
     engine = LikelihoodEngine(tree.copy(), aln, model, rates, **config)
     try:
-        engine.full_traversals(2)
-        far = max(engine.tree.edges())          # an edge away from tip 0
-        engine.edge_loglikelihood(*far)
-        lnl = engine.edge_loglikelihood(*engine.default_edge())
-        return lnl, engine.scale_counts.copy()
+        return _exercise(engine)
     finally:
         engine.close()
 
@@ -140,6 +154,82 @@ def test_deep_row_exercises_float64_rescaling():
     """The matrix's counter equality is vacuous unless something rescaled."""
     rescaled64 = _reference("dna-G4-deep", "float64")[1].sum()
     assert 0 < rescaled64 < _reference("dna-G4-deep", "float32")[1].sum()
+
+
+# -- the write side: backing × write-behind × dirty tracking ----------------
+
+def _faulty(geometry) -> dict:
+    """A seeded fault schedule on every transfer, absorbed by retries."""
+    backing = FaultInjectingBackingStore(
+        MemoryBackingStore(*geometry), seed=27, read_error_rate=0.3,
+        write_error_rate=0.3, short_read_rate=0.1, short_write_rate=0.1)
+    return {"backing": backing, "backing_retries": 12}
+
+
+BACKINGS = {
+    "memory": lambda geometry: {"backing": "memory"},
+    "file": lambda geometry: {"backing": "file"},
+    "compressed": lambda geometry: {"backing": "compressed"},
+    "faulty": _faulty,
+}
+
+
+@pytest.mark.parametrize("track_dirty", [True, False])
+@pytest.mark.parametrize("writeback_depth", [0, 4])
+@pytest.mark.parametrize("backing", list(BACKINGS))
+def test_write_side_cell(backing, writeback_depth, track_dirty, tmp_path):
+    """Every eviction is one write or one write skip, and skipping the
+    write of a clean victim changes no bit of the likelihood."""
+    name = "dna-G4"
+    tree, aln, model, rates = _dataset(name)
+    config = {"fraction": 0.5, "writeback_depth": writeback_depth,
+              **BACKINGS[backing](clv_geometry(tree, aln, model, rates))}
+    engine = LikelihoodEngine(tree.copy(), aln, model, rates,
+                              workdir=tmp_path, track_dirty=track_dirty,
+                              **config)
+    obs = Observer().attach(engine)
+    try:
+        lnl, _ = _exercise(engine)
+        engine.store.drain()
+        stats = engine.stats
+    finally:
+        engine.close()
+    assert lnl.hex() == _reference(name, "float64")[0].hex()
+    evictions = obs.spans.by_name()["evict"]
+    assert stats.writes + stats.write_skips == evictions > 0
+    assert (stats.write_skips > 0) == track_dirty
+    if backing == "faulty":
+        assert config["backing"].faults_injected > 0
+
+
+def test_clean_eviction_of_a_vector_read_from_staging_reaches_the_backing():
+    """"Clean" is relative to the write-behind staging buffer there: the
+    backing has not received the vector yet when its clean slot is
+    evicted, and it must still arrive once the queue drains."""
+    n, shape = 6, (4,)
+    gated = GatedBackingStore(MemoryBackingStore(n, shape))
+    store = AncestralVectorStore(n, shape, num_slots=3, backing=gated,
+                                 writeback_depth=8)
+    try:
+        for item in range(3):
+            store.get(item, write_only=True)[:] = item + 10.0
+        gated.gate.clear()                    # writes block: 0 stays staged
+        store.get(3, write_only=True)         # evicts 0 (dirty): staged
+        assert gated.write_started.wait(10.0)
+        np.testing.assert_array_equal(store.get(0), 10.0)
+        assert store.stats.writeback_read_hits == 1
+        for item in (4, 5, 1):                # evict 2, 3, then 0 (clean)
+            store.get(item, write_only=True)
+        assert not store.is_resident(0)
+        assert store.stats.write_skips == 1
+        gated.gate.set()
+        store.drain()
+        out = np.empty(shape)
+        gated.inner.read(0, out)
+        np.testing.assert_array_equal(out, 10.0)
+    finally:
+        gated.gate.set()
+        store.close()
 
 
 @pytest.mark.parametrize("lengths", [(0.1, 0.2, 0.3), (1e-6, 0.7, 2.5)])

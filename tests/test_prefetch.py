@@ -99,7 +99,9 @@ class TestPrefetching:
         assert s.prefetch_hits == 12
         assert s.prefetch_reads == 12
         assert s.prefetch_unused == 0
-        assert s.writes == 8          # 12 items through 4 slots
+        # 12 items through 4 slots: 8 victims, every one clean (read, never
+        # written since), so none is written back
+        assert (s.writes, s.write_skips) == (0, 8)
         assert s.bytes_read == 12 * store.item_bytes
 
     def test_demand_rates_match_prefetch_disabled_run(self):

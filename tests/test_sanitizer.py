@@ -58,7 +58,7 @@ class TestBorrowTracking:
 class TestUseAfterEvict:
     def test_getitem_after_evict_raises(self):
         store = make_store()
-        view = store.get(0)
+        view = store.get(0, write_only=True)
         view[:] = 7.0
         evict_everything(store)
         with pytest.raises(BorrowError, match="use-after-evict"):
@@ -99,6 +99,7 @@ class TestUseAfterEvict:
     def test_refetch_after_evict_yields_valid_view(self):
         store = make_store()
         view = store.get(0)
+        store.mark_dirty(0)          # declared: the write goes back at eviction
         view[:] = 3.5
         evict_everything(store)
         fresh = store.get(0)
@@ -110,6 +111,49 @@ class TestUseAfterEvict:
         evict_everything(store)
         with pytest.raises(BorrowError, match=r"item 4"):
             view[0]
+
+
+class TestWriteThroughReadView:
+    """A clean victim is not written back, so a write through the view of
+    a read access would be lost: under the sanitizer it raises instead."""
+
+    def test_undeclared_write_is_lost_without_the_sanitizer(self):
+        store = make_store(sanitize=False)
+        store.get(0)[:] = 3.5
+        evict_everything(store)
+        assert store.stats.write_skips == 1
+        assert not np.any(store.get(0) == 3.5)
+
+    def test_undeclared_write_raises(self):
+        store = make_store()
+        view = store.get(0)
+        with pytest.raises(BorrowError, match="read view of item 0"):
+            view[:] = 3.5
+        with pytest.raises(BorrowError, match="mark_dirty"):
+            view += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            view[1:3][...] = 3.5     # derived views inherit the flag
+        np.testing.assert_array_equal(np.asarray(view), np.zeros(SHAPE))
+
+    def test_write_only_and_declared_views_are_writeable(self):
+        store = make_store()
+        store.get(0, write_only=True)[:] = 1.0
+        view = store.get(1)
+        store.mark_dirty(1)
+        view += 2.0
+        store.evict_all()
+        assert store.stats.writes == 2
+        np.testing.assert_array_equal(store.read_item(1), np.full(SHAPE, 2.0))
+
+    def test_private_copy_of_a_spilled_read_is_read_only(self):
+        # LRU evicts 1, 2 and then 0, which the run's first access lent.
+        store = make_store()
+        for item in (0, 1, 2):
+            store.get(item, write_only=True)
+        views = store.get_many([(item, (), False) for item in (0, 3, 4, 5)])
+        assert not isinstance(views[0], BorrowedSlotView)
+        with pytest.raises(ValueError, match="read-only"):
+            views[0][0] = 1.0
 
 
 class TestTransparency:
@@ -125,7 +169,7 @@ class TestTransparency:
 
     def test_derived_arrays_are_plain_and_safe(self):
         store = make_store()
-        view = store.get(0)
+        view = store.get(0, write_only=True)
         view[:] = 2.0
         sliced = view[1:3]
         summed = view + view
@@ -149,8 +193,8 @@ class TestTransparency:
             for _ in range(3):
                 for item in range(8):
                     v = store.get(item)
-                    v += 0.25 * np.asarray(v)
                     store.mark_dirty(item)
+                    v += 0.25 * np.asarray(v)
             return np.stack([store.read_item(i) for i in range(8)])
 
         np.testing.assert_array_equal(run(False), run(True))

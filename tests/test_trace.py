@@ -160,7 +160,7 @@ class TestReplayFidelity:
 
     def test_track_dirty_off_never_skips_writes(self):
         t = make_trace([0, 1, 2, 0, 1, 2])
-        replayed = simulate_policy_on_trace(t, 2, "lru")
+        replayed = simulate_policy_on_trace(t, 2, "lru", track_dirty=False)
         assert replayed.write_skips == 0
         assert replayed.writes == replayed.misses - 2  # final residents stay
 
