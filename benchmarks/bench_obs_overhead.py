@@ -14,23 +14,17 @@ so CPU drift on the box hits both sides alike and cannot trip the gate.
 Reported tables: wall time for N full traversals with (a) no observer,
 (b) an attached Observer, on the whole-vector and the site-block layout,
 plus (c) an Observer whose ring is deliberately tiny (constant overflow)
-to show the drop path costs nothing extra; and the same over a 2-shard
-backing tier with its workers armed.
+to show the drop path costs nothing extra.
 """
 
 import statistics
-import tempfile
 import time
 
-import numpy as np
-
 from benchmarks.conftest import report
-from repro.core.stats import PARITY_COUNTERS
 from repro.obs import Observer
 
 SLOT_FRACTION = 0.25
 TRAVERSALS = 3
-SHARDS = 2
 PAIRS = 5     # alternating bare/observed runs per ratio
 GATE = 1.5    # observed / bare, ratio of median walls
 
@@ -103,79 +97,3 @@ def test_full_telemetry_overhead_both_layouts(benchmark, ds1288):
             f"on the {layout} layout")
     report("bench_obs_overhead_full", lines)
 
-
-def _timed_sharded_run(ds, lay, observer=None):
-    """One traversal workload over a 2-shard backing tier in a temp dir."""
-    from repro.core.sharded import ShardedBackingStore
-
-    with tempfile.TemporaryDirectory(prefix="bench-obs-shard-") as td:
-        backing = ShardedBackingStore.from_layout(td, lay, np.float64,
-                                                  num_shards=SHARDS)
-        engine = ds.engine(layout=lay, fraction=SLOT_FRACTION, policy="lru",
-                           backing=backing, writeback_depth=4)
-        if observer is not None:
-            observer.attach(engine)
-        t0 = time.perf_counter()
-        engine.full_traversals(TRAVERSALS)
-        engine.store.drain()
-        wall = time.perf_counter() - t0
-        stats = engine.store.stats
-        counters = stats._counters()
-        physical = (stats.physical_reads, stats.physical_writes)
-        worker = None
-        if observer is not None:
-            hists = observer.metrics.snapshot()["histograms"]  # pulls
-            worker = (hists["shard_disk_read_seconds"]["count"],
-                      hists["shard_disk_write_seconds"]["count"])
-        engine.close()
-    return wall, counters, physical, worker
-
-
-def test_sharded_full_telemetry_overhead(benchmark, ds1288):
-    """Cross-process telemetry over the sharded tier stays bounded.
-
-    Arming the worker-side disk and wire histograms and span shipping
-    (OP_TELEMETRY pulls plus the 16 extra trace-context header bytes per
-    frame) must keep the same gate as in-process telemetry, leave the
-    demand counters bit-identical to the untraced sharded run, and the
-    workers' own histograms must count exactly the parent's physical
-    ops — nothing lost or double-counted across the wire.
-    """
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    from repro.core.layout import make_layout
-
-    lay = make_layout("whole", *ds1288.geometry())
-
-    bare, full = [], []
-    for _ in range(PAIRS):
-        bare.append(_timed_sharded_run(ds1288, lay))
-        obs = Observer(capacity=1 << 18)
-        full.append(_timed_sharded_run(ds1288, lay, observer=obs))
-
-    for _, counters, physical, worker in bare + full:
-        # passivity across runs: demand/eviction counters only. Physical
-        # totals (reads served from staging, coalesced writes) and the
-        # writeback_* counters depend on writer-thread timing under an
-        # async drain, traced or not.
-        for key in PARITY_COUNTERS:
-            assert counters[key] == bare[0][1][key], key
-        # cross-process agreement within a run: worker histogram counts
-        # == this run's IoStats physical totals, bit-exact
-        assert worker is None or worker == physical, (
-            f"worker-side histogram counts {worker} disagree with parent "
-            f"IoStats physical totals {physical}")
-    assert obs.spans.emitted > 0
-
-    bare_wall, full_wall = _median_wall(bare), _median_wall(full)
-    overhead = full_wall / bare_wall
-    _, _, full_phys, worker = full[-1]
-    report("bench_obs_overhead_sharded", [
-        f"{TRAVERSALS} full traversals, f={SLOT_FRACTION}, lru, "
-        f"{SHARDS}-shard backing, writeback depth 4; "
-        f"median of {PAIRS} alternating runs",
-        f"{'bare sharded':>24} | {bare_wall:8.3f}s |   1.00x",
-        f"{'full telemetry':>24} | {full_wall:8.3f}s | {overhead:6.2f}x",
-        f"worker ops (r, w): {worker} == parent physical {full_phys}",
-    ])
-    assert overhead < GATE, (
-        f"sharded full-telemetry overhead {overhead:.2f}x exceeds {GATE}x")

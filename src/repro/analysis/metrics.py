@@ -6,10 +6,10 @@ row per name; a ``**`` entry in the literal stands for the rows generated
 from the ``IoStats`` counter fields, one each. **MET001** checks what a
 typo could break:
 
-* every metric a component can reach must be a row: the ``metric=`` /
-  ``ops=`` / ``bytes=`` targets of the ``ROUTES`` rows (what ``ob.timed``
-  feeds), the literal name at every ``ob.count`` / ``ob.gauge`` /
-  ``ob.merge`` call site, and the literal keys of a dict handed to
+* every metric a component can reach must be a row: the ``metric=``
+  target of each ``ROUTES`` row (what ``ob.timed`` / ``ob.event``
+  feed), the literal name at every ``ob.count`` / ``ob.gauge`` call
+  site, and the literal keys of a dict handed to
   ``totals``. The registry raises on unknown names at runtime, but only
   on paths that actually execute; a typo on a rarely-taken branch would
   otherwise ship;
@@ -37,10 +37,7 @@ from repro.analysis.source import SourceFile
 METRIC_EXPOSITION_NAME = "METRIC_EXPOSITION"
 
 #: Observer verbs whose first argument is a metric name.
-_METRIC_VERBS = frozenset({"count", "gauge", "merge"})
-
-#: ``Route(...)`` keywords whose value is a metric name.
-_ROUTE_METRIC_FIELDS = ("metric", "ops", "bytes")
+_METRIC_VERBS = frozenset({"count", "gauge"})
 
 #: Valid exposition kinds (the registry's three instrument types).
 _KINDS = frozenset({"counter", "gauge", "histogram"})
@@ -54,9 +51,8 @@ def _metric_sites(files: list[SourceFile]) -> list[tuple[str, int, str]]:
     """``(path, line, name)`` for every statically visible metric reference."""
     out = report_sites(files, _METRIC_VERBS)
     routes_path, rows = parse_routes(files) or ("", {})
-    for row in rows.values():
-        out.extend((routes_path, row[f][1], row[f][0])
-                   for f in _ROUTE_METRIC_FIELDS if f in row)
+    out.extend((routes_path, row["metric"][1], row["metric"][0])
+               for row in rows.values() if "metric" in row)
     for sf in files:
         for node in ast.walk(sf.tree):
             if (isinstance(node, ast.Call)

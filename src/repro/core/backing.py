@@ -126,7 +126,7 @@ class ReportedBackingStore:
         nbytes = transfer(item, buf)
         dt = time.perf_counter() - t0
         if nbytes is not None:
-            obs.timed(name, t0, dt, item=item, nbytes=nbytes)
+            obs.timed(name, t0, dt, item=item)
 
 
 class MemoryBackingStore(ReportedBackingStore):

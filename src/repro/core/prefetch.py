@@ -27,7 +27,6 @@ so the demand miss/read rates (the Fig. 2–4 metrics) stay untouched:
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from typing import TYPE_CHECKING
 
 from repro.analysis.race import make_thread, race_detector
@@ -266,10 +265,6 @@ class ThreadedPrefetcher:
     def _run(self) -> None:  # thread: prefetch
         store = self.store
         rc = self._race
-        # Trace-context injection (see WriteBehindQueue._writer_loop_async):
-        # each prefetch load gets a span id the sharded backing threads
-        # through its wire header to the worker-side disk span.
-        scope = getattr(store.backing, "trace_scope", None)
         while True:
             with store._cond:
                 while True:
@@ -286,12 +281,10 @@ class ThreadedPrefetcher:
             item, slot = claimed
             ob = self.obs
             t0 = time.perf_counter() if ob is not None else 0.0
-            sid = ob.new_span_id() if ob is not None and scope is not None else 0
-            with scope(sid) if sid else nullcontext():
-                loaded = store._prefetch_fill(item, slot)
+            loaded = store._prefetch_fill(item, slot)
             if ob is not None:
                 ob.timed("prefetch_load", t0, time.perf_counter() - t0,
-                         item=item, span_id=sid, loaded=loaded)
+                         item=item, loaded=loaded)
             if not loaded:
                 with store._cond:
                     # The read failed: retry only after demand progresses.

@@ -22,34 +22,19 @@ This module splits the item space across ``N`` *shard worker processes*:
   write-behind queue and the prefetcher keep all shards busy
   concurrently instead of serialising through one store lock.
 
-Wire protocol (one frame = 33-byte header + optional payload)::
+Wire protocol (one frame = 17-byte header + optional payload)::
 
     header  = <u32 req_id> <u8 opcode> <u64 item> <u32 payload_len>
-              <u64 trace_id> <f64 t_send>
-    opcodes = ATTACH (payload: json shard spec — build/reattach the store;
-              the OK reply carries {t_recv, t_reply} worker-clock samples
-              for NTP-style clock-offset calibration)
+    opcodes = ATTACH (payload: json shard spec — build/reattach the store)
               READ   (reply DATA carries the raw item bytes)
               WRITE  (payload: raw item bytes; reply OK)
               FLUSH  (per-shard durability barrier; reply OK)
               CLOSE  (close the store and exit; reply OK)
-              TELEMETRY (non-empty payload {"arm", "shard",
-              "clock_offset"}: arm/disarm worker-side recording, OK
-              reply carries {t_recv, t_reply} for a quiescent
-              recalibration of the clock offset; empty payload: the
-              DATA reply carries the worker's telemetry delta — disk and
-              wire-wait histograms, spans — since the previous pull)
     replies = OK / DATA / ERR (payload: json {type, message})
 
-``trace_id`` and ``t_send`` are the request-scoped trace context: the
-client stamps every frame with the span id allocated for the request
-and its submission timestamp, so an *armed* worker attributes its disk
-time to the exact client-side span that caused it (the parent merges
-worker spans back as per-process tracks with Chrome flow links) and
-measures the queue+wire leg against the client clock, corrected by the
-calibrated offset. Unarmed workers never read either field
-and record nothing — untraced runs pay only the 16 extra header bytes
-per frame (pay-for-play, like every other observability hook).
+The worker records nothing: what an observer sees of the tier is the
+client's view — one ``backing_read`` / ``backing_write`` per completed
+round trip, as for every in-process backing — and ``shard_restart``.
 
 Requests are matched to replies by ``req_id``, so a client may keep up
 to ``window`` operations in flight per shard (bounded-window
@@ -67,10 +52,9 @@ promises the order correctness needs and no more:
   operation whose item has one outstanding on the other lane follows it
   onto that lane) — the newest of two in-flight writes wins, a read
   sees the write submitted before it;
-* ``ATTACH``/``FLUSH``/``CLOSE``/``TELEMETRY`` are *barriers*: served
-  only after everything submitted before them was answered, and before
-  anything submitted after them starts — ``FLUSH`` cannot overtake a
-  write, a telemetry pull sees every earlier operation.
+* ``ATTACH``/``FLUSH``/``CLOSE`` are *barriers*: served only after
+  everything submitted before them was answered, and before anything
+  submitted after them starts — ``FLUSH`` cannot overtake a write.
 
 Operations on different items of one shard may complete in any order.
 
@@ -95,9 +79,9 @@ Lock hierarchy (see DESIGN.md "Concurrency model"): the per-shard
 client locks (``_ShardClient._cond``, ``_ShardClient._send``) are
 *leaves* — client code never acquires a store or write-behind lock, so
 every edge points into this module and no cycle is possible. The
-worker's three (``_ShardWorker._cond``, ``_ShardWorker._send``,
-``_WorkerTelemetry._lock``) live in another process and are leaves
-there: none is held across a store call or while taking another.
+worker's two (``_ShardWorker._cond``, ``_ShardWorker._send``) live in
+another process and are leaves there: neither is held across a store
+call or while taking the other.
 """
 
 from __future__ import annotations
@@ -113,7 +97,7 @@ import threading
 import time
 import weakref
 from collections import deque
-from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 from numpy.typing import DTypeLike
@@ -124,35 +108,23 @@ from repro.core.compress import make_codec
 from repro.core.faults import FaultInjectingBackingStore, InjectedFault
 from repro.core.layout import shard_items
 from repro.errors import BackingStoreError
-# The obs primitives are deliberately core-free (see their module
-# docstrings), so importing them here cannot cycle.
-from repro.obs.histogram import LogHistogram
-from repro.obs.spans import SpanRecord
 from repro.vm.disk import DiskModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.core.layout import StorageLayout
     from repro.obs import Observer
-    from repro.obs.spans import SpanRecorder
 
-#: Frame header: req_id (u32), opcode (u8), item (u64), payload length
-#: (u32), trace span id (u64), client-clock send timestamp (f64).
-_HEADER = struct.Struct("<IBQIQd")
+#: Frame header: req_id (u32), opcode (u8), item (u64), payload length (u32).
+_HEADER = struct.Struct("<IBQI")
 
 OP_ATTACH = 1
 OP_READ = 2
 OP_WRITE = 3
 OP_FLUSH = 4
 OP_CLOSE = 5
-OP_TELEMETRY = 6
 OP_OK = 0x80
 OP_DATA = 0x81
 OP_ERR = 0x82
-
-#: Cap on buffered worker-side spans between OP_TELEMETRY pulls: bounds
-#: the reply frame; overflow increments ``spans_dropped`` (honest
-#: accounting, like the observer's record ring).
-_WORKER_SPAN_CAP = 8192
 
 #: Worker-store kinds a shard spec may name.
 WORKER_KINDS = ("file", "compressed", "simulated")
@@ -211,10 +183,8 @@ def _sendmsg_all(sock: socket.socket, buffers: list[_Buffer]) -> None:
                 sent = 0
 
 
-def _frame(req: int, op: int, item: int, payload: _Buffer,
-           trace: int = 0, t_send: float = 0.0) -> list[_Buffer]:
-    return [_HEADER.pack(req, op, item, len(payload), trace, t_send),
-            payload]
+def _frame(req: int, op: int, item: int, payload: _Buffer) -> list[_Buffer]:
+    return [_HEADER.pack(req, op, item, len(payload)), payload]
 
 
 def _err_payload(exc: BaseException) -> bytes:
@@ -268,72 +238,6 @@ def _build_worker_store(spec: dict[str, Any]) -> Any:
     return inner
 
 
-class _WorkerTelemetry:
-    """Worker-process-side histograms + span state (exists only while armed).
-
-    Both service lanes record into it, so every recording and the drain
-    run under ``_lock`` (a leaf: nothing else is acquired inside it).
-    Span ids are allocated under the same lock from a shard-salted range
-    disjoint from the parent's :func:`repro.obs.spans.next_span_id`
-    values, so merged timelines never alias.
-    """
-
-    def __init__(self, shard: int, clock_offset: float) -> None:
-        self._lock = threading.Lock()
-        self.disk_read = LogHistogram()               # guarded-by: _lock
-        self.disk_write = LogHistogram()              # guarded-by: _lock
-        self.wire_read = LogHistogram()               # guarded-by: _lock
-        self.wire_write = LogHistogram()              # guarded-by: _lock
-        self.spans: list[list[Any]] = []              # guarded-by: _lock
-        self.spans_dropped = 0                        # guarded-by: _lock
-        self._next_span = ((int(shard) + 1) << 40) + 1  # guarded-by: _lock
-        # Re-set by the reader at a barrier only: no lane is recording.
-        self.clock_offset = float(clock_offset)
-
-    def op(self, kind: str, dt: float, t_recv: float, t_send: float,
-           parent: int, item: int) -> None:  # thread: shard-lane
-        """Record one successful ``kind`` ("read"/"write") operation:
-        disk latency ``dt``, the wire leg before it, and its span."""
-        with self._lock:
-            wire = t_recv - (t_send + self.clock_offset)
-            if kind == "read":
-                self.disk_read.record(dt)
-                self.wire_read.record(wire)
-            else:
-                self.disk_write.record(dt)
-                self.wire_write.record(wire)
-            if len(self.spans) >= _WORKER_SPAN_CAP:
-                self.spans_dropped += 1
-                return
-            sid = self._next_span
-            self._next_span += 1
-            self.spans.append([f"shard_disk_{kind}", t_recv,
-                               time.perf_counter() - t_recv, sid, parent,
-                               int(item)])
-
-    def drain(self) -> bytes:
-        """The telemetry delta since the previous drain, as a JSON frame."""
-        with self._lock:
-            doc = {
-                "disk_read": self.disk_read.drain_state(),
-                "disk_write": self.disk_write.drain_state(),
-                "wire_read": self.wire_read.drain_state(),
-                "wire_write": self.wire_write.drain_state(),
-                "spans": self.spans,
-                "spans_dropped": self.spans_dropped,
-            }
-            self.spans = []
-            self.spans_dropped = 0
-        return json.dumps(doc).encode()
-
-
-def _clock_bracket(t_recv: float) -> bytes:
-    """Worker-clock samples bracketing one exchange, for the client's
-    NTP-style offset calibration (``_ShardClient._calibrate``)."""
-    return json.dumps({"t_recv": t_recv,
-                       "t_reply": time.perf_counter()}).encode()
-
-
 class _Request(NamedTuple):
     """One received frame, as the reader hands it to a lane."""
 
@@ -341,9 +245,6 @@ class _Request(NamedTuple):
     op: int
     item: int
     payload: bytes | bytearray
-    trace: int
-    t_send: float
-    t_recv: float
 
 
 class _ShardWorker:
@@ -366,12 +267,6 @@ class _ShardWorker:
     no flush and no index republication — which the parent observes as
     EOF.
 
-    Telemetry is recorded only while armed (OP_TELEMETRY control frame)
-    and only for *successful* operations, so worker-side histogram
-    counts equal client-side completion counts equal the store-level
-    physical I/O totals — the bit-exact cross-check ``--attribution``
-    and the bench enforce.
-
     Locks (both leaves; never held together, never across a store call):
     ``_cond`` — lane queues and outstanding counts; ``_send`` — one reply
     frame at a time on the socket. They are plain ``threading``
@@ -387,7 +282,6 @@ class _ShardWorker:
         # Item geometry comes from the ATTACH spec, not the store object:
         # not every backing implementation exposes shape/dtype attributes.
         self.store: Any = None
-        self.telemetry: _WorkerTelemetry | None = None
         self.shape: tuple[int, ...] = ()
         self.dtype = np.dtype(np.float64)
         self._send = threading.Lock()
@@ -410,15 +304,11 @@ class _ShardWorker:
                 hdr = _recv_exact(self.conn, _HEADER.size)
                 if hdr is None:
                     break
-                req, op, item, length, trace, t_send = _HEADER.unpack(hdr)
-                t_recv = (time.perf_counter()
-                          if self.telemetry is not None
-                          or op in (OP_ATTACH, OP_TELEMETRY) else 0.0)
+                req, op, item, length = _HEADER.unpack(hdr)
                 payload = _recv_exact(self.conn, length) if length else b""
                 if payload is None:
                     break
-                request = _Request(req, op, item, payload, trace, t_send,
-                                   t_recv)
+                request = _Request(req, op, item, payload)
                 if op in (OP_READ, OP_WRITE):
                     self._dispatch(request)
                 else:
@@ -455,7 +345,7 @@ class _ShardWorker:
 
     def _control(self, request: _Request) -> bool:
         """Serve one barrier frame (lanes idle); True once CLOSE is done."""
-        req, op, item, payload, _trace, _t_send, t_recv = request
+        req, op, item, payload = request
         stop = False
         reply_op: int = OP_OK
         reply: bytes = b""
@@ -467,28 +357,6 @@ class _ShardWorker:
                 self.shape = tuple(int(d) for d in spec["item_shape"])
                 self.dtype = np.dtype(str(spec["dtype"]))
                 self.store = _build_worker_store(spec)
-                self.telemetry = None  # a fresh worker starts disarmed
-                # Handshake: bracket the attach for offset calibration.
-                reply = _clock_bracket(t_recv)
-            elif op == OP_TELEMETRY:
-                if payload:
-                    ctl = json.loads(payload.decode())
-                    offset = float(ctl.get("clock_offset", 0.0))
-                    if not ctl.get("arm"):
-                        self.telemetry = None
-                    elif self.telemetry is None:
-                        self.telemetry = _WorkerTelemetry(
-                            int(ctl.get("shard", 0)), offset)
-                    else:
-                        self.telemetry.clock_offset = offset
-                    # Control replies bracket a quiescent exchange — a
-                    # far tighter calibration sample than ATTACH, which
-                    # races worker startup.
-                    reply = _clock_bracket(t_recv)
-                else:
-                    reply_op = OP_DATA
-                    reply = (b"{}" if self.telemetry is None
-                             else self.telemetry.drain())
             elif op == OP_CLOSE:
                 if self.store is not None:
                     self.store.close()
@@ -537,9 +405,8 @@ class _ShardWorker:
 
     def _serve(self, request: _Request) -> tuple[int, _Buffer]:  # thread: shard-lane
         """One transfer against the private store; ``(reply op, payload)``."""
-        _req, op, item, payload, trace, t_send, t_recv = request
-        store, telemetry = self.store, self.telemetry
-        t_op = time.perf_counter() if telemetry is not None else 0.0
+        _req, op, item, payload = request
+        store = self.store
         reply: _Buffer = b""
         try:
             if store is None:
@@ -554,21 +421,13 @@ class _ShardWorker:
                     payload, dtype=self.dtype).reshape(self.shape))
         except Exception as exc:  # noqa: BLE001 - becomes a typed ERR frame
             return OP_ERR, _err_payload(exc)
-        if telemetry is not None:
-            telemetry.op("read" if op == OP_READ else "write",
-                         time.perf_counter() - t_op, t_recv, t_send, trace,
-                         item)
         return (OP_DATA if op == OP_READ else OP_OK), reply
 
     def _reply(self, req: int, reply_op: int, item: int,
                payload: _Buffer) -> None:
-        # Armed replies carry the worker-clock send time, so the client
-        # can split off the reply-wire leg.
-        t_out = time.perf_counter() if self.telemetry is not None else 0.0
         with self._send, contextlib.suppress(OSError):
             # A vanished parent is the reader's to notice (EOF).
-            _sendmsg_all(self.conn,
-                         _frame(req, reply_op, item, payload, 0, t_out))
+            _sendmsg_all(self.conn, _frame(req, reply_op, item, payload))
 
 
 def _shard_worker_main(conn: socket.socket,
@@ -588,15 +447,23 @@ def _shard_worker_main(conn: socket.socket,
 # -- client side --------------------------------------------------------------
 
 
+def _release(proc: multiprocessing.process.BaseProcess) -> None:
+    """Close a joined worker's process handle, and with it the sentinel
+    pipe the fork opened — now, not when the cyclic GC gets to the
+    store ↔ client cycle that holds it. A worker that is somehow still
+    running keeps its handle (``Process.close`` refuses)."""
+    with contextlib.suppress(ValueError):
+        proc.close()
+
+
 class _Pending:
     """One in-flight request: the re-issue record and the completion cell."""
 
     __slots__ = ("req", "op", "item", "payload", "out", "done", "error",
-                 "t0", "trace", "parent", "result")
+                 "t0")
 
     def __init__(self, req: int, op: int, item: int, payload: bytes,
-                 out: np.ndarray | None, trace: int = 0,
-                 parent: int = 0) -> None:
+                 out: np.ndarray | None) -> None:
         self.req = req
         self.op = op
         self.item = item
@@ -605,9 +472,6 @@ class _Pending:
         self.done = False                        # set under the owning client's _cond
         self.error: BaseException | None = None  # set under the owning client's _cond
         self.t0 = 0.0
-        self.trace = trace   # span id for this request (0 = untraced)
-        self.parent = parent  # causing span id (write-behind/prefetch scope)
-        self.result: bytes | bytearray | None = None  # OP_TELEMETRY pull reply
 
 
 class ShardTicket:
@@ -650,16 +514,6 @@ class _ShardClient:
         self.shard = int(shard)
         self.spec = dict(spec)
         self.window = int(window)
-        self.restarts = 0                           # guarded-by: _cond
-        self.reads_completed = 0                    # guarded-by: _cond
-        self.writes_completed = 0                   # guarded-by: _cond
-        self.bytes_read = 0                         # guarded-by: _cond
-        self.bytes_written = 0                      # guarded-by: _cond
-        # Worker-clock minus client-clock offset, calibrated from the
-        # ATTACH handshake and refined by every telemetry-control round
-        # trip (single writer: the receiver thread; float reads
-        # elsewhere are GIL-atomic).
-        self.clock_offset = 0.0
         self._cond = make_condition(make_lock("ShardClient"))
         self._send = make_lock("ShardClient.send")
         self._pending: dict[int, _Pending] = {}     # guarded-by: _cond
@@ -715,13 +569,12 @@ class _ShardClient:
         return self.submit(OP_ATTACH, 0, payload, None)
 
     def submit(self, op: int, item: int, payload: bytes,
-               out: np.ndarray | None, trace: int = 0,
-               parent: int = 0) -> _Pending:
+               out: np.ndarray | None) -> _Pending:
         """Register one request and send its frame (bounded-window)."""
-        return self.submit_many([(op, item, payload, out, trace, parent)])[0]
+        return self.submit_many([(op, item, payload, out)])[0]
 
-    def submit_many(self, ops: list[tuple[int, int, bytes, np.ndarray | None,
-                                          int, int]]) -> list[_Pending]:
+    def submit_many(self, ops: list[tuple[int, int, bytes, np.ndarray | None]]
+                    ) -> list[_Pending]:
         """Register a batch and send its frames with one vectored call —
         one per window-full for a batch larger than the free window.
 
@@ -731,16 +584,8 @@ class _ShardClient:
         from the pending map — a duplicate frame is harmless because the
         worker's operations are idempotent and the receiver drops
         replies whose ``req_id`` is no longer pending.
-
-        When telemetry is armed, time stalled on the full window is
-        measured (it is a stage of end-to-end request latency the
-        per-request ``t0`` clock deliberately excludes) and reported to
-        the owner after the lock is released.
         """
         entries: list[_Pending] = []
-        armed = self.owner.obs is not None
-        stall_start = 0.0
-        stalled = 0.0
         while len(entries) < len(ops):
             first = len(entries)
             with self._cond:
@@ -750,12 +595,7 @@ class _ShardClient:
                         raise BackingStoreError(
                             f"shard {self.shard} worker unrecoverable"
                         ) from self._fatal
-                    t_wait = time.perf_counter() if armed else 0.0
                     self._cond.wait()
-                    if armed:
-                        if stall_start == 0.0:
-                            stall_start = t_wait
-                        stalled += time.perf_counter() - t_wait
                 if self._fatal is not None:
                     raise BackingStoreError(
                         f"shard {self.shard} worker unrecoverable"
@@ -766,31 +606,24 @@ class _ShardClient:
                 # wire before waiting again: the window only reopens for
                 # the rest of a larger batch once its head was sent.
                 room = self.window - len(self._pending)
-                for op, item, payload, out, trace, parent in \
-                        ops[first:first + room]:
+                for op, item, payload, out in ops[first:first + room]:
                     req = self._next_req
                     self._next_req = (self._next_req + 1) % (1 << 32)
-                    entry = _Pending(req, op, item, payload, out, trace,
-                                     parent)
+                    entry = _Pending(req, op, item, payload, out)
                     entry.t0 = time.perf_counter()
                     self._pending[req] = entry
                     entries.append(entry)
                 sock = self._sock
             frames: list[_Buffer] = []
             for entry in entries[first:]:
-                # t_send is the registration timestamp already on the
-                # entry — the trace context rides along with no extra
-                # clock reads.
                 frames.extend(_frame(entry.req, entry.op, entry.item,
-                                     entry.payload, entry.trace, entry.t0))
+                                     entry.payload))
             try:
                 with self._send:
                     assert sock is not None
                     _sendmsg_all(sock, frames)
             except OSError:
                 pass  # worker died mid-send; restart re-issues from _pending
-        if stalled > 0.0:
-            self.owner._note_window_wait(self.shard, stall_start, stalled)
         return entries
 
     def wait(self, entry: _Pending) -> None:
@@ -812,7 +645,7 @@ class _ShardClient:
                 hdr = _recv_exact(sock, _HEADER.size)
                 if hdr is None:
                     break
-                req, op, _item, length, _trace, t_send = _HEADER.unpack(hdr)
+                req, op, _item, length = _HEADER.unpack(hdr)
                 dest = self._read_destination(req, op, length)
                 payload: bytes | bytearray | None
                 if dest is not None:
@@ -825,7 +658,7 @@ class _ShardClient:
                     payload = _recv_exact(sock, length) if length else b""
                     if payload is None:
                         break
-                self._complete(req, op, payload, t_send)
+                self._complete(req, op, payload)
         except OSError:
             pass
         with self._cond:
@@ -848,9 +681,15 @@ class _ShardClient:
         return memoryview(flat) if flat.size == length else None
 
     def _complete(self, req: int, op: int,
-                  payload: bytes | bytearray | None, t_send: float) -> None:
+                  payload: bytes | bytearray | None) -> None:
         """Retire ``req``; ``payload`` is ``None`` when a read's data was
-        already received into its destination."""
+        already received into its destination.
+
+        A successful read/write is reported as one ``backing_read`` /
+        ``backing_write`` round trip, from registration to this reply —
+        so their counts equal the store's physical I/O totals; a faulted
+        attempt that will be retried reports nothing.
+        """
         with self._cond:
             entry = self._pending.pop(req, None)
         if entry is None:
@@ -860,98 +699,20 @@ class _ShardClient:
             pass  # a read whose data is already in entry.out
         elif op == OP_ERR:
             error = _map_error(payload)
-        elif entry.op == OP_ATTACH and payload:
-            self._calibrate(entry, payload)
-        elif entry.op == OP_TELEMETRY:
-            if entry.payload and payload:
-                # Arm/disarm control round trip: its OK reply carries a
-                # fresh timestamp bracket — recalibrate on it.
-                self._calibrate(entry, payload)
-            else:
-                entry.result = payload
         elif entry.op == OP_READ and entry.out is not None:
             error = BackingStoreError(
                 f"shard {self.shard} returned {len(payload)} bytes "
                 f"for item {entry.item}, expected {entry.out.nbytes}")
-        t_done = time.perf_counter()
-        dt = t_done - entry.t0
-        if error is None and entry.op in (OP_READ, OP_WRITE):
-            self._account(entry, dt)
-            if t_send > 0.0:
-                # Reply-wire leg (armed workers only stamp t_send): worker
-                # send, converted to the client clock, to this receive.
-                self.owner._record_reply(
-                    entry.op, t_done, t_done - (t_send - self.clock_offset))
+        ob = self.owner.obs
+        if ob is not None and error is None and entry.op in (OP_READ,
+                                                             OP_WRITE):
+            ob.timed("backing_read" if entry.op == OP_READ
+                     else "backing_write", entry.t0,
+                     time.perf_counter() - entry.t0)
         with self._cond:
             entry.error = error
             entry.done = True
             self._cond.notify_all()
-
-    def _calibrate(self, entry: _Pending,
-                   payload: bytes | bytearray) -> None:
-        """NTP-style clock offset from a timestamped round trip.
-
-        ``offset = worker_mid - client_mid`` where each midpoint halves
-        the request/reply bracket on its own clock. On Linux,
-        ``perf_counter`` is CLOCK_MONOTONIC and fork-shared, so the
-        offset is ~0; the calibration matters on platforms (or future
-        spawn-based workers) where the clocks do not share an epoch.
-        """
-        try:
-            doc = json.loads(payload.decode())
-            worker_mid = (float(doc["t_recv"]) + float(doc["t_reply"])) / 2.0
-        except (ValueError, KeyError, UnicodeDecodeError):
-            return
-        client_mid = (entry.t0 + time.perf_counter()) / 2.0
-        self.clock_offset = worker_mid - client_mid
-
-    # -- telemetry control (parent side) --------------------------------------
-
-    def set_telemetry(self, armed: bool) -> None:
-        """Arm or disarm worker-side recording (synchronous round trips).
-
-        Arming takes two round trips: the first reply's timestamp
-        bracket recalibrates :attr:`clock_offset` under quiescent
-        conditions (the ATTACH-time estimate races worker startup and
-        can be off by the whole fork latency), the second ships the
-        refined offset to the worker for its wire-leg measurements.
-        """
-        for _ in range(2 if armed else 1):
-            ctl = json.dumps({
-                "arm": bool(armed),
-                "shard": self.shard,
-                "clock_offset": self.clock_offset,
-            }).encode()
-            self.wait(self.submit(OP_TELEMETRY, 0, ctl, None))
-
-    def pull_telemetry(self) -> dict[str, Any]:
-        """Fetch-and-reset the worker's telemetry delta (empty if unarmed)."""
-        entry = self.submit(OP_TELEMETRY, 0, b"", None)
-        self.wait(entry)
-        doc = json.loads((entry.result or b"{}").decode())
-        return doc if isinstance(doc, dict) else {}
-
-    def _account(self, entry: _Pending, dt: float) -> None:
-        """Per-shard accounting for one *successful* read/write.
-
-        Only completions count — a faulted attempt that will be retried
-        must not inflate the per-shard labels, or their sums stop
-        matching the store-level physical I/O counters.
-        """
-        nbytes = self.owner.item_bytes
-        with self._cond:
-            if entry.op == OP_READ:
-                self.reads_completed += 1
-                self.bytes_read += nbytes
-            else:
-                self.writes_completed += 1
-                self.bytes_written += nbytes
-        ob = self.owner.obs
-        if ob is not None:
-            ob.timed("shard_read" if entry.op == OP_READ else "shard_write",
-                     entry.t0, dt, item=entry.item, nbytes=nbytes,
-                     span_id=entry.trace, parent=entry.parent,
-                     shard=self.shard)
 
     # -- restart --------------------------------------------------------------
 
@@ -961,27 +722,20 @@ class _ShardClient:
             if self._closing or self._fatal is not None:
                 return
             self._restarting = True
-            self.restarts += 1
             pending = list(self._pending.values())  # submission order
         with contextlib.suppress(OSError):
             dead_sock.close()
         old = self._proc
         if old is not None:
             old.join(timeout=5.0)
+            _release(old)
         try:
             self._spawn()
             attach = json.dumps(self.spec).encode()
             frames = _frame(self._reserve_req(OP_ATTACH), OP_ATTACH, 0, attach)
-            if self.owner.obs is not None:
-                # A fresh worker starts disarmed: re-arm before the
-                # replay so re-issued operations keep being recorded.
-                ctl = json.dumps({"arm": True, "shard": self.shard,
-                                  "clock_offset": self.clock_offset}).encode()
-                frames.extend(_frame(self._reserve_req(OP_TELEMETRY),
-                                     OP_TELEMETRY, 0, ctl))
             for entry in pending:
                 frames.extend(_frame(entry.req, entry.op, entry.item,
-                                     entry.payload, entry.trace, entry.t0))
+                                     entry.payload))
             sock = self._sock
             with self._send:
                 assert sock is not None
@@ -1028,6 +782,7 @@ class _ShardClient:
             if proc.is_alive():  # pragma: no cover - stuck-worker safety net
                 proc.terminate()
                 proc.join(timeout=5.0)
+            _release(proc)
         if sock is not None:
             with contextlib.suppress(OSError):
                 sock.close()
@@ -1094,18 +849,9 @@ class ShardedBackingStore:
         self.item_bytes = int(np.prod(self.item_shape)) * self.dtype.itemsize
         self.num_shards = int(num_shards)
         self.kind = kind
-        # The observer (default off), see MemoryBackingStore.obs. The
-        # receiver threads read it per completion, one shard label per
-        # receiver (single writer per labelled series). ``obs`` is a
-        # property: assigning it arms or disarms worker-side telemetry,
-        # whose pulled histograms land in its registry.
-        self._obs: Observer | None = None
-        self._worker_spans: dict[int, list[SpanRecord]] = {}  # guarded-by: _telemetry_lock
-        self._worker_span_drops = 0  # guarded-by: _telemetry_lock
-        self._telemetry_lock = make_lock("ShardedTelemetry")
-        # Per-thread trace context: the span id of whatever caused the
-        # submits issued on this thread (writeback drain, prefetch load).
-        self._tls = threading.local()
+        # The observer (default off), see ReportedBackingStore.obs; the
+        # receiver threads read it per completion.
+        self.obs: Observer | None = None
         self._closed = False
         self._restart_lock = make_lock("ShardedBackingStore")
         self.total_restarts = 0  # guarded-by: _restart_lock
@@ -1154,139 +900,6 @@ class ShardedBackingStore:
         return cls(directory, layout.num_items, layout.item_shape, dtype,
                    **kwargs)
 
-    # -- observability hooks / cross-process telemetry --------------------------
-
-    @property
-    def obs(self) -> "Observer | None":
-        return self._obs
-
-    @obs.setter
-    def obs(self, observer: "Observer | None") -> None:
-        """Attach/detach the observer; workers are armed iff one is set.
-
-        Pay-for-play across the process boundary: with no observer the
-        workers never call ``perf_counter`` and never buffer anything.
-        """
-        old = self._obs
-        if old is not None:
-            old.remove_collector(self._collect)
-        self._obs = observer
-        if observer is not None:
-            observer.add_collector(self._collect)
-        if (old is None) != (observer is None) and not self._closed:
-            for client in self._clients:
-                with contextlib.suppress(BackingStoreError):
-                    client.set_telemetry(observer is not None)
-
-    def _collect(self) -> None:
-        """Registry pull collector: live shard gauges + telemetry pull."""
-        ob = self._obs
-        if ob is None:
-            return
-        now = time.perf_counter()
-        for c in self._clients:
-            with c._cond:
-                depth = len(c._pending)
-                oldest = min((e.t0 for e in c._pending.values()),
-                             default=now)
-            ob.gauge("shard_inflight", depth, shard=c.shard)
-            ob.gauge("shard_oldest_pending_seconds",
-                     max(0.0, now - oldest) if depth else 0.0, shard=c.shard)
-        if not self._closed:
-            self.collect_telemetry()
-
-    def collect_telemetry(self) -> None:
-        """Pull every worker's delta: histograms into the observer's
-        registry, spans into the per-worker tracks.
-
-        Safe to call repeatedly (deltas never double-count) and during
-        shutdown races (a dying shard is skipped, its data arrives with
-        the next pull after restart).
-        """
-        ob = self._obs
-        for c in self._clients:
-            try:
-                doc = c.pull_telemetry()
-            except BackingStoreError:
-                continue
-            if not doc:
-                continue
-            with self._telemetry_lock:
-                records = self._worker_spans.setdefault(c.shard, [])
-                for name, start, dur, sid, parent, item in doc.get(
-                        "spans", []):
-                    records.append(SpanRecord(
-                        str(name), float(start), float(dur),
-                        f"shard-worker-{c.shard}", None, int(sid),
-                        int(parent), int(item)))
-                self._worker_span_drops += int(doc.get("spans_dropped", 0))
-            if ob is not None:
-                ob.merge("shard_disk_read_seconds", doc["disk_read"])
-                ob.merge("shard_disk_write_seconds", doc["disk_write"])
-                ob.merge("shard_wire_read_seconds", doc["wire_read"])
-                ob.merge("shard_wire_write_seconds", doc["wire_write"])
-                ob.count("shard_telemetry_pulls")
-
-    def export_spans_into(self, recorder: "SpanRecorder") -> int:
-        """Attach collected worker spans as per-worker process tracks.
-
-        Returns the number of spans exported. Call after
-        :meth:`collect_telemetry` (or after :meth:`close`, which drains);
-        each track carries its shard's calibrated clock offset so the
-        merged timeline is causally ordered.
-        """
-        total = 0
-        with self._telemetry_lock:
-            for shard in sorted(self._worker_spans):
-                records = self._worker_spans[shard]
-                if not records:
-                    continue
-                recorder.add_process_track(
-                    f"shard-worker-{shard}", records,
-                    self._clients[shard].clock_offset)
-                total += len(records)
-        return total
-
-    def worker_span_drops(self) -> int:
-        """Worker spans lost to the bounded per-worker buffer."""
-        with self._telemetry_lock:
-            return self._worker_span_drops
-
-    @contextlib.contextmanager
-    def trace_scope(self, span_id: int) -> Iterator[None]:
-        """Make ``span_id`` the parent of submits from this thread.
-
-        The write-behind drain and the prefetcher wrap their submit
-        calls in this, so the worker-side disk span chains back through
-        the client request span to the drain/load that caused it.
-        """
-        prev = int(getattr(self._tls, "parent", 0))
-        self._tls.parent = int(span_id)
-        try:
-            yield
-        finally:
-            self._tls.parent = prev
-
-    def _trace_ids(self) -> tuple[int, int]:
-        """(span id, parent id) for one submit; (0, 0) when untraced."""
-        ob = self._obs
-        sid = ob.new_span_id() if ob is not None else 0
-        return sid, int(getattr(self._tls, "parent", 0)) if sid else 0
-
-    def _note_window_wait(self, shard: int, t0: float,
-                          seconds: float) -> None:
-        """One submit's cumulative stall on the bounded in-flight window."""
-        ob = self._obs
-        if ob is not None:
-            ob.timed("shard_window_wait", t0, seconds, shard=shard)
-
-    def _record_reply(self, op: int, t_done: float, seconds: float) -> None:
-        """Reply-wire latency measured by a shard's receiver thread."""
-        ob = self._obs
-        if ob is not None:
-            ob.timed("shard_reply_read" if op == OP_READ
-                     else "shard_reply_write", t_done - seconds, seconds)
-
     # -- placement ------------------------------------------------------------
 
     def shard_of_item(self, item: int) -> int:
@@ -1314,9 +927,7 @@ class ShardedBackingStore:
                 f"read buffer mismatch: {out.nbytes} bytes vs item width "
                 f"{self.item_bytes}")
         client, local = self._route(item)
-        trace, parent = self._trace_ids()
-        return ShardTicket(client, client.submit(OP_READ, local, b"", out,
-                                                 trace, parent))
+        return ShardTicket(client, client.submit(OP_READ, local, b"", out))
 
     def submit_write(self, item: int, data: np.ndarray) -> ShardTicket:
         """Issue a write without waiting; ``ticket.wait()`` collects it.
@@ -1327,9 +938,8 @@ class ShardedBackingStore:
         """
         client, local = self._route(item)
         payload = self._payload(item, data)
-        trace, parent = self._trace_ids()
         return ShardTicket(client, client.submit(OP_WRITE, local, payload,
-                                                 None, trace, parent))
+                                                 None))
 
     def _payload(self, item: int, data: np.ndarray) -> bytes:
         if data.dtype != self.dtype or not data.flags.c_contiguous:
@@ -1358,8 +968,7 @@ class ShardedBackingStore:
         tickets: list[ShardTicket | None] = [None] * len(rows)
         for s, idxs in by_shard.items():
             client = self._clients[s]
-            ops = [(op, int(self._local[rows[i][0]]), rows[i][2], rows[i][1],
-                    *self._trace_ids())
+            ops = [(op, int(self._local[rows[i][0]]), rows[i][2], rows[i][1])
                    for i in idxs]
             for i, entry in zip(idxs, client.submit_many(ops)):
                 tickets[i] = ShardTicket(client, entry)
@@ -1391,11 +1000,6 @@ class ShardedBackingStore:
     def close(self) -> None:
         if self._closed:
             return
-        if self._obs is not None:
-            # Final drain: whatever the workers recorded since the last
-            # scrape must land parent-side before the processes exit.
-            with contextlib.suppress(BackingStoreError):
-                self.collect_telemetry()
         self._closed = True
         for client in self._clients:
             client.close()
@@ -1419,29 +1023,11 @@ class ShardedBackingStore:
             return self.total_restarts
 
     def _note_restart(self, shard: int, replayed: int) -> None:
-        ob = self._obs
+        ob = self.obs
         with self._restart_lock:
             self.total_restarts += 1
             if ob is not None:
                 ob.event("shard_restart", shard=shard, replayed=replayed)
-
-    def per_shard_counts(self) -> dict[str, dict[str, int]]:
-        """``{shard: {reads, writes, bytes_read, bytes_written, restarts}}``.
-
-        The authoritative client-side completion counts; the labelled
-        registry series mirror these one-to-one.
-        """
-        snap: dict[str, dict[str, int]] = {}
-        for c in self._clients:
-            with c._cond:
-                snap[str(c.shard)] = {
-                    "reads": c.reads_completed,
-                    "writes": c.writes_completed,
-                    "bytes_read": c.bytes_read,
-                    "bytes_written": c.bytes_written,
-                    "restarts": c.restarts,
-                }
-        return snap
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ShardedBackingStore(n={self.num_items}, "

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -303,12 +302,7 @@ class WriteBehindQueue:
         for new activity instead of spinning.
         """
         rc = self._race
-        # Trace-context injection: when observed and the backing can
-        # scope submits (the sharded tier), every drain gets a span id
-        # that the backing threads through its wire header, chaining the
-        # worker-side disk span back to this drain.
-        scope = getattr(self.backing, "trace_scope", None)
-        inflight: deque[tuple[int, np.ndarray, Any, float, int]] = deque()
+        inflight: deque[tuple[int, np.ndarray, Any, float]] = deque()
         while True:
             stopping = False
             with self._cond:
@@ -329,7 +323,7 @@ class WriteBehindQueue:
                 # remain here after a drain that raised; let them settle
                 # (the backing is about to be closed) and abandon the
                 # queue like the synchronous path does.
-                for _item, _buf, ticket, _t0, _sid in inflight:
+                for _item, _buf, ticket, _t0 in inflight:
                     try:
                         ticket.wait()
                     except BaseException:  # noqa: BLE001 - abandoned on stop
@@ -338,34 +332,30 @@ class WriteBehindQueue:
             failed: list[tuple[int, BaseException]] = []
             for item, buf in batch:
                 t0 = time.perf_counter()
-                ob = self.obs
-                sid = (ob.new_span_id()
-                       if ob is not None and scope is not None else 0)
                 try:
-                    with scope(sid) if sid else nullcontext():
-                        ticket = submit(item, buf)
-                    inflight.append((item, buf, ticket, t0, sid))
+                    ticket = submit(item, buf)
+                    inflight.append((item, buf, ticket, t0))
                 except BaseException as exc:  # noqa: BLE001 - surfaced via drain()
                     failed.append((item, exc))
             if inflight:
-                item, buf, ticket, t0, sid = inflight.popleft()
+                item, buf, ticket, t0 = inflight.popleft()
                 try:
                     ticket.wait()
                 except BaseException as exc:  # noqa: BLE001 - surfaced via drain()
                     failed.append((item, exc))
                 else:
-                    self._finish(item, buf, t0, sid)
+                    self._finish(item, buf, t0)
             if failed:
                 self._park_failed(failed, park=not inflight)
 
-    def _finish(self, item: int, buf: np.ndarray, t0: float,
-                sid: int = 0) -> None:  # thread: writer
+    def _finish(self, item: int, buf: np.ndarray,
+                t0: float) -> None:  # thread: writer
         """Account one completed drain (either loop) and recycle its buffer."""
         rc = self._race
         ob = self.obs
         if ob is not None:
             ob.timed("writeback_drain", t0, time.perf_counter() - t0,
-                     item=item, span_id=sid)
+                     item=item)
         with self._cond:
             if rc is not None:
                 rc.write(self._race_scope, "_writing", "_staged", "_pool",

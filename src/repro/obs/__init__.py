@@ -12,10 +12,11 @@ exactly two sinks, and every measurement has one home in them:
   via :class:`~repro.obs.server.MetricsServer` (``--metrics-port``);
 * :class:`~repro.obs.spans.SpanRecorder` — one bounded ring of
   :class:`~repro.obs.spans.SpanRecord` rows, one per report: intervals
-  (``plan``, ``kernel``, a write-behind drain, a shard request) and
+  (``plan``, ``kernel``, a write-behind drain, a backing transfer) and
   instants (``get``, ``miss``, a retry: ``dur = 0``, with their item and
-  slot), across the compute/writeback/prefetch threads and, merged as
-  per-process tracks, the shard workers.
+  slot), across the compute/writeback/prefetch threads. A shard worker
+  process reports nothing; its client reports each round trip as the
+  backing transfer it is.
 
 Components report each measurement once, by name, through the observer's
 verbs; :data:`ROUTES` — one row per reported name — says which catalogue
@@ -49,7 +50,7 @@ from repro.obs.exporters import (
 from repro.obs.histogram import LogHistogram
 from repro.obs.metrics import METRIC_EXPOSITION, METRIC_NAMES, MetricsRegistry
 from repro.obs.server import MetricsServer
-from repro.obs.spans import SpanRecord, SpanRecorder, next_span_id
+from repro.obs.spans import SpanRecord, SpanRecorder
 
 __all__ = [
     "ENGINE_PHASES",
@@ -79,8 +80,6 @@ class Route(NamedTuple):
     metric: str | None = None
     #: The ``IoStats`` counter this name's record count equals.
     mirrors: str | None = None
-    ops: str | None = None     #: per-shard labelled counter, +1
-    bytes: str | None = None   #: per-shard labelled counter, +nbytes
 
 
 #: THE reporting policy: reported name -> what it feeds. A component
@@ -120,16 +119,10 @@ ROUTES: dict[str, Route] = {
     "writeback_drain": Route(metric="writeback_drain_seconds",
                              mirrors="writeback_writes"),
     "prefetch_load": Route(),
-    # -- physical transfers (in-process backings / sharded client side) --
+    # -- physical transfers (an in-process backing's call, a shard
+    # client's round trip) --
     "backing_read": Route(metric="backing_read_seconds"),
     "backing_write": Route(metric="backing_write_seconds"),
-    "shard_read": Route(metric="backing_read_seconds", ops="backing_reads",
-                        bytes="backing_bytes_read"),
-    "shard_write": Route(metric="backing_write_seconds", ops="backing_writes",
-                         bytes="backing_bytes_written"),
-    "shard_window_wait": Route(metric="shard_window_wait_seconds"),
-    "shard_reply_read": Route(metric="shard_reply_read_seconds"),
-    "shard_reply_write": Route(metric="shard_reply_write_seconds"),
     # -- failures (instants carrying item/attempt, or shard) --
     "backing_fault": Route(metric="backing_faults"),
     "backing_retry": Route(metric="backing_retries"),
@@ -192,52 +185,30 @@ class Observer:
                             item=item, slot=slot)
 
     def timed(self, name: str, t0: float, dt: float, *, item: int = -1,
-              slot: int = -1, nbytes: int = 0, span_id: int = 0,
-              parent: int = 0, **args: Any) -> None:
+              slot: int = -1, **args: Any) -> None:
         """Report an interval that started at ``t0`` and took ``dt`` seconds.
 
-        ``item``/``slot`` identify the subject, ``nbytes`` what a
-        transfer moved, ``span_id``/``parent`` the causal identity of
-        the record (see :meth:`new_span_id`); further keywords ride on
-        the record (``shard=`` also labels the per-shard counters).
+        ``item``/``slot`` identify the subject; further keywords ride on
+        the record.
         """
-        route = ROUTES[name]
-        mx = self.metrics
-        if route.metric is not None:
-            mx.observe(route.metric, dt)
-        if route.ops is not None and route.bytes is not None:
-            label = {"shard": str(args["shard"])}
-            mx.inc_labeled(route.ops, label)
-            mx.inc_labeled(route.bytes, label, nbytes)
-        self.spans.complete(name, t0, dt, args or None, span_id=span_id,
-                            parent=parent, item=item, slot=slot)
+        metric = ROUTES[name].metric
+        if metric is not None:
+            self.metrics.observe(metric, dt)
+        self.spans.complete(name, t0, dt, args or None, item=item, slot=slot)
 
     def count(self, name: str, n: int | float = 1) -> None:
         """Add ``n`` to the catalogue counter ``name``."""
         self.metrics.inc(name, n)
 
-    def gauge(self, name: str, value: int | float, *,
-              shard: int | None = None) -> None:
-        """Set the catalogue gauge ``name`` (its ``shard`` series if given)."""
-        if shard is None:
-            self.metrics.gauge_set(name, value)
-        else:
-            self.metrics.gauge_set_labeled(name, {"shard": str(shard)}, value)
+    def gauge(self, name: str, value: int | float) -> None:
+        """Set the catalogue gauge ``name``."""
+        self.metrics.gauge_set(name, value)
 
     def totals(self, counters: Mapping[str, int | float]) -> None:
         """Collector side: set counters to the absolute values a component
         read from its authoritative, monotone source (``IoStats``)."""
         for name, value in counters.items():
             self.metrics.counter_set(name, value)
-
-    def merge(self, name: str, state: dict[str, Any]) -> None:
-        """Merge a serialised histogram delta (a shard worker's) into the
-        catalogue histogram ``name``."""
-        self.metrics.merge_histogram(name, state)
-
-    def new_span_id(self) -> int:
-        """An identity for a record about to be reported."""
-        return next_span_id()
 
     def add_collector(self, fn: Callable[[], None]) -> None:
         """Run ``fn`` at every scrape/snapshot of the registry."""

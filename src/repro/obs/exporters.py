@@ -26,24 +26,22 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.stats import PARITY_COUNTERS
 
-#: Version tag of the ``BENCH_profile.json`` document layout. ``/4``
+#: Version tag of the ``BENCH_profile.json`` document layout. ``/5``
 #: keeps every value once: counters, phase totals and latencies live in
-#: the ``metrics`` registry snapshot alone, ``attribution`` names the
-#: histograms each stage of a backing op reads instead of copying them,
-#: and ``derived`` / ``records`` hold what no catalogue row does.
-PROFILE_SCHEMA = "repro-profile/4"
+#: the ``metrics`` registry snapshot alone (counters, gauges and
+#: histograms), and ``derived`` / ``records`` hold what no catalogue row
+#: does.
+PROFILE_SCHEMA = "repro-profile/5"
 
 #: Top-level keys every profile document must carry.
 _REQUIRED_TOP = ("schema", "workload", "config", "derived", "records",
-                 "metrics", "attribution")
+                 "metrics")
 #: Integer values ``IoStats`` derives that no catalogue row holds.
 _DERIVED_INTS = ("physical_reads", "physical_writes", "swaps")
 #: Required integer sub-keys of the record-ring accounting block.
 _RECORD_KEYS = ("emitted", "captured", "dropped")
 #: Required sub-keys of the metrics registry snapshot block.
-_METRICS_KEYS = ("counters", "gauges", "histograms", "labeled")
-#: Per-op entries the attribution block must decompose.
-_ATTR_OPS = ("read", "write")
+_METRICS_KEYS = ("counters", "gauges", "histograms")
 
 
 def records_to_jsonl(records: Iterable[Any], path: str) -> int:
@@ -167,7 +165,6 @@ def validate_profile(doc: Any) -> list[str]:
                         if not isinstance(entry.get(key), int))
 
     metrics = doc["metrics"]
-    hists: dict[str, Any] = {}
     if not isinstance(metrics, dict):
         problems.append("metrics must be an object")
     else:
@@ -179,45 +176,5 @@ def validate_profile(doc: Any) -> list[str]:
             problems.extend(f"metrics.counters missing integer {key!r}"
                             for key in PARITY_COUNTERS
                             if not isinstance(counters.get(key), int))
-        if isinstance(metrics.get("histograms"), dict):
-            hists = metrics["histograms"]
-    problems.extend(_validate_attribution(doc["attribution"], hists))
     return problems
 
-
-def _validate_attribution(attr: Any, hists: dict[str, Any]) -> list[str]:
-    """Validate the latency-attribution block against the snapshot.
-
-    Shape: ``{"backing": str, "window_wait": name, "ops": {"read"/
-    "write": {"total": name, "stages": {stage: name}}}}`` where every
-    name is a histogram of ``metrics.histograms``. Stage *names* are
-    backing-dependent (a sharded run reports wire/disk/reply; a local
-    run reports only disk), so only the shapes and the references are
-    pinned here.
-    """
-    if not isinstance(attr, dict):
-        return [f"attribution must be an object, got {_type_name(attr)}"]
-    problems: list[str] = []
-
-    def resolve(where: str, name: Any) -> None:
-        if not isinstance(name, str) or name not in hists:
-            problems.append(f"{where} names {name!r}, not a histogram of "
-                            "the metrics snapshot")
-
-    if not isinstance(attr.get("backing"), str) or not attr.get("backing"):
-        problems.append("attribution.backing must be a non-empty string")
-    resolve("attribution.window_wait", attr.get("window_wait"))
-    ops = attr.get("ops")
-    if not isinstance(ops, dict):
-        return [*problems, "attribution.ops must be an object"]
-    for op in _ATTR_OPS:
-        entry = ops.get(op)
-        if not isinstance(entry, dict) or not isinstance(
-                entry.get("stages"), dict):
-            problems.append(f"attribution.ops.{op} must be an object with "
-                            "a 'stages' object")
-            continue
-        resolve(f"attribution.ops.{op}.total", entry.get("total"))
-        for stage, name in entry["stages"].items():
-            resolve(f"attribution.ops.{op}.stages.{stage}", name)
-    return problems

@@ -7,13 +7,6 @@ flat integer array with O(1) insertion and resolves both tails.
 
 Every catalogue histogram of :class:`~repro.obs.metrics.MetricsRegistry`
 is one of these; nothing else records a duration.
-
-Histograms are **mergeable**: :meth:`LogHistogram.state` serialises the
-bucket vector to a JSON-ready dict, :meth:`LogHistogram.merge_state`
-adds one such state in, and :meth:`LogHistogram.drain_state` atomically
-snapshots-and-resets — the primitive the sharded backing tier uses to
-ship worker-side latency data across the process boundary without ever
-double-counting (each ``OP_TELEMETRY`` pull carries a delta).
 """
 
 from __future__ import annotations
@@ -112,62 +105,3 @@ class LogHistogram:
             "p99": self.percentile(99.0) if count else 0.0,
             "buckets": buckets,
         }
-
-    # -- cross-process merging ---------------------------------------------------
-
-    def state(self) -> dict[str, Any]:
-        """Serialisable full state (sparse bucket vector + moments).
-
-        The geometry travels with the counts so :meth:`merge_state` can
-        refuse a histogram recorded with different bucket bounds instead
-        of silently mis-binning it.
-        """
-        with self._lock:
-            return {
-                "min_seconds": self.min_seconds,
-                "num_buckets": self.num_buckets,
-                "counts": [[idx, n] for idx, n in enumerate(self._counts)
-                           if n],
-                "count": self._count,
-                "sum": self._sum,
-                "max": self._max,
-            }
-
-    def drain_state(self) -> dict[str, Any]:
-        """Atomically :meth:`state` then reset to empty (delta semantics).
-
-        This is what a shard worker answers an ``OP_TELEMETRY`` pull
-        with: repeated pulls each carry only the observations since the
-        previous one, so the parent-side merge never double-counts.
-        """
-        with self._lock:
-            snap = {
-                "min_seconds": self.min_seconds,
-                "num_buckets": self.num_buckets,
-                "counts": [[idx, n] for idx, n in enumerate(self._counts)
-                           if n],
-                "count": self._count,
-                "sum": self._sum,
-                "max": self._max,
-            }
-            self._counts = [0] * self.num_buckets
-            self._count = 0
-            self._sum = 0.0
-            self._max = 0.0
-        return snap
-
-    def merge_state(self, state: dict[str, Any]) -> None:
-        """Add a :meth:`state`/:meth:`drain_state` snapshot into this one."""
-        if (float(state.get("min_seconds", -1.0)) != self.min_seconds
-                or int(state.get("num_buckets", -1)) != self.num_buckets):
-            raise OutOfCoreError(
-                "cannot merge histograms with different bucket geometry: "
-                f"({state.get('min_seconds')}, {state.get('num_buckets')}) "
-                f"vs ({self.min_seconds}, {self.num_buckets})")
-        with self._lock:
-            for idx, n in state.get("counts", []):
-                self._counts[int(idx)] += int(n)
-            self._count += int(state.get("count", 0))
-            self._sum += float(state.get("sum", 0.0))
-            self._max = max(self._max, float(state.get("max", 0.0)))
-

@@ -2,9 +2,9 @@
 
 Counters, gauges and histograms for the out-of-core pipeline, declared
 like the counters of :mod:`repro.core.stats`: one table,
-:data:`METRIC_EXPOSITION`, whose rows carry each name's kind, help string
-and labelled-ness (the rows mirroring ``IoStats`` are generated from its
-field declarations), and ``python -m repro.analysis`` rule MET001 checks
+:data:`METRIC_EXPOSITION`, whose rows carry each name's kind and help
+string (the rows mirroring ``IoStats`` are generated from its field
+declarations), and ``python -m repro.analysis`` rule MET001 checks
 every report site against it — a typo'd metric name fails statically
 *and* at runtime instead of silently vanishing from every dashboard.
 
@@ -44,14 +44,6 @@ class Metric(NamedTuple):
 
     kind: str   #: ``counter`` | ``gauge`` | ``histogram``
     help: str
-    #: Carries a label set instead of one scalar series: updated through
-    #: :meth:`MetricsRegistry.inc_labeled` / ``gauge_set_labeled`` only —
-    #: the plain API rejects the name, so an unlabelled zero sample can
-    #: never shadow the per-label series. The exposition renders every
-    #: label set as its own sample and :meth:`MetricsRegistry.value` sums
-    #: them; summing a labelled counter over its labels must reproduce the
-    #: unsharded total (the bench cross-check enforces this).
-    labeled: bool = False
 
 
 #: THE metric catalogue, ``name -> Metric``: the closed set of legal names
@@ -71,38 +63,9 @@ METRIC_EXPOSITION: dict[str, Metric] = {
         "counter", "Physical bytes through the compressed backing"),
     "compress_compactions": Metric(
         "counter", "Heap compactions run by the compressed backing"),
-    # -- sharded backing tier (per-shard labelled I/O + restart counter) --
-    "backing_reads": Metric(
-        "counter", "Physical reads completed, by shard", labeled=True),
-    "backing_writes": Metric(
-        "counter", "Physical writes completed, by shard", labeled=True),
-    "backing_bytes_read": Metric(
-        "counter", "Bytes physically read, by shard", labeled=True),
-    "backing_bytes_written": Metric(
-        "counter", "Bytes physically written, by shard", labeled=True),
+    # -- sharded backing tier --
     "shard_restarts": Metric(
         "counter", "Dead shard workers detected and restarted"),
-    # -- sharded-tier cross-process telemetry --
-    "shard_telemetry_pulls": Metric(
-        "counter", "OP_TELEMETRY delta pulls completed"),
-    "shard_inflight": Metric(
-        "gauge", "Requests in flight to a shard worker, by shard", labeled=True),
-    "shard_oldest_pending_seconds": Metric(
-        "gauge", "Age of the oldest pending request, by shard", labeled=True),
-    "shard_window_wait_seconds": Metric(
-        "histogram", "Submit stalls on the bounded in-flight window"),
-    "shard_wire_read_seconds": Metric(
-        "histogram", "Read request: client send to worker dequeue (merged)"),
-    "shard_wire_write_seconds": Metric(
-        "histogram", "Write request: client send to worker dequeue (merged)"),
-    "shard_disk_read_seconds": Metric(
-        "histogram", "Worker-side backing read latency (merged)"),
-    "shard_disk_write_seconds": Metric(
-        "histogram", "Worker-side backing write latency (merged)"),
-    "shard_reply_read_seconds": Metric(
-        "histogram", "Read reply: worker send to client receive"),
-    "shard_reply_write_seconds": Metric(
-        "histogram", "Write reply: worker send to client receive"),
     # -- live gauges --
     "slots_total": Metric("gauge", "RAM slot capacity m of the store"),
     "slots_occupied": Metric("gauge", "Slots currently holding a vector"),
@@ -136,11 +99,6 @@ METRIC_NAMES = frozenset(METRIC_EXPOSITION)
 PROM_PREFIX = "repro_"
 
 
-def _label_key(labels: dict[str, str]) -> str:
-    """Canonical Prometheus label rendering, e.g. ``shard="3"``."""
-    return ",".join(f'{k}="{labels[k]}"' for k in sorted(labels))
-
-
 def _fmt(value: float) -> str:
     """Prometheus sample value: integers stay integral, floats use repr."""
     if isinstance(value, bool):
@@ -163,16 +121,9 @@ class MetricsRegistry:
     def __init__(self) -> None:
         rows = METRIC_EXPOSITION.items()
         self._counters: dict[str, int | float] = {
-            n: 0 for n, r in rows if r.kind == "counter" and not r.labeled}
+            n: 0 for n, r in rows if r.kind == "counter"}
         self._gauges: dict[str, int | float] = {
-            n: 0 for n, r in rows if r.kind == "gauge" and not r.labeled}
-        # Labelled counters and gauges: name -> {rendered label set ->
-        # value}. Update discipline matches the scalar slots: one writing
-        # component per (name, label) pair (e.g. the shard-s receiver
-        # thread owns every {shard="s"} series), values are GIL-atomic
-        # dict slots.
-        self._labeled: dict[str, dict[str, int | float]] = {
-            n: {} for n, r in rows if r.labeled}
+            n: 0 for n, r in rows if r.kind == "gauge"}
         self._hists: dict[str, LogHistogram] = {
             n: LogHistogram() for n, r in rows if r.kind == "histogram"}
         self._collectors: list[Callable[[], None]] = []  # guarded-by: _collect_lock
@@ -187,7 +138,7 @@ class MetricsRegistry:
 
     # -- catalogue validation ---------------------------------------------------
 
-    def _check(self, name: str, kind: str, *, labeled: bool = False) -> None:
+    def _check(self, name: str, kind: str) -> None:
         row = METRIC_EXPOSITION.get(name)
         if row is None:
             raise OutOfCoreError(
@@ -195,11 +146,6 @@ class MetricsRegistry:
         if row.kind != kind:
             raise OutOfCoreError(
                 f"metric {name!r} is a {row.kind}, not a {kind}")
-        if labeled != row.labeled:
-            want = "gauge_set" if kind == "gauge" else "inc"
-            raise OutOfCoreError(
-                f"metric {name!r} must be updated via "
-                f"{want}{'_labeled' if row.labeled else ''}()")
 
     # -- update API (single writer per name) ------------------------------------
 
@@ -207,14 +153,6 @@ class MetricsRegistry:
         """Add ``n`` (default 1) to a counter."""
         self._check(name, "counter")
         self._counters[name] += n
-
-    def inc_labeled(self, name: str, labels: dict[str, str],
-                    n: int | float = 1) -> None:
-        """Add ``n`` to one label set of a labelled counter."""
-        self._check(name, "counter", labeled=True)
-        series = self._labeled[name]
-        key = _label_key(labels)
-        series[key] = series.get(key, 0) + n
 
     def counter_set(self, name: str, value: int | float) -> None:
         """Set a counter to an absolute value (collector use: the caller
@@ -230,23 +168,10 @@ class MetricsRegistry:
         self._check(name, "gauge")
         self._gauges[name] += delta
 
-    def gauge_set_labeled(self, name: str, labels: dict[str, str],
-                          value: int | float) -> None:
-        """Set one label set of a labelled gauge (e.g. per-shard depth)."""
-        self._check(name, "gauge", labeled=True)
-        self._labeled[name][_label_key(labels)] = value
-
     def observe(self, name: str, seconds: float) -> None:
         """Record one observation into a histogram metric."""
         self._check(name, "histogram")
         self._hists[name].record(seconds)
-
-    def merge_histogram(self, name: str, state: dict[str, Any]) -> None:
-        """Merge a serialised :meth:`LogHistogram.state` delta into a
-        histogram metric — the sink for worker-side latency shipped over
-        ``OP_TELEMETRY``."""
-        self._check(name, "histogram")
-        self._hists[name].merge_state(state)
 
     # -- collectors (pull side) -------------------------------------------------
 
@@ -293,38 +218,16 @@ class MetricsRegistry:
         if row.kind == "histogram":
             raise OutOfCoreError(
                 f"metric {name!r} is a histogram; read it via snapshot()")
-        if row.labeled:
-            return sum(self._labeled[name].values())
         return (self._counters if row.kind == "counter" else self._gauges)[name]
 
-    def labeled(self, name: str) -> dict[str, int | float]:
-        """All label sets of a labelled metric: ``{'shard="0"': value}``."""
-        series = self._labeled.get(name)
-        if series is None:
-            raise OutOfCoreError(
-                f"metric {name!r} is not a labelled metric of the catalogue")
-        return dict(series)
-
-    def labeled_sum(self, name: str) -> int | float:
-        """Sum of a labelled counter over every label set.
-
-        This is the aggregation the bench cross-check compares against
-        the store-level ``IoStats`` physical totals: the per-shard
-        decomposition must account for exactly the unsharded traffic.
-        """
-        self._check(name, "counter", labeled=True)
-        return sum(self._labeled[name].values())
-
     def snapshot(self) -> dict[str, Any]:
-        """Collect, then return counters/gauges/histograms/labeled maps."""
+        """Collect, then return the counters, gauges and histograms."""
         self.collect()
         return {
             "counters": {k: self._counters[k] for k in sorted(self._counters)},
             "gauges": {k: self._gauges[k] for k in sorted(self._gauges)},
             "histograms": {k: self._hists[k].to_dict()
                            for k in sorted(self._hists)},
-            "labeled": {k: dict(sorted(self._labeled[k].items()))
-                        for k in sorted(self._labeled)},
         }
 
     def to_prometheus(self) -> str:
@@ -332,15 +235,11 @@ class MetricsRegistry:
         self.collect()
         lines: list[str] = []
         for name in sorted(METRIC_EXPOSITION):
-            kind, help_text, labeled = METRIC_EXPOSITION[name]
+            kind, help_text = METRIC_EXPOSITION[name]
             full = PROM_PREFIX + name
             lines.append(f"# HELP {full} {help_text}")
             lines.append(f"# TYPE {full} {kind}")
-            if labeled:
-                series = self._labeled[name]
-                lines.extend(f"{full}{{{key}}} {_fmt(series[key])}"
-                             for key in sorted(series))
-            elif kind == "counter":
+            if kind == "counter":
                 lines.append(f"{full} {_fmt(self._counters[name])}")
             elif kind == "gauge":
                 lines.append(f"{full} {_fmt(self._gauges[name])}")

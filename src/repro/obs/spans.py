@@ -3,7 +3,7 @@
 An :class:`repro.obs.Observer` keeps one :class:`SpanRecorder` — a
 bounded ring of :class:`SpanRecord` rows — and appends one record per
 report: an interval (``plan``, ``kernel``, ``store_wait``,
-``writeback_drain``, a shard request, ...) with its start and duration,
+``writeback_drain``, a backing transfer, ...) with its start and duration,
 or an instant (``get``, ``miss``, ``evict``, a retry or restart) with
 ``dur = 0``. Each record carries the thread it ran on and, where the
 report names one, its item and slot, so the same ring answers "what
@@ -19,37 +19,16 @@ the unlocked increment may undercount by a few under heavy cross-thread
 contention — the price of never stalling the I/O pipeline for its own
 instrumentation. This module must stay importable without
 :mod:`repro.core`.
-
-Records carry optional *identity*: a ``span_id`` (allocate one with
-:func:`next_span_id`) and a ``parent`` pointing at the record that
-caused this one. The sharded backing tier threads these ids through its
-wire header, so a shard worker's disk span can name the client-side
-request span that triggered it; :meth:`SpanRecorder.to_chrome_trace`
-turns cross-process parent links into Chrome flow events (``ph:
-"s"/"f"``), and :meth:`SpanRecorder.add_process_track` renders each
-worker as its own ``pid`` track (with a per-worker clock offset applied
-at export).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Iterator, NamedTuple
-
-#: Process-wide span-id allocator. ``next()`` on an ``itertools.count``
-#: is GIL-atomic, so concurrent allocations never collide; worker
-#: processes allocate from a disjoint (shard-salted) range instead.
-_SPAN_IDS = itertools.count(1)
-
-
-def next_span_id() -> int:
-    """A process-unique positive span id (0 means "no identity")."""
-    return next(_SPAN_IDS)
 
 
 class SpanRecord(NamedTuple):
@@ -60,8 +39,6 @@ class SpanRecord(NamedTuple):
     dur: float  #: duration in seconds
     thread: str  #: threading.current_thread().name at completion
     args: dict[str, Any] | None  #: optional payload (attempt, shard, ...)
-    span_id: int = 0  #: identity for causal linking (0 = anonymous)
-    parent: int = 0  #: span_id of the causing span (0 = no parent)
     item: int = -1  #: logical vector id (-1 when not applicable)
     slot: int = -1  #: RAM slot id (-1 when not applicable)
 
@@ -80,23 +57,17 @@ class SpanRecorder:
         self.capacity = capacity
         self._ring: deque[SpanRecord] = deque(maxlen=capacity)
         self._emitted = 0
-        # Extra per-process tracks (e.g. shard workers) merged in at
-        # export time: (process name, records, clock offset) where
-        # ``offset`` maps the track's clock into this process's
-        # perf_counter domain (t_here = t_track - offset).
-        self._tracks: list[tuple[str, list[SpanRecord], float]] = []
 
     # -- recording (any thread) -------------------------------------------------
 
     def complete(self, name: str, start: float, dur: float,
-                 args: dict[str, Any] | None = None, *,
-                 span_id: int = 0, parent: int = 0, item: int = -1,
+                 args: dict[str, Any] | None = None, *, item: int = -1,
                  slot: int = -1) -> None:
         """Record an interval that just finished (GIL-atomic append)."""
         self._emitted += 1
         self._ring.append(SpanRecord(
             name, start, dur, threading.current_thread().name, args,
-            span_id, parent, item, slot))
+            item, slot))
 
     @contextmanager
     def span(self, name: str,
@@ -137,26 +108,6 @@ class SpanRecorder:
     def clear(self) -> None:
         self._ring.clear()
         self._emitted = 0
-        self._tracks.clear()
-
-    # -- merged per-process tracks ----------------------------------------------
-
-    def add_process_track(self, name: str, records: list[SpanRecord],
-                          clock_offset: float = 0.0) -> None:
-        """Attach a foreign process's spans as a separate export track.
-
-        ``records`` keep their *own* clock; ``clock_offset`` is the
-        calibrated offset such that ``t_local = t_track - clock_offset``
-        (the sharded tier measures it via the ATTACH handshake timestamp
-        exchange). The track appears as its own ``pid`` in
-        :meth:`to_chrome_trace`, and any record whose ``parent`` names a
-        span in another track becomes a Chrome flow arrow.
-        """
-        self._tracks.append((name, list(records), float(clock_offset)))
-
-    def tracks(self) -> list[tuple[str, list[SpanRecord], float]]:
-        """The attached per-process tracks (name, records, clock offset)."""
-        return list(self._tracks)
 
     # -- export ------------------------------------------------------------------
 
@@ -166,83 +117,42 @@ class SpanRecorder:
         Each thread name gets a stable integer ``tid`` (first-appearance
         order) plus a ``thread_name`` metadata record, so Perfetto shows
         one labelled track per thread ("MainThread", "writeback-0",
-        "prefetcher", ...). Tracks added via :meth:`add_process_track`
-        render as additional processes (``pid`` 2, 3, ...) with their
-        clock offsets applied, and every cross-process ``parent`` link
-        becomes a flow-event pair (``ph: "s"`` at the parent, ``ph: "f"``
-        at the child), so Perfetto draws an arrow from the client-side
-        request span into the worker-side disk span it caused.
-        Timestamps are microseconds relative to the earliest span.
+        "prefetcher", ...) of one process. Timestamps are microseconds
+        relative to the earliest span.
         """
-        # (pid, process name, records already shifted into local clock)
-        groups: list[tuple[int, str, list[SpanRecord]]] = [
-            (1, "repro out-of-core", self.records())]
-        for idx, (name, records, offset) in enumerate(self._tracks):
-            shifted = [rec._replace(start=rec.start - offset)
-                       for rec in records]
-            groups.append((2 + idx, name, shifted))
-        t_zero = min((r.start for _pid, _name, recs in groups for r in recs),
-                     default=0.0)
-
+        records = self.records()
+        t_zero = min((r.start for r in records), default=0.0)
+        tids: dict[str, int] = {}
         events: list[dict[str, Any]] = []
-        meta: list[dict[str, Any]] = []
-        # span_id -> (pid, tid, ts_us) of the span that carries it, for
-        # resolving cross-process parent links into flow arrows.
-        by_id: dict[int, tuple[int, int, float]] = {}
-        linked: list[tuple[int, int, float, int]] = []  # (pid, tid, ts, parent)
-        for pid, pname, records in groups:
-            tids: dict[str, int] = {}
-            meta.append({"name": "process_name", "ph": "M", "pid": pid,
-                         "args": {"name": pname}})
-            for rec in records:
-                tid = tids.setdefault(rec.thread, len(tids) + 1)
-                ts = round((rec.start - t_zero) * 1e6, 3)
-                event: dict[str, Any] = {
-                    "name": rec.name,
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": tid,
-                    "ts": ts,
-                    "dur": round(rec.dur * 1e6, 3),
-                }
-                args = dict(rec.args) if rec.args else {}
-                if rec.item >= 0:
-                    args["item"] = rec.item
-                if rec.slot >= 0:
-                    args["slot"] = rec.slot
-                if rec.span_id:
-                    args["span_id"] = rec.span_id
-                    by_id[rec.span_id] = (pid, tid, ts)
-                if rec.parent:
-                    args["parent"] = rec.parent
-                    linked.append((pid, tid, ts, rec.parent))
-                if args:
-                    event["args"] = args
-                events.append(event)
-            meta.extend({
-                "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                "args": {"name": thread},
-            } for thread, tid in tids.items())
-        flow_id = 0
-        for pid, tid, ts, parent in linked:
-            src = by_id.get(parent)
-            if src is None or src[0] == pid:
-                continue  # unresolved (ring overflow) or same-process nesting
-            flow_id += 1
-            events.append({"name": "causal", "cat": "backing", "ph": "s",
-                           "pid": src[0], "tid": src[1], "ts": src[2],
-                           "id": flow_id})
-            events.append({"name": "causal", "cat": "backing", "ph": "f",
-                           "bp": "e", "pid": pid, "tid": tid, "ts": ts,
-                           "id": flow_id})
+        for rec in records:
+            tid = tids.setdefault(rec.thread, len(tids) + 1)
+            event: dict[str, Any] = {
+                "name": rec.name,
+                "ph": "X",
+                "pid": 1,
+                "tid": tid,
+                "ts": round((rec.start - t_zero) * 1e6, 3),
+                "dur": round(rec.dur * 1e6, 3),
+            }
+            args = dict(rec.args) if rec.args else {}
+            if rec.item >= 0:
+                args["item"] = rec.item
+            if rec.slot >= 0:
+                args["slot"] = rec.slot
+            if args:
+                event["args"] = args
+            events.append(event)
+        meta: list[dict[str, Any]] = [
+            {"name": "process_name", "ph": "M", "pid": 1,
+             "args": {"name": "repro out-of-core"}}]
+        meta.extend({
+            "name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
+            "args": {"name": thread},
+        } for thread, tid in tids.items())
         return {
             "traceEvents": meta + events,
             "displayTimeUnit": "ms",
-            "otherData": {
-                "emitted": self.emitted,
-                "dropped": self.dropped,
-                "tracks": len(self._tracks),
-            },
+            "otherData": {"emitted": self.emitted, "dropped": self.dropped},
         }
 
     def write_chrome_trace(self, path: str) -> None:

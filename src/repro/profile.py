@@ -30,13 +30,9 @@ Every counter, phase total and latency of a profile is in its metrics
 snapshot, once (the same values a live ``/metrics`` scrape exposes);
 ``--metrics-port`` serves the registry over HTTP for the duration of
 the run, and ``--spans-out`` writes the record ring as a Chrome
-trace-event timeline loadable in Perfetto. With ``--backing sharded``
-the timeline gains one process track per shard worker (spans shipped
-back over the wire protocol's TELEMETRY op), and the ``attribution``
-block names the catalogue histograms that decompose per-op latency into
-pipeline stages — window wait, wire, worker disk, reply — merged from
-the workers; ``--attribution`` prints the stage table to stdout, and
-beneath it the compute thread's ``store_wait`` seconds split by what
+trace-event timeline loadable in Perfetto. ``--attribution`` prints the
+per-op backing latency (on a sharded backing, the client's round trips)
+and beneath it the compute thread's ``store_wait`` seconds split by what
 ``get`` waited for: a load in flight, write-behind back-pressure, or a
 demand read nobody had prefetched.
 """
@@ -126,87 +122,15 @@ def _run_block(args, engine: LikelihoodEngine) -> dict:
     }
 
 
-def _find_sharded(backing):
-    """Unwrap fault/retry wrappers down to a ShardedBackingStore, if any."""
-    seen = 0
-    while backing is not None and seen < 8:
-        if getattr(backing, "num_shards", 0) and hasattr(backing,
-                                                         "collect_telemetry"):
-            return backing
-        backing = getattr(backing, "inner", None)
-        seen += 1
-    return None
-
-
-#: The stages of one backing op, each a catalogue histogram: op ->
-#: (end-to-end total, stages over a local backing, stages over shards).
-_STAGES = {
-    "read": ("backing_read_seconds", {"disk": "backing_read_seconds"},
-             {"wire": "shard_wire_read_seconds",
-              "disk": "shard_disk_read_seconds",
-              "reply": "shard_reply_read_seconds"}),
-    "write": ("backing_write_seconds", {"disk": "backing_write_seconds"},
-              {"wire": "shard_wire_write_seconds",
-               "disk": "shard_disk_write_seconds",
-               "reply": "shard_reply_write_seconds"}),
-}
-
-
-def _attribution_block(args, sharded) -> dict:
-    """Which registry histograms decompose per-op latency into stages.
-
-    The totals are the parent-side request latencies; over shards the
-    stages are the worker histograms merged back over OP_TELEMETRY.
-    Stage sums need not add up to the total — the stages time distinct
-    sub-intervals of a request (wire transit, worker disk time, reply
-    transit) and queueing between them is real.
-    """
-    return {
-        "backing": args.backing,
-        "window_wait": "shard_window_wait_seconds",
-        "ops": {op: {"total": total,
-                     "stages": local if sharded is None else remote}
-                for op, (total, local, remote) in _STAGES.items()},
-    }
-
-
-def _attribution_crosscheck(snapshot: dict, derived: dict) -> list[str]:
-    """Worker-side op counts must equal the parent's IoStats totals.
-
-    Every successful physical read/write is counted exactly once on each
-    side of the wire (workers count completions, IoStats counts issued
-    ops that returned); any drift means lost or double-counted telemetry.
-    """
-    problems = []
-    for op, key in (("read", "physical_reads"), ("write", "physical_writes")):
-        count = snapshot["histograms"][f"shard_disk_{op}_seconds"]["count"]
-        if count != derived[key]:
-            problems.append(
-                f"worker {op} count {count} != IoStats {key} {derived[key]}")
-    return problems
-
-
-def _print_attribution(attribution: dict, snapshot: dict,
-                       per_shard: dict) -> None:
+def _print_attribution(backing: str, snapshot: dict) -> None:
+    """Per-op backing latency, from the registry's transfer histograms."""
     hists = snapshot["histograms"]
-
-    def fmt(name: str) -> str:
-        s = hists[name]
-        return (f"count={s['count']:>6}  sum={s['sum']:.4f}s  "
-                f"p50={s['p50'] * 1e6:9.1f}us  p95={s['p95'] * 1e6:9.1f}us  "
-                f"p99={s['p99'] * 1e6:9.1f}us")
-
-    print(f"latency attribution ({attribution['backing']} backing)")
-    print(f"  window_wait     : {fmt(attribution['window_wait'])}")
+    print(f"latency attribution ({backing} backing)")
     for op in ("read", "write"):
-        entry = attribution["ops"][op]
-        print(f"  {op:<5} total     : {fmt(entry['total'])}")
-        for stage, name in entry["stages"].items():
-            print(f"    stage {stage:<5}   : {fmt(name)}")
-    for shard in sorted(per_shard, key=int):
-        row = per_shard[shard]
-        print(f"  shard {shard}: {row['reads']} reads, "
-              f"{row['writes']} writes, {row['restarts']} restarts")
+        h = hists[f"backing_{op}_seconds"]
+        print(f"  {op:<5} total     : count={h['count']:>6}  "
+              f"sum={h['sum']:.4f}s  p50={h['p50'] * 1e6:9.1f}us  "
+              f"p95={h['p95'] * 1e6:9.1f}us  p99={h['p99'] * 1e6:9.1f}us")
 
 
 def _print_store_wait_split(obs: Observer, snapshot: dict) -> None:
@@ -290,26 +214,14 @@ def run_profile(args) -> int:
             lnl = _run_workload(engine, args)
             engine.store.drain()
             wall = time.perf_counter() - t0
-            sharded = _find_sharded(engine.store.backing)
-            # Collects while the shard workers are still up: the snapshot
-            # already holds their final deltas.
             snapshot = obs.metrics.snapshot()
             counters = engine.stats.as_row()
             derived = _derived_block(engine)
             writeback = engine.stats.writeback_enabled
-            per_shard = {} if sharded is None else sharded.per_shard_counts()
         finally:
             if server is not None:
                 server.close()
             engine.close()
-
-        if sharded is not None:
-            mismatches = _attribution_crosscheck(snapshot, derived)
-            if mismatches:
-                for m in mismatches:
-                    print(f"attribution cross-check FAILED: {m}",
-                          file=sys.stderr)
-                return 1
 
         ring = obs.spans
         doc = {
@@ -323,7 +235,6 @@ def run_profile(args) -> int:
             "records": {"emitted": ring.emitted, "captured": len(ring),
                         "dropped": ring.dropped},
             "metrics": snapshot,
-            "attribution": _attribution_block(args, sharded),
         }
         problems = validate_profile(doc)
         if problems:  # a bug in this module, not in the caller's input
@@ -344,25 +255,15 @@ def run_profile(args) -> int:
         rec = doc["records"]
         print(f"records         : {rec['emitted']} emitted, "
               f"{rec['captured']} captured, {rec['dropped']} dropped")
-        if sharded is not None:
-            print(f"telemetry       : worker histograms match IoStats "
-                  f"({derived['physical_reads']} reads, "
-                  f"{derived['physical_writes']} writes)")
         if args.attribution:
-            _print_attribution(doc["attribution"], snapshot, per_shard)
+            _print_attribution(args.backing, snapshot)
             _print_store_wait_split(obs, snapshot)
 
         if args.spans_out:
-            worker_spans = 0
-            if sharded is not None:
-                worker_spans = sharded.export_spans_into(ring)
             ring.write_chrome_trace(args.spans_out)
-            extra = (f", {worker_spans} worker spans on "
-                     f"{sharded.num_shards} tracks" if sharded is not None
-                     else "")
             print(f"span timeline   : {args.spans_out} "
-                  f"({len(ring)} records, {ring.dropped} dropped"
-                  f"{extra}; load in Perfetto / chrome://tracing)")
+                  f"({len(ring)} records, {ring.dropped} dropped; "
+                  "load in Perfetto / chrome://tracing)")
         if args.events:
             n = records_to_jsonl(ring.records(), args.events)
             print(f"event dump      : {args.events} ({n} records)")
@@ -430,10 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timeline", metavar="PATH",
                         help="also write the slot-occupancy timeline (JSON)")
     parser.add_argument("--attribution", action="store_true",
-                        help="print the per-op latency attribution table "
-                             "(stage decomposition from the merged "
-                             "cross-process histograms) and store_wait "
-                             "split by cause")
+                        help="print the per-op backing latency table and "
+                             "the store_wait split by cause")
     parser.add_argument("--check-parity", action="store_true",
                         help="re-run untraced and fail unless all demand/"
                              "eviction counters are bit-identical")

@@ -3,8 +3,8 @@
 from .stats import COUNTER_HELP
 
 
-def Metric(kind, help, labeled=False):
-    return (kind, help, labeled)
+def Metric(kind, help):
+    return (kind, help)
 
 
 METRIC_EXPOSITION = {

@@ -39,25 +39,52 @@ def _race_switch_interval():
 PIPELINE_THREADS = ("vecstore-swap", "writeback-", "prefetch")
 
 
+#: This process's open file descriptors (Linux); where it does not
+#: exist the fd half of the leak gate is skipped.
+FD_DIR = "/proc/self/fd"
+
+
+def _open_fds() -> dict[str, str]:
+    """``{fd: what it points at}`` for every open descriptor."""
+    fds = {}
+    for fd in os.listdir(FD_DIR):
+        try:
+            fds[fd] = os.readlink(os.path.join(FD_DIR, fd))
+        except OSError:  # the listing's own descriptor, already closed
+            pass
+    return fds
+
+
 @pytest.fixture(autouse=True)
 def no_leaks():
     """Leak gate around every test: once a test is over no
-    ``shard-worker-*`` child is alive, and no ``shard-recv-*`` thread nor
-    a pipeline thread it started (:data:`PIPELINE_THREADS`) remains —
-    every store and engine a test opens, it closes. Threads alive before
+    ``shard-worker-*`` child is alive, no ``shard-recv-*`` thread nor a
+    pipeline thread it started (:data:`PIPELINE_THREADS`) remains, and
+    no more file descriptors are open than when it began — every store,
+    engine, socket and file a test opens, it closes. Threads alive before
     the test (a module fixture's engine) are not its own. The short grace
     covers a receiver that is still returning from the restart it just
-    performed."""
+    performed. Nothing is garbage-collected first: a descriptor only a
+    reference cycle still holds is a leak."""
     before = set(threading.enumerate())
+    check_fds = os.path.isdir(FD_DIR)
+    fds_before = _open_fds() if check_fds else {}
     yield
 
     def leaked():
-        return ([p.name for p in multiprocessing.active_children()
-                 if p.name.startswith("shard-worker-")]
-                + [t.name for t in threading.enumerate()
-                   if t.name.startswith("shard-recv-")
-                   or (t not in before
-                       and t.name.startswith(PIPELINE_THREADS))])
+        found = ([p.name for p in multiprocessing.active_children()
+                  if p.name.startswith("shard-worker-")]
+                 + [t.name for t in threading.enumerate()
+                    if t.name.startswith("shard-recv-")
+                    or (t not in before
+                        and t.name.startswith(PIPELINE_THREADS))])
+        if check_fds:
+            fds = _open_fds()
+            if len(fds) > len(fds_before):
+                found += [f"fd {fd} -> {target}"
+                          for fd, target in sorted(fds.items())
+                          if fds_before.get(fd) != target]
+        return found
 
     deadline = time.monotonic() + 2.0
     while leaked() and time.monotonic() < deadline:

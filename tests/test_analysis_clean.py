@@ -31,8 +31,7 @@ def test_the_store_is_checked_as_an_arena_owner():
 
 #: Sink methods no other class has: a call is a sink call whoever receives it.
 SINK_METHODS = frozenset({
-    "observe", "inc", "inc_labeled", "counter_set", "gauge_set",
-    "gauge_set_labeled", "gauge_add", "merge_histogram",
+    "observe", "inc", "counter_set", "gauge_set", "gauge_add",
     "register_collector", "unregister_collector",        # MetricsRegistry
 })
 #: Sink methods with everyday names, told apart by the receiver's name.
@@ -40,23 +39,15 @@ SINK_RECEIVER_METHODS = {
     "complete": {"sp", "spans", "recorder", "ring"},     # SpanRecorder
     "record": {"hist", "histogram"},                     # LogHistogram
 }
-#: The far end of the OP_TELEMETRY protocol: it runs in a shard *worker*
-#: process, where no Observer exists, and its accumulators are the frame
-#: the parent pulls — not a second route to the parent's sinks.
-SINK_CALL_EXEMPT = {("core/sharded.py", "_WorkerTelemetry")}
 
 
 def _sink_calls(path: Path) -> list[str]:
     rel = path.relative_to(SRC_REPRO).as_posix()
     tree = ast.parse(path.read_text())
-    exempt = {id(node) for cls in ast.walk(tree)
-              if isinstance(cls, ast.ClassDef)
-              and (rel, cls.name) in SINK_CALL_EXEMPT
-              for node in ast.walk(cls)}
     found = []
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)) or id(node) in exempt:
+                and isinstance(node.func, ast.Attribute)):
             continue
         method, recv = node.func.attr, node.func.value
         name = (recv.id if isinstance(recv, ast.Name)

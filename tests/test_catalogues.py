@@ -56,43 +56,29 @@ EVENTS = {
     "writeback_stall": "writeback_stalls",
 }
 
-#: name -> (kind, labelled)
+#: name -> kind
 METRICS = {
-    **{name: ("counter", False) for name in COUNTERS},
-    "backing_retries": ("counter", False),
-    "backing_faults": ("counter", False),
-    "compress_bytes_raw": ("counter", False),
-    "compress_bytes_stored": ("counter", False),
-    "compress_compactions": ("counter", False),
-    "backing_reads": ("counter", True),
-    "backing_writes": ("counter", True),
-    "backing_bytes_read": ("counter", True),
-    "backing_bytes_written": ("counter", True),
-    "shard_restarts": ("counter", False),
-    "shard_telemetry_pulls": ("counter", False),
-    "shard_inflight": ("gauge", True),
-    "shard_oldest_pending_seconds": ("gauge", True),
-    "shard_window_wait_seconds": ("histogram", False),
-    "shard_wire_read_seconds": ("histogram", False),
-    "shard_wire_write_seconds": ("histogram", False),
-    "shard_disk_read_seconds": ("histogram", False),
-    "shard_disk_write_seconds": ("histogram", False),
-    "shard_reply_read_seconds": ("histogram", False),
-    "shard_reply_write_seconds": ("histogram", False),
-    "slots_total": ("gauge", False),
-    "slots_occupied": ("gauge", False),
-    "slots_dirty": ("gauge", False),
-    "writeback_queue_depth": ("gauge", False),
-    "compress_heap_leaked_bytes": ("gauge", False),
-    "loads_inflight": ("gauge", False),
-    "prefetch_untouched": ("gauge", False),
-    "plan_seconds": ("histogram", False),
-    "kernel_seconds": ("histogram", False),
-    "backing_read_seconds": ("histogram", False),
-    "backing_write_seconds": ("histogram", False),
-    "writeback_drain_seconds": ("histogram", False),
-    "store_wait_seconds": ("histogram", False),
-    "swap_hidden_seconds": ("histogram", False),
+    **{name: "counter" for name in COUNTERS},
+    "backing_retries": "counter",
+    "backing_faults": "counter",
+    "compress_bytes_raw": "counter",
+    "compress_bytes_stored": "counter",
+    "compress_compactions": "counter",
+    "shard_restarts": "counter",
+    "slots_total": "gauge",
+    "slots_occupied": "gauge",
+    "slots_dirty": "gauge",
+    "writeback_queue_depth": "gauge",
+    "compress_heap_leaked_bytes": "gauge",
+    "loads_inflight": "gauge",
+    "prefetch_untouched": "gauge",
+    "plan_seconds": "histogram",
+    "kernel_seconds": "histogram",
+    "backing_read_seconds": "histogram",
+    "backing_write_seconds": "histogram",
+    "writeback_drain_seconds": "histogram",
+    "store_wait_seconds": "histogram",
+    "swap_hidden_seconds": "histogram",
 }
 
 
@@ -136,8 +122,8 @@ def test_engine_phases_come_from_the_routes():
 
 
 def test_metric_catalogue():
-    assert len(METRICS) == 51
-    assert {name: (row.kind, row.labeled)
+    assert len(METRICS) == 37
+    assert {name: row.kind
             for name, row in METRIC_EXPOSITION.items()} == METRICS
     assert METRIC_NAMES == set(METRICS)
 

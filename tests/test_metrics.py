@@ -32,7 +32,7 @@ def parse_prometheus(text: str) -> dict[str, float]:
 
 class TestCatalogue:
     def test_kinds_and_help_are_sane(self):
-        for name, (kind, help_text, _labeled) in METRIC_EXPOSITION.items():
+        for name, (kind, help_text) in METRIC_EXPOSITION.items():
             assert kind in ("counter", "gauge", "histogram"), name
             assert help_text
 
@@ -122,122 +122,6 @@ class TestMetricsRegistry:
         assert counts == sorted(counts)
 
 
-class TestLabeledCounters:
-    def test_inc_and_sum_over_labels(self):
-        mx = MetricsRegistry()
-        mx.inc_labeled("backing_reads", {"shard": "0"})
-        mx.inc_labeled("backing_reads", {"shard": "0"})
-        mx.inc_labeled("backing_reads", {"shard": "3"}, 5)
-        assert mx.labeled("backing_reads") == {'shard="0"': 2, 'shard="3"': 5}
-        assert mx.labeled_sum("backing_reads") == 7
-        # value() on a labelled counter is the sum over its label sets.
-        assert mx.value("backing_reads") == 7
-
-    def test_plain_inc_on_labeled_name_rejected(self):
-        mx = MetricsRegistry()
-        with pytest.raises(OutOfCoreError, match="inc_labeled"):
-            mx.inc("backing_reads")
-        with pytest.raises(OutOfCoreError, match="inc\\(\\)"):
-            mx.inc_labeled("requests", {"shard": "0"})
-
-    def test_unknown_name_rejected(self):
-        mx = MetricsRegistry()
-        with pytest.raises(OutOfCoreError):
-            mx.inc_labeled("no_such_metric", {"shard": "0"})
-
-    def test_snapshot_has_labeled_section(self):
-        mx = MetricsRegistry()
-        mx.inc_labeled("backing_writes", {"shard": "1"}, 3)
-        snap = mx.snapshot()
-        assert snap["labeled"]["backing_writes"] == {'shard="1"': 3}
-        # Labelled counters never appear in the plain counters block.
-        assert "backing_writes" not in snap["counters"]
-
-    def test_prometheus_renders_label_sets(self):
-        mx = MetricsRegistry()
-        mx.inc_labeled("backing_bytes_written", {"shard": "0"}, 1024)
-        mx.inc_labeled("backing_bytes_written", {"shard": "2"}, 512)
-        samples = parse_prometheus(mx.to_prometheus())
-        assert samples['repro_backing_bytes_written{shard="0"}'] == 1024
-        assert samples['repro_backing_bytes_written{shard="2"}'] == 512
-
-
-class TestLabeledGauges:
-    def test_set_and_sum_over_labels(self):
-        mx = MetricsRegistry()
-        mx.gauge_set_labeled("shard_inflight", {"shard": "0"}, 3)
-        mx.gauge_set_labeled("shard_inflight", {"shard": "1"}, 5)
-        mx.gauge_set_labeled("shard_inflight", {"shard": "0"}, 2)  # live value
-        assert mx.labeled("shard_inflight") == {'shard="0"': 2, 'shard="1"': 5}
-        # value() on a labelled gauge is the sum over its label sets
-        # (total in-flight across shards).
-        assert mx.value("shard_inflight") == 7
-
-    def test_plain_gauge_set_on_labeled_name_rejected(self):
-        mx = MetricsRegistry()
-        with pytest.raises(OutOfCoreError, match="gauge_set_labeled"):
-            mx.gauge_set("shard_inflight", 1)
-        with pytest.raises(OutOfCoreError, match="gauge_set\\(\\)"):
-            mx.gauge_set_labeled("slots_occupied", {"shard": "0"}, 1)
-
-    def test_kind_and_name_checked(self):
-        mx = MetricsRegistry()
-        with pytest.raises(OutOfCoreError, match="unknown metric"):
-            mx.gauge_set_labeled("no_such_gauge", {"shard": "0"}, 1)
-        with pytest.raises(OutOfCoreError, match="is a counter"):
-            mx.gauge_set_labeled("backing_reads", {"shard": "0"}, 1)
-
-    def test_snapshot_and_prometheus_render_label_sets(self):
-        mx = MetricsRegistry()
-        mx.gauge_set_labeled("shard_oldest_pending_seconds",
-                             {"shard": "2"}, 0.25)
-        snap = mx.snapshot()
-        assert snap["labeled"]["shard_oldest_pending_seconds"] == \
-            {'shard="2"': 0.25}
-        assert "shard_oldest_pending_seconds" not in snap["gauges"]
-        samples = parse_prometheus(mx.to_prometheus())
-        key = 'repro_shard_oldest_pending_seconds{shard="2"}'
-        assert samples[key] == 0.25
-
-
-class TestMergeHistogram:
-    def test_merge_worker_state_delta(self):
-        from repro.obs.histogram import LogHistogram
-
-        worker = LogHistogram()
-        for dt in (0.001, 0.002, 0.004):
-            worker.record(dt)
-        mx = MetricsRegistry()
-        mx.observe("shard_disk_read_seconds", 0.008)
-        mx.merge_histogram("shard_disk_read_seconds", worker.drain_state())
-        hist = mx.snapshot()["histograms"]["shard_disk_read_seconds"]
-        assert hist["count"] == 4
-        assert hist["sum"] == pytest.approx(0.015)
-        # the drain reset the worker side: a second pull adds nothing
-        mx.merge_histogram("shard_disk_read_seconds", worker.drain_state())
-        assert mx.snapshot()["histograms"]["shard_disk_read_seconds"][
-            "count"] == 4
-
-    def test_merge_rejects_unknown_and_non_histogram(self):
-        from repro.obs.histogram import LogHistogram
-
-        mx = MetricsRegistry()
-        state = LogHistogram().state()
-        with pytest.raises(OutOfCoreError, match="unknown metric"):
-            mx.merge_histogram("no_such_hist", state)
-        with pytest.raises(OutOfCoreError, match="is a counter"):
-            mx.merge_histogram("requests", state)
-
-    def test_merge_rejects_geometry_mismatch(self):
-        from repro.obs.histogram import LogHistogram
-
-        mx = MetricsRegistry()
-        foreign = LogHistogram(min_seconds=1e-3, num_buckets=8)
-        foreign.record(0.01)
-        with pytest.raises(OutOfCoreError, match="bucket geometry"):
-            mx.merge_histogram("shard_wire_read_seconds", foreign.state())
-
-
 class TestPrometheusEdgeCases:
     def test_empty_registry_exposes_every_name(self):
         """A fresh registry still emits HELP/TYPE for the full catalogue."""
@@ -246,31 +130,22 @@ class TestPrometheusEdgeCases:
             assert f"# HELP repro_{name} " in text
             assert f"# TYPE repro_{name} " in text
 
-    def test_labeled_series_with_zero_shards_has_no_samples(self):
-        """No label sets -> HELP/TYPE only; an unlabelled zero sample
-        must never shadow the (absent) per-shard series."""
-        text = MetricsRegistry().to_prometheus()
-        samples = parse_prometheus(text)
-        for name in ("backing_reads", "shard_inflight"):
-            assert f"# TYPE repro_{name}" in text
-            assert not [s for s in samples if s.startswith(f"repro_{name}")]
-
     def test_empty_histogram_exposes_inf_bucket_sum_count(self):
         samples = parse_prometheus(MetricsRegistry().to_prometheus())
-        assert samples['repro_shard_wire_read_seconds_bucket{le="+Inf"}'] == 0
-        assert samples["repro_shard_wire_read_seconds_sum"] == 0
-        assert samples["repro_shard_wire_read_seconds_count"] == 0
+        assert samples['repro_backing_read_seconds_bucket{le="+Inf"}'] == 0
+        assert samples["repro_backing_read_seconds_sum"] == 0
+        assert samples["repro_backing_read_seconds_count"] == 0
 
     def test_single_observation_bucket_exposition(self):
         mx = MetricsRegistry()
-        mx.observe("shard_window_wait_seconds", 0.01)
+        mx.observe("writeback_drain_seconds", 0.01)
         samples = parse_prometheus(mx.to_prometheus())
         buckets = {name: v for name, v in samples.items()
-                   if name.startswith("repro_shard_window_wait_seconds_bucket")}
+                   if name.startswith("repro_writeback_drain_seconds_bucket")}
         # exactly one finite bucket plus +Inf, both cumulative at 1
         assert len(buckets) == 2
         assert sorted(buckets.values()) == [1, 1]
-        assert samples["repro_shard_window_wait_seconds_count"] == 1
+        assert samples["repro_writeback_drain_seconds_count"] == 1
 
 
 class TestStoreIntegration:
@@ -371,6 +246,7 @@ class TestMetricsServer:
             base = server.url.rsplit("/metrics", 1)[0]
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(f"{base}/nope", timeout=5)
+            err.value.close()  # the error is the response: its socket
             assert err.value.code == 404
 
     def test_root_serves_metrics_too(self):

@@ -30,6 +30,7 @@ from repro.core.vecstore import AncestralVectorStore
 from repro.obs import (
     ENGINE_PHASES,
     METRIC_NAMES,
+    PROFILE_SCHEMA,
     ROUTES,
     LogHistogram,
     Observer,
@@ -301,14 +302,11 @@ def routes_table():
     def cell(value):
         return f"`{value}`" if value else "—"
 
-    rows = ["| reported name | catalogue metric | record count mirrors "
-            "| per-shard counters |",
-            "|---|---|---|---|"]
+    rows = ["| reported name | catalogue metric | record count mirrors |",
+            "|---|---|---|"]
     for name, route in ROUTES.items():
-        shard = (f"`{route.ops}` +1, `{route.bytes}` +nbytes"
-                 if route.ops else "—")
         rows.append(f"| `{name}` | {cell(route.metric)} "
-                    f"| {cell(route.mirrors)} | {shard} |")
+                    f"| {cell(route.mirrors)} |")
     return "\n".join(rows)
 
 
@@ -417,11 +415,11 @@ class TestReportingSeam:
         # (ii) completeness: the ring holds one record per report, and
         # the registry exactly what ROUTES sends it, summed over the
         # names that were reported.
+        # A shard client reports its round trips as the transfers they are.
         reports = obs.reports
-        transfer = "shard" if backing == "sharded" else "backing"
         expected = {"get", "miss", "evict", "demand_read", "plan", "kernel",
-                    "store_wait", "execute_plan", f"{transfer}_read",
-                    f"{transfer}_write"}
+                    "store_wait", "execute_plan", "backing_read",
+                    "backing_write"}
         if pipeline == "async":
             expected |= {"writeback_enqueue", "writeback_drain",
                          "prefetch_load"}
@@ -439,12 +437,6 @@ class TestReportingSeam:
         for metric in {ROUTES[name].metric for name in reports} - {None}:
             assert histograms[metric]["count"] == routed("metric", metric), \
                 metric
-        for field in ("ops", "bytes"):
-            for metric in {getattr(ROUTES[name], field)
-                           for name in reports} - {None}:
-                per_op = 1 if field == "ops" else engine.store.item_bytes
-                assert (obs.metrics.labeled_sum(metric)
-                        == per_op * routed(field, metric)), metric
         # ... and both sinks agree with the authoritative counters.
         assert histograms["backing_read_seconds"]["count"] \
             == engine.stats.physical_reads
@@ -570,22 +562,14 @@ class TestExporters:
         """A minimal well-formed document (every name resolves)."""
         hist = {"count": 0, "sum": 0.0}
         doc = {
-            "schema": "repro-profile/4", "workload": "full", "config": {},
+            "schema": PROFILE_SCHEMA, "workload": "full", "config": {},
             "derived": {"physical_reads": 0, "physical_writes": 0,
                         "swaps": 0},
             "records": {"emitted": 0, "captured": 0, "dropped": 0},
             "metrics": {"counters": {k: 0 for k in PARITY_COUNTERS},
-                        "gauges": {}, "labeled": {},
+                        "gauges": {},
                         "histograms": {"backing_read_seconds": hist,
-                                       "backing_write_seconds": hist,
-                                       "shard_window_wait_seconds": hist}},
-            "attribution": {
-                "backing": "file",
-                "window_wait": "shard_window_wait_seconds",
-                "ops": {op: {"total": f"backing_{op}_seconds",
-                             "stages": {"disk": f"backing_{op}_seconds"}}
-                        for op in ("read", "write")},
-            },
+                                       "backing_write_seconds": hist}},
         }
         doc.update(overrides)
         return doc
@@ -596,47 +580,28 @@ class TestExporters:
         assert validate_profile(self._document()) == []
         problems = validate_profile(self._document(
             schema="other/9", derived={}, metrics={
-                "counters": {}, "gauges": {}, "histograms": {},
-                "labeled": {}}))
+                "counters": {}, "gauges": {}, "histograms": {}}))
         assert any("schema" in p for p in problems)
         assert any("derived missing" in p for p in problems)
         assert any("metrics.counters missing" in p for p in problems)
 
-    def test_validate_profile_checks_attribution_block(self):
-        def problems_with(attr):
-            return validate_profile(self._document(attribution=attr))
-
-        assert any("attribution must be" in p for p in problems_with([]))
-        good = self._document()["attribution"]
-        assert any("backing" in p
-                   for p in problems_with({**good, "backing": ""}))
-        assert any("window_wait" in p for p in problems_with(
-            {**good, "window_wait": {"count": 1}}))
-        broken = self._document()["attribution"]
-        del broken["ops"]["write"]
-        assert any("ops" in p and "write" in p
-                   for p in problems_with(broken))
-        broken = self._document()["attribution"]
-        broken["ops"]["read"]["stages"]["disk"] = {"count": "nope"}
-        assert any("stages" in p for p in problems_with(broken))
-
     def test_validate_profile_checks_metrics_consistency(self):
-        """Every histogram the attribution block names is one the metrics
-        snapshot holds: a stage reads the registry, it never copies it."""
+        """The metrics block is the registry snapshot: all three of its
+        objects, and every parity counter among the counters."""
         doc = self._document()
-        doc["attribution"]["ops"]["read"]["stages"]["wire"] = \
-            "shard_wire_read_seconds"
-        problems = validate_profile(doc)
-        assert problems == [
-            "attribution.ops.read.stages.wire names "
-            "'shard_wire_read_seconds', not a histogram of the metrics "
-            "snapshot"]
+        del doc["metrics"]["histograms"]
+        assert validate_profile(doc) == [
+            "metrics missing object 'histograms'"]
+        doc = self._document()
+        del doc["metrics"]["counters"]["requests"]
+        assert validate_profile(doc) == [
+            "metrics.counters missing integer 'requests'"]
         # missing metrics block entirely is also a violation
         missing = {k: v for k, v in doc.items() if k != "metrics"}
         assert any("metrics" in p for p in validate_profile(missing))
 
     def test_profile_document_holds_no_value_twice(self, tmp_path):
-        """``repro-profile/4``: a counter, phase total or latency lives in
+        """``repro-profile/5``: a counter, phase total or latency lives in
         the metrics snapshot and nowhere else in the document."""
         out = tmp_path / "p.json"
         assert profile_main(["--simulate-taxa", "10", "--simulate-length",
@@ -651,22 +616,13 @@ class TestExporters:
                     yield key
                     yield from keys(value)
 
-        def leaves(node):
-            if isinstance(node, dict):
-                for value in node.values():
-                    yield from leaves(value)
-            else:
-                yield node
-
         # (``config`` is the input: its ``backing_retries`` is a budget)
         measured = METRIC_NAMES | {f"{phase}_calls" for phase in ENGINE_PHASES}
         for block, value in doc.items():
             if block not in ("metrics", "config"):
                 assert not set(keys(value)) & measured, block
-        assert not {"phases", "histograms", "events", "counters"} & set(doc)
-        # the attribution block refers to histograms by name, only
-        assert all(isinstance(name, str)
-                   for name in leaves(doc["attribution"]["ops"]))
+        assert not {"phases", "histograms", "events", "counters",
+                    "attribution"} & set(doc)
         assert doc["metrics"]["histograms"]["kernel_seconds"]["count"] > 0
 
 

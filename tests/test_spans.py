@@ -71,10 +71,12 @@ class TestChromeTrace:
         sp.complete("plan", 10.5, 0.125)
         doc = sp.to_chrome_trace()
         assert doc["displayTimeUnit"] == "ms"
-        assert doc["otherData"] == {"emitted": 2, "dropped": 0, "tracks": 0}
+        assert doc["otherData"] == {"emitted": 2, "dropped": 0}
         events = doc["traceEvents"]
         meta = [e for e in events if e["ph"] == "M"]
         assert {"process_name", "thread_name"} <= {e["name"] for e in meta}
+        # one process, one track per thread
+        assert {e["pid"] for e in events} == {1}
         complete = [e for e in events if e["ph"] == "X"]
         assert len(complete) == 2
         # timestamps are relative microseconds from the earliest span
@@ -104,110 +106,6 @@ class TestChromeTrace:
                     if e["ph"] == "X"}
         assert complete["drain"] == names["writeback-0"]
         assert complete["main_work"] != complete["drain"]
-
-
-class TestSpanIdentity:
-    def test_span_id_and_parent_recorded(self):
-        from repro.obs.spans import next_span_id
-
-        sp = SpanRecorder()
-        parent = next_span_id()
-        child = next_span_id()
-        assert parent != child
-        sp.complete("request", 0.0, 1.0, span_id=parent)
-        sp.complete("disk", 0.2, 0.5, span_id=child, parent=parent)
-        req, disk = sp.records()
-        assert req.span_id == parent and req.parent == 0
-        assert disk.span_id == child and disk.parent == parent
-
-    def test_ids_surface_in_export_args(self):
-        from repro.obs.spans import next_span_id
-
-        sp = SpanRecorder()
-        parent = next_span_id()
-        sp.complete("request", 0.0, 1.0, {"item": 7}, span_id=parent)
-        sp.complete("disk", 0.2, 0.5, parent=parent)
-        doc = sp.to_chrome_trace()
-        by_name = {e["name"]: e for e in doc["traceEvents"]
-                   if e["ph"] == "X"}
-        assert by_name["request"]["args"] == {"item": 7, "span_id": parent}
-        assert by_name["disk"]["args"] == {"parent": parent}
-
-    def test_same_process_parent_is_not_a_flow(self):
-        """Nesting inside one process renders as args only, no arrows."""
-        from repro.obs.spans import next_span_id
-
-        sp = SpanRecorder()
-        parent = next_span_id()
-        sp.complete("outer", 0.0, 1.0, span_id=parent)
-        sp.complete("inner", 0.2, 0.5, parent=parent)
-        doc = sp.to_chrome_trace()
-        assert not [e for e in doc["traceEvents"] if e["ph"] in ("s", "f")]
-
-
-class TestProcessTracks:
-    def test_track_renders_as_second_pid_with_clock_shift(self):
-        from repro.obs.spans import SpanRecord
-
-        sp = SpanRecorder()
-        sp.complete("request", 100.0, 1.0)
-        # Worker clock runs 50 s ahead: t_local = t_track - offset.
-        worker = [SpanRecord("disk", 150.25, 0.5, "shard-worker-0",
-                             {"item": 3})]
-        sp.add_process_track("shard-worker-0", worker, clock_offset=50.0)
-
-        doc = sp.to_chrome_trace()
-        assert doc["otherData"]["tracks"] == 1
-        procs = {e["pid"]: e["args"]["name"] for e in doc["traceEvents"]
-                 if e["ph"] == "M" and e["name"] == "process_name"}
-        assert procs == {1: "repro out-of-core", 2: "shard-worker-0"}
-        by_name = {e["name"]: e for e in doc["traceEvents"]
-                   if e["ph"] == "X"}
-        # request at t_zero=100.0 local; worker span lands 0.25 s later
-        # once the offset is applied, not 50.25 s later.
-        assert by_name["request"]["ts"] == 0.0
-        assert by_name["disk"]["pid"] == 2
-        assert by_name["disk"]["ts"] == pytest.approx(250000.0)
-
-    def test_cross_process_parent_becomes_flow_pair(self):
-        from repro.obs.spans import SpanRecord, next_span_id
-
-        sp = SpanRecorder()
-        parent = next_span_id()
-        child = next_span_id()
-        sp.complete("shard_read", 1.0, 0.5, span_id=parent)
-        sp.add_process_track("shard-worker-1", [
-            SpanRecord("worker_read", 1.1, 0.2, "shard-worker-1", None,
-                       child, parent)])
-        doc = sp.to_chrome_trace()
-        flows = [e for e in doc["traceEvents"] if e["ph"] in ("s", "f")]
-        assert len(flows) == 2
-        start = next(e for e in flows if e["ph"] == "s")
-        finish = next(e for e in flows if e["ph"] == "f")
-        assert start["pid"] == 1 and finish["pid"] == 2
-        assert start["id"] == finish["id"]
-        assert finish["bp"] == "e"
-        assert {e["cat"] for e in flows} == {"backing"}
-
-    def test_unresolved_parent_is_skipped(self):
-        """A parent lost to ring overflow must not crash the export."""
-        from repro.obs.spans import SpanRecord
-
-        sp = SpanRecorder()
-        sp.add_process_track("shard-worker-0", [
-            SpanRecord("worker_read", 0.0, 0.1, "w", None, 5, 99999999)])
-        doc = sp.to_chrome_trace()
-        assert not [e for e in doc["traceEvents"] if e["ph"] in ("s", "f")]
-
-    def test_clear_resets_tracks(self):
-        from repro.obs.spans import SpanRecord
-
-        sp = SpanRecorder()
-        sp.add_process_track("shard-worker-0",
-                             [SpanRecord("disk", 0.0, 0.1, "w", None)])
-        sp.clear()
-        assert sp.tracks() == []
-        assert sp.to_chrome_trace()["otherData"]["tracks"] == 0
 
 
 class TestEngineIntegration:
