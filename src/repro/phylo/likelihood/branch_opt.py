@@ -12,6 +12,8 @@ The iteration is safeguarded: a Newton step is accepted only if it
 increases the branch log-likelihood; otherwise the optimizer falls back to
 bisecting toward the better bracket end, so it converges on awkward
 surfaces (near-zero branches, saturated branches) where raw NR diverges.
+A step shorter than the tolerance is taken without being evaluated and
+ends the loop.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def _newton(
             terms.append(g)
             ok = ok and positive
             if ok:
-                phi += float(weights @ np.log(g[:, 0]))
+                phi += float(weights @ np.log(g[0]))
         return terms, (phi if ok else -np.inf), ok
 
     def derivatives(terms):
@@ -90,19 +92,20 @@ def _newton(
             # Non-concave region: move along the gradient with a bold step.
             t_new = t * 4.0 if d1 > 0 else t / 4.0
         t_new = min(max(t_new, min_bl), max_bl)
-        if t_new == t:
-            break
-        terms_new, phi_new, ok_new = evaluate(t_new)
-        # Backtrack the step until it does not lose likelihood.
+        # Backtrack the step until it does not lose likelihood. A step
+        # below the tolerance, first or halved, ends the loop unevaluated:
+        # what it could change in φ is rounding. It is taken from a point
+        # that has a likelihood; from one that has none, t stays.
         shrink = 0
-        while phi_new < phi - 1e-13 and shrink < 32:
-            t_new = 0.5 * (t_new + t)
+        while True:
+            if abs(t_new - t) < tol * max(1.0, t):
+                return (t_new if ok else t), it
             terms_new, phi_new, ok_new = evaluate(t_new)
+            if shrink == 32 or not phi_new < phi - 1e-13:
+                break
+            t_new = 0.5 * (t_new + t)
             shrink += 1
-        converged = abs(t_new - t) < tol * max(1.0, t)
         t, phi, terms, ok = t_new, phi_new, terms_new, ok_new
-        if converged:
-            break
     return t, it
 
 

@@ -20,9 +20,17 @@ from repro.phylo.likelihood.branch_opt import (
 from repro.phylo.models.protein import EmpiricalProteinModel
 
 #: ``[t_opt.hex(), iterations]`` per :func:`newton_cases` entry, written by
-#: :func:`write_parent_fixture` at commit 8237556 — before the Newton loop
-#: hoisted its ``t``-independent work. The loop must stay the same function.
+#: :func:`write_parent_fixture`. The pin is held exactly: the loop must stay
+#: the same function. The results of commit 8237556 — before the loop
+#: hoisted its ``t``-independent work, took sub-tolerance steps unevaluated
+#: and evaluated its terms g-first — are kept beside it as an accuracy
+#: reference.
+PIN_FIXTURE = Path(__file__).parent / "fixtures" / "newton_pin.json"
 PARENT_FIXTURE = Path(__file__).parent / "fixtures" / "newton_parent.json"
+
+#: Newton's default tolerance: a step shorter than ``TOL · max(1, t)`` is
+#: taken unevaluated and ends the loop.
+TOL = 1e-9
 
 NAN_START, MIN_CLAMPED, MAX_CLAMPED = 197, 198, 199
 
@@ -83,21 +91,46 @@ def _newton_results():
 
 
 def write_parent_fixture():
-    """``PYTHONPATH=<checkout of 8237556>/src:. python -c "from
-    tests.test_branch_opt import write_parent_fixture as w; w()"``."""
-    PARENT_FIXTURE.write_text(json.dumps(_newton_results(), indent=0) + "\n")
+    """Writes the pin: ``PYTHONPATH=src:. python -c "from
+    tests.test_branch_opt import write_parent_fixture as w; w()"``, run at
+    the commit after 60b9a5d that takes sub-tolerance steps unevaluated
+    and makes ``BranchTable`` g-first. ``newton_parent.json`` was written
+    the same way at 8237556 and is not rewritten."""
+    PIN_FIXTURE.write_text(json.dumps(_newton_results(), indent=0) + "\n")
+
+
+def _phi(case, t):
+    """The branch log-likelihood ``Σ w_i ln g_i(t)`` of one case."""
+    table, eigenvalues, rates, cat_weights, pw, _ = case
+    g, _, _ = kernels.branch_lnl_and_derivatives(
+        table, eigenvalues, rates, cat_weights, pw, t)
+    return float(pw @ np.log(g))
 
 
 class TestSameFunctionAsParent:
     def test_optimum_and_iteration_count_bit_identical(self):
-        expected = json.loads(PARENT_FIXTURE.read_text())
+        expected = json.loads(PIN_FIXTURE.read_text())
         got = _newton_results()
         assert len(got) == len(expected) == 200
         wrong = [i for i, (g, e) in enumerate(zip(got, expected)) if g != e]
         assert not wrong, (wrong[:5], got[wrong[0]], expected[wrong[0]])
 
+    def test_parent_results_within_tolerance(self):
+        """Against 8237556: every iteration count equal, every optimum
+        within Newton's own tolerance of the old one, and no branch
+        likelihood lost beyond rounding."""
+        parent = json.loads(PARENT_FIXTURE.read_text())
+        got = _newton_results()
+        assert len(got) == len(parent) == 200
+        for i, (case, (new_hex, new_it), (old_hex, old_it)) in enumerate(
+                zip(newton_cases(), got, parent)):
+            t_new, t_old = float.fromhex(new_hex), float.fromhex(old_hex)
+            assert new_it == old_it, i
+            assert abs(t_new - t_old) < TOL * max(1.0, t_old), i
+            assert _phi(case, t_new) >= _phi(case, t_old) - 1e-12, i
+
     def test_the_special_cases_are_what_they_claim(self):
-        cases, expected = newton_cases(), json.loads(PARENT_FIXTURE.read_text())
+        cases, expected = newton_cases(), json.loads(PIN_FIXTURE.read_text())
         table, eigenvalues, rates, cat_weights, pw, t0 = cases[NAN_START]
         g, d1, d2 = kernels.branch_lnl_and_derivatives(
             table, eigenvalues, rates, cat_weights, pw, t0)
@@ -109,6 +142,54 @@ class TestSameFunctionAsParent:
         assert {cases[i][0].dtype for i in range(3)} == {
             np.dtype(np.float64), np.dtype(np.float32)}
         assert {cases[i][0].shape[-1] for i in range(3)} == {4, 20}
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """Every length :func:`kernels.branch_terms` is evaluated at, in order."""
+    seen = []
+    branch_terms = kernels.branch_terms
+
+    def recording(table, t):
+        seen.append(t)
+        return branch_terms(table, t)
+
+    monkeypatch.setattr(kernels, "branch_terms", recording)
+    return seen
+
+
+def _steps(lengths):
+    """``(from, to)`` for every evaluated length after the first: one
+    halfway between the previous candidate and the current point is a
+    backtrack from that point; any other means the previous candidate was
+    accepted and the new one steps from it."""
+    current, previous = lengths[0], None
+    for t in lengths[1:]:
+        if previous is not None and t != 0.5 * (previous + current):
+            current = previous
+        yield current, t
+        previous = t
+
+
+#: A case whose loop ends on a sub-tolerance Newton step from a valid point.
+UNEVALUATED_LAST_STEP = 4
+
+
+class TestStopRule:
+    def test_no_sub_tolerance_step_is_evaluated(self, evaluated):
+        for i, case in enumerate(newton_cases()):
+            evaluated.clear()
+            optimize_branch_from_sumtable(*case)
+            for current, t in _steps(evaluated):
+                assert abs(t - current) >= TOL * max(1.0, current), (i, current, t)
+
+    def test_the_last_sub_tolerance_step_is_taken(self, evaluated):
+        t_opt, _ = optimize_branch_from_sumtable(
+            *newton_cases()[UNEVALUATED_LAST_STEP])
+        current = evaluated[-1]
+        assert t_opt != current
+        assert abs(t_opt - current) < TOL * max(1.0, current)
+        assert t_opt not in evaluated
 
 
 class TestNumericalCore:
