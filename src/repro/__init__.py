@@ -40,7 +40,6 @@ from repro.core.faults import (
     SimulatedCrash,
 )
 from repro.core.layout import (
-    ConcatenatedLayout,
     SiteBlockLayout,
     StorageLayout,
     WholeVectorLayout,
@@ -106,7 +105,7 @@ __all__ = [
     # out-of-core layer
     "AncestralVectorStore", "IoStats", "make_policy", "policy_names",
     "StorageLayout", "WholeVectorLayout", "SiteBlockLayout",
-    "ConcatenatedLayout", "make_layout",
+    "make_layout",
     "MemoryBackingStore", "FileBackingStore", "MultiFileBackingStore",
     "SimulatedDiskBackingStore", "make_backing",
     "Prefetcher", "ThreadedPrefetcher",

@@ -20,10 +20,10 @@ actually pages (``num_items`` blocks of ``item_shape``):
   independently resident/evictable/prefetchable *site blocks* of
   ``block_sites`` patterns; the last block is ragged (only its first
   ``patterns - (blocks_per_node-1)·block_sites`` rows are meaningful,
-  the tail is padding that is stored but never read by kernels);
-* :class:`ConcatenatedLayout` — several per-partition layouts glued
-  into one item id space, so one shared store (one global slot budget)
-  can serve every partition of a :class:`PartitionedEngine`.
+  the tail is padding that is stored but never read by kernels).
+
+Each layout spans one engine's dense item space; a partitioned analysis
+gives every partition its own engine, layout and store.
 
 Site blocks are independent because every PLF kernel is per-site: site
 ``i`` of a parent CLV depends only on site ``i`` of its children, so a
@@ -43,12 +43,10 @@ map an item back to its node through :meth:`StorageLayout.node_of`.
 from __future__ import annotations
 
 import zlib
-from bisect import bisect_right
 from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.stats import DEMAND_COUNTERS, IoStats
 from repro.errors import OutOfCoreError
 
 #: Default site-block size for ``layout="block"`` when none is given.
@@ -105,13 +103,8 @@ class StorageLayout:
         return self.block_bounds(self.block_of(item))
 
     def store_item_nodes(self) -> np.ndarray:
-        """``int64`` array mapping every *store* item id to its node.
-
-        For plain layouts this covers ``num_items`` entries; a
-        :class:`PartitionLayoutView` returns its parent's full-store
-        array, so policies that receive global item ids (one shared
-        store across partitions) can always index it directly.
-        """
+        """``int64`` array mapping every item id (``num_items`` entries)
+        to its node."""
         raise NotImplementedError
 
     # -- geometry ----------------------------------------------------------------
@@ -216,10 +209,9 @@ class SiteBlockLayout(StorageLayout):
         self.num_nodes = int(num_nodes)
         self.node_shape = tuple(int(d) for d in node_shape)
         patterns = self.node_shape[0]
-        # Deliberately NOT clamped to the pattern count: a shared
-        # (concatenated) store needs every partition to page identically
-        # shaped blocks, so a partition with fewer patterns than one block
-        # simply gets a single padded block.
+        # Not clamped to the pattern count: an item is ``block_sites`` rows
+        # whatever the CLV's length, so a CLV shorter than one block is a
+        # single padded block.
         self.block_sites = int(block_sites)
         self.blocks_per_node = -(-patterns // self.block_sites)  # ceil div
         self.num_items = self.num_nodes * self.blocks_per_node
@@ -255,148 +247,6 @@ class SiteBlockLayout(StorageLayout):
     def store_item_nodes(self) -> np.ndarray:
         return np.repeat(np.arange(self.num_nodes, dtype=np.int64),
                          self.blocks_per_node)
-
-
-class PartitionLayoutView(StorageLayout):
-    """One partition's layout re-addressed into a shared store's item space.
-
-    Wraps a per-partition layout and adds the partition's item offset,
-    so an engine holding this view generates *global* item ids directly
-    — no translation layer sits on the store's hot path. The node space
-    stays partition-local (it is the shared tree's inner-node space,
-    identical across partitions).
-    """
-
-    name = "partition-view"
-
-    def __init__(self, inner: StorageLayout, offset: int,
-                 parent: "ConcatenatedLayout") -> None:
-        self.inner = inner
-        self.offset = int(offset)
-        self.parent = parent
-        self.num_nodes = inner.num_nodes
-        self.node_shape = inner.node_shape
-        self.num_items = parent.num_items
-        self.item_shape = inner.item_shape
-        self.blocks_per_node = inner.blocks_per_node
-
-    def item_of(self, node: int, block: int) -> int:
-        return self.offset + self.inner.item_of(node, block)
-
-    def items_of(self, node: int) -> range:
-        local = self.inner.items_of(node)
-        return range(self.offset + local.start, self.offset + local.stop)
-
-    def node_of(self, item: int) -> int:
-        return self.inner.node_of(item - self.offset)
-
-    def block_of(self, item: int) -> int:
-        return self.inner.block_of(item - self.offset)
-
-    def block_bounds(self, block: int) -> tuple[int, int]:
-        return self.inner.block_bounds(block)
-
-    def store_item_nodes(self) -> np.ndarray:
-        return self.parent.store_item_nodes()
-
-
-class ConcatenatedLayout(StorageLayout):
-    """Several per-partition layouts in one dense item id space.
-
-    All parts must describe the *same* node set (the shared tree's inner
-    nodes) and produce the *same* ``item_shape`` — the single slot arena
-    has one block geometry. With :class:`SiteBlockLayout` parts sharing
-    ``block_sites`` (and models sharing a state/category count) this
-    holds even when partitions have different pattern counts, because
-    every block is padded to ``block_sites`` rows; whole-vector parts
-    concatenate only when their pattern counts happen to be equal.
-
-    Node-level methods (``item_of``/``items_of``/``block_bounds``) are
-    ambiguous across partitions and raise; engines address the store
-    through a per-partition :meth:`view` instead. Item-level methods
-    (``node_of``/``block_of``/``item_sites``) resolve the owning
-    partition by offset, so a shared store's policies and traces work on
-    global ids.
-    """
-
-    name = "concat"
-
-    def __init__(self, parts: Sequence[StorageLayout]) -> None:
-        if not parts:
-            raise OutOfCoreError("need at least one layout to concatenate")
-        first = parts[0]
-        for i, part in enumerate(parts):
-            if part.item_shape != first.item_shape:
-                raise OutOfCoreError(
-                    f"partition {i} pages items of shape {part.item_shape}, "
-                    f"partition 0 pages {first.item_shape}; a shared store "
-                    "needs one block geometry — use a SiteBlockLayout with a "
-                    "common block_sites (and matching category/state counts)"
-                )
-            if part.num_nodes != first.num_nodes:
-                raise OutOfCoreError(
-                    f"partition {i} has {part.num_nodes} nodes, partition 0 "
-                    f"has {first.num_nodes}; all partitions must share one "
-                    "tree's inner-node set"
-                )
-        self.parts = list(parts)
-        self.offsets = [0]
-        for part in self.parts:
-            self.offsets.append(self.offsets[-1] + part.num_items)
-        self.num_nodes = first.num_nodes
-        self.node_shape = first.node_shape
-        self.num_items = self.offsets[-1]
-        self.item_shape = first.item_shape
-        self.blocks_per_node = first.blocks_per_node
-
-    @property
-    def num_partitions(self) -> int:
-        return len(self.parts)
-
-    def view(self, partition: int) -> PartitionLayoutView:
-        """The globally-addressed layout of one partition."""
-        if not 0 <= partition < len(self.parts):
-            raise OutOfCoreError(
-                f"partition {partition} out of range [0, {len(self.parts)})")
-        return PartitionLayoutView(self.parts[partition],
-                                   self.offsets[partition], self)
-
-    def partition_of(self, item: int) -> int:
-        """Which partition owns global item id ``item``."""
-        self._check_item(item)
-        return bisect_right(self.offsets, item) - 1
-
-    def item_of(self, node: int, block: int) -> int:
-        raise OutOfCoreError(
-            "item_of is ambiguous on a concatenated layout; use view(p)")
-
-    def items_of(self, node: int) -> range:
-        raise OutOfCoreError(
-            "items_of is ambiguous on a concatenated layout; use view(p)")
-
-    def block_bounds(self, block: int) -> tuple[int, int]:
-        raise OutOfCoreError(
-            "block_bounds is ambiguous on a concatenated layout; use view(p)")
-
-    def node_of(self, item: int) -> int:
-        p = self.partition_of(item)
-        return self.parts[p].node_of(item - self.offsets[p])
-
-    def block_of(self, item: int) -> int:
-        p = self.partition_of(item)
-        return self.parts[p].block_of(item - self.offsets[p])
-
-    def item_sites(self, item: int) -> tuple[int, int]:
-        p = self.partition_of(item)
-        return self.parts[p].item_sites(item - self.offsets[p])
-
-    def store_item_nodes(self) -> np.ndarray:
-        return np.concatenate([p.store_item_nodes() for p in self.parts])
-
-    def describe(self) -> dict[str, Any]:
-        doc = super().describe()
-        doc["partitions"] = [p.describe() for p in self.parts]
-        return doc
 
 
 def make_layout(kind: "str | StorageLayout", num_nodes: int,
@@ -435,71 +285,6 @@ def only_view(views: Sequence[np.ndarray | None]) -> np.ndarray:
     (view,) = views
     assert view is not None
     return view
-
-
-#: Counters a :class:`SharedStoreView` mirrors per partition: the demand
-#: stream, which is the only per-partition-attributable traffic (evictions
-#: and async I/O are global decisions of the shared store).
-MIRRORED_COUNTERS: tuple[str, ...] = tuple(sorted(DEMAND_COUNTERS))
-
-
-class SharedStoreView:
-    """Per-partition front door onto one shared vector store.
-
-    Engines holding a :class:`PartitionLayoutView` already emit *global*
-    item ids, so ``get_many`` (and ``get``, one access of it) forwards
-    verbatim — the view adds exactly two things:
-
-    * a per-partition :class:`~repro.core.stats.IoStats` mirror of the
-      demand counters (computed as before/after deltas of the shared
-      stats around each forwarded call; exact because demand counters
-      move only on the calling compute thread), so partitioned runs can
-      attribute demand traffic per partition while one global slot
-      budget serves everyone;
-    * a no-op ``close`` — the shared store is owned and closed once by
-      the composer (:class:`~repro.phylo.likelihood.partitioned.PartitionedEngine`),
-      not by each partition engine.
-
-    Everything else (``is_resident``, ``policy``, ``drain`` …) resolves
-    on the shared store through ``__getattr__``.
-    """
-
-    def __init__(self, store: Any, layout: StorageLayout) -> None:
-        self._store = store
-        self.layout = layout
-        self.stats = IoStats()
-
-    def get(self, item: int, pins: tuple = (),
-            write_only: bool = False) -> np.ndarray:
-        return only_view(self.get_many(((item, pins, write_only),)))
-
-    def get_many(self, accesses: Sequence[tuple[int, tuple[int, ...], bool]]
-                 ) -> list[np.ndarray | None]:
-        shared = self._store.stats
-        before = [getattr(shared, key) for key in MIRRORED_COUNTERS]
-        try:
-            views: list[np.ndarray | None] = self._store.get_many(accesses)
-            return views
-        finally:
-            mine = self.stats
-            for key, base in zip(MIRRORED_COUNTERS, before):
-                setattr(mine, key, getattr(mine, key)
-                        + getattr(shared, key) - base)
-
-    @property
-    def shared_stats(self) -> IoStats:
-        """The shared store's global counters."""
-        stats: IoStats = self._store.stats
-        return stats
-
-    def close(self) -> None:
-        """No-op: the shared store outlives any single partition engine."""
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._store, name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SharedStoreView({self._store!r})"
 
 
 # -- shard placement ---------------------------------------------------------

@@ -120,7 +120,6 @@ class IoStats:
     #: one whose drains fully coalesced to zero or have not happened yet —
     #: so it cannot be inferred from ``writeback_writes`` being non-zero.
     writeback_enabled: bool = False
-    _snapshots: dict = field(default_factory=dict, repr=False)
 
     # -- derived rates (paper's metrics) ----------------------------------------
 
@@ -176,25 +175,9 @@ class IoStats:
     # -- lifecycle ------------------------------------------------------------------
 
     def reset(self) -> None:
-        """Zero every counter (snapshots are kept)."""
+        """Zero every counter; ``writeback_enabled`` is kept."""
         for name in _DECLARED:
             setattr(self, name, 0)
-
-    def snapshot(self, name: str) -> None:
-        """Remember current counters under ``name`` for later :meth:`delta`."""
-        self._snapshots[name] = self._counters()
-
-    def delta(self, name: str) -> "IoStats":
-        """Counters accumulated since :meth:`snapshot`(name) as a new stats block."""
-        base = self._snapshots.get(name)
-        if base is None:
-            raise KeyError(f"no snapshot named {name!r}")
-        cur = self._counters()
-        out = IoStats()
-        for key, value in cur.items():
-            setattr(out, key, value - base[key])
-        out.writeback_enabled = self.writeback_enabled
-        return out
 
     @staticmethod
     def merged(blocks: "list[IoStats] | tuple[IoStats, ...]") -> "IoStats":

@@ -50,13 +50,12 @@ def build_store(config: EngineConfig, layout: StorageLayout, *,
                 **store_options: bool | None) -> AncestralVectorStore:
     """Slot budget → backing → store over ``layout``, as ``config`` says.
 
-    The one place a configuration becomes a store: an engine's own, or the
-    arena a :class:`~repro.phylo.likelihood.partitioned.PartitionedEngine`
-    shares over a concatenated layout. ``workdir`` is where a path-owning
-    backing kind puts its scratch file (the caller owns the directory);
-    ``store_options`` are ``track_dirty`` / ``poison_skipped_reads``, and
-    one left ``None`` takes the store's own default. The store owns its
-    backing — a ready-made one included — and closes it.
+    The one place a configuration becomes a store: the engine's own.
+    ``workdir`` is where a path-owning backing kind puts its scratch file
+    (the caller owns the directory); ``store_options`` are ``track_dirty``
+    / ``poison_skipped_reads``, and one left ``None`` takes the store's own
+    default. The store owns its backing — a ready-made one included — and
+    closes it.
     """
     options = {key: value for key, value in store_options.items()
                if value is not None}

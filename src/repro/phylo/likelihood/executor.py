@@ -164,9 +164,8 @@ class Executor:
 
         The policy sees *item* ids, so node-level hop distances are mapped
         through the layout: every block of a node inherits that node's
-        distance. ``store_item_nodes()`` spans the store's full item space
-        (global ids under a shared partitioned store), so the provider is
-        total over whatever ids the policy encounters.
+        distance. ``store_item_nodes()`` spans the store's full item space,
+        so the provider is total over whatever ids the policy encounters.
         """
         policy = getattr(self.store, "policy", None)
         if (policy is not None and getattr(policy, "name", "") == "topological"

@@ -476,31 +476,6 @@ class TestEveryFrontDoorServesAGroup:
         unbatched, batched = self.run_both(wrap)
         assert batched == unbatched
 
-    def test_shared_store_view(self):
-        from repro.phylo.likelihood.partitioned import (
-            PartitionedEngine,
-            split_alignment,
-        )
-
-        tree, aln, model, rates = self.dataset()
-        parts = [(p, model, rates) for p in split_alignment(aln, [40])]
-        out = []
-        for batch in (0, -1):
-            joint = PartitionedEngine(
-                tree.copy(), parts,
-                shared_store={"block_sites": 16, "num_slots": 12,
-                              "batch": batch})
-            try:
-                lnl = joint.loglikelihood()
-                assert joint.engines[0].batch_members == (
-                    1 if batch == 0 else 4)
-                out.append((lnl, [s._counters()
-                                  for s in joint.partition_stats],
-                            joint.shared_store.stats._counters()))
-            finally:
-                joint.close()
-        assert out[1] == out[0]
-
 
 @settings(max_examples=12, deadline=None)
 @given(

@@ -92,11 +92,9 @@ def test_reset_zeroes_every_counter_and_nothing_else():
     block = IoStats(writeback_enabled=True)
     for i, name in enumerate(COUNTERS, start=1):
         setattr(block, name, i)
-    block.snapshot("kept")
     block.reset()
     assert set(block._counters().values()) == {0}
     assert block.writeback_enabled
-    assert block.delta("kept").requests == -1
 
 
 def test_owner_buckets():

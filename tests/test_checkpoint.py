@@ -289,21 +289,21 @@ class TestStoreConfigurations:
         restored, _ = load_checkpoint(tmp_path / "d.ckpt", aln)
         assert restored.loglikelihood() == lnl
 
-    def test_shared_store_partitions_roundtrip(self, ckpt_dataset, tmp_path):
-        """Each engine of a shared-store partitioned analysis checkpoints
-        and restores independently (the store flush goes through the
-        SharedStoreView down to the one real store)."""
+    def test_partitioned_stores_roundtrip(self, ckpt_dataset, tmp_path):
+        """Each engine of a partitioned analysis, over its own store,
+        checkpoints and restores independently, and the restored parts
+        sum to the joint lnL."""
         from repro.phylo.likelihood.partitioned import PartitionedEngine
 
         tree, aln, model, rates = ckpt_dataset
-        rates2 = RateModel.gamma_invariant(0.9, 0.1, 4)  # same category count
+        rates2 = RateModel.gamma_invariant(0.9, 0.1, 4)
         aln2 = simulate_alignment(tree, model, 180,
                                   rates=RateModel.gamma(0.9, 4), seed=640)
         part = PartitionedEngine(
             tree.copy(),
             [(aln, model, rates), (aln2, model, rates2)],
-            shared_store={"fraction": 0.5, "policy": "lru",
-                          "block_sites": 32})
+            store_kwargs={"fraction": 0.5, "policy": "lru",
+                          "layout": "block", "block_sites": 32})
         total = part.loglikelihood()
         restored_sum = 0.0
         for k, (eng, part_aln) in enumerate(zip(part.engines, [aln, aln2])):

@@ -18,7 +18,6 @@ import pytest
 from repro import (
     GTR,
     HKY85,
-    Alignment,
     LikelihoodEngine,
     PartitionedEngine,
     Poisson,
@@ -28,7 +27,7 @@ from repro import (
     write_newick,
     yule_tree,
 )
-from repro.errors import AlignmentError, LikelihoodError
+from repro.errors import LikelihoodError
 from repro.phylo.likelihood.evaluator import Evaluator
 from repro.phylo.search import lazy_spr_round, nni_round
 
@@ -51,11 +50,6 @@ def _plain(tree, aln):
 
 def _one_partition(tree, aln):
     return PartitionedEngine(tree, [(aln, MODEL, RATES)])
-
-
-def _one_partition_shared(tree, aln):
-    return PartitionedEngine(tree, [(aln, MODEL, RATES)],
-                             shared_store={"fraction": 0.5, "block_sites": 64})
 
 
 def _two_partitions(tree, aln):
@@ -146,8 +140,8 @@ def plain_trace(dataset):
     return trace
 
 
-@pytest.mark.parametrize("build", [_plain, _one_partition, _one_partition_shared],
-                         ids=["engine", "one-partition", "one-partition-shared"])
+@pytest.mark.parametrize("build", [_plain, _one_partition],
+                         ids=["engine", "one-partition"])
 def test_one_part_walks_the_plain_engines_bits(dataset, plain_trace, build):
     start, aln = dataset
     ev = build(start.copy(), aln)
@@ -221,22 +215,3 @@ def test_failed_per_partition_construction_releases_the_earlier_engines(
             store_kwargs=[{"fraction": 0.5, "writeback_depth": 2,
                            "backing": backing}, {}])
     assert _live() == before    # the first engine's writer and its file are gone
-
-
-def test_failed_shared_construction_closes_the_shared_store(dataset, tmp_path):
-    from repro.core.backing import FileBackingStore
-    from repro.core.layout import ConcatenatedLayout, make_layout
-
-    start, aln = dataset
-    shape = (aln.compress().num_patterns, 4, 4)
-    layout = ConcatenatedLayout(
-        [make_layout("block", start.num_inner, shape, block_sites=64)] * 2)
-    before = _live()
-    backing = FileBackingStore.from_layout(tmp_path / "vectors.bin", layout)
-    fewer = Alignment(aln.names[1:], aln.codes[1:], aln.alphabet)
-    with pytest.raises(AlignmentError):
-        PartitionedEngine(
-            start.copy(), [(aln, MODEL, RATES), (fewer, MODEL, RATES)],
-            shared_store={"fraction": 0.5, "writeback_depth": 2,
-                          "block_sites": 64, "backing": backing})
-    assert _live() == before    # the shared store's writer and its file are gone

@@ -16,28 +16,21 @@ from hypothesis import strategies as st
 from repro import (
     GTR,
     LikelihoodEngine,
-    PartitionedEngine,
     RateModel,
     RecordingStoreProxy,
     clv_geometry,
     simulate_alignment,
     simulate_policy_on_trace,
-    split_alignment,
     yule_tree,
 )
 from repro.core.layout import (
     DEFAULT_BLOCK_SITES,
-    ConcatenatedLayout,
-    MIRRORED_COUNTERS,
-    PartitionLayoutView,
-    SharedStoreView,
     SiteBlockLayout,
     WholeVectorLayout,
     make_layout,
 )
-from repro.core.stats import DEMAND_COUNTERS
 from repro.core.vecstore import AncestralVectorStore
-from repro.errors import LikelihoodError, OutOfCoreError, ReproError
+from repro.errors import OutOfCoreError, ReproError
 
 
 class TestWholeVectorLayout:
@@ -87,8 +80,7 @@ class TestSiteBlockLayout:
         assert lay.item_shape == (30, 2, 4)
 
     def test_block_larger_than_patterns_pads(self):
-        # not clamped: uniform block shape is what lets a shared store
-        # concatenate partitions of different pattern counts
+        # not clamped: an item is block_sites rows whatever the CLV length
         lay = SiteBlockLayout(4, (50, 2, 4), block_sites=500)
         assert lay.block_sites == 500
         assert lay.blocks_per_node == 1
@@ -131,43 +123,6 @@ class TestMakeLayout:
             make_layout("paged", 5, (40, 2, 4))
         with pytest.raises(OutOfCoreError, match="block_sites"):
             make_layout("whole", 5, (40, 2, 4), block_sites=8)
-
-
-class TestConcatenatedLayout:
-    def test_global_ids_and_views(self):
-        a = SiteBlockLayout(4, (50, 2, 4), block_sites=20)  # 3 blocks/node
-        b = SiteBlockLayout(4, (33, 2, 4), block_sites=20)  # 2 blocks/node
-        cat = ConcatenatedLayout([a, b])
-        assert cat.num_items == 12 + 8
-        assert cat.partition_of(0) == 0
-        assert cat.partition_of(11) == 0
-        assert cat.partition_of(12) == 1
-        v1 = cat.view(1)
-        assert isinstance(v1, PartitionLayoutView)
-        assert v1.item_of(0, 0) == 12
-        assert cat.node_of(v1.item_of(3, 1)) == 3
-        assert cat.item_sites(12 + 3) == (20, 33)  # partition 1, ragged
-        assert len(cat.store_item_nodes()) == 20
-
-    def test_node_level_methods_ambiguous(self):
-        a = SiteBlockLayout(4, (50, 2, 4), block_sites=20)
-        cat = ConcatenatedLayout([a, a])
-        for call in (lambda: cat.item_of(0, 0), lambda: cat.items_of(0),
-                     lambda: cat.block_bounds(0)):
-            with pytest.raises(OutOfCoreError, match="ambiguous"):
-                call()
-
-    def test_unequal_whole_vector_patterns_rejected(self):
-        a = WholeVectorLayout(4, (50, 2, 4))
-        b = WholeVectorLayout(4, (33, 2, 4))
-        with pytest.raises(OutOfCoreError, match="block geometry"):
-            ConcatenatedLayout([a, b])
-
-    def test_unequal_node_counts_rejected(self):
-        a = SiteBlockLayout(4, (50, 2, 4), block_sites=20)
-        b = SiteBlockLayout(5, (50, 2, 4), block_sites=20)
-        with pytest.raises(OutOfCoreError, match="inner-node set"):
-            ConcatenatedLayout([a, b])
 
 
 @pytest.fixture(scope="module")
@@ -374,109 +329,3 @@ class TestBlockTraceReplay:
             assert len(np.unique(d[nodes == n])) == 1
         assert eng.loglikelihood() == base
         eng.close()
-
-
-@pytest.fixture(scope="module")
-def shared_dataset():
-    tree = yule_tree(8, seed=711)
-    model = GTR((1, 2, 1, 1, 2, 1), (0.3, 0.2, 0.25, 0.25))
-    aln = simulate_alignment(tree, model, 500,
-                             rates=RateModel.gamma(0.8, 4), seed=712)
-    parts = split_alignment(aln, [180, 390])  # 180 / 210 / 110 sites
-    rates = RateModel.gamma(0.8, 4)
-    return tree, [(p, model, rates) for p in parts]
-
-
-class TestSharedPartitionedStore:
-    def test_loglikelihood_matches_per_partition(self, shared_dataset):
-        tree, parts = shared_dataset
-        per = PartitionedEngine(tree.copy(), parts)
-        lnl = per.loglikelihood()
-        shared = PartitionedEngine(
-            tree.copy(), parts,
-            shared_store={"block_sites": 32, "num_slots": 8, "policy": "lru"})
-        assert shared.loglikelihood() == lnl
-        assert shared.shared_store is not None
-        per.close(), shared.close()
-
-    def test_single_global_budget(self, shared_dataset):
-        tree, parts = shared_dataset
-        shared = PartitionedEngine(
-            tree.copy(), parts,
-            shared_store={"block_sites": 32, "num_slots": 9})
-        store = shared.shared_store
-        assert store.num_slots == 9
-        assert store.layout is shared.shared_layout
-        total_blocks = sum(p.num_items for p in shared.shared_layout.parts)
-        assert store.num_items == total_blocks
-        shared.loglikelihood()
-        # one arena: resident blocks across ALL partitions <= the budget
-        assert len(store.resident_items()) <= 9
-        shared.close()
-
-    def test_stats_aggregation(self, shared_dataset):
-        tree, parts = shared_dataset
-        shared = PartitionedEngine(
-            tree.copy(), parts,
-            shared_store={"block_sites": 32, "num_slots": 8})
-        shared.loglikelihood()
-        merged = shared.stats()
-        mirrors = shared.partition_stats
-        assert len(mirrors) == len(parts)
-        # the global demand traffic is exactly the sum of the per-partition
-        # mirrors (demand counters move only on the compute thread)
-        for key in sorted(DEMAND_COUNTERS):
-            assert getattr(merged, key) == sum(
-                getattr(m, key) for m in mirrors), key
-        assert merged.requests > 0
-        shared.close()
-
-    def test_per_partition_stats_merge(self, shared_dataset):
-        tree, parts = shared_dataset
-        per = PartitionedEngine(tree.copy(), parts,
-                                store_kwargs={"fraction": 0.5})
-        per.loglikelihood()
-        merged = per.stats()
-        assert merged.requests == sum(s.requests for s in per.partition_stats)
-        assert merged.hits == sum(s.hits for s in per.partition_stats)
-        per.close()
-
-    def test_repr_mentions_arrangement(self, shared_dataset):
-        tree, parts = shared_dataset
-        shared = PartitionedEngine(tree.copy(), parts,
-                                   shared_store={"num_slots": 8})
-        assert "shared store" in repr(shared)
-        per = PartitionedEngine(tree.copy(), parts)
-        assert "per-partition" in repr(per)
-        shared.close(), per.close()
-
-    def test_both_configs_rejected(self, shared_dataset):
-        tree, parts = shared_dataset
-        with pytest.raises(LikelihoodError, match="not both"):
-            PartitionedEngine(tree.copy(), parts,
-                              store_kwargs={"fraction": 0.5},
-                              shared_store={"num_slots": 8})
-
-    def test_whole_layout_unequal_patterns_rejected(self, shared_dataset):
-        tree, parts = shared_dataset
-        with pytest.raises(OutOfCoreError, match="block geometry"):
-            PartitionedEngine(tree.copy(), parts,
-                              shared_store={"layout": "whole"})
-
-
-class TestSharedStoreView:
-    def test_demand_mirror_is_exact(self):
-        layout = SiteBlockLayout(4, (60, 2, 4), block_sites=20)
-        cat = ConcatenatedLayout([layout])
-        store = AncestralVectorStore(layout=cat, num_slots=4)
-        view = SharedStoreView(store, cat.view(0))
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            view.get(int(rng.integers(0, cat.num_items)),
-                     write_only=bool(rng.integers(0, 2)))
-        for key in MIRRORED_COUNTERS:
-            assert getattr(view.stats, key) == getattr(store.stats, key), key
-        assert view.shared_stats is store.stats
-        view.close()  # no-op: must NOT close the shared store
-        store.get(0)  # still usable
-        store.close()

@@ -11,6 +11,7 @@ from repro import (
     LikelihoodEngine,
     PartitionedEngine,
     RateModel,
+    clv_geometry,
     split_alignment,
     simulate_alignment,
     yule_tree,
@@ -115,10 +116,10 @@ class TestPartitionedLikelihood:
                               [(aln, JC69(), RateModel.gamma(1.0, 4))],
                               store_kwargs=[{}, {}])
 
-    @pytest.mark.parametrize("mode", ["store_kwargs", "shared_store"])
+    @pytest.mark.parametrize("mode", ["store_kwargs"])
     def test_both_modes_take_the_constructor_overrides(self, part_dataset,
                                                        mode):
-        """Either dict is splatted into the engine constructor, so a typo
+        """The dict is splatted into every engine constructor, so a typo
         is EngineConfig's one error and every part has a configuration."""
         tree, aln = part_dataset
         parts = [(p, JC69(), RateModel.gamma(1.0, 4))
@@ -139,6 +140,67 @@ class TestPartitionedLikelihood:
                 assert part.store.track_dirty
         finally:
             eng.close()
+
+    def test_per_partition_stats_merge(self, part_dataset):
+        tree, aln = part_dataset
+        parts = [(p, JC69(), RateModel.gamma(1.0, 4))
+                 for p in split_alignment(aln, [200, 450])]
+        per = PartitionedEngine(tree.copy(), parts,
+                                store_kwargs={"fraction": 0.5})
+        try:
+            per.loglikelihood()
+            merged = per.stats()
+            assert merged.requests == sum(
+                s.requests for s in per.partition_stats)
+            assert merged.hits == sum(s.hits for s in per.partition_stats)
+        finally:
+            per.close()
+
+    def test_one_owned_object_never_reaches_two_partitions(self):
+        """A backing, store or policy object is one engine's: shared by two
+        partitions, their vectors would overwrite each other's."""
+        from repro.core.backing import MemoryBackingStore
+        from repro.core.policies import make_policy
+        from repro.core.vecstore import AncestralVectorStore
+
+        tree = yule_tree(12, seed=3, scale=0.1)
+        aln = simulate_alignment(tree, GTR(), 200, seed=4)
+        rates = RateModel.gamma(1.0, 4)
+        parts = [(aln, GTR(), rates),
+                 (aln, GTR((1, 3, 1, 1, 3, 1), (0.25,) * 4), rates)]
+        num_inner, shape = clv_geometry(tree, aln, GTR(), rates)
+
+        def backing():
+            return MemoryBackingStore(num_inner, shape)
+
+        def build(store_kwargs):
+            eng = PartitionedEngine(tree.copy(), parts, store_kwargs)
+            try:
+                eng.full_traversals(1)
+                return eng.edge_loglikelihood(*max(eng.tree.edges()))
+            finally:
+                eng.close()
+
+        one = backing()
+        with pytest.raises(LikelihoodError, match="same backing object"):
+            build({"fraction": 0.3, "backing": one})
+        with pytest.raises(LikelihoodError, match="same backing object"):
+            build([{"backing": one}, {"fraction": 0.5, "backing": one}])
+        with pytest.raises(LikelihoodError, match="same backing object"):
+            build({"config": EngineConfig(fraction=0.3, backing=one)})
+        one.close()
+        policy = make_policy("lru")
+        with pytest.raises(LikelihoodError, match="same policy object"):
+            build({"fraction": 0.3, "policy": policy})
+        store = AncestralVectorStore(num_inner, shape, num_slots=4)
+        try:
+            with pytest.raises(LikelihoodError, match="same store object"):
+                build([{"store": store}, {"store": store}])
+        finally:
+            store.close()
+        # One backing each: the partitions page apart, bit-identical to in-core.
+        assert build([{"fraction": 0.3, "backing": backing()}
+                      for _ in parts]) == build(None)
 
 
 class TestSharedTreeMutations:

@@ -49,15 +49,6 @@ class TestIoStats:
         s.writeback_enabled = True
         assert s.physical_writes == 3
 
-    def test_delta_preserves_writeback_flag(self):
-        s = IoStats(writes=4)
-        s.writeback_enabled = True
-        s.snapshot("phase")
-        s.writes = 9
-        d = s.delta("phase")
-        assert d.writeback_enabled
-        assert d.physical_writes == 0
-
     def test_reset_preserves_writeback_flag(self):
         s = IoStats(writes=4)
         s.writeback_enabled = True
@@ -68,20 +59,6 @@ class TestIoStats:
         s = IoStats(requests=5, misses=2, reads=1)
         s.reset()
         assert s.requests == s.misses == s.reads == 0
-
-    def test_snapshot_delta(self):
-        s = IoStats()
-        s.requests, s.misses = 10, 4
-        s.snapshot("phase")
-        s.requests, s.misses = 25, 7
-        d = s.delta("phase")
-        assert d.requests == 15
-        assert d.misses == 3
-        assert d.miss_rate == pytest.approx(0.2)
-
-    def test_unknown_snapshot_raises(self):
-        with pytest.raises(KeyError, match="no snapshot"):
-            IoStats().delta("nope")
 
     def test_as_row_contains_rates(self):
         row = IoStats(requests=4, misses=1, reads=1).as_row()
