@@ -113,6 +113,11 @@ class ShadowStore:
             self.policy.on_load(item)
         self.policy.on_access(item, write_only)
 
+    def mark_clean(self, item: int) -> None:
+        """Observe ``AncestralVectorStore.mark_clean``: a resident item is
+        no longer dirty, so its eviction is charged to ``write_skips``."""
+        self._dirty.discard(item)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ShadowStore({self.label}, {self.stats})"
 
@@ -121,8 +126,8 @@ class TeeStore:
     """A real store plus shadows observing the identical access stream.
 
     Satisfies the engine's store protocol by forwarding ``get_many`` (and
-    ``get``, one access of it) to the primary store and replaying each
-    access against every shadow.
+    ``get``, one access of it) and ``mark_clean`` to the primary store and
+    replaying each against every shadow.
     """
 
     def __init__(self, primary: Any, shadows: list[ShadowStore]) -> None:
@@ -146,6 +151,11 @@ class TeeStore:
                 shadow.access(item, pins=pins, write_only=write_only)
         views: list[np.ndarray | None] = self.primary.get_many(accesses)
         return views
+
+    def mark_clean(self, item: int) -> None:
+        self.primary.mark_clean(item)
+        for shadow in self.shadows:
+            shadow.mark_clean(item)
 
     def results(self) -> dict[str, IoStats]:
         """Shadow label → accumulated stats."""

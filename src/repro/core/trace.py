@@ -22,11 +22,13 @@ from repro.core.stats import IoStats
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One ``get()`` call: requested item, pinned items, write-only flag."""
+    """One ``get()`` call: requested item, pinned items, write-only flag —
+    or, with ``clean``, one ``mark_clean(item)`` declaration (no access)."""
 
     item: int
     pins: tuple[int, ...] = ()
     write_only: bool = False
+    clean: bool = False
 
 
 @dataclass
@@ -47,14 +49,22 @@ class AccessTrace:
     def record(self, item: int, pins: tuple = (), write_only: bool = False) -> None:
         self.events.append(TraceEvent(int(item), tuple(int(p) for p in pins), bool(write_only)))
 
+    def record_clean(self, item: int) -> None:
+        self.events.append(TraceEvent(int(item), clean=True))
+
     def __len__(self) -> int:
         return len(self.events)
 
+    def accesses(self) -> list[TraceEvent]:
+        """The events that are ``get()`` calls (clean declarations skipped)."""
+        return [e for e in self.events if not e.clean]
+
     def items(self) -> list[int]:
-        return [e.item for e in self.events]
+        """The requested items in order — what Belady's future is."""
+        return [e.item for e in self.accesses()]
 
     def unique_items(self) -> set[int]:
-        return {e.item for e in self.events}
+        return set(self.items())
 
 
 class RecordingStoreProxy:
@@ -62,7 +72,8 @@ class RecordingStoreProxy:
 
     Drop-in for the engine's ``store`` attribute: forwards ``get_many``
     (and ``get``, one access of it, and everything else) to the wrapped
-    store while appending each access to ``trace``.
+    store while appending each access — and each ``mark_clean`` — to
+    ``trace``.
     """
 
     def __init__(self, store: Any, trace: AccessTrace | None = None) -> None:
@@ -81,6 +92,10 @@ class RecordingStoreProxy:
         views: list[np.ndarray | None] = self._store.get_many(accesses)
         return views
 
+    def mark_clean(self, item: int) -> None:
+        self.trace.record_clean(item)
+        self._store.mark_clean(item)
+
     def __getattr__(self, name: str) -> Any:
         return getattr(self._store, name)
 
@@ -98,7 +113,8 @@ def simulate_policy_on_trace(
     among unpinned residents) — so its miss/read rates match a real run
     with the same policy; it is simply ~100× faster, which lets benchmarks
     sweep many (policy, m) points on one recorded workload. Belady's policy
-    is fed the future item sequence automatically.
+    is fed the future item sequence automatically; a clean event is no
+    part of it, and replays as the shadow's ``mark_clean``.
 
     ``options`` are the shadow's keywords — ``read_skipping``,
     ``track_dirty``, ``policy_kwargs`` — with the store's defaults, so a
@@ -110,7 +126,10 @@ def simulate_policy_on_trace(
     if isinstance(shadow.policy, BeladyPolicy):
         shadow.policy.load_future(trace.items())
     for ev in trace.events:
-        shadow.access(ev.item, ev.pins, ev.write_only)
+        if ev.clean:
+            shadow.mark_clean(ev.item)
+        else:
+            shadow.access(ev.item, ev.pins, ev.write_only)
     return shadow.stats
 
 
@@ -150,11 +169,11 @@ def reuse_distance_profile(trace: AccessTrace) -> list[int]:
     the distance is then the mark count strictly between the previous
     access and now (Bennett & Kruskal's classic algorithm).
     """
-    n = len(trace.events)
-    marks = _FenwickTree(n)
+    events = trace.accesses()
+    marks = _FenwickTree(len(events))
     last: dict[int, int] = {}  # item -> time of its most recent access
     out: list[int] = []
-    for t, ev in enumerate(trace.events):
+    for t, ev in enumerate(events):
         prev = last.get(ev.item)
         if prev is None:
             out.append(-1)

@@ -509,6 +509,9 @@ class AncestralVectorStore:
                  wb.pending() if wb is not None else 0)
 
     def is_resident(self, item: int) -> bool:
+        """Whether ``item`` has a slot — True also while a load of it is in
+        flight (published, not yet landed), so a caller deciding whether
+        reading it would cost a transfer sees a pending prefetch as paid."""
         self._check_item(item)
         rc = self._race
         with self._cond:
@@ -1014,6 +1017,46 @@ class AncestralVectorStore:
                 if (view is not None and view._borrow_slot == slot
                         and view._borrow_expected == gen):
                     view.flags.writeable = True
+
+    def mark_clean(self, item: int) -> None:
+        """Declare that a resident vector equals its backing copy again.
+
+        The mirror of :meth:`mark_dirty`: the slot is not written back at
+        eviction, and under the sanitizer its live views are read-only
+        again. For a vector whose recomputation reproduced the stored bits
+        — a refreshed cherry. An item not resident (or still loading) is
+        left as it is: its newest bytes are on the backing store or on
+        their way. Under the sanitizer the live rows are first compared
+        with the backing copy (the staging buffer's, when newer), and a
+        difference — a write the clean slot would lose — raises
+        :class:`~repro.errors.OutOfCoreError`.
+        """
+        self._check_item(item)
+        rc = self._race
+        with self._cond:
+            if rc is not None:
+                rc.read(self._race_scope, "_item_slot", "_inflight", "_borrows",
+                        "_slot_generation")
+                rc.write(self._race_scope, "_dirty")
+            slot = self._item_slot.get(item, -1)
+            if slot < 0 or item in self._inflight:
+                return
+            if self._sanitize:
+                lo, hi = self.layout.item_sites(item)
+                stored = np.empty(self.item_shape, dtype=self.dtype)
+                self._read_into(item, stored)
+                if (stored[:hi - lo].tobytes()
+                        != self._slots[slot][:hi - lo].tobytes()):
+                    raise OutOfCoreError(
+                        f"mark_clean({item}): the live rows differ from the "
+                        f"backing copy, so the slot is not clean")
+                gen = self._slot_generation[slot]
+                for ref in self._borrows:
+                    view = ref()
+                    if (view is not None and view._borrow_slot == slot
+                            and view._borrow_expected == gen):
+                        view.flags.writeable = False
+            self._dirty[slot] = False
 
     def fill(self, item: int, data: np.ndarray) -> None:
         """Land the result of a write-only access that ``get_many`` spilled.

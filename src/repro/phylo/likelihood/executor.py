@@ -244,14 +244,37 @@ class Executor:
     # -- traversal execution ---------------------------------------------------------
 
     def plan(self, u: int, v: int, full: bool = False) -> TraversalPlan:
-        """Plan the CLV recomputations needed to evaluate edge ``(u, v)``."""
+        """Plan the CLV recomputations needed to evaluate edge ``(u, v)``.
+
+        Out of core, a valid cherry none of whose items is resident is
+        recomputed rather than read (the plan's ``refresh``); ``full``
+        plans recompute every vector anyway and never ask.
+        """
+        absent = None if full else self._absent()
         ob = self.obs
         if ob is None:
-            return plan_edge_traversal(self.tree, self.orientation, u, v, full)
+            return plan_edge_traversal(self.tree, self.orientation, u, v, full,
+                                       absent)
         t0 = time.perf_counter()
-        out = plan_edge_traversal(self.tree, self.orientation, u, v, full)
+        out = plan_edge_traversal(self.tree, self.orientation, u, v, full,
+                                  absent)
         ob.timed("plan", t0, time.perf_counter() - t0, steps=len(out.steps))
         return out
+
+    def _absent(self):
+        """The planner's ``absent(node)``: no item of the node is resident
+        (a load in flight counts as resident) — or ``None`` for a store
+        that holds every item, where nothing is ever read back."""
+        store = self.store
+        if store.num_slots >= store.num_items:
+            return None
+        is_resident, items_of = store.is_resident, self.layout.items_of
+        n = self.tree.num_tips
+
+        def absent(node: int) -> bool:
+            return not any(map(is_resident, items_of(node - n)))
+
+        return absent
 
     def _timed_get(self, item: int, pins: tuple = (),
                    write_only: bool = False) -> np.ndarray:
@@ -363,7 +386,8 @@ class Executor:
         a call, while groups of one pushed through the fused path
         measured 10–28 % slower than in place (DESIGN.md, "Batched kernel
         schedule"). Orientation is committed after each node's last block
-        so a failure leaves a consistent state.
+        so a failure leaves a consistent state; a refreshed cherry's items
+        are then declared clean (``store.mark_clean``).
         """
         # Empty plans stay out of the schedule cache: they must not evict.
         schedule = self._schedule(plan) if plan.steps else None
@@ -376,6 +400,7 @@ class Executor:
             return
         ob = self.obs
         exec_t0 = time.perf_counter() if ob is not None else 0.0
+        n = self.tree.num_tips
         for gi, group in enumerate(schedule.groups):
             if len(group.members) == 1:
                 self._update_in_place(group.members[0])
@@ -386,6 +411,11 @@ class Executor:
             for m in group.members:
                 if m.last_block:
                     self.orientation.set(m.node, m.toward)
+                    if m.node in plan.refresh:
+                        # The recomputation reproduced the backing copy
+                        # bit for bit: nothing to write back.
+                        for item in self.layout.items_of(m.node - n):
+                            self.store.mark_clean(item)
         if ob is not None:
             # The enclosing interval: kernel/store_wait spans nest inside
             # it on the compute-thread track of the exported timeline.

@@ -10,7 +10,8 @@ lowering"): a CLV is viewed as contiguous ``(rows, C·S)``, and the tiny
 per-branch operator — the block-diagonal ``(C·S, C·S)`` form of ``P``, see
 :class:`BranchOperator` — multiplies it in one BLAS call (:func:`gemm`)
 written straight into preallocated memory. A tip side is one table
-gather, the Felsenstein product is one in-place ``multiply``, and the
+gather (two tip sides one gather from their pair table), the
+Felsenstein product is one in-place ``multiply``, and the
 rescale is decided from a compare mask rather than a second float
 reduction: three streams per update, no temporaries. A leading member
 axis on every operand runs a stack of independent updates through the
@@ -357,16 +358,30 @@ def child_product(
     ``out``, and the product is taken in place. ``left``/``right`` are
     ``(C, S, S)`` stacks or cached :class:`BranchOperator`; each side is
     an inner CLV or tip codes. ``out`` must not alias an operand.
+
+    Two tips (no member axis) are one gather from the pair table
+    ``tips_L[l] ∘ tips_R[r]`` at row ``l·K_R + r``: each row is the very
+    product the two gathers and the ``multiply`` would compute.
     """
     _one_of(left_clv, left_codes, "left child")
     _one_of(right_clv, right_codes, "right child")
     if scratch is None:
         scratch = Scratch()
     rows = _rows(out, writable=True)
-    lc = _contribution(lower(left, code_matrix), left_clv, left_codes,
-                       scratch, 0)
-    rc = _contribution(lower(right, code_matrix), right_clv, right_codes,
-                       scratch, 1, rows)
+    left = lower(left, code_matrix)
+    right = lower(right, code_matrix)
+    if left_codes is not None and right_codes is not None \
+            and left_codes.ndim == 1:
+        tips_l, tips_r = left.tips, right.tips
+        (k_l, width), k_r = tips_l.shape, len(tips_r)
+        pairs = scratch.get("pairs", (k_l, k_r, width), tips_l.dtype)
+        np.multiply(tips_l[:, None, :], tips_r[None, :, :], out=pairs)
+        codes = scratch.get("pair_codes", left_codes.shape, np.intp)
+        np.multiply(left_codes, k_r, out=codes)
+        np.add(codes, right_codes, out=codes)
+        return _gather(pairs.reshape(-1, width), codes, rows)
+    lc = _contribution(left, left_clv, left_codes, scratch, 0)
+    rc = _contribution(right, right_clv, right_codes, scratch, 1, rows)
     np.multiply(lc, rc, out=rows)
     return rows
 

@@ -25,6 +25,7 @@ never need to be read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import LikelihoodError
 from repro.phylo.tree import Tree
@@ -51,12 +52,15 @@ class TraversalPlan:
 
     ``steps`` are in valid post-order (children before parents). The
     *write-only* property holds for every step by construction: a planned
-    node's previous contents are never read.
+    node's previous contents are never read. ``refresh`` lists the steps'
+    nodes that were still valid — cherries recomputed from their tips
+    instead of read back (see :func:`plan_edge_traversal`).
     """
 
     root_u: int
     root_v: int
     steps: tuple[TraversalStep, ...]
+    refresh: frozenset[int] = frozenset()
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -196,24 +200,36 @@ class OrientationState:
 
 
 def plan_edge_traversal(tree: Tree, state: OrientationState, u: int, v: int,
-                        full: bool = False) -> TraversalPlan:
+                        full: bool = False,
+                        absent: Callable[[int], bool] | None = None
+                        ) -> TraversalPlan:
     """Plan the minimal recomputation to evaluate the likelihood at ``(u, v)``.
 
     Walks each side of the edge away from the other endpoint; descends only
     into inner nodes whose stored CLV is not already valid toward the root
     edge. With ``full=True`` every inner node is scheduled regardless of
     validity — the paper's ``-f z`` full-traversal mode (§4.3).
+
+    ``absent(node)`` — whether reading ``node``'s vector would cost a
+    transfer — adds one exception: a valid *cherry* (both children tips)
+    the walk reaches and ``absent`` names is scheduled anyway, and listed
+    in the plan's ``refresh``. Its vector is a function of two tip
+    columns in RAM and two transition matrices that its validity says
+    are unchanged, so recomputing it reproduces the stored bits with no
+    read at all. ``absent=None`` plans exactly the minimal set.
     """
     if not tree.has_edge(u, v):
         raise LikelihoodError(f"({u},{v}) is not an edge of the tree")
     steps: list[TraversalStep] = []
+    refresh: set[int] = set()
     for start, parent in ((u, v), (v, u)):
-        _plan_side(tree, state, start, parent, full, steps)
-    return TraversalPlan(u, v, tuple(steps))
+        _plan_side(tree, state, start, parent, full, absent, steps, refresh)
+    return TraversalPlan(u, v, tuple(steps), frozenset(refresh))
 
 
 def _plan_side(tree: Tree, state: OrientationState, node: int, parent: int,
-               full: bool, steps: list[TraversalStep]) -> None:
+               full: bool, absent: Callable[[int], bool] | None,
+               steps: list[TraversalStep], refresh: set[int]) -> None:
     if tree.is_tip(node):
         return
     # Iterative post-order, pruning at already-valid nodes (unless full).
@@ -223,6 +239,14 @@ def _plan_side(tree: Tree, state: OrientationState, node: int, parent: int,
         if tree.is_tip(x):
             continue
         if not full and state.is_valid_toward(x, par):
+            if absent is not None:
+                # A cherry is its own post-order: scheduled here, once,
+                # whatever ``absent`` would answer a second time.
+                kids = [y for y in tree.neighbors(x) if y != par]
+                if (len(kids) == 2 and tree.is_tip(kids[0])
+                        and tree.is_tip(kids[1]) and absent(x)):
+                    refresh.add(x)
+                    steps.append(TraversalStep(x, kids[0], kids[1], par))
             continue
         kids = [y for y in tree.neighbors(x) if y != par]
         if len(kids) != 2:

@@ -9,9 +9,18 @@ engine against a fresh engine that recomputes from scratch — values must be
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import GTR, LikelihoodEngine, RateModel, simulate_alignment, yule_tree
+from repro.core.layout import make_layout
+from repro.core.shadow import ShadowStore, TeeStore
+from repro.core.trace import RecordingStoreProxy, simulate_policy_on_trace
+from repro.core.vecstore import AncestralVectorStore
 from repro.errors import TreeError
+from repro.phylo.likelihood.traversal import OrientationState, plan_edge_traversal
+from repro.phylo.search import lazy_spr_round
+from tests.test_orientation import BfsOrientation, check_invariants
 
 MODEL = GTR((1, 2, 1, 1, 2, 1), (0.3, 0.2, 0.3, 0.2))
 RATES = RateModel.gamma(0.9, 4)
@@ -202,3 +211,194 @@ class TestTargetedInvalidation:
         u, v = eng.default_edge()
         plan = eng.plan(u, v, full=True)
         assert sorted(plan.touched_nodes()) == list(tree.inner_nodes())
+
+
+# -- refreshed cherries ------------------------------------------------------------
+
+
+def _cherry_kids(tree, x, parent):
+    kids = [y for y in tree.neighbors(x) if y != parent]
+    return kids if all(tree.is_tip(k) for k in kids) else None
+
+
+def _reached_cherries(tree, state, plan, u, v, absent):
+    """The valid cherries the walk of ``plan`` (an ``absent=None`` plan)
+    stops at, that ``absent`` names: derived from the plan, not the walk."""
+    reached = [(u, v), (v, u)] + [(k, s.node) for s in plan.steps
+                                  for k in (s.left, s.right)]
+    return {x for x, par in reached
+            if not tree.is_tip(x) and state.orient[x] == par
+            and _cherry_kids(tree, x, par) is not None and x in absent}
+
+
+def test_refresh_plan_is_the_minimal_plan_plus_the_absent_cherries():
+    """With an ``absent`` predicate the plan is the minimal one plus exactly
+    the valid, absent cherries its walk reached — each before its
+    parent's step — and executing it leaves the orientation the
+    whole-tree reference computes."""
+    refreshed: list[int] = []
+    _refresh_plans(refreshed)
+    assert sum(refreshed) >= 100
+
+
+@settings(max_examples=60, deadline=None)
+@given(taxa=st.integers(4, 40), seed=st.integers(0, 10**6),
+       rnd=st.randoms(use_true_random=False))
+def _refresh_plans(refreshed, taxa, seed, rnd):
+    tree = yule_tree(taxa, seed=seed)
+    state, ref = OrientationState(tree), BfsOrientation(tree)
+
+    def mutated(name, *args):
+        getattr(state, name)(*args)
+        getattr(ref, name)(*args)
+
+    for _ in range(40):
+        op = rnd.randrange(4)
+        if op == 0:
+            u, v = rnd.choice(list(tree.edges()))
+            absent = {x for x in tree.inner_nodes() if rnd.random() < 0.5}
+            minimal = plan_edge_traversal(tree, state, u, v)
+            plan = plan_edge_traversal(tree, state, u, v,
+                                       absent=absent.__contains__)
+            assert minimal.refresh == frozenset()
+            assert plan.refresh == _reached_cherries(tree, state, minimal,
+                                                     u, v, absent)
+            assert [s for s in plan.steps if s.node not in plan.refresh] \
+                == list(minimal.steps)
+            order = {s.node: i for i, s in enumerate(plan.steps)}
+            assert len(order) == len(plan.steps)
+            for s in plan.steps:
+                if s.node in plan.refresh:
+                    assert s.toward == state.orient[s.node]
+                    assert sorted((s.left, s.right)) == sorted(
+                        _cherry_kids(tree, s.node, s.toward))
+                    parent = plan.steps[order.get(s.toward, order[s.node])]
+                    if s.node in (parent.left, parent.right):
+                        assert order[parent.node] > order[s.node]
+            for s in plan.steps:
+                state.set(s.node, s.toward)
+                ref.set(s.node, s.toward)
+            refreshed.append(len(plan.refresh))
+        elif op == 1:
+            mutated("after_branch_change", *rnd.choice(list(tree.edges())))
+        elif op == 2:
+            p = rnd.choice(tree.inner_nodes())
+            s = rnd.choice(tree.neighbors(p))
+            candidates = tree.spr_candidates(p, s, radius=rnd.randint(1, 6))
+            if candidates:
+                move = tree.spr_move(p, s, rnd.choice(candidates))
+                mutated("after_spr", p, move.old_a, move.old_b,
+                        move.target_u, move.target_v)
+        elif tree.num_tips > 3:
+            move = tree.nni(rnd.choice(tree.internal_edges()), rnd.randrange(2))
+            mutated("after_nni", move.u, move.v, move.swapped_u, move.swapped_v)
+        assert np.array_equal(state.orient, ref.orient)
+        check_invariants(tree, state.orient)
+
+
+#: (layout, batch, writeback_depth) of the lazy-SPR refresh round.
+REFRESH_MATRIX = [(layout, batch, depth) for layout in ("whole", "block")
+                  for batch in (1, -1) for depth in (0, 4)]
+
+
+def _recording_lnl(engine, lnls):
+    evaluate = engine.edge_loglikelihood
+
+    def recorded(u, v):
+        lnl = evaluate(u, v)
+        lnls.append(float(lnl).hex())
+        return lnl
+
+    engine.edge_loglikelihood = recorded
+
+
+@pytest.fixture(scope="module")
+def incore_round(dataset):
+    tree, aln = dataset
+    lnls: list[str] = []
+    eng = LikelihoodEngine(tree.copy(), aln, MODEL, RATES)
+    try:
+        _recording_lnl(eng, lnls)
+        lazy_spr_round(eng, radius=2)
+    finally:
+        eng.close()
+    return lnls
+
+
+@pytest.fixture(scope="module", params=REFRESH_MATRIX,
+                ids=lambda p: "{}-batch{}-wb{}".format(*p))
+def refresh_round(request, dataset):
+    """A lazy-SPR round at f = 0.25 through a RecordingStoreProxy over a
+    TeeStore (out-of-core primary, one same-geometry LRU shadow). Before
+    every plan it notes the items of each valid cherry with no resident
+    item — the ones the plan may refresh instead of read."""
+    layout, batch, depth = request.param
+    tree, aln = dataset
+    tree = tree.copy()
+    num_inner = tree.num_inner
+    shape = (aln.compress().num_patterns, RATES.num_categories, MODEL.num_states)
+    lay = make_layout(layout, num_inner, shape,
+                      block_sites=48 if layout == "block" else None)
+    primary = AncestralVectorStore(layout=lay, fraction=0.25,
+                                   writeback_depth=depth)
+    shadow = ShadowStore(lay.num_items, primary.num_slots, "lru")
+    proxy = RecordingStoreProxy(TeeStore(primary, [shadow]))
+    eng = LikelihoodEngine(tree, aln, MODEL, RATES, store=proxy, batch=batch)
+    marks: list[tuple[int, set[int]]] = []
+    lnls: list[str] = []
+    plan = eng.plan
+    n = tree.num_tips
+
+    def noting_plan(u, v, full=False):
+        orient = eng.orientation.orient
+        absent = set()
+        for x in tree.inner_nodes():
+            items = lay.items_of(x - n)
+            if (orient[x] >= 0 and _cherry_kids(tree, x, orient[x]) is not None
+                    and not any(map(primary.is_resident, items))):
+                absent.update(items)
+        marks.append((len(proxy.trace.events), absent))
+        return plan(u, v, full)
+
+    eng.plan = noting_plan
+    _recording_lnl(eng, lnls)
+    try:
+        lazy_spr_round(eng, radius=2)
+        live = primary.stats.as_row()
+    finally:
+        eng.close()
+    return (proxy.trace, marks, lnls, live, shadow.stats.as_row(),
+            primary.num_slots)
+
+
+def test_refresh_round_never_reads_an_absent_cherry(refresh_round, incore_round):
+    """No read access targets a cherry absent at plan time before the plan
+    has rewritten it, and every lnL is the in-core twin's."""
+    trace, marks, lnls, _, _, _ = refresh_round
+    assert lnls == incore_round
+    events = trace.events
+    bounds = [at for at, _ in marks[1:]] + [len(events)]
+    refreshed = 0
+    for (start, absent), end in zip(marks, bounds):
+        unwritten = set(absent)
+        for ev in events[start:end]:
+            if ev.clean:
+                refreshed += 1
+                assert ev.item in absent
+            elif ev.write_only:
+                unwritten.discard(ev.item)
+            else:
+                assert ev.item not in unwritten, (start, ev)
+    assert refreshed > 0
+
+
+def test_refresh_round_counters_agree_with_shadow_and_replay(refresh_round):
+    """mark_clean reaches the shadow through the TeeStore and the replay
+    through the trace: both count what the live store counted."""
+    trace, _, _, live, shadowed, slots = refresh_round
+    replayed = simulate_policy_on_trace(trace, slots, "lru").as_row()
+    for counter in ("requests", "hits", "misses", "reads", "read_skips",
+                    "writes", "write_skips"):
+        assert shadowed[counter] == live[counter], counter
+        assert replayed[counter] == live[counter], counter
+    assert any(ev.clean for ev in trace.events)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import LikelihoodError
-from repro.phylo.alphabet import DNA
+from repro.phylo.alphabet import AMINO_ACID, DNA
 from repro.phylo.likelihood import kernels
 from repro.phylo.models import GTR, JC69
 
@@ -358,3 +360,57 @@ class TestRowIndependence:
         for m in range(2):
             assert np.array_equal(member_rows[m], counts)
             assert np.array_equal(_bits(stack[m]), _bits(want))
+
+
+#: Each alphabet's unambiguous states plus ambiguity codes and the gap.
+_TIP_SYMBOLS = {DNA.name: "ACGTRYKMSWBDHVN-",
+                AMINO_ACID.name: "ACDEFGHIKLMNPQRSTVWYBZX-"}
+
+
+class TestTipPairGather:
+    """A cherry's update is one gather from the pair table of its two
+    branches' tip tables; it must carry the bits of the fused group path
+    — two ``propagate_tip`` gathers, then the product and the rescale —
+    and the same scale counts, at every row count."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(alphabet=st.sampled_from([DNA, AMINO_ACID]),
+           dtype=st.sampled_from([np.float64, np.float32]),
+           categories=st.integers(1, 4),
+           rows=st.sampled_from([1, 2, 257, None]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pair_gather_equals_two_gathers_and_product(
+            self, alphabet, dtype, categories, rows, seed):
+        rng = np.random.default_rng(seed)
+        S = alphabet.num_states
+        # The engine's dense codes: indices into the codes present.
+        present = np.unique([alphabet.encode_char(c)
+                             for c in _TIP_SYMBOLS[alphabet.name]])
+        bits = np.arange(S, dtype=present.dtype)
+        cm = ((present[:, None] >> bits) & 1).astype(dtype)
+        patterns = 600
+        codes = rng.integers(0, len(present), (2, patterns))
+        P = rng.random((2, categories, S, S))
+        P /= P.sum(axis=-1, keepdims=True)
+        # Some pairs underflow, so the rescale fires on some sites.
+        P[1, :, :, :] *= 10.0 ** rng.integers(-80, 1)
+        P = P.astype(dtype)
+        left, right = (kernels.BranchOperator(P[i], cm) for i in (0, 1))
+        scheme = kernels.ScalingScheme(dtype)
+        lo = 0 if rows is None else int(rng.integers(0, patterns - rows + 1))
+        hi = patterns if rows is None else lo + rows
+        l_codes, r_codes = codes[0, lo:hi], codes[1, lo:hi]
+
+        got = np.empty((hi - lo, categories, S), dtype=dtype)
+        got_counts = np.zeros(hi - lo, dtype=np.int32)
+        kernels.update_clv(got, left, right, None, None, l_codes, r_codes,
+                           cm, got_counts, scheme, kernels.Scratch())
+
+        stack = np.empty((2, 1, hi - lo, categories, S), dtype=dtype)
+        kernels.propagate_tip(left, l_codes, cm, stack[0, 0])
+        kernels.propagate_tip(right, r_codes, cm, stack[1, 0])
+        want_counts = np.zeros(hi - lo, dtype=np.int32)
+        kernels.combine_and_rescale_batch(stack[0], stack[1], stack[0],
+                                          [want_counts], scheme)
+        assert np.array_equal(_bits(got), _bits(stack[0, 0]))
+        assert np.array_equal(got_counts, want_counts)

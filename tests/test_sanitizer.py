@@ -9,8 +9,9 @@ the generation on eviction, so any later use of the stale view raises
 import numpy as np
 import pytest
 
+from repro.core.layout import SiteBlockLayout
 from repro.core.vecstore import AncestralVectorStore, BorrowedSlotView
-from repro.errors import BorrowError
+from repro.errors import BorrowError, OutOfCoreError
 
 SHAPE = (5,)
 
@@ -154,6 +155,63 @@ class TestWriteThroughReadView:
         assert not isinstance(views[0], BorrowedSlotView)
         with pytest.raises(ValueError, match="read-only"):
             views[0][0] = 1.0
+
+
+class TestMarkClean:
+    """``mark_clean`` declares a slot equal to its backing copy; under the
+    sanitizer that is checked first, since a wrong declaration loses the
+    write at the next clean eviction."""
+
+    def test_differing_rows_raise_under_the_sanitizer(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        store = AncestralVectorStore(8, SHAPE, num_slots=3)
+        store.get(0, write_only=True)[:] = 3.5     # the backing holds zeros
+        with pytest.raises(OutOfCoreError, match="differ from the backing"):
+            store.mark_clean(0)
+        store.evict_all()                           # still dirty: written
+        assert store.stats.writes == 1
+        np.testing.assert_array_equal(store.read_item(0), np.full(SHAPE, 3.5))
+
+    def test_without_the_sanitizer_only_the_dirty_bit_clears(self):
+        store = make_store(sanitize=False)
+        store.get(0, write_only=True)[:] = 3.5
+        store.mark_clean(0)
+        store.evict_all()
+        assert (store.stats.writes, store.stats.write_skips) == (0, 1)
+        assert not np.any(store.read_item(0) == 3.5)
+
+    def test_equal_rows_are_clean_and_read_only_again(self):
+        store = make_store()
+        view = store.get(0, write_only=True)
+        view[:] = 0.0                               # what the backing holds
+        store.mark_clean(0)
+        with pytest.raises(BorrowError, match="read view of item 0"):
+            view[:] = 1.0
+        store.evict_all()
+        assert (store.stats.writes, store.stats.write_skips) == (0, 1)
+
+    def test_staged_copy_and_live_rows_only(self):
+        """The compare reads the newest copy (the write-behind staging
+        buffer's) and only a ragged block's live rows."""
+        layout = SiteBlockLayout(4, (5, 2), block_sites=3)  # blocks of 3 and 2
+        store = AncestralVectorStore(layout=layout, num_slots=3,
+                                     writeback_depth=2, sanitize=True)
+        try:
+            ragged = layout.item_of(0, 1)
+            view = store.get(ragged, write_only=True)
+            view[:] = 2.0
+            store.evict_all()                       # staged or written: 2.0
+            view = store.get(ragged, write_only=True)
+            view[:2] = 2.0                          # the live rows
+            view[2:] = -1.0                         # padding differs
+            store.mark_clean(ragged)
+        finally:
+            store.close()
+
+    def test_a_vector_not_resident_is_left_alone(self):
+        store = make_store()
+        store.mark_clean(5)
+        assert not store.is_resident(5)
 
 
 class TestTransparency:
