@@ -37,6 +37,7 @@ from repro import (
 from repro.core.policies import BeladyPolicy
 from repro.core.shadow import ShadowStore
 from repro.core.trace import AccessTrace, simulate_policy_on_trace
+from repro.core.vecstore import slots_for_fraction
 from repro.phylo.search import lazy_spr_round
 from repro.vm.disk import DiskModel
 
@@ -137,7 +138,7 @@ def replay_write_side(trace: AccessTrace, num_slots: int, policy: str,
 def test_opt_headroom_table(benchmark, recorded_trace, ds1288):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     num_inner = ds1288.start_tree.num_inner
-    m = max(3, round(0.25 * num_inner))
+    m = slots_for_fraction(0.25, num_inner)
     lines = [
         f"trace: {len(recorded_trace)} accesses over {num_inner} vectors, "
         f"replayed at m={m} (f=0.25)",
@@ -210,7 +211,7 @@ def _write_side_table(name: str, replayed: ReplayedTrace, m: int,
 
 def test_write_side_of_a_rerooting_pass(benchmark, reroot_trace):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    m = max(3, int(0.25 * reroot_trace.trace.num_items + 0.5))
+    m = slots_for_fraction(0.25, reroot_trace.trace.num_items)
     report("ablation_policies_write_side",
            _write_side_table("re-rooting (reroot_hdd_sync, seed 42, one "
                              "steady pass)", reroot_trace, m))
@@ -220,7 +221,7 @@ def test_write_side_of_a_rerooting_pass(benchmark, reroot_trace):
 def test_replay_speed(benchmark, recorded_trace, ds1288, policy):
     """Time trace replay itself (the offline analysis tool)."""
     num_inner = ds1288.start_tree.num_inner
-    m = max(3, round(0.25 * num_inner))
+    m = slots_for_fraction(0.25, num_inner)
 
     def run():
         return simulate_policy_on_trace(recorded_trace, m, policy)

@@ -1,62 +1,70 @@
 """Ablation — the paper's §5 future-work direction, measured.
 
 **Prefetching**: a prefetch thread should hide swap-in latency behind
-computation. We model overlap ∈ {0, 0.5, 1.0} on a simulated disk and
-report the visible I/O wait of a full traversal.
+computation. A re-rooting evaluation runs against a wall-clock-faithful
+modelled HDD (``SimulatedDiskBackingStore(sleep=True)``) with the
+engine's own prefetch thread at ``prefetch_depth`` ∈ {0, 3, 6}; the table
+reports its wall seconds, its demand reads (counted as if prefetching were
+transparent, so equal at every depth) and how many of those found their
+vector already prefetched.
 """
 
+import time
+
 from benchmarks.conftest import report
-from repro import (
-    AncestralVectorStore,
-    Prefetcher,
-    SimulatedDiskBackingStore,
-)
+from repro import AncestralVectorStore, SimulatedDiskBackingStore
 
 SLOT_FRACTION = 0.25
+DEPTHS = (0, 3, 6)
 
 
-def _ooc_engine_with_disk(ds, **store_kwargs):
+def _reroot(ds, depth):
+    """One far-tip evaluation after a full traversal: ``(wall s, lnL, IoStats)``."""
     num_inner, shape = ds.geometry()
-    disk = SimulatedDiskBackingStore(num_inner, shape)
-    slots = max(3, round(SLOT_FRACTION * num_inner))
-    store = AncestralVectorStore(num_inner, shape, num_slots=slots,
-                                 policy="lru", backing=disk, **store_kwargs)
-    return ds.engine(store=store), store, disk
+    store = AncestralVectorStore(
+        num_inner, shape, fraction=SLOT_FRACTION, policy="lru",
+        backing=SimulatedDiskBackingStore(num_inner, shape, sleep=True))
+    engine = ds.engine(store=store, prefetch_depth=depth)
+    try:
+        engine.full_traversals(1)        # make every vector valid on disk
+        far_tip = engine.tree.num_tips - 1
+        (nbr,) = engine.tree.neighbors(far_tip)
+        store.evict_all()
+        store.stats.reset()
+        t0 = time.perf_counter()
+        lnl = engine.edge_loglikelihood(far_tip, nbr)
+        return time.perf_counter() - t0, lnl, store.stats
+    finally:
+        engine.close()
 
 
-def test_prefetch_overlap_table(benchmark, ds1288):
+def test_prefetch_depth_table(benchmark, ds1288):
     """Prefetch ahead of a re-rooting traversal — the paper's §5 scenario.
 
     After a full traversal every CLV is valid; evaluating a *different*
     edge recomputes only the reoriented path and **reads** the valid
-    vectors it borders, which (with f = 0.25) live on disk. Those demand
-    reads are what a prefetch thread can genuinely move ahead of the
-    kernels — unlike a full recompute, whose vectors are about to be
-    overwritten and gain nothing from prefetching.
+    vectors it borders, which (with f = 0.25, after ``evict_all``) live on
+    disk. Those demand reads are what a prefetch thread can genuinely move
+    ahead of the kernels — unlike a full recompute, whose vectors are
+    about to be overwritten and gain nothing from prefetching. With one
+    prefetch worker (the store's default ``io_threads``) the reads still
+    run one after another, so wall time can drop by at most the compute
+    they overlap. It is reported, not asserted: threaded residency may
+    drift run to run.
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    lines = [f"{'overlap':>8} {'visible I/O s':>14} {'hidden s':>9} "
-             f"{'prefetch hits':>13}"]
-    baselines = {}
-    for overlap in (0.0, 0.5, 1.0):
-        engine, store, disk = _ooc_engine_with_disk(ds1288)
-        engine.full_traversals(1)        # make every vector valid on disk
-        far_tip = engine.tree.num_tips - 1
-        (nbr,) = engine.tree.neighbors(far_tip)
-        plan = engine.plan(far_tip, nbr)
-        store.evict_all()
-        disk.simulated_seconds = 0.0
-        store.stats.reset()
-        prefetcher = Prefetcher(store, depth=3, overlap=overlap)
-        prefetcher.run_schedule(engine.plan_accesses(plan))
-        engine.edge_loglikelihood(far_tip, nbr)
-        baselines[overlap] = (disk.simulated_seconds, prefetcher.hidden_seconds,
-                              store.stats.prefetch_hits)
-        lines.append(f"{overlap:>8.1f} {disk.simulated_seconds:>14.4f} "
-                     f"{prefetcher.hidden_seconds:>9.4f} "
-                     f"{store.stats.prefetch_hits:>13}")
+    lines = [f"{'depth':>6} {'wall s':>8} {'demand reads':>13} "
+             f"{'prefetch hits':>14}"]
+    runs = {}
+    for depth in DEPTHS:
+        wall, lnl, stats = runs[depth] = _reroot(ds1288, depth)
+        lines.append(f"{depth:>6} {wall:>8.4f} {stats.reads:>13} "
+                     f"{stats.prefetch_hits:>14}")
     report("ablation_prefetch", lines)
 
-    v0, v5, v10 = (baselines[k][0] for k in (0.0, 0.5, 1.0))
-    assert v10 < v5 < v0, "more overlap must hide more I/O wait"
-    assert baselines[1.0][2] > 0, "demand must land on prefetched slots"
+    assert len({lnl for _, lnl, _ in runs.values()}) == 1, \
+        "prefetching must not move a bit of the likelihood"
+    assert runs[0][2].prefetch_hits == 0
+    for depth in DEPTHS[1:]:
+        assert runs[depth][2].prefetch_hits > 0, \
+            f"demand must land on prefetched slots at depth {depth}"

@@ -31,8 +31,7 @@ def _timed_traversal(ds, backing_factory, *, writeback_depth, prefetch_depth,
                      io_threads=2):
     num_inner, shape = ds.geometry()
     backing = backing_factory(num_inner, shape)
-    slots = max(3, round(SLOT_FRACTION * num_inner))
-    store = AncestralVectorStore(num_inner, shape, num_slots=slots,
+    store = AncestralVectorStore(num_inner, shape, fraction=SLOT_FRACTION,
                                  policy="lru", backing=backing,
                                  writeback_depth=writeback_depth,
                                  io_threads=io_threads)

@@ -82,7 +82,7 @@ def test_fig2_block_size_sweep(benchmark, ds1288):
     """Sub-vector paging: miss rate and bytes-in-RAM per site-block size.
 
     The paper's slot arena can never hold less than one whole ancestral
-    vector. A :class:`~repro.core.layout.SiteBlockLayout` lifts that
+    vector. A site-block :class:`~repro.core.layout.StorageLayout` lifts that
     floor: this sweep runs the f-z workload at a slot budget of *half a
     vector's worth of blocks* per block size, showing RAM footprints the
     whole-vector design cannot express, while the log-likelihood stays

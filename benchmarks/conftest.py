@@ -41,6 +41,7 @@ from repro import (
     simulate_alignment,
     yule_tree,
 )
+from repro.core.vecstore import slots_for_fraction
 from repro.phylo.search import lazy_spr_round
 
 OUT_DIR = Path(__file__).parent / "out"
@@ -151,7 +152,7 @@ def run_shadow_grid(dataset: Dataset, radius: int = 5) -> ShadowGrid:
     shadows: list[ShadowStore] = []
     for policy in PAPER_POLICIES:
         for f in PAPER_FRACTIONS:
-            m = max(3, round(f * num_inner))
+            m = slots_for_fraction(f, num_inner)
             shadows.append(
                 ShadowStore(num_inner, m, policy, label=f"{policy}:{f:.4f}",
                             policy_kwargs={"seed": 7} if policy == "random" else None)

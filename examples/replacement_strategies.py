@@ -23,6 +23,7 @@ from repro import (
     simulate_alignment,
     yule_tree,
 )
+from repro.core.vecstore import slots_for_fraction
 from repro.phylo.search import lazy_spr_round
 
 
@@ -42,7 +43,7 @@ def main(num_taxa: int = 48, num_sites: int = 400) -> None:
     shadows = []
     for policy in strategies:
         for f in fractions:
-            m = max(3, round(f * num_inner))
+            m = slots_for_fraction(f, num_inner)
             shadows.append(ShadowStore(num_inner, m, policy,
                                        label=f"{policy}:{f:.2f}",
                                        policy_kwargs={"seed": 1}

@@ -27,26 +27,16 @@ from repro.core.backing import (
     SimulatedDiskBackingStore,
     make_backing,
 )
-from repro.core.compress import (
-    CompressedFileBackingStore,
-    NullCodec,
-    ZlibCodec,
-    make_codec,
-)
+from repro.core.compress import CompressedFileBackingStore
 from repro.core.faults import (
     FaultInjectingBackingStore,
     InjectedFault,
     RetryingBackingStore,
     SimulatedCrash,
 )
-from repro.core.layout import (
-    SiteBlockLayout,
-    StorageLayout,
-    WholeVectorLayout,
-    make_layout,
-)
+from repro.core.layout import StorageLayout, make_layout
 from repro.core.policies import make_policy, policy_names
-from repro.core.prefetch import Prefetcher, ThreadedPrefetcher
+from repro.core.prefetch import ThreadedPrefetcher
 from repro.core.shadow import ShadowStore, TeeStore
 from repro.core.sharded import ShardedBackingStore, ShardTicket
 from repro.core.stats import IoStats
@@ -104,12 +94,10 @@ __all__ = [
     "p_distances", "jc69_distances", "neighbor_joining",
     # out-of-core layer
     "AncestralVectorStore", "IoStats", "make_policy", "policy_names",
-    "StorageLayout", "WholeVectorLayout", "SiteBlockLayout",
-    "make_layout",
+    "StorageLayout", "make_layout",
     "MemoryBackingStore", "FileBackingStore", "MultiFileBackingStore",
     "SimulatedDiskBackingStore", "make_backing",
-    "Prefetcher", "ThreadedPrefetcher",
-    "CompressedFileBackingStore", "ZlibCodec", "NullCodec", "make_codec",
+    "ThreadedPrefetcher", "CompressedFileBackingStore",
     "FaultInjectingBackingStore", "RetryingBackingStore",
     "InjectedFault", "SimulatedCrash",
     "ShardedBackingStore", "ShardTicket",

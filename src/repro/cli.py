@@ -265,6 +265,7 @@ def cmd_simulate(args) -> int:
 def cmd_policies(args) -> int:
     """Compare replacement strategies on a live search (Fig. 2/3 tables)."""
     from repro import AncestralVectorStore, ShadowStore, TeeStore
+    from repro.core.vecstore import slots_for_fraction
     from repro.phylo.search import lazy_spr_round
 
     alignment = _read_alignment(args.msa)
@@ -274,7 +275,7 @@ def cmd_policies(args) -> int:
     fractions = [float(x) for x in args.fractions.split(",")]
     policies = ["random", "lru", "lfu", "topological"]
     shadows = [
-        ShadowStore(num_inner, max(3, round(f * num_inner)), p,
+        ShadowStore(num_inner, slots_for_fraction(f, num_inner), p,
                     label=f"{p}:{f}", policy_kwargs={"seed": 1} if p == "random" else None)
         for p in policies for f in fractions
     ]

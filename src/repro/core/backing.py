@@ -220,8 +220,8 @@ class FileBackingStore(ReportedBackingStore):
     @classmethod
     def from_layout(cls, path: "str | os.PathLike[str]", layout: "StorageLayout",
                     dtype: DTypeLike = np.float64) -> "FileBackingStore":
-        """Backing sized for a layout's item space; under a
-        :class:`~repro.core.layout.SiteBlockLayout` block ``(n, b)`` lives
+        """Backing sized for a layout's item space; under a site-block
+        :class:`~repro.core.layout.StorageLayout` block ``(n, b)`` lives
         at byte offset ``(n·blocks_per_node + b)·w`` with ``w`` the padded
         block width, preserving the paper's dense single-file placement."""
         return cls(path, layout.num_items, layout.item_shape, dtype)
@@ -493,10 +493,10 @@ def make_backing(kind: str, num_items: int, item_shape: tuple[int, ...],
     ``path`` is the file (``file``, ``compressed``) or directory
     (``multifile``, ``sharded``) of the kinds that own one, and is ignored
     by the RAM-resident kinds; ``options`` are forwarded to the class
-    (``disk=``/``sleep=`` for simulated, ``codec=`` for compressed,
-    ``num_files=`` for multifile, ``num_shards=``/``kind=``/... for
-    sharded — the leading parameters are positional-only so that the
-    sharded tier's own ``kind=`` passes through).
+    (``disk=``/``sleep=`` for simulated, ``num_files=`` for multifile,
+    ``num_shards=``/``kind=``/... for sharded — the leading parameters are
+    positional-only so that the sharded tier's own ``kind=`` passes
+    through).
     """
     try:
         module, name, takes_path = _BACKINGS[kind]

@@ -16,8 +16,9 @@ extent leaks until a future compaction — crash-safe by construction,
 because the index is only republished *after* the payload is durable;
 see DESIGN.md "Durability & failure model").
 
-Decompression is exact: CLVs round-trip bit-identically, so likelihoods
-are unchanged to the last ulp.
+The codec is stdlib DEFLATE at level 6 (:data:`CODEC`, recorded in the
+index). Decompression is exact: CLVs round-trip bit-identically, so
+likelihoods are unchanged to the last ulp.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import contextlib
 import json
 import os
 import zlib
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import DTypeLike
@@ -40,61 +41,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 
 INDEX_VERSION = 1
 
+_ZLIB_LEVEL = 6
+#: The index's name for the one codec: ``zlib`` DEFLATE at level 6.
+CODEC = f"zlib:{_ZLIB_LEVEL}"
+
+#: ``flush()`` compacts the heap once stranded bytes exceed this fraction.
+COMPACT_THRESHOLD = 0.5
+
 #: Extents are rounded up to this granularity so slightly-larger rewrites
 #: of the same item reuse their extent instead of leaking heap space.
 _CAPACITY_QUANTUM = 64
-
-
-class Codec(Protocol):
-    """Byte-level compression codec (exact round-trip required)."""
-
-    name: str
-
-    def compress(self, data: bytes) -> bytes: ...
-
-    def decompress(self, data: bytes) -> bytes: ...
-
-
-class ZlibCodec:
-    """Stdlib DEFLATE: the default codec (no dependencies, exact)."""
-
-    def __init__(self, level: int = 6) -> None:
-        if not 0 <= level <= 9:
-            raise BackingStoreError(f"zlib level must be in [0, 9], got {level}")
-        self.level = int(level)
-        self.name = f"zlib:{self.level}"
-
-    def compress(self, data: bytes) -> bytes:
-        return zlib.compress(data, self.level)
-
-    def decompress(self, data: bytes) -> bytes:
-        return zlib.decompress(data)
-
-
-class NullCodec:
-    """Identity codec: framing/index machinery without compression."""
-
-    name = "null"
-
-    def compress(self, data: bytes) -> bytes:
-        return data
-
-    def decompress(self, data: bytes) -> bytes:
-        return data
-
-
-def make_codec(name: str) -> Codec:
-    """Instantiate a codec from its sidecar-index name (``zlib:6``, ``null``)."""
-    if name == "null":
-        return NullCodec()
-    if name == "zlib":
-        return ZlibCodec()
-    if name.startswith("zlib:"):
-        try:
-            return ZlibCodec(int(name.split(":", 1)[1]))
-        except ValueError as exc:
-            raise BackingStoreError(f"bad codec spec {name!r}") from exc
-    raise BackingStoreError(f"unknown codec {name!r}")
 
 
 def fsync_dir(path: str) -> None:
@@ -119,8 +75,6 @@ class CompressedFileBackingStore(ReportedBackingStore):
     num_items, item_shape, dtype:
         Logical geometry, as for
         :class:`~repro.core.backing.FileBackingStore`.
-    codec:
-        A :class:`Codec`; defaults to :class:`ZlibCodec` level 6.
 
     Concurrency: extent-table lookups/placements take a leaf lock, the
     positioned I/O itself runs outside it (extents of distinct items are
@@ -130,16 +84,13 @@ class CompressedFileBackingStore(ReportedBackingStore):
     """
 
     def __init__(self, path: str | os.PathLike[str], num_items: int,
-                 item_shape: tuple[int, ...], dtype: DTypeLike = np.float64,
-                 codec: Codec | None = None,
-                 compact_threshold: float | None = 0.5) -> None:
+                 item_shape: tuple[int, ...], dtype: DTypeLike = np.float64) -> None:
         self.path = os.fspath(path)
         self.index_path = self.path + ".idx"
         self.num_items = int(num_items)
         self.item_shape = tuple(item_shape)
         self.dtype = np.dtype(dtype)
         self.item_bytes = int(np.prod(self.item_shape)) * self.dtype.itemsize
-        self.codec: Codec = codec if codec is not None else ZlibCodec()
         #: per-item (offset, stored_length, capacity); None = never written
         self._extents: list[tuple[int, int, int] | None]
         self._cursor = 0
@@ -150,8 +101,6 @@ class CompressedFileBackingStore(ReportedBackingStore):
         #: heap capacity stranded by grow-rewrites; reclaimed by compact()
         self.leaked_bytes = 0          # guarded-by: _lock
         self.compactions = 0           # guarded-by: _lock
-        #: auto-compact in flush() once leaked/cursor exceeds this (None: off)
-        self.compact_threshold = compact_threshold
         self._lock = make_lock("CompressedFileBackingStore")
         self._closed = False
         #: heap handles retired by compact(); a concurrent reader that
@@ -168,14 +117,10 @@ class CompressedFileBackingStore(ReportedBackingStore):
         self._fd = self._fh.fileno()
 
     @classmethod
-    def from_layout(cls, path: "str | os.PathLike[str]",
-                    layout: "StorageLayout", dtype: DTypeLike = np.float64,
-                    codec: Codec | None = None,
-                    compact_threshold: float | None = 0.5,
-                    ) -> "CompressedFileBackingStore":
+    def from_layout(cls, path: "str | os.PathLike[str]", layout: "StorageLayout",
+                    dtype: DTypeLike = np.float64) -> "CompressedFileBackingStore":
         """Backing sized for a layout's item space (blocks, not nodes)."""
-        return cls(path, layout.num_items, layout.item_shape, dtype,
-                   codec=codec, compact_threshold=compact_threshold)
+        return cls(path, layout.num_items, layout.item_shape, dtype)
 
     # -- sidecar index --------------------------------------------------------
 
@@ -193,8 +138,10 @@ class CompressedFileBackingStore(ReportedBackingStore):
                 f"index geometry mismatch in {self.index_path}: "
                 f"{doc['num_items']}x{doc['item_bytes']}B ({doc['dtype']}) "
                 f"vs {self.num_items}x{self.item_bytes}B ({self.dtype.name})")
-        if doc["codec"] != self.codec.name:
-            self.codec = make_codec(doc["codec"])
+        if doc["codec"] != CODEC:
+            raise BackingStoreError(
+                f"index codec mismatch in {self.index_path}: "
+                f"{doc['codec']!r} vs {CODEC!r}")
         self._extents = [tuple(e) if e is not None else None  # type: ignore[misc]
                          for e in doc["extents"]]
         self._cursor = int(doc["cursor"])
@@ -217,7 +164,7 @@ class CompressedFileBackingStore(ReportedBackingStore):
     def _index_doc(self, heap: str | None = None) -> dict[str, object]:  # holds: _lock
         return {
             "version": INDEX_VERSION,
-            "codec": self.codec.name,
+            "codec": CODEC,
             "num_items": self.num_items,
             "item_bytes": self.item_bytes,
             "dtype": self.dtype.name,
@@ -282,7 +229,7 @@ class CompressedFileBackingStore(ReportedBackingStore):
                 raise BackingStoreError(
                     f"short read for item {item}: {done}/{length} bytes")
             done += got
-        raw = self.codec.decompress(bytes(payload))
+        raw = zlib.decompress(bytes(payload))
         if len(raw) != self.item_bytes:
             raise BackingStoreError(
                 f"decompressed item {item} is {len(raw)} bytes, "
@@ -307,7 +254,7 @@ class CompressedFileBackingStore(ReportedBackingStore):
                 f"{self.item_bytes}")
         ob = self.obs
         self._check(item)
-        payload = self.codec.compress(data.tobytes())
+        payload = zlib.compress(data.tobytes(), _ZLIB_LEVEL)
         length = len(payload)
         with self._lock:
             extent = self._extents[item]
@@ -449,7 +396,7 @@ class CompressedFileBackingStore(ReportedBackingStore):
         Ordering matters — an extent must never be published before the
         bytes it points at are on the device, or a crash between the two
         would leave the index referencing garbage. When the stranded
-        fraction of the heap exceeds :attr:`compact_threshold`, the
+        fraction of the heap exceeds :data:`COMPACT_THRESHOLD`, the
         barrier also runs :meth:`compact` (flush callers have already
         drained in-flight writes, which is the quiescence compaction
         needs).
@@ -457,10 +404,9 @@ class CompressedFileBackingStore(ReportedBackingStore):
         if self._closed:
             return
         os.fsync(self._fd)
-        threshold = self.compact_threshold
         with self._lock:
-            need_compact = (threshold is not None and self._cursor > 0
-                            and self.leaked_bytes / self._cursor > threshold)
+            need_compact = (self._cursor > 0 and self.leaked_bytes
+                            > COMPACT_THRESHOLD * self._cursor)
             if not need_compact:
                 self._publish_index()
         if need_compact:
@@ -482,5 +428,5 @@ class CompressedFileBackingStore(ReportedBackingStore):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CompressedFileBackingStore(n={self.num_items}, "
-                f"w={self.item_bytes}B, codec={self.codec.name}, "
+                f"w={self.item_bytes}B, codec={CODEC}, "
                 f"ratio={self.compression_ratio:.2f})")

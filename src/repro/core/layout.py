@@ -12,15 +12,11 @@ becomes configurable.
 A :class:`StorageLayout` maps the *node space* (``num_nodes`` logical
 CLVs, each of ``node_shape = (patterns, categories, states)``) onto the
 *item space* the :class:`~repro.core.vecstore.AncestralVectorStore`
-actually pages (``num_items`` blocks of ``item_shape``):
-
-* :class:`WholeVectorLayout` — the identity: one item per node, today's
-  (and the paper's) behaviour, bit-for-bit;
-* :class:`SiteBlockLayout` — each CLV's pattern axis is split into
-  independently resident/evictable/prefetchable *site blocks* of
-  ``block_sites`` patterns; the last block is ragged (only its first
-  ``patterns - (blocks_per_node-1)·block_sites`` rows are meaningful,
-  the tail is padding that is stored but never read by kernels).
+actually pages (``num_items`` blocks of ``item_shape``): each CLV's
+pattern axis is split into independently resident/evictable/prefetchable
+*site blocks* of ``block_sites`` patterns. ``block_sites=None`` is the
+whole vector — one block holding every pattern, so item ids equal node
+ids: today's (and the paper's) behaviour, bit-for-bit.
 
 Each layout spans one engine's dense item space; a partitioned analysis
 gives every partition its own engine, layout and store.
@@ -54,40 +50,66 @@ DEFAULT_BLOCK_SITES = 64
 
 
 class StorageLayout:
-    """Base class: the node-space ⇄ item-space mapping.
+    """The node-space ⇄ item-space mapping: site blocks of ``block_sites``.
 
-    Subclasses populate the geometry attributes in ``__init__`` and
-    implement the mapping methods. All layouts shipped here use dense,
-    contiguous item ids (``items_of`` returns a :class:`range`), which
-    the store's file backing exploits for sequential placement.
+    Node ``n``'s block ``b`` is item ``n · blocks_per_node + b`` and
+    covers patterns ``[b·B, min(patterns, (b+1)·B))``. Every slot (and
+    every backing-store record) holds a full ``(B, categories, states)``
+    block; the ragged last block's tail rows are padding — written out
+    and read back like data, but never consumed by a kernel, so their
+    contents are irrelevant to correctness.
+
+    ``block_sites=None`` is the whole vector (:attr:`name` ``"whole"``):
+    ``B`` is the pattern count, so there is one block per node and no
+    padding. An explicit ``block_sites`` (:attr:`name` ``"block"``) is not
+    clamped to the pattern count: an item is ``block_sites`` rows whatever
+    the CLV's length, so a CLV shorter than one block is a single padded
+    block.
     """
 
-    name = "base"
-
-    num_nodes: int
-    node_shape: tuple[int, ...]
-    num_items: int
-    item_shape: tuple[int, ...]
-    #: Items per node; uniform because every node shares ``node_shape``.
-    blocks_per_node: int
+    def __init__(self, num_nodes: int, node_shape: tuple[int, ...],
+                 block_sites: int | None = None) -> None:
+        if num_nodes < 1:
+            raise OutOfCoreError(f"need at least one node, got {num_nodes}")
+        if len(node_shape) < 1 or int(node_shape[0]) < 1:
+            raise OutOfCoreError(f"bad node shape {node_shape!r}")
+        if block_sites is not None and block_sites < 1:
+            raise OutOfCoreError(f"block_sites must be >= 1, got {block_sites}")
+        self.num_nodes = int(num_nodes)
+        self.node_shape = tuple(int(d) for d in node_shape)
+        patterns = self.node_shape[0]
+        self.name = "whole" if block_sites is None else "block"
+        self.block_sites = patterns if block_sites is None else int(block_sites)
+        #: Items per node; uniform because every node shares ``node_shape``.
+        self.blocks_per_node = -(-patterns // self.block_sites)  # ceil div
+        self.num_items = self.num_nodes * self.blocks_per_node
+        self.item_shape = (self.block_sites, *self.node_shape[1:])
 
     # -- mapping -----------------------------------------------------------------
 
     def item_of(self, node: int, block: int) -> int:
         """Item id of site-block ``block`` of logical CLV ``node``."""
-        raise NotImplementedError
+        self._check_node(node)
+        if not 0 <= block < self.blocks_per_node:
+            raise OutOfCoreError(
+                f"block {block} out of range [0, {self.blocks_per_node})")
+        return node * self.blocks_per_node + block
 
     def items_of(self, node: int) -> range:
         """All item ids composing logical CLV ``node`` (block order)."""
-        raise NotImplementedError
+        self._check_node(node)
+        start = node * self.blocks_per_node
+        return range(start, start + self.blocks_per_node)
 
     def node_of(self, item: int) -> int:
         """Logical CLV a paged item belongs to (inverse of ``item_of``)."""
-        raise NotImplementedError
+        self._check_item(item)
+        return item // self.blocks_per_node
 
     def block_of(self, item: int) -> int:
         """Block index of ``item`` within its node (0-based)."""
-        raise NotImplementedError
+        self._check_item(item)
+        return item % self.blocks_per_node
 
     def block_bounds(self, block: int) -> tuple[int, int]:
         """Half-open pattern range ``[lo, hi)`` covered by block ``block``.
@@ -96,7 +118,11 @@ class StorageLayout:
         slot; a ragged last block additionally stores
         ``item_shape[0] - (hi - lo)`` rows of padding.
         """
-        raise NotImplementedError
+        if not 0 <= block < self.blocks_per_node:
+            raise OutOfCoreError(
+                f"block {block} out of range [0, {self.blocks_per_node})")
+        lo = block * self.block_sites
+        return (lo, min(self.node_shape[0], lo + self.block_sites))
 
     def item_sites(self, item: int) -> tuple[int, int]:
         """Pattern range of ``item`` — ``block_bounds(block_of(item))``."""
@@ -105,7 +131,8 @@ class StorageLayout:
     def store_item_nodes(self) -> np.ndarray:
         """``int64`` array mapping every item id (``num_items`` entries)
         to its node."""
-        raise NotImplementedError
+        return np.repeat(np.arange(self.num_nodes, dtype=np.int64),
+                         self.blocks_per_node)
 
     # -- geometry ----------------------------------------------------------------
 
@@ -116,7 +143,7 @@ class StorageLayout:
             "num_nodes": self.num_nodes,
             "num_items": self.num_items,
             "blocks_per_node": self.blocks_per_node,
-            "block_sites": int(self.item_shape[0]),
+            "block_sites": self.block_sites,
         }
 
     # -- validation helpers ------------------------------------------------------
@@ -132,121 +159,8 @@ class StorageLayout:
                 f"item {item} out of range [0, {self.num_items})")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"{type(self).__name__}(nodes={self.num_nodes}, "
+        return (f"StorageLayout({self.name}, nodes={self.num_nodes}, "
                 f"items={self.num_items}, item_shape={self.item_shape})")
-
-
-class WholeVectorLayout(StorageLayout):
-    """The identity layout — one item per node, the paper's design.
-
-    Strictly a no-op relative to the pre-layout code: item ids equal
-    node ids, ``item_shape == node_shape``, and a single block spans the
-    whole pattern axis, so demand/eviction counters, policy decisions
-    and log-likelihoods are bit-identical to the unlayered store.
-    """
-
-    name = "whole"
-
-    def __init__(self, num_nodes: int, node_shape: tuple[int, ...]) -> None:
-        if num_nodes < 1:
-            raise OutOfCoreError(f"need at least one node, got {num_nodes}")
-        if len(node_shape) < 1 or int(node_shape[0]) < 1:
-            raise OutOfCoreError(f"bad node shape {node_shape!r}")
-        self.num_nodes = int(num_nodes)
-        self.node_shape = tuple(int(d) for d in node_shape)
-        self.num_items = self.num_nodes
-        self.item_shape = self.node_shape
-        self.blocks_per_node = 1
-
-    def item_of(self, node: int, block: int) -> int:
-        self._check_node(node)
-        if block != 0:
-            raise OutOfCoreError(f"whole-vector layout has one block, got {block}")
-        return node
-
-    def items_of(self, node: int) -> range:
-        self._check_node(node)
-        return range(node, node + 1)
-
-    def node_of(self, item: int) -> int:
-        self._check_item(item)
-        return item
-
-    def block_of(self, item: int) -> int:
-        self._check_item(item)
-        return 0
-
-    def block_bounds(self, block: int) -> tuple[int, int]:
-        if block != 0:
-            raise OutOfCoreError(f"whole-vector layout has one block, got {block}")
-        return (0, self.node_shape[0])
-
-    def store_item_nodes(self) -> np.ndarray:
-        return np.arange(self.num_items, dtype=np.int64)
-
-
-class SiteBlockLayout(StorageLayout):
-    """Pattern axis split into fixed-size site blocks (last one ragged).
-
-    Node ``n``'s block ``b`` is item ``n · blocks_per_node + b`` and
-    covers patterns ``[b·B, min(patterns, (b+1)·B))``. Every slot (and
-    every backing-store record) holds a full ``(B, categories, states)``
-    block; the ragged last block's tail rows are padding — written out
-    and read back like data, but never consumed by a kernel, so their
-    contents are irrelevant to correctness.
-    """
-
-    name = "block"
-
-    def __init__(self, num_nodes: int, node_shape: tuple[int, ...],
-                 block_sites: int) -> None:
-        if num_nodes < 1:
-            raise OutOfCoreError(f"need at least one node, got {num_nodes}")
-        if len(node_shape) < 1 or int(node_shape[0]) < 1:
-            raise OutOfCoreError(f"bad node shape {node_shape!r}")
-        if block_sites < 1:
-            raise OutOfCoreError(f"block_sites must be >= 1, got {block_sites}")
-        self.num_nodes = int(num_nodes)
-        self.node_shape = tuple(int(d) for d in node_shape)
-        patterns = self.node_shape[0]
-        # Not clamped to the pattern count: an item is ``block_sites`` rows
-        # whatever the CLV's length, so a CLV shorter than one block is a
-        # single padded block.
-        self.block_sites = int(block_sites)
-        self.blocks_per_node = -(-patterns // self.block_sites)  # ceil div
-        self.num_items = self.num_nodes * self.blocks_per_node
-        self.item_shape = (self.block_sites, *self.node_shape[1:])
-
-    def item_of(self, node: int, block: int) -> int:
-        self._check_node(node)
-        if not 0 <= block < self.blocks_per_node:
-            raise OutOfCoreError(
-                f"block {block} out of range [0, {self.blocks_per_node})")
-        return node * self.blocks_per_node + block
-
-    def items_of(self, node: int) -> range:
-        self._check_node(node)
-        start = node * self.blocks_per_node
-        return range(start, start + self.blocks_per_node)
-
-    def node_of(self, item: int) -> int:
-        self._check_item(item)
-        return item // self.blocks_per_node
-
-    def block_of(self, item: int) -> int:
-        self._check_item(item)
-        return item % self.blocks_per_node
-
-    def block_bounds(self, block: int) -> tuple[int, int]:
-        if not 0 <= block < self.blocks_per_node:
-            raise OutOfCoreError(
-                f"block {block} out of range [0, {self.blocks_per_node})")
-        lo = block * self.block_sites
-        return (lo, min(self.node_shape[0], lo + self.block_sites))
-
-    def store_item_nodes(self) -> np.ndarray:
-        return np.repeat(np.arange(self.num_nodes, dtype=np.int64),
-                         self.blocks_per_node)
 
 
 def make_layout(kind: "str | StorageLayout", num_nodes: int,
@@ -269,10 +183,10 @@ def make_layout(kind: "str | StorageLayout", num_nodes: int,
     if kind == "whole":
         if block_sites is not None:
             raise OutOfCoreError("block_sites only applies to layout='block'")
-        return WholeVectorLayout(num_nodes, node_shape)
+        return StorageLayout(num_nodes, node_shape)
     if kind == "block":
         b = DEFAULT_BLOCK_SITES if block_sites is None else int(block_sites)
-        return SiteBlockLayout(num_nodes, node_shape, b)
+        return StorageLayout(num_nodes, node_shape, b)
     raise OutOfCoreError(
         f"unknown layout {kind!r}; choose 'whole', 'block' or pass a "
         "StorageLayout instance"

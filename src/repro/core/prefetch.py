@@ -6,22 +6,15 @@ is computed *before* any likelihood arithmetic (§3.4), the exact upcoming
 vector access order is known — a prefetcher can pull the next vectors into
 free or soon-to-be-free slots while the CPU crunches the current one.
 
-Two implementations share the store's :meth:`prefetch_load` entry point,
-which accounts ahead-of-demand traffic only in the ``prefetch_*`` counters
-so the demand miss/read rates (the Fig. 2–4 metrics) stay untouched:
-
-* :class:`Prefetcher` — the synchronous *model*: it issues the upcoming
-  reads inline and, with a
-  :class:`~repro.core.backing.SimulatedDiskBackingStore`, discounts an
-  ``overlap`` fraction of their cost, representing how much of the
-  transfer would hide behind computation.
-* :class:`ThreadedPrefetcher` — the real thing: daemon worker threads fed
-  the access sequence of one operation (the plan's schedule, flattened,
-  then the evaluated edge's two end reads — what
-  ``LikelihoodEngine.make_edge_current`` feeds and the engine then issues,
-  call for call). They track demand progress through the store's request
-  counter and keep the read items among the next ``depth`` *accesses*
-  resident or in flight while the compute thread works.
+:class:`ThreadedPrefetcher` is that thread: daemon workers fed the access
+sequence of one operation (the plan's schedule, flattened, then the
+evaluated edge's two end reads — what
+``LikelihoodEngine.make_edge_current`` feeds and the engine then
+requests, call for call). They track demand progress through the store's request
+counter and keep the read items among the next ``depth`` *accesses*
+resident or in flight while the compute thread works. Their loads are
+accounted only in the ``prefetch_*`` counters, so the demand miss/read
+rates (the Fig. 2–4 metrics) stay untouched.
 """
 
 from __future__ import annotations
@@ -30,83 +23,11 @@ import time
 from typing import TYPE_CHECKING
 
 from repro.analysis.race import make_thread, race_detector
-from repro.core.backing import SimulatedDiskBackingStore
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import OutOfCoreError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.obs import Observer
-
-
-def _validated_depth(depth: int) -> int:
-    if depth < 1:
-        raise OutOfCoreError(f"prefetch depth must be >= 1, got {depth}")
-    return int(depth)
-
-
-class Prefetcher:
-    """Synchronous model of a prefetch thread for a known access sequence.
-
-    Parameters
-    ----------
-    store:
-        The vector store to prefetch into.
-    depth:
-        The look-ahead window, in accesses (a pruning step is three): the
-        read items among the next ``depth`` accesses are kept resident. A
-        prefetch never evicts a pinned item and never evicts an item that
-        appears in that window (that would be self-defeating).
-    overlap:
-        Fraction of each prefetched transfer assumed hidden behind compute
-        (only meaningful when the backing store simulates time; 1.0 = the
-        classic fully-overlapped prefetch thread).
-    """
-
-    def __init__(self, store: AncestralVectorStore, depth: int = 2,
-                 overlap: float = 1.0) -> None:
-        self.store = store
-        self.depth = _validated_depth(depth)
-        if not 0.0 <= overlap <= 1.0:
-            raise OutOfCoreError(f"overlap must be in [0, 1], got {overlap}")
-        self.overlap = overlap
-        self.hidden_seconds = 0.0
-
-    def run_schedule(self, upcoming: list[tuple[int, tuple, bool]]) -> None:
-        """Prefetch for a schedule of ``(item, pins, write_only)`` triples.
-
-        Walks the schedule and, before each demand access would occur,
-        ensures the *read* items among the next ``depth`` accesses are
-        resident (write-only items gain nothing from prefetch: their reads
-        are skipped anyway).
-        Loads go through ``store.prefetch_load``, so only ``prefetch_*``
-        counters move — the demand ``requests``/``misses``/``reads`` are
-        charged later, by the traversal itself, exactly as they would be
-        without prefetching. Call immediately before executing the
-        corresponding traversal.
-        """
-        backing = self.store.backing
-        simulated = isinstance(backing, SimulatedDiskBackingStore)
-        for idx, (item, pins, write_only) in enumerate(upcoming):
-            horizon = upcoming[idx: idx + self.depth]
-            protect = {it for it, _, _ in horizon} | {int(p) for p in pins}
-            written_first = set()
-            for nxt, _npins, nwrite in horizon:
-                if nwrite:
-                    # A read of this item later in the horizon is satisfied
-                    # by the write, not by (stale) backing-store bytes.
-                    written_first.add(nxt)
-                    continue
-                if nxt in written_first or self.store.is_resident(nxt):
-                    continue
-                before = backing.simulated_seconds if simulated else 0.0
-                loaded = self.store.prefetch_load(nxt, protect=protect)
-                if simulated and loaded:
-                    # The swap-in (and any eviction write it caused) would
-                    # run on the prefetch thread: hide `overlap` of it.
-                    cost = backing.simulated_seconds - before
-                    hidden = cost * self.overlap
-                    backing.simulated_seconds -= hidden
-                    self.hidden_seconds += hidden
 
 
 class ThreadedPrefetcher:
@@ -140,8 +61,10 @@ class ThreadedPrefetcher:
         if workers < 1:
             raise OutOfCoreError(
                 f"need at least one prefetch worker, got {workers}")
+        if depth < 1:
+            raise OutOfCoreError(f"prefetch depth must be >= 1, got {depth}")
         self.store = store
-        self.depth = _validated_depth(depth)
+        self.depth = int(depth)
         self.workers = int(workers)
         # All prefetcher bookkeeping is guarded by the *store's* condition
         # variable — the thread already parks on it, and sharing the lock

@@ -104,7 +104,6 @@ from numpy.typing import DTypeLike
 
 from repro.analysis.race import make_condition, make_lock, make_thread
 from repro.core.backing import make_backing
-from repro.core.compress import make_codec
 from repro.core.faults import FaultInjectingBackingStore, InjectedFault
 from repro.core.layout import shard_items
 from repro.errors import BackingStoreError
@@ -221,9 +220,7 @@ def _build_worker_store(spec: dict[str, Any]) -> Any:
     """
     kind = spec["kind"]
     options: dict[str, Any] = {}
-    if kind == "compressed":
-        options["codec"] = make_codec(str(spec.get("codec") or "zlib:6"))
-    elif kind == "simulated":
+    if kind == "simulated":
         disk = spec.get("disk")
         if disk:
             options["disk"] = DiskModel(float(disk[0]), float(disk[1]))
@@ -809,8 +806,6 @@ class ShardedBackingStore:
     kind:
         Per-worker store: ``"file"``, ``"compressed"`` or ``"simulated"``
         (the latter models a slow device per worker — data is volatile).
-    codec:
-        Codec spec for ``kind="compressed"`` (default ``zlib:6``).
     disk / sleep:
         For ``kind="simulated"``: ``(access_latency, bandwidth)`` of the
         modelled device and whether transfers block their caller.
@@ -826,7 +821,6 @@ class ShardedBackingStore:
     def __init__(self, directory: str | os.PathLike[str], num_items: int,
                  item_shape: tuple[int, ...], dtype: DTypeLike = np.float64,
                  *, num_shards: int = 4, kind: str = "file",
-                 codec: str | None = None,
                  disk: tuple[float, float] | None = None,
                  sleep: bool = False,
                  fault: dict[str, Any] | None = None,
@@ -875,8 +869,6 @@ class ShardedBackingStore:
                     "item_shape": list(self.item_shape),
                     "dtype": self.dtype.name,
                 }
-                if codec is not None:
-                    spec["codec"] = codec
                 if disk is not None:
                     spec["disk"] = [float(disk[0]), float(disk[1])]
                 if sleep:

@@ -37,9 +37,9 @@ class AccessTrace:
 
     num_items: int
     events: list[TraceEvent] = field(default_factory=list)
-    #: Layout the recorded item ids live in — block-granular traces carry
-    #: their :class:`~repro.core.layout.SiteBlockLayout` so offline analysis
-    #: can map items back to nodes/site-ranges. ``None`` for traces recorded
+    #: Layout the recorded item ids live in — a trace carries its store's
+    #: :class:`~repro.core.layout.StorageLayout` so offline analysis can
+    #: map block items back to nodes/site-ranges. ``None`` for traces recorded
     #: before the layout abstraction (item id == node id). The replay in
     #: :func:`simulate_policy_on_trace` is deliberately layout-agnostic:
     #: item ids are opaque to the allocation logic, so block-granular traces

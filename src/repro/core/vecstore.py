@@ -30,15 +30,16 @@ The store optionally overlaps I/O with likelihood compute:
   instead of writing synchronously; background writer threads drain it.
   Reads consult the staging buffer first (read-your-writes), ``flush``/
   ``close`` use its ``drain()`` barrier.
-* **Prefetch** (:class:`~repro.core.prefetch.ThreadedPrefetcher` or the
-  synchronous model in :class:`~repro.core.prefetch.Prefetcher`): upcoming
-  read items from the traversal access sequence are loaded ahead of demand
-  via :meth:`prefetch_load`, which never steals a slot from pinned,
-  in-flight or caller-protected items.
+* **Prefetch** (:class:`~repro.core.prefetch.ThreadedPrefetcher`):
+  upcoming read items from the traversal access sequence are loaded ahead
+  of demand, never into a slot stolen from pinned, in-flight or
+  in-window items. :meth:`prefetch_load` is the same load driven
+  synchronously, one item at a time.
 
 Thread model: one compute thread calls ``get_many``; the prefetch workers
-(``io_threads`` of them) call ``prefetch_load``; writer threads live inside
-the write-behind queue and never take the store lock; and the synchronous
+(``io_threads`` of them) claim and fill slots ahead of it; writer
+threads live inside the write-behind queue and never take the store
+lock; and the synchronous
 path owns one *swap helper* thread (below). All mutable bookkeeping is
 guarded by one condition variable (``self._cond``). A slot being filled is
 *published* in the maps but marked in-flight: demand requests for it wait
@@ -110,7 +111,7 @@ from numpy.typing import DTypeLike
 
 from repro.analysis.race import make_condition, make_lock, race_detector
 from repro.core.backing import BackingStore, MemoryBackingStore
-from repro.core.layout import StorageLayout, WholeVectorLayout, only_view
+from repro.core.layout import StorageLayout, only_view
 from repro.core.policies import EvictableView, ReplacementPolicy, make_policy
 from repro.core.stats import IoStats
 from repro.core.writebehind import WriteBehindQueue
@@ -135,6 +136,20 @@ _Swap = tuple["np.ndarray | None", "BaseException | None",
 #: Smallest legal slot count: computing one ancestral vector needs it plus
 #: its two children resident simultaneously (paper: "we must ensure m ≥ 3").
 MIN_SLOTS = 3
+
+
+def slots_for_fraction(fraction: float, num_items: int) -> int:
+    """The slot count ``m`` of the paper's ``f`` over ``n`` items.
+
+    ``m = floor(f · n + 0.5)`` — half rounds up, not to even — clamped to
+    ``[MIN_SLOTS, n]`` (``n`` itself when ``n < MIN_SLOTS``). The one rule
+    a store sized by ``fraction=`` uses; a shadow or a table that states
+    its capacity as a fraction uses it too.
+    """
+    f = float(fraction)
+    if not 0.0 < f <= 1.0:
+        raise OutOfCoreError(f"fraction must be in (0, 1], got {f}")
+    return min(num_items, max(MIN_SLOTS, math.floor(f * num_items + 0.5)))
 
 
 def _sanitize_default() -> bool:
@@ -253,14 +268,15 @@ class AncestralVectorStore:
         geometry is derived. The store itself stays item-granular — the
         layout only fixes the geometry and travels along so consumers
         (engines, policies, traces) can map items back to nodes. When
-        omitted, a :class:`~repro.core.layout.WholeVectorLayout` over
-        ``num_items × item_shape`` is assumed (the paper's design).
+        omitted, a whole-vector :class:`~repro.core.layout.StorageLayout`
+        over ``num_items × item_shape`` is assumed (the paper's design).
     dtype:
         ``float64`` (paper default) or ``float32`` (the single-precision
         memory halving of Berger & Stamatakis 2010).
     num_slots / fraction:
-        Capacity ``m``: either an absolute count or the paper's ``f`` with
-        ``m = max(MIN_SLOTS, round(f · n))``. ``fraction=1.0`` (default)
+        Capacity ``m``: either an absolute count (clamped to
+        ``[MIN_SLOTS, n]``) or the paper's ``f``, with ``m =``
+        :func:`slots_for_fraction` ``(f, n)``. ``fraction=1.0`` (default)
         keeps everything resident — the "standard RAxML" configuration.
     policy:
         A policy name or :class:`ReplacementPolicy` instance.
@@ -325,7 +341,7 @@ class AncestralVectorStore:
                     "pass num_items and item_shape, or a StorageLayout")
             if num_items < 1:
                 raise OutOfCoreError(f"need at least one item, got {num_items}")
-            layout = WholeVectorLayout(int(num_items), tuple(item_shape))
+            layout = StorageLayout(int(num_items), tuple(item_shape))
         else:
             if num_items is not None and int(num_items) != layout.num_items:
                 raise OutOfCoreError(
@@ -345,14 +361,9 @@ class AncestralVectorStore:
         if num_slots is not None and fraction is not None:
             raise OutOfCoreError("pass either num_slots or fraction, not both")
         if num_slots is None:
-            f = 1.0 if fraction is None else float(fraction)
-            if not 0.0 < f <= 1.0:
-                raise OutOfCoreError(f"fraction must be in (0, 1], got {f}")
-            num_slots = int(math.floor(f * self.num_items + 0.5))
-        num_slots = min(self.num_items, max(MIN_SLOTS, int(num_slots)))
-        if self.num_items < MIN_SLOTS:
-            num_slots = self.num_items
-        self.num_slots = num_slots
+            num_slots = slots_for_fraction(
+                1.0 if fraction is None else fraction, self.num_items)
+        self.num_slots = min(self.num_items, max(MIN_SLOTS, int(num_slots)))
 
         if isinstance(policy, str):
             policy = make_policy(policy, **(policy_kwargs or {}))
@@ -1228,6 +1239,10 @@ class AncestralVectorStore:
     def prefetch_load(self, item: int,  # thread: prefetch
                       protect: Iterable[int] = ()) -> bool:
         """Load ``item`` ahead of demand; best-effort, thread-safe.
+
+        The synchronous form of what a
+        :class:`~repro.core.prefetch.ThreadedPrefetcher` worker does (it
+        claims and fills in two steps), deterministic, so tests call it.
 
         Allocates a slot — never stealing from ``protect``, the pins of the
         most recent demand ``get`` or in-flight loads — publishes the

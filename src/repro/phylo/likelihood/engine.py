@@ -32,7 +32,7 @@ import numpy as np
 from repro.config import EngineConfig
 from repro.core.backing import make_backing
 from repro.core.faults import RetryingBackingStore
-from repro.core.layout import StorageLayout, WholeVectorLayout, make_layout
+from repro.core.layout import StorageLayout, make_layout
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import LikelihoodError
 from repro.phylo.likelihood.evaluator import Evaluator
@@ -153,7 +153,7 @@ class LikelihoodEngine(Evaluator, Executor):
             # layout abstraction (e.g. PagedStandardStore) page whole CLVs.
             layout = getattr(store, "layout", None)
             if layout is None:
-                layout = WholeVectorLayout(self.num_inner, self.clv_shape)
+                layout = StorageLayout(self.num_inner, self.clv_shape)
             elif (layout.num_nodes != self.num_inner
                     or layout.node_shape != self.clv_shape):
                 raise LikelihoodError(

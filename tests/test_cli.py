@@ -258,6 +258,29 @@ class TestPolicies:
         for policy in ("random", "lru", "lfu", "topological"):
             assert policy in out
 
+    def test_shadows_have_the_stores_slot_count(self, tmp_path, monkeypatch,
+                                                capsys):
+        """n = 18, f = 0.25: f·n = 4.5 rounds half up to the store's 5
+        slots, not to ``round``'s even 4."""
+        import repro
+        from repro.core.vecstore import AncestralVectorStore
+
+        msa = tmp_path / "d.phy"
+        assert main(["simulate", "-n", "20", "-l", "60", "-o", str(msa),
+                     "--seed", "5"]) == 0
+        built = []
+
+        class RecordingShadow(repro.ShadowStore):
+            def __init__(self, num_items, num_slots, *args, **kwargs):
+                super().__init__(num_items, num_slots, *args, **kwargs)
+                built.append((num_items, self.num_slots))
+
+        monkeypatch.setattr(repro, "ShadowStore", RecordingShadow)
+        assert main(["policies", "-s", str(msa), "--radius", "1",
+                     "--fractions", "0.25"]) == 0
+        assert AncestralVectorStore(18, (1,), fraction=0.25).num_slots == 5
+        assert set(built) == {(18, 5)} and len(built) == 4
+
 
 class TestSupport:
     def test_alrt_only(self, workspace, capsys):

@@ -1,7 +1,9 @@
-"""Compressed backing tier: codecs, framing, reattach, bit-exact CLVs."""
+"""Compressed backing tier: framing, reattach, compaction, bit-exact CLVs."""
 
 import json
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +17,10 @@ from repro import (
     yule_tree,
 )
 from repro.core.compress import (
+    CODEC,
+    COMPACT_THRESHOLD,
+    INDEX_VERSION,
     CompressedFileBackingStore,
-    NullCodec,
-    ZlibCodec,
-    make_codec,
 )
 from repro.errors import BackingStoreError
 from repro.obs import Observer
@@ -38,38 +40,6 @@ def roundtrip(store, n):
         store.read(item, out)
         np.testing.assert_array_equal(out, originals[item])  # bit-exact
     return originals
-
-
-class TestCodecs:
-    @pytest.mark.parametrize("level", [0, 1, 6, 9])
-    def test_zlib_roundtrip(self, level):
-        codec = ZlibCodec(level)
-        payload = np.random.default_rng(1).normal(size=256).tobytes()
-        assert codec.decompress(codec.compress(payload)) == payload
-
-    def test_zlib_level_validated(self):
-        with pytest.raises(BackingStoreError, match="level"):
-            ZlibCodec(12)
-
-    def test_null_is_identity(self):
-        codec = NullCodec()
-        assert codec.compress(b"abc") == b"abc"
-        assert codec.decompress(b"abc") == b"abc"
-
-    def test_compressible_data_shrinks(self):
-        payload = np.zeros(4096).tobytes()
-        assert len(ZlibCodec().compress(payload)) < len(payload) // 10
-
-    def test_make_codec_parses_specs(self):
-        assert make_codec("null").name == "null"
-        assert make_codec("zlib").name == "zlib:6"
-        assert make_codec("zlib:3").name == "zlib:3"
-
-    def test_make_codec_rejects_garbage(self):
-        with pytest.raises(BackingStoreError, match="unknown codec"):
-            make_codec("lzma")
-        with pytest.raises(BackingStoreError, match="bad codec spec"):
-            make_codec("zlib:banana")
 
 
 class TestCompressedStore:
@@ -135,11 +105,12 @@ class TestCompressedStore:
 
     def test_flush_then_reattach_restores_everything(self, tmp_path):
         path = tmp_path / "v.czb"
-        s = CompressedFileBackingStore(path, 6, SHAPE, codec=ZlibCodec(3))
+        s = CompressedFileBackingStore(path, 6, SHAPE)
         originals = roundtrip(s, 6)
         s.close()
+        doc = json.loads((tmp_path / "v.czb.idx").read_text())
+        assert doc["codec"] == CODEC == "zlib:6"
         s2 = CompressedFileBackingStore(path, 6, SHAPE)
-        assert s2.codec.name == "zlib:3"      # codec adopted from the index
         out = np.empty(SHAPE)
         for item, data in originals.items():
             s2.read(item, out)
@@ -161,6 +132,41 @@ class TestCompressedStore:
         idx.write_text(json.dumps(doc))
         with pytest.raises(BackingStoreError, match="index version"):
             CompressedFileBackingStore(path, 2, SHAPE)
+
+    def test_reattach_rejects_another_codec(self, tmp_path):
+        """The index names its codec; a heap in any codec but zlib:6 is
+        refused, naming both, before the heap file is opened."""
+        path = tmp_path / "v.czb"
+        CompressedFileBackingStore(path, 2, SHAPE).close()
+        idx = tmp_path / "v.czb.idx"
+        doc = json.loads(idx.read_text())
+        doc["codec"] = "null"
+        idx.write_text(json.dumps(doc))
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BackingStoreError, match=r"'null' vs 'zlib:6'"):
+            CompressedFileBackingStore(path, 2, SHAPE)
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+    def test_heap_written_by_an_earlier_version_reattaches(self, tmp_path):
+        """A heap and index written before the codec was fixed at zlib:6
+        (tests/fixtures/compressed_v1.czb: items 0 and 2 random normals,
+        item 1 rewritten in place with zeros, item 3 never written)."""
+        assert INDEX_VERSION == 1
+        fixtures = Path(__file__).parent / "fixtures"
+        for name in ("compressed_v1.czb", "compressed_v1.czb.idx"):
+            shutil.copy(fixtures / name, tmp_path / name)
+        rng = np.random.default_rng(2011)
+        expected = [rng.normal(size=SHAPE) for _ in range(3)]
+        expected[1] = np.zeros(SHAPE)
+        expected.append(np.zeros(SHAPE))
+        s = CompressedFileBackingStore(tmp_path / "compressed_v1.czb", 4, SHAPE)
+        try:
+            out = np.empty(SHAPE)
+            for item, data in enumerate(expected):
+                s.read(item, out)
+                assert out.tobytes() == data.tobytes()    # bit-identical
+        finally:
+            s.close()
 
     def test_index_published_atomically(self, tmp_path):
         path = tmp_path / "v.czb"
@@ -184,14 +190,6 @@ class TestCompressedStore:
         doc = json.loads((tmp_path / "v.czb.idx").read_text())
         assert doc["extents"][1] is None
         s.close()                              # close() flushes for real
-
-    def test_null_codec_stores_raw_bytes(self, tmp_path):
-        s = CompressedFileBackingStore(tmp_path / "v.czb", 3, SHAPE,
-                                       codec=NullCodec())
-        roundtrip(s, 3)
-        assert s.compression_ratio == 1.0
-        assert s.stored_bytes_written == s.raw_bytes_written
-        s.close()
 
     def test_metrics_and_probe_wired(self, tmp_path):
         s = CompressedFileBackingStore(tmp_path / "v.czb", 4, SHAPE)
@@ -255,10 +253,25 @@ def _fragment(store, n, seed=31):
     return originals
 
 
+def _fragment_past_threshold(store, n, seed=37):
+    """Grow every record four times over, a little more random data each
+    time, so most of the heap ends up stranded."""
+    rng = np.random.default_rng(seed)
+    originals = {}
+    for item in range(n):
+        store.write(item, np.zeros(SHAPE))
+    for filled in (8, 16, 24, 32):
+        for item in range(n):
+            data = np.zeros(SHAPE)
+            data.reshape(-1)[:filled] = rng.normal(size=filled)
+            store.write(item, data)
+            originals[item] = data
+    return originals
+
+
 class TestHeapCompactor:
     def test_compact_reclaims_leaked_bytes_bit_exact(self, tmp_path):
-        s = CompressedFileBackingStore(tmp_path / "v.czb", 8, SHAPE,
-                                       compact_threshold=None)
+        s = CompressedFileBackingStore(tmp_path / "v.czb", 8, SHAPE)
         originals = _fragment(s, 8)
         assert s.leaked_bytes > 0
         before = s._cursor
@@ -273,8 +286,7 @@ class TestHeapCompactor:
         s.close()
 
     def test_compacted_store_reattaches(self, tmp_path):
-        s = CompressedFileBackingStore(tmp_path / "v.czb", 6, SHAPE,
-                                       compact_threshold=None)
+        s = CompressedFileBackingStore(tmp_path / "v.czb", 6, SHAPE)
         originals = _fragment(s, 6)
         s.compact()
         s.flush()
@@ -288,10 +300,9 @@ class TestHeapCompactor:
         s2.close()
 
     def test_flush_triggers_compaction_over_threshold(self, tmp_path):
-        s = CompressedFileBackingStore(tmp_path / "v.czb", 8, SHAPE,
-                                       compact_threshold=0.05)
-        originals = _fragment(s, 8)
-        assert s.leaked_ratio > 0.05
+        s = CompressedFileBackingStore(tmp_path / "v.czb", 8, SHAPE)
+        originals = _fragment_past_threshold(s, 8)
+        assert s.leaked_ratio > COMPACT_THRESHOLD
         s.flush()
         assert s.compactions == 1
         assert s.leaked_bytes == 0
@@ -301,19 +312,18 @@ class TestHeapCompactor:
             np.testing.assert_array_equal(out, data)
         s.close()
 
-    def test_threshold_none_disables_auto_compaction(self, tmp_path):
-        s = CompressedFileBackingStore(tmp_path / "v.czb", 8, SHAPE,
-                                       compact_threshold=None)
+    def test_flush_below_threshold_does_not_compact(self, tmp_path):
+        s = CompressedFileBackingStore(tmp_path / "v.czb", 8, SHAPE)
         _fragment(s, 8)
         leaked = s.leaked_bytes
+        assert 0 < s.leaked_ratio <= COMPACT_THRESHOLD
         s.flush()
         assert s.compactions == 0
         assert s.leaked_bytes == leaked
         s.close()
 
     def test_metrics_track_leak_and_compaction(self, tmp_path):
-        s = CompressedFileBackingStore(tmp_path / "v.czb", 8, SHAPE,
-                                       compact_threshold=None)
+        s = CompressedFileBackingStore(tmp_path / "v.czb", 8, SHAPE)
         s.obs = Observer(metrics=True)
         mx = s.obs.metrics
         _fragment(s, 8)
@@ -327,8 +337,7 @@ class TestHeapCompactor:
         import shutil
 
         path = tmp_path / "v.czb"
-        s = CompressedFileBackingStore(path, 6, SHAPE,
-                                       compact_threshold=None)
+        s = CompressedFileBackingStore(path, 6, SHAPE)
         originals = _fragment(s, 6)
         s.compact()
         s.flush()
@@ -357,8 +366,7 @@ class TestHeapCompactor:
 
     def test_crash_after_rename_uses_canonical_heap(self, tmp_path):
         path = tmp_path / "v.czb"
-        s = CompressedFileBackingStore(path, 6, SHAPE,
-                                       compact_threshold=None)
+        s = CompressedFileBackingStore(path, 6, SHAPE)
         originals = _fragment(s, 6)
         s.compact()
         s.flush()
@@ -394,7 +402,7 @@ class TestEngineOnCompactingBacking:
 
         layout = make_layout("whole", *clv_geometry(tree, aln, model, rates))
         backing = CompressedFileBackingStore.from_layout(
-            tmp_path / "clv.czb", layout, compact_threshold=1e-9)
+            tmp_path / "clv.czb", layout)
         eng = LikelihoodEngine(tree.copy(), aln, model, rates,
                                layout=layout, fraction=0.3, policy="lru",
                                backing=backing)

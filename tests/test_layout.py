@@ -23,19 +23,15 @@ from repro import (
     simulate_policy_on_trace,
     yule_tree,
 )
-from repro.core.layout import (
-    DEFAULT_BLOCK_SITES,
-    SiteBlockLayout,
-    WholeVectorLayout,
-    make_layout,
-)
+from repro.core.layout import DEFAULT_BLOCK_SITES, StorageLayout, make_layout
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import OutOfCoreError, ReproError
 
 
 class TestWholeVectorLayout:
     def test_identity_mapping(self):
-        lay = WholeVectorLayout(7, (100, 4, 4))
+        lay = StorageLayout(7, (100, 4, 4))
+        assert lay.name == "whole" and lay.block_sites == 100
         assert lay.num_items == 7
         assert lay.item_shape == (100, 4, 4)
         assert lay.blocks_per_node == 1
@@ -47,9 +43,12 @@ class TestWholeVectorLayout:
             assert lay.item_sites(n) == (0, 100)
         assert lay.block_bounds(0) == (0, 100)
         np.testing.assert_array_equal(lay.store_item_nodes(), np.arange(7))
+        assert lay.describe() == {"layout": "whole", "num_nodes": 7,
+                                  "num_items": 7, "blocks_per_node": 1,
+                                  "block_sites": 100}
 
     def test_rejects_out_of_range(self):
-        lay = WholeVectorLayout(3, (10, 2, 4))
+        lay = StorageLayout(3, (10, 2, 4))
         with pytest.raises(OutOfCoreError):
             lay.item_of(3, 0)
         with pytest.raises(OutOfCoreError):
@@ -60,7 +59,7 @@ class TestWholeVectorLayout:
 
 class TestSiteBlockLayout:
     def test_even_split(self):
-        lay = SiteBlockLayout(5, (120, 4, 4), block_sites=30)
+        lay = StorageLayout(5, (120, 4, 4), block_sites=30)
         assert lay.blocks_per_node == 4
         assert lay.num_items == 20
         assert lay.item_shape == (30, 4, 4)
@@ -71,7 +70,7 @@ class TestSiteBlockLayout:
         assert list(lay.items_of(2)) == [8, 9, 10, 11]
 
     def test_ragged_last_block(self):
-        lay = SiteBlockLayout(3, (100, 2, 4), block_sites=30)
+        lay = StorageLayout(3, (100, 2, 4), block_sites=30)
         assert lay.blocks_per_node == 4  # 30+30+30+10
         assert lay.block_bounds(3) == (90, 100)
         lo, hi = lay.item_sites(lay.item_of(1, 3))
@@ -81,20 +80,20 @@ class TestSiteBlockLayout:
 
     def test_block_larger_than_patterns_pads(self):
         # not clamped: an item is block_sites rows whatever the CLV length
-        lay = SiteBlockLayout(4, (50, 2, 4), block_sites=500)
-        assert lay.block_sites == 500
+        lay = StorageLayout(4, (50, 2, 4), block_sites=500)
+        assert lay.name == "block" and lay.block_sites == 500
         assert lay.blocks_per_node == 1
         assert lay.num_items == 4
         assert lay.item_shape == (500, 2, 4)
         assert lay.block_bounds(0) == (0, 50)
 
     def test_store_item_nodes(self):
-        lay = SiteBlockLayout(3, (10, 1, 4), block_sites=4)  # 3 blocks/node
+        lay = StorageLayout(3, (10, 1, 4), block_sites=4)  # 3 blocks/node
         np.testing.assert_array_equal(
             lay.store_item_nodes(), [0, 0, 0, 1, 1, 1, 2, 2, 2])
 
     def test_round_trip_every_item(self):
-        lay = SiteBlockLayout(6, (47, 3, 4), block_sites=9)
+        lay = StorageLayout(6, (47, 3, 4), block_sites=9)
         for item in range(lay.num_items):
             n, b = lay.node_of(item), lay.block_of(item)
             assert lay.item_of(n, b) == item
@@ -106,14 +105,15 @@ class TestSiteBlockLayout:
 class TestMakeLayout:
     def test_strings(self):
         w = make_layout("whole", 5, (40, 2, 4))
-        assert isinstance(w, WholeVectorLayout)
+        assert w.name == "whole" and w.blocks_per_node == 1
+        assert w.item_shape == (40, 2, 4)
         b = make_layout("block", 5, (40, 2, 4), block_sites=8)
-        assert isinstance(b, SiteBlockLayout) and b.block_sites == 8
+        assert b.name == "block" and b.block_sites == 8
         d = make_layout("block", 5, (400, 2, 4))
         assert d.block_sites == DEFAULT_BLOCK_SITES
 
     def test_instance_passthrough_and_check(self):
-        lay = SiteBlockLayout(5, (40, 2, 4), block_sites=8)
+        lay = StorageLayout(5, (40, 2, 4), block_sites=8)
         assert make_layout(lay, 5, (40, 2, 4)) is lay
         with pytest.raises(OutOfCoreError, match="describes"):
             make_layout(lay, 6, (40, 2, 4))
@@ -183,7 +183,7 @@ class TestBlockBitIdentity:
                              fraction=0.4, policy="lru", layout="whole")
         assert a.loglikelihood() == b.loglikelihood()
         assert a.stats.as_row() == b.stats.as_row()
-        assert isinstance(b.layout, WholeVectorLayout)
+        assert b.layout.name == "whole" and b.layout.blocks_per_node == 1
         a.close(), b.close()
 
     def test_sub_vector_slot_budget(self, layout_dataset):
@@ -218,7 +218,7 @@ class TestBlockBitIdentity:
 
         tree, aln, model, rates = layout_dataset
         base = _incore_lnl(layout_dataset)
-        layout = SiteBlockLayout(*clv_geometry(tree, aln, model, rates),
+        layout = StorageLayout(*clv_geometry(tree, aln, model, rates),
                                  block_sites=40)
         if backing == "file":
             store = FileBackingStore.from_layout(
@@ -239,7 +239,7 @@ class TestBlockBitIdentity:
     def test_explicit_store_carries_its_layout(self, layout_dataset):
         tree, aln, model, rates = layout_dataset
         base = _incore_lnl(layout_dataset)
-        layout = SiteBlockLayout(*clv_geometry(tree, aln, model, rates), 25)
+        layout = StorageLayout(*clv_geometry(tree, aln, model, rates), 25)
         store = AncestralVectorStore(layout=layout, num_slots=5)
         eng = LikelihoodEngine(tree.copy(), aln, model, rates, store=store)
         assert eng.layout is layout
@@ -302,7 +302,7 @@ class TestBlockTraceReplay:
         eng.store = proxy
         eng.full_traversals(2)
         live = eng.stats
-        assert isinstance(proxy.trace.layout, SiteBlockLayout)
+        assert proxy.trace.layout is eng.layout
         assert proxy.trace.num_items == eng.layout.num_items
         replayed = simulate_policy_on_trace(proxy.trace, 6, policy)
         assert replayed.requests == live.requests

@@ -8,7 +8,7 @@ import pytest
 from repro import LikelihoodEngine, RateModel
 from repro.core.backing import MemoryBackingStore, SimulatedDiskBackingStore
 from repro.core.layout import make_layout
-from repro.core.prefetch import Prefetcher, ThreadedPrefetcher
+from repro.core.prefetch import ThreadedPrefetcher
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import OutOfCoreError, PinnedSlotError
 from repro.obs import Observer
@@ -27,16 +27,21 @@ def store_with_disk(n=12, m=4):
                                 backing=disk), disk
 
 
+def prefetch_window(store, schedule, idx, depth):
+    """Load the read items among ``schedule[idx: idx + depth]`` ahead of
+    demand through ``store.prefetch_load``, one after another."""
+    horizon = schedule[idx: idx + depth]
+    protect = {it for it, _, _ in horizon}
+    for nxt, _p, nwrite in horizon:
+        if not nwrite and not store.is_resident(nxt):
+            store.prefetch_load(nxt, protect=protect)
+
+
 class TestConfiguration:
     def test_depth_validated(self):
         store, _ = store_with_disk()
         with pytest.raises(OutOfCoreError, match="depth"):
-            Prefetcher(store, depth=0)
-
-    def test_overlap_validated(self):
-        store, _ = store_with_disk()
-        with pytest.raises(OutOfCoreError, match="overlap"):
-            Prefetcher(store, overlap=1.5)
+            ThreadedPrefetcher(store, depth=0)
 
 
 class TestPrefetching:
@@ -53,13 +58,13 @@ class TestPrefetching:
 
         The old implementation routed prefetch loads through ``store.get``,
         so a prefetch inflated requests/misses/reads and corrupted the
-        Fig. 2–4 miss/read rates. Now ``run_schedule`` alone must move only
+        Fig. 2–4 miss/read rates. Now prefetching alone must move only
         the prefetch counters; demand hits arrive later, at demand time.
         """
         store, _ = store_with_disk()
         schedule = self._warm_schedule(store)
-        pf = Prefetcher(store, depth=3)
-        pf.run_schedule(schedule)
+        for idx in range(len(schedule)):
+            prefetch_window(store, schedule, idx, 3)
         assert store.stats.prefetch_reads > 0
         assert store.stats.requests == 0
         assert store.stats.misses == 0
@@ -83,13 +88,8 @@ class TestPrefetching:
         """
         store, _ = store_with_disk()
         schedule = self._warm_schedule(store)
-        depth = 3
         for idx, (item, pins, write_only) in enumerate(schedule):
-            horizon = schedule[idx: idx + depth]
-            protect = {it for it, _, _ in horizon}
-            for nxt, _p, nwrite in horizon:
-                if not nwrite and not store.is_resident(nxt):
-                    store.prefetch_load(nxt, protect=protect)
+            prefetch_window(store, schedule, idx, 3)
             store.get(item, pins=pins, write_only=write_only)
         s = store.stats
         assert s.requests == 12
@@ -114,11 +114,7 @@ class TestPrefetching:
             trace = schedule + schedule[:6] + schedule[2:8]
             for idx, (item, pins, write_only) in enumerate(trace):
                 if prefetch:
-                    horizon = trace[idx: idx + 3]
-                    protect = {it for it, _, _ in horizon}
-                    for nxt, _p, nwrite in horizon:
-                        if not nwrite and not store.is_resident(nxt):
-                            store.prefetch_load(nxt, protect=protect)
+                    prefetch_window(store, trace, idx, 3)
                 store.get(item, pins=pins, write_only=write_only)
             return store.stats
 
@@ -132,43 +128,13 @@ class TestPrefetching:
     def test_write_only_items_not_prefetched(self):
         store, _ = store_with_disk()
         self._warm_schedule(store)
-        store.evict_all()
-        store.stats.reset()
-        pf = Prefetcher(store, depth=3)
-        pf.run_schedule([(i, (), True) for i in range(store.num_items)])
+        pf = ThreadedPrefetcher(store, depth=3)
+        try:
+            pf.feed([(i, (), True) for i in range(store.num_items)])
+            assert pf.idle()            # nothing in the window to fetch
+        finally:
+            pf.stop()
         assert store.stats.prefetch_reads == 0
-
-    def test_full_overlap_conservation(self):
-        """hidden + visible must equal the total I/O cost; with overlap=1.0
-        every swap issued inside a prefetch call is fully hidden.
-
-        Physical traffic in a prefetch-only run is ``prefetch_reads`` plus
-        any eviction ``writes`` those loads forced — the demand ``reads``
-        counter stays at zero (no demand accesses happened).
-        """
-        store, disk = store_with_disk()
-        schedule = self._warm_schedule(store)
-        disk.simulated_seconds = 0.0
-        pf = Prefetcher(store, depth=2, overlap=1.0)
-        pf.run_schedule(schedule)
-        per_op = disk.disk.transfer_time(store.item_bytes, True)
-        total_io = (store.stats.prefetch_reads + store.stats.writes) * per_op
-        assert store.stats.reads == 0
-        assert pf.hidden_seconds > 0
-        assert disk.simulated_seconds + pf.hidden_seconds == \
-            pytest.approx(total_io, rel=1e-9)
-        assert disk.simulated_seconds < total_io
-
-    def test_partial_overlap_hides_half_as_much(self):
-        def run(overlap):
-            store, disk = store_with_disk()
-            schedule = self._warm_schedule(store)
-            disk.simulated_seconds = 0.0
-            pf = Prefetcher(store, depth=2, overlap=overlap)
-            pf.run_schedule(schedule)
-            return pf.hidden_seconds
-
-        assert run(0.5) == pytest.approx(0.5 * run(1.0), rel=1e-9)
 
     def test_correctness_unaffected(self, small_tree, small_alignment, small_model):
         """Prefetching must not change likelihoods (it only moves reads)."""
@@ -185,7 +151,10 @@ class TestPrefetching:
         eng.full_traversals(1)   # populate
         eng.invalidate_all()
         plan = eng.plan(*eng.default_edge(), full=True)
-        Prefetcher(store, depth=2).run_schedule(eng.plan_accesses(plan))
+        accesses = list(eng.plan_accesses(plan))
+        for idx in range(len(accesses)):
+            prefetch_window(store, accesses, idx, 2)
+        assert store.stats.prefetch_reads > 0
         assert eng.full_traversals(1) == ref
 
 

@@ -9,7 +9,7 @@ the generation on eviction, so any later use of the stale view raises
 import numpy as np
 import pytest
 
-from repro.core.layout import SiteBlockLayout
+from repro.core.layout import StorageLayout
 from repro.core.vecstore import AncestralVectorStore, BorrowedSlotView
 from repro.errors import BorrowError, OutOfCoreError
 
@@ -193,7 +193,7 @@ class TestMarkClean:
     def test_staged_copy_and_live_rows_only(self):
         """The compare reads the newest copy (the write-behind staging
         buffer's) and only a ragged block's live rows."""
-        layout = SiteBlockLayout(4, (5, 2), block_sites=3)  # blocks of 3 and 2
+        layout = StorageLayout(4, (5, 2), block_sites=3)  # blocks of 3 and 2
         store = AncestralVectorStore(layout=layout, num_slots=3,
                                      writeback_depth=2, sanitize=True)
         try:

@@ -123,10 +123,12 @@ class TestPlacement:
     def test_a_worker_that_cannot_attach_is_not_left_behind(self, tmp_path):
         """The spec is checked in the worker (ATTACH): the client whose
         handshake failed shuts its worker and receiver down before the
-        error reaches the caller (the autouse leak gate checks)."""
-        with pytest.raises(BackingStoreError, match="unknown codec"):
+        error reaches the caller (the autouse leak gate checks). A fault
+        spec the worker's store cannot take fails its ATTACH."""
+        with pytest.raises(BackingStoreError,
+                           match="shard worker TypeError.*bogus_rate"):
             ShardedBackingStore(tmp_path / "sh", 4, SHAPE, num_shards=2,
-                                kind="compressed", codec="nope:1")
+                                fault={"bogus_rate": 0.1})
 
 
 class TestRoundTrip:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.backing import MemoryBackingStore
-from repro.core.layout import SiteBlockLayout, WholeVectorLayout
+from repro.core.layout import StorageLayout
 from repro.core.policies import policy_names
 from repro.core.trace import AccessTrace, simulate_policy_on_trace
 from repro.core.vecstore import AncestralVectorStore
@@ -42,8 +42,8 @@ def store_threads(baseline):
 # parity: counters against the serial state machine, bytes against a dict
 
 LAYOUTS = {
-    "whole": WholeVectorLayout(12, (5, 2)),          # 12 items of (5, 2)
-    "block": SiteBlockLayout(4, (5, 2), 2),          # 4 nodes x 3 blocks of (2, 2)
+    "whole": StorageLayout(12, (5, 2)),              # 12 items of (5, 2)
+    "block": StorageLayout(4, (5, 2), 2),            # 4 nodes x 3 blocks of (2, 2)
 }
 COUNTERS = ("requests", "hits", "misses", "reads", "read_skips", "writes",
             "write_skips")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.backing import MemoryBackingStore
-from repro.core.vecstore import MIN_SLOTS, AncestralVectorStore
+from repro.core.vecstore import MIN_SLOTS, AncestralVectorStore, slots_for_fraction
 from repro.errors import OutOfCoreError, PinnedSlotError
 
 SHAPE = (5, 2, 4)
@@ -20,6 +20,16 @@ class TestGeometry:
         s = AncestralVectorStore(100, SHAPE, fraction=0.25)
         assert s.num_slots == 25
         assert s.fraction == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("n, f, m", [
+        (78, 0.75, 59), (1288 - 2, 0.75, 965), (18, 0.25, 5), (100, 0.25, 25),
+        (100, 0.001, MIN_SLOTS), (2, 0.5, 2),
+    ])
+    def test_slots_for_fraction_rounds_half_up(self, n, f, m):
+        """One rule for a fraction's slot count: ``f·n`` rounded half up
+        (not to even), clamped to [MIN_SLOTS, n] — what the store uses."""
+        assert slots_for_fraction(f, n) == m
+        assert AncestralVectorStore(n, (1,), fraction=f).num_slots == m
 
     def test_fraction_one_keeps_everything(self):
         s = AncestralVectorStore(10, SHAPE)  # default fraction=1.0
