@@ -6,7 +6,7 @@ replacement strategy, one binary file vs. several, read skipping
 here: as dataclass fields, as command-line flags (``add_arguments`` /
 ``from_args``, shared by ``repro`` and ``repro.profile``), as a JSON block
 (``to_dict`` / ``from_dict``, recorded verbatim in ``BENCH_profile.json``,
-``BENCH_results.json`` and search checkpoints) and as the parameter list
+the matrix pin and search checkpoints) and as the parameter list
 of the engine constructor: ``LikelihoodEngine(tree, alignment, model,
 rates, config, **overrides)`` takes a configuration, field names as
 keywords on top of it, or both, and ``engine.config`` is what it was
@@ -44,8 +44,9 @@ _BUDGETS = ("fraction", "num_slots", "memory_limit")
 #: describes the store the engine would have built) and the smallest value
 #: of each bounded integer field.
 _ENGINE_FIELDS = ("dtype", "seed", "prefetch_depth", "batch")
-_FLOORS = {"block_sites": 1, "shards": 1, "io_threads": 1,
-           "backing_retries": 0, "writeback_depth": 0, "prefetch_depth": 0}
+_FLOORS = {"num_slots": 1, "memory_limit": 1, "block_sites": 1, "shards": 1,
+           "io_threads": 1, "backing_retries": 0, "writeback_depth": 0,
+           "prefetch_depth": 0}
 
 
 def _opt(default: Any, *flags: str, help: str, **kwargs: Any) -> Any:

@@ -87,9 +87,11 @@ def no_leaks():
         return found
 
     deadline = time.monotonic() + 2.0
-    while leaked() and time.monotonic() < deadline:
+    found = leaked()
+    while found and time.monotonic() < deadline:
         time.sleep(0.01)
-    assert not leaked()
+        found = leaked()
+    assert not found, found
 
 
 @pytest.fixture()

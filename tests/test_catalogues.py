@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.schema import RESULT_METRICS
 from repro.core import stats
 from repro.core.stats import PARITY_COUNTERS, IoStats
 from repro.obs import ENGINE_PHASES, METRIC_EXPOSITION, METRIC_NAMES, ROUTES
@@ -105,7 +104,6 @@ def test_owner_buckets():
 
 def test_parity_counters_are_one_tuple_in_declaration_order():
     assert PARITY_COUNTERS == PARITY
-    assert RESULT_METRICS is PARITY_COUNTERS
 
 
 def test_event_table():

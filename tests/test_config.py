@@ -28,6 +28,7 @@ from repro.config import POLICIES
 from repro.core.backing import BACKING_KINDS
 from repro.core.faults import RetryingBackingStore
 from repro.core.stats import PARITY_COUNTERS
+from repro.core.vecstore import MIN_SLOTS
 from repro.errors import BackingStoreError, ReproError
 from repro.phylo.likelihood.schedule import default_group_cap
 from tests import test_oracle_matrix as matrix
@@ -147,6 +148,17 @@ class TestValidation:
         with pytest.raises(ReproError, match="RAM budget"):
             EngineConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"num_slots": -3}, {"num_slots": 0},
+        {"memory_limit": 0}, {"memory_limit": -1}])
+    def test_a_budget_below_one_is_rejected(self, kwargs):
+        """Not clamped up to the store's minimum slot count: that clamp is
+        for a small budget, not for a negative one."""
+        name = list(kwargs)[0]
+        with pytest.raises(ReproError, match=f"^{name} must be >= 1"):
+            EngineConfig(**kwargs)
+        EngineConfig(**{name: 1})
+
     def test_block_sites_needs_block_layout(self):
         with pytest.raises(ReproError, match="block_sites"):
             EngineConfig(block_sites=32)
@@ -238,6 +250,16 @@ class TestBuild:
             block_sites=16)
         assert blocks.store.ram_bytes() <= 4 * width
         assert blocks.store.num_slots > 4  # blocks are narrower than vectors
+
+    @pytest.mark.parametrize("budget", ["num_slots", "memory_limit"])
+    def test_a_budget_of_one_keeps_the_minimum_slot_clamp(self, dataset,
+                                                          budget):
+        tree, *rest = dataset
+        engine = LikelihoodEngine(tree.copy(), *rest, **{budget: 1})
+        try:
+            assert engine.store.num_slots == MIN_SLOTS
+        finally:
+            engine.close()
 
     def test_path_owning_backing_needs_a_workdir(self, dataset):
         tree, *rest = dataset
@@ -371,17 +393,15 @@ def test_front_end_keeps_its_engine_flags(module):
 
 
 def test_documented_command_lines_still_parse():
-    """Every ``python -m repro[.profile|.bench]`` line in README, DESIGN and
+    """Every ``python -m repro[.cli|.profile]`` line in README, DESIGN and
     the CI workflow parses with today's parsers."""
     import shlex
 
-    from repro.bench.runner import build_parser as bench_parser
     from repro.cli import build_parser as cli_parser
     from repro.profile import build_parser as profile_parser
 
     parsers = {"repro": cli_parser(), "repro.cli": cli_parser(),
-               "repro.profile": profile_parser(),
-               "repro.bench": bench_parser()}
+               "repro.profile": profile_parser()}
     text = "\n".join((ROOT / name).read_text() for name in
                      ("README.md", "DESIGN.md", ".github/workflows/ci.yml"))
     text = re.sub(r"\\\n", " ", text)           # shell continuations

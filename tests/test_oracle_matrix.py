@@ -9,14 +9,29 @@ cell of its own dtype: same lnL hex, same scale counters (§4.1 across
 configurations; it rests on the kernels' GEMM being row-independent, see
 ``tests/test_kernels.py::TestRowIndependence``).
 
-A write-side slice crosses one model row with {backing} × {write-behind} ×
-{dirty tracking}: the same lnL hex as the in-core twin, and every eviction
-accounted as exactly one write or one write skip.
+Two slices cross one model row with the store's own axes: the write side
+({backing} × {write-behind} × {dirty tracking}: every eviction accounted
+as exactly one write or one write skip) and the read side ({replacement
+strategy} × {prefetch}: every request one hit or one miss). Both keep
+the in-core twin's lnL hex.
+
+The paper's evaluation grid (§4: Fig. 2 miss rates, Fig. 3 read
+skipping, Fig. 5 against OS paging, §4.3 lazy SPR) is fourteen *pinned*
+cells on one 12-taxon dataset: each cell's lnL, parity counters, rates
+and modelled device figures are held to ``fixtures/matrix_pin.json``
+(:func:`write_matrix_pin`), the registry must equal ``IoStats`` wherever
+the store takes an observer, and the batched, compressed and sharded
+twins must reproduce their partner bit for bit.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
+import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +40,10 @@ from repro import (
     GTR,
     JC69,
     Alignment,
+    DiskModel,
+    EngineConfig,
     LikelihoodEngine,
+    PagedStandardStore,
     Poisson,
     RateModel,
     Tree,
@@ -33,11 +51,14 @@ from repro import (
     simulate_alignment,
     yule_tree,
 )
+from repro.config import POLICIES
 from repro.core.backing import MemoryBackingStore
 from repro.core.faults import FaultInjectingBackingStore
+from repro.core.stats import PARITY_COUNTERS, IoStats
 from repro.core.vecstore import AncestralVectorStore
 from repro.obs import Observer
 from repro.phylo.alphabet import DNA
+from repro.phylo.search import lazy_spr_round
 from tests.oracle import (
     FLOAT32_SITE_BOUND,
     jc69_star_lnl,
@@ -230,6 +251,367 @@ def test_clean_eviction_of_a_vector_read_from_staging_reaches_the_backing():
     finally:
         gated.gate.set()
         store.close()
+
+
+# -- the read side: replacement strategy × prefetch -------------------------
+
+@pytest.mark.parametrize("prefetch_depth", [0, 3])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_policy_prefetch_cell(policy, prefetch_depth):
+    """Whatever the victim choice and whether the prefetch workers run,
+    the vectors are the in-core twin's, and every demand request is one
+    hit or one miss (skipped reads poisoned, so a wrong skip shows)."""
+    name = "dna-G4"
+    tree, aln, model, rates = _dataset(name)
+    engine = LikelihoodEngine(tree.copy(), aln, model, rates, fraction=0.5,
+                              policy=policy, prefetch_depth=prefetch_depth,
+                              poison_skipped_reads=True)
+    try:
+        lnl, counts = _exercise(engine)
+    finally:
+        engine.close()
+    stats = engine.stats
+    ref_lnl, ref_counts = _reference(name, "float64")
+    assert lnl.hex() == ref_lnl.hex()
+    assert np.array_equal(counts, ref_counts)
+    assert stats.hits + stats.misses == stats.requests
+    assert stats.misses > 0
+    assert stats.prefetch_hits <= stats.prefetch_reads
+    assert prefetch_depth or stats.prefetch_reads == 0
+
+
+# -- the pinned cells: the paper's evaluation grid (§4) ----------------------
+
+PIN_FIXTURE = Path(__file__).parent / "fixtures" / "matrix_pin.json"
+
+#: The pinned cells' one dataset — small enough for every run, large
+#: enough that every cell evicts, re-reads and (sharded) touches every
+#: worker — and the cache fraction of every out-of-core cell.
+PIN_TAXA, PIN_SITES, PIN_SEED, PIN_FRACTION = 12, 120, 42, 0.25
+
+#: Relative lnL agreement with the pin: the oracle's constant. The lnL
+#: hex is a same-machine property (BLAS build): it is pinned for the
+#: reader and compared only between cells of one run.
+LNL_RTOL = 1e-9
+
+#: Held exactly, in either direction, beside the parity counters.
+#: ``simulated_io_seconds`` and ``faults`` exist where the cell has a disk
+#: model in-process (sums of modelled costs, not clock readings). The
+#: compressed backing's physical bytes and ratio depend on the zlib build
+#: and are never pinned.
+RATES = ("miss_rate", "read_rate")
+MODELLED = ("simulated_io_seconds", "faults")
+
+FULL, SPR = "full_traversals(2)", "lazy_spr_round(radius=2)"
+RUNS = {FULL: lambda engine: engine.full_traversals(2),
+        SPR: lambda engine: lazy_spr_round(engine, radius=2).lnl}
+
+_LRU = {"fraction": PIN_FRACTION, "seed": PIN_SEED}
+_BLOCK = {**_LRU, "layout": "block", "block_sites": 64}
+_HDD = {**_LRU, "backing": "simulated"}
+_HDD_BLOCK = {**_BLOCK, "backing": "simulated"}
+
+#: ``name -> (EngineConfig dict, run)``. ``None`` is Fig. 5's "standard
+#: with paging" baseline: every vector in one demand-paged address space
+#: with the same fraction of it in RAM, a store no configuration names.
+PINNED = {
+    "fig2_lru_whole": (_LRU, FULL),
+    "fig2_random_whole": ({**_LRU, "policy": "random"}, FULL),
+    "fig2_lru_block": (_BLOCK, FULL),
+    "fig3_skip": (_LRU, FULL),
+    "fig3_noskip": ({**_LRU, "read_skipping": False}, FULL),
+    "fig5_ooc_whole": (_HDD, FULL),
+    "fig5_ooc_block": (_HDD_BLOCK, FULL),
+    # batch=-1: the automatic group cap, num_slots // 3.
+    "fig5_ooc_whole_batch": ({**_HDD, "batch": -1}, FULL),
+    "fig5_ooc_block_batch": ({**_HDD_BLOCK, "batch": -1}, FULL),
+    "fig5_paging": (None, FULL),
+    "fig5_ooc_compressed": ({**_LRU, "backing": "compressed"}, FULL),
+    "fig5_ooc_sharded": ({**_LRU, "backing": "sharded", "shards": 4,
+                          "writeback_depth": 8}, FULL),
+    "spr_search_whole": (_LRU, SPR),
+    "spr_search_block": (_BLOCK, SPR),
+}
+PAGING = {"fraction": PIN_FRACTION,
+          "external": "store=PagedStandardStore over DiskModel.hdd()"}
+
+#: Each twin runs its partner's access sequence through another execution
+#: path or device, invisible to the paper's metrics: vectors round-trip
+#: the codec and the wire exactly, and the demand counters are backing-
+#: and write-behind-invariant by design, so the comparison is exact.
+TWINS = {
+    "fig5_ooc_whole_batch": "fig5_ooc_whole",
+    "fig5_ooc_block_batch": "fig5_ooc_block",
+    "fig5_ooc_compressed": "fig5_ooc_whole",
+    "fig5_ooc_sharded": "fig5_ooc_whole",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _pin_dataset():
+    tree = yule_tree(PIN_TAXA, seed=PIN_SEED, scale=0.1)
+    model, rates = GTR(), RateModel.gamma(1.0, 4)
+    alignment = simulate_alignment(tree, model, PIN_SITES, seed=PIN_SEED + 1)
+    return tree, alignment, model, rates
+
+
+def run_pinned(name: str, workdir: Path) -> dict:
+    """One run of cell ``name``: its pin entry plus what only the run's
+    gates read — ``registry`` (the observer's counters, where the store
+    takes one) and ``physical_bytes`` (compressed backing).
+
+    An engine is built from the configuration's recorded JSON block, so
+    the pinned block alone rebuilds the cell.
+    """
+    config, run = PINNED[name]
+    tree, alignment, model, rates = _pin_dataset()
+    if config is None:
+        block = PAGING
+        num_inner, shape = clv_geometry(tree, alignment, model, rates)
+        ram = max(4096, int(PIN_FRACTION * num_inner * int(np.prod(shape)) * 8))
+        engine = LikelihoodEngine(
+            tree.copy(), alignment, model, rates, store=PagedStandardStore(
+                num_inner, shape, ram_bytes=ram, disk=DiskModel.hdd()))
+    else:
+        block = EngineConfig(**config).to_dict()
+        workdir.mkdir(parents=True)
+        engine = LikelihoodEngine(tree.copy(), alignment, model, rates,
+                                  EngineConfig.from_dict(block),
+                                  workdir=workdir)
+    store = engine.store
+    obs = Observer().attach(engine) if hasattr(store, "attach") else None
+    try:
+        lnl = float(RUNS[run](engine))
+        if config is not None:
+            store.drain()
+        stats = engine.stats
+        row = stats.as_row()
+        cell = {"config": block, "run": run, "lnl": lnl, "lnl_hex": lnl.hex(),
+                "counters": {key: int(row[key]) for key in PARITY_COUNTERS},
+                "miss_rate": float(stats.miss_rate),
+                "read_rate": float(stats.read_rate)}
+        if config is None:
+            cell["simulated_io_seconds"] = float(store.simulated_seconds)
+            cell["faults"] = int(store.faults)
+        elif block["backing"] == "simulated":
+            cell["simulated_io_seconds"] = float(store.backing.simulated_seconds)
+        elif block["backing"] == "compressed":
+            cell["physical_bytes"] = int(store.backing.stored_bytes_written)
+        if obs is not None:
+            snap = obs.metrics.snapshot()["counters"]
+            cell["registry"] = {key: snap.get(key) for key in PARITY_COUNTERS}
+    finally:
+        if obs is not None:
+            obs.detach(engine)
+        engine.close()
+    return cell
+
+
+def write_matrix_pin():
+    """Writes the pin: ``PYTHONPATH=src:. python -c "from
+    tests.test_oracle_matrix import write_matrix_pin as w; w()"``, run at
+    the commit after 7630ee3 that made these cells the evaluation grid's
+    only check. Its values equal, field for field, those 7630ee3 recorded
+    in its results document. Rewrite it only in a change that says why
+    and shows which cells moved."""
+    with tempfile.TemporaryDirectory() as root:
+        runs = {name: run_pinned(name, Path(root) / name) for name in PINNED}
+    cells = {name: {key: value for key, value in run.items()
+                    if key not in ("registry", "physical_bytes")}
+             for name, run in runs.items()}
+    PIN_FIXTURE.write_text(json.dumps(cells, indent=1, sort_keys=True) + "\n")
+
+
+def _read_pin() -> dict:
+    return json.loads(PIN_FIXTURE.read_text())
+
+
+def pin_differences(name: str, got: dict, pin: dict) -> list[str]:
+    """What of cell ``name``'s run ``got`` breaks the ``pin``: a cell
+    missing from either side, a changed configuration, an lnL beyond
+    :data:`LNL_RTOL`, or any counter, rate or modelled figure not equal
+    to its pin — fewer misses is as much a change of behaviour as more."""
+    if name not in pin or name not in PINNED:
+        return [f"{name}: not a pinned cell in both the pin and PINNED"]
+    want = pin[name]
+    if (got["config"], got["run"]) != (want["config"], want["run"]):
+        return [f"{name}: config changed: rewrite the pin "
+                "(write_matrix_pin) in the same change"]
+    differences = []
+    if abs(got["lnl"] - want["lnl"]) > LNL_RTOL * abs(want["lnl"]):
+        differences.append(f"{name}: lnl {want['lnl']!r} -> {got['lnl']!r}")
+    exact = [(f"counters.{key}", got["counters"][key], want["counters"][key])
+             for key in PARITY_COUNTERS]
+    exact += [(key, got.get(key), want.get(key)) for key in RATES + MODELLED]
+    return differences + [f"{name}: {field} {b!r} -> {c!r}"
+                          for field, c, b in exact if c != b]
+
+
+def twin_differences(got: dict, want: dict) -> list[str]:
+    """Where a twin's run is not its partner's, bit for bit."""
+    differences = []
+    if got["lnl_hex"] != want["lnl_hex"]:
+        differences.append(f"lnl_hex {want['lnl_hex']} -> {got['lnl_hex']}")
+    return differences + [f"counters.{key}" for key in PARITY_COUNTERS
+                          if got["counters"][key] != want["counters"][key]]
+
+
+@pytest.fixture(scope="module")
+def pinned(tmp_path_factory):
+    """Every pinned cell, run once for the module."""
+    root = tmp_path_factory.mktemp("pinned")
+    return {name: run_pinned(name, root / name) for name in PINNED}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_pinned_cell_matches_its_pin(pinned, name):
+    differences = pin_differences(name, pinned[name], _read_pin())
+    assert not differences, differences
+
+
+def test_the_pin_holds_exactly_the_cells():
+    """Every cell pinned once, with the fields its run reports: the
+    modelled figures where a disk model is in-process, nothing
+    host-dependent anywhere."""
+    pin = _read_pin()
+    assert list(pin) == sorted(PINNED)
+    for name, entry in pin.items():
+        if name == "fig5_paging":
+            modelled = MODELLED
+        elif entry["config"]["backing"] == "simulated":
+            modelled = ("simulated_io_seconds",)
+        else:
+            modelled = ()
+        assert set(entry) == {"config", "run", "lnl", "lnl_hex", "counters",
+                              *RATES, *modelled}, name
+        assert entry["lnl"].hex() == entry["lnl_hex"], name
+        assert list(entry["counters"]) == sorted(PARITY_COUNTERS), name
+    layouts = {entry["config"].get("layout") for entry in pin.values()}
+    assert {"whole", "block"} <= layouts
+
+
+@pytest.mark.parametrize("name", [n for n in PINNED if PINNED[n][0]])
+def test_registry_equals_iostats(pinned, name):
+    """A pinned cell doubles as an end-to-end test of the telemetry path."""
+    assert pinned[name]["registry"] == pinned[name]["counters"]
+
+
+def test_only_the_paging_cell_runs_unobserved(pinned):
+    assert [n for n, cell in pinned.items() if "registry" not in cell] \
+        == ["fig5_paging"]
+
+
+@pytest.mark.parametrize("name", list(TWINS))
+def test_twin_is_bit_identical_to_its_partner(pinned, name):
+    differences = twin_differences(pinned[name], pinned[TWINS[name]])
+    assert not differences, f"{name} vs {TWINS[name]}: {differences}"
+
+
+def test_compressed_cell_writes_fewer_bytes_than_it_was_handed(pinned):
+    """Otherwise compression costs I/O instead of saving it."""
+    cell = pinned["fig5_ooc_compressed"]
+    assert cell["physical_bytes"] < cell["counters"]["bytes_written"]
+
+
+def test_fig5_cells_report_simulated_io(pinned):
+    """Fig. 5 compares modelled I/O time, so each of its runs reports it."""
+    for name in ("fig5_ooc_whole", "fig5_ooc_block", "fig5_paging"):
+        assert pinned[name]["simulated_io_seconds"] >= 0, name
+
+
+def test_read_skipping_cells(pinned):
+    skip, noskip = pinned["fig3_skip"], pinned["fig3_noskip"]
+    assert noskip["counters"]["reads"] > skip["counters"]["reads"]
+    assert noskip["counters"]["read_skips"] == 0
+
+
+# The gates fire: each rule flags the smallest change it is there for.
+
+def test_pin_rule_finds_nothing_between_the_pin_and_itself():
+    pin = _read_pin()
+    for name in pin:
+        assert pin_differences(name, pin[name], copy.deepcopy(pin)) == []
+
+
+def test_pin_rule_flags_a_counter_moved_either_way():
+    pin = _read_pin()
+    name = "fig2_lru_whole"
+    for delta in (-1, +1):
+        moved = copy.deepcopy(pin)
+        moved[name]["counters"]["misses"] += delta
+        differences = pin_differences(name, pin[name], moved)
+        assert len(differences) == 1
+        assert "fig2_lru_whole: counters.misses" in differences[0]
+
+
+@pytest.mark.parametrize("field", ["miss_rate", "simulated_io_seconds",
+                                   "faults"])
+def test_pin_rule_holds_rates_and_modelled_exactly(field):
+    pin = _read_pin()
+    moved = copy.deepcopy(pin)
+    moved["fig5_paging"][field] = math.nextafter(pin["fig5_paging"][field],
+                                                 math.inf)
+    differences = pin_differences("fig5_paging", pin["fig5_paging"], moved)
+    assert len(differences) == 1 and field in differences[0]
+
+
+def test_pin_rule_holds_lnl_to_tolerance_not_to_the_bit():
+    pin = _read_pin()
+    name = "spr_search_whole"
+    got = copy.deepcopy(pin[name])
+    got["lnl"] = math.nextafter(got["lnl"], 0.0)      # another BLAS build
+    assert pin_differences(name, got, pin) == []
+    got["lnl"] = pin[name]["lnl"] * (1 + 1e-6)
+    differences = pin_differences(name, got, pin)
+    assert len(differences) == 1 and f"{name}: lnl" in differences[0]
+
+
+def test_pin_rule_ignores_host_dependent_fields():
+    pin = _read_pin()
+    name = "fig5_ooc_compressed"
+    got = {**pin[name], "physical_bytes": 1, "compression_ratio": 0.5}
+    assert pin_differences(name, got, pin) == []
+
+
+def test_pin_rule_fails_a_changed_config():
+    pin = _read_pin()
+    got = copy.deepcopy(pin["fig2_lru_whole"])
+    got["config"]["fraction"] = 0.5
+    got["counters"]["misses"] = 0
+    assert pin_differences("fig2_lru_whole", got, pin) == [
+        "fig2_lru_whole: config changed: rewrite the pin "
+        "(write_matrix_pin) in the same change"]
+
+
+def test_pin_rule_fails_a_cell_missing_from_either_side():
+    pin = _read_pin()
+    unpinned = {n: e for n, e in pin.items() if n != "fig3_skip"}
+    assert pin_differences("fig3_skip", pin["fig3_skip"], unpinned)
+    assert pin_differences("fig9", pin["fig3_skip"], {**pin, "fig9": {}})
+
+
+def test_twin_rule_flags_one_nextafter_and_one_counter(pinned):
+    partner = pinned["fig5_ooc_whole"]
+    moved = copy.deepcopy(pinned["fig5_ooc_sharded"])
+    moved["lnl_hex"] = math.nextafter(partner["lnl"], 0.0).hex()
+    assert len(twin_differences(moved, partner)) == 1
+    moved = copy.deepcopy(pinned["fig5_ooc_sharded"])
+    moved["counters"]["writes"] += 1
+    assert twin_differences(moved, partner) == ["counters.writes"]
+
+
+def test_registry_check_sees_one_extra_miss(monkeypatch, tmp_path):
+    real = IoStats.as_row
+
+    def one_extra_miss(self):
+        row = dict(real(self))
+        row["misses"] += 1
+        return row
+
+    monkeypatch.setattr(IoStats, "as_row", one_extra_miss)
+    cell = run_pinned("fig2_lru_whole", tmp_path / "cell")
+    assert cell["counters"]["misses"] == cell["registry"]["misses"] + 1
+    assert cell["registry"] != cell["counters"]
 
 
 @pytest.mark.parametrize("lengths", [(0.1, 0.2, 0.3), (1e-6, 0.7, 2.5)])
