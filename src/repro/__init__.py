@@ -38,7 +38,7 @@ from repro.core.layout import StorageLayout, make_layout
 from repro.core.policies import make_policy, policy_names
 from repro.core.prefetch import ThreadedPrefetcher
 from repro.core.shadow import ShadowStore, TeeStore
-from repro.core.sharded import ShardedBackingStore, ShardTicket
+from repro.core.sharded import ShardedBackingStore
 from repro.core.stats import IoStats
 from repro.core.writebehind import WriteBehindQueue
 from repro.core.trace import AccessTrace, RecordingStoreProxy, simulate_policy_on_trace
@@ -100,7 +100,7 @@ __all__ = [
     "ThreadedPrefetcher", "CompressedFileBackingStore",
     "FaultInjectingBackingStore", "RetryingBackingStore",
     "InjectedFault", "SimulatedCrash",
-    "ShardedBackingStore", "ShardTicket",
+    "ShardedBackingStore",
     "WriteBehindQueue",
     "ShadowStore", "TeeStore",
     "AccessTrace", "RecordingStoreProxy", "simulate_policy_on_trace",

@@ -41,9 +41,6 @@ Rules
 ``DET003``
     ``time.time()`` in the deterministic scope — a duration is a
     ``perf_counter`` interval reported to :mod:`repro.obs`.
-``SUP001``
-    A ``# analysis: ignore[RULE]`` suppression without a reason, or
-    naming an unknown rule.
 ``EVT001``
     An ``obs.event``/``obs.timed`` site reports a name missing from the
     ``ROUTES`` table, or a row's ``mirrors=`` names a counter that

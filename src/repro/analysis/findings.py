@@ -16,7 +16,6 @@ RULES: dict[str, str] = {
     "DET001": "stdlib 'random' used in deterministic scope",
     "DET002": "unseeded numpy RNG in deterministic scope",
     "DET003": "time.time() in deterministic scope",
-    "SUP001": "'# analysis: ignore[...]' suppression malformed",
     "LOK101": "lock-acquisition cycle (potential deadlock)",
     "RACE001": "write-write data race (accesses unordered by happens-before)",
     "RACE002": "read-write data race (accesses unordered by happens-before)",

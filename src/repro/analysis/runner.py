@@ -8,7 +8,7 @@ from typing import Iterable
 from repro.analysis.counters import check_counters
 from repro.analysis.determinism import check_determinism
 from repro.analysis.events import check_events
-from repro.analysis.findings import RULES, Finding
+from repro.analysis.findings import Finding
 from repro.analysis.leaks import check_leaks
 from repro.analysis.lockorder import check_lockorder
 from repro.analysis.locks import check_locks
@@ -51,51 +51,18 @@ def analyze_paths(paths: Iterable[str | Path]) -> list[Finding]:
 
 def _apply_suppressions(files: list[SourceFile],
                         findings: list[Finding]) -> list[Finding]:
+    """Drop the LOCK001 findings a reasoned ``# lockfree-ok`` covers."""
     by_path = {str(sf.path): sf for sf in files}
-    kept: list[Finding] = []
-    for f in findings:
-        sf = by_path.get(f.path)
-        if sf is not None and _is_suppressed(sf, f):
-            continue
-        kept.append(f)
-    return kept
-
-
-def _is_suppressed(sf: SourceFile, finding: Finding) -> bool:
-    if finding.rule == "LOCK001":
-        reason = sf.lockfree_reason(finding.line)
-        if reason:  # an empty reason does NOT suppress (and raises LOCK002)
-            return True
-    directive = sf.ignore_directive(finding.line)
-    if directive is not None:
-        rules, reason = directive
-        if reason and finding.rule in rules:
-            return True
-    return False
+    return [f for f in findings
+            if not (f.rule == "LOCK001" and f.path in by_path
+                    and by_path[f.path].lockfree_reason(f.line))]
 
 
 def _suppression_hygiene(files: list[SourceFile]) -> list[Finding]:
-    """Reasonless or malformed suppressions are findings themselves."""
-    findings: list[Finding] = []
-    for sf in files:
-        for line in sorted(sf.comments):
-            reason = sf.lockfree_reason(line)
-            if reason is not None and not reason:
-                findings.append(Finding(
-                    str(sf.path), line, "LOCK002",
+    """A ``# lockfree-ok`` without a reason is a finding itself (and an
+    empty reason suppresses nothing)."""
+    return [Finding(str(sf.path), line, "LOCK002",
                     "'# lockfree-ok' needs a reason: "
-                    "'# lockfree-ok: <why this is safe unlocked>'",
-                ))
-            directive = sf.ignore_directive(line)
-            if directive is None:
-                continue
-            rules, why = directive
-            unknown = [r for r in rules if r not in RULES]
-            if not rules or not why or unknown:
-                detail = (f"unknown rule id(s) {unknown}" if unknown
-                          else "rule list and reason are both required")
-                findings.append(Finding(
-                    str(sf.path), line, "SUP001",
-                    f"malformed '# analysis: ignore[...]' suppression: {detail}",
-                ))
-    return findings
+                    "'# lockfree-ok: <why this is safe unlocked>'")
+            for sf in files for line in sorted(sf.comments)
+            if sf.lockfree_reason(line) == ""]

@@ -17,8 +17,6 @@ way:
     there.
 ``# lockfree-ok: <reason>``
     Suppresses LOCK001 on this line; the reason is mandatory.
-``# analysis: ignore[RULE1,RULE2] <reason>``
-    Generic suppression for any rule on this line; reason mandatory.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ GUARDED_RE = re.compile(r"#\s*guarded-by:\s*([A-Za-z_]\w*)")
 HOLDS_RE = re.compile(r"#\s*holds:\s*([A-Za-z_]\w*)")
 THREAD_RE = re.compile(r"#\s*thread:\s*(writer|prefetch)\b")
 LOCKFREE_RE = re.compile(r"#\s*lockfree-ok:?(.*)$")
-IGNORE_RE = re.compile(r"#\s*analysis:\s*ignore\[([^\]]*)\](.*)$")
 
 
 @dataclass
@@ -78,14 +75,6 @@ class SourceFile:
         """Reason text of a ``# lockfree-ok`` on this line (``None`` if absent)."""
         m = LOCKFREE_RE.search(self.comments.get(line, ""))
         return m.group(1).strip() if m else None
-
-    def ignore_directive(self, line: int) -> tuple[list[str], str] | None:
-        """``(rule_ids, reason)`` of a ``# analysis: ignore[...]`` directive."""
-        m = IGNORE_RE.search(self.comments.get(line, ""))
-        if m is None:
-            return None
-        rules = [r.strip() for r in m.group(1).split(",") if r.strip()]
-        return rules, m.group(2).strip()
 
 
 def attribute_chain(node: ast.expr) -> list[str] | None:

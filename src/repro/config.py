@@ -13,7 +13,7 @@ keywords on top of it, or both, and ``engine.config`` is what it was
 built from.
 
 Every value is validated here, when the dataclass is made — before a
-file, thread or worker process exists — and every rejection is a
+file or a thread exists — and every rejection is a
 :class:`~repro.errors.ReproError`. This module knows nothing of the
 engine; the engine imports it.
 """
@@ -97,9 +97,9 @@ class EngineConfig:
     backing: str | BackingStore = _opt(
         "memory", "--backing", choices=BACKING_KINDS,
         help="backing store for evicted vectors (sharded: items "
-             "hash-routed across worker processes)")
+             "striped over --shards stores in this process)")
     shards: int = _opt(4, "--shards", type=int,
-                       help="worker processes for --backing sharded")
+                       help="stripes of --backing sharded")
     backing_retries: int = _opt(
         0, "--backing-retries", type=int,
         help="wrap the backing in a RetryingBackingStore with this retry "

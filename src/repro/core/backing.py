@@ -60,39 +60,6 @@ class BackingStore(Protocol):
     def close(self) -> None: ...
 
 
-class IoTicket(Protocol):
-    """Waitable handle for one asynchronously submitted transfer.
-
-    ``wait`` blocks until the operation completed and re-raises its error,
-    if any; ``done`` polls without blocking.
-    """
-
-    def wait(self) -> None: ...
-
-    @property
-    def done(self) -> bool: ...
-
-
-class AsyncBackingStore(BackingStore, Protocol):
-    """A backing store with split submit/collect hooks.
-
-    ``submit_read``/``submit_write`` issue the transfer and return an
-    :class:`IoTicket` without waiting for completion, letting one caller
-    keep many transfers in flight — across the shard workers of a
-    :class:`~repro.core.sharded.ShardedBackingStore`, that is what turns
-    N processes into N-way I/O parallelism. ``submit_write`` must
-    serialise (or copy) the caller's buffer before returning, so the
-    buffer is immediately reusable — the same contract as the
-    write-behind staging copy. Consumers feature-detect these hooks with
-    ``callable(getattr(backing, "submit_write", None))``; every plain
-    :class:`BackingStore` keeps working unchanged.
-    """
-
-    def submit_read(self, item: int, out: np.ndarray) -> IoTicket: ...
-
-    def submit_write(self, item: int, data: np.ndarray) -> IoTicket: ...
-
-
 class ReportedBackingStore:
     """``read``/``write`` for a store whose I/O lives in ``_read``/``_write``.
 
@@ -178,6 +145,27 @@ class MemoryBackingStore(ReportedBackingStore):
 
     def close(self) -> None:
         self._closed = True
+
+
+def _check_read_buffer(out: np.ndarray, item_bytes: int) -> None:
+    """A read lands in a C-contiguous buffer exactly one item wide."""
+    if out.nbytes != item_bytes or not out.flags.c_contiguous:
+        raise BackingStoreError(
+            f"read buffer mismatch: {out.nbytes} bytes vs item width {item_bytes}"
+        )
+
+
+def _write_buffer(data: np.ndarray, dtype: np.dtype,
+                  item_bytes: int) -> np.ndarray:
+    """``data`` as the C-contiguous ``dtype`` array a write moves, which
+    must be exactly one item wide."""
+    if data.dtype != dtype or not data.flags.c_contiguous:
+        data = np.ascontiguousarray(data, dtype=dtype)
+    if data.nbytes != item_bytes:
+        raise BackingStoreError(
+            f"write buffer mismatch: {data.nbytes} bytes vs item width {item_bytes}"
+        )
+    return data
 
 
 class FileBackingStore(ReportedBackingStore):
@@ -267,10 +255,7 @@ class FileBackingStore(ReportedBackingStore):
         return done
 
     def _read(self, item: int, out: np.ndarray) -> int:
-        if out.nbytes != self.item_bytes or not out.flags.c_contiguous:
-            raise BackingStoreError(
-                f"read buffer mismatch: {out.nbytes} bytes vs item width {self.item_bytes}"
-            )
+        _check_read_buffer(out, self.item_bytes)
         offset = self._offset(item)
         view = memoryview(out.reshape(-1).view(np.uint8))
         done = self._transfer(os.preadv, item, view, offset, "read")
@@ -283,12 +268,7 @@ class FileBackingStore(ReportedBackingStore):
         return self.item_bytes
 
     def _write(self, item: int, data: np.ndarray) -> int:
-        if data.dtype != self.dtype or not data.flags.c_contiguous:
-            data = np.ascontiguousarray(data, dtype=self.dtype)
-        if data.nbytes != self.item_bytes:
-            raise BackingStoreError(
-                f"write buffer mismatch: {data.nbytes} bytes vs item width {self.item_bytes}"
-            )
+        data = _write_buffer(data, self.dtype, self.item_bytes)
         offset = self._offset(item)
         view = memoryview(data.reshape(-1).view(np.uint8))
         done = self._transfer(os.pwritev, item, view, offset, "write")
@@ -317,9 +297,12 @@ class MultiFileBackingStore(ReportedBackingStore):
 
     The paper "allows for storing individual vectors in several files" and
     found the single-file/multi-file difference minimal; this class exists
-    to reproduce that comparison (see the ablation benchmark). A transfer
-    is reported once, around the whole striped call; the per-stripe child
-    stores keep their own ``obs`` at ``None``.
+    to reproduce that comparison (see the ablation benchmark). Item ``i``
+    lives in stripe ``i % N`` under local id ``i // N``; each stripe is
+    the store :meth:`_stripe` builds (a :class:`FileBackingStore` here).
+    A transfer is reported once, around the whole striped call; the
+    per-stripe child stores keep their own ``obs`` at ``None``. Transfers
+    to distinct items are as concurrent as the stripes' own.
     """
 
     def __init__(self, directory: str | os.PathLike, num_items: int,
@@ -329,35 +312,46 @@ class MultiFileBackingStore(ReportedBackingStore):
         self.directory = os.fspath(directory)
         os.makedirs(self.directory, exist_ok=True)
         self.num_items = int(num_items)
+        self.item_shape = tuple(int(d) for d in item_shape)
+        self.dtype = np.dtype(dtype)
+        self.item_bytes = int(np.prod(self.item_shape)) * self.dtype.itemsize
         self.num_files = int(num_files)
-        per_file = [len(range(f, num_items, num_files)) for f in range(num_files)]
-        self._files = [
-            FileBackingStore(
-                os.path.join(self.directory, f"vectors_{f}.bin"),
-                max(per_file[f], 1), item_shape, dtype,
-            )
-            for f in range(num_files)
-        ]
+        self._files: list[BackingStore] = []
+        try:
+            for f in range(self.num_files):
+                # A stripe holds at least one item, even an empty one.
+                self._files.append(self._stripe(
+                    f, max(len(range(f, self.num_items, self.num_files)), 1)))
+        except BaseException:
+            self.close()
+            raise
+
+    def _stripe(self, f: int, num_items: int) -> BackingStore:
+        """The store of stripe ``f``, over ``num_items`` local ids."""
+        return FileBackingStore(os.path.join(self.directory, f"vectors_{f}.bin"),
+                                num_items, self.item_shape, self.dtype)
 
     @classmethod
     def from_layout(cls, directory: "str | os.PathLike[str]",
                     layout: "StorageLayout", dtype: DTypeLike = np.float64,
-                    num_files: int = 4) -> "MultiFileBackingStore":
+                    **options: Any) -> "MultiFileBackingStore":
         """Backing sized for a layout's item space (blocks stripe round-robin)."""
         return cls(directory, layout.num_items, layout.item_shape, dtype,
-                   num_files)
+                   **options)
 
-    def _locate(self, item: int) -> tuple[FileBackingStore, int]:
+    def _locate(self, item: int) -> tuple[BackingStore, int]:
         if not 0 <= item < self.num_items:
             raise BackingStoreError(f"item {item} out of range [0, {self.num_items})")
         return self._files[item % self.num_files], item // self.num_files
 
     def _read(self, item: int, out: np.ndarray) -> int:
+        _check_read_buffer(out, self.item_bytes)
         fh, local = self._locate(item)
         fh.read(local, out)
         return out.nbytes
 
     def _write(self, item: int, data: np.ndarray) -> int:
+        data = _write_buffer(data, self.dtype, self.item_bytes)
         fh, local = self._locate(item)
         fh.write(local, data)
         return data.nbytes
@@ -374,7 +368,7 @@ class MultiFileBackingStore(ReportedBackingStore):
         errors: list[BaseException] = []
         err_lock = threading.Lock()
 
-        def _sync(fh: FileBackingStore) -> None:
+        def _sync(fh: BackingStore) -> None:
             try:
                 fh.flush()
             except BaseException as exc:  # noqa: BLE001 - re-raised below
@@ -483,6 +477,10 @@ _BACKINGS: dict[str, tuple[str, str, bool]] = {
 #: Every kind :func:`make_backing` builds, in declaration order.
 BACKING_KINDS = tuple(_BACKINGS)
 
+#: The kinds that keep their vectors under a ``path`` (a file or directory).
+PATH_KINDS = frozenset(kind for kind, (_, _, takes_path) in _BACKINGS.items()
+                       if takes_path)
+
 
 def make_backing(kind: str, num_items: int, item_shape: tuple[int, ...],
                  dtype: DTypeLike = np.float64, /, *,
@@ -495,7 +493,7 @@ def make_backing(kind: str, num_items: int, item_shape: tuple[int, ...],
     by the RAM-resident kinds; ``options`` are forwarded to the class
     (``disk=``/``sleep=`` for simulated, ``num_files=`` for multifile,
     ``num_shards=``/``kind=``/... for sharded — the leading parameters are
-    positional-only so that the sharded tier's own ``kind=`` passes
+    positional-only so that the sharded kind's own ``kind=`` passes
     through).
     """
     try:

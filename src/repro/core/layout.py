@@ -38,7 +38,6 @@ map an item back to its node through :meth:`StorageLayout.node_of`.
 
 from __future__ import annotations
 
-import zlib
 from typing import Any, Sequence
 
 import numpy as np
@@ -199,42 +198,3 @@ def only_view(views: Sequence[np.ndarray | None]) -> np.ndarray:
     (view,) = views
     assert view is not None
     return view
-
-
-# -- shard placement ---------------------------------------------------------
-#
-# The layout layer is the single source of shard placement for the sharded
-# multi-process backing tier (repro.core.sharded): it already owns the
-# node-space -> item-space mapping, and the shard map is simply the next
-# stage of the same address translation.  Placement is a pure function of
-# the item id, so every process — front-end clients, shard workers, a
-# reattaching run after a crash — derives the identical map with no
-# coordination and no persisted table.
-
-def shard_of(item: int, num_shards: int) -> int:
-    """The shard that owns ``item``: stable ``crc32(item) % num_shards``.
-
-    ``zlib.crc32`` over the decimal item id is the repo's seeded,
-    order-independent hashing idiom (cf. :mod:`repro.core.faults`); unlike
-    ``item % num_shards`` it decorrelates placement from the layout's
-    block-interleaving structure, so consecutive site blocks of one CLV
-    spread across shards instead of striping onto one worker.
-    """
-    if num_shards < 1:
-        raise OutOfCoreError(f"need at least 1 shard, got {num_shards}")
-    if num_shards == 1:
-        return 0
-    return zlib.crc32(str(int(item)).encode()) % num_shards
-
-
-def shard_items(num_items: int, num_shards: int) -> list[list[int]]:
-    """Per-shard ascending item lists for a dense ``[0, num_items)`` space.
-
-    Workers address their private stores by *local* index (the rank of the
-    item within its shard's list), so each shard file is dense regardless
-    of how the hash scatters the global ids.
-    """
-    groups: list[list[int]] = [[] for _ in range(num_shards)]
-    for item in range(int(num_items)):
-        groups[shard_of(item, num_shards)].append(item)
-    return groups

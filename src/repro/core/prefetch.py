@@ -47,7 +47,7 @@ class ThreadedPrefetcher:
     next ``depth`` *accesses* of the schedule, and each of the ``workers``
     threads loads one of its absent read items at a time — so up to
     ``workers`` loads are in flight together, which pays off whenever the
-    backing overlaps transfers (a modelled or real disk, a sharded tier).
+    backing overlaps transfers (a modelled or real disk).
     A worker picks its item and claims the slot for it in one hold of the
     store lock, so no two ever pick the same one; with nothing to do it
     parks on the store's condition variable. Prefetch never evicts pinned,

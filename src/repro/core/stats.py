@@ -238,7 +238,7 @@ PREFETCH_COUNTERS = frozenset(_owned_by("prefetch"))
 WRITEBACK_COUNTERS = frozenset(_owned_by("writeback"))
 
 #: The counters the §4 evaluation metrics are computed from — the demand
-#: trace and the eviction stream, in declaration order. A traced, sharded,
+#: trace and the eviction stream, in declaration order. A traced, striped,
 #: batched or fault-injected run must reproduce them exactly, and every
 #: result document carries them.
 PARITY_COUNTERS = _owned_by("demand", "eviction")

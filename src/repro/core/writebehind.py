@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import DTypeLike
@@ -246,16 +246,6 @@ class WriteBehindQueue:
 
     def _writer_loop(self) -> None:  # thread: writer
         rc = self._race
-        # Feature-detect the async submit/collect hooks once (the backing
-        # never changes): against an AsyncBackingStore such as the sharded
-        # tier, a writer drains every queued victim as one submitted batch
-        # — the per-shard in-flight windows keep all workers busy — and
-        # only then collects completions, instead of one synchronous
-        # round-trip at a time.
-        submit = getattr(self.backing, "submit_write", None)
-        if callable(submit):
-            self._writer_loop_async(submit)
-            return
         while True:
             with self._cond:
                 if rc is not None:
@@ -274,83 +264,13 @@ class WriteBehindQueue:
             try:
                 self.backing.write(item, buf)
             except BaseException as exc:  # noqa: BLE001 - surfaced via drain()
-                self._park_failed([(item, exc)], park=True)
+                self._park_failed(item, exc)
                 continue
             self._finish(item, buf, write_t0)
 
-    def _writer_loop_async(
-            self, submit: "Callable[[int, np.ndarray], Any]") -> None:  # thread: writer
-        """Pipelined drain against an ``AsyncBackingStore``.
-
-        Every queued victim is submitted as soon as it is popped —
-        ``submit_write`` serialises the staged copy before returning, so
-        the buffers are safe the moment each ticket completes — and
-        completions are collected one at a time, oldest first, so the
-        loop returns to pick up newly staged victims between waits. The
-        submission pipe therefore stays full: while one shard's write is
-        in flight, victims routed to other shards keep streaming out,
-        which is where a multi-worker backing tier earns its overlap.
-
-        A re-staged item can briefly have two writes in flight; they are
-        submitted in staging order and the backing applies same-item
-        operations in submission order (the sharded tier's per-item
-        ordering contract — operations on *different* items may
-        complete in any order), so the newest data wins. Failed items follow the synchronous error
-        path (:meth:`_park_failed`): the vector stays staged (still
-        readable), is re-queued for retry, the first error is parked for
-        ``drain()`` to surface, and once the pipe is empty the writer waits
-        for new activity instead of spinning.
-        """
-        rc = self._race
-        inflight: deque[tuple[int, np.ndarray, Any, float]] = deque()
-        while True:
-            stopping = False
-            with self._cond:
-                if rc is not None:
-                    rc.read(self._race_scope, "_stop", "_staged")
-                    rc.write(self._race_scope, "_order", "_writing")
-                while not self._order and not self._stop and not inflight:
-                    self._cond.wait()
-                stopping = self._stop
-                batch: list[tuple[int, np.ndarray]] = []
-                if not stopping:
-                    while self._order:
-                        queued = self._order.popleft()
-                        batch.append((queued, self._staged[queued]))
-                        self._writing.add(queued)
-            if stopping:
-                # close() drains before stopping, so tickets can only
-                # remain here after a drain that raised; let them settle
-                # (the backing is about to be closed) and abandon the
-                # queue like the synchronous path does.
-                for _item, _buf, ticket, _t0 in inflight:
-                    try:
-                        ticket.wait()
-                    except BaseException:  # noqa: BLE001 - abandoned on stop
-                        pass
-                return
-            failed: list[tuple[int, BaseException]] = []
-            for item, buf in batch:
-                t0 = time.perf_counter()
-                try:
-                    ticket = submit(item, buf)
-                    inflight.append((item, buf, ticket, t0))
-                except BaseException as exc:  # noqa: BLE001 - surfaced via drain()
-                    failed.append((item, exc))
-            if inflight:
-                item, buf, ticket, t0 = inflight.popleft()
-                try:
-                    ticket.wait()
-                except BaseException as exc:  # noqa: BLE001 - surfaced via drain()
-                    failed.append((item, exc))
-                else:
-                    self._finish(item, buf, t0)
-            if failed:
-                self._park_failed(failed, park=not inflight)
-
     def _finish(self, item: int, buf: np.ndarray,
                 t0: float) -> None:  # thread: writer
-        """Account one completed drain (either loop) and recycle its buffer."""
+        """Account one completed drain and recycle its buffer."""
         rc = self._race
         ob = self.obs
         if ob is not None:
@@ -371,21 +291,19 @@ class WriteBehindQueue:
             # newer version is still queued and drains after us.
             self._cond.notify_all()
 
-    def _park_failed(self, failed: list[tuple[int, BaseException]],
-                     park: bool) -> None:  # thread: writer
-        """Re-queue failed drains; optionally park until new activity."""
+    def _park_failed(self, item: int,
+                     exc: BaseException) -> None:  # thread: writer
+        """Re-queue a failed drain and park until new activity."""
         rc = self._race
         with self._cond:
             if rc is not None:
                 rc.write(self._race_scope, "_writing", "_order", "_error")
-            for item, exc in failed:
-                self._writing.discard(item)
-                self._order.append(item)  # keep the data; retry later
-                if self._error is None:
-                    self._error = exc
+            self._writing.discard(item)
+            self._order.append(item)  # keep the data; retry later
+            if self._error is None:
+                self._error = exc
             self._cond.notify_all()
             # Park until new activity so a dead backing store does not
-            # spin the writer — but never while tickets are still in
-            # flight (their completions must be collected promptly).
-            if park and not self._stop:
+            # spin the writer.
+            if not self._stop:
                 self._cond.wait()

@@ -14,9 +14,7 @@ exactly two sinks, and every measurement has one home in them:
   :class:`~repro.obs.spans.SpanRecord` rows, one per report: intervals
   (``plan``, ``kernel``, a write-behind drain, a backing transfer) and
   instants (``get``, ``miss``, a retry: ``dur = 0``, with their item and
-  slot), across the compute/writeback/prefetch threads. A shard worker
-  process reports nothing; its client reports each round trip as the
-  backing transfer it is.
+  slot), across the compute/writeback/prefetch threads.
 
 Components report each measurement once, by name, through the observer's
 verbs; :data:`ROUTES` — one row per reported name — says which catalogue
@@ -119,14 +117,13 @@ ROUTES: dict[str, Route] = {
     "writeback_drain": Route(metric="writeback_drain_seconds",
                              mirrors="writeback_writes"),
     "prefetch_load": Route(),
-    # -- physical transfers (an in-process backing's call, a shard
-    # client's round trip) --
+    # -- physical transfers (one per backing call, a striped one's
+    # included) --
     "backing_read": Route(metric="backing_read_seconds"),
     "backing_write": Route(metric="backing_write_seconds"),
-    # -- failures (instants carrying item/attempt, or shard) --
+    # -- failures (instants carrying item and attempt) --
     "backing_fault": Route(metric="backing_faults"),
     "backing_retry": Route(metric="backing_retries"),
-    "shard_restart": Route(metric="shard_restarts"),
 }
 
 #: The engine's phases: each reports one lap per call into its
@@ -176,7 +173,7 @@ class Observer:
 
     def event(self, name: str, item: int = -1, slot: int = -1,
               **args: Any) -> None:
-        """Report an instant; further keywords (``attempt=``, ``shard=``)
+        """Report an instant; further keywords (``attempt=``)
         ride on its record."""
         metric = ROUTES[name].metric
         if metric is not None:

@@ -48,7 +48,7 @@ def records_to_jsonl(records: Iterable[Any], path: str) -> int:
     """Write ring records to ``path`` as JSON Lines; returns the row count.
 
     Accepts any iterable of :class:`~repro.obs.spans.SpanRecord` rows;
-    ``args`` (a retry's attempt, a restart's shard) appear when present.
+    ``args`` (a retry's attempt) appear when present.
     """
     count = 0
     with open(path, "w", encoding="utf-8") as fh:

@@ -63,9 +63,6 @@ METRIC_EXPOSITION: dict[str, Metric] = {
         "counter", "Physical bytes through the compressed backing"),
     "compress_compactions": Metric(
         "counter", "Heap compactions run by the compressed backing"),
-    # -- sharded backing tier --
-    "shard_restarts": Metric(
-        "counter", "Dead shard workers detected and restarted"),
     # -- live gauges --
     "slots_total": Metric("gauge", "RAM slot capacity m of the store"),
     "slots_occupied": Metric("gauge", "Slots currently holding a vector"),

@@ -38,7 +38,7 @@ class SpanRecord(NamedTuple):
     start: float  #: time.perf_counter() at entry (at the report, for an instant)
     dur: float  #: duration in seconds
     thread: str  #: threading.current_thread().name at completion
-    args: dict[str, Any] | None  #: optional payload (attempt, shard, ...)
+    args: dict[str, Any] | None  #: optional payload (a retry's attempt, ...)
     item: int = -1  #: logical vector id (-1 when not applicable)
     slot: int = -1  #: RAM slot id (-1 when not applicable)
 

@@ -30,11 +30,11 @@ import os
 import numpy as np
 
 from repro.config import EngineConfig
-from repro.core.backing import make_backing
+from repro.core.backing import PATH_KINDS, make_backing
 from repro.core.faults import RetryingBackingStore
 from repro.core.layout import StorageLayout, make_layout
 from repro.core.vecstore import AncestralVectorStore
-from repro.errors import LikelihoodError
+from repro.errors import BackingStoreError, LikelihoodError
 from repro.phylo.likelihood.evaluator import Evaluator
 from repro.phylo.likelihood.executor import Executor, clv_geometry
 from repro.phylo.models.base import ReversibleModel
@@ -52,11 +52,17 @@ def build_store(config: EngineConfig, layout: StorageLayout, *,
 
     The one place a configuration becomes a store: the engine's own.
     ``workdir`` is where a path-owning backing kind puts its scratch file
-    (the caller owns the directory); ``store_options`` are ``track_dirty``
-    / ``poison_skipped_reads``, and one left ``None`` takes the store's own
-    default. The store owns its backing — a ready-made one included — and
-    closes it.
+    (the caller owns the directory; such a kind without one is a
+    :class:`~repro.errors.BackingStoreError` before anything is built);
+    ``store_options`` are ``track_dirty`` / ``poison_skipped_reads``, and
+    one left ``None`` takes the store's own default. The store owns its
+    backing — a ready-made one included — and closes it.
     """
+    backing = config.backing
+    if isinstance(backing, str) and backing in PATH_KINDS and workdir is None:
+        raise BackingStoreError(
+            f"{backing!r} backing needs a path: pass workdir=, a directory "
+            f"the caller owns, for its files")
     options = {key: value for key, value in store_options.items()
                if value is not None}
     dtype = np.dtype(config.dtype)
@@ -65,7 +71,6 @@ def build_store(config: EngineConfig, layout: StorageLayout, *,
         # The store clamps to [MIN_SLOTS, num_items] like any slot count.
         item_bytes = int(np.prod(layout.item_shape)) * dtype.itemsize
         num_slots = config.memory_limit // item_bytes
-    backing = config.backing
     if isinstance(backing, str):
         path = (None if workdir is None
                 else os.path.join(workdir, f"vectors.{backing}"))
@@ -114,7 +119,8 @@ class LikelihoodEngine(Evaluator, Executor):
         instead of building one; its own layout governs and the
         store-building fields must then be at their defaults.
     workdir:
-        Where a path-owning backing kind puts its scratch file.
+        Where a path-owning backing kind puts its scratch file; such a
+        kind needs one (the constructor makes no temporary directory).
     track_dirty / poison_skipped_reads:
         Options of the built store that no front end declares; left
         ``None``, the store's defaults (dirty tracking on, no poisoning).
@@ -136,9 +142,9 @@ class LikelihoodEngine(Evaluator, Executor):
         **overrides,
     ) -> None:
         # The configuration is checked in full before anything that owns a
-        # thread, a file descriptor or a worker process exists, so a
-        # rejected call has nothing to leak; the store is built last, and
-        # whatever still runs after it runs under the try that closes it.
+        # thread or a file descriptor exists, so a rejected call has
+        # nothing to leak; the store is built last, and whatever still
+        # runs after it runs under the try that closes it.
         config = (config or EngineConfig()).override(**overrides)
         if store is not None:
             config.check_store(store)
@@ -175,7 +181,7 @@ class LikelihoodEngine(Evaluator, Executor):
                 config.prefetch_depth)
         except BaseException:
             # A store built here has no other owner: release its writer
-            # threads and its backing (fd, shard workers) with it.
+            # threads and its backing (its fds) with it.
             if store is None:
                 built.close()
             raise

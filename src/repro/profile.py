@@ -31,8 +31,8 @@ snapshot, once (the same values a live ``/metrics`` scrape exposes);
 ``--metrics-port`` serves the registry over HTTP for the duration of
 the run, and ``--spans-out`` writes the record ring as a Chrome
 trace-event timeline loadable in Perfetto. ``--attribution`` prints the
-per-op backing latency (on a sharded backing, the client's round trips)
-and beneath it the compute thread's ``store_wait`` seconds split by what
+per-op backing latency (one row per backing call, a striped one's
+included) and beneath it the compute thread's ``store_wait`` seconds split by what
 ``get`` waited for: a load in flight, write-behind back-pressure, or a
 demand read nobody had prefetched.
 """

@@ -1,4 +1,5 @@
-"""Suppression semantics: valid directives, LOCK002 and SUP001 hygiene."""
+"""Suppression semantics: a reasoned ``# lockfree-ok`` suppresses LOCK001,
+a reasonless one suppresses nothing and is LOCK002."""
 
 import threading
 
@@ -14,18 +15,3 @@ class Guarded:
     def reasonless_fast_path(self) -> bool:
         # expect-next-line: LOCK001 LOCK002 -- no reason => no suppression
         return self._flag  # lockfree-ok:
-
-    def generic_suppressed(self) -> bool:
-        return self._flag  # analysis: ignore[LOCK001] audited single-word read
-
-    def reasonless_directive(self) -> bool:
-        # expect-next-line: LOCK001 SUP001 -- reason is mandatory
-        return self._flag  # analysis: ignore[LOCK001]
-
-    def unknown_rule_directive(self) -> bool:
-        # expect-next-line: LOCK001 SUP001 -- BOGUS42 is not a rule
-        return self._flag  # analysis: ignore[BOGUS42] because reasons
-
-    def wrong_rule_directive(self) -> bool:
-        # expect-next-line: LOCK001 -- directive names a different rule
-        return self._flag  # analysis: ignore[DET001] not the rule that fires

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
 import threading
@@ -57,27 +56,22 @@ def _open_fds() -> dict[str, str]:
 
 @pytest.fixture(autouse=True)
 def no_leaks():
-    """Leak gate around every test: once a test is over no
-    ``shard-worker-*`` child is alive, no ``shard-recv-*`` thread nor a
-    pipeline thread it started (:data:`PIPELINE_THREADS`) remains, and
-    no more file descriptors are open than when it began — every store,
-    engine, socket and file a test opens, it closes. Threads alive before
-    the test (a module fixture's engine) are not its own. The short grace
-    covers a receiver that is still returning from the restart it just
-    performed. Nothing is garbage-collected first: a descriptor only a
-    reference cycle still holds is a leak."""
+    """Leak gate around every test: once a test is over no pipeline
+    thread it started (:data:`PIPELINE_THREADS`) remains, and no more
+    file descriptors are open than when it began — every store, engine,
+    socket and file a test opens, it closes. Threads alive before the
+    test (a module fixture's engine) are not its own. The short grace
+    covers a thread that is still returning from its last call. Nothing
+    is garbage-collected first: a descriptor only a reference cycle still
+    holds is a leak."""
     before = set(threading.enumerate())
     check_fds = os.path.isdir(FD_DIR)
     fds_before = _open_fds() if check_fds else {}
     yield
 
     def leaked():
-        found = ([p.name for p in multiprocessing.active_children()
-                  if p.name.startswith("shard-worker-")]
-                 + [t.name for t in threading.enumerate()
-                    if t.name.startswith("shard-recv-")
-                    or (t not in before
-                        and t.name.startswith(PIPELINE_THREADS))])
+        found = [t.name for t in threading.enumerate()
+                 if t not in before and t.name.startswith(PIPELINE_THREADS)]
         if check_fds:
             fds = _open_fds()
             if len(fds) > len(fds_before):

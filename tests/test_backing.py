@@ -1,6 +1,8 @@
-"""Unit tests for backing stores: memory, single-file, multi-file, simulated."""
+"""Unit tests for backing stores: memory, single-file, multi-file (and its
+sharded stripes), simulated."""
 
 import os
+import sys
 import threading
 
 import numpy as np
@@ -12,6 +14,10 @@ from repro.core.backing import (
     MultiFileBackingStore,
     SimulatedDiskBackingStore,
 )
+from repro.core.faults import FaultInjectingBackingStore, RetryingBackingStore
+from repro.core.sharded import ShardedBackingStore
+from repro.core.stats import DEMAND_COUNTERS, PARITY_COUNTERS
+from repro.core.vecstore import AncestralVectorStore
 from repro.errors import BackingStoreError
 from repro.vm.disk import DiskModel
 
@@ -335,6 +341,247 @@ class TestMultiFileBacking:
             s2.read(item, out)
             np.testing.assert_array_equal(out, data)
         s2.close()
+
+
+#: Seed under test — the CI fault job sweeps {0, 1, 7, 1337}.
+FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
+
+SHARD_KINDS = ["file", "compressed", "simulated"]
+
+
+class TestShardedStripes:
+    """``ShardedBackingStore``: the multi-file stripes with a store kind
+    per shard (item ``i`` in shard ``i % N`` at local id ``i // N``)."""
+
+    @pytest.mark.parametrize("kind", SHARD_KINDS)
+    def test_write_read_all_items(self, kind, tmp_path, closing):
+        st = closing(ShardedBackingStore(tmp_path / "sh", 13, SHAPE,
+                                         num_shards=4, kind=kind))
+        roundtrip(st, 13)
+        assert st.num_shards == 4
+
+    def test_bad_geometry_rejected(self, tmp_path):
+        with pytest.raises(BackingStoreError):
+            ShardedBackingStore(tmp_path / "sh", 4, SHAPE, num_shards=0)
+        with pytest.raises(BackingStoreError, match="unknown shard kind"):
+            ShardedBackingStore(tmp_path / "sh", 4, SHAPE, kind="nope")
+
+    @pytest.mark.parametrize("kind", SHARD_KINDS)
+    def test_out_of_range_and_buffer_mismatch(self, kind, tmp_path, closing):
+        st = closing(ShardedBackingStore(tmp_path / "sh", 4, SHAPE,
+                                         num_shards=2, kind=kind))
+        with pytest.raises(BackingStoreError, match="out of range"):
+            st.read(4, np.empty(SHAPE))
+        with pytest.raises(BackingStoreError, match="out of range"):
+            st.write(-1, np.zeros(SHAPE))
+        with pytest.raises(BackingStoreError, match="read buffer mismatch"):
+            st.read(0, np.empty((2, 2)))
+        with pytest.raises(BackingStoreError, match="read buffer mismatch"):
+            st.read(0, np.empty((4, 4, 4))[:, ::2])
+        with pytest.raises(BackingStoreError, match="write buffer mismatch"):
+            st.write(0, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("kind", ["file", "compressed"])
+    def test_reattach_preserves_flushed_data(self, kind, tmp_path):
+        rng = np.random.default_rng(13)
+        originals = {i: rng.normal(size=SHAPE) for i in range(9)}
+        st = ShardedBackingStore(tmp_path / "sh", 9, SHAPE, num_shards=3,
+                                 kind=kind)
+        for item, data in originals.items():
+            st.write(item, data)
+        st.flush()
+        st.close()
+        st2 = ShardedBackingStore(tmp_path / "sh", 9, SHAPE, num_shards=3,
+                                  kind=kind)
+        try:
+            out = np.empty(SHAPE)
+            for item, data in originals.items():
+                st2.read(item, out)
+                np.testing.assert_array_equal(out, data)
+        finally:
+            st2.close()
+
+    @pytest.mark.parametrize("kind", SHARD_KINDS)
+    def test_close_idempotent_and_rejects_io(self, kind, tmp_path):
+        st = ShardedBackingStore(tmp_path / "sh", 4, SHAPE, num_shards=2,
+                                 kind=kind)
+        st.write(1, np.ones(SHAPE))
+        st.close()
+        st.close()
+        st.flush()  # nothing left to make durable
+        with pytest.raises(BackingStoreError, match="closed"):
+            st.read(0, np.empty(SHAPE))
+        with pytest.raises(BackingStoreError, match="closed"):
+            st.write(0, np.zeros(SHAPE))
+
+    def test_read_batch_returns_done_tickets(self, tmp_path, closing):
+        st = closing(ShardedBackingStore(tmp_path / "sh", 5, SHAPE,
+                                         num_shards=2))
+        for item in range(5):
+            st.write(item, np.full(SHAPE, float(item)))
+        bufs = [np.empty(SHAPE) for _ in range(5)]
+        tickets = st.read_batch(list(enumerate(bufs)))
+        assert len(tickets) == 5 and all(t.done for t in tickets)
+        for item, (ticket, buf) in enumerate(zip(tickets, bufs)):
+            ticket.wait()
+            np.testing.assert_array_equal(buf, float(item))
+
+    @pytest.mark.parametrize("kind", SHARD_KINDS)
+    def test_concurrent_reads_and_writes_round_trip(self, kind, tmp_path,
+                                                    closing):
+        """Threads read and write distinct items of every shard at once —
+        the write-behind writers and prefetch workers do — with a tiny
+        switch interval, so transfers interleave mid-call. Every read
+        returns its item's bytes."""
+        n, rounds = 16, 40
+        st = closing(ShardedBackingStore(tmp_path / "sh", n, SHAPE,
+                                         num_shards=3, kind=kind))
+        rng = np.random.default_rng(5)
+        data = {i: rng.normal(size=SHAPE) for i in range(n)}
+        for item, values in data.items():
+            st.write(item, values)
+        torn, errors = [], []
+
+        def reader(items):
+            out = np.empty(SHAPE)
+            for _ in range(rounds):
+                for item in items:
+                    st.read(item, out)
+                    if not (out == data[item]).all():
+                        torn.append(item)
+
+        def writer(items):
+            for _ in range(rounds):
+                for item in items:
+                    st.write(item, data[item])
+
+        def guarded(fn, items):
+            try:
+                fn(items)
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        jobs = [(reader, range(0, n, 4)), (reader, range(1, n, 4)),
+                (writer, range(2, n, 4)), (writer, range(3, n, 4))]
+        before = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=guarded, args=job, daemon=True)
+                       for job in jobs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(before)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and torn == []
+        out = np.empty(SHAPE)
+        for item, values in data.items():
+            st.read(item, out)
+            np.testing.assert_array_equal(out, values)
+
+    def test_retry_wrapper_recovers(self, tmp_path):
+        rng = np.random.default_rng(23)
+        data = {i: rng.normal(size=SHAPE) for i in range(10)}
+        faulty = FaultInjectingBackingStore(
+            ShardedBackingStore(tmp_path / "sh", 10, SHAPE, num_shards=3),
+            seed=FAULT_SEED, read_error_rate=0.15, write_error_rate=0.15,
+            short_read_rate=0.1, short_write_rate=0.1)
+        retry = RetryingBackingStore(faulty, retries=32)
+        try:
+            for item, values in data.items():
+                retry.write(item, values)
+            out = np.empty(SHAPE)
+            for item, values in data.items():
+                retry.read(item, out)
+                np.testing.assert_array_equal(out, values)
+        finally:
+            retry.close()
+
+    def test_counter_parity_through_faulty_stripes(self, tmp_path):
+        n, m = 12, 4
+        clean = AncestralVectorStore(
+            n, SHAPE, num_slots=m, policy="lru",
+            backing=FileBackingStore(tmp_path / "clean.bin", n, SHAPE))
+        expected = _drive(clean, n)
+        baseline = {k: getattr(clean.stats, k) for k in PARITY_COUNTERS}
+        faulty = FaultInjectingBackingStore(
+            ShardedBackingStore(tmp_path / "sh", n, SHAPE, num_shards=3),
+            seed=FAULT_SEED, read_error_rate=0.15, write_error_rate=0.15)
+        store = AncestralVectorStore(
+            n, SHAPE, num_slots=m, policy="lru",
+            backing=RetryingBackingStore(faulty, retries=32))
+        try:
+            _drive(store, n)
+            assert {k: getattr(store.stats, k)
+                    for k in PARITY_COUNTERS} == baseline
+            for item, values in expected.items():
+                np.testing.assert_array_equal(store.read_item(item), values)
+            store.validate()
+        finally:
+            clean.close()
+            store.close()
+
+    @pytest.mark.parametrize("pipeline", [
+        {}, {"writeback_depth": 4, "prefetch_depth": 2}],
+        ids=["sync", "async"])
+    def test_each_call_is_one_reported_transfer(self, tmp_path, pipeline):
+        """An observer sees one ``backing_read`` / ``backing_write`` per
+        striped call, through a retry wrapper: their counts are the
+        physical I/O, and observing moves no demand counter."""
+        from repro import GTR, RateModel, simulate_alignment, yule_tree
+        from repro.config import EngineConfig
+        from repro.obs import Observer
+        from repro.phylo.likelihood.engine import LikelihoodEngine
+
+        # 32 taxa: at 3 slots a full traversal re-reads evicted children.
+        tree = yule_tree(32, seed=3)
+        model = GTR((1.0, 2.5, 1.2, 0.8, 3.0, 1.0), (0.3, 0.2, 0.25, 0.25))
+        rates = RateModel.gamma(0.8, 4)
+        alignment = simulate_alignment(tree, model, 120, rates=rates, seed=1)
+        config = EngineConfig(num_slots=3, policy="lru", backing="sharded",
+                              shards=2, backing_retries=2, **pipeline)
+
+        def run(workdir, observed):
+            workdir.mkdir()
+            engine = LikelihoodEngine(tree.copy(), alignment, model, rates,
+                                      config, workdir=workdir)
+            obs = Observer().attach(engine) if observed else None
+            try:
+                engine.full_traversals(2)
+                engine.store.drain()
+                stats = engine.stats
+                hists = obs.metrics.snapshot()["histograms"] if obs else None
+                return (dict(stats.as_row()),
+                        (stats.physical_reads, stats.physical_writes), hists)
+            finally:
+                engine.close()
+
+        bare, _, _ = run(tmp_path / "bare", False)
+        seen, (reads, writes), hists = run(tmp_path / "seen", True)
+        assert min(reads, writes) > 0
+        assert hists["backing_read_seconds"]["count"] == reads
+        assert hists["backing_write_seconds"]["count"] == writes
+        for key in DEMAND_COUNTERS:
+            assert seen[key] == bare[key], key
+
+
+def _drive(store, n):
+    """A deterministic workload with evictions, re-reads and dirty data."""
+    rng = np.random.default_rng(17)
+    originals = {}
+    for item in range(n):
+        buf = store.get(item, write_only=True)
+        data = rng.normal(size=SHAPE)
+        buf[:] = data
+        originals[item] = data
+    for item in range(0, n, 2):
+        store.get(item, write_only=False)
+    for item in range(n - 1, -1, -1):
+        store.get(item, write_only=False)
+    store.flush(force=True)
+    return originals
 
 
 class TestSimulatedDisk:

@@ -63,7 +63,6 @@ METRICS = {
     "compress_bytes_raw": "counter",
     "compress_bytes_stored": "counter",
     "compress_compactions": "counter",
-    "shard_restarts": "counter",
     "slots_total": "gauge",
     "slots_occupied": "gauge",
     "slots_dirty": "gauge",
@@ -118,7 +117,7 @@ def test_engine_phases_come_from_the_routes():
 
 
 def test_metric_catalogue():
-    assert len(METRICS) == 37
+    assert len(METRICS) == 36
     assert {name: row.kind
             for name, row in METRIC_EXPOSITION.items()} == METRICS
     assert METRIC_NAMES == set(METRICS)

@@ -137,7 +137,7 @@ OUT_OF_RANGE = [
 
 class TestValidation:
     """Invalid combinations raise one ReproError from ``__post_init__`` —
-    before a layout, a file or a worker process exists."""
+    before a layout, a file or a thread exists."""
 
     @pytest.mark.parametrize("kwargs", [
         {"fraction": 0.5, "num_slots": 4},
@@ -266,6 +266,17 @@ class TestBuild:
         with pytest.raises(BackingStoreError, match="needs a path"):
             LikelihoodEngine(tree.copy(), *rest, fraction=0.5, backing="file")
 
+    @pytest.mark.parametrize("kind", ["file", "multifile", "compressed", "sharded"])
+    def test_the_missing_workdir_is_named_before_anything_is_built(
+            self, dataset, kind, tmp_path, monkeypatch):
+        """The constructor makes no scratch directory of its own: the error
+        names the keyword, and no backing was constructed for it."""
+        tree, *rest = dataset
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ReproError, match="pass workdir="):
+            LikelihoodEngine(tree.copy(), *rest, fraction=0.5, backing=kind)
+        assert list(tmp_path.iterdir()) == []
+
     def test_backing_instance_overrides_the_kind(self, dataset, incore_hex):
         tree, alignment, model, rates = dataset
         backing = make_backing("simulated", *clv_geometry(*dataset))
@@ -283,7 +294,7 @@ class TestBuild:
         {"fraction": 0.5, "num_slots": 4}, {"policy": "belady"},
         {"polcy": "lru"}, {"policy_kwargs": {"seed": 1}}])
     def test_rejected_call_leaves_nothing_behind(self, dataset, tmp_path, bad):
-        """Every value is checked before a file, thread or worker exists."""
+        """Every value is checked before a file or a thread exists."""
         tree, *rest = dataset
         threads = threading.active_count()
         kwargs = {"fraction": 0.5, "backing": "file", "writeback_depth": 2,

@@ -106,12 +106,11 @@ class TestTracer:
     def test_failure_event_counts_and_carries_context(self):
         obs = Observer(capacity=8)
         obs.event("backing_retry", 7, attempt=2)
-        obs.event("shard_restart", shard=1, replayed=3)
-        retry, restart = obs.spans.records()
-        assert (retry.item, retry.args) == (7, {"attempt": 2})
-        assert restart.args == {"shard": 1, "replayed": 3}
-        assert obs.metrics.value("backing_retries") == 1
-        assert obs.metrics.value("shard_restarts") == 1
+        obs.event("backing_retry", 9, attempt=3)
+        first, second = obs.spans.records()
+        assert (first.item, first.args) == (7, {"attempt": 2})
+        assert (second.item, second.args) == (9, {"attempt": 3})
+        assert obs.metrics.value("backing_retries") == 2
 
 
 class TestLogHistogram:
@@ -415,7 +414,6 @@ class TestReportingSeam:
         # (ii) completeness: the ring holds one record per report, and
         # the registry exactly what ROUTES sends it, summed over the
         # names that were reported.
-        # A shard client reports its round trips as the transfers they are.
         reports = obs.reports
         expected = {"get", "miss", "evict", "demand_read", "plan", "kernel",
                     "store_wait", "execute_plan", "backing_read",
