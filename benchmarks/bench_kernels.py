@@ -8,12 +8,14 @@ derivative) so the out-of-core swap costs in the other benches can be read
 against the compute they overlap with.
 """
 
+import time
+
 import numpy as np
 import pytest
 
-from repro import GTR, RateModel
+from repro import GTR, LikelihoodEngine, RateModel, simulate_alignment, yule_tree
 from repro.phylo.alphabet import DNA
-from repro.phylo.likelihood import kernels
+from repro.phylo.likelihood import kernels, siteclasses
 
 PATTERNS = 4096
 CATS = 4
@@ -99,8 +101,6 @@ def test_transition_matrices(benchmark):
 def test_sites_per_second_report(benchmark, operands):
     """Headline table: per-kernel time and patterns/s on this machine, as
     the engine calls them (cached operators, reused scratch)."""
-    import time
-
     from benchmarks.conftest import report
 
     left, right, out, counts, P, codes = operands
@@ -153,6 +153,100 @@ def test_sites_per_second_report(benchmark, operands):
             best = min(best, (time.perf_counter() - t0) / 200)
         rates.append(PATTERNS / best)
         lines.append(f"{name:<44} {best * 1e6:9.1f} {rates[-1] / 1e6:13.2f}")
+    lines.extend(site_class_rows())
     report("kernel_throughput", lines)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert rates[0] > 100_000  # inner-inner CLV updates per second
+
+
+def _best_of(call, repeats: int = 5, calls: int = 20) -> float:
+    call()
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            call()
+        best = min(best, (time.perf_counter() - t0) / calls)
+    return best
+
+
+def site_class_rows() -> list[str]:
+    """Site classes at the benchmark's D128x4k class mix: one pass of every
+    inner node's update on its class rows (gather + ``update_clv`` into
+    rows ``[0, k)``, as the executor runs it) against the same updates at
+    full width, and the map builds by path."""
+    tree = yule_tree(128, seed=42, scale=0.1)
+    model, rates = GTR(), RateModel.gamma(1.0, 4)
+    aln = simulate_alignment(tree, model, 4000, rates=rates, seed=43)
+    engine = LikelihoodEngine(tree.copy(), aln, model, rates)
+    try:
+        engine.full_traversals(1)
+        n, maps = tree.num_tips, engine.classes
+        span, cm = engine.num_patterns, engine._code_matrix
+        full = {x: engine.store.read_item(x - n) for x in range(n, tree.num_nodes)}
+
+        def sites(y: int) -> np.ndarray:  # a child's rows at every site
+            block = maps.current[y].blocks[0]
+            return block.expand(full[y][:block.k])
+
+        classed, whole = [], []
+        builds = {"table": [], "sort": []}
+        for x in range(n, tree.num_nodes):
+            kids = sorted(y for y in tree.neighbors(x)
+                          if y != engine.orientation.orient[x])
+            ops = (engine._P(x, kids[0]), engine._P(x, kids[1]))
+            block = maps.current[x].blocks[0]
+            # (clv, rows to gather or None, codes) per child
+            classed.append((ops, block.k, [
+                (None, None, rows) if y < n else (full[y], rows, None)
+                for y, rows in zip(kids, block.rows)]))
+            whole.append((ops, [(None, engine._tip_codes[y]) if y < n
+                                else (sites(y), None) for y in kids]))
+            a, b = (maps.current[y].blocks[0] for y in kids)
+            if 2 * max(a.k, b.k) < span:
+                builds["table" if a.k * b.k <= 4 * span else "sort"].append(
+                    (maps.current[kids[0]], maps.current[kids[1]]))
+    finally:
+        engine.close()
+    out = np.empty((span, CATS, 4))
+    counts = np.zeros(span, dtype=np.int32)
+    scheme, scratch = kernels.ScalingScheme(), kernels.Scratch()
+
+    def classes_pass() -> None:
+        for (Pl, Pr), k, sides in classed:
+            (lc, lr, lk), (rc, rr, rk) = sides
+            if lr is not None:
+                lc = np.take(lc, lr, axis=0, mode="clip")
+            if rr is not None:
+                rc = np.take(rc, rr, axis=0, mode="clip")
+            kernels.update_clv(out[:k], Pl, Pr, lc, rc, lk, rk, cm,
+                               counts[:k], scheme, scratch)
+
+    def whole_pass() -> None:
+        for (Pl, Pr), ((lc, lk), (rc, rk)) in whole:
+            kernels.update_clv(out, Pl, Pr, lc, rc, lk, rk, cm, counts,
+                               scheme, scratch)
+
+    class_rows = sum(k for _, k, _ in classed)
+    nodes = len(classed)
+    classes_s = _best_of(classes_pass, calls=3)
+    whole_s = _best_of(whole_pass, calls=3)
+    lines = [
+        f"site classes, D128x4k seed 42 ({nodes} inner nodes, {span} patterns,"
+        f" {class_rows / (nodes * span):.1%} of rows):",
+        f"{'class update (gather + update_clv, k rows)':<44} "
+        f"{classes_s / nodes * 1e6:9.1f} "
+        f"{class_rows / classes_s / 1e6:13.2f}  M class rows/s",
+        f"{'  the same updates at full width':<44} "
+        f"{whole_s / nodes * 1e6:9.1f} "
+        f"{nodes * span / whole_s / 1e6:13.2f}",
+    ]
+    bounds = [(0, span)]
+    for path, pairs in builds.items():
+        if pairs:
+            took = _best_of(lambda pairs=pairs: [
+                siteclasses.build(a, b, bounds) for a, b in pairs])
+            label = f"map build, {path} path ({len(pairs)} nodes)"
+            lines.append(f"{label:<44} {took / len(pairs) * 1e6:9.1f}"
+                         f"  us per node")
+    return lines

@@ -113,9 +113,10 @@ class ShadowStore:
             self.policy.on_load(item)
         self.policy.on_access(item, write_only)
 
-    def mark_clean(self, item: int) -> None:
+    def mark_clean(self, item: int, rows: int | None = None) -> None:
         """Observe ``AncestralVectorStore.mark_clean``: a resident item is
-        no longer dirty, so its eviction is charged to ``write_skips``."""
+        no longer dirty, so its eviction is charged to ``write_skips``
+        (no data here, so ``rows`` is not compared)."""
         self._dirty.discard(item)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -152,8 +153,8 @@ class TeeStore:
         views: list[np.ndarray | None] = self.primary.get_many(accesses)
         return views
 
-    def mark_clean(self, item: int) -> None:
-        self.primary.mark_clean(item)
+    def mark_clean(self, item: int, rows: int | None = None) -> None:
+        self.primary.mark_clean(item, rows)
         for shadow in self.shadows:
             shadow.mark_clean(item)
 

@@ -92,9 +92,9 @@ class RecordingStoreProxy:
         views: list[np.ndarray | None] = self._store.get_many(accesses)
         return views
 
-    def mark_clean(self, item: int) -> None:
+    def mark_clean(self, item: int, rows: int | None = None) -> None:
         self.trace.record_clean(item)
-        self._store.mark_clean(item)
+        self._store.mark_clean(item, rows)
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._store, name)

@@ -1029,7 +1029,7 @@ class AncestralVectorStore:
                         and view._borrow_expected == gen):
                     view.flags.writeable = True
 
-    def mark_clean(self, item: int) -> None:
+    def mark_clean(self, item: int, rows: int | None = None) -> None:
         """Declare that a resident vector equals its backing copy again.
 
         The mirror of :meth:`mark_dirty`: the slot is not written back at
@@ -1037,9 +1037,11 @@ class AncestralVectorStore:
         again. For a vector whose recomputation reproduced the stored bits
         — a refreshed cherry. An item not resident (or still loading) is
         left as it is: its newest bytes are on the backing store or on
-        their way. Under the sanitizer the live rows are first compared
-        with the backing copy (the staging buffer's, when newer), and a
-        difference — a write the clean slot would lose — raises
+        their way. Under the sanitizer the live rows — the leading
+        ``rows`` (default: the item's sites; a vector stored as site
+        classes has fewer) — are first compared with the backing copy
+        (the staging buffer's, when newer), and a difference — a write
+        the clean slot would lose — raises
         :class:`~repro.errors.OutOfCoreError`.
         """
         self._check_item(item)
@@ -1053,11 +1055,13 @@ class AncestralVectorStore:
             if slot < 0 or item in self._inflight:
                 return
             if self._sanitize:
-                lo, hi = self.layout.item_sites(item)
+                if rows is None:
+                    lo, hi = self.layout.item_sites(item)
+                    rows = hi - lo
                 stored = np.empty(self.item_shape, dtype=self.dtype)
                 self._read_into(item, stored)
-                if (stored[:hi - lo].tobytes()
-                        != self._slots[slot][:hi - lo].tobytes()):
+                if (stored[:rows].tobytes()
+                        != self._slots[slot][:rows].tobytes()):
                     raise OutOfCoreError(
                         f"mark_clean({item}): the live rows differ from the "
                         f"backing copy, so the slot is not clean")

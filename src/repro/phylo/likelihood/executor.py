@@ -33,6 +33,7 @@ from repro.phylo.likelihood.traversal import (
     TraversalPlan,
     plan_edge_traversal,
 )
+from repro.phylo.likelihood.siteclasses import BlockClasses, ClassMaps, SiteClasses
 from repro.phylo.models.base import ReversibleModel
 from repro.phylo.models.rates import RateModel
 from repro.phylo.msa import Alignment
@@ -119,6 +120,7 @@ class Executor:
         # churning branch lengths from degrading to a cold cache.
         self._p_cache: OrderedDict[float, kernels.BranchOperator] = OrderedDict()
         self._eigen_ops: tuple | None = None
+        self._reducer: np.ndarray | None = None
         # A lowered operator is (C·S)² numbers — 51 KB for protein Γ4 —
         # so the entry bound also caps the cache near 32 MB.
         width = self.clv_shape[1] * self.clv_shape[2]
@@ -149,6 +151,7 @@ class Executor:
         self.store = store
         self.layout = layout
         self.prefetcher = None
+        self._classes = None
         self._bind_topological_policy()
         #: Group cap of the traversal schedule; 1 = every update in place.
         self.batch_members = (default_group_cap(store.num_slots)
@@ -190,6 +193,18 @@ class Executor:
         if self.tree.is_tip(node):
             raise LikelihoodError(f"tip {node} has no ancestral vector")
         return node - self.tree.num_tips
+
+    @property
+    def classes(self) -> ClassMaps:
+        """The site-class map of every stored vector (:mod:`.siteclasses`),
+        built from the tip codes at the first traversal."""
+        if self._classes is None:
+            layout = self.layout
+            self._classes = ClassMaps(
+                self._tip_codes, len(self._code_matrix),
+                [layout.block_bounds(b) for b in range(layout.blocks_per_node)],
+                self.num_inner)
+        return self._classes
 
     @property
     def stats(self):
@@ -237,9 +252,18 @@ class Executor:
                 self.rates.num_categories, self._code_matrix)
         return self._eigen_ops
 
+    def _site_reducer(self) -> np.ndarray:
+        """The site-likelihood reducer, lowered once per model/rate change."""
+        if self._reducer is None:
+            self._reducer = kernels.site_reducer(
+                self.model.frequencies.astype(self.dtype),
+                self.rates.weights.astype(self.dtype))
+        return self._reducer
+
     def _drop_operators(self) -> None:
         self._p_cache.clear()
         self._eigen_ops = None
+        self._reducer = None
 
     # -- traversal execution ---------------------------------------------------------
 
@@ -377,17 +401,21 @@ class Executor:
         replacement policy; the views it lends stay valid until the next
         ``get_many``, except what a later access of the same run evicted
         (a private copy for a child, ``None`` for a target — see
-        :meth:`_compute_group`). A group of one runs in place
+        :meth:`_compute_group`). Either way a member computes only its
+        block's site classes (:mod:`.siteclasses`: the map is looked up
+        per member and committed with the orientation) into rows
+        ``[0, k)`` of the target. A group of one runs in place
         (:meth:`_update_in_place`); a larger group shares one fused
-        product + rescale per span class (:meth:`_compute_group`) —
-        bit-identical because both run the same row-independent
-        :mod:`~repro.phylo.likelihood.kernels` calls. Both stay because
+        product + rescale over all its members' class rows
+        (:meth:`_compute_group`) — bit-identical because both run the
+        same row-independent :mod:`~repro.phylo.likelihood.kernels`
+        calls. Both stay because
         each wins somewhere: fusing pays off once many small blocks share
         a call, while groups of one pushed through the fused path
         measured 10–28 % slower than in place (DESIGN.md, "Batched kernel
         schedule"). Orientation is committed after each node's last block
         so a failure leaves a consistent state; a refreshed cherry's items
-        are then declared clean (``store.mark_clean``).
+        are then declared clean (``store.mark_clean`` of their class rows).
         """
         # Empty plans stay out of the schedule cache: they must not evict.
         schedule = self._schedule(plan) if plan.steps else None
@@ -401,116 +429,154 @@ class Executor:
         ob = self.obs
         exec_t0 = time.perf_counter() if ob is not None else 0.0
         n = self.tree.num_tips
+        lookup = self.classes.lookup
         for gi, group in enumerate(schedule.groups):
+            # Every member's children finished in earlier groups, so their
+            # maps are committed.
+            classes = [lookup(m.node, m.left, m.right) for m in group.members]
             if len(group.members) == 1:
-                self._update_in_place(group.members[0])
+                self._update_in_place(group.members[0], classes[0])
             else:
                 views = self._timed_get_many(group.accesses())
-                self._timed_kernel(self._compute_group, group, views,
+                self._timed_kernel(self._compute_group, group, classes, views,
                                    group=gi, members=len(group.members))
-            for m in group.members:
+            for m, node_classes in zip(group.members, classes):
                 if m.last_block:
                     self.orientation.set(m.node, m.toward)
+                    self.classes.commit(m.node, node_classes)
                     if m.node in plan.refresh:
-                        # The recomputation reproduced the backing copy
-                        # bit for bit: nothing to write back.
-                        for item in self.layout.items_of(m.node - n):
-                            self.store.mark_clean(item)
+                        # The recomputation reproduced the backing copy's
+                        # class rows bit for bit: nothing to write back.
+                        for item, block in zip(self.layout.items_of(m.node - n),
+                                               node_classes.blocks):
+                            self.store.mark_clean(item, block.k)
         if ob is not None:
             # The enclosing interval: kernel/store_wait spans nest inside
             # it on the compute-thread track of the exported timeline.
             ob.timed("execute_plan", exec_t0, time.perf_counter() - exec_t0,
                      steps=len(plan.steps), groups=len(schedule.groups))
 
-    def _scale_row(self, m: BatchMember) -> np.ndarray:
-        """The scale-count row of ``m``'s block, ready for its rescale.
+    def _operands(self, m: BatchMember, block: BlockClasses, views) -> tuple:
+        """``(clv, codes)`` of ``m``'s two children at its classes.
 
-        A node's first block resets the whole row to the sum of its
-        children's counts, before any block of the node is rescaled
-        (the children finished in earlier groups).
+        An inner child's rows are gathered from its view into scratch
+        (taken as they are when both it and ``m`` are the identity), a
+        tip's are its codes at the classes; ``views`` yields the inner
+        children's views in fetch order.
         """
-        counts = self.scale_counts[m.node - self.tree.num_tips]
-        if m.first_block:
-            counts.fill(0)
-            for child in (m.left, m.right):
-                if not self.tree.is_tip(child):
-                    counts += self.scale_counts[self.item(child)]
-        return counts[m.lo:m.hi]
+        rows = block.rows if m.left < m.right else block.rows[::-1]
+        out = []
+        for side, (child_item, child_rows) in enumerate(
+                ((m.left_item, rows[0]), (m.right_item, rows[1]))):
+            if child_item < 0:
+                out.append((None, child_rows))
+            elif child_rows is None:
+                out.append((_valid(next(views), block.k), None))
+            else:
+                gathered = self._scratch.get(
+                    ("rows", side), (block.k, *self.clv_shape[1:]), self.dtype)
+                np.take(next(views), child_rows, axis=0, out=gathered,
+                        mode="clip")
+                out.append((gathered, None))
+        return out
 
-    def _update_in_place(self, m: BatchMember) -> None:
+    def _class_counts(self, m: BatchMember, block: BlockClasses,
+                      out: np.ndarray) -> np.ndarray:
+        """``out`` set to the summed scale counts of ``m``'s children at
+        its classes — what the rescale of its class rows starts from.
+        Class-equal sites have class-equal children, so a class's
+        representative site speaks for all of its sites."""
+        out.fill(0)
+        n = self.tree.num_tips
+        for child in (m.left, m.right):
+            if child >= n:
+                counts = self.scale_counts[child - n][m.lo:m.hi]
+                out += counts if block.rep is None else counts[block.rep]
+        return out
+
+    def _spread_counts(self, m: BatchMember, block: BlockClasses,
+                       counts: np.ndarray) -> None:
+        """The rescaled class counts of ``m`` at every site of its block."""
+        row = self.scale_counts[m.node - self.tree.num_tips][m.lo:m.hi]
+        if block.cls is None:
+            row[:] = counts
+        else:
+            np.take(counts, block.cls, out=row, mode="clip")
+
+    def _update_in_place(self, m: BatchMember, classes: SiteClasses) -> None:
         """One (step, block) update written straight into the store's slot.
 
         The member's accesses are one ``get_many``; the kernel reads the
-        children's views and fills the write-only target view — no
-        operand copy. The three accesses pin each other, so no view of
-        the run is spilled.
+        children's rows at ``m``'s classes and fills rows ``[0, k)`` of
+        the write-only target view. The three accesses pin each other,
+        so no view of the run is spilled.
         """
-        span = m.hi - m.lo
+        block = classes.blocks[m.block]
         views = iter(self._timed_get_many(m.fetches))
-        l_clv = r_clv = l_codes = r_codes = None
-        if m.left_item >= 0:
-            l_clv = _valid(next(views), span)
-        else:
-            l_codes = self._tip_codes[m.left][m.lo:m.hi]
-        if m.right_item >= 0:
-            r_clv = _valid(next(views), span)
-        else:
-            r_codes = self._tip_codes[m.right][m.lo:m.hi]
-        out = _valid(next(views), span)
+        (l_clv, l_codes), (r_clv, r_codes) = self._operands(m, block, views)
+        out = next(views)[:block.k]
+        counts = self._class_counts(
+            m, block, self._scratch.get("class_counts", (block.k,), np.int32))
         self._timed_kernel(
             kernels.update_clv, out,
             self._P(m.node, m.left), self._P(m.node, m.right),
             l_clv, r_clv, l_codes, r_codes, self._code_matrix,
-            self._scale_row(m), self.scaling, self._scratch,
+            counts, self.scaling, self._scratch,
             node=m.node, block=m.block)
+        self._spread_counts(m, block, counts)
 
-    def _compute_group(self, group: BatchGroup, views: list) -> None:
+    def _compute_group(self, group: BatchGroup, classes: list[SiteClasses],
+                       views: list) -> None:
         """A fused group over the views its ``get_many`` lent.
 
-        Per span class (:attr:`BatchGroup.span_classes`), one reused
-        ``(2, members, span, C, S)`` scratch stack: each child is
-        propagated across its branch into its ``[side, position]`` row —
-        an inner child from its view, a tip by a table gather, by the
-        very calls the in-place path makes, so the rows carry the same
-        bits — then one fused product + rescale, each result copied into
-        its target's view, or landed with ``store.fill`` when the run
+        One reused ``(2, 1, rows, C, S)`` scratch stack holds every
+        member's class rows back to back: each child is propagated across
+        its branch into its side's stretch — an inner child from its
+        gathered rows, a tip by a table gather, by the very calls the
+        in-place path makes, so the rows carry the same bits — then one
+        fused product + rescale, each result copied into rows ``[0, k)``
+        of its target's view, or landed with ``store.fill`` when the run
         spilled that target (``None``: evicted by a later access).
         """
-        classes = group.span_classes
-        # Every row is readied before any rescale: span classes reorder
-        # members, and a node's first block resets its whole row.
-        rows = {span: [self._scale_row(m) for m, _ in members]
-                for span, members in classes.items()}
-        for span, members in classes.items():
-            stack = self._scratch.get(
-                ("group", span), (2, len(members), span, *self.clv_shape[1:]),
-                self.dtype)
-            left, right = stack
-            dests = (list(left), list(right))  # each member's two rows
-            node = -1
-            for pos, (m, at) in enumerate(members):
-                if m.node != node:  # a node's blocks are consecutive
-                    node = m.node
-                    branches = (self._P(node, m.left), self._P(node, m.right))
-                for side, child, child_item in ((0, m.left, m.left_item),
-                                                (1, m.right, m.right_item)):
-                    if child_item >= 0:
-                        kernels.propagate_inner(branches[side],
-                                                _valid(views[at], span),
-                                                dests[side][pos], self._scratch)
-                        at += 1
-                    else:
-                        kernels.propagate_tip(
-                            branches[side], self._tip_codes[child][m.lo:m.hi],
-                            self._code_matrix, dests[side][pos])
-            kernels.combine_and_rescale_batch(left, right, left, rows[span],
-                                              self.scaling, self._scratch)
-            for (m, at), result in zip(members, dests[0]):
-                target = views[at + len(m.fetches) - 1]
-                if target is None:
-                    self.store.fill(m.out_item, result)
+        blocks = [c.blocks[m.block] for m, c in zip(group.members, classes)]
+        total = sum(block.k for block in blocks)
+        stack = self._scratch.get("group", (2, 1, total, *self.clv_shape[1:]),
+                                  self.dtype)
+        counts = self._scratch.get("group_counts", (total,), np.int32)
+        node = -1
+        at = lo = 0
+        for m, block in zip(group.members, blocks):
+            if m.node != node:  # a node's blocks are consecutive
+                node = m.node
+                branches = (self._P(node, m.left), self._P(node, m.right))
+            hi = lo + block.k
+            operands = self._operands(m, block,
+                                      iter(views[at:at + len(m.fetches)]))
+            for side, (clv, codes) in enumerate(operands):
+                if clv is not None:
+                    kernels.propagate_inner(branches[side], clv,
+                                            stack[side, 0, lo:hi], self._scratch)
                 else:
-                    target[:span] = result
+                    kernels.propagate_tip(branches[side], codes,
+                                          self._code_matrix, stack[side, 0, lo:hi])
+            self._class_counts(m, block, counts[lo:hi])
+            at += len(m.fetches)
+            lo = hi
+        left, right = stack
+        kernels.combine_and_rescale_batch(left, right, left, [counts],
+                                          self.scaling, self._scratch)
+        at = lo = 0
+        for m, block in zip(group.members, blocks):
+            hi = lo + block.k
+            at += len(m.fetches)
+            result = left[0, lo:hi]
+            target = views[at - 1]
+            if target is None:
+                self.store.fill(m.out_item, result)
+            else:
+                target[:block.k] = result
+            self._spread_counts(m, block, counts[lo:hi])
+            lo = hi
 
     # -- likelihood evaluation ----------------------------------------------------------
 
@@ -535,15 +601,28 @@ class Executor:
             lo, hi = layout.block_bounds(b)
             u_clv = v_clv = u_codes = v_codes = None
             if u >= n:
-                u_clv = _valid(self._timed_get(*next(ends)), hi - lo)
+                u_clv = self._site_rows(u, b, self._timed_get(*next(ends)), 0)
             else:
                 u_codes = self._tip_codes[u][lo:hi]
             if v >= n:
-                v_clv = _valid(self._timed_get(*next(ends)), hi - lo)
+                v_clv = self._site_rows(v, b, self._timed_get(*next(ends)), 1)
             else:
                 v_codes = self._tip_codes[v][lo:hi]
             kernel(out[lo:hi], u_clv, v_clv, u_codes, v_codes)
         return out
+
+    def _site_rows(self, node: int, block: int, view: np.ndarray,
+                   side: int) -> np.ndarray:
+        """Block ``block`` of ``node``'s vector at every site: its class
+        rows gathered to full width (into scratch), or the view's live
+        rows as they are when every site is its own class."""
+        classes = self.classes.current[node].blocks[block]
+        if classes.cls is None:
+            return _valid(view, classes.k)
+        out = self._scratch.get(("rows", side),
+                                (len(classes.cls), *self.clv_shape[1:]),
+                                self.dtype)
+        return np.take(view, classes.cls, axis=0, out=out, mode="clip")
 
     def edge_reduce(self, u: int, v: int, reducer: np.ndarray,
                     columns: int) -> np.ndarray:
@@ -564,10 +643,7 @@ class Executor:
         for x in (u, v):
             if not self.tree.is_tip(x):
                 counts += self.scale_counts[self.item(x)]
-        reducer = kernels.site_reducer(
-            self.model.frequencies.astype(self.dtype),
-            self.rates.weights.astype(self.dtype))
-        return self.edge_reduce(u, v, reducer, 1)[:, 0], counts
+        return self.edge_reduce(u, v, self._site_reducer(), 1)[:, 0], counts
 
     def edge_sumtable(self, u: int, v: int) -> np.ndarray:
         """Eigen-basis sumtable across edge ``(u, v)`` (makenewz phase 1):

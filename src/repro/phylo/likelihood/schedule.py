@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from repro.core.layout import StorageLayout
 from repro.errors import LikelihoodError
@@ -79,13 +78,8 @@ class BatchMember:
     out_item: int
     left_item: int
     right_item: int
-    first_block: bool
     last_block: bool
     fetches: tuple[tuple[int, tuple[int, ...], bool], ...]
-
-    @property
-    def span(self) -> int:
-        return self.hi - self.lo
 
 
 @dataclass(frozen=True)
@@ -106,18 +100,6 @@ class BatchGroup:
 
     def accesses(self) -> list[tuple[int, tuple[int, ...], bool]]:
         return [f for m in self.members for f in m.fetches]
-
-    @cached_property
-    def span_classes(self) -> dict[int, tuple[tuple[BatchMember, int], ...]]:
-        """The members by block span (full blocks, the ragged last block),
-        in order, each with the index of its first access in
-        :meth:`accesses`: the rows of the fused kernel's stacks."""
-        classes: dict[int, list[tuple[BatchMember, int]]] = {}
-        at = 0
-        for m in self.members:
-            classes.setdefault(m.span, []).append((m, at))
-            at += len(m.fetches)
-        return {span: tuple(rows) for span, rows in classes.items()}
 
 
 @dataclass(frozen=True)
@@ -212,7 +194,7 @@ def build_batched_schedule(
                 node=node, left=left, right=right, toward=step.toward,
                 block=b, lo=lo, hi=hi,
                 out_item=out_item, left_item=l_item, right_item=r_item,
-                first_block=(b == 0), last_block=(b == blocks - 1),
+                last_block=(b == blocks - 1),
                 fetches=tuple(fetches),
             ))
             written.add(node)

@@ -208,6 +208,22 @@ class TestMarkClean:
         finally:
             store.close()
 
+    def test_the_caller_names_the_live_rows(self):
+        """A vector stored as site classes holds them in its leading rows;
+        the rows past them are never read, so only the named rows count."""
+        store = make_store()
+        view = store.get(0, write_only=True)
+        view[:2] = 0.0                              # the backing's rows
+        view[2:] = -1.0                             # a tail that differs
+        store.mark_clean(0, 2)
+        store.evict_all()
+        assert (store.stats.writes, store.stats.write_skips) == (0, 1)
+        view = store.get(1, write_only=True)
+        view[:] = 0.0
+        view[1] = 4.0                               # a class row differs
+        with pytest.raises(OutOfCoreError, match="differ from the backing"):
+            store.mark_clean(1, 2)
+
     def test_a_vector_not_resident_is_left_alone(self):
         store = make_store()
         store.mark_clean(5)
