@@ -8,9 +8,11 @@ I/O would only add noise) and a *simulated-latency disk* used by the
 Figure-5 runtime benchmark, which charges an explicit seek + bandwidth cost
 per transfer instead of performing real I/O — see DESIGN.md, substitution 3.
 
-All stores move whole vectors ("pages" of ``w`` bytes): because one
-ancestral vector is far larger than the 512 B–8 KiB hardware block (§3.1),
-every transfer is a single large sequential access, which is exactly the
+An item is ``w`` bytes at the fixed offset ``i·w``, and a transfer moves
+its leading rows: the ``k`` live rows (site classes) of the vector or site
+block, the first ``k`` rows' bytes from ``i·w`` on. Because one ancestral vector
+is far larger than the 512 B–8 KiB hardware block (§3.1), every transfer
+is still a single large sequential access, which is exactly the
 amortization argument the paper makes.
 """
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import importlib
+import math
 import os
 import threading
 import time
@@ -45,7 +48,11 @@ class BackingStore(Protocol):
 
     Implementations store ``num_items`` fixed-size vectors addressed by
     integer id. ``read`` fills a caller-provided buffer (no allocation on
-    the hot path); ``write`` persists a vector. ``flush`` is the
+    the hot path); ``write`` persists one. Either buffer is the leading
+    rows of an item — C-contiguous, a whole number of rows along the
+    item's first axis, at most the whole item — and the transfer moves
+    exactly those bytes, leaving the rest of the item as it was
+    (:func:`transfer_bytes`). ``flush`` is the
     durability barrier: after it returns, every completed ``write`` must
     survive a process crash (file-backed stores fsync; RAM-backed stores
     no-op because their durability domain is the process itself).
@@ -110,7 +117,10 @@ class MemoryBackingStore(ReportedBackingStore):
         self.num_items = int(num_items)
         self.item_shape = tuple(item_shape)
         self.dtype = np.dtype(dtype)
+        self.item_bytes = int(np.prod(self.item_shape)) * self.dtype.itemsize
+        self.row_bytes = row_bytes(self.item_shape, self.dtype)
         self._data = np.zeros((self.num_items, *self.item_shape), dtype=self.dtype)
+        self._bytes = _bytes_of(self._data)
         self._present = np.zeros(self.num_items, dtype=bool)
         self._closed = False
 
@@ -128,12 +138,16 @@ class MemoryBackingStore(ReportedBackingStore):
 
     def _read(self, item: int, out: np.ndarray) -> int:
         self._check(item)
-        np.copyto(out, self._data[item])
-        return out.nbytes
+        nbytes = transfer_bytes(out, self.item_bytes, self.row_bytes)
+        at = item * self.item_bytes
+        _bytes_of(out)[:] = self._bytes[at:at + nbytes]
+        return nbytes
 
     def _write(self, item: int, data: np.ndarray) -> int:
         self._check(item)
-        np.copyto(self._data[item], data)
+        data = write_buffer(data, self.dtype, self.item_bytes, self.row_bytes)
+        at = item * self.item_bytes
+        self._bytes[at:at + data.nbytes] = _bytes_of(data)
         self._present[item] = True
         return data.nbytes
 
@@ -147,25 +161,39 @@ class MemoryBackingStore(ReportedBackingStore):
         self._closed = True
 
 
-def _check_read_buffer(out: np.ndarray, item_bytes: int) -> None:
-    """A read lands in a C-contiguous buffer exactly one item wide."""
-    if out.nbytes != item_bytes or not out.flags.c_contiguous:
+def row_bytes(item_shape: tuple[int, ...], dtype: DTypeLike) -> int:
+    """Bytes of one row — one index along the first axis — of an item."""
+    return math.prod(item_shape[1:]) * np.dtype(dtype).itemsize
+
+
+def transfer_bytes(buf: np.ndarray, item_bytes: int, row: int,
+                   kind: str = "read") -> int:
+    """The bytes a ``kind`` transfer of ``buf`` moves: ``buf`` must be the
+    leading rows of one item of ``item_bytes`` in rows of ``row`` bytes —
+    C-contiguous, a whole number of rows, at most the whole item."""
+    nbytes = buf.nbytes
+    contiguous = buf.flags.c_contiguous
+    if not contiguous or nbytes > item_bytes or nbytes % row:
         raise BackingStoreError(
-            f"read buffer mismatch: {out.nbytes} bytes vs item width {item_bytes}"
-        )
+            f"{kind} buffer mismatch: {nbytes} bytes is not the leading "
+            f"rows of an item of {item_bytes} bytes in {row}-byte rows"
+            + ("" if contiguous else " (not C-contiguous)"))
+    return nbytes
 
 
-def _write_buffer(data: np.ndarray, dtype: np.dtype,
-                  item_bytes: int) -> np.ndarray:
-    """``data`` as the C-contiguous ``dtype`` array a write moves, which
-    must be exactly one item wide."""
+def write_buffer(data: np.ndarray, dtype: np.dtype, item_bytes: int,
+                 row: int) -> np.ndarray:
+    """``data`` as the C-contiguous ``dtype`` array a write moves: the
+    leading rows of one item (:func:`transfer_bytes`)."""
     if data.dtype != dtype or not data.flags.c_contiguous:
         data = np.ascontiguousarray(data, dtype=dtype)
-    if data.nbytes != item_bytes:
-        raise BackingStoreError(
-            f"write buffer mismatch: {data.nbytes} bytes vs item width {item_bytes}"
-        )
+    transfer_bytes(data, item_bytes, row, "write")
     return data
+
+
+def _bytes_of(buf: np.ndarray) -> memoryview:
+    """The bytes of a C-contiguous buffer, as a flat writable view."""
+    return memoryview(buf).cast("B")
 
 
 class FileBackingStore(ReportedBackingStore):
@@ -192,6 +220,7 @@ class FileBackingStore(ReportedBackingStore):
         self.item_shape = tuple(item_shape)
         self.dtype = np.dtype(dtype)
         self.item_bytes = int(np.prod(self.item_shape)) * self.dtype.itemsize
+        self.row_bytes = row_bytes(self.item_shape, self.dtype)
         # The handle intentionally outlives this scope (positioned I/O for
         # the store's whole lifetime); close() / __del__ release it.
         # "r+b" on an existing file: "w+b" would truncate a previous run's
@@ -225,7 +254,9 @@ class FileBackingStore(ReportedBackingStore):
                   item: int, view: memoryview, offset: int, kind: str) -> int:
         """Drive a vectored positioned transfer to completion.
 
-        Reads and writes share one loop (``os.preadv``/``os.pwritev``)
+        ``view`` is the leading-rows prefix a transfer moves, landing at
+        the item's fixed ``offset``. Reads and writes share one loop
+        (``os.preadv``/``os.pwritev``)
         with symmetric interruption semantics: ``EINTR`` raised before any
         byte moved is retried, and a zero-byte *write* — a legitimately
         interrupted transfer on some kernels — is retried up to
@@ -235,7 +266,7 @@ class FileBackingStore(ReportedBackingStore):
         """
         done = 0
         zeros = 0
-        while done < self.item_bytes:
+        while done < view.nbytes:
             try:
                 n = syscall(self._fd, [view[done:]], offset + done)
             except InterruptedError:
@@ -250,33 +281,32 @@ class FileBackingStore(ReportedBackingStore):
             if zeros >= _MAX_ZERO_TRANSFERS:
                 raise BackingStoreError(
                     f"{kind} for item {item} made no progress after "
-                    f"{zeros} attempts: {done}/{self.item_bytes} bytes"
+                    f"{zeros} attempts: {done}/{view.nbytes} bytes"
                 )
         return done
 
     def _read(self, item: int, out: np.ndarray) -> int:
-        _check_read_buffer(out, self.item_bytes)
+        nbytes = transfer_bytes(out, self.item_bytes, self.row_bytes)
         offset = self._offset(item)
-        view = memoryview(out.reshape(-1).view(np.uint8))
-        done = self._transfer(os.preadv, item, view, offset, "read")
-        if done < self.item_bytes:
+        done = self._transfer(os.preadv, item, _bytes_of(out), offset, "read")
+        if done < nbytes:
             # A zero-byte read inside the preallocated extent is EOF —
             # the file was truncated under us, not a retryable condition.
             raise BackingStoreError(
-                f"short read for item {item}: {done}/{self.item_bytes} bytes"
+                f"short read for item {item}: {done}/{nbytes} bytes"
             )
-        return self.item_bytes
+        return nbytes
 
     def _write(self, item: int, data: np.ndarray) -> int:
-        data = _write_buffer(data, self.dtype, self.item_bytes)
+        data = write_buffer(data, self.dtype, self.item_bytes, self.row_bytes)
         offset = self._offset(item)
-        view = memoryview(data.reshape(-1).view(np.uint8))
-        done = self._transfer(os.pwritev, item, view, offset, "write")
-        if done < self.item_bytes:
+        done = self._transfer(os.pwritev, item, _bytes_of(data), offset,
+                              "write")
+        if done < data.nbytes:
             raise BackingStoreError(
-                f"short write for item {item}: {done}/{self.item_bytes} bytes"
+                f"short write for item {item}: {done}/{data.nbytes} bytes"
             )
-        return self.item_bytes
+        return data.nbytes
 
     def flush(self) -> None:
         if not self._closed:
@@ -315,6 +345,7 @@ class MultiFileBackingStore(ReportedBackingStore):
         self.item_shape = tuple(int(d) for d in item_shape)
         self.dtype = np.dtype(dtype)
         self.item_bytes = int(np.prod(self.item_shape)) * self.dtype.itemsize
+        self.row_bytes = row_bytes(self.item_shape, self.dtype)
         self.num_files = int(num_files)
         self._files: list[BackingStore] = []
         try:
@@ -345,13 +376,13 @@ class MultiFileBackingStore(ReportedBackingStore):
         return self._files[item % self.num_files], item // self.num_files
 
     def _read(self, item: int, out: np.ndarray) -> int:
-        _check_read_buffer(out, self.item_bytes)
+        nbytes = transfer_bytes(out, self.item_bytes, self.row_bytes)
         fh, local = self._locate(item)
         fh.read(local, out)
-        return out.nbytes
+        return nbytes
 
     def _write(self, item: int, data: np.ndarray) -> int:
-        data = _write_buffer(data, self.dtype, self.item_bytes)
+        data = write_buffer(data, self.dtype, self.item_bytes, self.row_bytes)
         fh, local = self._locate(item)
         fh.write(local, data)
         return data.nbytes
@@ -397,10 +428,12 @@ class SimulatedDiskBackingStore(ReportedBackingStore):
 
     Every ``read``/``write`` completes instantly (a RAM copy) but charges
     ``DiskModel.transfer_time(nbytes, sequential=True)`` to
-    :attr:`simulated_seconds`. The Figure-5 benchmark runs the real numpy
-    PLF compute and adds this simulated I/O wait, reproducing the paper's
-    out-of-core runtime curve without a 32 GB dataset or a 2 GB machine
-    (DESIGN.md substitution 3).
+    :attr:`simulated_seconds`, where ``nbytes`` is what the call was
+    handed: a transfer of an item's ``k`` live rows costs the access
+    latency plus ``k`` rows at the bandwidth, not the whole item. The
+    Figure-5 benchmark runs the real numpy PLF compute and adds this
+    simulated I/O wait, reproducing the paper's out-of-core runtime curve
+    without a 32 GB dataset or a 2 GB machine (DESIGN.md substitution 3).
 
     With ``sleep=True`` each transfer additionally *blocks the calling
     thread* for its modelled duration (``time.sleep``), turning the model
@@ -438,8 +471,8 @@ class SimulatedDiskBackingStore(ReportedBackingStore):
         return cls(layout.num_items, layout.item_shape, dtype,
                    disk=disk, sleep=sleep)
 
-    def _charge(self) -> None:
-        cost = self.disk.transfer_time(self.item_bytes, sequential=True)
+    def _charge(self, nbytes: int) -> None:
+        cost = self.disk.transfer_time(nbytes, sequential=True)
         with self._time_lock:
             self.simulated_seconds += cost
         if self.sleep:
@@ -447,12 +480,12 @@ class SimulatedDiskBackingStore(ReportedBackingStore):
 
     def _read(self, item: int, out: np.ndarray) -> int:
         self._inner.read(item, out)
-        self._charge()
+        self._charge(out.nbytes)
         return out.nbytes
 
     def _write(self, item: int, data: np.ndarray) -> int:
         self._inner.write(item, data)
-        self._charge()
+        self._charge(data.nbytes)
         return data.nbytes
 
     def flush(self) -> None:

@@ -9,6 +9,10 @@ backing bandwidth and capacity. The paper's fixed-offset addressing
 per-item *extent table* (offset, stored length, reserved capacity) kept
 in memory and persisted as a sidecar index so a store can be reattached.
 
+A record holds what the last write of its item was handed — the item's
+leading ``k`` live rows, not the whole item — so the stale rows of a slot
+are never compressed.
+
 Framing: the data file is a heap of variable-length records. An item
 overwrite reuses its extent when the new payload fits the reserved
 capacity, else appends a fresh extent at the end of the heap (the old
@@ -33,7 +37,12 @@ import numpy as np
 from numpy.typing import DTypeLike
 
 from repro.analysis.race import make_lock
-from repro.core.backing import ReportedBackingStore
+from repro.core.backing import (
+    ReportedBackingStore,
+    row_bytes,
+    transfer_bytes,
+    write_buffer,
+)
 from repro.errors import BackingStoreError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -91,6 +100,7 @@ class CompressedFileBackingStore(ReportedBackingStore):
         self.item_shape = tuple(item_shape)
         self.dtype = np.dtype(dtype)
         self.item_bytes = int(np.prod(self.item_shape)) * self.dtype.itemsize
+        self.row_bytes = row_bytes(self.item_shape, self.dtype)
         #: per-item (offset, stored_length, capacity); None = never written
         self._extents: list[tuple[int, int, int] | None]
         self._cursor = 0
@@ -200,11 +210,10 @@ class CompressedFileBackingStore(ReportedBackingStore):
 
     def _read(self, item: int, out: np.ndarray) -> int | None:
         """Returns the stored (compressed) byte count, or ``None`` for a
-        never-written item (zero-filled, no I/O to report)."""
-        if out.nbytes != self.item_bytes:
-            raise BackingStoreError(
-                f"read buffer mismatch: {out.nbytes} bytes vs item width "
-                f"{self.item_bytes}")
+        never-written item (zero-filled, no I/O to report). ``out`` is the
+        item's leading rows; rows past what the last write stored read as
+        zeros, like a never-written item."""
+        nbytes = transfer_bytes(out, self.item_bytes, self.row_bytes)
         ob = self.obs
         self._check(item)
         with self._lock:
@@ -213,8 +222,9 @@ class CompressedFileBackingStore(ReportedBackingStore):
             # meaningful against the heap generation it was taken from.
             extent = self._extents[item]
             fd = self._fd
+        flat = out.reshape(-1).view(np.uint8)
         if extent is None:
-            out.reshape(-1)[:] = 0  # parity with the preallocated-file zeros
+            flat[:] = 0  # parity with the preallocated-file zeros
             return None
         offset, length, _cap = extent
         payload = bytearray(length)
@@ -230,28 +240,25 @@ class CompressedFileBackingStore(ReportedBackingStore):
                     f"short read for item {item}: {done}/{length} bytes")
             done += got
         raw = zlib.decompress(bytes(payload))
-        if len(raw) != self.item_bytes:
+        if len(raw) > self.item_bytes:
             raise BackingStoreError(
-                f"decompressed item {item} is {len(raw)} bytes, "
-                f"expected {self.item_bytes}")
-        flat = out.reshape(-1).view(np.uint8)
-        flat[:] = np.frombuffer(raw, dtype=np.uint8)
+                f"decompressed item {item} is {len(raw)} bytes, wider than "
+                f"the item's {self.item_bytes}")
+        stored = min(len(raw), nbytes)
+        flat[:stored] = np.frombuffer(raw, dtype=np.uint8, count=stored)
+        flat[stored:] = 0
         with self._lock:
-            self.raw_bytes += self.item_bytes
+            self.raw_bytes += nbytes
             self.stored_bytes += length
             if ob is not None:
-                ob.count("compress_bytes_raw", self.item_bytes)
+                ob.count("compress_bytes_raw", nbytes)
                 ob.count("compress_bytes_stored", length)
         return length
 
     def _write(self, item: int, data: np.ndarray) -> int:
-        """Returns the stored (compressed) byte count."""
-        if data.dtype != self.dtype or not data.flags.c_contiguous:
-            data = np.ascontiguousarray(data, dtype=self.dtype)
-        if data.nbytes != self.item_bytes:
-            raise BackingStoreError(
-                f"write buffer mismatch: {data.nbytes} bytes vs item width "
-                f"{self.item_bytes}")
+        """Returns the stored (compressed) byte count. Only ``data`` — the
+        item's leading rows — is stored: the record replaces the item."""
+        data = write_buffer(data, self.dtype, self.item_bytes, self.row_bytes)
         ob = self.obs
         self._check(item)
         payload = zlib.compress(data.tobytes(), _ZLIB_LEVEL)
@@ -270,12 +277,12 @@ class CompressedFileBackingStore(ReportedBackingStore):
                 self._cursor += capacity
             self._extents[item] = (offset, length, capacity)
             fd = self._fd  # same capture rule as read(): fd + extent together
-            self.raw_bytes += self.item_bytes
+            self.raw_bytes += data.nbytes
             self.stored_bytes += length
-            self.raw_bytes_written += self.item_bytes
+            self.raw_bytes_written += data.nbytes
             self.stored_bytes_written += length
             if ob is not None:
-                ob.count("compress_bytes_raw", self.item_bytes)
+                ob.count("compress_bytes_raw", data.nbytes)
                 ob.count("compress_bytes_stored", length)
                 ob.gauge("compress_heap_leaked_bytes", self.leaked_bytes)
         view = memoryview(payload)

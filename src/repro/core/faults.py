@@ -197,12 +197,11 @@ class FaultInjectingBackingStore(_BackingWrapper):
             raise InjectedFault(f"injected transient read error on item {item}")
         draw, aux = self._roll("short_read", item)
         if draw < self.short_read_rate:
-            full = np.empty_like(out)
-            self.inner.read(item, full)
+            before = out.copy()
+            self.inner.read(item, out)  # checks ``out`` as any read does
             flat_out = out.reshape(-1).view(np.uint8)
-            flat_new = full.reshape(-1).view(np.uint8)
             cut = max(1, int(aux * flat_out.size)) % max(flat_out.size, 1)
-            flat_out[:cut] = flat_new[:cut]
+            flat_out[cut:] = before.reshape(-1).view(np.uint8)[cut:]
             self._record_fault("short_read", item)
             raise InjectedFault(
                 f"injected short read on item {item}: {cut}/{flat_out.size} bytes")

@@ -53,10 +53,10 @@ class StorageLayout:
 
     Node ``n``'s block ``b`` is item ``n · blocks_per_node + b`` and
     covers patterns ``[b·B, min(patterns, (b+1)·B))``. Every slot (and
-    every backing-store record) holds a full ``(B, categories, states)``
-    block; the ragged last block's tail rows are padding — written out
-    and read back like data, but never consumed by a kernel, so their
-    contents are irrelevant to correctness.
+    every backing-store record) has room for a full ``(B, categories,
+    states)`` block; the ragged last block's tail rows are padding —
+    never consumed by a kernel and never moved (they are past the item's
+    live rows), so their contents are irrelevant to correctness.
 
     ``block_sites=None`` is the whole vector (:attr:`name` ``"whole"``):
     ``B`` is the pattern count, so there is one block per node and no

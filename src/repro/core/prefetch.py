@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING
 
-from repro.analysis.race import make_thread, race_detector
+from repro.analysis.race import make_condition, make_thread, race_detector
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import OutOfCoreError
 
@@ -50,7 +50,11 @@ class ThreadedPrefetcher:
     backing overlaps transfers (a modelled or real disk).
     A worker picks its item and claims the slot for it in one hold of the
     store lock, so no two ever pick the same one; with nothing to do it
-    parks on the store's condition variable. Prefetch never evicts pinned,
+    parks on a condition of its own over the store lock. The store pokes
+    it whenever demand progresses or the compute thread leaves the lock
+    to wait or transfer, and a poke wakes one worker only if the window
+    holds an item to load (a worker that claims one pokes the next), so
+    idle workers are not woken on every access. Prefetch never evicts pinned,
     in-flight or in-window items, and an item no slot can be found for is
     deferred (one ``stall`` event) until demand progresses — prefetch is
     best-effort by design.
@@ -66,14 +70,15 @@ class ThreadedPrefetcher:
         self.store = store
         self.depth = int(depth)
         self.workers = int(workers)
-        # All prefetcher bookkeeping is guarded by the *store's* condition
-        # variable — the thread already parks on it, and sharing the lock
+        # All prefetcher bookkeeping is guarded by the *store's* lock —
+        # the workers park on a condition over it, and sharing the lock
         # makes feed()/progress checks atomic with the store's maps.
         self._schedule: list[tuple[int, tuple, bool]] = []  # guarded-by: _cond
         self._base = 0  # guarded-by: _cond
         self._deferred: set[int] = set()  # guarded-by: _cond
         self._last_progress = -1  # guarded-by: _cond
         self._stop = False  # guarded-by: _cond
+        self._wake = make_condition(store._lock)
         #: The :class:`repro.obs.Observer` (default off) told about each
         #: prefetch_load attempt and each deferral. Set by its ``attach``;
         #: reporting is lock-free (ring appends), read without the lock.
@@ -83,6 +88,10 @@ class ThreadedPrefetcher:
         self._race = race_detector()
         self._race_scope = ("" if self._race is None
                             else self._race.new_scope("ThreadedPrefetcher"))
+        with store._cond:
+            if self._race is not None:
+                self._race.write(store._race_scope, "_prefetch_poke")
+            store._prefetch_poke = self._poke
         # The single-worker thread keeps the historical "prefetcher"
         # name (timelines and span filters key on it).
         self._threads = [
@@ -110,7 +119,7 @@ class ThreadedPrefetcher:
             self._base = store.stats.requests
             self._deferred.clear()
             self._last_progress = -1
-            store._cond.notify_all()
+            self._wake.notify_all()
 
     def idle(self) -> bool:
         """True when the schedule is exhausted (mainly for tests)."""
@@ -125,8 +134,11 @@ class ThreadedPrefetcher:
         with store._cond:
             if rc is not None:
                 rc.write(self._race_scope, "_stop")
+                rc.write(store._race_scope, "_prefetch_poke")
             self._stop = True
-            store._cond.notify_all()
+            if store._prefetch_poke == self._poke:
+                store._prefetch_poke = None
+            self._wake.notify_all()
         for t in self._threads:
             t.join()
 
@@ -163,6 +175,14 @@ class ThreadedPrefetcher:
             return it, horizon
         return None
 
+    def _poke(self) -> None:  # holds: _cond
+        """Wake one parked worker if the window holds an item to load."""
+        rc = self._race
+        if rc is not None:
+            rc.read(self._race_scope, "_stop")
+        if not self._stop and self._pick_locked() is not None:
+            self._wake.notify()
+
     def _claim_locked(self) -> tuple[int, int] | None:  # holds: _cond
         """Pick the next item and claim its slot: ``(item, slot)`` or None.
 
@@ -197,10 +217,11 @@ class ThreadedPrefetcher:
                         return
                     claimed = self._claim_locked()
                     if claimed is not None:
+                        self._poke()  # more in the window: the next worker
                         break
                     # The timeout is belt-and-braces against a lost notify;
-                    # progress signals normally wake us immediately.
-                    store._cond.wait(timeout=0.1)
+                    # pokes normally wake us immediately.
+                    self._wake.wait(timeout=0.1)
             item, slot = claimed
             ob = self.obs
             t0 = time.perf_counter() if ob is not None else 0.0

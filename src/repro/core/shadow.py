@@ -147,7 +147,7 @@ class TeeStore:
 
     def get_many(self, accesses: Sequence[tuple[int, tuple[int, ...], bool]]
                  ) -> list[np.ndarray | None]:
-        for item, pins, write_only in accesses:
+        for item, pins, write_only, *_ in accesses:
             for shadow in self.shadows:
                 shadow.access(item, pins=pins, write_only=write_only)
         views: list[np.ndarray | None] = self.primary.get_many(accesses)

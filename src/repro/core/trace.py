@@ -87,7 +87,7 @@ class RecordingStoreProxy:
 
     def get_many(self, accesses: Sequence[tuple[int, tuple[int, ...], bool]]
                  ) -> list[np.ndarray | None]:
-        for item, pins, write_only in accesses:
+        for item, pins, write_only, *_ in accesses:
             self.trace.record(item, pins, write_only)
         views: list[np.ndarray | None] = self._store.get_many(accesses)
         return views

@@ -16,6 +16,19 @@ paper                 here
 ``strategy``          a :class:`~repro.core.policies.ReplacementPolicy`
 ====================  =========================================
 
+A transfer moves the live rows only
+------------------------------------
+Each item has a *live-row count* ``k``: its leading rows that hold data
+(a vector stored as site classes keeps ``k`` class rows at the front of
+its slot; a ragged last block's padding is not live). It starts at the
+item's sites (``layout.item_sites``) and is declared by the write that
+fills the item — a write access's optional fourth field, or ``fill``'s
+``data.shape[0]``. Every transfer of the item — demand read and write,
+eviction write-back, write-behind staging and prefetch — moves rows
+``[0, k)`` of the slot at the unchanged offset ``i·w``; rows ``[k, w)``
+are stale and never leave RAM. Under the sanitizer every read-in fills
+them with NaN, so a reader past ``k`` is caught.
+
 Correctness contract (paper §4.1): routing vector accesses through this
 store must leave likelihood results **bit-identical** to the all-in-RAM
 implementation, for every policy and every ``m ≥ 3`` — including when the
@@ -82,7 +95,8 @@ shorter.
 A run of accesses is one hold of the lock
 -----------------------------------------
 ``get_many(accesses)`` serves a run of ``(item, pins, write_only)``
-accesses — a batch group of the traversal schedule — exactly as the same
+accesses (a write may add its live-row count as a fourth field) — a batch
+group of the traversal schedule — exactly as the same
 ``get`` calls in order: the same hits, misses, victims, policy calls,
 RNG draws, counters and observer records. What it saves is the per-call
 overhead: the run's bookkeeping happens in one hold of the lock, which a
@@ -103,7 +117,7 @@ import os
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from itertools import chain
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 import weakref
 
 import numpy as np
@@ -124,8 +138,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 #: read that filled a slot.
 _ReadTiming = tuple[float, float, bool]
 
-#: One demand access: ``(item, pins, write_only)``.
-_Access = tuple[int, tuple[int, ...], bool]
+#: One demand access: ``(item, pins, write_only)``, or with a fourth
+#: field ``rows``, the live-row count a write access leaves.
+_Access = (tuple[int, tuple[int, ...], bool]
+           | tuple[int, tuple[int, ...], bool, int])
 
 #: What a miss's transfers did: the transit vector its read landed in
 #: (``None`` unless it overlapped a write), the write's and the read's
@@ -357,6 +373,8 @@ class AncestralVectorStore:
         self.item_shape = layout.item_shape
         self.dtype = np.dtype(dtype)
         self.item_bytes = int(np.prod(self.item_shape)) * self.dtype.itemsize
+        #: Bytes of one row along the item's first axis.
+        self.row_bytes = self.item_bytes // self.item_shape[0]
 
         if num_slots is not None and fraction is not None:
             raise OutOfCoreError("pass either num_slots or fraction, not both")
@@ -397,6 +415,12 @@ class AncestralVectorStore:
         self._item_slot: dict[int, int] = {}  # guarded-by: _lock  (itemvector)
         self._dirty: list[bool] = [False] * self.num_slots  # guarded-by: _lock
         self._free: list[int] = list(range(self.num_slots - 1, -1, -1))  # guarded-by: _lock
+        # Live rows per item: what a transfer of it moves (module docstring).
+        # Item ``node · blocks_per_node + b`` spans block ``b``'s sites.
+        self._rows: list[int] = [  # guarded-by: _lock
+            hi - lo for lo, hi in map(layout.block_bounds,
+                                      range(layout.blocks_per_node))
+        ] * layout.num_nodes
 
         # Async-pipeline state (see the module docstring's thread model).
         # Under REPRO_SANITIZE=race the factories return vector-clock
@@ -408,6 +432,10 @@ class AncestralVectorStore:
                             else self._race.new_scope("AncestralVectorStore"))
         self._lock = make_lock("AncestralVectorStore")
         self._cond = make_condition(self._lock)
+        #: An attached prefetcher's wake-up, called with the lock held
+        #: where demand progresses or this thread leaves the lock to wait
+        #: or transfer (``None``: no prefetcher).
+        self._prefetch_poke: Callable[[], None] | None = None  # guarded-by: _lock
         self._inflight: set[int] = set()  # guarded-by: _lock
         self._prefetched_untouched: set[int] = set()  # guarded-by: _lock
         self._active_pins: set[int] = set()  # guarded-by: _lock
@@ -428,6 +456,9 @@ class AncestralVectorStore:
         # in, and the one-thread pool that runs the victim's write.
         self._transit: np.ndarray | None = None
         self._swap_helper: ThreadPoolExecutor | None = None
+        # The sanitizer's mark_clean reads the backing copy into this
+        # buffer, created on first use.
+        self._compare: np.ndarray | None = None  # guarded-by: _lock
         self._closed = False
 
         # Slot-borrow sanitizer (debug mode, REPRO_SANITIZE=1): per-slot
@@ -551,7 +582,8 @@ class AncestralVectorStore:
 
     # -- the core access path (paper's getxvector) ----------------------------------
 
-    def get(self, item: int, pins: tuple = (), write_only: bool = False) -> np.ndarray:
+    def get(self, item: int, pins: tuple = (), write_only: bool = False,
+            rows: int | None = None) -> np.ndarray:
         """Return the RAM address (a numpy view) of vector ``item``.
 
         Mirrors ``getxvector(i, pin_j, pin_k)``: if ``item`` is not
@@ -565,12 +597,20 @@ class AncestralVectorStore:
         recent ``get`` additionally shield those operands from a concurrent
         prefetcher until the next demand access. A run of one access of
         :meth:`get_many` that never relays (:meth:`_relayed`): an
-        instrument wrapping ``get`` has already seen this access.
+        instrument wrapping ``get`` has already seen this access. ``rows``
+        is a write's live-row count (see :meth:`get_many`).
         """
-        return only_view(self._demand(((item, pins, write_only),), None))
+        access = ((item, pins, write_only) if rows is None
+                  else (item, pins, write_only, rows))
+        return only_view(self._demand((access,), None))
 
     def get_many(self, accesses: Sequence[_Access]) -> list[np.ndarray | None]:
         """Serve a run of ``(item, pins, write_only)`` accesses; their views.
+
+        A write-only access may carry a fourth field, ``rows``: the live
+        rows ``[0, rows)`` its writer leaves in the slot, which every
+        later transfer of the item moves (default: what the item had — at
+        first its sites). It takes effect once the access is served.
 
         Exactly the same ``get`` calls issued in order — the same hits,
         misses, victims, policy calls, RNG draws, counters and observer
@@ -627,14 +667,16 @@ class AncestralVectorStore:
                             views[pos] = (None if accesses[pos][2]
                                           else self._spilled[slot, gen])
                 shield = {item for item, _, _ in served}
-                for _, pins, _ in accesses:
-                    shield.update(pins)
+                for access in accesses:
+                    shield.update(access[1])
                 self._active_pins = shield
                 return views
             finally:
                 self._run += 1
                 self._spilled.clear()
                 self._cond.notify_all()
+                if self._prefetch_poke is not None:
+                    self._prefetch_poke()
 
     def _relayed(self, instrument: Any,  # holds: _cond
                  accesses: Sequence[_Access]) -> list[tuple[int, int, int]]:
@@ -647,10 +689,10 @@ class AncestralVectorStore:
         served: list[tuple[int, int, int]] = []
         self._relay = served
         try:
-            for item, pins, write_only in accesses:
+            for access in accesses:
                 self._lock.release()
                 try:
-                    instrument(item, pins=pins, write_only=write_only)
+                    instrument(*access)
                 finally:
                     self._lock.acquire()
         finally:
@@ -668,11 +710,12 @@ class AncestralVectorStore:
         rc = self._race
         stats = self.stats
         n = self.num_items
+        width = self.item_shape[0]
         run = self._run
         lent_in = self._lent_in
         gens = self._slot_generation
         served: list[tuple[int, int, int]] = []
-        for item, pins, write_only in accesses:
+        for item, pins, write_only, *rows in accesses:
             item = int(item)
             write_only = bool(write_only)
             if not 0 <= item < n:
@@ -680,8 +723,12 @@ class AncestralVectorStore:
             for p in pins:
                 if not 0 <= p < n:
                     self._check_item(p)
+            if rows and not (write_only and 0 < rows[0] <= width):
+                raise OutOfCoreError(
+                    f"item {item}: only a write-only access declares live "
+                    f"rows, between 1 and {width} (got {rows[0]})")
             if rc is not None:
-                rc.write(self._race_scope, "stats.store", "_lent_in")
+                rc.write(self._race_scope, "stats.store", "_lent_in", "_rows")
                 rc.read(self._race_scope, "_item_slot", "_inflight",
                         "_slot_generation")
             stats.requests += 1
@@ -704,6 +751,8 @@ class AncestralVectorStore:
                 # without this thread's help: wait for one, then look again
                 # (the item itself may have been prefetched meanwhile).
                 self._wait_inflight(item, pins, set(self._inflight))
+            if rows:
+                self._rows[item] = int(rows[0])
             lent_in[slot] = run
             served.append((item, slot, gens[slot]))
         return served
@@ -735,12 +784,17 @@ class AncestralVectorStore:
         if rc is not None:
             rc.write(self._race_scope, "_inflight", "_item_slot",
                      "_active_pins")
+            rc.read(self._race_scope, "_rows")
         self._inflight.add(item)
         self._active_pins = {item, *pins}
         self._cond.notify_all()
+        if self._prefetch_poke is not None:
+            self._prefetch_poke()
+        reads = 0 if skip else self._rows[item]
+        writes = self._rows[victim] if victim >= 0 else 0
         self._lock.release()
         try:
-            swap = self._transfer(item, slot, victim, skip)
+            swap = self._transfer(item, slot, victim, reads, writes)
         finally:
             self._lock.acquire()
         self._commit_swap(item, slot, victim, write_only, swap)
@@ -759,24 +813,27 @@ class AncestralVectorStore:
             rc.write(self._race_scope, "_active_pins")
         self._active_pins = {item, *pins}
         self._cond.notify_all()
+        if self._prefetch_poke is not None:
+            self._prefetch_poke()
         t0 = time.perf_counter() if ob is not None else 0.0
         while loading <= self._inflight:
             self._cond.wait()
         if ob is not None:
             ob.timed("inflight_wait", t0, time.perf_counter() - t0, item=item)
 
-    def _transfer(self, item: int, slot: int, victim: int, skip: bool) -> _Swap:
+    def _transfer(self, item: int, slot: int, victim: int, reads: int,
+                  writes: int) -> _Swap:
         """Run the transfers a demand miss owes, outside the lock.
 
         ``item`` (and ``victim``, if ``>= 0``) are flagged in flight.
-        ``victim``'s write-out and ``item``'s read-in (unless ``skip``)
-        run here. When both are owed the write runs on the swap helper
-        from the slot's own buffer (so the victim's bytes stay intact
-        whatever happens) while this thread reads into the transit
-        vector, and one ``swap`` is reported: the interval both were in
-        flight together, i.e. the device seconds the overlap hid (write +
-        read - elapsed). Whatever either transfer raises is held for
-        :meth:`_commit_swap`.
+        ``victim``'s write-out of its ``writes`` live rows and ``item``'s
+        read-in of its ``reads`` (none: the read is skipped) run here.
+        When both are owed the write runs on the swap helper from the
+        slot's own buffer (so the victim's bytes stay intact whatever
+        happens) while this thread reads into the transit vector, and one
+        ``swap`` is reported: the interval both were in flight together,
+        i.e. the device seconds the overlap hid (write + read - elapsed).
+        Whatever either transfer raises is held for :meth:`_commit_swap`.
         """
         ob = self.obs
         dest = self._slots[slot]
@@ -785,21 +842,22 @@ class AncestralVectorStore:
         read: _ReadTiming | None = None
         pending: Future[float] | None = None
         t0 = time.perf_counter()
-        if victim >= 0 and skip:
+        if victim >= 0 and not reads:
             try:
-                self.backing.write(victim, dest)
+                self.backing.write(victim, dest[:writes])
             except BaseException as exc:  # noqa: BLE001 - re-raised on commit
                 write_exc = exc
         elif victim >= 0:
             try:
                 helper, transit = self._swap_resources()
-                pending = helper.submit(self._timed_write, victim, dest)
+                pending = helper.submit(self._timed_write, victim,
+                                        dest[:writes])
                 dest = transit
             except BaseException as exc:  # noqa: BLE001 - re-raised on commit
                 write_exc = exc  # the write never started: neither does the read
-        if not skip and write_exc is None:
+        if reads and write_exc is None:
             try:
-                from_staging = self._read_into(item, dest)
+                from_staging = self._read_into(item, dest, reads)
                 read = (t0, time.perf_counter() - t0, from_staging)
             except BaseException as exc:  # noqa: BLE001 - re-raised on commit
                 read_exc = exc
@@ -877,6 +935,7 @@ class AncestralVectorStore:
         if rc is not None:
             rc.write(self._race_scope, "stats.store", "_prefetched_untouched",
                      "_dirty")
+            rc.read(self._race_scope, "_rows")
         if item in self._prefetched_untouched:
             self._prefetched_untouched.discard(item)
             self.stats.misses += 1
@@ -893,7 +952,7 @@ class AncestralVectorStore:
                     self._slots[slot].fill(np.nan)
             else:
                 self.stats.reads += 1
-                self.stats.bytes_read += self.item_bytes
+                self.stats.bytes_read += self._live_bytes(item)
                 self.stats.prefetch_hits += 1
                 if ob is not None:
                     # An instant: the physical read already happened at
@@ -919,6 +978,7 @@ class AncestralVectorStore:
         rc = self._race
         if rc is not None:
             rc.write(self._race_scope, "stats.store", "_dirty")
+            rc.read(self._race_scope, "_rows")
         if read is None:
             self.stats.read_skips += 1
             if ob is not None:
@@ -928,7 +988,7 @@ class AncestralVectorStore:
         else:
             t0, seconds, from_staging = read
             self.stats.reads += 1
-            self.stats.bytes_read += self.item_bytes
+            self.stats.bytes_read += self._live_bytes(item)
             if ob is not None:
                 ob.timed("demand_read", t0, seconds, item=item, slot=slot)
             if from_staging:
@@ -951,7 +1011,8 @@ class AncestralVectorStore:
             return [slots[slot] for _, slot, _ in served]
         self._borrows = [r for r in self._borrows if r() is not None]
         views: list[np.ndarray | None] = []
-        for (_, _, write_only), (item, slot, gen) in zip(accesses, served):
+        for (_, _, write_only, *_), (item, slot, gen) in zip(accesses,
+                                                             served):
             view = slots[slot].view(BorrowedSlotView)
             view._borrow_generations = self._slot_generation
             view._borrow_slot = slot
@@ -992,17 +1053,22 @@ class AncestralVectorStore:
         self._slot_item[slot] = -1
         self._free.append(slot)
 
-    def _read_into(self, item: int, out: np.ndarray) -> bool:
-        """Fill ``out`` from the staging buffer or the backing store.
+    def _read_into(self, item: int, buf: np.ndarray, rows: int) -> bool:
+        """Fill rows ``[0, rows)`` of ``buf`` — ``item``'s live rows — from
+        the staging buffer or the backing store; under the sanitizer the
+        rest of ``buf`` becomes NaN.
 
         Returns ``True`` when served by the write-behind staging buffer
         (whose copy is newer than the backing store's — read-your-writes).
         """
-        if self._writeback is not None and \
-                self._writeback.read_into(item, out):
-            return True
-        self.backing.read(item, out)
-        return False
+        out = buf[:rows]
+        staged = (self._writeback is not None
+                  and self._writeback.read_into(item, out))
+        if not staged:
+            self.backing.read(item, out)
+        if self._sanitize:
+            buf[rows:] = np.nan
+        return staged
 
     def mark_dirty(self, item: int) -> None:
         """Declare that a vector fetched for reading is being modified.
@@ -1037,29 +1103,29 @@ class AncestralVectorStore:
         again. For a vector whose recomputation reproduced the stored bits
         — a refreshed cherry. An item not resident (or still loading) is
         left as it is: its newest bytes are on the backing store or on
-        their way. Under the sanitizer the live rows — the leading
-        ``rows`` (default: the item's sites; a vector stored as site
-        classes has fewer) — are first compared with the backing copy
-        (the staging buffer's, when newer), and a difference — a write
-        the clean slot would lose — raises
-        :class:`~repro.errors.OutOfCoreError`.
+        their way. Under the sanitizer the leading ``rows`` (default: the
+        item's live rows) are first compared with the backing copy (the
+        staging buffer's, when newer), and a difference — a write the
+        clean slot would lose, or rows past what the backing copy holds —
+        raises :class:`~repro.errors.OutOfCoreError`.
         """
         self._check_item(item)
         rc = self._race
         with self._cond:
             if rc is not None:
                 rc.read(self._race_scope, "_item_slot", "_inflight", "_borrows",
-                        "_slot_generation")
-                rc.write(self._race_scope, "_dirty")
+                        "_slot_generation", "_rows")
+                rc.write(self._race_scope, "_dirty", "_compare")
             slot = self._item_slot.get(item, -1)
             if slot < 0 or item in self._inflight:
                 return
             if self._sanitize:
                 if rows is None:
-                    lo, hi = self.layout.item_sites(item)
-                    rows = hi - lo
-                stored = np.empty(self.item_shape, dtype=self.dtype)
-                self._read_into(item, stored)
+                    rows = self._rows[item]
+                if self._compare is None:
+                    self._compare = np.empty(self.item_shape, dtype=self.dtype)
+                stored = self._compare
+                self._read_into(item, stored, self._rows[item])
                 if (stored[:rows].tobytes()
                         != self._slots[slot][:rows].tobytes()):
                     raise OutOfCoreError(
@@ -1081,8 +1147,8 @@ class AncestralVectorStore:
         results go straight into the views it lent — except for a target
         a later access of the same run evicted, whose view came back as
         ``None``. ``fill`` lands that one wherever the item now lives.
-        ``data`` covers the leading ``data.shape[0]`` rows of the item (a
-        ragged last block leaves the slot's padding rows as they were —
+        ``data`` is the item's leading ``data.shape[0]`` rows, which
+        become its live rows (the rest of the slot is left as it was —
         exactly what an in-place kernel write would have done).
 
         This is *not* an access: no counter moves and the replacement
@@ -1091,9 +1157,9 @@ class AncestralVectorStore:
         cases:
 
         * resident → copy into the slot and mark it dirty;
-        * not resident → the eviction persisted stale bytes; write the
-          real ones through the write-behind queue (coalescing — newest
-          copy wins) or straight to backing (counted in
+        * not resident → the eviction persisted stale bytes; write
+          ``data`` as it is through the write-behind queue (coalescing —
+          newest copy wins) or straight to backing (counted in
           :attr:`fill_spills`);
         * load in flight (prefetch) → wait for it, then overwrite the
           slot, so a reload of pre-fill bytes can never win the race.
@@ -1101,12 +1167,16 @@ class AncestralVectorStore:
         item = int(item)
         self._check_item(item)
         span = int(data.shape[0])
+        if not 0 < span <= self.item_shape[0]:
+            raise OutOfCoreError(
+                f"fill({item}): {span} rows, the item has {self.item_shape[0]}")
         staged = False
         rc = self._race
         while True:
             with self._cond:
                 if rc is not None:
                     rc.read(self._race_scope, "_inflight", "_item_slot")
+                    rc.write(self._race_scope, "_rows")
                 while item in self._inflight:
                     self._cond.wait()
                 slot = self._item_slot.get(item, -1)
@@ -1114,21 +1184,21 @@ class AncestralVectorStore:
                     if rc is not None:
                         rc.write(self._race_scope, "_dirty")
                     self._slots[slot][:span] = data
+                    self._rows[item] = span
                     self._dirty[slot] = True
                     return
                 if staged:
                     # Persisted below and still non-resident: any get
                     # from here on reads the staged/written copy.
                     return
-            # Non-resident: persist a full-size buffer out-of-band, then
-            # re-check — a prefetch that raced us and loaded stale bytes
-            # is overwritten in-slot on the next pass.
-            buf = np.zeros(self.item_shape, dtype=self.dtype)
-            buf[:span] = data
+                self._rows[item] = span
+            # Non-resident: persist ``data`` out-of-band, then re-check —
+            # a prefetch that raced us and loaded stale bytes is
+            # overwritten in-slot on the next pass.
             if self._writeback is not None:
-                self._writeback.put(item, buf)
+                self._writeback.put(item, data)
             else:
-                self.backing.write(item, buf)
+                self.backing.write(item, data)
             with self._cond:
                 if rc is not None:
                     rc.write(self._race_scope, "fill_spills")
@@ -1209,7 +1279,7 @@ class AncestralVectorStore:
             rc.write(self._race_scope, "_slot_generation", "stats.store",
                      "_prefetched_untouched", "_item_slot", "_slot_item",
                      "_dirty", "_spilled")
-            rc.read(self._race_scope, "_lent_in", "_run")
+            rc.read(self._race_scope, "_lent_in", "_run", "_rows")
         if self._lent_in[slot] == self._run:
             # The serving run lent this occupant: what it hands back for
             # it is a private copy of these bytes (see get_many), which
@@ -1223,7 +1293,7 @@ class AncestralVectorStore:
             self.stats.prefetch_unused += 1
         if written:
             self.stats.writes += 1
-            self.stats.bytes_written += self.item_bytes
+            self.stats.bytes_written += self._live_bytes(item)
         else:
             self.stats.write_skips += 1
         del self._item_slot[item]
@@ -1231,12 +1301,21 @@ class AncestralVectorStore:
         self._dirty[slot] = False
         self.policy.on_evict(item)
 
-    def _write_out(self, item: int, slot: int) -> None:
-        """Persist one slot — staged asynchronously when write-behind is on."""
+    def _live_bytes(self, item: int) -> int:  # holds: _cond
+        """The bytes a transfer of ``item`` moves: its live rows."""
+        return self._rows[item] * self.row_bytes
+
+    def _write_out(self, item: int, slot: int) -> None:  # holds: _cond
+        """Persist one slot's live rows — staged asynchronously when
+        write-behind is on."""
+        rc = self._race
+        if rc is not None:
+            rc.read(self._race_scope, "_rows")
+        live = self._slots[slot][:self._rows[item]]
         if self._writeback is not None:
-            self._writeback.put(item, self._slots[slot])
+            self._writeback.put(item, live)
         else:
-            self.backing.write(item, self._slots[slot])
+            self.backing.write(item, live)
 
     # -- prefetch support (paper §5) -------------------------------------------------
 
@@ -1291,9 +1370,13 @@ class AncestralVectorStore:
         """Fill a claimed slot outside the lock; ``False`` if the read failed."""
         rc = self._race
         ob = self.obs
+        with self._cond:
+            if rc is not None:
+                rc.read(self._race_scope, "_rows")
+            rows = self._rows[item]
         try:
             read_t0 = time.perf_counter() if ob is not None else 0.0
-            from_staging = self._read_into(item, self._slots[slot])
+            from_staging = self._read_into(item, self._slots[slot], rows)
         except Exception:
             with self._cond:
                 self._unpublish(item, slot)
@@ -1307,7 +1390,7 @@ class AncestralVectorStore:
                 rc.write(self._race_scope, "stats.store",
                          "_prefetched_untouched", "_inflight")
             self.stats.prefetch_reads += 1
-            self.stats.prefetch_bytes += self.item_bytes
+            self.stats.prefetch_bytes += rows * self.row_bytes
             if ob is not None:
                 ob.timed("prefetch_issue", read_t0,
                          time.perf_counter() - read_t0, item=item, slot=slot)
@@ -1357,7 +1440,7 @@ class AncestralVectorStore:
         with self._cond:
             self._settle()
             if rc is not None:
-                rc.read(self._race_scope, "_slot_item")
+                rc.read(self._race_scope, "_slot_item", "_rows")
                 rc.write(self._race_scope, "stats.store", "_dirty")
             for slot, item in enumerate(self._slot_item):
                 if item < 0:
@@ -1367,7 +1450,7 @@ class AncestralVectorStore:
                     continue
                 self._write_out(item, slot)
                 self.stats.writes += 1
-                self.stats.bytes_written += self.item_bytes
+                self.stats.bytes_written += self._live_bytes(item)
                 self._dirty[slot] = False
         self.drain()
         # Only now is every write actually ON the device, not just handed
@@ -1406,19 +1489,22 @@ class AncestralVectorStore:
 
         For verification/debugging only — production code uses :meth:`get`.
         Consults, in order: the RAM slot, the write-behind staging buffer,
-        the backing store — so it always observes the newest version.
+        the backing store — so it always observes the newest version of
+        the live rows. Rows past them are the slot's stale ones, or for a
+        vector not resident zeros (NaN under the sanitizer).
         """
         self._check_item(item)
         rc = self._race
         with self._cond:
             self._settle()
             if rc is not None:
-                rc.read(self._race_scope, "_item_slot")
+                rc.read(self._race_scope, "_item_slot", "_rows")
             slot = self._item_slot.get(item, -1)
             if slot >= 0:
                 return self._slots[slot].copy()
-        out = np.empty(self.item_shape, dtype=self.dtype)
-        self._read_into(item, out)
+            rows = self._rows[item]
+        out = np.zeros(self.item_shape, dtype=self.dtype)
+        self._read_into(item, out, rows)
         return out
 
     def validate(self) -> None:

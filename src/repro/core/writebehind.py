@@ -63,7 +63,9 @@ class WriteBehindQueue:
         do; :class:`FileBackingStore` uses positioned I/O).
     item_shape / dtype:
         Geometry of one vector (staging buffers are preallocated lazily
-        and pooled, so steady-state operation allocates nothing).
+        and pooled, so steady-state operation allocates nothing). A
+        staged copy is the leading rows of its buffer, as many as
+        :meth:`put` was handed, and drains as that prefix.
     depth:
         Maximum number of distinct staged items before ``put`` blocks.
     io_threads:
@@ -119,7 +121,8 @@ class WriteBehindQueue:
     def put(self, item: int, data: np.ndarray) -> None:
         """Stage ``data`` for asynchronous write-back of ``item``.
 
-        Copies ``data`` (the caller's slot is reusable immediately) and
+        Copies ``data`` — the item's leading rows — into the front of a
+        staging buffer (the caller's slot is reusable immediately) and
         returns once the copy is staged, blocking only under back-pressure.
         """
         item = int(item)
@@ -134,7 +137,7 @@ class WriteBehindQueue:
                 raise OutOfCoreError("write-behind queue is closed")
             if item in self._staged and item not in self._writing:
                 # Coalesce: the queued (not-yet-popped) copy is superseded.
-                np.copyto(self._staged[item], data)
+                self._restage(item, data)
                 if ob is not None:
                     ob.event("writeback_enqueue", item)
                 return
@@ -156,24 +159,44 @@ class WriteBehindQueue:
                 ob.timed("writeback_stall", stall_t0,
                          time.perf_counter() - stall_t0, item=item)
             if item in self._staged:  # re-check after waiting
-                np.copyto(self._staged[item], data)
+                self._restage(item, data)
                 if ob is not None:
                     ob.event("writeback_enqueue", item)
                 return
             buf = self._pool.pop() if self._pool else np.empty(
                 self.item_shape, dtype=self.dtype)
-            np.copyto(buf, data)
-            self._staged[item] = buf
+            self._staged[item] = self._stage(buf, data)
             self._order.append(item)
             if ob is not None:
                 ob.event("writeback_enqueue", item)
             self._cond.notify_all()
 
+    @staticmethod
+    def _stage(buf: np.ndarray, data: np.ndarray) -> np.ndarray:
+        """``data`` copied into the leading rows of staging buffer ``buf``:
+        that prefix, the staged copy (:meth:`_buffer_of` gives ``buf``)."""
+        staged = buf[:len(data)]
+        np.copyto(staged, data)
+        return staged
+
+    @staticmethod
+    def _buffer_of(staged: np.ndarray) -> np.ndarray:
+        """The pooled staging buffer a staged copy is the prefix of."""
+        buf = staged.base
+        assert isinstance(buf, np.ndarray)
+        return buf
+
+    def _restage(self, item: int, data: np.ndarray) -> None:  # holds: _cond
+        """Replace ``item``'s queued copy by ``data``, in the same buffer."""
+        self._staged[item] = self._stage(
+            self._buffer_of(self._staged[item]), data)
+
     def read_into(self, item: int, out: np.ndarray) -> bool:
         """Copy the staged (newest) version of ``item`` into ``out`` if present.
 
         Returns ``True`` on a staging hit — the caller must then *not* read
-        the backing store, whose copy may be stale.
+        the backing store, whose copy may be stale. ``out`` is as many
+        leading rows as the staged copy has.
         """
         rc = self._race
         with self._cond:
@@ -282,11 +305,11 @@ class WriteBehindQueue:
                          "stats.writeback")
             self._writing.discard(item)
             self.stats.writeback_writes += 1
-            self.stats.writeback_bytes += self.item_bytes
+            self.stats.writeback_bytes += buf.nbytes
             if self._staged.get(item) is buf:
                 del self._staged[item]
                 if len(self._pool) < self.depth:
-                    self._pool.append(buf)
+                    self._pool.append(self._buffer_of(buf))
             # else: the item was re-staged while this copy drained; the
             # newer version is still queued and drains after us.
             self._cond.notify_all()

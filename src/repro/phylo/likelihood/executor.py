@@ -403,8 +403,10 @@ class Executor:
         (a private copy for a child, ``None`` for a target — see
         :meth:`_compute_group`). Either way a member computes only its
         block's site classes (:mod:`.siteclasses`: the map is looked up
-        per member and committed with the orientation) into rows
-        ``[0, k)`` of the target. A group of one runs in place
+        per member before its ``get_many`` and committed with the
+        orientation) into rows ``[0, k)`` of the target, and its write
+        access declares those ``k`` live rows — all that any later
+        transfer of the target moves. A group of one runs in place
         (:meth:`_update_in_place`); a larger group shares one fused
         product + rescale over all its members' class rows
         (:meth:`_compute_group`) — bit-identical because both run the
@@ -437,7 +439,9 @@ class Executor:
             if len(group.members) == 1:
                 self._update_in_place(group.members[0], classes[0])
             else:
-                views = self._timed_get_many(group.accesses())
+                views = self._timed_get_many([
+                    access for m, c in zip(group.members, classes)
+                    for access in m.writing(c.blocks[m.block].k)])
                 self._timed_kernel(self._compute_group, group, classes, views,
                                    group=gi, members=len(group.members))
             for m, node_classes in zip(group.members, classes):
@@ -512,7 +516,7 @@ class Executor:
         so no view of the run is spilled.
         """
         block = classes.blocks[m.block]
-        views = iter(self._timed_get_many(m.fetches))
+        views = iter(self._timed_get_many(m.writing(block.k)))
         (l_clv, l_codes), (r_clv, r_codes) = self._operands(m, block, views)
         out = next(views)[:block.k]
         counts = self._class_counts(

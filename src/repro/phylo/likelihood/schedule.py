@@ -81,6 +81,13 @@ class BatchMember:
     last_block: bool
     fetches: tuple[tuple[int, tuple[int, ...], bool], ...]
 
+    def writing(self, rows: int) -> tuple[tuple, ...]:
+        """``fetches`` with the target's write access declaring the
+        ``rows`` live rows it leaves (its block's class count), the run
+        execution issues once the member's classes are looked up."""
+        item, pins, write_only = self.fetches[-1]
+        return (*self.fetches[:-1], (item, pins, write_only, rows))
+
 
 @dataclass(frozen=True)
 class BatchGroup:

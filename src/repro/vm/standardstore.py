@@ -61,7 +61,7 @@ class PagedStandardStore:
         """:meth:`get` for each access in order; nothing is ever evicted,
         so no view is spilled."""
         views = []
-        for item, _pins, write_only in accesses:
+        for item, _pins, write_only, *_ in accesses:
             if not 0 <= item < self.num_items:
                 raise OutOfCoreError(
                     f"item {item} out of range [0, {self.num_items})")

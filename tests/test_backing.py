@@ -1,5 +1,6 @@
 """Unit tests for backing stores: memory, single-file, multi-file (and its
-sharded stripes), simulated."""
+sharded stripes), simulated — and, for every kind, transfers of an item's
+leading rows."""
 
 import os
 import sys
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 
 from repro.core.backing import (
+    BACKING_KINDS,
     FileBackingStore,
     MemoryBackingStore,
     MultiFileBackingStore,
     SimulatedDiskBackingStore,
+    make_backing,
 )
 from repro.core.faults import FaultInjectingBackingStore, RetryingBackingStore
 from repro.core.sharded import ShardedBackingStore
@@ -608,3 +611,84 @@ class TestSimulatedDisk:
         out = np.empty(SHAPE)
         s.read(0, out)
         np.testing.assert_array_equal(out, 3.0)
+
+
+# -- leading-rows transfers, for every kind -------------------------------------
+
+#: Every kind, and the two wrappers: over a file, injecting seeded faults
+#: (a transfer may tear) and retrying them away.
+PREFIX_KINDS = (*BACKING_KINDS, "faulty", "retrying")
+ROW = SHAPE[1] * SHAPE[2] * 8    # bytes of one row
+
+
+def _backing(kind, tmp_path, n=5):
+    if kind in BACKING_KINDS:
+        return make_backing(kind, n, SHAPE, path=tmp_path / kind)
+    inner = FaultInjectingBackingStore(
+        FileBackingStore(tmp_path / "inner.bin", n, SHAPE), seed=FAULT_SEED,
+        **({} if kind == "faulty" else {
+            "read_error_rate": 0.15, "write_error_rate": 0.15,
+            "short_read_rate": 0.1, "short_write_rate": 0.1}))
+    return inner if kind == "faulty" else RetryingBackingStore(inner,
+                                                                retries=32)
+
+
+@pytest.mark.parametrize("kind", PREFIX_KINDS)
+class TestLeadingRows:
+    """A transfer moves the leading rows of one item at its fixed place:
+    exactly the bytes it is handed, and nothing of its neighbours."""
+
+    def test_a_prefix_round_trips_and_leaves_the_neighbours(self, kind,
+                                                            tmp_path, closing):
+        store = closing(_backing(kind, tmp_path))
+        rng = np.random.default_rng(31)
+        whole = {i: rng.normal(size=SHAPE) for i in (1, 2, 3)}
+        for item, data in whole.items():
+            store.write(item, data)
+        for rows in (1, 3, SHAPE[0]):
+            prefix = rng.normal(size=(rows, *SHAPE[1:]))
+            store.write(2, prefix)
+            got = np.empty_like(prefix)
+            store.read(2, got)
+            assert got.tobytes() == prefix.tobytes()
+            for item in (1, 3):
+                out = np.empty(SHAPE)
+                store.read(item, out)
+                assert out.tobytes() == whole[item].tobytes()
+
+    def test_store_counts_the_bytes_of_the_live_rows(self, kind, tmp_path,
+                                                     closing):
+        store = closing(AncestralVectorStore(
+            5, SHAPE, num_slots=3, backing=_backing(kind, tmp_path)))
+        store.get(0, write_only=True, rows=1)[:] = 1.0
+        store.get(1, write_only=True)[:] = 2.0        # every row is live
+        for item in (2, 3, 4):                        # evicts 0, 1 (LRU)
+            store.get(item, write_only=True, rows=2)
+        assert store.stats.bytes_written == (1 + SHAPE[0]) * ROW
+        # Reading 0 back evicts 2 (two rows); then 3 and 4 are flushed.
+        assert store.get(0)[0].tobytes() == np.full(SHAPE[1:], 1.0).tobytes()
+        assert store.stats.bytes_read == 1 * ROW
+        store.flush()
+        assert store.stats.bytes_written == (1 + SHAPE[0] + 3 * 2) * ROW
+
+    def test_a_buffer_not_a_prefix_raises(self, kind, tmp_path, closing):
+        store = closing(_backing(kind, tmp_path))
+        wider = np.zeros((SHAPE[0] + 1, *SHAPE[1:]))
+        partial_row = np.zeros(ROW // 8 + 1)
+        strided = np.zeros((SHAPE[0], SHAPE[1], 2 * SHAPE[2]))[..., ::2]
+        for bad in (wider, partial_row):
+            with pytest.raises(BackingStoreError, match="buffer mismatch"):
+                store.write(0, bad)
+            with pytest.raises(BackingStoreError, match="read buffer mismatch"):
+                store.read(0, bad)
+        with pytest.raises(BackingStoreError, match="not C-contiguous"):
+            store.read(0, strided)
+
+
+def test_the_modelled_disk_charges_the_bytes_it_is_handed():
+    disk = DiskModel(access_latency=1e-3, bandwidth=1e8)
+    s = SimulatedDiskBackingStore(4, SHAPE, disk=disk)
+    prefix = np.ones((1, *SHAPE[1:]))
+    s.write(0, prefix)
+    s.read(0, np.empty((1, *SHAPE[1:])))
+    assert s.simulated_seconds == 2 * disk.transfer_time(ROW, sequential=True)

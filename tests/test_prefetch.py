@@ -173,7 +173,8 @@ def warm(store):
 
 class RecordingStore(AncestralVectorStore):
     """Records every access, through ``get`` or ``get_many``, as the
-    ``(item, pins, write_only)`` it was."""
+    ``(item, pins, write_only)`` it was (a write's live-row count is not
+    part of what the prefetcher is fed)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -187,7 +188,7 @@ class RecordingStore(AncestralVectorStore):
     def get_many(self, accesses):
         self.issued.extend((int(item), tuple(int(p) for p in pins),
                             bool(write_only))
-                           for item, pins, write_only in accesses)
+                           for item, pins, write_only, *_ in accesses)
         return super().get_many(accesses)
 
 
@@ -480,4 +481,73 @@ class TestPickingIsClaiming:
             backing.gate.set()
             pf.stop()
         assert obs.spans.by_name().get("stall", 0) == 0
+        store.validate()
+
+
+class TestIdleWorkersStayParked:
+    """Demand progress wakes a parked worker only when the window it opens
+    holds an item to load; with nothing to load the workers sleep through
+    every access instead of each waking to look."""
+
+    @staticmethod
+    def counting(pf):
+        """Count ``pf``'s wake-ups (``notify_all`` notifies too: zero the
+        counts after a feed), and the window scans its workers make (the
+        compute thread's scans are not counted)."""
+        counts = {"notify": 0, "scans": 0}
+        notify, claim = pf._wake.notify, pf._claim_locked
+
+        def counted_notify(*args):
+            counts["notify"] += 1
+            return notify(*args)
+
+        def counted_claim():
+            if threading.current_thread().name.startswith("prefetcher"):
+                counts["scans"] += 1
+            return claim()
+
+        pf._wake.notify = counted_notify
+        pf._claim_locked = counted_claim
+        return counts
+
+    def test_hits_wake_no_worker(self):
+        store = AncestralVectorStore(8, SHAPE, num_slots=4, io_threads=2)
+        warm(store)
+        for item in range(4):
+            store.get(item)
+        pf = ThreadedPrefetcher(store, depth=4, workers=2)
+        counts = self.counting(pf)
+        try:
+            schedule = [(item % 4, (), False) for item in range(400)]
+            pf.feed(schedule)
+            counts.update(notify=0)
+            for item, _, _ in schedule:
+                store.get(item)
+            woken = dict(counts)
+        finally:
+            pf.stop()
+        assert woken["notify"] == 0
+        # The feed wakes both workers once; what else they scanned is the
+        # 0.1 s safety timeout, not one wake-up per access (800 before).
+        assert woken["scans"] < 40
+        assert store.stats.hits == 400 and store.stats.prefetch_reads == 0
+
+    def test_progress_that_opens_an_absent_item_wakes_one_worker(self):
+        store = AncestralVectorStore(8, SHAPE, num_slots=4, io_threads=2)
+        warm(store)
+        store.get(0)
+        pf = ThreadedPrefetcher(store, depth=1, workers=2)
+        counts = self.counting(pf)
+        try:
+            pf.feed([(0, (), False), (5, (), False)])
+            counts.update(notify=0)
+            store.get(0)                       # the window moves to [5]
+            assert counts["notify"] == 1
+            with store._cond:
+                assert store._cond.wait_for(
+                    lambda: store.stats.prefetch_reads == 1, timeout=10.0)
+            assert store.get(5)[0, 0, 0] == 6
+        finally:
+            pf.stop()
+        assert store.stats.prefetch_hits == 1
         store.validate()

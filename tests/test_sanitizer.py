@@ -9,9 +9,11 @@ the generation on eviction, so any later use of the stale view raises
 import numpy as np
 import pytest
 
+from repro.core.backing import MemoryBackingStore
 from repro.core.layout import StorageLayout
 from repro.core.vecstore import AncestralVectorStore, BorrowedSlotView
 from repro.errors import BorrowError, OutOfCoreError
+from tests.test_async_io import GatedBackingStore
 
 SHAPE = (5,)
 
@@ -228,6 +230,56 @@ class TestMarkClean:
         store = make_store()
         store.mark_clean(5)
         assert not store.is_resident(5)
+
+
+class TestStaleTailIsPoisoned:
+    """A transfer moves an item's live rows ``[0, k)`` only; every read-in
+    — from the backing store, the write-behind staging buffer or a
+    prefetch — fills the rest of its slot with NaN under the sanitizer."""
+
+    @staticmethod
+    def _written_then_evicted(store):
+        """Item 0 written with 2 live rows, then evicted by 1, 2, 3."""
+        store.get(0, write_only=True, rows=2)[:] = np.arange(5.0)
+        for item in (1, 2, 3):
+            store.get(item, write_only=True)
+
+    @staticmethod
+    def _assert_poisoned(view):
+        np.testing.assert_array_equal(view[:2], [0.0, 1.0])
+        assert np.isnan(view[2:]).all()
+
+    def test_a_demand_read(self):
+        store = make_store()
+        self._written_then_evicted(store)
+        self._assert_poisoned(store.get(0))
+        assert store.stats.bytes_read == 2 * 8
+
+    def test_a_staging_serve(self):
+        backing = GatedBackingStore(MemoryBackingStore(8, SHAPE))
+        store = make_store(backing=backing, writeback_depth=4)
+        try:
+            backing.gate.clear()                    # item 0 stays staged
+            self._written_then_evicted(store)
+            self._assert_poisoned(store.get(0))
+            assert store.stats.writeback_read_hits == 1
+        finally:
+            backing.gate.set()
+            store.close()
+
+    def test_a_prefetch(self):
+        store = make_store()
+        self._written_then_evicted(store)
+        assert store.prefetch_load(0)
+        self._assert_poisoned(store.get(0))
+        assert store.stats.prefetch_bytes == 2 * 8
+
+    def test_without_the_sanitizer_the_tail_is_left_as_it_was(self):
+        store = make_store(sanitize=False)
+        self._written_then_evicted(store)
+        view = store.get(0)
+        np.testing.assert_array_equal(view[:2], [0.0, 1.0])
+        assert not np.isnan(view).any()
 
 
 class TestTransparency:

@@ -3,12 +3,15 @@ of its slot, and expanded to per-site width only at an evaluation edge.
 
 The contract is the parent's bits: every stored class row, expanded through
 its node's map, equals a full-width ``kernels.update_clv`` of the same
-node, scale counts included; the rows past ``k`` are never read; and maps
-follow the topology through every edit without being rebuilt for a branch
-length.
+node, scale counts included; the rows past ``k`` are never read (a
+transfer moves only rows ``[0, k)``, and under the sanitizer a read-in
+poisons the rest); and maps follow the topology through every edit
+without being rebuilt for a branch length.
 """
 
 from __future__ import annotations
+
+import tempfile
 
 import numpy as np
 import pytest
@@ -16,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import GTR, LikelihoodEngine, RateModel, simulate_alignment, yule_tree
+from repro.errors import LikelihoodError
 from repro.phylo.likelihood import kernels
+from repro.phylo.likelihood.executor import Executor
 from repro.phylo.likelihood.siteclasses import (
     ClassMaps,
     SiteClasses,
@@ -257,6 +262,49 @@ class TestMapsFollowTopology:
         assert engine.classes.builds == builds
 
 
+class TestStaleTailIsPoisoned:
+    """A transfer moves an item's ``k`` live rows only. Under the
+    sanitizer a read-in fills rows ``[k, w)`` of its slot with NaN, so a
+    reader that strays past ``k`` is caught, not silently wrong."""
+
+    @staticmethod
+    def _evaluate(sanitize, monkeypatch, reader=None):
+        monkeypatch.setenv("REPRO_SANITIZE", "1" if sanitize else "0")
+        if reader is not None:
+            monkeypatch.setattr(Executor, "_site_rows", reader)
+        tree, aln, model, rates = _dataset(24, 200, 5)
+        engine = LikelihoodEngine(tree.copy(), aln, model, rates,
+                                  fraction=0.25)
+        try:
+            engine.full_traversals(1)
+            engine.store.evict_all()       # every end is read back in
+            # A compacted vector that is no cherry (those are recomputed).
+            u = next(x for x in range(tree.num_tips, tree.num_nodes)
+                     if engine.classes.current[x].blocks[0].cls is not None
+                     and sorted(tree.neighbors(x))[1] >= tree.num_tips)
+            # First the edge ``u`` is current toward: ``u`` is read in.
+            toward = engine.orientation.orient[u]
+            return [engine.edge_loglikelihood(u, v) for v in
+                    (toward, *(x for x in tree.neighbors(u) if x != toward))]
+        finally:
+            engine.close()
+
+    @staticmethod
+    def _past_k(self, node, block, view, side):
+        """A reader that takes a block's leading rows as its sites,
+        ignoring the class map: it reads rows past ``k``."""
+        lo, hi = self.layout.block_bounds(block)
+        return view[:hi - lo]
+
+    def test_the_right_reader_is_unaffected(self, monkeypatch):
+        assert ([x.hex() for x in self._evaluate(True, monkeypatch)]
+                == [x.hex() for x in self._evaluate(False, monkeypatch)])
+
+    def test_a_reader_touching_row_k_is_caught(self, monkeypatch):
+        with pytest.raises(LikelihoodError, match="site likelihood .*nan"):
+            self._evaluate(True, monkeypatch, self._past_k)
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6),
        edits=st.integers(min_value=1, max_value=10))
@@ -264,14 +312,30 @@ def test_edits_out_of_core_equal_a_fresh_engine(seed, edits):
     """Random moves and lengths on a poisoned few-slot engine with ragged
     blocks: refreshed cherries, rebuilt maps and stale tails everywhere,
     and still a fresh engine's bits."""
+    _edits_equal_a_fresh_engine("memory", seed, edits)
+
+
+@pytest.mark.parametrize("backing", ["file", "compressed"])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       edits=st.integers(min_value=1, max_value=10))
+def test_edits_on_a_device_backing_equal_a_fresh_engine(backing, seed, edits):
+    """The same on the backings that keep bytes on a device, whose
+    transfers move only the live rows (the compressed one stores only
+    them)."""
+    _edits_equal_a_fresh_engine(backing, seed, edits)
+
+
+def _edits_equal_a_fresh_engine(backing: str, seed: int, edits: int) -> None:
     from repro.utils.rng import as_rng
 
     rng = as_rng(seed)
     tree, aln, model, rates = _dataset(12, 120, seed)
+    workdir = tempfile.TemporaryDirectory()
     engine = LikelihoodEngine(
         tree, aln, model, rates, num_slots=5, layout="block",
         block_sites=_ragged_block(aln.compress().num_patterns),
-        poison_skipped_reads=True)
+        poison_skipped_reads=True, backing=backing, workdir=workdir.name)
     try:
         for _ in range(edits):
             op = rng.integers(3)
@@ -297,6 +361,7 @@ def test_edits_out_of_core_equal_a_fresh_engine(seed, edits):
                 fresh.close()
     finally:
         engine.close()
+        workdir.cleanup()
 
 
 class TestMapBuilder:

@@ -40,6 +40,7 @@ def store_threads(baseline):
 
 # ---------------------------------------------------------------------------
 # parity: counters against the serial state machine, bytes against a dict
+# (and each transfer against its item's live rows)
 
 LAYOUTS = {
     "whole": StorageLayout(12, (5, 2)),              # 12 items of (5, 2)
@@ -70,7 +71,12 @@ def test_counters_and_bytes_equal_the_serial_model(
     trace = AccessTrace(n)
     for item, write_only, pins in workload:
         trace.record(item, tuple(p for p in pins if p != item), write_only)
-    backing = MemoryBackingStore.from_layout(layout)
+    backing = _LoggedBacking.from_layout(layout)
+
+    def live_rows(item):
+        lo, hi = layout.item_sites(item)
+        return hi - lo
+
     store = AncestralVectorStore(
         layout=layout, num_slots=num_slots, policy=policy,
         policy_kwargs=kwargs, backing=backing, read_skipping=read_skipping,
@@ -85,24 +91,49 @@ def test_counters_and_bytes_equal_the_serial_model(
                 view[...] = float(step + 1)
                 model[ev.item] = float(step + 1)
             elif ev.item in model:
-                np.testing.assert_array_equal(view, model[ev.item])
+                np.testing.assert_array_equal(view[:live_rows(ev.item)],
+                                              model[ev.item])
             store.validate()
         expected = simulate_policy_on_trace(
             trace, num_slots, policy, read_skipping=read_skipping,
             track_dirty=track_dirty, policy_kwargs=kwargs).as_row()
         got = store.stats.as_row()
         assert {k: got[k] for k in COUNTERS} == {k: expected[k] for k in COUNTERS}
-        assert got["bytes_read"] == got["reads"] * store.item_bytes
-        assert got["bytes_written"] == got["writes"] * store.item_bytes
+        # Each transfer moves its item's live rows — a ragged last
+        # block's padding stays behind — and the bytes count exactly them.
+        for kind, counter in (("read", "bytes_read"),
+                              ("write", "bytes_written")):
+            moved = [(item, nbytes) for op, item, nbytes in backing.log
+                     if op == kind]
+            assert len(moved) == got[f"{kind}s"]
+            assert all(nbytes == live_rows(item) * store.row_bytes
+                       for item, nbytes in moved)
+            assert got[counter] == sum(n for _, n in moved)
         # synchronous: nothing is in flight, so the backing already holds
         # every evicted vector; flushing the residents completes it
         store.flush(force=True)
         out = np.empty(layout.item_shape)
         for item, value in model.items():
             backing.read(item, out)
-            np.testing.assert_array_equal(out, value)
+            np.testing.assert_array_equal(out[:live_rows(item)], value)
     finally:
         store.close()
+
+
+class _LoggedBacking(MemoryBackingStore):
+    """Logs each transfer as ``(op, item, bytes)``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = []
+
+    def _read(self, item, out):
+        self.log.append(("read", item, out.nbytes))
+        return super()._read(item, out)
+
+    def _write(self, item, data):
+        self.log.append(("write", item, data.nbytes))
+        return super()._write(item, data)
 
 
 # ---------------------------------------------------------------------------
