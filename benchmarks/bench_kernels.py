@@ -212,13 +212,21 @@ def site_class_rows() -> list[str]:
     counts = np.zeros(span, dtype=np.int32)
     scheme, scratch = kernels.ScalingScheme(), kernels.Scratch()
 
-    def classes_pass() -> None:
+    def classes_pass(rows: int | None = None) -> None:
+        # ``rows=1``: the same calls on one class row each — a step's cost.
         for (Pl, Pr), k, sides in classed:
+            k = k if rows is None else rows
             (lc, lr, lk), (rc, rr, rk) = sides
             if lr is not None:
-                lc = np.take(lc, lr, axis=0, mode="clip")
+                lc = np.take(lc, lr[:k], axis=0, mode="clip")
+            elif lc is not None:
+                lc = lc[:k]
             if rr is not None:
-                rc = np.take(rc, rr, axis=0, mode="clip")
+                rc = np.take(rc, rr[:k], axis=0, mode="clip")
+            elif rc is not None:
+                rc = rc[:k]
+            lk = None if lk is None else lk[:k]
+            rk = None if rk is None else rk[:k]
             kernels.update_clv(out[:k], Pl, Pr, lc, rc, lk, rk, cm,
                                counts[:k], scheme, scratch)
 
@@ -230,6 +238,8 @@ def site_class_rows() -> list[str]:
     class_rows = sum(k for _, k, _ in classed)
     nodes = len(classed)
     classes_s = _best_of(classes_pass, calls=3)
+    step_s = _best_of(lambda: classes_pass(rows=1), calls=3)
+    row_s = (classes_s - step_s) / (class_rows - nodes)
     whole_s = _best_of(whole_pass, calls=3)
     lines = [
         f"site classes, D128x4k seed 42 ({nodes} inner nodes, {span} patterns,"
@@ -240,6 +250,11 @@ def site_class_rows() -> list[str]:
         f"{'  the same updates at full width':<44} "
         f"{whole_s / nodes * 1e6:9.1f} "
         f"{nodes * span / whole_s / 1e6:13.2f}",
+        f"{'  the same updates on 1 row each (a step)':<44} "
+        f"{step_s / nodes * 1e6:9.1f}",
+        f"{'recompute price (STEP_PRICE_S, ROW_PRICE_S)':<44} "
+        f"{step_s / nodes * 1e6:9.1f}  us per step + "
+        f"{row_s * 1e9:.1f} ns per class row",
     ]
     bounds = [(0, span)]
     for path, pairs in builds.items():

@@ -66,6 +66,13 @@ class BackingStore(Protocol):
 
     def close(self) -> None: ...
 
+    def read_price(self, nbytes: int) -> float:
+        """The declared seconds a read of ``nbytes`` costs, which the
+        traversal planner weighs against recomputing the vector. A
+        constant of the store, never a clock reading, so a plan stays a
+        pure function of tree, residency and backing."""
+        ...
+
 
 class ReportedBackingStore:
     """``read``/``write`` for a store whose I/O lives in ``_read``/``_write``.
@@ -85,6 +92,11 @@ class ReportedBackingStore:
 
     def read(self, item: int, out: np.ndarray) -> None:
         self._reported("backing_read", self._read, item, out)
+
+    def read_price(self, nbytes: int) -> float:
+        """RAM and the file kinds declare a read free: a recomputation is
+        then chosen only where it is free too (a cherry)."""
+        return 0.0
 
     def write(self, item: int, data: np.ndarray) -> None:
         self._reported("backing_write", self._write, item, data)
@@ -370,6 +382,10 @@ class MultiFileBackingStore(ReportedBackingStore):
         return cls(directory, layout.num_items, layout.item_shape, dtype,
                    **options)
 
+    def read_price(self, nbytes: int) -> float:
+        """A transfer is one stripe's: the stripes' price."""
+        return self._files[0].read_price(nbytes)
+
     def _locate(self, item: int) -> tuple[BackingStore, int]:
         if not 0 <= item < self.num_items:
             raise BackingStoreError(f"item {item} out of range [0, {self.num_items})")
@@ -470,6 +486,10 @@ class SimulatedDiskBackingStore(ReportedBackingStore):
         a block-size sweep measures."""
         return cls(layout.num_items, layout.item_shape, dtype,
                    disk=disk, sleep=sleep)
+
+    def read_price(self, nbytes: int) -> float:
+        """The modelled device's time for the transfer."""
+        return self.disk.transfer_time(nbytes, sequential=True)
 
     def _charge(self, nbytes: int) -> None:
         cost = self.disk.transfer_time(nbytes, sequential=True)

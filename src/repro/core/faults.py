@@ -81,6 +81,11 @@ class _BackingWrapper:
     def close(self) -> None:
         self.inner.close()
 
+    def read_price(self, nbytes: int) -> float:
+        """The wrapped store's declared price: wrapping moves no bytes."""
+        price: float = self.inner.read_price(nbytes)
+        return price
+
     def __getattr__(self, name: str) -> Any:
         if name == "inner":  # guard: no recursion before __init__ ran
             raise AttributeError(name)

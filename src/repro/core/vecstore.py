@@ -1122,12 +1122,7 @@ class AncestralVectorStore:
             if self._sanitize:
                 if rows is None:
                     rows = self._rows[item]
-                if self._compare is None:
-                    self._compare = np.empty(self.item_shape, dtype=self.dtype)
-                stored = self._compare
-                self._read_into(item, stored, self._rows[item])
-                if (stored[:rows].tobytes()
-                        != self._slots[slot][:rows].tobytes()):
+                if self._differs_from_copy(item, self._slots[slot][:rows]):
                     raise OutOfCoreError(
                         f"mark_clean({item}): the live rows differ from the "
                         f"backing copy, so the slot is not clean")
@@ -1138,6 +1133,39 @@ class AncestralVectorStore:
                             and view._borrow_expected == gen):
                         view.flags.writeable = False
             self._dirty[slot] = False
+
+    def check_copy(self, item: int, rows: np.ndarray) -> None:
+        """Under the sanitizer, raise :class:`~repro.errors.OutOfCoreError`
+        unless ``rows`` equal the leading rows of ``item``'s stored copy
+        (the staging buffer's, when newer); otherwise do nothing.
+
+        For a vector recomputed outside the store — a plan's ghost, which
+        must reproduce the bits it would otherwise have read. Not an
+        access: no counter moves.
+        """
+        if not self._sanitize:
+            return
+        self._check_item(item)
+        rc = self._race
+        with self._cond:
+            if rc is not None:
+                rc.read(self._race_scope, "_rows")
+                rc.write(self._race_scope, "_compare")
+            if self._differs_from_copy(item, rows):
+                raise OutOfCoreError(
+                    f"check_copy({item}): the recomputed rows differ from "
+                    f"the stored copy")
+
+    def _differs_from_copy(self, item: int,  # holds: _cond
+                           rows: np.ndarray) -> bool:
+        """Whether ``rows`` differ from the leading rows of ``item``'s
+        stored copy, read the way a miss reads it (:meth:`_read_into`);
+        rows past the copy's live rows are NaN there, so they differ."""
+        if self._compare is None:
+            self._compare = np.empty(self.item_shape, dtype=self.dtype)
+        stored = self._compare
+        self._read_into(item, stored, self._rows[item])
+        return stored[:len(rows)].tobytes() != rows.tobytes()
 
     def fill(self, item: int, data: np.ndarray) -> None:
         """Land the result of a write-only access that ``get_many`` spilled.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -131,6 +131,13 @@ class Executor:
         #: group's stacks): reused by every call, so a traversal in steady
         #: state allocates nothing.
         self._scratch = kernels.Scratch()
+        #: ``(node, block)`` -> the class rows of a ghost (a valid vector
+        #: recomputed outside the store, see :meth:`execute_plan`), held
+        #: until its parent's update has consumed them.
+        self._ghosts: dict[tuple[int, int], np.ndarray] = {}
+        #: The planner's pricing arguments (:meth:`_pricing`), built once
+        #: per store.
+        self._priced: dict[str, Any] | None = None
         #: The attached repro.obs.Observer (default off): the engine
         #: reports each "plan" / "kernel" / "store_wait" lap and every
         #: execute_plan to it. Purely passive; numerics are unaffected.
@@ -152,6 +159,7 @@ class Executor:
         self.layout = layout
         self.prefetcher = None
         self._classes = None
+        self._priced = None
         self._bind_topological_policy()
         #: Group cap of the traversal schedule; 1 = every update in place.
         self.batch_members = (default_group_cap(store.num_slots)
@@ -173,12 +181,16 @@ class Executor:
         policy = getattr(self.store, "policy", None)
         if (policy is not None and getattr(policy, "name", "") == "topological"
                 and getattr(policy, "distance_provider", None) is None):
-            n = self.tree.num_tips
+            # The provider holds the tree, not the engine: the store must
+            # not keep its engine alive through a cycle, or the engine and
+            # its swap thread outlive their last reference until a GC.
+            tree = self.tree
+            n = tree.num_tips
             item_nodes = self.layout.store_item_nodes()
 
             def distances(requested_item: int) -> np.ndarray:
                 node = int(item_nodes[requested_item])
-                d_nodes = self.tree.hop_distances_from(n + node)[n:]
+                d_nodes = tree.hop_distances_from(n + node)[n:]
                 return d_nodes[item_nodes]
 
             policy.distance_provider = distances
@@ -270,35 +282,64 @@ class Executor:
     def plan(self, u: int, v: int, full: bool = False) -> TraversalPlan:
         """Plan the CLV recomputations needed to evaluate edge ``(u, v)``.
 
-        Out of core, a valid cherry none of whose items is resident is
-        recomputed rather than read (the plan's ``refresh``); ``full``
-        plans recompute every vector anyway and never ask.
+        Out of core, a valid vector none of whose items is resident is
+        recomputed from its resident frontier rather than read when that
+        is priced below the read (a cherry always): the plan's
+        ``refresh`` and ``ghost``. ``full`` plans recompute every vector
+        anyway and never ask.
         """
-        absent = None if full else self._absent()
+        priced = {} if full else self._pricing()
         ob = self.obs
         if ob is None:
             return plan_edge_traversal(self.tree, self.orientation, u, v, full,
-                                       absent)
+                                       **priced)
         t0 = time.perf_counter()
         out = plan_edge_traversal(self.tree, self.orientation, u, v, full,
-                                  absent)
+                                  **priced)
         ob.timed("plan", t0, time.perf_counter() - t0, steps=len(out.steps))
         return out
 
-    def _absent(self):
-        """The planner's ``absent(node)``: no item of the node is resident
-        (a load in flight counts as resident) — or ``None`` for a store
-        that holds every item, where nothing is ever read back."""
+    def _pricing(self) -> dict[str, Any]:
+        """The planner's ``absent``, ``read_price`` and ``step_price``, or
+        nothing for a store that holds every item, where nothing is ever
+        read back.
+
+        ``absent(node)``: no item of the node is resident (a load in
+        flight counts as resident). Both prices are declared, never
+        clocked, and read a valid node's committed class map: a read
+        costs the backing's ``read_price`` of each item's live bytes, an
+        update ``kernels.STEP_PRICE_S`` per block plus
+        ``kernels.ROW_PRICE_S`` per class row. A backing that declares no
+        price, or prices a whole vector's read at 0 (prices grow with the
+        bytes), gets no ``read_price``: the planner then asks no price.
+        """
+        if self._priced is not None:
+            return self._priced
         store = self.store
         if store.num_slots >= store.num_items:
-            return None
+            self._priced = {}
+            return self._priced
         is_resident, items_of = store.is_resident, self.layout.items_of
         n = self.tree.num_tips
+        current = self.classes.current
+        step, per_row = kernels.STEP_PRICE_S, kernels.ROW_PRICE_S
+        row_bytes = self.ancestral_vector_bytes() // self.clv_shape[0]
+        price = getattr(getattr(store, "backing", None), "read_price", None)
+        if price is not None and price(self.ancestral_vector_bytes()) <= 0.0:
+            price = None
 
         def absent(node: int) -> bool:
             return not any(map(is_resident, items_of(node - n)))
 
-        return absent
+        def step_price(node: int) -> float:
+            return sum(step + per_row * b.k for b in current[node].blocks)
+
+        def read_price(node: int) -> float:
+            return sum(price(b.k * row_bytes) for b in current[node].blocks)
+
+        self._priced = {"absent": absent, "step_price": step_price,
+                        "read_price": None if price is None else read_price}
+        return self._priced
 
     def _timed_get(self, item: int, pins: tuple = (),
                    write_only: bool = False) -> np.ndarray:
@@ -395,6 +436,13 @@ class Executor:
         end reads), which an empty plan still feeds — so swap-ins overlap
         the kernel arithmetic (§5).
 
+        A ghost (a node in ``plan.ghost``) is computed into a buffer of
+        its ``k`` class rows that its parent's update then consumes and
+        drops: it makes no access, takes no slot and pins nothing, and
+        under the sanitizer its rows are compared with its stored copy
+        (``store.check_copy``). A recomputed valid node — ghost or
+        refresh — reuses its committed class map.
+
         Each group's calls are one ``store.get_many``: the same gets, in
         exactly the schedule's order whatever the group cap, so
         demand/eviction counters agree bit for bit under every
@@ -416,7 +464,7 @@ class Executor:
         a call, while groups of one pushed through the fused path
         measured 10–28 % slower than in place (DESIGN.md, "Batched kernel
         schedule"). Orientation is committed after each node's last block
-        so a failure leaves a consistent state; a refreshed cherry's items
+        so a failure leaves a consistent state; a refreshed node's items
         are then declared clean (``store.mark_clean`` of their class rows).
         """
         # Empty plans stay out of the schedule cache: they must not evict.
@@ -431,11 +479,15 @@ class Executor:
         ob = self.obs
         exec_t0 = time.perf_counter() if ob is not None else 0.0
         n = self.tree.num_tips
-        lookup = self.classes.lookup
+        lookup, current = self.classes.lookup, self.classes.current
+        recomputed = plan.refresh | plan.ghost
+        self._ghosts.clear()
         for gi, group in enumerate(schedule.groups):
             # Every member's children finished in earlier groups, so their
             # maps are committed.
-            classes = [lookup(m.node, m.left, m.right) for m in group.members]
+            classes = [current[m.node] if m.node in recomputed
+                       else lookup(m.node, m.left, m.right)
+                       for m in group.members]
             if len(group.members) == 1:
                 self._update_in_place(group.members[0], classes[0])
             else:
@@ -465,22 +517,28 @@ class Executor:
 
         An inner child's rows are gathered from its view into scratch
         (taken as they are when both it and ``m`` are the identity), a
-        tip's are its codes at the classes; ``views`` yields the inner
-        children's views in fetch order.
+        tip's are its codes at the classes; ``views`` yields the stored
+        inner children's views in fetch order, and a ghost child's rows
+        are taken (and dropped) from the ghost buffers.
         """
         rows = block.rows if m.left < m.right else block.rows[::-1]
+        ghosts = self._ghosts
         out = []
-        for side, (child_item, child_rows) in enumerate(
-                ((m.left_item, rows[0]), (m.right_item, rows[1]))):
+        for side, (child, child_item, child_rows) in enumerate(
+                ((m.left, m.left_item, rows[0]),
+                 (m.right, m.right_item, rows[1]))):
             if child_item < 0:
                 out.append((None, child_rows))
-            elif child_rows is None:
-                out.append((_valid(next(views), block.k), None))
+                continue
+            view = ghosts.pop((child, m.block), None) if ghosts else None
+            if view is None:
+                view = next(views)
+            if child_rows is None:
+                out.append((_valid(view, block.k), None))
             else:
                 gathered = self._scratch.get(
                     ("rows", side), (block.k, *self.clv_shape[1:]), self.dtype)
-                np.take(next(views), child_rows, axis=0, out=gathered,
-                        mode="clip")
+                np.take(view, child_rows, axis=0, out=gathered, mode="clip")
                 out.append((gathered, None))
         return out
 
@@ -513,12 +571,17 @@ class Executor:
         The member's accesses are one ``get_many``; the kernel reads the
         children's rows at ``m``'s classes and fills rows ``[0, k)`` of
         the write-only target view. The three accesses pin each other,
-        so no view of the run is spilled.
+        so no view of the run is spilled. A ghost's target is a new
+        buffer of ``k`` rows instead, kept for its parent.
         """
         block = classes.blocks[m.block]
-        views = iter(self._timed_get_many(m.writing(block.k)))
+        accesses = m.writing(block.k)
+        views = iter(self._timed_get_many(accesses) if accesses else ())
         (l_clv, l_codes), (r_clv, r_codes) = self._operands(m, block, views)
-        out = next(views)[:block.k]
+        if m.ghost:
+            out = np.empty((block.k, *self.clv_shape[1:]), dtype=self.dtype)
+        else:
+            out = next(views)[:block.k]
         counts = self._class_counts(
             m, block, self._scratch.get("class_counts", (block.k,), np.int32))
         self._timed_kernel(
@@ -528,6 +591,9 @@ class Executor:
             counts, self.scaling, self._scratch,
             node=m.node, block=m.block)
         self._spread_counts(m, block, counts)
+        if m.ghost:
+            self.store.check_copy(m.out_item, out)
+            self._ghosts[m.node, m.block] = out
 
     def _compute_group(self, group: BatchGroup, classes: list[SiteClasses],
                        views: list) -> None:

@@ -36,6 +36,15 @@ import numpy as np
 
 from repro.errors import LikelihoodError
 
+#: The declared price of recomputing a vector that the planner weighs
+#: against a read (:func:`~repro.phylo.likelihood.traversal.plan_edge_traversal`):
+#: ``STEP_PRICE_S`` per update plus ``ROW_PRICE_S`` per class row. From
+#: ``benchmarks/out/kernel_throughput.txt``, row "recompute price"
+#: (``bench_kernels.py``: D128x4k seed 42, gather + :func:`update_clv`).
+#: Committed, not clocked, so a plan stays a pure function of its inputs.
+STEP_PRICE_S = 28.5e-6
+ROW_PRICE_S = 56e-9
+
 
 class ScalingScheme:
     """Dtype-dependent rescaling constants.

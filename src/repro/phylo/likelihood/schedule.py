@@ -65,7 +65,10 @@ class BatchMember:
     ``b`` of a parent touches exactly block ``b`` of its children, so
     the store's ``m >= 3`` floor bounds blocks, not whole vectors).
     ``left_item``/``right_item`` are ``-1`` for tip children (whose
-    codes come from RAM, not the store).
+    codes come from RAM, not the store). A *ghost* member (its node in
+    the plan's ``ghost``) computes into executor scratch: it has no target
+    access, and neither it nor its consumer fetches or pins the ghost's
+    item, so ``fetches`` holds only store-resident operands.
     """
 
     node: int
@@ -80,11 +83,14 @@ class BatchMember:
     right_item: int
     last_block: bool
     fetches: tuple[tuple[int, tuple[int, ...], bool], ...]
+    ghost: bool = False
 
     def writing(self, rows: int) -> tuple[tuple, ...]:
         """``fetches`` with the target's write access declaring the
         ``rows`` live rows it leaves (its block's class count), the run
         execution issues once the member's classes are looked up."""
+        if self.ghost:
+            return self.fetches
         item, pins, write_only = self.fetches[-1]
         return (*self.fetches[:-1], (item, pins, write_only, rows))
 
@@ -147,11 +153,15 @@ def build_batched_schedule(
 
     Iterates in execution order — steps outer, blocks inner — and
     closes the current group whenever (a) the next step reads a node
-    some member of the group writes, or (b) the group is full.
-    Post-order plans guarantee children precede parents, so rule (a)
-    only ever fires at step boundaries and groups are contiguous runs of
-    that order: the concatenated access sequence is the same for every
-    ``max_members``.
+    some member of the group writes, or (b) the group is full; (c) a
+    member of a recomputed valid node (the plan's ``refresh`` or
+    ``ghost``) is a group of its own. Post-order plans guarantee
+    children precede parents, so rules (a) and (c) only ever fire at step
+    boundaries and groups are contiguous runs of that order: the
+    concatenated access sequence is the same for every ``max_members``.
+    Rule (c) keeps the rest of it so too: a ghost runs in place, and a
+    refreshed node's ``mark_clean`` follows its own update whatever the
+    cap, so no later access of a shared group can evict it dirty first.
     """
     if max_members < 1:
         raise LikelihoodError(f"max_members must be >= 1, got {max_members}")
@@ -171,41 +181,46 @@ def build_batched_schedule(
             current.clear()
             written.clear()
 
+    ghost = plan.ghost
     for step in plan.steps:
         node, left, right = step.node, step.left, step.right
-        left_inner = left >= num_tips
-        right_inner = right >= num_tips
-        if left in written or right in written:
+        is_ghost = node in ghost
+        alone = is_ghost or node in plan.refresh
+        # The operands that are store items: inner and not a ghost.
+        left_stored = left >= num_tips and left not in ghost
+        right_stored = right >= num_tips and right not in ghost
+        if left in written or right in written or alone:
             flush()
         for b in range(blocks):
             if len(current) >= max_members:
                 flush()
             lo, hi = layout.block_bounds(b)
             fetches: list[tuple[int, tuple[int, ...], bool]] = []
-            l_item = r_item = -1
-            if left_inner:
-                l_item = layout.item_of(item(left), b)
-                pins = ((layout.item_of(item(right), b),) if right_inner
-                        else ()) + (layout.item_of(item(node), b),)
-                fetches.append((l_item, pins, False))
-            if right_inner:
-                r_item = layout.item_of(item(right), b)
-                pins = ((layout.item_of(item(left), b),) if left_inner
-                        else ()) + (layout.item_of(item(node), b),)
-                fetches.append((r_item, pins, False))
+            l_item = layout.item_of(item(left), b) if left >= num_tips else -1
+            r_item = layout.item_of(item(right), b) if right >= num_tips else -1
             out_item = layout.item_of(item(node), b)
-            out_pins = tuple(layout.item_of(item(x), b)
-                             for x in (left, right) if x >= num_tips)
-            fetches.append((out_item, out_pins, True))
+            target = () if is_ghost else (out_item,)
+            if left_stored:
+                pins = ((r_item,) if right_stored else ()) + target
+                fetches.append((l_item, pins, False))
+            if right_stored:
+                pins = ((l_item,) if left_stored else ()) + target
+                fetches.append((r_item, pins, False))
+            if not is_ghost:
+                out_pins = ((l_item,) if left_stored else ()) + (
+                    (r_item,) if right_stored else ())
+                fetches.append((out_item, out_pins, True))
             current.append(BatchMember(
                 node=node, left=left, right=right, toward=step.toward,
                 block=b, lo=lo, hi=hi,
                 out_item=out_item, left_item=l_item, right_item=r_item,
                 last_block=(b == blocks - 1),
-                fetches=tuple(fetches),
+                fetches=tuple(fetches), ghost=is_ghost,
             ))
             written.add(node)
             total += 1
+            if alone:
+                flush()
     flush()
     return BatchedSchedule(groups=tuple(groups), max_members=max_members,
                            num_members=total)
@@ -232,7 +247,8 @@ class ScheduleCache:
 
     def get(self, plan: TraversalPlan, layout: StorageLayout,
             num_tips: int, max_members: int) -> BatchedSchedule:
-        key = (plan.root_u, plan.root_v, plan.steps, max_members)
+        key = (plan.root_u, plan.root_v, plan.steps, plan.refresh, plan.ghost,
+               max_members)
         found = self._cache.get(key)
         if found is not None:
             self._cache.move_to_end(key)

@@ -53,14 +53,18 @@ class TraversalPlan:
     ``steps`` are in valid post-order (children before parents). The
     *write-only* property holds for every step by construction: a planned
     node's previous contents are never read. ``refresh`` lists the steps'
-    nodes that were still valid — cherries recomputed from their tips
-    instead of read back (see :func:`plan_edge_traversal`).
+    nodes that were still valid and absent — each recomputed from its
+    resident frontier instead of read back — and ``ghost`` the valid
+    absent nodes below them that the recomputation passes through, whose
+    vectors live only until their parent's step has consumed them (see
+    :func:`plan_edge_traversal`).
     """
 
     root_u: int
     root_v: int
     steps: tuple[TraversalStep, ...]
     refresh: frozenset[int] = frozenset()
+    ghost: frozenset[int] = frozenset()
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -199,10 +203,18 @@ class OrientationState:
         self._remap_or_invalidate(sv, v, u)
 
 
+#: A price in seconds of a node's vector: of reading it (``read_price``) or
+#: of recomputing it from its two children (``step_price``).
+Price = Callable[[int], float]
+#: A reached valid node's recomputation from its frontier, or ``None``.
+Frontier = Callable[[int, int], "list[TraversalStep] | None"]
+
+
 def plan_edge_traversal(tree: Tree, state: OrientationState, u: int, v: int,
                         full: bool = False,
-                        absent: Callable[[int], bool] | None = None
-                        ) -> TraversalPlan:
+                        absent: Callable[[int], bool] | None = None,
+                        read_price: Price | None = None,
+                        step_price: Price | None = None) -> TraversalPlan:
     """Plan the minimal recomputation to evaluate the likelihood at ``(u, v)``.
 
     Walks each side of the edge away from the other endpoint; descends only
@@ -211,25 +223,82 @@ def plan_edge_traversal(tree: Tree, state: OrientationState, u: int, v: int,
     validity — the paper's ``-f z`` full-traversal mode (§4.3).
 
     ``absent(node)`` — whether reading ``node``'s vector would cost a
-    transfer — adds one exception: a valid *cherry* (both children tips)
-    the walk reaches and ``absent`` names is scheduled anyway, and listed
-    in the plan's ``refresh``. Its vector is a function of two tip
-    columns in RAM and two transition matrices that its validity says
-    are unchanged, so recomputing it reproduces the stored bits with no
-    read at all. ``absent=None`` plans exactly the minimal set.
+    transfer — lets the plan recompute a valid vector instead of reading
+    it. For a valid node ``x`` the walk reaches and ``absent`` names, the
+    *frontier* is ``x`` and the absent nodes below it, down to resident
+    inner nodes or tips; validity says every operand below is unchanged,
+    so recomputing the frontier in post-order reproduces ``x``'s stored
+    bits. It is scheduled when its declared price — the sum of
+    ``step_price`` over its nodes — is below ``read_price(x)``, and
+    always when it is a *cherry* (``x`` alone, both children tips: two
+    tip columns in RAM). ``x`` is listed in the plan's ``refresh`` and
+    the other frontier nodes in its ``ghost``. The frontier walk stops
+    as soon as its price reaches the read's, so planning stays linear in
+    what it schedules. ``read_price=None`` prices every read at 0, which
+    leaves the cherries alone; ``absent=None`` plans exactly the minimal
+    set.
     """
     if not tree.has_edge(u, v):
         raise LikelihoodError(f"({u},{v}) is not an edge of the tree")
     steps: list[TraversalStep] = []
     refresh: set[int] = set()
+    ghost: set[int] = set()
+    frontier: Frontier | None = None
+    if absent is not None:
+        def frontier(x: int, par: int) -> list[TraversalStep] | None:
+            return _frontier(tree, x, par, absent, read_price, step_price)
     for start, parent in ((u, v), (v, u)):
-        _plan_side(tree, state, start, parent, full, absent, steps, refresh)
-    return TraversalPlan(u, v, tuple(steps), frozenset(refresh))
+        _plan_side(tree, state, start, parent, full, frontier, steps, refresh,
+                   ghost)
+    return TraversalPlan(u, v, tuple(steps), frozenset(refresh),
+                         frozenset(ghost))
+
+
+def _kids(tree: Tree, x: int, par: int) -> list[int]:
+    kids = [y for y in tree.neighbors(x) if y != par]
+    if len(kids) != 2:
+        raise LikelihoodError(f"inner node {x} has degree {len(kids) + 1}")
+    return kids
+
+
+def _frontier(tree: Tree, x: int, par: int, absent: Callable[[int], bool],
+              read_price: Price | None, step_price: Price | None
+              ) -> list[TraversalStep] | None:
+    """The post-order recomputation of valid node ``x`` (toward ``par``)
+    from its resident frontier, or ``None`` when ``x`` is resident or
+    reading it is priced no higher. Residency is asked last: a store
+    answers it under its lock."""
+    kids = _kids(tree, x, par)
+    if tree.is_tip(kids[0]) and tree.is_tip(kids[1]):
+        return [TraversalStep(x, kids[0], kids[1], par)] if absent(x) else None
+    if read_price is None or step_price is None:
+        return None
+    budget = read_price(x)
+    if budget <= 0.0 or not absent(x):
+        return None
+    spent = 0.0
+    steps: list[TraversalStep] = []
+    # Everything below a valid node is valid (invariant II), so the walk
+    # descends without asking ``state``.
+    stack: list[tuple[int, int, list[int] | None]] = [(x, par, None)]
+    while stack:
+        y, p, expanded = stack.pop()
+        if expanded is not None:
+            steps.append(TraversalStep(y, expanded[0], expanded[1], p))
+            continue
+        spent += step_price(y)
+        if spent >= budget:
+            return None
+        kids = _kids(tree, y, p)
+        stack.append((y, p, kids))
+        stack.extend((k, y, None) for k in kids
+                     if not tree.is_tip(k) and absent(k))
+    return steps
 
 
 def _plan_side(tree: Tree, state: OrientationState, node: int, parent: int,
-               full: bool, absent: Callable[[int], bool] | None,
-               steps: list[TraversalStep], refresh: set[int]) -> None:
+               full: bool, frontier: Frontier | None, steps: list[TraversalStep],
+               refresh: set[int], ghost: set[int]) -> None:
     if tree.is_tip(node):
         return
     # Iterative post-order, pruning at already-valid nodes (unless full).
@@ -239,14 +308,11 @@ def _plan_side(tree: Tree, state: OrientationState, node: int, parent: int,
         if tree.is_tip(x):
             continue
         if not full and state.is_valid_toward(x, par):
-            if absent is not None:
-                # A cherry is its own post-order: scheduled here, once,
-                # whatever ``absent`` would answer a second time.
-                kids = [y for y in tree.neighbors(x) if y != par]
-                if (len(kids) == 2 and tree.is_tip(kids[0])
-                        and tree.is_tip(kids[1]) and absent(x)):
-                    refresh.add(x)
-                    steps.append(TraversalStep(x, kids[0], kids[1], par))
+            recompute = None if frontier is None else frontier(x, par)
+            if recompute is not None:
+                refresh.add(x)
+                ghost.update(s.node for s in recompute[:-1])
+                steps.extend(recompute)
             continue
         kids = [y for y in tree.neighbors(x) if y != par]
         if len(kids) != 2:

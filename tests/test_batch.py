@@ -46,24 +46,30 @@ def reference_accesses(layout, num_tips, plan):
     Steps outer, blocks inner; per (step, block) each inner child is
     fetched pinning the other operands' same-numbered block (other child,
     then target), then the target is fetched write-only pinning the
-    children. The engine executes — and reports — the schedule's own
-    sequence, so this is the oracle both are checked against.
+    children. A ghost of the plan is neither fetched nor pinned, as a
+    target or as a child. The engine executes — and reports — the
+    schedule's own sequence, so this is the oracle both are checked
+    against.
     """
+    def stored(x):
+        return x >= num_tips and x not in plan.ghost
+
     def pins(nodes, b):
         return tuple(layout.item_of(x - num_tips, b)
-                     for x in nodes if x >= num_tips)
+                     for x in nodes if stored(x))
 
     out = []
     for step in plan.steps:
         operands = (step.left, step.right, step.node)
         for b in range(layout.blocks_per_node):
             for c in (step.left, step.right):
-                if c >= num_tips:
+                if stored(c):
                     out.append((layout.item_of(c - num_tips, b),
                                 pins([x for x in operands if x != c], b),
                                 False))
-            out.append((layout.item_of(step.node - num_tips, b),
-                        pins([step.left, step.right], b), True))
+            if stored(step.node):
+                out.append((layout.item_of(step.node - num_tips, b),
+                            pins([step.left, step.right], b), True))
     return out
 
 
@@ -490,7 +496,9 @@ def test_schedule_matches_runtime_access_sequence(num_taxa, seed,
     """reference_accesses == plan_accesses == what execution actually
     issues — with identical lnL and parity counters — for cap 1, an
     explicit cap and cap auto, over random trees and geometries; cap 1
-    and cap auto also over a store without ``fill``."""
+    and cap auto also over a store without ``fill``. Each run plans a
+    full traversal and then a re-root on a priced (simulated-disk)
+    backing, whose plan recomputes absent valid vectors through ghosts."""
     tree = yule_tree(num_taxa, seed=seed)
     model = JC69()
     rates = RateModel.gamma(1.0, 2)
@@ -500,13 +508,11 @@ def test_schedule_matches_runtime_access_sequence(num_taxa, seed,
     def recorded_run(batch, store=None):
         geometry = {} if store is not None else {
             "layout": layout, "block_sites": block_sites,
-            "num_slots": slots, "policy": "lru"}
+            "num_slots": slots, "policy": "lru", "backing": "simulated"}
         eng = LikelihoodEngine(tree.copy(), aln, model, rates,
                                store=store, batch=batch, **geometry)
         u, v = eng.default_edge()
-        plan = eng.plan(u, v, full=True)
-        expected = reference_accesses(eng.layout, eng.tree.num_tips, plan)
-        assert eng.plan_accesses(plan) == expected
+        reroot = list(eng.tree.edges())[-1]
         recorded = []
         real_get_many = eng.store.get_many
 
@@ -515,16 +521,24 @@ def test_schedule_matches_runtime_access_sequence(num_taxa, seed,
                             for item, pins, write_only, *_ in accesses)
             return real_get_many(accesses)
 
-        eng.store.get_many = recording_get_many
+        lnls = []
         try:
-            eng.execute_plan(plan)
-            assert recorded == expected
-            lnl = eng.edge_loglikelihood(u, v)
+            for edge, full in (((u, v), True), (reroot, False)):
+                plan = eng.plan(*edge, full=full)
+                expected = reference_accesses(eng.layout, eng.tree.num_tips,
+                                              plan)
+                assert eng.plan_accesses(plan) == expected
+                recorded.clear()
+                eng.store.get_many = recording_get_many
+                eng.execute_plan(plan)
+                assert recorded == expected
+                del eng.store.get_many
+                lnls.append(eng.edge_loglikelihood(*edge).hex())
         finally:
-            del eng.store.get_many
+            vars(eng.store).pop("get_many", None)
             eng.close()
         row = eng.stats.as_row()
-        return lnl.hex(), {k: row[k] for k in PARITY_COUNTERS}
+        return lnls, {k: row[k] for k in PARITY_COUNTERS}
 
     in_place = recorded_run(batch=None)
     assert recorded_run(batch=1) == in_place

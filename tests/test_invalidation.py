@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import GTR, LikelihoodEngine, RateModel, simulate_alignment, yule_tree
+from repro.core.backing import SimulatedDiskBackingStore
 from repro.core.layout import make_layout
 from repro.core.shadow import ShadowStore, TeeStore
 from repro.core.trace import RecordingStoreProxy, simulate_policy_on_trace
@@ -296,6 +297,132 @@ def _refresh_plans(refreshed, taxa, seed, rnd):
         check_invariants(tree, state.orient)
 
 
+# -- priced frontiers --------------------------------------------------------------
+
+
+def _frontier_of(tree, x, parent, absent):
+    """``x`` and the absent nodes below it reached through absent nodes,
+    in post-order: what recomputing ``x`` from resident nodes and tips
+    takes. Derived here by recursion, not by the planner's walk."""
+    out = []
+
+    def walk(y, p):
+        for k in tree.neighbors(y):
+            if k != p and not tree.is_tip(k) and k in absent:
+                walk(k, y)
+        out.append(y)
+
+    walk(x, parent)
+    return out
+
+
+def test_priced_plan_is_the_minimal_plan_plus_each_frontier_priced_below_its_read():
+    """With prices the plan is the minimal one plus, for each valid absent
+    node its walk reached, that node's frontier — exactly when the
+    frontier is a cherry or its price is below the node's read — with
+    every ghost before its consumer; the walk prices no node outside the
+    frontiers it reached and stops at the first that reaches the read."""
+    tally = {"refresh": 0, "ghost": 0, "declined": 0}
+    _priced_plans(tally)
+    assert min(tally.values()) >= 50, tally
+
+
+@settings(max_examples=60, deadline=None)
+@given(taxa=st.integers(4, 40), seed=st.integers(0, 10**6),
+       rnd=st.randoms(use_true_random=False))
+def _priced_plans(tally, taxa, seed, rnd):
+    tree = yule_tree(taxa, seed=seed)
+    state, ref = OrientationState(tree), BfsOrientation(tree)
+
+    def mutated(name, *args):
+        getattr(state, name)(*args)
+        getattr(ref, name)(*args)
+
+    for _ in range(40):
+        op = rnd.randrange(4)
+        if op == 0:
+            u, v = rnd.choice(list(tree.edges()))
+            absent = {x for x in tree.inner_nodes() if rnd.random() < 0.6}
+            # Integer prices: sums are exact in any order.
+            step = {x: rnd.randint(1, 4) for x in tree.inner_nodes()}
+            read = {x: rnd.randint(0, 24) for x in tree.inner_nodes()}
+            asked: list[int] = []
+
+            def step_price(x, asked=asked, step=step):
+                asked.append(x)
+                return step[x]
+
+            minimal = plan_edge_traversal(tree, state, u, v)
+            plan = plan_edge_traversal(tree, state, u, v,
+                                       absent=absent.__contains__,
+                                       read_price=read.__getitem__,
+                                       step_price=step_price)
+            reached = [(u, v), (v, u)] + [(k, s.node) for s in minimal.steps
+                                          for k in (s.left, s.right)]
+            refresh, ghost, scheduled = set(), set(), set()
+            owner = {}
+            for x, par in reached:
+                if tree.is_tip(x) or state.orient[x] != par or x not in absent:
+                    continue
+                frontier = _frontier_of(tree, x, par, absent)
+                owner.update(dict.fromkeys(frontier, x))
+                cherry = _cherry_kids(tree, x, par) is not None
+                mine = [y for y in asked if owner.get(y) == x]
+                if cherry:
+                    assert mine == []
+                if cherry or sum(step[y] for y in frontier) < read[x]:
+                    refresh.add(x)
+                    ghost.update(frontier[:-1])
+                    scheduled.update(frontier)
+                    if not cherry:
+                        assert sorted(mine) == sorted(frontier)
+                else:
+                    # Stopped at the first node whose price reaches the
+                    # read; a free read asks for none.
+                    if read[x] == 0:
+                        assert mine == []
+                    else:
+                        assert sum(step[y] for y in mine) >= read[x]
+                        assert sum(step[y] for y in mine[:-1]) < read[x]
+                    tally["declined"] += 1
+            assert all(y in owner for y in asked)
+            assert plan.refresh == refresh
+            assert plan.ghost == ghost
+            assert [s for s in plan.steps if s.node not in scheduled] \
+                == list(minimal.steps)
+            order = {s.node: i for i, s in enumerate(plan.steps)}
+            assert len(order) == len(plan.steps)
+            assert set(order) == {s.node for s in minimal.steps} | scheduled
+            for s in plan.steps:
+                if s.node in scheduled:
+                    assert s.toward == state.orient[s.node]
+                    assert sorted((s.left, s.right)) == sorted(
+                        y for y in tree.neighbors(s.node) if y != s.toward)
+                for child in (s.left, s.right):
+                    if child in plan.ghost or child in plan.refresh:
+                        assert order[child] < order[s.node]
+            for s in plan.steps:
+                state.set(s.node, s.toward)
+                ref.set(s.node, s.toward)
+            tally["refresh"] += len(plan.refresh)
+            tally["ghost"] += len(plan.ghost)
+        elif op == 1:
+            mutated("after_branch_change", *rnd.choice(list(tree.edges())))
+        elif op == 2:
+            p = rnd.choice(tree.inner_nodes())
+            s = rnd.choice(tree.neighbors(p))
+            candidates = tree.spr_candidates(p, s, radius=rnd.randint(1, 6))
+            if candidates:
+                move = tree.spr_move(p, s, rnd.choice(candidates))
+                mutated("after_spr", p, move.old_a, move.old_b,
+                        move.target_u, move.target_v)
+        elif tree.num_tips > 3:
+            move = tree.nni(rnd.choice(tree.internal_edges()), rnd.randrange(2))
+            mutated("after_nni", move.u, move.v, move.swapped_u, move.swapped_v)
+        assert np.array_equal(state.orient, ref.orient)
+        check_invariants(tree, state.orient)
+
+
 #: (layout, batch, writeback_depth) of the lazy-SPR refresh round.
 REFRESH_MATRIX = [(layout, batch, depth) for layout in ("whole", "block")
                   for batch in (1, -1) for depth in (0, 4)]
@@ -402,3 +529,118 @@ def test_refresh_round_counters_agree_with_shadow_and_replay(refresh_round):
         assert shadowed[counter] == live[counter], counter
         assert replayed[counter] == live[counter], counter
     assert any(ev.clean for ev in trace.events)
+
+
+# -- priced rounds: frontiers recomputed instead of read ------------------------------
+
+#: (layout, batch, writeback_depth) of the priced round, whose backing
+#: prices a read at ``DiskModel.hdd()``'s transfer time.
+PRICED_MATRIX = [("whole", 1, 0), ("block", -1, 4)]
+
+
+def _spr_and_reroots(engine):
+    """A lazy-SPR round, then the likelihood re-rooted at every third edge."""
+    lazy_spr_round(engine, radius=2)
+    for u, v in list(engine.tree.edges())[::3]:
+        engine.edge_loglikelihood(u, v)
+
+
+def _noting_plans(engine, plans):
+    plan = engine.plan
+
+    def noted(u, v, full=False):
+        out = plan(u, v, full)
+        plans.append(out)
+        return out
+
+    engine.plan = noted
+
+
+def _recomputed(plans, num_tips):
+    """(ghosts, refreshed nodes that are no cherry) over ``plans``."""
+    deep = sum(1 for p in plans for s in p.steps if s.node in p.refresh
+               and max(s.left, s.right) >= num_tips)
+    return sum(len(p.ghost) for p in plans), deep
+
+
+@pytest.fixture(scope="module")
+def incore_reroots(dataset):
+    tree, aln = dataset
+    lnls: list[str] = []
+    eng = LikelihoodEngine(tree.copy(), aln, MODEL, RATES)
+    try:
+        _recording_lnl(eng, lnls)
+        _spr_and_reroots(eng)
+    finally:
+        eng.close()
+    return lnls
+
+
+def test_simulated_engine_recomputes_frontiers_bit_identically(dataset,
+                                                              incore_reroots):
+    """On a modelled-HDD engine (f = 0.25, no sleeping) a read costs far
+    more than a frontier's kernels, so absent valid vectors are rebuilt
+    from what is resident — and every lnL is the in-core twin's."""
+    tree, aln = dataset
+    lnls: list[str] = []
+    plans: list = []
+    eng = LikelihoodEngine(tree.copy(), aln, MODEL, RATES, fraction=0.25,
+                           backing="simulated")
+    try:
+        assert not eng.store.backing.sleep
+        _noting_plans(eng, plans)
+        _recording_lnl(eng, lnls)
+        _spr_and_reroots(eng)
+    finally:
+        eng.close()
+    assert lnls == incore_reroots
+    ghosts, deep = _recomputed(plans, tree.num_tips)
+    assert ghosts > 0 and deep > 0
+
+
+@pytest.fixture(scope="module", params=PRICED_MATRIX,
+                ids=lambda p: "{}-batch{}-wb{}-simulated".format(*p))
+def priced_round(request, dataset):
+    """The refresh round's store stack (a RecordingStoreProxy over a
+    TeeStore with one LRU shadow) over a simulated disk, running
+    :func:`_spr_and_reroots`; returned in ``refresh_round``'s shape with
+    the plans in place of the marks."""
+    layout, batch, depth = request.param
+    tree, aln = dataset
+    tree = tree.copy()
+    shape = (aln.compress().num_patterns, RATES.num_categories, MODEL.num_states)
+    lay = make_layout(layout, tree.num_inner, shape,
+                      block_sites=48 if layout == "block" else None)
+    primary = AncestralVectorStore(
+        layout=lay, fraction=0.25, writeback_depth=depth,
+        backing=SimulatedDiskBackingStore.from_layout(lay))
+    shadow = ShadowStore(lay.num_items, primary.num_slots, "lru")
+    proxy = RecordingStoreProxy(TeeStore(primary, [shadow]))
+    eng = LikelihoodEngine(tree, aln, MODEL, RATES, store=proxy, batch=batch)
+    plans: list = []
+    lnls: list[str] = []
+    _noting_plans(eng, plans)
+    _recording_lnl(eng, lnls)
+    try:
+        _spr_and_reroots(eng)
+        live = primary.stats.as_row()
+    finally:
+        eng.close()
+    return (proxy.trace, plans, lnls, live, shadow.stats.as_row(),
+            primary.num_slots)
+
+
+def test_priced_round_is_bit_identical_and_recomputes(priced_round,
+                                                      incore_reroots, dataset):
+    """Through the tee and on both layouts: every lnL the in-core twin's,
+    with ghosts and deeper-than-cherry refreshes among the plans."""
+    _, plans, lnls, _, _, _ = priced_round
+    assert lnls == incore_reroots
+    ghosts, deep = _recomputed(plans, dataset[0].num_tips)
+    assert ghosts > 0 and deep > 0
+
+
+def test_priced_round_counters_agree_with_shadow_and_replay(priced_round):
+    """The refresh round's agreement where plans recompute frontiers: a
+    ghost makes no access, so the shadow and the replay see none."""
+    test_refresh_round_counters_agree_with_shadow_and_replay(priced_round)

@@ -337,8 +337,13 @@ PAGING = {"fraction": PIN_FRACTION,
 
 #: Each twin runs its partner's access sequence through another execution
 #: path or device, invisible to the paper's metrics: vectors round-trip
-#: the codec and the wire exactly, and the demand counters are backing-
-#: and write-behind-invariant by design, so the comparison is exact.
+#: the codec and the wire exactly, and the demand counters are invariant
+#: across write-behind and across backings *of equal declared read price*
+#: by design, so the comparison is exact. A priced backing (the simulated
+#: disk) lets a plan recompute an absent vector instead of reading it, so
+#: its counters may differ from a free one's — but every twin here is a
+#: full traversal, whose plans never ask for a price, and the search cells
+#: run on the memory backing, which prices a read at 0.
 TWINS = {
     "fig5_ooc_whole_batch": "fig5_ooc_whole",
     "fig5_ooc_block_batch": "fig5_ooc_block",

@@ -9,6 +9,7 @@ the generation on eviction, so any later use of the stale view raises
 import numpy as np
 import pytest
 
+from repro import JC69, LikelihoodEngine, RateModel, simulate_alignment, yule_tree
 from repro.core.backing import MemoryBackingStore
 from repro.core.layout import StorageLayout
 from repro.core.vecstore import AncestralVectorStore, BorrowedSlotView
@@ -280,6 +281,102 @@ class TestStaleTailIsPoisoned:
         view = store.get(0)
         np.testing.assert_array_equal(view[:2], [0.0, 1.0])
         assert not np.isnan(view).any()
+
+
+class TestCheckCopy:
+    """``check_copy`` holds a vector recomputed outside the store — a
+    plan's ghost — to the rows it stands in for: its stored copy's live
+    rows, read the way a miss reads them. It is no access."""
+
+    def test_equal_rows_pass_and_other_rows_raise(self):
+        store = make_store()
+        TestStaleTailIsPoisoned._written_then_evicted(store)  # 0: [0, 1]
+        requests = store.stats.requests
+        store.check_copy(0, np.array([0.0, 1.0]))
+        with pytest.raises(OutOfCoreError, match="differ from the stored"):
+            store.check_copy(0, np.array([0.0, 1.5]))
+        with pytest.raises(OutOfCoreError, match="differ from the stored"):
+            store.check_copy(0, np.array([0.0, 1.0, 2.0]))  # past the live rows
+        assert store.stats.requests == requests
+
+    def test_a_staged_copy_counts(self):
+        backing = GatedBackingStore(MemoryBackingStore(8, SHAPE))
+        store = make_store(backing=backing, writeback_depth=4)
+        try:
+            backing.gate.clear()                    # item 0 stays staged
+            TestStaleTailIsPoisoned._written_then_evicted(store)
+            store.check_copy(0, np.array([0.0, 1.0]))
+        finally:
+            backing.gate.set()
+            store.close()
+
+    def test_without_the_sanitizer_nothing_is_compared(self):
+        store = make_store(sanitize=False)
+        TestStaleTailIsPoisoned._written_then_evicted(store)
+        store.check_copy(0, np.array([9.0, 9.0]))
+
+
+class TestGhostsAreChecked:
+    """Re-rooting at every edge of a modelled-HDD engine (f = 0.25)
+    recomputes absent valid vectors through ghosts; under the sanitizer
+    each ghost is compared with its stored copy, so one built from a
+    wrong child row raises before its parent consumes it."""
+
+    @staticmethod
+    def _reroot_everywhere(monkeypatch, skew=None):
+        """``(ghosts checked, ghost updates that read a stored child)``."""
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        tree = yule_tree(14, seed=55)
+        model, rates = JC69(), RateModel.gamma(0.9, 2)
+        aln = simulate_alignment(tree, model, 150, rates=rates, seed=56)
+        twin = LikelihoodEngine(tree.copy(), aln, model, rates)
+        eng = LikelihoodEngine(tree.copy(), aln, model, rates,
+                               fraction=0.25, backing="simulated")
+        checked, stored_children = [], []
+        check_copy, operands = eng.store.check_copy, eng._operands
+        eng.store.check_copy = lambda item, rows: (
+            checked.append(item), check_copy(item, rows))
+
+        def ghost_operands(m, block, views):
+            out = operands(m, block, views)
+            if m.ghost:
+                stored_children.extend(m.fetches)
+                if skew is not None:
+                    out = skew(out)
+            return out
+
+        eng._operands = ghost_operands
+        n = tree.num_tips
+        try:
+            for u, v in eng.tree.edges():
+                # Under LRU a child is older than its parent, so frontiers
+                # run down to the tips. Reading one ghost's ghost child
+                # back first makes the next plan stop there instead.
+                preview = eng.plan(u, v)
+                deep = [c for s in preview.steps if s.node in preview.ghost
+                        for c in (s.left, s.right) if c in preview.ghost]
+                if deep:
+                    eng.store.get(deep[0] - n)
+                assert (eng.edge_loglikelihood(u, v)
+                        == twin.edge_loglikelihood(u, v))
+        finally:
+            eng.close()
+            twin.close()
+        return len(checked), len(stored_children)
+
+    def test_ghosts_equal_their_stored_copies(self, monkeypatch):
+        checked, stored_children = self._reroot_everywhere(monkeypatch)
+        assert checked > 0 and stored_children > 0
+
+    def test_a_ghost_from_a_wrong_child_row_raises(self, monkeypatch):
+        def skew(operands):
+            (clv, codes), right = operands
+            if clv is not None:
+                clv = np.multiply(clv, 0.5)         # a wrong child row
+            return [(clv, codes), right]
+
+        with pytest.raises(OutOfCoreError, match="check_copy"):
+            self._reroot_everywhere(monkeypatch, skew)
 
 
 class TestTransparency:
