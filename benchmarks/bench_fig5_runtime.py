@@ -111,10 +111,9 @@ def test_fig5_runtime_table(benchmark, fig5_results):
     lines = [
         f"5 full tree traversals; simulated RAM {format_bytes(RAM_BYTES)}, "
         "HDD disk model; elapsed = real compute + simulated I/O wait",
-        "(io_s is device-busy seconds. The out-of-core store overlaps a "
-        "miss's write-out with its read-in, so its elapsed_s is an upper "
-        "bound: too high by at most reads x one transfer time, about 2 "
-        "reads per traversal)",
+        "(io_s is device-busy seconds. The out-of-core store makes every "
+        "transfer on the compute thread, one after another, so its "
+        "elapsed_s is the modelled synchronous wall, not a bound on it)",
         f"{'footprint':>10} {'pressure':>9} {'config':>24} {'elapsed_s':>10} "
         f"{'compute_s':>10} {'io_s':>9} {'faults/swaps':>13}",
     ]

@@ -8,6 +8,7 @@ derivative) so the out-of-core swap costs in the other benches can be read
 against the compute they overlap with.
 """
 
+import os
 import time
 
 import numpy as np
@@ -140,7 +141,8 @@ def test_sites_per_second_report(benchmark, operands):
              table, MODEL.eigenvalues, RATES.rates, RATES.weights, pw, 0.1)),
     ]
     lines = [f"{PATTERNS} patterns x {CATS} Γ rates x 4 states, float64; "
-             "best of 5 x 200 calls",
+             "best of 5 x 200 calls; OPENBLAS_NUM_THREADS="
+             f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}",
              f"{'kernel':<44} {'us/call':>9} {'M patterns/s':>13}"]
     rates = []
     for name, call in cases:
@@ -168,6 +170,41 @@ def _best_of(call, repeats: int = 5, calls: int = 20) -> float:
             call()
         best = min(best, (time.perf_counter() - t0) / calls)
     return best
+
+
+def protein_row_price() -> str:
+    """The class-row price of a protein Γ4 update (20 states, C·S = 80)
+    and of a DNA Γ4 one (C·S = 16), each measured as inner-inner
+    ``update_clv`` on 2,000 rows against 1, beside what the planner
+    declares for a protein row (``ROW_PRICE_S · (80 / 16)²``)."""
+    from repro.phylo.alphabet import AMINO_ACID
+    from repro.phylo.models import Poisson
+
+    rows = 2000
+    rng = np.random.default_rng(5)
+    scheme, scratch = kernels.ScalingScheme(), kernels.Scratch()
+
+    def per_row(model, cm) -> float:
+        states = model.num_states
+        left, right = (rng.uniform(0.1, 1.0, size=(rows, CATS, states))
+                       for _ in range(2))
+        out = np.empty_like(left)
+        counts = np.zeros(rows, dtype=np.int32)
+        P = kernels.lower(model.transition_matrices(0.13, RATES.rates), cm)
+
+        def run(k: int) -> None:
+            kernels.update_clv(out[:k], P, P, left[:k], right[:k], None, None,
+                               cm, counts[:k], scheme, scratch)
+
+        return (_best_of(lambda: run(rows)) - _best_of(lambda: run(1))) \
+            / (rows - 1)
+
+    protein = per_row(Poisson(), AMINO_ACID.code_matrix())
+    dna = per_row(MODEL, DNA.code_matrix())
+    return (f"{'  protein Γ4 class row (C·S = 80, declared)':<44} "
+            f"{kernels.ROW_PRICE_S * 25 * 1e9:9.0f}  ns; measured "
+            f"{protein * 1e9:.0f} ns = {protein / dna:.1f} x a DNA Γ4 row "
+            f"({dna * 1e9:.0f} ns)")
 
 
 def site_class_rows() -> list[str]:
@@ -255,6 +292,7 @@ def site_class_rows() -> list[str]:
         f"{'recompute price (STEP_PRICE_S, ROW_PRICE_S)':<44} "
         f"{step_s / nodes * 1e6:9.1f}  us per step + "
         f"{row_s * 1e9:.1f} ns per class row",
+        protein_row_price(),
     ]
     bounds = [(0, span)]
     for path, pairs in builds.items():

@@ -31,7 +31,7 @@ from pathlib import Path
 from repro import __version__
 from repro.config import EngineConfig
 from repro.errors import ReproError
-from repro.phylo.alphabet import DNA
+from repro.phylo.alphabet import AMINO_ACID, DNA
 from repro.phylo.likelihood.engine import LikelihoodEngine, clv_geometry
 from repro.phylo.likelihood.model_opt import optimize_alpha
 from repro.phylo.models import GTR, HKY85, JC69, K80, Poisson, RateModel
@@ -44,13 +44,14 @@ MODELS = {"JC": JC69, "JC69": JC69, "K80": K80, "HKY": HKY85, "HKY85": HKY85,
           "GTR": GTR, "POISSON": Poisson}
 
 
-def _read_alignment(path: str) -> Alignment:
+def _read_alignment(path: str, model: str) -> Alignment:
+    """The alignment at ``path`` (FASTA or PHYLIP), in the alphabet of the
+    model string ``model``: amino acids for ``POISSON``, DNA otherwise."""
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    alphabet = DNA
-    aln = (Alignment.from_fasta(text, alphabet) if stripped.startswith(">")
-           else Alignment.from_phylip(text, alphabet))
-    return aln
+    alphabet = AMINO_ACID if _parse_model_spec(model)[0] == "POISSON" else DNA
+    return (Alignment.from_fasta(text, alphabet)
+            if text.lstrip().startswith(">")
+            else Alignment.from_phylip(text, alphabet))
 
 
 def _parse_model_spec(spec: str) -> tuple[str, int, bool]:
@@ -142,7 +143,7 @@ def _report_io(engine) -> str:
 
 def cmd_evaluate(args) -> int:
     """Fixed-tree likelihood evaluation; ``-f z`` = full traversals (§4.3)."""
-    alignment = _read_alignment(args.msa)
+    alignment = _read_alignment(args.msa, args.model)
     engine = _engine_for(alignment, args)
     t0 = time.perf_counter()
     if args.function == "z":
@@ -167,7 +168,7 @@ def cmd_search(args) -> int:
     """Maximum-likelihood tree search (lazy SPR + NNI + model optimization)."""
     from repro.phylo.search import ml_search
 
-    alignment = _read_alignment(args.msa)
+    alignment = _read_alignment(args.msa, args.model)
     resume_state = None
     if args.checkpoint and args.resume and os.path.exists(args.checkpoint):
         from repro.checkpoint import read_checkpoint
@@ -213,7 +214,7 @@ def cmd_mcmc(args) -> int:
     """Bayesian MCMC sampling (Metropolis–Hastings)."""
     from repro.phylo.bayes import McmcChain
 
-    alignment = _read_alignment(args.msa)
+    alignment = _read_alignment(args.msa, args.model)
     engine = _engine_for(alignment, args)
     chain = McmcChain(engine, seed=args.seed)
     t0 = time.perf_counter()
@@ -268,7 +269,7 @@ def cmd_policies(args) -> int:
     from repro.core.vecstore import slots_for_fraction
     from repro.phylo.search import lazy_spr_round
 
-    alignment = _read_alignment(args.msa)
+    alignment = _read_alignment(args.msa, args.model)
     tree = _tree_for(alignment, args)
     model, rates = _parse_model(args.model, alignment)
     num_inner, shape = clv_geometry(tree, alignment, model, rates)
@@ -312,7 +313,7 @@ def cmd_support(args) -> int:
     from repro.nj.neighbor_joining import nj_tree
     from repro.utils.rng import as_rng
 
-    alignment = _read_alignment(args.msa)
+    alignment = _read_alignment(args.msa, args.model)
     engine = _engine_for(alignment, args)
     engine.optimize_all_branches(passes=2)
     supports = alrt_branch_support(engine)

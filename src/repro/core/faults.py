@@ -25,8 +25,8 @@ each retry is one record (item, attempt) and one count
 
 from __future__ import annotations
 
+import hashlib
 import time
-import zlib
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -56,12 +56,15 @@ class SimulatedCrash(BaseException):
 def _hash_unit(seed: int, kind: str, item: int, attempt: int) -> float:
     """A deterministic draw in ``[0, 1)`` for one (kind, item, attempt).
 
-    ``zlib.crc32`` keyed on the full coordinate tuple (the repo's seeded
-    order-independent idiom, cf. :mod:`repro.core.interleave`): no stdlib
-    ``random`` state, no dependence on call order across threads.
+    The top 53 bits of a ``blake2b`` digest of the full coordinate tuple:
+    no stdlib ``random`` state, no dependence on call order across
+    threads, and neighbouring items draw independent values (a linear
+    checksum such as ``crc32`` would draw nearly the same one for keys
+    that differ in a digit).
     """
-    h = zlib.crc32(f"{seed}:{kind}:{item}:{attempt}".encode())
-    return h / 2.0**32
+    key = f"{seed}:{kind}:{item}:{attempt}".encode()
+    digest = hashlib.blake2b(key, digest_size=8).digest()
+    return (int.from_bytes(digest, "big") >> 11) / 2.0**53
 
 
 class _BackingWrapper:

@@ -52,45 +52,37 @@ The store optionally overlaps I/O with likelihood compute:
 Thread model: one compute thread calls ``get_many``; the prefetch workers
 (``io_threads`` of them) claim and fill slots ahead of it; writer
 threads live inside the write-behind queue and never take the store
-lock; and the synchronous
-path owns one *swap helper* thread (below). All mutable bookkeeping is
-guarded by one condition variable (``self._cond``). A slot being filled is
-*published* in the maps but marked in-flight: demand requests for it wait
-on the condition until its load has ended, and eviction never selects
-in-flight items, so no thread ever reads or recycles a half-filled slot. A
-demand miss that finds every unpinned slot held by loads in flight waits
-for one to land — they end without the compute thread's help — instead
-of failing. Backing-store transfers happen outside the lock — on the
-demand path without exception.
+lock. A synchronous store starts no thread at all. All mutable
+bookkeeping is guarded by one condition variable (``self._cond``). A
+slot being filled is *published* in the maps but marked in-flight:
+demand requests for it wait on the condition until its load has ended,
+and eviction never selects in-flight items, so no thread ever reads or
+recycles a half-filled slot. A demand miss that finds every unpinned
+slot held by loads in flight waits for one to land — they end without
+the compute thread's help — instead of failing. Backing-store transfers
+happen outside the lock — on the demand path without exception.
 
-A synchronous miss is one overlapped swap
------------------------------------------
-With ``writeback_depth == 0`` a miss that must both write its victim out
-and read its item in issues the two transfers *together* (the paper's
-cost model, §3.2: a miss costs one device transfer time, not two). Under
-the lock the victim is chosen and flagged in flight — it keeps its slot,
-so it is neither evictable nor readable from the backing store while its
-write is open — and the item is published in flight. Outside the lock the
-swap helper writes the victim from its slot while the calling thread
-reads the item into the *transit vector*, one buffer beyond the ``m``
-slots. Both are joined, and under the lock again the eviction and the
-load are committed: the transit vector becomes the slot's buffer and the
-victim's old buffer the next transit vector (a pointer rotation, no
-copy). A failed write leaves the victim resident with its bytes and the
-policy's order untouched; a failed read returns the vacated slot to the
-free list; either way the error (a ``BaseException`` raised on the
-helper included) surfaces from ``get_many``. A miss that owes only one
-transfer does it on the calling thread: a read-skipped write-only miss
-owes only the write, and a miss whose victim is clean (never written
-since its load, ``track_dirty``, the default) owes no write at all —
-the backing store already holds its bytes. The helper thread and the
-transit vector are created by the first two-transfer miss and released
-by :meth:`AncestralVectorStore.close`.
+A synchronous miss is write-then-read
+-------------------------------------
+With ``writeback_depth == 0`` a miss whose victim is dirty writes the
+victim's live rows out of its slot and then reads the item's live rows
+into the same slot, both on the calling thread (the paper's
+``getxvector()``, §3.2). Under the lock the victim is chosen and flagged
+in flight — it keeps its slot, so it is neither evictable nor readable
+from the backing store while its write is open — and the item is
+published in flight. Outside the lock the two transfers run in that
+order, and under the lock again the eviction and the load are
+committed. A failed write leaves the victim resident with its bytes and
+its place in the policy's order, and the read is never issued; a failed
+read leaves the eviction standing and returns the slot to the free
+list; either way the error (a ``BaseException`` included) surfaces from
+``get_many``. A read-skipped write-only miss owes only the write, and a
+miss whose victim is clean (never written since its load,
+``track_dirty``, the default) owes no write at all — the backing store
+already holds its bytes.
 
 **Synchronous** therefore means: *nothing is in flight when ``get_many``
-returns*. Every counter, the victim sequence and the observer's record
-order are those of the serial write-then-read; only the waiting is
-shorter.
+returns*.
 
 A run of accesses is one hold of the lock
 -----------------------------------------
@@ -115,7 +107,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 import weakref
@@ -143,11 +134,10 @@ _ReadTiming = tuple[float, float, bool]
 _Access = (tuple[int, tuple[int, ...], bool]
            | tuple[int, tuple[int, ...], bool, int])
 
-#: What a miss's transfers did: the transit vector its read landed in
-#: (``None`` unless it overlapped a write), the write's and the read's
-#: exception, the read's timing (``None`` when skipped or failed).
-_Swap = tuple["np.ndarray | None", "BaseException | None",
-              "BaseException | None", "_ReadTiming | None"]
+#: What a miss's transfers did: the write's and the read's exception, the
+#: read's timing (``None`` when skipped or failed).
+_Swap = tuple["BaseException | None", "BaseException | None",
+              "_ReadTiming | None"]
 
 #: Smallest legal slot count: computing one ancestral vector needs it plus
 #: its two children resident simultaneously (paper: "we must ensure m ≥ 3").
@@ -399,10 +389,8 @@ class AncestralVectorStore:
         # parity the counters certify.
         self.fill_spills = 0  # guarded-by: _lock
 
-        # Slot arena: one contiguous block of m vectors. ``_slots[s]`` is the
-        # buffer slot s currently owns — its arena row until an overlapped
-        # swap rotates the transit vector in (see the module docstring).
-        # The buffers are NOT lock-guarded: a slot's data is only touched
+        # Slot arena: one contiguous block of m vectors; ``_slots[s]`` is
+        # slot s's row of it, made once. The buffers are NOT lock-guarded: a slot's data is only touched
         # by the thread that holds it in-flight or by the compute thread while
         # the mapping says so (see the module docstring's thread model).
         self._arena = np.zeros((self.num_slots, *self.item_shape), dtype=self.dtype)
@@ -450,12 +438,6 @@ class AncestralVectorStore:
         # through an instrumented ``get`` (see ``_relayed``), else None.
         self._relay: list[tuple[int, int, int]] | None = None  # guarded-by: _lock
         self._writeback: WriteBehindQueue | None = None
-        # The overlapped swap's two resources, both created by the first
-        # two-transfer miss (``_swap_resources``) and touched only by the
-        # compute thread: the vector beyond the m slots that a read lands
-        # in, and the one-thread pool that runs the victim's write.
-        self._transit: np.ndarray | None = None
-        self._swap_helper: ThreadPoolExecutor | None = None
         # The sanitizer's mark_clean reads the backing copy into this
         # buffer, created on first use.
         self._compare: np.ndarray | None = None  # guarded-by: _lock
@@ -569,11 +551,7 @@ class AncestralVectorStore:
             return [i for i in self._slot_item if i >= 0]
 
     def ram_bytes(self) -> int:
-        """Bytes the slot arena occupies — the paper's ``m · w`` budget.
-
-        The transit vector of the overlapped swap is staging beyond the
-        budget, accounted like the write-behind queue's buffers: not here.
-        """
+        """Bytes the slot arena occupies — the paper's ``m · w`` budget."""
         return self._arena.nbytes
 
     def _check_item(self, item: int) -> None:
@@ -616,7 +594,7 @@ class AncestralVectorStore:
         misses, victims, policy calls, RNG draws, counters and observer
         records — with the bookkeeping of the whole run done in one hold
         of the lock. A miss that owes transfers leaves the lock for them
-        (the overlapped swap of the module docstring) and commits them
+        (write-then-read, see the module docstring) and commits them
         when it has it back; the other threads are notified then and once
         at the end. Every view stays valid until the next demand call,
         and the union of the run's items and pins shields them from a
@@ -784,7 +762,7 @@ class AncestralVectorStore:
         if rc is not None:
             rc.write(self._race_scope, "_inflight", "_item_slot",
                      "_active_pins")
-            rc.read(self._race_scope, "_rows")
+            rc.read(self._race_scope, "_rows", "_lent_in", "_run")
         self._inflight.add(item)
         self._active_pins = {item, *pins}
         self._cond.notify_all()
@@ -792,12 +770,17 @@ class AncestralVectorStore:
             self._prefetch_poke()
         reads = 0 if skip else self._rows[item]
         writes = self._rows[victim] if victim >= 0 else 0
+        # The read lands where the victim's bytes are: a victim this run
+        # lent is copied for its view now, not at the eviction (_vacate).
+        held = (self._slots[slot].copy()
+                if writes and reads and self._lent_in[slot] == self._run
+                else None)
         self._lock.release()
         try:
             swap = self._transfer(item, slot, victim, reads, writes)
         finally:
             self._lock.acquire()
-        self._commit_swap(item, slot, victim, write_only, swap)
+        self._commit_swap(item, slot, victim, write_only, swap, held)
         return slot
 
     def _wait_inflight(self, item: int, pins: Iterable[int],  # holds: _cond
@@ -826,68 +809,47 @@ class AncestralVectorStore:
         """Run the transfers a demand miss owes, outside the lock.
 
         ``item`` (and ``victim``, if ``>= 0``) are flagged in flight.
-        ``victim``'s write-out of its ``writes`` live rows and ``item``'s
-        read-in of its ``reads`` (none: the read is skipped) run here.
-        When both are owed the write runs on the swap helper from the
-        slot's own buffer (so the victim's bytes stay intact whatever
-        happens) while this thread reads into the transit vector, and one
-        ``swap`` is reported: the interval both were in flight together,
-        i.e. the device seconds the overlap hid (write + read - elapsed).
-        Whatever either transfer raises is held for :meth:`_commit_swap`.
+        ``victim``'s ``writes`` live rows are written out of the slot,
+        then ``item``'s ``reads`` live rows (none: the read is skipped)
+        are read into it; a failed write issues no read. Whatever either
+        transfer raises is held for :meth:`_commit_swap`.
         """
-        ob = self.obs
         dest = self._slots[slot]
-        write_exc: BaseException | None = None
-        read_exc: BaseException | None = None
-        read: _ReadTiming | None = None
-        pending: Future[float] | None = None
-        t0 = time.perf_counter()
-        if victim >= 0 and not reads:
+        if victim >= 0:
             try:
                 self.backing.write(victim, dest[:writes])
             except BaseException as exc:  # noqa: BLE001 - re-raised on commit
-                write_exc = exc
-        elif victim >= 0:
-            try:
-                helper, transit = self._swap_resources()
-                pending = helper.submit(self._timed_write, victim,
-                                        dest[:writes])
-                dest = transit
-            except BaseException as exc:  # noqa: BLE001 - re-raised on commit
-                write_exc = exc  # the write never started: neither does the read
-        if reads and write_exc is None:
-            try:
-                from_staging = self._read_into(item, dest, reads)
-                read = (t0, time.perf_counter() - t0, from_staging)
-            except BaseException as exc:  # noqa: BLE001 - re-raised on commit
-                read_exc = exc
-        if pending is not None:
-            write_exc = pending.exception()  # joins the helper's write
-            if ob is not None and write_exc is None and read is not None:
-                hidden = pending.result() + read[1] - (time.perf_counter() - t0)
-                ob.timed("swap", t0, max(hidden, 0.0), item=item, slot=slot,
-                         victim=victim)
-        return (dest if pending is not None else None), write_exc, read_exc, read
+                return exc, None, None
+        if not reads:
+            return None, None, None
+        t0 = time.perf_counter()
+        try:
+            from_staging = self._read_into(item, dest, reads)
+        except BaseException as exc:  # noqa: BLE001 - re-raised on commit
+            return None, exc, None
+        return None, None, (t0, time.perf_counter() - t0, from_staging)
 
     def _commit_swap(self, item: int, slot: int, victim: int,  # holds: _cond
-                     write_only: bool, swap: _Swap) -> None:
+                     write_only: bool, swap: _Swap,
+                     held: np.ndarray | None) -> None:
         """Commit a miss's transfers, or roll it back and raise.
 
-        * write failed, or could not be handed to the helper — the victim
-          keeps its slot, bytes and place in the policy's order; the load
-          is rolled back even if its read succeeded (the serial path would
-          never have attempted it);
+        * write failed — the victim keeps its slot, bytes and place in the
+          policy's order; the load is rolled back;
         * read failed — the eviction stands, the vacated slot returns to
           the free list.
+
+        ``held`` is the victim's bytes when the read has overwritten them
+        and the serving run lent it (see :meth:`_load`).
         """
-        transit, write_exc, read_exc, read = swap
+        write_exc, read_exc, read = swap
         rc = self._race
         if rc is not None:
             rc.write(self._race_scope, "_inflight", "_item_slot")
         if victim >= 0:
             self._inflight.remove(victim)
             if write_exc is None:
-                self._vacate(victim, slot, written=True)
+                self._vacate(victim, slot, written=True, held=held)
         self._inflight.remove(item)
         if write_exc is not None:
             del self._item_slot[item]  # the slot is still the victim's
@@ -895,32 +857,9 @@ class AncestralVectorStore:
         if read_exc is not None:
             self._unpublish(item, slot)
             raise read_exc
-        if transit is not None:
-            # The read landed in the transit vector: it becomes the
-            # slot's buffer, the victim's old one the next transit.
-            self._transit, self._slots[slot] = self._slots[slot], transit
         if victim >= 0:
             self._publish(item, slot)
         self._commit_load(item, slot, write_only, read)
-
-    def _swap_resources(self) -> tuple[ThreadPoolExecutor, np.ndarray]:
-        """The swap helper and the transit vector, created on first use."""
-        helper, transit = self._swap_helper, self._transit
-        if helper is None or transit is None:
-            if self._closed:
-                raise OutOfCoreError(
-                    "the store is closed: no swap helper to write a victim out")
-            transit = self._transit = np.zeros(self.item_shape,
-                                               dtype=self.dtype)
-            helper = self._swap_helper = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="vecstore-swap")
-        return helper, transit
-
-    def _timed_write(self, item: int, data: np.ndarray) -> float:  # thread: writer
-        """The swap helper's job: one backing write, returning its seconds."""
-        t0 = time.perf_counter()
-        self.backing.write(item, data)
-        return time.perf_counter() - t0
 
     def _account_hit(self, item: int, slot: int, write_only: bool) -> None:  # holds: _cond
         """Stats + policy bookkeeping for a request that found ``item`` resident.
@@ -1300,8 +1239,11 @@ class AncestralVectorStore:
             self._write_out(item, slot)
         self._vacate(item, slot, written)
 
-    def _vacate(self, item: int, slot: int, written: bool) -> None:  # holds: _cond
-        """Bookkeeping of an eviction whose bytes are safe: the slot is vacant."""
+    def _vacate(self, item: int, slot: int, written: bool,  # holds: _cond
+                held: np.ndarray | None = None) -> None:
+        """Bookkeeping of an eviction whose bytes are safe: the slot is
+        vacant. ``held``: a copy of its bytes taken before they were
+        overwritten, for the private copy below."""
         rc = self._race
         if rc is not None:
             rc.write(self._race_scope, "_slot_generation", "stats.store",
@@ -1312,7 +1254,7 @@ class AncestralVectorStore:
             # The serving run lent this occupant: what it hands back for
             # it is a private copy of these bytes (see get_many), which
             # the sanitizer makes as read-only as the view it replaces.
-            spilled = self._slots[slot].copy()
+            spilled = self._slots[slot].copy() if held is None else held
             spilled.flags.writeable = not self._sanitize
             self._spilled[slot, self._slot_generation[slot]] = spilled
         self._slot_generation[slot] += 1  # invalidates outstanding borrows
@@ -1543,12 +1485,11 @@ class AncestralVectorStore:
         rollback; a missed update would not crash, it would skew victim
         choice. This cross-checks all of them: ``_slot_item`` and
         ``_item_slot`` are inverse to each other, the free list holds
-        exactly the empty slots, every slot owns a buffer of its own (the
-        overlapped swap rotates them), in-flight and prefetched-untouched
-        items are resident, and an order-keeping policy
+        exactly the empty slots, in-flight and prefetched-untouched items
+        are resident, and an order-keeping policy
         (:meth:`ReplacementPolicy.ordered_items`) tracks exactly the
         residents whose load has completed. For the compute thread,
-        between two ``get`` calls: a swap of its own in flight is not a
+        between two ``get`` calls: a miss of its own in flight is not a
         state this describes.
         """
         rc = self._race
@@ -1569,10 +1510,6 @@ class AncestralVectorStore:
                     or len(set(self._free)) != len(self._free)
                     or any(self._slot_item[slot] >= 0 for slot in self._free)):
                 raise OutOfCoreError("free-list/resident accounting mismatch")
-            buffers = {id(buf) for buf in self._slots}
-            if len(buffers) != self.num_slots or id(self._transit) in buffers:
-                raise OutOfCoreError("two slots (or a slot and the transit "
-                                     "vector) share one buffer")
             stray = (self._inflight | self._prefetched_untouched) \
                 - self._item_slot.keys()
             if stray:
@@ -1588,13 +1525,10 @@ class AncestralVectorStore:
                         f"residents {loaded}")
 
     def close(self) -> None:
-        """Join the swap helper, drain pending write-behind traffic and
-        close the backing store. Idempotent: a second call does nothing."""
+        """Drain pending write-behind traffic and close the backing store.
+        Idempotent: a second call does nothing."""
         if self._closed:
             return
-        helper, self._swap_helper = self._swap_helper, None
-        if helper is not None:
-            helper.shutdown(wait=True)
         if self._writeback is not None:
             self._writeback.close()
         self.backing.close()

@@ -106,9 +106,6 @@ ROUTES: dict[str, Route] = {
     "kernel": Route(metric="kernel_seconds"),
     "store_wait": Route(metric="store_wait_seconds"),
     "execute_plan": Route(),
-    # -- synchronous pipeline: a miss's write-out beside its read-in; the
-    # duration is the device seconds that overlap hid --
-    "swap": Route(metric="swap_hidden_seconds"),
     # -- asynchronous pipeline; `get` waits there for a load in flight
     # (inflight_wait), back-pressure (writeback_stall) or a read nobody
     # prefetched (the timed demand_read above) --

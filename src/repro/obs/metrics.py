@@ -85,9 +85,6 @@ METRIC_EXPOSITION: dict[str, Metric] = {
     "writeback_drain_seconds": Metric("histogram", "Write-behind drain latency"),
     "store_wait_seconds": Metric(
         "histogram", "Compute-thread wait per store call (get or get_many)"),
-    "swap_hidden_seconds": Metric(
-        "histogram", "Device seconds one overlapped swap hid (write + read - "
-                     "elapsed)"),
 }
 
 METRIC_NAMES = frozenset(METRIC_EXPOSITION)

@@ -183,7 +183,7 @@ class Executor:
                 and getattr(policy, "distance_provider", None) is None):
             # The provider holds the tree, not the engine: the store must
             # not keep its engine alive through a cycle, or the engine and
-            # its swap thread outlive their last reference until a GC.
+            # its store outlive their last reference until a GC.
             tree = self.tree
             n = tree.num_tips
             item_nodes = self.layout.store_item_nodes()
@@ -309,9 +309,10 @@ class Executor:
         clocked, and read a valid node's committed class map: a read
         costs the backing's ``read_price`` of each item's live bytes, an
         update ``kernels.STEP_PRICE_S`` per block plus
-        ``kernels.ROW_PRICE_S`` per class row. A backing that declares no
-        price, or prices a whole vector's read at 0 (prices grow with the
-        bytes), gets no ``read_price``: the planner then asks no price.
+        ``kernels.ROW_PRICE_S · (C·S / 16)²`` per class row. A backing
+        that declares no price, or prices a whole vector's read at 0
+        (prices grow with the bytes), gets no ``read_price``: the planner
+        then asks no price.
         """
         if self._priced is not None:
             return self._priced
@@ -322,7 +323,9 @@ class Executor:
         is_resident, items_of = store.is_resident, self.layout.items_of
         n = self.tree.num_tips
         current = self.classes.current
-        step, per_row = kernels.STEP_PRICE_S, kernels.ROW_PRICE_S
+        step = kernels.STEP_PRICE_S
+        width = self.clv_shape[1] * self.clv_shape[2]
+        per_row = kernels.ROW_PRICE_S * (width / 16) ** 2
         row_bytes = self.ancestral_vector_bytes() // self.clv_shape[0]
         price = getattr(getattr(store, "backing", None), "read_price", None)
         if price is not None and price(self.ancestral_vector_bytes()) <= 0.0:

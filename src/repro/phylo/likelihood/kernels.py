@@ -38,8 +38,11 @@ from repro.errors import LikelihoodError
 
 #: The declared price of recomputing a vector that the planner weighs
 #: against a read (:func:`~repro.phylo.likelihood.traversal.plan_edge_traversal`):
-#: ``STEP_PRICE_S`` per update plus ``ROW_PRICE_S`` per class row. From
-#: ``benchmarks/out/kernel_throughput.txt``, row "recompute price"
+#: ``STEP_PRICE_S`` per update plus ``ROW_PRICE_S`` per class row of a
+#: DNA Γ4 operator (C·S = 16). A row of another width is priced
+#: ``ROW_PRICE_S · (C·S / 16)²``, the growth of its product by the
+#: ``(C·S, C·S)`` operator: a protein Γ4 row (80) costs 25 × a DNA one.
+#: From ``benchmarks/out/kernel_throughput.txt``, row "recompute price"
 #: (``bench_kernels.py``: D128x4k seed 42, gather + :func:`update_clv`).
 #: Committed, not clocked, so a plan stays a pure function of its inputs.
 STEP_PRICE_S = 28.5e-6

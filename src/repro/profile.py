@@ -68,7 +68,7 @@ from repro.phylo.newick import parse_newick
 def _dataset(args):
     """(alignment, tree) from files or the built-in simulator."""
     if args.msa:
-        alignment = _read_alignment(args.msa)
+        alignment = _read_alignment(args.msa, args.model)
         if args.tree:
             tree = parse_newick(Path(args.tree).read_text())
         else:
@@ -156,20 +156,16 @@ def _print_store_wait_split(obs: Observer, snapshot: dict) -> None:
 
 def _print_device_overlap(snapshot: dict, writeback: bool) -> None:
     """How much of the device time the compute thread did not wait for:
-    the synchronous path's overlapped swaps (write-out beside read-in)
-    beside the write-behind queue, whose writer threads do every write."""
+    what the write-behind queue's writer threads wrote."""
     hists = snapshot["histograms"]
     reads = hists["backing_read_seconds"]["sum"]
     writes = hists["backing_write_seconds"]["sum"]
     device = reads + writes
     if device <= 0.0:
         return
-    swaps = hists["swap_hidden_seconds"]
     behind = writes if writeback else 0.0
-    print(f"device overlap  : {device:.4f}s in transfers; "
-          f"{swaps['count']} overlapped swaps hid {swaps['sum']:.4f}s "
-          f"({swaps['sum'] / device:.1%}), write-behind wrote "
-          f"{behind:.4f}s off-thread ({behind / device:.1%})")
+    print(f"device overlap  : {device:.4f}s in transfers; write-behind "
+          f"wrote {behind:.4f}s off-thread ({behind / device:.1%})")
 
 
 def _parity_check(config: EngineConfig, alignment, tree, args, workdir: str,

@@ -33,9 +33,9 @@ def _race_switch_interval():
         sys.setswitchinterval(before)
 
 
-#: Thread names of the in-process pipeline: the overlapped swap's helper,
-#: the write-behind writers and the prefetch workers.
-PIPELINE_THREADS = ("vecstore-swap", "writeback-", "prefetch")
+#: Thread names of the in-process pipeline: the write-behind writers and
+#: the prefetch workers.
+PIPELINE_THREADS = ("writeback-", "prefetch")
 
 
 #: This process's open file descriptors (Linux); where it does not

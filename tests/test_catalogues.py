@@ -76,7 +76,6 @@ METRICS = {
     "backing_write_seconds": "histogram",
     "writeback_drain_seconds": "histogram",
     "store_wait_seconds": "histogram",
-    "swap_hidden_seconds": "histogram",
 }
 
 
@@ -117,7 +116,7 @@ def test_engine_phases_come_from_the_routes():
 
 
 def test_metric_catalogue():
-    assert len(METRICS) == 36
+    assert len(METRICS) == 35
     assert {name: row.kind
             for name, row in METRIC_EXPOSITION.items()} == METRICS
     assert METRIC_NAMES == set(METRICS)

@@ -166,6 +166,37 @@ class TestEvaluate:
         rc = main(["evaluate", "-s", "/nonexistent.phy"])
         assert rc == 2
 
+    @pytest.mark.parametrize("fmt", ["phylip", "fasta"])
+    def test_poisson_reads_amino_acids(self, tmp_path, capsys, fmt):
+        """``-m POISSON`` reads the alignment as amino acids (a DNA
+        reading rejects ``P``) and prints the engine's lnL."""
+        from repro.phylo.alphabet import AMINO_ACID
+        from repro.phylo.likelihood.engine import LikelihoodEngine
+        from repro.phylo.models import Poisson, RateModel
+        from repro.phylo.msa import Alignment
+        from repro.phylo.newick import parse_newick
+
+        phy, tree = tmp_path / "p.phy", tmp_path / "p.nwk"
+        assert main(["simulate", "-n", "6", "-l", "120", "-m", "POISSON",
+                     "-o", str(phy), "--tree-out", str(tree),
+                     "--seed", "5"]) == 0
+        aln = Alignment.from_phylip(phy.read_text(), AMINO_ACID)
+        msa = phy
+        if fmt == "fasta":
+            msa = tmp_path / "p.fasta"
+            msa.write_text(aln.to_fasta())
+        capsys.readouterr()
+        assert main(["evaluate", "-s", str(msa), "-t", str(tree),
+                     "-m", "POISSON"]) == 0
+        out = capsys.readouterr().out
+        engine = LikelihoodEngine(parse_newick(tree.read_text()), aln,
+                                  Poisson(), RateModel.uniform())
+        try:
+            expected = engine.loglikelihood()
+        finally:
+            engine.close()
+        assert f"log-likelihood : {expected:.6f}" in out
+
 
 class TestSearch:
     def test_search_writes_tree(self, workspace, capsys):

@@ -173,8 +173,9 @@ class TestConsistencyUnderChaos:
 
 
 class TestOverlappedSwapFailures:
-    """One miss that owes both transfers: the victim's write runs on the
-    swap helper beside the item's read, and either — or both — may fail."""
+    """One miss that owes both transfers: the victim's write, then the
+    item's read, both on the calling thread; either — or both — may fail.
+    (The name is historical: the two transfers once overlapped.)"""
 
     N, M = 8, 3
 
@@ -194,7 +195,7 @@ class TestOverlappedSwapFailures:
             np.testing.assert_array_equal(store.read_item(i), float(i + 1))
 
     @pytest.mark.parametrize("fail", ["write", "read", "both"])
-    def test_one_swap_under_each_failure(self, fail, make_flaky):
+    def test_one_miss_under_each_failure(self, fail, make_flaky):
         store, flaky = self.full_store(make_flaky)
         order = list(store.policy.ordered_items())
         writer = []
@@ -210,13 +211,13 @@ class TestOverlappedSwapFailures:
         if fail in ("read", "both"):
             flaky.fail_reads_at = {flaky.read_calls + 1}
         before = store.stats.as_row()
-        # both fail: the write's error wins, as on the serial path (which
-        # would never have attempted the read)
+        # a failed write issues no read
         with pytest.raises(BackingStoreError,
                            match="injected read" if fail == "read"
                            else "injected write"):
             store.get(5)
-        assert (flaky.write_calls, flaky.read_calls) == (1, 1)  # both issued
+        assert (flaky.write_calls, flaky.read_calls) == (
+            (1, 1) if fail == "read" else (1, 0))
         self.assert_consistent(store)
         assert not store.is_resident(5)
         after = store.stats.as_row()
@@ -224,7 +225,7 @@ class TestOverlappedSwapFailures:
         assert after["reads"] == before["reads"]
         if fail == "read":
             # the eviction stands: written once, slot back on the free list
-            assert writer == ["vecstore-swap_0"]
+            assert writer == [threading.current_thread().name]
             assert not store.is_resident(0)
             assert len(store._free) == 1
             assert after["writes"] == before["writes"] + 1
@@ -243,18 +244,18 @@ class TestOverlappedSwapFailures:
 
     def test_failed_write_keeps_the_victims_newest_bytes_in_its_slot(
             self, make_flaky):
-        """The read lands in the transit vector, never in the victim's slot."""
+        """The read that would overwrite the slot is never issued."""
         store, flaky = self.full_store(make_flaky)
         flaky.inner.write(5, np.full(SHAPE, 55.0))
         flaky.fail_writes_at = {flaky.write_calls + 1}
         with pytest.raises(BackingStoreError, match="injected write"):
-            store.get(5)            # its read succeeds, and is discarded
+            store.get(5)
         np.testing.assert_array_equal(store.get(0), 1.0)   # a hit
         assert store.stats.hits == 1
 
-    def test_crash_on_the_helper_surfaces_from_get(self):
-        """A ``BaseException`` raised by the helper's write must not die
-        with the thread."""
+    def test_crash_in_the_write_surfaces_from_get(self):
+        """A ``BaseException`` raised by the victim's write surfaces, and
+        the victim stays."""
         from repro.core.faults import FaultInjectingBackingStore, SimulatedCrash
         backing = FaultInjectingBackingStore(
             MemoryBackingStore(self.N, SHAPE), crash_after_writes=0)
@@ -268,35 +269,6 @@ class TestOverlappedSwapFailures:
         store.validate()
         assert store.is_resident(0) and not store.is_resident(5)
         store.close()
-
-    def test_helper_that_cannot_take_the_write_is_a_failed_write(
-            self, make_flaky):
-        """``submit`` itself raising (no thread to be had, pool shut down)
-        leaves nothing flagged in flight: no transfer starts, the victim
-        stays, and the barriers that wait for in-flight items return."""
-        store, flaky = self.full_store(make_flaky)
-        order = list(store.policy.ordered_items())
-
-        class NoThreads:
-            def submit(self, *args):
-                raise RuntimeError("can't start new thread")
-
-            def shutdown(self, wait=True):
-                pass
-
-        store._swap_resources()                 # the transit vector
-        real, store._swap_helper = store._swap_helper, NoThreads()
-        with pytest.raises(RuntimeError, match="can't start new thread"):
-            store.get(5)
-        assert (flaky.write_calls, flaky.read_calls) == (0, 0)
-        self.assert_consistent(store)           # read_item settles first
-        assert store.is_resident(0) and not store.is_resident(5)
-        assert list(store.policy.ordered_items()) == order
-        store.flush()
-        store._swap_helper = real
-        store.get(5)
-        assert store.is_resident(5) and not store.is_resident(0)
-        self.assert_consistent(store)
 
     @pytest.mark.parametrize("policy", ["lru", "fifo", "clock", "lfu"])
     def test_chaos_with_reads_after_writes(self, policy, rng, closing):

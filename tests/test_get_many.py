@@ -83,6 +83,21 @@ class TestEvictedBeforeTheRunEnds:
         assert store.fill_spills == 0
         store.validate()
 
+    def test_a_dirty_read_item_evicted_by_a_read_keeps_its_bytes(
+            self, closing):
+        """The victim is written out and the next item read into the same
+        slot: the view handed back is the victim's bytes, not the read's."""
+        store = filled(closing(AncestralVectorStore(8, SHAPE, num_slots=3)))
+        # residents 5, 6, 7 (dirty): the run reads 5, then 0, 1 and 2 evict
+        # 6, 7 and 5, each written out before its slot is read into
+        views = store.get_many([(5, (), False), (0, (), False),
+                                (1, (), False), (2, (), False)])
+        assert not store.is_resident(5)
+        assert store.stats.writes == 5 + 3 and store.stats.reads == 3
+        assert not lent(views[0], store) and views[0][0] == 15
+        assert [v[0] for v in views[1:]] == [10, 11, 12]
+        store.validate()
+
     def test_a_write_only_target_is_none_and_lands_through_fill(self, closing):
         store = filled(closing(AncestralVectorStore(8, SHAPE, num_slots=3)))
         views = store.get_many([(1, (), True), (2, (), False),

@@ -598,6 +598,34 @@ def test_simulated_engine_recomputes_frontiers_bit_identically(dataset,
     assert ghosts > 0 and deep > 0
 
 
+def test_the_row_price_scales_with_the_operator_width():
+    """A priced engine charges each class row ``ROW_PRICE_S · (C·S /
+    16)²``: DNA Γ4 (16) keeps the measured price, a protein Γ4 row (80)
+    costs 25 × it and a one-category DNA row (4) a sixteenth."""
+    from repro.phylo.likelihood import kernels
+    from repro.phylo.models import Poisson
+
+    tree = yule_tree(10, seed=4, scale=0.1)
+    for model, cats in ((GTR(), 4), (Poisson(), 4), (GTR(), 1)):
+        rates = RateModel.gamma(1.0, cats) if cats > 1 else RateModel.uniform()
+        aln = simulate_alignment(tree, model, 60, rates=rates, seed=5)
+        eng = LikelihoodEngine(tree.copy(), aln, model, rates, num_slots=3,
+                               backing="simulated")
+        try:
+            eng.full_traversals(1)
+            width = cats * model.num_states
+            step_price = eng._pricing()["step_price"]
+            n = tree.num_tips
+            for node in range(n, tree.num_nodes):
+                blocks = eng.classes.current[node].blocks
+                assert step_price(node) == sum(
+                    kernels.STEP_PRICE_S
+                    + kernels.ROW_PRICE_S * (width / 16) ** 2 * b.k
+                    for b in blocks)
+        finally:
+            eng.close()
+
+
 @pytest.fixture(scope="module", params=PRICED_MATRIX,
                 ids=lambda p: "{}-batch{}-wb{}-simulated".format(*p))
 def priced_round(request, dataset):

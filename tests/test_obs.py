@@ -421,8 +421,6 @@ class TestReportingSeam:
         if pipeline == "async":
             expected |= {"writeback_enqueue", "writeback_drain",
                          "prefetch_load"}
-        else:
-            expected |= {"swap"}
         assert expected <= set(reports) <= set(ROUTES)
 
         def routed(field, target):

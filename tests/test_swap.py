@@ -1,41 +1,29 @@
-"""The synchronous miss as one overlapped swap (``writeback_depth == 0``).
+"""The synchronous miss as write-then-read (``writeback_depth == 0``).
 
-A miss that owes both transfers writes its victim out on the swap helper
-while the calling thread reads the item in. These tests hold what must
-*not* change — every counter and the victim sequence (parity with the
-serial state machine, ``simulate_policy_on_trace``), the bytes — and the
-one new interleaving: a prefetch thread asking for the victim while its
-write is still open. Failure handling lives in
+A miss whose victim is dirty writes the victim out of its slot and then
+reads the item into it, both on the calling thread. These tests hold
+every counter and the victim sequence (parity with the serial state
+machine, ``simulate_policy_on_trace``), the bytes, a prefetch thread
+asking for the victim while its write is still open, and that a
+synchronous store starts no thread. Failure handling lives in
 ``tests/test_failure_injection.py``.
 """
 
 import threading
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 
-from repro.core.backing import MemoryBackingStore
+from repro.core.backing import BACKING_KINDS, MemoryBackingStore, make_backing
 from repro.core.layout import StorageLayout
 from repro.core.policies import policy_names
 from repro.core.trace import AccessTrace, simulate_policy_on_trace
 from repro.core.vecstore import AncestralVectorStore
-from repro.obs import Observer
 from tests.test_async_io import GatedBackingStore
 
 JOIN_S = 10.0
-
-
-def store_threads(baseline):
-    """Names of the live threads a store (or its write-behind queue or
-    prefetcher) started since ``baseline = set(threading.enumerate())``.
-    By identity, not by name: an earlier test's unclosed store may still
-    own a helper of the same name until it is collected."""
-    return sorted(t.name for t in threading.enumerate()
-                  if t not in baseline
-                  and t.name.startswith(("vecstore-swap", "writeback-",
-                                         "prefetcher")))
 
 
 # ---------------------------------------------------------------------------
@@ -224,90 +212,39 @@ class TestPrefetchOfAVictimInFlight:
 
 
 # ---------------------------------------------------------------------------
-# lifecycle: the helper exists only once needed, and close() joins it
+# threads: a synchronous store starts none, over its whole life
 
-class TestHelperLifecycle:
-    def test_created_by_the_first_two_transfer_miss_only(self):
-        baseline = set(threading.enumerate())
-        store = AncestralVectorStore(8, (4,), num_slots=3)
-        for i in range(8):                    # read-skipped: one transfer each
-            store.get(i, write_only=True)[:] = i
-        assert store_threads(baseline) == [] and store._transit is None
-        assert store.ram_bytes() == 3 * store.item_bytes
-        store.get(0)                          # write-out + read-in
-        assert store_threads(baseline) == ["vecstore-swap_0"]
-        assert store.ram_bytes() == 3 * store.item_bytes   # transit is staging
+@pytest.mark.parametrize("kind", BACKING_KINDS)
+def test_a_two_transfer_miss_starts_no_thread(kind, tmp_path):
+    """On every backing kind, the victim's write and the item's read run
+    on the calling thread, and no thread is started from the store's
+    construction through ``get_many`` and ``close``."""
+    baseline = set(threading.enumerate())
+
+    def started():
+        return set(threading.enumerate()) - baseline
+
+    n, shape = 8, (4, 2)
+    backing = make_backing(kind, n, shape, path=tmp_path / kind)
+    transfers = []
+    for op in ("write", "read"):
+        def logged(item, buf, op=op, transfer=getattr(backing, op)):
+            transfers.append((op, item, threading.current_thread(),
+                              started()))
+            return transfer(item, buf)
+        setattr(backing, op, logged)
+    store = AncestralVectorStore(n, shape, num_slots=3, policy="lru",
+                                 backing=backing)
+    try:
+        for item in range(5):             # evicts 0 and 1, dirty
+            store.get(item, write_only=True)[:] = item + 1
+        assert not started()
+        transfers.clear()
+        (view,) = store.get_many([(0, (), False)])   # victim 2: both owed
+        assert transfers == [("write", 2, threading.current_thread(), set()),
+                             ("read", 0, threading.current_thread(), set())]
+        np.testing.assert_array_equal(view, 1.0)
+        assert not started()
+    finally:
         store.close()
-        assert store_threads(baseline) == []
-        store.close()                         # idempotent
-        assert store_threads(baseline) == []
-
-    def test_validate_sees_two_slots_sharing_a_buffer(self):
-        """What a wrong rotation would leave behind."""
-        from repro.errors import OutOfCoreError
-        store = AncestralVectorStore(8, (4,), num_slots=3)
-        for i in range(4):
-            store.get(i, write_only=True)[:] = i
-        store.get(0)                          # one rotation
-        store.validate()
-        store._slots[0] = store._transit
-        with pytest.raises(OutOfCoreError, match="share one buffer"):
-            store.validate()
-        store.close()
-
-    def test_engine_close_leaves_no_store_thread(self, engine_factory):
-        baseline = set(threading.enumerate())
-        for kwargs in ({"fraction": 1.0}, {"num_slots": 3},
-                       {"num_slots": 4, "writeback_depth": 2,
-                        "prefetch_depth": 2}):
-            engine = engine_factory(**kwargs)
-            engine.full_traversals(2)
-            if kwargs == {"fraction": 1.0}:
-                assert store_threads(baseline) == []   # never started one
-            engine.close()
-            assert store_threads(baseline) == [], kwargs
-            engine.close()
-            assert store_threads(baseline) == [], kwargs
-
-    def test_constructor_that_raised_leaves_no_thread(self, engine_factory):
-        from repro.errors import OutOfCoreError, ReproError
-        baseline = set(threading.enumerate())
-        with pytest.raises(OutOfCoreError):
-            AncestralVectorStore(8, (4,), num_slots=3, writeback_depth=2,
-                                 io_threads=0)
-        with pytest.raises(ReproError):
-            engine_factory(num_slots=4, writeback_depth=2, prefetch_depth=-1)
-        assert store_threads(baseline) == []
-
-    def test_closed_store_refuses_to_restart_the_helper(self):
-        from repro.errors import OutOfCoreError
-        baseline = set(threading.enumerate())
-        store = AncestralVectorStore(8, (4,), num_slots=3)
-        for i in range(3):
-            store.get(i, write_only=True)
-        store.close()
-        with pytest.raises(OutOfCoreError, match="closed"):
-            store.get(5)
-        assert store_threads(baseline) == []
-        store.validate()                      # and nothing left in flight
-
-
-# ---------------------------------------------------------------------------
-# reporting: one `swap` per two-transfer miss, through ROUTES
-
-def test_each_overlapped_swap_is_reported_once():
-    n, m = 8, 3
-    store = AncestralVectorStore(n, (4,), num_slots=m)
-    obs = Observer(metrics=True, spans=True)
-    store.attach(obs)
-    for i in range(n):
-        store.get(i, write_only=True)[:] = i        # evictions, no reads
-    for i in range(n):
-        store.get(i)                                # n read misses
-    # The first m evict the dirty write-only residents: two transfers, one
-    # swap each. The rest evict clean victims, which owe no write.
-    hist = obs.metrics.snapshot()["histograms"]["swap_hidden_seconds"]
-    assert hist["count"] == obs.spans.by_name()["swap"] == m
-    assert store.stats.reads == n
-    assert store.stats.write_skips == n - m
-    store.close()
+    assert not started()
