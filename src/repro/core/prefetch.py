@@ -23,7 +23,7 @@ import time
 from typing import TYPE_CHECKING
 
 from repro.analysis.race import make_condition, make_thread, race_detector
-from repro.core.vecstore import AncestralVectorStore
+from repro.core.vecstore import AncestralVectorStore, _Load
 from repro.errors import OutOfCoreError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -183,10 +183,10 @@ class ThreadedPrefetcher:
         if not self._stop and self._pick_locked() is not None:
             self._wake.notify()
 
-    def _claim_locked(self) -> tuple[int, int] | None:  # holds: _cond
-        """Pick the next item and claim its slot: ``(item, slot)`` or None.
+    def _claim_locked(self) -> tuple[int, _Load] | None:  # holds: _cond
+        """Pick the next item and claim its slot: ``(item, load)`` or None.
 
-        Pick and claim share this one lock hold, so the item is published
+        Pick and claim share this one lock hold, so the item is announced
         in flight before any other worker can look. An item no slot can
         be found for is deferred until demand progresses — so a worker
         never busy-spins — and the next one in the window is tried.
@@ -194,14 +194,14 @@ class ThreadedPrefetcher:
         rc = self._race
         while (target := self._pick_locked()) is not None:
             item, horizon = target
-            slot = self.store._prefetch_claim(item, horizon)
-            if slot is not None:
-                return item, slot
+            load = self.store._prefetch_claim(item, horizon)
+            if load is not None:
+                return item, load
             if rc is not None:
                 rc.write(self._race_scope, "_deferred")
             self._deferred.add(item)
             if self.obs is not None:
-                # The prefetch pipeline stalled: no evictable slot.
+                # The prefetch pipeline stalled: no slot could be claimed.
                 self.obs.event("stall", item)
         return None
 
@@ -222,16 +222,16 @@ class ThreadedPrefetcher:
                     # The timeout is belt-and-braces against a lost notify;
                     # pokes normally wake us immediately.
                     self._wake.wait(timeout=0.1)
-            item, slot = claimed
+            item, load = claimed
             ob = self.obs
             t0 = time.perf_counter() if ob is not None else 0.0
-            loaded = store._prefetch_fill(item, slot)
+            loaded = store._prefetch_fill(item, load)
             if ob is not None:
                 ob.timed("prefetch_load", t0, time.perf_counter() - t0,
                          item=item, loaded=loaded)
             if not loaded:
                 with store._cond:
-                    # The read failed: retry only after demand progresses.
+                    # A transfer failed: retry only after demand progresses.
                     if rc is not None:
                         rc.write(self._race_scope, "_deferred")
                     self._deferred.add(item)

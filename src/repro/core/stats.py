@@ -43,9 +43,8 @@ The **prefetch counters** (``prefetch_*``) and **write-behind counters**
 * ``writeback_read_hits`` — reads (demand or prefetch) served from the
   staging buffer instead of the backing store (read-your-writes).
 
-:class:`IoStats` tracks these plus byte counts and swap counts, supports
-named snapshots (so a search phase can be measured independently of the
-initial full traversal) and pretty-prints as a table row.
+:class:`IoStats` tracks these plus byte counts and swap counts and
+pretty-prints as a table row.
 
 Thread-safety: each counter has a single writer — the demand counters are
 only touched by the compute thread, ``prefetch_*`` only by the prefetch

@@ -46,8 +46,8 @@ The store optionally overlaps I/O with likelihood compute:
 * **Prefetch** (:class:`~repro.core.prefetch.ThreadedPrefetcher`):
   upcoming read items from the traversal access sequence are loaded ahead
   of demand, never into a slot stolen from pinned, in-flight or
-  in-window items. :meth:`prefetch_load` is the same load driven
-  synchronously, one item at a time.
+  in-window items, by a demand miss's own steps — only the accounting
+  differs. :meth:`prefetch_load` is the same load driven synchronously.
 
 Thread model: one compute thread calls ``get_many``; the prefetch workers
 (``io_threads`` of them) claim and fill slots ahead of it; writer
@@ -60,7 +60,7 @@ and eviction never selects in-flight items, so no thread ever reads or
 recycles a half-filled slot. A demand miss that finds every unpinned
 slot held by loads in flight waits for one to land — they end without
 the compute thread's help — instead of failing. Backing-store transfers
-happen outside the lock — on the demand path without exception.
+happen outside the lock on every load path, demand and prefetch alike.
 
 A synchronous miss is write-then-read
 -------------------------------------
@@ -70,13 +70,14 @@ into the same slot, both on the calling thread (the paper's
 ``getxvector()``, §3.2). Under the lock the victim is chosen and flagged
 in flight — it keeps its slot, so it is neither evictable nor readable
 from the backing store while its write is open — and the item is
-published in flight. Outside the lock the two transfers run in that
+announced in flight. Outside the lock the two transfers run in that
 order, and under the lock again the eviction and the load are
 committed. A failed write leaves the victim resident with its bytes and
 its place in the policy's order, and the read is never issued; a failed
 read leaves the eviction standing and returns the slot to the free
 list; either way the error (a ``BaseException`` included) surfaces from
-``get_many``. A read-skipped write-only miss owes only the write, and a
+``get_many`` (a prefetch load rolls back alike, see :meth:`prefetch_load`).
+A read-skipped write-only miss owes only the write, and a
 miss whose victim is clean (never written since its load,
 ``track_dirty``, the default) owes no write at all — the backing store
 already holds its bytes.
@@ -133,6 +134,9 @@ _ReadTiming = tuple[float, float, bool]
 #: field ``rows``, the live-row count a write access leaves.
 _Access = (tuple[int, tuple[int, ...], bool]
            | tuple[int, tuple[int, ...], bool, int])
+
+#: An announced load (see ``_announce``): ``(slot, victim, reads, writes)``.
+_Load = tuple[int, int, int, int]
 
 #: What a miss's transfers did: the write's and the read's exception, the
 #: read's timing (``None`` when skipped or failed).
@@ -398,7 +402,7 @@ class AncestralVectorStore:
         # The two-way maps hold plain Python ints (they are read on every
         # ``get``). ``_item_slot`` has an entry per *resident* item only, so
         # it is also the resident set: updated in ``_publish``, ``_evict``
-        # and ``_unpublish``, never rebuilt.
+        # and ``_land``, never rebuilt.
         self._slot_item: list[int] = [-1] * self.num_slots  # guarded-by: _lock  (item_in_mem)
         self._item_slot: dict[int, int] = {}  # guarded-by: _lock  (itemvector)
         self._dirty: list[bool] = [False] * self.num_slots  # guarded-by: _lock
@@ -613,7 +617,7 @@ class AncestralVectorStore:
         for the whole run.
 
         A failing access propagates its error: every access before it is
-        committed, it is rolled back (see :meth:`_commit_swap`), the
+        committed, it is rolled back (see :meth:`_land`), the
         accesses after it never happened. Not for a caller that holds the
         store lock: the transfers must leave it.
         """
@@ -639,11 +643,10 @@ class AncestralVectorStore:
                           else self._relayed(instrument, accesses))
                 views = self._issue_views(accesses, served)
                 if self._spilled:
-                    gens = self._slot_generation
                     for pos, (_, slot, gen) in enumerate(served):
-                        if gens[slot] != gen:
-                            views[pos] = (None if accesses[pos][2]
-                                          else self._spilled[slot, gen])
+                        spilled = self._spilled.get((slot, gen))
+                        if spilled is not None:
+                            views[pos] = None if accesses[pos][2] else spilled
                 shield = {item for item, _, _ in served}
                 for access in accesses:
                     shield.update(access[1])
@@ -743,45 +746,54 @@ class AncestralVectorStore:
         Owed transfers run with the lock left — ``item`` (and ``victim``)
         flagged in flight, ``item`` and ``pins`` shielded from the
         prefetcher as their own ``get`` would — and are committed when it
-        is taken back.
+        is taken back (:meth:`_land`, then :meth:`_commit_load`; a
+        failure re-raises).
         """
         rc = self._race
         self.stats.misses += 1
         if self.obs is not None:
             self.obs.event("miss", item, slot)
         skip = write_only and self.read_skipping
-        if victim < 0:
+        if victim < 0 and skip:  # a vacant slot and no read: nothing is owed
             self._publish(item, slot)
-            if skip:  # a vacant slot and no read: nothing is owed
-                self._commit_load(item, slot, write_only, None)
-                return slot
-        else:
-            # The slot is the victim's until its write lands; the item
-            # is only announced (resident, in flight).
-            self._item_slot[item] = slot
+            self._commit_load(item, slot, write_only, None)
+            return slot
         if rc is not None:
-            rc.write(self._race_scope, "_inflight", "_item_slot",
-                     "_active_pins")
-            rc.read(self._race_scope, "_rows", "_lent_in", "_run")
-        self._inflight.add(item)
+            rc.write(self._race_scope, "_active_pins")
+        load = self._announce(item, slot, victim, not skip)
         self._active_pins = {item, *pins}
         self._cond.notify_all()
         if self._prefetch_poke is not None:
             self._prefetch_poke()
-        reads = 0 if skip else self._rows[item]
-        writes = self._rows[victim] if victim >= 0 else 0
-        # The read lands where the victim's bytes are: a victim this run
-        # lent is copied for its view now, not at the eviction (_vacate).
-        held = (self._slots[slot].copy()
-                if writes and reads and self._lent_in[slot] == self._run
-                else None)
         self._lock.release()
         try:
-            swap = self._transfer(item, slot, victim, reads, writes)
+            swap = self._transfer(item, load)
         finally:
             self._lock.acquire()
-        self._commit_swap(item, slot, victim, write_only, swap, held)
+        self._commit_load(item, slot, write_only, self._land(item, load, swap))
         return slot
+
+    def _announce(self, item: int, slot: int, victim: int,  # holds: _cond
+                  read: bool) -> _Load:
+        """Flag a load of ``item`` into ``slot`` (``victim``: see
+        :meth:`_allocate_slot`) in flight before the caller leaves the
+        lock for :meth:`_transfer`: published in a vacant slot, or only
+        mapped to one that stays ``victim``'s until its write lands. The
+        read may land after the serving run has ended (a prefetch), so a
+        victim it will overwrite is spilled now (:meth:`_spill`)."""
+        rc = self._race
+        if rc is not None:
+            rc.write(self._race_scope, "_inflight", "_item_slot")
+            rc.read(self._race_scope, "_rows")
+        if victim < 0:
+            self._publish(item, slot)
+        else:
+            self._item_slot[item] = slot
+            if read:
+                self._spill(slot)
+        self._inflight.add(item)
+        return (slot, victim, self._rows[item] if read else 0,
+                self._rows[victim] if victim >= 0 else 0)
 
     def _wait_inflight(self, item: int, pins: Iterable[int],  # holds: _cond
                        loading: set[int]) -> None:
@@ -804,16 +816,16 @@ class AncestralVectorStore:
         if ob is not None:
             ob.timed("inflight_wait", t0, time.perf_counter() - t0, item=item)
 
-    def _transfer(self, item: int, slot: int, victim: int, reads: int,
-                  writes: int) -> _Swap:
-        """Run the transfers a demand miss owes, outside the lock.
+    def _transfer(self, item: int, load: _Load) -> _Swap:
+        """Run the transfers an announced load owes, outside the lock.
 
-        ``item`` (and ``victim``, if ``>= 0``) are flagged in flight.
-        ``victim``'s ``writes`` live rows are written out of the slot,
-        then ``item``'s ``reads`` live rows (none: the read is skipped)
-        are read into it; a failed write issues no read. Whatever either
-        transfer raises is held for :meth:`_commit_swap`.
+        ``item`` (and the victim, if ``>= 0``) are flagged in flight. The
+        victim's ``writes`` live rows are written out of the slot, then
+        ``item``'s ``reads`` live rows (none: the read is skipped) are
+        read into it; a failed write issues no read. Whatever either
+        transfer raises is held for :meth:`_land`.
         """
+        slot, victim, reads, writes = load
         dest = self._slots[slot]
         if victim >= 0:
             try:
@@ -829,37 +841,43 @@ class AncestralVectorStore:
             return None, exc, None
         return None, None, (t0, time.perf_counter() - t0, from_staging)
 
-    def _commit_swap(self, item: int, slot: int, victim: int,  # holds: _cond
-                     write_only: bool, swap: _Swap,
-                     held: np.ndarray | None) -> None:
-        """Commit a miss's transfers, or roll it back and raise.
+    def _land(self, item: int, load: _Load,  # holds: _cond
+              swap: _Swap) -> _ReadTiming | None:
+        """Commit a demand or prefetch load's transfers and return its
+        read's timing (the caller accounts it), or roll it back and raise:
 
         * write failed — the victim keeps its slot, bytes and place in the
           policy's order; the load is rolled back;
         * read failed — the eviction stands, the vacated slot returns to
           the free list.
-
-        ``held`` is the victim's bytes when the read has overwritten them
-        and the serving run lent it (see :meth:`_load`).
         """
+        slot, victim, _, _ = load
         write_exc, read_exc, read = swap
         rc = self._race
         if rc is not None:
-            rc.write(self._race_scope, "_inflight", "_item_slot")
+            rc.write(self._race_scope, "_inflight", "_item_slot", "_spilled",
+                     "_slot_item", "_free")
+            rc.read(self._race_scope, "_slot_generation")
         if victim >= 0:
             self._inflight.remove(victim)
             if write_exc is None:
-                self._vacate(victim, slot, written=True, held=held)
+                self._vacate(victim, slot, written=True)
         self._inflight.remove(item)
         if write_exc is not None:
             del self._item_slot[item]  # the slot is still the victim's
+            # ... and so are its bytes: a view of it is valid again.
+            self._spilled.pop((slot, self._slot_generation[slot]), None)
             raise write_exc
         if read_exc is not None:
-            self._unpublish(item, slot)
+            # The slot is free again; the policy never heard of ``item``
+            # (``on_load`` follows a successful read).
+            del self._item_slot[item]
+            self._slot_item[slot] = -1
+            self._free.append(slot)
             raise read_exc
         if victim >= 0:
             self._publish(item, slot)
-        self._commit_load(item, slot, write_only, read)
+        return read
 
     def _account_hit(self, item: int, slot: int, write_only: bool) -> None:  # holds: _cond
         """Stats + policy bookkeeping for a request that found ``item`` resident.
@@ -978,19 +996,6 @@ class AncestralVectorStore:
         self._slot_item[slot] = item
         self._item_slot[item] = slot
         self._dirty[slot] = False
-
-    def _unpublish(self, item: int, slot: int) -> None:  # holds: _cond
-        """Roll back ``_publish`` after a failed load: the slot is free again.
-
-        The policy never heard of ``item`` (``on_load`` follows a
-        successful read), so there is nothing to tell it.
-        """
-        rc = self._race
-        if rc is not None:
-            rc.write(self._race_scope, "_slot_item", "_item_slot", "_free")
-        del self._item_slot[item]
-        self._slot_item[slot] = -1
-        self._free.append(slot)
 
     def _read_into(self, item: int, buf: np.ndarray, rows: int) -> bool:
         """Fill rows ``[0, rows)`` of ``buf`` — ``item``'s live rows — from
@@ -1172,27 +1177,29 @@ class AncestralVectorStore:
                 self.fill_spills += 1
             staged = True
 
-    def _allocate_slot(self, item: int,  # holds: _cond
-                       pins: tuple) -> tuple[int, int] | None:
-        """A slot for a demand miss on ``item``: ``(slot, victim)``.
+    def _allocate_slot(self, item: int, pins: Iterable[int],  # holds: _cond
+                       *excluded: Iterable[int],
+                       demand: bool = True) -> tuple[int, int] | None:
+        """A slot for a demand or prefetch load of ``item``: ``(slot,
+        victim)``, never evicting ``pins`` or ``excluded``.
 
         ``victim < 0``: the slot is vacant (free, or its occupant was
         evicted here — clean under ``track_dirty``, or staged into the
         write-behind queue). ``victim >= 0``: the synchronous write-out of
         that item is still owed — it keeps the slot, flagged in flight,
         until the caller has written it outside the lock (``_transfer``).
-        ``None``: nothing is evictable *yet* — loads in flight hold the
-        unpinned slots, and the caller waits for one to land. Pins alone
-        exhausting the slots is the caller's error.
+        ``None``: nothing is evictable (for a demand miss only *yet* —
+        loads in flight hold the unpinned slots; it waits for one). Pins
+        alone exhausting the slots is a demand miss's error.
         """
         rc = self._race
         if rc is not None:
             rc.write(self._race_scope, "_free")
         if self._free:
             return self._free.pop(), -1
-        candidates = self._evictable(pins)
+        candidates = self._evictable(pins, *excluded)
         if not candidates:
-            if self._inflight:
+            if self._inflight or not demand:
                 return None
             # Pins hold slots only while resident: the slot count advised
             # is the one that would have sufficed.
@@ -1227,8 +1234,8 @@ class AncestralVectorStore:
                              chain(self._inflight, *excluded))
 
     def _evict(self, item: int, slot: int) -> None:  # holds: _cond
-        """Evict ``item`` here and now (every path but the synchronous
-        demand miss, which writes outside the lock — ``_transfer``)."""
+        """Evict ``item`` here and now: a victim owing no backing write,
+        or a bulk barrier's (a load's owed write is ``_transfer``'s)."""
         rc = self._race
         if rc is not None:
             rc.read(self._race_scope, "_dirty")
@@ -1239,24 +1246,17 @@ class AncestralVectorStore:
             self._write_out(item, slot)
         self._vacate(item, slot, written)
 
-    def _vacate(self, item: int, slot: int, written: bool,  # holds: _cond
-                held: np.ndarray | None = None) -> None:
+    def _vacate(self, item: int, slot: int,  # holds: _cond
+                written: bool) -> None:
         """Bookkeeping of an eviction whose bytes are safe: the slot is
-        vacant. ``held``: a copy of its bytes taken before they were
-        overwritten, for the private copy below."""
+        vacant."""
         rc = self._race
         if rc is not None:
             rc.write(self._race_scope, "_slot_generation", "stats.store",
                      "_prefetched_untouched", "_item_slot", "_slot_item",
-                     "_dirty", "_spilled")
-            rc.read(self._race_scope, "_lent_in", "_run", "_rows")
-        if self._lent_in[slot] == self._run:
-            # The serving run lent this occupant: what it hands back for
-            # it is a private copy of these bytes (see get_many), which
-            # the sanitizer makes as read-only as the view it replaces.
-            spilled = self._slots[slot].copy() if held is None else held
-            spilled.flags.writeable = not self._sanitize
-            self._spilled[slot, self._slot_generation[slot]] = spilled
+                     "_dirty")
+            rc.read(self._race_scope, "_rows")
+        self._spill(slot)
         self._slot_generation[slot] += 1  # invalidates outstanding borrows
         if item in self._prefetched_untouched:
             self._prefetched_untouched.discard(item)
@@ -1270,6 +1270,20 @@ class AncestralVectorStore:
         self._slot_item[slot] = -1
         self._dirty[slot] = False
         self.policy.on_evict(item)
+
+    def _spill(self, slot: int) -> None:  # holds: _cond
+        """``slot``'s occupant is leaving it: if the serving run lent it,
+        what the run hands back for it is a private copy of these bytes
+        (see get_many), read-only under the sanitizer like the view."""
+        rc = self._race
+        if rc is not None:
+            rc.read(self._race_scope, "_slot_generation", "_lent_in", "_run")
+            rc.write(self._race_scope, "_spilled")
+        key = (slot, self._slot_generation[slot])
+        if self._lent_in[slot] == self._run and key not in self._spilled:
+            spilled = self._slots[slot].copy()
+            spilled.flags.writeable = not self._sanitize
+            self._spilled[key] = spilled
 
     def _live_bytes(self, item: int) -> int:  # holds: _cond
         """The bytes a transfer of ``item`` moves: its live rows."""
@@ -1293,77 +1307,70 @@ class AncestralVectorStore:
                       protect: Iterable[int] = ()) -> bool:
         """Load ``item`` ahead of demand; best-effort, thread-safe.
 
-        The synchronous form of what a
-        :class:`~repro.core.prefetch.ThreadedPrefetcher` worker does (it
-        claims and fills in two steps), deterministic, so tests call it.
-
-        Allocates a slot — never stealing from ``protect``, the pins of the
-        most recent demand ``get`` or in-flight loads — publishes the
-        mapping, and fills the slot from the staging buffer or the backing
-        store *outside the lock*. Demand requests arriving mid-load wait on
-        the condition until it has ended. Returns ``False`` (without
-        raising) when the item is already resident/in flight, no evictable
-        slot exists, or the read fails — prefetching is an optimisation,
-        never an obligation. Accounts only ``prefetch_*`` traffic: demand
-        counters are charged at first demand touch, as if prefetch were
-        transparent.
+        The synchronous form of a
+        :class:`~repro.core.prefetch.ThreadedPrefetcher` worker's claim and
+        fill, deterministic, so tests call it. A demand miss's steps
+        (:meth:`_allocate_slot`, :meth:`_transfer` outside the lock,
+        :meth:`_land`), never evicting ``protect``, the pins of the most
+        recent demand ``get``, untouched prefetched items or loads in
+        flight. Returns ``False`` when the item is resident or in flight,
+        no slot can be had, or a transfer raises an ``Exception``: after a
+        failed write the victim stays resident, dirty, in its place in the
+        policy's order; after a failed read the eviction stands and the
+        slot is free. A ``BaseException`` propagates after the same
+        rollback. Only ``prefetch_*`` counters move: demand counters are
+        charged at first demand touch, as if prefetch were transparent.
         """
         item = int(item)
         self._check_item(item)
         with self._cond:
-            slot = self._prefetch_claim(item, protect)
-        return slot is not None and self._prefetch_fill(item, slot)
+            load = self._prefetch_claim(item, protect)
+        return load is not None and self._prefetch_fill(item, load)
 
     def _prefetch_claim(self, item: int,  # holds: _cond
-                        protect: Iterable[int]) -> int | None:
-        """Publish ``item`` in flight in a slot of its own, or ``None``.
-
-        ``None`` when the item is already resident (or its load in flight)
-        or no slot is evictable. The threaded prefetcher claims in the
-        same lock hold that picked the item, so two workers can never
-        pick the same one.
-        """
+                        protect: Iterable[int]) -> _Load | None:
+        """Announce a prefetch load of ``item`` in flight, or ``None``
+        (resident or in flight already, or no slot to be had). A dirty
+        victim's write is owed to :meth:`_prefetch_fill`. The threaded
+        prefetcher claims in the lock hold that picked the item, so two
+        workers never pick the same one."""
         rc = self._race
         if rc is not None:
-            rc.read(self._race_scope, "_item_slot")
+            rc.read(self._race_scope, "_item_slot", "_active_pins",
+                    "_prefetched_untouched")
         if item in self._item_slot:
             return None
-        slot = self._try_allocate(item, protect)
-        if slot is not None:
-            self._publish(item, slot)
-            if rc is not None:
-                rc.write(self._race_scope, "_inflight")
-            self._inflight.add(item)
-        return slot
-
-    def _prefetch_fill(self, item: int, slot: int) -> bool:  # thread: prefetch
-        """Fill a claimed slot outside the lock; ``False`` if the read failed."""
-        rc = self._race
-        ob = self.obs
-        with self._cond:
-            if rc is not None:
-                rc.read(self._race_scope, "_rows")
-            rows = self._rows[item]
         try:
-            read_t0 = time.perf_counter() if ob is not None else 0.0
-            from_staging = self._read_into(item, self._slots[slot], rows)
-        except Exception:
-            with self._cond:
-                self._unpublish(item, slot)
-                if rc is not None:
-                    rc.write(self._race_scope, "_inflight")
-                self._inflight.discard(item)
-                self._cond.notify_all()
-            return False
+            found = self._allocate_slot(item, protect, self._active_pins,
+                                        self._prefetched_untouched,
+                                        demand=False)
+        except Exception:  # e.g. a policy fault: no slot this time
+            return None
+        return None if found is None else self._announce(item, *found, True)
+
+    def _prefetch_fill(self, item: int,  # thread: prefetch
+                       load: _Load) -> bool:
+        """Run a claimed load's transfers outside the lock and commit it;
+        ``False`` if an ``Exception`` rolled it back."""
+        rc = self._race
+        swap = self._transfer(item, load)
         with self._cond:
+            self._cond.notify_all()  # the load has ended, landed or not
+            try:
+                read = self._land(item, load, swap)
+            except Exception:
+                return False
             if rc is not None:
                 rc.write(self._race_scope, "stats.store",
-                         "_prefetched_untouched", "_inflight")
+                         "_prefetched_untouched")
+                rc.read(self._race_scope, "_rows")
+            assert read is not None  # a prefetch never skips its read
+            t0, seconds, from_staging = read
             self.stats.prefetch_reads += 1
-            self.stats.prefetch_bytes += rows * self.row_bytes
-            if ob is not None:
-                ob.timed("prefetch_issue", read_t0,
-                         time.perf_counter() - read_t0, item=item, slot=slot)
+            self.stats.prefetch_bytes += self._live_bytes(item)
+            if self.obs is not None:
+                self.obs.timed("prefetch_issue", t0, seconds, item=item,
+                               slot=load[0])
             if from_staging:
                 self.stats.writeback_read_hits += 1
             self._prefetched_untouched.add(item)
@@ -1371,29 +1378,7 @@ class AncestralVectorStore:
             # Stamp the policy so the freshly prefetched vector is not the
             # immediate next victim (it is needed within the horizon).
             self.policy.on_access(item, False)
-            self._inflight.discard(item)
-            self._cond.notify_all()
         return True
-
-    def _try_allocate(self, item: int,  # holds: _cond
-                      protect: Iterable[int]) -> int | None:
-        """Non-raising slot allocation for prefetch (``None`` = no slot)."""
-        rc = self._race
-        if rc is not None:
-            rc.write(self._race_scope, "_free")
-            rc.read(self._race_scope, "_active_pins", "_prefetched_untouched")
-        if self._free:
-            return self._free.pop()
-        candidates = self._evictable(protect, self._active_pins,
-                                     self._prefetched_untouched)
-        if not candidates:
-            return None
-        victim = int(self.policy.choose_victim(candidates, item))
-        if victim not in candidates:
-            return None
-        vslot = self._item_slot[victim]
-        self._evict(victim, vslot)
-        return vslot
 
     # -- bulk operations ----------------------------------------------------------
 
@@ -1488,9 +1473,9 @@ class AncestralVectorStore:
         exactly the empty slots, in-flight and prefetched-untouched items
         are resident, and an order-keeping policy
         (:meth:`ReplacementPolicy.ordered_items`) tracks exactly the
-        residents whose load has completed. For the compute thread,
-        between two ``get`` calls: a miss of its own in flight is not a
-        state this describes.
+        residents whose load has completed — including an in-flight victim
+        whose write is owed: its slot still maps to it, and the load
+        announced into that slot maps there too. Callable at any time.
         """
         rc = self._race
         with self._cond:
@@ -1501,12 +1486,19 @@ class AncestralVectorStore:
                 if item >= 0 and self._item_slot.get(item, -1) != slot:
                     raise OutOfCoreError(f"slot {slot} ↦ item {item} ↦ slot "
                                          f"{self._item_slot.get(item, -1)} mismatch")
+            victims: set[int] = set()
             for item, slot in self._item_slot.items():
-                if not (0 <= slot < self.num_slots
-                        and self._slot_item[slot] == item):
+                occupant = (self._slot_item[slot]
+                            if 0 <= slot < self.num_slots else -1)
+                if occupant == item:
+                    continue
+                if not (item in self._inflight and occupant in self._inflight
+                        and occupant not in victims):
                     raise OutOfCoreError(f"item {item} ↦ slot {slot} mismatch: "
                                          f"the slot does not map back to it")
-            if (len(self._item_slot) + len(self._free) != self.num_slots
+                victims.add(occupant)
+            if (len(self._item_slot) - len(victims) + len(self._free)
+                    != self.num_slots
                     or len(set(self._free)) != len(self._free)
                     or any(self._slot_item[slot] >= 0 for slot in self._free)):
                 raise OutOfCoreError("free-list/resident accounting mismatch")
@@ -1517,7 +1509,8 @@ class AncestralVectorStore:
                     f"in-flight/prefetched items {sorted(stray)} are not resident")
             order = self.policy.ordered_items()
             if order is not None:
-                loaded = sorted(self._item_slot.keys() - self._inflight)
+                loaded = sorted((self._item_slot.keys() - self._inflight)
+                                | victims)
                 if sorted(order) != loaded:
                     raise OutOfCoreError(
                         f"policy {self.policy.name!r} orders items "

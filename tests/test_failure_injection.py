@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.backing import MemoryBackingStore
+from repro.core.prefetch import ThreadedPrefetcher
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import BackingStoreError
 
@@ -112,6 +113,62 @@ class TestReadFailures:
         flaky.fail_reads_at = set()
         assert store.prefetch_load(5) is True
         store.validate()
+
+    def test_failed_prefetch_write_keeps_the_victim_like_a_failed_demand_write(
+            self, make_flaky):
+        """A prefetch whose victim's write fails returns ``False``: the
+        victim keeps its slot, its bytes, its dirt and its place in the
+        policy's order, and the read is never issued."""
+        store, flaky = make_flaky(n=8, m=3)
+        for i in range(3):
+            store.get(i, write_only=True)[:] = float(i + 1)
+        order = list(store.policy.ordered_items())
+        reads = flaky.read_calls
+        flaky.fail_writes_at = {flaky.write_calls + 1}
+        assert store.prefetch_load(5) is False
+        store.validate()
+        assert not store.is_resident(5) and store.is_resident(0)
+        assert store._dirty[store._item_slot[0]]
+        assert list(store.policy.ordered_items()) == order
+        assert flaky.read_calls == reads and store.stats.prefetch_reads == 0
+        flaky.fail_writes_at = set()
+        assert store.prefetch_load(5) is True
+        store.validate()
+        np.testing.assert_array_equal(store.read_item(0), 1.0)
+
+    def test_a_prefetch_worker_outlives_a_failed_victim_write(
+            self, make_flaky):
+        """The same failure on a worker's load defers the item; the worker
+        stays alive and loads it once the backing recovers and demand
+        progresses."""
+        store, flaky = make_flaky(n=8, m=3)
+        for i in range(3):
+            store.get(i, write_only=True)[:] = float(i + 1)
+        writes = flaky.write_calls
+        flaky.fail_writes_at = set(range(writes + 1, writes + 100))
+        pf = ThreadedPrefetcher(store, depth=2)
+        try:
+            # 2 is resident; 5's load evicts the dirty LRU item 0
+            pf.feed([(2, (), False), (5, (), False)])
+            with store._cond:
+                assert store._cond.wait_for(
+                    lambda: flaky.write_calls > writes and not store._inflight,
+                    timeout=10.0)
+            assert all(t.is_alive() for t in pf._threads)
+            store.validate()
+            assert store.is_resident(0) and not store.is_resident(5)
+            flaky.fail_writes_at = set()
+            store.get(2)             # progress: the deferred item is retried
+            with store._cond:
+                assert store._cond.wait_for(
+                    lambda: store.stats.prefetch_reads == 1, timeout=10.0)
+            np.testing.assert_array_equal(store.get(5), 0.0)
+            assert all(t.is_alive() for t in pf._threads)
+        finally:
+            pf.stop()
+        assert store.stats.prefetch_hits == 1
+        store.validate()
+        np.testing.assert_array_equal(store.read_item(0), 1.0)
 
     def test_write_only_path_never_reads(self, make_flaky):
         store, flaky = make_flaky(fail_reads_at=set(range(1, 100)))

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 
 import pytest
 
@@ -551,3 +552,87 @@ class TestIdleWorkersStayParked:
             pf.stop()
         assert store.stats.prefetch_hits == 1
         store.validate()
+
+
+class LockProbe(MemoryBackingStore):
+    """Records every backing read and write: the operation, where it was
+    made (``during``, else the calling thread's name) and whether the
+    calling thread held the store lock ``lock`` (``None``: not recording)."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lock = None
+        self.during = None
+        self.calls = []
+
+    def _record(self, op):
+        if self.lock is not None:
+            self.calls.append((op, self.during
+                               or threading.current_thread().name,
+                               self.lock._is_owned()))
+
+    def read(self, item, out):
+        self._record("read")
+        super().read(item, out)
+
+    def write(self, item, data):
+        self._record("write")
+        super().write(item, data)
+
+
+class TestNoTransferUnderTheStoreLock:
+    """Every load path — a demand miss, ``prefetch_load``, a prefetch
+    worker — makes its backing transfers with the store lock released,
+    the victim's owed write included; with write-behind on, the writers
+    make the writes. (Bulk barriers, ``flush`` and ``evict_all``, are not
+    load paths and are not run here.)"""
+
+    N, M = 12, 4
+    # Every vector written, then a mix: even items rewritten (dirty
+    # victims), odd items read back (misses).
+    SCHEDULE = [(item, (), True) for item in range(12)] + [
+        ((5 * step) % 12, (), step % 2 == 0) for step in range(60)]
+
+    @pytest.mark.parametrize("writeback_depth", [0, 4])
+    @pytest.mark.parametrize("path", ["demand", "prefetch_load", "threaded"])
+    def test_no_backing_call_holds_the_store_lock(self, path,
+                                                  writeback_depth, closing):
+        backing = LockProbe(self.N, SHAPE)
+        store = closing(AncestralVectorStore(
+            self.N, SHAPE, num_slots=self.M, policy="lru", backing=backing,
+            writeback_depth=writeback_depth))
+        backing.lock = store._lock
+        pf = (ThreadedPrefetcher(store, depth=4) if path == "threaded"
+              else None)
+        try:
+            if pf is not None:
+                pf.feed(self.SCHEDULE)
+            for step, (item, pins, write_only) in enumerate(self.SCHEDULE):
+                if pf is not None:
+                    time.sleep(0.001)          # let the worker load ahead
+                elif path == "prefetch_load" and not write_only:
+                    backing.during = "prefetch_load"
+                    store.prefetch_load(item)
+                    backing.during = None
+                view = store.get(item, pins, write_only)
+                if write_only:
+                    view[:] = step
+        finally:
+            if pf is not None:
+                pf.stop()
+            backing.lock = None
+        assert [call for call in backing.calls if call[2]] == []
+        made = {(op, where.rstrip("-0123456789"))
+                for op, where, _ in backing.calls}
+        if path == "demand":
+            assert ("read", "MainThread") in made
+        if path == "prefetch_load":
+            assert ("read", "prefetch_load") in made
+            if writeback_depth == 0:       # a dirty victim's owed write
+                assert ("write", "prefetch_load") in made
+        if path == "threaded":
+            assert ("read", "prefetcher") in made
+        if writeback_depth:
+            assert {where for op, where in made if op == "write"} == {
+                "writeback"}
+        assert store.stats.prefetch_reads > 0 or path == "demand"
