@@ -1,23 +1,23 @@
 """Ablation — implemented strategies vs. the clairvoyant Belady optimum.
 
 The paper compares four implementable strategies against each other; here
-we additionally replay the recorded search access trace against Belady's
-MIN (the provable lower bound on misses) to quantify how much headroom is
+we additionally replay the search access trace — the one the Fig. 2–4
+shadow grid recorded of its own lazy-SPR round — against Belady's MIN
+(the provable lower bound on misses) to quantify how much headroom is
 left. The paper's conclusion that Random/LRU suffice is confirmed when
 their miss counts sit close to OPT.
 
 The write side (``track_dirty=True``, the store's default): the search
 trace and a re-rooting trace — one steady pass of the ``reroot_hdd_sync``
 operations of ``benchmarks/ooc`` — replayed per policy, counting reads,
-writes, write skips and *exposed* writes, priced at ``DiskModel.hdd()``.
-The synchronous store overlaps a dirty victim's write with the read its
-miss owes, so a miss that reads costs one transfer whatever its victim. A
-write costs device time of its own only on a write-only (read-skipped)
-miss whose victim is dirty: an exposed write. Device time is therefore
-(reads + exposed)·t, not (reads + writes)·t. Exposed writes are all a
-clean-first victim choice (CFLRU) could remove without adding misses, so
-their share of the device time is that policy's ceiling; the table says
-whether it clears the 15 % gate for building one live.
+writes and write skips, priced at ``DiskModel.hdd()``. A synchronous miss
+writes its dirty victim out and then reads its own item in, each a
+transfer of its own, so device time is (reads + writes)·t. The writes are
+what a clean-first victim choice (CFLRU) could at most remove, so their
+share of the device time is that policy's ceiling; the table says whether
+it clears the 15 % gate for building one live. t is the price of a
+full-width vector: a transfer moves only an item's live rows, but a trace
+carries no live-row count — and the shares do not depend on t.
 """
 
 import sys
@@ -28,17 +28,11 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import report
-from repro import (
-    AncestralVectorStore,
-    LikelihoodEngine,
-    RecordingStoreProxy,
-    clv_geometry,
-)
+from repro import AncestralVectorStore, LikelihoodEngine, clv_geometry
 from repro.core.policies import BeladyPolicy
-from repro.core.shadow import ShadowStore
+from repro.core.shadow import ShadowStore, TeeStore
 from repro.core.trace import AccessTrace, simulate_policy_on_trace
 from repro.core.vecstore import slots_for_fraction
-from repro.phylo.search import lazy_spr_round
 from repro.vm.disk import DiskModel
 
 POLICIES = ("belady", "lru", "clock", "random", "fifo", "lfu")
@@ -52,14 +46,9 @@ def _policy_kwargs(policy: str) -> dict | None:
 
 
 @pytest.fixture(scope="module")
-def recorded_trace(ds1288):
-    """Record the vector access trace of one lazy-SPR round."""
-    num_inner, clv_shape = ds1288.geometry()
-    proxy = RecordingStoreProxy(AncestralVectorStore(num_inner, clv_shape))
-    engine = ds1288.engine(store=proxy)
-    lazy_spr_round(engine, radius=5)
-    engine.close()
-    return proxy.trace
+def recorded_trace(shadow_grid):
+    """The vector access trace of the shadow grid's lazy-SPR round."""
+    return shadow_grid.trace
 
 
 @dataclass
@@ -84,16 +73,17 @@ def reroot_trace():
     tree, alignment, model, rates = workloads.dataset(REROOT_SEED, geometry)
     ops = workloads.operations("reroot", tree, REROOT_SEED, geometry)
     num_inner, clv_shape = clv_geometry(tree, alignment, model, rates)
-    proxy = RecordingStoreProxy(AncestralVectorStore(num_inner, clv_shape))
+    trace = AccessTrace(num_inner)
+    store = TeeStore(AncestralVectorStore(num_inner, clv_shape), [trace])
     engine = LikelihoodEngine(tree.copy(), alignment, model, rates,
-                              store=proxy)
+                              store=store)
     try:
         for op in ops:
             op(engine)
-        start = len(proxy.trace)
+        start = len(trace)
         for op in ops:
             op(engine)
-        return ReplayedTrace(proxy.trace, start,
+        return ReplayedTrace(trace, start,
                              int(np.prod(clv_shape)) * np.float64().itemsize)
     finally:
         engine.close()
@@ -101,20 +91,18 @@ def reroot_trace():
 
 @dataclass
 class WriteSide:
-    """Replayed counters of one policy, and its exposed writes."""
+    """Replayed counters of one policy."""
 
     misses: int = 0
     reads: int = 0
     writes: int = 0
     write_skips: int = 0
-    exposed: int = 0
 
 
 def replay_write_side(trace: AccessTrace, num_slots: int, policy: str,
                       start: int = 0) -> WriteSide:
-    """Replay ``trace`` with dirty tracking, counting from access ``start``
-    on. An exposed write is a write-only access whose miss wrote a victim
-    (under read skipping it has no read to hide behind)."""
+    """Replay ``trace`` with dirty tracking, counting from event ``start``
+    on."""
     shadow = ShadowStore(trace.num_items, num_slots, policy,
                          policy_kwargs=_policy_kwargs(policy))
     if isinstance(shadow.policy, BeladyPolicy):
@@ -122,20 +110,21 @@ def replay_write_side(trace: AccessTrace, num_slots: int, policy: str,
     s = shadow.stats
     out = WriteSide()
     for index, ev in enumerate(trace.events):
+        if ev.clean:
+            shadow.mark_clean(ev.item)
+            continue
         before = (s.misses, s.reads, s.writes, s.write_skips)
         shadow.access(ev.item, ev.pins, ev.write_only)
         if index < start:
             continue
         out.misses += s.misses - before[0]
         out.reads += s.reads - before[1]
-        wrote = s.writes - before[2]
-        out.writes += wrote
+        out.writes += s.writes - before[2]
         out.write_skips += s.write_skips - before[3]
-        out.exposed += wrote if ev.write_only else 0
     return out
 
 
-def test_opt_headroom_table(benchmark, recorded_trace, ds1288):
+def test_opt_headroom_table(benchmark, recorded_trace, shadow_grid, ds1288):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     num_inner = ds1288.start_tree.num_inner
     m = slots_for_fraction(0.25, num_inner)
@@ -150,6 +139,10 @@ def test_opt_headroom_table(benchmark, recorded_trace, ds1288):
             recorded_trace, m, policy, policy_kwargs=_policy_kwargs(policy),
         )
         results[policy] = stats
+    # The trace is the grid's live run: replayed at the grid's f = 0.25
+    # slot count it counts exactly what the live shadows counted.
+    for policy in ("lru", "lfu"):
+        assert results[policy] == shadow_grid.get(policy, 0.25), policy
     opt = results["belady"].misses
     for policy in POLICIES:
         s = results[policy]
@@ -178,34 +171,31 @@ def _write_side_table(name: str, replayed: ReplayedTrace, m: int,
     accesses = len(replayed.trace) - replayed.start
     lines = [
         f"write side, {name} trace: {accesses} accesses, m={m}, dirty "
-        f"tracking on; one {replayed.item_bytes / 1e3:.0f} KB transfer = "
-        f"{t * 1e3:.1f} ms on hdd",
+        f"tracking on; t = one full-width {replayed.item_bytes / 1e3:.0f} KB "
+        f"transfer = {t * 1e3:.1f} ms on hdd (the trace carries no live-row "
+        f"count; the shares do not depend on t)",
         f"{'policy':>8} {'reads':>7} {'writes':>7} {'skips':>7} "
-        f"{'exposed':>8} {'device s':>9} {'(r+w)·t s':>10} {'exposed %':>10}",
+        f"{'device s':>9} {'writes %':>9}",
     ]
     rows = {}
     for policy in POLICIES:
         row = rows[policy] = replay_write_side(replayed.trace, m, policy,
                                                replayed.start)
-        device = (row.reads + row.exposed) * t
-        share = row.exposed / max(row.reads + row.exposed, 1)
+        share = row.writes / max(row.reads + row.writes, 1)
         lines.append(
             f"{policy:>8} {row.reads:>7} {row.writes:>7} {row.write_skips:>7} "
-            f"{row.exposed:>8} {device:>9.3f} "
-            f"{(row.reads + row.writes) * t:>10.3f} {share:>10.1%}")
+            f"{(row.reads + row.writes) * t:>9.3f} {share:>9.1%}")
         # every eviction is a write or a write skip; none owes more
         evictions = row.misses - (m if replayed.start == 0 else 0)
         assert row.writes + row.write_skips == evictions, policy
-        assert row.exposed <= row.writes
         if full_replay is not None:
             assert row.reads == full_replay[policy].reads, policy
     lru = rows["lru"]
-    ceiling = lru.exposed / max(lru.reads + lru.exposed, 1)
+    ceiling = lru.writes / max(lru.reads + lru.writes, 1)
     verdict = "clears" if ceiling >= GATE else "does not clear"
     lines.append(
-        f"CFLRU ceiling under LRU: {lru.exposed} exposed writes = "
-        f"{ceiling:.1%} of the synchronous device time, which {verdict} the "
-        f"{GATE:.0%} gate")
+        f"CFLRU ceiling under LRU: {lru.writes} writes = {ceiling:.1%} of "
+        f"the synchronous device time, which {verdict} the {GATE:.0%} gate")
     return lines
 
 

@@ -19,19 +19,21 @@ The Figure 2/3/4 benches share a single instrumented search run (the
 ``shadow_grid`` fixture): the engine's vector access stream is broadcast to
 one bookkeeping shadow per (strategy, capacity) point, which is both faster
 and exactly equivalent to running each configuration live (§4.1
-determinism).
+determinism). The same run's access trace is recorded beside the shadows
+for the offline ablations.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 from repro import (
     GTR,
+    AccessTrace,
     AncestralVectorStore,
     LikelihoodEngine,
     RateModel,
@@ -123,8 +125,9 @@ class ShadowGrid:
     search_lnl: float
     moves_applied: int
     requests: int
-    stats: dict = field(default_factory=dict)  # label -> IoStats
-    num_inner: int = 0
+    stats: dict  # label -> IoStats
+    num_inner: int
+    trace: AccessTrace  # the run's own access sequence
 
     def get(self, policy: str, fraction: float):
         return self.stats[f"{policy}:{fraction:.4f}"]
@@ -145,7 +148,8 @@ def _fig4_slot_counts(num_inner: int) -> list[int]:
 
 
 def run_shadow_grid(dataset: Dataset, radius: int = 5) -> ShadowGrid:
-    """One lazy-SPR search observed by every (policy, capacity) shadow."""
+    """One lazy-SPR search observed by every (policy, capacity) shadow and
+    recorded by an :class:`AccessTrace` beside them."""
     num_inner, shape = dataset.geometry()
     primary = AncestralVectorStore(num_inner, shape)
 
@@ -161,13 +165,8 @@ def run_shadow_grid(dataset: Dataset, radius: int = 5) -> ShadowGrid:
         shadows.append(ShadowStore(num_inner, m, "random",
                                    label=f"random:m{m}",
                                    policy_kwargs={"seed": 11}))
-    engine = dataset.engine(store=TeeStore(primary, shadows))
-    for shadow in shadows:
-        if shadow.policy.name == "topological":
-            n = engine.tree.num_tips
-            shadow.policy.distance_provider = (
-                lambda item, t=engine.tree, n=n: t.hop_distances_from(n + item)[n:]
-            )
+    trace = AccessTrace(num_inner)
+    engine = dataset.engine(store=TeeStore(primary, [*shadows, trace]))
     result = lazy_spr_round(engine, radius=radius)
     return ShadowGrid(
         dataset=dataset.name,
@@ -176,6 +175,7 @@ def run_shadow_grid(dataset: Dataset, radius: int = 5) -> ShadowGrid:
         requests=primary.stats.requests,
         stats={s.label: s.stats for s in shadows},
         num_inner=num_inner,
+        trace=trace,
     )
 
 

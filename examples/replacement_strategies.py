@@ -48,15 +48,9 @@ def main(num_taxa: int = 48, num_sites: int = 400) -> None:
                                        label=f"{policy}:{f:.2f}",
                                        policy_kwargs={"seed": 1}
                                        if policy == "random" else None))
+    # The engine binds the Topological shadows to its live tree (§3.3).
     engine = LikelihoodEngine(start, alignment, model, rates,
                               store=TeeStore(primary, shadows))
-    # Topological shadows need live tree distances (paper §3.3).
-    for shadow in shadows:
-        if shadow.policy.name == "topological":
-            shadow.policy.distance_provider = (
-                lambda item, t=engine.tree, n=num_taxa:
-                t.hop_distances_from(n + item)[n:]
-            )
 
     print(f"running one lazy-SPR round on {num_taxa} taxa "
           f"({alignment.num_patterns} patterns) ...")

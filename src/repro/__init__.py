@@ -41,7 +41,7 @@ from repro.core.shadow import ShadowStore, TeeStore
 from repro.core.sharded import ShardedBackingStore
 from repro.core.stats import IoStats
 from repro.core.writebehind import WriteBehindQueue
-from repro.core.trace import AccessTrace, RecordingStoreProxy, simulate_policy_on_trace
+from repro.core.trace import AccessTrace, simulate_policy_on_trace
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import ReproError
 from repro.config import EngineConfig
@@ -103,7 +103,7 @@ __all__ = [
     "ShardedBackingStore",
     "WriteBehindQueue",
     "ShadowStore", "TeeStore",
-    "AccessTrace", "RecordingStoreProxy", "simulate_policy_on_trace",
+    "AccessTrace", "simulate_policy_on_trace",
     # paging baseline & simulation
     "DiskModel", "PagedStandardStore",
     "simulate_alignment", "yule_tree", "coalescent_tree",

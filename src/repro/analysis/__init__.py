@@ -58,8 +58,7 @@ Rules
     **Runtime** rules from the happens-before race sanitizer
     (:mod:`repro.analysis.race`): two writes — or a read and a write —
     to the same guarded field are unordered by the happens-before
-    relation (locks, thread start/join, executor fork/join tokens,
-    condition waits). Opt in with ``REPRO_SANITIZE=race``; pair with
+    relation (locks, thread start/join tokens, condition waits). Opt in with ``REPRO_SANITIZE=race``; pair with
     :class:`repro.analysis.interleave.InterleaveFuzzer` to sweep seeded
     thread schedules deterministically.
 

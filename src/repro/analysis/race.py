@@ -18,8 +18,10 @@ Model
   acquirer (``Condition.wait`` participates through the standard
   ``_release_save``/``_acquire_restore`` protocol, so waiting threads
   pick up the notifier's clock when they re-acquire the monitor).
-* Thread start/join and executor hand-offs transfer clocks through
-  :meth:`RaceDetector.fork`/:meth:`RaceDetector.join` tokens.
+* Thread start and join transfer clocks through
+  :meth:`RaceDetector.fork`/:meth:`RaceDetector.join` tokens (a
+  :func:`make_thread` thread forks one at ``start`` and at the end of
+  ``run``).
 * Instrumented code declares accesses with
   ``rc.read(scope, "field", ...)`` / ``rc.write(scope, "field", ...)``;
   the detector keeps each variable's last read/write epoch per thread
@@ -100,7 +102,7 @@ class RaceDetector:
     All public methods are thread-safe (one internal mutex; note the
     mutex orders detector *bookkeeping* only — happens-before between
     program accesses is established exclusively by tracked locks and
-    fork/join tokens, so the mutex cannot mask a program race).
+    thread start/join tokens, so the mutex cannot mask a program race).
     """
 
     def __init__(self, *, raise_on_race: bool = False) -> None:
@@ -164,10 +166,8 @@ class RaceDetector:
         """Snapshot the current clock as a transfer token and advance.
 
         Tokens order the creating thread *before* whoever joins them:
-        thread start (token joined at the top of ``run``), thread end
-        (token captured at the bottom of ``run``, joined by ``join()``),
-        and executor hand-offs (submit-side token joined by the worker,
-        worker-side token joined by the ``result()`` caller).
+        thread start (token joined at the top of ``run``) and thread end
+        (token captured at the bottom of ``run``, joined by ``join()``).
         """
         with self._mutex:
             tid, clock = self._thread()

@@ -284,12 +284,6 @@ def cmd_policies(args) -> int:
         tree, alignment, model, rates,
         store=TeeStore(AncestralVectorStore(num_inner, shape), shadows),
     )
-    for shadow in shadows:
-        if shadow.policy.name == "topological":
-            n = engine.tree.num_tips
-            shadow.policy.distance_provider = (
-                lambda item, t=engine.tree, n=n: t.hop_distances_from(n + item)[n:]
-            )
     result = lazy_spr_round(engine, radius=args.radius)
     print(f"search: lnL {result.lnl:.2f}, {engine.stats.requests} vector requests")
     header = f"{'strategy':>12} | " + " | ".join(f"f={f}" for f in fractions)

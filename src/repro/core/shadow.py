@@ -13,10 +13,13 @@ It is the one replica of that state machine: the offline
 shadow.
 
 :class:`TeeStore` wraps the primary (real) store and broadcasts every
-``get()`` to any number of shadows — so a *single* tree search produces the
-full policy × fraction grid of Figures 2–4, including the Topological
-strategy, whose distance queries need the live tree at eviction time (a
-post-hoc trace replay could not reproduce them faithfully).
+``get()`` to any number of observers — shadows, and an
+:class:`~repro.core.trace.AccessTrace` that records the run — so a
+*single* tree search produces the full policy × fraction grid of Figures
+2–4 and its trace, including the Topological strategy, whose distance
+queries need the live tree at eviction time (a post-hoc trace replay could
+not reproduce them faithfully). The engine binds those distances: see
+``Executor._bind_topological_policy``.
 """
 
 from __future__ import annotations
@@ -124,20 +127,25 @@ class ShadowStore:
 
 
 class TeeStore:
-    """A real store plus shadows observing the identical access stream.
+    """A real store plus observers of the identical access stream.
 
     Satisfies the engine's store protocol by forwarding ``get_many`` (and
     ``get``, one access of it) and ``mark_clean`` to the primary store and
-    replaying each against every shadow.
+    replaying each against every observer: anything with ``num_items``,
+    ``access(item, pins, write_only)`` and ``mark_clean(item, rows)`` — a
+    :class:`ShadowStore`, or an :class:`~repro.core.trace.AccessTrace`
+    that records the run. An engine over a tee binds the distance
+    provider of every Topological policy among the observers.
     """
 
-    def __init__(self, primary: Any, shadows: list[ShadowStore]) -> None:
+    def __init__(self, primary: Any, observers: list[Any]) -> None:
         self.primary = primary
-        self.shadows = list(shadows)
-        for shadow in self.shadows:
-            if shadow.num_items != primary.num_items:
+        self.observers = list(observers)
+        for observer in self.observers:
+            if observer.num_items != primary.num_items:
+                name = getattr(observer, "label", type(observer).__name__)
                 raise OutOfCoreError(
-                    f"shadow {shadow.label!r} has {shadow.num_items} items, "
+                    f"observer {name!r} has {observer.num_items} items, "
                     f"primary has {primary.num_items}"
                 )
 
@@ -148,19 +156,15 @@ class TeeStore:
     def get_many(self, accesses: Sequence[tuple[int, tuple[int, ...], bool]]
                  ) -> list[np.ndarray | None]:
         for item, pins, write_only, *_ in accesses:
-            for shadow in self.shadows:
-                shadow.access(item, pins=pins, write_only=write_only)
+            for observer in self.observers:
+                observer.access(item, pins, write_only)
         views: list[np.ndarray | None] = self.primary.get_many(accesses)
         return views
 
     def mark_clean(self, item: int, rows: int | None = None) -> None:
         self.primary.mark_clean(item, rows)
-        for shadow in self.shadows:
-            shadow.mark_clean(item)
-
-    def results(self) -> dict[str, IoStats]:
-        """Shadow label → accumulated stats."""
-        return {s.label: s.stats for s in self.shadows}
+        for observer in self.observers:
+            observer.mark_clean(item, rows)
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self.primary, name)

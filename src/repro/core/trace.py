@@ -1,6 +1,7 @@
 """Access-trace recording and offline policy replay.
 
 Recording the sequence of ``get()`` calls made by a likelihood computation
+(an :class:`AccessTrace` observing a :class:`~repro.core.shadow.TeeStore`)
 lets us (i) replay the same workload against every replacement strategy
 without re-running the numerics, and (ii) evaluate the clairvoyant Belady
 optimum, which needs the future. This is how the ablation benchmarks
@@ -10,17 +11,14 @@ compare the paper's four strategies against the theoretical lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
-import numpy as np
-
-from repro.core.layout import StorageLayout, only_view
 from repro.core.policies import BeladyPolicy, ReplacementPolicy
 from repro.core.shadow import ShadowStore
 from repro.core.stats import IoStats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One ``get()`` call: requested item, pinned items, write-only flag —
     or, with ``clean``, one ``mark_clean(item)`` declaration (no access)."""
@@ -33,23 +31,22 @@ class TraceEvent:
 
 @dataclass
 class AccessTrace:
-    """An ordered sequence of :class:`TraceEvent` plus the store geometry."""
+    """An ordered sequence of :class:`TraceEvent` over ``num_items`` items.
+
+    A trace is an observer of a :class:`~repro.core.shadow.TeeStore`: it
+    takes the two calls the tee makes of each observer, ``access`` and
+    ``mark_clean``. ``TeeStore(store, [trace])`` records a live run. Item
+    ids are opaque to the replay, so block-granular traces replay
+    unchanged.
+    """
 
     num_items: int
     events: list[TraceEvent] = field(default_factory=list)
-    #: Layout the recorded item ids live in — a trace carries its store's
-    #: :class:`~repro.core.layout.StorageLayout` so offline analysis can
-    #: map block items back to nodes/site-ranges. ``None`` for traces recorded
-    #: before the layout abstraction (item id == node id). The replay in
-    #: :func:`simulate_policy_on_trace` is deliberately layout-agnostic:
-    #: item ids are opaque to the allocation logic, so block-granular traces
-    #: replay unchanged.
-    layout: StorageLayout | None = None
 
-    def record(self, item: int, pins: tuple = (), write_only: bool = False) -> None:
+    def access(self, item: int, pins: tuple = (), write_only: bool = False) -> None:
         self.events.append(TraceEvent(int(item), tuple(int(p) for p in pins), bool(write_only)))
 
-    def record_clean(self, item: int) -> None:
+    def mark_clean(self, item: int, rows: int | None = None) -> None:
         self.events.append(TraceEvent(int(item), clean=True))
 
     def __len__(self) -> int:
@@ -65,39 +62,6 @@ class AccessTrace:
 
     def unique_items(self) -> set[int]:
         return set(self.items())
-
-
-class RecordingStoreProxy:
-    """Wraps an :class:`AncestralVectorStore`-compatible object, logging calls.
-
-    Drop-in for the engine's ``store`` attribute: forwards ``get_many``
-    (and ``get``, one access of it, and everything else) to the wrapped
-    store while appending each access — and each ``mark_clean`` — to
-    ``trace``.
-    """
-
-    def __init__(self, store: Any, trace: AccessTrace | None = None) -> None:
-        self._store = store
-        self.trace = trace if trace is not None else AccessTrace(
-            store.num_items, layout=getattr(store, "layout", None))
-
-    def get(self, item: int, pins: tuple = (),
-            write_only: bool = False) -> np.ndarray:
-        return only_view(self.get_many(((item, pins, write_only),)))
-
-    def get_many(self, accesses: Sequence[tuple[int, tuple[int, ...], bool]]
-                 ) -> list[np.ndarray | None]:
-        for item, pins, write_only, *_ in accesses:
-            self.trace.record(item, pins, write_only)
-        views: list[np.ndarray | None] = self._store.get_many(accesses)
-        return views
-
-    def mark_clean(self, item: int, rows: int | None = None) -> None:
-        self.trace.record_clean(item)
-        self._store.mark_clean(item, rows)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._store, name)
 
 
 def simulate_policy_on_trace(

@@ -539,13 +539,23 @@ class AncestralVectorStore:
     def is_resident(self, item: int) -> bool:
         """Whether ``item`` has a slot — True also while a load of it is in
         flight (published, not yet landed), so a caller deciding whether
-        reading it would cost a transfer sees a pending prefetch as paid."""
+        reading it would cost a transfer sees a pending prefetch as paid.
+        A victim whose owed write is in flight has left already: it keeps
+        its slot only until the write lands, and a read of it misses."""
         self._check_item(item)
         rc = self._race
         with self._cond:
             if rc is not None:
-                rc.read(self._race_scope, "_item_slot")
-            return item in self._item_slot
+                rc.read(self._race_scope, "_item_slot", "_inflight",
+                        "_slot_item")
+            slot = self._item_slot.get(item, -1)
+            if slot < 0 or item not in self._inflight:
+                return slot >= 0
+            # In flight: a load, or a leaving victim — the occupant of a
+            # slot another in-flight load is mapped to (_announce).
+            return self._slot_item[slot] != item or not any(
+                other != item and self._item_slot.get(other) == slot
+                for other in self._inflight)
 
     def resident_items(self) -> list[int]:
         rc = self._race

@@ -19,6 +19,7 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 from repro.core.layout import StorageLayout
+from repro.core.shadow import TeeStore
 from repro.errors import LikelihoodError
 from repro.phylo.likelihood import kernels
 from repro.phylo.likelihood.schedule import (
@@ -171,28 +172,38 @@ class Executor:
                 store, depth=prefetch_depth, workers=store.io_threads)
 
     def _bind_topological_policy(self) -> None:
-        """Give a Topological policy its tree-distance provider (§3.3).
+        """Give every unbound Topological policy the store reaches its
+        tree-distance provider (§3.3): the store's own, and each
+        :class:`~repro.core.shadow.TeeStore` observer's. A policy built
+        with a provider keeps it.
 
         The policy sees *item* ids, so node-level hop distances are mapped
         through the layout: every block of a node inherits that node's
         distance. ``store_item_nodes()`` spans the store's full item space,
         so the provider is total over whatever ids the policy encounters.
         """
-        policy = getattr(self.store, "policy", None)
-        if (policy is not None and getattr(policy, "name", "") == "topological"
-                and getattr(policy, "distance_provider", None) is None):
-            # The provider holds the tree, not the engine: the store must
-            # not keep its engine alive through a cycle, or the engine and
-            # its store outlive their last reference until a GC.
-            tree = self.tree
-            n = tree.num_tips
-            item_nodes = self.layout.store_item_nodes()
+        reached = [self.store]
+        if isinstance(self.store, TeeStore):
+            reached += self.store.observers
+        policies = [getattr(s, "policy", None) for s in reached]
+        unbound = [p for p in policies
+                   if getattr(p, "name", "") == "topological"
+                   and getattr(p, "distance_provider", None) is None]
+        if not unbound:
+            return
+        # The provider holds the tree, not the engine: the store must not
+        # keep its engine alive through a cycle, or the engine and its
+        # store outlive their last reference until a GC.
+        tree = self.tree
+        n = tree.num_tips
+        item_nodes = self.layout.store_item_nodes()
 
-            def distances(requested_item: int) -> np.ndarray:
-                node = int(item_nodes[requested_item])
-                d_nodes = tree.hop_distances_from(n + node)[n:]
-                return d_nodes[item_nodes]
+        def distances(requested_item: int) -> np.ndarray:
+            node = int(item_nodes[requested_item])
+            d_nodes = tree.hop_distances_from(n + node)[n:]
+            return d_nodes[item_nodes]
 
+        for policy in unbound:
             policy.distance_provider = distances
 
     def item(self, node: int) -> int:

@@ -28,7 +28,7 @@ from repro import (
 )
 from repro.core.layout import make_layout
 from repro.core.shadow import ShadowStore, TeeStore
-from repro.core.trace import RecordingStoreProxy
+from repro.core.trace import AccessTrace
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import LikelihoodError, ReproError
 from repro.phylo.likelihood import kernels
@@ -449,9 +449,10 @@ class TestEveryFrontDoorServesAGroup:
 
     def test_recording_proxy(self):
         def wrap(*data):
-            proxy = RecordingStoreProxy(self.block_store(*data))
-            return proxy, lambda: (proxy.trace.events,
-                                   proxy.stats._counters())
+            primary = self.block_store(*data)
+            trace = AccessTrace(primary.num_items)
+            return TeeStore(primary, [trace]), lambda: (
+                trace.events, primary.stats._counters())
 
         unbatched, batched = self.run_both(wrap)
         assert batched == unbatched
@@ -462,8 +463,8 @@ class TestEveryFrontDoorServesAGroup:
             shadows = [ShadowStore(primary.num_items, 6, policy, label=policy)
                        for policy in ("lru", "fifo")]
             tee = TeeStore(primary, shadows)
-            return tee, lambda: ({k: v._counters()
-                                  for k, v in tee.results().items()},
+            return tee, lambda: ({s.label: s.stats._counters()
+                                  for s in shadows},
                                  primary.stats._counters())
 
         unbatched, batched = self.run_both(wrap)

@@ -16,7 +16,7 @@ from repro import GTR, LikelihoodEngine, RateModel, simulate_alignment, yule_tre
 from repro.core.backing import SimulatedDiskBackingStore
 from repro.core.layout import make_layout
 from repro.core.shadow import ShadowStore, TeeStore
-from repro.core.trace import RecordingStoreProxy, simulate_policy_on_trace
+from repro.core.trace import AccessTrace, simulate_policy_on_trace
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import TreeError
 from repro.phylo.likelihood.traversal import OrientationState, plan_edge_traversal
@@ -455,8 +455,8 @@ def incore_round(dataset):
 @pytest.fixture(scope="module", params=REFRESH_MATRIX,
                 ids=lambda p: "{}-batch{}-wb{}".format(*p))
 def refresh_round(request, dataset):
-    """A lazy-SPR round at f = 0.25 through a RecordingStoreProxy over a
-    TeeStore (out-of-core primary, one same-geometry LRU shadow). Before
+    """A lazy-SPR round at f = 0.25 through a TeeStore (out-of-core
+    primary; one same-geometry LRU shadow and a trace observing it). Before
     every plan it notes the items of each valid cherry with no resident
     item — the ones the plan may refresh instead of read."""
     layout, batch, depth = request.param
@@ -469,8 +469,10 @@ def refresh_round(request, dataset):
     primary = AncestralVectorStore(layout=lay, fraction=0.25,
                                    writeback_depth=depth)
     shadow = ShadowStore(lay.num_items, primary.num_slots, "lru")
-    proxy = RecordingStoreProxy(TeeStore(primary, [shadow]))
-    eng = LikelihoodEngine(tree, aln, MODEL, RATES, store=proxy, batch=batch)
+    trace = AccessTrace(lay.num_items)
+    eng = LikelihoodEngine(tree, aln, MODEL, RATES,
+                           store=TeeStore(primary, [shadow, trace]),
+                           batch=batch)
     marks: list[tuple[int, set[int]]] = []
     lnls: list[str] = []
     plan = eng.plan
@@ -484,7 +486,7 @@ def refresh_round(request, dataset):
             if (orient[x] >= 0 and _cherry_kids(tree, x, orient[x]) is not None
                     and not any(map(primary.is_resident, items))):
                 absent.update(items)
-        marks.append((len(proxy.trace.events), absent))
+        marks.append((len(trace.events), absent))
         return plan(u, v, full)
 
     eng.plan = noting_plan
@@ -494,7 +496,7 @@ def refresh_round(request, dataset):
         live = primary.stats.as_row()
     finally:
         eng.close()
-    return (proxy.trace, marks, lnls, live, shadow.stats.as_row(),
+    return (trace, marks, lnls, live, shadow.stats.as_row(),
             primary.num_slots)
 
 
@@ -629,8 +631,8 @@ def test_the_row_price_scales_with_the_operator_width():
 @pytest.fixture(scope="module", params=PRICED_MATRIX,
                 ids=lambda p: "{}-batch{}-wb{}-simulated".format(*p))
 def priced_round(request, dataset):
-    """The refresh round's store stack (a RecordingStoreProxy over a
-    TeeStore with one LRU shadow) over a simulated disk, running
+    """The refresh round's store stack (a TeeStore with one LRU shadow
+    and a trace) over a simulated disk, running
     :func:`_spr_and_reroots`; returned in ``refresh_round``'s shape with
     the plans in place of the marks."""
     layout, batch, depth = request.param
@@ -643,8 +645,10 @@ def priced_round(request, dataset):
         layout=lay, fraction=0.25, writeback_depth=depth,
         backing=SimulatedDiskBackingStore.from_layout(lay))
     shadow = ShadowStore(lay.num_items, primary.num_slots, "lru")
-    proxy = RecordingStoreProxy(TeeStore(primary, [shadow]))
-    eng = LikelihoodEngine(tree, aln, MODEL, RATES, store=proxy, batch=batch)
+    trace = AccessTrace(lay.num_items)
+    eng = LikelihoodEngine(tree, aln, MODEL, RATES,
+                           store=TeeStore(primary, [shadow, trace]),
+                           batch=batch)
     plans: list = []
     lnls: list[str] = []
     _noting_plans(eng, plans)
@@ -654,7 +658,7 @@ def priced_round(request, dataset):
         live = primary.stats.as_row()
     finally:
         eng.close()
-    return (proxy.trace, plans, lnls, live, shadow.stats.as_row(),
+    return (trace, plans, lnls, live, shadow.stats.as_row(),
             primary.num_slots)
 
 

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from repro import (
     GTR,
+    AccessTrace,
     LikelihoodEngine,
     RateModel,
-    RecordingStoreProxy,
+    TeeStore,
     clv_geometry,
     simulate_alignment,
     simulate_policy_on_trace,
@@ -298,13 +299,11 @@ class TestBlockTraceReplay:
         eng = LikelihoodEngine(tree.copy(), aln, model, rates,
                                num_slots=6, policy=policy,
                                layout="block", block_sites=32)
-        proxy = RecordingStoreProxy(eng.store)
-        eng.store = proxy
+        trace = AccessTrace(eng.layout.num_items)
+        eng.store = TeeStore(eng.store, [trace])
         eng.full_traversals(2)
         live = eng.stats
-        assert proxy.trace.layout is eng.layout
-        assert proxy.trace.num_items == eng.layout.num_items
-        replayed = simulate_policy_on_trace(proxy.trace, 6, policy)
+        replayed = simulate_policy_on_trace(trace, 6, policy)
         assert replayed.requests == live.requests
         assert replayed.hits == live.hits
         assert replayed.misses == live.misses

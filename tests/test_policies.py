@@ -200,7 +200,7 @@ class TestBelady:
         """OPT must not miss more than any implementable policy."""
         trace = AccessTrace(num_items=20)
         for _ in range(600):
-            trace.record(int(rng.integers(20)), write_only=bool(rng.random() < 0.4))
+            trace.access(int(rng.integers(20)), write_only=bool(rng.random() < 0.4))
         opt = simulate_policy_on_trace(trace, 5, "belady").misses
         for name in ("lru", "lfu", "fifo", "clock"):
             assert opt <= simulate_policy_on_trace(trace, 5, name).misses

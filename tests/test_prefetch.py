@@ -18,6 +18,7 @@ from repro.phylo.likelihood.partitioned import (
     PartitionedEngine,
     split_alignment,
 )
+from tests.test_async_io import GatedBackingStore
 
 SHAPE = (4, 2, 4)
 
@@ -636,3 +637,36 @@ class TestNoTransferUnderTheStoreLock:
             assert {where for op, where in made if op == "write"} == {
                 "writeback"}
         assert store.stats.prefetch_reads > 0 or path == "demand"
+
+
+class TestALeavingVictimIsNotResident:
+    def test_is_resident_while_a_prefetch_writes_its_victim_out(self,
+                                                                 closing):
+        """Without write-behind a prefetch load's dirty victim stays in its
+        slot, in flight, while the prefetch thread writes it out. It is no
+        longer resident: a read of it waits for the write and misses, and
+        the planner must not count it as paid. The loading item is."""
+        backing = GatedBackingStore(MemoryBackingStore(8, SHAPE))
+        store = closing(AncestralVectorStore(8, SHAPE, num_slots=3,
+                                             policy="lru", backing=backing))
+        warm(store)
+        for item in range(3):                 # three dirty residents
+            store.get(item, write_only=True)[:] = 10 + item
+        backing.gate.clear()
+        backing.write_started.clear()
+        loader = threading.Thread(target=store.prefetch_load, args=(5,))
+        loader.start()
+        try:
+            assert backing.write_started.wait(timeout=10.0)
+            assert not store.is_resident(0)   # the LRU victim, leaving
+            assert store.is_resident(5)       # its own load is in flight
+            assert store.is_resident(1) and store.is_resident(2)
+        finally:
+            backing.gate.set()
+            loader.join(timeout=10.0)
+        assert not loader.is_alive()
+        assert not store.is_resident(0) and store.is_resident(5)
+        misses = store.stats.misses
+        assert store.get(0)[0, 0, 0] == 10
+        assert store.stats.misses == misses + 1
+        store.validate()

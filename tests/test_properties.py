@@ -135,7 +135,7 @@ def test_store_matches_dict_reference(n, m, policy, workload):
 def test_lru_curve_equals_replay(items, m):
     trace = AccessTrace(num_items=16)
     for item in items:
-        trace.record(item)
+        trace.access(item)
     predicted = lru_miss_curve(trace, [m])[m]
     actual = simulate_policy_on_trace(trace, m, "lru").miss_rate
     assert abs(predicted - actual) < 1e-12

@@ -1,11 +1,15 @@
 """Tests for shadow stores: they must mirror real stores exactly."""
 
+import numpy as np
 import pytest
 
-from repro import GTR, LikelihoodEngine, RateModel
+from repro import LikelihoodEngine, RateModel, clv_geometry
+from repro.core.layout import make_layout
 from repro.core.shadow import ShadowStore, TeeStore
+from repro.core.trace import AccessTrace
 from repro.core.vecstore import AncestralVectorStore
 from repro.errors import OutOfCoreError, PinnedSlotError
+from repro.phylo.search import lazy_spr_round
 
 SHAPE = (4, 2, 4)
 
@@ -92,14 +96,20 @@ class TestTeeStore:
         assert twin.stats.reads == primary.stats.reads
         assert twin.stats.writes == primary.stats.writes
 
-    def test_results_keyed_by_label(self):
+    def test_every_observer_sees_each_access(self):
+        """Shadows and a trace observe one stream: each access and each
+        ``mark_clean`` reaches every observer once."""
         primary = AncestralVectorStore(6, SHAPE, num_slots=3)
-        tee = TeeStore(primary, [ShadowStore(6, 3, "lru", label="a"),
-                                 ShadowStore(6, 4, "lfu", label="b")])
-        tee.get(0)
-        out = tee.results()
-        assert set(out) == {"a", "b"}
-        assert out["a"].requests == 1
+        shadows = [ShadowStore(6, 3, "lru", label="a"),
+                   ShadowStore(6, 4, "lfu", label="b")]
+        trace = AccessTrace(6)
+        tee = TeeStore(primary, [*shadows, trace])
+        tee.get(0, write_only=True)
+        tee.mark_clean(0)
+        tee.get(1)
+        assert [s.stats.requests for s in shadows] == [2, 2]
+        assert [(e.item, e.write_only, e.clean) for e in trace.events] == [
+            (0, True, False), (0, False, True), (1, False, False)]
 
     def test_item_count_mismatch_rejected(self):
         primary = AncestralVectorStore(6, SHAPE, num_slots=3)
@@ -111,3 +121,58 @@ class TestTeeStore:
         tee = TeeStore(primary, [])
         assert tee.num_items == 6
         assert tee.stats is primary.stats
+
+
+class TestTopologicalBinding:
+    """The engine binds every Topological policy its store reaches — its
+    own store's and each tee observer's — through the layout; nothing is
+    wired by hand."""
+
+    @pytest.mark.parametrize("layout_name,block_sites,slots",
+                             [("whole", None, 4), ("block", 64, 10)])
+    def test_topological_shadow_under_a_tee(self, layout_name, block_sites,
+                                            slots, small_tree, small_alignment,
+                                            small_model, closing):
+        rates = RateModel.gamma(0.8, 4)
+        layout = make_layout(layout_name, *clv_geometry(
+            small_tree, small_alignment, small_model, rates),
+            block_sites=block_sites)
+        assert (layout.blocks_per_node > 1) == (block_sites is not None)
+        primary = AncestralVectorStore(layout=layout, num_slots=slots,
+                                       policy="topological")
+        shadow = ShadowStore(layout.num_items, slots, "topological")
+        eng = closing(LikelihoodEngine(small_tree.copy(), small_alignment,
+                                       small_model, rates,
+                                       store=TeeStore(primary, [shadow])))
+        lazy_spr_round(eng, radius=2)
+        assert shadow.stats.writes + shadow.stats.write_skips > 0  # evicted
+        for key in ("requests", "hits", "misses", "reads", "read_skips",
+                    "writes", "write_skips"):
+            assert getattr(shadow.stats, key) == getattr(primary.stats,
+                                                         key), key
+
+        tree, n = eng.tree, eng.tree.num_tips
+        nodes = layout.store_item_nodes()
+        for item in range(layout.num_items):
+            d = shadow.policy.distance_provider(item)
+            assert np.array_equal(d, primary.policy.distance_provider(item))
+            hops = tree.hop_distances_from(n + int(nodes[item]))[n:]
+            # the blocks of one node share that node's distance
+            assert np.array_equal(d, hops[nodes])
+
+    def test_a_policy_with_its_own_provider_keeps_it(self, small_tree,
+                                                     small_alignment,
+                                                     small_model, closing):
+        rates = RateModel.gamma(0.8, 4)
+        num_inner, shape = clv_geometry(small_tree, small_alignment,
+                                        small_model, rates)
+
+        def own(item):
+            return np.zeros(num_inner)
+
+        shadow = ShadowStore(num_inner, 4, "topological",
+                             policy_kwargs={"distance_provider": own})
+        closing(LikelihoodEngine(
+            small_tree.copy(), small_alignment, small_model, rates,
+            store=TeeStore(AncestralVectorStore(num_inner, shape), [shadow])))
+        assert shadow.policy.distance_provider is own

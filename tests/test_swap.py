@@ -58,7 +58,7 @@ def test_counters_and_bytes_equal_the_serial_model(
               }.get(policy, {})
     trace = AccessTrace(n)
     for item, write_only, pins in workload:
-        trace.record(item, tuple(p for p in pins if p != item), write_only)
+        trace.access(item, tuple(p for p in pins if p != item), write_only)
     backing = _LoggedBacking.from_layout(layout)
 
     def live_rows(item):
@@ -152,7 +152,8 @@ class TestPrefetchOfAVictimInFlight:
             # it now must be refused, not served from the backing store.
             attempts = [store.prefetch_load(0) for _ in range(3)]
             assert attempts == [False] * 3
-            assert store.is_resident(0)                    # in flight, not gone
+            assert not store.is_resident(0)                # leaving: its write is owed
+            assert store.is_resident(5)                    # loading into its slot
             assert store.stats.prefetch_reads == 0
             gated.gate.set()
             main.join(JOIN_S)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from repro import GTR, LikelihoodEngine
+from repro.core.shadow import TeeStore
 from repro.core.trace import (
     AccessTrace,
-    RecordingStoreProxy,
     lru_miss_curve,
     reuse_distance_profile,
     simulate_policy_on_trace,
@@ -22,25 +22,32 @@ def make_trace(items, writes=None):
     t = AccessTrace(num_items=max(items) + 1)
     for i, item in enumerate(items):
         w = writes[i] if writes else False
-        t.record(item, write_only=w)
+        t.access(item, write_only=w)
     return t
 
 
 class TestRecording:
     def test_proxy_forwards_and_records(self):
+        """A trace observing a TeeStore records each access and each
+        ``mark_clean`` the tee forwards."""
         base = AncestralVectorStore(6, SHAPE, num_slots=3, policy="lru")
-        proxy = RecordingStoreProxy(base)
-        v = proxy.get(2, pins=(1,), write_only=True)
+        trace = AccessTrace(base.num_items)
+        tee = TeeStore(base, [trace])
+        v = tee.get(2, pins=(1,), write_only=True)
         assert v.shape == SHAPE
-        assert len(proxy.trace) == 1
-        ev = proxy.trace.events[0]
-        assert (ev.item, ev.pins, ev.write_only) == (2, (1,), True)
+        tee.mark_clean(2)
+        assert len(trace) == 2
+        ev, clean = trace.events
+        assert (ev.item, ev.pins, ev.write_only, ev.clean) == (2, (1,), True,
+                                                               False)
+        assert (clean.item, clean.clean) == (2, True)
+        assert trace.items() == [2]
 
     def test_proxy_exposes_store_attributes(self):
         base = AncestralVectorStore(6, SHAPE, num_slots=3)
-        proxy = RecordingStoreProxy(base)
-        assert proxy.num_items == 6
-        assert proxy.stats is base.stats
+        tee = TeeStore(base, [AccessTrace(base.num_items)])
+        assert tee.num_items == 6
+        assert tee.stats is base.stats
 
     def test_trace_helpers(self):
         t = make_trace([0, 1, 0, 2])
@@ -54,14 +61,15 @@ class TestReplayFidelity:
         """Replay must reproduce the live store's miss/read/write counts."""
         n, m = 15, 4
         live = AncestralVectorStore(n, SHAPE, num_slots=m, policy=policy)
-        proxy = RecordingStoreProxy(live)
+        trace = AccessTrace(n)
+        tee = TeeStore(live, [trace])
         for _ in range(500):
             item = int(rng.integers(n))
             pins = tuple(int(x) for x in rng.choice(n, 2, replace=False)
                          if int(x) != item)
             with contextlib.suppress(PinnedSlotError):
-                proxy.get(item, pins=pins, write_only=bool(rng.random() < 0.3))
-        replayed = simulate_policy_on_trace(proxy.trace, m, policy)
+                tee.get(item, pins=pins, write_only=bool(rng.random() < 0.3))
+        replayed = simulate_policy_on_trace(trace, m, policy)
         assert replayed.misses == live.stats.misses
         assert replayed.reads == live.stats.reads
         assert replayed.writes == live.stats.writes
@@ -72,11 +80,12 @@ class TestReplayFidelity:
         base = AncestralVectorStore(small_tree.num_inner,
                                     (small_alignment.num_patterns, 4, 4),
                                     num_slots=4, policy="lru")
-        proxy = RecordingStoreProxy(base)
+        trace = AccessTrace(base.num_items)
+        tee = TeeStore(base, [trace])
         eng = LikelihoodEngine(small_tree.copy(), small_alignment, small_model,
-                               store=proxy)
+                               store=tee)
         eng.full_traversals(2)
-        replayed = simulate_policy_on_trace(proxy.trace, 4, "lru")
+        replayed = simulate_policy_on_trace(trace, 4, "lru")
         assert replayed.misses == base.stats.misses
         assert replayed.miss_rate == base.stats.miss_rate
 
@@ -97,14 +106,15 @@ class TestReplayFidelity:
                                                    if policy == "random"
                                                    else None),
                                     track_dirty=track_dirty)
-        proxy = RecordingStoreProxy(base)
+        trace = AccessTrace(base.num_items)
+        tee = TeeStore(base, [trace])
         eng = LikelihoodEngine(small_tree.copy(), small_alignment, small_model,
-                               store=proxy, batch=-1)
+                               store=tee, batch=-1)
         eng.full_traversals(2)
         eng.optimize_branch(*eng.default_edge())
         assert eng.batch_members == 2
         replayed = simulate_policy_on_trace(
-            proxy.trace, 7, policy, track_dirty=track_dirty,
+            trace, 7, policy, track_dirty=track_dirty,
             policy_kwargs={"seed": 5} if policy == "random" else None)
         for key in ("requests", "hits", "misses", "reads", "read_skips",
                     "writes", "write_skips"):
@@ -129,14 +139,15 @@ class TestReplayFidelity:
         n, m = 12, 4
         live = AncestralVectorStore(n, SHAPE, num_slots=m, policy=policy,
                                     track_dirty=True)
-        proxy = RecordingStoreProxy(live)
+        trace = AccessTrace(n)
+        tee = TeeStore(live, [trace])
         for _ in range(600):
             item = int(rng.integers(n))
             w = bool(rng.random() < 0.4)
-            v = proxy.get(item, write_only=w)
+            v = tee.get(item, write_only=w)
             if w:
                 v[:] = float(item)
-        replayed = simulate_policy_on_trace(proxy.trace, m, policy,
+        replayed = simulate_policy_on_trace(trace, m, policy,
                                             track_dirty=True)
         for key in ("requests", "hits", "misses", "reads", "read_skips",
                     "writes", "write_skips"):
@@ -149,11 +160,12 @@ class TestReplayFidelity:
                                     (small_alignment.num_patterns, 4, 4),
                                     num_slots=4, policy="lru",
                                     track_dirty=True)
-        proxy = RecordingStoreProxy(base)
+        trace = AccessTrace(base.num_items)
+        tee = TeeStore(base, [trace])
         eng = LikelihoodEngine(small_tree.copy(), small_alignment, small_model,
-                               store=proxy)
+                               store=tee)
         eng.full_traversals(2)
-        replayed = simulate_policy_on_trace(proxy.trace, 4, "lru",
+        replayed = simulate_policy_on_trace(trace, 4, "lru",
                                             track_dirty=True)
         assert replayed.writes == base.stats.writes
         assert replayed.write_skips == base.stats.write_skips
@@ -170,9 +182,9 @@ class TestReplayFidelity:
 
     def test_fully_pinned_replay_raises(self):
         t = AccessTrace(num_items=4)
-        t.record(0)
-        t.record(1)
-        t.record(2, pins=(0, 1))
+        t.access(0)
+        t.access(1)
+        t.access(2, pins=(0, 1))
         with pytest.raises(PinnedSlotError):
             simulate_policy_on_trace(t, 2, "lru")
 
