@@ -110,8 +110,8 @@ def replay_write_side(trace: AccessTrace, num_slots: int, policy: str,
     s = shadow.stats
     out = WriteSide()
     for index, ev in enumerate(trace.events):
-        if ev.clean:
-            shadow.mark_clean(ev.item)
+        if ev.kind != "get":
+            ev.replay(shadow)
             continue
         before = (s.misses, s.reads, s.writes, s.write_skips)
         shadow.access(ev.item, ev.pins, ev.write_only)

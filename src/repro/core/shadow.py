@@ -7,7 +7,8 @@ selected replacement strategy", §4.1). A :class:`ShadowStore` therefore only
 needs the event stream, not the data: it runs the exact slot-allocation
 logic of :class:`~repro.core.vecstore.AncestralVectorStore` (free slots
 first, then a policy victim among unpinned residents, read skipping for
-write-only misses) and accumulates an :class:`~repro.core.stats.IoStats`.
+write-only misses, dirty victims dropped as the declarations say) and
+accumulates an :class:`~repro.core.stats.IoStats`.
 It is the one replica of that state machine: the offline
 :func:`~repro.core.trace.simulate_policy_on_trace` replay is a loop over a
 shadow.
@@ -24,7 +25,7 @@ not reproduce them faithfully). The engine binds those distances: see
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -71,6 +72,11 @@ class ShadowStore:
         self._item_slot: dict[int, int] = {}
         self._free: list[int] = list(range(self.num_slots - 1, -1, -1))
         self._dirty: set[int] = set()  # residents written since their load
+        # The store's drop declarations and their outcome (its module
+        # docstring, "Write only what a read wants").
+        self._reads: set[int] = set()
+        self._recomputable: set[int] = set()
+        self._unbacked: set[int] = set()
 
     @property
     def fraction(self) -> float:
@@ -83,6 +89,7 @@ class ShadowStore:
             self.stats.hits += 1
             if write_only:
                 self._dirty.add(item)
+                self._recomputable.discard(item)
         else:
             self.stats.misses += 1
             if self._free:
@@ -96,10 +103,15 @@ class ShadowStore:
                 victim = int(self.policy.choose_victim(candidates, item))
                 slot = self._item_slot.pop(victim)
                 self.policy.on_evict(victim)
-                if self.track_dirty and victim not in self._dirty:
+                if (victim in self._recomputable and victim in self._dirty
+                        and victim not in self._reads and self.read_skipping):
+                    self.stats.write_drops += 1
+                    self._unbacked.add(victim)
+                elif self.track_dirty and victim not in self._dirty:
                     self.stats.write_skips += 1
                 else:
                     self.stats.writes += 1
+                    self._unbacked.discard(victim)
                 self._dirty.discard(victim)
             if write_only and self.read_skipping:
                 self.stats.read_skips += 1
@@ -111,6 +123,7 @@ class ShadowStore:
             # other load clean (_commit_load); mirror that here.
             if write_only:
                 self._dirty.add(item)
+                self._recomputable.discard(item)
             else:
                 self._dirty.discard(item)
             self.policy.on_load(item)
@@ -119,8 +132,18 @@ class ShadowStore:
     def mark_clean(self, item: int, rows: int | None = None) -> None:
         """Observe ``AncestralVectorStore.mark_clean``: a resident item is
         no longer dirty, so its eviction is charged to ``write_skips``
-        (no data here, so ``rows`` is not compared)."""
-        self._dirty.discard(item)
+        (no data here, so ``rows`` is not compared) — unless it is
+        unbacked, whose slot stays dirty."""
+        if item not in self._unbacked:
+            self._dirty.discard(item)
+
+    def declare_reads(self, items: Iterable[int]) -> None:
+        """Observe ``AncestralVectorStore.declare_reads``."""
+        self._reads = {int(i) for i in items}
+
+    def mark_recomputable(self, items: Iterable[int]) -> None:
+        """Observe ``AncestralVectorStore.mark_recomputable``."""
+        self._recomputable.update(int(i) for i in items)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ShadowStore({self.label}, {self.stats})"
@@ -130,9 +153,10 @@ class TeeStore:
     """A real store plus observers of the identical access stream.
 
     Satisfies the engine's store protocol by forwarding ``get_many`` (and
-    ``get``, one access of it) and ``mark_clean`` to the primary store and
+    ``get``, one access of it) and the three declarations — ``mark_clean``,
+    ``declare_reads`` and ``mark_recomputable`` — to the primary store and
     replaying each against every observer: anything with ``num_items``,
-    ``access(item, pins, write_only)`` and ``mark_clean(item, rows)`` — a
+    ``access(item, pins, write_only)`` and the three declarations — a
     :class:`ShadowStore`, or an :class:`~repro.core.trace.AccessTrace`
     that records the run. An engine over a tee binds the distance
     provider of every Topological policy among the observers.
@@ -165,6 +189,18 @@ class TeeStore:
         self.primary.mark_clean(item, rows)
         for observer in self.observers:
             observer.mark_clean(item, rows)
+
+    def declare_reads(self, items: Iterable[int]) -> None:
+        items = list(items)
+        self.primary.declare_reads(items)
+        for observer in self.observers:
+            observer.declare_reads(items)
+
+    def mark_recomputable(self, items: Iterable[int]) -> None:
+        items = list(items)
+        self.primary.mark_recomputable(items)
+        for observer in self.observers:
+            observer.mark_recomputable(items)
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self.primary, name)

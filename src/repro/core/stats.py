@@ -11,7 +11,8 @@ The paper's evaluation (§4.1–4.2) reports two ratios per run:
 Counter semantics (demand vs. prefetch vs. write-behind)
 --------------------------------------------------------
 The **demand counters** (``requests``/``hits``/``misses``/``reads``/
-``read_skips``/``writes``/``write_skips``/``bytes_read``/``bytes_written``)
+``read_skips``/``writes``/``write_skips``/``write_drops``/``bytes_read``/
+``bytes_written``)
 describe the *demand access stream as if prefetching and write-behind were
 transparent*: they are functions of the access trace and the replacement
 policy alone, so the Fig. 2–4 metrics stay comparable whether or not the
@@ -25,7 +26,10 @@ asynchronous I/O pipeline is enabled. Concretely:
   prefetched bytes are charged to ``prefetch_unused``;
 * an eviction that stages its victim into the write-behind queue counts as
   a **write** at eviction time (that is when the synchronous path would
-  have written); the physical drain is counted under ``writeback_writes``.
+  have written); the physical drain is counted under ``writeback_writes``;
+* every eviction is exactly one of ``writes``, ``write_skips`` (a clean
+  victim) and ``write_drops`` (a dirty victim whose backing copy is left
+  stale, see ``AncestralVectorStore``'s "Write only what a read wants").
 
 The **prefetch counters** (``prefetch_*``) and **write-behind counters**
 (``writeback_*``) record the physical asynchronous traffic:
@@ -93,6 +97,9 @@ class IoStats:
         "eviction", "Demand write-backs at eviction/flush time")
     write_skips: int = _counter(
         "eviction", "Write-backs elided by clean-eviction tracking")
+    write_drops: int = _counter(
+        "eviction", "Dirty victims dropped unwritten: no running operation "
+        "reads them and recomputing them is priced below the write")
     bytes_read: int = _counter(
         "demand", "Bytes demand-read from the backing store")
     bytes_written: int = _counter(

@@ -11,7 +11,7 @@ compare the paper's four strategies against the theoretical lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from repro.core.policies import BeladyPolicy, ReplacementPolicy
 from repro.core.shadow import ShadowStore
@@ -20,13 +20,32 @@ from repro.core.stats import IoStats
 
 @dataclass(frozen=True, slots=True)
 class TraceEvent:
-    """One ``get()`` call: requested item, pinned items, write-only flag —
-    or, with ``clean``, one ``mark_clean(item)`` declaration (no access)."""
+    """One ``get()`` call (``kind`` ``"get"``): requested item, pinned
+    items, write-only flag — or one declaration, no access: ``"clean"``
+    (``mark_clean(item)``), ``"reads"`` (``declare_reads(items)``) or
+    ``"recomputable"`` (``mark_recomputable(items)``)."""
 
     item: int
     pins: tuple[int, ...] = ()
     write_only: bool = False
-    clean: bool = False
+    kind: str = "get"
+    #: The declared items of a ``"reads"`` or ``"recomputable"`` event.
+    items: tuple[int, ...] = ()
+
+    @property
+    def clean(self) -> bool:
+        return self.kind == "clean"
+
+    def replay(self, shadow: ShadowStore) -> None:
+        """Apply this event to ``shadow`` as the live store saw it."""
+        if self.kind == "get":
+            shadow.access(self.item, self.pins, self.write_only)
+        elif self.kind == "clean":
+            shadow.mark_clean(self.item)
+        elif self.kind == "reads":
+            shadow.declare_reads(self.items)
+        else:
+            shadow.mark_recomputable(self.items)
 
 
 @dataclass
@@ -34,8 +53,8 @@ class AccessTrace:
     """An ordered sequence of :class:`TraceEvent` over ``num_items`` items.
 
     A trace is an observer of a :class:`~repro.core.shadow.TeeStore`: it
-    takes the two calls the tee makes of each observer, ``access`` and
-    ``mark_clean``. ``TeeStore(store, [trace])`` records a live run. Item
+    takes the calls the tee makes of each observer, ``access`` and the
+    three declarations. ``TeeStore(store, [trace])`` records a live run. Item
     ids are opaque to the replay, so block-granular traces replay
     unchanged.
     """
@@ -47,14 +66,22 @@ class AccessTrace:
         self.events.append(TraceEvent(int(item), tuple(int(p) for p in pins), bool(write_only)))
 
     def mark_clean(self, item: int, rows: int | None = None) -> None:
-        self.events.append(TraceEvent(int(item), clean=True))
+        self.events.append(TraceEvent(int(item), kind="clean"))
+
+    def declare_reads(self, items: Iterable[int]) -> None:
+        self.events.append(TraceEvent(-1, kind="reads",
+                                      items=tuple(int(i) for i in items)))
+
+    def mark_recomputable(self, items: Iterable[int]) -> None:
+        self.events.append(TraceEvent(-1, kind="recomputable",
+                                      items=tuple(int(i) for i in items)))
 
     def __len__(self) -> int:
         return len(self.events)
 
     def accesses(self) -> list[TraceEvent]:
-        """The events that are ``get()`` calls (clean declarations skipped)."""
-        return [e for e in self.events if not e.clean]
+        """The events that are ``get()`` calls (declarations skipped)."""
+        return [e for e in self.events if e.kind == "get"]
 
     def items(self) -> list[int]:
         """The requested items in order — what Belady's future is."""
@@ -77,8 +104,8 @@ def simulate_policy_on_trace(
     among unpinned residents) — so its miss/read rates match a real run
     with the same policy; it is simply ~100× faster, which lets benchmarks
     sweep many (policy, m) points on one recorded workload. Belady's policy
-    is fed the future item sequence automatically; a clean event is no
-    part of it, and replays as the shadow's ``mark_clean``.
+    is fed the future item sequence automatically; a declaration is no
+    part of it, and replays as the shadow's own (:meth:`TraceEvent.replay`).
 
     ``options`` are the shadow's keywords — ``read_skipping``,
     ``track_dirty``, ``policy_kwargs`` — with the store's defaults, so a
@@ -90,10 +117,7 @@ def simulate_policy_on_trace(
     if isinstance(shadow.policy, BeladyPolicy):
         shadow.policy.load_future(trace.items())
     for ev in trace.events:
-        if ev.clean:
-            shadow.mark_clean(ev.item)
-        else:
-            shadow.access(ev.item, ev.pins, ev.write_only)
+        ev.replay(shadow)
     return shadow.stats
 
 

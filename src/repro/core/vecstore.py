@@ -85,6 +85,23 @@ already holds its bytes.
 **Synchronous** therefore means: *nothing is in flight when ``get_many``
 returns*.
 
+Write only what a read wants
+----------------------------
+A dirty demand-miss victim is *dropped* — its slot vacated, nothing
+written, ``write_drops`` counted — when its caller declared both that
+the running operation never reads it (:meth:`declare_reads`) and that
+recomputing it is priced below writing it (:meth:`mark_recomputable`,
+which a later write of the item revokes). Its backing copy is then
+stale, and the item is *unbacked* until a real write (an eviction's,
+``flush``'s, ``fill``'s) clears the mark. The invariant is: **an evicted
+vector is on the backing store, or it is unbacked and never read.** A
+read miss on an unbacked item raises :class:`~repro.errors.OutOfCoreError`
+(one set lookup per miss), a prefetch claim refuses it, ``mark_clean``
+leaves it dirty and ``check_copy`` has no copy to compare it with. The
+engine declares both only over a backing whose read price is positive,
+and prices a read of an unbacked vector at infinity, so it recomputes
+it; ``flush`` and ``evict_all`` write every dirty resident as before.
+
 A run of accesses is one hold of the lock
 -----------------------------------------
 ``get_many(accesses)`` serves a run of ``(item, pins, write_only)``
@@ -431,6 +448,12 @@ class AncestralVectorStore:
         self._inflight: set[int] = set()  # guarded-by: _lock
         self._prefetched_untouched: set[int] = set()  # guarded-by: _lock
         self._active_pins: set[int] = set()  # guarded-by: _lock
+        # Write only what a read wants (module docstring): the items the
+        # running operation reads, those whose recomputation is priced
+        # below their write, and those whose backing copy is stale.
+        self._reads: set[int] = set()  # guarded-by: _lock
+        self._recomputable: set[int] = set()  # guarded-by: _lock
+        self._unbacked: set[int] = set()  # guarded-by: _lock
         # ``get_many`` bookkeeping: the number of the run being served
         # (odd while one is, bumped at both ends), the run that lent each
         # slot's occupant, and ``(slot, generation)`` -> the private copy
@@ -721,7 +744,7 @@ class AncestralVectorStore:
             if rc is not None:
                 rc.write(self._race_scope, "stats.store", "_lent_in", "_rows")
                 rc.read(self._race_scope, "_item_slot", "_inflight",
-                        "_slot_generation")
+                        "_slot_generation", "_unbacked")
             stats.requests += 1
             if ob is not None:
                 ob.event("get", item)
@@ -734,6 +757,12 @@ class AncestralVectorStore:
                 if slot >= 0:
                     self._account_hit(item, slot, write_only)
                     break
+                if item in self._unbacked and not (write_only
+                                                   and self.read_skipping):
+                    raise OutOfCoreError(
+                        f"item {item} is unbacked: it was dropped dirty, so "
+                        f"its backing copy is stale; only a recomputation "
+                        f"(a write-only access) brings it back")
                 found = self._allocate_slot(item, pins)
                 if found is not None:
                     slot = self._load(item, pins, write_only, *found)
@@ -871,7 +900,8 @@ class AncestralVectorStore:
         if victim >= 0:
             self._inflight.remove(victim)
             if write_exc is None:
-                self._vacate(victim, slot, written=True)
+                self._wrote(victim)
+                self._vacate(victim, slot)
         self._inflight.remove(item)
         if write_exc is not None:
             del self._item_slot[item]  # the slot is still the victim's
@@ -901,7 +931,7 @@ class AncestralVectorStore:
         rc = self._race
         if rc is not None:
             rc.write(self._race_scope, "stats.store", "_prefetched_untouched",
-                     "_dirty")
+                     "_dirty", "_recomputable")
             rc.read(self._race_scope, "_rows")
         if item in self._prefetched_untouched:
             self._prefetched_untouched.discard(item)
@@ -932,6 +962,7 @@ class AncestralVectorStore:
                 ob.event("hit", item, slot)
         if write_only:
             self._dirty[slot] = True
+            self._recomputable.discard(item)
         self.policy.on_access(item, write_only)
 
     def _commit_load(self, item: int, slot: int, write_only: bool,  # holds: _cond
@@ -944,7 +975,8 @@ class AncestralVectorStore:
         ob = self.obs
         rc = self._race
         if rc is not None:
-            rc.write(self._race_scope, "stats.store", "_dirty")
+            rc.write(self._race_scope, "stats.store", "_dirty",
+                     "_recomputable")
             rc.read(self._race_scope, "_rows")
         if read is None:
             self.stats.read_skips += 1
@@ -962,6 +994,8 @@ class AncestralVectorStore:
                 self.stats.writeback_read_hits += 1
         self.policy.on_load(item)
         self._dirty[slot] = write_only
+        if write_only:
+            self._recomputable.discard(item)
         self.policy.on_access(item, write_only)
 
     def _issue_views(self, accesses: Sequence[_Access],  # holds: _cond
@@ -1027,7 +1061,8 @@ class AncestralVectorStore:
     def mark_dirty(self, item: int) -> None:
         """Declare that a vector fetched for reading is being modified.
 
-        Its slot is written back at eviction like a ``write_only`` fetch's.
+        Its slot is written back at eviction like a ``write_only`` fetch's
+        (a :meth:`mark_recomputable` of it is revoked, as by any write).
         Under the sanitizer the item's live read views become writeable:
         declare first, then write.
         """
@@ -1037,11 +1072,12 @@ class AncestralVectorStore:
             if rc is not None:
                 rc.read(self._race_scope, "_item_slot", "_borrows",
                         "_slot_generation")
-                rc.write(self._race_scope, "_dirty")
+                rc.write(self._race_scope, "_dirty", "_recomputable")
             slot = self._item_slot.get(item, -1)
             if slot < 0:
                 raise OutOfCoreError(f"item {item} is not resident")
             self._dirty[slot] = True
+            self._recomputable.discard(item)
             gen = self._slot_generation[slot]
             for ref in self._borrows:
                 view = ref()
@@ -1057,21 +1093,22 @@ class AncestralVectorStore:
         again. For a vector whose recomputation reproduced the stored bits
         — a refreshed cherry. An item not resident (or still loading) is
         left as it is: its newest bytes are on the backing store or on
-        their way. Under the sanitizer the leading ``rows`` (default: the
-        item's live rows) are first compared with the backing copy (the
-        staging buffer's, when newer), and a difference — a write the
-        clean slot would lose, or rows past what the backing copy holds —
-        raises :class:`~repro.errors.OutOfCoreError`.
+        their way. So is an unbacked one: its backing copy is stale, so
+        its slot stays dirty. Under the sanitizer the leading ``rows``
+        (default: the item's live rows) are first compared with the
+        backing copy (the staging buffer's, when newer), and a difference
+        — a write the clean slot would lose, or rows past what the backing
+        copy holds — raises :class:`~repro.errors.OutOfCoreError`.
         """
         self._check_item(item)
         rc = self._race
         with self._cond:
             if rc is not None:
                 rc.read(self._race_scope, "_item_slot", "_inflight", "_borrows",
-                        "_slot_generation", "_rows")
+                        "_slot_generation", "_rows", "_unbacked")
                 rc.write(self._race_scope, "_dirty", "_compare")
             slot = self._item_slot.get(item, -1)
-            if slot < 0 or item in self._inflight:
+            if slot < 0 or item in self._inflight or item in self._unbacked:
                 return
             if self._sanitize:
                 if rows is None:
@@ -1095,7 +1132,8 @@ class AncestralVectorStore:
 
         For a vector recomputed outside the store — a plan's ghost, which
         must reproduce the bits it would otherwise have read. Not an
-        access: no counter moves.
+        access: no counter moves. An unbacked item has no copy to compare
+        with, so nothing is compared.
         """
         if not self._sanitize:
             return
@@ -1103,8 +1141,10 @@ class AncestralVectorStore:
         rc = self._race
         with self._cond:
             if rc is not None:
-                rc.read(self._race_scope, "_rows")
+                rc.read(self._race_scope, "_rows", "_unbacked")
                 rc.write(self._race_scope, "_compare")
+            if item in self._unbacked:
+                return
             if self._differs_from_copy(item, rows):
                 raise OutOfCoreError(
                     f"check_copy({item}): the recomputed rows differ from "
@@ -1120,6 +1160,40 @@ class AncestralVectorStore:
         stored = self._compare
         self._read_into(item, stored, self._rows[item])
         return stored[:len(rows)].tobytes() != rows.tobytes()
+
+    def declare_reads(self, items: Iterable[int]) -> None:
+        """Declare the items the running operation reads, replacing the
+        last declaration: a dirty victim among them is written, never
+        dropped (module docstring, "Write only what a read wants")."""
+        reads = {int(i) for i in items}
+        rc = self._race
+        with self._cond:
+            if rc is not None:
+                rc.write(self._race_scope, "_reads")
+            self._reads = reads
+
+    def mark_recomputable(self, items: Iterable[int]) -> None:
+        """Declare that recomputing each of ``items`` is priced below
+        writing it: evicted dirty while no running operation reads it,
+        such an item is dropped, not written. The mark lasts until the
+        item is next written (a write access, :meth:`mark_dirty`,
+        :meth:`fill`)."""
+        marked = [int(i) for i in items]
+        rc = self._race
+        with self._cond:
+            if rc is not None:
+                rc.write(self._race_scope, "_recomputable")
+            self._recomputable.update(marked)
+
+    def is_unbacked(self, item: int) -> bool:
+        """Whether ``item``'s backing copy is stale: it was dropped dirty
+        and not written since, so only a recomputation may bring it
+        back."""
+        rc = self._race
+        with self._cond:
+            if rc is not None:
+                rc.read(self._race_scope, "_unbacked")
+            return item in self._unbacked
 
     def fill(self, item: int, data: np.ndarray) -> None:
         """Land the result of a write-only access that ``get_many`` spilled.
@@ -1139,10 +1213,10 @@ class AncestralVectorStore:
         cases:
 
         * resident → copy into the slot and mark it dirty;
-        * not resident → the eviction persisted stale bytes; write
-          ``data`` as it is through the write-behind queue (coalescing —
-          newest copy wins) or straight to backing (counted in
-          :attr:`fill_spills`);
+        * not resident → the eviction persisted stale bytes (or dropped
+          them); write ``data`` as it is through the write-behind queue
+          (coalescing — newest copy wins) or straight to backing (counted
+          in :attr:`fill_spills`), which makes the item backed again;
         * load in flight (prefetch) → wait for it, then overwrite the
           slot, so a reload of pre-fill bytes can never win the race.
         """
@@ -1158,9 +1232,10 @@ class AncestralVectorStore:
             with self._cond:
                 if rc is not None:
                     rc.read(self._race_scope, "_inflight", "_item_slot")
-                    rc.write(self._race_scope, "_rows")
+                    rc.write(self._race_scope, "_rows", "_recomputable")
                 while item in self._inflight:
                     self._cond.wait()
+                self._recomputable.discard(item)
                 slot = self._item_slot.get(item, -1)
                 if slot >= 0:
                     if rc is not None:
@@ -1183,8 +1258,9 @@ class AncestralVectorStore:
                 self.backing.write(item, data)
             with self._cond:
                 if rc is not None:
-                    rc.write(self._race_scope, "fill_spills")
+                    rc.write(self._race_scope, "fill_spills", "_unbacked")
                 self.fill_spills += 1
+                self._unbacked.discard(item)
             staged = True
 
     def _allocate_slot(self, item: int, pins: Iterable[int],  # holds: _cond
@@ -1194,10 +1270,12 @@ class AncestralVectorStore:
         victim)``, never evicting ``pins`` or ``excluded``.
 
         ``victim < 0``: the slot is vacant (free, or its occupant was
-        evicted here — clean under ``track_dirty``, or staged into the
-        write-behind queue). ``victim >= 0``: the synchronous write-out of
-        that item is still owed — it keeps the slot, flagged in flight,
-        until the caller has written it outside the lock (``_transfer``).
+        evicted here — clean under ``track_dirty``, dropped (a demand
+        miss's dirty victim nothing reads, see the module docstring), or
+        staged into the write-behind queue). ``victim >= 0``: the
+        synchronous write-out of that item is still owed — it keeps the
+        slot, flagged in flight, until the caller has written it outside
+        the lock (``_transfer``).
         ``None``: nothing is evictable (for a demand miss only *yet* —
         loads in flight hold the unpinned slots; it waits for one). Pins
         alone exhausting the slots is a demand miss's error.
@@ -1205,6 +1283,7 @@ class AncestralVectorStore:
         rc = self._race
         if rc is not None:
             rc.write(self._race_scope, "_free")
+            rc.read(self._race_scope, "_recomputable", "_reads")
         if self._free:
             return self._free.pop(), -1
         candidates = self._evictable(pins, *excluded)
@@ -1224,6 +1303,10 @@ class AncestralVectorStore:
                 f"policy {self.policy.name!r} chose non-candidate victim {victim}"
             )
         vslot = self._item_slot[victim]
+        if (victim in self._recomputable and demand and self._dirty[vslot]
+                and victim not in self._reads and self.read_skipping):
+            self._drop(victim, vslot)
+            return vslot, -1
         if self._writeback is not None or (self.track_dirty
                                            and not self._dirty[vslot]):
             self._evict(victim, vslot)
@@ -1249,33 +1332,41 @@ class AncestralVectorStore:
         rc = self._race
         if rc is not None:
             rc.read(self._race_scope, "_dirty")
+            rc.write(self._race_scope, "stats.store")
         if self.obs is not None:
             self.obs.event("evict", item, slot)
-        written = not (self.track_dirty and not self._dirty[slot])
-        if written:
+        if self.track_dirty and not self._dirty[slot]:
+            self.stats.write_skips += 1
+        else:
             self._write_out(item, slot)
-        self._vacate(item, slot, written)
+        self._vacate(item, slot)
 
-    def _vacate(self, item: int, slot: int,  # holds: _cond
-                written: bool) -> None:
-        """Bookkeeping of an eviction whose bytes are safe: the slot is
+    def _drop(self, item: int, slot: int) -> None:  # holds: _cond
+        """Evict dirty ``item`` unwritten: its backing copy is stale from
+        here on (module docstring, "Write only what a read wants")."""
+        rc = self._race
+        if rc is not None:
+            rc.write(self._race_scope, "stats.store", "_unbacked")
+        if self.obs is not None:
+            self.obs.event("evict", item, slot)
+        self.stats.write_drops += 1
+        self._unbacked.add(item)
+        self._vacate(item, slot)
+
+    def _vacate(self, item: int, slot: int) -> None:  # holds: _cond
+        """Bookkeeping of an eviction whose bytes are safe — written,
+        clean or dropped, and counted so by the caller: the slot is
         vacant."""
         rc = self._race
         if rc is not None:
             rc.write(self._race_scope, "_slot_generation", "stats.store",
                      "_prefetched_untouched", "_item_slot", "_slot_item",
                      "_dirty")
-            rc.read(self._race_scope, "_rows")
         self._spill(slot)
         self._slot_generation[slot] += 1  # invalidates outstanding borrows
         if item in self._prefetched_untouched:
             self._prefetched_untouched.discard(item)
             self.stats.prefetch_unused += 1
-        if written:
-            self.stats.writes += 1
-            self.stats.bytes_written += self._live_bytes(item)
-        else:
-            self.stats.write_skips += 1
         del self._item_slot[item]
         self._slot_item[slot] = -1
         self._dirty[slot] = False
@@ -1301,7 +1392,7 @@ class AncestralVectorStore:
 
     def _write_out(self, item: int, slot: int) -> None:  # holds: _cond
         """Persist one slot's live rows — staged asynchronously when
-        write-behind is on."""
+        write-behind is on — and count the write."""
         rc = self._race
         if rc is not None:
             rc.read(self._race_scope, "_rows")
@@ -1310,6 +1401,18 @@ class AncestralVectorStore:
             self._writeback.put(item, live)
         else:
             self.backing.write(item, live)
+        self._wrote(item)
+
+    def _wrote(self, item: int) -> None:  # holds: _cond
+        """Count a write of ``item``'s live rows toward the backing store,
+        which holds its newest bytes from now on (it is backed)."""
+        rc = self._race
+        if rc is not None:
+            rc.write(self._race_scope, "stats.store", "_unbacked")
+            rc.read(self._race_scope, "_rows")
+        self.stats.writes += 1
+        self.stats.bytes_written += self._live_bytes(item)
+        self._unbacked.discard(item)
 
     # -- prefetch support (paper §5) -------------------------------------------------
 
@@ -1340,15 +1443,16 @@ class AncestralVectorStore:
     def _prefetch_claim(self, item: int,  # holds: _cond
                         protect: Iterable[int]) -> _Load | None:
         """Announce a prefetch load of ``item`` in flight, or ``None``
-        (resident or in flight already, or no slot to be had). A dirty
+        (resident or in flight already, unbacked — its copy is stale —
+        or no slot to be had). A dirty
         victim's write is owed to :meth:`_prefetch_fill`. The threaded
         prefetcher claims in the lock hold that picked the item, so two
         workers never pick the same one."""
         rc = self._race
         if rc is not None:
             rc.read(self._race_scope, "_item_slot", "_active_pins",
-                    "_prefetched_untouched")
-        if item in self._item_slot:
+                    "_prefetched_untouched", "_unbacked")
+        if item in self._item_slot or item in self._unbacked:
             return None
         try:
             found = self._allocate_slot(item, protect, self._active_pins,
@@ -1414,8 +1518,6 @@ class AncestralVectorStore:
                     self.stats.write_skips += 1
                     continue
                 self._write_out(item, slot)
-                self.stats.writes += 1
-                self.stats.bytes_written += self._live_bytes(item)
                 self._dirty[slot] = False
         self.drain()
         # Only now is every write actually ON the device, not just handed
@@ -1456,17 +1558,23 @@ class AncestralVectorStore:
         Consults, in order: the RAM slot, the write-behind staging buffer,
         the backing store — so it always observes the newest version of
         the live rows. Rows past them are the slot's stale ones, or for a
-        vector not resident zeros (NaN under the sanitizer).
+        vector not resident zeros (NaN under the sanitizer). A vector
+        neither resident nor backed has no copy anywhere: that raises
+        :class:`~repro.errors.OutOfCoreError`.
         """
         self._check_item(item)
         rc = self._race
         with self._cond:
             self._settle()
             if rc is not None:
-                rc.read(self._race_scope, "_item_slot", "_rows")
+                rc.read(self._race_scope, "_item_slot", "_rows", "_unbacked")
             slot = self._item_slot.get(item, -1)
             if slot >= 0:
                 return self._slots[slot].copy()
+            if item in self._unbacked:
+                raise OutOfCoreError(
+                    f"read_item({item}): the item is unbacked and not "
+                    f"resident, so no copy of it exists")
             rows = self._rows[item]
         out = np.zeros(self.item_shape, dtype=self.dtype)
         self._read_into(item, out, rows)
@@ -1481,7 +1589,8 @@ class AncestralVectorStore:
         choice. This cross-checks all of them: ``_slot_item`` and
         ``_item_slot`` are inverse to each other, the free list holds
         exactly the empty slots, in-flight and prefetched-untouched items
-        are resident, and an order-keeping policy
+        are resident, a resident unbacked item is dirty (its slot holds
+        its only copy), and an order-keeping policy
         (:meth:`ReplacementPolicy.ordered_items`) tracks exactly the
         residents whose load has completed — including an in-flight victim
         whose write is owed: its slot still maps to it, and the load
@@ -1491,11 +1600,17 @@ class AncestralVectorStore:
         with self._cond:
             if rc is not None:
                 rc.read(self._race_scope, "_slot_item", "_item_slot", "_free",
-                        "_inflight", "_prefetched_untouched")
+                        "_inflight", "_prefetched_untouched", "_unbacked",
+                        "_dirty")
             for slot, item in enumerate(self._slot_item):
                 if item >= 0 and self._item_slot.get(item, -1) != slot:
                     raise OutOfCoreError(f"slot {slot} ↦ item {item} ↦ slot "
                                          f"{self._item_slot.get(item, -1)} mismatch")
+                if (item in self._unbacked and item not in self._inflight
+                        and not self._dirty[slot]):
+                    raise OutOfCoreError(
+                        f"item {item} is unbacked but its slot {slot} is "
+                        f"clean: its only copy would be lost at eviction")
             victims: set[int] = set()
             for item, slot in self._item_slot.items():
                 occupant = (self._slot_item[slot]

@@ -12,9 +12,10 @@ learns where a vector lives.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -139,6 +140,12 @@ class Executor:
         #: The planner's pricing arguments (:meth:`_pricing`), built once
         #: per store.
         self._priced: dict[str, Any] | None = None
+        #: Beside them, the price of writing ``k`` class rows of a vector,
+        #: or ``None`` where the store is never told what it may drop
+        #: (:meth:`execute_plan`), and each node's subtree price: every
+        #: step below and at it, as if all of them were recomputed.
+        self._write_price: Callable[[int], float] | None = None
+        self._subtree_price: list[float] = []
         #: The attached repro.obs.Observer (default off): the engine
         #: reports each "plan" / "kernel" / "store_wait" lap and every
         #: execute_plan to it. Purely passive; numerics are unaffected.
@@ -161,6 +168,7 @@ class Executor:
         self.prefetcher = None
         self._classes = None
         self._priced = None
+        self._write_price = None
         self._bind_topological_policy()
         #: Group cap of the traversal schedule; 1 = every update in place.
         self.batch_members = (default_group_cap(store.num_slots)
@@ -316,14 +324,18 @@ class Executor:
         read back.
 
         ``absent(node)``: no item of the node is resident (a load in
-        flight counts as resident). Both prices are declared, never
-        clocked, and read a valid node's committed class map: a read
-        costs the backing's ``read_price`` of each item's live bytes, an
-        update ``kernels.STEP_PRICE_S`` per block plus
+        flight counts as resident), or one that is not resident is
+        unbacked. Both prices are declared, never clocked, and read a
+        valid node's committed class map: a read costs the backing's
+        ``read_price`` of each item's live bytes — infinite if an item is
+        unbacked, whose stored copy is stale — an update
+        ``kernels.STEP_PRICE_S`` per block plus
         ``kernels.ROW_PRICE_S · (C·S / 16)²`` per class row. A backing
         that declares no price, or prices a whole vector's read at 0
         (prices grow with the bytes), gets no ``read_price``: the planner
-        then asks no price.
+        then asks no price, and the store is told nothing it may drop.
+        Over a priced one the same ``read_price`` of ``k`` class rows is
+        :attr:`_write_price` (the modelled device is symmetric).
         """
         if self._priced is not None:
             return self._priced
@@ -339,8 +351,6 @@ class Executor:
         per_row = kernels.ROW_PRICE_S * (width / 16) ** 2
         row_bytes = self.ancestral_vector_bytes() // self.clv_shape[0]
         price = getattr(getattr(store, "backing", None), "read_price", None)
-        if price is not None and price(self.ancestral_vector_bytes()) <= 0.0:
-            price = None
 
         def absent(node: int) -> bool:
             return not any(map(is_resident, items_of(node - n)))
@@ -348,11 +358,29 @@ class Executor:
         def step_price(node: int) -> float:
             return sum(step + per_row * b.k for b in current[node].blocks)
 
+        self._priced = {"absent": absent, "step_price": step_price,
+                        "read_price": None}
+        if price is None or price(self.ancestral_vector_bytes()) <= 0.0:
+            return self._priced
+        is_unbacked = store.is_unbacked
+
+        def absent_or_unbacked(node: int) -> bool:
+            items = items_of(node - n)
+            resident = [is_resident(i) for i in items]
+            # A block dropped while its node stayed partly resident: only
+            # a recomputation of the node brings it back.
+            return not any(resident) or any(
+                not r and is_unbacked(i) for i, r in zip(items, resident))
+
         def read_price(node: int) -> float:
+            if any(map(is_unbacked, items_of(node - n))):
+                return math.inf
             return sum(price(b.k * row_bytes) for b in current[node].blocks)
 
-        self._priced = {"absent": absent, "step_price": step_price,
-                        "read_price": None if price is None else read_price}
+        self._priced.update(absent=absent_or_unbacked, read_price=read_price)
+        self._write_price = lambda k: price(k * row_bytes)
+        if not self._subtree_price:
+            self._subtree_price = [0.0] * n + [math.inf] * self.tree.num_inner
         return self._priced
 
     def _timed_get(self, item: int, pins: tuple = (),
@@ -426,13 +454,12 @@ class Executor:
 
         Recomputes exactly the stale vectors on both sides (all of them
         with ``full=True``). Every edge-evaluating entry point starts here
-        and then reads the ends through :meth:`_edge_blocks`, so a
-        prefetcher is fed the whole operation: the plan's schedule *and*
-        the end reads.
+        and then reads the ends through :meth:`_edge_blocks`, so the
+        whole operation — the plan's schedule *and* the end reads — is
+        what a prefetcher is fed and what the store is told the
+        operation reads.
         """
-        plan = self.plan(u, v, full=full)
-        ends = () if self.prefetcher is None else self.edge_accesses(u, v)
-        self.execute_plan(plan, ends)
+        self.execute_plan(self.plan(u, v, full=full), self.edge_accesses(u, v))
 
     def execute_plan(self, plan: TraversalPlan,
                      then: Iterable[tuple[int, tuple, bool]] = ()) -> None:
@@ -444,11 +471,18 @@ class Executor:
         target is fetched **write-only** — the read-skipping hook (§3.2,
         §3.4). Under a block layout a step is one update per site block:
         block ``b`` of the target needs only block ``b`` of each child
-        (per-site independence). With a prefetcher attached, the access
-        sequence is handed to it first — followed by ``then``, the
-        accesses the caller issues right after the plan's own (an edge's
-        end reads), which an empty plan still feeds — so swap-ins overlap
-        the kernel arithmetic (§5).
+        (per-site independence). The access sequence, followed by
+        ``then`` — the accesses the caller issues right after the plan's
+        own (an edge's end reads), which an empty plan still has — is the
+        operation's: a prefetcher is fed it, so swap-ins overlap the
+        kernel arithmetic (§5), and over a priced backing its reads are
+        declared to the store (``store.declare_reads``) before any access.
+        At the end every stored node the plan computed whose subtree
+        recomputation — the step prices of the node and of everything
+        below it — is priced below writing its class rows is declared
+        ``store.mark_recomputable``: a dirty victim that is, and that no
+        running operation reads, is dropped instead of written
+        (DESIGN.md, "Write only what a read wants").
 
         A ghost (a node in ``plan.ghost``) is computed into a buffer of
         its ``k`` class rows that its parent's update then consumes and
@@ -483,11 +517,16 @@ class Executor:
         """
         # Empty plans stay out of the schedule cache: they must not evict.
         schedule = self._schedule(plan) if plan.steps else None
-        if self.prefetcher is not None:
+        self._pricing()
+        write_price = self._write_price
+        if self.prefetcher is not None or write_price is not None:
             fed = [] if schedule is None else schedule.accesses()
             fed.extend(then)
-            if fed:
+            if self.prefetcher is not None and fed:
                 self.prefetcher.feed(fed)
+            if write_price is not None:
+                self.store.declare_reads(
+                    [item for item, _, write_only in fed if not write_only])
         if schedule is None:
             return
         ob = self.obs
@@ -495,6 +534,10 @@ class Executor:
         n = self.tree.num_tips
         lookup, current = self.classes.lookup, self.classes.current
         recomputed = plan.refresh | plan.ghost
+        if write_price is not None:
+            step_price = self._priced["step_price"]
+            subtree = self._subtree_price
+            cheap: list[int] = []
         self._ghosts.clear()
         for gi, group in enumerate(schedule.groups):
             # Every member's children finished in earlier groups, so their
@@ -520,6 +563,18 @@ class Executor:
                         for item, block in zip(self.layout.items_of(m.node - n),
                                                node_classes.blocks):
                             self.store.mark_clean(item, block.k)
+                    if write_price is not None:
+                        price = subtree[m.node] = (step_price(m.node)
+                                                   + subtree[m.left]
+                                                   + subtree[m.right])
+                        if not m.ghost:
+                            cheap.extend(
+                                item for item, block in zip(
+                                    self.layout.items_of(m.node - n),
+                                    node_classes.blocks)
+                                if price < write_price(block.k))
+        if write_price is not None and cheap:
+            self.store.mark_recomputable(cheap)
         if ob is not None:
             # The enclosing interval: kernel/store_wait spans nest inside
             # it on the compute-thread track of the exported timeline.

@@ -23,7 +23,8 @@ from repro.obs.metrics import MetricsRegistry
 
 COUNTERS = [
     "requests", "hits", "misses", "reads", "read_skips", "writes",
-    "write_skips", "bytes_read", "bytes_written", "prefetch_reads",
+    "write_skips", "write_drops", "bytes_read", "bytes_written",
+    "prefetch_reads",
     "prefetch_bytes", "prefetch_hits", "prefetch_unused", "writeback_writes",
     "writeback_bytes", "writeback_stalls", "writeback_read_hits",
 ]
@@ -31,7 +32,8 @@ COUNTERS = [
 OWNERS = {
     "DEMAND_COUNTERS": {"requests", "hits", "misses", "reads", "read_skips",
                         "bytes_read"},
-    "EVICTION_COUNTERS": {"writes", "write_skips", "bytes_written"},
+    "EVICTION_COUNTERS": {"writes", "write_skips", "write_drops",
+                          "bytes_written"},
     "PREFETCH_COUNTERS": {"prefetch_reads", "prefetch_bytes", "prefetch_hits",
                           "prefetch_unused"},
     "WRITEBACK_COUNTERS": {"writeback_writes", "writeback_bytes",
@@ -39,7 +41,8 @@ OWNERS = {
 }
 
 PARITY = ("requests", "hits", "misses", "reads", "read_skips",
-          "writes", "write_skips", "bytes_read", "bytes_written")
+          "writes", "write_skips", "write_drops", "bytes_read",
+          "bytes_written")
 
 #: reported name -> the IoStats counter its record count mirrors (the
 #: event table's rows, plus the back-pressure stall it used to fold in)
@@ -116,7 +119,7 @@ def test_engine_phases_come_from_the_routes():
 
 
 def test_metric_catalogue():
-    assert len(METRICS) == 35
+    assert len(METRICS) == 36
     assert {name: row.kind
             for name, row in METRIC_EXPOSITION.items()} == METRICS
     assert METRIC_NAMES == set(METRICS)

@@ -527,7 +527,7 @@ def test_refresh_round_counters_agree_with_shadow_and_replay(refresh_round):
     trace, _, _, live, shadowed, slots = refresh_round
     replayed = simulate_policy_on_trace(trace, slots, "lru").as_row()
     for counter in ("requests", "hits", "misses", "reads", "read_skips",
-                    "writes", "write_skips"):
+                    "writes", "write_skips", "write_drops"):
         assert shadowed[counter] == live[counter], counter
         assert replayed[counter] == live[counter], counter
     assert any(ev.clean for ev in trace.events)
