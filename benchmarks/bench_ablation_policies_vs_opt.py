@@ -9,15 +9,21 @@ their miss counts sit close to OPT.
 
 The write side (``track_dirty=True``, the store's default): the search
 trace and a re-rooting trace — one steady pass of the ``reroot_hdd_sync``
-operations of ``benchmarks/ooc`` — replayed per policy, counting reads,
-writes and write skips, priced at ``DiskModel.hdd()``. A synchronous miss
-writes its dirty victim out and then reads its own item in, each a
-transfer of its own, so device time is (reads + writes)·t. The writes are
-what a clean-first victim choice (CFLRU) could at most remove, so their
-share of the device time is that policy's ceiling; the table says whether
-it clears the 15 % gate for building one live. t is the price of a
-full-width vector: a transfer moves only an item's live rows, but a trace
-carries no live-row count — and the shares do not depend on t.
+operations of ``benchmarks/ooc``, recorded through that row's store, an
+out-of-core one over the modelled HDD — replayed per policy, counting
+reads, writes, write skips and write drops, priced at ``DiskModel.hdd()``.
+The re-rooting trace carries the store's declarations (the operation's
+reads, the vectors priced below their write, the writes that reproduce
+stored bits), and each replay applies them in its own slots. A
+synchronous miss writes its dirty victim out and then reads its own item
+in, each a transfer of its own, so device time is (reads + writes)·t. The
+writes are what a clean-first victim choice (CFLRU) could at most remove,
+so their share of the device time is that policy's ceiling; the table
+says whether it clears the 15 % gate for building one live. t is the
+price of a full-width vector: a transfer moves only an item's live rows,
+but a trace carries no live-row count — and the shares do not depend on
+t. A policy other than the recording one may drop a vector that the
+recorded run reads later; its replay counts that read as any other.
 """
 
 import sys
@@ -29,6 +35,8 @@ import pytest
 
 from benchmarks.conftest import report
 from repro import AncestralVectorStore, LikelihoodEngine, clv_geometry
+from repro.core.backing import SimulatedDiskBackingStore
+from repro.core.layout import make_layout
 from repro.core.policies import BeladyPolicy
 from repro.core.shadow import ShadowStore, TeeStore
 from repro.core.trace import AccessTrace, simulate_policy_on_trace
@@ -63,8 +71,9 @@ class ReplayedTrace:
 @pytest.fixture(scope="module")
 def reroot_trace():
     """Two passes of the ``reroot_hdd_sync`` operations (D128x4k, seed 42)
-    recorded in core; the second pass is the steady state a timed pass of
-    that workload repeats."""
+    recorded through that row's store — f = 0.25, LRU, the modelled HDD,
+    which here does not sleep; the second pass is the steady state a timed
+    pass of that workload repeats."""
     sys.path.insert(0, str(Path(__file__).parent / "ooc"))
     import catalogue
     import workloads
@@ -74,7 +83,12 @@ def reroot_trace():
     ops = workloads.operations("reroot", tree, REROOT_SEED, geometry)
     num_inner, clv_shape = clv_geometry(tree, alignment, model, rates)
     trace = AccessTrace(num_inner)
-    store = TeeStore(AncestralVectorStore(num_inner, clv_shape), [trace])
+    layout = make_layout("whole", num_inner, clv_shape)
+    backing = SimulatedDiskBackingStore.from_layout(
+        layout, disk=getattr(DiskModel, geometry["disk"])())
+    store = TeeStore(AncestralVectorStore(layout=layout,
+                                          fraction=catalogue.FRACTION,
+                                          backing=backing), [trace])
     engine = LikelihoodEngine(tree.copy(), alignment, model, rates,
                               store=store)
     try:
@@ -97,6 +111,7 @@ class WriteSide:
     reads: int = 0
     writes: int = 0
     write_skips: int = 0
+    write_drops: int = 0
 
 
 def replay_write_side(trace: AccessTrace, num_slots: int, policy: str,
@@ -113,7 +128,7 @@ def replay_write_side(trace: AccessTrace, num_slots: int, policy: str,
         if ev.kind != "get":
             ev.replay(shadow)
             continue
-        before = (s.misses, s.reads, s.writes, s.write_skips)
+        before = (s.misses, s.reads, s.writes, s.write_skips, s.write_drops)
         shadow.access(ev.item, ev.pins, ev.write_only)
         if index < start:
             continue
@@ -121,6 +136,7 @@ def replay_write_side(trace: AccessTrace, num_slots: int, policy: str,
         out.reads += s.reads - before[1]
         out.writes += s.writes - before[2]
         out.write_skips += s.write_skips - before[3]
+        out.write_drops += s.write_drops - before[4]
     return out
 
 
@@ -168,14 +184,15 @@ def _write_side_table(name: str, replayed: ReplayedTrace, m: int,
                       full_replay: dict | None = None) -> list[str]:
     """The write-side rows of one trace, and the CFLRU verdict under LRU."""
     t = DiskModel.hdd().transfer_time(replayed.item_bytes)
-    accesses = len(replayed.trace) - replayed.start
+    accesses = sum(ev.kind == "get"
+                   for ev in replayed.trace.events[replayed.start:])
     lines = [
         f"write side, {name} trace: {accesses} accesses, m={m}, dirty "
         f"tracking on; t = one full-width {replayed.item_bytes / 1e3:.0f} KB "
         f"transfer = {t * 1e3:.1f} ms on hdd (the trace carries no live-row "
         f"count; the shares do not depend on t)",
         f"{'policy':>8} {'reads':>7} {'writes':>7} {'skips':>7} "
-        f"{'device s':>9} {'writes %':>9}",
+        f"{'drops':>7} {'device s':>9} {'writes %':>9}",
     ]
     rows = {}
     for policy in POLICIES:
@@ -184,18 +201,21 @@ def _write_side_table(name: str, replayed: ReplayedTrace, m: int,
         share = row.writes / max(row.reads + row.writes, 1)
         lines.append(
             f"{policy:>8} {row.reads:>7} {row.writes:>7} {row.write_skips:>7} "
-            f"{(row.reads + row.writes) * t:>9.3f} {share:>9.1%}")
-        # every eviction is a write or a write skip; none owes more
+            f"{row.write_drops:>7} {(row.reads + row.writes) * t:>9.3f} "
+            f"{share:>9.1%}")
+        # every eviction is a write, a write skip or a drop; none owes more
         evictions = row.misses - (m if replayed.start == 0 else 0)
-        assert row.writes + row.write_skips == evictions, policy
+        assert row.writes + row.write_skips + row.write_drops == evictions, \
+            policy
         if full_replay is not None:
             assert row.reads == full_replay[policy].reads, policy
     lru = rows["lru"]
     ceiling = lru.writes / max(lru.reads + lru.writes, 1)
     verdict = "clears" if ceiling >= GATE else "does not clear"
     lines.append(
-        f"CFLRU ceiling under LRU: {lru.writes} writes = {ceiling:.1%} of "
-        f"the synchronous device time, which {verdict} the {GATE:.0%} gate")
+        f"CFLRU ceiling under LRU: {lru.writes} writes = {lru.writes * t:.3f} "
+        f"s, {ceiling:.1%} of the synchronous device time, which {verdict} "
+        f"the {GATE:.0%} gate")
     return lines
 
 

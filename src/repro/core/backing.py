@@ -93,6 +93,12 @@ class ReportedBackingStore:
     def read(self, item: int, out: np.ndarray) -> None:
         self._reported("backing_read", self._read, item, out)
 
+    def peek(self, item: int, out: np.ndarray) -> None:
+        """``read`` unreported and, on a modelled device, uncharged: a
+        check's look at the stored copy (the vector store's sanitizer
+        compares slots with it), which is no I/O of the workload."""
+        self._read(item, out)
+
     def read_price(self, nbytes: int) -> float:
         """RAM and the file kinds declare a read free: a recomputation is
         then chosen only where it is free too (a cherry)."""
@@ -397,6 +403,11 @@ class MultiFileBackingStore(ReportedBackingStore):
         fh.read(local, out)
         return nbytes
 
+    def peek(self, item: int, out: np.ndarray) -> None:
+        transfer_bytes(out, self.item_bytes, self.row_bytes)
+        fh, local = self._locate(item)
+        getattr(fh, "peek", fh.read)(local, out)
+
     def _write(self, item: int, data: np.ndarray) -> int:
         data = write_buffer(data, self.dtype, self.item_bytes, self.row_bytes)
         fh, local = self._locate(item)
@@ -502,6 +513,9 @@ class SimulatedDiskBackingStore(ReportedBackingStore):
         self._inner.read(item, out)
         self._charge(out.nbytes)
         return out.nbytes
+
+    def peek(self, item: int, out: np.ndarray) -> None:
+        self._inner.peek(item, out)
 
     def _write(self, item: int, data: np.ndarray) -> int:
         self._inner.write(item, data)

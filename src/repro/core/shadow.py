@@ -7,8 +7,9 @@ selected replacement strategy", §4.1). A :class:`ShadowStore` therefore only
 needs the event stream, not the data: it runs the exact slot-allocation
 logic of :class:`~repro.core.vecstore.AncestralVectorStore` (free slots
 first, then a policy victim among unpinned residents, read skipping for
-write-only misses, dirty victims dropped as the declarations say) and
-accumulates an :class:`~repro.core.stats.IoStats`.
+write-only misses, dirty victims dropped and reproducing writes left
+clean as the declarations say, each from its own slots) and accumulates
+an :class:`~repro.core.stats.IoStats`.
 It is the one replica of that state machine: the offline
 :func:`~repro.core.trace.simulate_policy_on_trace` replay is a loop over a
 shadow.
@@ -77,6 +78,7 @@ class ShadowStore:
         self._reads: set[int] = set()
         self._recomputable: set[int] = set()
         self._unbacked: set[int] = set()
+        self._reproduced: set[int] = set()
 
     @property
     def fraction(self) -> float:
@@ -85,10 +87,12 @@ class ShadowStore:
     def access(self, item: int, pins: tuple = (), write_only: bool = False) -> None:
         """Observe one ``get()`` event and update counters."""
         self.stats.requests += 1
+        reproduced = write_only and item in self._reproduced
         if item in self._item_slot:
             self.stats.hits += 1
             if write_only:
-                self._dirty.add(item)
+                if not reproduced:  # a reproducing write keeps the dirty bit
+                    self._dirty.add(item)
                 self._recomputable.discard(item)
         else:
             self.stats.misses += 1
@@ -119,13 +123,15 @@ class ShadowStore:
                 self.stats.reads += 1
             self._slot_item[slot] = item
             self._item_slot[item] = slot
-            # The store's load path marks a write-only load dirty and any
-            # other load clean (_commit_load); mirror that here.
-            if write_only:
+            # The store's load path marks a write-only load dirty — unless
+            # it reproduces a backed item — and any other load clean
+            # (_commit_load); mirror that here.
+            if write_only and (not reproduced or item in self._unbacked):
                 self._dirty.add(item)
-                self._recomputable.discard(item)
             else:
                 self._dirty.discard(item)
+            if write_only:
+                self._recomputable.discard(item)
             self.policy.on_load(item)
         self.policy.on_access(item, write_only)
 
@@ -133,13 +139,21 @@ class ShadowStore:
         """Observe ``AncestralVectorStore.mark_clean``: a resident item is
         no longer dirty, so its eviction is charged to ``write_skips``
         (no data here, so ``rows`` is not compared) — unless it is
-        unbacked, whose slot stays dirty."""
+        unbacked, whose slot stays dirty. The claim is the primary's
+        about its own backing copy: in a shadow with other slots the item
+        may have been rewritten and never written back, so a recomputation
+        is declared with :meth:`declare_reproduced` instead."""
         if item not in self._unbacked:
             self._dirty.discard(item)
 
     def declare_reads(self, items: Iterable[int]) -> None:
         """Observe ``AncestralVectorStore.declare_reads``."""
         self._reads = {int(i) for i in items}
+
+    def declare_reproduced(self, items: Iterable[int]) -> None:
+        """Observe ``AncestralVectorStore.declare_reproduced``: the rule is
+        applied at each access from this shadow's own slots."""
+        self._reproduced = {int(i) for i in items}
 
     def mark_recomputable(self, items: Iterable[int]) -> None:
         """Observe ``AncestralVectorStore.mark_recomputable``."""
@@ -153,10 +167,11 @@ class TeeStore:
     """A real store plus observers of the identical access stream.
 
     Satisfies the engine's store protocol by forwarding ``get_many`` (and
-    ``get``, one access of it) and the three declarations — ``mark_clean``,
-    ``declare_reads`` and ``mark_recomputable`` — to the primary store and
-    replaying each against every observer: anything with ``num_items``,
-    ``access(item, pins, write_only)`` and the three declarations — a
+    ``get``, one access of it) and the four declarations — ``mark_clean``,
+    ``declare_reads``, ``declare_reproduced`` and ``mark_recomputable`` —
+    to the primary store and replaying each against every observer:
+    anything with ``num_items``, ``access(item, pins, write_only)`` and
+    the four declarations — a
     :class:`ShadowStore`, or an :class:`~repro.core.trace.AccessTrace`
     that records the run. An engine over a tee binds the distance
     provider of every Topological policy among the observers.
@@ -195,6 +210,12 @@ class TeeStore:
         self.primary.declare_reads(items)
         for observer in self.observers:
             observer.declare_reads(items)
+
+    def declare_reproduced(self, items: Iterable[int]) -> None:
+        items = list(items)
+        self.primary.declare_reproduced(items)
+        for observer in self.observers:
+            observer.declare_reproduced(items)
 
     def mark_recomputable(self, items: Iterable[int]) -> None:
         items = list(items)

@@ -22,14 +22,16 @@ from repro.core.stats import IoStats
 class TraceEvent:
     """One ``get()`` call (``kind`` ``"get"``): requested item, pinned
     items, write-only flag — or one declaration, no access: ``"clean"``
-    (``mark_clean(item)``), ``"reads"`` (``declare_reads(items)``) or
-    ``"recomputable"`` (``mark_recomputable(items)``)."""
+    (``mark_clean(item)``), ``"reads"`` (``declare_reads(items)``),
+    ``"reproduced"`` (``declare_reproduced(items)``) or ``"recomputable"``
+    (``mark_recomputable(items)``)."""
 
     item: int
     pins: tuple[int, ...] = ()
     write_only: bool = False
     kind: str = "get"
-    #: The declared items of a ``"reads"`` or ``"recomputable"`` event.
+    #: The declared items of a ``"reads"``, ``"reproduced"`` or
+    #: ``"recomputable"`` event.
     items: tuple[int, ...] = ()
 
     @property
@@ -44,6 +46,8 @@ class TraceEvent:
             shadow.mark_clean(self.item)
         elif self.kind == "reads":
             shadow.declare_reads(self.items)
+        elif self.kind == "reproduced":
+            shadow.declare_reproduced(self.items)
         else:
             shadow.mark_recomputable(self.items)
 
@@ -54,7 +58,7 @@ class AccessTrace:
 
     A trace is an observer of a :class:`~repro.core.shadow.TeeStore`: it
     takes the calls the tee makes of each observer, ``access`` and the
-    three declarations. ``TeeStore(store, [trace])`` records a live run. Item
+    four declarations. ``TeeStore(store, [trace])`` records a live run. Item
     ids are opaque to the replay, so block-granular traces replay
     unchanged.
     """
@@ -70,6 +74,10 @@ class AccessTrace:
 
     def declare_reads(self, items: Iterable[int]) -> None:
         self.events.append(TraceEvent(-1, kind="reads",
+                                      items=tuple(int(i) for i in items)))
+
+    def declare_reproduced(self, items: Iterable[int]) -> None:
+        self.events.append(TraceEvent(-1, kind="reproduced",
                                       items=tuple(int(i) for i in items)))
 
     def mark_recomputable(self, items: Iterable[int]) -> None:

@@ -102,6 +102,17 @@ engine declares both only over a backing whose read price is positive,
 and prices a read of an unbacked vector at infinity, so it recomputes
 it; ``flush`` and ``evict_all`` write every dirty resident as before.
 
+The mirror rule keeps a write that changes nothing from costing one: a
+write access of an item declared *reproduced*
+(:meth:`declare_reproduced` — its writer recomputes the bits it stored
+last) leaves the slot as clean as the backing copy was just before the
+access. A hit keeps the slot's dirty bit; a miss is clean unless the
+item is unbacked. So the invariant on the write side is: **a clean slot
+equals its backing copy.** Under the sanitizer each slot the rule left
+clean is compared with its backing copy at the start of the next run
+(or barrier), once its writer has filled it, and a difference raises
+:class:`~repro.errors.OutOfCoreError`.
+
 A run of accesses is one hold of the lock
 -----------------------------------------
 ``get_many(accesses)`` serves a run of ``(item, pins, write_only)``
@@ -454,6 +465,12 @@ class AncestralVectorStore:
         self._reads: set[int] = set()  # guarded-by: _lock
         self._recomputable: set[int] = set()  # guarded-by: _lock
         self._unbacked: set[int] = set()  # guarded-by: _lock
+        # ... and the items whose writes the running operation declared
+        # reproducing, with, under the sanitizer, each ``(item, slot,
+        # generation)`` such a write left clean, not yet compared with its
+        # backing copy.
+        self._reproduced: set[int] = set()  # guarded-by: _lock
+        self._unchecked: list[tuple[int, int, int]] = []  # guarded-by: _lock
         # ``get_many`` bookkeeping: the number of the run being served
         # (odd while one is, bumped at both ends), the run that lent each
         # slot's occupant, and ``(slot, generation)`` -> the private copy
@@ -665,11 +682,14 @@ class AncestralVectorStore:
             if rc is not None:
                 rc.write(self._race_scope, "_run", "_spilled", "_active_pins",
                          "_relay")
+                rc.read(self._race_scope, "_unchecked")
             if self._relay is not None:  # one access of a relayed run
                 served = self._serve(accesses)
                 self._relay.extend(served)
                 self._active_pins = {accesses[0][0], *accesses[0][1]}
                 return self._issue_views(accesses, served)
+            if self._unchecked:
+                self._check_reproduced()
             self._run += 1
             try:
                 served = (self._serve(accesses) if instrument is None
@@ -932,7 +952,7 @@ class AncestralVectorStore:
         if rc is not None:
             rc.write(self._race_scope, "stats.store", "_prefetched_untouched",
                      "_dirty", "_recomputable")
-            rc.read(self._race_scope, "_rows")
+            rc.read(self._race_scope, "_rows", "_reproduced")
         if item in self._prefetched_untouched:
             self._prefetched_untouched.discard(item)
             self.stats.misses += 1
@@ -961,7 +981,10 @@ class AncestralVectorStore:
             if ob is not None:
                 ob.event("hit", item, slot)
         if write_only:
-            self._dirty[slot] = True
+            if item not in self._reproduced:
+                self._dirty[slot] = True
+            elif not self._dirty[slot]:
+                self._reproduced_clean(item, slot)
             self._recomputable.discard(item)
         self.policy.on_access(item, write_only)
 
@@ -977,7 +1000,7 @@ class AncestralVectorStore:
         if rc is not None:
             rc.write(self._race_scope, "stats.store", "_dirty",
                      "_recomputable")
-            rc.read(self._race_scope, "_rows")
+            rc.read(self._race_scope, "_rows", "_reproduced", "_unbacked")
         if read is None:
             self.stats.read_skips += 1
             if ob is not None:
@@ -993,10 +1016,49 @@ class AncestralVectorStore:
             if from_staging:
                 self.stats.writeback_read_hits += 1
         self.policy.on_load(item)
-        self._dirty[slot] = write_only
         if write_only:
+            # A reproducing write leaves the slot as clean as the backing
+            # copy: stale only if the item is unbacked.
+            self._dirty[slot] = (item not in self._reproduced
+                                 or item in self._unbacked)
+            if not self._dirty[slot]:
+                self._reproduced_clean(item, slot)
             self._recomputable.discard(item)
+        else:
+            self._dirty[slot] = False
         self.policy.on_access(item, write_only)
+
+    def _reproduced_clean(self, item: int, slot: int) -> None:  # holds: _cond
+        """A reproducing write access left ``item``'s slot clean: under the
+        sanitizer, note it for :meth:`_check_reproduced`."""
+        if self._sanitize:
+            rc = self._race
+            if rc is not None:
+                rc.write(self._race_scope, "_unchecked")
+                rc.read(self._race_scope, "_slot_generation")
+            self._unchecked.append((item, slot, self._slot_generation[slot]))
+
+    def _check_reproduced(self) -> None:  # holds: _cond
+        """Compare each slot a reproducing write left clean, and that is
+        still its item's, with the backing copy — its writer has filled it
+        by now — and seal its views read-only; a difference (the write
+        changed the bits, so the clean slot would lose it) raises
+        :class:`~repro.errors.OutOfCoreError`."""
+        rc = self._race
+        if rc is not None:
+            rc.write(self._race_scope, "_unchecked", "_compare")
+            rc.read(self._race_scope, "_slot_generation", "_dirty", "_rows")
+        unchecked, self._unchecked = self._unchecked, []
+        for item, slot, gen in unchecked:
+            if self._slot_generation[slot] != gen or self._dirty[slot]:
+                continue  # evicted clean (a fill lands it) or written since
+            if self._differs_from_copy(
+                    item, self._slots[slot][:self._rows[item]]):
+                raise OutOfCoreError(
+                    f"item {item}: a write declared reproducing changed its "
+                    f"live rows, so its clean slot differs from the backing "
+                    f"copy")
+            self._seal(slot)
 
     def _issue_views(self, accesses: Sequence[_Access],  # holds: _cond
                      served: list[tuple[int, int, int]]
@@ -1041,10 +1103,13 @@ class AncestralVectorStore:
         self._item_slot[item] = slot
         self._dirty[slot] = False
 
-    def _read_into(self, item: int, buf: np.ndarray, rows: int) -> bool:
+    def _read_into(self, item: int, buf: np.ndarray, rows: int,
+                   peek: bool = False) -> bool:
         """Fill rows ``[0, rows)`` of ``buf`` — ``item``'s live rows — from
         the staging buffer or the backing store; under the sanitizer the
-        rest of ``buf`` becomes NaN.
+        rest of ``buf`` becomes NaN. With ``peek`` the backing is only
+        looked at (``backing.peek``, where it has one): a check's read, no
+        transfer a modelled device is charged for.
 
         Returns ``True`` when served by the write-behind staging buffer
         (whose copy is newer than the backing store's — read-your-writes).
@@ -1053,7 +1118,9 @@ class AncestralVectorStore:
         staged = (self._writeback is not None
                   and self._writeback.read_into(item, out))
         if not staged:
-            self.backing.read(item, out)
+            backing = self.backing
+            (getattr(backing, "peek", backing.read) if peek
+             else backing.read)(item, out)
         if self._sanitize:
             buf[rows:] = np.nan
         return staged
@@ -1090,8 +1157,11 @@ class AncestralVectorStore:
 
         The mirror of :meth:`mark_dirty`: the slot is not written back at
         eviction, and under the sanitizer its live views are read-only
-        again. For a vector whose recomputation reproduced the stored bits
-        — a refreshed cherry. An item not resident (or still loading) is
+        again. A claim about this store's own backing copy, made after
+        the fact; the engine instead declares a recomputation that
+        reproduces the stored bits before it writes
+        (:meth:`declare_reproduced`), which every store applies from its
+        own state. An item not resident (or still loading) is
         left as it is: its newest bytes are on the backing store or on
         their way. So is an unbacked one: its backing copy is stale, so
         its slot stays dirty. Under the sanitizer the leading ``rows``
@@ -1117,13 +1187,21 @@ class AncestralVectorStore:
                     raise OutOfCoreError(
                         f"mark_clean({item}): the live rows differ from the "
                         f"backing copy, so the slot is not clean")
-                gen = self._slot_generation[slot]
-                for ref in self._borrows:
-                    view = ref()
-                    if (view is not None and view._borrow_slot == slot
-                            and view._borrow_expected == gen):
-                        view.flags.writeable = False
+                self._seal(slot)
             self._dirty[slot] = False
+
+    def _seal(self, slot: int) -> None:  # holds: _cond
+        """Make the live sanitizer views of ``slot``'s occupant read-only:
+        the slot is clean, so a write through one would be lost."""
+        rc = self._race
+        if rc is not None:
+            rc.read(self._race_scope, "_borrows", "_slot_generation")
+        gen = self._slot_generation[slot]
+        for ref in self._borrows:
+            view = ref()
+            if (view is not None and view._borrow_slot == slot
+                    and view._borrow_expected == gen):
+                view.flags.writeable = False
 
     def check_copy(self, item: int, rows: np.ndarray) -> None:
         """Under the sanitizer, raise :class:`~repro.errors.OutOfCoreError`
@@ -1153,12 +1231,12 @@ class AncestralVectorStore:
     def _differs_from_copy(self, item: int,  # holds: _cond
                            rows: np.ndarray) -> bool:
         """Whether ``rows`` differ from the leading rows of ``item``'s
-        stored copy, read the way a miss reads it (:meth:`_read_into`);
+        stored copy, looked at where a miss reads it (:meth:`_read_into`);
         rows past the copy's live rows are NaN there, so they differ."""
         if self._compare is None:
             self._compare = np.empty(self.item_shape, dtype=self.dtype)
         stored = self._compare
-        self._read_into(item, stored, self._rows[item])
+        self._read_into(item, stored, self._rows[item], peek=True)
         return stored[:len(rows)].tobytes() != rows.tobytes()
 
     def declare_reads(self, items: Iterable[int]) -> None:
@@ -1171,6 +1249,18 @@ class AncestralVectorStore:
             if rc is not None:
                 rc.write(self._race_scope, "_reads")
             self._reads = reads
+
+    def declare_reproduced(self, items: Iterable[int]) -> None:
+        """Declare the items whose write accesses in the running operation
+        reproduce the bits each stored last, replacing the last
+        declaration: such a write leaves the slot as clean as the backing
+        copy was (module docstring, "Write only what a read wants")."""
+        reproduced = {int(i) for i in items}
+        rc = self._race
+        with self._cond:
+            if rc is not None:
+                rc.write(self._race_scope, "_reproduced")
+            self._reproduced = reproduced
 
     def mark_recomputable(self, items: Iterable[int]) -> None:
         """Declare that recomputing each of ``items`` is priced below
@@ -1533,9 +1623,11 @@ class AncestralVectorStore:
         """Wait (under the lock) until no load is in flight."""
         rc = self._race
         if rc is not None:
-            rc.read(self._race_scope, "_inflight")
+            rc.read(self._race_scope, "_inflight", "_unchecked")
         while self._inflight:
             self._cond.wait()
+        if self._unchecked:
+            self._check_reproduced()
 
     def evict_all(self) -> None:
         """Empty every slot (vectors written back); used between experiment phases."""
@@ -1644,13 +1736,23 @@ class AncestralVectorStore:
 
     def close(self) -> None:
         """Drain pending write-behind traffic and close the backing store.
-        Idempotent: a second call does nothing."""
+        Under the sanitizer, first compare what reproducing writes left
+        clean (see :meth:`declare_reproduced`). Idempotent: a second call
+        does nothing."""
         if self._closed:
             return
-        if self._writeback is not None:
-            self._writeback.close()
-        self.backing.close()
-        self._closed = True
+        rc = self._race
+        try:
+            with self._cond:
+                if rc is not None:
+                    rc.read(self._race_scope, "_unchecked")
+                if self._unchecked:
+                    self._check_reproduced()
+        finally:
+            if self._writeback is not None:
+                self._writeback.close()
+            self.backing.close()
+            self._closed = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

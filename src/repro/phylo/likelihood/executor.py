@@ -146,6 +146,9 @@ class Executor:
         #: step below and at it, as if all of them were recomputed.
         self._write_price: Callable[[int], float] | None = None
         self._subtree_price: list[float] = []
+        #: Whether the store's standing ``declare_reproduced`` names any
+        #: item (an empty one need not be repeated).
+        self._reproducing = False
         #: The attached repro.obs.Observer (default off): the engine
         #: reports each "plan" / "kernel" / "store_wait" lap and every
         #: execute_plan to it. Purely passive; numerics are unaffected.
@@ -169,6 +172,7 @@ class Executor:
         self._classes = None
         self._priced = None
         self._write_price = None
+        self._reproducing = False
         self._bind_topological_policy()
         #: Group cap of the traversal schedule; 1 = every update in place.
         self.batch_members = (default_group_cap(store.num_slots)
@@ -305,7 +309,9 @@ class Executor:
         recomputed from its resident frontier rather than read when that
         is priced below the read (a cherry always): the plan's
         ``refresh`` and ``ghost``. ``full`` plans recompute every vector
-        anyway and never ask.
+        anyway and never ask for a price; their valid nodes are declared
+        reproduced when the plan runs, like a refresh
+        (:meth:`execute_plan`).
         """
         priced = {} if full else self._pricing()
         ob = self.obs
@@ -484,6 +490,14 @@ class Executor:
         running operation reads, is dropped instead of written
         (DESIGN.md, "Write only what a read wants").
 
+        Out of core, before the first access the store is also told which
+        writes reproduce the stored bits (``store.declare_reproduced``,
+        :meth:`_declare_reproduced`): those of every step whose node is
+        still valid toward the step's neighbour — each refreshed node, and
+        under ``full=True`` every node that was current that way. The
+        store leaves such a write as clean as the backing copy was, so a
+        full traversal writes back only what changed.
+
         A ghost (a node in ``plan.ghost``) is computed into a buffer of
         its ``k`` class rows that its parent's update then consumes and
         drops: it makes no access, takes no slot and pins nothing, and
@@ -512,8 +526,7 @@ class Executor:
         a call, while groups of one pushed through the fused path
         measured 10–28 % slower than in place (DESIGN.md, "Batched kernel
         schedule"). Orientation is committed after each node's last block
-        so a failure leaves a consistent state; a refreshed node's items
-        are then declared clean (``store.mark_clean`` of their class rows).
+        so a failure leaves a consistent state.
         """
         # Empty plans stay out of the schedule cache: they must not evict.
         schedule = self._schedule(plan) if plan.steps else None
@@ -529,6 +542,7 @@ class Executor:
                     [item for item, _, write_only in fed if not write_only])
         if schedule is None:
             return
+        self._declare_reproduced(plan)
         ob = self.obs
         exec_t0 = time.perf_counter() if ob is not None else 0.0
         n = self.tree.num_tips
@@ -557,12 +571,6 @@ class Executor:
                 if m.last_block:
                     self.orientation.set(m.node, m.toward)
                     self.classes.commit(m.node, node_classes)
-                    if m.node in plan.refresh:
-                        # The recomputation reproduced the backing copy's
-                        # class rows bit for bit: nothing to write back.
-                        for item, block in zip(self.layout.items_of(m.node - n),
-                                               node_classes.blocks):
-                            self.store.mark_clean(item, block.k)
                     if write_price is not None:
                         price = subtree[m.node] = (step_price(m.node)
                                                    + subtree[m.left]
@@ -580,6 +588,27 @@ class Executor:
             # it on the compute-thread track of the exported timeline.
             ob.timed("execute_plan", exec_t0, time.perf_counter() - exec_t0,
                      steps=len(plan.steps), groups=len(schedule.groups))
+
+    def _declare_reproduced(self, plan: TraversalPlan) -> None:
+        """Tell an out-of-core store the items of every stored step whose
+        node is valid toward the step's neighbour as the plan starts:
+        validity says every operand below it is unchanged, so its
+        recomputation reproduces the stored bits (a ghost's never reaches
+        the store). A store that holds every item evicts nothing and is
+        told nothing; an empty declaration is not repeated."""
+        store = self.store
+        if store.num_slots >= store.num_items:
+            return
+        orient = self.orientation.orient
+        items_of = self.layout.items_of
+        n = self.tree.num_tips
+        ghost = plan.ghost
+        items = [item for s in plan.steps
+                 if orient[s.node] == s.toward and s.node not in ghost
+                 for item in items_of(s.node - n)]
+        if items or self._reproducing:
+            store.declare_reproduced(items)
+            self._reproducing = bool(items)
 
     def _operands(self, m: BatchMember, block: BlockClasses, views) -> tuple:
         """``(clv, codes)`` of ``m``'s two children at its classes.

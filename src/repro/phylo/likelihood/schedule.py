@@ -159,9 +159,10 @@ def build_batched_schedule(
     children precede parents, so rules (a) and (c) only ever fire at step
     boundaries and groups are contiguous runs of that order: the
     concatenated access sequence is the same for every ``max_members``.
-    Rule (c) keeps the rest of it so too: a ghost runs in place, and a
-    refreshed node's ``mark_clean`` follows its own update whatever the
-    cap, so no later access of a shared group can evict it dirty first.
+    Rule (c) keeps the rest of it so too: a ghost runs in place, and so
+    does the refreshed node that consumes it. Whether a recomputed slot
+    is clean the store decides at its access (``declare_reproduced``),
+    so no grouping can change it.
     """
     if max_members < 1:
         raise LikelihoodError(f"max_members must be >= 1, got {max_members}")

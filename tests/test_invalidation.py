@@ -511,9 +511,9 @@ def test_refresh_round_never_reads_an_absent_cherry(refresh_round, incore_round)
     for (start, absent), end in zip(marks, bounds):
         unwritten = set(absent)
         for ev in events[start:end]:
-            if ev.clean:
-                refreshed += 1
-                assert ev.item in absent
+            if ev.kind == "reproduced":
+                refreshed += len(ev.items)
+                assert set(ev.items) <= absent
             elif ev.write_only:
                 unwritten.discard(ev.item)
             else:
@@ -522,15 +522,16 @@ def test_refresh_round_never_reads_an_absent_cherry(refresh_round, incore_round)
 
 
 def test_refresh_round_counters_agree_with_shadow_and_replay(refresh_round):
-    """mark_clean reaches the shadow through the TeeStore and the replay
-    through the trace: both count what the live store counted."""
+    """The reproduced declaration reaches the shadow through the TeeStore
+    and the replay through the trace: both count what the live store
+    counted."""
     trace, _, _, live, shadowed, slots = refresh_round
     replayed = simulate_policy_on_trace(trace, slots, "lru").as_row()
     for counter in ("requests", "hits", "misses", "reads", "read_skips",
                     "writes", "write_skips", "write_drops"):
         assert shadowed[counter] == live[counter], counter
         assert replayed[counter] == live[counter], counter
-    assert any(ev.clean for ev in trace.events)
+    assert any(ev.kind == "reproduced" and ev.items for ev in trace.events)
 
 
 # -- priced rounds: frontiers recomputed instead of read ------------------------------
